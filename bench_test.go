@@ -26,6 +26,7 @@ import (
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
 	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 const benchIters = 40 // timed barriers per simulated measurement
@@ -160,7 +161,7 @@ func BenchmarkGBDimensionSweep(b *testing.B) {
 	cfg := cluster.DefaultConfig(16)
 	var best, worst float64
 	for i := 0; i < b.N; i++ {
-		pts := experiments.GBDimSweep(cfg, experiments.NICLevel, benchIters)
+		pts := experiments.GBDimSweep(cfg, experiments.NICLevel, benchIters, false)
 		best, worst = pts[0].Micros, pts[0].Micros
 		for _, p := range pts {
 			if p.Micros < best {
@@ -287,7 +288,9 @@ func BenchmarkAblationTwoLevelSwitch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := cluster.DefaultConfig(16)
-			cfg.TwoLevel = twoLevel
+			if twoLevel {
+				cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+			}
 			reportBarrier(b, experiments.Spec{Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.PE})
 		})
 	}

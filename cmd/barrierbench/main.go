@@ -294,13 +294,12 @@ func writeDOT(path string, kind topo.Kind, nodes, radix int) error {
 }
 
 func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters, partitions int, tuned bool) {
-	var rows []experiments.TopoScaleRow
+	rows := experiments.TopoScaleSweep(experiments.TopoSweep{
+		Kinds: kinds, Sizes: sizes, Radix: radix, Iters: iters, Tuned: tuned, Partitions: partitions,
+	})
 	dimNote := "best dim"
 	if tuned {
-		rows = experiments.TopoScaleSweepAuto(kinds, sizes, radix, iters, partitions)
 		dimNote = "model-tuned dim"
-	} else {
-		rows = experiments.TopoScaleSweepPartitioned(kinds, sizes, radix, iters, nil, partitions)
 	}
 	engine := ""
 	if partitions > 1 {
@@ -415,7 +414,7 @@ func printCrash(n, dim int, planName string, seed int64) {
 		cfg.Firmware = experiments.DetectionFirmware()
 		// A fresh plan per scenario: injector state is per-run.
 		cfg.Fault, _ = service.NamedPlan(planName, seed, n)
-		return experiments.Scenario{Name: name, Cfg: cfg, Alg: alg, Dim: d}
+		return experiments.Scenario{Name: name, Spec: experiments.Spec{Cluster: cfg, Alg: alg, Dim: d}}
 	}
 	sums := experiments.RunScenarios([]experiments.Scenario{
 		mk(mcp.PE, 0, fmt.Sprintf("pe%d-%s%d", n, planName, victim)),

@@ -18,7 +18,6 @@ import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
 	"gmsim/internal/experiments"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/sim"
 	"gmsim/internal/stats"
@@ -63,42 +62,39 @@ func main() {
 // pushes iters messages of the given size; bandwidth = bytes / time from
 // first send to last delivery.
 func streamBandwidth(cfg cluster.Config, size, iters int) float64 {
-	cl := cluster.New(cfg)
+	s, err := experiments.NewSession(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer s.Close()
 	g := core.UniformGroup(2, 2)
 	payload := make([]byte, size)
 	var t0, t1 sim.Time
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, iters+32)
-		if err != nil {
-			panic(err)
-		}
-		if rank == 0 {
-			t0 = p.Now()
-			sent := 0
-			for sent < iters {
-				// Respect the send-token limit by draining completions.
-				if err := comm.Send(p, g[1], payload); err != nil {
-					// Out of tokens: block until an event frees one.
-					comm.Port().Receive(p)
-					continue
-				}
-				sent++
+	s.Spawn(0, iters+32, func(p *host.Process, comm *core.Comm) error {
+		t0 = p.Now()
+		for i := 0; i < iters; i++ {
+			// Send drains completions whenever the port runs out of
+			// send tokens.
+			if err := comm.Send(p, g[1], payload); err != nil {
+				return err
 			}
-		} else {
-			for i := 0; i < iters; i++ {
-				if _, err := comm.RecvFrom(p, g[0]); err != nil {
-					panic(err)
-				}
-			}
-			t1 = p.Now()
 		}
+		return nil
 	})
-	cl.Run()
+	s.Spawn(1, iters+32, func(p *host.Process, comm *core.Comm) error {
+		for i := 0; i < iters; i++ {
+			if _, err := comm.RecvFrom(p, g[0]); err != nil {
+				return err
+			}
+		}
+		t1 = p.Now()
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if t1 <= t0 {
 		return 0
 	}

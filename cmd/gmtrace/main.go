@@ -22,14 +22,10 @@ import (
 	"sort"
 
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/gm"
-	"gmsim/internal/host"
+	"gmsim/internal/experiments"
 	"gmsim/internal/mcp"
-	"gmsim/internal/sim"
 	"gmsim/internal/stats"
 	"gmsim/internal/topo"
-	"gmsim/internal/trace"
 )
 
 func main() {
@@ -38,77 +34,52 @@ func main() {
 	dim := flag.Int("dim", 2, "GB tree dimension")
 	levelArg := flag.String("level", "nic", "barrier placement: nic or host")
 	barriers := flag.Int("barriers", 2, "barriers to trace")
-	skip := flag.Int("skip", 3, "warmup barriers before tracing")
+	skip := flag.Int("skip", 3, "warmup barriers before tracing (at least 1)")
 	topoArg := flag.String("topo", "single", "switch topology: single, twoswitch, star, clos2, clos3")
 	radix := flag.Int("radix", 0, "switch port count (0 = topology default)")
 	chrome := flag.String("chrome", "", "write the trace as Chrome trace-event JSON to this file")
 	flag.Parse()
 
-	alg := mcp.PE
-	if *algArg == "gb" {
-		alg = mcp.GB
-	} else if *algArg != "pe" {
+	spec := experiments.Spec{Cluster: cluster.DefaultConfig(*n), Dim: *dim, Warmup: *skip, Iters: *barriers}
+	switch *algArg {
+	case "pe":
+		spec.Alg = mcp.PE
+	case "gb":
+		spec.Alg = mcp.GB
+	default:
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algArg)
 		os.Exit(2)
 	}
-	nicLevel := *levelArg == "nic"
-	if !nicLevel && *levelArg != "host" {
+	switch *levelArg {
+	case "nic":
+		spec.Level = experiments.NICLevel
+	case "host":
+		spec.Level = experiments.HostLevel
+	default:
 		fmt.Fprintf(os.Stderr, "unknown level %q\n", *levelArg)
 		os.Exit(2)
 	}
-
-	cfg := cluster.DefaultConfig(*n)
+	if *barriers < 1 || *skip < 1 {
+		fmt.Fprintln(os.Stderr, "-barriers and -skip must be at least 1")
+		os.Exit(2)
+	}
 	if *topoArg != "single" {
 		kind, err := topo.ParseKind(*topoArg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad -topo: %v\n", err)
 			os.Exit(2)
 		}
-		cfg.Topology = &topo.Spec{Kind: kind, Nodes: *n, Radix: *radix}
+		spec.Cluster.Topology = &topo.Spec{Kind: kind, Nodes: *n, Radix: *radix}
 	} else if *radix > 0 {
-		cfg.Switch.Ports = *radix
+		spec.Cluster.Switch.Ports = *radix
 	}
-	if err := cfg.Validate(); err != nil {
+
+	out, err := experiments.Run(spec, true)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	cl := cluster.New(cfg)
-	rec := trace.Attach(cl)
-	rec.Disable()
-	g := core.UniformGroup(*n, 2)
-	var t0, t1 sim.Time
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*(*n)+16)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < *skip+*barriers; i++ {
-			if rank == 0 && i == *skip {
-				t0 = p.Now()
-				rec.Enable()
-			}
-			var err error
-			if nicLevel {
-				err = comm.Barrier(p, alg, g, rank, *dim)
-			} else {
-				err = comm.HostBarrier(p, alg, g, rank, *dim)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		if rank == 0 {
-			t1 = p.Now()
-			rec.Disable()
-		}
-	})
-	cl.Run()
+	rec := out.Rec
 
 	fmt.Printf("trace: %d %s-based %s barriers, %d nodes on %s fabric (after %d warmup)\n\n",
 		*barriers, *levelArg, *algArg, *n, *topoArg, *skip)
@@ -158,7 +129,7 @@ func main() {
 
 	fmt.Printf("\nSection 2.2 decomposition of the traced window at rank 0 (%d spans):\n",
 		rec.Phases().Len())
-	fmt.Print(rec.Decompose(0, t0, t1).Table())
+	fmt.Print(out.Decomp.Table())
 
 	if *chrome != "" {
 		f, err := os.Create(*chrome)

@@ -33,7 +33,6 @@ import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
 	"gmsim/internal/experiments"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
@@ -267,41 +266,21 @@ func main() {
 // synchronization cost (windows, cross-partition posts).
 func partitionedBench(r *Report, partitions int) {
 	const nodes, radix, iters = 1024, 16, 2
-	run := func(parts, workers int) (time.Duration, *cluster.Cluster) {
+	run := func(parts int) (time.Duration, *cluster.Cluster) {
 		cfg := cluster.DefaultConfig(nodes)
 		cfg.Topology = &topo.Spec{Kind: topo.Clos3, Radix: radix}
 		cfg.Switch.Ports = radix
 		cfg.ReliableBarrier = true
 		cfg.Partitions = parts
-		cl := cluster.New(cfg)
-		g := core.UniformGroup(nodes, 2)
-		leafOf := cl.Topology().LeafOf()
-		cl.SpawnAll(func(p *host.Process) {
-			rank := p.Rank()
-			port, err := gm.Open(p, cl.MCP(rank), 2)
-			if err != nil {
-				panic(err)
-			}
-			comm, err := core.NewComm(p, port, 4*nodes+16)
-			if err != nil {
-				panic(err)
-			}
-			for i := 0; i < iters; i++ {
-				if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, leafOf); err != nil {
-					panic(err)
-				}
-			}
-		})
-		t0 := time.Now()
-		cl.RunWorkers(workers)
-		return time.Since(t0), cl
+		wall, cl, _ := barrierRun(cfg, iters, false)
+		return wall, cl
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > partitions {
 		workers = partitions
 	}
-	serialWall, _ := run(1, 1)
-	partWall, cl := run(partitions, workers)
+	serialWall, _ := run(1)
+	partWall, cl := run(partitions)
 	r.Partitioned.Nodes = nodes
 	r.Partitioned.Partitions = partitions
 	r.Partitioned.SerialSec = serialWall.Seconds()
@@ -399,41 +378,49 @@ var lastTracedSpans int
 
 // barrierEngineRun runs a 16-node NIC-PE barrier workload and returns the
 // number of simulator events executed and the wall time spent executing
-// them. This is the same cluster construction MeasureBarrier uses, inlined
-// so the simulator's event counter is reachable. With traced set, the
-// full-stack recorder is attached for the whole run — same simulated
-// schedule, extra bookkeeping per event.
+// them. With traced set, the full-stack recorder is attached for the whole
+// run — same simulated schedule, extra bookkeeping per event.
 func barrierEngineRun(iters int, traced bool) (int64, time.Duration) {
-	const n = 16
-	cl := cluster.New(cluster.DefaultConfig(n))
-	var rec *trace.Recorder
-	if traced {
-		rec = trace.Attach(cl)
-	}
-	g := core.UniformGroup(n, 2)
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < iters+5; i++ {
-			if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
-				panic(err)
-			}
-		}
-	})
-	t0 := time.Now()
-	cl.Run()
-	wall := time.Since(t0)
+	wall, cl, rec := barrierRun(cluster.DefaultConfig(16), iters+5, traced)
 	if traced {
 		lastTracedSpans = rec.Phases().Len()
 	}
 	return cl.Sim().Executed(), wall
+}
+
+// barrierRun runs iters NIC-PE barriers on every rank of cfg through the
+// experiments harness's session tier and returns the wall time of the
+// drain alone (cluster construction excluded) plus the drained cluster,
+// whose event and window counters are what this tool reports. With traced
+// set the full-stack recorder is attached for the whole run and returned.
+func barrierRun(cfg cluster.Config, iters int, traced bool) (time.Duration, *cluster.Cluster, *trace.Recorder) {
+	s, err := experiments.NewSession(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		os.Exit(1)
+	}
+	defer s.Close()
+	var rec *trace.Recorder
+	if traced {
+		rec = trace.Attach(s.Cluster)
+	}
+	g := core.UniformGroup(cfg.Nodes, 2)
+	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+		for i := 0; i < iters; i++ {
+			if err := comm.Barrier(p, mcp.PE, g, p.Rank(), 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	t0 := time.Now()
+	err = s.Run()
+	wall := time.Since(t0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		os.Exit(1)
+	}
+	return wall, s.Cluster, rec
 }
 
 // schedulePopNs measures one schedule+pop pair at a steady heap depth.

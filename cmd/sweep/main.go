@@ -141,7 +141,7 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		pts := experiments.GBDimSweepOn(cfg, level, *iters, topoAware)
+		pts := experiments.GBDimSweep(cfg, level, *iters, topoAware)
 		if dimSet {
 			kept := pts[:0]
 			for _, p := range pts {

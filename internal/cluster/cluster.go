@@ -35,15 +35,11 @@ type Config struct {
 	// Link and Switch describe the fabric.
 	Link   network.LinkParams
 	Switch network.SwitchParams
-	// TwoLevel splits the nodes across two switches joined by an uplink
-	// (an extension; the paper uses one switch). Ignored when Topology is
-	// set.
-	TwoLevel bool
 	// Topology, when non-nil, declares the switch fabric shape (see
-	// internal/topo): star-of-switches, two- or three-level Clos, etc.
-	// Nil means the classic layout — one crossbar sized to the node count
-	// (or two when TwoLevel is set) — which maps onto the equivalent topo
-	// spec bit-identically. Spec.Nodes may be left zero to mean Nodes.
+	// internal/topo): two switches joined by an uplink, star-of-switches,
+	// two- or three-level Clos, etc. Nil means the paper's layout — one
+	// crossbar sized to the node count. Spec.Nodes and Spec.Radix may be
+	// left zero to mean Nodes and Switch.Ports.
 	Topology *topo.Spec
 	// ReliableBarrier, ClearUnexpectedOnOpen, LoopbackFlag select the
 	// firmware variants (see mcp.Config).
@@ -120,15 +116,11 @@ type Cluster struct {
 
 // topoSpec resolves the configuration's topology declaration: an explicit
 // Spec is completed with the node count; a nil Topology maps onto the
-// classic layout (Single, or TwoSwitch under TwoLevel) with the historical
-// auto-expansion, so legacy configs build bit-identical fabrics.
+// single crossbar with the historical auto-expansion, so legacy configs
+// build bit-identical fabrics.
 func (cfg Config) topoSpec() (topo.Spec, error) {
 	if cfg.Topology == nil {
-		kind := topo.Single
-		if cfg.TwoLevel {
-			kind = topo.TwoSwitch
-		}
-		return topo.Spec{Kind: kind, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports, AllowExpand: true}, nil
+		return topo.Spec{Kind: topo.Single, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports, AllowExpand: true}, nil
 	}
 	spec := *cfg.Topology
 	if spec.Nodes == 0 {
@@ -251,12 +243,21 @@ func partitionSafePlan(p *fault.Plan, t *topo.Topology, assign []int) error {
 	return nil
 }
 
-// New builds a cluster from the configuration. It panics with the
-// Validate error on an infeasible configuration; callers with user-
-// supplied configs should Validate first.
+// New is Build for configurations known to be valid: it panics with the
+// Build error. Callers with user-supplied configs use Build.
 func New(cfg Config) *Cluster {
-	if err := cfg.Validate(); err != nil {
+	c, err := Build(cfg)
+	if err != nil {
 		panic(err.Error())
+	}
+	return c
+}
+
+// Build builds a cluster from the configuration, or reports why the
+// configuration cannot build (see Validate).
+func Build(cfg Config) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	spec, _ := cfg.topoSpec()
 	top := topo.MustBuild(spec)
@@ -269,7 +270,7 @@ func New(cfg Config) *Cluster {
 		// event stays on one queue.
 		parts, err := topo.PartitionSwitches(top, cfg.Partitions)
 		if err != nil {
-			panic("cluster: " + err.Error())
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		c.swParts = parts
 		c.sims = make([]*sim.Simulator, cfg.Partitions)
@@ -314,7 +315,7 @@ func New(cfg Config) *Cluster {
 	}
 	if c.group != nil {
 		if _, err := f.Partition(c.swParts, c.sims, c.group); err != nil {
-			panic("cluster: " + err.Error())
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 	}
 	// Fault attachment happens after partitioning so the injector can
@@ -326,7 +327,7 @@ func New(cfg Config) *Cluster {
 		}
 		inj, err := fault.AttachChecked(cfg.Fault, f, byNode)
 		if err != nil {
-			panic("cluster: " + err.Error())
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		c.inj = inj
 		// A node crash must also stop the node's host processes, or the
@@ -341,7 +342,7 @@ func New(cfg Config) *Cluster {
 			}
 		})
 	}
-	return c
+	return c, nil
 }
 
 // simOf returns the simulator that owns node i's components: the partition
@@ -380,7 +381,7 @@ func (c *Cluster) Sim() *sim.Simulator { return c.sim }
 func (c *Cluster) Fabric() *network.Fabric { return c.fabric }
 
 // Topology returns the wiring plan the cluster was built from (never nil;
-// legacy configs get the equivalent Single/TwoSwitch plan).
+// configs without one get the equivalent Single plan).
 func (c *Cluster) Topology() *topo.Topology { return c.top }
 
 // Nodes returns the node count.
@@ -496,17 +497,26 @@ func (c *Cluster) SpawnAll(body func(p *host.Process)) {
 // GOMAXPROCS workers; use RunWorkers to pin the worker count.
 func (c *Cluster) Run() { c.RunWorkers(0) }
 
-// RunWorkers is Run with an explicit worker count for the partitioned
-// engine: 0 means min(partitions, GOMAXPROCS); 1 executes the identical
-// window schedule serially (the determinism guard compares the two).
-// The worker count cannot change any simulation result — only wall time.
+// RunWorkers is Run with an explicit worker count (see Drain).
 func (c *Cluster) RunWorkers(workers int) {
+	if err := c.Drain(workers); err != nil {
+		panic(err.Error())
+	}
+}
+
+// Drain drives the simulation until no events remain and reports stranded
+// processes as an error instead of panicking. workers sizes the
+// partitioned engine's pool: 0 means min(partitions, GOMAXPROCS); 1
+// executes the identical window schedule serially (the determinism guard
+// compares the two). The worker count cannot change any simulation result
+// — only wall time.
+func (c *Cluster) Drain(workers int) error {
 	if c.group == nil {
 		c.sim.Run()
 		if n := c.sim.Stranded(); n > 0 {
-			panic(fmt.Sprintf("cluster: %d process(es) deadlocked at t=%v", n, c.sim.Now()))
+			return fmt.Errorf("cluster: %d process(es) deadlocked at t=%v", n, c.sim.Now())
 		}
-		return
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -518,7 +528,19 @@ func (c *Cluster) RunWorkers(workers int) {
 	defer pool.Close()
 	c.group.Run(pool)
 	if n := c.group.Stranded(); n > 0 {
-		panic(fmt.Sprintf("cluster: %d process(es) deadlocked at t=%v", n, c.MaxNow()))
+		return fmt.Errorf("cluster: %d process(es) deadlocked at t=%v", n, c.MaxNow())
+	}
+	return nil
+}
+
+// Close releases the processes a finished run left behind — killed by a
+// crash fault or stranded by a deadlock — so their goroutines exit and the
+// cluster becomes collectable (see sim.Simulator.Close). The cluster must
+// not be run afterwards.
+func (c *Cluster) Close() {
+	c.sim.Close()
+	for _, s := range c.sims {
+		s.Close()
 	}
 }
 

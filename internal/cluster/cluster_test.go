@@ -54,7 +54,7 @@ func TestSwitchAutoSized(t *testing.T) {
 
 func TestTwoLevelTopologyRoutes(t *testing.T) {
 	cfg := DefaultConfig(8)
-	cfg.TwoLevel = true
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 	cl := New(cfg)
 	// Same-side route: 1 hop; cross-side: 2 hops.
 	r, err := cl.Fabric().Route(0, 1)
@@ -145,7 +145,7 @@ func TestFabricRoutesMatchTopology(t *testing.T) {
 		{"single16", DefaultConfig(16)},
 		{"twolevel32", func() Config {
 			c := DefaultConfig(32)
-			c.TwoLevel = true
+			c.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 			return c
 		}()},
 		{"clos2", func() Config {

@@ -95,13 +95,25 @@ func PESchedule(rank, n int) ([]int, error) {
 }
 
 // GBTree returns rank's neighborhood in the n-process
-// gather-and-broadcast tree of the given dimension: each node has up to
-// dim children, laid out heap-style in rank order (children of i are
-// dim*i+1 .. dim*i+dim). Rank 0 is the root and has parent -1.
+// gather-and-broadcast tree of the given dimension. Rank 0 is the root and
+// has parent -1.
 //
-// The paper sweeps dim from 1 to N-1 and reports the best (Section 6):
-// dim 1 degenerates to a chain, dim N-1 to a star.
-func GBTree(rank, n, dim int) (parent int, children []int, err error) {
+// With a nil leafOf the tree is flat: each node has up to dim children,
+// laid out heap-style in rank order (children of i are dim*i+1 ..
+// dim*i+dim). The paper sweeps dim from 1 to N-1 and reports the best
+// (Section 6): dim 1 degenerates to a chain, dim N-1 to a star.
+//
+// A non-nil leafOf makes the tree topology-aware. It maps each rank to the
+// switch its NIC attaches to (cluster.Topology().LeafOf()); ranks sharing a
+// leaf switch form a dimension-dim heap tree among themselves (in rank
+// order), and the lowest rank of each leaf — its leader — joins a
+// dimension-dim heap tree of leaders (leaves ordered by first appearance).
+// Every edge except the leader-to-leader ones stays inside one crossbar, so
+// on a multi-switch fabric the tree crosses trunks exactly (#leaves - 1)
+// times — the minimum any spanning structure can achieve — instead of
+// scattering hops across the fabric the way the flat heap layout does. A
+// leafOf that places every rank on the same switch equals the flat tree.
+func GBTree(rank, n, dim int, leafOf []int) (parent int, children []int, err error) {
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("core: group size %d", n)
 	}
@@ -111,42 +123,12 @@ func GBTree(rank, n, dim int) (parent int, children []int, err error) {
 	if dim < 1 || (n > 1 && dim > n-1) {
 		return 0, nil, fmt.Errorf("core: tree dimension %d out of range [1,%d]", dim, n-1)
 	}
-	if rank == 0 {
-		parent = -1
-	} else {
-		parent = (rank - 1) / dim
-	}
-	for c := dim*rank + 1; c <= dim*rank+dim && c < n; c++ {
-		children = append(children, c)
-	}
-	return parent, children, nil
-}
-
-// GBTreeMapped returns rank's neighborhood in a topology-aware
-// gather-and-broadcast tree. leafOf maps each rank to the switch its NIC
-// attaches to (cluster.Topology().LeafOf()); ranks sharing a leaf switch
-// form a dimension-dim heap tree among themselves (in rank order), and the
-// lowest rank of each leaf — its leader — joins a dimension-dim heap tree
-// of leaders (leaves ordered by first appearance). Every edge except the
-// leader-to-leader ones stays inside one crossbar, so on a multi-switch
-// fabric the tree crosses trunks exactly (#leaves - 1) times — the minimum
-// any spanning structure can achieve — instead of scattering hops across
-// the fabric the way the flat heap layout does.
-//
-// A nil leafOf, or one that places every rank on the same switch,
-// degenerates to GBTree exactly; rank 0 is always the global root.
-func GBTreeMapped(rank, n, dim int, leafOf []int) (parent int, children []int, err error) {
 	if leafOf == nil {
-		return GBTree(rank, n, dim)
+		parent, children = heapTree(rank, n, dim)
+		return parent, children, nil
 	}
 	if len(leafOf) != n {
 		return 0, nil, fmt.Errorf("core: leaf map covers %d ranks, group has %d", len(leafOf), n)
-	}
-	if rank < 0 || rank >= n {
-		return 0, nil, fmt.Errorf("core: rank %d out of range [0,%d)", rank, n)
-	}
-	if dim < 1 || (n > 1 && dim > n-1) {
-		return 0, nil, fmt.Errorf("core: tree dimension %d out of range [1,%d]", dim, n-1)
 	}
 	// Group ranks by leaf, groups ordered by first appearance (rank 0's
 	// group is group 0), members in rank order.
@@ -176,10 +158,7 @@ func GBTreeMapped(rank, n, dim int, leafOf []int) (parent int, children []int, e
 	if len(local) > 1 && localDim > len(local)-1 {
 		localDim = len(local) - 1
 	}
-	lparent, lchildren, err := GBTree(li, len(local), max(localDim, 1))
-	if err != nil {
-		return 0, nil, err
-	}
+	lparent, lchildren := heapTree(li, len(local), localDim)
 	if lparent >= 0 {
 		// Interior rank: both neighbors are on this switch.
 		parent = local[lparent]
@@ -204,11 +183,17 @@ func GBTreeMapped(rank, n, dim int, leafOf []int) (parent int, children []int, e
 	return parent, children, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// heapTree is the flat dimension-dim tree over ranks 0..n-1 (arguments
+// already validated).
+func heapTree(rank, n, dim int) (parent int, children []int) {
+	parent = -1
+	if rank > 0 {
+		parent = (rank - 1) / dim
 	}
-	return b
+	for c := dim*rank + 1; c <= dim*rank+dim && c < n; c++ {
+		children = append(children, c)
+	}
+	return parent, children
 }
 
 // TreeDepth returns the depth of the dimension-dim GB tree with n nodes
@@ -225,15 +210,9 @@ func TreeDepth(n, dim int) int {
 // group: the host-side computation the paper deliberately keeps off the
 // NIC ("the host at a particular node needs to inform the NIC only of the
 // children and parent of the node, rather than all the nodes in the
-// barrier"). dim is used only for GB.
-func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
-	return NICBarrierTokenMapped(alg, g, self, dim, nil)
-}
-
-// NICBarrierTokenMapped is NICBarrierToken with a topology hint: a non-nil
-// leafOf makes the GB tree switch-aware (GBTreeMapped). PE ignores the
-// hint — its schedule is fixed by the recursive-doubling structure.
-func NICBarrierTokenMapped(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*mcp.BarrierToken, error) {
+// barrier"). dim and leafOf (see GBTree) are used only for GB — PE's
+// schedule is fixed by the recursive-doubling structure.
+func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*mcp.BarrierToken, error) {
 	n := len(g)
 	if self < 0 || self >= n {
 		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", self, n)
@@ -249,7 +228,7 @@ func NICBarrierTokenMapped(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []
 			tok.Peers = append(tok.Peers, g[r])
 		}
 	case mcp.GB:
-		parent, children, err := GBTreeMapped(self, n, dim, leafOf)
+		parent, children, err := GBTree(self, n, dim, leafOf)
 		if err != nil {
 			return nil, err
 		}

@@ -147,7 +147,7 @@ func TestPropertyPEScheduleCompletes(t *testing.T) {
 }
 
 func TestGBTreeRoot(t *testing.T) {
-	parent, children, err := GBTree(0, 16, 4)
+	parent, children, err := GBTree(0, 16, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +167,12 @@ func TestGBTreeRoot(t *testing.T) {
 
 func TestGBTreeStar(t *testing.T) {
 	// dim = n-1: flat star.
-	_, children, _ := GBTree(0, 8, 7)
+	_, children, _ := GBTree(0, 8, 7, nil)
 	if len(children) != 7 {
 		t.Fatalf("star root has %d children", len(children))
 	}
 	for r := 1; r < 8; r++ {
-		parent, ch, _ := GBTree(r, 8, 7)
+		parent, ch, _ := GBTree(r, 8, 7, nil)
 		if parent != 0 || len(ch) != 0 {
 			t.Fatalf("star leaf %d: parent=%d children=%v", r, parent, ch)
 		}
@@ -182,7 +182,7 @@ func TestGBTreeStar(t *testing.T) {
 func TestGBTreeChain(t *testing.T) {
 	// dim = 1: chain.
 	for r := 0; r < 6; r++ {
-		parent, children, _ := GBTree(r, 6, 1)
+		parent, children, _ := GBTree(r, 6, 1, nil)
 		wantParent := r - 1
 		if r == 0 {
 			wantParent = -1
@@ -203,22 +203,22 @@ func TestGBTreeChain(t *testing.T) {
 }
 
 func TestGBTreeErrors(t *testing.T) {
-	if _, _, err := GBTree(0, 0, 1); err == nil {
+	if _, _, err := GBTree(0, 0, 1, nil); err == nil {
 		t.Fatal("n=0 should error")
 	}
-	if _, _, err := GBTree(5, 4, 1); err == nil {
+	if _, _, err := GBTree(5, 4, 1, nil); err == nil {
 		t.Fatal("rank out of range should error")
 	}
-	if _, _, err := GBTree(0, 4, 0); err == nil {
+	if _, _, err := GBTree(0, 4, 0, nil); err == nil {
 		t.Fatal("dim 0 should error")
 	}
-	if _, _, err := GBTree(0, 4, 4); err == nil {
+	if _, _, err := GBTree(0, 4, 4, nil); err == nil {
 		t.Fatal("dim n should error")
 	}
 }
 
 func TestGBTreeSingleton(t *testing.T) {
-	parent, children, err := GBTree(0, 1, 1)
+	parent, children, err := GBTree(0, 1, 1, nil)
 	if err != nil || parent != -1 || len(children) != 0 {
 		t.Fatalf("singleton tree: %d %v %v", parent, children, err)
 	}
@@ -235,7 +235,7 @@ func TestPropertyGBTreeConsistent(t *testing.T) {
 		dim := int(b)%(n-1) + 1
 		childCount := 0
 		for r := 0; r < n; r++ {
-			parent, children, err := GBTree(r, n, dim)
+			parent, children, err := GBTree(r, n, dim, nil)
 			if err != nil {
 				return false
 			}
@@ -247,7 +247,7 @@ func TestPropertyGBTreeConsistent(t *testing.T) {
 			}
 			if r > 0 {
 				// r must appear in its parent's child list.
-				_, pc, _ := GBTree(parent, n, dim)
+				_, pc, _ := GBTree(parent, n, dim, nil)
 				found := false
 				for _, c := range pc {
 					if c == r {
@@ -296,7 +296,7 @@ func TestUniformGroup(t *testing.T) {
 
 func TestNICBarrierTokenPE(t *testing.T) {
 	g := UniformGroup(8, 2)
-	tok, err := NICBarrierToken(mcp.PE, g, 3, 0)
+	tok, err := NICBarrierToken(mcp.PE, g, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,14 +314,14 @@ func TestNICBarrierTokenPE(t *testing.T) {
 
 func TestNICBarrierTokenGB(t *testing.T) {
 	g := UniformGroup(8, 2)
-	tok, err := NICBarrierToken(mcp.GB, g, 0, 2)
+	tok, err := NICBarrierToken(mcp.GB, g, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tok.Root || len(tok.Children) != 2 {
 		t.Fatalf("root token = %+v", tok)
 	}
-	tok, err = NICBarrierToken(mcp.GB, g, 5, 2)
+	tok, err = NICBarrierToken(mcp.GB, g, 5, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,25 +332,28 @@ func TestNICBarrierTokenGB(t *testing.T) {
 
 func TestNICBarrierTokenErrors(t *testing.T) {
 	g := UniformGroup(4, 2)
-	if _, err := NICBarrierToken(mcp.PE, g, 9, 0); err == nil {
+	if _, err := NICBarrierToken(mcp.PE, g, 9, 0, nil); err == nil {
 		t.Fatal("bad rank should error")
 	}
-	if _, err := NICBarrierToken(mcp.GB, g, 0, 0); err == nil {
+	if _, err := NICBarrierToken(mcp.GB, g, 0, 0, nil); err == nil {
 		t.Fatal("bad dim should error")
 	}
-	if _, err := NICBarrierToken(mcp.BarrierAlg(99), g, 0, 0); err == nil {
+	if _, err := NICBarrierToken(mcp.BarrierAlg(99), g, 0, 0, nil); err == nil {
 		t.Fatal("bad alg should error")
 	}
 }
 
+// TestGBTreeMappedNilEqualsFlat: a nil leaf map and a map that puts every
+// rank on one switch are the same flat heap tree at every size and
+// dimension.
 func TestGBTreeMappedNilEqualsFlat(t *testing.T) {
 	for _, n := range []int{1, 4, 9, 16} {
 		for dim := 1; dim < n; dim++ {
 			for r := 0; r < n; r++ {
-				fp, fc, ferr := GBTree(r, n, dim)
-				mp, mc, merr := GBTreeMapped(r, n, dim, nil)
+				fp, fc, ferr := GBTree(r, n, dim, nil)
+				mp, mc, merr := GBTree(r, n, dim, make([]int, n))
 				if ferr != nil || merr != nil || fp != mp || !equalInts(fc, mc) {
-					t.Fatalf("nil leafOf diverges at r=%d n=%d dim=%d: (%d %v %v) vs (%d %v %v)",
+					t.Fatalf("nil leafOf diverges from one-leaf map at r=%d n=%d dim=%d: (%d %v %v) vs (%d %v %v)",
 						r, n, dim, fp, fc, ferr, mp, mc, merr)
 				}
 			}
@@ -362,8 +365,8 @@ func TestGBTreeMappedUniformLeafEqualsFlat(t *testing.T) {
 	// All ranks on the same crossbar: mapping must be a no-op.
 	leafOf := make([]int, 16)
 	for r := 0; r < 16; r++ {
-		fp, fc, _ := GBTree(r, 16, 4)
-		mp, mc, err := GBTreeMapped(r, 16, 4, leafOf)
+		fp, fc, _ := GBTree(r, 16, 4, nil)
+		mp, mc, err := GBTree(r, 16, 4, leafOf)
 		if err != nil || fp != mp || !equalInts(fc, mc) {
 			t.Fatalf("uniform leafOf diverges at r=%d", r)
 		}
@@ -388,7 +391,7 @@ func TestPropertyGBTreeMappedSpansAndLocalizes(t *testing.T) {
 		crossEdges := 0
 		childCount := 0
 		for r := 0; r < n; r++ {
-			parent, children, err := GBTreeMapped(r, n, dim, leafOf)
+			parent, children, err := GBTree(r, n, dim, leafOf)
 			if err != nil {
 				return false
 			}
@@ -399,7 +402,7 @@ func TestPropertyGBTreeMappedSpansAndLocalizes(t *testing.T) {
 				if parent < 0 || parent >= n {
 					return false
 				}
-				_, pc, _ := GBTreeMapped(parent, n, dim, leafOf)
+				_, pc, _ := GBTree(parent, n, dim, leafOf)
 				found := false
 				for _, c := range pc {
 					if c == r {
@@ -423,13 +426,13 @@ func TestPropertyGBTreeMappedSpansAndLocalizes(t *testing.T) {
 }
 
 func TestGBTreeMappedErrors(t *testing.T) {
-	if _, _, err := GBTreeMapped(0, 4, 1, []int{0, 0}); err == nil {
+	if _, _, err := GBTree(0, 4, 1, []int{0, 0}); err == nil {
 		t.Fatal("short leafOf should error")
 	}
-	if _, _, err := GBTreeMapped(4, 4, 1, []int{0, 0, 0, 1}); err == nil {
+	if _, _, err := GBTree(4, 4, 1, []int{0, 0, 0, 1}); err == nil {
 		t.Fatal("rank out of range should error")
 	}
-	if _, _, err := GBTreeMapped(0, 4, 0, []int{0, 0, 0, 1}); err == nil {
+	if _, _, err := GBTree(0, 4, 0, []int{0, 0, 0, 1}); err == nil {
 		t.Fatal("dim 0 should error")
 	}
 }

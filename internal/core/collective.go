@@ -75,7 +75,7 @@ func applyHost(op mcp.ReduceOp, dst, src []byte) {
 
 // collToken builds the tree neighborhood for rank self.
 func collToken(op mcp.CollOp, rop mcp.ReduceOp, g Group, self, dim int, value []byte) (*mcp.CollToken, error) {
-	parent, children, err := GBTree(self, len(g), dim)
+	parent, children, err := GBTree(self, len(g), dim, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func (c *Comm) NICAllGather(p *host.Process, g Group, self, dim int, block []byt
 // tagged with their origin rank, the root assembles the array, and the
 // broadcast path distributes it.
 func (c *Comm) HostAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	parent, children, err := GBTree(self, len(g), dim)
+	parent, children, err := GBTree(self, len(g), dim, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func assembleHost(entries []byte, groupSize, blockSize int) ([]byte, error) {
 // HostBroadcast is the host-based baseline: the payload is forwarded down
 // the tree by the hosts.
 func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	parent, children, err := GBTree(self, len(g), dim)
+	parent, children, err := GBTree(self, len(g), dim, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byt
 // HostReduce is the host-based baseline: partials combine at each host on
 // the way up the tree. Rank 0 returns the result; others return nil.
 func (c *Comm) HostReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	parent, children, err := GBTree(self, len(g), dim)
+	parent, children, err := GBTree(self, len(g), dim, nil)
 	if err != nil {
 		return nil, err
 	}

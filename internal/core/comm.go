@@ -34,6 +34,10 @@ type Comm struct {
 	barrierDone int
 	barrierDead [][]network.NodeID
 
+	// leafOf is the topology hint for GB trees (see SetLeafMap); nil is
+	// the flat tree.
+	leafOf []int
+
 	// tokCache remembers the last computed barrier neighborhood. Programs
 	// overwhelmingly run many barriers over one fixed group, and the
 	// schedule/tree computation plus its slices dominated the host-side
@@ -42,15 +46,15 @@ type Comm struct {
 	tokCache tokenCache
 }
 
-// tokenCache is one memoized NICBarrierTokenMapped result plus the inputs
-// that produced it. The group and leafOf contents are copied, so staleness
-// is detected by value even if the caller mutates its slices in place.
+// tokenCache is one memoized NICBarrierToken result plus the inputs that
+// produced it. The group contents are copied, so staleness is detected by
+// value even if the caller mutates its slice in place; the leaf map is a
+// property of the Comm, and setting it drops the cache.
 type tokenCache struct {
 	valid     bool
 	alg       mcp.BarrierAlg
 	self, dim int
 	g         Group
-	leafOf    []int
 
 	peers    []mcp.Endpoint
 	root     bool
@@ -58,7 +62,7 @@ type tokenCache struct {
 	children []mcp.Endpoint
 }
 
-func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) bool {
+func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int) bool {
 	if !tc.valid || tc.alg != alg || tc.self != self || len(tc.g) != len(g) {
 		return false
 	}
@@ -70,22 +74,14 @@ func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int, leafOf
 			return false
 		}
 	}
-	if len(tc.leafOf) != len(leafOf) {
-		return false
-	}
-	for i, l := range leafOf {
-		if tc.leafOf[i] != l {
-			return false
-		}
-	}
 	return true
 }
 
 // barrierToken returns a fresh token for the given barrier, reusing the
 // memoized neighborhood when the inputs match the previous call.
-func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*mcp.BarrierToken, error) {
+func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
 	tc := &c.tokCache
-	if tc.matches(alg, g, self, dim, leafOf) {
+	if tc.matches(alg, g, self, dim) {
 		return &mcp.BarrierToken{
 			Alg:      alg,
 			Peers:    tc.peers,
@@ -94,16 +90,26 @@ func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int, leafOf [
 			Children: tc.children,
 		}, nil
 	}
-	tok, err := NICBarrierTokenMapped(alg, g, self, dim, leafOf)
+	tok, err := NICBarrierToken(alg, g, self, dim, c.leafOf)
 	if err != nil {
 		return nil, err
 	}
 	tc.valid = true
 	tc.alg, tc.self, tc.dim = alg, self, dim
 	tc.g = append(tc.g[:0], g...)
-	tc.leafOf = append(tc.leafOf[:0], leafOf...)
 	tc.peers, tc.root, tc.parent, tc.children = tok.Peers, tok.Root, tok.Parent, tok.Children
 	return tok, nil
+}
+
+// SetLeafMap makes this Comm's GB barriers, NIC- and host-based,
+// topology-aware: leafOf maps node rank to leaf-switch index (see
+// cluster.Topology().LeafOf and GBTree), so the tree keeps its edges inside
+// one crossbar wherever it can and trunk crossings are minimized. Nil (the
+// default) is the flat tree. PE ignores the map. The slice is kept, not
+// copied; set it once, before the first barrier.
+func (c *Comm) SetLeafMap(leafOf []int) {
+	c.leafOf = leafOf
+	c.tokCache.valid = false
 }
 
 // NewComm wraps an open port and pre-posts bufs receive buffers.
@@ -206,15 +212,7 @@ func (c *Comm) dropArrival(src mcp.Endpoint) {
 // path: one host->NIC token, NIC-to-NIC message exchange, one completion
 // event back.
 func (c *Comm) Barrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) error {
-	return c.BarrierMapped(p, alg, g, self, dim, nil)
-}
-
-// BarrierMapped is Barrier with a topology hint: a non-nil leafOf (node
-// rank -> leaf-switch index, see cluster.Topology().LeafOf) makes the GB
-// tree switch-aware so trunk crossings are minimized. Nil leafOf is
-// exactly Barrier.
-func (c *Comm) BarrierMapped(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) error {
-	pb, err := c.StartBarrierMapped(p, alg, g, self, dim, leafOf)
+	pb, err := c.StartBarrier(p, alg, g, self, dim)
 	if err != nil {
 		return err
 	}
@@ -241,13 +239,7 @@ func (pb *PendingBarrier) Dead() []network.NodeID { return pb.dead }
 // the barrier initiation from the polling of the barrier completion, a
 // fuzzy barrier can be performed").
 func (c *Comm) StartBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (*PendingBarrier, error) {
-	return c.StartBarrierMapped(p, alg, g, self, dim, nil)
-}
-
-// StartBarrierMapped is StartBarrier with a topology hint (see
-// BarrierMapped).
-func (c *Comm) StartBarrierMapped(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*PendingBarrier, error) {
-	tok, err := c.barrierToken(alg, g, self, dim, leafOf)
+	tok, err := c.barrierToken(alg, g, self, dim)
 	if err != nil {
 		return nil, err
 	}
@@ -325,13 +317,7 @@ func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
 // the NIC — the effect the paper credits for the host-based GB's
 // competitiveness (Section 6).
 func (c *Comm) HostBarrierGB(p *host.Process, g Group, self, dim int) error {
-	return c.HostBarrierGBMapped(p, g, self, dim, nil)
-}
-
-// HostBarrierGBMapped is HostBarrierGB over the topology-aware tree (see
-// BarrierMapped); nil leafOf is exactly HostBarrierGB.
-func (c *Comm) HostBarrierGBMapped(p *host.Process, g Group, self, dim int, leafOf []int) error {
-	parent, children, err := GBTreeMapped(self, len(g), dim, leafOf)
+	parent, children, err := GBTree(self, len(g), dim, c.leafOf)
 	if err != nil {
 		return err
 	}
@@ -358,17 +344,11 @@ func (c *Comm) HostBarrierGBMapped(p *host.Process, g Group, self, dim int, leaf
 
 // HostBarrier dispatches on the algorithm.
 func (c *Comm) HostBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) error {
-	return c.HostBarrierMapped(p, alg, g, self, dim, nil)
-}
-
-// HostBarrierMapped dispatches on the algorithm with a topology hint (see
-// BarrierMapped); PE ignores the hint.
-func (c *Comm) HostBarrierMapped(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) error {
 	switch alg {
 	case mcp.PE:
 		return c.HostBarrierPE(p, g, self)
 	case mcp.GB:
-		return c.HostBarrierGBMapped(p, g, self, dim, leafOf)
+		return c.HostBarrierGB(p, g, self, dim)
 	default:
 		return fmt.Errorf("core: unknown algorithm %v", alg)
 	}

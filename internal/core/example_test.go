@@ -72,7 +72,7 @@ func ExamplePESchedule() {
 
 // The GB tree neighborhood the host computes and hands to the NIC.
 func ExampleGBTree() {
-	parent, children, _ := core.GBTree(1, 8, 3)
+	parent, children, _ := core.GBTree(1, 8, 3, nil)
 	fmt.Println("parent:", parent, "children:", children)
 	// Output: parent: 0 children: [4 5 6]
 }

@@ -67,8 +67,8 @@ func resultFor(g Group, dead []network.NodeID) BarrierResult {
 // dead set and the surviving ranks. The returned error is non-nil only
 // when the barrier could not run at all (bad group arguments); degraded
 // completion is reported through BarrierResult.Err.
-func (c *Comm) BarrierChecked(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (BarrierResult, error) {
-	pb, err := c.StartBarrierMapped(p, alg, g, self, dim, leafOf)
+func (c *Comm) BarrierChecked(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (BarrierResult, error) {
+	pb, err := c.StartBarrier(p, alg, g, self, dim)
 	if err != nil {
 		return BarrierResult{}, err
 	}
@@ -88,8 +88,8 @@ func (c *Comm) BarrierChecked(p *host.Process, alg mcp.BarrierAlg, g Group, self
 // instant can leave survivor views diverged mid-repair; that limitation is
 // documented in EXPERIMENTS.md, and such scenarios should use
 // BarrierChecked and reconcile membership at the application level.
-func (c *Comm) BarrierWithRepair(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (BarrierResult, error) {
-	res, err := c.BarrierChecked(p, alg, g, self, dim, leafOf)
+func (c *Comm) BarrierWithRepair(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (BarrierResult, error) {
+	res, err := c.BarrierChecked(p, alg, g, self, dim)
 	if err != nil {
 		return res, err
 	}

@@ -8,6 +8,7 @@ import (
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 // runBarriers runs iters barriers of the given kind on an n-node cluster
@@ -245,7 +246,7 @@ func TestFuzzyBarrierOverlapsComputation(t *testing.T) {
 
 func TestTwoLevelTopologyBarrier(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	cfg.TwoLevel = true
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 	enter, exit := runBarriers(t, cfg, true, mcp.PE, 0, 3, nil)
 	checkBarrierSemantics(t, enter, exit)
 }

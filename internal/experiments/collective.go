@@ -3,7 +3,6 @@ package experiments
 import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
@@ -41,25 +40,16 @@ func MeasureCollective(spec CollSpec) float64 {
 	if spec.Elems == 0 {
 		spec.Elems = 1
 	}
-	n := spec.Cluster.Nodes
-	cl := cluster.New(spec.Cluster)
-	g := core.UniformGroup(n, 2)
+	s := must(NewSession(spec.Cluster))
+	defer s.Close()
+	g := core.UniformGroup(spec.Cluster.Nodes, 2)
 	payload := core.EncodeInt64s(make([]int64, spec.Elems))
 	rounds := spec.Warmup + spec.Iters
 	starts := make([]sim.Time, rounds)
 	latest := make([]sim.Time, rounds)
-	cl.SpawnAll(func(p *host.Process) {
+	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		one := func() {
-			var err error
+		one := func() (err error) {
 			switch {
 			case spec.NICBased && spec.Op == mcp.Broadcast:
 				var data []byte
@@ -86,28 +76,29 @@ func MeasureCollective(spec CollSpec) float64 {
 			default:
 				_, err = comm.HostAllReduce(p, g, rank, spec.Dim, mcp.OpSum, payload)
 			}
-			if err != nil {
-				panic(err)
-			}
+			return err
 		}
 		for i := 0; i < rounds; i++ {
 			// Untimed separator barrier bounds producer run-ahead and
 			// gives every iteration a common start line.
 			if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
-				panic(err)
+				return err
 			}
 			// The iteration's start line is when the *last* rank begins
 			// the operation (barrier exits are not simultaneous).
 			if p.Now() > starts[i] {
 				starts[i] = p.Now()
 			}
-			one()
+			if err := one(); err != nil {
+				return err
+			}
 			if p.Now() > latest[i] {
 				latest[i] = p.Now()
 			}
 		}
+		return nil
 	})
-	cl.Run()
+	check(s.Run())
 	total := 0.0
 	for i := spec.Warmup; i < rounds; i++ {
 		total += (latest[i] - starts[i]).Micros()

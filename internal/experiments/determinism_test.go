@@ -74,7 +74,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return []any{d, l}
 		}},
 		{"GBDimSweep", func() any {
-			return GBDimSweep(cluster.DefaultConfig(4), HostLevel, detIters)
+			return GBDimSweep(cluster.DefaultConfig(4), HostLevel, detIters, false)
 		}},
 		{"ScaleSweep", func() any {
 			return ScaleSweep(sizes, detIters)
@@ -116,7 +116,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return FlapRecovery(4, 2, sim.FromMicros(150), 99)
 		}},
 		{"TopoScaleSweep", func() any {
-			return TopoScaleSweep([]topo.Kind{topo.Single, topo.Star, topo.Clos2}, []int{4, 8}, 6, detIters, nil)
+			return TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Single, topo.Star, topo.Clos2}, Sizes: []int{4, 8}, Radix: 6, Iters: detIters})
 		}},
 		{"CrossSwitchContention", func() any {
 			return CrossSwitchContention(6, []int{1, 2}, 1024, detIters)

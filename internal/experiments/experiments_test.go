@@ -112,7 +112,7 @@ func TestLayerOverheadIncreasesFactor(t *testing.T) {
 }
 
 func TestGBDimSweepHasInteriorOptimum(t *testing.T) {
-	pts := GBDimSweep(cluster.DefaultConfig(16), NICLevel, iters)
+	pts := GBDimSweep(cluster.DefaultConfig(16), NICLevel, iters, false)
 	if len(pts) != 15 {
 		t.Fatalf("sweep points = %d, want 15", len(pts))
 	}
@@ -171,7 +171,7 @@ func TestPingPongLatencyRange(t *testing.T) {
 func TestOptimalGBDimMatchesSweepMin(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
 	dim, lat := OptimalGBDim(cfg, NICLevel, iters)
-	pts := GBDimSweep(cfg, NICLevel, iters)
+	pts := GBDimSweep(cfg, NICLevel, iters, false)
 	best := pts[0]
 	for _, p := range pts {
 		if p.Micros < best.Micros {

@@ -5,7 +5,6 @@ import (
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
@@ -75,53 +74,28 @@ func BreakEvenGrain(points []GranPoint, nic bool, threshold float64) float64 {
 
 // measureBSP returns the mean iteration time (µs) of compute+barrier.
 func measureBSP(n int, grainMicros, imbalance float64, nicBarrier bool, iters int) float64 {
-	cl := cluster.New(cluster.DefaultConfig(n))
+	const warmup = 3
+	s := must(NewSession(cluster.DefaultConfig(n)))
+	defer s.Close()
 	g := core.UniformGroup(n, 2)
 	// Deterministic jitter schedule shared by construction (seeded).
 	rng := rand.New(rand.NewSource(12345))
 	jitter := make([][]float64, n)
 	for r := range jitter {
-		jitter[r] = make([]float64, iters+3)
+		jitter[r] = make([]float64, warmup+iters)
 		for i := range jitter[r] {
 			jitter[r][i] = rng.Float64() * imbalance * grainMicros
 		}
 	}
-	var t0, t1 sim.Time
-	cl.SpawnAll(func(p *host.Process) {
+	w := must(s.timed(warmup, iters, nil, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		one := func(i int) {
+		return func(i int) error {
 			p.Compute(sim.FromMicros(grainMicros + jitter[rank][i]))
-			var err error
 			if nicBarrier {
-				err = comm.Barrier(p, mcp.PE, g, rank, 0)
-			} else {
-				err = comm.HostBarrierPE(p, g, rank)
+				return comm.Barrier(p, mcp.PE, g, rank, 0)
 			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		for i := 0; i < 3; i++ {
-			one(i)
-		}
-		if rank == 0 {
-			t0 = p.Now()
-		}
-		for i := 0; i < iters; i++ {
-			one(i + 3)
-		}
-		if rank == 0 {
-			t1 = p.Now()
-		}
-	})
-	cl.Run()
-	return (t1 - t0).Micros() / float64(iters)
+			return comm.HostBarrierPE(p, g, rank)
+		}, nil
+	}))
+	return w.meanMicros(iters)
 }

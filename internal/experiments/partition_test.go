@@ -40,8 +40,9 @@ func partitionedBarrierTimes(t *testing.T, partitions, workers, iters int, alg m
 			t.Errorf("rank %d: %v", rank, err)
 			return
 		}
+		comm.SetLeafMap(leafOf)
 		for i := 0; i < iters; i++ {
-			if err := comm.BarrierMapped(p, alg, g, rank, dim, leafOf); err != nil {
+			if err := comm.Barrier(p, alg, g, rank, dim); err != nil {
 				t.Errorf("rank %d iter %d: %v", rank, i, err)
 				return
 			}

@@ -1,0 +1,175 @@
+package experiments
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"gmsim/internal/cluster"
+	"gmsim/internal/core"
+	"gmsim/internal/host"
+	"gmsim/internal/mcp"
+	"gmsim/internal/sim"
+	"gmsim/internal/topo"
+)
+
+// TestRunOnePath: observing, failure detection and the partitioned engine
+// are orthogonal to what a fault-free run measures. Every legal
+// combination of them reproduces, bit for bit, the timed window the
+// dedicated loops measured before they were folded into Run — the
+// Figure 5 cells (the PE pin is the pre-instrumentation one of
+// TestTraceOverheadZero) and the pe32-clos2x2-clean fleet cell (mean
+// 124.461 µs in its golden file).
+func TestRunOnePath(t *testing.T) {
+	single := func(int) cluster.Config { return cluster.DefaultConfig(16) }
+	clos2 := func(partitions int) cluster.Config { return clos2Cfg(32, 8, partitions) }
+	cells := []struct {
+		name       string
+		cfg        func(partitions int) cluster.Config
+		alg        mcp.BarrierAlg
+		dim, iters int
+		engines    []int // partition counts to run at
+		start, end sim.Time
+		barriers   int64
+	}{
+		{"pe16", single, mcp.PE, 0, 60, []int{1}, 546265, 6614245, 1040},
+		{"gb16-dim4", single, mcp.GB, 4, 60, []int{1}, 716356, 9707596, 1040},
+		{"pe32-clos2", clos2, mcp.PE, 0, 20, []int{1, 2}, 695205, 3184425, 800},
+		{"gb32-clos2-dim4", clos2, mcp.GB, 4, 20, []int{1, 2}, 923187, 4704727, 800},
+	}
+	for _, c := range cells {
+		for _, partitions := range c.engines {
+			for _, detect := range []bool{false, true} {
+				for _, observe := range []bool{false, true} {
+					name := fmt.Sprintf("%s/partitions=%d/detect=%v/observe=%v", c.name, partitions, detect, observe)
+					t.Run(name, func(t *testing.T) {
+						spec := Spec{Cluster: c.cfg(partitions), Alg: c.alg, Dim: c.dim, Iters: c.iters}
+						spec.Cluster.DetectFailures = detect
+						out, err := Run(spec, observe)
+						if observe && partitions > 1 {
+							if err == nil || !strings.Contains(err.Error(), "serial engine") {
+								t.Fatalf("tracing a partitioned run: err = %v, want one naming the serial engine", err)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if out.Start != c.start || out.End != c.end || out.Barriers != c.barriers || out.Retrans != 0 {
+							t.Errorf("start/end/barriers/retrans = %d/%d/%d/%d, want %d/%d/%d/0",
+								out.Start, out.End, out.Barriers, out.Retrans, c.start, c.end, c.barriers)
+						}
+						if want := (c.end - c.start).Micros() / float64(c.iters); out.MeanMicros != want {
+							t.Errorf("mean %vus, want %vus", out.MeanMicros, want)
+						}
+						n := spec.Cluster.Nodes
+						sum := out.Summary
+						if sum.MeanMicros != out.MeanMicros || sum.Barriers != out.Barriers || sum.Partitions != partitions {
+							t.Errorf("summary disagrees with the result: %+v", sum)
+						}
+						if sum.Finished != n || sum.Agree != n || len(sum.Dead) != 0 || sum.Declared != 0 || sum.Probes != 0 {
+							t.Errorf("fault-free run shows failures or detection activity: %+v", sum)
+						}
+						if sum.MaxIterMicros < sum.MeanMicros || sum.DrainMicros < c.end.Micros() {
+							t.Errorf("max iteration %vus / drain %vus inconsistent with the window", sum.MaxIterMicros, sum.DrainMicros)
+						}
+						if !observe {
+							if out.Rec != nil || out.Metrics != nil {
+								t.Error("unobserved run carries a recorder")
+							}
+							return
+						}
+						if out.Rec == nil || out.Rec.Phases().Len() == 0 || out.Metrics == nil {
+							t.Fatal("observed run recorded nothing")
+						}
+						if d := out.Decomp; d.Start != c.start || d.End != c.end || d.CriticalSum() != d.Elapsed() {
+							t.Errorf("decomposition covers [%d,%d] summing to %v of %v", d.Start, d.End, d.CriticalSum(), d.Elapsed())
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// goroutinesSettle reports whether the goroutine count comes back down to
+// base; exiting goroutines need a moment after the run returns.
+func goroutinesSettle(base int) bool {
+	for i := 0; i < 1000; i++ {
+		if runtime.NumGoroutine() <= base {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
+// TestRunReturnsErrors: a misconfigured model comes back from Run as an
+// error naming the cause — never a panic, never a stranded-process report
+// in place of the cause, and no rank left parked behind it.
+func TestRunReturnsErrors(t *testing.T) {
+	infeasible := cluster.DefaultConfig(40)
+	infeasible.Topology = &topo.Spec{Kind: topo.Clos2, Radix: 4}
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Alg: mcp.GB, Dim: 8, Iters: 3}, "dimension 8 out of range"},
+		{"host gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Alg: mcp.GB, Dim: 9, Iters: 3}, "dimension 9 out of range"},
+		{"infeasible topology", Spec{Cluster: infeasible, Alg: mcp.PE, Iters: 3}, "clos2 capacity"},
+		{"unsplittable partitioning", Spec{Cluster: func() cluster.Config {
+			c := cluster.DefaultConfig(16)
+			c.Partitions = 2
+			return c
+		}(), Alg: mcp.PE, Iters: 3}, "partition"},
+	}
+	base := runtime.NumGoroutine()
+	for _, c := range cases {
+		for _, observe := range []bool{false, true} {
+			_, err := Run(c.spec, observe)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (observe=%v): err = %v, want one containing %q", c.name, observe, err, c.want)
+			}
+		}
+	}
+	if !goroutinesSettle(base) {
+		t.Errorf("goroutines grew from %d to %d across failed runs", base, runtime.NumGoroutine())
+	}
+}
+
+// TestSessionReleasesStrandedRanks: one rank fails, the other seven wait in
+// a barrier that can never complete. The session reports the rank's error
+// rather than the deadlock it caused, and Close lets the stranded ranks'
+// goroutines exit.
+func TestSessionReleasesStrandedRanks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := NewSession(cluster.DefaultConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.UniformGroup(8, 2)
+	boom := errors.New("boom")
+	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+		if p.Rank() == 3 {
+			return boom
+		}
+		return comm.Barrier(p, mcp.PE, g, p.Rank(), 0)
+	})
+	err = s.Run()
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "rank 3") {
+		t.Errorf("Run() = %v, want rank 3's error", err)
+	}
+	if live := s.Cluster.Sim().LiveProcs(); live != 7 {
+		t.Errorf("%d ranks parked before Close, want the 7 stranded ones", live)
+	}
+	s.Close()
+	if live := s.Cluster.Sim().LiveProcs(); live != 0 {
+		t.Errorf("%d ranks still live after Close", live)
+	}
+	if !goroutinesSettle(base) {
+		t.Errorf("goroutines grew from %d to %d: Close left stranded ranks parked", base, runtime.NumGoroutine())
+	}
+}

@@ -3,12 +3,11 @@ package experiments
 import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/mpi"
 	"gmsim/internal/runner"
-	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 // Experiment E11 (extension): the paper's scalability claim — "this factor
@@ -22,14 +21,14 @@ type ScaleRow struct {
 
 // ScaleSweep measures the PE barrier at both levels for each size, fanning
 // all 2·len(sizes) whole-cluster simulations out over the worker pool.
-// TwoLevel splits nodes across two switches once size exceeds half the
-// largest single switch the era offered (16 ports).
+// Sizes beyond the largest single switch the era offered (16 ports) split
+// the nodes across two switches.
 func ScaleSweep(sizes []int, iters int) []ScaleRow {
 	specs := make([]Spec, 0, 2*len(sizes))
 	for _, n := range sizes {
 		cfg := cluster.DefaultConfig(n)
 		if n > 16 {
-			cfg.TwoLevel = true
+			cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 		}
 		specs = append(specs,
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
@@ -88,40 +87,15 @@ func MPIBarrierComparison(sizes []int, iters int) []MPIRow {
 func measureMPIBarrier(cfg cluster.Config, n int, nicBarrier bool, iters int) float64 {
 	mcfg := mpi.DefaultConfig()
 	mcfg.UseNICBarrier = nicBarrier
-	cl := cluster.New(cfg)
+	s := must(NewSession(cfg))
+	defer s.Close()
 	g := core.UniformGroup(n, 2)
-	var t0, t1 sim.Time
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
+	w := must(s.timed(5, iters, nil, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
+		world, err := mpi.NewWorld(comm, g, p.Rank(), mcfg)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		w, err := mpi.NewWorld(comm, g, rank, mcfg)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < 5; i++ {
-			if err := w.Barrier(p); err != nil {
-				panic(err)
-			}
-		}
-		if rank == 0 {
-			t0 = p.Now()
-		}
-		for i := 0; i < iters; i++ {
-			if err := w.Barrier(p); err != nil {
-				panic(err)
-			}
-		}
-		if rank == 0 {
-			t1 = p.Now()
-		}
-	})
-	cl.Run()
-	return (t1 - t0).Micros() / float64(iters)
+		return func(int) error { return world.Barrier(p) }, nil
+	}))
+	return w.meanMicros(iters)
 }

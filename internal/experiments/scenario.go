@@ -5,10 +5,7 @@ import (
 	"strings"
 
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
 	"gmsim/internal/fault"
-	"gmsim/internal/gm"
-	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/runner"
@@ -26,16 +23,12 @@ import (
 // latency must equal the Figure 5 measurement of the same configuration,
 // bit for bit (TestZeroFaultScenariosMatchFigure5).
 
-// Scenario is one cell of the chaos matrix.
+// Scenario is one cell of the chaos matrix: a barrier Spec — testbed, fault
+// plan and engine choice included — under a name.
 type Scenario struct {
 	// Name keys the golden file; keep it filesystem-safe.
 	Name string
-	// Cfg is the complete testbed, fault plan and engine choice included.
-	Cfg cluster.Config
-	// Alg and Dim pick the barrier; Warmup+Iters barriers run on every rank.
-	Alg           mcp.BarrierAlg
-	Dim           int
-	Warmup, Iters int
+	Spec
 }
 
 // ScenarioSummary is the deterministic outcome of one scenario run.
@@ -99,11 +92,9 @@ func (s ScenarioSummary) String() string {
 	return b.String()
 }
 
-// RunScenario executes one cell: Warmup+Iters checked barriers on every
-// rank over the full group. Ranks on crashed nodes simply stop (the
-// injector kills their processes); survivors complete degraded and keep
-// going. The run is bit-deterministic: the same Scenario always returns
-// the same summary.
+// RunScenario executes one cell through Run (warm-up and iteration counts
+// default to 2 and 8) and names the summary. The run is bit-deterministic:
+// the same Scenario always returns the same summary.
 func RunScenario(s Scenario) ScenarioSummary {
 	if s.Warmup == 0 {
 		s.Warmup = 2
@@ -111,88 +102,8 @@ func RunScenario(s Scenario) ScenarioSummary {
 	if s.Iters == 0 {
 		s.Iters = 8
 	}
-	n := s.Cfg.Nodes
-	cl := cluster.New(s.Cfg)
-	g := core.UniformGroup(n, 2)
-
-	lastDead := make([][]network.NodeID, n)
-	finished := make([]bool, n)
-	var t0, t1 sim.Time
-	iterTimes := make([]sim.Time, 0, s.Iters)
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		one := func() core.BarrierResult {
-			res, err := comm.BarrierChecked(p, s.Alg, g, rank, s.Dim, nil)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		}
-		for i := 0; i < s.Warmup; i++ {
-			one()
-		}
-		if rank == 0 {
-			t0 = p.Now()
-		}
-		var last core.BarrierResult
-		for i := 0; i < s.Iters; i++ {
-			before := p.Now()
-			last = one()
-			if rank == 0 {
-				iterTimes = append(iterTimes, p.Now()-before)
-			}
-		}
-		if rank == 0 {
-			t1 = p.Now()
-		}
-		lastDead[rank] = last.Dead
-		finished[rank] = true
-	})
-	cl.RunWorkers(0)
-
-	sum := ScenarioSummary{
-		Name:        s.Name,
-		Nodes:       n,
-		Partitions:  cl.Partitions(),
-		Alg:         algLabel(s.Alg, s.Dim),
-		MeanMicros:  (t1 - t0).Micros() / float64(s.Iters),
-		DrainMicros: cl.MaxNow().Micros(),
-		Dead:        lastDead[0],
-	}
-	for _, d := range iterTimes {
-		if us := d.Micros(); us > sum.MaxIterMicros {
-			sum.MaxIterMicros = us
-		}
-	}
-	for i := 0; i < n; i++ {
-		st := cl.MCP(i).Stats()
-		sum.Barriers += st.BarrierCompleted
-		sum.Retrans += st.Retransmissions + st.BarrierResends
-		sum.Probes += st.BarrierProbes
-		sum.Declared += st.PeersDeclaredDead
-		sum.Skipped += st.BarrierPeersSkipped
-		sum.Promotions += st.BarrierRootPromotions
-		sum.Repairs += st.BarrierRepairs
-	}
-	for i := 0; i < n; i++ {
-		if finished[i] {
-			sum.Finished++
-			if sameDeadSet(lastDead[i], lastDead[0]) {
-				sum.Agree++
-			}
-		}
-	}
-	if inj := cl.Fault(); inj != nil {
-		sum.Faults = inj.Counters()
-	}
+	sum := must(Run(s.Spec, false)).Summary
+	sum.Name = s.Name
 	return sum
 }
 
@@ -208,18 +119,6 @@ func algLabel(alg mcp.BarrierAlg, dim int) string {
 		return fmt.Sprintf("GB(dim=%d)", dim)
 	}
 	return alg.String()
-}
-
-func sameDeadSet(a, b []network.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +208,7 @@ func ScenarioFleet() []Scenario {
 	}}
 	twoSwitch := func(plan *fault.Plan) cluster.Config {
 		cfg := detectCfg(16, plan)
-		cfg.TwoLevel = true
+		cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 		return cfg
 	}
 	partitioned := func(plan *fault.Plan) cluster.Config {
@@ -322,35 +221,35 @@ func ScenarioFleet() []Scenario {
 	}
 	return []Scenario{
 		// Zero-fault rows: pinned bit-identical to Figure 5.
-		{Name: "pe16-clean", Cfg: cleanCfg(16), Alg: mcp.PE, Warmup: 5, Iters: 20},
-		{Name: "gb16-clean", Cfg: cleanCfg(16), Alg: mcp.GB, Dim: 4, Warmup: 5, Iters: 20},
-		{Name: "pe32-clos2x2-clean", Cfg: clos2Cfg(32, 8, 2), Alg: mcp.PE, Warmup: 5, Iters: 20},
+		{Name: "pe16-clean", Spec: Spec{Cluster: cleanCfg(16), Alg: mcp.PE, Warmup: 5, Iters: 20}},
+		{Name: "gb16-clean", Spec: Spec{Cluster: cleanCfg(16), Alg: mcp.GB, Dim: 4, Warmup: 5, Iters: 20}},
+		{Name: "pe32-clos2x2-clean", Spec: Spec{Cluster: clos2Cfg(32, 8, 2), Alg: mcp.PE, Warmup: 5, Iters: 20}},
 
 		// Single crash, both barrier kinds; for GB both an interior node
 		// (children re-parent by promotion) and a leaf.
-		{Name: "pe16-crash5", Cfg: detectCfg(16, crashPlan(1, 5, sim.FromMicros(700))), Alg: mcp.PE},
-		{Name: "gb16-crash-interior", Cfg: detectCfg(16, crashPlan(1, 1, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4},
-		{Name: "gb16-crash-leaf", Cfg: detectCfg(16, crashPlan(1, 15, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4},
+		{Name: "pe16-crash5", Spec: Spec{Cluster: detectCfg(16, crashPlan(1, 5, sim.FromMicros(700))), Alg: mcp.PE}},
+		{Name: "gb16-crash-interior", Spec: Spec{Cluster: detectCfg(16, crashPlan(1, 1, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
+		{Name: "gb16-crash-leaf", Spec: Spec{Cluster: detectCfg(16, crashPlan(1, 15, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
 
 		// Two staggered crashes.
-		{Name: "gb16-crash-two", Cfg: detectCfg(16, twoCrash), Alg: mcp.GB, Dim: 4},
+		{Name: "gb16-crash-two", Spec: Spec{Cluster: detectCfg(16, twoCrash), Alg: mcp.GB, Dim: 4}},
 
 		// Persistent link cut: both sides of the partition complete.
-		{Name: "pe16-cut3", Cfg: detectCfg(16, cutPlan(1, 3, sim.FromMicros(700))), Alg: mcp.PE},
+		{Name: "pe16-cut3", Spec: Spec{Cluster: detectCfg(16, cutPlan(1, 3, sim.FromMicros(700))), Alg: mcp.PE}},
 
 		// Transient flap shorter than the retry budget: recovery without a
 		// single death declared.
-		{Name: "gb16-flap", Cfg: detectCfg(16, flap), Alg: mcp.GB, Dim: 4},
+		{Name: "gb16-flap", Spec: Spec{Cluster: detectCfg(16, flap), Alg: mcp.GB, Dim: 4}},
 
 		// Everything at once, two seeds.
-		{Name: "gb16-chaos-s1", Cfg: detectCfg(16, chaosPlan(1)), Alg: mcp.GB, Dim: 4},
-		{Name: "gb16-chaos-s2", Cfg: detectCfg(16, chaosPlan(2)), Alg: mcp.GB, Dim: 4},
+		{Name: "gb16-chaos-s1", Spec: Spec{Cluster: detectCfg(16, chaosPlan(1)), Alg: mcp.GB, Dim: 4}},
+		{Name: "gb16-chaos-s2", Spec: Spec{Cluster: detectCfg(16, chaosPlan(2)), Alg: mcp.GB, Dim: 4}},
 
 		// Multi-switch topologies: a crash behind the far switch, and a
 		// partition-internal crash on the parallel engine (the lifted
 		// fabric fault ban).
-		{Name: "gb16-twoswitch-crash12", Cfg: twoSwitch(crashPlan(1, 12, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4},
-		{Name: "pe32-clos2x2-crash17", Cfg: partitioned(crashPlan(1, 17, sim.FromMicros(600))), Alg: mcp.PE},
+		{Name: "gb16-twoswitch-crash12", Spec: Spec{Cluster: twoSwitch(crashPlan(1, 12, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
+		{Name: "pe32-clos2x2-crash17", Spec: Spec{Cluster: partitioned(crashPlan(1, 17, sim.FromMicros(600))), Alg: mcp.PE}},
 	}
 }
 
@@ -386,14 +285,16 @@ func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) []De
 		for _, rto := range rtosMicros {
 			list = append(list, Scenario{
 				Name: fmt.Sprintf("detect-r%d-t%g", mr, rto),
-				Cfg:  mk(mr, rto, crashPlan(1, network.NodeID(n/2), sim.FromMicros(700))),
-				Alg:  mcp.GB, Dim: dim,
+				Spec: Spec{
+					Cluster: mk(mr, rto, crashPlan(1, network.NodeID(n/2), sim.FromMicros(700))),
+					Alg:     mcp.GB, Dim: dim,
+				},
 			})
 		}
 	}
 	baseline := RunScenario(Scenario{
-		Name: "detect-baseline", Cfg: mk(retries[0], rtosMicros[0], nil),
-		Alg: mcp.GB, Dim: dim,
+		Name: "detect-baseline",
+		Spec: Spec{Cluster: mk(retries[0], rtosMicros[0], nil), Alg: mcp.GB, Dim: dim},
 	})
 	sums := RunScenarios(list)
 	out := make([]DetectionPoint, 0, len(sums))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
@@ -65,34 +64,6 @@ func gbDims(n int) []int {
 	return dims
 }
 
-// TopoScaleSweep measures NIC- and host-based PE and GB barriers for every
-// feasible (kind, size) combination, flattening all the independent
-// simulations into one worker-pool batch. GB runs topology-aware
-// (core.GBTreeMapped) and takes the best dimension from dims (nil = the
-// gbDims default for each size). Combinations a kind cannot host (capacity
-// exceeded — including the 256-port route-byte ceiling on expanded single
-// crossbars) are skipped, so e.g. sizes up to 1024 can be paired with
-// clos2 (128 nodes at radix 16) without error handling at the call site;
-// callers that want to report the gaps can compare rows against
-// kinds x sizes.
-func TopoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dims []int) []TopoScaleRow {
-	return TopoScaleSweepPartitioned(kinds, sizes, radix, iters, dims, 1)
-}
-
-// TopoScaleSweepPartitioned is TopoScaleSweep with each cluster split into
-// the given number of engine partitions (the conservative parallel engine;
-// results are bit-identical at any partition count). Rows whose fabric
-// cannot host the split — too few leaf switches, or the single-crossbar
-// baseline, which has no switch boundary to cut — silently run serial, so
-// mixed sweeps like single+clos3 still produce every row.
-func TopoScaleSweepPartitioned(kinds []topo.Kind, sizes []int, radix, iters int, dims []int, partitions int) []TopoScaleRow {
-	dimsFor := func(cluster.Config, int) []int { return dims }
-	if dims == nil {
-		dimsFor = func(_ cluster.Config, n int) []int { return gbDims(n) }
-	}
-	return topoScaleSweep(kinds, sizes, radix, iters, dimsFor, partitions)
-}
-
 // TunedGBDim picks the GB tree dimension for cfg from the closed-form
 // steady-state model (internal/model) instead of an exhaustive
 // per-dimension DES sweep — the same argmin GBDimSweep measures on every
@@ -104,21 +75,43 @@ func TunedGBDim(cfg cluster.Config) int {
 	return model.TunedGBDim(cfg.Nodes, model.GBCostsAt(cfg.NIC.ClockMHz))
 }
 
-// TopoScaleSweepAuto is TopoScaleSweepPartitioned with the GB dimension
-// chosen by TunedGBDim per row instead of swept: each (kind, size) cell
-// costs 4 simulations instead of 2 + 2·|dims|, which is what makes the
-// 8192- and 16384-node fat-tree rows affordable. The host GB row reuses
-// the NIC-tuned dimension (an approximation — the host steady state has
-// the same shape with larger per-level constants, and its optimum moves
-// little; the sweep remains available where the exact host argmin
-// matters).
-func TopoScaleSweepAuto(kinds []topo.Kind, sizes []int, radix, iters, partitions int) []TopoScaleRow {
-	return topoScaleSweep(kinds, sizes, radix, iters, func(cfg cluster.Config, _ int) []int {
-		return []int{TunedGBDim(cfg)}
-	}, partitions)
+// TopoSweep parameterizes TopoScaleSweep.
+type TopoSweep struct {
+	// Kinds × Sizes are the candidate rows, built from Radix-port
+	// switches; Iters barriers are timed per measurement.
+	Kinds        []topo.Kind
+	Sizes        []int
+	Radix, Iters int
+	// Dims lists the GB tree dimensions to sweep per row; nil means the
+	// gbDims default for each size. Ignored when Tuned is set.
+	Dims []int
+	// Tuned picks the GB dimension per row with TunedGBDim instead of
+	// sweeping: each row costs 4 simulations instead of 2 + 2·|dims|,
+	// which is what makes the 8192- and 16384-node fat-tree rows
+	// affordable. The host GB row reuses the NIC-tuned dimension (an
+	// approximation — the host steady state has the same shape with larger
+	// per-level constants, and its optimum moves little; the sweep remains
+	// available where the exact host argmin matters).
+	Tuned bool
+	// Partitions > 1 splits each cluster into that many engine partitions
+	// (the conservative parallel engine; results are bit-identical at any
+	// partition count). Rows whose fabric cannot host the split — too few
+	// leaf switches, or the single-crossbar baseline, which has no switch
+	// boundary to cut — silently run serial, so mixed sweeps like
+	// single+clos3 still produce every row.
+	Partitions int
 }
 
-func topoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dimsFor func(cluster.Config, int) []int, partitions int) []TopoScaleRow {
+// TopoScaleSweep measures NIC- and host-based PE and GB barriers for every
+// feasible (kind, size) combination, flattening all the independent
+// simulations into one worker-pool batch. GB runs topology-aware (see
+// core.GBTree) and takes the best of the row's dimensions. Combinations a
+// kind cannot host (capacity exceeded — including the 256-port route-byte
+// ceiling on expanded single crossbars) are skipped, so e.g. sizes up to
+// 1024 can be paired with clos2 (128 nodes at radix 16) without error
+// handling at the call site; callers that want to report the gaps can
+// compare rows against kinds x sizes.
+func TopoScaleSweep(o TopoSweep) []TopoScaleRow {
 	type rowPlan struct {
 		kind               topo.Kind
 		n                  int
@@ -128,12 +121,12 @@ func topoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dimsFor fu
 	}
 	var plans []rowPlan
 	var specs []Spec
-	for _, kind := range kinds {
-		for _, n := range sizes {
+	for _, kind := range o.Kinds {
+		for _, n := range o.Sizes {
 			if n < 2 {
 				continue
 			}
-			spec := topo.Spec{Kind: kind, Nodes: n, Radix: radix, AllowExpand: kind == topo.Single}
+			spec := topo.Spec{Kind: kind, Nodes: n, Radix: o.Radix, AllowExpand: kind == topo.Single}
 			t, err := topo.Build(spec)
 			if err != nil {
 				continue // infeasible at this size; skip the row
@@ -142,27 +135,33 @@ func topoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dimsFor fu
 			if err != nil {
 				continue
 			}
-			cfg := TopoConfig(kind, n, radix)
-			if partitions > 1 {
-				cfg.Partitions = partitions
+			cfg := TopoConfig(kind, n, o.Radix)
+			if o.Partitions > 1 {
+				cfg.Partitions = o.Partitions
 				if cfg.Validate() != nil {
 					cfg.Partitions = 1
 				}
 			}
-			ds := dimsFor(cfg, n)
+			ds := o.Dims
+			switch {
+			case o.Tuned:
+				ds = []int{TunedGBDim(cfg)}
+			case ds == nil:
+				ds = gbDims(n)
+			}
 			plans = append(plans, rowPlan{
 				kind: kind, n: n,
 				switches: t.Switches(), diameter: st.Diameter,
 				offset: len(specs), dims: ds,
 			})
 			specs = append(specs,
-				Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
-				Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: iters})
+				Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: o.Iters},
+				Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: o.Iters})
 			for _, d := range ds {
-				specs = append(specs, Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Dim: d, TopoAware: true, Iters: iters})
+				specs = append(specs, Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Dim: d, TopoAware: true, Iters: o.Iters})
 			}
 			for _, d := range ds {
-				specs = append(specs, Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.GB, Dim: d, TopoAware: true, Iters: iters})
+				specs = append(specs, Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.GB, Dim: d, TopoAware: true, Iters: o.Iters})
 			}
 		}
 	}
@@ -170,15 +169,15 @@ func topoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dimsFor fu
 
 	rows := make([]TopoScaleRow, 0, len(plans))
 	for _, pl := range plans {
-		o, nd := pl.offset, len(pl.dims)
+		off, nd := pl.offset, len(pl.dims)
 		row := TopoScaleRow{
 			Kind: pl.kind, Nodes: pl.n,
 			Switches: pl.switches, Diameter: pl.diameter,
-			NICPE:  results[o].MeanMicros,
-			HostPE: results[o+1].MeanMicros,
+			NICPE:  results[off].MeanMicros,
+			HostPE: results[off+1].MeanMicros,
 		}
-		nicBest, nicLat := bestGBDim(results[o+2 : o+2+nd])
-		hostBest, hostLat := bestGBDim(results[o+2+nd : o+2+2*nd])
+		nicBest, nicLat := bestGBDim(results[off+2 : off+2+nd])
+		hostBest, hostLat := bestGBDim(results[off+2+nd : off+2+2*nd])
 		row.NICGBDim, row.NICGB = pl.dims[nicBest-1], nicLat
 		row.HostGBDim, row.HostGB = pl.dims[hostBest-1], hostLat
 		row.FactorPE = row.HostPE / row.NICPE
@@ -252,45 +251,35 @@ func CrossSwitchContention(radix int, pairCounts []int, bytes, iters int) []Cont
 // elapsed time runs from its first send to the ack's arrival, so it
 // includes any queuing the streams impose on each other.
 func measureConcurrentStreams(cfg cluster.Config, pairs [][2]int, bytes, iters int) float64 {
-	cl := cluster.New(cfg)
+	s := must(NewSession(cfg))
+	defer s.Close()
 	payload := make([]byte, bytes)
 	elapsed := make([]sim.Time, len(pairs))
 	for pi, pr := range pairs {
-		pi, a, b := pi, pr[0], pr[1]
-		epA := mcp.Endpoint{Node: network.NodeID(a), Port: 2}
-		epB := mcp.Endpoint{Node: network.NodeID(b), Port: 2}
-		cl.Spawn(a, a, func(p *host.Process) {
-			port, err := gm.Open(p, cl.MCP(a), 2)
-			if err != nil {
-				panic(err)
-			}
-			comm, err := core.NewComm(p, port, 8)
-			if err != nil {
-				panic(err)
-			}
+		pi := pi
+		epA := mcp.Endpoint{Node: network.NodeID(pr[0]), Port: 2}
+		epB := mcp.Endpoint{Node: network.NodeID(pr[1]), Port: 2}
+		s.Spawn(pr[0], 8, func(p *host.Process, comm *core.Comm) error {
 			t0 := p.Now()
 			for i := 0; i < iters; i++ {
-				must(comm.Send(p, epB, payload))
+				if err := comm.Send(p, epB, payload); err != nil {
+					return err
+				}
 			}
-			mustRecv(comm.RecvFrom(p, epB)) // receiver's ack
+			_, err := comm.RecvFrom(p, epB) // receiver's ack
 			elapsed[pi] = p.Now() - t0
+			return err
 		})
-		cl.Spawn(b, b, func(p *host.Process) {
-			port, err := gm.Open(p, cl.MCP(b), 2)
-			if err != nil {
-				panic(err)
-			}
-			comm, err := core.NewComm(p, port, 64)
-			if err != nil {
-				panic(err)
-			}
+		s.Spawn(pr[1], 64, func(p *host.Process, comm *core.Comm) error {
 			for i := 0; i < iters; i++ {
-				mustRecv(comm.RecvFrom(p, epA))
+				if _, err := comm.RecvFrom(p, epA); err != nil {
+					return err
+				}
 			}
-			must(comm.Send(p, epA, []byte{0xAC}))
+			return comm.Send(p, epA, []byte{0xAC})
 		})
 	}
-	cl.Run()
+	check(s.Run())
 	var total sim.Time
 	for _, e := range elapsed {
 		total += e

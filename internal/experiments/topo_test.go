@@ -15,7 +15,7 @@ import (
 func TestTopoSingleMatchesFigure5(t *testing.T) {
 	const iters = 20
 	fig := Figure5Latencies(cluster.DefaultConfig, []int{16}, iters)[0]
-	rows := TopoScaleSweep([]topo.Kind{topo.Single}, []int{16}, 16, iters, nil)
+	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Single}, Sizes: []int{16}, Radix: 16, Iters: iters})
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -33,7 +33,7 @@ func TestTopoSingleMatchesFigure5(t *testing.T) {
 // TestTopoScaleRowsSane: small multi-switch sweeps produce positive
 // latencies, host slower than NIC, and the expected fabric shapes.
 func TestTopoScaleRowsSane(t *testing.T) {
-	rows := TopoScaleSweep([]topo.Kind{topo.Star, topo.Clos2}, []int{8, 16}, 6, 10, nil)
+	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Star, topo.Clos2}, Sizes: []int{8, 16}, Radix: 6, Iters: 10})
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -59,7 +59,7 @@ func TestTopoScale1024Smoke(t *testing.T) {
 		t.Skip("1024-node fabric simulation is slow; skipped in -short")
 	}
 	run := func() []TopoScaleRow {
-		return TopoScaleSweep([]topo.Kind{topo.Clos3}, []int{1024}, 16, 3, []int{8})
+		return TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{1024}, Radix: 16, Iters: 3, Dims: []int{8}})
 	}
 	var serial, parallel []TopoScaleRow
 	withWorkers(t, 1, func() { serial = run() })

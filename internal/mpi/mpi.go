@@ -177,7 +177,7 @@ func (w *World) Bcast(p *host.Process, data []byte) ([]byte, error) {
 	if w.cfg.UseNICCollectives {
 		return w.comm.NICBroadcast(p, w.g, w.rank, w.cfg.Dim, data)
 	}
-	parent, children, err := core.GBTree(w.rank, len(w.g), w.cfg.Dim)
+	parent, children, err := core.GBTree(w.rank, len(w.g), w.cfg.Dim, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (w *World) Allreduce(p *host.Process, op mcp.ReduceOp, values []int64) ([]i
 		}
 		return core.DecodeInt64s(out), nil
 	}
-	parent, children, err := core.GBTree(w.rank, len(w.g), w.cfg.Dim)
+	parent, children, err := core.GBTree(w.rank, len(w.g), w.cfg.Dim, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -37,9 +37,9 @@ type Result struct {
 	StartNs int64 `json:"start_ns"`
 	EndNs   int64 `json:"end_ns"`
 	// Decomposition is the Section 2.2 phase breakdown of the timed window
-	// (serial, non-fail-stop runs only; the trace endpoint serves the full
-	// Perfetto form). IdleUs is the unattributed remainder; the rows plus
-	// idle sum exactly to the window.
+	// (serial runs only — the partitioned engine excludes tracing; the
+	// trace endpoint serves the full Perfetto form). IdleUs is the
+	// unattributed remainder; the rows plus idle sum exactly to the window.
 	Decomposition []PhaseShare `json:"decomposition,omitempty"`
 	IdleUs        float64      `json:"idle_us,omitempty"`
 	// Scenario is the canonical chaos-fleet summary for fail-stop plans:
@@ -58,18 +58,14 @@ type Outcome struct {
 	Metrics *stats.Registry
 }
 
-// Execute runs one canonical spec to completion and returns its outcome.
-// Dispatch follows the engine's capabilities:
-//
-//   - fail-stop plans (crash, partition) run as checked scenarios —
-//     survivors complete degraded and the summary is part of the result;
-//   - partitioned specs run on the conservative parallel engine, which
-//     excludes tracing;
-//   - everything else runs serially with the full-stack recorder attached,
-//     yielding the decomposition, the Perfetto trace and the metrics
-//     registry. Timing is bit-identical in all cases to the equivalent
-//     one-shot CLI run (the recorder is passive; the overhead-guard test
-//     pins this).
+// Execute runs one canonical spec to completion through experiments.Run
+// and returns its outcome. Serial specs run with the full-stack recorder
+// attached, yielding the decomposition, the Perfetto trace and the metrics
+// registry; the partitioned engine excludes tracing. Runs with failure
+// detection on (fail-stop plans) add the scenario summary. Timing is
+// bit-identical in all cases to the equivalent one-shot CLI run (the
+// recorder is passive; the overhead-guard test pins this). A model that
+// cannot build or that deadlocks comes back as an error.
 //
 // Execute assumes a canonicalized spec; Canonicalize beforehand.
 func Execute(s Spec) (Outcome, error) {
@@ -77,45 +73,34 @@ func Execute(s Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	res := Result{Spec: s, Hash: hash}
-
-	if FailStop(s.FaultPlan) {
-		sc, err := s.Scenario("svc-" + hash[:12])
-		if err != nil {
-			return Outcome{}, err
-		}
-		sum := experiments.RunScenario(sc)
-		res.MeanMicros = sum.MeanMicros
-		res.Barriers = sum.Barriers
-		res.Retrans = sum.Retrans
-		res.Scenario = sum.String()
-		return Outcome{Result: res}, nil
-	}
-
 	espec, err := s.Experiment()
 	if err != nil {
 		return Outcome{}, err
 	}
-	if s.Partitions > 1 {
-		r := experiments.MeasureBarrier(espec)
-		res.MeanMicros = r.MeanMicros
-		res.Barriers = r.Barriers
-		res.Retrans = r.Retrans
-		res.StartNs = int64(r.Start)
-		res.EndNs = int64(r.End)
+	run, err := experiments.Run(espec, s.Partitions <= 1)
+	if err != nil {
+		return Outcome{}, err
+	}
+	res := Result{
+		Spec:       s,
+		Hash:       hash,
+		MeanMicros: run.MeanMicros,
+		Barriers:   run.Barriers,
+		Retrans:    run.Retrans,
+		StartNs:    int64(run.Start),
+		EndNs:      int64(run.End),
+		Traced:     run.Rec != nil,
+	}
+	if espec.Cluster.DetectFailures {
+		run.Summary.Name = "svc-" + hash[:12]
+		res.Scenario = run.Summary.String()
+	}
+	if run.Rec == nil {
 		return Outcome{Result: res}, nil
 	}
-
-	obs := experiments.MeasureBarrierObserved(espec)
-	res.MeanMicros = obs.MeanMicros
-	res.Barriers = obs.Barriers
-	res.Retrans = obs.Retrans
-	res.StartNs = int64(obs.Start)
-	res.EndNs = int64(obs.End)
-	res.Traced = true
 	for ph := phase.Phase(0); ph < phase.NumPhases; ph++ {
-		crit := obs.Decomp.Critical[ph]
-		tot := obs.Decomp.Totals[ph]
+		crit := run.Decomp.Critical[ph]
+		tot := run.Decomp.Totals[ph]
 		if crit == 0 && tot == 0 {
 			continue
 		}
@@ -125,11 +110,11 @@ func Execute(s Spec) (Outcome, error) {
 			TotalUs:    tot.Micros(),
 		})
 	}
-	res.IdleUs = obs.Decomp.Idle().Micros()
+	res.IdleUs = run.Decomp.Idle().Micros()
 
 	var buf bytes.Buffer
-	if err := obs.Rec.WriteChrome(&buf); err != nil {
+	if err := run.Rec.WriteChrome(&buf); err != nil {
 		return Outcome{}, fmt.Errorf("service: trace export: %w", err)
 	}
-	return Outcome{Result: res, Trace: buf.Bytes(), Metrics: obs.Metrics}, nil
+	return Outcome{Result: res, Trace: buf.Bytes(), Metrics: run.Metrics}, nil
 }

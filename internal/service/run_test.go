@@ -1,0 +1,127 @@
+package service
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+)
+
+func mustExecute(t *testing.T, s Spec) Outcome {
+	t.Helper()
+	c, err := s.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Execute(c)
+	if err != nil {
+		t.Fatalf("%+v: %v", c, err)
+	}
+	return out
+}
+
+// TestExecuteFailStopHonoursTopoAware: under a fail-stop plan the GB tree
+// is still mapped onto the fabric when the spec asks for it. On a 32-node
+// clos2 of radix-8 switches the mapped dim-4 tree crosses fewer trunks than
+// the flat one, so the two results must differ (they used to be equal: the
+// scenario path dropped the flag).
+func TestExecuteFailStopHonoursTopoAware(t *testing.T) {
+	for _, plan := range []string{PlanCrash, PlanPartition} {
+		base := Spec{Topo: "clos2", Radix: 8, Nodes: 32, Alg: "gb", Dim: 4, FaultPlan: plan, Iters: 8}
+		flat := mustExecute(t, base).Result
+		base.TopoAware = true
+		mapped := mustExecute(t, base).Result
+		if flat.MeanMicros == mapped.MeanMicros {
+			t.Errorf("%s: topo_aware changed nothing (mean %.3fus both ways)", plan, flat.MeanMicros)
+		}
+		if flat.Hash == mapped.Hash {
+			t.Errorf("%s: topo_aware does not split the hash", plan)
+		}
+	}
+}
+
+// TestExecuteOneResultShape: every serial run — fail-stop plans included —
+// carries the timed window, the decomposition and a trace; the scenario
+// summary appears exactly when the plan is fail-stop; a partitioned run
+// has the window but no trace.
+func TestExecuteOneResultShape(t *testing.T) {
+	cases := []struct {
+		name             string
+		spec             Spec
+		traced, failStop bool
+	}{
+		{"clean", Spec{Nodes: 8, Iters: 5}, true, false},
+		{"flap", Spec{Nodes: 8, Iters: 5, FaultPlan: PlanFlap}, true, false},
+		{"crash", Spec{Nodes: 8, Iters: 5, FaultPlan: PlanCrash}, true, true},
+		{"partitioned", Spec{Topo: "clos2", Radix: 8, Nodes: 32, Partitions: 2, Iters: 5}, false, false},
+		{"partitioned-crash", Spec{Topo: "clos2", Radix: 8, Nodes: 32, Partitions: 2, Iters: 5, FaultPlan: PlanCrash}, false, true},
+	}
+	for _, c := range cases {
+		out := mustExecute(t, c.spec)
+		r := out.Result
+		if r.EndNs <= r.StartNs || r.MeanMicros <= 0 || r.Barriers == 0 {
+			t.Errorf("%s: empty timed window: %+v", c.name, r)
+		}
+		if r.Traced != c.traced || (len(out.Trace) > 0) != c.traced || (len(r.Decomposition) > 0) != c.traced || (out.Metrics != nil) != c.traced {
+			t.Errorf("%s: traced=%v trace=%dB decomposition=%d rows, want traced=%v",
+				c.name, r.Traced, len(out.Trace), len(r.Decomposition), c.traced)
+		}
+		if (r.Scenario != "") != c.failStop {
+			t.Errorf("%s: scenario text %q, want present=%v", c.name, r.Scenario, c.failStop)
+		}
+		if c.failStop && !strings.HasPrefix(r.Scenario, "scenario svc-"+r.Hash[:12]) {
+			t.Errorf("%s: scenario not named after the hash: %q", c.name, r.Scenario)
+		}
+	}
+}
+
+// liveAfterGC returns the goroutine count and the in-use heap once the
+// collector has had two full cycles to reclaim what finished runs dropped.
+func liveAfterGC() (int, uint64) {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return runtime.NumGoroutine(), ms.HeapInuse
+}
+
+// TestExecuteLeaksNothing: a fail-stop job used to leave its killed rank
+// parked forever, pinning one goroutine and the whole cluster per job in a
+// daemon built to stay up. Twenty crash jobs, and as many jobs that come
+// back as a rank error, must leave the goroutine count and the live heap
+// where they started (experiments.TestSessionReleasesStrandedRanks covers
+// the ranks a failing peer strands).
+func TestExecuteLeaksNothing(t *testing.T) {
+	crash, err := Spec{Nodes: 16, FaultPlan: PlanCrash, Iters: 8}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Canonicalize refuses a GB dimension this large; Execute on the raw
+	// spec reaches the harness, where every rank fails to build its token.
+	badDim := crash
+	badDim.FaultPlan, badDim.Seed = PlanNone, 0
+	badDim.Alg, badDim.Dim = "gb", 99
+	run := func() {
+		if _, err := Execute(crash); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(badDim); err == nil || !strings.Contains(err.Error(), "dimension 99") {
+			t.Fatalf("bad-dimension job: err = %v, want one naming the dimension", err)
+		}
+	}
+	run() // warm lazily initialised state out of the baseline
+	g0, h0 := liveAfterGC()
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	for i := 0; i < 1000 && runtime.NumGoroutine() > g0; i++ {
+		runtime.Gosched() // released goroutines need a moment to exit
+	}
+	g1, h1 := liveAfterGC()
+	if g1 > g0 {
+		t.Errorf("goroutines grew from %d to %d across 20 crash jobs and 20 failed jobs", g0, g1)
+	}
+	// One leaked 16-node cluster is ~0.7 MB; forty would be ~28 MB.
+	if h1 > h0+4<<20 {
+		t.Errorf("live heap grew from %d KB to %d KB", h0>>10, h1>>10)
+	}
+}

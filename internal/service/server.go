@@ -481,9 +481,11 @@ func (s *Server) deadLetter(j *Job, reason string) {
 	close(j.done)
 }
 
-// safeCall runs the executor with panics (deadlocked model programs,
-// invalid late-bound configs) converted to retryable job errors, so one
-// bad spec cannot take a service worker down.
+// safeCall runs the executor with panics converted to retryable job
+// errors, so one bad spec cannot take a service worker down. Deadlocked
+// model programs and configs that fail to build come back from Execute as
+// plain errors (failed, not retried: they are deterministic); the recover
+// is the safety net for real bugs.
 func safeCall(exec func(Spec) (Outcome, error), spec Spec) (out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {

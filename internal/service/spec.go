@@ -60,8 +60,8 @@ type Spec struct {
 	// FaultPlan names the fault schedule: none (default), flap, corrupt,
 	// chaos, crash, partition — the same vocabulary as the CLIs' -faultplan
 	// (see NamedPlan). Any plan other than none runs the reliable barrier;
-	// crash and partition also enable failure detection and run as a
-	// checked scenario.
+	// crash and partition also enable failure detection, add the scenario
+	// summary to the result, and require level "nic".
 	FaultPlan string `json:"fault_plan"`
 	// Seed roots the fault plan's random streams; 0 means 42 (the CLI
 	// default). Ignored (canonically 0) when FaultPlan is none.
@@ -95,8 +95,8 @@ func PlanNames() []string {
 }
 
 // FailStop reports whether the named plan contains fail-stop faults, which
-// run as checked scenarios (survivors complete degraded) rather than plain
-// measurements.
+// run with failure detection on: survivors complete degraded and the
+// result carries the scenario summary.
 func FailStop(plan string) bool { return plan == PlanCrash || plan == PlanPartition }
 
 // Canonicalize validates the spec and returns its canonical form: string
@@ -178,6 +178,12 @@ func (s Spec) Canonicalize() (Spec, error) {
 		c.Seed = 0
 	} else if c.Seed == 0 {
 		c.Seed = DefaultSeed
+	}
+	if FailStop(c.FaultPlan) && c.Level == "host" {
+		// Host-level barriers have no failure detector: a barrier message
+		// to or from the victim is never answered and the run can only
+		// deadlock.
+		return c, fmt.Errorf("spec: fault plan %q needs level \"nic\": host-level barriers cannot detect the failure and would deadlock", c.FaultPlan)
 	}
 
 	if c.Partitions < 1 {
@@ -321,10 +327,11 @@ func (s Spec) Config() (cluster.Config, error) {
 	return cfg, nil
 }
 
-// Experiment converts a canonical non-fail-stop spec into the experiments
-// harness's measurement spec — the exact value a one-shot CLI run would
-// measure, which is what makes service results bit-comparable to serial
-// runs.
+// Experiment converts a canonical spec into the experiments harness's
+// measurement spec — the exact value a one-shot CLI run would measure,
+// which is what makes service results bit-comparable to serial runs. It is
+// the only converter: every spec field that reaches the simulation passes
+// through here.
 func (s Spec) Experiment() (experiments.Spec, error) {
 	cfg, err := s.Config()
 	if err != nil {
@@ -346,31 +353,6 @@ func (s Spec) Experiment() (experiments.Spec, error) {
 		TopoAware: s.TopoAware,
 		Warmup:    s.Warmup,
 		Iters:     s.Iters,
-	}, nil
-}
-
-// Scenario converts a canonical fail-stop spec into a checked scenario
-// (see experiments.RunScenario): survivors complete degraded barriers and
-// the summary records dead sets and repair work.
-func (s Spec) Scenario(name string) (experiments.Scenario, error) {
-	if !FailStop(s.FaultPlan) {
-		return experiments.Scenario{}, fmt.Errorf("spec: %q is not a fail-stop plan", s.FaultPlan)
-	}
-	cfg, err := s.Config()
-	if err != nil {
-		return experiments.Scenario{}, err
-	}
-	alg := mcp.PE
-	if s.Alg == "gb" {
-		alg = mcp.GB
-	}
-	return experiments.Scenario{
-		Name:   name,
-		Cfg:    cfg,
-		Alg:    alg,
-		Dim:    s.Dim,
-		Warmup: s.Warmup,
-		Iters:  s.Iters,
 	}, nil
 }
 

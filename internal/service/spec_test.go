@@ -131,11 +131,61 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"negative iters":  {Nodes: 16, Iters: -5},
 		// The serial single crossbar has no switch boundary to partition.
 		"partitioned single": {Nodes: 16, Partitions: 2},
+		// Host-level barriers have no failure detector: they can only
+		// deadlock on a fail-stop plan.
+		"host crash":     {Nodes: 16, Level: "host", FaultPlan: "crash"},
+		"host partition": {Nodes: 16, Level: "host", Alg: "gb", FaultPlan: "partition"},
 	}
 	for name, s := range bad {
 		if _, err := s.Canonicalize(); err == nil {
 			t.Errorf("%s: canonicalized without error", name)
 		}
+	}
+	_, err := Spec{Nodes: 16, Level: "host", FaultPlan: "crash"}.Canonicalize()
+	if err == nil || !strings.Contains(err.Error(), "host-level") || !strings.Contains(err.Error(), `"crash"`) {
+		t.Errorf("host + fail-stop rejection does not name the cause: %v", err)
+	}
+	// The same plans stay legal at NIC level, and non-fail-stop plans at
+	// host level.
+	for _, ok := range []Spec{
+		{Nodes: 16, FaultPlan: "crash"},
+		{Nodes: 16, Level: "host", FaultPlan: "flap"},
+	} {
+		if _, err := ok.Canonicalize(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+}
+
+// TestExperimentCarriesEveryField: Experiment is the only converter, so
+// level and tree mapping must survive it under every fault plan — a
+// fail-stop spec used to drop both.
+func TestExperimentCarriesEveryField(t *testing.T) {
+	for _, plan := range PlanNames() {
+		s, err := Spec{
+			Topo: "clos2", Radix: 8, Nodes: 32, Alg: "gb", Dim: 4,
+			TopoAware: true, FaultPlan: plan, Warmup: 3, Iters: 7,
+		}.Canonicalize()
+		if err != nil {
+			t.Fatalf("%s: %v", plan, err)
+		}
+		e, err := s.Experiment()
+		if err != nil {
+			t.Fatalf("%s: %v", plan, err)
+		}
+		if !e.TopoAware || e.Level != experiments.NICLevel || e.Dim != 4 || e.Warmup != 3 || e.Iters != 7 {
+			t.Errorf("%s: experiment spec lost fields: %+v", plan, e)
+		}
+		if e.Cluster.DetectFailures != FailStop(plan) {
+			t.Errorf("%s: DetectFailures = %v", plan, e.Cluster.DetectFailures)
+		}
+	}
+	s, err := Spec{Nodes: 8, Level: "host", FaultPlan: "flap"}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := s.Experiment(); e.Level != experiments.HostLevel {
+		t.Errorf("host level lost: %+v", e)
 	}
 }
 

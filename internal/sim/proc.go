@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Proc is a simulated process: a goroutine that executes in strict lock-step
 // with the event loop. At any instant at most one goroutine in the whole
@@ -20,7 +23,8 @@ type Proc struct {
 	finished bool
 
 	// killed marks a process destroyed by Kill (a fail-stop host crash).
-	// The goroutine stays parked forever; every wake becomes a no-op.
+	// The goroutine stays parked until Simulator.Close releases it; every
+	// wake becomes a no-op.
 	killed bool
 	// waitingOn / timedW record where the process is currently parked, so
 	// Kill can unhook it from the signal's waiter lists and from the
@@ -40,15 +44,37 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 	}
 	p.wake = p.wakeNow
 	s.procs++
+	s.spawned = append(s.spawned, p)
 	go func() {
-		<-p.resume
+		// Deferred so the hand-back also happens when Close unwinds the
+		// body with Goexit.
+		defer func() { p.parked <- struct{}{} }()
+		if _, ok := <-p.resume; !ok {
+			return // closed before the first wake
+		}
 		body(p)
 		p.finished = true
 		s.procs--
-		p.parked <- struct{}{}
 	}()
 	s.After(0, p.wake)
 	return p
+}
+
+// Close releases every process that never finished — killed by a fail-stop
+// fault, stranded by a deadlock, or never started — so that its goroutine
+// exits (running the body's deferred calls) and everything it references
+// becomes collectable. Call it from the event-loop side once the run is
+// over; the simulator must not be run afterwards. Close is idempotent.
+func (s *Simulator) Close() {
+	for _, p := range s.spawned {
+		if p.finished {
+			continue
+		}
+		p.Kill()
+		close(p.resume)
+		<-p.parked
+	}
+	s.spawned = nil
 }
 
 // Name returns the name the process was spawned with.
@@ -109,7 +135,9 @@ func (p *Proc) wakeNow() {
 // It must only be called from the process goroutine.
 func (p *Proc) park() {
 	p.parked <- struct{}{}
-	<-p.resume
+	if _, ok := <-p.resume; !ok {
+		runtime.Goexit() // released by Simulator.Close
+	}
 }
 
 // Sleep suspends the process for d nanoseconds of simulated time.

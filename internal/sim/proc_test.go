@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -318,5 +319,51 @@ func TestFinished(t *testing.T) {
 	s.Run()
 	if !p.Finished() {
 		t.Fatal("Finished false after completion")
+	}
+}
+
+// TestCloseReleasesUnfinishedProcs: Close lets the goroutine of every
+// process that will never run again exit — one killed while sleeping, one
+// stranded on a signal, one sleeping past the point the run stopped, one
+// never started — running the body's deferred calls, and leaves finished
+// processes alone.
+func TestCloseReleasesUnfinishedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	sig := s.NewSignal()
+	unwound := 0
+	body := func(block func(p *Proc)) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() { unwound++ }()
+			block(p)
+			t.Error("released process resumed its body")
+		}
+	}
+	victim := s.Spawn("killed", body(func(p *Proc) { p.Sleep(100) }))
+	s.Spawn("stranded", body(func(p *Proc) { p.Wait(sig) }))
+	s.Spawn("sleeper", body(func(p *Proc) { p.Sleep(1000) }))
+	done := s.Spawn("done", func(p *Proc) { p.Sleep(1) })
+	s.After(10, victim.Kill)
+	s.RunUntil(50)
+	late := s.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	if s.LiveProcs() != 3 { // the killed one already left the accounting
+		t.Fatalf("%d live processes before Close, want 3", s.LiveProcs())
+	}
+	s.Close()
+	s.Close() // idempotent
+	if unwound != 3 {
+		t.Errorf("%d bodies unwound their defers, want 3", unwound)
+	}
+	if !done.Finished() || late.Finished() || !victim.Killed() {
+		t.Errorf("finished/killed flags wrong: done=%v late=%v victim killed=%v", done.Finished(), late.Finished(), victim.Killed())
+	}
+	if s.LiveProcs() != 0 {
+		t.Errorf("%d live processes after Close", s.LiveProcs())
+	}
+	for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines left after Close", got-base)
 	}
 }

@@ -147,8 +147,9 @@ type Simulator struct {
 
 	executed int64
 	running  bool
-	procs    int // live (spawned, not finished) processes
-	blocked  int // processes parked on a Signal with no pending wake
+	procs    int     // live (spawned, not finished) processes
+	blocked  int     // processes parked on a Signal with no pending wake
+	spawned  []*Proc // every process ever spawned, for Close
 }
 
 // New returns a simulator with the clock at zero and no pending events.

@@ -11,6 +11,7 @@ import (
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/phase"
+	"gmsim/internal/topo"
 )
 
 // runFullStackBarrier runs one NIC barrier on n nodes with a full-stack
@@ -208,7 +209,7 @@ func TestAttachGatesPhases(t *testing.T) {
 // must show two hop events; intra-switch packets one.
 func TestTwoSwitchHops(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	cfg.TwoLevel = true
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 	cl := cluster.New(cfg)
 	rec := Attach(cl)
 	g := core.UniformGroup(8, 2)
