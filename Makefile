@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-partition fuzz bench benchgate cover figures scenarios simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-partition race-procs fuzz bench benchgate cover figures scenarios simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -28,6 +28,16 @@ race:
 race-partition:
 	$(GO) test -race -count=1 -run 'Partition|TieBreak|Group|Pool' \
 		./internal/sim ./internal/runner ./internal/cluster ./internal/network ./internal/topo
+
+# Race-check the process switch. A simulated process is a coroutine resumed
+# by whoever runs its simulator: the caller of Run, or — in the partitioned
+# engine — whichever pool worker picks up its partition's next window, so
+# consecutive wakes of one process can come from different threads. The full
+# (non -short) sim and cluster suites plus the partitioned/determinism
+# experiment matrix run under the detector.
+race-procs:
+	$(GO) test -race -count=1 ./internal/sim ./internal/cluster
+	$(GO) test -race -count=1 -timeout 30m -run 'Partition|Determinism' ./internal/experiments
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
 # the fault-plan validator, the result-store entry codec and the algebraic
@@ -79,6 +89,7 @@ figures:
 # wall-clock serial vs parallel) that future PRs compare against.
 bench:
 	$(GO) test -run 'TestZeroAlloc' -count=1 -v ./internal/sim
+	$(GO) test -run 'TestSteadyStateAllocsPerBarrier' -count=1 -v ./internal/experiments
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 	$(GO) run ./cmd/simbench -json BENCH_sim.json
 

@@ -534,7 +534,7 @@ func (c *Cluster) Drain(workers int) error {
 }
 
 // Close releases the processes a finished run left behind — killed by a
-// crash fault or stranded by a deadlock — so their goroutines exit and the
+// crash fault or stranded by a deadlock — so their coroutines exit and the
 // cluster becomes collectable (see sim.Simulator.Close). The cluster must
 // not be run afterwards.
 func (c *Cluster) Close() {

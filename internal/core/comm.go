@@ -7,6 +7,7 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/mem"
 	"gmsim/internal/network"
 )
 
@@ -161,9 +162,8 @@ func (c *Comm) dispatch(ev mcp.HostEvent) {
 // from other endpoints that arrive meanwhile are stashed.
 func (c *Comm) RecvFrom(p *host.Process, src mcp.Endpoint) ([]byte, error) {
 	for {
-		if q := c.stash[src]; len(q) > 0 {
-			data := q[0]
-			c.stash[src] = q[1:]
+		if len(c.stash[src]) > 0 {
+			data := c.popStash(src)
 			c.dropArrival(src)
 			if err := c.port.ProvideReceiveBuffer(p); err != nil {
 				return nil, err
@@ -179,11 +179,8 @@ func (c *Comm) RecvFrom(p *host.Process, src mcp.Endpoint) ([]byte, error) {
 func (c *Comm) RecvAny(p *host.Process) (mcp.Endpoint, []byte, error) {
 	for {
 		if len(c.arrivals) > 0 {
-			src := c.arrivals[0]
-			c.arrivals = c.arrivals[1:]
-			q := c.stash[src]
-			data := q[0]
-			c.stash[src] = q[1:]
+			src := mem.PopFront(&c.arrivals)
+			data := c.popStash(src)
 			if err := c.port.ProvideReceiveBuffer(p); err != nil {
 				return src, nil, err
 			}
@@ -191,6 +188,14 @@ func (c *Comm) RecvAny(p *host.Process) (mcp.Endpoint, []byte, error) {
 		}
 		c.dispatch(c.port.Receive(p))
 	}
+}
+
+// popStash consumes the oldest stashed payload from src.
+func (c *Comm) popStash(src mcp.Endpoint) []byte {
+	q := c.stash[src]
+	data := mem.PopFront(&q)
+	c.stash[src] = q
+	return data
 }
 
 // dropArrival removes the oldest arrival entry for src.
@@ -221,7 +226,9 @@ func (c *Comm) Barrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim i
 }
 
 // PendingBarrier is a split-phase (fuzzy) barrier in flight: the host can
-// compute while the NIC completes the barrier, checking in with Test.
+// compute while the NIC completes the barrier, checking in with Test. It
+// is a value the caller owns (starting a barrier allocates nothing for it);
+// keep it in one variable rather than copying it around.
 type PendingBarrier struct {
 	c    *Comm
 	done bool
@@ -238,18 +245,18 @@ func (pb *PendingBarrier) Dead() []network.NodeID { return pb.dead }
 // the fuzzy-barrier entry point (Sections 1 and 5.2: "because we separate
 // the barrier initiation from the polling of the barrier completion, a
 // fuzzy barrier can be performed").
-func (c *Comm) StartBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (*PendingBarrier, error) {
+func (c *Comm) StartBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (PendingBarrier, error) {
 	tok, err := c.barrierToken(alg, g, self, dim)
 	if err != nil {
-		return nil, err
+		return PendingBarrier{}, err
 	}
 	if err := c.port.ProvideBarrierBuffer(p); err != nil {
-		return nil, err
+		return PendingBarrier{}, err
 	}
 	if err := c.port.BarrierSend(p, tok); err != nil {
-		return nil, err
+		return PendingBarrier{}, err
 	}
-	return &PendingBarrier{c: c}, nil
+	return PendingBarrier{c: c}, nil
 }
 
 // Test polls once for completion without blocking; it returns true once
@@ -277,8 +284,7 @@ func (pb *PendingBarrier) takeDone() bool {
 	}
 	if pb.c.barrierDone > 0 {
 		pb.c.barrierDone--
-		pb.dead = pb.c.barrierDead[0]
-		pb.c.barrierDead = pb.c.barrierDead[1:]
+		pb.dead = mem.PopFront(&pb.c.barrierDead)
 		pb.done = true
 	}
 	return pb.done

@@ -94,7 +94,7 @@ func (s *Session) Run() error {
 }
 
 // Close releases whatever processes the run left parked (crashed or
-// stranded ranks), so a finished session holds no goroutines.
+// stranded ranks), so a finished session holds no parked coroutines.
 func (s *Session) Close() { s.Cluster.Close() }
 
 // window is what a timed loop leaves behind: rank 0's clock around the

@@ -173,3 +173,37 @@ func TestSessionReleasesStrandedRanks(t *testing.T) {
 		t.Errorf("goroutines grew from %d to %d: Close left stranded ranks parked", base, runtime.NumGoroutine())
 	}
 }
+
+// TestSessionRankPanicReachesCaller: a rank body that panics mid-run takes
+// the panic to whoever called Session.Run — the place a service worker's
+// recover stands — rather than killing the program from a goroutine nobody
+// can guard, and Close still releases the ranks the panic left parked.
+func TestSessionRankPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := NewSession(cluster.DefaultConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.UniformGroup(8, 2)
+	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+		if p.Rank() == 3 {
+			p.Compute(10 * sim.Microsecond)
+			panic("rank 3 exploded")
+		}
+		return comm.Barrier(p, mcp.PE, g, p.Rank(), 0)
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		return s.Run()
+	}()
+	if got != "rank 3 exploded" {
+		t.Fatalf("around Session.Run: got %v, want rank 3's panic value", got)
+	}
+	s.Close()
+	if live := s.Cluster.Sim().LiveProcs(); live != 0 {
+		t.Errorf("%d ranks still live after Close", live)
+	}
+	if !goroutinesSettle(base) {
+		t.Errorf("goroutines grew from %d to %d: Close left ranks parked behind the panic", base, runtime.NumGoroutine())
+	}
+}

@@ -65,6 +65,17 @@ type Port struct {
 	collBufs      int
 	collActive    bool
 
+	// Requests crossing the PCI bus: what the NIC sees one DoorbellLatency
+	// after the host call returns. Every request of a port takes the same
+	// latency, so the queues are FIFO; the doorbell callbacks are method
+	// values built once in Open, so ringing a doorbell allocates nothing.
+	sendsPosted    []*mcp.SendToken
+	barrierPosted  *mcp.BarrierToken // one at a time (barrierActive)
+	sendDoorbell   func()
+	recvDoorbell   func()
+	barBufDoorbell func()
+	barTokDoorbell func()
+
 	// registry enables strict pinning checks (nil = permissive).
 	registry *mem.Registry
 
@@ -83,6 +94,10 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 		maxSends: 16,
 	}
 	pt.sig = pt.sim.NewSignal()
+	pt.sendDoorbell = pt.sendRung
+	pt.recvDoorbell = pt.recvRung
+	pt.barBufDoorbell = pt.barBufRung
+	pt.barTokDoorbell = pt.barTokRung
 	if err := m.OpenPort(num, pt.onEvent); err != nil {
 		return nil, err
 	}
@@ -135,14 +150,16 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) er
 	pt.sendsInFlight++
 	pt.sent++
 	p.ComputePhase(p.Params().EffectiveSendCost(), phase.HostSend, "gm_send")
-	tok := &mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag}
-	pt.sim.After(p.Params().DoorbellLatency, func() {
-		if err := pt.mcp.PostSendToken(tok); err != nil {
-			// The host-side mirror should have caught every failure mode.
-			panic(fmt.Sprintf("gm: NIC rejected send: %v", err))
-		}
-	})
+	pt.sendsPosted = append(pt.sendsPosted, &mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag})
+	pt.sim.After(p.Params().DoorbellLatency, pt.sendDoorbell)
 	return nil
+}
+
+func (pt *Port) sendRung() {
+	if err := pt.mcp.PostSendToken(mem.PopFront(&pt.sendsPosted)); err != nil {
+		// The host-side mirror should have caught every failure mode.
+		panic(fmt.Sprintf("gm: NIC rejected send: %v", err))
+	}
 }
 
 // ProvideReceiveBuffer posts one receive buffer
@@ -153,12 +170,14 @@ func (pt *Port) ProvideReceiveBuffer(p *host.Process) error {
 	}
 	pt.recvBufs++
 	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
-	pt.sim.After(p.Params().DoorbellLatency, func() {
-		if err := pt.mcp.PostReceiveToken(pt.num); err != nil && pt.open {
-			panic(fmt.Sprintf("gm: NIC rejected receive token: %v", err))
-		}
-	})
+	pt.sim.After(p.Params().DoorbellLatency, pt.recvDoorbell)
 	return nil
+}
+
+func (pt *Port) recvRung() {
+	if err := pt.mcp.PostReceiveToken(pt.num); err != nil && pt.open {
+		panic(fmt.Sprintf("gm: NIC rejected receive token: %v", err))
+	}
 }
 
 // ProvideBarrierBuffer posts one barrier completion buffer — the paper's
@@ -169,12 +188,14 @@ func (pt *Port) ProvideBarrierBuffer(p *host.Process) error {
 	}
 	pt.barrierBufs++
 	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, "provide_bar_buf")
-	pt.sim.After(p.Params().DoorbellLatency, func() {
-		if err := pt.mcp.PostBarrierBuffer(pt.num); err != nil && pt.open {
-			panic(fmt.Sprintf("gm: NIC rejected barrier buffer: %v", err))
-		}
-	})
+	pt.sim.After(p.Params().DoorbellLatency, pt.barBufDoorbell)
 	return nil
+}
+
+func (pt *Port) barBufRung() {
+	if err := pt.mcp.PostBarrierBuffer(pt.num); err != nil && pt.open {
+		panic(fmt.Sprintf("gm: NIC rejected barrier buffer: %v", err))
+	}
 }
 
 // BarrierSend initiates a NIC-based barrier — the paper's
@@ -196,12 +217,17 @@ func (pt *Port) BarrierSend(p *host.Process, tok *mcp.BarrierToken) error {
 	pt.barrierBufs--
 	pt.barriers++
 	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, "gm_barrier_send")
-	pt.sim.After(p.Params().DoorbellLatency, func() {
-		if err := pt.mcp.PostBarrierToken(tok); err != nil {
-			panic(fmt.Sprintf("gm: NIC rejected barrier token: %v", err))
-		}
-	})
+	pt.barrierPosted = tok
+	pt.sim.After(p.Params().DoorbellLatency, pt.barTokDoorbell)
 	return nil
+}
+
+func (pt *Port) barTokRung() {
+	tok := pt.barrierPosted
+	pt.barrierPosted = nil
+	if err := pt.mcp.PostBarrierToken(tok); err != nil {
+		panic(fmt.Sprintf("gm: NIC rejected barrier token: %v", err))
+	}
 }
 
 // Receive blocks until a host event is available, then consumes and

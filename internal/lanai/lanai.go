@@ -287,6 +287,21 @@ func (d *DMAEngine) Start(n int, fn func()) {
 	if d.dead {
 		return
 	}
+	d.sim.At(d.book(n), fn)
+}
+
+// StartCall is Start for a prebuilt single-argument callback (see
+// NIC.ExecTaggedCall): fn and arg pass straight through to sim.AtCall.
+func (d *DMAEngine) StartCall(n int, fn func(uint64), arg uint64) {
+	if d.dead {
+		return
+	}
+	d.sim.AtCall(d.book(n), fn, arg)
+}
+
+// book reserves the engine for an n-byte transfer and returns the
+// completion instant.
+func (d *DMAEngine) book(n int) sim.Time {
 	start := d.sim.Now()
 	if d.free > start {
 		start = d.free
@@ -303,7 +318,7 @@ func (d *DMAEngine) Start(n int, fn func()) {
 			Node: d.node, Peer: -1, Label: d.track.String(),
 		})
 	}
-	d.sim.At(d.free, fn)
+	return d.free
 }
 
 // Transfers returns the number of transfers started.

@@ -41,31 +41,42 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 	}
 	p.barrierPending = true
 	// The SDMA state machine notices the token and processes it.
-	m.nic.ExecTagged(tokenCost, "bar.token", func() {
-		if !p.open {
-			return // port closed while the token sat in the queue
-		}
-		tok.Epoch = p.epoch
-		p.barrier = tok
-		if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
-			// Peers already known dead are removed from the schedule before
-			// the first packet goes out.
-			m.applyDeadPeers(tok)
-		}
-		m.armBarrierWatchdog(p)
-		switch tok.Alg {
-		case PE:
-			if tok.Index >= len(tok.Peers) {
-				m.barrierFinish(p, tok)
-				return
-			}
-			m.peSendCurrent(p, tok)
-		case GB:
-			m.gbDrainRecorded(p, tok)
-			m.gbMaybeAdvance(p, tok)
-		}
-	})
+	h, cell := m.pendBarTokens.Get()
+	*cell = tok
+	m.nic.ExecTaggedCall(tokenCost, "bar.token", m.barTokenFn, h)
 	return nil
+}
+
+// barTokenEvent fires when the SDMA state machine has processed a posted
+// barrier token: the barrier starts.
+func (m *MCP) barTokenEvent(h uint64) {
+	cell := m.pendBarTokens.At(h)
+	tok := *cell
+	*cell = nil
+	m.pendBarTokens.Put(h)
+	p := m.ports[tok.SrcPort]
+	if !p.open {
+		return // port closed while the token sat in the queue
+	}
+	tok.Epoch = p.epoch
+	p.barrier = tok
+	if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
+		// Peers already known dead are removed from the schedule before
+		// the first packet goes out.
+		m.applyDeadPeers(tok)
+	}
+	m.armBarrierWatchdog(p)
+	switch tok.Alg {
+	case PE:
+		if tok.Index >= len(tok.Peers) {
+			m.barrierFinish(p, tok)
+			return
+		}
+		m.peSendCurrent(p, tok)
+	case GB:
+		m.gbDrainRecorded(p, tok)
+		m.gbMaybeAdvance(p, tok)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -78,10 +89,7 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 // checks to see if a barrier packet has been received from that same
 // destination").
 func (m *MCP) peSendCurrent(p *Port, tok *BarrierToken) {
-	peer := tok.Peers[tok.Index]
-	m.sendBarrierFrame(p, peer, BarrierPEFrame, func() {
-		m.peDrainRecorded(p, tok)
-	})
+	m.sendBarrierFrameEpoch(p.num, p.epoch, tok.Peers[tok.Index], BarrierPEFrame, tok)
 }
 
 // peDrainRecorded consumes already-recorded messages from successive
@@ -135,7 +143,7 @@ func (m *MCP) gbMaybeAdvance(p *Port, tok *BarrierToken) {
 	}
 	if !tok.sentGather {
 		tok.sentGather = true
-		m.sendBarrierFrame(p, tok.Parent, BarrierGatherFrame, nil)
+		m.sendBarrierFrame(p, tok.Parent, BarrierGatherFrame)
 		// Now wait for the parent's broadcast. An already-recorded
 		// broadcast (possible with consecutive barriers) is consumed here.
 		if m.takeUnexpected(tok.Parent, BarrierBcastFrame, p.num) {
@@ -295,13 +303,13 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 		if tok != nil && tok.Alg == PE && tok.Epoch == f.SrcEpoch &&
 			tok.Index < len(tok.Peers) && tok.Peers[tok.Index] == rejector {
 			m.stats.BarrierResends++
-			m.sendBarrierFrame(p, rejector, BarrierPEFrame, nil)
+			m.sendBarrierFrame(p, rejector, BarrierPEFrame)
 		}
 	case BarrierGatherFrame:
 		if tok != nil && tok.Alg == GB && tok.Epoch == f.SrcEpoch &&
 			!tok.Root && tok.Parent == rejector && tok.sentGather {
 			m.stats.BarrierResends++
-			m.sendBarrierFrame(p, rejector, BarrierGatherFrame, nil)
+			m.sendBarrierFrame(p, rejector, BarrierGatherFrame)
 		}
 	case BarrierBcastFrame:
 		// The broadcast sender's barrier has already completed locally;
@@ -319,13 +327,15 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 // ---------------------------------------------------------------------------
 
 // sendBarrierFrame prepares and transmits one barrier packet from the
-// port's current epoch. after (optional) runs once the packet has been
-// prepared — the hook the PE algorithm uses for its post-prep record check.
-func (m *MCP) sendBarrierFrame(p *Port, dst Endpoint, kind FrameKind, after func()) {
-	m.sendBarrierFrameEpoch(p.num, p.epoch, dst, kind, after)
+// port's current epoch.
+func (m *MCP) sendBarrierFrame(p *Port, dst Endpoint, kind FrameKind) {
+	m.sendBarrierFrameEpoch(p.num, p.epoch, dst, kind, nil)
 }
 
-func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind FrameKind, after func()) {
+// sendBarrierFrameEpoch is sendBarrierFrame for an explicit epoch. A
+// non-nil drain is the sending port's PE token: once the packet has been
+// prepared its unexpected-message record is checked (peDrainRecorded).
+func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind FrameKind, drain *BarrierToken) {
 	f := &Frame{
 		Kind:     kind,
 		SrcNode:  m.cfg.Node,
@@ -345,7 +355,7 @@ func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind Frame
 		prep, label = m.cfg.Params.GBPrep, "gb.prep"
 	}
 	h, rec := m.pendBarSends.Get()
-	rec.f, rec.dst, rec.after = f, dst, after
+	rec.f, rec.dst, rec.drain = f, dst, drain
 	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, m.barSendFn, h)
 }
 
@@ -353,16 +363,22 @@ func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind Frame
 // on the firmware processor: release the leased record and send the frame.
 func (m *MCP) barSendEvent(h uint64) {
 	rec := m.pendBarSends.At(h)
-	f, dst, after := rec.f, rec.dst, rec.after
-	rec.f, rec.after = nil, nil
+	f, dst, drain := rec.f, rec.dst, rec.drain
+	rec.f, rec.drain = nil, nil
 	m.pendBarSends.Put(h)
+	m.barSend(f, dst)
+	if drain != nil {
+		m.peDrainRecorded(m.ports[f.SrcPort], drain)
+	}
+}
+
+// barSend puts one prepared barrier frame on the wire (or short-circuits
+// it: dead destination, same-NIC loopback flag).
+func (m *MCP) barSend(f *Frame, dst Endpoint) {
 	if m.cfg.DetectFailures && dst.Node != m.cfg.Node && m.deadPeers[dst.Node] {
 		// The destination died while this frame waited out its prep cost:
 		// sending would only spin up the retransmission machinery toward a
 		// corpse. The repair path has already routed the barrier around it.
-		if after != nil {
-			after()
-		}
 		return
 	}
 	if m.cfg.LoopbackFlag && dst.Node == m.cfg.Node {
@@ -370,9 +386,6 @@ func (m *MCP) barSendEvent(h uint64) {
 		// barrier exchange a flag instead of a packet.
 		m.stats.BarrierSent++
 		m.handleBarrier(f)
-		if after != nil {
-			after()
-		}
 		return
 	}
 	if m.cfg.ReliableBarrier {
@@ -384,21 +397,10 @@ func (m *MCP) barSendEvent(h uint64) {
 	}
 	m.stats.BarrierSent++
 	m.transmitFrame(f)
-	if after != nil {
-		after()
-	}
 }
 
 func (m *MCP) sendBarrierAck(f *Frame) {
-	seq := f.Seq
-	m.nic.ExecTagged(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "ack.gen", func() {
-		m.transmitFrame(&Frame{
-			Kind:    BarrierAckFrame,
-			SrcNode: m.cfg.Node,
-			DstNode: f.SrcNode,
-			AckSeq:  seq,
-		})
-	})
+	m.sendCtl("ack.gen", ctlRec{kind: BarrierAckFrame, dst: f.SrcNode, seq: f.Seq})
 }
 
 func (m *MCP) handleBarrierAck(f *Frame) {
@@ -456,10 +458,6 @@ func (m *MCP) barrierFinish(p *Port, tok *BarrierToken) {
 	if m.cfg.DetectFailures {
 		dead = m.deadNodesSorted()
 	}
-	pr := m.cfg.Params
-	m.nic.ExecTagged(pr.BarrierComplete, "bar.done", func() {
-		m.nic.RDMA().Start(eventRecordBytes, func() {
-			m.deliverHost(p, HostEvent{Kind: BarrierDoneEvent, Tag: tok.Tag, DeadNodes: dead})
-		})
-	})
+	m.postHostEvent(p, m.cfg.Params.BarrierComplete, "bar.done", eventRecordBytes,
+		HostEvent{Kind: BarrierDoneEvent, Tag: tok.Tag, DeadNodes: dead})
 }

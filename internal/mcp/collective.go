@@ -324,12 +324,8 @@ func (m *MCP) collFinish(p *Port, tok *CollToken, data []byte) {
 		m.stats.ProtocolErrors++
 	}
 	m.stats.CollCompleted++
-	pr := m.cfg.Params
-	m.nic.ExecTagged(pr.BarrierComplete, "coll.done", func() {
-		m.nic.RDMA().Start(eventRecordBytes+len(data), func() {
-			m.deliverHost(p, HostEvent{Kind: CollDoneEvent, Tag: tok.Tag, Data: data})
-		})
-	})
+	m.postHostEvent(p, m.cfg.Params.BarrierComplete, "coll.done", eventRecordBytes+len(data),
+		HostEvent{Kind: CollDoneEvent, Tag: tok.Tag, Data: data})
 }
 
 // sendCollFrame prepares and transmits one collective packet. Reduce

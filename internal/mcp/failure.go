@@ -195,7 +195,7 @@ func (m *MCP) probePeer(p *Port, ep Endpoint) {
 	}
 	c.probeOut = true
 	m.stats.BarrierProbes++
-	m.sendBarrierFrame(p, ep, BarrierProbeFrame, nil)
+	m.sendBarrierFrame(p, ep, BarrierProbeFrame)
 }
 
 // handleBarrierProbe answers a liveness probe: ack it (through the

@@ -51,19 +51,61 @@ type MCP struct {
 	handleFrameFn func(uint64)
 	loopbackFn    func(uint64)
 
-	// pendBarSends is the same pattern for barrier-frame preparation.
-	pendBarSends mem.Slab[barSendRec]
-	barSendFn    func(uint64)
+	// pendBarSends is the same pattern for barrier-frame preparation, and
+	// pendBarTokens for posted barrier tokens the SDMA state machine has yet
+	// to notice.
+	pendBarSends  mem.Slab[barSendRec]
+	barSendFn     func(uint64)
+	pendBarTokens mem.Slab[*BarrierToken]
+	barTokenFn    func(uint64)
+
+	// pendHostEvts leases host events across their firmware-processing and
+	// RDMA delays (see postHostEvent).
+	pendHostEvts     mem.Slab[hostEvtRec]
+	hostEvtDMAFn     func(uint64)
+	hostEvtDeliverFn func(uint64)
+
+	// pendSends leases data send tokens across the SDMA state machine's
+	// three stages (poll, host-memory DMA, packet preparation).
+	pendSends  mem.Slab[*SendToken]
+	sdmaPollFn func(uint64)
+	sdmaDoneFn func(uint64)
+	sdmaPrepFn func(uint64)
+
+	// pendCtl leases the acknowledgments and nacks waiting out their
+	// generation cost.
+	pendCtl   mem.Slab[ctlRec]
+	ctlSendFn func(uint64)
+
+	// acked is handleAck's scratch list of retired sends.
+	acked []sentItem
 
 	stats Stats
 }
 
 // barSendRec is one barrier frame waiting out its preparation cost on the
-// firmware processor.
+// firmware processor. A non-nil drain is the PE token whose unexpected-
+// message record is checked once the frame is prepared.
 type barSendRec struct {
 	f     *Frame
 	dst   Endpoint
-	after func()
+	drain *BarrierToken
+}
+
+// hostEvtRec is one host event on its way to the host: first the firmware
+// cost of preparing it, then the RDMA of its bytes-long record.
+type hostEvtRec struct {
+	p     *Port
+	bytes int
+	ev    HostEvent
+}
+
+// ctlRec is one control frame (ack, nack, barrier ack) to generate.
+type ctlRec struct {
+	kind     FrameKind
+	dst      network.NodeID
+	seq      uint32
+	noBuffer bool
 }
 
 // New creates the firmware for a NIC. Attach must be called before any
@@ -90,6 +132,13 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 	m.handleFrameFn = m.handleFrameEvent
 	m.loopbackFn = m.loopbackEvent
 	m.barSendFn = m.barSendEvent
+	m.barTokenFn = m.barTokenEvent
+	m.hostEvtDMAFn = m.hostEvtDMA
+	m.hostEvtDeliverFn = m.hostEvtDeliver
+	m.sdmaPollFn = m.sdmaPolled
+	m.sdmaDoneFn = m.sdmaDone
+	m.sdmaPrepFn = m.sdmaPrepared
+	m.ctlSendFn = m.ctlSendEvent
 	return m
 }
 
@@ -118,6 +167,10 @@ func (m *MCP) conn(peer network.NodeID) *Connection {
 	c, ok := m.conns[peer]
 	if !ok {
 		c = &Connection{peer: peer}
+		c.timerFn = func() {
+			c.retransTimer = 0
+			m.timerFire(c)
+		}
 		m.conns[peer] = c
 	}
 	return c
@@ -246,30 +299,46 @@ func (m *MCP) PostSendToken(tok *SendToken) error {
 		return fmt.Errorf("mcp: port %d out of send tokens", tok.SrcPort)
 	}
 	p.sendsInFlight++
-	pr := m.cfg.Params
-	m.nic.ExecTagged(pr.SDMAPoll, "sdma.poll", func() {
-		m.nic.SDMA().Start(len(tok.Data), func() {
-			m.nic.ExecTagged(pr.SDMAPrep+pr.SendXmit, "sdma.prep", func() {
-				c := m.conn(tok.Dst.Node)
-				f := &Frame{
-					Kind:     DataFrame,
-					SrcNode:  m.cfg.Node,
-					SrcPort:  tok.SrcPort,
-					DstNode:  tok.Dst.Node,
-					DstPort:  tok.Dst.Port,
-					Seq:      c.sendSeq,
-					Data:     tok.Data,
-					SrcEpoch: p.epoch,
-				}
-				c.sendSeq++
-				c.sentList = append(c.sentList, &sentItem{frame: f, tok: tok})
-				m.armRetransTimer(c)
-				m.stats.DataSent++
-				m.transmitFrame(f)
-			})
-		})
-	})
+	h, cell := m.pendSends.Get()
+	*cell = tok
+	m.nic.ExecTaggedCall(m.cfg.Params.SDMAPoll, "sdma.poll", m.sdmaPollFn, h)
 	return nil
+}
+
+// sdmaPolled: the SDMA machine has noticed the token; DMA the payload.
+func (m *MCP) sdmaPolled(h uint64) {
+	m.nic.SDMA().StartCall(len((*m.pendSends.At(h)).Data), m.sdmaDoneFn, h)
+}
+
+// sdmaDone: the payload is in NIC memory; prepare the packet.
+func (m *MCP) sdmaDone(h uint64) {
+	pr := m.cfg.Params
+	m.nic.ExecTaggedCall(pr.SDMAPrep+pr.SendXmit, "sdma.prep", m.sdmaPrepFn, h)
+}
+
+// sdmaPrepared: the packet is built; sequence it, remember it until it is
+// acknowledged, and transmit.
+func (m *MCP) sdmaPrepared(h uint64) {
+	cell := m.pendSends.At(h)
+	tok := *cell
+	*cell = nil
+	m.pendSends.Put(h)
+	c := m.conn(tok.Dst.Node)
+	f := &Frame{
+		Kind:     DataFrame,
+		SrcNode:  m.cfg.Node,
+		SrcPort:  tok.SrcPort,
+		DstNode:  tok.Dst.Node,
+		DstPort:  tok.Dst.Port,
+		Seq:      c.sendSeq,
+		Data:     tok.Data,
+		SrcEpoch: m.ports[tok.SrcPort].epoch,
+	}
+	c.sendSeq++
+	c.sentList = append(c.sentList, sentItem{frame: f, tok: tok})
+	m.armRetransTimer(c)
+	m.stats.DataSent++
+	m.transmitFrame(f)
 }
 
 // ---------------------------------------------------------------------------
@@ -456,16 +525,10 @@ func (m *MCP) handleData(f *Frame) {
 		p.recvTokens--
 		m.sendAck(c)
 		// RDMA machine: move payload plus event record to host memory.
-		pr := m.cfg.Params
-		m.nic.ExecTagged(pr.RDMAProc, "rdma.proc", func() {
-			m.nic.RDMA().Start(eventRecordBytes+len(f.Data), func() {
-				m.stats.DataDelivered++
-				m.deliverHost(p, HostEvent{
-					Kind: RecvEvent,
-					Src:  Endpoint{Node: f.SrcNode, Port: f.SrcPort},
-					Data: f.Data,
-				})
-			})
+		m.postHostEvent(p, m.cfg.Params.RDMAProc, "rdma.proc", eventRecordBytes+len(f.Data), HostEvent{
+			Kind: RecvEvent,
+			Src:  Endpoint{Node: f.SrcNode, Port: f.SrcPort},
+			Data: f.Data,
 		})
 	case seqLess(f.Seq, c.recvSeq):
 		m.stats.Duplicates++
@@ -478,41 +541,36 @@ func (m *MCP) handleData(f *Frame) {
 
 func (m *MCP) sendAck(c *Connection) {
 	m.stats.AcksSent++
-	seq := c.recvSeq
-	m.nic.ExecTagged(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "ack.gen", func() {
-		m.transmitFrame(&Frame{
-			Kind:    AckFrame,
-			SrcNode: m.cfg.Node,
-			DstNode: c.peer,
-			AckSeq:  seq,
-		})
-	})
+	m.sendCtl("ack.gen", ctlRec{kind: AckFrame, dst: c.peer, seq: c.recvSeq})
 }
 
 func (m *MCP) sendNoBufferNack(c *Connection) {
 	m.stats.NacksSent++
-	seq := c.recvSeq
-	m.nic.ExecTagged(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "nack.gen", func() {
-		m.transmitFrame(&Frame{
-			Kind:     NackFrame,
-			SrcNode:  m.cfg.Node,
-			DstNode:  c.peer,
-			AckSeq:   seq,
-			NoBuffer: true,
-		})
-	})
+	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, dst: c.peer, seq: c.recvSeq, noBuffer: true})
 }
 
 func (m *MCP) sendNack(c *Connection) {
 	m.stats.NacksSent++
-	seq := c.recvSeq
-	m.nic.ExecTagged(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "nack.gen", func() {
-		m.transmitFrame(&Frame{
-			Kind:    NackFrame,
-			SrcNode: m.cfg.Node,
-			DstNode: c.peer,
-			AckSeq:  seq,
-		})
+	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, dst: c.peer, seq: c.recvSeq})
+}
+
+// sendCtl charges the generation cost of one control frame and transmits
+// it when the cost has been paid.
+func (m *MCP) sendCtl(label string, ctl ctlRec) {
+	h, rec := m.pendCtl.Get()
+	*rec = ctl
+	m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, label, m.ctlSendFn, h)
+}
+
+func (m *MCP) ctlSendEvent(h uint64) {
+	ctl := *m.pendCtl.At(h)
+	m.pendCtl.Put(h)
+	m.transmitFrame(&Frame{
+		Kind:     ctl.kind,
+		SrcNode:  m.cfg.Node,
+		DstNode:  ctl.dst,
+		AckSeq:   ctl.seq,
+		NoBuffer: ctl.noBuffer,
 	})
 }
 
@@ -520,28 +578,32 @@ func (m *MCP) sendNack(c *Connection) {
 // tokens to the host (SentEvent).
 func (m *MCP) handleAck(f *Frame) {
 	c := m.conn(f.SrcNode)
-	var done []*sentItem
-	for len(c.sentList) > 0 && seqLess(c.sentList[0].frame.Seq, f.AckSeq) {
-		done = append(done, c.sentList[0])
-		c.sentList = c.sentList[1:]
+	n := 0
+	for n < len(c.sentList) && seqLess(c.sentList[n].frame.Seq, f.AckSeq) {
+		n++
 	}
-	if len(done) > 0 {
+	// Move the retired prefix to the scratch list and close the gap in
+	// place, so the sent list keeps its backing array.
+	done := append(m.acked[:0], c.sentList[:n]...)
+	rest := copy(c.sentList, c.sentList[n:])
+	clear(c.sentList[rest:])
+	c.sentList = c.sentList[:rest]
+	if n > 0 {
 		m.ackProgress(c)
 	}
 	m.rearmRetransTimer(c)
-	pr := m.cfg.Params
 	for _, it := range done {
-		it := it
-		p := m.ports[it.tok.SrcPort]
-		m.nic.ExecTagged(pr.SentEvtProc, "sent.evt", func() {
-			m.nic.RDMA().Start(eventRecordBytes, func() {
-				if p.sendsInFlight > 0 {
-					p.sendsInFlight--
-				}
-				m.deliverHost(p, HostEvent{Kind: SentEvent, Tag: it.tok.Tag})
-			})
-		})
+		m.postSentEvent(it.tok, false)
 	}
+	clear(done)
+	m.acked = done
+}
+
+// postSentEvent returns a send token to the host: acknowledged, or failed
+// because its connection was declared dead.
+func (m *MCP) postSentEvent(tok *SendToken, failed bool) {
+	m.postHostEvent(m.ports[tok.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes,
+		HostEvent{Kind: SentEvent, Tag: tok.Tag, Failed: failed})
 }
 
 // handleNack rewinds the connection: everything the receiver has not
@@ -626,11 +688,7 @@ func (m *MCP) armRetransTimer(c *Connection) {
 		return
 	}
 	c.curRTO = m.retransInterval(c)
-	id := m.sim.After(c.curRTO, func() {
-		c.retransTimer = 0
-		m.timerFire(c)
-	})
-	c.retransTimer = int64(id)
+	c.retransTimer = int64(m.sim.After(c.curRTO, c.timerFn))
 }
 
 func (m *MCP) rearmRetransTimer(c *Connection) {
@@ -731,18 +789,8 @@ func (m *MCP) failConnection(c *Connection) {
 	c.sentList = nil
 	c.barrierSent = nil
 	c.retryRounds = 0
-	pr := m.cfg.Params
 	for _, it := range failed {
-		it := it
-		p := m.ports[it.tok.SrcPort]
-		m.nic.ExecTagged(pr.SentEvtProc, "sent.evt", func() {
-			m.nic.RDMA().Start(eventRecordBytes, func() {
-				if p.sendsInFlight > 0 {
-					p.sendsInFlight--
-				}
-				m.deliverHost(p, HostEvent{Kind: SentEvent, Tag: it.tok.Tag, Failed: true})
-			})
-		})
+		m.postSentEvent(it.tok, true)
 	}
 	if m.cfg.DetectFailures {
 		m.peerDied(c.peer)
@@ -763,6 +811,35 @@ func (m *MCP) deadNodesSorted() []network.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// postHostEvent charges the firmware the given cycles for preparing a host
+// event, then DMAs the event's bytes-long record into host memory and
+// delivers it to the port's owner.
+func (m *MCP) postHostEvent(p *Port, cycles int64, label string, bytes int, ev HostEvent) {
+	h, rec := m.pendHostEvts.Get()
+	*rec = hostEvtRec{p: p, bytes: bytes, ev: ev}
+	m.nic.ExecTaggedCall(cycles, label, m.hostEvtDMAFn, h)
+}
+
+func (m *MCP) hostEvtDMA(h uint64) {
+	m.nic.RDMA().StartCall(m.pendHostEvts.At(h).bytes, m.hostEvtDeliverFn, h)
+}
+
+func (m *MCP) hostEvtDeliver(h uint64) {
+	rec := m.pendHostEvts.At(h)
+	p, ev := rec.p, rec.ev
+	*rec = hostEvtRec{}
+	m.pendHostEvts.Put(h)
+	switch ev.Kind {
+	case RecvEvent:
+		m.stats.DataDelivered++
+	case SentEvent:
+		if p.sendsInFlight > 0 {
+			p.sendsInFlight--
+		}
+	}
+	m.deliverHost(p, ev)
 }
 
 // deliverHost hands a completed event to the GM library layer.

@@ -101,7 +101,7 @@ type Connection struct {
 	// and the sent-but-unacked list in order.
 	sendSeq  uint32
 	recvSeq  uint32
-	sentList []*sentItem
+	sentList []sentItem
 
 	// Reliable-barrier mode state (Section 4.4's separate mechanism):
 	// independent sequence space and in-flight list for barrier frames.
@@ -121,7 +121,8 @@ type Connection struct {
 	// several operations ahead; the single-bit record is not enough.
 	collQ [8][]unexpRec
 
-	retransTimer int64 // sim.EventID as int64; 0 = none
+	retransTimer int64  // sim.EventID as int64; 0 = none
+	timerFn      func() // the timer's expiry callback, built once per connection
 	// retryRounds counts consecutive timer firings without ack progress.
 	retryRounds int
 

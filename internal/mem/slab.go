@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // Slab is an arena-backed object pool: a chunked store of T with a
 // free list, addressed by dense uint64 handles. It backs the simulator's
 // hot-path event payloads (in-flight hop records, forward descriptors)
@@ -14,18 +16,25 @@ package mem
 // partition) whose Get/Put pairs are strictly matched by construction,
 // unlike the simulator's cancellable events.
 //
-// The chunked layout (fixed-size chunks, never reallocated) keeps *T
-// pointers stable across Get calls, so a caller may hold the pointer for
-// the duration of the cell's lease.
+// The chunked layout (chunks are never reallocated) keeps *T pointers
+// stable across Get calls, so a caller may hold the pointer for the
+// duration of the cell's lease. Chunk k holds slabFirst<<k cells: a slab
+// that only ever has a handful of cells in flight — most of them: one per
+// link, switch port, NIC and firmware queue — costs a few hundred bytes
+// rather than a 256-cell block, which is what made building a cluster
+// allocate (and a short-lived cluster retain) megabytes; a busy slab still
+// reaches large chunks within a few doublings.
 type Slab[T any] struct {
 	chunks [][]T
 	free   []uint64
 	live   int
 }
 
-// slabChunk is the number of cells per chunk. 256 cells keeps chunk
-// allocations rare while bounding the waste of a nearly-idle slab.
-const slabChunk = 256
+// slabFirst is the number of cells in chunk 0.
+const slabFirst = 8
+
+// chunkBase returns the handle of chunk k's first cell.
+func chunkBase(k int) uint64 { return slabFirst * (1<<k - 1) }
 
 // Get leases a cell, returning its handle and a stable pointer. The cell
 // holds whatever value it had when released; callers overwrite every field
@@ -35,22 +44,24 @@ func (s *Slab[T]) Get() (uint64, *T) {
 		h := s.free[n-1]
 		s.free = s.free[:n-1]
 		s.live++
-		return h, &s.chunks[h/slabChunk][h%slabChunk]
+		return h, s.At(h)
 	}
 	last := len(s.chunks) - 1
-	if last < 0 || len(s.chunks[last]) == slabChunk {
-		s.chunks = append(s.chunks, make([]T, 0, slabChunk))
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
 		last++
+		s.chunks = append(s.chunks, make([]T, 0, slabFirst<<last))
 	}
 	c := &s.chunks[last]
 	*c = (*c)[:len(*c)+1]
-	h := uint64(last)*slabChunk + uint64(len(*c)-1)
 	s.live++
-	return h, &(*c)[len(*c)-1]
+	return chunkBase(last) + uint64(len(*c)-1), &(*c)[len(*c)-1]
 }
 
 // At returns the stable pointer for a leased handle.
-func (s *Slab[T]) At(h uint64) *T { return &s.chunks[h/slabChunk][h%slabChunk] }
+func (s *Slab[T]) At(h uint64) *T {
+	k := bits.Len64(h/slabFirst+1) - 1
+	return &s.chunks[k][h-chunkBase(k)]
+}
 
 // Put releases a cell back to the free list. The pointed-to value is left
 // as-is; callers holding reference types should clear them first if they
@@ -65,8 +76,9 @@ func (s *Slab[T]) Live() int { return s.live }
 
 // Cap returns the total number of cells the arena has materialized.
 func (s *Slab[T]) Cap() int {
-	if len(s.chunks) == 0 {
+	last := len(s.chunks) - 1
+	if last < 0 {
 		return 0
 	}
-	return (len(s.chunks)-1)*slabChunk + len(s.chunks[len(s.chunks)-1])
+	return int(chunkBase(last)) + len(s.chunks[last])
 }

@@ -9,7 +9,7 @@ func TestSlabLeaseRelease(t *testing.T) {
 		p *[3]int
 	}
 	var held []lease
-	for i := 0; i < 3*slabChunk/2; i++ {
+	for i := 0; i < 25*slabFirst; i++ { // into the fifth chunk
 		h, p := s.Get()
 		p[0] = i
 		held = append(held, lease{h, p})
@@ -47,5 +47,23 @@ func TestSlabLeaseRelease(t *testing.T) {
 	}
 	if s.Cap() != capBefore {
 		t.Errorf("Cap() grew from %d to %d at steady state", capBefore, s.Cap())
+	}
+}
+
+func TestPopFrontKeepsBackingArray(t *testing.T) {
+	q := make([]*int, 0, 4)
+	one, two := new(int), new(int)
+	q = append(q, one, two)
+	if got := PopFront(&q); got != one || len(q) != 1 || q[0] != two || cap(q) != 4 {
+		t.Fatalf("after PopFront: got %p len %d cap %d", got, len(q), cap(q))
+	}
+	if q[:2][1] != nil {
+		t.Error("vacated slot still references the moved entry")
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		q = append(q, one)
+		PopFront(&q)
+	}); avg != 0 {
+		t.Errorf("append+PopFront allocates %.2f per run, want 0", avg)
 	}
 }

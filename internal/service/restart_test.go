@@ -8,8 +8,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"gmsim/internal/cluster"
+	"gmsim/internal/core"
+	"gmsim/internal/experiments"
+	"gmsim/internal/host"
+	"gmsim/internal/mcp"
+	"gmsim/internal/sim"
 )
 
 // drainClose drains and closes a server within a bounded wait.
@@ -386,6 +394,67 @@ func TestPanicRetryAndExhaustion(t *testing.T) {
 	r.Body.Close()
 	if len(letters.DeadLetter) != 1 || letters.DeadLetter[0].Attempts != 2 {
 		t.Fatalf("dead letters %+v, want one with 2 attempts", letters.DeadLetter)
+	}
+}
+
+// TestSimulatedProcessPanicIsDeadLettered: the panic happens inside a
+// simulated process, mid-barrier, not in the executor's own frame. It still
+// surfaces in the executor (sim re-raises it in whoever drives the event
+// loop), so safeCall catches it, the job is retried and then dead-lettered,
+// and the server keeps serving.
+func TestSimulatedProcessPanicIsDeadLettered(t *testing.T) {
+	srv := newTestServer(t, Config{
+		Workers:     1,
+		MaxAttempts: 2,
+		exec: func(Spec) (Outcome, error) {
+			s, err := experiments.NewSession(cluster.DefaultConfig(4))
+			if err != nil {
+				return Outcome{}, err
+			}
+			defer s.Close()
+			g := core.UniformGroup(4, 2)
+			s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+				if p.Rank() == 2 {
+					p.Compute(5 * sim.Microsecond)
+					panic("rank 2 hit a model bug")
+				}
+				return comm.Barrier(p, mcp.PE, g, p.Rank(), 0)
+			})
+			return Outcome{}, s.Run()
+		},
+	})
+	defer drainClose(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, b := post(t, ts.Client(), ts.URL+"/v1/runs", Spec{Nodes: 4, Iters: 10, Warmup: 2}, "")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "rank 2 hit a model bug") {
+		t.Fatalf("job with a panicking rank: status %d body %s, want 500 naming the panic", resp.StatusCode, b)
+	}
+	if got := srv.Registry().Get("service.jobs_retried"); got != 1 {
+		t.Errorf("jobs_retried = %d, want 1", got)
+	}
+	var letters struct {
+		DeadLetter []DeadLetter `json:"deadletter"`
+	}
+	r, err := ts.Client().Get(ts.URL + "/v1/deadletter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(r.Body).Decode(&letters); err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if len(letters.DeadLetter) != 1 || letters.DeadLetter[0].Attempts != 2 {
+		t.Fatalf("dead letters %+v, want one with 2 attempts", letters.DeadLetter)
+	}
+	r, err = ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the dead letter: %d", r.StatusCode)
 	}
 }
 

@@ -109,3 +109,45 @@ func BenchmarkBarrierEventsPerSec(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.Executed())/b.Elapsed().Seconds(), "events/sec")
 }
+
+// BenchmarkProcHandoff is bench/'s sim.proc_handoff_ns: two processes
+// alternating Sleep, so every op is one event plus a switch into a process
+// and back.
+func BenchmarkProcHandoff(b *testing.B) {
+	s := New()
+	sleeps := (b.N + 1) / 2
+	for i := 0; i < 2; i++ {
+		s.Spawn("sleeper", func(p *Proc) {
+			for k := 0; k < sleeps; k++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkSignalWake is bench/'s sim.signal_wake_ns: one process woken by
+// a signal fired from the event loop.
+func BenchmarkSignalWake(b *testing.B) {
+	s := New()
+	sig := s.NewSignal()
+	s.Spawn("waiter", func(p *Proc) {
+		for k := 0; k < b.N; k++ {
+			p.Wait(sig)
+		}
+	})
+	left := b.N
+	var fire func()
+	fire = func() {
+		sig.Fire()
+		if left--; left > 0 {
+			s.After(1, fire)
+		}
+	}
+	s.After(1, fire)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}

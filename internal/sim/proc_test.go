@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -365,5 +366,234 @@ func TestCloseReleasesUnfinishedProcs(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > base {
 		t.Errorf("%d goroutines left after Close", got-base)
+	}
+}
+
+// TestProcPanicReachesRun: a panic in a process body is re-raised in
+// whoever woke the process, so it unwinds the event loop and reaches the
+// caller of Run — where a service worker's recover can turn it into a
+// failed job instead of a dead program.
+func TestProcPanicReachesRun(t *testing.T) {
+	s := New()
+	unwound := false
+	s.Spawn("bad", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(10)
+		panic("boom")
+	})
+	bystander := s.Spawn("bystander", func(p *Proc) { p.Sleep(1000) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recover around Run = %v, want boom", got)
+	}
+	if !unwound || s.Now() != 10 {
+		t.Errorf("unwound=%v now=%v, want true, 10", unwound, s.Now())
+	}
+	s.Close() // the other process is still parked; Close must cope
+	if bystander.Finished() || !bystander.Killed() {
+		t.Errorf("bystander finished=%v killed=%v after Close", bystander.Finished(), bystander.Killed())
+	}
+}
+
+// TestProcPanicThroughNestedWake: a process woken from inside another
+// process's Fire panics; the panic unwinds the firing process too.
+func TestProcPanicThroughNestedWake(t *testing.T) {
+	s := New()
+	sig := s.NewSignal()
+	firerUnwound := false
+	s.Spawn("waiter", func(p *Proc) {
+		p.Wait(sig)
+		panic("nested")
+	})
+	s.Spawn("firer", func(p *Proc) {
+		defer func() { firerUnwound = true }()
+		p.Sleep(5)
+		sig.Fire()
+		t.Error("firer continued past a panicking wake")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run()
+		return nil
+	}()
+	if got != "nested" || !firerUnwound {
+		t.Fatalf("recover = %v, firer unwound = %v", got, firerUnwound)
+	}
+	s.Close()
+}
+
+// TestCloseBeforeFirstWake: a process that never got its first wake never
+// runs, not even to unwind.
+func TestCloseBeforeFirstWake(t *testing.T) {
+	s := New()
+	p := s.Spawn("unstarted", func(p *Proc) { t.Error("body ran") })
+	s.Close()
+	if p.Finished() || !p.Killed() || s.LiveProcs() != 0 {
+		t.Errorf("finished=%v killed=%v live=%d", p.Finished(), p.Killed(), s.LiveProcs())
+	}
+}
+
+// TestCloseUnwindsEachParkOnce: whichever blocking call a process is parked
+// in, Close runs its deferred calls exactly once and the body does not
+// continue.
+func TestCloseUnwindsEachParkOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block func(p *Proc, sig *Signal)
+	}{
+		{"Sleep", func(p *Proc, _ *Signal) { p.Sleep(1000) }},
+		{"Wait", func(p *Proc, sig *Signal) { p.Wait(sig) }},
+		{"WaitTimeout", func(p *Proc, sig *Signal) { p.WaitTimeout(sig, 1000) }},
+	} {
+		s := New()
+		sig := s.NewSignal()
+		unwound := 0
+		s.Spawn(tc.name, func(p *Proc) {
+			defer func() { unwound++ }()
+			tc.block(p, sig)
+			t.Errorf("%s: body continued after Close", tc.name)
+		})
+		s.RunUntil(10)
+		s.Close()
+		s.Close()
+		if unwound != 1 {
+			t.Errorf("%s: deferred calls ran %d times, want 1", tc.name, unwound)
+		}
+		if s.LiveProcs() != 0 || s.Stranded() != 0 || sig.Waiting() != 0 {
+			t.Errorf("%s: live=%d stranded=%d waiting=%d after Close", tc.name, s.LiveProcs(), s.Stranded(), sig.Waiting())
+		}
+	}
+}
+
+// TestKillThenClose: a killed process ignores wakes and still unwinds, once,
+// at Close.
+func TestKillThenClose(t *testing.T) {
+	s := New()
+	unwound := 0
+	p := s.Spawn("victim", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(100)
+		t.Error("killed process resumed")
+	})
+	s.After(10, p.Kill)
+	s.Run() // the sleep's wake at t=100 is dropped
+	if unwound != 0 || !p.Killed() {
+		t.Fatalf("before Close: unwound=%d killed=%v", unwound, p.Killed())
+	}
+	s.Close()
+	if unwound != 1 {
+		t.Errorf("deferred calls ran %d times, want 1", unwound)
+	}
+}
+
+func TestWakingFinishedProcPanicsWithName(t *testing.T) {
+	s := New()
+	p := s.Spawn("short-lived", func(p *Proc) {})
+	s.Run()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"short-lived"`) {
+			t.Errorf("panic = %q, want the process name in it", msg)
+		}
+	}()
+	p.wakeNow()
+}
+
+// TestSignalRewaitAndRefireInsideFire: the waiter list is double-buffered;
+// a process that waits again, or fires the same signal, from inside Fire's
+// walk must land in the next round, not the current one.
+func TestSignalRewaitAndRefireInsideFire(t *testing.T) {
+	s := New()
+	sig := s.NewSignal()
+	var order []string
+	s.Spawn("rewaiter", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Wait(sig)
+			order = append(order, "rewaiter")
+		}
+	})
+	s.Spawn("refirer", func(p *Proc) {
+		p.Wait(sig)
+		order = append(order, "refirer")
+		sig.Fire() // wakes the rewaiter's second wait, nested in the outer walk
+		order = append(order, "refirer-done")
+	})
+	s.Spawn("last", func(p *Proc) {
+		p.Wait(sig)
+		order = append(order, "last")
+	})
+	s.After(10, sig.Fire)
+	s.After(20, sig.Fire)
+	s.Run()
+	want := "rewaiter refirer rewaiter refirer-done last rewaiter"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+	if s.Stranded() != 0 || s.LiveProcs() != 0 {
+		t.Fatalf("stranded=%d live=%d", s.Stranded(), s.LiveProcs())
+	}
+}
+
+// TestWaitAllocatesNothing: at steady state neither Wait/Fire nor
+// WaitTimeout (fired or expired) touches the allocator.
+func TestWaitAllocatesNothing(t *testing.T) {
+	s := New()
+	sig := s.NewSignal()
+	s.Spawn("waiter", func(p *Proc) {
+		for {
+			p.Wait(sig)
+			p.WaitTimeout(sig, 1000)
+			p.WaitTimeout(sig, 1)
+		}
+	})
+	fire := sig.Fire
+	round := func() {
+		s.After(1, fire)
+		s.After(2, fire)
+		s.Run() // third wait expires
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("Wait/WaitTimeout round allocates %.2f, want 0", avg)
+	}
+	s.Close()
+}
+
+// TestSpawnRunCloseLeaksNothing: ten thousand simulator lifetimes, each
+// leaving one process finished, one stranded and one asleep, leave the
+// goroutine count and the live heap where they started.
+func TestSpawnRunCloseLeaksNothing(t *testing.T) {
+	cycle := func() {
+		s := New()
+		sig := s.NewSignal()
+		s.Spawn("done", func(p *Proc) { p.Sleep(1) })
+		s.Spawn("stranded", func(p *Proc) { p.Wait(sig) })
+		s.Spawn("asleep", func(p *Proc) { p.Sleep(1000) })
+		s.RunUntil(10)
+		s.Close()
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	goroutines, before := runtime.NumGoroutine(), heap()
+	for i := 0; i < 10000; i++ {
+		cycle()
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("%d goroutines after 10000 cycles, %d before", got, goroutines)
+	}
+	if after := heap(); after > before+256<<10 {
+		t.Errorf("live heap grew from %d to %d bytes over 10000 cycles", before, after)
 	}
 }
