@@ -40,8 +40,9 @@ race-procs:
 	$(GO) test -race -count=1 -timeout 30m -run 'Partition|Determinism' ./internal/experiments
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
-# the fault-plan validator, the result-store entry codec and the algebraic
-# router's spec space (go's fuzzer allows one target per invocation).
+# the fault-plan validator, the result-store entry codec, the algebraic
+# router's spec space and the event queue against its sorted-slice model
+# (go's fuzzer allows one target per invocation).
 # Checked-in seed corpora live under each package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzPlanValidate$$ -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run=^$$ -fuzz=^FuzzStoreEntryDecode$$ -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run=^$$ -fuzz=^FuzzAlgRouteSpec$$ -fuzztime=$(FUZZTIME) ./internal/topo
+	$(GO) test -run=^$$ -fuzz=^FuzzEventQueue$$ -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Coverage with per-package floors. The observability layer (internal/trace),
 # the analytic model (internal/model), the fault injector (internal/fault)

@@ -6,7 +6,7 @@
 //   - engine: ns/event and events/sec of the DES core, measured on a real
 //     16-node NIC-PE barrier simulation (every event the cluster executes,
 //     divided by wall time, single-threaded);
-//   - schedule/pop and cancel micro-costs of the event heap;
+//   - schedule/pop and cancel micro-costs of the event queue;
 //   - figures: wall-clock of a representative figure workload (Figure 5a +
 //     the scale sweep) run serially and on the full worker pool, and the
 //     resulting speedup (reported as null when only one core is available,
@@ -216,7 +216,7 @@ func main() {
 	fmt.Printf("traced: %.1f ns/event with the full-stack recorder attached (%d spans, %+.1f%%)\n",
 		r.Engine.NsPerEventTraced, r.Engine.TracedSpans,
 		100*(r.Engine.NsPerEventTraced-r.Engine.NsPerEvent)/r.Engine.NsPerEvent)
-	fmt.Printf("heap:   %.1f ns/schedule+pop, %.1f ns/cancel (depth 256)\n",
+	fmt.Printf("queue:  %.1f ns/schedule+pop, %.1f ns/cancel (depth 256)\n",
 		r.Engine.NsPerSchedulePop, r.Engine.NsPerCancel)
 	if r.Figures.Speedup != nil {
 		fmt.Printf("figures: serial %.2fs, parallel %.2fs on %d workers (%.2fx)\n",
@@ -423,7 +423,7 @@ func barrierRun(cfg cluster.Config, iters int, traced bool) (time.Duration, *clu
 	return wall, s.Cluster, rec
 }
 
-// schedulePopNs measures one schedule+pop pair at a steady heap depth.
+// schedulePopNs measures one schedule+pop pair at a steady queue depth.
 func schedulePopNs(depth int) float64 {
 	const ops = 2_000_000
 	s := sim.New()
@@ -445,7 +445,7 @@ func schedulePopNs(depth int) float64 {
 	return float64(time.Since(t0).Nanoseconds()) / float64(ops+depth)
 }
 
-// cancelNs measures one Cancel against a heap of the given depth.
+// cancelNs measures one Cancel against a queue of the given depth.
 func cancelNs(depth int) float64 {
 	const batches = 5000
 	s := sim.New()

@@ -175,7 +175,7 @@ func TestPartitionedRejectsSerialOnlyFeatures(t *testing.T) {
 	cfg.Fault = &fault.Plan{Loss: []fault.LossRule{{Links: fault.AllLinks(), Rate: 0.1}}}
 	if err := cfg.Validate(); err == nil {
 		t.Errorf("Validate accepted an all-links plan on a partitioned cluster")
-	} else if !strings.Contains(err.Error(), "trunk") {
+	} else if !strings.Contains(fmt.Sprint(err), "trunk") {
 		t.Errorf("all-links rejection does not name the offending trunk: %v", err)
 	}
 	// Crash a switch that sits on a cross-partition trunk: find one from
@@ -199,7 +199,7 @@ func TestPartitionedRejectsSerialOnlyFeatures(t *testing.T) {
 	cfg.Fault = &fault.Plan{SwitchCrashes: []fault.SwitchCrash{{Switch: crossSwitch, At: 100}}}
 	if err := cfg.Validate(); err == nil {
 		t.Errorf("Validate accepted a trunk-adjacent switch crash on a partitioned cluster")
-	} else if !strings.Contains(err.Error(), "trunk") {
+	} else if !strings.Contains(fmt.Sprint(err), "trunk") {
 		t.Errorf("switch-crash rejection does not name the offending trunk: %v", err)
 	}
 	cfg.Fault = &fault.Plan{

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
@@ -39,18 +39,21 @@ type Comm struct {
 	// the flat tree.
 	leafOf []int
 
-	// tokCache remembers the last computed barrier neighborhood. Programs
-	// overwhelmingly run many barriers over one fixed group, and the
-	// schedule/tree computation plus its slices dominated the host-side
-	// allocation profile; the firmware treats the cached slices read-only
-	// (per-token mutable state lives in the token itself).
+	// tokCache remembers the last computed barrier neighborhood, for NIC-
+	// and host-level barriers alike. Programs overwhelmingly run many
+	// barriers over one fixed group, and the schedule/tree computation plus
+	// its slices dominated the host-side allocation profile; the firmware
+	// treats the cached slices read-only (per-token mutable state lives in
+	// the token itself).
 	tokCache tokenCache
 }
 
-// tokenCache is one memoized NICBarrierToken result plus the inputs that
-// produced it. The group contents are copied, so staleness is detected by
-// value even if the caller mutates its slice in place; the leaf map is a
-// property of the Comm, and setting it drops the cache.
+// tokenCache is one memoized barrier neighborhood (a NICBarrierToken
+// result: PE peers in schedule order, or GB parent and children, as
+// endpoints) plus the inputs that produced it. The group contents are
+// copied, so staleness is detected by value even if the caller mutates its
+// slice in place; the leaf map is a property of the Comm, and setting it
+// drops the cache.
 type tokenCache struct {
 	valid     bool
 	alg       mcp.BarrierAlg
@@ -78,18 +81,12 @@ func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int) bool {
 	return true
 }
 
-// barrierToken returns a fresh token for the given barrier, reusing the
-// memoized neighborhood when the inputs match the previous call.
-func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
+// neighbourhood returns rank self's neighborhood in the given barrier,
+// reusing the memoized one when the inputs match the previous call.
+func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int) (*tokenCache, error) {
 	tc := &c.tokCache
 	if tc.matches(alg, g, self, dim) {
-		return &mcp.BarrierToken{
-			Alg:      alg,
-			Peers:    tc.peers,
-			Root:     tc.root,
-			Parent:   tc.parent,
-			Children: tc.children,
-		}, nil
+		return tc, nil
 	}
 	tok, err := NICBarrierToken(alg, g, self, dim, c.leafOf)
 	if err != nil {
@@ -99,7 +96,22 @@ func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.Ba
 	tc.alg, tc.self, tc.dim = alg, self, dim
 	tc.g = append(tc.g[:0], g...)
 	tc.peers, tc.root, tc.parent, tc.children = tok.Peers, tok.Root, tok.Parent, tok.Children
-	return tok, nil
+	return tc, nil
+}
+
+// barrierToken returns a fresh token for the given barrier.
+func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
+	nb, err := c.neighbourhood(alg, g, self, dim)
+	if err != nil {
+		return nil, err
+	}
+	return &mcp.BarrierToken{
+		Alg:      alg,
+		Peers:    nb.peers,
+		Root:     nb.root,
+		Parent:   nb.parent,
+		Children: nb.children,
+	}, nil
 }
 
 // SetLeafMap makes this Comm's GB barriers, NIC- and host-based,
@@ -136,7 +148,7 @@ func (c *Comm) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
 		if err == nil {
 			return nil
 		}
-		if !strings.Contains(err.Error(), "out of send tokens") {
+		if !errors.Is(err, gm.ErrNoSendTokens) {
 			return err
 		}
 		c.dispatch(c.port.Receive(p))
@@ -300,12 +312,11 @@ func (pb *PendingBarrier) takeDone() bool {
 // by the host, which is precisely the overhead the NIC-based barrier
 // removes (Figure 1).
 func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
-	sched, err := PESchedule(self, len(g))
+	nb, err := c.neighbourhood(mcp.PE, g, self, 0)
 	if err != nil {
 		return err
 	}
-	for _, r := range sched {
-		peer := g[r]
+	for _, peer := range nb.peers {
 		if err := c.Send(p, peer, barrierPayload); err != nil {
 			return err
 		}
@@ -323,25 +334,26 @@ func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
 // the NIC — the effect the paper credits for the host-based GB's
 // competitiveness (Section 6).
 func (c *Comm) HostBarrierGB(p *host.Process, g Group, self, dim int) error {
-	parent, children, err := GBTree(self, len(g), dim, c.leafOf)
+	nb, err := c.neighbourhood(mcp.GB, g, self, dim)
 	if err != nil {
 		return err
 	}
+	root, parent, children := nb.root, nb.parent, nb.children
 	for _, ch := range children {
-		if _, err := c.RecvFrom(p, g[ch]); err != nil {
+		if _, err := c.RecvFrom(p, ch); err != nil {
 			return err
 		}
 	}
-	if parent >= 0 {
-		if err := c.Send(p, g[parent], barrierPayload); err != nil {
+	if !root {
+		if err := c.Send(p, parent, barrierPayload); err != nil {
 			return err
 		}
-		if _, err := c.RecvFrom(p, g[parent]); err != nil {
+		if _, err := c.RecvFrom(p, parent); err != nil {
 			return err
 		}
 	}
 	for _, ch := range children {
-		if err := c.Send(p, g[ch], barrierPayload); err != nil {
+		if err := c.Send(p, ch, barrierPayload); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,55 @@ func TestCommSendRecv(t *testing.T) {
 		func(p *host.Process, c *Comm, g Group) {
 			if err := c.Send(p, g[0], []byte("payload")); err != nil {
 				t.Errorf("send: %v", err)
+			}
+		})
+}
+
+// TestCommSendTokenExhaustion pins which Send failure Comm.Send retries:
+// with all 16 send tokens un-acked the port reports gm.ErrNoSendTokens and
+// Comm.Send drains a completion and posts the 17th message; a closed port
+// is any other failure and comes straight back.
+func TestCommSendTokenExhaustion(t *testing.T) {
+	const sends = 17
+	commPair(t,
+		func(p *host.Process, c *Comm, g Group) {
+			for i := 0; i < sends; i++ {
+				data, err := c.RecvFrom(p, g[1])
+				if err != nil || len(data) != 1 || data[0] != byte(i) {
+					t.Errorf("recv %d: %v, %v", i, data, err)
+					return
+				}
+			}
+		},
+		func(p *host.Process, c *Comm, g Group) {
+			for i := 0; i < sends-1; i++ {
+				if err := c.Port().Send(p, g[0], []byte{byte(i)}, nil); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+			}
+			if err := c.Port().Send(p, g[0], []byte{sends - 1}, nil); !errors.Is(err, gm.ErrNoSendTokens) {
+				t.Errorf("raw 17th send: %v, want gm.ErrNoSendTokens", err)
+			}
+			before := p.Now()
+			if err := c.Send(p, g[0], []byte{sends - 1}); err != nil {
+				t.Errorf("Comm.Send with no token free: %v", err)
+			}
+			if p.Now() == before {
+				t.Error("Comm.Send posted the 17th message without waiting for a token")
+			}
+
+			p.Compute(sim.Millisecond) // let the NIC take the last doorbell
+			if err := c.Port().Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+			before = p.Now()
+			err := c.Send(p, g[0], []byte{0xFF})
+			if err == nil || errors.Is(err, gm.ErrNoSendTokens) {
+				t.Errorf("Comm.Send on a closed port: %v, want the port's error", err)
+			}
+			if p.Now() != before {
+				t.Errorf("Comm.Send on a closed port blocked for %v", p.Now()-before)
 			}
 		})
 }

@@ -25,10 +25,12 @@ func mallocsFor(spec Spec) uint64 {
 // difference, leaving the steady-state slope in heap objects per rank per
 // barrier. The change that added this test took NIC PE from 17 to 5 (four
 // barrier frames and the token), NIC GB dim 2 from 11.4 to 3.4, and host
-// PE from 83 to 15: three per message — data frame, ack frame, send token;
-// frames are not pooled because retransmission and the fault layer's
-// duplicate delivery keep them alive past their first arrival — plus the
-// exchange schedule.
+// PE from 83 to 15; sharing the Comm's memoized neighborhood with the host
+// barriers took the exchange schedule off, leaving 12: three per message —
+// data frame, ack frame, send token; frames are not pooled because
+// retransmission and the fault layer's duplicate delivery keep them alive
+// past their first arrival. Limits sit one above the measured slope: a
+// stray runtime allocation between the two readings moves it by a hundredth.
 func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 	const n, lo, hi = 16, 100, 300
 	for _, tc := range []struct {
@@ -40,7 +42,7 @@ func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 	}{
 		{"nic-pe", NICLevel, mcp.PE, 0, 6},
 		{"nic-gb2", NICLevel, mcp.GB, 2, 5},
-		{"host-pe", HostLevel, mcp.PE, 0, 16},
+		{"host-pe", HostLevel, mcp.PE, 0, 13},
 	} {
 		spec := Spec{Cluster: cluster.DefaultConfig(n), Level: tc.level, Alg: tc.alg, Dim: tc.dim, Warmup: 5}
 		spec.Iters = lo

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestAttachCheckedErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			_, f, _, _, nics := crashFabric(t)
 			_, err := AttachChecked(c.plan, f, nics)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
+			if !strings.Contains(fmt.Sprint(err), c.want) {
 				t.Fatalf("AttachChecked = %v, want error containing %q", err, c.want)
 			}
 		})

@@ -12,6 +12,7 @@
 package gm
 
 import (
+	"errors"
 	"fmt"
 
 	"gmsim/internal/host"
@@ -137,6 +138,11 @@ func (pt *Port) PendingEvents() int { return len(pt.events) - pt.evHead }
 // Stats returns (sends posted, events received, barriers posted).
 func (pt *Port) Stats() (int64, int64, int64) { return pt.sent, pt.received, pt.barriers }
 
+// ErrNoSendTokens is wrapped by Send when every send token of the port is in
+// flight. It is the one Send failure a caller recovers from: receiving a
+// SentEvent returns a token.
+var ErrNoSendTokens = errors.New("out of send tokens")
+
 // Send posts a reliable data send (gm_send_with_callback). It returns as
 // soon as the token is handed to the NIC; a SentEvent with the given tag
 // arrives once the message is acknowledged.
@@ -145,7 +151,7 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) er
 		return fmt.Errorf("gm: send on closed port %d", pt.num)
 	}
 	if pt.sendsInFlight >= pt.maxSends {
-		return fmt.Errorf("gm: port %d out of send tokens (%d in flight)", pt.num, pt.sendsInFlight)
+		return fmt.Errorf("gm: port %d: %w (%d in flight)", pt.num, ErrNoSendTokens, pt.sendsInFlight)
 	}
 	pt.sendsInFlight++
 	pt.sent++

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func TestExecuteLeaksNothing(t *testing.T) {
 		if _, err := Execute(crash); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Execute(badDim); err == nil || !strings.Contains(err.Error(), "dimension 99") {
+		if _, err := Execute(badDim); !strings.Contains(fmt.Sprint(err), "dimension 99") {
 			t.Fatalf("bad-dimension job: err = %v, want one naming the dimension", err)
 		}
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,7 +143,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 		}
 	}
 	_, err := Spec{Nodes: 16, Level: "host", FaultPlan: "crash"}.Canonicalize()
-	if err == nil || !strings.Contains(err.Error(), "host-level") || !strings.Contains(err.Error(), `"crash"`) {
+	if msg := fmt.Sprint(err); !strings.Contains(msg, "host-level") || !strings.Contains(msg, `"crash"`) {
 		t.Errorf("host + fail-stop rejection does not name the cause: %v", err)
 	}
 	// The same plans stay legal at NIC level, and non-fail-stop plans at

@@ -46,7 +46,8 @@ func TestZeroAllocSchedulePopDeliver(t *testing.T) {
 	}
 }
 
-// TestZeroAllocCancel pins that Cancel is allocation-free at steady state.
+// TestZeroAllocCancel pins that Cancel is allocation-free at steady state,
+// for events near the clock and for timers far ahead of it.
 func TestZeroAllocCancel(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -67,6 +68,28 @@ func TestZeroAllocCancel(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("schedule+Cancel allocates %.2f per run, want 0", avg)
+	}
+
+	// The retransmit-timer pattern of reliable mode: every send arms a timer
+	// 1–16 ms out, many calendar years past the near events around it, and
+	// the ACK cancels it long before it fires.
+	if avg := testing.AllocsPerRun(200, func() {
+		base := s.Now()
+		for i := range ids {
+			s.At(base+Time(i%9)*50, fn)
+			ids[i] = s.At(base+Time(1+i%16)*Millisecond, fn)
+		}
+		s.RunUntil(base + 500)
+		for _, id := range ids {
+			if !s.Cancel(id) {
+				t.Fatal("cancel of a far timer failed")
+			}
+		}
+	}); avg != 0 {
+		t.Errorf("far-timer schedule+Cancel allocates %.2f per run, want 0", avg)
+	}
+	if s.Pending() != 0 {
+		t.Errorf("%d events pending after every timer was cancelled", s.Pending())
 	}
 	s.Run()
 }

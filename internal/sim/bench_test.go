@@ -7,15 +7,15 @@ import (
 )
 
 // The engine micro-benchmarks cover the three hot operations of the event
-// loop: schedule+pop churn at a steady heap depth, cancellation (hot in
+// loop: schedule+pop churn at a steady queue depth, cancellation (hot in
 // reliable mode, where every ACK cancels a retransmit timer), and a
 // synthetic process barrier that exercises the proc/signal machinery the
 // way the MCP firmware does. BenchmarkBarrierEventsPerSec reports
 // events/sec, the figure BENCH_sim.json tracks across PRs.
 
-// benchSchedulePop churns the heap at a steady depth: every popped event
+// benchSchedulePop churns the queue at a steady depth: every popped event
 // schedules a replacement until b.N replacements have been made, then the
-// heap drains. ns/op is the cost of one schedule+pop pair.
+// queue drains. ns/op is the cost of one schedule+pop pair.
 func benchSchedulePop(b *testing.B, depth int) {
 	s := New()
 	rng := rand.New(rand.NewSource(1))
@@ -35,16 +35,63 @@ func benchSchedulePop(b *testing.B, depth int) {
 	s.Run()
 }
 
+// benchSchedulePopMix is benchSchedulePop with reliable-mode traffic around
+// it: depth/8 retransmit timers stand 1–16 ms ahead of the near churn, and
+// every eighth pop cancels the oldest and arms a new one, the way a send
+// arms a timer and its ACK disarms it.
+func benchSchedulePopMix(b *testing.B, depth int) {
+	s := New()
+	rng := rand.New(rand.NewSource(1))
+	nop := func() {}
+	farDelay := func() Time { return Millisecond + Time(rng.Int63n(int64(15*Millisecond))) }
+	timers := make([]EventID, depth/8)
+	for i := range timers {
+		timers[i] = s.After(farDelay(), nop)
+	}
+	oldest := 0
+	remaining := b.N
+	var fn func()
+	fn = func() {
+		if remaining <= 0 {
+			return
+		}
+		remaining--
+		s.After(Time(rng.Intn(1000)+1), fn)
+		if remaining%8 == 0 {
+			s.Cancel(timers[oldest])
+			timers[oldest] = s.After(farDelay(), nop)
+			oldest = (oldest + 1) % len(timers)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		s.After(Time(rng.Intn(1000)+1), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for remaining > 0 && s.Step() {
+	}
+	b.StopTimer()
+	for _, id := range timers {
+		s.Cancel(id)
+	}
+	s.Run()
+}
+
 func BenchmarkSchedulePop(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			benchSchedulePop(b, depth)
 		})
 	}
+	for _, depth := range []int{256, 16384} {
+		b.Run(fmt.Sprintf("mix/depth=%d", depth), func(b *testing.B) {
+			benchSchedulePopMix(b, depth)
+		})
+	}
 }
 
 // benchCancel schedules batches of depth events and cancels them in random
-// order; ns/op is the cost of one Cancel against a heap of that depth.
+// order; ns/op is the cost of one Cancel against a queue of that depth.
 func benchCancel(b *testing.B, depth int) {
 	s := New()
 	rng := rand.New(rand.NewSource(2))
@@ -69,10 +116,43 @@ func benchCancel(b *testing.B, depth int) {
 	}
 }
 
+// benchCancelFar is benchCancel for retransmit timers: depth near events
+// stay pending while batches of depth timers 1–16 ms ahead are armed and
+// cancelled in random order; ns/op is the cost of cancelling one far timer.
+func benchCancelFar(b *testing.B, depth int) {
+	s := New()
+	rng := rand.New(rand.NewSource(2))
+	nop := func() {}
+	for j := 0; j < depth; j++ {
+		s.After(Time(rng.Intn(1000)+1), nop)
+	}
+	var ids []EventID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(ids) == 0 {
+			b.StopTimer()
+			for j := 0; j < depth; j++ {
+				ids = append(ids, s.After(Millisecond+Time(rng.Int63n(int64(15*Millisecond))), nop))
+			}
+			rng.Shuffle(len(ids), func(x, y int) { ids[x], ids[y] = ids[y], ids[x] })
+			b.StartTimer()
+		}
+		id := ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
+		if !s.Cancel(id) {
+			b.Fatal("Cancel returned false for pending timer")
+		}
+	}
+}
+
 func BenchmarkCancel(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			benchCancel(b, depth)
+		})
+		b.Run(fmt.Sprintf("far/depth=%d", depth), func(b *testing.B) {
+			benchCancelFar(b, depth)
 		})
 	}
 }

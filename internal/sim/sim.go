@@ -14,20 +14,20 @@
 //     out of directly, for modeling host programs written in a blocking
 //     style.
 //
-// The event queue is a calendar queue: an array of day buckets, each a
-// doubly-linked list (threaded through the free-listed slot pool, so
-// scheduling allocates nothing) kept sorted by (time, sequence). Our
-// fabrics produce short-horizon event distributions — most pending events
-// sit within a few bucket widths of the clock — so schedule and pop are
-// O(1) amortized: an insert lands at or near its bucket's head, and a pop
-// takes the head of the current day. The bucket width adapts to the
-// observed inter-event gap and the bucket count to the pending-event
-// population. Events beyond the calendar's horizon (retransmission timers,
-// fault windows) overflow into a 4-ary min-heap and migrate into the
-// calendar as the clock approaches them. Each slot records where it lives
-// (bucket or heap position), so Cancel is O(1) from a bucket and O(log n)
-// from the overflow heap — hot in reliable mode, where every ACK cancels a
-// retransmit timer.
+// The event queue is a calendar queue and nothing else: an array of day
+// buckets, each a doubly-linked list (threaded through the free-listed slot
+// pool, so scheduling allocates nothing) kept sorted by (time, sequence).
+// An event at time t lives in bucket (t >> widthLog) & mask whatever its
+// horizon, so a bucket may also hold entries of later years; they sort
+// behind the current day's, and the pop skips them by comparing the head's
+// day with the day being scanned. Our fabrics produce short-horizon event
+// distributions — most pending events sit within a few bucket widths of
+// the clock — so schedule and pop are O(1) amortized: an insert lands at or
+// near its bucket's tail, and a pop takes the head of the current day. The
+// bucket width adapts to the observed inter-event gap and the bucket count
+// to the pending-event population. Each slot records its bucket, so Cancel
+// is an O(1) unlink at every horizon — hot in reliable mode, where every
+// ACK cancels a retransmit timer milliseconds ahead of the clock.
 package sim
 
 import (
@@ -75,26 +75,13 @@ func FromMicros(us float64) Time {
 // newer event that happens to reuse the slot.
 type EventID int64
 
-// Slot location sentinels (slot.loc). Non-negative values are calendar
-// bucket indices.
-const (
-	locFree     int32 = -1
-	locOverflow int32 = -2
-)
-
-// event is one overflow-heap entry: the ordering key plus the index of the
-// slot holding the callback. Entries are values, so heap sifts move 24
-// bytes and never touch the allocator.
-type event struct {
-	at   Time
-	seq  int64
-	slot int32
-}
+// locFree marks a slot on the free list (slot.loc). Non-negative values are
+// calendar bucket indices.
+const locFree int32 = -1
 
 // slot is a pooled event body. Bucket membership is a doubly-linked list
-// through prev/next; overflow membership is tracked by heapIndex. Exactly
-// one of fn/afn is set: fn is the closure form, afn+arg the allocation-free
-// form used by hot paths (see AtCall).
+// through prev/next. Exactly one of fn/afn is set: fn is the closure form,
+// afn+arg the allocation-free form used by hot paths (see AtCall).
 type slot struct {
 	at         Time
 	seq        int64 // tie-break: FIFO among same-time events
@@ -103,8 +90,7 @@ type slot struct {
 	arg        uint64
 	prev, next int32 // bucket list links; next doubles as the free-list link
 	gen        int32
-	loc        int32 // locFree, locOverflow, or calendar bucket index
-	heapIndex  int32 // position in the overflow heap (loc == locOverflow)
+	loc        int32 // locFree or calendar bucket index
 }
 
 // Calendar tuning constants.
@@ -144,14 +130,11 @@ type Simulator struct {
 	mask      int64   // len(buckets)-1 (bucket count is a power of two)
 	widthLog  uint    // bucket width = 1 << widthLog nanoseconds
 	curDay    int64   // lower bound on the earliest day present in the calendar
-	calCount  int     // events currently in calendar buckets
+	calCount  int     // pending events
 	minCache  int32   // slot index of the known-minimum event, -1 if unknown
 	gapEMA    float64 // moving average of inter-pop time gaps, for width tuning
 	lastPopAt Time
 	longScans int
-
-	// Overflow: events beyond the calendar horizon, as a 4-ary min-heap.
-	over []event
 
 	rebuildScratch []int32 // reused by rebuild to re-place pending events
 
@@ -160,7 +143,6 @@ type Simulator struct {
 	seq   int64
 
 	executed int64
-	running  bool
 	procs    int     // live (spawned, not finished) processes
 	blocked  int     // processes parked on a Signal with no pending wake
 	spawned  []*Proc // every process ever spawned, for Close
@@ -183,7 +165,7 @@ func New() *Simulator {
 func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of scheduled, not-yet-cancelled events.
-func (s *Simulator) Pending() int { return s.calCount + len(s.over) }
+func (s *Simulator) Pending() int { return s.calCount }
 
 // Executed returns the total number of events executed so far. Useful for
 // bounding runaway simulations in tests.
@@ -233,8 +215,7 @@ func (s *Simulator) AfterCall(d Time, fn func(uint64), arg uint64) EventID {
 }
 
 // schedule allocates a slot for an event at time t, places it in the
-// calendar or overflow heap, and returns the slot index. The caller fills
-// in the callback.
+// calendar, and returns the slot index. The caller fills in the callback.
 func (s *Simulator) schedule(t Time) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
@@ -245,7 +226,7 @@ func (s *Simulator) schedule(t Time) int32 {
 		idx = s.free
 		s.free = s.slots[idx].next
 	} else {
-		s.slots = append(s.slots, slot{loc: locFree, heapIndex: -1})
+		s.slots = append(s.slots, slot{loc: locFree})
 		idx = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[idx]
@@ -255,12 +236,11 @@ func (s *Simulator) schedule(t Time) int32 {
 	// The min cache survives inserts that land at or after the cached
 	// minimum — the overwhelmingly common case, since most events schedule
 	// into the future. A strictly earlier insert becomes the new minimum
-	// itself (it necessarily landed in the calendar: its day is bounded by
-	// the cached minimum's, which is inside the window).
+	// itself.
 	if s.minCache >= 0 && t < s.slots[s.minCache].at {
 		s.minCache = idx
 	}
-	if s.calCount+len(s.over) > 2*len(s.buckets) {
+	if s.calCount > 2*len(s.buckets) {
 		s.rebuild(len(s.buckets) * 2)
 	} else if s.longScans >= longScanTrigger {
 		s.rebuild(len(s.buckets))
@@ -268,14 +248,11 @@ func (s *Simulator) schedule(t Time) int32 {
 	return idx
 }
 
-// place inserts an already-keyed slot into the calendar or overflow heap.
+// place inserts an already-keyed slot into its day's bucket. A day a year
+// or more ahead of curDay wraps onto a bucket the current year also uses.
 func (s *Simulator) place(idx int32) {
 	sl := &s.slots[idx]
 	day := int64(sl.at) >> s.widthLog
-	if day >= s.curDay+int64(len(s.buckets)) {
-		s.pushOverflow(idx)
-		return
-	}
 	if day < s.curDay {
 		// A peek advanced curDay past empty days and a later insert landed
 		// behind it (legal: at >= now but below the previously found
@@ -399,8 +376,6 @@ func (s *Simulator) rebuild(nb int) {
 	for _, idx := range pending {
 		s.place(idx)
 	}
-	// Overflow events may now fall inside the (wider or deeper) calendar
-	// window; findMin migrates them lazily.
 }
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
@@ -414,49 +389,31 @@ func (s *Simulator) Cancel(id EventID) bool {
 	if sl.gen != int32(uint64(id)>>32) || sl.loc == locFree {
 		return false
 	}
-	if sl.loc == locOverflow {
-		s.removeOverflowAt(int(sl.heapIndex))
-	} else {
-		s.removeBucket(idx)
-	}
+	s.removeBucket(idx)
 	if s.minCache == idx {
 		s.minCache = -1
 	}
 	s.freeSlot(idx)
-	if n := len(s.buckets); s.calCount+len(s.over) < n/4 && n > minBuckets {
+	if n := len(s.buckets); s.calCount < n/4 && n > minBuckets {
 		s.rebuild(n / 2)
 	}
 	return true
 }
 
 // findMin locates the earliest pending event and returns its slot index,
-// or -1 when none remain. It migrates newly-eligible overflow events into
-// the calendar and may advance curDay past empty days (safe: place rewinds
-// curDay if an insert lands behind it).
+// or -1 when none remain. It may advance curDay past empty days (safe:
+// place rewinds curDay if an insert lands behind it).
 func (s *Simulator) findMin() int32 {
 	if s.minCache >= 0 {
 		return s.minCache
 	}
-	// Pull overflow events that now fit in the calendar window.
-	horizon := s.curDay + int64(len(s.buckets))
-	for len(s.over) > 0 && int64(s.over[0].at)>>s.widthLog < horizon {
-		s.migrateOverflowMin()
-	}
 	if s.calCount == 0 {
-		if len(s.over) == 0 {
-			return -1
-		}
-		// Jump the calendar to the overflow minimum and migrate.
-		s.curDay = int64(s.over[0].at) >> s.widthLog
-		horizon = s.curDay + int64(len(s.buckets))
-		for len(s.over) > 0 && int64(s.over[0].at)>>s.widthLog < horizon {
-			s.migrateOverflowMin()
-		}
+		return -1
 	}
-	// Scan days from curDay. Every calendar event lives in
-	// [curDay, curDay+nb) except after a curDay rewind, where a stale
-	// entry may sit beyond one full year; fall back to a direct bucket
-	// sweep in that rare case.
+	// Scan one year of days from curDay. A bucket's head belongs to the day
+	// being scanned or to a later year (lists are sorted, and nothing is
+	// earlier than curDay); a later-year head means the day itself is empty.
+	// When the whole year is (far timers only), fall back to a direct sweep.
 	nb := int64(len(s.buckets))
 	for day := s.curDay; day < s.curDay+nb; day++ {
 		head := s.buckets[day&s.mask]
@@ -489,19 +446,6 @@ func (s *Simulator) findMin() int32 {
 		s.minCache = best
 	}
 	return best
-}
-
-// migrateOverflowMin moves the overflow heap's minimum into the calendar.
-func (s *Simulator) migrateOverflowMin() {
-	idx := s.over[0].slot
-	s.removeOverflowAt(0)
-	sl := &s.slots[idx]
-	day := int64(sl.at) >> s.widthLog
-	if day < s.curDay {
-		s.curDay = day
-	}
-	s.insertBucket(idx, int(day&s.mask))
-	s.calCount++
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -552,8 +496,6 @@ func (s *Simulator) Step() bool {
 
 // Run executes events until none remain.
 func (s *Simulator) Run() {
-	s.running = true
-	defer func() { s.running = false }()
 	for s.Step() {
 	}
 }
@@ -561,8 +503,6 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled at t run; later events remain pending.
 func (s *Simulator) RunUntil(t Time) {
-	s.running = true
-	defer func() { s.running = false }()
 	for {
 		idx := s.findMin()
 		if idx < 0 || s.slots[idx].at > t {
@@ -581,8 +521,6 @@ func (s *Simulator) RunUntil(t Time) {
 // Group): a partition may safely run all events below the group's lower
 // bound plus lookahead.
 func (s *Simulator) RunBefore(t Time) {
-	s.running = true
-	defer func() { s.running = false }()
 	for {
 		idx := s.findMin()
 		if idx < 0 || s.slots[idx].at >= t {
@@ -625,89 +563,7 @@ func (s *Simulator) freeSlot(idx int32) {
 	sl.fn = nil
 	sl.afn = nil
 	sl.loc = locFree
-	sl.heapIndex = -1
 	sl.gen++
 	sl.next = s.free
 	s.free = idx
-}
-
-// --- overflow heap (4-ary min-heap over value entries) ---
-
-func (s *Simulator) pushOverflow(idx int32) {
-	sl := &s.slots[idx]
-	sl.loc = locOverflow
-	sl.heapIndex = int32(len(s.over))
-	s.over = append(s.over, event{at: sl.at, seq: sl.seq, slot: idx})
-	s.siftUp(len(s.over) - 1)
-}
-
-// removeOverflowAt deletes the heap entry at index i, preserving heap
-// order. The removed slot's location is left for the caller to set.
-func (s *Simulator) removeOverflowAt(i int) {
-	n := len(s.over) - 1
-	if i == n {
-		s.over = s.over[:n]
-		return
-	}
-	moved := s.over[n]
-	s.over[i] = moved
-	s.over = s.over[:n]
-	s.slots[moved.slot].heapIndex = int32(i)
-	// The moved entry may need to travel either direction.
-	s.siftDown(i)
-	if int(s.slots[moved.slot].heapIndex) == i {
-		s.siftUp(i)
-	}
-}
-
-// siftUp restores heap order for the entry at index i by moving it toward
-// the root. The 4-ary layout keeps the tree shallow (log4 n levels), and
-// comparisons read the (at, seq) key inline from the entry values.
-func (s *Simulator) siftUp(i int) {
-	e := s.over[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := s.over[parent]
-		if p.at < e.at || (p.at == e.at && p.seq < e.seq) {
-			break
-		}
-		s.over[i] = p
-		s.slots[p.slot].heapIndex = int32(i)
-		i = parent
-	}
-	s.over[i] = e
-	s.slots[e.slot].heapIndex = int32(i)
-}
-
-// siftDown restores heap order for the entry at index i by moving it toward
-// the leaves, always descending into the smallest of up to four children.
-func (s *Simulator) siftDown(i int) {
-	e := s.over[i]
-	n := len(s.over)
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.over[c].at < s.over[best].at ||
-				(s.over[c].at == s.over[best].at && s.over[c].seq < s.over[best].seq) {
-				best = c
-			}
-		}
-		b := s.over[best]
-		if e.at < b.at || (e.at == b.at && e.seq < b.seq) {
-			break
-		}
-		s.over[i] = b
-		s.slots[b.slot].heapIndex = int32(i)
-		i = best
-	}
-	s.over[i] = e
-	s.slots[e.slot].heapIndex = int32(i)
 }

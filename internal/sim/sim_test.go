@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -237,6 +238,27 @@ func TestNextEventTime(t *testing.T) {
 	s.Cancel(id)
 	if _, ok := s.NextEventTime(); ok {
 		t.Fatal("NextEventTime reported a cancelled event")
+	}
+}
+
+// TestScheduleBehindPeekedMinimum pins pop order when a peek has moved the
+// calendar's scan origin to a far event and later schedules land behind it:
+// one close to the clock, one more than a calendar year after that but still
+// before the peeked event. (Found by FuzzEventQueue: with the two-tier queue
+// the middle event went to the overflow heap, the empty-year fallback looked
+// only at buckets, and the far event ran first.)
+func TestScheduleBehindPeekedMinimum(t *testing.T) {
+	s := New()
+	var order []string
+	s.At(Millisecond, func() { order = append(order, "far") })
+	if at, ok := s.NextEventTime(); !ok || at != Millisecond {
+		t.Fatalf("NextEventTime = %v,%v want 1ms,true", at, ok)
+	}
+	s.At(100, func() { order = append(order, "near") })
+	s.At(500*Microsecond, func() { order = append(order, "middle") })
+	s.Run()
+	if got := fmt.Sprint(order); got != "[near middle far]" {
+		t.Fatalf("pop order %s, want [near middle far]", got)
 	}
 }
 
