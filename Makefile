@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-partition race-procs fuzz bench benchgate cover figures scenarios simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-procs fuzz bench benchgate cover figures scenarios simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -21,23 +21,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-check the conservative parallel engine and everything that feeds it:
-# the window scheduler (sim.Group), the worker pool, and the partitioned
-# cluster determinism matrix. CI runs this on every push; the full `race`
-# target above covers the rest of the tree.
-race-partition:
-	$(GO) test -race -count=1 -run 'Partition|TieBreak|Group|Pool' \
-		./internal/sim ./internal/runner ./internal/cluster ./internal/network ./internal/topo
-
 # Race-check the process switch. A simulated process is a coroutine resumed
-# by whoever runs its simulator: the caller of Run, or — in the partitioned
-# engine — whichever pool worker picks up its partition's next window, so
-# consecutive wakes of one process can come from different threads. The full
-# (non -short) sim and cluster suites plus the partitioned/determinism
-# experiment matrix run under the detector.
+# by whoever runs its simulator, and the across-cell worker pool runs many
+# simulators at once: the full (non -short) sim and cluster suites plus the
+# worker-count determinism matrix run under the detector.
 race-procs:
 	$(GO) test -race -count=1 ./internal/sim ./internal/cluster
-	$(GO) test -race -count=1 -timeout 30m -run 'Partition|Determinism' ./internal/experiments
+	$(GO) test -race -count=1 -timeout 30m -run 'Determinism' ./internal/experiments
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
 # the fault-plan validator, the result-store entry codec, the algebraic

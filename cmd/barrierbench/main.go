@@ -157,7 +157,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bad -sizes: %v\n", err)
 			os.Exit(2)
 		}
-		printTopoScale(kinds, sizes, sf.Radix, *iters, sf.Partitions, *tuned)
+		printTopoScale(kinds, sizes, sf.Radix, *iters, *tuned)
 	case "contend":
 		printContention(sf.Radix, *bytesFlag, *iters)
 	case "all":
@@ -293,20 +293,16 @@ func writeDOT(path string, kind topo.Kind, nodes, radix int) error {
 	return os.WriteFile(path, []byte(dot), 0o644)
 }
 
-func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters, partitions int, tuned bool) {
+func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters int, tuned bool) {
 	rows := experiments.TopoScaleSweep(experiments.TopoSweep{
-		Kinds: kinds, Sizes: sizes, Radix: radix, Iters: iters, Tuned: tuned, Partitions: partitions,
+		Kinds: kinds, Sizes: sizes, Radix: radix, Iters: iters, Tuned: tuned,
 	})
 	dimNote := "best dim"
 	if tuned {
 		dimNote = "model-tuned dim"
 	}
-	engine := ""
-	if partitions > 1 {
-		engine = fmt.Sprintf(", %d-partition engine where the fabric splits", partitions)
-	}
 	t := stats.NewTable(
-		fmt.Sprintf("Barrier latency across switch topologies, LANai 4.3, radix-%d switches%s (us; GB topology-aware, %s)", radix, engine, dimNote),
+		fmt.Sprintf("Barrier latency across switch topologies, LANai 4.3, radix-%d switches (us; GB topology-aware, %s)", radix, dimNote),
 		"Topology", "Nodes", "Switches", "Diam", "NIC-PE", "Host-PE", "NIC-GB", "Host-GB",
 		"NIC dim", "Host dim", "PE factor", "GB factor")
 	have := make(map[[2]int]bool, len(rows))

@@ -1,7 +1,7 @@
 // Command simbench measures the harness's wall-clock performance and emits
 // a machine-readable summary so the perf trajectory is tracked across PRs.
 //
-// It reports three things:
+// It reports:
 //
 //   - engine: ns/event and events/sec of the DES core, measured on a real
 //     16-node NIC-PE barrier simulation (every event the cluster executes,
@@ -11,12 +11,11 @@
 //     the scale sweep) run serially and on the full worker pool, and the
 //     resulting speedup (reported as null when only one core is available,
 //     where a "speedup" would just measure scheduling noise);
-//   - partitioned: the conservative parallel engine on a 1024-node
-//     fat-tree, serial vs -partitions P, with the window/post counts.
+//   - topo, algroute: fabric construction and routing cost.
 //
 // Usage:
 //
-//	simbench [-json BENCH_sim.json] [-iters N] [-workers W] [-partitions P]
+//	simbench [-json BENCH_sim.json] [-iters N] [-workers W]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -69,21 +68,6 @@ type Report struct {
 		ParallelSec *float64 `json:"parallel_sec"`
 		Speedup     *float64 `json:"speedup"`
 	} `json:"figures"`
-	// Partitioned reports the conservative parallel engine (sim.Group) on
-	// a 1024-node radix-16 fat-tree barrier run.
-	Partitioned struct {
-		Nodes      int     `json:"nodes"`
-		Partitions int     `json:"partitions"`
-		SerialSec  float64 `json:"serial_sec"`
-		// PartitionedSec is measured on min(partitions, GOMAXPROCS)
-		// workers; Speedup is null when GOMAXPROCS == 1 (the 1-worker
-		// partitioned run then tracks pure synchronization overhead).
-		PartitionedSec float64  `json:"partitioned_sec"`
-		Workers        int      `json:"workers"`
-		Speedup        *float64 `json:"speedup"`
-		Windows        int64    `json:"windows"`
-		CrossPosts     int64    `json:"cross_posts"`
-	} `json:"partitioned"`
 	Topo struct {
 		Nodes        int     `json:"nodes"`
 		Switches     int     `json:"switches"`
@@ -125,7 +109,6 @@ func main() {
 	jsonPath := flag.String("json", "BENCH_sim.json", "output path ('' to skip writing)")
 	iters := flag.Int("iters", 60, "timed barrier iterations per measurement")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the parallel figures run")
-	partitions := flag.Int("partitions", 8, "partition count for the parallel-engine measurement (<2 skips it)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measurements to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
@@ -198,11 +181,6 @@ func main() {
 		r.Figures.ParallelSec, r.Figures.Speedup = &par, &sp
 	}
 
-	// The conservative parallel engine at scale.
-	if *partitions > 1 {
-		partitionedBench(&r, *partitions)
-	}
-
 	// Topology construction and routing cost: the 1024-node radix-16
 	// fat-tree, built from scratch and fully routed (algebraically since
 	// the algroute change; the metric tracks whatever Build wires in).
@@ -225,18 +203,6 @@ func main() {
 		fmt.Printf("figures: serial %.2fs (GOMAXPROCS=%d; parallel speedup not measurable)\n",
 			r.Figures.SerialSec, r.GOMAXPROCS)
 	}
-	if r.Partitioned.Partitions > 1 {
-		if r.Partitioned.Speedup != nil {
-			fmt.Printf("partitioned: %d nodes / %d partitions: serial %.2fs, partitioned %.2fs on %d workers (%.2fx, %d windows, %d cross posts)\n",
-				r.Partitioned.Nodes, r.Partitioned.Partitions, r.Partitioned.SerialSec,
-				r.Partitioned.PartitionedSec, r.Partitioned.Workers, *r.Partitioned.Speedup,
-				r.Partitioned.Windows, r.Partitioned.CrossPosts)
-		} else {
-			fmt.Printf("partitioned: %d nodes / %d partitions: serial %.2fs, partitioned %.2fs on 1 worker (overhead only; %d windows, %d cross posts)\n",
-				r.Partitioned.Nodes, r.Partitioned.Partitions, r.Partitioned.SerialSec,
-				r.Partitioned.PartitionedSec, r.Partitioned.Windows, r.Partitioned.CrossPosts)
-		}
-	}
 	fmt.Printf("topo:   %d-node clos3 (%d switches, diameter %d): build %.2fms, route table %.2fms (%.0f routes/sec)\n",
 		r.Topo.Nodes, r.Topo.Switches, r.Topo.Diameter,
 		r.Topo.BuildMs, r.Topo.RouteTableMs, r.Topo.RoutesPerSec)
@@ -256,41 +222,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("wrote", *jsonPath)
-	}
-}
-
-// partitionedBench measures the conservative parallel engine: the same
-// 1024-node fat-tree barrier run on the serial engine and split into
-// partitions. Simulated results are bit-identical (the determinism guard
-// in internal/experiments pins that); this records wall time and the
-// synchronization cost (windows, cross-partition posts).
-func partitionedBench(r *Report, partitions int) {
-	const nodes, radix, iters = 1024, 16, 2
-	run := func(parts int) (time.Duration, *cluster.Cluster) {
-		cfg := cluster.DefaultConfig(nodes)
-		cfg.Topology = &topo.Spec{Kind: topo.Clos3, Radix: radix}
-		cfg.Switch.Ports = radix
-		cfg.ReliableBarrier = true
-		cfg.Partitions = parts
-		wall, cl, _ := barrierRun(cfg, iters, false)
-		return wall, cl
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > partitions {
-		workers = partitions
-	}
-	serialWall, _ := run(1)
-	partWall, cl := run(partitions)
-	r.Partitioned.Nodes = nodes
-	r.Partitioned.Partitions = partitions
-	r.Partitioned.SerialSec = serialWall.Seconds()
-	r.Partitioned.PartitionedSec = partWall.Seconds()
-	r.Partitioned.Workers = workers
-	r.Partitioned.Windows = cl.Group().Windows()
-	r.Partitioned.CrossPosts = cl.Group().Posts()
-	if runtime.GOMAXPROCS(0) > 1 {
-		sp := serialWall.Seconds() / partWall.Seconds()
-		r.Partitioned.Speedup = &sp
 	}
 }
 

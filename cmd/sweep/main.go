@@ -11,15 +11,13 @@
 //	sweep -nodes 16 -dim 4                    # one size, one dimension
 //	sweep -tuned -topo clos3 -radix 32 -nodes 8192   # model-tuned dim only
 //
-// The spec flags (-topo, -radix, -nodes, -dim, -faultplan, -seed,
-// -partitions) are the shared vocabulary of internal/service: the same
-// names and defaults as cmd/barrierbench and the simd HTTP spec. With a
-// non-single -topo the cluster is wired as the named multi-switch fabric
-// (internal/topo) from radix-R switches and the GB tree is mapped onto it
-// (intra-switch subtrees, one trunk crossing per leaf switch). An explicit
-// -nodes overrides -sizes; an explicit -dim restricts the sweep to that
-// dimension. -partitions > 1 runs the conservative parallel engine
-// (multi-switch fabrics only; results are bit-identical to serial).
+// The spec flags (-topo, -radix, -nodes, -dim, -faultplan, -seed) are the
+// shared vocabulary of internal/service: the same names and defaults as
+// cmd/barrierbench and the simd HTTP spec. With a non-single -topo the
+// cluster is wired as the named multi-switch fabric (internal/topo) from
+// radix-R switches and the GB tree is mapped onto it (intra-switch
+// subtrees, one trunk crossing per leaf switch). An explicit -nodes
+// overrides -sizes; an explicit -dim restricts the sweep to that dimension.
 //
 // -tuned replaces the exhaustive dimension sweep with the closed-form
 // steady-state model (internal/model): it measures only the model's argmin
@@ -115,9 +113,6 @@ func main() {
 			cfg.Fault = plan
 			cfg.ReliableBarrier = true
 		}
-		if sf.Partitions > 1 {
-			cfg.Partitions = sf.Partitions
-		}
 		if err := cfg.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -167,9 +162,6 @@ func main() {
 		}
 		if sf.FaultPlan != service.PlanNone {
 			fabric += fmt.Sprintf(", reliable, %s plan", sf.FaultPlan)
-		}
-		if sf.Partitions > 1 {
-			fabric += fmt.Sprintf(", %d-partition engine", sf.Partitions)
 		}
 		tbl := stats.NewTable(
 			fmt.Sprintf("%s-based GB barrier, %d nodes, LANai %s%s: latency vs tree dimension",

@@ -8,7 +8,6 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 
 	"gmsim/internal/fault"
 	"gmsim/internal/host"
@@ -16,7 +15,6 @@ import (
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/phase"
-	"gmsim/internal/runner"
 	"gmsim/internal/sim"
 	"gmsim/internal/stats"
 	"gmsim/internal/topo"
@@ -59,18 +57,6 @@ type Config struct {
 	// derives its own random streams from it. A nil or empty plan changes
 	// nothing about the simulation.
 	Fault *fault.Plan
-	// Partitions > 1 splits the fabric at switch boundaries into that many
-	// partitions, each with its own event queue, and runs them as a
-	// conservative parallel simulation synchronized every trunk-latency
-	// window (see sim.Group). 0 or 1 means the classic serial engine.
-	// Partitioned runs are incompatible with tracing (SetObserver
-	// enforces this) and require a topology with at least Partitions leaf
-	// switches. Fault plans are allowed as long as every faulted link is
-	// partition-internal: node-scoped rules, crashes, stalls and
-	// slowdowns always qualify (a NIC's cable lives in its leaf switch's
-	// partition), while All-selector rules and switch crashes are
-	// rejected by Validate when they would touch a cross-partition trunk.
-	Partitions int
 }
 
 // DefaultConfig returns the paper's LANai 4.3 testbed scaled to n nodes:
@@ -104,14 +90,6 @@ type Cluster struct {
 	procs  []*host.Process
 	inj    *fault.Injector
 	phases *phase.Recorder
-
-	// Partitioned-engine state: one simulator per partition (sims[0] ==
-	// sim), the synchronization group, the per-switch assignment, and the
-	// per-node partition index. All nil/empty on a serial cluster.
-	sims     []*sim.Simulator
-	group    *sim.Group
-	swParts  []int
-	nodePart []int
 }
 
 // topoSpec resolves the configuration's topology declaration: an explicit
@@ -149,95 +127,12 @@ func (cfg Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(spec)
-	if err != nil {
+	if _, err := topo.Build(spec); err != nil {
 		return fmt.Errorf("cluster: %d nodes do not fit the topology: %w", cfg.Nodes, err)
 	}
 	if cfg.Fault != nil {
 		if err := cfg.Fault.Validate(); err != nil {
 			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	if cfg.Partitions > 1 {
-		assign, err := topo.PartitionSwitches(t, cfg.Partitions)
-		if err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		if cfg.Link.Latency <= 0 {
-			return fmt.Errorf("cluster: partitioned runs need a positive link latency for lookahead")
-		}
-		if err := partitionSafePlan(cfg.Fault, t, assign); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// partitionSafePlan checks that a fault plan only touches partition-internal
-// links. A cross-partition trunk carries the conservative engine's
-// synchronization traffic; faulting it would let one partition's loop mutate
-// link state another loop reads mid-window. Node-scoped rules, crashes,
-// stalls and slowdowns are always safe — a NIC's cable connects it to its
-// own leaf switch, which is by construction in the NIC's partition.
-func partitionSafePlan(p *fault.Plan, t *topo.Topology, assign []int) error {
-	if p.Empty() {
-		return nil
-	}
-	// The first trunk whose endpoints landed in different partitions, for
-	// naming in errors. No crossing trunks means every link is internal and
-	// any plan is safe.
-	crossing := -1
-	for i, tr := range t.Trunks {
-		if assign[tr.A] != assign[tr.B] {
-			crossing = i
-			break
-		}
-	}
-	if crossing >= 0 {
-		tr := t.Trunks[crossing]
-		name := fmt.Sprintf("trunk sw%d:p%d<->sw%d:p%d (partitions %d|%d)",
-			tr.A, tr.APort, tr.B, tr.BPort, assign[tr.A], assign[tr.B])
-		all := func(kind string, s fault.Selector) error {
-			if !s.All {
-				return nil
-			}
-			return fmt.Errorf("cluster: fault plan %s rule selects all links, which includes cross-partition %s; scope the rule to nodes or run serial", kind, name)
-		}
-		for _, r := range p.Loss {
-			if err := all("loss", r.Links); err != nil {
-				return err
-			}
-		}
-		for _, r := range p.Corrupt {
-			if err := all("corrupt", r.Links); err != nil {
-				return err
-			}
-		}
-		for _, r := range p.Duplicate {
-			if err := all("duplicate", r.Links); err != nil {
-				return err
-			}
-		}
-		for _, r := range p.Flaps {
-			if err := all("flap", r.Links); err != nil {
-				return err
-			}
-		}
-		for _, r := range p.Cuts {
-			if err := all("cut", r.Links); err != nil {
-				return err
-			}
-		}
-	}
-	for _, sc := range p.SwitchCrashes {
-		if sc.Switch < 0 || sc.Switch >= len(assign) {
-			return fmt.Errorf("cluster: fault plan crashes switch %d; topology has %d switches", sc.Switch, len(assign))
-		}
-		for _, tr := range t.Trunks {
-			if (tr.A == sc.Switch || tr.B == sc.Switch) && assign[tr.A] != assign[tr.B] {
-				return fmt.Errorf("cluster: fault plan crashes switch %d, which would down cross-partition trunk sw%d:p%d<->sw%d:p%d (partitions %d|%d); run serial or crash a leaf switch",
-					sc.Switch, tr.A, tr.APort, tr.B, tr.BPort, assign[tr.A], assign[tr.B])
-			}
 		}
 	}
 	return nil
@@ -263,34 +158,13 @@ func Build(cfg Config) (*Cluster, error) {
 	top := topo.MustBuild(spec)
 	s := sim.New()
 	c := &Cluster{cfg: cfg, sim: s, top: top}
-	if cfg.Partitions > 1 {
-		// Conservative parallel engine: one simulator per partition,
-		// synchronized on the trunk propagation delay. Components are
-		// created on their partition's simulator so every intra-partition
-		// event stays on one queue.
-		parts, err := topo.PartitionSwitches(top, cfg.Partitions)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.swParts = parts
-		c.sims = make([]*sim.Simulator, cfg.Partitions)
-		c.sims[0] = s
-		for i := 1; i < cfg.Partitions; i++ {
-			c.sims[i] = sim.New()
-		}
-		c.group = sim.NewGroup(c.sims, cfg.Link.Latency)
-		c.nodePart = make([]int, cfg.Nodes)
-		for i, place := range top.NICs {
-			c.nodePart[i] = parts[place.Switch]
-		}
-	}
 	f := network.New(s)
 	c.fabric = f
 
 	sws := top.Materialize(f, cfg.Switch, cfg.Link)
 	for i := 0; i < cfg.Nodes; i++ {
 		node := network.NodeID(i)
-		nic := lanai.NewNIC(c.simOf(i), cfg.NIC)
+		nic := lanai.NewNIC(s, cfg.NIC)
 		mcfg := mcp.DefaultConfig(node)
 		mcfg.Params = cfg.Firmware
 		mcfg.ReliableBarrier = cfg.ReliableBarrier
@@ -313,13 +187,6 @@ func Build(cfg Config) (*Cluster, error) {
 		c.nics = append(c.nics, nic)
 		c.mcps = append(c.mcps, m)
 	}
-	if c.group != nil {
-		if _, err := f.Partition(c.swParts, c.sims, c.group); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-	}
-	// Fault attachment happens after partitioning so the injector can
-	// schedule each link's events on the loop that owns the link.
 	if cfg.Fault != nil {
 		byNode := make(map[network.NodeID]*lanai.NIC, len(c.nics))
 		for i, nic := range c.nics {
@@ -343,35 +210,6 @@ func Build(cfg Config) (*Cluster, error) {
 		})
 	}
 	return c, nil
-}
-
-// simOf returns the simulator that owns node i's components: the partition
-// of its leaf switch, or the single serial simulator.
-func (c *Cluster) simOf(i int) *sim.Simulator {
-	if c.nodePart == nil {
-		return c.sim
-	}
-	return c.sims[c.nodePart[i]]
-}
-
-// Partitions returns the number of engine partitions (1 when serial).
-func (c *Cluster) Partitions() int {
-	if c.group == nil {
-		return 1
-	}
-	return len(c.sims)
-}
-
-// Group returns the conservative synchronization group, or nil when the
-// cluster runs on the serial engine.
-func (c *Cluster) Group() *sim.Group { return c.group }
-
-// NodePartition returns the partition index owning node i (0 when serial).
-func (c *Cluster) NodePartition(i int) int {
-	if c.nodePart == nil {
-		return 0
-	}
-	return c.nodePart[i]
 }
 
 // Sim returns the cluster's simulator.
@@ -405,9 +243,6 @@ func (c *Cluster) Fault() *fault.Injector { return c.inj }
 // Call before SpawnAll. A nil recorder detaches the NICs (processes already
 // spawned keep their recorder). trace.Attach wires this for you.
 func (c *Cluster) SetPhaseRecorder(r *phase.Recorder) {
-	if r != nil && c.group != nil {
-		panic("cluster: phase recording requires the serial engine; run without Partitions")
-	}
 	c.phases = r
 	for i, nic := range c.nics {
 		nic.SetPhaseRecorder(r, int32(i))
@@ -472,7 +307,7 @@ func (c *Cluster) Spawn(i, rank int, body func(p *host.Process)) *host.Process {
 		panic(fmt.Sprintf("cluster: no node %d", i))
 	}
 	var hp *host.Process
-	proc := c.simOf(i).Spawn(fmt.Sprintf("node%d/rank%d", i, rank), func(p *sim.Proc) {
+	proc := c.sim.Spawn(fmt.Sprintf("node%d/rank%d", i, rank), func(p *sim.Proc) {
 		body(hp)
 	})
 	hp = host.NewProcess(proc, network.NodeID(i), rank, c.cfg.Host)
@@ -493,42 +328,18 @@ func (c *Cluster) SpawnAll(body func(p *host.Process)) {
 
 // Run drives the simulation until no events remain. It panics if processes
 // are left stranded (a lost-wakeup deadlock in the modeled program).
-// On a partitioned cluster the partitions advance in parallel on up to
-// GOMAXPROCS workers; use RunWorkers to pin the worker count.
-func (c *Cluster) Run() { c.RunWorkers(0) }
-
-// RunWorkers is Run with an explicit worker count (see Drain).
-func (c *Cluster) RunWorkers(workers int) {
-	if err := c.Drain(workers); err != nil {
+func (c *Cluster) Run() {
+	if err := c.Drain(); err != nil {
 		panic(err.Error())
 	}
 }
 
 // Drain drives the simulation until no events remain and reports stranded
-// processes as an error instead of panicking. workers sizes the
-// partitioned engine's pool: 0 means min(partitions, GOMAXPROCS); 1
-// executes the identical window schedule serially (the determinism guard
-// compares the two). The worker count cannot change any simulation result
-// — only wall time.
-func (c *Cluster) Drain(workers int) error {
-	if c.group == nil {
-		c.sim.Run()
-		if n := c.sim.Stranded(); n > 0 {
-			return fmt.Errorf("cluster: %d process(es) deadlocked at t=%v", n, c.sim.Now())
-		}
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > len(c.sims) {
-			workers = len(c.sims)
-		}
-	}
-	pool := runner.NewPool(workers)
-	defer pool.Close()
-	c.group.Run(pool)
-	if n := c.group.Stranded(); n > 0 {
-		return fmt.Errorf("cluster: %d process(es) deadlocked at t=%v", n, c.MaxNow())
+// processes as an error instead of panicking.
+func (c *Cluster) Drain() error {
+	c.sim.Run()
+	if n := c.sim.Stranded(); n > 0 {
+		return fmt.Errorf("cluster: %d process(es) deadlocked at t=%v", n, c.sim.Now())
 	}
 	return nil
 }
@@ -537,32 +348,7 @@ func (c *Cluster) Drain(workers int) error {
 // crash fault or stranded by a deadlock — so their coroutines exit and the
 // cluster becomes collectable (see sim.Simulator.Close). The cluster must
 // not be run afterwards.
-func (c *Cluster) Close() {
-	c.sim.Close()
-	for _, s := range c.sims {
-		s.Close()
-	}
-}
+func (c *Cluster) Close() { c.sim.Close() }
 
-// MaxNow returns the latest clock across partitions (the serial clock on a
-// serial cluster).
-func (c *Cluster) MaxNow() sim.Time {
-	if c.group == nil {
-		return c.sim.Now()
-	}
-	var max sim.Time
-	for _, s := range c.sims {
-		if t := s.Now(); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// RunUntil drives the simulation up to time t. Serial engine only.
-func (c *Cluster) RunUntil(t sim.Time) {
-	if c.group != nil {
-		panic("cluster: RunUntil requires the serial engine")
-	}
-	c.sim.RunUntil(t)
-}
+// RunUntil drives the simulation up to time t.
+func (c *Cluster) RunUntil(t sim.Time) { c.sim.RunUntil(t) }

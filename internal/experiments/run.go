@@ -33,7 +33,7 @@ type Session struct {
 }
 
 // NewSession builds the cluster, or reports why the configuration cannot
-// build (infeasible topology, bad fault plan, unsplittable partitioning).
+// build (infeasible topology, bad fault plan).
 func NewSession(cfg cluster.Config) (*Session, error) {
 	cl, err := cluster.Build(cfg)
 	if err != nil {
@@ -84,7 +84,7 @@ func (s *Session) SpawnAll(body RankBody) {
 // its peers, so the first rank error (in rank order) is reported in
 // preference to the deadlock it caused.
 func (s *Session) Run() error {
-	drainErr := s.Cluster.Drain(0)
+	drainErr := s.Cluster.Drain()
 	for rank, err := range s.errs {
 		if err != nil {
 			return fmt.Errorf("experiments: rank %d: %w", rank, err)
@@ -183,23 +183,18 @@ type Outcome struct {
 
 // Run is the single barrier entry point: Warmup+Iters barriers of the
 // spec'd kind on every rank, timed at rank 0. Failure detection
-// (spec.Cluster.DetectFailures) and the partitioned engine
-// (spec.Cluster.Partitions) are properties of the cluster, not of the
+// (spec.Cluster.DetectFailures) is a property of the cluster, not of the
 // harness: under a crash plan the injector kills the victim's process,
 // survivors complete degraded and keep going, and the Summary records who
 // finished and what each believed dead. observe attaches the full-stack
 // trace recorder around the timed window; it is an argument because
-// tracing costs host time and memory, never simulated time. Tracing needs
-// the serial engine.
+// tracing costs host time and memory, never simulated time.
 func Run(spec Spec, observe bool) (Outcome, error) {
 	if spec.Warmup == 0 {
 		spec.Warmup = 5
 	}
 	if spec.Iters == 0 {
 		spec.Iters = DefaultIters
-	}
-	if observe && spec.Cluster.Partitions > 1 {
-		return Outcome{}, fmt.Errorf("experiments: tracing needs the serial engine, but the spec asks for %d partitions", spec.Cluster.Partitions)
 	}
 	s, err := NewSession(spec.Cluster)
 	if err != nil {
@@ -240,11 +235,10 @@ func Run(spec Spec, observe bool) (Outcome, error) {
 
 	sum := ScenarioSummary{
 		Nodes:         n,
-		Partitions:    cl.Partitions(),
 		Alg:           algLabel(spec.Alg, spec.Dim),
 		MeanMicros:    w.meanMicros(spec.Iters),
 		MaxIterMicros: w.maxIter.Micros(),
-		DrainMicros:   cl.MaxNow().Micros(),
+		DrainMicros:   cl.Sim().Now().Micros(),
 		Dead:          lastDead[0],
 	}
 	for i := 0; i < n; i++ {

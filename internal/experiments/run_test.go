@@ -15,80 +15,73 @@ import (
 	"gmsim/internal/topo"
 )
 
-// TestRunOnePath: observing, failure detection and the partitioned engine
-// are orthogonal to what a fault-free run measures. Every legal
-// combination of them reproduces, bit for bit, the timed window the
-// dedicated loops measured before they were folded into Run — the
-// Figure 5 cells (the PE pin is the pre-instrumentation one of
-// TestTraceOverheadZero) and the pe32-clos2x2-clean fleet cell (mean
-// 124.461 µs in its golden file).
+// TestRunOnePath: observing and failure detection are orthogonal to what
+// a fault-free run measures. Every combination of them reproduces, bit for
+// bit, the timed window the dedicated loops measured before they were
+// folded into Run — the Figure 5 cells (the PE pin is the
+// pre-instrumentation one of TestTraceOverheadZero) and the
+// pe32-clos2-clean fleet cell (mean 124.461 µs in its golden file).
 func TestRunOnePath(t *testing.T) {
-	single := func(int) cluster.Config { return cluster.DefaultConfig(16) }
-	clos2 := func(partitions int) cluster.Config { return clos2Cfg(32, 8, partitions) }
+	single := cluster.DefaultConfig(16)
+	clos2 := clos2Cfg(32, 8)
 	cells := []struct {
 		name       string
-		cfg        func(partitions int) cluster.Config
+		cfg        cluster.Config
 		alg        mcp.BarrierAlg
 		dim, iters int
-		engines    []int // partition counts to run at
 		start, end sim.Time
 		barriers   int64
 	}{
-		{"pe16", single, mcp.PE, 0, 60, []int{1}, 546265, 6614245, 1040},
-		{"gb16-dim4", single, mcp.GB, 4, 60, []int{1}, 716356, 9707596, 1040},
-		{"pe32-clos2", clos2, mcp.PE, 0, 20, []int{1, 2}, 695205, 3184425, 800},
-		{"gb32-clos2-dim4", clos2, mcp.GB, 4, 20, []int{1, 2}, 923187, 4704727, 800},
+		{"pe16", single, mcp.PE, 0, 60, 546265, 6614245, 1040},
+		{"gb16-dim4", single, mcp.GB, 4, 60, 716356, 9707596, 1040},
+		{"pe32-clos2", clos2, mcp.PE, 0, 20, 695205, 3184425, 800},
+		{"gb32-clos2-dim4", clos2, mcp.GB, 4, 20, 923187, 4704727, 800},
 	}
 	for _, c := range cells {
-		for _, partitions := range c.engines {
-			for _, detect := range []bool{false, true} {
-				for _, observe := range []bool{false, true} {
-					name := fmt.Sprintf("%s/partitions=%d/detect=%v/observe=%v", c.name, partitions, detect, observe)
-					t.Run(name, func(t *testing.T) {
-						spec := Spec{Cluster: c.cfg(partitions), Alg: c.alg, Dim: c.dim, Iters: c.iters}
-						spec.Cluster.DetectFailures = detect
-						out, err := Run(spec, observe)
-						if observe && partitions > 1 {
-							if !strings.Contains(fmt.Sprint(err), "serial engine") {
-								t.Fatalf("tracing a partitioned run: err = %v, want one naming the serial engine", err)
-							}
-							return
+		for _, detect := range []bool{false, true} {
+			for _, observe := range []bool{false, true} {
+				// "partitions=1" stays in the name so the subtest IDs
+				// that test floors record did not change when the
+				// partitioned engine was removed.
+				name := fmt.Sprintf("%s/partitions=1/detect=%v/observe=%v", c.name, detect, observe)
+				t.Run(name, func(t *testing.T) {
+					spec := Spec{Cluster: c.cfg, Alg: c.alg, Dim: c.dim, Iters: c.iters}
+					spec.Cluster.DetectFailures = detect
+					out, err := Run(spec, observe)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Start != c.start || out.End != c.end || out.Barriers != c.barriers || out.Retrans != 0 {
+						t.Errorf("start/end/barriers/retrans = %d/%d/%d/%d, want %d/%d/%d/0",
+							out.Start, out.End, out.Barriers, out.Retrans, c.start, c.end, c.barriers)
+					}
+					if want := (c.end - c.start).Micros() / float64(c.iters); out.MeanMicros != want {
+						t.Errorf("mean %vus, want %vus", out.MeanMicros, want)
+					}
+					n := spec.Cluster.Nodes
+					sum := out.Summary
+					if sum.MeanMicros != out.MeanMicros || sum.Barriers != out.Barriers {
+						t.Errorf("summary disagrees with the result: %+v", sum)
+					}
+					if sum.Finished != n || sum.Agree != n || len(sum.Dead) != 0 || sum.Declared != 0 || sum.Probes != 0 {
+						t.Errorf("fault-free run shows failures or detection activity: %+v", sum)
+					}
+					if sum.MaxIterMicros < sum.MeanMicros || sum.DrainMicros < c.end.Micros() {
+						t.Errorf("max iteration %vus / drain %vus inconsistent with the window", sum.MaxIterMicros, sum.DrainMicros)
+					}
+					if !observe {
+						if out.Rec != nil || out.Metrics != nil {
+							t.Error("unobserved run carries a recorder")
 						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if out.Start != c.start || out.End != c.end || out.Barriers != c.barriers || out.Retrans != 0 {
-							t.Errorf("start/end/barriers/retrans = %d/%d/%d/%d, want %d/%d/%d/0",
-								out.Start, out.End, out.Barriers, out.Retrans, c.start, c.end, c.barriers)
-						}
-						if want := (c.end - c.start).Micros() / float64(c.iters); out.MeanMicros != want {
-							t.Errorf("mean %vus, want %vus", out.MeanMicros, want)
-						}
-						n := spec.Cluster.Nodes
-						sum := out.Summary
-						if sum.MeanMicros != out.MeanMicros || sum.Barriers != out.Barriers || sum.Partitions != partitions {
-							t.Errorf("summary disagrees with the result: %+v", sum)
-						}
-						if sum.Finished != n || sum.Agree != n || len(sum.Dead) != 0 || sum.Declared != 0 || sum.Probes != 0 {
-							t.Errorf("fault-free run shows failures or detection activity: %+v", sum)
-						}
-						if sum.MaxIterMicros < sum.MeanMicros || sum.DrainMicros < c.end.Micros() {
-							t.Errorf("max iteration %vus / drain %vus inconsistent with the window", sum.MaxIterMicros, sum.DrainMicros)
-						}
-						if !observe {
-							if out.Rec != nil || out.Metrics != nil {
-								t.Error("unobserved run carries a recorder")
-							}
-							return
-						}
-						if out.Rec == nil || out.Rec.Phases().Len() == 0 || out.Metrics == nil {
-							t.Fatal("observed run recorded nothing")
-						}
-						if d := out.Decomp; d.Start != c.start || d.End != c.end || d.CriticalSum() != d.Elapsed() {
-							t.Errorf("decomposition covers [%d,%d] summing to %v of %v", d.Start, d.End, d.CriticalSum(), d.Elapsed())
-						}
-					})
-				}
+						return
+					}
+					if out.Rec == nil || out.Rec.Phases().Len() == 0 || out.Metrics == nil {
+						t.Fatal("observed run recorded nothing")
+					}
+					if d := out.Decomp; d.Start != c.start || d.End != c.end || d.CriticalSum() != d.Elapsed() {
+						t.Errorf("decomposition covers [%d,%d] summing to %v of %v", d.Start, d.End, d.CriticalSum(), d.Elapsed())
+					}
+				})
 			}
 		}
 	}
@@ -120,11 +113,6 @@ func TestRunReturnsErrors(t *testing.T) {
 		{"gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Alg: mcp.GB, Dim: 8, Iters: 3}, "dimension 8 out of range"},
 		{"host gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Alg: mcp.GB, Dim: 9, Iters: 3}, "dimension 9 out of range"},
 		{"infeasible topology", Spec{Cluster: infeasible, Alg: mcp.PE, Iters: 3}, "clos2 capacity"},
-		{"unsplittable partitioning", Spec{Cluster: func() cluster.Config {
-			c := cluster.DefaultConfig(16)
-			c.Partitions = 2
-			return c
-		}(), Alg: mcp.PE, Iters: 3}, "partition"},
 	}
 	base := runtime.NumGoroutine()
 	for _, c := range cases {

@@ -23,8 +23,8 @@ import (
 // latency must equal the Figure 5 measurement of the same configuration,
 // bit for bit (TestZeroFaultScenariosMatchFigure5).
 
-// Scenario is one cell of the chaos matrix: a barrier Spec — testbed, fault
-// plan and engine choice included — under a name.
+// Scenario is one cell of the chaos matrix: a barrier Spec — testbed and
+// fault plan included — under a name.
 type Scenario struct {
 	// Name keys the golden file; keep it filesystem-safe.
 	Name string
@@ -33,10 +33,9 @@ type Scenario struct {
 
 // ScenarioSummary is the deterministic outcome of one scenario run.
 type ScenarioSummary struct {
-	Name       string
-	Nodes      int
-	Partitions int
-	Alg        string
+	Name  string
+	Nodes int
+	Alg   string
 
 	// MeanMicros averages rank 0's timed iterations; MaxIterMicros is its
 	// slowest single iteration — under a crash plan, the barrier that
@@ -71,8 +70,7 @@ type ScenarioSummary struct {
 // String renders the summary in the canonical golden-file form.
 func (s ScenarioSummary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %s: nodes=%d partitions=%d alg=%s\n",
-		s.Name, s.Nodes, s.Partitions, s.Alg)
+	fmt.Fprintf(&b, "scenario %s: nodes=%d alg=%s\n", s.Name, s.Nodes, s.Alg)
 	fmt.Fprintf(&b, "  mean_us=%.3f max_iter_us=%.3f drain_us=%.3f\n",
 		s.MeanMicros, s.MaxIterMicros, s.DrainMicros)
 	fmt.Fprintf(&b, "  barriers=%d retrans=%d probes=%d declared=%d skipped=%d promotions=%d repairs=%d\n",
@@ -157,12 +155,11 @@ func cleanCfg(n int) cluster.Config {
 	return cfg
 }
 
-// clos2Cfg is a two-level Clos testbed, optionally partitioned.
-func clos2Cfg(nodes, radix, partitions int) cluster.Config {
+// clos2Cfg is a two-level Clos testbed.
+func clos2Cfg(nodes, radix int) cluster.Config {
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.Topology = &topo.Spec{Kind: topo.Clos2, Radix: radix}
 	cfg.Switch.Ports = radix
-	cfg.Partitions = partitions
 	return cfg
 }
 
@@ -211,8 +208,8 @@ func ScenarioFleet() []Scenario {
 		cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 		return cfg
 	}
-	partitioned := func(plan *fault.Plan) cluster.Config {
-		cfg := clos2Cfg(32, 8, 2)
+	clos2 := func(plan *fault.Plan) cluster.Config {
+		cfg := clos2Cfg(32, 8)
 		cfg.ReliableBarrier = true
 		cfg.DetectFailures = true
 		cfg.Firmware = DetectionFirmware()
@@ -223,7 +220,7 @@ func ScenarioFleet() []Scenario {
 		// Zero-fault rows: pinned bit-identical to Figure 5.
 		{Name: "pe16-clean", Spec: Spec{Cluster: cleanCfg(16), Alg: mcp.PE, Warmup: 5, Iters: 20}},
 		{Name: "gb16-clean", Spec: Spec{Cluster: cleanCfg(16), Alg: mcp.GB, Dim: 4, Warmup: 5, Iters: 20}},
-		{Name: "pe32-clos2x2-clean", Spec: Spec{Cluster: clos2Cfg(32, 8, 2), Alg: mcp.PE, Warmup: 5, Iters: 20}},
+		{Name: "pe32-clos2-clean", Spec: Spec{Cluster: clos2Cfg(32, 8), Alg: mcp.PE, Warmup: 5, Iters: 20}},
 
 		// Single crash, both barrier kinds; for GB both an interior node
 		// (children re-parent by promotion) and a leaf.
@@ -245,11 +242,10 @@ func ScenarioFleet() []Scenario {
 		{Name: "gb16-chaos-s1", Spec: Spec{Cluster: detectCfg(16, chaosPlan(1)), Alg: mcp.GB, Dim: 4}},
 		{Name: "gb16-chaos-s2", Spec: Spec{Cluster: detectCfg(16, chaosPlan(2)), Alg: mcp.GB, Dim: 4}},
 
-		// Multi-switch topologies: a crash behind the far switch, and a
-		// partition-internal crash on the parallel engine (the lifted
-		// fabric fault ban).
+		// Multi-switch topologies: a crash behind the far switch, and one
+		// on a two-level Clos.
 		{Name: "gb16-twoswitch-crash12", Spec: Spec{Cluster: twoSwitch(crashPlan(1, 12, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
-		{Name: "pe32-clos2x2-crash17", Spec: Spec{Cluster: partitioned(crashPlan(1, 17, sim.FromMicros(600))), Alg: mcp.PE}},
+		{Name: "pe32-clos2-crash17", Spec: Spec{Cluster: clos2(crashPlan(1, 17, sim.FromMicros(600))), Alg: mcp.PE}},
 	}
 }
 

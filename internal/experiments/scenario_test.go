@@ -136,7 +136,7 @@ func TestScenarioSummariesDeterministic(t *testing.T) {
 	for _, s := range ScenarioFleet() {
 		byName[s.Name] = s
 	}
-	for _, name := range []string{"gb16-crash-interior", "gb16-chaos-s1", "pe32-clos2x2-crash17"} {
+	for _, name := range []string{"gb16-crash-interior", "gb16-chaos-s1", "pe32-clos2-crash17"} {
 		a := RunScenario(byName[name])
 		b := RunScenario(byName[name])
 		if a.String() != b.String() {

@@ -93,13 +93,6 @@ type TopoSweep struct {
 	// per-level constants, and its optimum moves little; the sweep remains
 	// available where the exact host argmin matters).
 	Tuned bool
-	// Partitions > 1 splits each cluster into that many engine partitions
-	// (the conservative parallel engine; results are bit-identical at any
-	// partition count). Rows whose fabric cannot host the split — too few
-	// leaf switches, or the single-crossbar baseline, which has no switch
-	// boundary to cut — silently run serial, so mixed sweeps like
-	// single+clos3 still produce every row.
-	Partitions int
 }
 
 // TopoScaleSweep measures NIC- and host-based PE and GB barriers for every
@@ -136,12 +129,6 @@ func TopoScaleSweep(o TopoSweep) []TopoScaleRow {
 				continue
 			}
 			cfg := TopoConfig(kind, n, o.Radix)
-			if o.Partitions > 1 {
-				cfg.Partitions = o.Partitions
-				if cfg.Validate() != nil {
-					cfg.Partitions = 1
-				}
-			}
 			ds := o.Dims
 			switch {
 			case o.Tuned:

@@ -15,21 +15,12 @@
 // experiments and the CLI rather than only from unit-test loss hooks.
 // An attached empty Plan costs nothing: no hook work beyond a nil rule
 // scan per hop, no extra events, and bit-identical experiment output.
-//
-// Partitioned engines. An injector may be attached to a fabric split by
-// network.Partition, provided every link its rules touch is
-// partition-internal: per-link fault state (streams, up/down counts) is
-// then owned by exactly one event loop, and state-change events are
-// scheduled on the owning loop so they order deterministically against the
-// link's traffic. Plans touching a cross-partition trunk are refused with
-// an error naming the cable.
 package fault
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"gmsim/internal/lanai"
 	"gmsim/internal/network"
@@ -241,7 +232,7 @@ func (p *Plan) Clone() *Plan {
 // probabilities in [0,1], windows ordered, selectors and times in range.
 // It never panics, whatever the plan contains (fuzzed by FuzzPlanValidate).
 // Topology-dependent checks — selectors naming attached NICs, switches
-// that exist, partition compatibility — happen at Attach.
+// that exist — happen at Attach.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -360,13 +351,6 @@ type Counters struct {
 	Stalls        int64 // firmware stalls injected
 }
 
-// counters is the injector's internal tally; atomics because, on a
-// partitioned fabric, every partition's event loop bumps them concurrently.
-type counters struct {
-	lost, linkDowns, corrupted, truncated, duplicated atomic.Int64
-	flaps, cuts, crashes, switchCrashes, stalls       atomic.Int64
-}
-
 // lossEntry etc. are rules compiled against one concrete link.
 type lossEntry struct {
 	win  Window
@@ -392,11 +376,6 @@ type linkRules struct {
 // Injector is a Plan attached to one fabric. It implements
 // network.FaultHook; per-link random streams and link state live here, so
 // concurrent clusters attached to the same Plan share nothing.
-//
-// Concurrency: rules and streams are read-only after Attach; each stream
-// value and each down slot is touched only by the event loop that owns its
-// link, and the tallies are atomic — which is what makes the injector safe
-// on a partitioned fabric.
 type Injector struct {
 	fab  *network.Fabric
 	seed int64
@@ -408,19 +387,18 @@ type Injector struct {
 	streams map[network.LinkID]*rand.Rand
 	down    []int32
 
-	// deadNode[n] is 1 once node n has fail-stopped.
-	deadNode []int32
+	// deadNode[n] is set once node n has fail-stopped.
+	deadNode []bool
 
-	// crashHook, when set (cluster.OnNodeCrash), runs on the crashed node's
-	// event loop at the instant of each node crash, so the cluster can kill
-	// the node's host processes.
+	// crashHook, when set (cluster.OnNodeCrash), runs at the instant of
+	// each node crash, so the cluster can kill the node's host processes.
 	crashHook func(network.NodeID)
 
-	cnt counters
+	cnt Counters
 }
 
 // Attach compiles the plan onto a fabric, panicking on a plan that does not
-// fit it (unknown nodes or switches, faulted cross-partition trunks).
+// fit it (unknown nodes or switches).
 // Callers with user-supplied plans should use AttachChecked.
 func Attach(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) *Injector {
 	inj, err := AttachChecked(p, fab, nics)
@@ -435,13 +413,8 @@ func Attach(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) *I
 // are indexed per link; and the injector installs itself as the fabric's
 // fault hook. nics maps node IDs to their cards, for the firmware fault
 // classes; it may be nil when the plan contains no stalls, slowdowns or
-// crashes. AttachChecked must run after all NICs are cabled and the fabric
-// is (optionally) partitioned, and before the simulation starts.
-//
-// On a partitioned fabric, every link the plan touches must be
-// partition-internal; a faulted trunk yields an error naming the cable.
-// Per-link events are scheduled on the event loop that owns the link, so
-// serial and partitioned runs of the same plan are bit-identical.
+// crashes. AttachChecked must run after all NICs are cabled and before the
+// simulation starts.
 func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -451,20 +424,14 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		rules:    make(map[network.LinkID]*linkRules),
 		streams:  make(map[network.LinkID]*rand.Rand),
 		down:     make([]int32, fab.NumLinks()),
-		deadNode: make([]int32, fab.NumNICs()),
+		deadNode: make([]bool, fab.NumNICs()),
 	}
 	if p == nil {
 		p = &Plan{}
 	}
 	inj.seed = p.Seed
 
-	// touched accumulates every link the plan holds per-link state for;
-	// the fabric verifies they are partition-internal at hook install.
-	var touched []network.LinkID
-	touch := func(links []network.LinkID) []network.LinkID {
-		touched = append(touched, links...)
-		return links
-	}
+	s := fab.Sim()
 
 	for _, r := range p.Loss {
 		if r.Rate <= 0 {
@@ -474,7 +441,7 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		if err != nil {
 			return nil, err
 		}
-		for _, l := range touch(links) {
+		for _, l := range links {
 			lr := inj.linkRules(l)
 			lr.loss = append(lr.loss, lossEntry{r.Window, r.Rate})
 		}
@@ -487,7 +454,7 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		if err != nil {
 			return nil, err
 		}
-		for _, l := range touch(links) {
+		for _, l := range links {
 			lr := inj.linkRules(l)
 			lr.corrupt = append(lr.corrupt, corruptEntry{r.Window, r.Rate, r.Truncate})
 		}
@@ -500,14 +467,13 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		if err != nil {
 			return nil, err
 		}
-		for _, l := range touch(links) {
+		for _, l := range links {
 			lr := inj.linkRules(l)
 			lr.dup = append(lr.dup, dupEntry{r.Window, r.Rate})
 		}
 	}
-	// Streams are created up front for every rule-bearing link: after this
-	// point the map is read-only and each stream is consumed only by the
-	// event loop owning its link.
+	// Streams are created up front for every rule-bearing link; after this
+	// point the map is read-only.
 	for l := range inj.rules {
 		inj.streams[l] = network.LinkStream(inj.seed, l)
 	}
@@ -518,30 +484,21 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		if err != nil {
 			return nil, err
 		}
-		touch(links)
-		inj.eachLinkSim(links, func(s *sim.Simulator, group []network.LinkID, first bool) {
-			s.At(fl.DownAt, func() {
-				for _, l := range group {
-					inj.down[l]++
-				}
-				if first {
-					inj.cnt.flaps.Add(1)
-					fab.NoteFault("link-down", nil, fl.Links.String())
-				}
-			})
-			if fl.UpAt > fl.DownAt {
-				s.At(fl.UpAt, func() {
-					for _, l := range group {
-						if inj.down[l] > 0 {
-							inj.down[l]--
-						}
-					}
-					if first {
-						fab.NoteFault("link-up", nil, fl.Links.String())
-					}
-				})
-			}
+		s.At(fl.DownAt, func() {
+			inj.takeDown(links)
+			inj.cnt.Flaps++
+			fab.NoteFault("link-down", nil, fl.Links.String())
 		})
+		if fl.UpAt > fl.DownAt {
+			s.At(fl.UpAt, func() {
+				for _, l := range links {
+					if inj.down[l] > 0 {
+						inj.down[l]--
+					}
+				}
+				fab.NoteFault("link-up", nil, fl.Links.String())
+			})
+		}
 	}
 	for _, ct := range p.Cuts {
 		ct := ct
@@ -549,17 +506,10 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		if err != nil {
 			return nil, err
 		}
-		touch(links)
-		inj.eachLinkSim(links, func(s *sim.Simulator, group []network.LinkID, first bool) {
-			s.At(ct.At, func() {
-				for _, l := range group {
-					inj.down[l]++
-				}
-				if first {
-					inj.cnt.cuts.Add(1)
-					fab.NoteFault("link-cut", nil, ct.Links.String())
-				}
-			})
+		s.At(ct.At, func() {
+			inj.takeDown(links)
+			inj.cnt.Cuts++
+			fab.NoteFault("link-cut", nil, ct.Links.String())
 		})
 	}
 	for _, cr := range p.Crashes {
@@ -572,20 +522,16 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		if err != nil {
 			return nil, err
 		}
-		touch(links)
-		// A node's cable links are always partition-internal (the NIC lives
-		// in its leaf switch's partition), so the whole crash — NIC halt,
-		// link downs, host-process kill — is one event on the node's loop.
+		// The whole crash — NIC halt, link downs, host-process kill — is
+		// one event.
 		nic.Sim().At(cr.At, func() {
 			nic.Kill()
-			for _, l := range links {
-				inj.down[l]++
-			}
-			atomic.StoreInt32(&inj.deadNode[cr.Node], 1)
+			inj.takeDown(links)
+			inj.deadNode[cr.Node] = true
 			if inj.crashHook != nil {
 				inj.crashHook(cr.Node)
 			}
-			inj.cnt.crashes.Add(1)
+			inj.cnt.Crashes++
 			fab.NoteFault("node-crash", nil, fmt.Sprintf("node%d", cr.Node))
 		})
 	}
@@ -595,18 +541,11 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 			return nil, fmt.Errorf("fault: switch crash names switch %d; fabric has %d",
 				sc.Switch, fab.NumSwitches())
 		}
-		links := append([]network.LinkID(nil), fab.SwitchLinks(sc.Switch)...)
-		touch(links)
-		inj.eachLinkSim(links, func(s *sim.Simulator, group []network.LinkID, first bool) {
-			s.At(sc.At, func() {
-				for _, l := range group {
-					inj.down[l]++
-				}
-				if first {
-					inj.cnt.switchCrashes.Add(1)
-					fab.NoteFault("switch-crash", nil, fmt.Sprintf("switch%d", sc.Switch))
-				}
-			})
+		links := fab.SwitchLinks(sc.Switch)
+		s.At(sc.At, func() {
+			inj.takeDown(links)
+			inj.cnt.SwitchCrashes++
+			fab.NoteFault("switch-crash", nil, fmt.Sprintf("switch%d", sc.Switch))
 		})
 	}
 	for _, st := range p.Stalls {
@@ -617,7 +556,7 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		}
 		nic.Sim().At(st.At, func() {
 			nic.Stall(st.For)
-			inj.cnt.stalls.Add(1)
+			inj.cnt.Stalls++
 			fab.NoteFault("nic-stall", nil,
 				fmt.Sprintf("node%d for %v", st.Node, st.For))
 		})
@@ -641,50 +580,32 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		}
 	}
 
-	if err := fab.SetFaultHookChecked(inj, touched); err != nil {
-		return nil, err
-	}
+	fab.SetFaultHook(inj)
 	return inj, nil
 }
 
-// eachLinkSim groups links by the event loop that owns them and invokes fn
-// once per group, preserving link order within a group. first is true for
-// exactly one group per call, so per-rule side effects (counters, trace
-// notes) happen once whether the fabric is serial (one group) or
-// partitioned (one group per partition touched).
-func (inj *Injector) eachLinkSim(links []network.LinkID, fn func(s *sim.Simulator, group []network.LinkID, first bool)) {
-	if len(links) == 0 {
-		return
-	}
-	groups := make(map[*sim.Simulator][]network.LinkID)
-	order := []*sim.Simulator{}
+// takeDown adds one down-count to every link in links.
+func (inj *Injector) takeDown(links []network.LinkID) {
 	for _, l := range links {
-		s := inj.fab.LinkSim(l)
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
-		}
-		groups[s] = append(groups[s], l)
-	}
-	for i, s := range order {
-		fn(s, groups[s], i == 0)
+		inj.down[l]++
 	}
 }
 
-// OnNodeCrash registers a hook invoked on the crashed node's event loop at
-// the instant of each node crash — after the NIC halts and the links go
-// down. The cluster layer uses it to kill the node's host processes.
+// OnNodeCrash registers a hook invoked at the instant of each node crash —
+// after the NIC halts and the links go down. The cluster layer uses it to
+// kill the node's host processes.
 func (inj *Injector) OnNodeCrash(fn func(network.NodeID)) { inj.crashHook = fn }
 
 // NodeDead reports whether node n has fail-stopped.
 func (inj *Injector) NodeDead(n network.NodeID) bool {
-	return int(n) < len(inj.deadNode) && atomic.LoadInt32(&inj.deadNode[n]) != 0
+	return int(n) < len(inj.deadNode) && inj.deadNode[n]
 }
 
 // DeadNodes returns the nodes that have fail-stopped so far, ascending.
 func (inj *Injector) DeadNodes() []network.NodeID {
 	var out []network.NodeID
 	for n := range inj.deadNode {
-		if atomic.LoadInt32(&inj.deadNode[n]) != 0 {
+		if inj.deadNode[n] {
 			out = append(out, network.NodeID(n))
 		}
 	}
@@ -729,20 +650,7 @@ func (inj *Injector) linkRules(l network.LinkID) *linkRules {
 func (inj *Injector) stream(l network.LinkID) *rand.Rand { return inj.streams[l] }
 
 // Counters returns a snapshot of what the injector has done so far.
-func (inj *Injector) Counters() Counters {
-	return Counters{
-		Lost:          inj.cnt.lost.Load(),
-		LinkDowns:     inj.cnt.linkDowns.Load(),
-		Corrupted:     inj.cnt.corrupted.Load(),
-		Truncated:     inj.cnt.truncated.Load(),
-		Duplicated:    inj.cnt.duplicated.Load(),
-		Flaps:         inj.cnt.flaps.Load(),
-		Cuts:          inj.cnt.cuts.Load(),
-		Crashes:       inj.cnt.crashes.Load(),
-		SwitchCrashes: inj.cnt.switchCrashes.Load(),
-		Stalls:        inj.cnt.stalls.Load(),
-	}
-}
+func (inj *Injector) Counters() Counters { return inj.cnt }
 
 // LinkDown reports whether any flap, cut or crash currently holds the link
 // down.
@@ -754,10 +662,9 @@ func (inj *Injector) LinkDown(l network.LinkID) bool {
 // channel hop. Stochastic rules consume the link's stream only while their
 // window is open, so the decision sequence is a pure function of
 // (seed, link, hop index within windows) — independent of other links.
-// now is the executing event loop's clock (see network.FaultHook).
 func (inj *Injector) OnHop(link network.LinkID, p *network.Packet, now sim.Time) network.Verdict {
 	if inj.down[link] > 0 {
-		inj.cnt.linkDowns.Add(1)
+		inj.cnt.LinkDowns++
 		return network.Verdict{Drop: true, Reason: "link-down"}
 	}
 	lr := inj.rules[link]
@@ -767,7 +674,7 @@ func (inj *Injector) OnHop(link network.LinkID, p *network.Packet, now sim.Time)
 	var v network.Verdict
 	for _, e := range lr.loss {
 		if e.win.contains(now) && inj.stream(link).Float64() < e.rate {
-			inj.cnt.lost.Add(1)
+			inj.cnt.Lost++
 			return network.Verdict{Drop: true, Reason: "fault-loss"}
 		}
 	}
@@ -783,7 +690,7 @@ func (inj *Injector) OnHop(link network.LinkID, p *network.Packet, now sim.Time)
 	}
 	for _, e := range lr.dup {
 		if e.win.contains(now) && inj.stream(link).Float64() < e.rate {
-			inj.cnt.duplicated.Add(1)
+			inj.cnt.Duplicated++
 			inj.fab.NoteFault("duplicate", p, "")
 			v.Duplicate = true
 		}
@@ -800,7 +707,7 @@ func (inj *Injector) corrupt(link network.LinkID, p *network.Packet) {
 	if p.Corrupt {
 		return // already damaged on an earlier hop
 	}
-	inj.cnt.corrupted.Add(1)
+	inj.cnt.Corrupted++
 	var img []byte
 	switch pl := p.Payload.(type) {
 	case []byte:
@@ -843,6 +750,6 @@ func (inj *Injector) truncate(link network.LinkID, p *network.Packet) {
 		p.Size -= cut
 	}
 	p.Corrupt = true
-	inj.cnt.truncated.Add(1)
+	inj.cnt.Truncated++
 	inj.fab.NoteFault("truncate", p, fmt.Sprintf("-%dB", cut))
 }

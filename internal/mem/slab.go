@@ -12,9 +12,9 @@ import "math/bits"
 // Handles are plain indices, not pointers, so a payload can ride through
 // the event queue in a uint64 argument (see sim.AtCall) and the garbage
 // collector never scans a per-event allocation. Cells are NOT generation-
-// tagged: a slab is a single-owner structure (one fabric component, one
-// partition) whose Get/Put pairs are strictly matched by construction,
-// unlike the simulator's cancellable events.
+// tagged: a slab is a single-owner structure (one fabric component) whose
+// Get/Put pairs are strictly matched by construction, unlike the
+// simulator's cancellable events.
 //
 // The chunked layout (chunks are never reallocated) keeps *T pointers
 // stable across Get calls, so a caller may hold the pointer for the

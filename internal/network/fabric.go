@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"gmsim/internal/mem"
 	"gmsim/internal/route"
@@ -30,23 +29,12 @@ type Fabric struct {
 
 	nextLink LinkID
 	nicLinks map[NodeID]NICLinks
-	// chans registers every directed channel by LinkID (index == id), so
-	// the fault layer can resolve a link to its owning event loop and to
-	// the switches it touches.
-	chans []*channel
 	// swLinks[swID] lists every directed channel touching that switch
 	// (transmitted by it or sinking into it), for switch-death faults.
 	swLinks [][]LinkID
 
-	// delivered/dropped are atomic because, on a partitioned fabric,
-	// deliveries happen concurrently on every partition's event loop.
-	delivered atomic.Int64
-	dropped   atomic.Int64
-
-	// partitioned marks that Partition has split the fabric; observers and
-	// fault hooks are refused afterwards (they retain packet pointers and
-	// run unsynchronized).
-	partitioned bool
+	delivered int64
+	dropped   int64
 }
 
 // fabric is an alias kept so internal files read naturally.
@@ -66,58 +54,18 @@ func New(s *sim.Simulator) *Fabric {
 func (f *Fabric) Sim() *sim.Simulator { return f.sim }
 
 // Delivered returns the count of packets fully delivered to NICs.
-func (f *Fabric) Delivered() int64 { return f.delivered.Load() }
+func (f *Fabric) Delivered() int64 { return f.delivered }
 
 // Dropped returns the count of packets discarded by the fabric.
-func (f *Fabric) Dropped() int64 { return f.dropped.Load() }
+func (f *Fabric) Dropped() int64 { return f.dropped }
 
 // SetObserver installs a fabric event observer (tracing); nil clears it.
-// Panics on a partitioned fabric: observers retain packet pointers and
-// would run concurrently from every partition.
-func (f *Fabric) SetObserver(o Observer) {
-	if o != nil && f.partitioned {
-		panic("network: observers (tracing) require a serial fabric; run without -partitions")
-	}
-	f.observer = o
-}
+func (f *Fabric) SetObserver(o Observer) { f.observer = o }
 
 // SetFaultHook installs a fault-injection hook consulted at every channel
 // hop, before the fabric's own loss injection (see internal/fault).
-// nil clears it. Panics on a partitioned fabric — hooks that confine their
-// per-link state to partition-internal links are installed with
-// SetFaultHookChecked instead.
-func (f *Fabric) SetFaultHook(h FaultHook) {
-	if h != nil && f.partitioned {
-		panic("network: fault hooks on a partitioned fabric must go through SetFaultHookChecked")
-	}
-	f.hook = h
-}
-
-// SetFaultHookChecked installs a fault-injection hook on a fabric that may
-// be partitioned. links names every link the hook's rules touch (its
-// stochastic streams and up/down state); on a partitioned fabric each of
-// them must be partition-internal, because per-link fault state is owned by
-// the event loop of the link's sink and a cross-partition trunk would be
-// ruled on by one partition while another schedules its state changes.
-// A faulted trunk yields an error naming the offending cable. The hook's
-// OnHop is still consulted on every link (trunks included) — it just must
-// hold no mutable per-link state for links outside the checked set.
-func (f *Fabric) SetFaultHookChecked(h FaultHook, links []LinkID) error {
-	if h != nil && f.partitioned {
-		for _, l := range links {
-			if int(l) >= len(f.chans) {
-				return fmt.Errorf("network: fault rule names link %d; fabric has %d links", l, len(f.chans))
-			}
-			if c := f.chans[l]; c.group != nil {
-				return fmt.Errorf("network: fault rule touches %s, which crosses partitions %d/%d; "+
-					"scope the plan to partition-internal links or run without -partitions",
-					f.LinkDesc(l), c.xsrc, c.xdst)
-			}
-		}
-	}
-	f.hook = h
-	return nil
-}
+// nil clears it.
+func (f *Fabric) SetFaultHook(h FaultHook) { f.hook = h }
 
 // NoteFault forwards a fault-layer event to the observer, if the observer
 // cares (implements FaultObserver). The fault injector calls this so link
@@ -183,7 +131,7 @@ func (f *Fabric) dropPacket(link LinkID, p *Packet) bool {
 }
 
 func (f *Fabric) drop(p *Packet, reason string) {
-	f.dropped.Add(1)
+	f.dropped++
 	if f.observer != nil {
 		f.observer.PacketDropped(p, reason)
 	}
@@ -213,7 +161,7 @@ func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, rec
 	if sw.out[port] != nil {
 		panic(fmt.Sprintf("network: switch %d port %d already cabled", sw.id, port))
 	}
-	iface := &Iface{fab: f, node: node, recv: recv, sim: f.sim, homeSw: sw}
+	iface := &Iface{fab: f, node: node, recv: recv}
 	iface.deliverFn = iface.deliverEvent
 	// NIC -> switch direction.
 	iface.tx = f.newChannel(lp, sw)
@@ -259,10 +207,9 @@ func (f *Fabric) Route(src, dst NodeID) ([]byte, error) {
 
 // newChannel allocates one directed channel with the next dense LinkID.
 func (f *Fabric) newChannel(lp LinkParams, sink headSink) *channel {
-	c := &channel{fab: f, params: lp, sink: sink, id: f.nextLink, sim: f.sim}
+	c := &channel{fab: f, params: lp, sink: sink, id: f.nextLink}
 	c.arriveFn = c.arriveEvent
 	f.nextLink++
-	f.chans = append(f.chans, c)
 	return c
 }
 
@@ -286,54 +233,6 @@ func (f *Fabric) SwitchLinks(sw int) []LinkID {
 
 // NumSwitches returns the number of switches in the fabric.
 func (f *Fabric) NumSwitches() int { return len(f.switches) }
-
-// LinkSim returns the event loop on which hops over link l execute: the
-// partition owning the link's sink, or the single serial simulator. Fault
-// state changes for a link (flaps, cuts, crash-downs) must be scheduled
-// here so they order deterministically against the link's traffic.
-func (f *Fabric) LinkSim(l LinkID) *sim.Simulator {
-	if int(l) >= len(f.chans) {
-		return f.sim
-	}
-	return f.chans[l].sinkSim()
-}
-
-// LinkCrossesPartitions reports whether link l is a cross-partition trunk.
-// Always false on an unpartitioned fabric.
-func (f *Fabric) LinkCrossesPartitions(l LinkID) bool {
-	return int(l) < len(f.chans) && f.chans[l].group != nil
-}
-
-// LinkDesc returns a human-readable description of a directed channel, for
-// error messages: which components its cable joins. Not a hot path.
-func (f *Fabric) LinkDesc(l LinkID) string {
-	if int(l) >= len(f.chans) {
-		return fmt.Sprintf("link %d (unknown)", l)
-	}
-	c := f.chans[l]
-	sink := "?"
-	switch snk := c.sink.(type) {
-	case *Switch:
-		sink = fmt.Sprintf("switch %d", snk.id)
-	case *Iface:
-		sink = fmt.Sprintf("nic %d", snk.node)
-	}
-	// Find the transmitter by scanning owners (error path only).
-	src := "?"
-	for _, sw := range f.switches {
-		for _, oc := range sw.out {
-			if oc == c {
-				src = fmt.Sprintf("switch %d", sw.id)
-			}
-		}
-	}
-	for _, iface := range f.ifaces {
-		if iface.tx == c {
-			src = fmt.Sprintf("nic %d", iface.node)
-		}
-	}
-	return fmt.Sprintf("link %d (%s -> %s)", l, src, sink)
-}
 
 // Iface returns the interface of an attached NIC, or nil.
 func (f *Fabric) Iface(node NodeID) *Iface { return f.ifaces[node] }
@@ -366,18 +265,10 @@ type Iface struct {
 	pend      mem.Slab[recvRec]
 	deliverFn func(uint64)
 
-	// sim is the event queue of the partition that owns this NIC (that of
-	// its leaf switch); it equals fab.sim until the fabric is partitioned.
-	// part mirrors the partition index; homeSw is the attachment switch.
-	sim    *sim.Simulator
-	part   int32
-	homeSw *Switch
-
 	// pool is a bounded free list of packets this NIC has fully consumed,
-	// available for its own next transmissions. Only this NIC's event flow
-	// touches it, so it stays safe when the fabric is split into
-	// partitions. Pooling is disabled while an observer or fault hook is
-	// installed — both may retain packet pointers past delivery.
+	// available for its own next transmissions. Pooling is disabled while
+	// an observer or fault hook is installed — both may retain packet
+	// pointers past delivery.
 	pool []*Packet
 }
 
@@ -434,7 +325,7 @@ func (i *Iface) TxBusy() bool { return i.tx.busy() }
 func (i *Iface) headArrived(p *Packet, wire sim.Time) {
 	h, rec := i.pend.Get()
 	rec.p = p
-	i.sim.AfterCall(wire, i.deliverFn, h)
+	i.fab.sim.AfterCall(wire, i.deliverFn, h)
 }
 
 // deliverEvent fires at tail arrival: release the leased record and hand
@@ -448,7 +339,7 @@ func (i *Iface) deliverEvent(h uint64) {
 		i.fab.drop(p, "route-left-over-at-nic")
 		return
 	}
-	i.fab.delivered.Add(1)
+	i.fab.delivered++
 	if i.fab.observer != nil {
 		i.fab.observer.PacketDelivered(p)
 	}

@@ -60,24 +60,13 @@ type channel struct {
 	// nothing (see sim.AtCall).
 	pend     mem.Slab[hopRec]
 	arriveFn func(uint64)
-
-	// sim is the event queue of the partition that owns the transmitting
-	// component; it equals fab.sim until the fabric is partitioned.
-	sim *sim.Simulator
-	// group, when non-nil, marks this channel as a cross-partition trunk:
-	// arrivals are posted to the sink's partition (xdst) through the
-	// group's mailboxes instead of being scheduled locally. xsrc names the
-	// transmitting partition. All source-side state (busyUntil) stays with
-	// the transmitter; the sink side runs entirely in xdst.
-	group      *sim.Group
-	xsrc, xdst int32
 }
 
 // transmit accepts a packet for transmission at the current simulated time.
 // If the channel is busy the packet waits (FIFO by virtue of busyUntil
 // monotonicity). Returns the time the head will arrive at the sink.
 func (c *channel) transmit(p *Packet) sim.Time {
-	s := c.sim
+	s := c.fab.sim
 	start := s.Now()
 	if c.busyUntil > start {
 		start = c.busyUntil
@@ -85,14 +74,6 @@ func (c *channel) transmit(p *Packet) sim.Time {
 	wire := c.params.wireTime(p.Size)
 	c.busyUntil = start + wire
 	headArrive := start + c.params.Latency
-	if c.group != nil {
-		// Cross-partition hop: ownership of the packet transfers wholly to
-		// the sink's partition at the window boundary. The closure is the
-		// mail payload; the intra-partition slab is not involved, because
-		// the two sides run on different event loops.
-		c.group.Post(int(c.xsrc), int(c.xdst), headArrive, func() { c.arrive(p, wire) })
-		return headArrive
-	}
 	c.queued++
 	h, rec := c.pend.Get()
 	rec.p, rec.wire = p, wire
@@ -117,16 +98,13 @@ func (c *channel) arriveEvent(h uint64) {
 func (c *channel) arrive(p *Packet, wire sim.Time) {
 	f := c.fab
 	if f.hook != nil {
-		// The hop executes on the sink side's event loop (posted there for
-		// trunks; the transmitter's own loop, which is the same partition,
-		// for intra-partition channels), so that clock is "now".
-		v := f.hook.OnHop(c.id, p, c.sinkSim().Now())
+		s := f.sim
+		v := f.hook.OnHop(c.id, p, s.Now())
 		if v.Duplicate {
 			// Deliver an independent copy right behind the original, so a
 			// consumed route on one copy cannot corrupt the other.
 			dup := p.Clone()
-			snk := c.sinkSim()
-			snk.At(snk.Now(), func() { c.finish(dup, wire) })
+			s.At(s.Now(), func() { c.finish(dup, wire) })
 		}
 		if v.Drop {
 			reason := v.Reason
@@ -151,16 +129,5 @@ func (c *channel) finish(p *Packet, wire sim.Time) {
 
 // busy reports whether the channel is currently serializing a packet.
 func (c *channel) busy() bool {
-	return c.sim.Now() < c.busyUntil || c.queued > 0
-}
-
-// sinkSim returns the event queue the sink side of the channel runs on.
-func (c *channel) sinkSim() *sim.Simulator {
-	switch snk := c.sink.(type) {
-	case *Switch:
-		return snk.sim
-	case *Iface:
-		return snk.sim
-	}
-	return c.sim
+	return c.fab.sim.Now() < c.busyUntil || c.queued > 0
 }

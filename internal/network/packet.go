@@ -132,9 +132,7 @@ type Verdict struct {
 
 // FaultHook intercepts every packet head arriving at the end of a directed
 // channel, before the fabric's own loss injection. See internal/fault.
-// now is the clock of the event loop executing the hop — on a partitioned
-// fabric that is the partition owning the link's sink, so hooks must not
-// read any other simulator's clock.
+// now is the simulated time of the hop.
 type FaultHook interface {
 	OnHop(link LinkID, p *Packet, now sim.Time) Verdict
 }

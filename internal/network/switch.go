@@ -39,12 +39,6 @@ type Switch struct {
 	// forwarding a head allocates nothing.
 	pend  mem.Slab[fwdRec]
 	fwdFn func(uint64)
-
-	// sim is the event queue of the partition that owns this switch; it
-	// equals fab.sim until the fabric is partitioned. part is the owning
-	// partition's index (0 when unpartitioned).
-	sim  *sim.Simulator
-	part int32
 }
 
 // fwdRec is one head in flight across the crossbar: the packet plus the
@@ -58,7 +52,7 @@ func newSwitch(f *fabric, id int, params SwitchParams) *Switch {
 	if params.Ports <= 0 {
 		panic("network: switch needs at least one port")
 	}
-	sw := &Switch{fab: f, id: id, params: params, out: make([]*channel, params.Ports), sim: f.sim}
+	sw := &Switch{fab: f, id: id, params: params, out: make([]*channel, params.Ports)}
 	sw.fwdFn = sw.forwardEvent
 	return sw
 }
@@ -83,7 +77,7 @@ func (sw *Switch) headArrived(p *Packet, wire sim.Time) {
 	}
 	h, rec := sw.pend.Get()
 	rec.p, rec.port = p, int32(port)
-	sw.sim.AfterCall(sw.params.RouteDelay, sw.fwdFn, h)
+	sw.fab.sim.AfterCall(sw.params.RouteDelay, sw.fwdFn, h)
 }
 
 // forwardEvent fires RouteDelay after a head arrived: release the leased

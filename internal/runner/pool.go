@@ -2,13 +2,12 @@ package runner
 
 import "fmt"
 
-// Pool is a set of persistent workers for repeated fork-join rounds.
+// Pool is a set of persistent workers for fork-join rounds.
 //
-// runner.Map spins up goroutines per call, which is fine for coarse jobs
-// (one whole simulation each) but too heavy for the conservative parallel
-// engine, whose synchronization windows are microseconds of wall time and
-// number in the thousands per run. A Pool keeps its workers parked between
-// rounds so each Each call costs two channel operations per worker.
+// runner.Map spins up goroutines per call, which suits a batch of whole
+// simulations. A Pool keeps its workers parked between rounds instead; its
+// one user is the simd server, whose workers enter the dispatch loop
+// through a single Each round and stay there until drain.
 type Pool struct {
 	n      int
 	start  []chan func(int)
@@ -24,8 +23,7 @@ type workerResult struct {
 }
 
 // NewPool creates a pool of n persistent workers. n is clamped below at 1;
-// a 1-worker pool runs every round inline on the caller, so single-
-// partition runs stay free of goroutine handoffs.
+// a 1-worker pool runs every round inline on the caller.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1

@@ -12,24 +12,22 @@ import (
 // the flag names, defaults and help text, so the CLIs and simd accept the
 // identical spec vocabulary.
 type SpecFlags struct {
-	Topo       string
-	Radix      int
-	Nodes      int
-	Dim        int
-	FaultPlan  string
-	Seed       int64
-	Partitions int
+	Topo      string
+	Radix     int
+	Nodes     int
+	Dim       int
+	FaultPlan string
+	Seed      int64
 }
 
 // Spec flag names, for selecting a subset in Bind.
 const (
-	FlagTopo       = "topo"
-	FlagRadix      = "radix"
-	FlagNodes      = "nodes"
-	FlagDim        = "dim"
-	FlagFaultPlan  = "faultplan"
-	FlagSeed       = "seed"
-	FlagPartitions = "partitions"
+	FlagTopo      = "topo"
+	FlagRadix     = "radix"
+	FlagNodes     = "nodes"
+	FlagDim       = "dim"
+	FlagFaultPlan = "faultplan"
+	FlagSeed      = "seed"
 )
 
 // BindSpecFlags registers the named experiment-spec flags on fs with the
@@ -39,7 +37,7 @@ const (
 func BindSpecFlags(fs *flag.FlagSet, names ...string) *SpecFlags {
 	sf := &SpecFlags{}
 	if len(names) == 0 {
-		names = []string{FlagTopo, FlagRadix, FlagNodes, FlagDim, FlagFaultPlan, FlagSeed, FlagPartitions}
+		names = []string{FlagTopo, FlagRadix, FlagNodes, FlagDim, FlagFaultPlan, FlagSeed}
 	}
 	for _, name := range names {
 		switch name {
@@ -57,9 +55,6 @@ func BindSpecFlags(fs *flag.FlagSet, names ...string) *SpecFlags {
 				"fault plan: none, flap, corrupt, chaos, crash, partition")
 		case FlagSeed:
 			fs.Int64Var(&sf.Seed, FlagSeed, DefaultSeed, "fault plan seed")
-		case FlagPartitions:
-			fs.IntVar(&sf.Partitions, FlagPartitions, 1,
-				"engine partitions: >1 runs the conservative parallel engine (needs a multi-switch -topo)")
 		default:
 			panic(fmt.Sprintf("service: unknown spec flag %q", name))
 		}
@@ -89,16 +84,15 @@ func (sf *SpecFlags) Spec(level, alg string, warmup, iters int) Spec {
 		kind = kinds[0].String()
 	}
 	return Spec{
-		Topo:       kind,
-		Radix:      sf.Radix,
-		Nodes:      sf.Nodes,
-		Level:      level,
-		Alg:        alg,
-		Dim:        sf.Dim,
-		FaultPlan:  sf.FaultPlan,
-		Seed:       sf.Seed,
-		Partitions: sf.Partitions,
-		Warmup:     warmup,
-		Iters:      iters,
+		Topo:      kind,
+		Radix:     sf.Radix,
+		Nodes:     sf.Nodes,
+		Level:     level,
+		Alg:       alg,
+		Dim:       sf.Dim,
+		FaultPlan: sf.FaultPlan,
+		Seed:      sf.Seed,
+		Warmup:    warmup,
+		Iters:     iters,
 	}
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -94,12 +96,20 @@ func TestRestartRecovery(t *testing.T) {
 
 	// Reconstruct the kill -9 journal: an accept for specB (interrupted
 	// before it ran), an accept for specA whose done record was lost (the
-	// result is already in the store), and a torn tail.
+	// result is already in the store), an accept written by a version that
+	// still had the partitioned engine (canonical then: partitions 2, hashed
+	// as such), and a torn tail.
+	legacy := canonB
+	legacy.Topo, legacy.Radix, legacy.Nodes, legacy.Partitions = "clos2", 8, 32, 2
+	sumP := sha256.Sum256([]byte(mustJSON(legacy)))
+	hP := hex.EncodeToString(sumP[:])
 	idB := fmt.Sprintf("j%06d-%s", 41, hB[:8])
 	idA2 := fmt.Sprintf("j%06d-%s", 42, hA[:8])
+	idP := fmt.Sprintf("j%06d-%s", 43, hP[:8])
 	appendJournal(t, journalPath,
 		mustJSON(journalRecord{Op: opAccept, ID: idB, Key: "k1", Hash: hB, Spec: &canonB})+"\n",
 		mustJSON(journalRecord{Op: opAccept, ID: idA2, Key: "k2", Hash: hA, Spec: &canonA})+"\n",
+		mustJSON(journalRecord{Op: opAccept, ID: idP, Key: "k3", Hash: hP, Spec: &legacy})+"\n",
 		`{"op":"accept","id":"j0000`, // torn mid-append by the crash
 	)
 
@@ -134,38 +144,51 @@ func TestRestartRecovery(t *testing.T) {
 		t.Errorf("torn journal lines = %d, want 1", srv2.journal.Torn())
 	}
 
-	// The interrupted job keeps its ID and completes after replay.
-	deadline := time.Now().Add(30 * time.Second)
-	var stB JobStatus
-	for {
-		r, err := ts2.Client().Get(ts2.URL + "/v1/runs/" + idB)
-		if err != nil {
-			t.Fatal(err)
+	// settled polls a replayed job, which keeps its ID, until it is
+	// terminal.
+	settled := func(id string) JobStatus {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			r, err := ts2.Client().Get(ts2.URL + "/v1/runs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.StatusCode != http.StatusOK {
+				t.Fatalf("replayed job %s unknown to the restarted server", id)
+			}
+			var st JobStatus
+			if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			r.Body.Close()
+			if st.Status == JobDone || st.Status == JobFailed || st.Status == JobDeadLettered {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replayed job %s stuck in %s", id, st.Status)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("replayed job %s unknown to the restarted server", idB)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&stB); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if stB.Status == JobDone {
-			break
-		}
-		if stB.Status == JobFailed || stB.Status == JobDeadLettered {
-			t.Fatalf("replayed job ended %s: %s", stB.Status, stB.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replayed job stuck in %s", stB.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The interrupted job completes after replay.
+	stB := settled(idB)
+	if stB.Status != JobDone {
+		t.Fatalf("replayed job ended %s: %s", stB.Status, stB.Error)
 	}
 	_, freshB := execJSON(t, specB)
 	if string(stB.Result) != string(freshB) {
 		t.Fatalf("replayed run diverged from serial execution:\n got %s\nwant %s", stB.Result, freshB)
 	}
-	if reg := srv2.Registry(); reg.Get("service.journal.replayed") != 1 {
-		t.Errorf("journal.replayed = %d, want 1", reg.Get("service.journal.replayed"))
+	if reg := srv2.Registry(); reg.Get("service.journal.replayed") != 2 {
+		t.Errorf("journal.replayed = %d, want 2 (specB and the legacy accept)", reg.Get("service.journal.replayed"))
+	}
+
+	// The legacy accept ends failed, naming the removed engine, and the
+	// server goes on serving.
+	stP := settled(idP)
+	if stP.Status != JobFailed || !strings.Contains(stP.Error, "partitioned engine was removed") {
+		t.Errorf("replayed partitions=2 accept is %q (%s), want failed naming the removal", stP.Status, stP.Error)
 	}
 
 	// Completed results are pure disk hits after restart: re-posting specA

@@ -37,8 +37,7 @@ type Result struct {
 	StartNs int64 `json:"start_ns"`
 	EndNs   int64 `json:"end_ns"`
 	// Decomposition is the Section 2.2 phase breakdown of the timed window
-	// (serial runs only — the partitioned engine excludes tracing; the
-	// trace endpoint serves the full Perfetto form). IdleUs is the
+	// (the trace endpoint serves the full Perfetto form). IdleUs is the
 	// unattributed remainder; the rows plus idle sum exactly to the window.
 	Decomposition []PhaseShare `json:"decomposition,omitempty"`
 	IdleUs        float64      `json:"idle_us,omitempty"`
@@ -46,12 +45,12 @@ type Result struct {
 	// dead sets, survivor agreement, repair work.
 	Scenario string `json:"scenario,omitempty"`
 	// Traced reports whether a Perfetto trace was captured for this run.
+	// Execute always captures one.
 	Traced bool `json:"traced"`
 }
 
 // Outcome is everything one executed spec produces: the result row, the
-// Chrome/Perfetto trace JSON when the run was traced, and the cluster's
-// metrics registry when one was collected.
+// Chrome/Perfetto trace JSON and the cluster's metrics registry.
 type Outcome struct {
 	Result  Result
 	Trace   []byte
@@ -59,11 +58,10 @@ type Outcome struct {
 }
 
 // Execute runs one canonical spec to completion through experiments.Run
-// and returns its outcome. Serial specs run with the full-stack recorder
-// attached, yielding the decomposition, the Perfetto trace and the metrics
-// registry; the partitioned engine excludes tracing. Runs with failure
-// detection on (fail-stop plans) add the scenario summary. Timing is
-// bit-identical in all cases to the equivalent one-shot CLI run (the
+// and returns its outcome. Every run has the full-stack recorder attached,
+// yielding the decomposition, the Perfetto trace and the metrics registry.
+// Runs with failure detection on (fail-stop plans) add the scenario
+// summary. Timing is bit-identical to the equivalent one-shot CLI run (the
 // recorder is passive; the overhead-guard test pins this). A model that
 // cannot build or that deadlocks comes back as an error.
 //
@@ -77,7 +75,7 @@ func Execute(s Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	run, err := experiments.Run(espec, s.Partitions <= 1)
+	run, err := experiments.Run(espec, true)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -89,14 +87,11 @@ func Execute(s Spec) (Outcome, error) {
 		Retrans:    run.Retrans,
 		StartNs:    int64(run.Start),
 		EndNs:      int64(run.End),
-		Traced:     run.Rec != nil,
+		Traced:     true,
 	}
 	if espec.Cluster.DetectFailures {
 		run.Summary.Name = "svc-" + hash[:12]
 		res.Scenario = run.Summary.String()
-	}
-	if run.Rec == nil {
-		return Outcome{Result: res}, nil
 	}
 	for ph := phase.Phase(0); ph < phase.NumPhases; ph++ {
 		crit := run.Decomp.Critical[ph]

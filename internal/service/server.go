@@ -781,7 +781,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(entry.Trace) == 0 {
-		writeError(w, http.StatusNotFound, "run %s was not traced (fail-stop and partitioned runs are untraced)", j.ID)
+		writeError(w, http.StatusNotFound, "run %s has no trace: its entry carries no trace bytes", j.ID)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

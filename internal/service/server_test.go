@@ -128,6 +128,13 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Error("no cache hits recorded")
 	}
 
+	// A spec asking for the removed partitioned engine is a client error
+	// that says so, not a serial run filed under a new hash.
+	resp, b = post(t, ts.Client(), ts.URL+"/v1/runs", Spec{Topo: "clos2", Radix: 8, Nodes: 32, Partitions: 2, Iters: 5}, "")
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte("partitioned engine was removed")) {
+		t.Errorf("partitions=2 submit: status %d body %s, want 400 naming the removal", resp.StatusCode, b)
+	}
+
 	// Drain: intake refuses, queued work finishes, workers exit.
 	srv.BeginDrain()
 	resp, _ = post(t, ts.Client(), ts.URL+"/v1/runs", Spec{Nodes: 6, Iters: 5}, "")

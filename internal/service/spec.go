@@ -31,7 +31,7 @@ import (
 
 // Spec is the wire form of one simulation request: everything that picks
 // the experiment — topology, barrier kind and placement, cluster size,
-// fault plan, seed, engine partitioning, iteration counts. The zero value
+// fault plan, seed, iteration counts. The zero value
 // of every field means "default"; Canonicalize fills defaults explicitly
 // and zeroes ignored fields, so any two equivalent specs marshal to the
 // same canonical JSON and the same hash.
@@ -66,8 +66,10 @@ type Spec struct {
 	// Seed roots the fault plan's random streams; 0 means 42 (the CLI
 	// default). Ignored (canonically 0) when FaultPlan is none.
 	Seed int64 `json:"seed"`
-	// Partitions > 1 runs the conservative parallel engine with that many
-	// fabric partitions; 0 or 1 (canonical) is the serial engine.
+	// Partitions is a legacy wire field, kept because the canonical JSON —
+	// and so every stored hash — includes it. It selected the partitioned
+	// engine, which was removed: 0 or 1 canonicalizes to 1, anything larger
+	// is rejected, and nothing below Canonicalize reads it.
 	Partitions int `json:"partitions"`
 	// Warmup and Iters are the untimed and timed barrier counts; 0 means
 	// 5 and experiments.DefaultIters.
@@ -103,8 +105,8 @@ func FailStop(plan string) bool { return plan == PlanCrash || plan == PlanPartit
 // fields lowercased and defaulted, ignored fields zeroed, iteration counts
 // filled. Two specs describing the same simulation canonicalize to equal
 // values (and so equal hashes); an unsatisfiable spec returns an error.
-// The canonical form is fully validated: the topology builds, the fault
-// plan attaches, and a partitioned engine has the leaf switches it needs.
+// The canonical form is fully validated: the topology builds and the fault
+// plan attaches.
 func (s Spec) Canonicalize() (Spec, error) {
 	c := s
 	c.Topo = strings.ToLower(strings.TrimSpace(c.Topo))
@@ -186,9 +188,10 @@ func (s Spec) Canonicalize() (Spec, error) {
 		return c, fmt.Errorf("spec: fault plan %q needs level \"nic\": host-level barriers cannot detect the failure and would deadlock", c.FaultPlan)
 	}
 
-	if c.Partitions < 1 {
-		c.Partitions = 1
+	if c.Partitions > 1 {
+		return c, fmt.Errorf("spec: partitions=%d: the partitioned engine was removed; omit the field or send 1", c.Partitions)
 	}
+	c.Partitions = 1
 	if c.Warmup == 0 {
 		c.Warmup = 5
 	}
@@ -288,7 +291,7 @@ func NamedPlan(name string, seed int64, n int) (*fault.Plan, error) {
 }
 
 // Config builds the cluster configuration a canonical spec describes.
-// Zero-fault serial specs map bit-identically onto the Figure 5 testbeds
+// Zero-fault specs map bit-identically onto the Figure 5 testbeds
 // (cluster.DefaultConfig / LANai72Config); faulted specs run the reliable
 // barrier, and fail-stop plans additionally enable failure detection with
 // the chaos fleet's firmware timeouts.
@@ -308,9 +311,6 @@ func (s Spec) Config() (cluster.Config, error) {
 		tc := experiments.TopoConfig(kind, s.Nodes, s.Radix)
 		cfg.Switch = tc.Switch
 		cfg.Topology = tc.Topology
-	}
-	if s.Partitions > 1 {
-		cfg.Partitions = s.Partitions
 	}
 	plan, err := NamedPlan(s.FaultPlan, s.Seed, s.Nodes)
 	if err != nil {

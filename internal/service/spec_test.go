@@ -47,6 +47,15 @@ func TestCanonicalEquivalence(t *testing.T) {
 		"ignored fields": {Nodes: 16, Alg: "pe", Dim: 7, TopoAware: true, Radix: 32},
 		// A plan of none has no random streams, so the seed is noise.
 		"seed without plan": {Nodes: 16, FaultPlan: "none", Seed: 999},
+		// The legacy partitions field: absent (base), 0 and 1 are one spec.
+		"partitions 1": {Nodes: 16, Partitions: 1},
+		"partitions 0 on the wire": func() Spec {
+			var s Spec
+			if err := json.Unmarshal([]byte(`{"nodes":16,"partitions":0}`), &s); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}(),
 	}
 	wantHash, err := base.Hash()
 	if err != nil {
@@ -130,8 +139,9 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"bad fault plan":  {Nodes: 16, FaultPlan: "meteor"},
 		"negative warmup": {Nodes: 16, Warmup: -1},
 		"negative iters":  {Nodes: 16, Iters: -5},
-		// The serial single crossbar has no switch boundary to partition.
-		"partitioned single": {Nodes: 16, Partitions: 2},
+		// The partitioned engine is gone; a spec it used to accept is
+		// refused rather than silently run serial under a different hash.
+		"partitions 2": {Topo: "clos2", Radix: 8, Nodes: 32, Partitions: 2},
 		// Host-level barriers have no failure detector: they can only
 		// deadlock on a fail-stop plan.
 		"host crash":     {Nodes: 16, Level: "host", FaultPlan: "crash"},
@@ -145,6 +155,10 @@ func TestCanonicalizeRejects(t *testing.T) {
 	_, err := Spec{Nodes: 16, Level: "host", FaultPlan: "crash"}.Canonicalize()
 	if msg := fmt.Sprint(err); !strings.Contains(msg, "host-level") || !strings.Contains(msg, `"crash"`) {
 		t.Errorf("host + fail-stop rejection does not name the cause: %v", err)
+	}
+	_, err = bad["partitions 2"].Canonicalize()
+	if msg := fmt.Sprint(err); !strings.Contains(msg, "partitioned engine was removed") {
+		t.Errorf("partitions rejection does not name the cause: %v", err)
 	}
 	// The same plans stay legal at NIC level, and non-fail-stop plans at
 	// host level.

@@ -56,7 +56,8 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreQuarantinesCorruption: every corruption mode — truncation, a
-// payload bit flip, a file at the wrong content address — is detected,
+// payload bit flip, a file at the wrong content address, an entry from a
+// version whose spec codec accepted more than today's — is detected,
 // quarantined (file moved, never served), and reported as a miss so the
 // caller re-simulates. A fresh Put afterwards heals the slot.
 func TestStoreQuarantinesCorruption(t *testing.T) {
@@ -94,6 +95,21 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			}
 			path := filepath.Join(st.Dir(), hash[:2], hash)
 			if err := os.WriteFile(path, encodeEntry(hash, otherEntry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"removed-axis": func(t *testing.T, st *Store, hash string) {
+			// What a version with the partitioned engine stored: a
+			// CRC-clean entry whose embedded spec says partitions 2. That
+			// spec no longer canonicalizes, so whatever address the entry
+			// sits at it cannot be verified and is refused.
+			_, e := storedEntry(t, spec)
+			e.Result = bytes.Replace(e.Result, []byte(`"partitions":1`), []byte(`"partitions":2`), 1)
+			if err := verifyEntry(hash, hash, e); err == nil || !strings.Contains(err.Error(), "partitioned engine was removed") {
+				t.Fatalf("verifyEntry on a partitions=2 spec: %v, want a refusal naming the removal", err)
+			}
+			path := filepath.Join(st.Dir(), hash[:2], hash)
+			if err := os.WriteFile(path, encodeEntry(hash, e), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -515,21 +515,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// RunBefore executes every event with a timestamp strictly below t, leaving
-// the clock at the last executed event (not advanced to t). This is the
-// window-execution primitive of the conservative parallel engine (see
-// Group): a partition may safely run all events below the group's lower
-// bound plus lookahead.
-func (s *Simulator) RunBefore(t Time) {
-	for {
-		idx := s.findMin()
-		if idx < 0 || s.slots[idx].at >= t {
-			return
-		}
-		s.Step()
-	}
-}
-
 // RunFor executes events for d nanoseconds of simulated time from now.
 func (s *Simulator) RunFor(d Time) { s.RunUntil(s.now + d) }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"gmsim/internal/runner"
 )
 
 // TestTieBreakScheduleOrder is the property test for event ordering: for
@@ -56,74 +54,6 @@ func TestTieBreakScheduleOrder(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTieBreakCrossPartition pins the partitioned engine's ordering rule:
-// cross-partition posts that land on one destination at the same
-// timestamp execute in (source partition, per-pair sequence) order, no
-// matter which order the sources generated them in during the window or
-// how many workers ran it.
-func TestTieBreakCrossPartition(t *testing.T) {
-	prop := func(seed int64, wideWorkers bool) bool {
-		const parts = 3
-		const lookahead = Time(100)
-		rng := rand.New(rand.NewSource(seed))
-		sims := make([]*Simulator, parts)
-		for i := range sims {
-			sims[i] = New()
-		}
-		g := NewGroup(sims, lookahead)
-		type tag struct {
-			src, n int
-		}
-		var got []tag
-		// Partitions 1 and 2 each post a burst to partition 0, all landing
-		// at the same instant; the bursts are generated from events at
-		// slightly different times within one window, in random order.
-		land := Time(500)
-		posts := make([]tag, 0, 16)
-		for src := 1; src < parts; src++ {
-			for n := 0; n < 4+rng.Intn(4); n++ {
-				posts = append(posts, tag{src: src, n: n})
-			}
-		}
-		rng.Shuffle(len(posts), func(i, j int) { posts[i], posts[j] = posts[j], posts[i] })
-		perSrc := map[int]int{}
-		for _, p := range posts {
-			p := p
-			at := Time(rng.Intn(int(lookahead)))
-			seq := perSrc[p.src]
-			perSrc[p.src]++
-			_ = seq
-			sims[p.src].At(at, func() {
-				g.Post(p.src, 0, land, func() { got = append(got, p) })
-			})
-		}
-		workers := 1
-		if wideWorkers {
-			workers = parts
-		}
-		pool := runner.NewPool(workers)
-		defer pool.Close()
-		g.Run(pool)
-		// Expected: grouped by source partition ascending, and within one
-		// source, the order that source's events executed in (its own
-		// timestamp order — the per-pair sequence).
-		if len(got) != len(posts) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1].src > got[i].src {
-				t.Logf("post %d from src %d executed before post %d from src %d",
-					i-1, got[i-1].src, i, got[i].src)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
