@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-procs fuzz bench benchgate cover figures scenarios simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-procs fuzz bench perf-gate cover figures scenarios simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -76,22 +76,20 @@ figures:
 	$(GO) run ./cmd/barrierbench -fig topo
 	$(GO) run ./cmd/barrierbench -fig contend
 
-# bench_output.txt holds the human-readable Go benchmarks; BENCH_sim.json
-# is the machine-readable perf trajectory (events/sec, ns/event, figures
-# wall-clock serial vs parallel) that future PRs compare against.
+# The repository benchmark (see BENCHMARK.json and bench/README.md): each
+# workload at the contract's run length, outputs checked against
+# bench/expected.json.
 bench:
-	$(GO) test -run 'TestZeroAlloc' -count=1 -v ./internal/sim
-	$(GO) test -run 'TestSteadyStateAllocsPerBarrier' -count=1 -v ./internal/experiments
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-	$(GO) run ./cmd/simbench -json BENCH_sim.json
+	$(GO) run ./bench --workload nic16 --seed 1 --seconds 20 --trace 0
+	$(GO) run ./bench --workload host16 --seed 1 --seconds 20 --trace 0
+	$(GO) run ./bench --workload clos256 --seed 1 --seconds 20 --trace 0
+	$(GO) run ./bench --workload svc --seed 1 --seconds 20 --trace 0
 
-# Compare a candidate BENCH_sim.json against a baseline and fail on >10%
-# regression in the gated engine metrics. CI generates the two reports from
-# the PR base and head; locally: make benchgate BASE=old.json HEAD=BENCH_sim.json
-BASE ?= BENCH_sim.json
-HEAD ?= BENCH_sim.json
-benchgate:
-	$(GO) run ./cmd/benchgate -base $(BASE) -head $(HEAD)
+# The one performance gate: ./bench of BASE against ./bench of the working
+# tree in alternating pairs, judged by BENCHMARK.json's bounds. CI passes the
+# PR base; locally: make perf-gate BASE=HEAD~1
+perf-gate:
+	sh scripts/perf_gate.sh $(BASE)
 
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×
 # barrier kind × fault plan × seed), diffed against the golden summaries in
@@ -124,4 +122,5 @@ examples:
 	$(GO) run ./examples/mpi
 
 clean:
-	rm -f test_output.txt bench_output.txt coverage.out coverage-summary.txt
+	rm -f test_output.txt coverage.out coverage-summary.txt
+	rm -rf .perf_gate

@@ -84,6 +84,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "run observed -nodes measurements and dump the metrics registry, then exit")
 	flag.Parse()
 	runner.SetDefault(*parallel)
+	if *iters < 1 {
+		fmt.Fprintln(os.Stderr, "-iters must be at least 1")
+		os.Exit(2)
+	}
 
 	topoList := sf.Topo
 	topoSet := false

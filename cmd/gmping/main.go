@@ -28,6 +28,10 @@ func main() {
 	iters := flag.Int("iters", 200, "ping-pong iterations per size")
 	sizesArg := flag.String("sizes", "8,64,256,1024,4096", "comma-separated message sizes")
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintln(os.Stderr, "-iters must be at least 1")
+		os.Exit(2)
+	}
 
 	mkCfg := cluster.DefaultConfig
 	if *nicModel == "7.2" {

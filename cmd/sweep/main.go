@@ -51,6 +51,10 @@ func main() {
 	sf := service.BindSpecFlags(flag.CommandLine)
 	flag.Parse()
 	runner.SetDefault(*parallel)
+	if *iters < 1 {
+		fmt.Fprintln(os.Stderr, "-iters must be at least 1")
+		os.Exit(2)
+	}
 
 	kind, err := sf.FirstKind()
 	if err != nil {

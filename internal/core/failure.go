@@ -75,41 +75,3 @@ func (c *Comm) BarrierChecked(p *host.Process, alg mcp.BarrierAlg, g Group, self
 	pb.Wait(p)
 	return resultFor(g, pb.Dead()), nil
 }
-
-// BarrierWithRepair runs a NIC-based barrier and, when it completes
-// degraded, re-synchronizes the survivors with a host-level pairwise
-// exchange over the survivor group before returning. The NIC-level repair
-// guarantees bounded completion but weaker synchronization (a GB subtree
-// orphaned by its parent's death releases itself without hearing from the
-// main tree); the host-level pass restores the full all-arrived-before-
-// any-leaves guarantee among survivors. It relies on the survivors
-// agreeing on the dead set, which the dead-set gossip ensures for
-// single-crash scenarios. Plans that kill several nodes at nearly the same
-// instant can leave survivor views diverged mid-repair; that limitation is
-// documented in EXPERIMENTS.md, and such scenarios should use
-// BarrierChecked and reconcile membership at the application level.
-func (c *Comm) BarrierWithRepair(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (BarrierResult, error) {
-	res, err := c.BarrierChecked(p, alg, g, self, dim)
-	if err != nil {
-		return res, err
-	}
-	if !res.Degraded() {
-		return res, nil
-	}
-	// Build the survivor group and this rank's position in it.
-	sg := make(Group, 0, len(res.Survivors))
-	sself := -1
-	for i, rank := range res.Survivors {
-		if rank == self {
-			sself = i
-		}
-		sg = append(sg, g[rank])
-	}
-	if sself < 0 {
-		return res, fmt.Errorf("core: rank %d's own node is in the dead set", self)
-	}
-	if err := c.HostBarrierPE(p, sg, sself); err != nil {
-		return res, fmt.Errorf("core: survivor re-synchronization failed: %w", err)
-	}
-	return res, nil
-}

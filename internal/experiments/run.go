@@ -115,6 +115,9 @@ func (w *window) meanMicros(iters int) float64 {
 // simulation drains. A non-nil rec records the timed window only.
 func (s *Session) timed(warmup, iters int, rec *trace.Recorder,
 	setup func(p *host.Process, comm *core.Comm) (one func(i int) error, err error)) (*window, error) {
+	if iters < 1 || warmup < 0 {
+		return nil, fmt.Errorf("experiments: iters = %d, warmup = %d: need iters >= 1 and warmup >= 0", iters, warmup)
+	}
 	w := &window{finished: make([]bool, s.Cluster.Nodes())}
 	if rec != nil {
 		rec.Disable() // warm-up is not recorded

@@ -113,6 +113,7 @@ func TestRunReturnsErrors(t *testing.T) {
 		{"gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Alg: mcp.GB, Dim: 8, Iters: 3}, "dimension 8 out of range"},
 		{"host gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Alg: mcp.GB, Dim: 9, Iters: 3}, "dimension 9 out of range"},
 		{"infeasible topology", Spec{Cluster: infeasible, Alg: mcp.PE, Iters: 3}, "clos2 capacity"},
+		{"negative iters", Spec{Cluster: cluster.DefaultConfig(8), Alg: mcp.PE, Iters: -1}, "iters = -1"},
 	}
 	base := runtime.NumGoroutine()
 	for _, c := range cases {

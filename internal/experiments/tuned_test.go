@@ -94,14 +94,21 @@ func TestTunedSweepDeterminism(t *testing.T) {
 
 // TestTopoScale8192Smoke: the headline scale extension — an 8192-node
 // radix-32 fat-tree row, GB dimension tuned, all four barrier variants
-// measured. Skipped in -short (the CI scale job runs it under timeout).
+// measured, every route algebraic. Skipped in -short (the CI scale job runs
+// it under timeout).
 func TestTopoScale8192Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8192-node fabric simulation is slow; skipped in -short")
 	}
+	before := topo.BFSPasses()
 	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{8192}, Radix: 32, Iters: 3, Tuned: true})
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
+	}
+	// The O(1)-per-route claim in counted work: building, tuning and
+	// running all four variants on the fabric never falls back to BFS.
+	if got := topo.BFSPasses(); got != before {
+		t.Fatalf("8192-node sweep ran %d BFS passes, want 0", got-before)
 	}
 	r := rows[0]
 	if r.Nodes != 8192 || r.Switches != 1280 || r.Diameter != 5 {

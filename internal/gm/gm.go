@@ -39,9 +39,6 @@ func eventPhase(k mcp.HostEventKind) phase.Phase {
 	}
 }
 
-// endpointArg aliases the endpoint type for the memory file's signatures.
-type endpointArg = mcp.Endpoint
-
 // Port is an open communication endpoint as seen from the host.
 type Port struct {
 	sim  *sim.Simulator
@@ -76,9 +73,6 @@ type Port struct {
 	recvDoorbell   func()
 	barBufDoorbell func()
 	barTokDoorbell func()
-
-	// registry enables strict pinning checks (nil = permissive).
-	registry *mem.Registry
 
 	// Counters.
 	sent, received, barriers int64

@@ -40,12 +40,6 @@ type Params struct {
 	ProvideBufferCost sim.Time
 	// PollCost is one unsuccessful gm_receive poll (fuzzy-barrier loops).
 	PollCost sim.Time
-	// MemRegisterBase and MemRegisterPerPage are the driver costs of
-	// gm_register_memory: a system call plus per-page pinning work.
-	// Registration is deliberately expensive — GM programs register
-	// long-lived buffers once.
-	MemRegisterBase    sim.Time
-	MemRegisterPerPage sim.Time
 	// LayerOverhead models an additional messaging layer (e.g. MPI over
 	// GM): it is added to SendCost and RecvProcess on every message. The
 	// paper predicts the NIC-based barrier's factor of improvement grows
@@ -56,21 +50,16 @@ type Params struct {
 // DefaultParams returns the calibrated host costs.
 func DefaultParams() Params {
 	return Params{
-		SendCost:           sim.FromMicros(3.0),
-		BarrierPostCost:    sim.FromMicros(3.0),
-		DoorbellLatency:    sim.FromMicros(0.6),
-		RecvDetect:         sim.FromMicros(1.5),
-		RecvProcess:        sim.FromMicros(5.0),
-		SentEvtCost:        sim.FromMicros(0.5),
-		ProvideBufferCost:  sim.FromMicros(0.5),
-		PollCost:           sim.FromMicros(0.4),
-		MemRegisterBase:    sim.FromMicros(30),
-		MemRegisterPerPage: sim.FromMicros(5),
+		SendCost:          sim.FromMicros(3.0),
+		BarrierPostCost:   sim.FromMicros(3.0),
+		DoorbellLatency:   sim.FromMicros(0.6),
+		RecvDetect:        sim.FromMicros(1.5),
+		RecvProcess:       sim.FromMicros(5.0),
+		SentEvtCost:       sim.FromMicros(0.5),
+		ProvideBufferCost: sim.FromMicros(0.5),
+		PollCost:          sim.FromMicros(0.4),
 	}
 }
-
-// ScalePages multiplies a per-page cost by a page count.
-func ScalePages(perPage sim.Time, pages int) sim.Time { return perPage * sim.Time(pages) }
 
 // EffectiveSendCost is SendCost plus the layer overhead.
 func (p Params) EffectiveSendCost() sim.Time { return p.SendCost + p.LayerOverhead }

@@ -253,10 +253,6 @@ func (n *NIC) CPUBusyTime() sim.Time { return n.cpuBusy }
 // CPUTasks returns the number of firmware tasks executed or queued.
 func (n *NIC) CPUTasks() int64 { return n.cpuTasks }
 
-// CPUFreeAt returns the instant the processor becomes idle given current
-// commitments.
-func (n *NIC) CPUFreeAt() sim.Time { return n.cpuFree }
-
 // SDMA returns the host-to-NIC DMA engine.
 func (n *NIC) SDMA() *DMAEngine { return n.sdma }
 

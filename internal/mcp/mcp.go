@@ -797,10 +797,8 @@ func (m *MCP) failConnection(c *Connection) {
 	}
 }
 
-// DeadPeers returns this NIC's current view of fail-stopped peers,
-// ascending (empty when DetectFailures is off or nothing died).
-func (m *MCP) DeadPeers() []network.NodeID { return m.deadNodesSorted() }
-
+// deadNodesSorted returns this NIC's current view of fail-stopped peers,
+// ascending (nil when DetectFailures is off or nothing died).
 func (m *MCP) deadNodesSorted() []network.NodeID {
 	if len(m.deadPeers) == 0 {
 		return nil

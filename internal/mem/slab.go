@@ -1,3 +1,7 @@
+// Package mem holds the two allocation-avoiding containers the simulator's
+// hot paths share: Slab, a chunked object pool addressed by uint64 handles
+// that fit an event argument, and PopFront, a FIFO pop that keeps a short
+// queue's backing array.
 package mem
 
 import "math/bits"

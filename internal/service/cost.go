@@ -4,9 +4,9 @@ import "time"
 
 // Cost estimation: admission control and per-job deadlines both need to
 // know, before running anything, roughly how much engine work a spec buys.
-// The estimate is in simulated events — the engine's native unit (simbench
-// records ns/event, so events divided by a conservative rate is a wall-
-// clock bound). It only has to be order-of-magnitude right: admission
+// The estimate is in simulated events — the engine's native unit (events
+// divided by a conservative events/sec rate is a wall-clock bound). It
+// only has to be order-of-magnitude right: admission
 // compares sums of estimates against a budget, and deadlines multiply in
 // enough headroom that an honest job never trips one.
 

@@ -135,8 +135,8 @@ type DeadLetter struct {
 
 // Server is the simulation service: a content-addressed result cache (RAM
 // over an optional crash-safe disk store) in front of a fair bounded job
-// queue over a persistent runner pool, journaling accepted work so a
-// restart finishes what a crash interrupted.
+// queue over a fixed set of workers, journaling accepted work so a restart
+// finishes what a crash interrupted.
 // Create with NewServer, mount Handler on an http.Server, Drain on
 // shutdown and Close once drained.
 type Server struct {
@@ -161,7 +161,6 @@ type Server struct {
 	draining        bool
 	seq             int
 
-	pool        *runner.Pool
 	workersDone chan struct{}
 }
 
@@ -203,7 +202,6 @@ func NewServer(cfg Config) (*Server, error) {
 		queue:       newFairQueue(),
 		jobs:        make(map[string]*Job),
 		byHash:      make(map[string]*Job),
-		pool:        runner.NewPool(cfg.Workers),
 		workersDone: make(chan struct{}),
 	}
 	if cfg.exec != nil {
@@ -222,13 +220,19 @@ func NewServer(cfg Config) (*Server, error) {
 		s.store, s.journal = store, journal
 		s.replay(pending)
 	}
-	// The pool's workers all enter the dispatch loop once and stay there
-	// until drain: the long-lived service owns one persistent pool instead
-	// of forking goroutines per job.
+	// The workers enter the dispatch loop once and stay there until drain;
+	// workersDone closes when the last one has returned.
+	var wg sync.WaitGroup
+	for i := 0; i < cfg.Workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.workerLoop()
+		}()
+	}
 	go func() {
-		defer close(s.workersDone)
-		defer s.pool.Close()
-		s.pool.Each(func(int) { s.workerLoop() })
+		wg.Wait()
+		close(s.workersDone)
 	}()
 	return s, nil
 }

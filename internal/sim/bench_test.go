@@ -11,7 +11,8 @@ import (
 // reliable mode, where every ACK cancels a retransmit timer), and a
 // synthetic process barrier that exercises the proc/signal machinery the
 // way the MCP firmware does. BenchmarkBarrierEventsPerSec reports
-// events/sec, the figure BENCH_sim.json tracks across PRs.
+// events/sec. They are for measuring while working on the engine; the
+// repository benchmark (go run ./bench) carries the tracked numbers.
 
 // benchSchedulePop churns the queue at a steady depth: every popped event
 // schedules a replacement until b.N replacements have been made, then the

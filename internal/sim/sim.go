@@ -50,9 +50,6 @@ const (
 // paper reports all latencies in.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Millis reports t as a floating-point count of milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // String formats the time in microseconds with two decimals, e.g. "102.14us".
 func (t Time) String() string { return fmt.Sprintf("%.2fus", t.Micros()) }
 
