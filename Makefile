@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-procs fuzz bench perf-gate cover figures scenarios simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-procs fuzz bench perf-gate profile cover figures scenarios simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -91,6 +91,11 @@ bench:
 perf-gate:
 	sh scripts/perf_gate.sh $(BASE)
 
+# CPU profile of the scale path: the benchmark's two 256-node cells, twenty
+# whole measurements each. Read it with: go tool pprof -top gmsim.test cpu.prof
+profile:
+	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof .
+
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×
 # barrier kind × fault plan × seed), diffed against the golden summaries in
 # internal/experiments/testdata/scenarios. On divergence each offending
@@ -122,5 +127,5 @@ examples:
 	$(GO) run ./examples/mpi
 
 clean:
-	rm -f test_output.txt coverage.out coverage-summary.txt
+	rm -f test_output.txt coverage.out coverage-summary.txt cpu.prof gmsim.test
 	rm -rf .perf_gate

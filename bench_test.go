@@ -18,6 +18,7 @@
 package gmsim
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -25,6 +26,7 @@ import (
 	"gmsim/internal/experiments"
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
+	"gmsim/internal/service"
 	"gmsim/internal/sim"
 	"gmsim/internal/topo"
 )
@@ -369,4 +371,38 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	barriers := float64(b.N) * float64(benchIters+5)
 	b.ReportMetric(barriers/b.Elapsed().Seconds(), "barriers/sec")
+}
+
+// BenchmarkClos256 runs the two cells of the repository benchmark's clos256
+// workload (the spec literals are bench/workload.go's clos256Cells), one
+// whole measurement per iteration: gb4_build is mostly construction and
+// receive-token provisioning, pe_steady mostly steady-state barrier events
+// over five-switch routes. It is the entry point for profiling the scale
+// path — `make profile` — which BenchmarkSimulatorThroughput's 16 nodes on
+// one crossbar do not reach.
+func BenchmarkClos256(b *testing.B) {
+	for _, c := range []struct{ name, spec string }{
+		{"gb4_build", `{"topo":"clos3","radix":16,"nodes":256,"alg":"gb","dim":4,"topo_aware":true,"warmup":2,"iters":20}`},
+		{"pe_steady", `{"topo":"clos3","radix":16,"nodes":256,"alg":"pe","warmup":5,"iters":100}`},
+	} {
+		var wire service.Spec
+		if err := json.Unmarshal([]byte(c.spec), &wire); err != nil {
+			b.Fatal(err)
+		}
+		canon, err := wire.Canonicalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, err := canon.Experiment()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var mean float64
+			for i := 0; i < b.N; i++ {
+				mean = experiments.MeasureBarrier(spec).MeanMicros
+			}
+			b.ReportMetric(mean, "us/barrier")
+		})
+	}
 }

@@ -128,10 +128,8 @@ func (c *Comm) SetLeafMap(leafOf []int) {
 // NewComm wraps an open port and pre-posts bufs receive buffers.
 func NewComm(p *host.Process, port *gm.Port, bufs int) (*Comm, error) {
 	c := &Comm{port: port, stash: make(map[mcp.Endpoint][][]byte)}
-	for i := 0; i < bufs; i++ {
-		if err := port.ProvideReceiveBuffer(p); err != nil {
-			return nil, err
-		}
+	if err := port.ProvideReceiveBuffers(p, bufs); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -204,12 +204,19 @@ func Run(spec Spec, observe bool) (Outcome, error) {
 		return Outcome{}, err
 	}
 	defer s.Close()
-	cl := s.Cluster
-	n := cl.Nodes()
 	var rec *trace.Recorder
 	if observe {
-		rec = trace.Attach(cl)
+		rec = trace.Attach(s.Cluster)
 	}
+	return s.measure(spec, rec)
+}
+
+// measure is Run on a session already built: spec.Warmup+spec.Iters
+// barriers on every rank, folded into an Outcome. A non-nil rec must be
+// attached to the session's cluster.
+func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
+	cl := s.Cluster
+	n := cl.Nodes()
 	g := core.UniformGroup(n, 2)
 	var leafOf []int
 	if spec.TopoAware {

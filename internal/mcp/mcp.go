@@ -22,7 +22,9 @@ type MCP struct {
 	// rng drives the retransmission-timer jitter. Seeded from the node ID
 	// so every run of the same cluster draws the same sequence; it is
 	// consumed only when a timer is armed, all on the simulator's single
-	// event loop.
+	// event loop. Created by the first draw (see retransInterval): a NIC
+	// that never arms a timer — every NIC of an unreliable-mode barrier
+	// run — never pays for seeding the 607-word generator.
 	rng *rand.Rand
 
 	ports []*Port
@@ -118,7 +120,6 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		sim:           nic.Sim(),
 		nic:           nic,
 		cfg:           cfg,
-		rng:           network.LinkStream(0x6d6370, network.LinkID(cfg.Node)),
 		conns:         make(map[network.NodeID]*Connection),
 		pendingClosed: make(map[int][]pendingClosed),
 		deadPeers:     make(map[network.NodeID]bool),
@@ -364,17 +365,21 @@ func (m *MCP) transmitFrame(f *Frame) {
 	if m.iface == nil || m.routeTo == nil {
 		panic("mcp: transmit before Attach")
 	}
-	r, err := m.routeTo(f.DstNode)
-	if err != nil {
-		m.stats.ProtocolErrors++
-		return
+	c := m.conn(f.DstNode)
+	if c.route == nil {
+		r, err := m.routeTo(f.DstNode)
+		if err != nil {
+			m.stats.ProtocolErrors++
+			return
+		}
+		c.route = r
 	}
 	pkt := m.iface.NewPacket()
 	pkt.Src = m.cfg.Node
 	pkt.Dst = f.DstNode
 	pkt.Size = f.WireSize()
 	pkt.Payload = f
-	pkt.SetRoute(r)
+	pkt.SetRoute(c.route)
 	m.iface.Transmit(pkt)
 }
 
@@ -675,6 +680,9 @@ func (m *MCP) retransInterval(c *Connection) sim.Time {
 		}
 	}
 	if pr.RetransJitterPct > 0 {
+		if m.rng == nil {
+			m.rng = network.LinkStream(0x6d6370, network.LinkID(m.cfg.Node))
+		}
 		d += sim.Time(float64(d) * pr.RetransJitterPct / 100 * m.rng.Float64())
 	}
 	return d

@@ -97,6 +97,12 @@ type unexpRec struct {
 type Connection struct {
 	peer network.NodeID
 
+	// route is the source route to the peer, as routeTo returned it for the
+	// first frame transmitted there (nil until then). Routes are a function
+	// of the topology alone and never change once the fabric is built, so
+	// later frames skip the lookup.
+	route []byte
+
 	// Reliable data channel (GM): next sequence to assign, next expected,
 	// and the sent-but-unacked list in order.
 	sendSeq  uint32

@@ -64,7 +64,9 @@ func (f *Fabric) SetObserver(o Observer) { f.observer = o }
 
 // SetFaultHook installs a fault-injection hook consulted at every channel
 // hop, before the fabric's own loss injection (see internal/fault).
-// nil clears it.
+// nil clears it. The hook rules on hops that start — whose packet is handed
+// to the channel — after the call; a head already under way arrives unruled
+// (fault.Attach installs at build time, before any traffic).
 func (f *Fabric) SetFaultHook(h FaultHook) { f.hook = h }
 
 // NoteFault forwards a fault-layer event to the observer, if the observer
@@ -79,12 +81,14 @@ func (f *Fabric) NoteFault(kind string, p *Packet, detail string) {
 // SetLossFunc installs a deterministic per-hop loss predicate: any packet
 // head arriving at any sink for which fn returns true is discarded.
 // Used by reliability tests to drop specific packets. nil clears it.
+// Like a fault hook, it rules on hops that start after the call.
 func (f *Fabric) SetLossFunc(fn func(p *Packet) bool) { f.lossFn = fn }
 
 // SetLossRate installs a seeded random per-hop loss probability.
 // Each directed channel draws from its own stream, derived from
 // (seed, link ID), so adding an unrelated flow on other links leaves an
 // existing flow's drop pattern unchanged. rate <= 0 clears loss injection.
+// Like a fault hook, it rules on hops that start after the call.
 func (f *Fabric) SetLossRate(rate float64, seed int64) {
 	if rate <= 0 {
 		f.lossRate, f.lossStreams = 0, nil
@@ -323,9 +327,16 @@ func (i *Iface) TxBusy() bool { return i.tx.busy() }
 // headArrived implements headSink: the packet head reached the NIC; the
 // packet is fully received one serialization time later.
 func (i *Iface) headArrived(p *Packet, wire sim.Time) {
+	i.headDue(p, i.fab.sim.Now(), wire)
+}
+
+// headDue implements headSink: a NIC takes every head, so the tail's
+// arrival can be scheduled as soon as the head's is known.
+func (i *Iface) headDue(p *Packet, headArrive, wire sim.Time) bool {
 	h, rec := i.pend.Get()
 	rec.p = p
-	i.fab.sim.AfterCall(wire, i.deliverFn, h)
+	i.fab.sim.AtCall(headArrive+wire, i.deliverFn, h)
+	return true
 }
 
 // deliverEvent fires at tail arrival: release the leased record and hand

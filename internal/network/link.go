@@ -37,6 +37,13 @@ type headSink interface {
 	// sink. wire is the serialization time of the full packet on the
 	// incoming channel, so a final sink can compute tail arrival.
 	headArrived(p *Packet, wire sim.Time)
+	// headDue is called from transmit, at the instant the packet starts on
+	// the incoming channel, when nothing can rule on the hop before its head
+	// arrives at headArrive. The sink either schedules what headArrived
+	// would schedule at that instant — for the same time — and reports true,
+	// or touches nothing and reports false; it then gets headArrived at
+	// headArrive, so a drop keeps its instant and reason.
+	headDue(p *Packet, headArrive, wire sim.Time) bool
 }
 
 // hopRec is the payload of one in-flight channel traversal, leased from the
@@ -53,7 +60,6 @@ type channel struct {
 	params    LinkParams
 	busyUntil sim.Time
 	sink      headSink
-	queued    int // packets accepted but not yet fully transmitted
 
 	// pend holds the in-flight hop payloads; arriveFn is the arrival
 	// callback as a method value built once, so scheduling a hop allocates
@@ -64,21 +70,30 @@ type channel struct {
 
 // transmit accepts a packet for transmission at the current simulated time.
 // If the channel is busy the packet waits (FIFO by virtue of busyUntil
-// monotonicity). Returns the time the head will arrive at the sink.
-func (c *channel) transmit(p *Packet) sim.Time {
-	s := c.fab.sim
-	start := s.Now()
+// monotonicity).
+//
+// A hop costs one event, not two, whenever nothing is installed that rules
+// on packets at the end of a channel: the sink schedules its own follow-up
+// (forward or deliver) from here, and no arrival event runs. The follow-up
+// takes its place in same-instant order at the moment the arrival would have
+// taken its own — this call (packet.go, "Events per hop" and "Same-instant
+// order"). With a fault hook or loss injection installed the head's arrival
+// is an event of its own, where they rule.
+func (c *channel) transmit(p *Packet) {
+	f := c.fab
+	start := f.sim.Now()
 	if c.busyUntil > start {
 		start = c.busyUntil
 	}
 	wire := c.params.wireTime(p.Size)
 	c.busyUntil = start + wire
 	headArrive := start + c.params.Latency
-	c.queued++
+	if f.hook == nil && f.lossFn == nil && f.lossRate <= 0 && c.sink.headDue(p, headArrive, wire) {
+		return
+	}
 	h, rec := c.pend.Get()
 	rec.p, rec.wire = p, wire
-	s.AtCall(headArrive, c.arriveFn, h)
-	return headArrive
+	f.sim.AtCall(headArrive, c.arriveFn, h)
 }
 
 // arriveEvent fires when a hop's head reaches the end of the channel:
@@ -88,7 +103,6 @@ func (c *channel) arriveEvent(h uint64) {
 	p, wire := rec.p, rec.wire
 	rec.p = nil
 	c.pend.Put(h)
-	c.queued--
 	c.arrive(p, wire)
 }
 
@@ -127,7 +141,8 @@ func (c *channel) finish(p *Packet, wire sim.Time) {
 	c.sink.headArrived(p, wire)
 }
 
-// busy reports whether the channel is currently serializing a packet.
+// busy reports whether the channel is still serializing a packet it has
+// accepted.
 func (c *channel) busy() bool {
-	return c.fab.sim.Now() < c.busyUntil || c.queued > 0
+	return c.fab.sim.Now() < c.busyUntil
 }

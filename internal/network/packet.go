@@ -11,6 +11,42 @@
 // k*(latency) + (k-1)*routeDelay and the tail one serialization time later.
 // When an output port is busy, the head waits (a packet-granularity
 // approximation of wormhole backpressure; see DESIGN.md).
+//
+// Events per hop. A hop is a packet crossing one directed channel. Its head
+// reaching the far end is an event of its own (channel.arriveEvent) only
+// when something rules on packets there: a fault hook, a loss function or a
+// loss rate installed when the hop starts, or a route byte the next switch
+// cannot follow, so that a drop keeps its instant and reason. Otherwise
+// channel.transmit has the sink schedule what the arrival would have
+// scheduled, for the same instant: a switch consumes the route byte and
+// schedules forwardEvent at headArrive+RouteDelay, a NIC schedules
+// deliverEvent at headArrive+wire. A packet crossing k switches then costs
+// k+1 events instead of 2k+2, and every transmit, forwarding decision and
+// delivery happens at the instant it always did. Observers do not force the
+// arrival event: they are called from the events that remain.
+//
+// Same-instant order. Events of one instant run in the order they were
+// scheduled. The follow-up is scheduled where the arrival it replaces was —
+// in the upstream transmit — so two forwardings that race for an output port
+// (same switch, same RouteDelay, hence same arrival instant) run in the
+// order of their upstream transmits in both forms, and by induction so do
+// all forwardings of a fabric whose switches share one RouteDelay (every
+// cluster.Build fabric). A delivery is scheduled one arrival earlier than it
+// used to be; relative to an event of the same instant that was scheduled
+// between its upstream transmit and its head's arrival — another NIC's
+// delivery of a packet with a different wire time, or a host doorbell at the
+// same NIC — it now runs first. Such a tie is a coincidence of unrelated
+// timings and was never broken by anything physical; no pinned output moved
+// (Figure 5, scenario goldens, golden trace, benchmark outputs), and the
+// differential tests (onehop_test.go; experiments'
+// TestOneEventHopMatchesArrivalEventRuns, 192 whole-stack cells) run both
+// forms side by side.
+//
+// This is deliberately per hop, not one event per path: an output channel's
+// busyUntil is only known when the head gets there, so reserving the whole
+// path at injection is wrong whenever a packet injected later reaches a
+// shared port first, and a forwarding scheduled earlier than the arrival it
+// replaces could change who wins a port at a tie.
 package network
 
 import (

@@ -63,21 +63,34 @@ func (sw *Switch) Ports() int { return sw.params.Ports }
 // ID returns the fabric-assigned switch index.
 func (sw *Switch) ID() int { return sw.id }
 
-// headArrived implements headSink: consume one route byte and forward.
+// headArrived implements headSink: consume one route byte and forward, or
+// drop a head whose route does not go on from here.
 func (sw *Switch) headArrived(p *Packet, wire sim.Time) {
+	if sw.headDue(p, sw.fab.sim.Now(), wire) {
+		return
+	}
 	if len(p.Route) == 0 {
 		sw.fab.drop(p, "route-exhausted-at-switch")
 		return
 	}
 	port := int(p.Route[0])
 	p.Route = p.Route[1:]
-	if port < 0 || port >= sw.params.Ports || sw.out[port] == nil {
-		sw.fab.drop(p, fmt.Sprintf("bad-route-port-%d", port))
-		return
+	sw.fab.drop(p, fmt.Sprintf("bad-route-port-%d", port))
+}
+
+// headDue implements headSink: a head that will find a cabled output port
+// has its route byte consumed now and its emission there scheduled for
+// RouteDelay after it arrives; one that would be dropped is left untouched
+// for headArrived.
+func (sw *Switch) headDue(p *Packet, headArrive, _ sim.Time) bool {
+	if len(p.Route) == 0 || !sw.portCabled(int(p.Route[0])) {
+		return false
 	}
 	h, rec := sw.pend.Get()
-	rec.p, rec.port = p, int32(port)
-	sw.fab.sim.AfterCall(sw.params.RouteDelay, sw.fwdFn, h)
+	rec.p, rec.port = p, int32(p.Route[0])
+	p.Route = p.Route[1:]
+	sw.fab.sim.AtCall(headArrive+sw.params.RouteDelay, sw.fwdFn, h)
+	return true
 }
 
 // forwardEvent fires RouteDelay after a head arrived: release the leased
