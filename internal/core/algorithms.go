@@ -23,7 +23,11 @@ import (
 )
 
 // Group is an ordered set of endpoints participating in a barrier;
-// a process's rank is its index.
+// a process's rank is its index. A group is immutable once used: a Comm
+// recognizes the group of its previous call by the identity of the slice
+// (base pointer and length) instead of comparing n endpoints on every
+// barrier of every rank, so a new membership is a new slice. Build the group
+// once per cell and share it across ranks, as UniformGroup's callers do.
 type Group []mcp.Endpoint
 
 // Rank returns ep's index in the group, or -1.
@@ -94,26 +98,53 @@ func PESchedule(rank, n int) ([]int, error) {
 	}
 }
 
+// LeafMap is a cell's leaf-switch grouping: the ranks attached to each leaf
+// switch in rank order, the switches ordered by first appearance (rank 0's
+// is group 0). It is built once per cell (NewLeafMap) and shared, read-only,
+// by every rank, which is what keeps a mapped GBTree call O(dim).
+type LeafMap struct {
+	members [][]int // ranks per leaf switch
+	group   []int   // rank -> index into members
+	index   []int   // rank -> position in members[group[rank]]
+}
+
+// NewLeafMap groups ranks by the switch their NIC attaches to; leafOf maps
+// rank to leaf-switch index (cluster.Topology().LeafOf()).
+func NewLeafMap(leafOf []int) *LeafMap {
+	lm := &LeafMap{group: make([]int, len(leafOf)), index: make([]int, len(leafOf))}
+	groupOf := make(map[int]int)
+	for r, leaf := range leafOf {
+		gi, ok := groupOf[leaf]
+		if !ok {
+			gi = len(lm.members)
+			groupOf[leaf] = gi
+			lm.members = append(lm.members, nil)
+		}
+		lm.group[r], lm.index[r] = gi, len(lm.members[gi])
+		lm.members[gi] = append(lm.members[gi], r)
+	}
+	return lm
+}
+
 // GBTree returns rank's neighborhood in the n-process
 // gather-and-broadcast tree of the given dimension. Rank 0 is the root and
 // has parent -1.
 //
-// With a nil leafOf the tree is flat: each node has up to dim children,
+// With a nil leaf map the tree is flat: each node has up to dim children,
 // laid out heap-style in rank order (children of i are dim*i+1 ..
 // dim*i+dim). The paper sweeps dim from 1 to N-1 and reports the best
 // (Section 6): dim 1 degenerates to a chain, dim N-1 to a star.
 //
-// A non-nil leafOf makes the tree topology-aware. It maps each rank to the
-// switch its NIC attaches to (cluster.Topology().LeafOf()); ranks sharing a
-// leaf switch form a dimension-dim heap tree among themselves (in rank
-// order), and the lowest rank of each leaf — its leader — joins a
-// dimension-dim heap tree of leaders (leaves ordered by first appearance).
+// A non-nil leaf map makes the tree topology-aware: ranks sharing a leaf
+// switch form a dimension-dim heap tree among themselves (in rank order),
+// and the lowest rank of each leaf — its leader — joins a dimension-dim heap
+// tree of leaders (leaves ordered by first appearance).
 // Every edge except the leader-to-leader ones stays inside one crossbar, so
 // on a multi-switch fabric the tree crosses trunks exactly (#leaves - 1)
 // times — the minimum any spanning structure can achieve — instead of
 // scattering hops across the fabric the way the flat heap layout does. A
-// leafOf that places every rank on the same switch equals the flat tree.
-func GBTree(rank, n, dim int, leafOf []int) (parent int, children []int, err error) {
+// leaf map that places every rank on the same switch equals the flat tree.
+func GBTree(rank, n, dim int, lm *LeafMap) (parent int, children []int, err error) {
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("core: group size %d", n)
 	}
@@ -123,42 +154,22 @@ func GBTree(rank, n, dim int, leafOf []int) (parent int, children []int, err err
 	if dim < 1 || (n > 1 && dim > n-1) {
 		return 0, nil, fmt.Errorf("core: tree dimension %d out of range [1,%d]", dim, n-1)
 	}
-	if leafOf == nil {
+	if lm == nil {
 		parent, children = heapTree(rank, n, dim)
 		return parent, children, nil
 	}
-	if len(leafOf) != n {
-		return 0, nil, fmt.Errorf("core: leaf map covers %d ranks, group has %d", len(leafOf), n)
+	if len(lm.group) != n {
+		return 0, nil, fmt.Errorf("core: leaf map covers %d ranks, group has %d", len(lm.group), n)
 	}
-	// Group ranks by leaf, groups ordered by first appearance (rank 0's
-	// group is group 0), members in rank order.
-	groupOf := make(map[int]int)
-	var members [][]int
-	for r := 0; r < n; r++ {
-		gi, ok := groupOf[leafOf[r]]
-		if !ok {
-			gi = len(members)
-			groupOf[leafOf[r]] = gi
-			members = append(members, nil)
-		}
-		members[gi] = append(members[gi], r)
-	}
-	gi := groupOf[leafOf[rank]]
-	local := members[gi]
-	li := 0
-	for i, r := range local {
-		if r == rank {
-			li = i
-			break
-		}
-	}
+	gi := lm.group[rank]
+	local := lm.members[gi]
 	// Intra-switch subtree over the local members. The local dimension is
 	// clamped so small groups keep a valid tree.
 	localDim := dim
 	if len(local) > 1 && localDim > len(local)-1 {
 		localDim = len(local) - 1
 	}
-	lparent, lchildren := heapTree(li, len(local), localDim)
+	lparent, lchildren := heapTree(lm.index[rank], len(local), localDim)
 	if lparent >= 0 {
 		// Interior rank: both neighbors are on this switch.
 		parent = local[lparent]
@@ -167,14 +178,14 @@ func GBTree(rank, n, dim int, leafOf []int) (parent int, children []int, err err
 	} else {
 		// Leaf leader: parent is the leader of the parent group in the
 		// dimension-dim leader tree.
-		parent = members[(gi-1)/dim][0]
+		parent = lm.members[(gi-1)/dim][0]
 	}
 	if lparent < 0 {
 		// Leaders forward to child-group leaders first: those messages
 		// cross trunks, so starting them before the intra-switch sends
 		// overlaps the long hops with the short ones.
-		for cg := dim*gi + 1; cg <= dim*gi+dim && cg < len(members); cg++ {
-			children = append(children, members[cg][0])
+		for cg := dim*gi + 1; cg <= dim*gi+dim && cg < len(lm.members); cg++ {
+			children = append(children, lm.members[cg][0])
 		}
 	}
 	for _, lc := range lchildren {
@@ -210,9 +221,9 @@ func TreeDepth(n, dim int) int {
 // group: the host-side computation the paper deliberately keeps off the
 // NIC ("the host at a particular node needs to inform the NIC only of the
 // children and parent of the node, rather than all the nodes in the
-// barrier"). dim and leafOf (see GBTree) are used only for GB — PE's
+// barrier"). dim and lm (see GBTree) are used only for GB — PE's
 // schedule is fixed by the recursive-doubling structure.
-func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*mcp.BarrierToken, error) {
+func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) (*mcp.BarrierToken, error) {
 	n := len(g)
 	if self < 0 || self >= n {
 		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", self, n)
@@ -228,7 +239,7 @@ func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (
 			tok.Peers = append(tok.Peers, g[r])
 		}
 	case mcp.GB:
-		parent, children, err := GBTree(self, n, dim, leafOf)
+		parent, children, err := GBTree(self, n, dim, lm)
 		if err != nil {
 			return nil, err
 		}

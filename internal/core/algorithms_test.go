@@ -351,7 +351,7 @@ func TestGBTreeMappedNilEqualsFlat(t *testing.T) {
 		for dim := 1; dim < n; dim++ {
 			for r := 0; r < n; r++ {
 				fp, fc, ferr := GBTree(r, n, dim, nil)
-				mp, mc, merr := GBTree(r, n, dim, make([]int, n))
+				mp, mc, merr := GBTree(r, n, dim, NewLeafMap(make([]int, n)))
 				if ferr != nil || merr != nil || fp != mp || !equalInts(fc, mc) {
 					t.Fatalf("nil leafOf diverges from one-leaf map at r=%d n=%d dim=%d: (%d %v %v) vs (%d %v %v)",
 						r, n, dim, fp, fc, ferr, mp, mc, merr)
@@ -363,10 +363,10 @@ func TestGBTreeMappedNilEqualsFlat(t *testing.T) {
 
 func TestGBTreeMappedUniformLeafEqualsFlat(t *testing.T) {
 	// All ranks on the same crossbar: mapping must be a no-op.
-	leafOf := make([]int, 16)
+	lm := NewLeafMap(make([]int, 16))
 	for r := 0; r < 16; r++ {
 		fp, fc, _ := GBTree(r, 16, 4, nil)
-		mp, mc, err := GBTree(r, 16, 4, leafOf)
+		mp, mc, err := GBTree(r, 16, 4, lm)
 		if err != nil || fp != mp || !equalInts(fc, mc) {
 			t.Fatalf("uniform leafOf diverges at r=%d", r)
 		}
@@ -388,10 +388,11 @@ func TestPropertyGBTreeMappedSpansAndLocalizes(t *testing.T) {
 			leafOf[r] = (r*7 + int(seed)) % leaves
 			groups[leafOf[r]] = true
 		}
+		lm := NewLeafMap(leafOf)
 		crossEdges := 0
 		childCount := 0
 		for r := 0; r < n; r++ {
-			parent, children, err := GBTree(r, n, dim, leafOf)
+			parent, children, err := GBTree(r, n, dim, lm)
 			if err != nil {
 				return false
 			}
@@ -402,7 +403,7 @@ func TestPropertyGBTreeMappedSpansAndLocalizes(t *testing.T) {
 				if parent < 0 || parent >= n {
 					return false
 				}
-				_, pc, _ := GBTree(parent, n, dim, leafOf)
+				_, pc, _ := GBTree(parent, n, dim, lm)
 				found := false
 				for _, c := range pc {
 					if c == r {
@@ -426,13 +427,13 @@ func TestPropertyGBTreeMappedSpansAndLocalizes(t *testing.T) {
 }
 
 func TestGBTreeMappedErrors(t *testing.T) {
-	if _, _, err := GBTree(0, 4, 1, []int{0, 0}); err == nil {
+	if _, _, err := GBTree(0, 4, 1, NewLeafMap([]int{0, 0})); err == nil {
 		t.Fatal("short leafOf should error")
 	}
-	if _, _, err := GBTree(4, 4, 1, []int{0, 0, 0, 1}); err == nil {
+	if _, _, err := GBTree(4, 4, 1, NewLeafMap([]int{0, 0, 0, 1})); err == nil {
 		t.Fatal("rank out of range should error")
 	}
-	if _, _, err := GBTree(0, 4, 0, []int{0, 0, 0, 1}); err == nil {
+	if _, _, err := GBTree(0, 4, 0, NewLeafMap([]int{0, 0, 0, 1})); err == nil {
 		t.Fatal("dim 0 should error")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"gmsim/internal/host"
@@ -38,61 +39,28 @@ func DecodeInt64s(data []byte) []int64 {
 	return out
 }
 
-// applyHost combines two vectors at the host (for the host-based baseline).
-func applyHost(op mcp.ReduceOp, dst, src []byte) {
-	// The element-wise rules match the firmware's combine exactly.
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	for i := 0; i+mcp.ElemBytes <= n; i += mcp.ElemBytes {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		var r int64
-		switch op {
-		case mcp.OpSum:
-			r = a + b
-		case mcp.OpMin:
-			r = a
-			if b < a {
-				r = b
-			}
-		case mcp.OpMax:
-			r = a
-			if b > a {
-				r = b
-			}
-		case mcp.OpBAnd:
-			r = a & b
-		case mcp.OpBOr:
-			r = a | b
-		default:
-			r = a
-		}
-		binary.LittleEndian.PutUint64(dst[i:], uint64(r))
-	}
+// collTree is rank self's place in the tree every collective runs over: the
+// flat dimension-dim heap tree, whatever leaf map the Comm's barriers use.
+func (c *Comm) collTree(g Group, self, dim int) (*tokenCache, error) {
+	return c.neighbourhood(mcp.GB, g, self, dim, nil)
 }
 
-// collToken builds the tree neighborhood for rank self.
-func collToken(op mcp.CollOp, rop mcp.ReduceOp, g Group, self, dim int, value []byte) (*mcp.CollToken, error) {
-	parent, children, err := GBTree(self, len(g), dim, nil)
-	if err != nil {
-		return nil, err
+// gatherTree is where NICAllGather and HostAllGather both start. The block
+// is checked here, before anything is posted or sent, so every rank returns
+// the same error: the firmware rejects an empty block only after the
+// doorbell, and a host-level root that fails to assemble leaves the other
+// ranks waiting for its broadcast.
+func (c *Comm) gatherTree(g Group, self, dim int, block []byte) (*tokenCache, error) {
+	if len(block) == 0 {
+		return nil, errors.New("core: allgather needs a non-empty block")
 	}
-	tok := &mcp.CollToken{Op: op, Reduce: rop, Value: value}
-	if parent < 0 {
-		tok.Root = true
-	} else {
-		tok.Parent = g[parent]
-	}
-	for _, c := range children {
-		tok.Children = append(tok.Children, g[c])
-	}
-	return tok, nil
+	return c.collTree(g, self, dim)
 }
 
-// runNICCollective posts the token and waits for the completion event.
-func (c *Comm) runNICCollective(p *host.Process, tok *mcp.CollToken) ([]byte, error) {
+// runNICCollective hands the firmware rank self's tree neighborhood with the
+// token and waits for the completion event.
+func (c *Comm) runNICCollective(p *host.Process, nb *tokenCache, tok *mcp.CollToken) ([]byte, error) {
+	tok.Root, tok.Parent, tok.Children = nb.root, nb.parent, nb.children
 	if err := c.port.ProvideCollectiveBuffer(p); err != nil {
 		return nil, err
 	}
@@ -112,136 +80,102 @@ func (c *Comm) runNICCollective(p *host.Process, tok *mcp.CollToken) ([]byte, er
 // the root's data reaches every rank without any intermediate host
 // involvement. Every rank returns the payload.
 func (c *Comm) NICBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	var value []byte
-	if self == 0 {
-		value = data
-	}
-	tok, err := collToken(mcp.Broadcast, 0, g, self, dim, value)
+	nb, err := c.collTree(g, self, dim)
 	if err != nil {
 		return nil, err
 	}
-	return c.runNICCollective(p, tok)
+	tok := &mcp.CollToken{Op: mcp.Broadcast}
+	if self == 0 {
+		tok.Value = data
+	}
+	return c.runNICCollective(p, nb, tok)
 }
 
 // NICReduce combines every rank's vector with op at the NICs; rank 0
 // returns the result, other ranks return nil.
 func (c *Comm) NICReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	tok, err := collToken(mcp.Reduce, op, g, self, dim, value)
+	nb, err := c.collTree(g, self, dim)
 	if err != nil {
 		return nil, err
 	}
-	return c.runNICCollective(p, tok)
+	return c.runNICCollective(p, nb, &mcp.CollToken{Op: mcp.Reduce, Reduce: op, Value: value})
 }
 
 // NICAllReduce combines every rank's vector and distributes the result to
 // all ranks, entirely at the NIC level.
 func (c *Comm) NICAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	tok, err := collToken(mcp.AllReduce, op, g, self, dim, value)
+	nb, err := c.collTree(g, self, dim)
 	if err != nil {
 		return nil, err
 	}
-	return c.runNICCollective(p, tok)
+	return c.runNICCollective(p, nb, &mcp.CollToken{Op: mcp.AllReduce, Reduce: op, Value: value})
 }
 
 // NICAllGather runs a NIC-based all-to-all broadcast (the Section 8
-// wording): every rank contributes block (all the same length) and every
-// rank returns the rank-ordered concatenation of all blocks.
+// wording): every rank contributes block (all the same non-zero length) and
+// every rank returns the rank-ordered concatenation of all blocks.
 func (c *Comm) NICAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	tok, err := collToken(mcp.AllGather, 0, g, self, dim, block)
+	nb, err := c.gatherTree(g, self, dim, block)
 	if err != nil {
 		return nil, err
 	}
-	tok.Rank = self
-	tok.BlockSize = len(block)
-	tok.GroupSize = len(g)
-	return c.runNICCollective(p, tok)
+	return c.runNICCollective(p, nb, &mcp.CollToken{
+		Op: mcp.AllGather, Value: block,
+		Rank: self, BlockSize: len(block), GroupSize: len(g),
+	})
 }
 
-// HostAllGather is the host-based baseline: blocks gather up the tree
-// tagged with their origin rank, the root assembles the array, and the
-// broadcast path distributes it.
+// HostAllGather is the host-based baseline: blocks gather up the tree as
+// the firmware's tagged entries (so the two levels are directly
+// comparable), the root assembles the array, and the broadcast path
+// distributes it.
 func (c *Comm) HostAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	parent, children, err := GBTree(self, len(g), dim, nil)
+	nb, err := c.gatherTree(g, self, dim, block)
 	if err != nil {
 		return nil, err
 	}
-	// Tagged entries: 8-byte rank header + block, matching the firmware's
-	// wire format so the two levels are directly comparable.
-	entries := packEntryHost(self, block)
-	for _, ch := range children {
-		part, err := c.RecvFrom(p, g[ch])
+	entries := mcp.PackEntry(self, block)
+	for _, ch := range nb.children {
+		part, err := c.RecvFrom(p, ch)
 		if err != nil {
 			return nil, err
 		}
 		entries = append(entries, part...)
 	}
-	if parent >= 0 {
-		if err := c.Send(p, g[parent], entries); err != nil {
-			return nil, err
-		}
-		full, err := c.RecvFrom(p, g[parent])
-		if err != nil {
-			return nil, err
-		}
-		for _, ch := range children {
-			if err := c.Send(p, g[ch], full); err != nil {
-				return nil, err
-			}
-		}
-		return full, nil
+	var full []byte
+	if nb.root {
+		full, err = mcp.AssembleGather(entries, len(g), len(block))
+	} else if err = c.Send(p, nb.parent, entries); err == nil {
+		full, err = c.RecvFrom(p, nb.parent)
 	}
-	full, err := assembleHost(entries, len(g), len(block))
 	if err != nil {
 		return nil, err
 	}
-	for _, ch := range children {
-		if err := c.Send(p, g[ch], full); err != nil {
+	for _, ch := range nb.children {
+		if err := c.Send(p, ch, full); err != nil {
 			return nil, err
 		}
 	}
 	return full, nil
 }
 
-func packEntryHost(rank int, block []byte) []byte {
-	out := make([]byte, 8+len(block))
-	binary.LittleEndian.PutUint64(out, uint64(int64(rank)))
-	copy(out[8:], block)
-	return out
-}
-
-func assembleHost(entries []byte, groupSize, blockSize int) ([]byte, error) {
-	stride := 8 + blockSize
-	if blockSize <= 0 || len(entries) != groupSize*stride {
-		return nil, fmt.Errorf("core: allgather assembled %d bytes, want %d", len(entries), groupSize*stride)
-	}
-	out := make([]byte, groupSize*blockSize)
-	for off := 0; off < len(entries); off += stride {
-		rank := int(int64(binary.LittleEndian.Uint64(entries[off:])))
-		if rank < 0 || rank >= groupSize {
-			return nil, fmt.Errorf("core: allgather rank %d out of range", rank)
-		}
-		copy(out[rank*blockSize:], entries[off+8:off+stride])
-	}
-	return out, nil
-}
-
 // HostBroadcast is the host-based baseline: the payload is forwarded down
 // the tree by the hosts.
 func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	parent, children, err := GBTree(self, len(g), dim, nil)
+	nb, err := c.collTree(g, self, dim)
 	if err != nil {
 		return nil, err
 	}
-	if parent >= 0 {
-		data, err = c.RecvFrom(p, g[parent])
+	if !nb.root {
+		data, err = c.RecvFrom(p, nb.parent)
 		if err != nil {
 			return nil, err
 		}
 	} else if data == nil {
 		return nil, fmt.Errorf("core: broadcast root needs data")
 	}
-	for _, ch := range children {
-		if err := c.Send(p, g[ch], data); err != nil {
+	for _, ch := range nb.children {
+		if err := c.Send(p, ch, data); err != nil {
 			return nil, err
 		}
 	}
@@ -249,25 +183,23 @@ func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byt
 }
 
 // HostReduce is the host-based baseline: partials combine at each host on
-// the way up the tree. Rank 0 returns the result; others return nil.
+// the way up the tree, by the firmware's element-wise rule. Rank 0 returns
+// the result; others return nil.
 func (c *Comm) HostReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	parent, children, err := GBTree(self, len(g), dim, nil)
+	nb, err := c.collTree(g, self, dim)
 	if err != nil {
 		return nil, err
 	}
 	acc := append([]byte(nil), value...)
-	for _, ch := range children {
-		part, err := c.RecvFrom(p, g[ch])
+	for _, ch := range nb.children {
+		part, err := c.RecvFrom(p, ch)
 		if err != nil {
 			return nil, err
 		}
-		applyHost(op, acc, part)
+		op.Combine(acc, part)
 	}
-	if parent >= 0 {
-		if err := c.Send(p, g[parent], acc); err != nil {
-			return nil, err
-		}
-		return nil, nil
+	if !nb.root {
+		return nil, c.Send(p, nb.parent, acc)
 	}
 	return acc, nil
 }

@@ -421,3 +421,37 @@ func TestAllGatherStaggered(t *testing.T) {
 		t.FailNow()
 	}
 }
+
+// TestAllGatherEmptyBlockRejected: an empty block is refused at both levels
+// before anything is posted or sent — the same error on every rank, no panic
+// out of the event loop, no rank left waiting for a broadcast — and the Comm
+// is still good for a real allgather afterwards.
+func TestAllGatherEmptyBlockRejected(t *testing.T) {
+	const n = 4
+	for _, level := range []struct {
+		name string
+		ag   func(*Comm, *host.Process, Group, int, int, []byte) ([]byte, error)
+	}{{"NIC", (*Comm).NICAllGather}, {"host", (*Comm).HostAllGather}} {
+		cl := cluster.New(cluster.DefaultConfig(n))
+		g := UniformGroup(n, 2)
+		errs := make([]string, n)
+		cl.SpawnAll(func(p *host.Process) {
+			rank := p.Rank()
+			port, _ := gm.Open(p, cl.MCP(rank), 2)
+			comm, _ := NewComm(p, port, 64)
+			if _, err := level.ag(comm, p, g, rank, 2, []byte{}); err != nil {
+				errs[rank] = err.Error()
+			}
+			out, err := level.ag(comm, p, g, rank, 2, []byte{byte(rank)})
+			if err != nil || !bytes.Equal(out, []byte{0, 1, 2, 3}) {
+				t.Errorf("%s rank %d: allgather after the rejected one = %v, %v", level.name, rank, out, err)
+			}
+		})
+		cl.Run()
+		for rank, e := range errs {
+			if e == "" || e != errs[0] {
+				t.Errorf("%s rank %d: empty block error %q, rank 0 got %q", level.name, rank, e, errs[0])
+			}
+		}
+	}
+}

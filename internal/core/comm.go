@@ -35,29 +35,31 @@ type Comm struct {
 	barrierDone int
 	barrierDead [][]network.NodeID
 
-	// leafOf is the topology hint for GB trees (see SetLeafMap); nil is
-	// the flat tree.
-	leafOf []int
+	// leafMap is the topology hint for GB barrier trees (see SetLeafMap);
+	// nil is the flat tree.
+	leafMap *LeafMap
 
-	// tokCache remembers the last computed barrier neighborhood, for NIC-
-	// and host-level barriers alike. Programs overwhelmingly run many
-	// barriers over one fixed group, and the schedule/tree computation plus
+	// tokCache remembers the last computed neighborhood, for barriers and
+	// collectives at both levels. Programs overwhelmingly run many
+	// operations over one fixed group, and the schedule/tree computation plus
 	// its slices dominated the host-side allocation profile; the firmware
 	// treats the cached slices read-only (per-token mutable state lives in
 	// the token itself).
 	tokCache tokenCache
 }
 
-// tokenCache is one memoized barrier neighborhood (a NICBarrierToken
-// result: PE peers in schedule order, or GB parent and children, as
-// endpoints) plus the inputs that produced it. The group contents are
-// copied, so staleness is detected by value even if the caller mutates its
-// slice in place; the leaf map is a property of the Comm, and setting it
-// drops the cache.
+// tokenCache is one memoized neighborhood (a NICBarrierToken result: PE
+// peers in schedule order, or GB parent and children, as endpoints) plus the
+// inputs that produced it. Group and leaf map are keyed by identity — the
+// slice's base pointer and length, the map's pointer — so a hit costs the
+// same at 8192 ranks as at 16; both are immutable once used (see Group). g
+// is the caller's slice header, never a copy: holding it keeps the backing
+// array alive, so no other group can appear at its address while it is the
+// key.
 type tokenCache struct {
-	valid     bool
 	alg       mcp.BarrierAlg
 	self, dim int
+	lm        *LeafMap
 	g         Group
 
 	peers    []mcp.Endpoint
@@ -66,42 +68,39 @@ type tokenCache struct {
 	children []mcp.Endpoint
 }
 
-func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int) bool {
-	if !tc.valid || tc.alg != alg || tc.self != self || len(tc.g) != len(g) {
+func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) bool {
+	// An empty cache has an empty g; a cached g is never empty (it had a
+	// valid rank).
+	if len(g) == 0 || len(tc.g) != len(g) || &tc.g[0] != &g[0] {
 		return false
 	}
-	if alg == mcp.GB && tc.dim != dim {
-		return false
-	}
-	for i, ep := range g {
-		if tc.g[i] != ep {
-			return false
-		}
-	}
-	return true
+	return tc.alg == alg && tc.self == self && tc.lm == lm && (alg != mcp.GB || tc.dim == dim)
 }
 
-// neighbourhood returns rank self's neighborhood in the given barrier,
-// reusing the memoized one when the inputs match the previous call.
-func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int) (*tokenCache, error) {
+// neighbourhood is the one place a rank's position in a barrier or collective
+// is decided: rank self's neighborhood in the given group, algorithm and
+// (for GB) tree dimension and leaf map, reusing the memoized one when the
+// inputs are those of the previous call. The result is valid until the next
+// call.
+func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) (*tokenCache, error) {
 	tc := &c.tokCache
-	if tc.matches(alg, g, self, dim) {
+	if tc.matches(alg, g, self, dim, lm) {
 		return tc, nil
 	}
-	tok, err := NICBarrierToken(alg, g, self, dim, c.leafOf)
+	tok, err := NICBarrierToken(alg, g, self, dim, lm)
 	if err != nil {
 		return nil, err
 	}
-	tc.valid = true
-	tc.alg, tc.self, tc.dim = alg, self, dim
-	tc.g = append(tc.g[:0], g...)
-	tc.peers, tc.root, tc.parent, tc.children = tok.Peers, tok.Root, tok.Parent, tok.Children
+	*tc = tokenCache{
+		alg: alg, self: self, dim: dim, lm: lm, g: g,
+		peers: tok.Peers, root: tok.Root, parent: tok.Parent, children: tok.Children,
+	}
 	return tc, nil
 }
 
 // barrierToken returns a fresh token for the given barrier.
 func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
-	nb, err := c.neighbourhood(alg, g, self, dim)
+	nb, err := c.neighbourhood(alg, g, self, dim, c.leafMap)
 	if err != nil {
 		return nil, err
 	}
@@ -115,15 +114,12 @@ func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.Ba
 }
 
 // SetLeafMap makes this Comm's GB barriers, NIC- and host-based,
-// topology-aware: leafOf maps node rank to leaf-switch index (see
-// cluster.Topology().LeafOf and GBTree), so the tree keeps its edges inside
-// one crossbar wherever it can and trunk crossings are minimized. Nil (the
-// default) is the flat tree. PE ignores the map. The slice is kept, not
-// copied; set it once, before the first barrier.
-func (c *Comm) SetLeafMap(leafOf []int) {
-	c.leafOf = leafOf
-	c.tokCache.valid = false
-}
+// topology-aware: lm groups the ranks by leaf switch (see NewLeafMap and
+// GBTree), so the tree keeps its edges inside one crossbar wherever it can
+// and trunk crossings are minimized. Nil (the default) is the flat tree. PE
+// and the collectives ignore the map. Build one map per cell and hand every
+// rank's Comm the same pointer.
+func (c *Comm) SetLeafMap(lm *LeafMap) { c.leafMap = lm }
 
 // NewComm wraps an open port and pre-posts bufs receive buffers.
 func NewComm(p *host.Process, port *gm.Port, bufs int) (*Comm, error) {
@@ -225,7 +221,7 @@ func (c *Comm) dropArrival(src mcp.Endpoint) {
 // Barrier runs a blocking NIC-based barrier for rank self of the group
 // using the given algorithm (dim applies to GB). This is the paper's fast
 // path: one host->NIC token, NIC-to-NIC message exchange, one completion
-// event back.
+// event back. g must not change once used (see Group).
 func (c *Comm) Barrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) error {
 	pb, err := c.StartBarrier(p, alg, g, self, dim)
 	if err != nil {
@@ -254,7 +250,7 @@ func (pb *PendingBarrier) Dead() []network.NodeID { return pb.dead }
 // StartBarrier initiates a NIC-based barrier and returns immediately —
 // the fuzzy-barrier entry point (Sections 1 and 5.2: "because we separate
 // the barrier initiation from the polling of the barrier completion, a
-// fuzzy barrier can be performed").
+// fuzzy barrier can be performed"). g must not change once used (see Group).
 func (c *Comm) StartBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (PendingBarrier, error) {
 	tok, err := c.barrierToken(alg, g, self, dim)
 	if err != nil {
@@ -308,9 +304,9 @@ func (pb *PendingBarrier) takeDone() bool {
 // for each scheduled peer, send a message and wait for that peer's message
 // — every intermediate message crosses the PCI bus twice and is processed
 // by the host, which is precisely the overhead the NIC-based barrier
-// removes (Figure 1).
+// removes (Figure 1). g must not change once used (see Group).
 func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
-	nb, err := c.neighbourhood(mcp.PE, g, self, 0)
+	nb, err := c.neighbourhood(mcp.PE, g, self, 0, c.leafMap)
 	if err != nil {
 		return err
 	}
@@ -330,9 +326,9 @@ func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
 // the parent's broadcast, forward the broadcast to the children and exit.
 // The broadcast sends are posted back to back, so they pipeline through
 // the NIC — the effect the paper credits for the host-based GB's
-// competitiveness (Section 6).
+// competitiveness (Section 6). g must not change once used (see Group).
 func (c *Comm) HostBarrierGB(p *host.Process, g Group, self, dim int) error {
-	nb, err := c.neighbourhood(mcp.GB, g, self, dim)
+	nb, err := c.neighbourhood(mcp.GB, g, self, dim, c.leafMap)
 	if err != nil {
 		return err
 	}

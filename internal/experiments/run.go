@@ -218,14 +218,15 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 	cl := s.Cluster
 	n := cl.Nodes()
 	g := core.UniformGroup(n, 2)
-	var leafOf []int
+	// One leaf grouping per cell: every rank's Comm gets the same pointer.
+	var lm *core.LeafMap
 	if spec.TopoAware {
-		leafOf = cl.Topology().LeafOf()
+		lm = core.NewLeafMap(cl.Topology().LeafOf())
 	}
 	lastDead := make([][]network.NodeID, n)
 	w, err := s.timed(spec.Warmup, spec.Iters, rec, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
 		rank := p.Rank()
-		comm.SetLeafMap(leafOf)
+		comm.SetLeafMap(lm)
 		if spec.Level == HostLevel {
 			return func(int) error { return comm.HostBarrier(p, spec.Alg, g, rank, spec.Dim) }, nil
 		}

@@ -16,18 +16,20 @@ import (
 // 8-byte alignment for the DMA model).
 const entryHeader = 8
 
-// packEntry prepends the rank tag to a block.
-func packEntry(rank int, block []byte) []byte {
+// PackEntry prepends the rank tag to a block. With AssembleGather it is the
+// allgather wire codec, used by the firmware and by the host-level baseline
+// (core.HostAllGather) alike.
+func PackEntry(rank int, block []byte) []byte {
 	out := make([]byte, entryHeader+len(block))
 	binary.LittleEndian.PutUint64(out, uint64(int64(rank)))
 	copy(out[entryHeader:], block)
 	return out
 }
 
-// assembleGather scatters tagged entries into a rank-ordered array of
+// AssembleGather scatters tagged entries into a rank-ordered array of
 // groupSize blocks of blockSize bytes each. Unknown or duplicate ranks
 // return an error.
-func assembleGather(entries []byte, groupSize, blockSize int) ([]byte, error) {
+func AssembleGather(entries []byte, groupSize, blockSize int) ([]byte, error) {
 	stride := entryHeader + blockSize
 	if len(entries)%stride != 0 {
 		return nil, fmt.Errorf("mcp: allgather payload %d not a multiple of %d", len(entries), stride)
@@ -56,7 +58,7 @@ func assembleGather(entries []byte, groupSize, blockSize int) ([]byte, error) {
 // postAllGather initializes an AllGather token's accumulator with the
 // local tagged block. Called from PostCollectiveToken.
 func (t *CollToken) initAllGather() {
-	t.acc = packEntry(t.Rank, t.Value)
+	t.acc = PackEntry(t.Rank, t.Value)
 	t.reducedFrom = make([]bool, len(t.Children))
 }
 
@@ -67,7 +69,7 @@ func (t *CollToken) agAbsorb(data []byte) {
 
 // agFinishRoot assembles the rank-ordered array at the root.
 func (m *MCP) agFinishRoot(p *Port, tok *CollToken) {
-	full, err := assembleGather(tok.acc, tok.GroupSize, tok.BlockSize)
+	full, err := AssembleGather(tok.acc, tok.GroupSize, tok.BlockSize)
 	if err != nil {
 		// A malformed gather is a protocol violation; surface it and
 		// deliver nothing rather than corrupt data.

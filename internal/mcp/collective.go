@@ -82,9 +82,10 @@ func (o ReduceOp) String() string {
 // ElemBytes is the reduce element width.
 const ElemBytes = 8
 
-// combine applies op element-wise: dst = dst (op) src. Short or ragged
-// vectors combine over the common prefix of whole elements.
-func (o ReduceOp) combine(dst, src []byte) {
+// Combine applies op element-wise: dst = dst (op) src. Short or ragged
+// vectors combine over the common prefix of whole elements. It is the one
+// copy of the rule: the host-level baselines (core, mpi) call it too.
+func (o ReduceOp) Combine(dst, src []byte) {
 	n := len(dst)
 	if len(src) < n {
 		n = len(src)
@@ -159,7 +160,7 @@ func (t *CollToken) absorb(data []byte) {
 		t.agAbsorb(data)
 		return
 	}
-	t.Reduce.combine(t.acc, data)
+	t.Reduce.Combine(t.acc, data)
 }
 
 func (t *CollToken) remainingPartials() int {

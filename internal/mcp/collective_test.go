@@ -30,7 +30,7 @@ func TestReduceOpCombine(t *testing.T) {
 	}
 	for _, c := range cases {
 		dst := enc(c.a)
-		c.op.combine(dst, enc(c.b))
+		c.op.Combine(dst, enc(c.b))
 		if !bytes.Equal(dst, enc(c.w)) {
 			t.Errorf("%v(%d,%d): got %v want %v", c.op, c.a, c.b, dst, enc(c.w))
 		}
@@ -41,12 +41,12 @@ func TestCombineRaggedVectors(t *testing.T) {
 	dst := make([]byte, 16) // 2 elements
 	src := make([]byte, 8)  // 1 element
 	src[0] = 5
-	OpSum.combine(dst, src)
+	OpSum.Combine(dst, src)
 	if dst[0] != 5 || dst[8] != 0 {
 		t.Fatalf("ragged combine wrong: %v", dst)
 	}
 	// Partial trailing bytes are ignored.
-	OpSum.combine(dst[:12], src)
+	OpSum.Combine(dst[:12], src)
 	if dst[0] != 10 {
 		t.Fatal("whole-element prefix not combined")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"gmsim/internal/lanai"
 	"gmsim/internal/network"
@@ -755,5 +756,14 @@ func TestStatsAccessors(t *testing.T) {
 	p := r.mcps[0].Port(2)
 	if !p.Open() || p.Num() != 2 || p.RecvTokens() != 0 || p.BarrierBufs() != 0 {
 		t.Fatal("port accessors wrong")
+	}
+}
+
+// TestBarrierTokenSize pins the token's malloc size class: one token is
+// allocated per rank per barrier, and a field added in the wrong place moves
+// it from 144 bytes to the 160-byte class.
+func TestBarrierTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(BarrierToken{}); got > 144 {
+		t.Fatalf("BarrierToken is %d bytes, want <= 144", got)
 	}
 }

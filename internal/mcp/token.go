@@ -60,17 +60,18 @@ type BarrierToken struct {
 	Index int
 
 	// GB state: the tree neighborhood computed by the host.
-	// Root is true when this node is the tree root (no parent).
-	Root     bool
-	Parent   Endpoint
-	Children []Endpoint
-	// gatherFrom[i] is true once child i's gather message is consumed.
-	gatherFrom []bool
+	// Root is true when this node is the tree root (no parent). The three
+	// flags sit in one word: a token is allocated per rank per barrier, and
+	// 144 bytes is a malloc size class where 152 rounds up to 160.
+	Root bool
 	// sentGather is true once this node's own gather went to its parent.
 	sentGather bool
-
 	// completed guards against double completion.
 	completed bool
+	Parent    Endpoint
+	Children  []Endpoint
+	// gatherFrom[i] is true once child i's gather message is consumed.
+	gatherFrom []bool
 }
 
 // remainingGathers counts children whose gather has not been consumed.

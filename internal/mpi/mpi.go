@@ -85,6 +85,15 @@ type World struct {
 	rank int
 	cfg  Config
 
+	// The host-level walks, fixed with the group at NewWorld: the PE
+	// schedule, and this rank's place in the dimension-Dim tree or, in
+	// treeErr, why the group has no such tree (a 2-rank world under the
+	// default Dim 2 still has its point-to-point operations and barrier).
+	sched    []int
+	parent   int
+	children []int
+	treeErr  error
+
 	// pending holds received-but-unmatched messages in arrival order
 	// (MPI's unexpected message queue).
 	pending []Message
@@ -92,13 +101,16 @@ type World struct {
 
 // NewWorld wraps an open Comm for rank self of the group.
 func NewWorld(comm *core.Comm, g core.Group, self int, cfg Config) (*World, error) {
-	if self < 0 || self >= len(g) {
-		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", self, len(g))
+	sched, err := core.PESchedule(self, len(g))
+	if err != nil {
+		return nil, fmt.Errorf("mpi: %w", err)
 	}
 	if cfg.Dim < 1 {
 		cfg.Dim = 2
 	}
-	return &World{comm: comm, g: g, rank: self, cfg: cfg}, nil
+	w := &World{comm: comm, g: g, rank: self, cfg: cfg, sched: sched}
+	w.parent, w.children, w.treeErr = core.GBTree(self, len(g), cfg.Dim, nil)
+	return w, nil
 }
 
 // Rank returns this process's rank.
@@ -157,11 +169,7 @@ func (w *World) Barrier(p *host.Process) error {
 	if w.cfg.UseNICBarrier {
 		return w.comm.Barrier(p, mcp.PE, w.g, w.rank, 0)
 	}
-	sched, err := core.PESchedule(w.rank, len(w.g))
-	if err != nil {
-		return err
-	}
-	for _, r := range sched {
+	for _, r := range w.sched {
 		if err := w.Send(p, r, tagBarrier, nil); err != nil {
 			return err
 		}
@@ -177,18 +185,17 @@ func (w *World) Bcast(p *host.Process, data []byte) ([]byte, error) {
 	if w.cfg.UseNICCollectives {
 		return w.comm.NICBroadcast(p, w.g, w.rank, w.cfg.Dim, data)
 	}
-	parent, children, err := core.GBTree(w.rank, len(w.g), w.cfg.Dim, nil)
-	if err != nil {
-		return nil, err
+	if w.treeErr != nil {
+		return nil, w.treeErr
 	}
-	if parent >= 0 {
-		m, err := w.Recv(p, parent, tagBcast)
+	if w.parent >= 0 {
+		m, err := w.Recv(p, w.parent, tagBcast)
 		if err != nil {
 			return nil, err
 		}
 		data = m.Data
 	}
-	for _, ch := range children {
+	for _, ch := range w.children {
 		if err := w.Send(p, ch, tagBcast, data); err != nil {
 			return nil, err
 		}
@@ -207,60 +214,31 @@ func (w *World) Allreduce(p *host.Process, op mcp.ReduceOp, values []int64) ([]i
 		}
 		return core.DecodeInt64s(out), nil
 	}
-	parent, children, err := core.GBTree(w.rank, len(w.g), w.cfg.Dim, nil)
-	if err != nil {
-		return nil, err
+	if w.treeErr != nil {
+		return nil, w.treeErr
 	}
 	acc := append([]byte(nil), payload...)
-	for _, ch := range children {
+	for _, ch := range w.children {
 		m, err := w.Recv(p, ch, tagReduce)
 		if err != nil {
 			return nil, err
 		}
-		combineInt64(op, acc, m.Data)
+		op.Combine(acc, m.Data)
 	}
-	if parent >= 0 {
-		if err := w.Send(p, parent, tagReduce, acc); err != nil {
+	if w.parent >= 0 {
+		if err := w.Send(p, w.parent, tagReduce, acc); err != nil {
 			return nil, err
 		}
-		m, err := w.Recv(p, parent, tagBcast)
+		m, err := w.Recv(p, w.parent, tagBcast)
 		if err != nil {
 			return nil, err
 		}
 		acc = m.Data
 	}
-	for _, ch := range children {
+	for _, ch := range w.children {
 		if err := w.Send(p, ch, tagBcast, acc); err != nil {
 			return nil, err
 		}
 	}
 	return core.DecodeInt64s(acc), nil
-}
-
-// combineInt64 merges src into dst element-wise (host-level combine).
-func combineInt64(op mcp.ReduceOp, dst, src []byte) {
-	d := core.DecodeInt64s(dst)
-	s := core.DecodeInt64s(src)
-	for i := range d {
-		if i >= len(s) {
-			break
-		}
-		switch op {
-		case mcp.OpSum:
-			d[i] += s[i]
-		case mcp.OpMin:
-			if s[i] < d[i] {
-				d[i] = s[i]
-			}
-		case mcp.OpMax:
-			if s[i] > d[i] {
-				d[i] = s[i]
-			}
-		case mcp.OpBAnd:
-			d[i] &= s[i]
-		case mcp.OpBOr:
-			d[i] |= s[i]
-		}
-	}
-	copy(dst, core.EncodeInt64s(d))
 }
