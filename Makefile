@@ -10,10 +10,15 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet, gofmt, and the one layering rule: internal/route's BFS is the
+# oracle internal/topo's arithmetic router is tested against, so no binary
+# may link it.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
+	@if $(GO) list -deps ./cmd/... ./bench ./examples/... | grep -qx gmsim/internal/route; then \
+		echo "a binary imports gmsim/internal/route (routing oracle: tests only)"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -9,6 +9,7 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 	"gmsim/internal/sim"
 )
 
@@ -117,6 +118,21 @@ func TestStressMixedTraffic(t *testing.T) {
 	}
 }
 
+// randomLoss is a network.FaultHook that drops each hop with probability rate,
+// drawn from one stream per link derived from (seed, link).
+type randomLoss struct {
+	rate    float64
+	seed    int64
+	streams map[network.LinkID]*rand.Rand
+}
+
+func (l *randomLoss) OnHop(link network.LinkID, _ *network.Packet, _ sim.Time) network.Verdict {
+	if l.streams[link] == nil {
+		l.streams[link] = network.LinkStream(l.seed, link)
+	}
+	return network.Verdict{Drop: l.streams[link].Float64() < l.rate, Reason: "loss"}
+}
+
 // TestStressReliableBarriersUnderLoss runs many consecutive NIC barriers
 // on a lossy fabric in reliable mode: all must complete.
 func TestStressReliableBarriersUnderLoss(t *testing.T) {
@@ -124,7 +140,7 @@ func TestStressReliableBarriersUnderLoss(t *testing.T) {
 		cfg := cluster.DefaultConfig(4)
 		cfg.ReliableBarrier = true
 		cl := cluster.New(cfg)
-		cl.Fabric().SetLossRate(0.08, seed)
+		cl.Fabric().SetFaultHook(&randomLoss{0.08, seed, make(map[network.LinkID]*rand.Rand)})
 		g := UniformGroup(4, 2)
 		done := make([]int, 4)
 		cl.SpawnAll(func(p *host.Process) {

@@ -94,21 +94,14 @@ func TestTunedSweepDeterminism(t *testing.T) {
 
 // TestTopoScale8192Smoke: the headline scale extension — an 8192-node
 // radix-32 fat-tree row, GB dimension tuned, all four barrier variants
-// measured, every route algebraic. Skipped in -short (the CI scale job runs
-// it under timeout).
+// measured. Skipped in -short (the CI scale job runs it under timeout).
 func TestTopoScale8192Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8192-node fabric simulation is slow; skipped in -short")
 	}
-	before := topo.BFSPasses()
 	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{8192}, Radix: 32, Iters: 3, Tuned: true})
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
-	}
-	// The O(1)-per-route claim in counted work: building, tuning and
-	// running all four variants on the fabric never falls back to BFS.
-	if got := topo.BFSPasses(); got != before {
-		t.Fatalf("8192-node sweep ran %d BFS passes, want 0", got-before)
 	}
 	r := rows[0]
 	if r.Nodes != 8192 || r.Switches != 1280 || r.Diameter != 5 {
@@ -142,8 +135,8 @@ func TestTuned8192Determinism(t *testing.T) {
 }
 
 // TestTopoScale65536Tuning: the 65536-node fat-tree (radix 64, exactly
-// full) builds, routes algebraically in O(1), and tunes — no DES run at
-// this size, route construction was the ceiling. Skipped in -short.
+// full) builds, routes and tunes — no DES run at this size. Skipped in
+// -short.
 func TestTopoScale65536Tuning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("65536-node route/tuning pass is slow; skipped in -short")
@@ -152,9 +145,6 @@ func TestTopoScale65536Tuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tp.Algebraic() {
-		t.Fatal("65536-node fat-tree should route algebraically")
-	}
 	st, err := tp.ComputeStats()
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +152,6 @@ func TestTopoScale65536Tuning(t *testing.T) {
 	if st.Diameter != 5 || st.Nodes != 65536 {
 		t.Fatalf("stats: %+v", st)
 	}
-	before := topo.BFSPasses()
 	for _, pair := range [][2]int{{0, 65535}, {1023, 1024}, {0, 31}, {40000, 12345}} {
 		r, err := tp.Route(pair[0], pair[1])
 		if err != nil {
@@ -171,9 +160,6 @@ func TestTopoScale65536Tuning(t *testing.T) {
 		if len(r) == 0 || len(r) > st.Diameter {
 			t.Fatalf("route %v: %x", pair, r)
 		}
-	}
-	if got := topo.BFSPasses(); got != before {
-		t.Fatalf("65536-node routes ran %d BFS passes", got-before)
 	}
 	if d := model.TunedGBDimOver(65536, 5, 20, model.GBCosts43(), model.TunedDims(65536)); d < 1 {
 		t.Fatalf("tuned dim %d", d)

@@ -45,10 +45,10 @@ func TestCrashFailStopsNode(t *testing.T) {
 	})
 
 	// Before the crash traffic flows both ways; after it, silence.
-	s.At(sim.FromMicros(1), func() { sendOne(f, ifaces[0], 0, 2) })
-	s.At(sim.FromMicros(20), func() { sendOne(f, ifaces[0], 0, 2) }) // into the corpse
-	s.At(sim.FromMicros(21), func() { sendOne(f, ifaces[2], 2, 0) }) // out of the corpse
-	s.At(sim.FromMicros(22), func() { sendOne(f, ifaces[0], 0, 1) }) // bystanders unaffected
+	s.At(sim.FromMicros(1), func() { sendOne(ifaces[0], 0, 2) })
+	s.At(sim.FromMicros(20), func() { sendOne(ifaces[0], 0, 2) }) // into the corpse
+	s.At(sim.FromMicros(21), func() { sendOne(ifaces[2], 2, 0) }) // out of the corpse
+	s.At(sim.FromMicros(22), func() { sendOne(ifaces[0], 0, 1) }) // bystanders unaffected
 	s.Run()
 
 	if *counts[2] != 1 || *counts[0] != 0 || *counts[1] != 1 {
@@ -86,9 +86,9 @@ func TestSwitchCrashPartitionsEverything(t *testing.T) {
 	plan := &Plan{SwitchCrashes: []SwitchCrash{{Switch: 0, At: sim.FromMicros(10)}}}
 	inj := Attach(plan, f, nil)
 
-	s.At(sim.FromMicros(1), func() { sendOne(f, ifaces[0], 0, 1) })
-	s.At(sim.FromMicros(20), func() { sendOne(f, ifaces[0], 0, 1) })
-	s.At(sim.FromMicros(21), func() { sendOne(f, ifaces[2], 2, 0) })
+	s.At(sim.FromMicros(1), func() { sendOne(ifaces[0], 0, 1) })
+	s.At(sim.FromMicros(20), func() { sendOne(ifaces[0], 0, 1) })
+	s.At(sim.FromMicros(21), func() { sendOne(ifaces[2], 2, 0) })
 	s.Run()
 
 	if *counts[1] != 1 || *counts[0] != 0 {
@@ -109,10 +109,10 @@ func TestCutIsPermanent(t *testing.T) {
 	}}}
 	inj := Attach(plan, f, nil)
 
-	s.At(sim.FromMicros(1), func() { sendOne(f, ifaces[0], 0, 1) })
-	s.At(sim.FromMicros(20), func() { sendOne(f, ifaces[0], 0, 1) }) // rx cut: dropped
-	s.At(sim.FromMicros(21), func() { sendOne(f, ifaces[1], 1, 0) }) // tx still up
-	s.At(sim.FromMicros(10000), func() { sendOne(f, ifaces[0], 0, 1) })
+	s.At(sim.FromMicros(1), func() { sendOne(ifaces[0], 0, 1) })
+	s.At(sim.FromMicros(20), func() { sendOne(ifaces[0], 0, 1) }) // rx cut: dropped
+	s.At(sim.FromMicros(21), func() { sendOne(ifaces[1], 1, 0) }) // tx still up
+	s.At(sim.FromMicros(10000), func() { sendOne(ifaces[0], 0, 1) })
 	s.Run()
 
 	if *counts[1] != 1 || *counts[0] != 1 {

@@ -26,12 +26,9 @@ func testFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Iface
 	return s, f, ifaces, counts
 }
 
-func sendOne(f *network.Fabric, iface *network.Iface, src, dst network.NodeID) {
-	r, err := f.Route(src, dst)
-	if err != nil {
-		panic(err)
-	}
-	iface.Transmit(&network.Packet{Route: r, Src: src, Dst: dst, Size: 64})
+// sendOne transmits one packet; node d hangs off port d of the one switch.
+func sendOne(iface *network.Iface, src, dst network.NodeID) {
+	iface.Transmit(&network.Packet{Route: []byte{byte(dst)}, Src: src, Dst: dst, Size: 64})
 }
 
 // TestFlapDropsDuringOutage: packets sent while the link is down vanish;
@@ -47,7 +44,7 @@ func TestFlapDropsDuringOutage(t *testing.T) {
 
 	for _, at := range []float64{1, 12, 15, 25} {
 		at := at
-		s.At(sim.FromMicros(at), func() { sendOne(f, ifaces[0], 0, 1) })
+		s.At(sim.FromMicros(at), func() { sendOne(ifaces[0], 0, 1) })
 	}
 	s.Run()
 	if *counts[1] != 2 {
@@ -71,7 +68,7 @@ func TestLossRuleWindow(t *testing.T) {
 	inj := Attach(plan, f, nil)
 	for _, at := range []float64{1, 12, 25} {
 		at := at
-		s.At(sim.FromMicros(at), func() { sendOne(f, ifaces[0], 0, 1) })
+		s.At(sim.FromMicros(at), func() { sendOne(ifaces[0], 0, 1) })
 	}
 	s.Run()
 	if *counts[1] != 2 {
@@ -79,6 +76,23 @@ func TestLossRuleWindow(t *testing.T) {
 	}
 	if inj.Counters().Lost != 1 {
 		t.Fatalf("Lost = %d, want 1", inj.Counters().Lost)
+	}
+}
+
+// TestLossRuleExtremes: rate 1 delivers nothing, rate 0 delivers everything
+// (and installs no rule).
+func TestLossRuleExtremes(t *testing.T) {
+	for _, rate := range []float64{0, 1} {
+		s, f, ifaces, counts := testFabric(t)
+		inj := Attach(&Plan{Seed: 7, Loss: []LossRule{{Links: AllLinks(), Window: Always, Rate: rate}}}, f, nil)
+		for i := 0; i < 20; i++ {
+			sendOne(ifaces[0], 0, 1)
+		}
+		s.Run()
+		want := 20 - 20*int(rate)
+		if *counts[1] != want || inj.Counters().Lost != int64(20-want) {
+			t.Fatalf("rate %v: delivered %d, lost %d; want %d delivered", rate, *counts[1], inj.Counters().Lost, want)
+		}
 	}
 }
 
@@ -102,8 +116,7 @@ func TestCorruptedImageDiffers(t *testing.T) {
 
 	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	s.At(0, func() {
-		r, _ := f.Route(0, 1)
-		if0.Transmit(&network.Packet{Route: r, Src: 0, Dst: 1, Size: 64, Payload: wirePayload{b: orig}})
+		if0.Transmit(&network.Packet{Route: []byte{1}, Src: 0, Dst: 1, Size: 64, Payload: wirePayload{b: orig}})
 	})
 	s.Run()
 	if got == nil {
@@ -143,8 +156,7 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 	inj := Attach(&Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1, Truncate: true}}}, f, nil)
 
 	s.At(0, func() {
-		r, _ := f.Route(0, 1)
-		if0.Transmit(&network.Packet{Route: r, Src: 0, Dst: 1, Size: 64, Payload: "hdr"})
+		if0.Transmit(&network.Packet{Route: []byte{1}, Src: 0, Dst: 1, Size: 64, Payload: "hdr"})
 	})
 	s.Run()
 	if got == nil {
@@ -168,7 +180,7 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 func TestDuplicateDelivers(t *testing.T) {
 	s, f, ifaces, counts := testFabric(t)
 	inj := Attach(&Plan{Duplicate: []DupRule{{Links: NodeLinks(1), Window: Always, Rate: 1}}}, f, nil)
-	s.At(0, func() { sendOne(f, ifaces[0], 0, 1) })
+	s.At(0, func() { sendOne(ifaces[0], 0, 1) })
 	s.Run()
 	// The cable has two directed channels; only the Rx direction carries
 	// this packet, and each hop with rate 1 duplicates once.
@@ -258,9 +270,9 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			i := i
 			s.At(sim.FromMicros(float64(10*i)), func() {
-				sendOne(f, if0, 0, 1)
+				sendOne(if0, 0, 1)
 				if crossTraffic && i%2 == 0 {
-					sendOne(f, if2, 2, 1)
+					sendOne(if2, 2, 1)
 				}
 			})
 		}
@@ -295,7 +307,7 @@ func TestEmptyPlanIsFree(t *testing.T) {
 		}
 		for i := 0; i < 10; i++ {
 			i := i
-			s.At(sim.FromMicros(float64(5*i)), func() { sendOne(f, if0, 0, 1) })
+			s.At(sim.FromMicros(float64(5*i)), func() { sendOne(if0, 0, 1) })
 		}
 		s.Run()
 		return times

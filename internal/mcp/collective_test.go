@@ -193,7 +193,7 @@ func TestReliableCollectiveSurvivesLoss(t *testing.T) {
 	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ReliableBarrier = true })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
-	r.fab.SetLossRate(0.2, 31)
+	r.fab.SetFaultHook(randomLoss(0.2, 31))
 	payload := []byte{9, 0, 0, 0, 0, 0, 0, 0}
 	postColl(t, r, 0, &CollToken{Op: AllReduce, Reduce: OpSum, Root: true,
 		Children: []Endpoint{{Node: 1, Port: 2}}, Value: payload})

@@ -3,6 +3,7 @@ package mcp
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -36,10 +37,31 @@ func newRig(t *testing.T, n int, mutate func(i int, cfg *Config)) *rig {
 		}
 		m := New(nic, cfg)
 		iface := r.fab.AttachNIC(node, sw, i, network.DefaultLinkParams(), m.HandleDelivered)
-		m.Attach(iface, func(dst network.NodeID) ([]byte, error) { return r.fab.Route(node, dst) })
+		// Node d hangs off port d of the one switch.
+		m.Attach(iface, func(dst network.NodeID) ([]byte, error) { return []byte{byte(dst)}, nil })
 		r.mcps = append(r.mcps, m)
 	}
 	return r
+}
+
+// dropIf is a network.FaultHook that drops, with reason "loss", every
+// packet its predicate picks.
+type dropIf func(link network.LinkID, p *network.Packet) bool
+
+func (d dropIf) OnHop(link network.LinkID, p *network.Packet, _ sim.Time) network.Verdict {
+	return network.Verdict{Drop: d(link, p), Reason: "loss"}
+}
+
+// randomLoss drops each hop with the given probability, drawn from one stream
+// per link derived from (seed, link).
+func randomLoss(rate float64, seed int64) dropIf {
+	streams := make(map[network.LinkID]*rand.Rand)
+	return func(link network.LinkID, _ *network.Packet) bool {
+		if streams[link] == nil {
+			streams[link] = network.LinkStream(seed, link)
+		}
+		return streams[link].Float64() < rate
+	}
 }
 
 // open opens a port and records its delivered events.
@@ -203,14 +225,14 @@ func TestDataLossRecovered(t *testing.T) {
 	r.provide(t, 1, 2, 20)
 	// Drop the first data packet once.
 	dropped := false
-	r.fab.SetLossFunc(func(p *network.Packet) bool {
+	r.fab.SetFaultHook(dropIf(func(_ network.LinkID, p *network.Packet) bool {
 		f, ok := p.Payload.(*Frame)
 		if ok && f.Kind == DataFrame && !dropped {
 			dropped = true
 			return true
 		}
 		return false
-	})
+	}))
 	for i := 0; i < 5; i++ {
 		if err := r.mcps[0].PostSendToken(&SendToken{
 			SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte{byte(i)},
@@ -245,7 +267,7 @@ func TestDataHeavyRandomLoss(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 100)
-	r.fab.SetLossRate(0.1, 1234)
+	r.fab.SetFaultHook(randomLoss(0.1, 1234))
 	for i := 0; i < 40; i++ {
 		if err := r.mcps[0].PostSendToken(&SendToken{
 			SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte{byte(i)},
@@ -271,14 +293,14 @@ func TestAckLossRecoveredByTimer(t *testing.T) {
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 10)
 	dropped := false
-	r.fab.SetLossFunc(func(p *network.Packet) bool {
+	r.fab.SetFaultHook(dropIf(func(_ network.LinkID, p *network.Packet) bool {
 		f, ok := p.Payload.(*Frame)
 		if ok && f.Kind == AckFrame && !dropped {
 			dropped = true
 			return true
 		}
 		return false
-	})
+	}))
 	if err := r.mcps[0].PostSendToken(&SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "t",
 	}); err != nil {
@@ -647,7 +669,7 @@ func TestReliableBarrierSurvivesLoss(t *testing.T) {
 	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ReliableBarrier = true })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
-	r.fab.SetLossRate(0.2, 99)
+	r.fab.SetFaultHook(randomLoss(0.2, 99))
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 1, Port: 2}})
 	postPEBarrier(t, r, 1, 2, []Endpoint{{Node: 0, Port: 2}})
 	r.s.Run()
@@ -665,14 +687,14 @@ func TestUnreliableBarrierHangsOnLoss(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	dropped := false
-	r.fab.SetLossFunc(func(p *network.Packet) bool {
+	r.fab.SetFaultHook(dropIf(func(_ network.LinkID, p *network.Packet) bool {
 		f, ok := p.Payload.(*Frame)
 		if ok && f.Kind == BarrierPEFrame && !dropped {
 			dropped = true
 			return true
 		}
 		return false
-	})
+	}))
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 1, Port: 2}})
 	postPEBarrier(t, r, 1, 2, []Endpoint{{Node: 0, Port: 2}})
 	r.s.Run()
@@ -686,7 +708,7 @@ func TestReliableBarrierManyConsecutiveUnderLoss(t *testing.T) {
 	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ReliableBarrier = true })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
-	r.fab.SetLossRate(0.1, 7)
+	r.fab.SetFaultHook(randomLoss(0.1, 7))
 	const rounds = 10
 	var run func(node, peer, left int)
 	run = func(node, peer, left int) {

@@ -16,7 +16,7 @@ func runBackoffSchedule(t *testing.T, maxRetries int) ([]sim.Time, RecoveryStats
 	r := newRig(t, 2, func(i int, cfg *Config) {
 		cfg.Params.MaxRetries = maxRetries
 	})
-	r.fab.SetLossFunc(func(p *network.Packet) bool { return p.Dst == 1 })
+	r.fab.SetFaultHook(dropIf(func(_ network.LinkID, p *network.Packet) bool { return p.Dst == 1 }))
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 4)
@@ -79,7 +79,7 @@ func TestBackoffResetsOnAckProgress(t *testing.T) {
 	r := newRig(t, 2, func(i int, cfg *Config) {
 		cfg.Params.MaxRetries = 100
 	})
-	r.fab.SetLossFunc(func(p *network.Packet) bool { return blackhole && p.Dst == 1 })
+	r.fab.SetFaultHook(dropIf(func(_ network.LinkID, p *network.Packet) bool { return blackhole && p.Dst == 1 }))
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 8)

@@ -5,27 +5,18 @@ import (
 	"math/rand"
 
 	"gmsim/internal/mem"
-	"gmsim/internal/route"
 	"gmsim/internal/sim"
 )
 
 // Fabric is a complete Myrinet network: switches, cables, and NIC
-// interfaces, plus route computation over the resulting topology.
+// interfaces. It forwards along the source route each packet carries and
+// computes none (internal/topo does).
 type Fabric struct {
 	sim      *sim.Simulator
 	switches []*Switch
 	ifaces   map[NodeID]*Iface
-	graph    *route.Graph
 	observer Observer
 	hook     FaultHook
-
-	lossFn func(p *Packet) bool
-	// Random loss (SetLossRate) draws from one independent seeded stream
-	// per directed channel, so traffic on one link never perturbs the drop
-	// pattern of another.
-	lossRate    float64
-	lossSeed    int64
-	lossStreams map[LinkID]*rand.Rand
 
 	nextLink LinkID
 	nicLinks map[NodeID]NICLinks
@@ -45,7 +36,6 @@ func New(s *sim.Simulator) *Fabric {
 	return &Fabric{
 		sim:      s,
 		ifaces:   make(map[NodeID]*Iface),
-		graph:    route.NewGraph(),
 		nicLinks: make(map[NodeID]NICLinks),
 	}
 }
@@ -63,10 +53,10 @@ func (f *Fabric) Dropped() int64 { return f.dropped }
 func (f *Fabric) SetObserver(o Observer) { f.observer = o }
 
 // SetFaultHook installs a fault-injection hook consulted at every channel
-// hop, before the fabric's own loss injection (see internal/fault).
-// nil clears it. The hook rules on hops that start — whose packet is handed
-// to the channel — after the call; a head already under way arrives unruled
-// (fault.Attach installs at build time, before any traffic).
+// hop — the one thing that can rule on a packet in flight (see
+// internal/fault). nil clears it. The hook rules on hops that start — whose
+// packet is handed to the channel — after the call; a head already under way
+// arrives unruled (fault.Attach installs at build time, before any traffic).
 func (f *Fabric) SetFaultHook(h FaultHook) { f.hook = h }
 
 // NoteFault forwards a fault-layer event to the observer, if the observer
@@ -78,30 +68,10 @@ func (f *Fabric) NoteFault(kind string, p *Packet, detail string) {
 	}
 }
 
-// SetLossFunc installs a deterministic per-hop loss predicate: any packet
-// head arriving at any sink for which fn returns true is discarded.
-// Used by reliability tests to drop specific packets. nil clears it.
-// Like a fault hook, it rules on hops that start after the call.
-func (f *Fabric) SetLossFunc(fn func(p *Packet) bool) { f.lossFn = fn }
-
-// SetLossRate installs a seeded random per-hop loss probability.
-// Each directed channel draws from its own stream, derived from
-// (seed, link ID), so adding an unrelated flow on other links leaves an
-// existing flow's drop pattern unchanged. rate <= 0 clears loss injection.
-// Like a fault hook, it rules on hops that start after the call.
-func (f *Fabric) SetLossRate(rate float64, seed int64) {
-	if rate <= 0 {
-		f.lossRate, f.lossStreams = 0, nil
-		return
-	}
-	f.lossRate = rate
-	f.lossSeed = seed
-	f.lossStreams = make(map[LinkID]*rand.Rand)
-}
-
 // LinkStream returns a rand stream deterministically derived from
-// (seed, link): the same derivation the per-link loss machinery uses,
-// exported so the fault layer shares it.
+// (seed, link), so a consumer that keeps one stream per link draws the same
+// decisions on a link whatever crosses the others (the fault layer's rules,
+// the firmware's jitter).
 func LinkStream(seed int64, link LinkID) *rand.Rand {
 	return rand.New(rand.NewSource(mix64(seed, int64(link))))
 }
@@ -115,25 +85,6 @@ func mix64(a, b int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-func (f *Fabric) dropPacket(link LinkID, p *Packet) bool {
-	if f.lossFn != nil && f.lossFn(p) {
-		f.drop(p, "loss")
-		return true
-	}
-	if f.lossRate > 0 {
-		rng, ok := f.lossStreams[link]
-		if !ok {
-			rng = LinkStream(f.lossSeed, link)
-			f.lossStreams[link] = rng
-		}
-		if rng.Float64() < f.lossRate {
-			f.drop(p, "loss")
-			return true
-		}
-	}
-	return false
-}
-
 func (f *Fabric) drop(p *Packet, reason string) {
 	f.dropped++
 	if f.observer != nil {
@@ -141,14 +92,10 @@ func (f *Fabric) drop(p *Packet, reason string) {
 	}
 }
 
-func switchVertex(id int) route.Vertex { return route.Vertex(2 * id) }
-func nicVertex(n NodeID) route.Vertex  { return route.Vertex(2*int(n) + 1) }
-
 // AddSwitch creates a switch and returns it.
 func (f *Fabric) AddSwitch(params SwitchParams) *Switch {
 	sw := newSwitch(f, len(f.switches), params)
 	f.switches = append(f.switches, sw)
-	f.graph.AddVertex(switchVertex(sw.id), route.SwitchVertex)
 	return sw
 }
 
@@ -175,11 +122,6 @@ func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, rec
 	f.noteSwitchLink(sw.id, iface.tx.id)
 	f.noteSwitchLink(sw.id, sw.out[port].id)
 	f.ifaces[node] = iface
-
-	nv, sv := nicVertex(node), switchVertex(sw.id)
-	f.graph.AddVertex(nv, route.NICVertex)
-	f.graph.AddEdge(nv, 0, sv)
-	f.graph.AddEdge(sv, port, nv)
 	return iface
 }
 
@@ -194,19 +136,6 @@ func (f *Fabric) ConnectSwitches(a *Switch, aPort int, b *Switch, bPort int, lp 
 	f.noteSwitchLink(b.id, a.out[aPort].id)
 	f.noteSwitchLink(a.id, b.out[bPort].id)
 	f.noteSwitchLink(b.id, b.out[bPort].id)
-	f.graph.AddEdge(switchVertex(a.id), aPort, switchVertex(b.id))
-	f.graph.AddEdge(switchVertex(b.id), bPort, switchVertex(a.id))
-}
-
-// Route computes the source route between two attached NICs.
-func (f *Fabric) Route(src, dst NodeID) ([]byte, error) {
-	if _, ok := f.ifaces[src]; !ok {
-		return nil, fmt.Errorf("network: NIC %d not attached", src)
-	}
-	if _, ok := f.ifaces[dst]; !ok {
-		return nil, fmt.Errorf("network: NIC %d not attached", dst)
-	}
-	return f.graph.Route(nicVertex(src), nicVertex(dst))
 }
 
 // newChannel allocates one directed channel with the next dense LinkID.

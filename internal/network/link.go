@@ -72,13 +72,13 @@ type channel struct {
 // If the channel is busy the packet waits (FIFO by virtue of busyUntil
 // monotonicity).
 //
-// A hop costs one event, not two, whenever nothing is installed that rules
-// on packets at the end of a channel: the sink schedules its own follow-up
-// (forward or deliver) from here, and no arrival event runs. The follow-up
-// takes its place in same-instant order at the moment the arrival would have
-// taken its own — this call (packet.go, "Events per hop" and "Same-instant
-// order"). With a fault hook or loss injection installed the head's arrival
-// is an event of its own, where they rule.
+// A hop costs one event, not two, whenever no fault hook is installed to
+// rule on packets at the end of a channel: the sink schedules its own
+// follow-up (forward or deliver) from here, and no arrival event runs. The
+// follow-up takes its place in same-instant order at the moment the arrival
+// would have taken its own — this call (packet.go, "Events per hop" and
+// "Same-instant order"). With a hook installed the head's arrival is an
+// event of its own, where the hook rules.
 func (c *channel) transmit(p *Packet) {
 	f := c.fab
 	start := f.sim.Now()
@@ -88,7 +88,7 @@ func (c *channel) transmit(p *Packet) {
 	wire := c.params.wireTime(p.Size)
 	c.busyUntil = start + wire
 	headArrive := start + c.params.Latency
-	if f.hook == nil && f.lossFn == nil && f.lossRate <= 0 && c.sink.headDue(p, headArrive, wire) {
+	if f.hook == nil && c.sink.headDue(p, headArrive, wire) {
 		return
 	}
 	h, rec := c.pend.Get()
@@ -107,8 +107,8 @@ func (c *channel) arriveEvent(h uint64) {
 }
 
 // arrive runs at the instant a packet head reaches the end of the channel:
-// the fault hook rules on (and may mutate) the packet, then the fabric's
-// own loss injection applies, then the sink receives the head.
+// the fault hook rules on (and may mutate) the packet, then the sink receives
+// the head.
 func (c *channel) arrive(p *Packet, wire sim.Time) {
 	f := c.fab
 	if f.hook != nil {
@@ -118,7 +118,7 @@ func (c *channel) arrive(p *Packet, wire sim.Time) {
 			// Deliver an independent copy right behind the original, so a
 			// consumed route on one copy cannot corrupt the other.
 			dup := p.Clone()
-			s.At(s.Now(), func() { c.finish(dup, wire) })
+			s.At(s.Now(), func() { c.sink.headArrived(dup, wire) })
 		}
 		if v.Drop {
 			reason := v.Reason
@@ -128,15 +128,6 @@ func (c *channel) arrive(p *Packet, wire sim.Time) {
 			f.drop(p, reason)
 			return
 		}
-	}
-	c.finish(p, wire)
-}
-
-// finish applies the fabric's legacy loss injection and hands the head to
-// the sink.
-func (c *channel) finish(p *Packet, wire sim.Time) {
-	if c.fab.dropPacket(c.id, p) {
-		return
 	}
 	c.sink.headArrived(p, wire)
 }

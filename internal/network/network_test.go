@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,14 +38,19 @@ func newTestNet(n int, lp LinkParams, sp SwitchParams) *testNet {
 	return tn
 }
 
+// send transmits one packet; node d hangs off port d of the one switch.
 func (tn *testNet) send(src, dst NodeID, size int) *Packet {
-	r, err := tn.f.Route(src, dst)
-	if err != nil {
-		panic(err)
-	}
-	p := &Packet{Route: r, Src: src, Dst: dst, Size: size}
+	p := &Packet{Route: []byte{byte(dst)}, Src: src, Dst: dst, Size: size}
 	tn.f.Iface(src).Transmit(p)
 	return p
+}
+
+// dropIf is a FaultHook that drops, with reason "loss", every packet its
+// predicate picks.
+type dropIf func(p *Packet) bool
+
+func (d dropIf) OnHop(_ LinkID, p *Packet, _ sim.Time) Verdict {
+	return Verdict{Drop: d(p), Reason: "loss"}
 }
 
 func TestPointToPointDelivery(t *testing.T) {
@@ -165,46 +171,27 @@ func TestRouteLeftOverDropped(t *testing.T) {
 	}
 }
 
+// TestLossFuncDropsAndCounts: a hook's drop verdict discards the packet,
+// counts it and tells the observer the hook's reason; clearing the hook
+// restores delivery.
 func TestLossFuncDropsAndCounts(t *testing.T) {
 	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(2))
-	drops := 0
-	tn.f.SetLossFunc(func(p *Packet) bool { return p.Dst == 1 })
-	type obs struct{ Observer }
-	_ = obs{}
+	o := &countingObserver{}
+	tn.f.SetObserver(o)
+	tn.f.SetFaultHook(dropIf(func(p *Packet) bool { return p.Dst == 1 }))
 	tn.send(0, 1, 64)
 	tn.s.Run()
-	if tn.f.Dropped() == 0 {
-		t.Fatal("loss func did not drop")
+	if tn.f.Dropped() != 1 || !slices.Equal(o.reasons, []string{"loss"}) {
+		t.Fatalf("dropped = %d, reasons = %v; want one \"loss\"", tn.f.Dropped(), o.reasons)
 	}
 	if len(tn.recvd[1]) != 0 {
 		t.Fatal("lost packet was delivered")
 	}
-	_ = drops
-	// Clearing restores delivery.
-	tn.f.SetLossFunc(nil)
+	tn.f.SetFaultHook(nil)
 	tn.send(0, 1, 64)
 	tn.s.Run()
 	if len(tn.recvd[1]) != 1 {
-		t.Fatal("delivery after clearing loss func failed")
-	}
-}
-
-func TestLossRateSeededDeterministic(t *testing.T) {
-	run := func() int64 {
-		tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(2))
-		tn.f.SetLossRate(0.5, 42)
-		for i := 0; i < 100; i++ {
-			tn.send(0, 1, 64)
-		}
-		tn.s.Run()
-		return tn.f.Dropped()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("loss injection not deterministic: %d vs %d", a, b)
-	}
-	if a == 0 || a == 100 {
-		t.Fatalf("loss rate 0.5 dropped %d/100", a)
+		t.Fatal("delivery after clearing the hook failed")
 	}
 }
 
@@ -251,13 +238,8 @@ func TestTwoSwitchTopology(t *testing.T) {
 			delivered = append(delivered, s.Now())
 		})
 	}
-	r, err := f.Route(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != 2 {
-		t.Fatalf("cross-switch route = %v, want 2 hops", r)
-	}
+	// Out of A on the trunk, out of B on node 3's port.
+	r := []byte{7, 1}
 	f.Iface(0).Transmit(&Packet{Route: r, Src: 0, Dst: 3, Size: 64})
 	s.Run()
 	if len(delivered) != 1 {
@@ -267,16 +249,6 @@ func TestTwoSwitchTopology(t *testing.T) {
 	want := 3*lp.Latency + 2*sp.RouteDelay + lp.wireTime(64)
 	if delivered[0] != want {
 		t.Fatalf("delivery at %v, want %v", delivered[0], want)
-	}
-}
-
-func TestRouteErrorsForUnattachedNIC(t *testing.T) {
-	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(2))
-	if _, err := tn.f.Route(0, 99); err == nil {
-		t.Fatal("route to unattached NIC should error")
-	}
-	if _, err := tn.f.Route(99, 0); err == nil {
-		t.Fatal("route from unattached NIC should error")
 	}
 }
 
@@ -369,26 +341,6 @@ func TestPropertyAllDelivered(t *testing.T) {
 	}
 }
 
-// Property: loss rate 1.0 delivers nothing; loss rate 0 delivers all.
-func TestPropertyLossExtremes(t *testing.T) {
-	for _, rate := range []float64{0, 1} {
-		tn := newTestNet(4, DefaultLinkParams(), DefaultSwitchParams(4))
-		tn.f.SetLossRate(rate, 7)
-		for i := 0; i < 20; i++ {
-			tn.send(0, 1, 64)
-		}
-		tn.s.Run()
-		got := len(tn.recvd[1])
-		want := 20
-		if rate == 1 {
-			want = 0
-		}
-		if got != want {
-			t.Fatalf("rate %v: delivered %d, want %d", rate, got, want)
-		}
-	}
-}
-
 func TestManyNICsUniqueDelivery(t *testing.T) {
 	// Each NIC sends to (i+1)%n: everyone receives exactly one.
 	n := 16
@@ -457,8 +409,8 @@ func ExampleFabric() {
 			fmt.Printf("node %d received %d bytes from node %d\n", node, p.Size, p.Src)
 		})
 	}
-	r, _ := f.Route(0, 1)
-	f.Iface(0).Transmit(&Packet{Route: r, Src: 0, Dst: 1, Size: 64})
+	// The sender names the path: out of the switch on node 1's port.
+	f.Iface(0).Transmit(&Packet{Route: []byte{1}, Src: 0, Dst: 1, Size: 64})
 	s.Run()
 	// Output: node 1 received 64 bytes from node 0
 }

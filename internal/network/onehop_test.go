@@ -96,6 +96,23 @@ func threeTier(s *sim.Simulator) *Fabric {
 	return f
 }
 
+// threeTierRoute is the source route between two NICs of threeTier (the
+// fabric itself computes none): up port 0 to the lowest switch above both,
+// then down by the destination's middle (top ports 1-2), leaf (middle ports
+// 1-2) and NIC (leaf ports 1-3).
+func threeTierRoute(src, dst NodeID) []byte {
+	sl, dl := int(src)/3, int(dst)/3
+	down := []byte{byte(1 + dl/2), byte(1 + dl%2), byte(1 + int(dst)%3)}
+	switch {
+	case sl == dl:
+		return down[2:]
+	case sl/2 == dl/2:
+		return append([]byte{0}, down[1:]...)
+	default:
+		return append([]byte{0, 0}, down...)
+	}
+}
+
 // diffPacket is one packet of the differential traffic.
 type diffPacket struct {
 	at       sim.Time
@@ -115,15 +132,8 @@ const brokenAt = 2 * sim.Millisecond
 // last trunk and then the NIC's own port — and, on a quiet fabric, five
 // packets with broken routes next to an intact twin. The second result
 // indexes those six by what breaks.
-func diffTraffic(f *Fabric, sizes []int) ([]diffPacket, map[string]int) {
+func diffTraffic(sizes []int) ([]diffPacket, map[string]int) {
 	rng := rand.New(rand.NewSource(20011))
-	route := func(src, dst NodeID) []byte {
-		r, err := f.Route(src, dst)
-		if err != nil {
-			panic(err)
-		}
-		return r
-	}
 	var pkts []diffPacket
 	add := func(at sim.Time, src, dst NodeID, size int, r []byte) int {
 		pkts = append(pkts, diffPacket{at: at, src: src, dst: dst, size: size, route: r})
@@ -135,16 +145,16 @@ func diffTraffic(f *Fabric, sizes []int) ([]diffPacket, map[string]int) {
 		if dst >= src {
 			dst++
 		}
-		add(sim.Time(rng.Intn(1600))*50, src, dst, sizes[rng.Intn(len(sizes))], route(src, dst))
+		add(sim.Time(rng.Intn(1600))*50, src, dst, sizes[rng.Intn(len(sizes))], threeTierRoute(src, dst))
 	}
 	for _, at := range []sim.Time{5000, 42000} {
 		for src := NodeID(0); src < 9; src++ {
-			add(at, src, 11, sizes[int(src)%len(sizes)], route(src, 11))
+			add(at, src, 11, sizes[int(src)%len(sizes)], threeTierRoute(src, 11))
 		}
 	}
 	// far: leaf up, middle up, top down, middle down, leaf to NIC. The
 	// broken routes go one at a time.
-	far := route(0, 11)
+	far := threeTierRoute(0, 11)
 	const gap = 20 * sim.Microsecond
 	broken := map[string]int{
 		"bad-first":  add(brokenAt, 0, 11, 64, []byte{7}),
@@ -173,7 +183,7 @@ func runDiff(hooked bool, sizes []int) diffRun {
 	f := threeTier(s)
 	log := &fabricLog{s: s, deliveredAt: make(map[int]sim.Time)}
 	f.SetObserver(log)
-	pkts, broken := diffTraffic(f, sizes)
+	pkts, broken := diffTraffic(sizes)
 	for i, dp := range pkts {
 		p := &Packet{Src: dp.src, Dst: dp.dst, Size: dp.size, Payload: i}
 		p.SetRoute(dp.route)

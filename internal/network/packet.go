@@ -14,9 +14,9 @@
 //
 // Events per hop. A hop is a packet crossing one directed channel. Its head
 // reaching the far end is an event of its own (channel.arriveEvent) only
-// when something rules on packets there: a fault hook, a loss function or a
-// loss rate installed when the hop starts, or a route byte the next switch
-// cannot follow, so that a drop keeps its instant and reason. Otherwise
+// when something rules on packets there: a fault hook installed when the
+// hop starts, or a route byte the next switch cannot follow, so that a drop
+// keeps its instant and reason. Otherwise
 // channel.transmit has the sink schedule what the arrival would have
 // scheduled, for the same instant: a switch consumes the route byte and
 // schedules forwardEvent at headArrive+RouteDelay, a NIC schedules
@@ -167,8 +167,7 @@ type Verdict struct {
 }
 
 // FaultHook intercepts every packet head arriving at the end of a directed
-// channel, before the fabric's own loss injection. See internal/fault.
-// now is the simulated time of the hop.
+// channel. See internal/fault. now is the simulated time of the hop.
 type FaultHook interface {
 	OnHop(link LinkID, p *Packet, now sim.Time) Verdict
 }

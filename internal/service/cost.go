@@ -31,8 +31,8 @@ const (
 // EstimateCost returns the estimated engine events a canonical spec costs:
 // per barrier iteration each node contributes a handful of events (frame
 // send/route/deliver/firmware task), fault plans add retransmission and
-// detection traffic, and multi-switch topologies pay an all-pairs route
-// build that grows quadratically in the node count.
+// detection traffic, and multi-switch topologies carry a headroom term that
+// grows quadratically in the node count.
 func EstimateCost(s Spec) int64 {
 	nodes := int64(s.Nodes)
 	iters := int64(s.Warmup + s.Iters)
@@ -51,7 +51,10 @@ func EstimateCost(s Spec) int64 {
 		perNode = 8
 	}
 	cost := nodes * iters * perNode
-	// All-pairs route build for multi-switch fabrics (BFS per source).
+	// Quadratic headroom for multi-switch fabrics. It was sized on an
+	// all-pairs route build that the arithmetic router no longer does; it
+	// stays because admission limits and deadlines are set against this
+	// formula.
 	if s.Topo != "" && s.Topo != "single" {
 		cost += nodes * nodes / 4
 	}

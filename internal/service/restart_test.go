@@ -284,6 +284,52 @@ func TestReadThroughAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestStoreWriteFailureLeavesAcceptPending: done must imply stored. A run
+// whose store write fails still answers its client (from RAM) and is
+// counted, but its accept stays pending in the journal, so the next start
+// re-simulates the job and stores it. The write is made to fail with a
+// regular file where the entry's directory belongs — ENOTDIR from MkdirAll
+// whoever runs the test, where permission bits would not stop root.
+func TestStoreWriteFailureLeavesAcceptPending(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{Nodes: 4, Iters: 10, Warmup: 2}
+	hash, want := execJSON(t, spec)
+	blocker := filepath.Join(dir, "store", hash[:2])
+	if err := os.MkdirAll(filepath.Dir(blocker), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv1 := newTestServer(t, Config{Dir: dir, Workers: 1})
+	ts1 := httptest.NewServer(srv1.Handler())
+	resp, got := post(t, ts1.Client(), ts1.URL+"/v1/runs", spec, "")
+	if resp.StatusCode != http.StatusOK || string(got) != string(want) {
+		t.Fatalf("run with a failing store: %d %s, want 200 %s", resp.StatusCode, got, want)
+	}
+	if n := srv1.Registry().Get("service.store.put_errors"); n != 1 {
+		t.Errorf("store.put_errors = %d, want 1", n)
+	}
+	ts1.Close()
+	drainClose(t, srv1)
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := newTestServer(t, Config{Dir: dir, Workers: 1})
+	if n := srv2.Registry().Get("service.journal.replayed"); n != 1 {
+		t.Errorf("journal.replayed = %d, want 1: the unstored job was journaled done", n)
+	}
+	drainClose(t, srv2) // runs the replayed job to completion
+	if n := srv2.Registry().Get("service.jobs_done"); n != 1 {
+		t.Errorf("jobs_done after replay = %d, want 1", n)
+	}
+	if !srv2.Store().Has(hash) {
+		t.Error("replayed job's result did not reach the store")
+	}
+}
+
 // fakeOutcome fabricates a marshalable outcome for executor-hook tests.
 func fakeOutcome(hash string) Outcome {
 	return Outcome{Result: Result{Hash: hash, MeanMicros: 1}}

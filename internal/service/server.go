@@ -400,9 +400,10 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	var entry Entry
+	var stored bool
 	err := r.err
 	if err == nil {
-		entry, err = s.publishEntry(j.Hash, r.out)
+		entry, stored, err = s.publishEntry(j.Hash, r.out)
 	}
 
 	s.mu.Lock()
@@ -421,32 +422,39 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.mu.Unlock()
 	if s.journal != nil {
-		if err != nil {
+		switch {
+		case err != nil:
 			_ = s.journal.Failed(j.ID, err.Error())
-		} else {
+		case stored:
 			_ = s.journal.Done(j.ID)
 		}
+		// Otherwise the accept stays pending: the waiting client is answered
+		// from RAM, and the next start replays the job and stores it.
 	}
 	close(j.done)
 }
 
 // publishEntry banks a successful outcome: RAM cache, disk store (before
-// the journal's done record — done must imply stored), metrics.
-func (s *Server) publishEntry(hash string, out Outcome) (Entry, error) {
+// the journal's done record — done must imply stored), metrics. stored is
+// false when the store write failed (ENOSPC, a failed fsync or rename); the
+// failure is counted and the caller must not journal the job done.
+func (s *Server) publishEntry(hash string, out Outcome) (entry Entry, stored bool, err error) {
 	resultJSON, err := json.Marshal(out.Result)
 	if err != nil {
-		return Entry{}, err
+		return Entry{}, false, err
 	}
-	entry := Entry{Result: resultJSON, Trace: out.Trace}
+	entry = Entry{Result: resultJSON, Trace: out.Trace}
 	s.cache.Put(hash, entry)
-	if s.store != nil {
-		_ = s.store.Put(hash, entry)
+	stored = true
+	if s.store != nil && s.store.Put(hash, entry) != nil {
+		s.reg.Add("service.store.put_errors", 1)
+		stored = false
 	}
 	if out.Metrics != nil {
 		s.reg.AddAll(out.Metrics)
 	}
 	s.reg.Add("service.runs", 1)
-	return entry, nil
+	return entry, stored, nil
 }
 
 // requeue puts a panicked job back in line for another attempt.

@@ -4,16 +4,16 @@ import "sync"
 
 // Algebraic source routing.
 //
-// The BFS route table costs one graph traversal per source — ~1 s for all
-// pairs at 1024 nodes and quadratic beyond, the real ceiling on fabric
-// scale. But the regular kinds (Star, Clos2, Clos3) wire every switch from
-// closed-form address arithmetic, so the deterministic-BFS route between
-// two nodes is itself closed-form: the lexicographically smallest shortest
-// port sequence always climbs through the lowest-numbered common ancestor
-// (uplink 0) and descends by the destination's own address digits. This
-// file derives each (src, dst) route in O(1) from that arithmetic,
-// bit-identical to the cached-BFS rows (the property and golden tests in
-// algroute_test.go hold the two implementations together).
+// Every kind wires its switches from closed-form address arithmetic, so the
+// route between two nodes is itself closed-form: where paths tie, the
+// lexicographically smallest shortest port sequence always climbs through
+// the lowest-numbered common ancestor (uplink 0) and descends by the
+// destination's own address digits. This file derives each (src, dst) route
+// in O(1) from that arithmetic — the only routing path in the module. The
+// per-source BFS of internal/route, which cost ~1 s for all pairs at 1024
+// nodes and quadratic beyond, is the independent oracle: the property,
+// table, golden and fuzz tests (algroute_test.go, oracle_test.go) hold the
+// arithmetic to it byte for byte.
 //
 // Why bit-identical and not merely equivalent: routes are wire-visible
 // (each byte is consumed by a physical switch) and the simulator's
@@ -23,6 +23,12 @@ import "sync"
 //
 // The derivations, per kind (see the builders in topo.go for the wiring):
 //
+//   - Single: node i sits on port i of the one crossbar: [dst].
+//   - TwoSwitch: the first half = (n+1)/2 nodes sit on crossbar 0 at port i,
+//     the rest on crossbar 1 at port i-half. Same side [dstPort]; across,
+//     the source crossbar's trunk port first: [trunk, dstPort]. Paths are
+//     unique. The two trunk ports differ on expanded crossbars, so they are
+//     read from the built plan, not re-derived.
 //   - Star: node i sits on leaf i/per, port i%per. Same-leaf routes are the
 //     single byte [dstPort]. Cross-leaf routes climb the leaf's only uplink
 //     (port radix-1), cross the root (whose port l faces leaf l), and exit
@@ -43,20 +49,21 @@ import "sync"
 // row: a barrier at 8192 nodes touches O(n·dim) pairs, while materializing
 // full rows would commit O(n²) slices (~1.6 GB) for routes nothing sends.
 
-// algRouter computes source routes from address arithmetic for the
-// regular topology kinds. A nil *algRouter means the topology routes via
-// BFS (Single, TwoSwitch — their expanded crossbars carry no algebraic
-// structure worth special-casing, and keeping them on the BFS path keeps
-// the fallback exercised).
+// algRouter computes a built topology's source routes from address
+// arithmetic.
 type algRouter struct {
 	kind Kind
 	n    int
 
-	// Star and Clos2: nodes per leaf switch and the uplink route byte
-	// (star: radix-1, the single root uplink; clos2: radix/2, the port
-	// facing spine 0).
-	per    int
+	// Every kind but Clos3: nodes per leaf switch — node i sits on leaf
+	// i/per at port i%per. Single is the one-leaf case (per = n); TwoSwitch
+	// has two leaves of half = (n+1)/2.
+	per int
+	// Star and Clos2: the uplink route byte (star: radix-1, the single root
+	// uplink; clos2: radix/2, the port facing spine 0).
 	uplink byte
+	// TwoSwitch: each crossbar's trunk port.
+	trunk [2]byte
 
 	// Clos3: half-radix and nodes per pod (h and h²).
 	h, perPod int
@@ -69,33 +76,26 @@ type algRouter struct {
 	memo map[int64][]byte
 }
 
-// emptyRoute is the shared self-route, mirroring the BFS row convention
-// (row[src] = []byte{}).
+// emptyRoute is the shared self-route.
 var emptyRoute = []byte{}
 
-// newAlgRouter returns the algebraic router for a built topology, or nil
-// when the kind has no algebraic form.
+// newAlgRouter returns the router for a built topology.
 func newAlgRouter(t *Topology) *algRouter {
 	sp := t.Spec
 	a := &algRouter{kind: sp.Kind, n: sp.Nodes, memo: make(map[int64][]byte)}
 	switch sp.Kind {
+	case Single:
+		a.per = sp.Nodes
+	case TwoSwitch:
+		a.per = (sp.Nodes + 1) / 2
+		a.trunk = [2]byte{byte(t.Trunks[0].APort), byte(t.Trunks[0].BPort)}
 	case Star:
-		per := sp.Radix - 1
-		if sp.LeafNodes > 0 && sp.LeafNodes < per {
-			per = sp.LeafNodes
-		}
-		a.per, a.uplink = per, byte(sp.Radix-1)
+		a.per, a.uplink = sp.perLeaf(), byte(sp.Radix-1)
 	case Clos2:
-		down := sp.Radix / 2
-		if sp.LeafNodes > 0 && sp.LeafNodes < down {
-			down = sp.LeafNodes
-		}
-		a.per, a.uplink = down, byte(sp.Radix/2)
+		a.per, a.uplink = sp.perLeaf(), byte(sp.Radix/2)
 	case Clos3:
 		a.h = sp.Radix / 2
 		a.perPod = a.h * a.h
-	default:
-		return nil
 	}
 	return a
 }
@@ -106,15 +106,7 @@ func (a *algRouter) compute(src, dst int) []byte {
 	if src == dst {
 		return emptyRoute
 	}
-	switch a.kind {
-	case Star, Clos2:
-		sl, dl := src/a.per, dst/a.per
-		port := byte(dst % a.per)
-		if sl == dl {
-			return []byte{port}
-		}
-		return []byte{a.uplink, byte(dl), port}
-	default: // Clos3
+	if a.kind == Clos3 {
 		h := a.h
 		sp, dp := src/a.perPod, dst/a.perPod
 		se, de := (src%a.perPod)/h, (dst%a.perPod)/h
@@ -127,6 +119,16 @@ func (a *algRouter) compute(src, dst int) []byte {
 		default:
 			return []byte{byte(h), byte(h), byte(dp), byte(de), port}
 		}
+	}
+	sl, dl := src/a.per, dst/a.per
+	port := byte(dst % a.per)
+	switch {
+	case sl == dl:
+		return []byte{port}
+	case a.kind == TwoSwitch:
+		return []byte{a.trunk[sl], port}
+	default: // Star, Clos2
+		return []byte{a.uplink, byte(dl), port}
 	}
 }
 
@@ -168,16 +170,19 @@ func (a *algRouter) stats(st *Stats) {
 	}
 	var hist []int64
 	switch a.kind {
+	case Single, TwoSwitch:
+		same := samePairs(a.per)
+		hist = []int64{0, same, total - same}
 	case Star, Clos2:
 		same := samePairs(a.per)
 		hist = []int64{0, same, 0, total - same}
-	default: // Clos3
+	case Clos3:
 		sameEdge := samePairs(a.h)
 		samePod := samePairs(a.perPod) - sameEdge
 		hist = []int64{0, sameEdge, 0, samePod, 0, total - sameEdge - samePod}
 	}
 	// Trim trailing empty classes so the histogram length and diameter
-	// match what the BFS table walk produces.
+	// match what a walk over the route table produces.
 	for len(hist) > 1 && hist[len(hist)-1] == 0 {
 		hist = hist[:len(hist)-1]
 	}

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -17,56 +16,17 @@ import (
 var updateRoutes = flag.Bool("update", false,
 	"rewrite the golden route files under testdata")
 
-// bfsRow computes node src's routes straight from the graph via
-// route.RoutesFrom — the oracle the algebraic path must match byte for
-// byte. It deliberately bypasses Topology.Route so the two
-// implementations stay independent.
-func bfsRow(tp *Topology, src int) ([][]byte, error) {
-	byVertex, err := tp.Graph().RoutesFrom(NICVertex(src))
-	if err != nil {
-		return nil, err
-	}
-	row := make([][]byte, tp.Nodes())
-	for d := range row {
-		row[d] = byVertex[NICVertex(d)]
-	}
-	if row[src] == nil {
-		row[src] = []byte{}
-	}
-	return row, nil
-}
-
-// routesMatchBFS compares every ordered pair's Topology.Route against the
-// BFS oracle.
-func routesMatchBFS(tp *Topology) error {
-	n := tp.Nodes()
-	for s := 0; s < n; s++ {
-		want, err := bfsRow(tp, s)
-		if err != nil {
-			return err
-		}
-		for d := 0; d < n; d++ {
-			got, err := tp.Route(s, d)
-			if err != nil {
-				return fmt.Errorf("%v: Route(%d,%d): %v", tp.Spec, s, d, err)
-			}
-			if !bytes.Equal(got, want[d]) {
-				return fmt.Errorf("%v: route %d->%d = %x, BFS says %x",
-					tp.Spec, s, d, got, want[d])
-			}
-		}
-	}
-	return nil
-}
-
-// randomAlgSpec draws a qualifying spec: kind ∈ {star, clos2, clos3},
-// radix ∈ {4, 8, 16}, LeafNodes sometimes capped, size anywhere from one
-// node to capacity (clamped to keep the BFS oracle fast).
+// randomAlgSpec draws a spec of any kind: radix ∈ {4, 8, 16}; crossbars
+// strict (radix above n) or expanded (radix below n); LeafNodes sometimes
+// capped; size anywhere from one node — odd or even — to capacity (clamped
+// to keep the BFS oracle fast).
 func randomAlgSpec(r *rand.Rand) Spec {
-	kinds := []Kind{Star, Clos2, Clos3}
+	kinds := Kinds()
 	radices := []int{4, 8, 16}
 	sp := Spec{Kind: kinds[r.Intn(len(kinds))], Radix: radices[r.Intn(len(radices))]}
 	switch {
+	case sp.Kind == Single || sp.Kind == TwoSwitch:
+		sp.AllowExpand = r.Intn(2) == 1
 	case sp.Kind == Star && r.Intn(2) == 1:
 		sp.LeafNodes = 1 + r.Intn(sp.Radix-1)
 	case sp.Kind == Clos2 && r.Intn(2) == 1:
@@ -80,35 +40,78 @@ func randomAlgSpec(r *rand.Rand) Spec {
 	return sp
 }
 
-// TestAlgRouteEquivalence is the core property: for every qualifying spec
-// shape, algebraic routes are bit-identical to the deterministic-BFS rows
-// on the full ordered-pair table.
+// TestAlgRouteEquivalence is the core property: for every spec shape of
+// every kind, the arithmetic routes are bit-identical to the
+// deterministic-BFS rows on the full ordered-pair table, and the closed-form
+// statistics equal the walk over those rows.
 func TestAlgRouteEquivalence(t *testing.T) {
 	cfg := &quick.Config{
-		MaxCount: 80,
+		MaxCount: 120,
 		Rand:     rand.New(rand.NewSource(1)),
 		Values: func(v []reflect.Value, r *rand.Rand) {
 			v[0] = reflect.ValueOf(randomAlgSpec(r))
 		},
 	}
+	seen := make(map[Kind]int)
 	prop := func(sp Spec) bool {
 		tp, err := Build(sp)
 		if err != nil {
 			t.Errorf("Build(%+v): %v", sp, err)
 			return false
 		}
-		if !tp.Algebraic() {
-			t.Errorf("Build(%+v) did not take the algebraic path", sp)
-			return false
-		}
-		if err := routesMatchBFS(tp); err != nil {
+		if err := matchesOracle(tp); err != nil {
 			t.Error(err)
 			return false
 		}
+		seen[sp.Kind]++
 		return true
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+	for _, k := range Kinds() {
+		if seen[k] < 10 {
+			t.Errorf("only %d %v specs drawn", seen[k], k)
+		}
+	}
+}
+
+// TestAlgRouteEdges pins the crossbar kinds' edges against the oracle: the
+// smallest sizes (one side of a twoswitch empty, then one node each), the
+// capacity limits where a port byte reaches 255, expanded crossbars whose
+// two trunk ports differ (odd n), and every strict size.
+func TestAlgRouteEdges(t *testing.T) {
+	var specs []Spec
+	for _, k := range []Kind{Single, TwoSwitch} {
+		for _, expand := range []bool{false, true} {
+			for n := 1; n <= 3; n++ {
+				specs = append(specs, Spec{Kind: k, Nodes: n, Radix: 16, AllowExpand: expand})
+			}
+		}
+	}
+	specs = append(specs,
+		Spec{Kind: Single, Nodes: 256, Radix: 16, AllowExpand: true},
+		Spec{Kind: TwoSwitch, Nodes: 509, Radix: 16, AllowExpand: true},
+		Spec{Kind: TwoSwitch, Nodes: 510, Radix: 16, AllowExpand: true},
+	)
+	for n := 1; n <= 16; n++ {
+		specs = append(specs, Spec{Kind: TwoSwitch, Nodes: n, Radix: 4, AllowExpand: true})
+	}
+	for n := 4; n <= 30; n++ {
+		specs = append(specs, Spec{Kind: TwoSwitch, Nodes: n, Radix: 16})
+	}
+	differ := 0
+	for _, sp := range specs {
+		tp := MustBuild(sp)
+		if err := matchesOracle(tp); err != nil {
+			t.Error(err)
+		}
+		if sp.Kind == TwoSwitch && tp.Trunks[0].APort != tp.Trunks[0].BPort {
+			differ++
+		}
+	}
+	if differ < 4 {
+		t.Errorf("only %d specs whose trunk ports differ", differ)
 	}
 }
 
@@ -176,15 +179,17 @@ func walkRoute(tp *Topology, m [][]portDest, src, dst int, r []byte) error {
 // onto the destination NIC.
 func TestAlgRouteInvariants(t *testing.T) {
 	var specs []Spec
-	for _, k := range []Kind{Star, Clos2, Clos3} {
+	for _, k := range Kinds() {
 		for _, r := range []int{4, 8, 16} {
-			sp := Spec{Kind: k, Radix: r}
+			// Crossbars expand, so radix 4 runs below n and 16 above it.
+			sp := Spec{Kind: k, Radix: r, AllowExpand: true}
 			max := sp.Capacity()
 			if max > 96 {
 				max = 96
 			}
 			for _, n := range []int{1, 2, max/2 + 1, max} {
-				specs = append(specs, Spec{Kind: k, Radix: r, Nodes: n})
+				sp.Nodes = n
+				specs = append(specs, sp)
 			}
 		}
 	}
@@ -220,9 +225,16 @@ func TestAlgRouteInvariants(t *testing.T) {
 
 // TestAlgStatsMatchWalk pins the closed-form statistics to the
 // route-table walk on specs covering every locality split: single-leaf,
-// partial last group, LeafNodes caps, one node, full capacity.
+// partial last group, LeafNodes caps, one node, full capacity, both
+// crossbar kinds.
 func TestAlgStatsMatchWalk(t *testing.T) {
 	specs := []Spec{
+		{Kind: Single, Radix: 16, Nodes: 1},
+		{Kind: Single, Radix: 16, Nodes: 16},
+		{Kind: Single, Radix: 4, Nodes: 9, AllowExpand: true},
+		{Kind: TwoSwitch, Radix: 16, Nodes: 2}, // one node a side: no 1-hop pair
+		{Kind: TwoSwitch, Radix: 16, Nodes: 26},
+		{Kind: TwoSwitch, Radix: 4, Nodes: 9, AllowExpand: true}, // 5 + 4
 		{Kind: Star, Radix: 4, Nodes: 1},
 		{Kind: Star, Radix: 4, Nodes: 3},  // one leaf only
 		{Kind: Star, Radix: 4, Nodes: 11}, // partial last leaf
@@ -236,23 +248,8 @@ func TestAlgStatsMatchWalk(t *testing.T) {
 		{Kind: Clos3, Radix: 2, Nodes: 2},   // degenerate h=1: all cross-pod
 	}
 	for _, sp := range specs {
-		tp := MustBuild(sp)
-		got, err := tp.ComputeStats()
-		if err != nil {
-			t.Fatalf("%+v: ComputeStats: %v", sp, err)
-		}
-		if !tp.Algebraic() {
-			t.Fatalf("%+v: expected algebraic topology", sp)
-		}
-		want, err := tp.computeStatsWalk(Stats{
-			Kind: sp.Kind, Nodes: tp.Nodes(), Switches: tp.Switches(),
-			Trunks: len(tp.Trunks), BisectionLinks: tp.BisectionLinks,
-		})
-		if err != nil {
-			t.Fatalf("%+v: walk: %v", sp, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: closed-form stats %+v != walked stats %+v", sp, got, want)
+		if err := matchesOracle(MustBuild(sp)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -339,32 +336,19 @@ func TestGoldenRoutesClos3_1024(t *testing.T) {
 }
 
 // TestBuildPlanMemo: a second Build of the same spec returns the same
-// plan and does zero BFS work, and the algebraic kinds never BFS at all.
+// plan, and canonically equal specs share one.
 func TestBuildPlanMemo(t *testing.T) {
 	sp := Spec{Kind: TwoSwitch, Nodes: 26, Radix: 16}
 	t1, err := Build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t1.RouteTable(); err != nil { // warm every BFS row
-		t.Fatal(err)
-	}
-	before := BFSPasses()
 	t2, err := Build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t2 != t1 {
-		t.Fatalf("second Build returned a distinct plan; route rows were dropped")
-	}
-	if _, err := t2.RouteTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t2.Route(0, 25); err != nil {
-		t.Fatal(err)
-	}
-	if got := BFSPasses(); got != before {
-		t.Fatalf("second Build redid %d BFS passes; want 0", got-before)
+		t.Fatalf("second Build returned a distinct plan; the route memo was dropped")
 	}
 
 	// Defaulted radix and (ignored) AllowExpand canonicalize to the same
@@ -380,34 +364,11 @@ func TestBuildPlanMemo(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("canonically equal specs built distinct plans")
 	}
-
-	// Algebraic kinds answer routes, tables and stats without any BFS.
-	a := MustBuild(Spec{Kind: Clos3, Nodes: 128, Radix: 8})
-	before = BFSPasses()
-	if _, err := a.RouteTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Route(0, 127); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ComputeStats(); err != nil {
-		t.Fatal(err)
-	}
-	if got := BFSPasses(); got != before {
-		t.Fatalf("algebraic topology ran %d BFS passes; want 0", got-before)
-	}
-
-	// The crossbar kinds stay on the BFS fallback.
-	for _, k := range []Kind{Single, TwoSwitch} {
-		tp := MustBuild(Spec{Kind: k, Nodes: 8})
-		if tp.Algebraic() {
-			t.Fatalf("%v unexpectedly algebraic", k)
-		}
-	}
 }
 
-// FuzzAlgRouteSpec: an arbitrary Spec must either be rejected by the
-// builder or produce routes bit-identical to BFS — and never panic.
+// FuzzAlgRouteSpec: an arbitrary Spec of any kind must either be rejected
+// by the builder or produce routes and statistics identical to the BFS
+// oracle's — and never panic.
 func FuzzAlgRouteSpec(f *testing.F) {
 	f.Add(int(Star), 16, 8, 0, false)
 	f.Add(int(Star), 3, 2, 1, false)
@@ -418,6 +379,13 @@ func FuzzAlgRouteSpec(f *testing.F) {
 	f.Add(int(Single), 7, 0, 0, true)
 	f.Add(int(TwoSwitch), 26, 16, 0, false)
 	f.Add(int(Clos3), 2, 2, 0, false)
+	f.Add(int(Single), 1, 1, 0, false)
+	f.Add(int(Single), 16, 16, 0, false)
+	f.Add(int(TwoSwitch), 1, 0, 0, false)
+	f.Add(int(TwoSwitch), 2, 4, 0, true)
+	f.Add(int(TwoSwitch), 9, 4, 0, true)
+	f.Add(int(TwoSwitch), 30, 16, 0, false)
+	f.Add(int(TwoSwitch), 157, 8, 0, true)
 	f.Fuzz(func(t *testing.T, kind, nodes, radix, leafNodes int, allowExpand bool) {
 		if nodes > 160 || radix > 64 {
 			t.Skip("oracle too slow past these bounds")
@@ -430,7 +398,7 @@ func FuzzAlgRouteSpec(f *testing.F) {
 		if err != nil {
 			return // rejected is a valid outcome
 		}
-		if err := routesMatchBFS(tp); err != nil {
+		if err := matchesOracle(tp); err != nil {
 			t.Fatal(err)
 		}
 	})

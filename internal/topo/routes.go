@@ -1,88 +1,12 @@
 package topo
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"gmsim/internal/route"
-)
-
-// Vertex numbering matches the network package's internal convention
-// (switch s -> 2s, NIC n -> 2n+1) so the graph a Topology emits is
-// vertex-for-vertex the graph the fabric builds when the plan is
-// materialized.
-
-// SwitchVertex returns the route.Graph vertex of switch s.
-func SwitchVertex(s int) route.Vertex { return route.Vertex(2 * s) }
-
-// NICVertex returns the route.Graph vertex of node n's NIC.
-func NICVertex(n int) route.Vertex { return route.Vertex(2*n + 1) }
-
-// routeCache holds the lazily computed routing state of a Topology. Rows
-// are computed on first use (a 1024-node fabric touches ~n rows only when
-// every node actually transmits) and guarded by a mutex so a Topology can
-// be shared by analysis code; within one cluster the simulator is
-// single-threaded and the lock is uncontended.
-type routeCache struct {
-	mu    sync.Mutex
-	graph *route.Graph
-	rows  [][][]byte // [src][dst] -> port bytes; nil row = not yet computed
-
-	// alg, when non-nil, answers Route/RouteTable/ComputeStats from
-	// address arithmetic (see algroute.go) and the BFS machinery above
-	// never runs. Set once by Build; nil for kinds without algebraic form.
-	alg *algRouter
-}
-
-// bfsPassCount counts RoutesFrom traversals across every Topology in the
-// process — the unit of work the algebraic path and the Build plan cache
-// exist to eliminate. Tests assert it stays flat across cached rebuilds.
-var bfsPassCount atomic.Int64
-
-// BFSPasses reports the number of per-source BFS traversals performed
-// process-wide since start.
-func BFSPasses() int64 { return bfsPassCount.Load() }
-
-// Algebraic reports whether this topology routes by address arithmetic
-// instead of cached BFS rows.
-func (t *Topology) Algebraic() bool { return t.routes.alg != nil }
-
-// Graph returns the topology as a route.Graph: every switch, every NIC,
-// every trunk and every NIC cable, with port numbers as edge labels. The
-// graph is built once and cached.
-func (t *Topology) Graph() *route.Graph {
-	t.routes.mu.Lock()
-	defer t.routes.mu.Unlock()
-	return t.graphLocked()
-}
-
-func (t *Topology) graphLocked() *route.Graph {
-	if t.routes.graph != nil {
-		return t.routes.graph
-	}
-	g := route.NewGraph()
-	for s := range t.SwitchPorts {
-		g.AddVertex(SwitchVertex(s), route.SwitchVertex)
-	}
-	for _, tr := range t.Trunks {
-		g.AddEdge(SwitchVertex(tr.A), tr.APort, SwitchVertex(tr.B))
-		g.AddEdge(SwitchVertex(tr.B), tr.BPort, SwitchVertex(tr.A))
-	}
-	for n, p := range t.NICs {
-		g.AddVertex(NICVertex(n), route.NICVertex)
-		g.AddEdge(NICVertex(n), 0, SwitchVertex(p.Switch))
-		g.AddEdge(SwitchVertex(p.Switch), p.Port, NICVertex(n))
-	}
-	t.routes.graph = g
-	return g
-}
+import "fmt"
 
 // Route returns the deterministic source route from node src to node dst:
-// the port-byte sequence the sending NIC prepends. Routes for a source are
-// computed in one BFS pass on first use and cached. The returned slice is
-// shared — callers must not modify it (the firmware copies it into each
-// packet).
+// the port-byte sequence the sending NIC prepends, derived from address
+// arithmetic (algroute.go) and remembered per ordered pair. The returned
+// slice is shared — callers must not modify it (the firmware copies it into
+// each packet).
 func (t *Topology) Route(src, dst int) ([]byte, error) {
 	n := len(t.NICs)
 	if src < 0 || src >= n {
@@ -91,69 +15,19 @@ func (t *Topology) Route(src, dst int) ([]byte, error) {
 	if dst < 0 || dst >= n {
 		return nil, fmt.Errorf("topo: no node %d", dst)
 	}
-	if a := t.routes.alg; a != nil {
-		return a.route(src, dst), nil
-	}
-	t.routes.mu.Lock()
-	defer t.routes.mu.Unlock()
-	row, err := t.rowLocked(src)
-	if err != nil {
-		return nil, err
-	}
-	r := row[dst]
-	if r == nil {
-		return nil, fmt.Errorf("topo: no path from %d to %d", src, dst)
-	}
-	return r, nil
+	return t.routes.route(src, dst), nil
 }
 
-func (t *Topology) rowLocked(src int) ([][]byte, error) {
-	if t.routes.rows == nil {
-		t.routes.rows = make([][][]byte, len(t.NICs))
-	}
-	if t.routes.rows[src] != nil {
-		return t.routes.rows[src], nil
-	}
-	bfsPassCount.Add(1)
-	byVertex, err := t.graphLocked().RoutesFrom(NICVertex(src))
-	if err != nil {
-		return nil, err
-	}
-	row := make([][]byte, len(t.NICs))
-	for d := range t.NICs {
-		row[d] = byVertex[NICVertex(d)] // nil when unreachable
-	}
-	if row[src] == nil {
-		row[src] = []byte{}
-	}
-	t.routes.rows[src] = row
-	return row, nil
-}
-
-// RouteTable computes (and caches) the routes between every ordered node
-// pair, indexed [src][dst]. One BFS per source; a 1024-node three-level
-// Clos resolves in well under a second.
+// RouteTable computes the routes between every ordered node pair, indexed
+// [src][dst], bypassing the per-pair memo: a full table read would only
+// bloat it. The error is always nil; the signature predates the one routing
+// path and callers bind it.
 func (t *Topology) RouteTable() ([][][]byte, error) {
-	if a := t.routes.alg; a != nil {
-		// Materialize directly from the arithmetic, bypassing the per-pair
-		// memo: a full table read would only bloat it.
-		out := make([][][]byte, len(t.NICs))
-		for s := range t.NICs {
-			row := make([][]byte, len(t.NICs))
-			for d := range t.NICs {
-				row[d] = a.compute(s, d)
-			}
-			out[s] = row
-		}
-		return out, nil
-	}
-	t.routes.mu.Lock()
-	defer t.routes.mu.Unlock()
 	out := make([][][]byte, len(t.NICs))
 	for s := range t.NICs {
-		row, err := t.rowLocked(s)
-		if err != nil {
-			return nil, err
+		row := make([][]byte, len(t.NICs))
+		for d := range t.NICs {
+			row[d] = t.routes.compute(s, d)
 		}
 		out[s] = row
 	}
@@ -179,9 +53,8 @@ type Stats struct {
 	BisectionLinks int
 }
 
-// ComputeStats derives the topology statistics — in closed form for
-// algebraic kinds (an 8192-node table walk would visit 67M routes), from
-// the full route table otherwise.
+// ComputeStats derives the topology statistics in closed form (an
+// 8192-node table walk would visit 67M routes). The error is always nil.
 func (t *Topology) ComputeStats() (Stats, error) {
 	st := Stats{
 		Kind:           t.Spec.Kind,
@@ -190,43 +63,6 @@ func (t *Topology) ComputeStats() (Stats, error) {
 		Trunks:         len(t.Trunks),
 		BisectionLinks: t.BisectionLinks,
 	}
-	if a := t.routes.alg; a != nil {
-		a.stats(&st)
-		return st, nil
-	}
-	return t.computeStatsWalk(st)
-}
-
-// computeStatsWalk is the route-table walk; kept as the fallback and as
-// the oracle the closed-form stats are tested against.
-func (t *Topology) computeStatsWalk(st Stats) (Stats, error) {
-	tbl, err := t.RouteTable()
-	if err != nil {
-		return st, err
-	}
-	var total, pairs int
-	for s, row := range tbl {
-		for d, r := range row {
-			if s == d {
-				continue
-			}
-			if r == nil {
-				return st, fmt.Errorf("topo: nodes %d and %d are disconnected", s, d)
-			}
-			h := len(r)
-			for len(st.HopsHistogram) <= h {
-				st.HopsHistogram = append(st.HopsHistogram, 0)
-			}
-			st.HopsHistogram[h]++
-			if h > st.Diameter {
-				st.Diameter = h
-			}
-			total += h
-			pairs++
-		}
-	}
-	if pairs > 0 {
-		st.AvgHops = float64(total) / float64(pairs)
-	}
+	t.routes.stats(&st)
 	return st, nil
 }

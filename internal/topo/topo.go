@@ -7,9 +7,11 @@
 // per-stage costs. This package turns a five-field Spec into a concrete
 // wiring plan — switch port counts, switch-to-switch trunks, and a NIC
 // placement per node — that internal/cluster materializes into a
-// network.Fabric. The same plan, independent of any simulator, yields a
-// route.Graph, deterministic all-pairs source routes, topology statistics
-// (diameter, bisection links, hops histogram) and a Graphviz rendering.
+// network.Fabric. The same plan, independent of any simulator, yields
+// deterministic all-pairs source routes — address arithmetic, see
+// algroute.go; the BFS of internal/route is its test oracle — topology
+// statistics (diameter, bisection links, hops histogram) and a Graphviz
+// rendering.
 //
 // Supported kinds:
 //
@@ -141,16 +143,16 @@ type Topology struct {
 	// leaf switches (for Single, the crossbar's internal half: Nodes/2).
 	BisectionLinks int
 
-	routes routeCache
+	routes *algRouter
 }
 
 // Capacity returns the maximum node count a spec's shape supports, or -1
 // when unbounded (AllowExpand crossbars).
 func (s Spec) Capacity() int {
-	r := s.Radix
-	if r == 0 {
-		r = DefaultRadix
+	if s.Radix == 0 {
+		s.Radix = DefaultRadix
 	}
+	r := s.Radix
 	switch s.Kind {
 	case Single:
 		if s.AllowExpand {
@@ -165,18 +167,9 @@ func (s Spec) Capacity() int {
 		}
 		// One uplink port per crossbar.
 		return 2 * (r - 1)
-	case Star:
-		per := r - 1
-		if s.LeafNodes > 0 && s.LeafNodes < per {
-			per = s.LeafNodes
-		}
-		return r * per // at most Radix leaves on the root
-	case Clos2:
-		down := r / 2
-		if s.LeafNodes > 0 && s.LeafNodes < down {
-			down = s.LeafNodes
-		}
-		return r * down // at most Radix leaves per spine
+	case Star, Clos2:
+		// At most Radix leaves: one root port, or one port per spine, each.
+		return r * s.perLeaf()
 	case Clos3:
 		return r * r * r / 4
 	default:
@@ -184,21 +177,35 @@ func (s Spec) Capacity() int {
 	}
 }
 
+// perLeaf returns the nodes a Star or Clos2 attaches per leaf switch: the
+// ports the uplinks leave (one to the star's root; half the radix to the
+// spines), lowered by LeafNodes. Radix must be explicit.
+func (s Spec) perLeaf() int {
+	per := s.Radix - 1
+	if s.Kind == Clos2 {
+		per = s.Radix / 2
+	}
+	if s.LeafNodes > 0 && s.LeafNodes < per {
+		per = s.LeafNodes
+	}
+	return per
+}
+
 // planCache memoizes built topologies process-wide, keyed by canonical
 // Spec. An experiment sweep rebuilds the same plan for every run of a
-// cell, and before this cache each rebuild re-ran BFS per source; now the
-// route rows (and the algebraic memo) survive across Build calls. The
-// key mirrors service.Canonicalize's spec normalization — the service
-// package sits above cluster and cannot be imported here — so two specs
-// the service would content-address identically share one plan.
+// cell; with this cache the plan, and the router's per-pair route memo,
+// survive across Build calls. The key mirrors service.Canonicalize's spec
+// normalization — the service package sits above cluster and cannot be
+// imported here — so two specs the service would content-address
+// identically share one plan.
 var planCache struct {
 	mu sync.Mutex
 	m  map[Spec]*Topology
 }
 
 // planCacheCap bounds the cache; on overflow the map is dropped wholesale
-// (plans are cheap to rebuild relative to their route tables, and a
-// process juggling >64 distinct specs is a fuzzer, not a sweep).
+// (plans are cheap to rebuild, and a process juggling >64 distinct specs
+// is a fuzzer, not a sweep).
 const planCacheCap = 64
 
 // canonicalSpec normalizes a Spec to its cache identity: defaulted radix
@@ -221,9 +228,9 @@ func canonicalSpec(s Spec) Spec {
 // odd radix for the fat-tree (which needs an even split per tier).
 //
 // Successful builds are memoized by canonical Spec, so repeated Builds of
-// one spec share a single Topology — including its cached route rows. The
+// one spec share a single Topology — including its memoized routes. The
 // shared plan is immutable after construction and safe for concurrent
-// use (route caching locks internally).
+// use (the route memo locks internally).
 func Build(spec Spec) (*Topology, error) {
 	key := canonicalSpec(spec)
 	planCache.mu.Lock()
@@ -296,7 +303,7 @@ func build(spec Spec) (*Topology, error) {
 				s, p, MaxSwitchPorts)
 		}
 	}
-	t.routes.alg = newAlgRouter(t)
+	t.routes = newAlgRouter(t)
 	return t, nil
 }
 
@@ -356,10 +363,7 @@ func (t *Topology) buildTwoSwitch() error {
 
 func (t *Topology) buildStar() error {
 	n, r := t.Spec.Nodes, t.Spec.Radix
-	per := r - 1 // one port per leaf reserved for the root uplink
-	if t.Spec.LeafNodes > 0 && t.Spec.LeafNodes < per {
-		per = t.Spec.LeafNodes
-	}
+	per := t.Spec.perLeaf()
 	leaves := (n + per - 1) / per
 	if leaves < 1 {
 		leaves = 1
@@ -387,10 +391,7 @@ func (t *Topology) buildStar() error {
 
 func (t *Topology) buildClos2() error {
 	n, r := t.Spec.Nodes, t.Spec.Radix
-	down := r / 2 // node-facing ports per leaf; the rest go to spines
-	if t.Spec.LeafNodes > 0 && t.Spec.LeafNodes < down {
-		down = t.Spec.LeafNodes
-	}
+	down := t.Spec.perLeaf() // node-facing ports per leaf; the rest go to spines
 	spines := r - r/2
 	leaves := (n + down - 1) / down
 	if leaves < 1 {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"gmsim/internal/route"
 )
 
 func TestParseKindRoundTrip(t *testing.T) {
@@ -227,10 +225,10 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// TestRoutesMatchPerPairBFS is the routing property test: the batched
-// RoutesFrom-based table a Topology serves must agree byte-for-byte with
-// the per-pair BFS of route.Graph.Route (two independent implementations of
-// the same deterministic tie-breaking) on randomized Clos instances.
+// TestRoutesMatchPerPairBFS holds the route table a Topology serves to the
+// oracle's other traversal, the per-pair BFS of route.Graph.Route (the
+// equivalence tests in algroute_test.go use the per-source RoutesFrom), on
+// randomized Clos instances including radix 6.
 func TestRoutesMatchPerPairBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prop := func(kindPick, radixPick, nodePick uint8) bool {
@@ -363,22 +361,5 @@ func TestDOTContainsFabric(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
 		}
-	}
-}
-
-// TestGraphMatchesVertexConvention: the emitted graph uses the network
-// package's vertex numbering so fabric and topology agree.
-func TestGraphMatchesVertexConvention(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Single, Nodes: 4, Radix: 4})
-	g := tp.Graph()
-	r, err := g.Route(NICVertex(1), NICVertex(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, []byte{2}) {
-		t.Fatalf("route = %v, want [2]", r)
-	}
-	if SwitchVertex(3) != route.Vertex(6) || NICVertex(3) != route.Vertex(7) {
-		t.Fatal("vertex numbering drifted from the 2s/2n+1 convention")
 	}
 }
