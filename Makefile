@@ -96,10 +96,13 @@ bench:
 perf-gate:
 	sh scripts/perf_gate.sh $(BASE)
 
-# CPU profile of the scale path: the benchmark's two 256-node cells, twenty
-# whole measurements each. Read it with: go tool pprof -top gmsim.test cpu.prof
+# CPU and allocation profile of the scale path: the benchmark's two 256-node
+# cells, twenty whole measurements each. Read them with
+#   go tool pprof -top gmsim.test cpu.prof
+#   go tool pprof -sample_index=alloc_space -top gmsim.test mem.prof
 profile:
-	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof .
+	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
+		-memprofile mem.prof -memprofilerate 4096 .
 
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×
 # barrier kind × fault plan × seed), diffed against the golden summaries in
@@ -132,5 +135,5 @@ examples:
 	$(GO) run ./examples/mpi
 
 clean:
-	rm -f test_output.txt coverage.out coverage-summary.txt cpu.prof gmsim.test
+	rm -f test_output.txt coverage.out coverage-summary.txt cpu.prof mem.prof gmsim.test
 	rm -rf .perf_gate

@@ -46,6 +46,11 @@ type Comm struct {
 	// treats the cached slices read-only (per-token mutable state lives in
 	// the token itself).
 	tokCache tokenCache
+
+	// barTok is the one barrier send token this Comm posts, refilled per
+	// barrier: the NIC owns it from BarrierSend until the completion event
+	// has been received (gm.Port.BarrierActive), the Comm otherwise.
+	barTok mcp.BarrierToken
 }
 
 // tokenCache is one memoized neighborhood (a NICBarrierToken result: PE
@@ -98,19 +103,19 @@ func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int, lm *Lea
 	return tc, nil
 }
 
-// barrierToken returns a fresh token for the given barrier.
+// barrierToken refills the Comm's token for the given barrier. Field by
+// field: the firmware's per-barrier state in it (the gather record's backing
+// array) carries over, and PostBarrierToken resets what must be reset. The
+// caller has checked that no barrier is in flight.
 func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
 	nb, err := c.neighbourhood(alg, g, self, dim, c.leafMap)
 	if err != nil {
 		return nil, err
 	}
-	return &mcp.BarrierToken{
-		Alg:      alg,
-		Peers:    nb.peers,
-		Root:     nb.root,
-		Parent:   nb.parent,
-		Children: nb.children,
-	}, nil
+	tok := &c.barTok
+	tok.Alg, tok.Peers = alg, nb.peers
+	tok.Root, tok.Parent, tok.Children = nb.root, nb.parent, nb.children
+	return tok, nil
 }
 
 // SetLeafMap makes this Comm's GB barriers, NIC- and host-based,
@@ -252,6 +257,11 @@ func (pb *PendingBarrier) Dead() []network.NodeID { return pb.dead }
 // the barrier initiation from the polling of the barrier completion, a
 // fuzzy barrier can be performed"). g must not change once used (see Group).
 func (c *Comm) StartBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (PendingBarrier, error) {
+	if c.port.BarrierActive() {
+		// Refuse before the refill: the token still belongs to the barrier
+		// in flight.
+		return PendingBarrier{}, fmt.Errorf("core: port %d barrier already in flight", c.port.Num())
+	}
 	tok, err := c.barrierToken(alg, g, self, dim)
 	if err != nil {
 		return PendingBarrier{}, err

@@ -23,14 +23,22 @@ func mallocsFor(spec Spec) uint64 {
 // allocation creep. The same 16-node cell is measured at two iteration
 // counts; cluster construction, warm-up and pool growth cancel in the
 // difference, leaving the steady-state slope in heap objects per rank per
-// barrier. The change that added this test took NIC PE from 17 to 5 (four
-// barrier frames and the token), NIC GB dim 2 from 11.4 to 3.4, and host
-// PE from 83 to 15; sharing the Comm's memoized neighborhood with the host
-// barriers took the exchange schedule off, leaving 12: three per message —
-// data frame, ack frame, send token; frames are not pooled because
-// retransmission and the fault layer's duplicate delivery keep them alive
-// past their first arrival. Limits sit one above the measured slope: a
-// stray runtime allocation between the two readings moves it by a hundredth.
+// barrier. It read 5 / 3.4 / 12 (NIC PE: four barrier frames and the token;
+// host PE: data frame, ack frame and send token per message) until frames
+// were leased and tokens kept by value; the slope is now zero on every row.
+//
+// The ownership rule that makes it so: a *mcp.Frame on the wire has exactly
+// one owner. A sender keeps what it may have to send again by value
+// (sentItem, Connection.barrierSent) and copies it into a freshly leased
+// wire frame per (re)transmission; the receiving MCP returns the frame to
+// its free list after handleFrame, and only when network.Iface.Recycle took
+// the carrier packet — an observer or a fault hook (the one source of
+// duplicate delivery) closes that gate for packet and frame alike. Send
+// tokens travel by value, and a Comm refills one barrier token.
+//
+// Limits are one object per rank-barrier: a stray runtime allocation
+// between the two readings moves the slope by a hundredth, a real one by a
+// whole number.
 func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 	const n, lo, hi = 16, 100, 300
 	for _, tc := range []struct {
@@ -40,9 +48,10 @@ func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 		dim   int
 		max   float64
 	}{
-		{"nic-pe", NICLevel, mcp.PE, 0, 6},
-		{"nic-gb2", NICLevel, mcp.GB, 2, 5},
-		{"host-pe", HostLevel, mcp.PE, 0, 13},
+		{"nic-pe", NICLevel, mcp.PE, 0, 1},
+		{"nic-gb2", NICLevel, mcp.GB, 2, 1},
+		{"host-pe", HostLevel, mcp.PE, 0, 1},
+		{"host-gb2", HostLevel, mcp.GB, 2, 1},
 	} {
 		spec := Spec{Cluster: cluster.DefaultConfig(n), Level: tc.level, Alg: tc.alg, Dim: tc.dim, Warmup: 5}
 		spec.Iters = lo

@@ -109,14 +109,39 @@ func TestCrashMidProvisioningBatchEqualsLoop(t *testing.T) {
 	}
 }
 
+// measuredStats is measured for a caller that wants every NIC's firmware
+// counters instead of the event count.
+func measuredStats(t *testing.T, spec Spec) (Outcome, []mcp.Stats) {
+	t.Helper()
+	s, err := NewSession(spec.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	out, err := s.measure(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]mcp.Stats, s.Cluster.Nodes())
+	for i := range stats {
+		stats[i] = s.Cluster.MCP(i).Stats()
+	}
+	return out, stats
+}
+
 // TestOneEventHopMatchesArrivalEventRuns is the whole-stack differential for
-// the fabric's one-event hop: attaching an empty fault plan installs the
-// injector's hook, which puts every hop back on its arrival event and is
-// otherwise free, so each cell run both ways must give the same summary to
-// the bit — NIC and host level, both algorithms, reliable barrier frames
-// (acks of another size on the wire) or not, one crossbar and three
-// multi-switch shapes. TestZeroFaultScenariosMatchFigure5 pins two such
-// cells against Figure 5; this sweeps the configurations nothing else pins.
+// the fabric's one-event hop and for the frame lease: attaching an empty
+// fault plan installs the injector's hook, which puts every hop back on its
+// arrival event, keeps every packet and wire frame out of the free lists
+// (Iface.Recycle's gate) and is otherwise free, so each cell run both ways
+// must give the same summary and the same firmware counters on every NIC to
+// the bit — NIC and host level (barrier frames; data and ack frames), both
+// algorithms, reliable barrier frames (retained by value, acks of another
+// size on the wire) or not, one crossbar and three multi-switch shapes. A
+// frame handled after it went back to a free list would show up as a
+// ProtocolErrors count on the pooled side only.
+// TestZeroFaultScenariosMatchFigure5 pins two such cells against Figure 5;
+// this sweeps the configurations nothing else pins.
 func TestOneEventHopMatchesArrivalEventRuns(t *testing.T) {
 	type testbed struct {
 		name string
@@ -144,19 +169,22 @@ func TestOneEventHopMatchesArrivalEventRuns(t *testing.T) {
 						spec.Alg = mcp.PE
 					}
 					spec.Cluster.ReliableBarrier = reliable
-					plain, err := Run(spec, false)
-					if err != nil {
-						t.Fatal(err)
-					}
+					plain, pooled := measuredStats(t, spec)
 					spec.Cluster.Fault = &fault.Plan{}
-					hooked, err := Run(spec, false)
-					if err != nil {
-						t.Fatal(err)
-					}
+					hooked, unpooled := measuredStats(t, spec)
 					cells++
+					cell := fmt.Sprintf("%s reliable=%v level=%v dim=%d", bed.name, reliable, level, dim)
 					if got, want := plain.Summary.String(), hooked.Summary.String(); got != want {
-						t.Errorf("%s reliable=%v level=%v dim=%d:\n--- one event per hop\n%s--- arrival events\n%s",
-							bed.name, reliable, level, dim, got, want)
+						t.Errorf("%s:\n--- one event per hop\n%s--- arrival events\n%s", cell, got, want)
+					}
+					for i := range pooled {
+						if pooled[i] != unpooled[i] {
+							t.Errorf("%s: node %d firmware counters differ:\n--- pooled\n%+v\n--- unpooled\n%+v",
+								cell, i, pooled[i], unpooled[i])
+						}
+						if pooled[i].ProtocolErrors != 0 {
+							t.Errorf("%s: node %d: %d protocol errors", cell, i, pooled[i].ProtocolErrors)
+						}
 					}
 				}
 			}

@@ -20,12 +20,14 @@ func (pt *Port) ProvideCollectiveBuffer(p *host.Process) error {
 	}
 	pt.collBufs++
 	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, "provide_coll_buf")
-	pt.sim.After(p.Params().DoorbellLatency, func() {
-		if err := pt.mcp.PostCollectiveBuffer(pt.num); err != nil && pt.open {
-			panic(fmt.Sprintf("gm: NIC rejected collective buffer: %v", err))
-		}
-	})
+	pt.sim.After(p.Params().DoorbellLatency, pt.collBufDoorbell)
 	return nil
+}
+
+func (pt *Port) collBufRung() {
+	if err := pt.mcp.PostCollectiveBuffer(pt.num); err != nil && pt.open {
+		panic(fmt.Sprintf("gm: NIC rejected collective buffer: %v", err))
+	}
 }
 
 // CollectiveSend initiates a NIC-based collective operation. Completion is
@@ -40,14 +42,24 @@ func (pt *Port) CollectiveSend(p *host.Process, tok *mcp.CollToken) error {
 	if pt.collBufs == 0 {
 		return fmt.Errorf("gm: port %d has no collective buffer", pt.num)
 	}
+	// A token the firmware would refuse is refused here, before any host-side
+	// state moves: past the doorbell there is no one to return the error to.
+	if err := tok.Validate(); err != nil {
+		return err
+	}
 	tok.SrcPort = pt.num
 	pt.collActive = true
 	pt.collBufs--
 	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, "gm_coll_send")
-	pt.sim.After(p.Params().DoorbellLatency, func() {
-		if err := pt.mcp.PostCollectiveToken(tok); err != nil {
-			panic(fmt.Sprintf("gm: NIC rejected collective token: %v", err))
-		}
-	})
+	pt.collPosted = tok
+	pt.sim.After(p.Params().DoorbellLatency, pt.collTokDoorbell)
 	return nil
+}
+
+func (pt *Port) collTokRung() {
+	tok := pt.collPosted
+	pt.collPosted = nil
+	if err := pt.mcp.PostCollectiveToken(tok); err != nil {
+		panic(fmt.Sprintf("gm: NIC rejected collective token: %v", err))
+	}
 }

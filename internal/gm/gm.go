@@ -67,13 +67,16 @@ type Port struct {
 	// after the host call returns. Every request of a port takes the same
 	// latency, so the queues are FIFO; the doorbell callbacks are method
 	// values built once in Open, so ringing a doorbell allocates nothing.
-	sendsPosted    []*mcp.SendToken
-	barrierPosted  *mcp.BarrierToken // one at a time (barrierActive)
-	sendDoorbell   func()
-	recvDoorbell   func()
-	batchDoorbell  func()
-	barBufDoorbell func()
-	barTokDoorbell func()
+	sendsPosted     []mcp.SendToken
+	barrierPosted   *mcp.BarrierToken // one at a time (barrierActive)
+	collPosted      *mcp.CollToken    // one at a time (collActive)
+	sendDoorbell    func()
+	recvDoorbell    func()
+	batchDoorbell   func()
+	barBufDoorbell  func()
+	barTokDoorbell  func()
+	collBufDoorbell func()
+	collTokDoorbell func()
 
 	// One ProvideReceiveBuffers batch still ringing its doorbells: how many
 	// are left, and the process that posted them.
@@ -100,6 +103,8 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	pt.batchDoorbell = pt.batchRung
 	pt.barBufDoorbell = pt.barBufRung
 	pt.barTokDoorbell = pt.barTokRung
+	pt.collBufDoorbell = pt.collBufRung
+	pt.collTokDoorbell = pt.collTokRung
 	if err := m.OpenPort(num, pt.onEvent); err != nil {
 		return nil, err
 	}
@@ -157,7 +162,7 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) er
 	pt.sendsInFlight++
 	pt.sent++
 	p.ComputePhase(p.Params().EffectiveSendCost(), phase.HostSend, "gm_send")
-	pt.sendsPosted = append(pt.sendsPosted, &mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag})
+	pt.sendsPosted = append(pt.sendsPosted, mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag})
 	pt.sim.After(p.Params().DoorbellLatency, pt.sendDoorbell)
 	return nil
 }
@@ -251,6 +256,10 @@ func (pt *Port) barBufRung() {
 		panic(fmt.Sprintf("gm: NIC rejected barrier buffer: %v", err))
 	}
 }
+
+// BarrierActive reports whether a barrier this port posted has yet to have
+// its completion event received: until then the NIC owns the posted token.
+func (pt *Port) BarrierActive() bool { return pt.barrierActive }
 
 // BarrierSend initiates a NIC-based barrier — the paper's
 // gm_barrier_send_with_callback. The host must have computed the peer list

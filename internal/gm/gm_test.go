@@ -260,3 +260,59 @@ func TestReceiveBlocksUntilDelivery(t *testing.T) {
 		t.Fatalf("receive completed at %v before send at %v", recvAt, sendAt)
 	}
 }
+
+// TestMalformedCollectiveTokenIsRefusedAtTheCall: a token the firmware would
+// reject comes back as an error from CollectiveSend on every rank, before any
+// host-side state moved — the buffer provided for it is still there and no
+// collective counts as in flight, so the good token that follows completes
+// without another ProvideCollectiveBuffer. (The firmware's refusal used to
+// surface one doorbell later, as a panic inside the event loop.)
+func TestMalformedCollectiveTokenIsRefusedAtTheCall(t *testing.T) {
+	const n = 4
+	results := make([][]byte, n)
+	body := func(cl *cluster.Cluster, p *host.Process) {
+		rank := p.Rank()
+		port, err := gm.Open(p, cl.MCP(rank), 2)
+		if err != nil {
+			t.Errorf("rank %d: open: %v", rank, err)
+			return
+		}
+		if err := port.ProvideCollectiveBuffer(p); err != nil {
+			t.Errorf("rank %d: provide: %v", rank, err)
+			return
+		}
+		// A star: rank 0 gathers from and broadcasts to everyone else.
+		tok := func(block []byte, blockSize int) *mcp.CollToken {
+			tk := &mcp.CollToken{
+				Op: mcp.AllGather, Value: block,
+				Rank: rank, BlockSize: blockSize, GroupSize: n,
+				Root: rank == 0, Parent: mcp.Endpoint{Node: 0, Port: 2},
+			}
+			for c := 1; rank == 0 && c < n; c++ {
+				tk.Children = append(tk.Children, mcp.Endpoint{Node: cl.MCP(c).Node(), Port: 2})
+			}
+			return tk
+		}
+		block := []byte{byte('a' + rank), byte('A' + rank)}
+		for _, bad := range []*mcp.CollToken{tok(nil, 0), tok(block, len(block)+1)} {
+			if err := port.CollectiveSend(p, bad); err == nil {
+				t.Errorf("rank %d: malformed allgather token accepted", rank)
+			}
+		}
+		if err := port.CollectiveSend(p, tok(block, len(block))); err != nil {
+			t.Errorf("rank %d: good token after the refused ones: %v", rank, err)
+			return
+		}
+		ev := port.Receive(p)
+		if ev.Kind != mcp.CollDoneEvent {
+			t.Errorf("rank %d: event %v, want coll-done", rank, ev.Kind)
+		}
+		results[rank] = ev.Data
+	}
+	run(t, n, body, body)
+	for rank, got := range results {
+		if string(got) != "aAbBcCdD" {
+			t.Errorf("rank %d: allgather result %q", rank, got)
+		}
+	}
+}

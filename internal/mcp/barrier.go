@@ -2,6 +2,7 @@ package mcp
 
 import (
 	"fmt"
+	"slices"
 
 	"gmsim/internal/network"
 )
@@ -29,7 +30,8 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 		return fmt.Errorf("mcp: port %d has no barrier buffer (call ProvideBarrierBuffer)", tok.SrcPort)
 	}
 	if tok.Alg == GB {
-		tok.gatherFrom = make([]bool, len(tok.Children))
+		// A token the host posts again keeps its backing array.
+		tok.gatherFrom = append(tok.gatherFrom[:0], make([]bool, len(tok.Children))...)
 		tok.sentGather = false
 	}
 	tok.Index = 0
@@ -97,7 +99,7 @@ func (m *MCP) peSendCurrent(p *Port, tok *BarrierToken) {
 func (m *MCP) peDrainRecorded(p *Port, tok *BarrierToken) {
 	for p.barrier == tok && tok.Index < len(tok.Peers) {
 		peer := tok.Peers[tok.Index]
-		if !m.takeUnexpected(peer, BarrierPEFrame, p.num) {
+		if !m.takeUnexpected(m.conn(peer.Node), peer.Port, BarrierPEFrame, p.num) {
 			return
 		}
 		m.peAdvance(p, tok)
@@ -125,7 +127,7 @@ func (m *MCP) peAdvance(p *Port, tok *BarrierToken) {
 // arrived.
 func (m *MCP) gbDrainRecorded(p *Port, tok *BarrierToken) {
 	for i, c := range tok.Children {
-		if !tok.gatherFrom[i] && m.takeUnexpected(c, BarrierGatherFrame, p.num) {
+		if !tok.gatherFrom[i] && m.takeUnexpected(m.conn(c.Node), c.Port, BarrierGatherFrame, p.num) {
 			tok.gatherFrom[i] = true
 		}
 	}
@@ -143,10 +145,10 @@ func (m *MCP) gbMaybeAdvance(p *Port, tok *BarrierToken) {
 	}
 	if !tok.sentGather {
 		tok.sentGather = true
-		m.sendBarrierFrame(p, tok.Parent, BarrierGatherFrame)
+		c := m.sendBarrierFrame(p, tok.Parent, BarrierGatherFrame)
 		// Now wait for the parent's broadcast. An already-recorded
 		// broadcast (possible with consecutive barriers) is consumed here.
-		if m.takeUnexpected(tok.Parent, BarrierBcastFrame, p.num) {
+		if m.takeUnexpected(c, tok.Parent.Port, BarrierBcastFrame, p.num) {
 			m.gbComplete(p, tok)
 		}
 	}
@@ -161,7 +163,7 @@ func (m *MCP) gbMaybeAdvance(p *Port, tok *BarrierToken) {
 // child..."), then the broadcasts go out one after another.
 func (m *MCP) gbComplete(p *Port, tok *BarrierToken) {
 	m.barrierFinish(p, tok)
-	m.lastGB[p.num] = tok
+	m.lastGB[p.num] = gbDone{epoch: tok.Epoch, children: tok.Children}
 	for _, child := range tok.Children {
 		m.sendBarrierFrameEpoch(p.num, tok.Epoch, child, BarrierBcastFrame, nil)
 	}
@@ -181,10 +183,10 @@ func (m *MCP) handleBarrier(f *Frame) {
 		// separate mechanism: own sequence space, own ack type).
 		if !c.barrierSeen[f.SrcPort].mark(f.Seq) {
 			m.stats.BarrierDups++
-			m.sendBarrierAck(f)
+			m.sendBarrierAck(c, f)
 			return
 		}
-		m.sendBarrierAck(f)
+		m.sendBarrierAck(c, f)
 	}
 
 	if !m.validPort(f.DstPort) {
@@ -193,7 +195,7 @@ func (m *MCP) handleBarrier(f *Frame) {
 	}
 	p := m.ports[f.DstPort]
 	if !p.open {
-		m.recordClosedPort(f)
+		m.recordClosedPort(c, f)
 		return
 	}
 
@@ -235,13 +237,13 @@ func (m *MCP) recordUnexpected(c *Connection, f *Frame) {
 	*slot = unexpRec{present: true, kind: f.Kind, dstPort: f.DstPort, srcEpoch: f.SrcEpoch}
 }
 
-// takeUnexpected consumes the recorded message from endpoint src if one is
-// present. A kind or destination-port mismatch is counted as a protocol
-// error and the record is left in place (the richer-than-one-bit record
-// lets the simulator detect violations the paper's bit array would absorb).
-func (m *MCP) takeUnexpected(src Endpoint, kind FrameKind, dstPort int) bool {
-	c := m.conn(src.Node)
-	slot := &c.unexp[src.Port]
+// takeUnexpected consumes the recorded message from port srcPort of c's peer
+// if one is present. A kind or destination-port mismatch is counted as a
+// protocol error and the record is left in place (the richer-than-one-bit
+// record lets the simulator detect violations the paper's bit array would
+// absorb).
+func (m *MCP) takeUnexpected(c *Connection, srcPort int, kind FrameKind, dstPort int) bool {
+	slot := &c.unexp[srcPort]
 	if !slot.present {
 		return false
 	}
@@ -257,11 +259,11 @@ func (m *MCP) takeUnexpected(src Endpoint, kind FrameKind, dstPort int) bool {
 // Closed-port protocol (Section 3.2, adopted solution).
 // ---------------------------------------------------------------------------
 
-func (m *MCP) recordClosedPort(f *Frame) {
+func (m *MCP) recordClosedPort(c *Connection, f *Frame) {
 	m.stats.ClosedPortRecs++
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: record normally; OpenPort clears it.
-		m.recordUnexpected(m.conn(f.SrcNode), f)
+		m.recordUnexpected(c, f)
 		return
 	}
 	recs := m.pendingClosed[f.DstPort]
@@ -313,11 +315,11 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 		}
 	case BarrierBcastFrame:
 		// The broadcast sender's barrier has already completed locally;
-		// the remembered token lets it reconstruct the message.
+		// what it left behind lets it reconstruct the message.
 		last := m.lastGB[f.DstPort]
-		if last != nil && last.Epoch == f.SrcEpoch && last.childIndex(rejector) >= 0 {
+		if last.epoch == f.SrcEpoch && slices.Contains(last.children, rejector) {
 			m.stats.BarrierResends++
-			m.sendBarrierFrameEpoch(f.DstPort, last.Epoch, rejector, BarrierBcastFrame, nil)
+			m.sendBarrierFrameEpoch(f.DstPort, last.epoch, rejector, BarrierBcastFrame, nil)
 		}
 	}
 }
@@ -327,16 +329,18 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 // ---------------------------------------------------------------------------
 
 // sendBarrierFrame prepares and transmits one barrier packet from the
-// port's current epoch.
-func (m *MCP) sendBarrierFrame(p *Port, dst Endpoint, kind FrameKind) {
-	m.sendBarrierFrameEpoch(p.num, p.epoch, dst, kind, nil)
+// port's current epoch, and returns the connection it goes out on.
+func (m *MCP) sendBarrierFrame(p *Port, dst Endpoint, kind FrameKind) *Connection {
+	return m.sendBarrierFrameEpoch(p.num, p.epoch, dst, kind, nil)
 }
 
 // sendBarrierFrameEpoch is sendBarrierFrame for an explicit epoch. A
 // non-nil drain is the sending port's PE token: once the packet has been
 // prepared its unexpected-message record is checked (peDrainRecorded).
-func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind FrameKind, drain *BarrierToken) {
-	f := &Frame{
+func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind FrameKind, drain *BarrierToken) *Connection {
+	h, rec := m.pendBarSends.Get()
+	rec.c, rec.drain = m.conn(dst.Node), drain
+	rec.f = Frame{
 		Kind:     kind,
 		SrcNode:  m.cfg.Node,
 		SrcPort:  srcPort,
@@ -348,25 +352,31 @@ func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind Frame
 		// Barrier traffic gossips the dead set so survivors converge on one
 		// membership view. Empty when nothing died, so zero-fault frames
 		// stay byte-identical to the pre-detection wire format.
-		f.Data = m.encodeDeadSet()
+		rec.f.Data = m.encodeDeadSet()
 	}
 	prep, label := m.cfg.Params.BarrierPrep, "bar.prep"
 	if kind == BarrierGatherFrame || kind == BarrierBcastFrame {
 		prep, label = m.cfg.Params.GBPrep, "gb.prep"
 	}
-	h, rec := m.pendBarSends.Get()
-	rec.f, rec.dst, rec.drain = f, dst, drain
 	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, m.barSendFn, h)
+	return rec.c
 }
 
 // barSendEvent fires when a barrier frame's preparation cost has been paid
 // on the firmware processor: release the leased record and send the frame.
+//
+// drain names a barrier instance by its token's address, and the host posts
+// one token again and again (core.Comm). That stays sound because the
+// firmware processor is FIFO (lanai.NIC.charge): a drain queued during
+// barrier k runs before the bar.token task of barrier k+1, which the host can
+// only post after k's completion — so it finds p.barrier nil, never the same
+// token in its next life.
 func (m *MCP) barSendEvent(h uint64) {
 	rec := m.pendBarSends.At(h)
-	f, dst, drain := rec.f, rec.dst, rec.drain
-	rec.f, rec.drain = nil, nil
+	f, c, drain := rec.f, rec.c, rec.drain
+	rec.f.Data, rec.drain = nil, nil
 	m.pendBarSends.Put(h)
-	m.barSend(f, dst)
+	m.barSend(c, &f)
 	if drain != nil {
 		m.peDrainRecorded(m.ports[f.SrcPort], drain)
 	}
@@ -374,14 +384,14 @@ func (m *MCP) barSendEvent(h uint64) {
 
 // barSend puts one prepared barrier frame on the wire (or short-circuits
 // it: dead destination, same-NIC loopback flag).
-func (m *MCP) barSend(f *Frame, dst Endpoint) {
-	if m.cfg.DetectFailures && dst.Node != m.cfg.Node && m.deadPeers[dst.Node] {
+func (m *MCP) barSend(c *Connection, f *Frame) {
+	if m.cfg.DetectFailures && f.DstNode != m.cfg.Node && m.deadPeers[f.DstNode] {
 		// The destination died while this frame waited out its prep cost:
 		// sending would only spin up the retransmission machinery toward a
 		// corpse. The repair path has already routed the barrier around it.
 		return
 	}
-	if m.cfg.LoopbackFlag && dst.Node == m.cfg.Node {
+	if m.cfg.LoopbackFlag && f.DstNode == m.cfg.Node {
 		// Section 3.4 optimization: two ports of the same NIC in one
 		// barrier exchange a flag instead of a packet.
 		m.stats.BarrierSent++
@@ -389,28 +399,27 @@ func (m *MCP) barSend(f *Frame, dst Endpoint) {
 		return
 	}
 	if m.cfg.ReliableBarrier {
-		c := m.conn(dst.Node)
 		f.Seq = c.barrierSendSeq
 		c.barrierSendSeq++
-		c.barrierSent = append(c.barrierSent, &sentBarrier{frame: f})
+		c.barrierSent = append(c.barrierSent, *f)
 		m.armRetransTimer(c)
 	}
 	m.stats.BarrierSent++
-	m.transmitFrame(f)
+	m.transmitFrame(c, f)
 }
 
-func (m *MCP) sendBarrierAck(f *Frame) {
-	m.sendCtl("ack.gen", ctlRec{kind: BarrierAckFrame, dst: f.SrcNode, seq: f.Seq})
+func (m *MCP) sendBarrierAck(c *Connection, f *Frame) {
+	m.sendCtl("ack.gen", ctlRec{kind: BarrierAckFrame, c: c, seq: f.Seq})
 }
 
 func (m *MCP) handleBarrierAck(f *Frame) {
 	c := m.conn(f.SrcNode)
-	for i, sb := range c.barrierSent {
-		if sb.frame.Seq == f.AckSeq {
-			if sb.frame.Kind == BarrierProbeFrame {
+	for i := range c.barrierSent {
+		if sb := &c.barrierSent[i]; sb.Seq == f.AckSeq {
+			if sb.Kind == BarrierProbeFrame {
 				c.probeOut = false // the peer answered: alive
 			}
-			c.barrierSent = append(c.barrierSent[:i], c.barrierSent[i+1:]...)
+			c.barrierSent = slices.Delete(c.barrierSent, i, i+1)
 			m.ackProgress(c)
 			break
 		}
@@ -424,11 +433,10 @@ func (m *MCP) handleBarrierAck(f *Frame) {
 // was already charged by timerFire (its only caller), once for the fire.
 func (m *MCP) retransmitBarrier(c *Connection) {
 	pr := m.cfg.Params
-	for _, sb := range c.barrierSent {
-		sb := sb
+	for _, f := range c.barrierSent {
 		m.stats.BarrierResends++
 		c.retransmit++
-		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(sb.frame) })
+		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })
 	}
 }
 

@@ -186,12 +186,25 @@ func (t *CollToken) childIndex(ep Endpoint) int {
 // Kind == CollDoneEvent and Data holding the result (broadcast payload or
 // reduction result; Reduce delivers data only at the root).
 
+// Validate reports what is wrong with the token's host-filled fields, if
+// anything. The GM library checks before it commits host-side state; the
+// firmware checks again when the token is posted.
+func (t *CollToken) Validate() error {
+	if t.Op == AllGather && (t.BlockSize <= 0 || t.GroupSize <= 0 || len(t.Value) != t.BlockSize) {
+		return fmt.Errorf("mcp: allgather needs BlockSize/GroupSize and a block-sized Value")
+	}
+	return nil
+}
+
 // PostCollectiveToken accepts a collective send token. The port must have a
 // collective buffer provided (ProvideCollectiveBuffer) and no collective in
 // flight.
 func (m *MCP) PostCollectiveToken(tok *CollToken) error {
 	if !m.validPort(tok.SrcPort) || !m.ports[tok.SrcPort].open {
 		return fmt.Errorf("mcp: collective from closed port %d", tok.SrcPort)
+	}
+	if err := tok.Validate(); err != nil {
+		return err
 	}
 	p := m.ports[tok.SrcPort]
 	if p.coll != nil || p.collPending {
@@ -205,9 +218,6 @@ func (m *MCP) PostCollectiveToken(tok *CollToken) error {
 	switch tok.Op {
 	case Broadcast:
 	case AllGather:
-		if tok.BlockSize <= 0 || tok.GroupSize <= 0 || len(tok.Value) != tok.BlockSize {
-			return fmt.Errorf("mcp: allgather needs BlockSize/GroupSize and a block-sized Value")
-		}
 		tok.initAllGather()
 	default:
 		tok.acc = append([]byte(nil), tok.Value...)
@@ -333,7 +343,7 @@ func (m *MCP) collFinish(p *Port, tok *CollToken, data []byte) {
 // combining and payload handling cost extra cycles proportional to the
 // vector length.
 func (m *MCP) sendCollFrame(srcPort, epoch int, dst Endpoint, kind FrameKind, data []byte, size int) {
-	f := &Frame{
+	f := Frame{
 		Kind:     kind,
 		SrcNode:  m.cfg.Node,
 		SrcPort:  srcPort,
@@ -345,15 +355,15 @@ func (m *MCP) sendCollFrame(srcPort, epoch int, dst Endpoint, kind FrameKind, da
 	pr := m.cfg.Params
 	cost := pr.CollPrep + pr.SendXmit + pr.CollPerElem*int64(len(data)/ElemBytes)
 	m.nic.ExecTagged(cost, "coll.prep", func() {
+		c := m.conn(dst.Node)
 		if m.cfg.ReliableBarrier {
-			c := m.conn(dst.Node)
 			f.Seq = c.barrierSendSeq
 			c.barrierSendSeq++
-			c.barrierSent = append(c.barrierSent, &sentBarrier{frame: f})
+			c.barrierSent = append(c.barrierSent, f)
 			m.armRetransTimer(c)
 		}
 		m.stats.CollSent++
-		m.transmitFrame(f)
+		m.transmitFrame(c, &f)
 	})
 }
 
@@ -367,10 +377,10 @@ func (m *MCP) handleCollective(f *Frame) {
 	if m.cfg.ReliableBarrier {
 		if !c.barrierSeen[f.SrcPort].mark(f.Seq) {
 			m.stats.BarrierDups++
-			m.sendBarrierAck(f)
+			m.sendBarrierAck(c, f)
 			return
 		}
-		m.sendBarrierAck(f)
+		m.sendBarrierAck(c, f)
 	}
 
 	if !m.validPort(f.DstPort) {
@@ -379,7 +389,7 @@ func (m *MCP) handleCollective(f *Frame) {
 	}
 	p := m.ports[f.DstPort]
 	if !p.open {
-		m.recordClosedPort(f)
+		m.recordClosedPort(c, f)
 		return
 	}
 

@@ -216,7 +216,7 @@ func TestNoBufferNackKeepsConnectionAlive(t *testing.T) {
 	})
 	r.open(t, 0, 2)
 	r.open(t, 1, 2) // no receive buffers
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "t",
 	}); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestConnectionDeathReportsFailedSends(t *testing.T) {
 	r := newRig(t, 2, func(i int, cfg *Config) { cfg.Params.MaxRetries = 3 })
 	r.open(t, 0, 2)
 	// node 1 port never opened
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "dead",
 	}); err != nil {
 		t.Fatal(err)

@@ -208,10 +208,10 @@ func (m *MCP) handleBarrierProbe(f *Frame) {
 	if m.cfg.ReliableBarrier {
 		if !c.barrierSeen[f.SrcPort].mark(f.Seq) {
 			m.stats.BarrierDups++
-			m.sendBarrierAck(f)
+			m.sendBarrierAck(c, f)
 			return
 		}
-		m.sendBarrierAck(f)
+		m.sendBarrierAck(c, f)
 	}
 	if m.cfg.DetectFailures && len(f.Data) > 0 {
 		m.mergeDeadSet(f.Data)

@@ -56,6 +56,10 @@ const (
 	// seq, acked, retransmitted), so an unanswered probe exhausts the retry
 	// budget and declares the peer dead — the failure-detection path.
 	BarrierProbeFrame
+
+	// releasedFrame is no wire kind: it stamps a frame that went back to its
+	// NIC's free list (see MCP.releaseFrame). The codec cannot produce it.
+	releasedFrame FrameKind = -1
 )
 
 var kindNames = map[FrameKind]string{

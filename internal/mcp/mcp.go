@@ -39,17 +39,21 @@ type MCP struct {
 	// dead-sets carried on other survivors' barrier frames.
 	deadPeers map[network.NodeID]bool
 
-	// lastGB keeps, per port, the most recently completed GB token so a
-	// broadcast rejected by a then-closed child can be reconstructed.
-	lastGB []*BarrierToken
+	// lastGB keeps, per port, what a broadcast rejected by a then-closed
+	// child is checked against: the epoch and children of the most recently
+	// completed GB barrier, by value — the host refills one token per Comm.
+	lastGB []gbDone
 	// lastColl is the collective analogue of lastGB.
 	lastColl []*CollToken
+
+	// frames is the bounded free list of wire frames (see leaseFrame).
+	frames []*Frame
 
 	// pendFrames leases frame pointers across the RECV classification and
 	// loopback delays; the *Fn fields are the matching callbacks built once
 	// as method values, so the per-frame hot path schedules without
 	// allocating closures (see lanai.NIC.ExecTaggedCall).
-	pendFrames    mem.Slab[*Frame]
+	pendFrames    mem.Slab[frameRec]
 	handleFrameFn func(uint64)
 	loopbackFn    func(uint64)
 
@@ -69,7 +73,7 @@ type MCP struct {
 
 	// pendSends leases data send tokens across the SDMA state machine's
 	// three stages (poll, host-memory DMA, packet preparation).
-	pendSends  mem.Slab[*SendToken]
+	pendSends  mem.Slab[SendToken]
 	sdmaPollFn func(uint64)
 	sdmaDoneFn func(uint64)
 	sdmaPrepFn func(uint64)
@@ -85,12 +89,20 @@ type MCP struct {
 	stats Stats
 }
 
-// barSendRec is one barrier frame waiting out its preparation cost on the
-// firmware processor. A non-nil drain is the PE token whose unexpected-
-// message record is checked once the frame is prepared.
-type barSendRec struct {
+// frameRec is one received frame waiting out a delay. owned says the wire is
+// done with it, so the firmware returns it to the free list once handled.
+type frameRec struct {
 	f     *Frame
-	dst   Endpoint
+	owned bool
+}
+
+// barSendRec is one barrier frame waiting out its preparation cost on the
+// firmware processor, with the connection it goes out on. A non-nil drain is
+// the PE token whose unexpected-message record is checked once the frame is
+// prepared.
+type barSendRec struct {
+	f     Frame
+	c     *Connection
 	drain *BarrierToken
 }
 
@@ -105,7 +117,7 @@ type hostEvtRec struct {
 // ctlRec is one control frame (ack, nack, barrier ack) to generate.
 type ctlRec struct {
 	kind     FrameKind
-	dst      network.NodeID
+	c        *Connection
 	seq      uint32
 	noBuffer bool
 }
@@ -123,7 +135,7 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		conns:         make(map[network.NodeID]*Connection),
 		pendingClosed: make(map[int][]pendingClosed),
 		deadPeers:     make(map[network.NodeID]bool),
-		lastGB:        make([]*BarrierToken, cfg.NumPorts),
+		lastGB:        make([]gbDone, cfg.NumPorts),
 		lastColl:      make([]*CollToken, cfg.NumPorts),
 	}
 	m.ports = make([]*Port, cfg.NumPorts)
@@ -209,7 +221,7 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 	p.collPending = false
 	p.collBufs = 0
 	p.deliver = deliver
-	m.lastGB[n] = nil
+	m.lastGB[n] = gbDone{}
 	m.lastColl[n] = nil
 
 	if m.cfg.ClearUnexpectedOnOpen {
@@ -231,7 +243,7 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 		rec := rec
 		m.nic.ExecTagged(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "bar.reject", func() {
 			m.stats.BarrierRejects++
-			m.transmitFrame(&Frame{
+			m.transmitFrame(m.conn(rec.src.Node), &Frame{
 				Kind:        BarrierRejectFrame,
 				SrcNode:     m.cfg.Node,
 				SrcPort:     n,
@@ -263,7 +275,7 @@ func (m *MCP) ClosePort(n int) error {
 	p.coll = nil
 	p.collPending = false
 	p.deliver = nil
-	m.lastGB[n] = nil
+	m.lastGB[n] = gbDone{}
 	m.lastColl[n] = nil
 	return nil
 }
@@ -291,7 +303,7 @@ func (m *MCP) PostBarrierBuffer(n int) error {
 // PostSendToken accepts a data send descriptor. The SDMA state machine
 // notices it, DMAs the payload from host memory, prepares the packet,
 // appends it to the connection's sent list and hands it to SEND.
-func (m *MCP) PostSendToken(tok *SendToken) error {
+func (m *MCP) PostSendToken(tok SendToken) error {
 	if !m.validPort(tok.SrcPort) || !m.ports[tok.SrcPort].open {
 		return fmt.Errorf("mcp: send from closed port %d", tok.SrcPort)
 	}
@@ -308,7 +320,7 @@ func (m *MCP) PostSendToken(tok *SendToken) error {
 
 // sdmaPolled: the SDMA machine has noticed the token; DMA the payload.
 func (m *MCP) sdmaPolled(h uint64) {
-	m.nic.SDMA().StartCall(len((*m.pendSends.At(h)).Data), m.sdmaDoneFn, h)
+	m.nic.SDMA().StartCall(len(m.pendSends.At(h).Data), m.sdmaDoneFn, h)
 }
 
 // sdmaDone: the payload is in NIC memory; prepare the packet.
@@ -322,10 +334,10 @@ func (m *MCP) sdmaDone(h uint64) {
 func (m *MCP) sdmaPrepared(h uint64) {
 	cell := m.pendSends.At(h)
 	tok := *cell
-	*cell = nil
+	*cell = SendToken{}
 	m.pendSends.Put(h)
 	c := m.conn(tok.Dst.Node)
-	f := &Frame{
+	it := sentItem{tag: tok.Tag, frame: Frame{
 		Kind:     DataFrame,
 		SrcNode:  m.cfg.Node,
 		SrcPort:  tok.SrcPort,
@@ -334,38 +346,38 @@ func (m *MCP) sdmaPrepared(h uint64) {
 		Seq:      c.sendSeq,
 		Data:     tok.Data,
 		SrcEpoch: m.ports[tok.SrcPort].epoch,
-	}
+	}}
 	c.sendSeq++
-	c.sentList = append(c.sentList, sentItem{frame: f, tok: tok})
+	c.sentList = append(c.sentList, it)
 	m.armRetransTimer(c)
 	m.stats.DataSent++
-	m.transmitFrame(f)
+	m.transmitFrame(c, &it.frame)
 }
 
 // ---------------------------------------------------------------------------
 // SEND state machine and wire I/O.
 // ---------------------------------------------------------------------------
 
-// transmitFrame hands one prepared frame to the transmit interface (or the
-// NIC-internal loopback path when the destination is this NIC). The SEND
+// transmitFrame copies one prepared frame into a leased wire frame and hands
+// it to the transmit interface of connection c (or the NIC-internal loopback
+// path when the destination is this NIC); the caller keeps *f. The SEND
 // state machine's per-packet cost (SendXmit) is charged by the caller as
 // part of the packet-preparation task, so a single packet's prepare-and-
 // transmit is one uninterruptible unit of firmware work — later-arriving
 // tasks (e.g. the next barrier's token) cannot interleave between them.
-func (m *MCP) transmitFrame(f *Frame) {
+func (m *MCP) transmitFrame(c *Connection, f *Frame) {
 	if m.nic.Dead() {
 		return // the card fail-stopped with this frame in flight
 	}
 	if f.DstNode == m.cfg.Node {
-		h, cell := m.pendFrames.Get()
-		*cell = f
+		h, rec := m.pendFrames.Get()
+		rec.f, rec.owned = m.leaseFrame(f), true
 		m.sim.AfterCall(m.cfg.Params.LoopbackDelay, m.loopbackFn, h)
 		return
 	}
 	if m.iface == nil || m.routeTo == nil {
 		panic("mcp: transmit before Attach")
 	}
-	c := m.conn(f.DstNode)
 	if c.route == nil {
 		r, err := m.routeTo(f.DstNode)
 		if err != nil {
@@ -378,19 +390,60 @@ func (m *MCP) transmitFrame(f *Frame) {
 	pkt.Src = m.cfg.Node
 	pkt.Dst = f.DstNode
 	pkt.Size = f.WireSize()
-	pkt.Payload = f
+	pkt.Payload = m.leaseFrame(f)
 	pkt.SetRoute(c.route)
 	m.iface.Transmit(pkt)
 }
 
+// framePoolCap bounds how many returned wire frames one NIC hoards (the twin
+// of network's packetPoolCap).
+const framePoolCap = 32
+
+// leaseFrame returns a wire frame holding a copy of *src, reusing one this
+// NIC took back when it can. A *Frame on the wire has exactly one owner: the
+// sender retains frames by value (sentItem, barrierSent) and leases a copy
+// per (re)transmission; the receiver returns the frame after handleFrame, and
+// only when the carrier packet was recyclable — an observer or a fault hook
+// (the one source of duplicate delivery) may hold packet and frame for longer.
+func (m *MCP) leaseFrame(src *Frame) *Frame {
+	var f *Frame
+	if n := len(m.frames); n > 0 {
+		f = m.frames[n-1]
+		m.frames = m.frames[:n-1]
+	} else {
+		f = new(Frame)
+	}
+	*f = *src
+	return f
+}
+
+// releaseFrame takes a handled frame back. It leaves the frame stamped with
+// releasedFrame, which receiveFrame counts as a protocol error should the
+// frame turn up again; releasing it twice is a firmware bug.
+func (m *MCP) releaseFrame(f *Frame) {
+	if f.Kind == releasedFrame {
+		panic("mcp: wire frame released twice")
+	}
+	f.Kind, f.Data = releasedFrame, nil
+	if len(m.frames) < framePoolCap {
+		m.frames = append(m.frames, f)
+	}
+}
+
 // loopbackEvent fires LoopbackDelay after a self-addressed frame was
-// "transmitted": release the leased frame and receive it.
+// "transmitted": receive it. No packet carried it, so nothing but this NIC
+// ever saw the frame.
 func (m *MCP) loopbackEvent(h uint64) {
+	m.receiveFrame(m.takePendFrame(h).f, true)
+}
+
+// takePendFrame releases a leased pendFrames cell and returns its content.
+func (m *MCP) takePendFrame(h uint64) frameRec {
 	cell := m.pendFrames.At(h)
-	f := *cell
-	*cell = nil
+	rec := *cell
+	cell.f = nil
 	m.pendFrames.Put(h)
-	m.receiveFrame(f)
+	return rec
 }
 
 // HandleDelivered is the fabric receive callback: a packet has fully
@@ -413,10 +466,10 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 	}
 	switch pl := p.Payload.(type) {
 	case *Frame:
-		m.receiveFrame(pl)
 		// The frame has been extracted and nothing else looks at the
-		// carrier packet again: hand it back for reuse.
-		m.iface.Recycle(p)
+		// carrier packet again: hand it back for reuse. If the fabric takes
+		// it, nobody else holds the frame either.
+		m.receiveFrame(pl, m.iface.Recycle(p))
 	case []byte:
 		// A wire-level byte image (the fault layer serializes frames it
 		// mangles): decode and CRC-check like real firmware.
@@ -425,15 +478,15 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 			m.nic.ExecTagged(m.cfg.Params.CRCCheck, "crc.drop", func() { m.stats.CorruptDrops++ })
 			return
 		}
-		m.receiveFrame(f)
+		m.receiveFrame(f, false)
 	default:
 		m.stats.ProtocolErrors++
 	}
 }
 
 // receiveFrame charges the RECV state machine's classification cost and
-// dispatches.
-func (m *MCP) receiveFrame(f *Frame) {
+// dispatches; an owned frame goes back to the free list afterwards.
+func (m *MCP) receiveFrame(f *Frame, owned bool) {
 	pr := m.cfg.Params
 	var cost int64
 	var label string
@@ -451,22 +504,23 @@ func (m *MCP) receiveFrame(f *Frame) {
 	case ReduceFrame, CollBcastFrame:
 		cost, label = pr.GBRecv+pr.CollPerElem*int64(len(f.Data)/ElemBytes), "recv.coll"
 	default:
+		// Includes releasedFrame: a frame that arrives after it was returned.
 		m.stats.ProtocolErrors++
 		return
 	}
-	h, cell := m.pendFrames.Get()
-	*cell = f
+	h, rec := m.pendFrames.Get()
+	rec.f, rec.owned = f, owned
 	m.nic.ExecTaggedCall(cost, label, m.handleFrameFn, h)
 }
 
 // handleFrameEvent fires when the RECV classification cost has been paid:
-// release the leased frame and dispatch it.
+// dispatch the frame, then return it if the wire is done with it.
 func (m *MCP) handleFrameEvent(h uint64) {
-	cell := m.pendFrames.At(h)
-	f := *cell
-	*cell = nil
-	m.pendFrames.Put(h)
-	m.handleFrame(f)
+	rec := m.takePendFrame(h)
+	m.handleFrame(rec.f)
+	if rec.owned {
+		m.releaseFrame(rec.f)
+	}
 }
 
 func (m *MCP) handleFrame(f *Frame) {
@@ -546,17 +600,17 @@ func (m *MCP) handleData(f *Frame) {
 
 func (m *MCP) sendAck(c *Connection) {
 	m.stats.AcksSent++
-	m.sendCtl("ack.gen", ctlRec{kind: AckFrame, dst: c.peer, seq: c.recvSeq})
+	m.sendCtl("ack.gen", ctlRec{kind: AckFrame, c: c, seq: c.recvSeq})
 }
 
 func (m *MCP) sendNoBufferNack(c *Connection) {
 	m.stats.NacksSent++
-	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, dst: c.peer, seq: c.recvSeq, noBuffer: true})
+	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, c: c, seq: c.recvSeq, noBuffer: true})
 }
 
 func (m *MCP) sendNack(c *Connection) {
 	m.stats.NacksSent++
-	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, dst: c.peer, seq: c.recvSeq})
+	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, c: c, seq: c.recvSeq})
 }
 
 // sendCtl charges the generation cost of one control frame and transmits
@@ -570,10 +624,10 @@ func (m *MCP) sendCtl(label string, ctl ctlRec) {
 func (m *MCP) ctlSendEvent(h uint64) {
 	ctl := *m.pendCtl.At(h)
 	m.pendCtl.Put(h)
-	m.transmitFrame(&Frame{
+	m.transmitFrame(ctl.c, &Frame{
 		Kind:     ctl.kind,
 		SrcNode:  m.cfg.Node,
-		DstNode:  ctl.dst,
+		DstNode:  ctl.c.peer,
 		AckSeq:   ctl.seq,
 		NoBuffer: ctl.noBuffer,
 	})
@@ -581,10 +635,13 @@ func (m *MCP) ctlSendEvent(h uint64) {
 
 // handleAck removes acknowledged sends from the sent list and returns their
 // tokens to the host (SentEvent).
-func (m *MCP) handleAck(f *Frame) {
-	c := m.conn(f.SrcNode)
+func (m *MCP) handleAck(f *Frame) { m.ackUpTo(m.conn(f.SrcNode), f.AckSeq) }
+
+// ackUpTo retires every send of connection c below the cumulative
+// acknowledgment seq.
+func (m *MCP) ackUpTo(c *Connection, seq uint32) {
 	n := 0
-	for n < len(c.sentList) && seqLess(c.sentList[n].frame.Seq, f.AckSeq) {
+	for n < len(c.sentList) && seqLess(c.sentList[n].frame.Seq, seq) {
 		n++
 	}
 	// Move the retired prefix to the scratch list and close the gap in
@@ -597,8 +654,8 @@ func (m *MCP) handleAck(f *Frame) {
 		m.ackProgress(c)
 	}
 	m.rearmRetransTimer(c)
-	for _, it := range done {
-		m.postSentEvent(it.tok, false)
+	for i := range done {
+		m.postSentEvent(&done[i], false)
 	}
 	clear(done)
 	m.acked = done
@@ -606,9 +663,9 @@ func (m *MCP) handleAck(f *Frame) {
 
 // postSentEvent returns a send token to the host: acknowledged, or failed
 // because its connection was declared dead.
-func (m *MCP) postSentEvent(tok *SendToken, failed bool) {
-	m.postHostEvent(m.ports[tok.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes,
-		HostEvent{Kind: SentEvent, Tag: tok.Tag, Failed: failed})
+func (m *MCP) postSentEvent(it *sentItem, failed bool) {
+	m.postHostEvent(m.ports[it.frame.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes,
+		HostEvent{Kind: SentEvent, Tag: it.tag, Failed: failed})
 }
 
 // handleNack rewinds the connection: everything the receiver has not
@@ -616,7 +673,7 @@ func (m *MCP) postSentEvent(tok *SendToken, failed bool) {
 func (m *MCP) handleNack(f *Frame) {
 	c := m.conn(f.SrcNode)
 	// Acked prefix (if any) completes as usual.
-	m.handleAck(&Frame{SrcNode: f.SrcNode, AckSeq: f.AckSeq})
+	m.ackUpTo(c, f.AckSeq)
 	if f.NoBuffer {
 		// The peer is alive but out of receive buffers: retry on the
 		// timer, and do not let the starvation kill the connection.
@@ -636,7 +693,7 @@ func (m *MCP) retransmitData(c *Connection) {
 		it := it
 		m.stats.Retransmissions++
 		c.retransmit++
-		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(it.frame) })
+		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &it.frame) })
 	}
 	m.rearmRetransTimer(c)
 }
@@ -797,8 +854,8 @@ func (m *MCP) failConnection(c *Connection) {
 	c.sentList = nil
 	c.barrierSent = nil
 	c.retryRounds = 0
-	for _, it := range failed {
-		m.postSentEvent(it.tok, true)
+	for i := range failed {
+		m.postSentEvent(&failed[i], true)
 	}
 	if m.cfg.DetectFailures {
 		m.peerDied(c.peer)

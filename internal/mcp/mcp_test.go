@@ -162,7 +162,7 @@ func TestDataDelivery(t *testing.T) {
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 4)
 	payload := []byte("hello world")
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: payload, Tag: "t1",
 	}); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestDataOrderingManyMessages(t *testing.T) {
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 50)
 	for i := 0; i < 10; i++ {
-		if err := r.mcps[0].PostSendToken(&SendToken{
+		if err := r.mcps[0].PostSendToken(SendToken{
 			SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte{byte(i)},
 		}); err != nil {
 			t.Fatal(err)
@@ -234,7 +234,7 @@ func TestDataLossRecovered(t *testing.T) {
 		return false
 	}))
 	for i := 0; i < 5; i++ {
-		if err := r.mcps[0].PostSendToken(&SendToken{
+		if err := r.mcps[0].PostSendToken(SendToken{
 			SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte{byte(i)},
 		}); err != nil {
 			t.Fatal(err)
@@ -269,7 +269,7 @@ func TestDataHeavyRandomLoss(t *testing.T) {
 	r.provide(t, 1, 2, 100)
 	r.fab.SetFaultHook(randomLoss(0.1, 1234))
 	for i := 0; i < 40; i++ {
-		if err := r.mcps[0].PostSendToken(&SendToken{
+		if err := r.mcps[0].PostSendToken(SendToken{
 			SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte{byte(i)},
 		}); err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestAckLossRecoveredByTimer(t *testing.T) {
 		}
 		return false
 	}))
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "t",
 	}); err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestNoRecvTokenFlowControl(t *testing.T) {
 	r := newRig(t, 2, nil)
 	r.open(t, 0, 2)
 	r.open(t, 1, 2) // no receive buffers provided
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"),
 	}); err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestSendToClosedPortCounted(t *testing.T) {
 	r := newRig(t, 2, nil)
 	r.open(t, 0, 2)
 	// Port 2 on node 1 never opened.
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"),
 	}); err != nil {
 		t.Fatal(err)
@@ -398,13 +398,13 @@ func TestSendTokenExhaustion(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	ep := Endpoint{Node: 1, Port: 2}
-	if err := r.mcps[0].PostSendToken(&SendToken{SrcPort: 2, Dst: ep, Data: []byte("a")}); err != nil {
+	if err := r.mcps[0].PostSendToken(SendToken{SrcPort: 2, Dst: ep, Data: []byte("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mcps[0].PostSendToken(&SendToken{SrcPort: 2, Dst: ep, Data: []byte("b")}); err != nil {
+	if err := r.mcps[0].PostSendToken(SendToken{SrcPort: 2, Dst: ep, Data: []byte("b")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mcps[0].PostSendToken(&SendToken{SrcPort: 2, Dst: ep, Data: []byte("c")}); err == nil {
+	if err := r.mcps[0].PostSendToken(SendToken{SrcPort: 2, Dst: ep, Data: []byte("c")}); err == nil {
 		t.Fatal("third send should exhaust tokens")
 	}
 }

@@ -110,9 +110,10 @@ type Connection struct {
 	sentList []sentItem
 
 	// Reliable-barrier mode state (Section 4.4's separate mechanism):
-	// independent sequence space and in-flight list for barrier frames.
+	// independent sequence space and in-flight list for barrier frames (by
+	// value, like sentItem's).
 	barrierSendSeq uint32
-	barrierSent    []*sentBarrier
+	barrierSent    []Frame
 	// barrierSeen[srcPort] tracks which barrier seqs have been delivered
 	// from that source port, for duplicate suppression of retransmits.
 	barrierSeen [8]seqWindow
@@ -177,13 +178,19 @@ type RecoveryStats struct {
 	Dead bool
 }
 
+// sentItem is one unacknowledged data send: the frame as it went out, kept by
+// value so each retransmission leases a wire frame of its own, and the tag
+// the completion event returns to the host.
 type sentItem struct {
-	frame *Frame
-	tok   *SendToken
+	frame Frame
+	tag   any
 }
 
-type sentBarrier struct {
-	frame *Frame
+// gbDone is what outlives a completed GB barrier at its port: enough to
+// resend a broadcast that a then-closed child rejects.
+type gbDone struct {
+	epoch    int
+	children []Endpoint
 }
 
 // seqWindow remembers which sequence numbers have been delivered, over a

@@ -20,7 +20,7 @@ func runBackoffSchedule(t *testing.T, maxRetries int) ([]sim.Time, RecoveryStats
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 4)
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2,
 		Dst:     Endpoint{Node: 1, Port: 2},
 		Data:    []byte("doomed"),
@@ -83,7 +83,7 @@ func TestBackoffResetsOnAckProgress(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 8)
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"),
 	}); err != nil {
 		t.Fatalf("send: %v", err)
@@ -126,7 +126,7 @@ func TestCorruptFrameDroppedAndNacked(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 4)
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("payload"),
 	}); err != nil {
 		t.Fatalf("send: %v", err)
@@ -179,7 +179,7 @@ func TestCorruptWireImageDropped(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 4)
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("payload"),
 	}); err != nil {
 		t.Fatalf("send: %v", err)
@@ -206,7 +206,7 @@ func TestIntactWireImageDecodes(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 4)
-	if err := r.mcps[0].PostSendToken(&SendToken{
+	if err := r.mcps[0].PostSendToken(SendToken{
 		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("bytes on the wire"),
 	}); err != nil {
 		t.Fatalf("send: %v", err)

@@ -45,7 +45,8 @@ func (a BarrierAlg) String() string {
 // BarrierToken is the paper's barrier send token: it carries the whole
 // NIC-resident state of one barrier operation for one port. The port data
 // structure holds a pointer to it while the barrier is in flight
-// (Section 4.2).
+// (Section 4.2). Once the completion event is out the firmware is done with
+// it, and the host may refill and post the same token again (core.Comm does).
 type BarrierToken struct {
 	Alg     BarrierAlg
 	SrcPort int
@@ -61,8 +62,8 @@ type BarrierToken struct {
 
 	// GB state: the tree neighborhood computed by the host.
 	// Root is true when this node is the tree root (no parent). The three
-	// flags sit in one word: a token is allocated per rank per barrier, and
-	// 144 bytes is a malloc size class where 152 rounds up to 160.
+	// flags sit in one word: 144 bytes is a malloc size class where 152
+	// rounds up to 160.
 	Root bool
 	// sentGather is true once this node's own gather went to its parent.
 	sentGather bool

@@ -222,12 +222,17 @@ func (i *Iface) NewPacket() *Packet {
 
 // Recycle offers a delivered packet back for reuse. The caller (NIC
 // firmware) must be completely done with it: no references may survive the
-// call. Ignored when anything else might still be holding the packet.
-func (i *Iface) Recycle(p *Packet) {
-	if i.fab.observer != nil || i.fab.hook != nil || len(i.pool) >= packetPoolCap {
-		return
+// call. It reports whether the fabric took the packet over — false when
+// anything else might still be holding it, in which case the same goes for
+// whatever the packet carried.
+func (i *Iface) Recycle(p *Packet) bool {
+	if i.fab.observer != nil || i.fab.hook != nil {
+		return false
 	}
-	i.pool = append(i.pool, p)
+	if len(i.pool) < packetPoolCap {
+		i.pool = append(i.pool, p)
+	}
+	return true
 }
 
 // recvRec is one packet whose head has reached the NIC and whose tail is
