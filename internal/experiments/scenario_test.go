@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gmsim/internal/cluster"
@@ -12,44 +13,46 @@ import (
 )
 
 var updateScenarios = flag.Bool("update-scenarios", false,
-	"rewrite the chaos fleet golden files under testdata/scenarios")
+	"rewrite the golden files under testdata (the chaos fleet's, the collectives')")
 
 // TestScenarioFleetGolden runs the whole chaos matrix and diffs every
-// summary against its golden file. On divergence the got-summary is also
-// written to $SCENARIO_DIFF_DIR (when set) so CI can upload the diffs as an
-// artifact. Regenerate after an intentional behavior change with
+// summary against its golden file (see checkGolden). Regenerate after an
+// intentional behavior change with
 //
 //	go test ./internal/experiments -run TestScenarioFleetGolden -update-scenarios
 func TestScenarioFleetGolden(t *testing.T) {
 	fleet := ScenarioFleet()
-	sums := RunScenarios(fleet)
-	dir := filepath.Join("testdata", "scenarios")
-	diffDir := os.Getenv("SCENARIO_DIFF_DIR")
+	for i, sum := range RunScenarios(fleet) {
+		checkGolden(t, filepath.Join("scenarios", fleet[i].Name+".golden"), sum.String())
+	}
+}
+
+// checkGolden compares got with testdata/<rel>, or rewrites the file under
+// -update-scenarios. On divergence the got-text also goes to
+// $SCENARIO_DIFF_DIR (when set) so CI can upload the diffs as an artifact.
+func checkGolden(t *testing.T, rel, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", rel)
 	if *updateScenarios {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	for i, s := range fleet {
-		got := sums[i].String()
-		path := filepath.Join(dir, s.Name+".golden")
-		if *updateScenarios {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (regenerate with -update-scenarios)", rel, err)
+	}
+	if got != string(want) {
+		if diffDir := os.Getenv("SCENARIO_DIFF_DIR"); diffDir != "" {
+			name := strings.TrimSuffix(filepath.Base(rel), ".golden") + ".got"
+			_ = os.MkdirAll(diffDir, 0o755)
+			_ = os.WriteFile(filepath.Join(diffDir, name), []byte(got), 0o644)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (regenerate with -update-scenarios)", s.Name, err)
-		}
-		if got != string(want) {
-			if diffDir != "" {
-				_ = os.MkdirAll(diffDir, 0o755)
-				_ = os.WriteFile(filepath.Join(diffDir, s.Name+".got"), []byte(got), 0o644)
-			}
-			t.Errorf("%s diverged from golden\n--- want\n%s--- got\n%s", s.Name, want, got)
-		}
+		t.Errorf("%s diverged from golden\n--- want\n%s--- got\n%s", rel, want, got)
 	}
 }
 
