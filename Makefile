@@ -105,14 +105,15 @@ profile:
 		-memprofile mem.prof -memprofilerate 4096 .
 
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×
-# barrier kind × fault plan × seed), diffed against the golden summaries in
-# internal/experiments/testdata/scenarios. On divergence each offending
-# cell's got-summary is written to $$SCENARIO_DIFF_DIR (when set) for CI to
-# upload. Regenerate intentionally changed goldens with
-#   go test ./internal/experiments -run TestScenarioFleetGolden -update-scenarios
+# barrier kind × fault plan × seed), plus the NIC collectives — the clean
+# matrix of collectives.golden and the three collective crash cells — all
+# diffed against the goldens under internal/experiments/testdata. On
+# divergence each offending got-text is written to $$SCENARIO_DIFF_DIR (when
+# set) for CI to upload. Regenerate intentionally changed goldens with
+#   go test ./internal/experiments -run 'TestScenarioFleetGolden|TestCollectivesGolden|TestCollectiveCrashGolden' -update-scenarios
 scenarios:
 	$(GO) test -count=1 -v -timeout 10m \
-		-run 'TestScenarioFleetGolden|TestZeroFaultScenariosMatchFigure5|TestGBBarrierSurvivesNodeCrash|TestScenarioSummariesDeterministic' \
+		-run 'TestScenarioFleetGolden|TestCollectivesGolden|TestCollectiveCrashGolden|TestZeroFaultScenariosMatchFigure5|TestGBBarrierSurvivesNodeCrash|TestScenarioSummariesDeterministic' \
 		./internal/experiments
 
 # Boot the simulation service, post the Figure 5 headline spec, pin its

@@ -7,6 +7,7 @@ import (
 
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 )
 
 // Collective operations — the paper's Section 8 future work ("whether other
@@ -17,7 +18,7 @@ import (
 //
 //   - NIC-based: the host computes the tree neighborhood and hands it to
 //     the firmware with the local contribution; the NICs combine partials
-//     and forward payloads among themselves (mcp/collective.go);
+//     and forward payloads among themselves (mcp/tree.go);
 //   - host-based: the same trees walked by the host over ordinary GM
 //     sends and receives.
 
@@ -57,6 +58,18 @@ func (c *Comm) gatherTree(g Group, self, dim int, block []byte) (*tokenCache, er
 	return c.collTree(g, self, dim)
 }
 
+// DegradedError is what a NIC collective returns, together with the data it
+// produced, when it completed around fail-stopped nodes (failure detection
+// on): a partial sum, a broadcast that reached only an orphaned subtree, an
+// allgather that could not assemble (nil data). Dead is the completing NIC's
+// view, ascending; collective frames do not gossip it, so ranks of one
+// operation can name different sets — or, knowing of no death, none.
+type DegradedError struct{ Dead []network.NodeID }
+
+func (e *DegradedError) Error() string {
+	return fmt.Sprintf("core: collective completed degraded around dead nodes %v", e.Dead)
+}
+
 // runNICCollective hands the firmware rank self's tree neighborhood with the
 // token and waits for the completion event.
 func (c *Comm) runNICCollective(p *host.Process, nb *tokenCache, tok *mcp.CollToken) ([]byte, error) {
@@ -70,6 +83,9 @@ func (c *Comm) runNICCollective(p *host.Process, nb *tokenCache, tok *mcp.CollTo
 	for {
 		ev := c.port.Receive(p)
 		if ev.Kind == mcp.CollDoneEvent {
+			if len(ev.DeadNodes) > 0 {
+				return ev.Data, &DegradedError{Dead: ev.DeadNodes}
+			}
 			return ev.Data, nil
 		}
 		c.dispatch(ev)

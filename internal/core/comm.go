@@ -39,13 +39,14 @@ type Comm struct {
 	// nil is the flat tree.
 	leafMap *LeafMap
 
-	// tokCache remembers the last computed neighborhood, for barriers and
-	// collectives at both levels. Programs overwhelmingly run many
-	// operations over one fixed group, and the schedule/tree computation plus
-	// its slices dominated the host-side allocation profile; the firmware
-	// treats the cached slices read-only (per-token mutable state lives in
-	// the token itself).
-	tokCache tokenCache
+	// tokCache remembers the last computed neighborhood per algorithm, for
+	// barriers and collectives at both levels. Programs overwhelmingly run
+	// many operations over one fixed group — often a PE barrier alternating
+	// with a collective over the GB tree — and the schedule/tree computation
+	// plus its slices dominated the host-side allocation profile; the
+	// firmware treats the cached slices read-only (its mutable state lives
+	// in the token or in the port).
+	tokCache [2]tokenCache
 
 	// barTok is the one barrier send token this Comm posts, refilled per
 	// barrier: the NIC owns it from BarrierSend until the completion event
@@ -62,7 +63,6 @@ type Comm struct {
 // array alive, so no other group can appear at its address while it is the
 // key.
 type tokenCache struct {
-	alg       mcp.BarrierAlg
 	self, dim int
 	lm        *LeafMap
 	g         Group
@@ -73,22 +73,27 @@ type tokenCache struct {
 	children []mcp.Endpoint
 }
 
+// matches reports whether tc, the entry for alg, was computed from these
+// inputs.
 func (tc *tokenCache) matches(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) bool {
 	// An empty cache has an empty g; a cached g is never empty (it had a
 	// valid rank).
 	if len(g) == 0 || len(tc.g) != len(g) || &tc.g[0] != &g[0] {
 		return false
 	}
-	return tc.alg == alg && tc.self == self && tc.lm == lm && (alg != mcp.GB || tc.dim == dim)
+	return tc.self == self && tc.lm == lm && (alg != mcp.GB || tc.dim == dim)
 }
 
 // neighbourhood is the one place a rank's position in a barrier or collective
 // is decided: rank self's neighborhood in the given group, algorithm and
 // (for GB) tree dimension and leaf map, reusing the memoized one when the
-// inputs are those of the previous call. The result is valid until the next
-// call.
+// inputs are those of the previous call for that algorithm. The result is
+// valid until the next such call.
 func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) (*tokenCache, error) {
-	tc := &c.tokCache
+	if alg != mcp.PE && alg != mcp.GB {
+		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	}
+	tc := &c.tokCache[alg]
 	if tc.matches(alg, g, self, dim, lm) {
 		return tc, nil
 	}
@@ -97,16 +102,15 @@ func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int, lm *Lea
 		return nil, err
 	}
 	*tc = tokenCache{
-		alg: alg, self: self, dim: dim, lm: lm, g: g,
+		self: self, dim: dim, lm: lm, g: g,
 		peers: tok.Peers, root: tok.Root, parent: tok.Parent, children: tok.Children,
 	}
 	return tc, nil
 }
 
-// barrierToken refills the Comm's token for the given barrier. Field by
-// field: the firmware's per-barrier state in it (the gather record's backing
-// array) carries over, and PostBarrierToken resets what must be reset. The
-// caller has checked that no barrier is in flight.
+// barrierToken refills the Comm's token for the given barrier;
+// PostBarrierToken resets the firmware's per-barrier state in it. The caller
+// has checked that no barrier is in flight.
 func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
 	nb, err := c.neighbourhood(alg, g, self, dim, c.leafMap)
 	if err != nil {

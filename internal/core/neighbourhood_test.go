@@ -74,8 +74,10 @@ func TestNeighbourhoodWorkLinear(t *testing.T) {
 // the cache key can change — a prefix of the group, an equal-valued group at
 // a new address and a same-length one with two members swapped, a leaf map
 // set and cleared, a collective (flat tree) between two mapped barriers,
-// host level — and requires after each step that the memoized neighborhood is the one
-// NICBarrierToken derives from that step's inputs, and that every rank
+// host level, a PE barrier alternating with a collective — and requires
+// after each step that the memoized neighborhood is the one NICBarrierToken
+// derives from that step's inputs (and, where the step repeats its
+// algorithm's previous inputs, the very one cached then), and that every rank
 // completes every step at the instant it does in a run whose cache is
 // emptied before each step (a fresh Comm as far as the schedule goes).
 func TestNeighbourhoodCacheIdentity(t *testing.T) {
@@ -92,6 +94,11 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 		g    Group
 		lm   *LeafMap // tree the step must run over
 		run  runFn
+		// hit: the step's inputs are those of the previous step of its
+		// algorithm, so it must find that neighborhood still cached — the
+		// same slices, not equal ones — whatever the other algorithm ran in
+		// between.
+		hit bool
 	}
 	nic := func(alg mcp.BarrierAlg) runFn {
 		return func(p *host.Process, c *Comm, g Group, self int) error { return c.Barrier(p, alg, g, self, dim) }
@@ -102,25 +109,34 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 			return next(p, c, g, self)
 		}
 	}
+	allreduce := func(p *host.Process, c *Comm, g Group, self int) error {
+		out, err := c.NICAllReduce(p, g, self, dim, mcp.OpSum, EncodeInt64s([]int64{int64(self)}))
+		if err == nil && DecodeInt64s(out)[0] != n*(n-1)/2 {
+			t.Errorf("rank %d allreduce = %v", self, DecodeInt64s(out))
+		}
+		return err
+	}
 	steps := []step{
-		{"PE full", mcp.PE, g, nil, nic(mcp.PE)},
-		{"PE g[:k]", mcp.PE, g[:k], nil, nic(mcp.PE)},
-		{"PE equal-valued new group", mcp.PE, same, nil, nic(mcp.PE)},
-		{"PE two members swapped", mcp.PE, swapped, nil, nic(mcp.PE)},
-		{"GB mapped", mcp.GB, g, lm, setMap(lm, nic(mcp.GB))},
-		{"allreduce (flat)", mcp.GB, g, nil, func(p *host.Process, c *Comm, g Group, self int) error {
-			out, err := c.NICAllReduce(p, g, self, dim, mcp.OpSum, EncodeInt64s([]int64{int64(self)}))
-			if err == nil && DecodeInt64s(out)[0] != n*(n-1)/2 {
-				t.Errorf("rank %d allreduce = %v", self, DecodeInt64s(out))
-			}
-			return err
-		}},
-		{"GB mapped again", mcp.GB, g, lm, nic(mcp.GB)},
+		{"PE full", mcp.PE, g, nil, nic(mcp.PE), false},
+		{"PE g[:k]", mcp.PE, g[:k], nil, nic(mcp.PE), false},
+		{"PE equal-valued new group", mcp.PE, same, nil, nic(mcp.PE), false},
+		{"PE two members swapped", mcp.PE, swapped, nil, nic(mcp.PE), false},
+		{"GB mapped", mcp.GB, g, lm, setMap(lm, nic(mcp.GB)), false},
+		{"allreduce (flat)", mcp.GB, g, nil, allreduce, false},
+		{"GB mapped again", mcp.GB, g, lm, nic(mcp.GB), false},
 		{"host GB mapped", mcp.GB, g, lm, func(p *host.Process, c *Comm, g Group, self int) error {
 			return c.HostBarrierGB(p, g, self, dim)
-		}},
-		{"GB flat", mcp.GB, g, nil, setMap(nil, nic(mcp.GB))},
-		{"PE full again", mcp.PE, g, nil, nic(mcp.PE)},
+		}, true},
+		{"GB flat", mcp.GB, g, nil, setMap(nil, nic(mcp.GB)), false},
+		{"PE full again", mcp.PE, g, nil, nic(mcp.PE), false},
+		// What MeasureCollective does every iteration: a PE barrier, then a
+		// collective over the GB tree. One entry per algorithm: both hit.
+		{"allreduce after PE", mcp.GB, g, nil, allreduce, true},
+		{"PE after allreduce", mcp.PE, g, nil, nic(mcp.PE), true},
+		{"allreduce after PE again", mcp.GB, g, nil, allreduce, true},
+	}
+	sameSlice := func(a, b []mcp.Endpoint) bool {
+		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 	}
 
 	run := func(emptyCache bool) [][]sim.Time {
@@ -147,8 +163,9 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 					continue
 				}
 				if emptyCache {
-					c.tokCache = tokenCache{}
+					c.tokCache = [2]tokenCache{}
 				}
+				before := c.tokCache[st.alg]
 				if err := st.run(p, c, st.g, self); err != nil {
 					t.Errorf("rank %d %s: %v", rank, st.name, err)
 					return
@@ -159,7 +176,10 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 					t.Errorf("rank %d %s: %v", rank, st.name, err)
 					return
 				}
-				tc := &c.tokCache
+				tc := &c.tokCache[st.alg]
+				if st.hit && !emptyCache && !(sameSlice(tc.peers, before.peers) && sameSlice(tc.children, before.children)) {
+					t.Errorf("rank %d %s: neighborhood recomputed, want the cached one", rank, st.name)
+				}
 				if !slices.Equal(tc.peers, want.Peers) || tc.root != want.Root ||
 					tc.parent != want.Parent || !slices.Equal(tc.children, want.Children) {
 					t.Errorf("rank %d %s: ran over peers %v root %v parent %v children %v, want %+v",

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 	"gmsim/internal/runner"
 	"gmsim/internal/sim"
 )
@@ -197,4 +200,114 @@ func collCells() []collCell {
 func TestCollectivesGolden(t *testing.T) {
 	lines := runner.Map(0, collCells(), runCollCell)
 	checkGolden(t, "collectives.golden", strings.Join(lines, ""))
+}
+
+// The NIC collectives under a crash plan. Before the firmware ran them on
+// the barrier's tree engine nothing repaired a collective: each of these
+// three cells deadlocked every survivor (a parent waiting silently for a dead
+// leaf's partial; a dead interior node's subtree waiting for a release that
+// never comes). Now every survivor finishes every iteration, degraded ones
+// returning their data with a core.DegradedError that names the dead set the
+// completing NIC knew. Collective frames do not gossip that set, so who sees
+// which set is part of what the goldens pin.
+
+// collCrashCell is one crash cell: a 16-node dim-4 tree on the detection
+// testbed, every rank looping the op back to back (no separator barriers:
+// their frames would spread the dead set), the victim fail-stopped 300 µs in.
+type collCrashCell struct {
+	name   string
+	op     mcp.CollOp
+	victim network.NodeID
+}
+
+func collCrashCells() []collCrashCell {
+	return []collCrashCell{
+		{"allreduce16-crash-leaf", mcp.AllReduce, 5},
+		{"allreduce16-crash-interior", mcp.AllReduce, 1},
+		{"bcast16-crash-interior", mcp.Broadcast, 1},
+	}
+}
+
+// runCollCrashCell runs one crash cell and renders its golden summary:
+// rank 0's clock (as the fleet's summaries), the cluster-wide repair
+// counters, and which ranks' last iteration named which dead set.
+func runCollCrashCell(c collCrashCell) string {
+	const n, dim, warmup, iters = 16, 4, 2, 8
+	s := must(NewSession(detectCfg(n, crashPlan(1, c.victim, sim.FromMicros(300)))))
+	defer s.Close()
+	g := core.UniformGroup(n, 2)
+	var t0, t1, maxIter sim.Time
+	var rank0 []byte
+	finished, degraded := 0, 0
+	lastDead := make([]string, n) // by rank, for ranks that finished
+	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+		rank := p.Rank()
+		for i := 0; i < warmup+iters; i++ {
+			if rank == 0 && i == warmup {
+				t0 = p.Now()
+			}
+			before := p.Now()
+			data, err := nicCollective(p, comm, c.op, g, rank, dim)
+			dead := "-"
+			if deg := (*core.DegradedError)(nil); errors.As(err, &deg) {
+				degraded++
+				dead = fmt.Sprint(deg.Dead)
+			} else if err != nil {
+				return err
+			}
+			if d := p.Now() - before; rank == 0 && i >= warmup && d > maxIter {
+				maxIter = d
+			}
+			if rank == 0 {
+				rank0, t1 = data, p.Now()
+			}
+			if i == warmup+iters-1 {
+				finished++
+				lastDead[rank] = dead
+			}
+		}
+		return nil
+	})
+	check(s.Run())
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "collective %s: nodes=%d op=%s dim=%d victim=%d\n", c.name, n, c.op, dim, c.victim)
+	fmt.Fprintf(&b, "  mean_us=%.3f max_iter_us=%.3f drain_us=%.3f\n",
+		(t1-t0).Micros()/iters, maxIter.Micros(), s.Cluster.Sim().Now().Micros())
+	m := s.Cluster.Metrics()
+	fmt.Fprintf(&b, "  completed=%d degraded=%d probes=%d declared=%d skipped=%d promotions=%d repairs=%d proto_err=%d\n",
+		m.Get("mcp.CollCompleted"), degraded, m.Get("mcp.BarrierProbes"), m.Get("mcp.PeersDeclaredDead"),
+		m.Get("mcp.BarrierPeersSkipped"), m.Get("mcp.BarrierRootPromotions"), m.Get("mcp.BarrierRepairs"),
+		m.Get("mcp.ProtocolErrors"))
+	fmt.Fprintf(&b, "  finished=%d/%d rank0=%v\n", finished, n, core.DecodeInt64s(rank0))
+	// Who saw which dead set, in order of first appearance by rank.
+	var sets []string
+	ranks := make(map[string][]string)
+	for rank, set := range lastDead {
+		if set == "" {
+			continue // the victim never got that far
+		}
+		if ranks[set] == nil {
+			sets = append(sets, set)
+		}
+		ranks[set] = append(ranks[set], fmt.Sprint(rank))
+	}
+	for _, set := range sets {
+		fmt.Fprintf(&b, "  dead=%s: ranks %s\n", set, strings.Join(ranks[set], ","))
+	}
+	return b.String()
+}
+
+// TestCollectiveCrashGolden pins the three crash cells and holds each to the
+// liveness claim itself: all 15 survivors finish every iteration and the
+// cluster drains without a stranded process (runCollCrashCell panics on one).
+// Regenerate with -update-scenarios.
+func TestCollectiveCrashGolden(t *testing.T) {
+	cells := collCrashCells()
+	for i, got := range runner.Map(0, cells, runCollCrashCell) {
+		if !strings.Contains(got, "finished=15/16") || !strings.Contains(got, "proto_err=0") {
+			t.Errorf("%s: survivors did not all finish cleanly:\n%s", cells[i].name, got)
+		}
+		checkGolden(t, filepath.Join("scenarios", cells[i].name+".golden"), got)
+	}
 }

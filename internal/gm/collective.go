@@ -9,7 +9,7 @@ import (
 )
 
 // Collective support: the host-side half of the Section 8 future work
-// implemented in the firmware (mcp/collective.go). The call pattern mirrors
+// implemented in the firmware (mcp/tree.go). The call pattern mirrors
 // the paper's barrier API: provide a completion buffer, post a token whose
 // tree neighborhood the host computed, poll for the completion event.
 

@@ -8,9 +8,9 @@ import (
 // All-to-all broadcast (allgather) — the collective the paper's Section 8
 // names explicitly ("reductions or all-to-all broadcast"). Every rank
 // contributes one fixed-size block; every rank ends with all blocks in
-// rank order. The NIC-level implementation reuses the collective tree:
+// rank order. The NIC-level implementation is the tree walk of tree.go:
 // blocks concatenate on the way up (each tagged with its origin rank),
-// the root assembles the full array, and the broadcast path distributes it.
+// the root assembles the full array, and the down phase distributes it.
 
 // entryHeader is the per-block tag: the origin rank as 8 bytes (keeping
 // 8-byte alignment for the DMA model).
@@ -53,29 +53,4 @@ func AssembleGather(entries []byte, groupSize, blockSize int) ([]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// postAllGather initializes an AllGather token's accumulator with the
-// local tagged block. Called from PostCollectiveToken.
-func (t *CollToken) initAllGather() {
-	t.acc = PackEntry(t.Rank, t.Value)
-	t.reducedFrom = make([]bool, len(t.Children))
-}
-
-// agAbsorb appends a child's tagged entries to the accumulator.
-func (t *CollToken) agAbsorb(data []byte) {
-	t.acc = append(t.acc, data...)
-}
-
-// agFinishRoot assembles the rank-ordered array at the root.
-func (m *MCP) agFinishRoot(p *Port, tok *CollToken) {
-	full, err := AssembleGather(tok.acc, tok.GroupSize, tok.BlockSize)
-	if err != nil {
-		// A malformed gather is a protocol violation; surface it and
-		// deliver nothing rather than corrupt data.
-		m.stats.ProtocolErrors++
-		m.collFinish(p, tok, nil)
-		return
-	}
-	m.collDeliverAndForward(p, tok, full)
 }

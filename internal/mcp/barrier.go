@@ -1,11 +1,6 @@
 package mcp
 
-import (
-	"fmt"
-	"slices"
-
-	"gmsim/internal/network"
-)
+import "slices"
 
 // This file is the paper's contribution at the firmware level: NIC-side
 // execution of the PE and GB barrier algorithms (Section 5.2), the
@@ -19,71 +14,51 @@ import (
 // "the tree construction is a relatively computationally intensive task
 // which can easily be computed at the host."
 func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
-	if !m.validPort(tok.SrcPort) || !m.ports[tok.SrcPort].open {
-		return fmt.Errorf("mcp: barrier from closed port %d", tok.SrcPort)
-	}
-	p := m.ports[tok.SrcPort]
-	if p.barrier != nil || p.barrierPending {
-		return fmt.Errorf("mcp: port %d already has a barrier in flight", tok.SrcPort)
-	}
-	if p.barrierBufs == 0 {
-		return fmt.Errorf("mcp: port %d has no barrier buffer (call ProvideBarrierBuffer)", tok.SrcPort)
-	}
+	fam := &treeFamilies[barrierSlot]
+	cost := m.cfg.Params.BarrierToken
 	if tok.Alg == GB {
-		// A token the host posts again keeps its backing array.
-		tok.gatherFrom = append(tok.gatherFrom[:0], make([]bool, len(tok.Children))...)
-		tok.sentGather = false
+		cost = fam.costs(&m.cfg.Params).token
+	}
+	if err := m.post(tok.SrcPort, fam, cost, postedRec{bar: tok}); err != nil {
+		return err
 	}
 	tok.Index = 0
-	tok.completed = false
-	pr := m.cfg.Params
-	tokenCost := pr.BarrierToken
-	if tok.Alg == GB {
-		tokenCost += pr.GBToken
-	}
-	p.barrierPending = true
-	// The SDMA state machine notices the token and processes it.
-	h, cell := m.pendBarTokens.Get()
-	*cell = tok
-	m.nic.ExecTaggedCall(tokenCost, "bar.token", m.barTokenFn, h)
 	return nil
 }
 
-// barTokenEvent fires when the SDMA state machine has processed a posted
-// barrier token: the barrier starts.
-func (m *MCP) barTokenEvent(h uint64) {
-	cell := m.pendBarTokens.At(h)
-	tok := *cell
-	*cell = nil
-	m.pendBarTokens.Put(h)
-	p := m.ports[tok.SrcPort]
-	if !p.open {
-		return // port closed while the token sat in the queue
-	}
+// PostBarrierBuffer provides one barrier completion buffer
+// (gm_provide_barrier_buffer, Section 5.2).
+func (m *MCP) PostBarrierBuffer(n int) error { return m.postBuffer(n, &treeFamilies[barrierSlot]) }
+
+// ---------------------------------------------------------------------------
+// Pairwise exchange (PE).
+// ---------------------------------------------------------------------------
+
+// peStart begins a PE barrier whose token the SDMA state machine has just
+// processed.
+func (m *MCP) peStart(p *Port, tok *BarrierToken) {
 	tok.Epoch = p.epoch
 	p.barrier = tok
 	if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
 		// Peers already known dead are removed from the schedule before
 		// the first packet goes out.
-		m.applyDeadPeers(tok)
+		m.peSkipDead(tok)
 	}
-	m.armBarrierWatchdog(p)
-	switch tok.Alg {
-	case PE:
-		if tok.Index >= len(tok.Peers) {
-			m.barrierFinish(p, tok)
-			return
-		}
-		m.peSendCurrent(p, tok)
-	case GB:
-		m.gbDrainRecorded(p, tok)
-		m.gbMaybeAdvance(p, tok)
+	m.armWatchdog(p, &p.slots[barrierSlot])
+	if tok.Index >= len(tok.Peers) {
+		m.peFinish(p)
+		return
 	}
+	m.peSendCurrent(p, tok)
 }
 
-// ---------------------------------------------------------------------------
-// Pairwise exchange (PE).
-// ---------------------------------------------------------------------------
+// peFinish completes a PE barrier: the send token pointer is cleared and the
+// completion event goes to the host.
+func (m *MCP) peFinish(p *Port) {
+	tag := p.barrier.Tag
+	p.barrier = nil
+	m.finish(p, &treeFamilies[barrierSlot], tag, nil)
+}
 
 // peSendCurrent queues the barrier packet for the current peer and, after
 // it is prepared, checks the unexpected record — the paper's SDMA-side
@@ -91,7 +66,8 @@ func (m *MCP) barTokenEvent(h uint64) {
 // checks to see if a barrier packet has been received from that same
 // destination").
 func (m *MCP) peSendCurrent(p *Port, tok *BarrierToken) {
-	m.sendBarrierFrameEpoch(p.num, p.epoch, tok.Peers[tok.Index], BarrierPEFrame, tok)
+	peer := tok.Peers[tok.Index]
+	m.sendBarrierFrame(m.conn(peer.Node), p.num, p.epoch, peer.Port, BarrierPEFrame, nil, tok)
 }
 
 // peDrainRecorded consumes already-recorded messages from successive
@@ -106,6 +82,20 @@ func (m *MCP) peDrainRecorded(p *Port, tok *BarrierToken) {
 	}
 }
 
+// peMatch consumes a PE message if it is from the peer the port's exchange
+// is waiting on.
+func (m *MCP) peMatch(p *Port, src Endpoint) bool {
+	tok := p.barrier
+	if tok == nil || tok.Index >= len(tok.Peers) || tok.Peers[tok.Index] != src {
+		return false
+	}
+	m.peAdvance(p, tok)
+	if p.barrier == tok {
+		m.peDrainRecorded(p, tok)
+	}
+	return true
+}
+
 // peAdvance moves to the next peer after the current peer's message has
 // been consumed: send to the next destination (skipping peers known dead)
 // or finish.
@@ -113,80 +103,37 @@ func (m *MCP) peAdvance(p *Port, tok *BarrierToken) {
 	tok.Index++
 	m.peSkipDead(tok)
 	if tok.Index >= len(tok.Peers) {
-		m.barrierFinish(p, tok)
+		m.peFinish(p)
 		return
 	}
 	m.peSendCurrent(p, tok)
 }
 
 // ---------------------------------------------------------------------------
-// Gather and broadcast (GB).
+// Barrier-class frame reception (the RDMA state machine's barrier hooks).
 // ---------------------------------------------------------------------------
 
-// gbDrainRecorded consumes any gather messages recorded before the token
-// arrived.
-func (m *MCP) gbDrainRecorded(p *Port, tok *BarrierToken) {
-	for i, c := range tok.Children {
-		if !tok.gatherFrom[i] && m.takeUnexpected(m.conn(c.Node), c.Port, BarrierGatherFrame, p.num) {
-			tok.gatherFrom[i] = true
-		}
-	}
-}
-
-// gbMaybeAdvance checks the gather phase: once all children have gathered,
-// the root completes and broadcasts; a non-root sends its gather up.
-func (m *MCP) gbMaybeAdvance(p *Port, tok *BarrierToken) {
-	if tok.remainingGathers() > 0 {
-		return
-	}
-	if tok.Root {
-		m.gbComplete(p, tok)
-		return
-	}
-	if !tok.sentGather {
-		tok.sentGather = true
-		c := m.sendBarrierFrame(p, tok.Parent, BarrierGatherFrame)
-		// Now wait for the parent's broadcast. An already-recorded
-		// broadcast (possible with consecutive barriers) is consumed here.
-		if m.takeUnexpected(c, tok.Parent.Port, BarrierBcastFrame, p.num) {
-			m.gbComplete(p, tok)
-		}
-	}
-}
-
-// gbComplete finishes the barrier at this node and forwards broadcast
-// packets to the children. Matching the paper, the completion event is
-// delivered to the host first ("the RDMA state machine sends a receive
-// token to the host indicating that the barrier has completed, and sets
-// the send token pointer in the port data structure to zero. Then the send
-// token is prepared to send a barrier broadcast packet to the first
-// child..."), then the broadcasts go out one after another.
-func (m *MCP) gbComplete(p *Port, tok *BarrierToken) {
-	m.barrierFinish(p, tok)
-	m.lastGB[p.num] = gbDone{epoch: tok.Epoch, children: tok.Children}
-	for _, child := range tok.Children {
-		m.sendBarrierFrameEpoch(p.num, tok.Epoch, child, BarrierBcastFrame, nil)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Barrier frame reception (the RDMA state machine's barrier hooks).
-// ---------------------------------------------------------------------------
-
+// handleBarrier receives every barrier-class frame: PE, the four tree kinds
+// (tree.go) and liveness probes.
 func (m *MCP) handleBarrier(f *Frame) {
-	m.stats.BarrierRecvd++
-	src := Endpoint{Node: f.SrcNode, Port: f.SrcPort}
+	fam := family(f.Kind)
+	*fam.recvd(&m.stats)++
 	c := m.conn(f.SrcNode)
 
 	if m.cfg.ReliableBarrier {
 		// Duplicate suppression and acknowledgment (Section 4.4's
 		// separate mechanism: own sequence space, own ack type).
-		if !c.barrierSeen[f.SrcPort].mark(f.Seq) {
+		fresh := c.barrierSeen[f.SrcPort].mark(f.Seq)
+		m.sendBarrierAck(c, f)
+		if !fresh {
 			m.stats.BarrierDups++
-			m.sendBarrierAck(c, f)
 			return
 		}
-		m.sendBarrierAck(c, f)
+	}
+	if f.Kind == BarrierProbeFrame {
+		// Probes are deliberately port-agnostic beyond the ack — they
+		// assert NIC liveness, not port state.
+		return
 	}
 
 	if !m.validPort(f.DstPort) {
@@ -199,47 +146,64 @@ func (m *MCP) handleBarrier(f *Frame) {
 		return
 	}
 
-	tok := p.barrier
-	if tok != nil {
-		switch {
-		case f.Kind == BarrierPEFrame && tok.Alg == PE &&
-			tok.Index < len(tok.Peers) && tok.Peers[tok.Index] == src:
-			m.peAdvance(p, tok)
-			if p.barrier == tok {
-				m.peDrainRecorded(p, tok)
-			}
-			return
-		case f.Kind == BarrierGatherFrame && tok.Alg == GB:
-			if i := tok.childIndex(src); i >= 0 && !tok.gatherFrom[i] {
-				tok.gatherFrom[i] = true
-				m.gbMaybeAdvance(p, tok)
-				return
-			}
-		case f.Kind == BarrierBcastFrame && tok.Alg == GB && !tok.Root &&
-			tok.Parent == src && tok.sentGather:
-			m.gbComplete(p, tok)
+	var matched bool
+	if f.Kind == BarrierPEFrame {
+		matched = m.peMatch(p, Endpoint{Node: f.SrcNode, Port: f.SrcPort})
+	} else {
+		matched = m.treeMatch(p, fam, f)
+	}
+	if !matched {
+		// Not (currently) expected: record it (Sections 3.1/4.3).
+		m.record(c, f)
+	}
+}
+
+// record files an early message. There are two stores behind it. Barrier
+// frames use the paper's record, one bit per (connection, source port): at
+// most one unexpected message per remote endpoint can be outstanding, so an
+// occupied slot means a protocol violation or a duplicate. Collective frames
+// queue, with their payload, in a FIFO per (connection, source port): one-way
+// collectives complete at the producer without a handshake, so several can
+// be outstanding (Config.CollUnexpCap bounds how many).
+func (m *MCP) record(c *Connection, f *Frame) {
+	rec := unexpRec{present: true, kind: f.Kind, dstPort: f.DstPort, srcEpoch: f.SrcEpoch}
+	if family(f.Kind).payload {
+		q := c.collQ[f.SrcPort]
+		if cap := m.cfg.CollUnexpCap; cap > 0 && len(q) >= cap {
+			m.stats.ProtocolErrors++
 			return
 		}
-	}
-	// Not (currently) expected: record it (Sections 3.1/4.3). The paper's
-	// record is one bit per (connection, source port); at most one
-	// unexpected message per remote endpoint can be outstanding, so an
-	// occupied slot means a protocol violation or a duplicate.
-	m.recordUnexpected(c, f)
-}
-
-func (m *MCP) recordUnexpected(c *Connection, f *Frame) {
-	slot := &c.unexp[f.SrcPort]
-	if slot.present {
-		m.stats.ProtocolErrors++
+		rec.data = append([]byte(nil), f.Data...)
+		c.collQ[f.SrcPort] = append(q, rec)
+	} else {
+		slot := &c.unexp[f.SrcPort]
+		if slot.present {
+			m.stats.ProtocolErrors++
+		}
+		*slot = rec
 	}
 	m.stats.BarrierUnexp++
-	*slot = unexpRec{present: true, kind: f.Kind, dstPort: f.DstPort, srcEpoch: f.SrcEpoch}
 }
 
-// takeUnexpected consumes the recorded message from port srcPort of c's peer
-// if one is present. A kind or destination-port mismatch is counted as a
-// protocol error and the record is left in place (the richer-than-one-bit
+// take consumes the recorded message of the given kind from port srcPort of
+// c's peer to dstPort, if there is one, and returns the payload it came with.
+func (m *MCP) take(c *Connection, srcPort int, kind FrameKind, dstPort int) ([]byte, bool) {
+	if !family(kind).payload {
+		return nil, m.takeUnexpected(c, srcPort, kind, dstPort)
+	}
+	q := c.collQ[srcPort]
+	for i, rec := range q {
+		if rec.kind == kind && rec.dstPort == dstPort {
+			c.collQ[srcPort] = append(q[:i:i], q[i+1:]...)
+			return rec.data, true
+		}
+	}
+	return nil, false
+}
+
+// takeUnexpected consumes the recorded barrier message from port srcPort of
+// c's peer if one is present. A kind or destination-port mismatch is counted
+// as a protocol error and the record is left in place (the richer-than-one-bit
 // record lets the simulator detect violations the paper's bit array would
 // absorb).
 func (m *MCP) takeUnexpected(c *Connection, srcPort int, kind FrameKind, dstPort int) bool {
@@ -263,7 +227,7 @@ func (m *MCP) recordClosedPort(c *Connection, f *Frame) {
 	m.stats.ClosedPortRecs++
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: record normally; OpenPort clears it.
-		m.recordUnexpected(c, f)
+		m.record(c, f)
 		return
 	}
 	recs := m.pendingClosed[f.DstPort]
@@ -299,28 +263,14 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 		return // initiator closed (or reopened) since: drop
 	}
 	rejector := Endpoint{Node: f.SrcNode, Port: f.OrigDstPort}
-	tok := p.barrier
-	switch f.OrigKind {
-	case BarrierPEFrame:
-		if tok != nil && tok.Alg == PE && tok.Epoch == f.SrcEpoch &&
-			tok.Index < len(tok.Peers) && tok.Peers[tok.Index] == rejector {
-			m.stats.BarrierResends++
-			m.sendBarrierFrame(p, rejector, BarrierPEFrame)
-		}
-	case BarrierGatherFrame:
-		if tok != nil && tok.Alg == GB && tok.Epoch == f.SrcEpoch &&
-			!tok.Root && tok.Parent == rejector && tok.sentGather {
-			m.stats.BarrierResends++
-			m.sendBarrierFrame(p, rejector, BarrierGatherFrame)
-		}
-	case BarrierBcastFrame:
-		// The broadcast sender's barrier has already completed locally;
-		// what it left behind lets it reconstruct the message.
-		last := m.lastGB[f.DstPort]
-		if last.epoch == f.SrcEpoch && slices.Contains(last.children, rejector) {
-			m.stats.BarrierResends++
-			m.sendBarrierFrameEpoch(f.DstPort, last.epoch, rejector, BarrierBcastFrame, nil)
-		}
+	if f.OrigKind != BarrierPEFrame {
+		m.treeReject(p, family(f.OrigKind), f, rejector)
+		return
+	}
+	if tok := p.barrier; tok != nil && tok.Epoch == f.SrcEpoch &&
+		tok.Index < len(tok.Peers) && tok.Peers[tok.Index] == rejector {
+		m.stats.BarrierResends++
+		m.sendBarrierFrame(m.conn(rejector.Node), p.num, p.epoch, rejector.Port, BarrierPEFrame, nil, nil)
 	}
 }
 
@@ -328,38 +278,39 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 // Barrier frame transmission and reliability.
 // ---------------------------------------------------------------------------
 
-// sendBarrierFrame prepares and transmits one barrier packet from the
-// port's current epoch, and returns the connection it goes out on.
-func (m *MCP) sendBarrierFrame(p *Port, dst Endpoint, kind FrameKind) *Connection {
-	return m.sendBarrierFrameEpoch(p.num, p.epoch, dst, kind, nil)
-}
-
-// sendBarrierFrameEpoch is sendBarrierFrame for an explicit epoch. A
-// non-nil drain is the sending port's PE token: once the packet has been
-// prepared its unexpected-message record is checked (peDrainRecorded).
-func (m *MCP) sendBarrierFrameEpoch(srcPort, epoch int, dst Endpoint, kind FrameKind, drain *BarrierToken) *Connection {
+// sendBarrierFrame prepares and transmits one barrier-class frame, from
+// srcPort in its given epoch to port dstPort of the peer the caller holds the
+// connection to: the one prepare-and-transmit stage of them all. data is a
+// collective frame's payload; preparing it costs cycles proportional to its
+// length. A non-nil drain is the sending port's PE token: once the packet
+// has been prepared its unexpected-message record is checked
+// (peDrainRecorded).
+func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind FrameKind, data []byte, drain *BarrierToken) {
 	h, rec := m.pendBarSends.Get()
-	rec.c, rec.drain = m.conn(dst.Node), drain
+	rec.c, rec.drain = c, drain
 	rec.f = Frame{
 		Kind:     kind,
 		SrcNode:  m.cfg.Node,
 		SrcPort:  srcPort,
-		DstNode:  dst.Node,
-		DstPort:  dst.Port,
+		DstNode:  c.peer,
+		DstPort:  dstPort,
 		SrcEpoch: epoch,
 	}
-	if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
+	fam := family(kind)
+	if fam.payload {
+		rec.f.Data = append([]byte(nil), data...)
+	} else if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
 		// Barrier traffic gossips the dead set so survivors converge on one
 		// membership view. Empty when nothing died, so zero-fault frames
 		// stay byte-identical to the pre-detection wire format.
 		rec.f.Data = m.encodeDeadSet()
 	}
 	prep, label := m.cfg.Params.BarrierPrep, "bar.prep"
-	if kind == BarrierGatherFrame || kind == BarrierBcastFrame {
-		prep, label = m.cfg.Params.GBPrep, "gb.prep"
+	if kind == fam.up || kind == fam.down {
+		c := fam.costs(&m.cfg.Params)
+		prep, label = c.prep+c.perElem*int64(len(data)/ElemBytes), fam.prepLabel
 	}
 	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, m.barSendFn, h)
-	return rec.c
 }
 
 // barSendEvent fires when a barrier frame's preparation cost has been paid
@@ -394,7 +345,7 @@ func (m *MCP) barSend(c *Connection, f *Frame) {
 	if m.cfg.LoopbackFlag && f.DstNode == m.cfg.Node {
 		// Section 3.4 optimization: two ports of the same NIC in one
 		// barrier exchange a flag instead of a packet.
-		m.stats.BarrierSent++
+		*family(f.Kind).sent(&m.stats)++
 		m.handleBarrier(f)
 		return
 	}
@@ -404,7 +355,7 @@ func (m *MCP) barSend(c *Connection, f *Frame) {
 		c.barrierSent = append(c.barrierSent, *f)
 		m.armRetransTimer(c)
 	}
-	m.stats.BarrierSent++
+	*family(f.Kind).sent(&m.stats)++
 	m.transmitFrame(c, f)
 }
 
@@ -438,34 +389,4 @@ func (m *MCP) retransmitBarrier(c *Connection) {
 		c.retransmit++
 		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Completion.
-// ---------------------------------------------------------------------------
-
-// barrierFinish delivers GM_BARRIER_COMPLETED_EVENT to the host: the RDMA
-// machine consumes one barrier buffer, DMAs the completion record, and the
-// send token pointer is cleared so the next barrier (or recording of early
-// messages for it) can proceed.
-func (m *MCP) barrierFinish(p *Port, tok *BarrierToken) {
-	if tok.completed {
-		return
-	}
-	tok.completed = true
-	p.barrier = nil
-	p.barrierPending = false
-	m.cancelBarrierWatchdog(p)
-	if p.barrierBufs > 0 {
-		p.barrierBufs--
-	} else {
-		m.stats.ProtocolErrors++
-	}
-	m.stats.BarrierCompleted++
-	var dead []network.NodeID
-	if m.cfg.DetectFailures {
-		dead = m.deadNodesSorted()
-	}
-	m.postHostEvent(p, m.cfg.Params.BarrierComplete, "bar.done", eventRecordBytes,
-		HostEvent{Kind: BarrierDoneEvent, Tag: tok.Tag, DeadNodes: dead})
 }

@@ -2,9 +2,9 @@ package mcp
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
-	"gmsim/internal/network"
 	"gmsim/internal/sim"
 )
 
@@ -299,29 +299,33 @@ func TestProcessRestartScenario(t *testing.T) {
 func TestCollectivePortAccessors(t *testing.T) {
 	r := newRig(t, 1, nil)
 	r.open(t, 0, 2)
-	p := r.mcps[0].Port(2)
-	if p.collBufs != 0 || p.coll != nil || p.collPending {
+	s := &r.mcps[0].Port(2).slots[collSlot]
+	if s.bufs != 0 || s.live || s.pending {
 		t.Fatal("fresh port collective state wrong")
 	}
 	if err := r.mcps[0].PostCollectiveBuffer(2); err != nil {
 		t.Fatal(err)
 	}
-	if p.collBufs != 1 {
-		t.Fatalf("collBufs = %d", p.collBufs)
+	if s.bufs != 1 {
+		t.Fatalf("bufs = %d", s.bufs)
+	}
+	if b := r.mcps[0].Port(2).BarrierBufs(); b != 0 {
+		t.Fatalf("a collective buffer landed in the barrier slot: %d", b)
 	}
 }
 
+// TestCollTokenHelpers checks the gather record both token kinds share once
+// read into a slot.
 func TestCollTokenHelpers(t *testing.T) {
-	tok := &CollToken{Children: []Endpoint{{Node: 1, Port: 2}, {Node: 2, Port: 2}}}
-	tok.reducedFrom = []bool{true, false}
-	if tok.remainingPartials() != 1 {
-		t.Fatalf("remainingPartials = %d", tok.remainingPartials())
+	s := &treeState{treeOp: treeOp{children: []Endpoint{{Node: 1, Port: 2}, {Node: 2, Port: 2}}}}
+	s.got = []bool{true, false}
+	if i := slices.Index(s.got, false); i != 1 || slices.Contains(s.got[i+1:], false) {
+		t.Fatalf("got = %v: want exactly child 1 outstanding", s.got)
 	}
-	if tok.childIndex(Endpoint{Node: 2, Port: 2}) != 1 {
-		t.Fatal("childIndex wrong")
+	if slices.Index(s.children, Endpoint{Node: 2, Port: 2}) != 1 {
+		t.Fatal("child index wrong")
 	}
-	if tok.childIndex(Endpoint{Node: 9, Port: 2}) != -1 {
-		t.Fatal("childIndex for non-child should be -1")
+	if slices.Index(s.children, Endpoint{Node: 9, Port: 2}) != -1 {
+		t.Fatal("child index for non-child should be -1")
 	}
-	_ = network.NodeID(0)
 }

@@ -7,34 +7,37 @@ import (
 	"gmsim/internal/sim"
 )
 
-// Crash-fault detection and degraded barrier membership (Config.
-// DetectFailures). The paper's protocol assumes fail-free peers: a node
-// that crashes mid-barrier leaves every neighbor retransmitting into
-// silence forever (or, before this change, silently dropping the barrier
-// traffic at retry exhaustion and hanging the barrier). This file turns
-// retry-budget exhaustion into a failure detector and repairs in-flight
-// barriers around the dead:
+// Crash-fault detection and degraded membership (Config.DetectFailures).
+// The paper's protocol assumes fail-free peers: a node that crashes
+// mid-barrier leaves every neighbor retransmitting into silence forever (or,
+// at retry exhaustion, silently dropping the traffic and hanging the
+// operation). This file turns retry-budget exhaustion into a failure
+// detector and repairs whatever is in flight — a PE barrier, or the tree
+// operation in either slot of a port, barrier or collective — around the
+// dead:
 //
 //   - detection: unacked traffic toward a peer exhausts MaxRetries →
-//     failConnection → peerDied. A barrier watchdog (FirmwareParams.
+//     failConnection → peerDied. A watchdog per slot (FirmwareParams.
 //     BarrierTimeout) covers the receive-only case — a node waiting on a
 //     message with nothing of its own in flight sends a BarrierProbeFrame
 //     through the reliable-barrier machinery, so an unanswered probe also
 //     exhausts and detects.
-//   - repair: PE skips dead peers in its exchange schedule; GB marks dead
-//     children as gathered and a node whose parent died promotes itself to
-//     subtree root (leader re-election by orphaning), completing and
-//     releasing its own subtree.
+//   - repair: PE skips dead peers in its exchange schedule; a tree operation
+//     marks dead children as gathered and a node whose parent died promotes
+//     itself to subtree root (leader re-election by orphaning), completing
+//     and releasing its own subtree — for a collective with what the subtree
+//     holds: a partial sum, no broadcast payload, no assembled array.
 //   - convergence: barrier frames gossip the sender's dead set, so
 //     survivors that never talked to the dead node still learn of it and
-//     report the same survivor set in their completion events.
+//     report the same survivor set in their completion events. Collective
+//     frames do not (see encodeDeadSet).
 //
 // Everything here is gated: with DetectFailures off (the default) no
 // events are scheduled, no frame bytes change, and the firmware behaves
 // exactly as the paper describes.
 
 // peerDied records peer as fail-stopped and repairs every in-flight
-// barrier on this NIC around it. Idempotent; self-death is ignored.
+// operation on this NIC around it. Idempotent; self-death is ignored.
 func (m *MCP) peerDied(peer network.NodeID) {
 	if peer == m.cfg.Node || m.deadPeers[peer] {
 		return
@@ -50,47 +53,35 @@ func (m *MCP) peerDied(peer network.NodeID) {
 		m.failConnection(c)
 	}
 	for _, p := range m.ports {
-		if p.open && p.barrier != nil {
-			m.repairBarrier(p, p.barrier)
+		if !p.open {
+			continue
+		}
+		if p.barrier != nil {
+			m.peRepair(p, p.barrier)
+		}
+		for i := range p.slots {
+			if p.slots[i].live && m.treeMarkDead(&p.slots[i]) {
+				m.stats.BarrierRepairs++
+				m.treeAdvance(p, &treeFamilies[i])
+			}
 		}
 	}
 }
 
-// applyDeadPeers removes peers already known dead from a just-activated
-// barrier token's schedule, before its first packet goes out. State-only:
-// the caller drives the sends afterwards.
-func (m *MCP) applyDeadPeers(tok *BarrierToken) {
-	switch tok.Alg {
-	case PE:
-		m.peSkipDead(tok)
-	case GB:
-		m.gbMarkDead(tok)
+// peRepair routes an in-flight PE barrier around peers newly known dead.
+func (m *MCP) peRepair(p *Port, tok *BarrierToken) {
+	if tok.Index >= len(tok.Peers) || !m.deadPeers[tok.Peers[tok.Index].Node] {
+		return // not stuck on a dead peer; later deads are skipped at advance
 	}
-}
-
-// repairBarrier routes an in-flight barrier around peers newly known dead.
-func (m *MCP) repairBarrier(p *Port, tok *BarrierToken) {
-	switch tok.Alg {
-	case PE:
-		if tok.Index >= len(tok.Peers) || !m.deadPeers[tok.Peers[tok.Index].Node] {
-			return // not stuck on a dead peer; later deads are skipped at advance
-		}
-		m.stats.BarrierRepairs++
-		m.peSkipDead(tok)
-		if tok.Index >= len(tok.Peers) {
-			m.barrierFinish(p, tok)
-			return
-		}
-		m.peSendCurrent(p, tok)
-		if p.barrier == tok {
-			m.peDrainRecorded(p, tok)
-		}
-	case GB:
-		if !m.gbMarkDead(tok) {
-			return
-		}
-		m.stats.BarrierRepairs++
-		m.gbMaybeAdvance(p, tok)
+	m.stats.BarrierRepairs++
+	m.peSkipDead(tok)
+	if tok.Index >= len(tok.Peers) {
+		m.peFinish(p)
+		return
+	}
+	m.peSendCurrent(p, tok)
+	if p.barrier == tok {
+		m.peDrainRecorded(p, tok)
 	}
 }
 
@@ -105,22 +96,24 @@ func (m *MCP) peSkipDead(tok *BarrierToken) {
 	}
 }
 
-// gbMarkDead marks dead children as gathered and promotes the node to
-// subtree root when its parent died. Reports whether anything changed.
-func (m *MCP) gbMarkDead(tok *BarrierToken) bool {
+// treeMarkDead takes the dead out of a tree operation: a dead child counts as
+// gathered, with nothing absorbed, and a node whose parent died promotes
+// itself to subtree root (leader re-election by orphaning). Reports whether
+// anything changed.
+func (m *MCP) treeMarkDead(s *treeSlot) bool {
 	changed := false
-	for i, ch := range tok.Children {
-		if !tok.gatherFrom[i] && m.deadPeers[ch.Node] {
-			tok.gatherFrom[i] = true
+	for i, ch := range s.children {
+		if !s.got[i] && m.deadPeers[ch.Node] {
+			s.got[i] = true
 			m.stats.BarrierPeersSkipped++
 			changed = true
 		}
 	}
-	if !tok.Root && m.deadPeers[tok.Parent.Node] {
-		// The parent died: nobody above will ever broadcast a release to
-		// this subtree. Become its root — once the local gather completes,
-		// gbComplete releases the surviving descendants.
-		tok.Root = true
+	if !s.root && m.deadPeers[s.parent.Node] {
+		// The parent died: nobody above will ever release this subtree.
+		// Become its root — once the local gather completes, treeAdvance
+		// releases the surviving descendants with what the subtree has.
+		s.root = true
 		m.stats.BarrierRootPromotions++
 		changed = true
 	}
@@ -128,61 +121,61 @@ func (m *MCP) gbMarkDead(tok *BarrierToken) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier watchdog: probing peers whose messages are overdue.
+// Watchdog: probing peers whose messages are overdue.
 // ---------------------------------------------------------------------------
 
-// armBarrierWatchdog starts the per-port barrier watchdog if detection is
-// configured and it is not already running. The probe/exhaustion detector
-// rides the reliable-barrier machinery, so the watchdog only arms when
-// that mode is on.
-func (m *MCP) armBarrierWatchdog(p *Port) {
+// armWatchdog starts a slot's watchdog if detection is configured and it is
+// not already running. The probe/exhaustion detector rides the
+// reliable-barrier machinery, so the watchdog only arms when that mode is on.
+func (m *MCP) armWatchdog(p *Port, s *treeSlot) {
 	if !m.cfg.DetectFailures || !m.cfg.ReliableBarrier || m.cfg.Params.BarrierTimeout <= 0 {
 		return
 	}
-	if p.watchdog != 0 {
+	if s.watchdog != 0 {
 		return
 	}
 	id := m.sim.After(m.cfg.Params.BarrierTimeout, func() {
-		p.watchdog = 0
-		m.watchdogFire(p)
+		s.watchdog = 0
+		m.watchdogFire(p, s)
 	})
-	p.watchdog = int64(id)
+	s.watchdog = int64(id)
 }
 
-func (m *MCP) cancelBarrierWatchdog(p *Port) {
-	if p.watchdog != 0 {
-		m.sim.Cancel(sim.EventID(p.watchdog))
-		p.watchdog = 0
+func (m *MCP) cancelWatchdog(s *treeSlot) {
+	if s.watchdog != 0 {
+		m.sim.Cancel(sim.EventID(s.watchdog))
+		s.watchdog = 0
 	}
 }
 
-// watchdogFire runs when a barrier has been in flight for a full
-// BarrierTimeout: probe every peer the barrier is still waiting on, then
-// re-arm for the next round.
-func (m *MCP) watchdogFire(p *Port) {
-	if m.nic.Dead() || !p.open || p.barrier == nil {
+// watchdogFire runs when a slot's operation has been in flight for a full
+// BarrierTimeout: probe every peer it is still waiting on — the children not
+// yet gathered and, once through the up phase, the parent; for PE the
+// current peer — then re-arm for the next round.
+func (m *MCP) watchdogFire(p *Port, s *treeSlot) {
+	if m.nic.Dead() || !p.open {
 		return
 	}
 	tok := p.barrier
-	switch tok.Alg {
-	case PE:
-		if tok.Index < len(tok.Peers) {
-			m.probePeer(p, tok.Peers[tok.Index])
-		}
-	case GB:
-		for i, ch := range tok.Children {
-			if !tok.gatherFrom[i] {
+	switch {
+	case s.live:
+		for i, ch := range s.children {
+			if !s.got[i] {
 				m.probePeer(p, ch)
 			}
 		}
-		if !tok.Root && tok.sentGather {
-			m.probePeer(p, tok.Parent)
+		if !s.root && s.upDone {
+			m.probePeer(p, s.parent)
 		}
+	case tok == nil:
+		return // nothing in flight any more
+	case tok.Index < len(tok.Peers):
+		m.probePeer(p, tok.Peers[tok.Index])
 	}
-	m.armBarrierWatchdog(p)
+	m.armWatchdog(p, s)
 }
 
-// probePeer sends one liveness probe to an endpoint the barrier is waiting
+// probePeer sends one liveness probe to an endpoint an operation is waiting
 // on, unless the connection is already proving itself: an outstanding
 // probe, or any unacked traffic, will reach the retry budget on its own.
 func (m *MCP) probePeer(p *Port, ep Endpoint) {
@@ -195,27 +188,7 @@ func (m *MCP) probePeer(p *Port, ep Endpoint) {
 	}
 	c.probeOut = true
 	m.stats.BarrierProbes++
-	m.sendBarrierFrame(p, ep, BarrierProbeFrame)
-}
-
-// handleBarrierProbe answers a liveness probe: ack it (through the
-// reliable-barrier preamble, so duplicates are suppressed like any barrier
-// frame) and merge the gossiped dead set. Probes are deliberately port-
-// agnostic beyond the ack — they assert NIC liveness, not port state.
-func (m *MCP) handleBarrierProbe(f *Frame) {
-	m.stats.BarrierRecvd++
-	c := m.conn(f.SrcNode)
-	if m.cfg.ReliableBarrier {
-		if !c.barrierSeen[f.SrcPort].mark(f.Seq) {
-			m.stats.BarrierDups++
-			m.sendBarrierAck(c, f)
-			return
-		}
-		m.sendBarrierAck(c, f)
-	}
-	if m.cfg.DetectFailures && len(f.Data) > 0 {
-		m.mergeDeadSet(f.Data)
-	}
+	m.sendBarrierFrame(c, p.num, p.epoch, ep.Port, BarrierProbeFrame, nil, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -223,7 +196,11 @@ func (m *MCP) handleBarrierProbe(f *Frame) {
 // ---------------------------------------------------------------------------
 
 // encodeDeadSet serializes the dead set as ascending 4-byte little-endian
-// node IDs, for the Data field of outgoing barrier frames.
+// node IDs, for the Data field of outgoing barrier frames (PE, GB, probes).
+// Collective frames carry their payload in Data, so they gossip nothing: a
+// survivor that only ever exchanges collective frames learns of a death
+// first-hand (its own retry budget or watchdog) or not at all, and
+// completion events of one collective can name different dead sets.
 func (m *MCP) encodeDeadSet() []byte {
 	nodes := m.deadNodesSorted()
 	b := make([]byte, 0, 4*len(nodes))
@@ -234,7 +211,7 @@ func (m *MCP) encodeDeadSet() []byte {
 }
 
 // mergeDeadSet folds a received dead set into this NIC's view, repairing
-// in-flight barriers around any newly learned deaths.
+// in-flight operations around any newly learned deaths.
 func (m *MCP) mergeDeadSet(b []byte) {
 	for ; len(b) >= 4; b = b[4:] {
 		m.peerDied(network.NodeID(binary.LittleEndian.Uint32(b)))

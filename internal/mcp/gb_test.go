@@ -87,8 +87,8 @@ func TestGBGatherToClosedRootRejectResend(t *testing.T) {
 
 func TestGBBcastToClosedChildRejectResend(t *testing.T) {
 	// The broadcast direction: the root's barrier has already completed
-	// when the reject arrives; the remembered token reconstructs the
-	// bcast ("lastGB" path).
+	// when the reject arrives; what it left behind reconstructs the
+	// bcast (the slot's "last" record).
 	r := newRig(t, 3, nil)
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)

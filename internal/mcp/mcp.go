@@ -39,13 +39,6 @@ type MCP struct {
 	// dead-sets carried on other survivors' barrier frames.
 	deadPeers map[network.NodeID]bool
 
-	// lastGB keeps, per port, what a broadcast rejected by a then-closed
-	// child is checked against: the epoch and children of the most recently
-	// completed GB barrier, by value — the host refills one token per Comm.
-	lastGB []gbDone
-	// lastColl is the collective analogue of lastGB.
-	lastColl []*CollToken
-
 	// frames is the bounded free list of wire frames (see leaseFrame).
 	frames []*Frame
 
@@ -57,13 +50,13 @@ type MCP struct {
 	handleFrameFn func(uint64)
 	loopbackFn    func(uint64)
 
-	// pendBarSends is the same pattern for barrier-frame preparation, and
-	// pendBarTokens for posted barrier tokens the SDMA state machine has yet
-	// to notice.
-	pendBarSends  mem.Slab[barSendRec]
-	barSendFn     func(uint64)
-	pendBarTokens mem.Slab[*BarrierToken]
-	barTokenFn    func(uint64)
+	// pendBarSends is the same pattern for the preparation of barrier-class
+	// frames, and pendTokens for posted barrier and collective tokens the
+	// SDMA state machine has yet to notice.
+	pendBarSends mem.Slab[barSendRec]
+	barSendFn    func(uint64)
+	pendTokens   mem.Slab[postedRec]
+	tokenFn      func(uint64)
 
 	// pendHostEvts leases host events across their firmware-processing and
 	// RDMA delays (see postHostEvent).
@@ -96,8 +89,8 @@ type frameRec struct {
 	owned bool
 }
 
-// barSendRec is one barrier frame waiting out its preparation cost on the
-// firmware processor, with the connection it goes out on. A non-nil drain is
+// barSendRec is one barrier-class frame waiting out its preparation cost on
+// the firmware processor, with the connection it goes out on. A non-nil drain is
 // the PE token whose unexpected-message record is checked once the frame is
 // prepared.
 type barSendRec struct {
@@ -135,8 +128,6 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		conns:         make(map[network.NodeID]*Connection),
 		pendingClosed: make(map[int][]pendingClosed),
 		deadPeers:     make(map[network.NodeID]bool),
-		lastGB:        make([]gbDone, cfg.NumPorts),
-		lastColl:      make([]*CollToken, cfg.NumPorts),
 	}
 	m.ports = make([]*Port, cfg.NumPorts)
 	for i := range m.ports {
@@ -145,7 +136,7 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 	m.handleFrameFn = m.handleFrameEvent
 	m.loopbackFn = m.loopbackEvent
 	m.barSendFn = m.barSendEvent
-	m.barTokenFn = m.barTokenEvent
+	m.tokenFn = m.tokenEvent
 	m.hostEvtDMAFn = m.hostEvtDMA
 	m.hostEvtDeliverFn = m.hostEvtDeliver
 	m.sdmaPollFn = m.sdmaPolled
@@ -213,16 +204,10 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 	p.open = true
 	p.epoch++
 	p.recvTokens = 0
-	p.barrierBufs = 0
 	p.sendsInFlight = 0
 	p.barrier = nil
-	p.barrierPending = false
-	p.coll = nil
-	p.collPending = false
-	p.collBufs = 0
+	p.slots = [2]treeSlot{}
 	p.deliver = deliver
-	m.lastGB[n] = gbDone{}
-	m.lastColl[n] = nil
 
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: clear the record of messages destined for
@@ -270,13 +255,11 @@ func (m *MCP) ClosePort(n int) error {
 	}
 	p.open = false
 	p.barrier = nil
-	p.barrierPending = false
-	m.cancelBarrierWatchdog(p)
-	p.coll = nil
-	p.collPending = false
+	for i := range p.slots {
+		m.cancelWatchdog(&p.slots[i])
+	}
+	p.slots = [2]treeSlot{}
 	p.deliver = nil
-	m.lastGB[n] = gbDone{}
-	m.lastColl[n] = nil
 	return nil
 }
 
@@ -287,16 +270,6 @@ func (m *MCP) PostReceiveToken(n int) error {
 		return fmt.Errorf("mcp: receive token for closed port %d", n)
 	}
 	m.ports[n].recvTokens++
-	return nil
-}
-
-// PostBarrierBuffer provides one barrier completion buffer
-// (gm_provide_barrier_buffer, Section 5.2).
-func (m *MCP) PostBarrierBuffer(n int) error {
-	if !m.validPort(n) || !m.ports[n].open {
-		return fmt.Errorf("mcp: barrier buffer for closed port %d", n)
-	}
-	m.ports[n].barrierBufs++
 	return nil
 }
 
@@ -499,10 +472,10 @@ func (m *MCP) receiveFrame(f *Frame, owned bool) {
 		cost, label = pr.RecvCtl, "recv.probe"
 	case BarrierPEFrame:
 		cost, label = pr.BarrierRecv, "recv.pe"
-	case BarrierGatherFrame, BarrierBcastFrame:
-		cost, label = pr.GBRecv, "recv.gb"
-	case ReduceFrame, CollBcastFrame:
-		cost, label = pr.GBRecv+pr.CollPerElem*int64(len(f.Data)/ElemBytes), "recv.coll"
+	case BarrierGatherFrame, BarrierBcastFrame, ReduceFrame, CollBcastFrame:
+		fam := family(f.Kind)
+		c := fam.costs(&m.cfg.Params)
+		cost, label = c.recv+c.perElem*int64(len(f.Data)/ElemBytes), fam.recvLabel
 	default:
 		// Includes releasedFrame: a frame that arrives after it was returned.
 		m.stats.ProtocolErrors++
@@ -531,7 +504,7 @@ func (m *MCP) handleFrame(f *Frame) {
 		m.handleAck(f)
 	case NackFrame:
 		m.handleNack(f)
-	case BarrierPEFrame, BarrierGatherFrame, BarrierBcastFrame:
+	case BarrierPEFrame, BarrierGatherFrame, BarrierBcastFrame, BarrierProbeFrame:
 		m.handleBarrier(f)
 		if m.cfg.DetectFailures && len(f.Data) > 0 {
 			// Merge the gossiped dead set after the frame itself was
@@ -539,18 +512,12 @@ func (m *MCP) handleFrame(f *Frame) {
 			// expected-message bookkeeping for this very frame.
 			m.mergeDeadSet(f.Data)
 		}
-	case BarrierProbeFrame:
-		m.handleBarrierProbe(f)
 	case ReduceFrame, CollBcastFrame:
-		m.handleCollective(f)
+		m.handleBarrier(f) // Data is the payload, not a dead set
 	case BarrierAckFrame:
 		m.handleBarrierAck(f)
 	case BarrierRejectFrame:
-		if f.OrigKind == ReduceFrame || f.OrigKind == CollBcastFrame {
-			m.handleCollectiveReject(f)
-		} else {
-			m.handleBarrierReject(f)
-		}
+		m.handleBarrierReject(f)
 	}
 }
 

@@ -17,31 +17,19 @@ type Port struct {
 
 	// recvTokens counts host-provided receive buffers (GM receive tokens).
 	recvTokens int
-	// barrierBufs counts host-provided barrier completion buffers
-	// (gm_provide_barrier_buffer).
-	barrierBufs int
 	// sendsInFlight counts data sends posted but not yet completed,
 	// bounded by Config.MaxSendTokens.
 	sendsInFlight int
 
+	// slots are the port's two operation slots, barrierSlot and collSlot:
+	// completion buffers, the posted-token flag, and the state of a tree
+	// operation in flight (see treeSlot). They are independent: a root's
+	// one-way Reduce can still be gathering when its port starts the next
+	// barrier.
+	slots [2]treeSlot
 	// barrier is the "send token pointer in the port data structure":
-	// non-nil while a barrier initiated by this port is in flight.
+	// non-nil while a PE barrier initiated by this port is in flight.
 	barrier *BarrierToken
-	// barrierPending is set from the instant a barrier token is posted
-	// until its completion, so a second post is rejected even before the
-	// SDMA machine has processed the first.
-	barrierPending bool
-	// watchdog is the barrier watchdog timer (sim.EventID as int64, 0 =
-	// none): armed while a barrier is in flight under DetectFailures, it
-	// probes peers whose messages are overdue (FirmwareParams.BarrierTimeout).
-	watchdog int64
-
-	// coll and collPending mirror barrier/barrierPending for NIC-based
-	// collective operations (Section 8 future work); collBufs counts
-	// host-provided collective completion buffers.
-	coll        *CollToken
-	collPending bool
-	collBufs    int
 
 	// deliver hands a completed host event to the GM library layer. It is
 	// invoked after the RDMA transfer that writes the event record (and
@@ -62,11 +50,11 @@ func (p *Port) Epoch() int { return p.epoch }
 func (p *Port) RecvTokens() int { return p.recvTokens }
 
 // BarrierBufs returns the number of barrier completion buffers available.
-func (p *Port) BarrierBufs() int { return p.barrierBufs }
+func (p *Port) BarrierBufs() int { return int(p.slots[barrierSlot].bufs) }
 
 // BarrierActive reports whether a barrier initiated by this port is in
 // flight on the NIC.
-func (p *Port) BarrierActive() bool { return p.barrier != nil }
+func (p *Port) BarrierActive() bool { return p.barrier != nil || p.slots[barrierSlot].live }
 
 // pendingClosed records one barrier message that arrived for a closed port
 // (Section 3.2: "record received barrier messages for a closed port, but
@@ -122,10 +110,8 @@ type Connection struct {
 	// port on the peer NIC ("one byte per connection", Section 3.1).
 	unexp [8]unexpRec
 
-	// collQ queues unexpected collective messages per source port.
-	// Unlike barriers, one-way collectives (broadcast, reduce) complete
-	// at the producer without a handshake, so a fast producer can run
-	// several operations ahead; the single-bit record is not enough.
+	// collQ queues unexpected collective messages per source port (see
+	// MCP.record for why they need more than the single-bit record).
 	collQ [8][]unexpRec
 
 	retransTimer int64  // sim.EventID as int64; 0 = none
@@ -184,13 +170,6 @@ type RecoveryStats struct {
 type sentItem struct {
 	frame Frame
 	tag   any
-}
-
-// gbDone is what outlives a completed GB barrier at its port: enough to
-// resend a broadcast that a then-closed child rejects.
-type gbDone struct {
-	epoch    int
-	children []Endpoint
 }
 
 // seqWindow remembers which sequence numbers have been delivered, over a

@@ -42,15 +42,17 @@ func (a BarrierAlg) String() string {
 	return "GB"
 }
 
-// BarrierToken is the paper's barrier send token: it carries the whole
-// NIC-resident state of one barrier operation for one port. The port data
-// structure holds a pointer to it while the barrier is in flight
-// (Section 4.2). Once the completion event is out the firmware is done with
-// it, and the host may refill and post the same token again (core.Comm does).
+// BarrierToken is the paper's barrier send token: what the host computed for
+// one barrier operation of one port. A PE barrier's NIC-resident state — the
+// paper's "node index" — lives in it, and the port data structure holds a
+// pointer to it while the barrier is in flight (Section 4.2); a GB barrier is
+// read into the port's barrier slot and walked there (tree.go). Once the
+// completion event is out the firmware is done with it, and the host may
+// refill and post the same token again (core.Comm does).
 type BarrierToken struct {
 	Alg     BarrierAlg
 	SrcPort int
-	// Epoch is the owning port's open-generation at initiation.
+	// Epoch is the owning port's open-generation at initiation (PE).
 	Epoch int
 	// Tag is returned in the completion event.
 	Tag any
@@ -60,40 +62,11 @@ type BarrierToken struct {
 	Peers []Endpoint
 	Index int
 
-	// GB state: the tree neighborhood computed by the host.
-	// Root is true when this node is the tree root (no parent). The three
-	// flags sit in one word: 144 bytes is a malloc size class where 152
-	// rounds up to 160.
-	Root bool
-	// sentGather is true once this node's own gather went to its parent.
-	sentGather bool
-	// completed guards against double completion.
-	completed bool
-	Parent    Endpoint
-	Children  []Endpoint
-	// gatherFrom[i] is true once child i's gather message is consumed.
-	gatherFrom []bool
-}
-
-// remainingGathers counts children whose gather has not been consumed.
-func (t *BarrierToken) remainingGathers() int {
-	n := 0
-	for _, got := range t.gatherFrom {
-		if !got {
-			n++
-		}
-	}
-	return n
-}
-
-// childIndex returns the index of ep in Children, or -1.
-func (t *BarrierToken) childIndex(ep Endpoint) int {
-	for i, c := range t.Children {
-		if c == ep {
-			return i
-		}
-	}
-	return -1
+	// GB: the tree neighborhood computed by the host. Root is true when
+	// this node is the tree root (no parent).
+	Root     bool
+	Parent   Endpoint
+	Children []Endpoint
 }
 
 // HostEventKind classifies events the NIC delivers to the host through a
@@ -133,17 +106,20 @@ type HostEvent struct {
 	Kind HostEventKind
 	// Src identifies the sender (RecvEvent).
 	Src Endpoint
-	// Data is the received payload (RecvEvent).
+	// Data is the received payload (RecvEvent) or the collective's result
+	// (CollDoneEvent).
 	Data []byte
-	// Tag echoes the token's Tag (SentEvent, BarrierDoneEvent).
+	// Tag echoes the token's Tag (SentEvent, BarrierDoneEvent,
+	// CollDoneEvent).
 	Tag any
 	// Failed marks a SentEvent whose message could not be delivered: the
 	// connection was declared dead after MaxRetries retransmission rounds.
 	Failed bool
-	// DeadNodes, on a BarrierDoneEvent under DetectFailures, is the set of
-	// peers this NIC considered fail-stopped when the barrier completed
-	// (ascending). A barrier that completed degraded — around crashed
-	// participants — reports them here; nil on a clean completion.
+	// DeadNodes, on a BarrierDoneEvent or CollDoneEvent under
+	// DetectFailures, is the set of peers this NIC considered fail-stopped
+	// when the operation completed (ascending). One that completed degraded
+	// — around crashed participants — reports them here; nil on a clean
+	// completion.
 	DeadNodes []network.NodeID
 }
 

@@ -208,11 +208,12 @@ func (w *World) Bcast(p *host.Process, data []byte) ([]byte, error) {
 func (w *World) Allreduce(p *host.Process, op mcp.ReduceOp, values []int64) ([]int64, error) {
 	payload := core.EncodeInt64s(values)
 	if w.cfg.UseNICCollectives {
+		// A degraded completion (core.DegradedError) comes with its data.
 		out, err := w.comm.NICAllReduce(p, w.g, w.rank, w.cfg.Dim, op, payload)
-		if err != nil {
+		if out == nil {
 			return nil, err
 		}
-		return core.DecodeInt64s(out), nil
+		return core.DecodeInt64s(out), err
 	}
 	if w.treeErr != nil {
 		return nil, w.treeErr
