@@ -36,7 +36,8 @@ race-procs:
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
 # the fault-plan validator, the result-store entry codec, the algebraic
-# router's spec space and the event queue against its sorted-slice model
+# router's spec space, the event queue against its sorted-slice model and
+# process programs run ahead of the clock against the same programs settled
 # (go's fuzzer allows one target per invocation).
 # Checked-in seed corpora live under each package's testdata/fuzz/.
 FUZZTIME ?= 10s
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzStoreEntryDecode$$ -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run=^$$ -fuzz=^FuzzAlgRouteSpec$$ -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run=^$$ -fuzz=^FuzzEventQueue$$ -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=^FuzzProcLookahead$$ -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Coverage with per-package floors. The observability layer (internal/trace),
 # the analytic model (internal/model), the fault injector (internal/fault)

@@ -72,6 +72,11 @@ func main() {
 						panic(err)
 					}
 					if node == 0 {
+						// Two processes append here in the order they run,
+						// and a process runs ahead of the simulation's clock
+						// by the host time the barrier call charged it: wait
+						// that out, so the order is the order in time.
+						p.Proc().Sync()
 						results = append(results, result{gi, b, node, p.Now()})
 					}
 				}

@@ -47,17 +47,21 @@ func NewSession(cfg cluster.Config) (*Session, error) {
 func (s *Session) Spawn(node, bufs int, body RankBody) {
 	cl := s.Cluster
 	cl.Spawn(node, node, func(p *host.Process) {
-		port, err := gm.Open(p, cl.MCP(node), 2)
-		if err != nil {
-			s.errs[node] = err
-			return
-		}
-		comm, err := core.NewComm(p, port, bufs)
-		if err != nil {
-			s.errs[node] = err
-			return
-		}
-		s.errs[node] = body(p, comm)
+		err := func() error {
+			port, err := gm.Open(p, cl.MCP(node), 2)
+			if err != nil {
+				return err
+			}
+			comm, err := core.NewComm(p, port, bufs)
+			if err != nil {
+				return err
+			}
+			return body(p, comm)
+		}()
+		// A rank whose clock leads the event loop (sim.Proc) may yet be
+		// crashed before the instant it returned at.
+		p.Proc().Sync()
+		s.errs[node] = err
 	})
 }
 
@@ -113,6 +117,12 @@ func (w *window) meanMicros(iters int) float64 {
 // iters calls of the per-rank function setup returns (its argument counts
 // from 0 across both phases), rank 0 stamps the timed window, and the
 // simulation drains. A non-nil rec records the timed window only.
+//
+// A rank's clock may lead the event loop (sim.Proc), and a crash kills a rank
+// at an instant of the loop's: what the window holds for the caller is
+// therefore written after Sync, when the two agree, or a rank would have
+// published a completion it did not live to see. That is one settle per
+// iteration at rank 0 and one per rank at the end.
 func (s *Session) timed(warmup, iters int, rec *trace.Recorder,
 	setup func(p *host.Process, comm *core.Comm) (one func(i int) error, err error)) (*window, error) {
 	if iters < 1 || warmup < 0 {
@@ -134,6 +144,7 @@ func (s *Session) timed(warmup, iters int, rec *trace.Recorder,
 			}
 		}
 		if rank == 0 {
+			p.Proc().Sync()
 			w.t0 = p.Now()
 			if rec != nil {
 				rec.Enable()
@@ -144,8 +155,9 @@ func (s *Session) timed(warmup, iters int, rec *trace.Recorder,
 			if err := one(warmup + i); err != nil {
 				return err
 			}
-			if d := p.Now() - before; rank == 0 && d > w.maxIter {
-				w.maxIter = d
+			if rank == 0 {
+				p.Proc().Sync()
+				w.maxIter = max(w.maxIter, p.Now()-before)
 			}
 		}
 		if rank == 0 {
@@ -154,6 +166,7 @@ func (s *Session) timed(warmup, iters int, rec *trace.Recorder,
 				rec.Disable()
 			}
 		}
+		p.Proc().Sync()
 		w.finished[rank] = true
 		return nil
 	})
@@ -236,6 +249,9 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 				return err
 			}
 			pb.Wait(p)
+			if rank == 0 {
+				p.Proc().Sync() // lastDead[0] is reported even if rank 0 never finishes
+			}
 			lastDead[rank] = pb.Dead()
 			return nil
 		}, nil

@@ -20,11 +20,14 @@ func (pt *Port) ProvideCollectiveBuffer(p *host.Process) error {
 	}
 	pt.collBufs++
 	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, "provide_coll_buf")
-	pt.sim.After(p.Params().DoorbellLatency, pt.collBufDoorbell)
+	p.Proc().After(p.Params().DoorbellLatency, pt.collBufDoorbell)
 	return nil
 }
 
 func (pt *Port) collBufRung() {
+	if pt.unwritten() {
+		return
+	}
 	if err := pt.mcp.PostCollectiveBuffer(pt.num); err != nil && pt.open {
 		panic(fmt.Sprintf("gm: NIC rejected collective buffer: %v", err))
 	}
@@ -52,11 +55,14 @@ func (pt *Port) CollectiveSend(p *host.Process, tok *mcp.CollToken) error {
 	pt.collBufs--
 	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, "gm_coll_send")
 	pt.collPosted = tok
-	pt.sim.After(p.Params().DoorbellLatency, pt.collTokDoorbell)
+	p.Proc().After(p.Params().DoorbellLatency, pt.collTokDoorbell)
 	return nil
 }
 
 func (pt *Port) collTokRung() {
+	if pt.unwritten() {
+		return
+	}
 	tok := pt.collPosted
 	pt.collPosted = nil
 	if err := pt.mcp.PostCollectiveToken(tok); err != nil {

@@ -9,6 +9,14 @@
 // request. Completion flows back through the port's host event queue,
 // which the process reads with Receive (blocking) or TryReceive (polling,
 // for fuzzy barriers).
+//
+// The charges are leads on the process's clock (host.Process.ComputePhase),
+// so doorbells ride that clock: each is scheduled with the process's After,
+// at the instant the NIC would see it had the process slept through every
+// charge. A port's only inputs are its event queue, which the NIC appends to
+// and this process alone consumes, and the NIC state Open, Close and the
+// provisioning batch touch directly; Receive therefore waits without
+// settling the lead, and the calls that look at anything else settle first.
 package gm
 
 import (
@@ -41,10 +49,11 @@ func eventPhase(k mcp.HostEventKind) phase.Phase {
 
 // Port is an open communication endpoint as seen from the host.
 type Port struct {
-	sim  *sim.Simulator
-	mcp  *mcp.MCP
-	num  int
-	open bool
+	sim   *sim.Simulator
+	mcp   *mcp.MCP
+	owner *host.Process // opened the port and drives it
+	num   int
+	open  bool
 
 	// events is the host-visible event queue. evHead indexes the next
 	// unconsumed entry; when the queue drains the slice rewinds to its
@@ -79,9 +88,8 @@ type Port struct {
 	collTokDoorbell func()
 
 	// One ProvideReceiveBuffers batch still ringing its doorbells: how many
-	// are left, and the process that posted them.
+	// are left.
 	batchLeft int
-	batchBy   *host.Process
 
 	// Counters.
 	sent, received, barriers int64
@@ -94,6 +102,7 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	pt := &Port{
 		sim:      m.NIC().Sim(),
 		mcp:      m,
+		owner:    p,
 		num:      num,
 		maxSends: 16,
 	}
@@ -105,6 +114,7 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	pt.barTokDoorbell = pt.barTokRung
 	pt.collBufDoorbell = pt.collBufRung
 	pt.collTokDoorbell = pt.collTokRung
+	p.Proc().Sync() // the driver call reaches into the NIC now, not a doorbell later
 	if err := m.OpenPort(num, pt.onEvent); err != nil {
 		return nil, err
 	}
@@ -120,13 +130,22 @@ func (pt *Port) onEvent(ev mcp.HostEvent) {
 	pt.sig.Fire()
 }
 
-// Close closes the port.
+// Close closes the port. Like Open it reaches into the NIC directly, so the
+// process that drives the port settles its lead first.
 func (pt *Port) Close() error {
 	if !pt.open {
 		return fmt.Errorf("gm: port %d already closed", pt.num)
 	}
+	pt.owner.Proc().Sync()
 	pt.open = false
 	return pt.mcp.ClosePort(pt.num)
+}
+
+// unwritten reports that the doorbell now ringing was never written: the
+// process scheduled it while its clock led the event loop and crashed before
+// the loop reached the call.
+func (pt *Port) unwritten() bool {
+	return pt.owner.Proc().KilledBy(pt.sim.Now() - pt.owner.Params().DoorbellLatency)
 }
 
 // Num returns the port number.
@@ -163,11 +182,14 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) er
 	pt.sent++
 	p.ComputePhase(p.Params().EffectiveSendCost(), phase.HostSend, "gm_send")
 	pt.sendsPosted = append(pt.sendsPosted, mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag})
-	pt.sim.After(p.Params().DoorbellLatency, pt.sendDoorbell)
+	p.Proc().After(p.Params().DoorbellLatency, pt.sendDoorbell)
 	return nil
 }
 
 func (pt *Port) sendRung() {
+	if pt.unwritten() {
+		return
+	}
 	if err := pt.mcp.PostSendToken(mem.PopFront(&pt.sendsPosted)); err != nil {
 		// The host-side mirror should have caught every failure mode.
 		panic(fmt.Sprintf("gm: NIC rejected send: %v", err))
@@ -182,11 +204,14 @@ func (pt *Port) ProvideReceiveBuffer(p *host.Process) error {
 	}
 	pt.recvBufs++
 	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
-	pt.sim.After(p.Params().DoorbellLatency, pt.recvDoorbell)
+	p.Proc().After(p.Params().DoorbellLatency, pt.recvDoorbell)
 	return nil
 }
 
 func (pt *Port) recvRung() {
+	if pt.unwritten() {
+		return
+	}
 	if err := pt.mcp.PostReceiveToken(pt.num); err != nil && pt.open {
 		panic(fmt.Sprintf("gm: NIC rejected receive token: %v", err))
 	}
@@ -195,13 +220,16 @@ func (pt *Port) recvRung() {
 // ProvideReceiveBuffers posts n receive buffers, as n back-to-back
 // ProvideReceiveBuffer calls would: the process is charged n times the cost
 // of one call and the NIC sees buffer k one DoorbellLatency after the k-th
-// call would have returned. It does so with one sleep and one pending event
-// per port — each doorbell schedules the next — instead of n of each, which
-// is what makes pre-posting 4n+16 buffers on every rank of a large cluster
-// affordable. With a phase recorder on (the calls' spans are part of the
-// trace), a batch of this port still ringing, or a free call, it is the loop.
+// call would have returned. It does so with one pending event per port —
+// each doorbell schedules the next — where the loop, whose charges are leads
+// and whose doorbells are all scheduled before the process first parks, would
+// hold n: pre-posting 4n+16 buffers on every rank is a quarter of a million
+// pending events at 256 nodes. With a phase recorder on (the calls' spans are
+// part of the trace), a batch of this port still ringing, or a free call, it
+// is the loop.
 func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 	prm := p.Params()
+	p.Proc().Sync() // batchLeft is the event loop's to count down
 	if n < 2 || pt.batchLeft > 0 || prm.ProvideBufferCost <= 0 || p.PhaseRecorder().On() {
 		for i := 0; i < n; i++ {
 			if err := pt.ProvideReceiveBuffer(p); err != nil {
@@ -214,8 +242,8 @@ func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 		return fmt.Errorf("gm: provide buffer on closed port %d", pt.num)
 	}
 	pt.recvBufs += n
-	pt.batchLeft, pt.batchBy = n, p
-	pt.sim.After(prm.ProvideBufferCost+prm.DoorbellLatency, pt.batchDoorbell)
+	pt.batchLeft = n
+	p.Proc().After(prm.ProvideBufferCost+prm.DoorbellLatency, pt.batchDoorbell)
 	p.Compute(sim.Time(n) * prm.ProvideBufferCost)
 	return nil
 }
@@ -223,7 +251,7 @@ func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 // batchRung is the doorbell of a ProvideReceiveBuffers batch: post one
 // buffer and schedule the next ring.
 func (pt *Port) batchRung() {
-	if pt.batchBy.Proc().Killed() {
+	if pt.owner.Proc().Killed() {
 		// The loop stops posting when its process dies; so does the batch.
 		// (The loop would still ring the doorbells already on the PCI bus at
 		// that instant, at most DoorbellLatency/ProvideBufferCost+1 of them.
@@ -235,7 +263,7 @@ func (pt *Port) batchRung() {
 	pt.recvRung()
 	pt.batchLeft--
 	if pt.batchLeft > 0 {
-		pt.sim.After(pt.batchBy.Params().ProvideBufferCost, pt.batchDoorbell)
+		pt.sim.After(pt.owner.Params().ProvideBufferCost, pt.batchDoorbell)
 	}
 }
 
@@ -247,11 +275,14 @@ func (pt *Port) ProvideBarrierBuffer(p *host.Process) error {
 	}
 	pt.barrierBufs++
 	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, "provide_bar_buf")
-	pt.sim.After(p.Params().DoorbellLatency, pt.barBufDoorbell)
+	p.Proc().After(p.Params().DoorbellLatency, pt.barBufDoorbell)
 	return nil
 }
 
 func (pt *Port) barBufRung() {
+	if pt.unwritten() {
+		return
+	}
 	if err := pt.mcp.PostBarrierBuffer(pt.num); err != nil && pt.open {
 		panic(fmt.Sprintf("gm: NIC rejected barrier buffer: %v", err))
 	}
@@ -281,11 +312,14 @@ func (pt *Port) BarrierSend(p *host.Process, tok *mcp.BarrierToken) error {
 	pt.barriers++
 	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, "gm_barrier_send")
 	pt.barrierPosted = tok
-	pt.sim.After(p.Params().DoorbellLatency, pt.barTokDoorbell)
+	p.Proc().After(p.Params().DoorbellLatency, pt.barTokDoorbell)
 	return nil
 }
 
 func (pt *Port) barTokRung() {
+	if pt.unwritten() {
+		return
+	}
 	tok := pt.barrierPosted
 	pt.barrierPosted = nil
 	if err := pt.mcp.PostBarrierToken(tok); err != nil {
@@ -298,8 +332,11 @@ func (pt *Port) barTokRung() {
 // event-detection cost plus a per-kind processing cost (the paper's HRecv
 // for data and barrier-completion events).
 func (pt *Port) Receive(p *host.Process) mcp.HostEvent {
+	// The lead is kept: an event queued at loop time T is the head the
+	// process would find at T + lead, and an empty queue is looked at again
+	// after every arrival.
 	for pt.PendingEvents() == 0 {
-		p.Proc().Wait(pt.sig)
+		p.Proc().Await(pt.sig)
 	}
 	// The detection cost is attributed by what is being detected, so a
 	// barrier completion's uncached event-queue reads land in HostDone,
@@ -312,6 +349,7 @@ func (pt *Port) Receive(p *host.Process) mcp.HostEvent {
 // one poll cost; if an event is present it is consumed and returned.
 // Fuzzy-barrier loops interleave TryReceive with computation.
 func (pt *Port) TryReceive(p *host.Process) (mcp.HostEvent, bool) {
+	p.Proc().Sync() // an empty queue now says nothing about the process's own instant
 	if pt.PendingEvents() == 0 {
 		p.ComputePhase(p.Params().PollCost, phase.HostRecv, "poll")
 		return mcp.HostEvent{}, false

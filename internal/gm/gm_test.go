@@ -1,12 +1,14 @@
 package gm_test
 
 import (
+	"slices"
 	"testing"
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/phase"
 	"gmsim/internal/sim"
 )
 
@@ -314,5 +316,118 @@ func TestMalformedCollectiveTokenIsRefusedAtTheCall(t *testing.T) {
 		if string(got) != "aAbBcCdD" {
 			t.Errorf("rank %d: allgather result %q", rank, got)
 		}
+	}
+}
+
+// TestKilledSenderRingsNoUnwrittenDoorbell: a process's charges are leads on
+// its own clock, so by the time it first parks it has scheduled doorbells the
+// event loop has yet to reach. If the process is killed first it never wrote
+// them. The sender posts two sends back to back and is killed — the process
+// alone; its NIC lives on and would transmit whatever it is handed — at every
+// tenth of a microsecond from before the first call to after the second
+// doorbell; each run is compared with the settled one (a phase recorder
+// attached: every charge is a sleep, so a killed process has scheduled
+// nothing ahead) by the firmware counters of both NICs.
+func TestKilledSenderRingsNoUnwrittenDoorbell(t *testing.T) {
+	run := func(killAt sim.Time, settled bool) (stats [2]mcp.Stats, rang int64) {
+		cl := cluster.New(cluster.DefaultConfig(2))
+		defer cl.Close()
+		if settled {
+			cl.SetPhaseRecorder(phase.NewRecorder())
+		}
+		cl.Spawn(0, 0, func(p *host.Process) {
+			port, _ := gm.Open(p, cl.MCP(0), 2)
+			port.ProvideReceiveBuffers(p, 2)
+			port.Receive(p)
+			port.Receive(p)
+		})
+		sender := cl.Spawn(1, 1, func(p *host.Process) {
+			port, _ := gm.Open(p, cl.MCP(1), 2)
+			p.Compute(5 * sim.Microsecond) // the receiver's buffers are in place
+			for i := 0; i < 2; i++ {
+				port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte{byte(i)}, nil)
+			}
+			port.Receive(p)
+			port.Receive(p)
+		})
+		cl.Sim().At(killAt, sender.Proc().Kill)
+		cl.Sim().Run() // the receiver strands whenever a send is lost
+		return [2]mcp.Stats{cl.MCP(0).Stats(), cl.MCP(1).Stats()}, cl.MCP(0).Stats().DataDelivered
+	}
+	// Open returns at 0.6 µs, the sends are posted at 8.6 and 11.6 and reach
+	// the NIC at 9.2 and 12.2.
+	delivered := map[int64]int{}
+	for killAt := sim.FromMicros(4); killAt <= sim.FromMicros(14); killAt += sim.FromMicros(0.1) {
+		ahead, n := run(killAt, false)
+		settled, _ := run(killAt, true)
+		if ahead != settled {
+			t.Errorf("sender killed at %v: firmware counters differ:\n--- ahead\n%+v\n--- settled\n%+v", killAt, ahead, settled)
+		}
+		delivered[n]++
+	}
+	if delivered[0] != 47 || delivered[1] != 30 || delivered[2] != 24 {
+		t.Errorf("messages delivered over the sweep: %v; want 47 runs with none, 30 with one, 24 with both", delivered)
+	}
+}
+
+// TestOpenAndCloseSettleTheLead: Open and Close reach into the NIC directly,
+// not through a doorbell on the process's clock, so a process that leads the
+// event loop by the charges of earlier calls settles first: the NIC sees the
+// port open and closed at the process's instant, as it does when every charge
+// is a sleep (a phase recorder attached).
+func TestOpenAndCloseSettleTheLead(t *testing.T) {
+	type change struct {
+		at   sim.Time
+		open [2]bool // ports 2 and 3
+	}
+	run := func(settled bool) (changes []change) {
+		cl := cluster.New(cluster.DefaultConfig(1))
+		defer cl.Close()
+		if settled {
+			cl.SetPhaseRecorder(phase.NewRecorder())
+		}
+		s := cl.Sim()
+		var last [2]bool
+		var sample func()
+		sample = func() {
+			if now := [2]bool{cl.MCP(0).Port(2).Open(), cl.MCP(0).Port(3).Open()}; now != last {
+				changes = append(changes, change{s.Now(), now})
+				last = now
+			}
+			if s.Now() < 20*sim.Microsecond {
+				s.After(100, sample)
+			}
+		}
+		s.After(0, sample)
+		cl.Spawn(0, 0, func(p *host.Process) {
+			a, err := gm.Open(p, cl.MCP(0), 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			a.ProvideReceiveBuffer(p) // 0.5 µs
+			a.ProvideBarrierBuffer(p) // 0.5 µs
+			b, err := gm.Open(p, cl.MCP(0), 3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b.ProvideReceiveBuffer(p)
+			b.ProvideReceiveBuffer(p)
+			if err := a.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		cl.Run()
+		return changes
+	}
+	ahead, settled := run(false), run(true)
+	want := []change{
+		{100, [2]bool{true, false}},                // the first look after the process started
+		{sim.FromMicros(1.6), [2]bool{true, true}}, // 0.6 for the first Open, two calls
+		{sim.FromMicros(3.2), [2]bool{false, true}},
+	}
+	if !slices.Equal(ahead, want) || !slices.Equal(settled, want) {
+		t.Errorf("ports 2 and 3 open, as the NIC saw it:\n ahead   %v\n settled %v\n want    %v", ahead, settled, want)
 	}
 }

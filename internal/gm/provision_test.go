@@ -181,12 +181,13 @@ func TestProvideReceiveBuffersMatchesLoop(t *testing.T) {
 		t.Errorf("racing message: %+v", batch.stats)
 	}
 
-	// One sleep and one self-rescheduling doorbell instead of n of each.
-	if saved := loop.executed - batch.executed; saved != n-1 {
-		t.Errorf("batch saved %d events over the loop, want the %d extra sleeps", saved, n-1)
-	}
-	if batch.maxPending > loop.maxPending {
-		t.Errorf("batch had %d events pending at once, the loop %d", batch.maxPending, loop.maxPending)
+	// Which path ran shows in the pending population, not in the event count
+	// (a call's charge is a lead on the process's clock, so the loop sleeps no
+	// more than the batch does): the loop has scheduled all n doorbells before
+	// the first rings, the batch keeps one, which schedules the next.
+	if batch.maxPending >= 8 || loop.maxPending < n {
+		t.Errorf("batch had %d events pending at once, the loop %d: want a handful and at least %d",
+			batch.maxPending, loop.maxPending, n)
 	}
 }
 
@@ -215,8 +216,9 @@ func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
 	batch = provision(t, hp, false, watch, batchOf(40, 40))
 	loop = provision(t, hp, false, watch, loopOf(80))
 	sameProvisioning(t, batch, loop)
-	if saved := loop.executed - batch.executed; saved != 39 {
-		t.Errorf("two batches back to back saved %d events, want the first batch's 39", saved)
+	if batch.maxPending < 40 || batch.maxPending >= 48 || loop.maxPending < 80 {
+		t.Errorf("two batches back to back had %d events pending at once, the loop %d: want the second batch's 40 doorbells, not the first's",
+			batch.maxPending, loop.maxPending)
 	}
 
 	hp.ProvideBufferCost = 0
@@ -229,7 +231,8 @@ func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
 }
 
 // TestProvideReceiveBuffersOnePendingEvent: however many buffers, a batch
-// keeps one doorbell event and one sleep pending, and a port that is closed
+// keeps one doorbell event and one sleep pending — what it is for — and a
+// port that is closed
 // or asked for nothing behaves as the loop does.
 func TestProvideReceiveBuffersOnePendingEvent(t *testing.T) {
 	const n = 4096

@@ -99,7 +99,8 @@ func (p *Process) Rank() int { return p.rank }
 // Params returns the host cost parameters.
 func (p *Process) Params() Params { return p.prm }
 
-// Now returns the current simulated time.
+// Now returns the current simulated time on the process's clock, which
+// leads the event loop by the charges not yet settled (see sim.Proc).
 func (p *Process) Now() sim.Time { return p.proc.Now() }
 
 // SetPhaseRecorder attaches a span recorder for phase-attributed charges.
@@ -109,14 +110,28 @@ func (p *Process) SetPhaseRecorder(r *phase.Recorder) { p.rec = r }
 // PhaseRecorder returns the attached span recorder, or nil.
 func (p *Process) PhaseRecorder() *phase.Recorder { return p.rec }
 
-// Compute consumes d of host CPU time (application work).
-func (p *Process) Compute(d sim.Time) { p.proc.Advance(d) }
+// Compute consumes d of host CPU time (application work). It is a sleep: the
+// process comes back level with the event loop, so application code may
+// write what other processes read right after it.
+func (p *Process) Compute(d sim.Time) { p.proc.Sleep(d) }
 
-// ComputePhase consumes d of host CPU time and, when a recorder is
-// attached, attributes the interval to the given Section 2.2 phase. The
-// simulated-time effect is identical to Compute(d) whether or not a
-// recorder is attached — recording is passive.
+// ComputePhase consumes d of host CPU time — the charge of a library call —
+// and, when a recorder is attached, attributes the interval to the given
+// Section 2.2 phase. The charge is a lead on the process's clock, not a
+// sleep (sim.Proc.Advance): the fixed host cost between two interactions
+// with the NIC is waited out once, when the process next needs something
+// that is not there yet. The simulated-time effect is identical to
+// Compute(d) whether or not a recorder is attached — recording is passive.
+//
+// With a recorder attached the charge settles at once, so an observed run
+// executes the long form event for event: the recorder's window opens and
+// closes at the instant of a call (Enable / Disable at rank 0), and a rank
+// whose clock led the loop across that instant would gain or lose spans.
 func (p *Process) ComputePhase(d sim.Time, ph phase.Phase, label string) {
+	if p.rec == nil {
+		p.proc.Advance(d)
+		return
+	}
 	if p.rec.On() && d > 0 {
 		now := p.proc.Now()
 		p.rec.Add(phase.Span{
@@ -125,7 +140,7 @@ func (p *Process) ComputePhase(d sim.Time, ph phase.Phase, label string) {
 			Node: int32(p.node), Peer: -1, Label: label,
 		})
 	}
-	p.proc.Advance(d)
+	p.proc.Sleep(d)
 }
 
 // Wait parks the process on a signal.

@@ -93,3 +93,66 @@ func TestZeroAllocCancel(t *testing.T) {
 	}
 	s.Run()
 }
+
+// TestZeroAllocLead pins that a process leading the loop pays nothing to the
+// allocator for it: Advance, After on the process's clock, Await (a re-wait
+// inside the Fire that woke it included) and the Sync that settles the lead.
+func TestZeroAllocLead(t *testing.T) {
+	s := New()
+	sig := s.NewSignal()
+	inbox, rang := 0, 0
+	ring := func() { rang++ }
+	s.Spawn("ahead", func(p *Proc) {
+		for {
+			p.Advance(30)
+			p.After(5, ring)
+			for inbox == 0 {
+				p.Await(sig) // woken at 10 with 20 of its lead left, and again at 11
+			}
+			inbox--
+			p.Advance(40)
+			p.After(0, ring)
+			p.Sync()
+		}
+	})
+	arrive := func() { inbox++; sig.Fire() }
+	fire := sig.Fire
+	round := func() {
+		s.After(10, fire) // nothing arrived: the process waits again inside this Fire
+		s.After(11, arrive)
+		s.Run()
+	}
+	round()
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("Advance/After/Await/Sync round allocates %.2f, want 0", avg)
+	}
+	if rang == 0 {
+		t.Fatal("After callbacks did not run")
+	}
+	s.Close()
+}
+
+// TestWaitListOneAllocation: a signal with one waiter allocates once in its
+// life, however the waits fall — also when the waiter queues up again inside
+// the Fire that is still walking the buffer it was on (Await in a loop),
+// which needs the second buffer at once.
+func TestWaitListOneAllocation(t *testing.T) {
+	p := new(Proc)
+	if avg := testing.AllocsPerRun(100, func() {
+		var l waitList
+		for i := 0; i < 4; i++ {
+			l.add(p)
+			walked := l.take()
+			if i%2 == 0 {
+				l.add(p) // inside the walk
+				l.done(walked)
+				l.done(l.take())
+			} else {
+				l.done(walked)
+			}
+		}
+	}); avg != 1 {
+		t.Errorf("a one-waiter list allocated %.2f times, want 1", avg)
+	}
+}

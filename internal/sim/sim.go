@@ -140,6 +140,7 @@ type Simulator struct {
 	seq   int64
 
 	executed int64
+	switches int64   // process resumes
 	procs    int     // live (spawned, not finished) processes
 	blocked  int     // processes parked on a Signal with no pending wake
 	spawned  []*Proc // every process ever spawned, for Close
@@ -167,6 +168,11 @@ func (s *Simulator) Pending() int { return s.calCount }
 // Executed returns the total number of events executed so far. Useful for
 // bounding runaway simulations in tests.
 func (s *Simulator) Executed() int64 { return s.executed }
+
+// Switches returns how many times a process has been resumed so far — woken
+// for the first time, from a sleep or by a signal. Each is a switch into the
+// process's coroutine and one back when it parks again.
+func (s *Simulator) Switches() int64 { return s.switches }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a modeling bug.
@@ -491,9 +497,17 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until none remain.
+// Run executes events until none remain. Processes left stranded in Await
+// may lead the loop (see Proc): the clock then moves on to the latest of
+// theirs, the instant the last of them ran out of things to do — where it
+// would stand had each settled its charges as it went.
 func (s *Simulator) Run() {
 	for s.Step() {
+	}
+	for _, p := range s.spawned {
+		if p.waitingOn != nil && p.clock > s.now {
+			s.now = p.clock
+		}
 	}
 }
 
