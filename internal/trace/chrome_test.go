@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gmsim/internal/mcp"
@@ -115,4 +118,39 @@ func TestWriteChromeFabricOnly(t *testing.T) {
 	if len(got.TraceEvents) == 0 {
 		t.Fatal("no events exported")
 	}
+}
+
+// TestChromeGoldenGB4 pins every byte of one small export: a 4-node NIC
+// gather-and-broadcast (dim 2) barrier. The exporter's output is stored and
+// served content-addressed, so its bytes are behaviour. Regenerate
+// deliberately with:
+//
+//	go test ./internal/trace -run TestChromeGoldenGB4 -update
+func TestChromeGoldenGB4(t *testing.T) {
+	rec, _ := runFullStackBarrier(t, 4, mcp.GB, 2)
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	path := filepath.Join("testdata", "chrome_gb4_dim2.json")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Chrome export drifted from golden %s:\n%s", path, diffLines(chromeLines(buf.Bytes()), chromeLines(want)))
+	}
+}
+
+// chromeLines breaks an export (one long line) at event boundaries so
+// diffLines can point at the event that moved.
+func chromeLines(b []byte) string {
+	return strings.ReplaceAll(string(b), "},{", "},\n{")
 }
