@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-procs fuzz bench perf-gate profile cover figures scenarios simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-procs fuzz bench perf-gate profile profile-svc cover figures scenarios simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -36,9 +36,10 @@ race-procs:
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
 # the fault-plan validator, the result-store entry codec, the algebraic
-# router's spec space, the event queue against its sorted-slice model and
-# process programs run ahead of the clock against the same programs settled
-# (go's fuzzer allows one target per invocation).
+# router's spec space, the event queue against its sorted-slice model,
+# process programs run ahead of the clock against the same programs settled,
+# and the Chrome exporter's string and timestamp appenders against
+# encoding/json (go's fuzzer allows one target per invocation).
 # Checked-in seed corpora live under each package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
@@ -49,6 +50,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzAlgRouteSpec$$ -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run=^$$ -fuzz=^FuzzEventQueue$$ -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=^FuzzProcLookahead$$ -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=^FuzzChromeString$$ -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=^FuzzChromeMicros$$ -fuzztime=$(FUZZTIME) ./internal/trace
 
 # Coverage with per-package floors. The observability layer (internal/trace),
 # the analytic model (internal/model), the fault injector (internal/fault)
@@ -104,6 +107,13 @@ perf-gate:
 #   go tool pprof -sample_index=alloc_space -top gmsim.test mem.prof
 profile:
 	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
+		-memprofile mem.prof -memprofilerate 4096 .
+
+# The same two profiles for one cold simd request without the HTTP front
+# (BenchmarkSvcCold: canonicalize, execute observed, export the trace,
+# marshal, store on disk), 300 requests.
+profile-svc:
+	$(GO) test -run '^$$' -bench SvcCold -benchtime 300x -cpuprofile cpu.prof \
 		-memprofile mem.prof -memprofilerate 4096 .
 
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×

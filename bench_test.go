@@ -406,3 +406,36 @@ func BenchmarkClos256(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSvcCold is one cold simd request without the HTTP front: the
+// repository benchmark's svc spec (bench/svc.go's svcSpec) canonicalized,
+// executed observed, its result marshalled and the entry written to a store
+// on disk, a fresh fault-plan seed per iteration so no iteration finds the
+// last one's file. It is the entry point for profiling the request path the
+// simulating benchmarks never reach — `make profile-svc`.
+func BenchmarkSvcCold(b *testing.B) {
+	st, err := service.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := service.Spec{Nodes: 16, FaultPlan: service.PlanFlap, Seed: int64(1 + i), Warmup: 5, Iters: 10}
+		canon, err := spec.Canonicalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := service.Execute(canon)
+		if err != nil {
+			b.Fatal(err)
+		}
+		result, err := json.Marshal(out.Result)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Put(out.Result.Hash, service.Entry{Result: result, Trace: out.Trace}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -62,7 +62,7 @@ const (
 	releasedFrame FrameKind = -1
 )
 
-var kindNames = map[FrameKind]string{
+var kindNames = [...]string{
 	DataFrame:          "data",
 	AckFrame:           "ack",
 	NackFrame:          "nack",
@@ -77,8 +77,8 @@ var kindNames = map[FrameKind]string{
 }
 
 func (k FrameKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }

@@ -143,9 +143,17 @@ func (s Span) String() string {
 // zero-cost detached fast path): a nil Recorder records nothing and reports
 // itself off.
 type Recorder struct {
-	spans   []Span
+	// chunks holds the spans in fixed-size chunks, so a long recording
+	// never re-copies itself; flat caches the contiguous form Spans hands
+	// out.
+	chunks  [][]Span
+	n       int
+	flat    []Span
 	enabled bool
 }
+
+// spanChunk is the number of spans per storage chunk.
+const spanChunk = 512
 
 // NewRecorder returns an enabled recorder.
 func NewRecorder() *Recorder { return &Recorder{enabled: true} }
@@ -172,7 +180,7 @@ func (r *Recorder) Disable() {
 // Reset discards recorded spans. No-op on nil.
 func (r *Recorder) Reset() {
 	if r != nil {
-		r.spans = r.spans[:0]
+		r.chunks, r.n, r.flat = nil, 0, nil
 	}
 }
 
@@ -182,15 +190,28 @@ func (r *Recorder) Add(s Span) {
 	if !r.On() || s.End <= s.Start {
 		return
 	}
-	r.spans = append(r.spans, s)
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == spanChunk {
+		r.chunks = append(r.chunks, make([]Span, 0, spanChunk))
+		last++
+	}
+	r.chunks[last] = append(r.chunks[last], s)
+	r.n++
 }
 
-// Spans returns the recorded spans in recording order.
+// Spans returns the recorded spans in recording order. The slice is a
+// snapshot: it does not grow with the recording.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	return r.spans
+	if len(r.flat) != r.n {
+		r.flat = make([]Span, 0, r.n)
+		for _, c := range r.chunks {
+			r.flat = append(r.flat, c...)
+		}
+	}
+	return r.flat
 }
 
 // Len returns the number of recorded spans.
@@ -198,7 +219,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.spans)
+	return r.n
 }
 
 // Totals sums recorded span durations per phase (cluster-wide busy time;
@@ -208,8 +229,10 @@ func (r *Recorder) Totals() [NumPhases]sim.Time {
 	if r == nil {
 		return out
 	}
-	for _, s := range r.spans {
-		out[s.Phase] += s.Dur()
+	for _, c := range r.chunks {
+		for i := range c {
+			out[c[i].Phase] += c[i].Dur()
+		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 
 	"gmsim/internal/experiments"
@@ -107,9 +106,20 @@ func Execute(s Spec) (Outcome, error) {
 	}
 	res.IdleUs = run.Decomp.Idle().Micros()
 
-	var buf bytes.Buffer
-	if err := run.Rec.WriteChrome(&buf); err != nil {
+	var trc traceBuf
+	if err := run.Rec.WriteChrome(&trc); err != nil {
 		return Outcome{}, fmt.Errorf("service: trace export: %w", err)
 	}
-	return Outcome{Result: res, Trace: buf.Bytes(), Metrics: run.Metrics}, nil
+	return Outcome{Result: res, Trace: trc, Metrics: run.Metrics}, nil
+}
+
+// traceBuf collects an export. WriteChrome hands over the whole trace in one
+// Write, so the append is one allocation of the trace's size — what the job
+// history and the cache then hold for as long as they hold the entry — and,
+// unlike a bytes.Buffer, it does not clear the megabyte it is about to fill.
+type traceBuf []byte
+
+func (t *traceBuf) Write(p []byte) (int, error) {
+	*t = append(*t, p...)
+	return len(p), nil
 }

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"gmsim/internal/experiments"
 )
 
 func mustExecute(t *testing.T, s Spec) Outcome {
@@ -131,5 +133,59 @@ func TestExecuteLeaksNothing(t *testing.T) {
 	// One leaked 16-node cluster is ~0.7 MB; forty would be ~28 MB.
 	if h1 > h0+4<<20 {
 		t.Errorf("live heap grew from %d KB to %d KB", h0>>10, h1>>10)
+	}
+}
+
+// allocated runs f and returns the bytes and heap objects it allocated.
+// The collector cannot un-count either, so the figures are exact whatever
+// GC does meanwhile.
+func allocated(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestExecuteColdBudget bounds what one cold request allocates on the svc
+// benchmark's cell (16 nodes, NIC PE, one link flap, 10 timed barriers). It
+// read 12.3 MB and 40 987 objects while the trace went through
+// encoding/json's reflection encoder (8.9 MB of that) and recordings grew by
+// append; it reads about 2.3 MB and 6 500. The second bound is what
+// observation itself costs a run — records plus the frames and packets an
+// observer keeps off the free lists: 2.05 MB then, about 0.6 MB now.
+func TestExecuteColdBudget(t *testing.T) {
+	spec, err := Spec{Nodes: 16, FaultPlan: PlanFlap, Seed: 7, Warmup: 5, Iters: 10}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	execute := func() {
+		if _, err := Execute(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	execute() // lazily initialised state and the export buffer are not per-call
+	bytes, objects := allocated(execute)
+	t.Logf("Execute: %d KB, %d objects", bytes>>10, objects)
+	if bytes > 5500<<10 || objects > 12000 {
+		t.Errorf("Execute allocated %d KB in %d objects, want at most 5500 KB in 12000", bytes>>10, objects)
+	}
+
+	espec, err := spec.Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(observe bool) func() {
+		return func() {
+			if _, err := experiments.Run(espec, observe); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	observed, _ := allocated(run(true))
+	plain, _ := allocated(run(false))
+	t.Logf("experiments.Run: %d KB observed, %d KB unobserved", observed>>10, plain>>10)
+	if observed > plain+1400<<10 {
+		t.Errorf("observing the run cost %d KB over its %d KB, want at most 1400", (observed-plain)>>10, plain>>10)
 	}
 }

@@ -70,19 +70,16 @@ func (st *Store) path(hash string) string {
 	return filepath.Join(st.dir, hash[:2], hash)
 }
 
-// encodeEntry frames an entry for disk: a fixed-order text header binding
-// the content address and CRC-32s of both payloads, then the raw payloads.
+// entryHeader is the first line of an entry file: a fixed-order text header
+// binding the content address and CRC-32s of both payloads. The raw payloads
+// follow it:
 //
 //	gmstore1 <hash> <len(result)> <len(trace)> <crc(result)> <crc(trace)>\n
 //	<result bytes><trace bytes>
-func encodeEntry(hash string, e Entry) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s %d %d %08x %08x\n", storeMagic, hash,
+func entryHeader(hash string, e Entry) []byte {
+	return fmt.Appendf(nil, "%s %s %d %d %08x %08x\n", storeMagic, hash,
 		len(e.Result), len(e.Trace),
 		crc32.ChecksumIEEE(e.Result), crc32.ChecksumIEEE(e.Trace))
-	b.Write(e.Result)
-	b.Write(e.Trace)
-	return b.Bytes()
 }
 
 // decodeEntry parses and checksums an entry file. It returns the content
@@ -189,7 +186,13 @@ func (st *Store) Put(hash string, e Entry) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeEntry(hash, e)); err != nil {
+	// Header and result (~1 KB) go out together; the trace (~1 MB) is
+	// written from where it lies instead of being copied behind them.
+	_, err = tmp.Write(append(entryHeader(hash, e), e.Result...))
+	if err == nil {
+		_, err = tmp.Write(e.Trace)
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: %w", err)
 	}

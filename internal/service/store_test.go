@@ -4,9 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// encodeEntry is a whole entry file in memory — the header line, then the
+// raw payloads. Put writes the same bytes without assembling them; the
+// codec tests and FuzzStoreEntryDecode's re-encode property use this form.
+func encodeEntry(hash string, e Entry) []byte {
+	return append(append(entryHeader(hash, e), e.Result...), e.Trace...)
+}
 
 // storedEntry runs a small spec and returns its hash and entry — a real
 // payload so the embedded-spec verification has something to chew on.
@@ -31,6 +39,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry not at the content-addressed path: %v", err)
 	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, encodeEntry(hash, entry)) {
+		t.Fatalf("file on disk is not the entry's encoding (read error %v)", err)
+	}
 	got, ok := st.Get(hash)
 	if !ok {
 		t.Fatal("stored entry missed")
@@ -52,6 +63,31 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if _, _, w, _ := st.Stats(); w != 1 {
 		t.Errorf("writes = %d, want 1", w)
+	}
+}
+
+// TestStorePutDoesNotCopyEntry: Put writes the payloads from where they lie.
+// Framing a 1 MB entry in memory first (header, result and trace appended
+// into one growing buffer) cost about 2 MB per cold request.
+func TestStorePutDoesNotCopyEntry(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, entry := storedEntry(t, Spec{Nodes: 4, Iters: 10, Warmup: 2})
+	entry.Trace = bytes.Repeat([]byte(`{"name":"bar.token","ph":"X"},`), 1<<20/30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = st.Put(hash, entry)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("Put of a %d-byte entry allocated %d bytes, want under 64 KB", entry.size(), got)
+	}
+	if got, ok := st.Get(hash); !ok || !bytes.Equal(got.Trace, entry.Trace) {
+		t.Error("entry did not survive the round trip")
 	}
 }
 

@@ -3,12 +3,19 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"gmsim/internal/cluster"
 	"gmsim/internal/mcp"
+	"gmsim/internal/phase"
+	"gmsim/internal/sim"
 )
 
 // chromeCheck is the schema the export must satisfy: the subset of the
@@ -153,4 +160,256 @@ func TestChromeGoldenGB4(t *testing.T) {
 // diffLines can point at the event that moved.
 func chromeLines(b []byte) string {
 	return strings.ReplaceAll(string(b), "},{", "},\n{")
+}
+
+// chromeEvent is one entry of the Chrome trace-event format (the JSON
+// Perfetto and chrome://tracing ingest). Ts and Dur are microseconds.
+type chromeEvent struct {
+	Name  string         `json:"name"`
+	Ph    string         `json:"ph"`
+	Ts    float64        `json:"ts"`
+	Dur   float64        `json:"dur,omitempty"`
+	Pid   int            `json:"pid"`
+	Tid   int            `json:"tid"`
+	Cat   string         `json:"cat,omitempty"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// chromeFile is the top-level JSON object.
+type chromeFile struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// chromeOracle is the exporter WriteChrome replaced, verbatim: build every
+// event as a struct and hand the lot to encoding/json. It defines the bytes
+// — field order, omitted fields, HTML escaping, shortest-float timestamps —
+// that the append-based encoder must reproduce.
+func chromeOracle(r *Recorder, w io.Writer) error {
+	var evs []chromeEvent
+
+	// Discover node pids/tracks and wire pairs first so metadata events
+	// lead the file and thread ids are assigned deterministically.
+	nodeTracks := make(map[int32]map[phase.Track]bool)
+	type pair struct{ src, dst int32 }
+	pairSet := make(map[pair]bool)
+	for _, s := range r.phases.Spans() {
+		if s.Track == phase.TrackWire {
+			pairSet[pair{s.Node, s.Peer}] = true
+			continue
+		}
+		if nodeTracks[s.Node] == nil {
+			nodeTracks[s.Node] = make(map[phase.Track]bool)
+		}
+		nodeTracks[s.Node][s.Track] = true
+	}
+	for _, e := range r.Events() {
+		pairSet[pair{int32(e.Src), int32(e.Dst)}] = true
+	}
+
+	var nodes []int32
+	for n := range nodeTracks {
+		nodes = append(nodes, n)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	for _, n := range nodes {
+		pid := int(n) + 1
+		evs = append(evs, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": fmt.Sprintf("node %d", n)},
+		})
+		for t := phase.TrackHost; t <= phase.TrackRDMA; t++ {
+			if nodeTracks[n][t] {
+				evs = append(evs, chromeEvent{
+					Name: "thread_name", Ph: "M", Pid: pid, Tid: int(t),
+					Args: map[string]any{"name": t.String()},
+				})
+			}
+		}
+	}
+
+	var pairs []pair
+	for p := range pairSet {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].src != pairs[j].src {
+			return pairs[i].src < pairs[j].src
+		}
+		return pairs[i].dst < pairs[j].dst
+	})
+	pairTid := make(map[pair]int, len(pairs))
+	if len(pairs) > 0 {
+		evs = append(evs, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: wirePID,
+			Args: map[string]any{"name": "wire"},
+		})
+		for i, p := range pairs {
+			tid := i + 1
+			pairTid[p] = tid
+			evs = append(evs, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: wirePID, Tid: tid,
+				Args: map[string]any{"name": fmt.Sprintf("%d->%d", p.src, p.dst)},
+			})
+		}
+	}
+
+	for _, s := range r.phases.Spans() {
+		ev := chromeEvent{
+			Name: s.Label, Ph: "X", Cat: s.Phase.String(),
+			Ts: s.Start.Micros(), Dur: s.Dur().Micros(),
+		}
+		if s.Track == phase.TrackWire {
+			ev.Pid = wirePID
+			ev.Tid = pairTid[pair{s.Node, s.Peer}]
+		} else {
+			ev.Pid = int(s.Node) + 1
+			ev.Tid = int(s.Track)
+		}
+		evs = append(evs, ev)
+	}
+
+	for _, e := range r.Events() {
+		name := fmt.Sprintf("%s %v", e.Kind, e.Frame)
+		if e.Reason != "" {
+			name += " " + e.Reason
+		}
+		evs = append(evs, chromeEvent{
+			Name: name, Ph: "i", Cat: e.Kind.String(),
+			Ts: e.At.Micros(), Scope: "t",
+			Pid: wirePID, Tid: pairTid[pair{int32(e.Src), int32(e.Dst)}],
+			Args: map[string]any{"seq": e.Seq, "size": e.Size},
+		})
+	}
+
+	enc := json.NewEncoder(w)
+	return enc.Encode(chromeFile{TraceEvents: evs, DisplayTimeUnit: "ns"})
+}
+
+func exportBytes(t testing.TB, export func(io.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := export(&buf); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestChromeMatchesOracleHandBuilt holds WriteChrome to the reflection
+// encoder on recordings no simulation produces: an empty one (a nil event
+// slice is "null"), labels and reasons that need escaping, tracks and kinds
+// outside the named ranges, negative ids, zero-length spans' absent "dur",
+// and timestamps on both sides of the integer path's 1e15 ns limit.
+func TestChromeMatchesOracleHandBuilt(t *testing.T) {
+	build := func(fill func(r *Recorder)) *Recorder {
+		r := Attach(cluster.New(cluster.DefaultConfig(2)))
+		fill(r)
+		return r
+	}
+	for name, r := range map[string]*Recorder{
+		"empty": build(func(*Recorder) {}),
+		"spans only": build(func(r *Recorder) {
+			r.phases.Add(phase.Span{Start: 1, End: 1001, Phase: phase.NICProc, Track: phase.TrackFW, Node: 3, Peer: -1, Label: "bar.token"})
+		}),
+		"escapes": build(func(r *Recorder) {
+			r.phases.Add(phase.Span{Start: 0, End: 7, Phase: phase.HostPost, Track: phase.TrackHost, Node: 0, Peer: -1, Label: `a<b>&"c\` + "\x01\t \xff"})
+			r.phases.Add(phase.Span{Start: 5, End: 1500, Phase: phase.Wire, Track: phase.TrackWire, Node: 1, Peer: 0, Label: ""})
+			r.add(Event{At: 12345, Kind: Drop, Src: 1, Dst: 0, Frame: mcp.DataFrame, Seq: 1<<32 - 1, Size: 4096, Reason: "crc <bad> & \"torn\"\n"})
+			r.add(Event{At: 12346, Kind: Fault, Reason: "link-down é"})
+		}),
+		"out of range": build(func(r *Recorder) {
+			r.phases.Add(phase.Span{Start: 999_999_999_999_999, End: 1_000_000_000_000_001, Phase: phase.Phase(42), Track: phase.Track(9), Node: -2, Peer: -1, Label: "late"})
+			r.phases.Add(phase.Span{Start: 1 << 53, End: 1<<62 + 12345, Phase: phase.DMA, Track: phase.TrackWire, Node: -1, Peer: -3, Label: "wide"})
+			r.add(Event{At: 1<<63 - 1, Kind: Kind(17), Src: -5, Dst: 1 << 20, Frame: mcp.FrameKind(250), Size: -1})
+		}),
+	} {
+		got := exportBytes(t, r.WriteChrome)
+		want := exportBytes(t, func(w io.Writer) error { return chromeOracle(r, w) })
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: WriteChrome differs from the reflection encoder:\n%s", name, diffLines(chromeLines(got), chromeLines(want)))
+		}
+	}
+}
+
+// FuzzChromeString holds the string appender to encoding/json on arbitrary
+// bytes — quotes, backslashes, the HTML set, control bytes, invalid UTF-8,
+// U+2028 — alone and spliced into an event name the way WriteChrome
+// assembles one.
+func FuzzChromeString(f *testing.F) {
+	for _, s := range []string{"", "bar.token", "sw0:p3", `<>&"\`, "a\x00b\x1f\x7f", "\b\f\n\r\t", "\xff\xc0\xaf", "café    \U0001f600", "link-down 15->sw0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := append(appendStringBody([]byte{'"'}, s), '"')
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%q: appended %s, encoding/json writes %s", s, got, want)
+		}
+		want, _ = json.Marshal("drop data " + s)
+		got = append(appendStringBody(append(appendStringBody([]byte{'"'}, "drop data"), ' '), s), '"')
+		if !bytes.Equal(got, want) {
+			t.Fatalf("name with reason %q: appended %s, encoding/json writes %s", s, got, want)
+		}
+	})
+}
+
+// FuzzChromeMicros holds the timestamp appender to encoding/json's float
+// formatting of Time.Micros for any nanosecond count.
+func FuzzChromeMicros(f *testing.F) {
+	for _, ns := range []int64{0, 1, 10, 100, 999, 1000, 1001, 1500, 101_133, 123_456_789, 999_999_999_999_999, 1e15, 1e15 + 1, 1 << 53, 1<<53 + 1, 1<<63 - 1, -1, -1500, -1 << 63} {
+		f.Add(ns)
+	}
+	f.Fuzz(func(t *testing.T, ns int64) {
+		want, err := json.Marshal(sim.Time(ns).Micros())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendMicros(nil, ns); !bytes.Equal(got, want) {
+			t.Fatalf("%d ns: appended %s, encoding/json writes %s", ns, got, want)
+		}
+	})
+}
+
+// failingWriter fails every Write.
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// A writer that fails gets its error back: gmtrace exports to a file, and
+// service.Execute wraps what WriteChrome returns.
+func TestWriteChromeReturnsWriterError(t *testing.T) {
+	rec, _ := runFullStackBarrier(t, 4, mcp.PE, 0)
+	boom := errors.New("disk full")
+	if err := rec.WriteChrome(failingWriter{boom}); !errors.Is(err, boom) {
+		t.Fatalf("WriteChrome into a failing writer returned %v, want %v", err, boom)
+	}
+}
+
+// TestChromeExportAllocs: an export allocates for its bookkeeping — two maps
+// that grow with the nodes and wire pairs, two sorted key slices — never per
+// span or per event: a 16-node recording with eight times the records of a
+// 4-node one stays within a few dozen allocations of it.
+func TestChromeExportAllocs(t *testing.T) {
+	small, _ := runFullStackBarrier(t, 4, mcp.PE, 0)
+	large, _ := runFullStackBarrier(t, 16, mcp.PE, 0)
+	allocs := func(r *Recorder) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := r.WriteChrome(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a4, a16 := allocs(small), allocs(large)
+	n4, n16 := small.Len()+small.Phases().Len(), large.Len()+large.Phases().Len()
+	t.Logf("allocations per export: %.0f for %d records, %.0f for %d", a4, n4, a16, n16)
+	if n16 < 8*n4 {
+		t.Fatalf("recordings too alike to compare: %d and %d records", n4, n16)
+	}
+	if a16 > a4+24 {
+		t.Errorf("export allocations grow with the recording: %.0f for %d records, %.0f for %d", a4, n4, a16, n16)
+	}
 }

@@ -78,12 +78,23 @@ func (e Event) String() string {
 		e.At.Micros(), e.Kind, e.Frame, e.Src, e.Dst, e.Seq, e.Size, e.Reason)
 }
 
+// eventChunk is the number of events per storage chunk.
+const eventChunk = 512
+
 // Recorder implements network.Observer and accumulates events.
 type Recorder struct {
-	sim     *sim.Simulator
-	events  []Event
+	sim *sim.Simulator
+	// events holds the recording in fixed-size chunks, so a long run never
+	// re-copies what it has recorded; flat caches the contiguous form
+	// Events hands out.
+	events  [][]Event
+	nEvents int
+	flat    []Event
 	enabled bool
 	filter  func(Event) bool
+	// hopReasons interns the "swS:pP" reason of hop events: one string per
+	// (switch, port), not one per forwarded packet.
+	hopReasons map[[2]int]string
 
 	// phases collects full-stack spans when the recorder was installed
 	// with Attach; nil for fabric-only recorders (NewRecorder).
@@ -133,17 +144,40 @@ func (r *Recorder) Disable() {
 // SetFilter installs a predicate; events it rejects are not recorded.
 func (r *Recorder) SetFilter(fn func(Event) bool) { r.filter = fn }
 
-// Reset discards recorded events and spans.
+// Reset discards recorded events and spans, and forgets packets in flight:
+// one injected before the reset and delivered after it leaves no wire span
+// (the span would start before the recording does).
 func (r *Recorder) Reset() {
-	r.events = nil
+	r.events, r.nEvents, r.flat = nil, 0, nil
+	clear(r.injectAt)
 	r.phases.Reset()
 }
 
-// Events returns the recorded events in time order.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the recorded events in time order. The slice is a
+// snapshot: it does not grow with the recording.
+func (r *Recorder) Events() []Event {
+	if len(r.flat) != r.nEvents {
+		r.flat = make([]Event, 0, r.nEvents)
+		for _, c := range r.events {
+			r.flat = append(r.flat, c...)
+		}
+	}
+	return r.flat
+}
 
 // Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.nEvents }
+
+// add appends one event to the recording.
+func (r *Recorder) add(ev Event) {
+	last := len(r.events) - 1
+	if last < 0 || len(r.events[last]) == eventChunk {
+		r.events = append(r.events, make([]Event, 0, eventChunk))
+		last++
+	}
+	r.events[last] = append(r.events[last], ev)
+	r.nEvents++
+}
 
 func (r *Recorder) record(kind Kind, p *network.Packet, reason string) {
 	if !r.enabled {
@@ -173,7 +207,7 @@ func (r *Recorder) record(kind Kind, p *network.Packet, reason string) {
 	if r.filter != nil && !r.filter(ev) {
 		return
 	}
-	r.events = append(r.events, ev)
+	r.add(ev)
 }
 
 // PacketInjected implements network.Observer.
@@ -218,7 +252,16 @@ func (r *Recorder) PacketForwarded(p *network.Packet, swID, port int) {
 	if !r.enabled {
 		return
 	}
-	r.record(Hop, p, fmt.Sprintf("sw%d:p%d", swID, port))
+	key := [2]int{swID, port}
+	reason, ok := r.hopReasons[key]
+	if !ok {
+		if r.hopReasons == nil {
+			r.hopReasons = make(map[[2]int]string)
+		}
+		reason = fmt.Sprintf("sw%d:p%d", swID, port)
+		r.hopReasons[key] = reason
+	}
+	r.record(Hop, p, reason)
 }
 
 // wireLabel names a wire span by its frame kind. Static strings: span
@@ -260,7 +303,7 @@ func (r *Recorder) FaultInjected(kind string, p *network.Packet, detail string) 
 		if r.filter != nil && !r.filter(ev) {
 			return
 		}
-		r.events = append(r.events, ev)
+		r.add(ev)
 		return
 	}
 	r.record(Fault, p, reason)
@@ -269,7 +312,7 @@ func (r *Recorder) FaultInjected(kind string, p *network.Packet, detail string) 
 // Filter returns the recorded events matching the predicate.
 func (r *Recorder) Filter(fn func(Event) bool) []Event {
 	var out []Event
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		if fn(e) {
 			out = append(out, e)
 		}
@@ -298,7 +341,7 @@ func (w WireLatency) Latency() sim.Time { return w.Deliver - w.Inject }
 func (r *Recorder) WireLatencies() []WireLatency {
 	injected := make(map[*network.Packet]sim.Time)
 	var out []WireLatency
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		switch e.Kind {
 		case Inject:
 			injected[e.packet] = e.At
@@ -327,13 +370,13 @@ type PacketHops struct {
 // trunk; on a single crossbar every packet shows exactly one hop.
 func (r *Recorder) PacketHopCounts() []PacketHops {
 	hops := make(map[*network.Packet]int)
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		if e.Kind == Hop {
 			hops[e.packet]++
 		}
 	}
 	var out []PacketHops
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		if e.Kind == Inject {
 			out = append(out, PacketHops{Src: e.Src, Dst: e.Dst, Frame: e.Frame, Hops: hops[e.packet]})
 		}
@@ -344,7 +387,7 @@ func (r *Recorder) PacketHopCounts() []PacketHops {
 // Counts summarizes the recording: events per (kind, frame kind).
 func (r *Recorder) Counts() map[string]int {
 	out := make(map[string]int)
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		out[fmt.Sprintf("%s/%s", e.Kind, e.Frame)]++
 	}
 	return out
@@ -353,7 +396,7 @@ func (r *Recorder) Counts() map[string]int {
 // Dump renders the recording as text, one event per line.
 func (r *Recorder) Dump() string {
 	var b strings.Builder
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
