@@ -304,22 +304,24 @@ func BenchmarkAblationTwoLevelSwitch(b *testing.B) {
 func BenchmarkCollectives(b *testing.B) {
 	cfg := cluster.DefaultConfig(8)
 	for _, tc := range []struct {
-		name string
-		nic  bool
-		op   mcp.CollOp
+		name  string
+		level experiments.Level
+		op    experiments.Op
 	}{
-		{"NIC-bcast", true, mcp.Broadcast},
-		{"Host-bcast", false, mcp.Broadcast},
-		{"NIC-reduce", true, mcp.Reduce},
-		{"Host-reduce", false, mcp.Reduce},
-		{"NIC-allreduce", true, mcp.AllReduce},
-		{"Host-allreduce", false, mcp.AllReduce},
+		{"NIC-bcast", experiments.NICLevel, experiments.Broadcast},
+		{"Host-bcast", experiments.HostLevel, experiments.Broadcast},
+		{"NIC-reduce", experiments.NICLevel, experiments.Reduce},
+		{"Host-reduce", experiments.HostLevel, experiments.Reduce},
+		{"NIC-allreduce", experiments.NICLevel, experiments.AllReduce},
+		{"Host-allreduce", experiments.HostLevel, experiments.AllReduce},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, lat = experiments.OptimalCollDim(cfg, tc.nic, tc.op, 4, benchIters)
+				_, lat = experiments.OptimalDim(experiments.Spec{
+					Cluster: cfg, Level: tc.level, Op: tc.op, Elems: 4, Warmup: 3, Iters: benchIters,
+				})
 			}
 			b.ReportMetric(lat, "us/op")
 		})

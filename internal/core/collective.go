@@ -19,8 +19,8 @@ import (
 //   - NIC-based: the host computes the tree neighborhood and hands it to
 //     the firmware with the local contribution; the NICs combine partials
 //     and forward payloads among themselves (mcp/tree.go);
-//   - host-based: the same trees walked by the host over ordinary GM
-//     sends and receives.
+//   - host-based: the same tree walk (treeWalk) over ordinary GM sends and
+//     receives.
 
 // EncodeInt64s packs values as a little-endian reduce vector.
 func EncodeInt64s(values []int64) []byte {
@@ -40,24 +40,6 @@ func DecodeInt64s(data []byte) []int64 {
 	return out
 }
 
-// collTree is rank self's place in the tree every collective runs over: the
-// flat dimension-dim heap tree, whatever leaf map the Comm's barriers use.
-func (c *Comm) collTree(g Group, self, dim int) (*tokenCache, error) {
-	return c.neighbourhood(mcp.GB, g, self, dim, nil)
-}
-
-// gatherTree is where NICAllGather and HostAllGather both start. The block
-// is checked here, before anything is posted or sent, so every rank returns
-// the same error: the firmware rejects an empty block only after the
-// doorbell, and a host-level root that fails to assemble leaves the other
-// ranks waiting for its broadcast.
-func (c *Comm) gatherTree(g Group, self, dim int, block []byte) (*tokenCache, error) {
-	if len(block) == 0 {
-		return nil, errors.New("core: allgather needs a non-empty block")
-	}
-	return c.collTree(g, self, dim)
-}
-
 // DegradedError is what a NIC collective returns, together with the data it
 // produced, when it completed around fail-stopped nodes (failure detection
 // on): a partial sum, a broadcast that reached only an orphaned subtree, an
@@ -70,10 +52,35 @@ func (e *DegradedError) Error() string {
 	return fmt.Sprintf("core: collective completed degraded around dead nodes %v", e.Dead)
 }
 
-// runNICCollective hands the firmware rank self's tree neighborhood with the
-// token and waits for the completion event.
-func (c *Comm) runNICCollective(p *host.Process, nb *tokenCache, tok *mcp.CollToken) ([]byte, error) {
-	tok.Root, tok.Parent, tok.Children = nb.root, nb.parent, nb.children
+// Collective runs op for rank self of g over the flat dimension-dim tree, at
+// the NICs (nic) or at the host, and returns what the operation delivers
+// here: the broadcast payload, the combined vector (Reduce: at rank 0 only),
+// or the rank-ordered concatenation of every rank's block (AllGather: all
+// blocks the same non-zero length). value is this rank's contribution,
+// combined by rop; a broadcast reads it at the root only. The inputs are
+// checked before anything is posted or sent, so both levels refuse the same
+// calls with the same error.
+func (c *Comm) Collective(p *host.Process, nic bool, op mcp.CollOp, rop mcp.ReduceOp, g Group, self, dim int, value []byte) ([]byte, error) {
+	if op == mcp.AllGather && len(value) == 0 {
+		return nil, errors.New("core: allgather needs a non-empty block")
+	}
+	nb, err := c.neighbourhood(mcp.GB, g, self, dim, nil)
+	if err != nil {
+		return nil, err
+	}
+	if op == mcp.Broadcast && nb.root && len(value) == 0 {
+		return nil, errors.New("core: broadcast root needs data")
+	}
+	tok := &mcp.CollToken{Op: op, Reduce: rop, Root: nb.root, Parent: nb.parent, Children: nb.children}
+	if op != mcp.Broadcast || nb.root {
+		tok.Value = value
+	}
+	if op == mcp.AllGather {
+		tok.Rank, tok.BlockSize, tok.GroupSize = self, len(value), len(g)
+	}
+	if !nic {
+		return c.treeWalk(p, nb, tok)
+	}
 	if err := c.port.ProvideCollectiveBuffer(p); err != nil {
 		return nil, err
 	}
@@ -92,103 +99,43 @@ func (c *Comm) runNICCollective(p *host.Process, nb *tokenCache, tok *mcp.CollTo
 	}
 }
 
-// NICBroadcast runs a NIC-based broadcast over a dimension-dim tree:
-// the root's data reaches every rank without any intermediate host
-// involvement. Every rank returns the payload.
-func (c *Comm) NICBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	nb, err := c.collTree(g, self, dim)
-	if err != nil {
-		return nil, err
+// treeWalk is the host level's one gather/broadcast walk, the firmware's
+// (mcp/tree.go) over GM sends and receives, driven by what it reads off the
+// token — nil for the GB barrier: gather from the children, send up to the
+// parent, wait for its release, forward the release to the children. An
+// operation without an up phase (Broadcast) skips the first two steps, one
+// without a down phase (Reduce) the last two. A barrier message carries one
+// byte. The forwards are posted back to back, so they pipeline through the
+// NIC — the effect the paper credits for the host-based GB's
+// competitiveness (Section 6).
+func (c *Comm) treeWalk(p *host.Process, nb *tokenCache, tok *mcp.CollToken) ([]byte, error) {
+	up, down := tok.Phases()
+	acc := tok.Seed()
+	if tok == nil {
+		acc = barrierPayload
 	}
-	tok := &mcp.CollToken{Op: mcp.Broadcast}
-	if self == 0 {
-		tok.Value = data
-	}
-	return c.runNICCollective(p, nb, tok)
-}
-
-// NICReduce combines every rank's vector with op at the NICs; rank 0
-// returns the result, other ranks return nil.
-func (c *Comm) NICReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	nb, err := c.collTree(g, self, dim)
-	if err != nil {
-		return nil, err
-	}
-	return c.runNICCollective(p, nb, &mcp.CollToken{Op: mcp.Reduce, Reduce: op, Value: value})
-}
-
-// NICAllReduce combines every rank's vector and distributes the result to
-// all ranks, entirely at the NIC level.
-func (c *Comm) NICAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	nb, err := c.collTree(g, self, dim)
-	if err != nil {
-		return nil, err
-	}
-	return c.runNICCollective(p, nb, &mcp.CollToken{Op: mcp.AllReduce, Reduce: op, Value: value})
-}
-
-// NICAllGather runs a NIC-based all-to-all broadcast (the Section 8
-// wording): every rank contributes block (all the same non-zero length) and
-// every rank returns the rank-ordered concatenation of all blocks.
-func (c *Comm) NICAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	nb, err := c.gatherTree(g, self, dim, block)
-	if err != nil {
-		return nil, err
-	}
-	return c.runNICCollective(p, nb, &mcp.CollToken{
-		Op: mcp.AllGather, Value: block,
-		Rank: self, BlockSize: len(block), GroupSize: len(g),
-	})
-}
-
-// HostAllGather is the host-based baseline: blocks gather up the tree as
-// the firmware's tagged entries (so the two levels are directly
-// comparable), the root assembles the array, and the broadcast path
-// distributes it.
-func (c *Comm) HostAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	nb, err := c.gatherTree(g, self, dim, block)
-	if err != nil {
-		return nil, err
-	}
-	entries := mcp.PackEntry(self, block)
-	for _, ch := range nb.children {
-		part, err := c.RecvFrom(p, ch)
+	for i := 0; up && i < len(nb.children); i++ {
+		part, err := c.RecvFrom(p, nb.children[i])
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, part...)
+		acc = tok.Absorb(acc, part)
 	}
-	var full []byte
+	var data []byte
+	var err error
 	if nb.root {
-		full, err = mcp.AssembleGather(entries, len(g), len(block))
-	} else if err = c.Send(p, nb.parent, entries); err == nil {
-		full, err = c.RecvFrom(p, nb.parent)
+		data, err = tok.Result(acc)
+	} else if up {
+		err = c.Send(p, nb.parent, acc)
 	}
-	if err != nil {
-		return nil, err
-	}
-	for _, ch := range nb.children {
-		if err := c.Send(p, ch, full); err != nil {
-			return nil, err
-		}
-	}
-	return full, nil
-}
-
-// HostBroadcast is the host-based baseline: the payload is forwarded down
-// the tree by the hosts.
-func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	nb, err := c.collTree(g, self, dim)
-	if err != nil {
-		return nil, err
-	}
-	if !nb.root {
+	if err == nil && down && !nb.root {
 		data, err = c.RecvFrom(p, nb.parent)
-		if err != nil {
-			return nil, err
-		}
-	} else if data == nil {
-		return nil, fmt.Errorf("core: broadcast root needs data")
+	}
+	if err != nil || !down {
+		return data, err
+	}
+	if tok == nil {
+		data = barrierPayload
 	}
 	for _, ch := range nb.children {
 		if err := c.Send(p, ch, data); err != nil {
@@ -198,33 +145,49 @@ func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byt
 	return data, nil
 }
 
-// HostReduce is the host-based baseline: partials combine at each host on
-// the way up the tree, by the firmware's element-wise rule. Rank 0 returns
-// the result; others return nil.
-func (c *Comm) HostReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	nb, err := c.collTree(g, self, dim)
-	if err != nil {
-		return nil, err
-	}
-	acc := append([]byte(nil), value...)
-	for _, ch := range nb.children {
-		part, err := c.RecvFrom(p, ch)
-		if err != nil {
-			return nil, err
-		}
-		op.Combine(acc, part)
-	}
-	if !nb.root {
-		return nil, c.Send(p, nb.parent, acc)
-	}
-	return acc, nil
+// NICBroadcast runs a NIC-based broadcast: the root's data reaches every
+// rank without any intermediate host involvement.
+func (c *Comm) NICBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
+	return c.Collective(p, true, mcp.Broadcast, 0, g, self, dim, data)
 }
 
-// HostAllReduce is HostReduce followed by HostBroadcast.
+// NICReduce combines every rank's vector with op at the NICs.
+func (c *Comm) NICReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
+	return c.Collective(p, true, mcp.Reduce, op, g, self, dim, value)
+}
+
+// NICAllReduce combines every rank's vector and distributes the result to
+// all ranks, entirely at the NIC level.
+func (c *Comm) NICAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
+	return c.Collective(p, true, mcp.AllReduce, op, g, self, dim, value)
+}
+
+// NICAllGather runs a NIC-based all-to-all broadcast (the Section 8
+// wording).
+func (c *Comm) NICAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
+	return c.Collective(p, true, mcp.AllGather, 0, g, self, dim, block)
+}
+
+// HostBroadcast is the host-based baseline of NICBroadcast.
+func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
+	return c.Collective(p, false, mcp.Broadcast, 0, g, self, dim, data)
+}
+
+// HostReduce is the host-based baseline of NICReduce: partials combine at
+// each host on the way up.
+func (c *Comm) HostReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
+	return c.Collective(p, false, mcp.Reduce, op, g, self, dim, value)
+}
+
+// HostAllReduce is the host-based baseline of NICAllReduce: one walk up and
+// back down the tree.
 func (c *Comm) HostAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	acc, err := c.HostReduce(p, g, self, dim, op, value)
-	if err != nil {
-		return nil, err
-	}
-	return c.HostBroadcast(p, g, self, dim, acc)
+	return c.Collective(p, false, mcp.AllReduce, op, g, self, dim, value)
+}
+
+// HostAllGather is the host-based baseline of NICAllGather: blocks gather
+// up the tree as the firmware's tagged entries, so the two levels are
+// directly comparable.
+func (c *Comm) HostAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
+	return c.Collective(p, false, mcp.AllGather, 0, g, self, dim, block)
 }

@@ -49,21 +49,7 @@ func runCollective(t *testing.T, n, dim int, nic bool, op mcp.CollOp, rop mcp.Re
 		if stagger != nil {
 			p.Compute(stagger(rank))
 		}
-		var res []byte
-		switch {
-		case nic && op == mcp.Broadcast:
-			res, err = comm.NICBroadcast(p, g, rank, dim, values(rank))
-		case nic && op == mcp.Reduce:
-			res, err = comm.NICReduce(p, g, rank, dim, rop, values(rank))
-		case nic && op == mcp.AllReduce:
-			res, err = comm.NICAllReduce(p, g, rank, dim, rop, values(rank))
-		case !nic && op == mcp.Broadcast:
-			res, err = comm.HostBroadcast(p, g, rank, dim, values(rank))
-		case !nic && op == mcp.Reduce:
-			res, err = comm.HostReduce(p, g, rank, dim, rop, values(rank))
-		default:
-			res, err = comm.HostAllReduce(p, g, rank, dim, rop, values(rank))
-		}
+		res, err := comm.Collective(p, nic, op, rop, g, rank, dim, values(rank))
 		if err != nil {
 			t.Errorf("rank %d collective: %v", rank, err)
 			return
@@ -164,14 +150,25 @@ func TestNICAllReduceEveryoneGetsResult(t *testing.T) {
 	}
 }
 
+// TestHostCollectivesMatchNIC: the host tree walk delivers, at every rank,
+// the bytes the firmware's delivers — every operation, every tree shape from
+// a chain to a 3-ary tree.
 func TestHostCollectivesMatchNIC(t *testing.T) {
-	n := 8
-	values := func(rank int) []byte { return EncodeInt64s([]int64{int64(rank * rank)}) }
-	nicRes := runCollective(t, n, 2, true, mcp.AllReduce, mcp.OpSum, values, nil)
-	hostRes := runCollective(t, n, 2, false, mcp.AllReduce, mcp.OpSum, values, nil)
-	for rank := 0; rank < n; rank++ {
-		if !bytes.Equal(nicRes[rank], hostRes[rank]) {
-			t.Fatalf("rank %d: NIC %v vs host %v", rank, nicRes[rank], hostRes[rank])
+	const n = 8
+	values := func(rank int) []byte { return EncodeInt64s([]int64{int64(rank * rank), int64(-rank)}) }
+	for _, op := range []mcp.CollOp{mcp.Broadcast, mcp.Reduce, mcp.AllReduce, mcp.AllGather} {
+		for dim := 1; dim <= 3; dim++ {
+			nicRes := runCollective(t, n, dim, true, op, mcp.OpSum, values, nil)
+			hostRes := runCollective(t, n, dim, false, op, mcp.OpSum, values, nil)
+			if len(nicRes[0]) == 0 {
+				t.Errorf("%v dim=%d: rank 0 received nothing", op, dim)
+			}
+			for rank := 0; rank < n; rank++ {
+				if !bytes.Equal(nicRes[rank], hostRes[rank]) {
+					t.Errorf("%v dim=%d rank %d: NIC %v vs host %v", op, dim, rank,
+						DecodeInt64s(nicRes[rank]), DecodeInt64s(hostRes[rank]))
+				}
+			}
 		}
 	}
 }
@@ -256,17 +253,40 @@ func TestNICCollectiveFasterThanHost(t *testing.T) {
 	}
 }
 
+// TestBroadcastRootNeedsData: a broadcast root with no data is refused with
+// the same error at both levels, before anything is posted or sent — so the
+// Comm still runs a real broadcast afterwards. (The NIC level used to post
+// the empty payload and have every rank "succeed" with nothing.)
 func TestBroadcastRootNeedsData(t *testing.T) {
-	cl := cluster.New(cluster.DefaultConfig(1))
-	g := UniformGroup(1, 2)
-	cl.SpawnAll(func(p *host.Process) {
-		port, _ := gm.Open(p, cl.MCP(0), 2)
-		comm, _ := NewComm(p, port, 8)
-		if _, err := comm.HostBroadcast(p, g, 0, 1, nil); err == nil {
-			t.Error("host broadcast root without data should error")
+	const n = 4
+	for _, nic := range []bool{true, false} {
+		cl := cluster.New(cluster.DefaultConfig(n))
+		g := UniformGroup(n, 2)
+		var rootErr error
+		results := make([][]byte, n)
+		cl.SpawnAll(func(p *host.Process) {
+			rank := p.Rank()
+			port, _ := gm.Open(p, cl.MCP(rank), 2)
+			comm, _ := NewComm(p, port, 64)
+			if rank == 0 {
+				_, rootErr = comm.Collective(p, nic, mcp.Broadcast, 0, g, 0, 2, nil)
+			}
+			out, err := comm.Collective(p, nic, mcp.Broadcast, 0, g, rank, 2, []byte("after"))
+			if err != nil {
+				t.Errorf("nic=%v rank %d: broadcast after the refused one: %v", nic, rank, err)
+			}
+			results[rank] = out
+		})
+		cl.Run()
+		if rootErr == nil || rootErr.Error() != "core: broadcast root needs data" {
+			t.Errorf("nic=%v: root without data got %v", nic, rootErr)
 		}
-	})
-	cl.Run()
+		for rank, r := range results {
+			if string(r) != "after" {
+				t.Errorf("nic=%v rank %d got %q", nic, rank, r)
+			}
+		}
+	}
 }
 
 func TestCollectiveBadDimErrors(t *testing.T) {

@@ -336,36 +336,15 @@ func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
 }
 
 // HostBarrierGB runs the gather-and-broadcast barrier at the host over a
-// dimension-dim tree: gather from all children, send to parent, wait for
-// the parent's broadcast, forward the broadcast to the children and exit.
-// The broadcast sends are posted back to back, so they pipeline through
-// the NIC — the effect the paper credits for the host-based GB's
-// competitiveness (Section 6). g must not change once used (see Group).
+// dimension-dim tree: the host tree walk (treeWalk) with nothing to carry.
+// g must not change once used (see Group).
 func (c *Comm) HostBarrierGB(p *host.Process, g Group, self, dim int) error {
 	nb, err := c.neighbourhood(mcp.GB, g, self, dim, c.leafMap)
 	if err != nil {
 		return err
 	}
-	root, parent, children := nb.root, nb.parent, nb.children
-	for _, ch := range children {
-		if _, err := c.RecvFrom(p, ch); err != nil {
-			return err
-		}
-	}
-	if !root {
-		if err := c.Send(p, parent, barrierPayload); err != nil {
-			return err
-		}
-		if _, err := c.RecvFrom(p, parent); err != nil {
-			return err
-		}
-	}
-	for _, ch := range children {
-		if err := c.Send(p, ch, barrierPayload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = c.treeWalk(p, nb, nil)
+	return err
 }
 
 // HostBarrier dispatches on the algorithm.

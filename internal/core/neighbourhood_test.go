@@ -129,8 +129,9 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 		}, true},
 		{"GB flat", mcp.GB, g, nil, setMap(nil, nic(mcp.GB)), false},
 		{"PE full again", mcp.PE, g, nil, nic(mcp.PE), false},
-		// What MeasureCollective does every iteration: a PE barrier, then a
-		// collective over the GB tree. One entry per algorithm: both hit.
+		// What a collective cell of experiments.Run does every round: a PE
+		// barrier, then a collective over the GB tree. One entry per
+		// algorithm: both hit.
 		{"allreduce after PE", mcp.GB, g, nil, allreduce, true},
 		{"PE after allreduce", mcp.PE, g, nil, nic(mcp.PE), true},
 		{"allreduce after PE again", mcp.GB, g, nil, allreduce, true},

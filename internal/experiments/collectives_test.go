@@ -21,9 +21,9 @@ import (
 // and the determinism matrix is run == re-run; collectives.golden is what
 // holds every collective timestamp, result byte and firmware counter still
 // while the firmware underneath is rearranged. Each cell builds its Session
-// itself and runs MeasureCollective's protocol: rounds separated by an
-// untimed PE barrier, the sample being (latest completion) minus (latest
-// start) across ranks.
+// itself (for the late port and the per-rank data) and runs Run's
+// collective protocol: rounds separated by an untimed PE barrier, the sample
+// being (latest completion) minus (latest start) across ranks.
 
 // collCell is one line of collectives.golden.
 type collCell struct {
@@ -66,24 +66,6 @@ func collValue(rank int) []byte {
 		v[j] = int64((rank + 1) * (j + 1))
 	}
 	return core.EncodeInt64s(v)
-}
-
-// nicCollective runs one NIC-based collective of the given kind at rank.
-func nicCollective(p *host.Process, comm *core.Comm, op mcp.CollOp, g core.Group, rank, dim int) ([]byte, error) {
-	switch op {
-	case mcp.Broadcast:
-		var data []byte
-		if rank == 0 {
-			data = collValue(0)
-		}
-		return comm.NICBroadcast(p, g, rank, dim, data)
-	case mcp.Reduce:
-		return comm.NICReduce(p, g, rank, dim, mcp.OpSum, collValue(rank))
-	case mcp.AllReduce:
-		return comm.NICAllReduce(p, g, rank, dim, mcp.OpSum, collValue(rank))
-	default:
-		return comm.NICAllGather(p, g, rank, dim, collValue(rank))
-	}
 }
 
 // spawnRanks starts body on every node the way Session.SpawnAll does, except
@@ -139,7 +121,7 @@ func runCollCell(c collCell) string {
 			if p.Now() > starts[i] {
 				starts[i] = p.Now()
 			}
-			data, err := nicCollective(p, comm, c.op, g, rank, c.dim)
+			data, err := comm.Collective(p, true, c.op, mcp.OpSum, g, rank, c.dim, collValue(rank))
 			if err != nil {
 				return err
 			}
@@ -247,7 +229,7 @@ func runCollCrashCell(c collCrashCell) string {
 				t0 = p.Now()
 			}
 			before := p.Now()
-			data, err := nicCollective(p, comm, c.op, g, rank, dim)
+			data, err := comm.Collective(p, true, c.op, mcp.OpSum, g, rank, dim, collValue(rank))
 			dead := "-"
 			if deg := (*core.DegradedError)(nil); errors.As(err, &deg) {
 				degraded++

@@ -34,21 +34,44 @@ func (l Level) String() string {
 	return "host"
 }
 
-// Spec describes one barrier latency measurement.
+// Op is the operation a Spec measures: the barrier, or one of the four
+// collectives of the paper's Section 8 (mcp.CollOp, in its order).
+type Op int
+
+const (
+	// Barrier is the zero Op: a barrier of the Spec's Alg.
+	Barrier Op = iota
+	Broadcast
+	Reduce
+	AllReduce
+	AllGather
+)
+
+// coll names a collective Op as the firmware does.
+func (o Op) coll() mcp.CollOp { return mcp.CollOp(o - Broadcast) }
+
+// Spec describes one latency measurement.
 type Spec struct {
 	// Cluster is the testbed; Cluster.Nodes processes participate, one
 	// per node, all on port 2 (GM reserves low port numbers).
 	Cluster cluster.Config
 	Level   Level
-	Alg     mcp.BarrierAlg
-	// Dim is the GB tree dimension (ignored for PE).
+	Op      Op
+	// Alg is the barrier's algorithm (ignored for a collective, which
+	// runs over the flat GB tree).
+	Alg mcp.BarrierAlg
+	// Dim is the GB or collective tree dimension (ignored for PE).
 	Dim int
 	// TopoAware maps the GB tree onto the switch topology (see
 	// core.GBTree): intra-switch subtrees with one trunk crossing
-	// per leaf switch. Ignored for PE. On a single crossbar the mapped
-	// tree equals the flat one, so the flag changes nothing.
+	// per leaf switch. Ignored for PE and collectives. On a single
+	// crossbar the mapped tree equals the flat one, so the flag changes
+	// nothing.
 	TopoAware bool
-	// Warmup barriers run before timing starts; Iters barriers are timed.
+	// Elems is a collective's payload per rank in int64 elements (a
+	// broadcast's at the root only).
+	Elems int
+	// Warmup operations run before timing starts; Iters are timed.
 	Warmup, Iters int
 }
 
@@ -97,20 +120,21 @@ func MeasureBarriers(specs []Spec) []Result {
 	return runner.Map(0, specs, MeasureBarrier)
 }
 
-// gbSweepSpecs builds the per-dimension GB specs for one cluster size,
-// with the topology-aware tree mapping switched on or off.
-func gbSweepSpecs(cfg cluster.Config, level Level, iters int, topoAware bool) []Spec {
-	specs := make([]Spec, 0, cfg.Nodes-1)
-	for dim := 1; dim <= cfg.Nodes-1; dim++ {
-		specs = append(specs, Spec{Cluster: cfg, Level: level, Alg: mcp.GB, Dim: dim, TopoAware: topoAware, Iters: iters})
+// dimSweep is base at every tree dimension from 1 to n-1: a GB barrier's
+// or a collective's.
+func dimSweep(base Spec) []Spec {
+	specs := make([]Spec, 0, base.Cluster.Nodes-1)
+	for dim := 1; dim <= base.Cluster.Nodes-1; dim++ {
+		base.Dim = dim
+		specs = append(specs, base)
 	}
 	return specs
 }
 
-// bestGBDim folds a dimension sweep's results (dims 1..len) to the first
+// bestDim folds a dimension sweep's results (dims 1..len) to the first
 // dimension achieving the minimum latency — the same tie-break a serial
 // in-order sweep applies.
-func bestGBDim(results []Result) (int, float64) {
+func bestDim(results []Result) (int, float64) {
 	bestDim, bestLat := 1, 0.0
 	for i, r := range results {
 		if i == 0 || r.MeanMicros < bestLat {
@@ -120,13 +144,17 @@ func bestGBDim(results []Result) (int, float64) {
 	return bestDim, bestLat
 }
 
-// OptimalGBDim sweeps the GB tree dimension from 1 to n-1 and returns the
+// OptimalDim sweeps base's tree dimension from 1 to n-1 and returns the
 // dimension with the lowest mean latency and that latency — the paper's
 // methodology for every GB data point ("we ran the test for every
 // dimension from 1 to N-1 ... the latencies reported are the minimum over
-// all dimensions"). The per-dimension measurements run on the worker pool.
+// all dimensions"), applied to the collectives too. The per-dimension
+// measurements run on the worker pool.
+func OptimalDim(base Spec) (int, float64) { return bestDim(MeasureBarriers(dimSweep(base))) }
+
+// OptimalGBDim is OptimalDim for the GB barrier.
 func OptimalGBDim(cfg cluster.Config, level Level, iters int) (int, float64) {
-	return bestGBDim(MeasureBarriers(gbSweepSpecs(cfg, level, iters, false)))
+	return OptimalDim(Spec{Cluster: cfg, Level: level, Alg: mcp.GB, Iters: iters})
 }
 
 // GBDimSweep returns the latency at every tree dimension (experiment E7),
@@ -134,7 +162,7 @@ func OptimalGBDim(cfg cluster.Config, level Level, iters int) (int, float64) {
 // multi-switch config the mapped sweep shows how much of each dimension's
 // latency the flat heap layout was paying in trunk hops.
 func GBDimSweep(cfg cluster.Config, level Level, iters int, topoAware bool) []DimPoint {
-	results := MeasureBarriers(gbSweepSpecs(cfg, level, iters, topoAware))
+	results := MeasureBarriers(dimSweep(Spec{Cluster: cfg, Level: level, Alg: mcp.GB, TopoAware: topoAware, Iters: iters}))
 	out := make([]DimPoint, 0, len(results))
 	for i, r := range results {
 		out = append(out, DimPoint{Dim: i + 1, Micros: r.MeanMicros})
@@ -172,8 +200,8 @@ func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) 
 		specs = append(specs,
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
 			Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: iters})
-		specs = append(specs, gbSweepSpecs(cfg, NICLevel, iters, false)...)
-		specs = append(specs, gbSweepSpecs(cfg, HostLevel, iters, false)...)
+		specs = append(specs, dimSweep(Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Iters: iters})...)
+		specs = append(specs, dimSweep(Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.GB, Iters: iters})...)
 	}
 	results := MeasureBarriers(specs)
 
@@ -186,8 +214,8 @@ func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) 
 			NICPE:  results[o].MeanMicros,
 			HostPE: results[o+1].MeanMicros,
 		}
-		row.NICGBDim, row.NICGB = bestGBDim(results[o+2 : o+2+dims])
-		row.HostGBDim, row.HostGB = bestGBDim(results[o+2+dims : o+2+2*dims])
+		row.NICGBDim, row.NICGB = bestDim(results[o+2 : o+2+dims])
+		row.HostGBDim, row.HostGB = bestDim(results[o+2+dims : o+2+2*dims])
 		rows = append(rows, row)
 	}
 	return rows
@@ -242,20 +270,15 @@ func Figure5d(iters int) []FactorRow { return Factors(Figure5c(iters)) }
 // processes of a two-node cfg bounce a message back and forth; one-way
 // latency is half the round trip.
 func PingPong(cfg cluster.Config, bytes, iters int) float64 {
-	const warmup = 5
 	s := must(NewSession(cfg))
 	defer s.Close()
 	g := core.UniformGroup(2, 2)
 	payload := make([]byte, bytes)
-	var t0, t1 sim.Time
-	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+	w := must(s.timed(5, iters, nil, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
 		rank := p.Rank()
 		peer := g[1-rank]
-		for i := 0; i < warmup+iters; i++ {
+		return func(int) error {
 			if rank == 0 { // rank 0 serves, rank 1 returns
-				if i == warmup {
-					t0 = p.Now()
-				}
 				if err := comm.Send(p, peer, payload); err != nil {
 					return err
 				}
@@ -263,19 +286,13 @@ func PingPong(cfg cluster.Config, bytes, iters int) float64 {
 			if _, err := comm.RecvFrom(p, peer); err != nil {
 				return err
 			}
-			if rank != 0 {
-				if err := comm.Send(p, peer, payload); err != nil {
-					return err
-				}
+			if rank == 0 {
+				return nil
 			}
-		}
-		if rank == 0 {
-			t1 = p.Now()
-		}
-		return nil
-	})
-	check(s.Run())
-	return (t1 - t0).Micros() / float64(iters) / 2
+			return comm.Send(p, peer, payload)
+		}, nil
+	}))
+	return w.meanMicros(iters) / 2
 }
 
 // LayerOverheadPoint is one point of experiment E8: factor of improvement
@@ -339,10 +356,17 @@ func Paper() PaperHeadlines {
 
 // Describe formats a spec for table titles.
 func (s Spec) Describe() string {
-	alg := s.Alg.String()
-	if s.Alg == mcp.GB {
-		alg = fmt.Sprintf("%s(dim=%d)", alg, s.Dim)
-	}
 	return fmt.Sprintf("%s-based %s, %d nodes, %s",
-		s.Level, alg, s.Cluster.Nodes, s.Cluster.NIC.Name)
+		s.Level, s.label(), s.Cluster.Nodes, s.Cluster.NIC.Name)
+}
+
+// label names the operation: "PE", "GB(dim=4)", "allreduce(dim=2)".
+func (s Spec) label() string {
+	switch {
+	case s.Op != Barrier:
+		return fmt.Sprintf("%s(dim=%d)", s.Op.coll(), s.Dim)
+	case s.Alg == mcp.GB:
+		return fmt.Sprintf("%s(dim=%d)", s.Alg, s.Dim)
+	}
+	return s.Alg.String()
 }

@@ -166,6 +166,11 @@ func TestPingPongLatencyRange(t *testing.T) {
 	if lat72 >= lat {
 		t.Fatalf("LANai 7.2 one-way (%.2f) not faster than 4.3 (%.2f)", lat72, lat)
 	}
+	// Pinned bit-exactly: the values of the dedicated loop PingPong ran on
+	// before it moved onto Session.timed.
+	if lat != 45.62 || lat72 != 30.256999999999998 {
+		t.Errorf("one-way latency %v (LANai 4.3) / %v (LANai 7.2), pinned 45.62 / 30.256999999999998", lat, lat72)
+	}
 }
 
 func TestOptimalGBDimMatchesSweepMin(t *testing.T) {

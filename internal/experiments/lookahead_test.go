@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gmsim/internal/cluster"
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/sim"
@@ -103,6 +104,31 @@ func TestLookaheadMatchesSettledRuns(t *testing.T) {
 					t.Errorf("%s: completed; host-level barriers have no failure detection", cell)
 				}
 				stranded++
+			}
+		}
+	}
+	// Collectives through Run, whose every rank publishes its round's start
+	// and end: each op at both levels, then a NIC AllReduce and Broadcast
+	// with a victim crashed at a few instants.
+	for _, op := range []Op{Broadcast, Reduce, AllReduce, AllGather} {
+		for _, level := range []Level{NICLevel, HostLevel} {
+			spec := Spec{Cluster: cluster.DefaultConfig(16), Level: level, Op: op, Dim: 3, Elems: 4, Warmup: 2, Iters: 6}
+			cell := fmt.Sprintf("%s level=%v", spec.label(), level)
+			if err := sameBothWays(t, cell, spec); err != nil {
+				t.Errorf("%s: %v", cell, err)
+			}
+			clean++
+		}
+	}
+	for _, op := range []Op{AllReduce, Broadcast} {
+		for _, victim := range []network.NodeID{0, 1, 15} {
+			for at := sim.FromMicros(150); at < sim.FromMicros(600); at += sim.FromMicros(61.7) {
+				spec := Spec{Cluster: detectCfg(16, crashPlan(1, victim, at)), Op: op, Dim: 4, Elems: 1, Warmup: 2, Iters: 8}
+				cell := fmt.Sprintf("crash of %d at %v, NIC %s", victim, at, spec.label())
+				if err := sameBothWays(t, cell, spec); err != nil {
+					t.Errorf("%s: %v", cell, err)
+				}
+				crashed++
 			}
 		}
 	}

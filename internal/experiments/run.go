@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -8,6 +9,7 @@ import (
 	"gmsim/internal/core"
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
+	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/sim"
 	"gmsim/internal/stats"
@@ -19,7 +21,8 @@ import (
 // a Session puts each rank behind an open GM port and a core.Comm and turns
 // whatever goes wrong into a returned error; timed runs the paper's
 // protocol ("we ran 100,000 barriers consecutively and took the average
-// latency") on top of it. Run is the single barrier entry point.
+// latency") on top of it. Run is the single entry point for a barrier or a
+// collective.
 
 // RankBody is what one simulated process does once its port is open.
 type RankBody func(p *host.Process, comm *core.Comm) error
@@ -190,15 +193,17 @@ type Observed struct {
 	Rec *trace.Recorder
 }
 
-// Outcome is everything one barrier run produces. Summary is always
-// filled; Decomp, Metrics and Rec only when the run was observed.
+// Outcome is everything one run produces. Summary is always filled;
+// Decomp, Metrics and Rec only when the run was observed.
 type Outcome struct {
 	Observed
 	Summary ScenarioSummary
 }
 
-// Run is the single barrier entry point: Warmup+Iters barriers of the
-// spec'd kind on every rank, timed at rank 0. Failure detection
+// Run is the single entry point: Warmup+Iters barriers or collectives of
+// the spec'd kind on every rank, timed at rank 0 (a collective: across
+// ranks, see measure). A degraded collective completion counts as
+// completed, its dead set recorded as a barrier's is. Failure detection
 // (spec.Cluster.DetectFailures) is a property of the cluster, not of the
 // harness: under a crash plan the injector kills the victim's process,
 // survivors complete degraded and keep going, and the Summary records who
@@ -225,9 +230,12 @@ func Run(spec Spec, observe bool) (Outcome, error) {
 }
 
 // measure is Run on a session already built: spec.Warmup+spec.Iters
-// barriers on every rank, folded into an Outcome. A non-nil rec must be
+// operations on every rank, folded into an Outcome. A non-nil rec must be
 // attached to the session's cluster.
 func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
+	if spec.Op < Barrier || spec.Op > AllGather || spec.Elems < 0 {
+		return Outcome{}, fmt.Errorf("experiments: op %d with %d elements", spec.Op, spec.Elems)
+	}
 	cl := s.Cluster
 	n := cl.Nodes()
 	g := core.UniformGroup(n, 2)
@@ -237,10 +245,41 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 		lm = core.NewLeafMap(cl.Topology().LeafOf())
 	}
 	lastDead := make([][]network.NodeID, n)
+	// A collective is timed by E10's protocol: an untimed PE barrier gives
+	// each round a common start line, and the round's sample is the latest
+	// completion minus the latest start across ranks. Rank 0's clock alone
+	// would time a one-way collective's producer, which completes without a
+	// handshake.
+	rounds := 0
+	if spec.Op != Barrier {
+		rounds = max(spec.Warmup+spec.Iters, 0) // timed rejects a negative count
+	}
+	starts, ends := make([]sim.Time, rounds), make([]sim.Time, rounds)
+	payload := core.EncodeInt64s(make([]int64, spec.Elems))
 	w, err := s.timed(spec.Warmup, spec.Iters, rec, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
 		rank := p.Rank()
 		comm.SetLeafMap(lm)
-		if spec.Level == HostLevel {
+		switch {
+		case spec.Op != Barrier:
+			return func(i int) error {
+				if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+					return err
+				}
+				start := p.Now()
+				_, err := comm.Collective(p, spec.Level == NICLevel, spec.Op.coll(), mcp.OpSum, g, rank, spec.Dim, payload)
+				var dead []network.NodeID
+				if degraded := (*core.DegradedError)(nil); errors.As(err, &degraded) {
+					err, dead = nil, degraded.Dead
+				}
+				if err != nil {
+					return err
+				}
+				p.Proc().Sync() // publish only what this rank lived to see
+				starts[i], ends[i] = max(starts[i], start), max(ends[i], p.Now())
+				lastDead[rank] = dead
+				return nil
+			}, nil
+		case spec.Level == HostLevel:
 			return func(int) error { return comm.HostBarrier(p, spec.Alg, g, rank, spec.Dim) }, nil
 		}
 		return func(int) error {
@@ -262,11 +301,18 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 
 	sum := ScenarioSummary{
 		Nodes:         n,
-		Alg:           algLabel(spec.Alg, spec.Dim),
+		Alg:           spec.label(),
 		MeanMicros:    w.meanMicros(spec.Iters),
 		MaxIterMicros: w.maxIter.Micros(),
 		DrainMicros:   cl.Sim().Now().Micros(),
 		Dead:          lastDead[0],
+	}
+	if spec.Op != Barrier {
+		total := 0.0
+		for i := spec.Warmup; i < len(starts); i++ {
+			total += (ends[i] - starts[i]).Micros()
+		}
+		sum.MeanMicros = total / float64(spec.Iters)
 	}
 	for i := 0; i < n; i++ {
 		st := cl.MCP(i).Stats()

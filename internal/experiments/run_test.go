@@ -114,6 +114,11 @@ func TestRunReturnsErrors(t *testing.T) {
 		{"host gb dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Alg: mcp.GB, Dim: 9, Iters: 3}, "dimension 9 out of range"},
 		{"infeasible topology", Spec{Cluster: infeasible, Alg: mcp.PE, Iters: 3}, "clos2 capacity"},
 		{"negative iters", Spec{Cluster: cluster.DefaultConfig(8), Alg: mcp.PE, Iters: -1}, "iters = -1"},
+		{"allreduce dim >= n", Spec{Cluster: cluster.DefaultConfig(8), Op: AllReduce, Dim: 8, Elems: 1, Iters: 3}, "dimension 8 out of range"},
+		{"host broadcast dim 0", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Op: Broadcast, Elems: 1, Iters: 3}, "dimension 0 out of range"},
+		{"collective negative iters", Spec{Cluster: cluster.DefaultConfig(8), Op: Reduce, Dim: 2, Iters: -1}, "iters = -1"},
+		{"negative elems", Spec{Cluster: cluster.DefaultConfig(8), Op: Reduce, Dim: 2, Elems: -1, Iters: 3}, "-1 elements"},
+		{"unknown op", Spec{Cluster: cluster.DefaultConfig(8), Op: AllGather + 1, Dim: 2, Iters: 3}, "op 5"},
 	}
 	base := runtime.NumGoroutine()
 	for _, c := range cases {
@@ -126,6 +131,24 @@ func TestRunReturnsErrors(t *testing.T) {
 	}
 	if !goroutinesSettle(base) {
 		t.Errorf("goroutines grew from %d to %d across failed runs", base, runtime.NumGoroutine())
+	}
+}
+
+// TestRunCollectiveSurvivesCrash: a NIC AllReduce through Run on the
+// detection testbed, one rank fail-stopped mid-run. The survivors complete
+// degraded and keep going — a degraded completion counts as completed — so
+// all 15 finish and the cluster drains without a stranded rank (Run would
+// report one). Dead is what rank 0's last completion named: collective frames
+// do not gossip the dead set, but the separator PE barriers do.
+func TestRunCollectiveSurvivesCrash(t *testing.T) {
+	spec := Spec{Cluster: detectCfg(16, crashPlan(1, 5, sim.FromMicros(700))), Op: AllReduce, Dim: 4, Elems: 1, Warmup: 2, Iters: 8}
+	out, err := Run(spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := out.Summary
+	if sum.Finished != 15 || sum.Agree != 15 || sum.Alg != "allreduce(dim=4)" || fmt.Sprint(sum.Dead) != "[5]" || sum.Declared == 0 {
+		t.Errorf("crashed allreduce through Run:\n%s", sum)
 	}
 }
 

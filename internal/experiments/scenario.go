@@ -112,13 +112,6 @@ func RunScenarios(list []Scenario) []ScenarioSummary {
 	return runner.Map(0, list, RunScenario)
 }
 
-func algLabel(alg mcp.BarrierAlg, dim int) string {
-	if alg == mcp.GB {
-		return fmt.Sprintf("GB(dim=%d)", dim)
-	}
-	return alg.String()
-}
-
 // ---------------------------------------------------------------------------
 // The fleet.
 // ---------------------------------------------------------------------------

@@ -163,8 +163,8 @@ func TopoScaleSweep(o TopoSweep) []TopoScaleRow {
 			NICPE:  results[off].MeanMicros,
 			HostPE: results[off+1].MeanMicros,
 		}
-		nicBest, nicLat := bestGBDim(results[off+2 : off+2+nd])
-		hostBest, hostLat := bestGBDim(results[off+2+nd : off+2+2*nd])
+		nicBest, nicLat := bestDim(results[off+2 : off+2+nd])
+		hostBest, hostLat := bestDim(results[off+2+nd : off+2+2*nd])
 		row.NICGBDim, row.NICGB = pl.dims[nicBest-1], nicLat
 		row.HostGBDim, row.HostGB = pl.dims[hostBest-1], hostLat
 		row.FactorPE = row.HostPE / row.NICPE

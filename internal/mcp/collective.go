@@ -158,10 +158,19 @@ func (t *CollToken) Validate() error {
 	return nil
 }
 
-// seed is the accumulator the operation starts from at this node: a copy of
+// The four methods below are what a tree walk reads off an operation, at the
+// NIC (tree.go) and at the host (core): a nil token is the GB barrier.
+
+// Phases reports whether the operation has an up phase (all but Broadcast)
+// and a down phase (all but Reduce).
+func (t *CollToken) Phases() (up, down bool) {
+	return t == nil || t.Op != Broadcast, t == nil || t.Op != Reduce
+}
+
+// Seed is the accumulator the operation starts from at this node: a copy of
 // the local contribution — for AllGather tagged with its rank — and nothing
-// for Broadcast or for a barrier (a nil token).
-func (t *CollToken) seed() []byte {
+// for Broadcast or for a barrier.
+func (t *CollToken) Seed() []byte {
 	switch {
 	case t == nil || t.Op == Broadcast:
 		return nil
@@ -172,11 +181,25 @@ func (t *CollToken) seed() []byte {
 	}
 }
 
-// result is what the root delivers once acc holds every contribution: the
+// Absorb folds a child's up payload into acc and returns the accumulator:
+// concatenation of tagged entries for AllGather, the element-wise combine for
+// the reductions, and for a barrier, whose messages carry none, nothing.
+func (t *CollToken) Absorb(acc, part []byte) []byte {
+	switch {
+	case t == nil:
+	case t.Op == AllGather:
+		acc = append(acc, part...)
+	default:
+		t.Reduce.Combine(acc, part)
+	}
+	return acc
+}
+
+// Result is what the root delivers once acc holds every contribution: the
 // payload it was given (Broadcast), the combined vector, or the rank-ordered
 // array assembled from the tagged entries (AllGather) — an error if they do
-// not make one. A barrier (a nil token) delivers nothing.
-func (t *CollToken) result(acc []byte) ([]byte, error) {
+// not make one. A barrier delivers nothing.
+func (t *CollToken) Result(acc []byte) ([]byte, error) {
 	switch {
 	case t == nil:
 		return nil, nil

@@ -222,14 +222,14 @@ func (m *MCP) treeStart(port int, fam *treeFamily, op treeOp) {
 	}
 	s.treeOp, s.epoch = op, p.epoch
 	s.live, s.upDone = true, false
-	s.up, s.down = s.coll == nil || s.coll.Op != Broadcast, s.coll == nil || s.coll.Op != Reduce
+	s.up, s.down = s.coll.Phases()
 	// An op with no up phase has nothing to gather. The record keeps its
 	// backing array from one operation to the next.
 	s.got = append(s.got[:0], make([]bool, len(s.children))...)
 	for i := range s.got {
 		s.got[i] = !s.up
 	}
-	s.acc = s.coll.seed()
+	s.acc = s.coll.Seed()
 	if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
 		// Peers already known dead are out of the tree before the first
 		// packet goes out.
@@ -248,19 +248,13 @@ func (m *MCP) treeStart(port int, fam *treeFamily, op treeOp) {
 	m.treeAdvance(p, fam)
 }
 
-// absorb folds a child's payload into the accumulator — element-wise
-// combine for reductions, concatenation for allgather, and for the barrier,
-// whose frames carry none, nothing.
+// absorb folds a child's payload into the accumulator (CollToken.Absorb),
+// counting a collective's combines.
 func (m *MCP) absorb(s *treeSlot, data []byte) {
-	if s.coll == nil {
-		return
+	if s.coll != nil {
+		m.stats.CollCombines++
 	}
-	m.stats.CollCombines++
-	if s.coll.Op == AllGather {
-		s.acc = append(s.acc, data...)
-		return
-	}
-	s.coll.Reduce.Combine(s.acc, data)
+	s.acc = s.coll.Absorb(s.acc, data)
 }
 
 // treeAdvance checks the up phase: once every child has been gathered the
@@ -272,7 +266,7 @@ func (m *MCP) treeAdvance(p *Port, fam *treeFamily) {
 		return // still gathering
 	}
 	if s.root {
-		data, err := s.coll.result(s.acc)
+		data, err := s.coll.Result(s.acc)
 		if err != nil && len(m.deadPeers) == 0 {
 			// A malformed gather is a protocol violation: surface it and
 			// deliver nothing rather than corrupt data. One that a dead

@@ -109,8 +109,9 @@ func TestSameWalkBarrierAndAllReduce(t *testing.T) {
 
 // TestBarrierAndCollectiveShareAPort: a port's two slots are independent. A
 // Reduce root is still gathering when its port runs a whole PE barrier (what
-// MeasureCollective's separator does to a one-way collective's root); the
-// barrier completes on its own, and the Reduce when the partial arrives.
+// the separator of a collective cell of experiments.Run does to a one-way
+// collective's root); the barrier completes on its own, and the Reduce when
+// the partial arrives.
 func TestBarrierAndCollectiveShareAPort(t *testing.T) {
 	r := newRig(t, 2, nil)
 	r.open(t, 0, 2)
