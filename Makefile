@@ -115,10 +115,12 @@ profile:
 
 # The same two profiles for one cold simd request without the HTTP front
 # (BenchmarkSvcCold: canonicalize, execute observed, export the trace,
-# marshal, store on disk), 300 requests.
+# marshal, store on disk), 300 requests, next to the simulation it wraps run
+# plain and observed (BenchmarkObservedRun/{plain,observed}, with -benchmem:
+# the difference is what recording costs).
 profile-svc:
-	$(GO) test -run '^$$' -bench SvcCold -benchtime 300x -cpuprofile cpu.prof \
-		-memprofile mem.prof -memprofilerate 4096 .
+	$(GO) test -run '^$$' -bench 'SvcCold|ObservedRun' -benchtime 300x -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 .
 
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×
 # barrier kind × fault plan × seed), plus the NIC collectives — the clean
@@ -129,7 +131,7 @@ profile-svc:
 #   go test ./internal/experiments -run 'TestScenarioFleetGolden|TestCollectivesGolden|TestCollectiveCrashGolden' -update-scenarios
 scenarios:
 	$(GO) test -count=1 -v -timeout 10m \
-		-run 'TestScenarioFleetGolden|TestCollectivesGolden|TestCollectiveCrashGolden|TestZeroFaultScenariosMatchFigure5|TestGBBarrierSurvivesNodeCrash|TestScenarioSummariesDeterministic' \
+		-run 'TestScenarioFleetGolden|TestCollectivesGolden|TestCollectiveCrashGolden|TestZeroFaultScenariosMatchFigure5|TestGBBarrierSurvivesNodeCrash|TestScenarioSummariesDeterministic|TestChaosFramesOwnedOnce' \
 		./internal/experiments
 
 # Boot the simulation service, post the Figure 5 headline spec, pin its

@@ -441,3 +441,34 @@ func BenchmarkSvcCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkObservedRun runs the svc benchmark's cell (bench/svc.go's svcSpec:
+// 16 nodes, NIC PE, one link flap, 5 warm-up and 10 timed barriers) through
+// experiments.Run plain and observed — the simulation a cold simd request
+// pays for, without the export, the store and the HTTP front. Observing is
+// passive, so the two execute the same events; run with -benchmem, the
+// difference is what recording costs.
+func BenchmarkObservedRun(b *testing.B) {
+	canon, err := service.Spec{Nodes: 16, FaultPlan: service.PlanFlap, Seed: 1, Warmup: 5, Iters: 10}.Canonicalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := canon.Experiment()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, observe := range []bool{false, true} {
+		name := "plain"
+		if observe {
+			name = "observed"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Run(spec, observe); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

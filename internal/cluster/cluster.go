@@ -198,14 +198,15 @@ func Build(cfg Config) (*Cluster, error) {
 		c.inj = inj
 		// A node crash must also stop the node's host processes, or the
 		// engine would report them stranded (they wait on a NIC that will
-		// never answer). Processes spawn after New returns, so scan at
-		// crash time.
+		// never answer), and take back the spans they recorded ahead of the
+		// loop. Processes spawn after New returns, so scan at crash time.
 		c.inj.OnNodeCrash(func(n network.NodeID) {
 			for _, hp := range c.procs {
 				if hp.Node() == n {
 					hp.Proc().Kill()
 				}
 			}
+			c.phases.Crashed(int32(n), c.sim.Now())
 		})
 	}
 	return c, nil

@@ -15,6 +15,16 @@ import (
 	"gmsim/internal/sim"
 )
 
+// BehaviourEpoch names the simulator's behaviour: what a spec's run returns,
+// result and trace. It is bumped by hand, with the re-pin, whenever a change
+// moves any of those bytes on purpose, so that results stored under an older
+// epoch are simulated again rather than served (service.Store). It is not
+// part of a spec or its hash.
+//
+//	1: host spans are kept by the time they start, and the trace exports them
+//	   grouped by node after the loop's spans.
+const BehaviourEpoch = 1
+
 // Level places the barrier algorithm at the NIC or at the host.
 type Level int
 

@@ -8,6 +8,7 @@ import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
+	"gmsim/internal/network"
 	"gmsim/internal/phase"
 	"gmsim/internal/sim"
 )
@@ -166,5 +167,66 @@ func TestTraceOverheadZero(t *testing.T) {
 				t.Fatal("traced run recorded no spans")
 			}
 		})
+	}
+}
+
+// TestEveryRankFirstTimedSpanRecorded: the recording window opens at rank
+// 0's instant t0, when every rank of a NIC PE barrier starts its first timed
+// iteration; ranks 1…n−1 run their first call at t0 before rank 0 opens the
+// window in event order, or, their clocks leading the loop, long before. A
+// host span is kept by the time it starts, so each rank's timed window holds
+// all of its iterations' provide_bar_buf and gm_barrier_send spans, the first
+// of them starting at t0.
+func TestEveryRankFirstTimedSpanRecorded(t *testing.T) {
+	const n, iters = 16, 10
+	obs, err := Run(Spec{Cluster: cluster.DefaultConfig(n), Alg: mcp.PE, Warmup: 5, Iters: iters}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first [n]sim.Time
+	var posts, sends [n]int
+	for _, s := range obs.Rec.Phases().Spans() {
+		switch s.Label {
+		case "provide_bar_buf":
+			if posts[s.Node] == 0 {
+				first[s.Node] = s.Start
+			}
+			posts[s.Node]++
+		case "gm_barrier_send":
+			sends[s.Node]++
+		}
+	}
+	for rank := 0; rank < n; rank++ {
+		if posts[rank] != iters || sends[rank] != iters || first[rank] != obs.Start {
+			t.Errorf("rank %d: %d provide_bar_buf and %d gm_barrier_send spans, the first at %v; want %d each, from %v",
+				rank, posts[rank], sends[rank], first[rank], iters, obs.Start)
+		}
+	}
+}
+
+// TestCrashedRankRecordsNoLaterSpan: a rank's clock leads the event loop, so
+// it records a call's span before the loop reaches the call. If the rank
+// is killed in between, it never made the call: the crash takes the span
+// back (phase.Recorder.Crashed). The sweep kills two victims every 7.3 µs
+// across the first six barriers of both algorithms.
+func TestCrashedRankRecordsNoLaterSpan(t *testing.T) {
+	for _, dim := range []int{0, 4} {
+		for _, victim := range []network.NodeID{5, 10} {
+			for at := sim.FromMicros(100); at < sim.FromMicros(600); at += sim.FromMicros(7.3) {
+				spec := Spec{Cluster: detectCfg(16, crashPlan(1, victim, at)), Alg: mcp.GB, Dim: dim, Warmup: 2, Iters: 8}
+				if dim == 0 {
+					spec.Alg = mcp.PE
+				}
+				out, err := Run(spec, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range out.Rec.Phases().Spans() {
+					if s.Track == phase.TrackHost && s.Node == int32(victim) && s.Start >= at {
+						t.Errorf("rank %d, killed at %v, recorded %v", victim, at, s)
+					}
+				}
+			}
+		}
 	}
 }

@@ -224,13 +224,12 @@ func (pt *Port) recvRung() {
 // each doorbell schedules the next — where the loop, whose charges are leads
 // and whose doorbells are all scheduled before the process first parks, would
 // hold n: pre-posting 4n+16 buffers on every rank is a quarter of a million
-// pending events at 256 nodes. With a phase recorder on (the calls' spans are
-// part of the trace), a batch of this port still ringing, or a free call, it
-// is the loop.
+// pending events at 256 nodes. The batch records the n calls' spans itself.
+// With a batch of this port still ringing, or a free call, it is the loop.
 func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 	prm := p.Params()
 	p.Proc().Sync() // batchLeft is the event loop's to count down
-	if n < 2 || pt.batchLeft > 0 || prm.ProvideBufferCost <= 0 || p.PhaseRecorder().On() {
+	if n < 2 || pt.batchLeft > 0 || prm.ProvideBufferCost <= 0 {
 		for i := 0; i < n; i++ {
 			if err := pt.ProvideReceiveBuffer(p); err != nil {
 				return err
@@ -244,6 +243,7 @@ func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 	pt.recvBufs += n
 	pt.batchLeft = n
 	p.Proc().After(prm.ProvideBufferCost+prm.DoorbellLatency, pt.batchDoorbell)
+	p.RecordCalls(n, prm.ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
 	p.Compute(sim.Time(n) * prm.ProvideBufferCost)
 	return nil
 }

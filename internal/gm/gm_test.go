@@ -8,7 +8,6 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
-	"gmsim/internal/phase"
 	"gmsim/internal/sim"
 )
 
@@ -325,16 +324,14 @@ func TestMalformedCollectiveTokenIsRefusedAtTheCall(t *testing.T) {
 // them. The sender posts two sends back to back and is killed — the process
 // alone; its NIC lives on and would transmit whatever it is handed — at every
 // tenth of a microsecond from before the first call to after the second
-// doorbell; each run is compared with the settled one (a phase recorder
-// attached: every charge is a sleep, so a killed process has scheduled
-// nothing ahead) by the firmware counters of both NICs.
+// doorbell. Each run is compared, by the firmware counters of both NICs, with
+// a sender that is never killed but makes only the calls the killed one lived
+// to make (a call at instant c is made iff the kill comes after c) and then
+// parks for good.
 func TestKilledSenderRingsNoUnwrittenDoorbell(t *testing.T) {
-	run := func(killAt sim.Time, settled bool) (stats [2]mcp.Stats, rang int64) {
+	run := func(sends int, killAt sim.Time) [2]mcp.Stats {
 		cl := cluster.New(cluster.DefaultConfig(2))
 		defer cl.Close()
-		if settled {
-			cl.SetPhaseRecorder(phase.NewRecorder())
-		}
 		cl.Spawn(0, 0, func(p *host.Process) {
 			port, _ := gm.Open(p, cl.MCP(0), 2)
 			port.ProvideReceiveBuffers(p, 2)
@@ -344,26 +341,34 @@ func TestKilledSenderRingsNoUnwrittenDoorbell(t *testing.T) {
 		sender := cl.Spawn(1, 1, func(p *host.Process) {
 			port, _ := gm.Open(p, cl.MCP(1), 2)
 			p.Compute(5 * sim.Microsecond) // the receiver's buffers are in place
-			for i := 0; i < 2; i++ {
+			for i := 0; i < sends; i++ {
 				port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte{byte(i)}, nil)
 			}
-			port.Receive(p)
-			port.Receive(p)
+			p.Wait(cl.Sim().NewSignal()) // parks for good, completions unread
 		})
-		cl.Sim().At(killAt, sender.Proc().Kill)
+		if killAt >= 0 {
+			cl.Sim().At(killAt, sender.Proc().Kill)
+		}
 		cl.Sim().Run() // the receiver strands whenever a send is lost
-		return [2]mcp.Stats{cl.MCP(0).Stats(), cl.MCP(1).Stats()}, cl.MCP(0).Stats().DataDelivered
+		return [2]mcp.Stats{cl.MCP(0).Stats(), cl.MCP(1).Stats()}
 	}
 	// Open returns at 0.6 µs, the sends are posted at 8.6 and 11.6 and reach
 	// the NIC at 9.2 and 12.2.
+	calls := []sim.Time{sim.FromMicros(8.6), sim.FromMicros(11.6)}
 	delivered := map[int64]int{}
 	for killAt := sim.FromMicros(4); killAt <= sim.FromMicros(14); killAt += sim.FromMicros(0.1) {
-		ahead, n := run(killAt, false)
-		settled, _ := run(killAt, true)
-		if ahead != settled {
-			t.Errorf("sender killed at %v: firmware counters differ:\n--- ahead\n%+v\n--- settled\n%+v", killAt, ahead, settled)
+		made := 0
+		for _, c := range calls {
+			if killAt > c {
+				made++
+			}
 		}
-		delivered[n]++
+		killed, lived := run(len(calls), killAt), run(made, -1)
+		if killed != lived {
+			t.Errorf("sender killed at %v: firmware counters differ from a sender that made %d calls:\n--- killed\n%+v\n--- made %d\n%+v",
+				killAt, made, killed, made, lived)
+		}
+		delivered[killed[0].DataDelivered]++
 	}
 	if delivered[0] != 47 || delivered[1] != 30 || delivered[2] != 24 {
 		t.Errorf("messages delivered over the sweep: %v; want 47 runs with none, 30 with one, 24 with both", delivered)
@@ -373,19 +378,16 @@ func TestKilledSenderRingsNoUnwrittenDoorbell(t *testing.T) {
 // TestOpenAndCloseSettleTheLead: Open and Close reach into the NIC directly,
 // not through a doorbell on the process's clock, so a process that leads the
 // event loop by the charges of earlier calls settles first: the NIC sees the
-// port open and closed at the process's instant, as it does when every charge
-// is a sleep (a phase recorder attached).
+// port open and closed at the process's instant, the sum of the charges
+// before the call.
 func TestOpenAndCloseSettleTheLead(t *testing.T) {
 	type change struct {
 		at   sim.Time
 		open [2]bool // ports 2 and 3
 	}
-	run := func(settled bool) (changes []change) {
+	run := func() (changes []change) {
 		cl := cluster.New(cluster.DefaultConfig(1))
 		defer cl.Close()
-		if settled {
-			cl.SetPhaseRecorder(phase.NewRecorder())
-		}
 		s := cl.Sim()
 		var last [2]bool
 		var sample func()
@@ -421,13 +423,12 @@ func TestOpenAndCloseSettleTheLead(t *testing.T) {
 		cl.Run()
 		return changes
 	}
-	ahead, settled := run(false), run(true)
 	want := []change{
 		{100, [2]bool{true, false}},                // the first look after the process started
 		{sim.FromMicros(1.6), [2]bool{true, true}}, // 0.6 for the first Open, two calls
 		{sim.FromMicros(3.2), [2]bool{false, true}},
 	}
-	if !slices.Equal(ahead, want) || !slices.Equal(settled, want) {
-		t.Errorf("ports 2 and 3 open, as the NIC saw it:\n ahead   %v\n settled %v\n want    %v", ahead, settled, want)
+	if got := run(); !slices.Equal(got, want) {
+		t.Errorf("ports 2 and 3 open, as the NIC saw it:\n got  %v\n want %v", got, want)
 	}
 }

@@ -191,14 +191,12 @@ func TestProvideReceiveBuffersMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestProvideReceiveBuffersFallsBackToLoop: with a phase recorder on the
-// spans of the calls are part of the trace, a second batch cannot share the
-// port's one doorbell event with a first that is still ringing, and free
-// calls ring all their doorbells at one instant. Each is the loop itself.
-func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
+// TestProvideReceiveBuffersRecordsEveryCall: with a phase recorder attached
+// the batch is still the batch, and it records the spans of the calls it
+// stands for.
+func TestProvideReceiveBuffersRecordsEveryCall(t *testing.T) {
 	hp := host.DefaultParams()
 	watch := 100 * hp.ProvideBufferCost
-
 	batch := provision(t, hp, true, watch, batchOf(80))
 	loop := provision(t, hp, true, watch, loopOf(80))
 	sameProvisioning(t, batch, loop)
@@ -208,13 +206,21 @@ func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
 			provide++
 		}
 	}
-	if provide != 80 || batch.executed != loop.executed {
-		t.Errorf("recorder on: %d provisioning spans (want 80), %d events against the loop's %d",
-			provide, batch.executed, loop.executed)
+	if provide != 80 || batch.maxPending >= 8 {
+		t.Errorf("recorder on: %d provisioning spans (want 80), %d events pending at once (want a handful)",
+			provide, batch.maxPending)
 	}
+}
 
-	batch = provision(t, hp, false, watch, batchOf(40, 40))
-	loop = provision(t, hp, false, watch, loopOf(80))
+// TestProvideReceiveBuffersFallsBackToLoop: a second batch cannot share the
+// port's one doorbell event with a first that is still ringing, and free
+// calls ring all their doorbells at one instant. Each is the loop itself.
+func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
+	hp := host.DefaultParams()
+	watch := 100 * hp.ProvideBufferCost
+
+	batch := provision(t, hp, false, watch, batchOf(40, 40))
+	loop := provision(t, hp, false, watch, loopOf(80))
 	sameProvisioning(t, batch, loop)
 	if batch.maxPending < 40 || batch.maxPending >= 48 || loop.maxPending < 80 {
 		t.Errorf("two batches back to back had %d events pending at once, the loop %d: want the second batch's 40 doorbells, not the first's",

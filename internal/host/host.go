@@ -107,9 +107,6 @@ func (p *Process) Now() sim.Time { return p.proc.Now() }
 // nil detaches (the zero-cost path).
 func (p *Process) SetPhaseRecorder(r *phase.Recorder) { p.rec = r }
 
-// PhaseRecorder returns the attached span recorder, or nil.
-func (p *Process) PhaseRecorder() *phase.Recorder { return p.rec }
-
 // Compute consumes d of host CPU time (application work). It is a sleep: the
 // process comes back level with the event loop, so application code may
 // write what other processes read right after it.
@@ -120,27 +117,27 @@ func (p *Process) Compute(d sim.Time) { p.proc.Sleep(d) }
 // Section 2.2 phase. The charge is a lead on the process's clock, not a
 // sleep (sim.Proc.Advance): the fixed host cost between two interactions
 // with the NIC is waited out once, when the process next needs something
-// that is not there yet. The simulated-time effect is identical to
-// Compute(d) whether or not a recorder is attached — recording is passive.
-//
-// With a recorder attached the charge settles at once, so an observed run
-// executes the long form event for event: the recorder's window opens and
-// closes at the instant of a call (Enable / Disable at rank 0), and a rank
-// whose clock led the loop across that instant would gain or lose spans.
+// that is not there yet. Recording is passive: the span is taken from the
+// process's clock, and the recorder keeps it by the time it starts, not by
+// when the call ran (phase.Recorder.AddHost).
 func (p *Process) ComputePhase(d sim.Time, ph phase.Phase, label string) {
-	if p.rec == nil {
-		p.proc.Advance(d)
-		return
+	if p.rec != nil {
+		p.RecordCalls(1, d, ph, label)
 	}
-	if p.rec.On() && d > 0 {
-		now := p.proc.Now()
-		p.rec.Add(phase.Span{
-			Start: now, End: now + d,
-			Phase: ph, Track: phase.TrackHost,
-			Node: int32(p.node), Peer: -1, Label: label,
-		})
-	}
-	p.proc.Sleep(d)
+	p.proc.Advance(d)
+}
+
+// RecordCalls attributes n back-to-back calls of d each, the first starting
+// now on the process's clock, to phase ph without charging them: the spans
+// of n ComputePhase(d, ph, label) calls, for a caller that charges their sum
+// itself. No-op without a recorder.
+func (p *Process) RecordCalls(n int, d sim.Time, ph phase.Phase, label string) {
+	now := p.proc.Now()
+	p.rec.AddHost(phase.Span{
+		Start: now, End: now + d,
+		Phase: ph, Track: phase.TrackHost,
+		Node: int32(p.node), Peer: -1, Label: label,
+	}, n, p.proc.Sim().Now())
 }
 
 // Wait parks the process on a signal.

@@ -131,6 +131,14 @@ type Frame struct {
 // WireSize returns the frame's size on the wire in bytes.
 func (f *Frame) WireSize() int { return HeaderBytes + len(f.Data) }
 
+// CopyPayload implements network.PayloadCopier: a duplicated packet carries
+// a frame of its own, which its receiver returns to a free list
+// independently of the original's. Data is shared; no handler writes it.
+func (f *Frame) CopyPayload() any {
+	g := *f
+	return &g
+}
+
 func (f *Frame) String() string {
 	return fmt.Sprintf("%v %d:%d->%d:%d seq=%d ack=%d len=%d",
 		f.Kind, f.SrcNode, f.SrcPort, f.DstNode, f.DstPort, f.Seq, f.AckSeq, len(f.Data))

@@ -10,8 +10,8 @@ import (
 // The frame lease (leaseFrame / releaseFrame) under the two hazards that
 // used to keep frames off a free list: a retransmission timer that fires
 // while the first copy is still in flight, and the check that makes a
-// use-after-release visible. No observer and no fault hook is installed in
-// these rigs, so every delivered frame goes back to its receiver's list.
+// use-after-release visible. Every delivered frame goes back to its
+// receiver's list.
 
 // spuriousRig is a two-node rig whose retransmission timeout is far below
 // one round trip and never gives up, so every send is retransmitted at least
@@ -149,7 +149,7 @@ func TestReleasedFrameIsChecked(t *testing.T) {
 	if f.Kind != releasedFrame || f.Data != nil {
 		t.Fatalf("released frame not stamped: %v", f)
 	}
-	m.receiveFrame(f, true)
+	m.receiveFrame(f)
 	r.s.Run()
 	if got := m.Stats().ProtocolErrors; got != 1 {
 		t.Fatalf("ProtocolErrors = %d after receiving a released frame, want 1", got)

@@ -46,7 +46,7 @@ type MCP struct {
 	// loopback delays; the *Fn fields are the matching callbacks built once
 	// as method values, so the per-frame hot path schedules without
 	// allocating closures (see lanai.NIC.ExecTaggedCall).
-	pendFrames    mem.Slab[frameRec]
+	pendFrames    mem.Slab[*Frame]
 	handleFrameFn func(uint64)
 	loopbackFn    func(uint64)
 
@@ -80,13 +80,6 @@ type MCP struct {
 	acked []sentItem
 
 	stats Stats
-}
-
-// frameRec is one received frame waiting out a delay. owned says the wire is
-// done with it, so the firmware returns it to the free list once handled.
-type frameRec struct {
-	f     *Frame
-	owned bool
 }
 
 // barSendRec is one barrier-class frame waiting out its preparation cost on
@@ -344,7 +337,7 @@ func (m *MCP) transmitFrame(c *Connection, f *Frame) {
 	}
 	if f.DstNode == m.cfg.Node {
 		h, rec := m.pendFrames.Get()
-		rec.f, rec.owned = m.leaseFrame(f), true
+		*rec = m.leaseFrame(f)
 		m.sim.AfterCall(m.cfg.Params.LoopbackDelay, m.loopbackFn, h)
 		return
 	}
@@ -375,9 +368,9 @@ const framePoolCap = 32
 // leaseFrame returns a wire frame holding a copy of *src, reusing one this
 // NIC took back when it can. A *Frame on the wire has exactly one owner: the
 // sender retains frames by value (sentItem, barrierSent) and leases a copy
-// per (re)transmission; the receiver returns the frame after handleFrame, and
-// only when the carrier packet was recyclable — an observer or a fault hook
-// (the one source of duplicate delivery) may hold packet and frame for longer.
+// per (re)transmission; the receiver returns the frame after handleFrame. A
+// duplicated packet carries a copy of the frame (CopyPayload), so each copy's
+// receiver returns its own.
 func (m *MCP) leaseFrame(src *Frame) *Frame {
 	var f *Frame
 	if n := len(m.frames); n > 0 {
@@ -407,16 +400,16 @@ func (m *MCP) releaseFrame(f *Frame) {
 // "transmitted": receive it. No packet carried it, so nothing but this NIC
 // ever saw the frame.
 func (m *MCP) loopbackEvent(h uint64) {
-	m.receiveFrame(m.takePendFrame(h).f, true)
+	m.receiveFrame(m.takePendFrame(h))
 }
 
 // takePendFrame releases a leased pendFrames cell and returns its content.
-func (m *MCP) takePendFrame(h uint64) frameRec {
+func (m *MCP) takePendFrame(h uint64) *Frame {
 	cell := m.pendFrames.At(h)
-	rec := *cell
-	cell.f = nil
+	f := *cell
+	*cell = nil
 	m.pendFrames.Put(h)
-	return rec
+	return f
 }
 
 // HandleDelivered is the fabric receive callback: a packet has fully
@@ -440,9 +433,9 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 	switch pl := p.Payload.(type) {
 	case *Frame:
 		// The frame has been extracted and nothing else looks at the
-		// carrier packet again: hand it back for reuse. If the fabric takes
-		// it, nobody else holds the frame either.
-		m.receiveFrame(pl, m.iface.Recycle(p))
+		// carrier packet again: hand it back for reuse.
+		m.iface.Recycle(p)
+		m.receiveFrame(pl)
 	case []byte:
 		// A wire-level byte image (the fault layer serializes frames it
 		// mangles): decode and CRC-check like real firmware.
@@ -451,15 +444,15 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 			m.nic.ExecTagged(m.cfg.Params.CRCCheck, "crc.drop", func() { m.stats.CorruptDrops++ })
 			return
 		}
-		m.receiveFrame(f, false)
+		m.receiveFrame(f)
 	default:
 		m.stats.ProtocolErrors++
 	}
 }
 
 // receiveFrame charges the RECV state machine's classification cost and
-// dispatches; an owned frame goes back to the free list afterwards.
-func (m *MCP) receiveFrame(f *Frame, owned bool) {
+// dispatches; the frame goes back to the free list afterwards.
+func (m *MCP) receiveFrame(f *Frame) {
 	pr := m.cfg.Params
 	var cost int64
 	var label string
@@ -482,18 +475,16 @@ func (m *MCP) receiveFrame(f *Frame, owned bool) {
 		return
 	}
 	h, rec := m.pendFrames.Get()
-	rec.f, rec.owned = f, owned
+	*rec = f
 	m.nic.ExecTaggedCall(cost, label, m.handleFrameFn, h)
 }
 
 // handleFrameEvent fires when the RECV classification cost has been paid:
-// dispatch the frame, then return it if the wire is done with it.
+// dispatch the frame, then return it.
 func (m *MCP) handleFrameEvent(h uint64) {
-	rec := m.takePendFrame(h)
-	m.handleFrame(rec.f)
-	if rec.owned {
-		m.releaseFrame(rec.f)
-	}
+	f := m.takePendFrame(h)
+	m.handleFrame(f)
+	m.releaseFrame(f)
 }
 
 func (m *MCP) handleFrame(f *Frame) {

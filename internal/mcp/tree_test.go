@@ -54,7 +54,7 @@ func TestSameWalkBarrierAndAllReduce(t *testing.T) {
 				if fam == collSlot {
 					f.Data = one
 				}
-				m.receiveFrame(f, false) // Seq 0: a repeat is a duplicate
+				m.receiveFrame(f) // Seq 0: a repeat is a duplicate
 			}
 			for i, st := range sc.steps {
 				r.s.At(sim.Time(i)*100*sim.Microsecond, func() {

@@ -199,9 +199,9 @@ type Iface struct {
 	deliverFn func(uint64)
 
 	// pool is a bounded free list of packets this NIC has fully consumed,
-	// available for its own next transmissions. Pooling is disabled while
-	// an observer or fault hook is installed — both may retain packet
-	// pointers past delivery.
+	// available for its own next transmissions. Nothing else may hold one:
+	// an observer or a fault hook does not retain a packet past the call that
+	// shows it, and a duplicated packet is a copy of its own (Packet.Clone).
 	pool []*Packet
 }
 
@@ -220,19 +220,13 @@ func (i *Iface) NewPacket() *Packet {
 	return &Packet{}
 }
 
-// Recycle offers a delivered packet back for reuse. The caller (NIC
+// Recycle hands a delivered packet back for reuse. The caller (NIC
 // firmware) must be completely done with it: no references may survive the
-// call. It reports whether the fabric took the packet over — false when
-// anything else might still be holding it, in which case the same goes for
-// whatever the packet carried.
-func (i *Iface) Recycle(p *Packet) bool {
-	if i.fab.observer != nil || i.fab.hook != nil {
-		return false
-	}
+// call.
+func (i *Iface) Recycle(p *Packet) {
 	if len(i.pool) < packetPoolCap {
 		i.pool = append(i.pool, p)
 	}
-	return true
 }
 
 // recvRec is one packet whose head has reached the NIC and whose tail is

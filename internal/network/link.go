@@ -116,7 +116,8 @@ func (c *channel) arrive(p *Packet, wire sim.Time) {
 		v := f.hook.OnHop(c.id, p, s.Now())
 		if v.Duplicate {
 			// Deliver an independent copy right behind the original, so a
-			// consumed route on one copy cannot corrupt the other.
+			// consumed route or a recycled frame on one copy cannot corrupt
+			// the other.
 			dup := p.Clone()
 			s.At(s.Now(), func() { c.sink.headArrived(dup, wire) })
 		}

@@ -94,11 +94,23 @@ func (p *Packet) SetRoute(r []byte) {
 
 // Clone returns a copy of the packet with its own Route storage, so a
 // retransmission does not observe route bytes consumed by a previous
-// traversal.
+// traversal, and its own payload when the payload is a PayloadCopier, so
+// the receiver of one copy can recycle what it carried without the other
+// noticing.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.SetRoute(p.Route)
+	if pc, ok := p.Payload.(PayloadCopier); ok {
+		q.Payload = pc.CopyPayload()
+	}
 	return &q
+}
+
+// PayloadCopier is implemented by payloads a receiver takes ownership of (the
+// firmware's wire frames, which go back to a free list once handled): a
+// cloned packet carries a copy of its own.
+type PayloadCopier interface {
+	CopyPayload() any
 }
 
 func (p *Packet) String() string {
@@ -106,7 +118,9 @@ func (p *Packet) String() string {
 }
 
 // Observer receives fabric-level events, for tracing and tests.
-// All methods are called synchronously from the simulation event loop.
+// All methods are called synchronously from the simulation event loop. An
+// observer must not retain p past the call: a delivered packet, and the
+// frame it carries, are reused for later traffic.
 type Observer interface {
 	// PacketInjected fires when a NIC begins transmitting a packet.
 	PacketInjected(p *Packet)
@@ -167,7 +181,8 @@ type Verdict struct {
 }
 
 // FaultHook intercepts every packet head arriving at the end of a directed
-// channel. See internal/fault. now is the simulated time of the hop.
+// channel. See internal/fault. now is the simulated time of the hop. Like an
+// Observer, a hook must not retain p past the call.
 type FaultHook interface {
 	OnHop(link LinkID, p *Packet, now sim.Time) Verdict
 }

@@ -27,22 +27,23 @@ func FuzzStoreEntryDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-7]) // truncated payload
 	f.Add(valid[:20])           // truncated header
 	f.Add([]byte(""))
-	f.Add([]byte("gmstore1\n"))
+	f.Add([]byte("gmstore2\n"))
 	f.Add(encodeEntry(hash, Entry{}))
-	f.Add([]byte("gmstore1 " + hash + " 4294967295 4294967295 00000000 00000000\n"))
+	f.Add([]byte("gmstore2 " + hash + " 1 4294967295 4294967295 00000000 00000000\n"))
+	f.Add(encodeEntryAt(hash, 0, Entry{Result: []byte(`{}`)})) // an epoch verifyEntry refuses
 	bitflip := bytes.Clone(valid)
 	bitflip[len(bitflip)-2] ^= 0x10
 	f.Add(bitflip)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		claimed, e, err := decodeEntry(data)
+		claimed, epoch, e, err := decodeEntry(data)
 		if err != nil {
 			return
 		}
 		if !validHash(claimed) {
 			t.Fatalf("decode accepted malformed content address %q", claimed)
 		}
-		if !bytes.Equal(encodeEntry(claimed, e), data) {
+		if !bytes.Equal(encodeEntryAt(claimed, epoch, e), data) {
 			t.Fatalf("decode/encode not the identity on accepted input %q", data)
 		}
 		// The CRCs must catch a payload bit flip: the final byte of the
@@ -50,7 +51,7 @@ func FuzzStoreEntryDecode(f *testing.F) {
 		if len(e.Result)+len(e.Trace) > 0 {
 			mut := bytes.Clone(data)
 			mut[len(mut)-1] ^= 0x01
-			if _, _, err := decodeEntry(mut); err == nil {
+			if _, _, _, err := decodeEntry(mut); err == nil {
 				t.Fatalf("payload bit flip decoded cleanly")
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -281,6 +282,57 @@ func TestReadThroughAcrossRestart(t *testing.T) {
 	post(t, ts2.Client(), ts2.URL+"/v1/runs", spec, "")
 	if hits := srv2.Registry().Get("service.cache.disk_hits"); hits != 1 {
 		t.Errorf("disk_hits after RAM-warm repeat = %d, want 1", hits)
+	}
+}
+
+// TestStaleEpochEntryResimulated: an entry an earlier simulator stored —
+// written before entries carried a behaviour epoch (gmstore1), or under an
+// older epoch — is CRC-clean and re-hashes to its address, yet a restarted
+// server must not serve it: it is quarantined, the spec simulated again, and
+// the fresh bytes served and stored in its place.
+func TestStaleEpochEntryResimulated(t *testing.T) {
+	spec := Spec{Nodes: 4, Iters: 10, Warmup: 2}
+	hash, fresh := execJSON(t, spec)
+	// What the older simulator returned: the same spec, other numbers.
+	stale := Entry{Result: []byte(strings.Replace(string(fresh), `"barriers":`, `"barriers":9`, 1)), Trace: []byte(`{"traceEvents":[]}`)}
+	if string(stale.Result) == string(fresh) {
+		t.Fatal("stale result is the fresh one")
+	}
+	for name, data := range map[string][]byte{
+		"gmstore1": append(fmt.Appendf(nil, "gmstore1 %s %d %d %08x %08x\n", hash, len(stale.Result), len(stale.Trace),
+			crc32.ChecksumIEEE(stale.Result), crc32.ChecksumIEEE(stale.Trace)), append(stale.Result, stale.Trace...)...),
+		"older-epoch": encodeEntryAt(hash, experiments.BehaviourEpoch-1, stale),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "store", hash[:2], hash)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := newTestServer(t, Config{Dir: dir, Workers: 1})
+			defer drainClose(t, srv)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			resp, got := post(t, ts.Client(), ts.URL+"/v1/runs", spec, "")
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+				t.Fatalf("status %d, X-Cache %q; want a re-simulated miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			if string(got) != string(fresh) {
+				t.Fatalf("served\n%s\nwant the fresh result\n%s", got, fresh)
+			}
+			if runs := srv.Registry().Get("service.runs"); runs != 1 {
+				t.Errorf("service.runs = %d, want 1", runs)
+			}
+			if _, _, _, q := srv.Store().Stats(); q != 1 {
+				t.Errorf("quarantined = %d, want 1", q)
+			}
+			if e, ok := srv.Store().Get(hash); !ok || string(e.Result) != string(fresh) {
+				t.Error("the slot does not hold the fresh result")
+			}
+		})
 	}
 }
 

@@ -7,13 +7,21 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"gmsim/internal/experiments"
 )
 
-// encodeEntry is a whole entry file in memory — the header line, then the
-// raw payloads. Put writes the same bytes without assembling them; the
-// codec tests and FuzzStoreEntryDecode's re-encode property use this form.
+// encodeEntry is a whole entry file in memory, as this simulator's epoch
+// writes it — the header line, then the raw payloads. Put writes the same
+// bytes without assembling them; the codec tests and FuzzStoreEntryDecode's
+// re-encode property use this form.
 func encodeEntry(hash string, e Entry) []byte {
-	return append(append(entryHeader(hash, e), e.Result...), e.Trace...)
+	return encodeEntryAt(hash, experiments.BehaviourEpoch, e)
+}
+
+// encodeEntryAt is encodeEntry for an entry another epoch wrote.
+func encodeEntryAt(hash string, epoch int, e Entry) []byte {
+	return append(append(entryHeader(hash, epoch, e), e.Result...), e.Trace...)
 }
 
 // storedEntry runs a small spec and returns its hash and entry — a real
@@ -141,7 +149,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			// sits at it cannot be verified and is refused.
 			_, e := storedEntry(t, spec)
 			e.Result = bytes.Replace(e.Result, []byte(`"partitions":1`), []byte(`"partitions":2`), 1)
-			if err := verifyEntry(hash, hash, e); err == nil || !strings.Contains(err.Error(), "partitioned engine was removed") {
+			if err := verifyEntry(hash, hash, experiments.BehaviourEpoch, e); err == nil || !strings.Contains(err.Error(), "partitioned engine was removed") {
 				t.Fatalf("verifyEntry on a partitions=2 spec: %v, want a refusal naming the removal", err)
 			}
 			path := filepath.Join(st.Dir(), hash[:2], hash)
@@ -219,17 +227,17 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{},
 	} {
 		data := encodeEntry(hash, e)
-		gotHash, got, err := decodeEntry(data)
+		gotHash, gotEpoch, got, err := decodeEntry(data)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if gotHash != hash || !bytes.Equal(got.Result, e.Result) || !bytes.Equal(got.Trace, e.Trace) {
+		if gotHash != hash || gotEpoch != experiments.BehaviourEpoch || !bytes.Equal(got.Result, e.Result) || !bytes.Equal(got.Trace, e.Trace) {
 			t.Fatalf("roundtrip mismatch: %q %v vs %v", gotHash, got, e)
 		}
 	}
 	data := encodeEntry(hash, Entry{Result: []byte("xyz")})
 	data[len(storeMagic)+1] = 'Z' // tamper with the hash field
-	if _, _, err := decodeEntry(data); err == nil {
+	if _, _, _, err := decodeEntry(data); err == nil {
 		t.Error("tampered header decoded cleanly")
 	}
 }

@@ -42,16 +42,17 @@ func nicPE16(plan string) service.Spec {
 // TestChromeCellsPinned pins length and SHA-256 of the export of three
 // service-sized cells: simd stores and serves these bytes under a content
 // address, so an encoder change that moves one byte changes what a restarted
-// server would have to re-simulate.
+// server would have to re-simulate (and experiments.BehaviourEpoch must move
+// with a deliberate re-pin).
 func TestChromeCellsPinned(t *testing.T) {
 	for _, c := range []struct {
 		plan   string
 		length int
 		sum    string
 	}{
-		{service.PlanNone, 512974, "744224f5e3325d0be3a6bc019162ebd83752c4ec9094a5eabf0f415fdf68f2a0"},
-		{service.PlanFlap, 933763, "82472bb8a28a5eb645406af2f9a2ece911aa780d149b4dddb4e4de5846e02916"},
-		{service.PlanCrash, 1056698, "fd8ab056beb37e4fa6bb478cb56d8768e2d54329c4999fee69be4e8148140ad9"},
+		{service.PlanNone, 514361, "de2cdbd7c6fdb5be80528f5b496dc4c5312a924da93932af80e172992c3750b5"},
+		{service.PlanFlap, 933763, "b52e75b15b478d0269ae769941f1b9dc2d51a4d025bd11169169cf33a59fea45"},
+		{service.PlanCrash, 1058085, "7b4575d9572638a5694e52f8c5211dc0830bdbcade7c04353e4c6ffea4daecdb"},
 	} {
 		var buf bytes.Buffer
 		if err := cellRecorder(t, nicPE16(c.plan)).WriteChrome(&buf); err != nil {

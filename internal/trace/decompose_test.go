@@ -9,7 +9,6 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
-	"gmsim/internal/network"
 	"gmsim/internal/phase"
 	"gmsim/internal/sim"
 	"gmsim/internal/topo"
@@ -193,7 +192,7 @@ func TestWireSpansMatchWireLatencies(t *testing.T) {
 }
 
 // Disable must gate spans and events together, and dropped packets must
-// not leak injectAt entries.
+// not leak inFlight entries.
 func TestAttachGatesPhases(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig(2))
 	rec := Attach(cl)
@@ -210,8 +209,8 @@ func TestAttachGatesPhases(t *testing.T) {
 		t.Fatalf("disabled recorder captured %d events, %d spans", rec.Len(), rec.Phases().Len())
 	}
 	rec.Reset()
-	if len(rec.injectAt) != 0 {
-		t.Fatalf("injectAt retains %d entries", len(rec.injectAt))
+	if len(rec.inFlight) != 0 {
+		t.Fatalf("inFlight retains %d entries", len(rec.inFlight))
 	}
 }
 
@@ -241,8 +240,8 @@ func TestResetMidFlightDropsInFlightPackets(t *testing.T) {
 	if got, want := rec.Decompose(0, 0, end).Totals, rec.Decompose(0, resetAt, end).Totals; got != want {
 		t.Errorf("totals over the whole run %v differ from totals since the reset %v", got, want)
 	}
-	if len(rec.injectAt) != 0 {
-		t.Errorf("injectAt retains %d packets after the run", len(rec.injectAt))
+	if len(rec.inFlight) != 0 {
+		t.Errorf("inFlight retains %d packets after the run", len(rec.inFlight))
 	}
 }
 
@@ -273,7 +272,7 @@ func TestTwoSwitchHops(t *testing.T) {
 	cl.Run()
 
 	leafOf := cl.Topology().LeafOf()
-	hopCount := make(map[*network.Packet]int)
+	hopCount := make(map[uint64]int)
 	for _, e := range rec.Events() {
 		if e.Kind == Hop {
 			if !strings.HasPrefix(e.Reason, "sw") || !strings.Contains(e.Reason, ":p") {

@@ -70,7 +70,10 @@ type Event struct {
 	Seq    uint32
 	Size   int
 	Reason string // drop reason
-	packet *network.Packet
+	// packet numbers the packet within the recording, from 1 at its
+	// injection; 0 for a packet injected while the recorder was off (or
+	// before a Reset) and for events tied to no packet.
+	packet uint64
 }
 
 func (e Event) String() string {
@@ -99,15 +102,24 @@ type Recorder struct {
 	// phases collects full-stack spans when the recorder was installed
 	// with Attach; nil for fabric-only recorders (NewRecorder).
 	phases *phase.Recorder
-	// injectAt pairs in-flight packets with their injection time so a
-	// delivery can synthesize the wire span.
-	injectAt map[*network.Packet]sim.Time
+	// inFlight holds, for every packet injected while recording and not yet
+	// delivered or dropped, its number and injection time: events carry the
+	// number, and a delivery synthesizes the wire span from the time. The
+	// entry goes at delivery, before the fabric reuses the packet.
+	inFlight map[*network.Packet]flight
+	packets  uint64 // numbers handed out
+}
+
+// flight is one packet on the wire, as the recorder saw it injected.
+type flight struct {
+	packet uint64
+	at     sim.Time
 }
 
 // NewRecorder creates a fabric-only recorder and installs it on the fabric.
 // Recording starts enabled.
 func NewRecorder(f *network.Fabric) *Recorder {
-	r := &Recorder{sim: f.Sim(), enabled: true}
+	r := &Recorder{sim: f.Sim(), enabled: true, inFlight: make(map[*network.Packet]flight)}
 	f.SetObserver(r)
 	return r
 }
@@ -120,7 +132,6 @@ func NewRecorder(f *network.Fabric) *Recorder {
 func Attach(cl *cluster.Cluster) *Recorder {
 	r := NewRecorder(cl.Fabric())
 	r.phases = phase.NewRecorder()
-	r.injectAt = make(map[*network.Packet]sim.Time)
 	cl.SetPhaseRecorder(r.phases)
 	return r
 }
@@ -130,15 +141,17 @@ func Attach(cl *cluster.Cluster) *Recorder {
 func (r *Recorder) Phases() *phase.Recorder { return r.phases }
 
 // Enable and Disable gate recording (e.g. record only the steady state).
-// Both gates toggle together: fabric events and phase spans.
+// Both gates toggle together at the event loop's instant: fabric events and
+// phase spans (a host process's spans by the time they start, see
+// phase.Recorder).
 func (r *Recorder) Enable() {
 	r.enabled = true
-	r.phases.Enable()
+	r.phases.Enable(r.sim.Now())
 }
 
 func (r *Recorder) Disable() {
 	r.enabled = false
-	r.phases.Disable()
+	r.phases.Disable(r.sim.Now())
 }
 
 // SetFilter installs a predicate; events it rejects are not recorded.
@@ -149,8 +162,8 @@ func (r *Recorder) SetFilter(fn func(Event) bool) { r.filter = fn }
 // (the span would start before the recording does).
 func (r *Recorder) Reset() {
 	r.events, r.nEvents, r.flat = nil, 0, nil
-	clear(r.injectAt)
-	r.phases.Reset()
+	clear(r.inFlight)
+	r.phases.Reset(r.sim.Now())
 }
 
 // Events returns the recorded events in time order. The slice is a
@@ -190,7 +203,7 @@ func (r *Recorder) record(kind Kind, p *network.Packet, reason string) {
 		Dst:    p.Dst,
 		Size:   p.Size,
 		Reason: reason,
-		packet: p,
+		packet: r.inFlight[p].packet,
 	}
 	switch pl := p.Payload.(type) {
 	case *mcp.Frame:
@@ -210,12 +223,14 @@ func (r *Recorder) record(kind Kind, p *network.Packet, reason string) {
 	r.add(ev)
 }
 
-// PacketInjected implements network.Observer.
+// PacketInjected implements network.Observer: a packet injected while
+// recording gets the next number.
 func (r *Recorder) PacketInjected(p *network.Packet) {
-	r.record(Inject, p, "")
-	if r.phases.On() {
-		r.injectAt[p] = r.sim.Now()
+	if r.enabled {
+		r.packets++
+		r.inFlight[p] = flight{r.packets, r.sim.Now()}
 	}
+	r.record(Inject, p, "")
 }
 
 // PacketDelivered implements network.Observer. On a full-stack recorder
@@ -224,25 +239,21 @@ func (r *Recorder) PacketInjected(p *network.Packet) {
 // destination as peer).
 func (r *Recorder) PacketDelivered(p *network.Packet) {
 	r.record(Deliver, p, "")
-	if r.injectAt != nil {
-		if t0, ok := r.injectAt[p]; ok {
-			delete(r.injectAt, p)
-			r.phases.Add(phase.Span{
-				Start: t0, End: r.sim.Now(),
-				Phase: phase.Wire, Track: phase.TrackWire,
-				Node: int32(p.Src), Peer: int32(p.Dst),
-				Label: wireLabel(p),
-			})
-		}
+	if fl, ok := r.inFlight[p]; ok {
+		delete(r.inFlight, p)
+		r.phases.Add(phase.Span{
+			Start: fl.at, End: r.sim.Now(),
+			Phase: phase.Wire, Track: phase.TrackWire,
+			Node: int32(p.Src), Peer: int32(p.Dst),
+			Label: wireLabel(p),
+		})
 	}
 }
 
 // PacketDropped implements network.Observer.
 func (r *Recorder) PacketDropped(p *network.Packet, reason string) {
 	r.record(Drop, p, reason)
-	if r.injectAt != nil {
-		delete(r.injectAt, p)
-	}
+	delete(r.inFlight, p)
 }
 
 // PacketForwarded implements network.HopObserver: switch forwarding
@@ -339,7 +350,7 @@ func (w WireLatency) Latency() sim.Time { return w.Deliver - w.Inject }
 
 // WireLatencies extracts inject->deliver pairs from the recording.
 func (r *Recorder) WireLatencies() []WireLatency {
-	injected := make(map[*network.Packet]sim.Time)
+	injected := make(map[uint64]sim.Time)
 	var out []WireLatency
 	for _, e := range r.Events() {
 		switch e.Kind {
@@ -369,7 +380,7 @@ type PacketHops struct {
 // multi-switch fabric a count of two or more means the packet crossed a
 // trunk; on a single crossbar every packet shows exactly one hop.
 func (r *Recorder) PacketHopCounts() []PacketHops {
-	hops := make(map[*network.Packet]int)
+	hops := make(map[uint64]int)
 	for _, e := range r.Events() {
 		if e.Kind == Hop {
 			hops[e.packet]++

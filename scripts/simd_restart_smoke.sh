@@ -20,8 +20,10 @@ URL="http://$ADDR"
 # Figure 5 headline cell: 16-node NIC-PE, warmup 5, iters 200.
 WANT_MEAN='"mean_us":101.133'
 WANT_HASH='056277034391146d77e174f33927e4120ee09cb130e07bf93ee49aa139c04ad5'
-# The interrupted job: big enough (~5s) that SIGKILL lands mid-simulation.
-SLOW_SPEC='{"nodes":64,"iters":500}'
+# The interrupted job: long enough (~5 s) that SIGKILL lands mid-simulation
+# and a 1 s drain cannot finish it. The length is in the warm-up, which is
+# not recorded, so the trace stays that of 500 barriers.
+SLOW_SPEC='{"nodes":64,"warmup":15000,"iters":500}'
 
 workdir="$(mktemp -d)"
 state="$workdir/state"
