@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
@@ -85,8 +86,8 @@ func main() {
 	fmt.Printf("  stock MPI (host-backed):   result=%d  %10.2fus\n", r1, t1.Micros())
 	fmt.Printf("  NIC-backed MPI:            result=%d  %10.2fus\n", r2, t2.Micros())
 	if r1 != r2 {
-		fmt.Println("\nERROR: results differ!")
-		return
+		fmt.Fprintln(os.Stderr, "\nERROR: results differ!")
+		os.Exit(1)
 	}
 	fmt.Printf("\nidentical results, %.1f%% faster end-to-end with NIC-based collectives —\n",
 		100*float64(t1-t2)/float64(t1))

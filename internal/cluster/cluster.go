@@ -120,22 +120,30 @@ func (cfg Config) topoSpec() (topo.Spec, error) {
 // between Config and its topology spec. New refuses (with this error) to
 // build invalid configurations instead of colliding on port indices.
 func (cfg Config) Validate() error {
+	_, err := cfg.topology()
+	return err
+}
+
+// topology is the one step Validate and Build share: check the
+// configuration and build its topology.
+func (cfg Config) topology() (*topo.Topology, error) {
 	if cfg.Nodes < 1 {
-		return fmt.Errorf("cluster: need at least one node, have %d", cfg.Nodes)
+		return nil, fmt.Errorf("cluster: need at least one node, have %d", cfg.Nodes)
 	}
 	spec, err := cfg.topoSpec()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := topo.Build(spec); err != nil {
-		return fmt.Errorf("cluster: %d nodes do not fit the topology: %w", cfg.Nodes, err)
+	top, err := topo.Build(spec)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %d nodes do not fit the topology: %w", cfg.Nodes, err)
 	}
 	if cfg.Fault != nil {
 		if err := cfg.Fault.Validate(); err != nil {
-			return fmt.Errorf("cluster: %w", err)
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 	}
-	return nil
+	return top, nil
 }
 
 // New is Build for configurations known to be valid: it panics with the
@@ -151,11 +159,10 @@ func New(cfg Config) *Cluster {
 // Build builds a cluster from the configuration, or reports why the
 // configuration cannot build (see Validate).
 func Build(cfg Config) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
+	top, err := cfg.topology()
+	if err != nil {
 		return nil, err
 	}
-	spec, _ := cfg.topoSpec()
-	top := topo.MustBuild(spec)
 	s := sim.New()
 	c := &Cluster{cfg: cfg, sim: s, top: top}
 	f := network.New(s)

@@ -135,7 +135,7 @@ func TestRunUntil(t *testing.T) {
 // packet crossed.
 type lastLink map[*network.Packet]network.LinkID
 
-func (l lastLink) OnHop(link network.LinkID, p *network.Packet, _ sim.Time) network.Verdict {
+func (l lastLink) OnHop(link network.LinkID, p *network.Packet) network.Verdict {
 	l[p] = link
 	return network.Verdict{}
 }

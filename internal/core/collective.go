@@ -61,25 +61,12 @@ func (e *DegradedError) Error() string {
 // checked before anything is posted or sent, so both levels refuse the same
 // calls with the same error.
 func (c *Comm) Collective(p *host.Process, nic bool, op mcp.CollOp, rop mcp.ReduceOp, g Group, self, dim int, value []byte) ([]byte, error) {
-	if op == mcp.AllGather && len(value) == 0 {
-		return nil, errors.New("core: allgather needs a non-empty block")
+	if !nic {
+		return c.HostCollective(p, c, c, op, rop, g, self, dim, value)
 	}
-	nb, err := c.neighbourhood(mcp.GB, g, self, dim, nil)
+	_, tok, err := c.collToken(op, rop, g, self, dim, value)
 	if err != nil {
 		return nil, err
-	}
-	if op == mcp.Broadcast && nb.root && len(value) == 0 {
-		return nil, errors.New("core: broadcast root needs data")
-	}
-	tok := &mcp.CollToken{Op: op, Reduce: rop, Root: nb.root, Parent: nb.parent, Children: nb.children}
-	if op != mcp.Broadcast || nb.root {
-		tok.Value = value
-	}
-	if op == mcp.AllGather {
-		tok.Rank, tok.BlockSize, tok.GroupSize = self, len(value), len(g)
-	}
-	if !nic {
-		return c.treeWalk(p, nb, tok)
 	}
 	if err := c.port.ProvideCollectiveBuffer(p); err != nil {
 		return nil, err
@@ -99,23 +86,66 @@ func (c *Comm) Collective(p *host.Process, nic bool, op mcp.CollOp, rop mcp.Redu
 	}
 }
 
+// HostCollective is Collective at the host with the walk's messages carried
+// by up (child to parent) and down (parent to child) instead of this Comm's
+// own Send and RecvFrom: a layer over GM (package mpi) passes its own
+// envelope.
+func (c *Comm) HostCollective(p *host.Process, up, down Link, op mcp.CollOp, rop mcp.ReduceOp, g Group, self, dim int, value []byte) ([]byte, error) {
+	nb, tok, err := c.collToken(op, rop, g, self, dim, value)
+	if err != nil {
+		return nil, err
+	}
+	return treeWalk(p, up, down, nb, tok)
+}
+
+// collToken checks a collective's inputs and returns rank self's place in
+// the flat tree and the operation's token.
+func (c *Comm) collToken(op mcp.CollOp, rop mcp.ReduceOp, g Group, self, dim int, value []byte) (*tokenCache, *mcp.CollToken, error) {
+	if op == mcp.AllGather && len(value) == 0 {
+		return nil, nil, errors.New("core: allgather needs a non-empty block")
+	}
+	nb, err := c.neighbourhood(mcp.GB, g, self, dim, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if op == mcp.Broadcast && nb.root && len(value) == 0 {
+		return nil, nil, errors.New("core: broadcast root needs data")
+	}
+	tok := &mcp.CollToken{Op: op, Reduce: rop, Root: nb.root, Parent: nb.parent, Children: nb.children}
+	if op != mcp.Broadcast || nb.root {
+		tok.Value = value
+	}
+	if op == mcp.AllGather {
+		tok.Rank, tok.BlockSize, tok.GroupSize = self, len(value), len(g)
+	}
+	return nb, tok, nil
+}
+
+// Link is one direction of the host tree walk's messages: a send to a tree
+// neighbour and a receive from one. *Comm is the plain one.
+type Link interface {
+	Send(p *host.Process, dst mcp.Endpoint, data []byte) error
+	RecvFrom(p *host.Process, src mcp.Endpoint) ([]byte, error)
+}
+
 // treeWalk is the host level's one gather/broadcast walk, the firmware's
-// (mcp/tree.go) over GM sends and receives, driven by what it reads off the
+// (mcp/tree.go) over sends and receives, driven by what it reads off the
 // token — nil for the GB barrier: gather from the children, send up to the
 // parent, wait for its release, forward the release to the children. An
 // operation without an up phase (Broadcast) skips the first two steps, one
-// without a down phase (Reduce) the last two. A barrier message carries one
-// byte. The forwards are posted back to back, so they pipeline through the
-// NIC — the effect the paper credits for the host-based GB's
-// competitiveness (Section 6).
-func (c *Comm) treeWalk(p *host.Process, nb *tokenCache, tok *mcp.CollToken) ([]byte, error) {
-	up, down := tok.Phases()
+// without a down phase (Reduce) the last two. up carries the first two
+// steps' messages, down the last two's. A barrier message carries one byte.
+// The forwards are posted back to back, so they pipeline through the NIC —
+// the effect the paper credits for the host-based GB's competitiveness
+// (Section 6).
+func treeWalk(p *host.Process, up, down Link, nb *tokenCache, tok *mcp.CollToken) ([]byte, error) {
+	hasUp, hasDown := tok.Phases()
 	acc := tok.Seed()
 	if tok == nil {
 		acc = barrierPayload
 	}
-	for i := 0; up && i < len(nb.children); i++ {
-		part, err := c.RecvFrom(p, nb.children[i])
+	for i := 0; hasUp && i < len(nb.children); i++ {
+		part, err := up.RecvFrom(p, nb.children[i])
 		if err != nil {
 			return nil, err
 		}
@@ -125,69 +155,28 @@ func (c *Comm) treeWalk(p *host.Process, nb *tokenCache, tok *mcp.CollToken) ([]
 	var err error
 	if nb.root {
 		data, err = tok.Result(acc)
-	} else if up {
-		err = c.Send(p, nb.parent, acc)
+	} else if hasUp {
+		err = up.Send(p, nb.parent, acc)
 	}
-	if err == nil && down && !nb.root {
-		data, err = c.RecvFrom(p, nb.parent)
+	if err == nil && hasDown && !nb.root {
+		data, err = down.RecvFrom(p, nb.parent)
 	}
-	if err != nil || !down {
+	if err != nil || !hasDown {
 		return data, err
 	}
 	if tok == nil {
 		data = barrierPayload
 	}
 	for _, ch := range nb.children {
-		if err := c.Send(p, ch, data); err != nil {
+		if err := down.Send(p, ch, data); err != nil {
 			return nil, err
 		}
 	}
 	return data, nil
 }
 
-// NICBroadcast runs a NIC-based broadcast: the root's data reaches every
-// rank without any intermediate host involvement.
-func (c *Comm) NICBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	return c.Collective(p, true, mcp.Broadcast, 0, g, self, dim, data)
-}
-
-// NICReduce combines every rank's vector with op at the NICs.
-func (c *Comm) NICReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	return c.Collective(p, true, mcp.Reduce, op, g, self, dim, value)
-}
-
 // NICAllReduce combines every rank's vector and distributes the result to
-// all ranks, entirely at the NIC level.
+// all ranks, entirely at the NIC level: Collective's headline case.
 func (c *Comm) NICAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
 	return c.Collective(p, true, mcp.AllReduce, op, g, self, dim, value)
-}
-
-// NICAllGather runs a NIC-based all-to-all broadcast (the Section 8
-// wording).
-func (c *Comm) NICAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	return c.Collective(p, true, mcp.AllGather, 0, g, self, dim, block)
-}
-
-// HostBroadcast is the host-based baseline of NICBroadcast.
-func (c *Comm) HostBroadcast(p *host.Process, g Group, self, dim int, data []byte) ([]byte, error) {
-	return c.Collective(p, false, mcp.Broadcast, 0, g, self, dim, data)
-}
-
-// HostReduce is the host-based baseline of NICReduce: partials combine at
-// each host on the way up.
-func (c *Comm) HostReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	return c.Collective(p, false, mcp.Reduce, op, g, self, dim, value)
-}
-
-// HostAllReduce is the host-based baseline of NICAllReduce: one walk up and
-// back down the tree.
-func (c *Comm) HostAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	return c.Collective(p, false, mcp.AllReduce, op, g, self, dim, value)
-}
-
-// HostAllGather is the host-based baseline of NICAllGather: blocks gather
-// up the tree as the firmware's tagged entries, so the two levels are
-// directly comparable.
-func (c *Comm) HostAllGather(p *host.Process, g Group, self, dim int, block []byte) ([]byte, error) {
-	return c.Collective(p, false, mcp.AllGather, 0, g, self, dim, block)
 }

@@ -229,13 +229,7 @@ func TestNICCollectiveFasterThanHost(t *testing.T) {
 			port, _ := gm.Open(p, cl.MCP(rank), 2)
 			comm, _ := NewComm(p, port, 64)
 			for i := 0; i < 10; i++ {
-				var err error
-				if nic {
-					_, err = comm.NICAllReduce(p, g, rank, 2, mcp.OpSum, EncodeInt64s([]int64{1}))
-				} else {
-					_, err = comm.HostAllReduce(p, g, rank, 2, mcp.OpSum, EncodeInt64s([]int64{1}))
-				}
-				if err != nil {
+				if _, err := comm.Collective(p, nic, mcp.AllReduce, mcp.OpSum, g, rank, 2, EncodeInt64s([]int64{1})); err != nil {
 					t.Errorf("allreduce: %v", err)
 					return
 				}
@@ -296,7 +290,7 @@ func TestCollectiveBadDimErrors(t *testing.T) {
 		rank := p.Rank()
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := NewComm(p, port, 8)
-		if _, err := comm.NICBroadcast(p, g, rank, 0, []byte("x")); err == nil {
+		if _, err := comm.Collective(p, true, mcp.Broadcast, 0, g, rank, 0, []byte("x")); err == nil {
 			t.Error("dim 0 should error")
 		}
 	})
@@ -354,7 +348,7 @@ func TestNICAllGather(t *testing.T) {
 				port, _ := gm.Open(p, cl.MCP(rank), 2)
 				comm, _ := NewComm(p, port, 64)
 				block := EncodeInt64s([]int64{int64(rank * 100)})
-				out, err := comm.NICAllGather(p, g, rank, dim, block)
+				out, err := comm.Collective(p, true, mcp.AllGather, 0, g, rank, dim, block)
 				if err != nil {
 					t.Errorf("allgather: %v", err)
 					return
@@ -388,13 +382,7 @@ func TestHostAllGatherMatchesNIC(t *testing.T) {
 			port, _ := gm.Open(p, cl.MCP(rank), 2)
 			comm, _ := NewComm(p, port, 64)
 			block := EncodeInt64s([]int64{int64(rank), int64(-rank)})
-			var out []byte
-			var err error
-			if nic {
-				out, err = comm.NICAllGather(p, g, rank, 2, block)
-			} else {
-				out, err = comm.HostAllGather(p, g, rank, 2, block)
-			}
+			out, err := comm.Collective(p, nic, mcp.AllGather, 0, g, rank, 2, block)
 			if err != nil {
 				t.Errorf("allgather: %v", err)
 				return
@@ -422,7 +410,7 @@ func TestAllGatherStaggered(t *testing.T) {
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := NewComm(p, port, 64)
 		p.Compute(sim.Time((n-rank)*41) * sim.Microsecond)
-		out, err := comm.NICAllGather(p, g, rank, 2, EncodeInt64s([]int64{int64(rank)}))
+		out, err := comm.Collective(p, true, mcp.AllGather, 0, g, rank, 2, EncodeInt64s([]int64{int64(rank)}))
 		if err != nil {
 			t.Errorf("allgather: %v", err)
 			bad = true
@@ -450,8 +438,8 @@ func TestAllGatherEmptyBlockRejected(t *testing.T) {
 	const n = 4
 	for _, level := range []struct {
 		name string
-		ag   func(*Comm, *host.Process, Group, int, int, []byte) ([]byte, error)
-	}{{"NIC", (*Comm).NICAllGather}, {"host", (*Comm).HostAllGather}} {
+		nic  bool
+	}{{"NIC", true}, {"host", false}} {
 		cl := cluster.New(cluster.DefaultConfig(n))
 		g := UniformGroup(n, 2)
 		errs := make([]string, n)
@@ -459,10 +447,10 @@ func TestAllGatherEmptyBlockRejected(t *testing.T) {
 			rank := p.Rank()
 			port, _ := gm.Open(p, cl.MCP(rank), 2)
 			comm, _ := NewComm(p, port, 64)
-			if _, err := level.ag(comm, p, g, rank, 2, []byte{}); err != nil {
+			if _, err := comm.Collective(p, level.nic, mcp.AllGather, 0, g, rank, 2, []byte{}); err != nil {
 				errs[rank] = err.Error()
 			}
-			out, err := level.ag(comm, p, g, rank, 2, []byte{byte(rank)})
+			out, err := comm.Collective(p, level.nic, mcp.AllGather, 0, g, rank, 2, []byte{byte(rank)})
 			if err != nil || !bytes.Equal(out, []byte{0, 1, 2, 3}) {
 				t.Errorf("%s rank %d: allgather after the rejected one = %v, %v", level.name, rank, out, err)
 			}

@@ -343,7 +343,7 @@ func (c *Comm) HostBarrierGB(p *host.Process, g Group, self, dim int) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.treeWalk(p, nb, nil)
+	_, err = treeWalk(p, c, c, nb, nil)
 	return err
 }
 

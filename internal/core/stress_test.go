@@ -87,7 +87,7 @@ func TestStressMixedTraffic(t *testing.T) {
 						return
 					}
 				case 4:
-					out, err := comm.NICAllGather(p, g, rank, plan.dim,
+					out, err := comm.Collective(p, true, mcp.AllGather, 0, g, rank, plan.dim,
 						EncodeInt64s([]int64{int64(rank)}))
 					if err != nil {
 						fail()
@@ -126,7 +126,7 @@ type randomLoss struct {
 	streams map[network.LinkID]*rand.Rand
 }
 
-func (l *randomLoss) OnHop(link network.LinkID, _ *network.Packet, _ sim.Time) network.Verdict {
+func (l *randomLoss) OnHop(link network.LinkID, _ *network.Packet) network.Verdict {
 	if l.streams[link] == nil {
 		l.streams[link] = network.LinkStream(l.seed, link)
 	}

@@ -662,7 +662,7 @@ func (inj *Injector) LinkDown(l network.LinkID) bool {
 // channel hop. Stochastic rules consume the link's stream only while their
 // window is open, so the decision sequence is a pure function of
 // (seed, link, hop index within windows) — independent of other links.
-func (inj *Injector) OnHop(link network.LinkID, p *network.Packet, now sim.Time) network.Verdict {
+func (inj *Injector) OnHop(link network.LinkID, p *network.Packet) network.Verdict {
 	if inj.down[link] > 0 {
 		inj.cnt.LinkDowns++
 		return network.Verdict{Drop: true, Reason: "link-down"}
@@ -672,6 +672,7 @@ func (inj *Injector) OnHop(link network.LinkID, p *network.Packet, now sim.Time)
 		return network.Verdict{}
 	}
 	var v network.Verdict
+	now := inj.fab.Sim().Now()
 	for _, e := range lr.loss {
 		if e.win.contains(now) && inj.stream(link).Float64() < e.rate {
 			inj.cnt.Lost++

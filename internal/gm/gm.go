@@ -38,12 +38,12 @@ import (
 // in HostSend/HostRecv.
 func eventPhase(k mcp.HostEventKind) phase.Phase {
 	switch k {
+	case mcp.RecvEvent:
+		return phase.HostRecv
 	case mcp.SentEvent:
 		return phase.HostSend
-	case mcp.BarrierDoneEvent, mcp.CollDoneEvent:
+	default: // an operation slot's completion
 		return phase.HostDone
-	default:
-		return phase.HostRecv
 	}
 }
 
@@ -67,32 +67,71 @@ type Port struct {
 	sendsInFlight int
 	maxSends      int
 	recvBufs      int
-	barrierBufs   int
-	barrierActive bool
-	collBufs      int
-	collActive    bool
+	slots         [2]slot // barrierSlot, collSlot
 
 	// Requests crossing the PCI bus: what the NIC sees one DoorbellLatency
 	// after the host call returns. Every request of a port takes the same
-	// latency, so the queues are FIFO; the doorbell callbacks are method
-	// values built once in Open, so ringing a doorbell allocates nothing.
-	sendsPosted     []mcp.SendToken
-	barrierPosted   *mcp.BarrierToken // one at a time (barrierActive)
-	collPosted      *mcp.CollToken    // one at a time (collActive)
-	sendDoorbell    func()
-	recvDoorbell    func()
-	batchDoorbell   func()
-	barBufDoorbell  func()
-	barTokDoorbell  func()
-	collBufDoorbell func()
-	collTokDoorbell func()
+	// latency, so the queues are FIFO; the doorbell callbacks are built once
+	// in Open, so ringing a doorbell allocates nothing.
+	sendsPosted   []mcp.SendToken
+	sendDoorbell  func()
+	recvDoorbell  func()
+	batchDoorbell func()
 
 	// One ProvideReceiveBuffers batch still ringing its doorbells: how many
 	// are left.
 	batchLeft int
 
 	// Counters.
-	sent, received, barriers int64
+	sent, received int64
+}
+
+// The port's two operation slots, as in the firmware (mcp/tree.go): a
+// barrier and a collective — the paper's Section 8 future work — can be in
+// flight at once.
+const (
+	barrierSlot = iota
+	collSlot
+)
+
+// family is what differs between the paper's two barrier calls and their
+// collective twins: the noun in errors, the phase labels of the provide,
+// post and completion charges, the completion event, and the NIC entry
+// points. The bodies read these; they never ask which family they run.
+type family struct {
+	noun                               string
+	provideLabel, postLabel, doneLabel string
+	done                               mcp.HostEventKind
+	postBuffer                         func(m *mcp.MCP, port int) error
+	postToken                          func(m *mcp.MCP, tok any) error
+}
+
+var families = [2]family{
+	barrierSlot: {
+		noun: "barrier", provideLabel: "provide_bar_buf", postLabel: "gm_barrier_send", doneLabel: "bar_done",
+		done:       mcp.BarrierDoneEvent,
+		postBuffer: (*mcp.MCP).PostBarrierBuffer,
+		postToken:  func(m *mcp.MCP, tok any) error { return m.PostBarrierToken(tok.(*mcp.BarrierToken)) },
+	},
+	collSlot: {
+		noun: "collective", provideLabel: "provide_coll_buf", postLabel: "gm_coll_send", doneLabel: "coll_done",
+		done:       mcp.CollDoneEvent,
+		postBuffer: (*mcp.MCP).PostCollectiveBuffer,
+		postToken:  func(m *mcp.MCP, tok any) error { return m.PostCollectiveToken(tok.(*mcp.CollToken)) },
+	},
+}
+
+// slot is the host-side mirror of one of the NIC's operation slots of the
+// port. bufs is an int32, as in the firmware's slot: packed with active it
+// keeps the Port inside a 288-byte allocation.
+type slot struct {
+	fam    *family
+	bufs   int32 // completion buffers provided and not yet claimed by a post
+	active bool  // a token is posted and its completion event not yet received
+	posts  int64 // tokens posted (Stats reports the barrier slot's)
+	// posted is the token crossing the PCI bus (one at a time: active).
+	posted                   any
+	bufDoorbell, tokDoorbell func()
 }
 
 // Open opens port number num on the given NIC firmware for the calling
@@ -110,10 +149,12 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	pt.sendDoorbell = pt.sendRung
 	pt.recvDoorbell = pt.recvRung
 	pt.batchDoorbell = pt.batchRung
-	pt.barBufDoorbell = pt.barBufRung
-	pt.barTokDoorbell = pt.barTokRung
-	pt.collBufDoorbell = pt.collBufRung
-	pt.collTokDoorbell = pt.collTokRung
+	for i := range pt.slots {
+		s := &pt.slots[i]
+		s.fam = &families[i]
+		s.bufDoorbell = func() { pt.bufRung(s) }
+		s.tokDoorbell = func() { pt.tokRung(s) }
+	}
 	p.Proc().Sync() // the driver call reaches into the NIC now, not a doorbell later
 	if err := m.OpenPort(num, pt.onEvent); err != nil {
 		return nil, err
@@ -161,7 +202,9 @@ func (pt *Port) IsOpen() bool { return pt.open }
 func (pt *Port) PendingEvents() int { return len(pt.events) - pt.evHead }
 
 // Stats returns (sends posted, events received, barriers posted).
-func (pt *Port) Stats() (int64, int64, int64) { return pt.sent, pt.received, pt.barriers }
+func (pt *Port) Stats() (int64, int64, int64) {
+	return pt.sent, pt.received, pt.slots[barrierSlot].posts
+}
 
 // ErrNoSendTokens is wrapped by Send when every send token of the port is in
 // flight. It is the one Send failure a caller recovers from: receiving a
@@ -270,60 +313,86 @@ func (pt *Port) batchRung() {
 // ProvideBarrierBuffer posts one barrier completion buffer — the paper's
 // gm_provide_barrier_buffer, called before initiating a barrier.
 func (pt *Port) ProvideBarrierBuffer(p *host.Process) error {
+	return pt.provide(p, &pt.slots[barrierSlot])
+}
+
+// ProvideCollectiveBuffer posts one collective completion buffer, the
+// collective's gm_provide_barrier_buffer.
+func (pt *Port) ProvideCollectiveBuffer(p *host.Process) error {
+	return pt.provide(p, &pt.slots[collSlot])
+}
+
+// provide posts one completion buffer to slot s.
+func (pt *Port) provide(p *host.Process, s *slot) error {
 	if !pt.open {
-		return fmt.Errorf("gm: provide barrier buffer on closed port %d", pt.num)
+		return fmt.Errorf("gm: provide %s buffer on closed port %d", s.fam.noun, pt.num)
 	}
-	pt.barrierBufs++
-	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, "provide_bar_buf")
-	p.Proc().After(p.Params().DoorbellLatency, pt.barBufDoorbell)
+	s.bufs++
+	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, s.fam.provideLabel)
+	p.Proc().After(p.Params().DoorbellLatency, s.bufDoorbell)
 	return nil
 }
 
-func (pt *Port) barBufRung() {
+func (pt *Port) bufRung(s *slot) {
 	if pt.unwritten() {
 		return
 	}
-	if err := pt.mcp.PostBarrierBuffer(pt.num); err != nil && pt.open {
-		panic(fmt.Sprintf("gm: NIC rejected barrier buffer: %v", err))
+	if err := s.fam.postBuffer(pt.mcp, pt.num); err != nil && pt.open {
+		panic(fmt.Sprintf("gm: NIC rejected %s buffer: %v", s.fam.noun, err))
 	}
 }
 
 // BarrierActive reports whether a barrier this port posted has yet to have
 // its completion event received: until then the NIC owns the posted token.
-func (pt *Port) BarrierActive() bool { return pt.barrierActive }
+func (pt *Port) BarrierActive() bool { return pt.slots[barrierSlot].active }
 
 // BarrierSend initiates a NIC-based barrier — the paper's
 // gm_barrier_send_with_callback. The host must have computed the peer list
 // (PE) or tree neighborhood (GB) and provided a barrier buffer. Completion
 // is reported by a BarrierDoneEvent carrying the token's tag.
 func (pt *Port) BarrierSend(p *host.Process, tok *mcp.BarrierToken) error {
-	if !pt.open {
-		return fmt.Errorf("gm: barrier on closed port %d", pt.num)
+	return pt.post(p, &pt.slots[barrierSlot], tok, &tok.SrcPort, nil)
+}
+
+// CollectiveSend is BarrierSend for a collective; its CollDoneEvent also
+// carries the result. A token the firmware would refuse is refused here,
+// before any host-side state moves: past the doorbell no one is left to
+// return the error to.
+func (pt *Port) CollectiveSend(p *host.Process, tok *mcp.CollToken) error {
+	return pt.post(p, &pt.slots[collSlot], tok, &tok.SrcPort, tok.Validate())
+}
+
+// post hands tok, whose SrcPort field srcPort is, to slot s; invalid is what
+// is wrong with the token itself, refused after the slot's own checks.
+func (pt *Port) post(p *host.Process, s *slot, tok any, srcPort *int, invalid error) error {
+	switch {
+	case !pt.open:
+		return fmt.Errorf("gm: %s on closed port %d", s.fam.noun, pt.num)
+	case s.active:
+		return fmt.Errorf("gm: port %d %s already in flight", pt.num, s.fam.noun)
+	case s.bufs == 0:
+		return fmt.Errorf("gm: port %d has no %s buffer", pt.num, s.fam.noun)
+	case invalid != nil:
+		return invalid
 	}
-	if pt.barrierActive {
-		return fmt.Errorf("gm: port %d barrier already in flight", pt.num)
-	}
-	if pt.barrierBufs == 0 {
-		return fmt.Errorf("gm: port %d has no barrier buffer", pt.num)
-	}
-	tok.SrcPort = pt.num
-	pt.barrierActive = true
-	pt.barrierBufs--
-	pt.barriers++
-	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, "gm_barrier_send")
-	pt.barrierPosted = tok
-	p.Proc().After(p.Params().DoorbellLatency, pt.barTokDoorbell)
+	*srcPort = pt.num
+	s.active = true
+	s.bufs--
+	s.posts++
+	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, s.fam.postLabel)
+	s.posted = tok
+	p.Proc().After(p.Params().DoorbellLatency, s.tokDoorbell)
 	return nil
 }
 
-func (pt *Port) barTokRung() {
+func (pt *Port) tokRung(s *slot) {
 	if pt.unwritten() {
 		return
 	}
-	tok := pt.barrierPosted
-	pt.barrierPosted = nil
-	if err := pt.mcp.PostBarrierToken(tok); err != nil {
-		panic(fmt.Sprintf("gm: NIC rejected barrier token: %v", err))
+	tok := s.posted
+	s.posted = nil
+	if err := s.fam.postToken(pt.mcp, tok); err != nil {
+		panic(fmt.Sprintf("gm: NIC rejected %s token: %v", s.fam.noun, err))
 	}
 }
 
@@ -374,12 +443,13 @@ func (pt *Port) consume(p *host.Process) mcp.HostEvent {
 	case mcp.SentEvent:
 		pt.sendsInFlight--
 		p.ComputePhase(p.Params().SentEvtCost, phase.HostSend, "sent_evt")
-	case mcp.BarrierDoneEvent:
-		pt.barrierActive = false
-		p.ComputePhase(p.Params().EffectiveRecvProcess(), phase.HostDone, "bar_done")
-	case mcp.CollDoneEvent:
-		pt.collActive = false
-		p.ComputePhase(p.Params().EffectiveRecvProcess(), phase.HostDone, "coll_done")
+	default: // an operation slot's completion
+		for i := range pt.slots {
+			if s := &pt.slots[i]; s.fam.done == ev.Kind {
+				s.active = false
+				p.ComputePhase(p.Params().EffectiveRecvProcess(), phase.HostDone, s.fam.doneLabel)
+			}
+		}
 	}
 	return ev
 }

@@ -187,45 +187,85 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 	})
 }
 
+// families are the port's two operation families as a test drives them: the
+// paper's barrier calls and their collective twins, each with a token that
+// completes on a one-node cluster (an empty PE schedule; a lone tree root).
+var families = []struct {
+	name    string
+	provide func(*gm.Port, *host.Process) error
+	send    func(pt *gm.Port, p *host.Process, tag any) error
+	done    mcp.HostEventKind
+}{
+	{
+		name:    "barrier",
+		provide: (*gm.Port).ProvideBarrierBuffer,
+		send: func(pt *gm.Port, p *host.Process, tag any) error {
+			return pt.BarrierSend(p, &mcp.BarrierToken{Alg: mcp.PE, Tag: tag})
+		},
+		done: mcp.BarrierDoneEvent,
+	},
+	{
+		name:    "collective",
+		provide: (*gm.Port).ProvideCollectiveBuffer,
+		send: func(pt *gm.Port, p *host.Process, tag any) error {
+			return pt.CollectiveSend(p, &mcp.CollToken{Op: mcp.AllReduce, Root: true, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}, Tag: tag})
+		},
+		done: mcp.CollDoneEvent,
+	},
+}
+
+// TestBarrierValidation: for both families, a post is refused on a closed
+// port, without a completion buffer, and while one is in flight — until its
+// completion event is received, even after the NIC has completed it — and
+// allowed again after it.
 func TestBarrierValidation(t *testing.T) {
-	run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
-		port, _ := gm.Open(p, cl.MCP(0), 2)
-		tok := &mcp.BarrierToken{Alg: mcp.PE}
-		if err := port.BarrierSend(p, tok); err == nil {
-			t.Error("barrier without buffer should fail")
-		}
-		port.ProvideBarrierBuffer(p)
-		if err := port.BarrierSend(p, tok); err != nil {
-			t.Errorf("barrier: %v", err)
-		}
-		// second while first in flight (empty peer list completes fast,
-		// but we have not consumed the completion yet, so the host-side
-		// mirror still says active)
-		if err := port.BarrierSend(p, &mcp.BarrierToken{Alg: mcp.PE}); err == nil {
-			t.Error("second barrier while active should fail")
-		}
-		if ev := port.Receive(p); ev.Kind != mcp.BarrierDoneEvent {
-			t.Errorf("expected barrier done, got %v", ev.Kind)
-		}
-		// now a new one is allowed
-		port.ProvideBarrierBuffer(p)
-		if err := port.BarrierSend(p, &mcp.BarrierToken{Alg: mcp.PE}); err != nil {
-			t.Errorf("barrier after completion: %v", err)
-		}
-		port.Receive(p)
-	}, nil)
+	for _, f := range families {
+		run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
+			port, _ := gm.Open(p, cl.MCP(0), 2)
+			if err := f.send(port, p, nil); err == nil {
+				t.Errorf("%s without buffer should fail", f.name)
+			}
+			f.provide(port, p)
+			if err := f.send(port, p, nil); err != nil {
+				t.Errorf("%s: %v", f.name, err)
+			}
+			// The operation completes at once, but the completion is not
+			// consumed yet, so the host-side mirror still says in flight.
+			f.provide(port, p)
+			if err := f.send(port, p, nil); err == nil {
+				t.Errorf("second %s while active should fail", f.name)
+			}
+			if ev := port.Receive(p); ev.Kind != f.done {
+				t.Errorf("%s: expected %v, got %v", f.name, f.done, ev.Kind)
+			}
+			// The buffer provided for the refused post is still there.
+			if err := f.send(port, p, nil); err != nil {
+				t.Errorf("%s after completion: %v", f.name, err)
+			}
+			port.Receive(p)
+			port.Close()
+			if err := f.provide(port, p); err == nil {
+				t.Errorf("provide %s buffer on closed port should fail", f.name)
+			}
+			if err := f.send(port, p, nil); err == nil {
+				t.Errorf("%s on closed port should fail", f.name)
+			}
+		}, nil)
+	}
 }
 
 func TestBarrierCompletionTag(t *testing.T) {
-	run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
-		port, _ := gm.Open(p, cl.MCP(0), 2)
-		port.ProvideBarrierBuffer(p)
-		port.BarrierSend(p, &mcp.BarrierToken{Alg: mcp.PE, Tag: "my-barrier"})
-		ev := port.Receive(p)
-		if ev.Kind != mcp.BarrierDoneEvent || ev.Tag != "my-barrier" {
-			t.Errorf("event = %+v", ev)
-		}
-	}, nil)
+	for _, f := range families {
+		run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
+			port, _ := gm.Open(p, cl.MCP(0), 2)
+			f.provide(port, p)
+			f.send(port, p, "my-"+f.name)
+			ev := port.Receive(p)
+			if ev.Kind != f.done || ev.Tag != "my-"+f.name {
+				t.Errorf("%s: event = %+v", f.name, ev)
+			}
+		}, nil)
+	}
 }
 
 func TestPortStats(t *testing.T) {

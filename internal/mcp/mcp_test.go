@@ -48,7 +48,7 @@ func newRig(t *testing.T, n int, mutate func(i int, cfg *Config)) *rig {
 // packet its predicate picks.
 type dropIf func(link network.LinkID, p *network.Packet) bool
 
-func (d dropIf) OnHop(link network.LinkID, p *network.Packet, _ sim.Time) network.Verdict {
+func (d dropIf) OnHop(link network.LinkID, p *network.Packet) network.Verdict {
 	return network.Verdict{Drop: d(link, p), Reason: "loss"}
 }
 

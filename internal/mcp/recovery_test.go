@@ -155,7 +155,7 @@ func TestCorruptFrameDroppedAndNacked(t *testing.T) {
 // faultHookFunc adapts a function to network.FaultHook.
 type faultHookFunc func(network.LinkID, *network.Packet) network.Verdict
 
-func (f faultHookFunc) OnHop(l network.LinkID, p *network.Packet, _ sim.Time) network.Verdict {
+func (f faultHookFunc) OnHop(l network.LinkID, p *network.Packet) network.Verdict {
 	return f(l, p)
 }
 

@@ -18,6 +18,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gmsim/internal/core"
 	"gmsim/internal/host"
@@ -36,8 +37,8 @@ type Config struct {
 	// UseNICBarrier backs Barrier with the NIC-based PE barrier instead
 	// of the host-based algorithm over tagged messages.
 	UseNICBarrier bool
-	// UseNICCollectives backs Bcast/Reduce/Allreduce with the NIC-level
-	// tree operations instead of host-level tagged messages.
+	// UseNICCollectives backs Bcast and Allreduce with the NIC-level tree
+	// operations instead of host-level tagged messages.
 	UseNICCollectives bool
 	// Dim is the tree dimension for GB-style operations.
 	Dim int
@@ -85,14 +86,9 @@ type World struct {
 	rank int
 	cfg  Config
 
-	// The host-level walks, fixed with the group at NewWorld: the PE
-	// schedule, and this rank's place in the dimension-Dim tree or, in
-	// treeErr, why the group has no such tree (a 2-rank world under the
-	// default Dim 2 still has its point-to-point operations and barrier).
-	sched    []int
-	parent   int
-	children []int
-	treeErr  error
+	// sched is the host-level barrier's PE schedule, fixed with the group at
+	// NewWorld.
+	sched []int
 
 	// pending holds received-but-unmatched messages in arrival order
 	// (MPI's unexpected message queue).
@@ -108,9 +104,7 @@ func NewWorld(comm *core.Comm, g core.Group, self int, cfg Config) (*World, erro
 	if cfg.Dim < 1 {
 		cfg.Dim = 2
 	}
-	w := &World{comm: comm, g: g, rank: self, cfg: cfg, sched: sched}
-	w.parent, w.children, w.treeErr = core.GBTree(self, len(g), cfg.Dim, nil)
-	return w, nil
+	return &World{comm: comm, g: g, rank: self, cfg: cfg, sched: sched}, nil
 }
 
 // Rank returns this process's rank.
@@ -164,7 +158,10 @@ const (
 
 // Barrier synchronizes the communicator (MPI_Barrier): NIC-based PE when
 // configured, otherwise the host-based PE algorithm over tagged messages
-// (every step paying the layer's per-message cost, as in MPICH).
+// (every step paying the layer's per-message cost, as in MPICH). The host
+// exchange is the layer's own rather than core's HostBarrierPE over tagged
+// messages: its messages are the bare 8-byte header, core's carry a 1-byte
+// body, and that byte would move the host-backed MPI_Barrier latencies.
 func (w *World) Barrier(p *host.Process) error {
 	if w.cfg.UseNICBarrier {
 		return w.comm.Barrier(p, mcp.PE, w.g, w.rank, 0)
@@ -182,64 +179,43 @@ func (w *World) Barrier(p *host.Process) error {
 
 // Bcast broadcasts root 0's data to all ranks (MPI_Bcast).
 func (w *World) Bcast(p *host.Process, data []byte) ([]byte, error) {
-	if w.cfg.UseNICCollectives {
-		return w.comm.NICBroadcast(p, w.g, w.rank, w.cfg.Dim, data)
-	}
-	if w.treeErr != nil {
-		return nil, w.treeErr
-	}
-	if w.parent >= 0 {
-		m, err := w.Recv(p, w.parent, tagBcast)
-		if err != nil {
-			return nil, err
-		}
-		data = m.Data
-	}
-	for _, ch := range w.children {
-		if err := w.Send(p, ch, tagBcast, data); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
+	return w.collective(p, mcp.Broadcast, 0, data)
 }
 
 // Allreduce combines every rank's int64 vector with op and returns the
 // result at every rank (MPI_Allreduce).
 func (w *World) Allreduce(p *host.Process, op mcp.ReduceOp, values []int64) ([]int64, error) {
-	payload := core.EncodeInt64s(values)
+	// A degraded completion (core.DegradedError) comes with its data.
+	out, err := w.collective(p, mcp.AllReduce, op, core.EncodeInt64s(values))
+	if out == nil {
+		return nil, err
+	}
+	return core.DecodeInt64s(out), err
+}
+
+// collective runs op over the dimension-Dim tree: at the NICs, or as core's
+// host tree walk over the layer's tagged messages, tagReduce up the tree and
+// tagBcast down, each paying the per-message cost.
+func (w *World) collective(p *host.Process, op mcp.CollOp, rop mcp.ReduceOp, value []byte) ([]byte, error) {
 	if w.cfg.UseNICCollectives {
-		// A degraded completion (core.DegradedError) comes with its data.
-		out, err := w.comm.NICAllReduce(p, w.g, w.rank, w.cfg.Dim, op, payload)
-		if out == nil {
-			return nil, err
-		}
-		return core.DecodeInt64s(out), err
+		return w.comm.Collective(p, true, op, rop, w.g, w.rank, w.cfg.Dim, value)
 	}
-	if w.treeErr != nil {
-		return nil, w.treeErr
-	}
-	acc := append([]byte(nil), payload...)
-	for _, ch := range w.children {
-		m, err := w.Recv(p, ch, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		op.Combine(acc, m.Data)
-	}
-	if w.parent >= 0 {
-		if err := w.Send(p, w.parent, tagReduce, acc); err != nil {
-			return nil, err
-		}
-		m, err := w.Recv(p, w.parent, tagBcast)
-		if err != nil {
-			return nil, err
-		}
-		acc = m.Data
-	}
-	for _, ch := range w.children {
-		if err := w.Send(p, ch, tagBcast, acc); err != nil {
-			return nil, err
-		}
-	}
-	return core.DecodeInt64s(acc), nil
+	up, down := tagged{w, tagReduce}, tagged{w, tagBcast}
+	return w.comm.HostCollective(p, up, down, op, rop, w.g, w.rank, w.cfg.Dim, value)
+}
+
+// tagged is the layer's Send and Recv under one internal tag, addressed by
+// endpoint: a direction of core's host tree walk (core.Link).
+type tagged struct {
+	w   *World
+	tag int
+}
+
+func (t tagged) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
+	return t.w.Send(p, slices.Index(t.w.g, dst), t.tag, data)
+}
+
+func (t tagged) RecvFrom(p *host.Process, src mcp.Endpoint) ([]byte, error) {
+	m, err := t.w.Recv(p, slices.Index(t.w.g, src), t.tag)
+	return m.Data, err
 }

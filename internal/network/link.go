@@ -113,7 +113,7 @@ func (c *channel) arrive(p *Packet, wire sim.Time) {
 	f := c.fab
 	if f.hook != nil {
 		s := f.sim
-		v := f.hook.OnHop(c.id, p, s.Now())
+		v := f.hook.OnHop(c.id, p)
 		if v.Duplicate {
 			// Deliver an independent copy right behind the original, so a
 			// consumed route or a recycled frame on one copy cannot corrupt

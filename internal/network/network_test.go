@@ -49,7 +49,7 @@ func (tn *testNet) send(src, dst NodeID, size int) *Packet {
 // predicate picks.
 type dropIf func(p *Packet) bool
 
-func (d dropIf) OnHop(_ LinkID, p *Packet, _ sim.Time) Verdict {
+func (d dropIf) OnHop(_ LinkID, p *Packet) Verdict {
 	return Verdict{Drop: d(p), Reason: "loss"}
 }
 

@@ -23,7 +23,7 @@ type passHook struct {
 	hops  map[int]int
 }
 
-func (h *passHook) OnHop(_ LinkID, p *Packet, _ sim.Time) Verdict {
+func (h *passHook) OnHop(_ LinkID, p *Packet) Verdict {
 	h.total++
 	h.hops[p.Payload.(int)]++
 	return Verdict{}

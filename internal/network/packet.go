@@ -49,11 +49,7 @@
 // replaces could change who wins a port at a tie.
 package network
 
-import (
-	"fmt"
-
-	"gmsim/internal/sim"
-)
+import "fmt"
 
 // NodeID identifies a NIC on the fabric. IDs are dense, starting at 0,
 // and double as GM node IDs.
@@ -181,8 +177,8 @@ type Verdict struct {
 }
 
 // FaultHook intercepts every packet head arriving at the end of a directed
-// channel. See internal/fault. now is the simulated time of the hop. Like an
-// Observer, a hook must not retain p past the call.
+// channel, at the instant of the hop. See internal/fault. Like an Observer, a
+// hook must not retain p past the call.
 type FaultHook interface {
-	OnHop(link LinkID, p *Packet, now sim.Time) Verdict
+	OnHop(link LinkID, p *Packet) Verdict
 }
