@@ -188,3 +188,87 @@ func TestCollectiveRepairsAroundDeadPeers(t *testing.T) {
 		}
 	}
 }
+
+// TestPERepairsAroundDeadPeers: the PE exchange's side of failure.go. Node 0
+// exchanges with peers 1…5 in order. Peer 1 is dead before the token is
+// processed and is skipped at start; peer 2 answers; peer 3 never does, so
+// the watchdog probes it, and only it, until its death is declared — one
+// repair, and the exchange moves on to peer 4. Peer 5 dies while the exchange
+// waits on peer 3, which repairs nothing; it is skipped once peer 4 answers.
+// The completion event names the dead.
+func TestPERepairsAroundDeadPeers(t *testing.T) {
+	r := newRig(t, 6, func(_ int, cfg *Config) {
+		cfg.ReliableBarrier, cfg.DetectFailures = true, true
+		cfg.Params.BarrierTimeout = 200 * sim.Microsecond
+	})
+	for node := 0; node <= 4; node++ {
+		r.open(t, node, 2)
+	}
+	ep := func(n int) Endpoint { return Endpoint{Node: network.NodeID(n), Port: 2} }
+	// probes[i] collects the destinations of probe frames seen in window i:
+	// waiting on peer 3 (before its death at 300 µs), then on peer 4.
+	var probes [2]map[network.NodeID]bool
+	r.fab.SetFaultHook(faultHookFunc(func(_ network.LinkID, pk *network.Packet) network.Verdict {
+		if f, ok := pk.Payload.(*Frame); ok && f.Kind == BarrierProbeFrame && f.SrcNode == 0 {
+			w := 0
+			if r.s.Now() >= 300*sim.Microsecond {
+				w = 1
+			}
+			if probes[w] == nil {
+				probes[w] = make(map[network.NodeID]bool)
+			}
+			probes[w][f.DstNode] = true
+		}
+		return network.Verdict{}
+	}))
+	m := r.mcps[0]
+	m.peerDied(1)
+	postPEBarrier(t, r, 0, 2, []Endpoint{ep(1), ep(2), ep(3), ep(4), ep(5)})
+	postPEBarrier(t, r, 2, 2, []Endpoint{ep(0)})
+	r.s.At(250*sim.Microsecond, func() {
+		m.peerDied(5)
+		if st := m.Stats(); st.BarrierRepairs != 0 || st.BarrierPeersSkipped != 1 {
+			t.Errorf("a death the exchange is not waiting on repaired it: %+v", st)
+		}
+	})
+	r.s.At(300*sim.Microsecond, func() {
+		if r.barrierDone(0, 2) != 0 {
+			t.Error("completed without peer 3")
+		}
+		m.peerDied(3)
+		if st := m.Stats(); st.BarrierRepairs != 1 || st.BarrierPeersSkipped != 2 {
+			t.Errorf("after peer 3 died: %+v", st)
+		}
+	})
+	r.s.At(500*sim.Microsecond, func() { postPEBarrier(t, r, 4, 2, []Endpoint{ep(0)}) })
+	r.s.Run()
+
+	st := m.Stats()
+	if st.BarrierRepairs != 1 || st.BarrierPeersSkipped != 3 || st.BarrierProbes != 2 || st.ProtocolErrors != 0 {
+		t.Fatalf("repair counters: %+v", st)
+	}
+	for w, want := range []network.NodeID{3, 4} {
+		if len(probes[w]) != 1 || !probes[w][want] {
+			t.Errorf("window %d: probes went to %v, want only peer %d", w, probes[w], want)
+		}
+	}
+	// Node 0 sent to peers 2, 3 and 4 only, and received from 2 and 4.
+	for node, want := range map[int]int64{2: 1, 3: 2, 4: 2} {
+		if got := r.mcps[node].Stats().BarrierRecvd; got != want {
+			t.Errorf("peer %d received %d barrier-class frames, want %d", node, got, want)
+		}
+	}
+	var evs []HostEvent
+	for _, ev := range r.events[key(0, 2)] {
+		if ev.Kind == BarrierDoneEvent {
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) != 1 || len(evs[0].DeadNodes) != 3 ||
+		evs[0].DeadNodes[0] != 1 || evs[0].DeadNodes[1] != 3 || evs[0].DeadNodes[2] != 5 {
+		t.Fatalf("completions %+v, want one naming [1 3 5]", evs)
+	}
+	if r.barrierDone(2, 2) != 1 || r.barrierDone(4, 2) != 1 || m.Port(2).BarrierActive() {
+		t.Fatal("peers 2 and 4 should have completed, and node 0's barrier be over")
+	}
+}
