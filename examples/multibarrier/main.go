@@ -5,8 +5,8 @@
 //
 // This example runs two independent process groups — one on port 2, one on
 // port 3 — across the same four NICs. Each group barriers at its own rhythm;
-// the per-port barrier send-token pointers keep the NIC-resident state
-// separate, and the unexpected-message record is indexed by source port.
+// each port's barrier slot keeps its NIC-resident state separate, and the
+// unexpected-message record is indexed by source port.
 package main
 
 import (

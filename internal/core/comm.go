@@ -44,8 +44,8 @@ type Comm struct {
 	// many operations over one fixed group — often a PE barrier alternating
 	// with a collective over the GB tree — and the schedule/tree computation
 	// plus its slices dominated the host-side allocation profile; the
-	// firmware treats the cached slices read-only (its mutable state lives
-	// in the token or in the port).
+	// firmware only reads tokens and their slices (its mutable state lives
+	// in the port's operation slots).
 	tokCache [2]tokenCache
 
 	// barTok is the one barrier send token this Comm posts, refilled per
@@ -108,9 +108,9 @@ func (c *Comm) neighbourhood(alg mcp.BarrierAlg, g Group, self, dim int, lm *Lea
 	return tc, nil
 }
 
-// barrierToken refills the Comm's token for the given barrier;
-// PostBarrierToken resets the firmware's per-barrier state in it. The caller
-// has checked that no barrier is in flight.
+// barrierToken refills the Comm's token for the given barrier. The firmware
+// only reads it, so the refill is all there is to a reuse. The caller has
+// checked that no barrier is in flight.
 func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
 	nb, err := c.neighbourhood(alg, g, self, dim, c.leafMap)
 	if err != nil {

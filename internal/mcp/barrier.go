@@ -19,11 +19,7 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 	if tok.Alg == GB {
 		cost = fam.costs(&m.cfg.Params).token
 	}
-	if err := m.post(tok.SrcPort, fam, cost, postedRec{bar: tok}); err != nil {
-		return err
-	}
-	tok.Index = 0
-	return nil
+	return m.post(tok.SrcPort, fam, cost, postedRec{bar: tok})
 }
 
 // PostBarrierBuffer provides one barrier completion buffer
@@ -31,82 +27,47 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 func (m *MCP) PostBarrierBuffer(n int) error { return m.postBuffer(n, &treeFamilies[barrierSlot]) }
 
 // ---------------------------------------------------------------------------
-// Pairwise exchange (PE).
+// Pairwise exchange (PE): the barrier slot's op when its token says PE. The
+// slot's children are the peers in exchange order and next is the paper's
+// "node index".
 // ---------------------------------------------------------------------------
 
-// peStart begins a PE barrier whose token the SDMA state machine has just
-// processed.
-func (m *MCP) peStart(p *Port, tok *BarrierToken) {
-	tok.Epoch = p.epoch
-	p.barrier = tok
-	if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
-		// Peers already known dead are removed from the schedule before
-		// the first packet goes out.
-		m.peSkipDead(tok)
+// peCurrent returns the peer a slot's PE exchange is waiting on, if the slot
+// is running one.
+func (s *treeSlot) peCurrent() (Endpoint, bool) {
+	if !s.live || !s.pe || int(s.next) >= len(s.children) {
+		return Endpoint{}, false
 	}
-	m.armWatchdog(p, &p.slots[barrierSlot])
-	if tok.Index >= len(tok.Peers) {
-		m.peFinish(p)
-		return
-	}
-	m.peSendCurrent(p, tok)
+	return s.children[s.next], true
 }
 
-// peFinish completes a PE barrier: the send token pointer is cleared and the
-// completion event goes to the host.
-func (m *MCP) peFinish(p *Port) {
-	tag := p.barrier.Tag
-	p.barrier = nil
-	m.finish(p, &treeFamilies[barrierSlot], tag, nil)
-}
-
-// peSendCurrent queues the barrier packet for the current peer and, after
-// it is prepared, checks the unexpected record — the paper's SDMA-side
+// peStep moves a PE exchange on from its current index: past peers known
+// dead, then either to completion or to the current peer's packet. Once that
+// packet is prepared the unexpected record is checked — the paper's SDMA-side
 // check ("after the SDMA state machine prepares the packet to be sent, it
 // checks to see if a barrier packet has been received from that same
 // destination").
-func (m *MCP) peSendCurrent(p *Port, tok *BarrierToken) {
-	peer := tok.Peers[tok.Index]
-	m.sendBarrierFrame(m.conn(peer.Node), p.num, p.epoch, peer.Port, BarrierPEFrame, nil, tok)
-}
-
-// peDrainRecorded consumes already-recorded messages from successive
-// expected peers, advancing the exchange without waiting.
-func (m *MCP) peDrainRecorded(p *Port, tok *BarrierToken) {
-	for p.barrier == tok && tok.Index < len(tok.Peers) {
-		peer := tok.Peers[tok.Index]
-		if !m.takeUnexpected(m.conn(peer.Node), peer.Port, BarrierPEFrame, p.num) {
-			return
-		}
-		m.peAdvance(p, tok)
-	}
-}
-
-// peMatch consumes a PE message if it is from the peer the port's exchange
-// is waiting on.
-func (m *MCP) peMatch(p *Port, src Endpoint) bool {
-	tok := p.barrier
-	if tok == nil || tok.Index >= len(tok.Peers) || tok.Peers[tok.Index] != src {
-		return false
-	}
-	m.peAdvance(p, tok)
-	if p.barrier == tok {
-		m.peDrainRecorded(p, tok)
-	}
-	return true
-}
-
-// peAdvance moves to the next peer after the current peer's message has
-// been consumed: send to the next destination (skipping peers known dead)
-// or finish.
-func (m *MCP) peAdvance(p *Port, tok *BarrierToken) {
-	tok.Index++
-	m.peSkipDead(tok)
-	if tok.Index >= len(tok.Peers) {
-		m.peFinish(p)
+func (m *MCP) peStep(p *Port, s *treeSlot) {
+	m.peSkipDead(s)
+	if int(s.next) >= len(s.children) {
+		m.finish(p, &treeFamilies[barrierSlot], nil)
 		return
 	}
-	m.peSendCurrent(p, tok)
+	peer := s.children[s.next]
+	m.sendBarrierFrame(m.conn(peer.Node), p.num, s.epoch, peer.Port, BarrierPEFrame, nil, true)
+}
+
+// peDrain consumes already-recorded messages from successive expected peers,
+// advancing the exchange without waiting.
+func (m *MCP) peDrain(p *Port, s *treeSlot) {
+	for {
+		peer, ok := s.peCurrent()
+		if !ok || !m.takeUnexpected(m.conn(peer.Node), peer.Port, BarrierPEFrame, p.num) {
+			return
+		}
+		s.next++
+		m.peStep(p, s)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -140,19 +101,13 @@ func (m *MCP) handleBarrier(f *Frame) {
 		m.stats.ProtocolErrors++
 		return
 	}
-	p := m.ports[f.DstPort]
+	p := &m.ports[f.DstPort]
 	if !p.open {
 		m.recordClosedPort(c, f)
 		return
 	}
 
-	var matched bool
-	if f.Kind == BarrierPEFrame {
-		matched = m.peMatch(p, Endpoint{Node: f.SrcNode, Port: f.SrcPort})
-	} else {
-		matched = m.treeMatch(p, fam, f)
-	}
-	if !matched {
+	if !m.treeMatch(p, fam, f) {
 		// Not (currently) expected: record it (Sections 3.1/4.3).
 		m.record(c, f)
 	}
@@ -258,20 +213,11 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 		m.stats.ProtocolErrors++
 		return
 	}
-	p := m.ports[f.DstPort]
+	p := &m.ports[f.DstPort]
 	if !p.open || p.epoch != f.SrcEpoch {
 		return // initiator closed (or reopened) since: drop
 	}
-	rejector := Endpoint{Node: f.SrcNode, Port: f.OrigDstPort}
-	if f.OrigKind != BarrierPEFrame {
-		m.treeReject(p, family(f.OrigKind), f, rejector)
-		return
-	}
-	if tok := p.barrier; tok != nil && tok.Epoch == f.SrcEpoch &&
-		tok.Index < len(tok.Peers) && tok.Peers[tok.Index] == rejector {
-		m.stats.BarrierResends++
-		m.sendBarrierFrame(m.conn(rejector.Node), p.num, p.epoch, rejector.Port, BarrierPEFrame, nil, nil)
-	}
+	m.treeReject(p, family(f.OrigKind), f, Endpoint{Node: f.SrcNode, Port: f.OrigDstPort})
 }
 
 // ---------------------------------------------------------------------------
@@ -282,10 +228,10 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 // srcPort in its given epoch to port dstPort of the peer the caller holds the
 // connection to: the one prepare-and-transmit stage of them all. data is a
 // collective frame's payload; preparing it costs cycles proportional to its
-// length. A non-nil drain is the sending port's PE token: once the packet
-// has been prepared its unexpected-message record is checked
-// (peDrainRecorded).
-func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind FrameKind, data []byte, drain *BarrierToken) {
+// length. With drain set — a PE exchange's next packet — the sending port's
+// unexpected-message record is checked once the packet has been prepared
+// (peDrain).
+func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind FrameKind, data []byte, drain bool) {
 	h, rec := m.pendBarSends.Get()
 	rec.c, rec.drain = c, drain
 	rec.f = Frame{
@@ -316,20 +262,21 @@ func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind 
 // barSendEvent fires when a barrier frame's preparation cost has been paid
 // on the firmware processor: release the leased record and send the frame.
 //
-// drain names a barrier instance by its token's address, and the host posts
-// one token again and again (core.Comm). That stays sound because the
-// firmware processor is FIFO (lanai.NIC.charge): a drain queued during
-// barrier k runs before the bar.token task of barrier k+1, which the host can
-// only post after k's completion — so it finds p.barrier nil, never the same
-// token in its next life.
+// A drain names no barrier instance: it checks whatever PE exchange the
+// sending port's barrier slot is running. That can only be the exchange that
+// queued it, because the firmware processor is FIFO (lanai.NIC.charge): a
+// drain queued during barrier k runs before the bar.token task of barrier
+// k+1, which the host can only post after k's completion — so it finds the
+// slot idle, never its next barrier.
 func (m *MCP) barSendEvent(h uint64) {
 	rec := m.pendBarSends.At(h)
 	f, c, drain := rec.f, rec.c, rec.drain
-	rec.f.Data, rec.drain = nil, nil
+	rec.f.Data = nil
 	m.pendBarSends.Put(h)
 	m.barSend(c, &f)
-	if drain != nil {
-		m.peDrainRecorded(m.ports[f.SrcPort], drain)
+	if drain {
+		p := &m.ports[f.SrcPort]
+		m.peDrain(p, &p.slots[barrierSlot])
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 // mid-barrier leaves every neighbor retransmitting into silence forever (or,
 // at retry exhaustion, silently dropping the traffic and hanging the
 // operation). This file turns retry-budget exhaustion into a failure
-// detector and repairs whatever is in flight — a PE barrier, or the tree
-// operation in either slot of a port, barrier or collective — around the
-// dead:
+// detector and repairs the operation in flight in either slot of a port — a
+// PE or GB barrier, or a collective — around the dead:
 //
 //   - detection: unacked traffic toward a peer exhausts MaxRetries →
 //     failConnection → peerDied. A watchdog per slot (FirmwareParams.
@@ -52,12 +51,10 @@ func (m *MCP) peerDied(peer network.NodeID) {
 		// fail it now (the recursive peerDied is cut by the map check).
 		m.failConnection(c)
 	}
-	for _, p := range m.ports {
+	for n := range m.ports {
+		p := &m.ports[n]
 		if !p.open {
 			continue
-		}
-		if p.barrier != nil {
-			m.peRepair(p, p.barrier)
 		}
 		for i := range p.slots {
 			if p.slots[i].live && m.treeMarkDead(&p.slots[i]) {
@@ -68,39 +65,29 @@ func (m *MCP) peerDied(peer network.NodeID) {
 	}
 }
 
-// peRepair routes an in-flight PE barrier around peers newly known dead.
-func (m *MCP) peRepair(p *Port, tok *BarrierToken) {
-	if tok.Index >= len(tok.Peers) || !m.deadPeers[tok.Peers[tok.Index].Node] {
-		return // not stuck on a dead peer; later deads are skipped at advance
-	}
-	m.stats.BarrierRepairs++
-	m.peSkipDead(tok)
-	if tok.Index >= len(tok.Peers) {
-		m.peFinish(p)
-		return
-	}
-	m.peSendCurrent(p, tok)
-	if p.barrier == tok {
-		m.peDrainRecorded(p, tok)
-	}
-}
-
-// peSkipDead advances the PE index past dead peers.
-func (m *MCP) peSkipDead(tok *BarrierToken) {
+// peSkipDead moves a PE exchange past the dead peers at its index, reporting
+// whether it moved. Later dead peers are skipped when the exchange reaches
+// them. Returns at once when nothing has died.
+func (m *MCP) peSkipDead(s *treeSlot) bool {
 	if len(m.deadPeers) == 0 {
-		return
+		return false
 	}
-	for tok.Index < len(tok.Peers) && m.deadPeers[tok.Peers[tok.Index].Node] {
-		tok.Index++
+	from := s.next
+	for int(s.next) < len(s.children) && m.deadPeers[s.children[s.next].Node] {
+		s.next++
 		m.stats.BarrierPeersSkipped++
 	}
+	return s.next != from
 }
 
-// treeMarkDead takes the dead out of a tree operation: a dead child counts as
+// treeMarkDead takes the dead out of an operation: a dead child counts as
 // gathered, with nothing absorbed, and a node whose parent died promotes
-// itself to subtree root (leader re-election by orphaning). Reports whether
-// anything changed.
+// itself to subtree root (leader re-election by orphaning); a PE exchange
+// waiting on a dead peer moves past it. Reports whether anything changed.
 func (m *MCP) treeMarkDead(s *treeSlot) bool {
+	if s.pe {
+		return m.peSkipDead(s)
+	}
 	changed := false
 	for i, ch := range s.children {
 		if !s.got[i] && m.deadPeers[ch.Node] {
@@ -149,16 +136,18 @@ func (m *MCP) cancelWatchdog(s *treeSlot) {
 }
 
 // watchdogFire runs when a slot's operation has been in flight for a full
-// BarrierTimeout: probe every peer it is still waiting on — the children not
-// yet gathered and, once through the up phase, the parent; for PE the
-// current peer — then re-arm for the next round.
+// BarrierTimeout: probe every peer it is still waiting on — for PE the
+// current peer; for a tree walk the children not yet gathered and, once
+// through the up phase, the parent — then re-arm for the next round.
 func (m *MCP) watchdogFire(p *Port, s *treeSlot) {
-	if m.nic.Dead() || !p.open {
+	if m.nic.Dead() || !p.open || !s.live {
 		return
 	}
-	tok := p.barrier
-	switch {
-	case s.live:
+	if s.pe {
+		if peer, ok := s.peCurrent(); ok {
+			m.probePeer(p, peer)
+		}
+	} else {
 		for i, ch := range s.children {
 			if !s.got[i] {
 				m.probePeer(p, ch)
@@ -167,10 +156,6 @@ func (m *MCP) watchdogFire(p *Port, s *treeSlot) {
 		if !s.root && s.upDone {
 			m.probePeer(p, s.parent)
 		}
-	case tok == nil:
-		return // nothing in flight any more
-	case tok.Index < len(tok.Peers):
-		m.probePeer(p, tok.Peers[tok.Index])
 	}
 	m.armWatchdog(p, s)
 }
@@ -188,7 +173,7 @@ func (m *MCP) probePeer(p *Port, ep Endpoint) {
 	}
 	c.probeOut = true
 	m.stats.BarrierProbes++
-	m.sendBarrierFrame(c, p.num, p.epoch, ep.Port, BarrierProbeFrame, nil, nil)
+	m.sendBarrierFrame(c, p.num, p.epoch, ep.Port, BarrierProbeFrame, nil, false)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 // describes it — four state machines (SDMA, SEND, RECV, RDMA), up to eight
 // ports per NIC, per-connection reliability with sequence numbers,
 // cumulative ACKs and go-back-N retransmission — plus the paper's additions:
-// a barrier send-token whose state lives on the NIC, a per-port barrier
-// send-token pointer, a per-connection unexpected-barrier-message record,
-// NIC-side execution of the pairwise-exchange (PE) and gather-and-broadcast
-// (GB) barrier algorithms, the record-then-reject protocol for barriers
+// a barrier send token whose operation state lives on the NIC, in a per-port
+// barrier slot (the paper's send-token pointer), a per-connection
+// unexpected-barrier-message record, NIC-side execution of the
+// pairwise-exchange (PE) and gather-and-broadcast (GB) barrier
+// algorithms, the record-then-reject protocol for barriers
 // addressed to closed ports, and an optional reliable-barrier mode
 // (the separate acknowledgment mechanism of Section 4.4).
 //

@@ -27,7 +27,8 @@ type MCP struct {
 	// run — never pays for seeding the 607-word generator.
 	rng *rand.Rand
 
-	ports []*Port
+	// ports is one block, never resized: a *Port into it stays valid.
+	ports []Port
 	conns map[network.NodeID]*Connection
 
 	// pendingClosed records barrier messages that arrived for closed
@@ -83,13 +84,13 @@ type MCP struct {
 }
 
 // barSendRec is one barrier-class frame waiting out its preparation cost on
-// the firmware processor, with the connection it goes out on. A non-nil drain is
-// the PE token whose unexpected-message record is checked once the frame is
-// prepared.
+// the firmware processor, with the connection it goes out on. drain is set on
+// a PE exchange's packet: the port's unexpected-message record is checked once
+// it is prepared.
 type barSendRec struct {
 	f     Frame
 	c     *Connection
-	drain *BarrierToken
+	drain bool
 }
 
 // hostEvtRec is one host event on its way to the host: first the firmware
@@ -122,9 +123,9 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		pendingClosed: make(map[int][]pendingClosed),
 		deadPeers:     make(map[network.NodeID]bool),
 	}
-	m.ports = make([]*Port, cfg.NumPorts)
+	m.ports = make([]Port, cfg.NumPorts)
 	for i := range m.ports {
-		m.ports[i] = &Port{num: i}
+		m.ports[i].num = i
 	}
 	m.handleFrameFn = m.handleFrameEvent
 	m.loopbackFn = m.loopbackEvent
@@ -157,7 +158,7 @@ func (m *MCP) NIC() *lanai.NIC { return m.nic }
 func (m *MCP) Stats() Stats { return m.stats }
 
 // Port returns the NIC-side port structure (read-only use by tests).
-func (m *MCP) Port(n int) *Port { return m.ports[n] }
+func (m *MCP) Port(n int) *Port { return &m.ports[n] }
 
 // conn returns (creating if needed) the connection to a peer NIC.
 func (m *MCP) conn(peer network.NodeID) *Connection {
@@ -190,7 +191,7 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 	if !m.validPort(n) {
 		return fmt.Errorf("mcp: no port %d", n)
 	}
-	p := m.ports[n]
+	p := &m.ports[n]
 	if p.open {
 		return fmt.Errorf("mcp: port %d already open", n)
 	}
@@ -198,7 +199,6 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 	p.epoch++
 	p.recvTokens = 0
 	p.sendsInFlight = 0
-	p.barrier = nil
 	p.slots = [2]treeSlot{}
 	p.deliver = deliver
 
@@ -242,12 +242,11 @@ func (m *MCP) ClosePort(n int) error {
 	if !m.validPort(n) {
 		return fmt.Errorf("mcp: no port %d", n)
 	}
-	p := m.ports[n]
+	p := &m.ports[n]
 	if !p.open {
 		return fmt.Errorf("mcp: port %d not open", n)
 	}
 	p.open = false
-	p.barrier = nil
 	for i := range p.slots {
 		m.cancelWatchdog(&p.slots[i])
 	}
@@ -273,8 +272,8 @@ func (m *MCP) PostSendToken(tok SendToken) error {
 	if !m.validPort(tok.SrcPort) || !m.ports[tok.SrcPort].open {
 		return fmt.Errorf("mcp: send from closed port %d", tok.SrcPort)
 	}
-	p := m.ports[tok.SrcPort]
-	if p.sendsInFlight >= m.cfg.MaxSendTokens {
+	p := &m.ports[tok.SrcPort]
+	if int(p.sendsInFlight) >= m.cfg.MaxSendTokens {
 		return fmt.Errorf("mcp: port %d out of send tokens", tok.SrcPort)
 	}
 	p.sendsInFlight++
@@ -528,7 +527,7 @@ func (m *MCP) handleData(f *Frame) {
 			m.stats.ProtocolErrors++
 			return
 		}
-		p := m.ports[f.DstPort]
+		p := &m.ports[f.DstPort]
 		if p.recvTokens == 0 {
 			// Receive-side flow control: no buffer, do not accept. Tell
 			// the sender the connection is alive but busy (no-buffer
@@ -622,7 +621,7 @@ func (m *MCP) ackUpTo(c *Connection, seq uint32) {
 // postSentEvent returns a send token to the host: acknowledged, or failed
 // because its connection was declared dead.
 func (m *MCP) postSentEvent(it *sentItem, failed bool) {
-	m.postHostEvent(m.ports[it.frame.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes,
+	m.postHostEvent(&m.ports[it.frame.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes,
 		HostEvent{Kind: SentEvent, Tag: it.tag, Failed: failed})
 }
 

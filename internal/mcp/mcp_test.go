@@ -646,6 +646,32 @@ func TestClosedPortRejectStaleEpochIgnored(t *testing.T) {
 	}
 }
 
+// TestTokenQueuedAcrossReopen: a barrier token still waiting for the SDMA
+// machine when its port is closed and reopened runs in the new generation but
+// owes it no completion. Either way the slot must end idle, or the reopened
+// port would report a barrier in flight (and, under a watchdog, probe for it
+// forever).
+func TestTokenQueuedAcrossReopen(t *testing.T) {
+	for _, alg := range []BarrierAlg{PE, GB} {
+		r := newRig(t, 1, nil)
+		r.open(t, 0, 2)
+		if err := r.mcps[0].PostBarrierBuffer(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mcps[0].PostBarrierToken(&BarrierToken{Alg: alg, SrcPort: 2, Root: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mcps[0].ClosePort(2); err != nil {
+			t.Fatal(err)
+		}
+		r.open(t, 0, 2)
+		r.s.Run()
+		if done, active := r.barrierDone(0, 2), r.mcps[0].Port(2).BarrierActive(); done != 0 || active {
+			t.Errorf("%v: %d completions, barrier active %v; want 0, false", alg, done, active)
+		}
+	}
+}
+
 func TestClearUnexpectedOnOpenVariant(t *testing.T) {
 	// The naive Section 3.2 alternative: the record is cleared when the
 	// port opens, so the early message is lost and the barrier cannot
@@ -781,11 +807,27 @@ func TestStatsAccessors(t *testing.T) {
 	}
 }
 
-// TestBarrierTokenSize pins the token's malloc size class: one token is
-// allocated per rank per barrier, and a field added in the wrong place moves
-// it from 144 bytes to the 160-byte class.
+// TestBarrierTokenSize pins the malloc size classes of what the firmware and
+// its host allocate per port or per operation, so a field added in the wrong
+// place cannot quietly move one up a class. core.Comm allocates one barrier
+// token per neighbourhood it computes and refills it for every barrier; the
+// token is read-only to the firmware (104 bytes, the 112-byte class). A slot's
+// operation state is allocated once per slot that runs one, PE included (the
+// 192-byte class: PE's flag and index sit in padding). A NIC's ports are one
+// block: eight 88-byte ports plus the 8-byte header the allocator adds to a
+// pointerful object over 512 bytes fill the 768-byte class; at 96 bytes a port
+// the block takes 896.
 func TestBarrierTokenSize(t *testing.T) {
-	if got := unsafe.Sizeof(BarrierToken{}); got > 144 {
-		t.Fatalf("BarrierToken is %d bytes, want <= 144", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"BarrierToken", unsafe.Sizeof(BarrierToken{}), 104},
+		{"treeState", unsafe.Sizeof(treeState{}), 192},
+		{"Port", unsafe.Sizeof(Port{}), 88},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, want <= %d", c.name, c.got, c.want)
+		}
 	}
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // Port is the NIC-side endpoint data structure: send/receive token state,
-// the host event delivery hook, and — the paper's addition — the pointer to
-// the in-flight barrier send token (Section 4.2).
+// the host event delivery hook, and — the paper's addition, its "pointer to
+// the barrier send token" (Section 4.2) — the barrier slot, which holds the
+// state of the port's barrier in flight, PE or GB, beside the collective slot.
 type Port struct {
 	num  int
 	open bool
@@ -16,20 +17,19 @@ type Port struct {
 	epoch int
 
 	// recvTokens counts host-provided receive buffers (GM receive tokens).
-	recvTokens int
+	// It and sendsInFlight are int32s so that a NIC's eight ports, one
+	// allocation, fit the 768-byte size class with its malloc header.
+	recvTokens int32
 	// sendsInFlight counts data sends posted but not yet completed,
 	// bounded by Config.MaxSendTokens.
-	sendsInFlight int
+	sendsInFlight int32
 
 	// slots are the port's two operation slots, barrierSlot and collSlot:
-	// completion buffers, the posted-token flag, and the state of a tree
+	// completion buffers, the posted-token flag, and the state of the
 	// operation in flight (see treeSlot). They are independent: a root's
 	// one-way Reduce can still be gathering when its port starts the next
 	// barrier.
 	slots [2]treeSlot
-	// barrier is the "send token pointer in the port data structure":
-	// non-nil while a PE barrier initiated by this port is in flight.
-	barrier *BarrierToken
 
 	// deliver hands a completed host event to the GM library layer. It is
 	// invoked after the RDMA transfer that writes the event record (and
@@ -47,14 +47,14 @@ func (p *Port) Open() bool { return p.open }
 func (p *Port) Epoch() int { return p.epoch }
 
 // RecvTokens returns the number of receive buffers currently available.
-func (p *Port) RecvTokens() int { return p.recvTokens }
+func (p *Port) RecvTokens() int { return int(p.recvTokens) }
 
 // BarrierBufs returns the number of barrier completion buffers available.
 func (p *Port) BarrierBufs() int { return int(p.slots[barrierSlot].bufs) }
 
 // BarrierActive reports whether a barrier initiated by this port is in
 // flight on the NIC.
-func (p *Port) BarrierActive() bool { return p.barrier != nil || p.slots[barrierSlot].live }
+func (p *Port) BarrierActive() bool { return p.slots[barrierSlot].live }
 
 // pendingClosed records one barrier message that arrived for a closed port
 // (Section 3.2: "record received barrier messages for a closed port, but

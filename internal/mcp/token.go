@@ -43,24 +43,19 @@ func (a BarrierAlg) String() string {
 }
 
 // BarrierToken is the paper's barrier send token: what the host computed for
-// one barrier operation of one port. A PE barrier's NIC-resident state — the
-// paper's "node index" — lives in it, and the port data structure holds a
-// pointer to it while the barrier is in flight (Section 4.2); a GB barrier is
-// read into the port's barrier slot and walked there (tree.go). Once the
-// completion event is out the firmware is done with it, and the host may
-// refill and post the same token again (core.Comm does).
+// one barrier operation of one port. The firmware only reads it: the token is
+// read into the port's barrier slot when the SDMA state machine processes it,
+// and the barrier's NIC-resident state — PE's "node index" (Section 4.2), GB's
+// gather state — lives there (tree.go). The host may refill and post the same
+// token again once the completion event is out (core.Comm does).
 type BarrierToken struct {
 	Alg     BarrierAlg
 	SrcPort int
-	// Epoch is the owning port's open-generation at initiation (PE).
-	Epoch int
 	// Tag is returned in the completion event.
 	Tag any
 
-	// PE state: the peer list computed by the host and the index of the
-	// next peer to exchange with ("node index", Section 4.2).
+	// PE: the peer list computed by the host, in exchange order.
 	Peers []Endpoint
-	Index int
 
 	// GB: the tree neighborhood computed by the host. Root is true when
 	// this node is the tree root (no parent).

@@ -92,19 +92,23 @@ func family(k FrameKind) *treeFamily {
 }
 
 // treeOp is a posted operation as the firmware reads it off the host's
-// token: the tree neighborhood and where the payload rules are.
+// token: the tree neighborhood and where the payload rules are — or, for a
+// PE barrier, the peers in exchange order.
 type treeOp struct {
-	tag      any
-	parent   Endpoint
+	tag    any
+	parent Endpoint
+	// children are the tree children, or PE's peers.
 	children []Endpoint
 	// coll is the collective token: the local contribution and how partials
 	// combine. Nil for a barrier, which carries nothing.
 	coll *CollToken
 	root bool
+	// pe: the op is a PE exchange (barrier.go), not a tree walk.
+	pe bool
 }
 
 // treeSlot is one of a port's two operation slots: what the host has
-// provided and posted, and the NIC-resident state of its tree operation.
+// provided and posted, and the NIC-resident state of its operation.
 // (Eight ports a NIC, two slots a port, and usually one in use: the layout
 // is kept to three words.)
 type treeSlot struct {
@@ -112,8 +116,7 @@ type treeSlot struct {
 	// armed while an operation is in flight under DetectFailures, it probes
 	// peers whose messages are overdue (FirmwareParams.BarrierTimeout).
 	watchdog int64
-	// The walk state, set aside the first time the slot runs a tree
-	// operation: a port running PE barriers never does.
+	// The operation state, set aside the first time the slot runs one.
 	*treeState
 	// bufs counts host-provided completion buffers
 	// (gm_provide_barrier_buffer and its collective twin).
@@ -122,22 +125,27 @@ type treeSlot struct {
 	// so a second post is rejected even before the SDMA machine has processed
 	// the first.
 	pending bool
-	// live: a tree operation's token has been processed and it has not
+	// live: an operation's token has been processed and it has not
 	// completed.
 	live bool
 }
 
-// treeState describes a slot's tree operation: the one in flight or, once it
-// has completed, the last (a one-way Reduce still answers a reject of its
-// partial).
+// treeState describes a slot's operation: the one in flight or, once it has
+// completed, the last (a one-way Reduce still answers a reject of its
+// partial). A PE exchange uses treeOp, next and epoch only, and leaves last
+// to the tree operation before it.
 type treeState struct {
 	treeOp
-	// up and down say which phases the operation has.
+	// up and down say which phases a tree operation has.
 	up, down bool
 	// upDone is true once this node is through its up phase — its own frame
 	// went to the parent, if the operation sends one — and it is waiting for
-	// (or, with no down phase, done without) the parent's release.
+	// (or, with no down phase, done without) the parent's release. Never
+	// set while a PE exchange runs.
 	upDone bool
+	// next is the index of the peer a PE exchange waits on: the paper's
+	// "node index".
+	next int32
 	// epoch is the port's open-generation when the operation started.
 	epoch int
 	// got[i] is true once child i's up frame is consumed (or will never
@@ -201,18 +209,20 @@ func (m *MCP) tokenEvent(h uint64) {
 	if tok := rec.coll; tok != nil {
 		m.treeStart(tok.SrcPort, &treeFamilies[collSlot],
 			treeOp{tag: tok.Tag, root: tok.Root, parent: tok.Parent, children: tok.Children, coll: tok})
-	} else if tok := rec.bar; tok.Alg == GB {
-		m.treeStart(tok.SrcPort, &treeFamilies[barrierSlot],
-			treeOp{tag: tok.Tag, root: tok.Root, parent: tok.Parent, children: tok.Children})
-	} else if p := m.ports[tok.SrcPort]; p.open {
-		m.peStart(p, tok)
+		return
 	}
+	tok := rec.bar
+	op := treeOp{tag: tok.Tag, root: tok.Root, parent: tok.Parent, children: tok.Children}
+	if tok.Alg == PE {
+		op = treeOp{tag: tok.Tag, children: tok.Peers, pe: true}
+	}
+	m.treeStart(tok.SrcPort, &treeFamilies[barrierSlot], op)
 }
 
-// treeStart begins a tree operation, a GB barrier or a collective, whose
+// treeStart begins an operation — a PE or GB barrier, or a collective — whose
 // token has just been processed.
 func (m *MCP) treeStart(port int, fam *treeFamily, op treeOp) {
-	p := m.ports[port]
+	p := &m.ports[port]
 	if !p.open {
 		return // port closed while the token sat in the queue
 	}
@@ -221,21 +231,27 @@ func (m *MCP) treeStart(port int, fam *treeFamily, op treeOp) {
 		s.treeState = new(treeState)
 	}
 	s.treeOp, s.epoch = op, p.epoch
-	s.live, s.upDone = true, false
-	s.up, s.down = s.coll.Phases()
-	// An op with no up phase has nothing to gather. The record keeps its
-	// backing array from one operation to the next.
-	s.got = append(s.got[:0], make([]bool, len(s.children))...)
-	for i := range s.got {
-		s.got[i] = !s.up
+	s.live, s.upDone, s.next = true, false, 0
+	if !s.pe {
+		s.up, s.down = s.coll.Phases()
+		// An op with no up phase has nothing to gather. The record keeps
+		// its backing array from one operation to the next.
+		s.got = append(s.got[:0], make([]bool, len(s.children))...)
+		for i := range s.got {
+			s.got[i] = !s.up
+		}
+		s.acc = s.coll.Seed()
 	}
-	s.acc = s.coll.Seed()
 	if m.cfg.DetectFailures && len(m.deadPeers) > 0 {
-		// Peers already known dead are out of the tree before the first
-		// packet goes out.
+		// Peers already known dead are out of the operation before the
+		// first packet goes out.
 		m.treeMarkDead(s)
 	}
 	m.armWatchdog(p, s)
+	if s.pe {
+		m.peStep(p, s)
+		return
+	}
 	// Consume the up frames recorded before the token arrived.
 	for i, c := range s.children {
 		if !s.got[i] {
@@ -260,8 +276,14 @@ func (m *MCP) absorb(s *treeSlot, data []byte) {
 // treeAdvance checks the up phase: once every child has been gathered the
 // root completes; any other node sends its own frame up and then waits for
 // the parent's release — or, when the operation has no down phase, is done.
+// A PE exchange takes its next step and consumes what is already recorded.
 func (m *MCP) treeAdvance(p *Port, fam *treeFamily) {
 	s := &p.slots[fam.slot]
+	if s.pe {
+		m.peStep(p, s)
+		m.peDrain(p, s)
+		return
+	}
 	if slices.Contains(s.got, false) {
 		return // still gathering
 	}
@@ -276,7 +298,7 @@ func (m *MCP) treeAdvance(p *Port, fam *treeFamily) {
 		if s.down {
 			m.treeRelease(p, fam, data)
 		} else {
-			m.finish(p, fam, s.tag, data)
+			m.finish(p, fam, data)
 		}
 		return
 	}
@@ -286,10 +308,10 @@ func (m *MCP) treeAdvance(p *Port, fam *treeFamily) {
 	s.upDone = true
 	c := m.conn(s.parent.Node)
 	if s.up {
-		m.sendBarrierFrame(c, p.num, s.epoch, s.parent.Port, fam.up, s.acc, nil)
+		m.sendBarrierFrame(c, p.num, s.epoch, s.parent.Port, fam.up, s.acc, false)
 	}
 	if !s.down {
-		m.finish(p, fam, s.tag, nil)
+		m.finish(p, fam, nil)
 		return
 	}
 	// Now wait for the parent's release. One already recorded (possible
@@ -308,20 +330,21 @@ func (m *MCP) treeAdvance(p *Port, fam *treeFamily) {
 // child..."), then the forwards go out one after another.
 func (m *MCP) treeRelease(p *Port, fam *treeFamily, data []byte) {
 	s := &p.slots[fam.slot]
-	m.finish(p, fam, s.tag, data)
+	m.finish(p, fam, data)
 	s.last.epoch, s.last.children = s.epoch, s.children
 	s.last.data = append([]byte(nil), data...)
 	for _, child := range s.children {
-		m.sendBarrierFrame(m.conn(child.Node), p.num, s.epoch, child.Port, fam.down, data, nil)
+		m.sendBarrierFrame(m.conn(child.Node), p.num, s.epoch, child.Port, fam.down, data, false)
 	}
 }
 
-// treeMatch consumes a received tree frame if the slot's operation is
-// waiting for it: a child's up frame not yet gathered, or the parent's
-// release once this node is through its up phase.
+// treeMatch consumes a received frame if the slot's operation is waiting for
+// it: a child's up frame not yet gathered, the parent's release once this node
+// is through its up phase, or the PE message of the peer the exchange is at.
+// A PE frame never matches a tree walk, nor a tree frame an exchange.
 func (m *MCP) treeMatch(p *Port, fam *treeFamily, f *Frame) bool {
 	s := &p.slots[fam.slot]
-	if !s.live {
+	if !s.live || s.pe != (f.Kind == BarrierPEFrame) {
 		return false
 	}
 	src := Endpoint{Node: f.SrcNode, Port: f.SrcPort}
@@ -330,6 +353,12 @@ func (m *MCP) treeMatch(p *Port, fam *treeFamily, f *Frame) bool {
 		data = f.Data // a barrier frame's Data is gossip, not payload
 	}
 	switch f.Kind {
+	case BarrierPEFrame:
+		if peer, ok := s.peCurrent(); ok && peer == src {
+			s.next++
+			m.treeAdvance(p, fam)
+			return true
+		}
 	case fam.up:
 		if i := slices.Index(s.children, src); i >= 0 && !s.got[i] {
 			// Absorb inline: the per-element cost was charged as part of
@@ -350,27 +379,34 @@ func (m *MCP) treeMatch(p *Port, fam *treeFamily, f *Frame) bool {
 	return false
 }
 
-// treeReject runs at the origin of a rejected tree frame (closed-port
-// protocol, Section 3.2): resend it if the operation it belongs to still
-// stands behind it. An up frame does while its operation is in flight — or
-// after, when the operation has no down phase: sending it was the node's
-// last act. A release is rebuilt from what the completed operation left
-// behind.
+// treeReject runs at the origin of a rejected barrier-class frame
+// (closed-port protocol, Section 3.2): resend it if the operation it belongs
+// to still stands behind it. A PE message does while its exchange still waits
+// on the rejector. An up frame does while its operation is in flight — or
+// after, when the operation has no down phase: sending it was the node's last
+// act (upDone is never set while a PE exchange runs, so this case does not
+// fire then). A release is rebuilt from what the completed operation left
+// behind, which a PE exchange in the same slot leaves alone.
 func (m *MCP) treeReject(p *Port, fam *treeFamily, f *Frame, rejector Endpoint) {
 	s := &p.slots[fam.slot]
 	if s.treeState == nil {
-		return // the slot never ran a tree operation
+		return // the slot never ran an operation
 	}
 	switch f.OrigKind {
+	case BarrierPEFrame:
+		if peer, ok := s.peCurrent(); ok && peer == rejector && s.epoch == f.SrcEpoch {
+			m.stats.BarrierResends++
+			m.sendBarrierFrame(m.conn(rejector.Node), p.num, s.epoch, rejector.Port, BarrierPEFrame, nil, false)
+		}
 	case fam.up:
 		if (s.live || !s.down) && s.up && s.upDone && s.epoch == f.SrcEpoch && !s.root && s.parent == rejector {
 			m.stats.BarrierResends++
-			m.sendBarrierFrame(m.conn(rejector.Node), p.num, s.epoch, rejector.Port, fam.up, s.acc, nil)
+			m.sendBarrierFrame(m.conn(rejector.Node), p.num, s.epoch, rejector.Port, fam.up, s.acc, false)
 		}
 	case fam.down:
 		if s.last.epoch == f.SrcEpoch && slices.Contains(s.last.children, rejector) {
 			m.stats.BarrierResends++
-			m.sendBarrierFrame(m.conn(rejector.Node), p.num, s.last.epoch, rejector.Port, fam.down, s.last.data, nil)
+			m.sendBarrierFrame(m.conn(rejector.Node), p.num, s.last.epoch, rejector.Port, fam.down, s.last.data, false)
 		}
 	}
 }
@@ -378,14 +414,16 @@ func (m *MCP) treeReject(p *Port, fam *treeFamily, f *Frame, rejector Endpoint) 
 // finish delivers the completion event to the host — GM_BARRIER_COMPLETED_
 // EVENT or its collective twin: the RDMA machine consumes one completion
 // buffer, DMAs the record (and the result), and the slot is free for the
-// next token (or for recording early messages for it). PE barriers finish
-// here too.
-func (m *MCP) finish(p *Port, fam *treeFamily, tag any, data []byte) {
+// next token (or for recording early messages for it).
+func (m *MCP) finish(p *Port, fam *treeFamily, data []byte) {
 	s := &p.slots[fam.slot]
+	s.live = false
 	if !s.pending {
-		return // completes once
+		// The port was closed and reopened while the token sat in the
+		// queue: this generation is owed no completion.
+		return
 	}
-	s.pending, s.live = false, false
+	s.pending = false
 	m.cancelWatchdog(s)
 	if s.bufs > 0 {
 		s.bufs--
@@ -398,5 +436,5 @@ func (m *MCP) finish(p *Port, fam *treeFamily, tag any, data []byte) {
 		dead = m.deadNodesSorted()
 	}
 	m.postHostEvent(p, m.cfg.Params.BarrierComplete, fam.doneLabel, eventRecordBytes+len(data),
-		HostEvent{Kind: fam.done, Tag: tag, Data: data, DeadNodes: dead})
+		HostEvent{Kind: fam.done, Tag: s.tag, Data: data, DeadNodes: dead})
 }
