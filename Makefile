@@ -108,7 +108,8 @@ perf-gate:
 	sh scripts/perf_gate.sh $(BASE)
 
 # CPU and allocation profile of the scale path: the benchmark's two 256-node
-# cells, twenty whole measurements each. Read them with
+# cells, twenty whole measurements each; each cell's line also prints B/op and
+# allocs/op per measurement. Read the profiles with
 #   go tool pprof -top gmsim.test cpu.prof
 #   go tool pprof -sample_index=alloc_space -top gmsim.test mem.prof
 profile:

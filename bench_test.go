@@ -381,7 +381,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // receive-token provisioning, pe_steady mostly steady-state barrier events
 // over five-switch routes. It is the entry point for profiling the scale
 // path — `make profile` — which BenchmarkSimulatorThroughput's 16 nodes on
-// one crossbar do not reach.
+// one crossbar do not reach. Each cell reports its bytes and heap objects per
+// measurement.
 func BenchmarkClos256(b *testing.B) {
 	for _, c := range []struct{ name, spec string }{
 		{"gb4_build", `{"topo":"clos3","radix":16,"nodes":256,"alg":"gb","dim":4,"topo_aware":true,"warmup":2,"iters":20}`},
@@ -400,6 +401,7 @@ func BenchmarkClos256(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var mean float64
 			for i := 0; i < b.N; i++ {
 				mean = experiments.MeasureBarrier(spec).MeanMicros

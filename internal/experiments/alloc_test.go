@@ -6,17 +6,41 @@ import (
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/mcp"
+	"gmsim/internal/topo"
 )
 
-// mallocsFor runs one measurement and returns how many heap objects it
-// allocated. The collector cannot un-count a malloc, so the figure is exact
-// whatever GC does meanwhile.
-func mallocsFor(spec Spec) uint64 {
+// mallocsFor runs one measurement and returns how many heap objects and bytes
+// it allocated. The collector cannot un-count a malloc, so the figures are
+// exact whatever GC does meanwhile.
+func mallocsFor(spec Spec) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	MeasureBarrier(spec)
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestConstructionCostPerRank bounds what one rank of the benchmark's
+// 256-node cell costs to set up: its NIC, host and process, its routes, and
+// the firmware state of every peer it talks to. The run is one timed barrier
+// (Warmup left 0: Run's five warm-up barriers), and steady-state barriers
+// allocate nothing (TestSteadyStateAllocsPerBarrier), so nearly all of it is
+// construction and the first barrier's connections: eight a rank, one per
+// exchange partner. It read 122.0 objects and 18.24 KB a rank while each
+// connection took the 1024-byte size class and a timer closure of its own; at
+// 384 bytes and no closure it reads 113.0 and 12.98. The limits are those
+// figures plus 3 %.
+func TestConstructionCostPerRank(t *testing.T) {
+	const n = 256
+	spec := Spec{Cluster: TopoConfig(topo.Clos3, n, 16), Level: NICLevel, Alg: mcp.PE, Iters: 1}
+	mallocsFor(spec) // first run pays lazy package-level initialization
+	objects, bytes := mallocsFor(spec)
+	perObj, perKB := float64(objects)/n, float64(bytes)/n/1024
+	t.Logf("%.1f objects and %.2f KB a rank", perObj, perKB)
+	const maxObj, maxKB = 113.0 * 1.03, 12.98 * 1.03
+	if perObj > maxObj || perKB > maxKB {
+		t.Errorf("%.1f objects and %.2f KB a rank, want <= %.1f and %.2f", perObj, perKB, maxObj, maxKB)
+	}
 }
 
 // TestSteadyStateAllocsPerBarrier guards the barrier hot path against
@@ -56,9 +80,9 @@ func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 		spec := Spec{Cluster: cluster.DefaultConfig(n), Level: tc.level, Alg: tc.alg, Dim: tc.dim, Warmup: 5}
 		spec.Iters = lo
 		mallocsFor(spec) // first run pays lazy package-level initialization
-		a := mallocsFor(spec)
+		a, _ := mallocsFor(spec)
 		spec.Iters = hi
-		b := mallocsFor(spec)
+		b, _ := mallocsFor(spec)
 		slope := (float64(b) - float64(a)) / float64((hi-lo)*n)
 		t.Logf("%s: %.2f allocations per rank-barrier (limit %.0f)", tc.name, slope, tc.max)
 		if slope > tc.max {

@@ -117,39 +117,46 @@ func (m *MCP) handleBarrier(f *Frame) {
 // frames use the paper's record, one bit per (connection, source port): at
 // most one unexpected message per remote endpoint can be outstanding, so an
 // occupied slot means a protocol violation or a duplicate. Collective frames
-// queue, with their payload, in a FIFO per (connection, source port): one-way
-// collectives complete at the producer without a handshake, so several can
-// be outstanding (Config.CollUnexpCap bounds how many).
+// queue, with their payload, in the connection's FIFO: one-way collectives
+// complete at the producer without a handshake, so several can be
+// outstanding (Config.CollUnexpCap bounds how many per source port).
 func (m *MCP) record(c *Connection, f *Frame) {
-	rec := unexpRec{present: true, kind: f.Kind, dstPort: f.DstPort, srcEpoch: f.SrcEpoch}
+	kind, dstPort := int8(f.Kind), int8(f.DstPort)
 	if family(f.Kind).payload {
-		q := c.collQ[f.SrcPort]
-		if cap := m.cfg.CollUnexpCap; cap > 0 && len(q) >= cap {
+		queued := 0
+		for _, rec := range c.collQ {
+			if int(rec.srcPort) == f.SrcPort {
+				queued++
+			}
+		}
+		if limit := m.cfg.CollUnexpCap; limit > 0 && queued >= limit {
 			m.stats.ProtocolErrors++
 			return
 		}
-		rec.data = append([]byte(nil), f.Data...)
-		c.collQ[f.SrcPort] = append(q, rec)
+		c.collQ = append(c.collQ, collRec{
+			data: append([]byte(nil), f.Data...), srcPort: int8(f.SrcPort), kind: kind, dstPort: dstPort,
+		})
 	} else {
 		slot := &c.unexp[f.SrcPort]
 		if slot.present {
 			m.stats.ProtocolErrors++
 		}
-		*slot = rec
+		*slot = unexpRec{kind: kind, dstPort: dstPort, present: true}
 	}
 	m.stats.BarrierUnexp++
 }
 
 // take consumes the recorded message of the given kind from port srcPort of
 // c's peer to dstPort, if there is one, and returns the payload it came with.
+// A collective message is the oldest match in the FIFO, so each source port's
+// messages are taken in the order they came.
 func (m *MCP) take(c *Connection, srcPort int, kind FrameKind, dstPort int) ([]byte, bool) {
 	if !family(kind).payload {
 		return nil, m.takeUnexpected(c, srcPort, kind, dstPort)
 	}
-	q := c.collQ[srcPort]
-	for i, rec := range q {
-		if rec.kind == kind && rec.dstPort == dstPort {
-			c.collQ[srcPort] = append(q[:i:i], q[i+1:]...)
+	for i, rec := range c.collQ {
+		if int(rec.srcPort) == srcPort && FrameKind(rec.kind) == kind && int(rec.dstPort) == dstPort {
+			c.collQ = slices.Delete(c.collQ, i, i+1)
 			return rec.data, true
 		}
 	}
@@ -166,7 +173,7 @@ func (m *MCP) takeUnexpected(c *Connection, srcPort int, kind FrameKind, dstPort
 	if !slot.present {
 		return false
 	}
-	if slot.kind != kind || slot.dstPort != dstPort {
+	if FrameKind(slot.kind) != kind || int(slot.dstPort) != dstPort {
 		m.stats.ProtocolErrors++
 		return false
 	}
@@ -192,6 +199,9 @@ func (m *MCP) recordClosedPort(c *Connection, f *Frame) {
 			recs[i] = pendingClosed{src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort, seq: f.Seq}
 			return
 		}
+	}
+	if m.pendingClosed == nil {
+		m.pendingClosed = make(map[int][]pendingClosed)
 	}
 	m.pendingClosed[f.DstPort] = append(recs, pendingClosed{
 		src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort, seq: f.Seq,

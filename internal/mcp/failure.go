@@ -41,6 +41,9 @@ func (m *MCP) peerDied(peer network.NodeID) {
 	if peer == m.cfg.Node || m.deadPeers[peer] {
 		return
 	}
+	if m.deadPeers == nil {
+		m.deadPeers = make(map[network.NodeID]bool)
+	}
 	m.deadPeers[peer] = true
 	m.stats.PeersDeclaredDead++
 	c := m.conn(peer)

@@ -3,6 +3,7 @@ package mcp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gmsim/internal/lanai"
@@ -32,12 +33,14 @@ type MCP struct {
 	conns map[network.NodeID]*Connection
 
 	// pendingClosed records barrier messages that arrived for closed
-	// local ports, keyed by the closed port number (Section 3.2).
+	// local ports, keyed by the closed port number (Section 3.2). Nil until
+	// the first one arrives.
 	pendingClosed map[int][]pendingClosed
 
 	// deadPeers is this NIC's view of fail-stopped peers (DetectFailures):
 	// peers whose retry budget exhausted here, plus peers learned from
-	// dead-sets carried on other survivors' barrier frames.
+	// dead-sets carried on other survivors' barrier frames. Nil until the
+	// first death.
 	deadPeers map[network.NodeID]bool
 
 	// frames is the bounded free list of wire frames (see leaseFrame).
@@ -76,6 +79,10 @@ type MCP struct {
 	// generation cost.
 	pendCtl   mem.Slab[ctlRec]
 	ctlSendFn func(uint64)
+
+	// timerFn is every connection's retransmission-timer callback; its
+	// argument is the peer's ID (see timerEvent).
+	timerFn func(uint64)
 
 	// acked is handleAck's scratch list of retired sends.
 	acked []sentItem
@@ -116,12 +123,10 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		panic(fmt.Sprintf("mcp: NumPorts %d out of range (GM allows 1..8)", cfg.NumPorts))
 	}
 	m := &MCP{
-		sim:           nic.Sim(),
-		nic:           nic,
-		cfg:           cfg,
-		conns:         make(map[network.NodeID]*Connection),
-		pendingClosed: make(map[int][]pendingClosed),
-		deadPeers:     make(map[network.NodeID]bool),
+		sim:   nic.Sim(),
+		nic:   nic,
+		cfg:   cfg,
+		conns: make(map[network.NodeID]*Connection),
 	}
 	m.ports = make([]Port, cfg.NumPorts)
 	for i := range m.ports {
@@ -137,6 +142,7 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 	m.sdmaDoneFn = m.sdmaDone
 	m.sdmaPrepFn = m.sdmaPrepared
 	m.ctlSendFn = m.ctlSendEvent
+	m.timerFn = m.timerEvent
 	return m
 }
 
@@ -165,10 +171,6 @@ func (m *MCP) conn(peer network.NodeID) *Connection {
 	c, ok := m.conns[peer]
 	if !ok {
 		c = &Connection{peer: peer}
-		c.timerFn = func() {
-			c.retransTimer = 0
-			m.timerFire(c)
-		}
 		m.conns[peer] = c
 	}
 	return c
@@ -204,13 +206,14 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: clear the record of messages destined for
-		// this endpoint.
+		// this endpoint, collective ones included.
 		for _, c := range m.conns {
 			for sp := range c.unexp {
-				if c.unexp[sp].present && c.unexp[sp].dstPort == n {
+				if c.unexp[sp].present && int(c.unexp[sp].dstPort) == n {
 					c.unexp[sp] = unexpRec{}
 				}
 			}
+			c.collQ = slices.DeleteFunc(c.collQ, func(r collRec) bool { return int(r.dstPort) == n })
 		}
 		delete(m.pendingClosed, n)
 		return nil
@@ -710,7 +713,15 @@ func (m *MCP) armRetransTimer(c *Connection) {
 		return
 	}
 	c.curRTO = m.retransInterval(c)
-	c.retransTimer = int64(m.sim.After(c.curRTO, c.timerFn))
+	c.retransTimer = int64(m.sim.AfterCall(c.curRTO, m.timerFn, uint64(c.peer)))
+}
+
+// timerEvent fires when the retransmission timer of the connection to peer
+// expires.
+func (m *MCP) timerEvent(peer uint64) {
+	c := m.conns[network.NodeID(peer)]
+	c.retransTimer = 0
+	m.timerFire(c)
 }
 
 func (m *MCP) rearmRetransTimer(c *Connection) {

@@ -676,16 +676,27 @@ func TestClearUnexpectedOnOpenVariant(t *testing.T) {
 	// The naive Section 3.2 alternative: the record is cleared when the
 	// port opens, so the early message is lost and the barrier cannot
 	// complete until the peer retries — with unreliable barriers it
-	// simply hangs, which is why the paper rejects this design.
+	// simply hangs, which is why the paper rejects this design. A reduce
+	// partial sent to the closed port is recorded with its payload and
+	// cleared the same way: the reopened endpoint's reduce must not complete
+	// with a partial sent to its previous life.
 	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ClearUnexpectedOnOpen = true })
 	r.open(t, 0, 2)
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 1, Port: 2}})
+	postColl(t, r, 0, &CollToken{Op: Reduce, Parent: Endpoint{Node: 1, Port: 2}, Value: []byte{7, 0, 0, 0, 0, 0, 0, 0}})
 	r.s.RunUntil(300 * sim.Microsecond)
+	if got := r.mcps[1].Stats().ClosedPortRecs; got != 2 {
+		t.Fatalf("%d messages recorded for the closed port, want 2", got)
+	}
 	r.open(t, 1, 2)
 	postPEBarrier(t, r, 1, 2, []Endpoint{{Node: 0, Port: 2}})
+	postColl(t, r, 1, &CollToken{Op: Reduce, Root: true, Children: []Endpoint{{Node: 0, Port: 2}}, Value: []byte{5, 0, 0, 0, 0, 0, 0, 0}})
 	r.s.Run()
 	if r.barrierDone(1, 2) != 0 {
 		t.Fatal("clear-on-open should lose the early message and hang the late barrier")
+	}
+	if done := r.collDone(1, 2); len(done) != 0 {
+		t.Fatalf("clear-on-open should lose the early partial and hang the late reduce; it completed with %v", done)
 	}
 }
 
@@ -816,7 +827,9 @@ func TestStatsAccessors(t *testing.T) {
 // 192-byte class: PE's flag and index sit in padding). A NIC's ports are one
 // block: eight 88-byte ports plus the 8-byte header the allocator adds to a
 // pointerful object over 512 bytes fill the 768-byte class; at 96 bytes a port
-// the block takes 896.
+// the block takes 896. A NIC holds one Connection per peer it has talked to,
+// so it is kept to the 384-byte class (360 bytes), and the unexpected-message
+// record's eight slots inside it to three bytes each.
 func TestBarrierTokenSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -825,6 +838,8 @@ func TestBarrierTokenSize(t *testing.T) {
 		{"BarrierToken", unsafe.Sizeof(BarrierToken{}), 104},
 		{"treeState", unsafe.Sizeof(treeState{}), 192},
 		{"Port", unsafe.Sizeof(Port{}), 88},
+		{"Connection", unsafe.Sizeof(Connection{}), 384},
+		{"unexpRec", unsafe.Sizeof(unexpRec{}), 4},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, want <= %d", c.name, c.got, c.want)

@@ -68,20 +68,31 @@ type pendingClosed struct {
 }
 
 // unexpRec is one slot of the unexpected-barrier-message record. The paper
-// stores a single bit per (connection, source port); we additionally retain
-// the message kind and destination port so consumption can be validated
-// (a mismatch is counted as a protocol error rather than silently absorbed).
+// stores a single bit per (connection, source port); the slot also keeps the
+// message kind and destination port, three bytes in all, so consumption can
+// be validated (a mismatch is counted as a protocol error rather than
+// silently absorbed).
 type unexpRec struct {
-	present  bool
-	kind     FrameKind
-	dstPort  int
-	srcEpoch int
-	// data holds the payload of an unexpected collective message.
-	data []byte
+	kind    int8 // a FrameKind
+	dstPort int8
+	present bool
+}
+
+// collRec is one early collective message in a connection's FIFO: where it
+// came from and went, and the payload it carried.
+type collRec struct {
+	data    []byte
+	srcPort int8
+	kind    int8 // a FrameKind
+	dstPort int8
 }
 
 // Connection is the per-remote-NIC structure: reliable channel state plus
-// the paper's unexpected-barrier-message record.
+// the paper's unexpected-barrier-message record. One exists per peer a NIC
+// has talked to, so it is kept to the 384-byte size class: the record is
+// three bytes a source port, early collective messages share one FIFO, and
+// the retransmission timer finds the connection by peer ID (timerEvent)
+// rather than through a closure of its own.
 type Connection struct {
 	peer network.NodeID
 
@@ -110,12 +121,12 @@ type Connection struct {
 	// port on the peer NIC ("one byte per connection", Section 3.1).
 	unexp [8]unexpRec
 
-	// collQ queues unexpected collective messages per source port (see
-	// MCP.record for why they need more than the single-bit record).
-	collQ [8][]unexpRec
+	// collQ queues unexpected collective messages from every source port of
+	// the peer, in arrival order (see MCP.record for why they need more than
+	// the single-bit record).
+	collQ []collRec
 
-	retransTimer int64  // sim.EventID as int64; 0 = none
-	timerFn      func() // the timer's expiry callback, built once per connection
+	retransTimer int64 // sim.EventID as int64; 0 = none
 	// retryRounds counts consecutive timer firings without ack progress.
 	retryRounds int
 
