@@ -39,11 +39,10 @@ type Config struct {
 	// crossbar sized to the node count. Spec.Nodes and Spec.Radix may be
 	// left zero to mean Nodes and Switch.Ports.
 	Topology *topo.Spec
-	// ReliableBarrier, ClearUnexpectedOnOpen, LoopbackFlag select the
-	// firmware variants (see mcp.Config).
-	ReliableBarrier       bool
-	ClearUnexpectedOnOpen bool
-	LoopbackFlag          bool
+	// ReliableBarrier and LoopbackFlag select the firmware variants (see
+	// mcp.Config).
+	ReliableBarrier bool
+	LoopbackFlag    bool
 	// DetectFailures enables the firmware's crash-fault detector: retry
 	// exhaustion and barrier-watchdog probes declare unresponsive peers
 	// dead, and in-flight barriers repair around them (see mcp.Config.
@@ -175,7 +174,6 @@ func Build(cfg Config) (*Cluster, error) {
 		mcfg := mcp.DefaultConfig(node)
 		mcfg.Params = cfg.Firmware
 		mcfg.ReliableBarrier = cfg.ReliableBarrier
-		mcfg.ClearUnexpectedOnOpen = cfg.ClearUnexpectedOnOpen
 		mcfg.LoopbackFlag = cfg.LoopbackFlag
 		mcfg.DetectFailures = cfg.DetectFailures
 		m := mcp.New(nic, mcfg)

@@ -20,7 +20,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"gmsim/internal/lanai"
 	"gmsim/internal/network"
@@ -387,9 +386,6 @@ type Injector struct {
 	streams map[network.LinkID]*rand.Rand
 	down    []int32
 
-	// deadNode[n] is set once node n has fail-stopped.
-	deadNode []bool
-
 	// crashHook, when set (cluster.OnNodeCrash), runs at the instant of
 	// each node crash, so the cluster can kill the node's host processes.
 	crashHook func(network.NodeID)
@@ -420,11 +416,10 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		return nil, err
 	}
 	inj := &Injector{
-		fab:      fab,
-		rules:    make(map[network.LinkID]*linkRules),
-		streams:  make(map[network.LinkID]*rand.Rand),
-		down:     make([]int32, fab.NumLinks()),
-		deadNode: make([]bool, fab.NumNICs()),
+		fab:     fab,
+		rules:   make(map[network.LinkID]*linkRules),
+		streams: make(map[network.LinkID]*rand.Rand),
+		down:    make([]int32, fab.NumLinks()),
 	}
 	if p == nil {
 		p = &Plan{}
@@ -527,7 +522,6 @@ func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.
 		nic.Sim().At(cr.At, func() {
 			nic.Kill()
 			inj.takeDown(links)
-			inj.deadNode[cr.Node] = true
 			if inj.crashHook != nil {
 				inj.crashHook(cr.Node)
 			}
@@ -595,23 +589,6 @@ func (inj *Injector) takeDown(links []network.LinkID) {
 // after the NIC halts and the links go down. The cluster layer uses it to
 // kill the node's host processes.
 func (inj *Injector) OnNodeCrash(fn func(network.NodeID)) { inj.crashHook = fn }
-
-// NodeDead reports whether node n has fail-stopped.
-func (inj *Injector) NodeDead(n network.NodeID) bool {
-	return int(n) < len(inj.deadNode) && inj.deadNode[n]
-}
-
-// DeadNodes returns the nodes that have fail-stopped so far, ascending.
-func (inj *Injector) DeadNodes() []network.NodeID {
-	var out []network.NodeID
-	for n := range inj.deadNode {
-		if inj.deadNode[n] {
-			out = append(out, network.NodeID(n))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // resolve maps a selector to concrete link IDs.
 func (inj *Injector) resolve(s Selector) ([]network.LinkID, error) {

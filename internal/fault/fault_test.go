@@ -207,7 +207,7 @@ func TestStallFreezesNIC(t *testing.T) {
 
 	var ran sim.Time
 	s.At(sim.FromMicros(10), func() {
-		nic.Exec(33, func() { ran = s.Now() }) // 33 cycles = 1 µs on a 4.3
+		nic.ExecTagged(33, "fw", func() { ran = s.Now() }) // 33 cycles = 1 µs on a 4.3
 	})
 	s.Run()
 	if ran < sim.FromMicros(105) {
@@ -238,11 +238,11 @@ func TestSlowdownWindow(t *testing.T) {
 	var inWin, afterWin sim.Time
 	s.At(sim.FromMicros(12), func() {
 		start := s.Now()
-		nic.Exec(33, func() { inWin = s.Now() - start })
+		nic.ExecTagged(33, "fw", func() { inWin = s.Now() - start })
 	})
 	s.At(sim.FromMicros(50), func() {
 		start := s.Now()
-		nic.Exec(33, func() { afterWin = s.Now() - start })
+		nic.ExecTagged(33, "fw", func() { afterWin = s.Now() - start })
 	})
 	s.Run()
 	if inWin < 3*afterWin {

@@ -81,9 +81,6 @@ type Port struct {
 	// One ProvideReceiveBuffers batch still ringing its doorbells: how many
 	// are left.
 	batchLeft int
-
-	// Counters.
-	sent, received int64
 }
 
 // The port's two operation slots, as in the firmware (mcp/tree.go): a
@@ -123,12 +120,11 @@ var families = [2]family{
 
 // slot is the host-side mirror of one of the NIC's operation slots of the
 // port. bufs is an int32, as in the firmware's slot: packed with active it
-// keeps the Port inside a 288-byte allocation.
+// keeps the Port inside a 256-byte allocation.
 type slot struct {
 	fam    *family
 	bufs   int32 // completion buffers provided and not yet claimed by a post
 	active bool  // a token is posted and its completion event not yet received
-	posts  int64 // tokens posted (Stats reports the barrier slot's)
 	// posted is the token crossing the PCI bus (one at a time: active).
 	posted                   any
 	bufDoorbell, tokDoorbell func()
@@ -201,11 +197,6 @@ func (pt *Port) IsOpen() bool { return pt.open }
 // PendingEvents returns the number of host events queued but not received.
 func (pt *Port) PendingEvents() int { return len(pt.events) - pt.evHead }
 
-// Stats returns (sends posted, events received, barriers posted).
-func (pt *Port) Stats() (int64, int64, int64) {
-	return pt.sent, pt.received, pt.slots[barrierSlot].posts
-}
-
 // ErrNoSendTokens is wrapped by Send when every send token of the port is in
 // flight. It is the one Send failure a caller recovers from: receiving a
 // SentEvent returns a token.
@@ -222,7 +213,6 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) er
 		return fmt.Errorf("gm: port %d: %w (%d in flight)", pt.num, ErrNoSendTokens, pt.sendsInFlight)
 	}
 	pt.sendsInFlight++
-	pt.sent++
 	p.ComputePhase(p.Params().EffectiveSendCost(), phase.HostSend, "gm_send")
 	pt.sendsPosted = append(pt.sendsPosted, mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag})
 	p.Proc().After(p.Params().DoorbellLatency, pt.sendDoorbell)
@@ -378,7 +368,6 @@ func (pt *Port) post(p *host.Process, s *slot, tok any, srcPort *int, invalid er
 	*srcPort = pt.num
 	s.active = true
 	s.bufs--
-	s.posts++
 	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, s.fam.postLabel)
 	s.posted = tok
 	p.Proc().After(p.Params().DoorbellLatency, s.tokDoorbell)
@@ -435,7 +424,6 @@ func (pt *Port) consume(p *host.Process) mcp.HostEvent {
 		pt.events = pt.events[:0]
 		pt.evHead = 0
 	}
-	pt.received++
 	switch ev.Kind {
 	case mcp.RecvEvent:
 		pt.recvBufs--

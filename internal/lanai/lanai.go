@@ -80,7 +80,7 @@ func (m Model) String() string { return fmt.Sprintf("%s (%.0f MHz)", m.Name, m.C
 
 // NIC is one card: a serializing firmware CPU plus two DMA engines.
 // The firmware itself lives in package mcp; it drives the NIC through
-// Exec, StartSDMA and StartRDMA.
+// ExecTagged, ExecTaggedCall and the StartCall of its two DMA engines.
 type NIC struct {
 	sim   *sim.Simulator
 	model Model
@@ -102,7 +102,7 @@ type NIC struct {
 	dead bool
 
 	// rec, when attached, receives one NICProc span per firmware task.
-	// A nil recorder costs one check per Exec (the zero-cost contract).
+	// A nil recorder costs one check per task (the zero-cost contract).
 	rec  *phase.Recorder
 	node int32
 
@@ -137,21 +137,18 @@ func (n *NIC) SetPhaseRecorder(r *phase.Recorder, node int32) {
 	n.rdma.rec, n.rdma.node, n.rdma.track = r, node, phase.TrackRDMA
 }
 
-// Exec schedules fn to run after the firmware processor has spent the given
-// number of cycles on it. The processor is a serial resource: if it is
+// ExecTagged schedules fn to run after the firmware processor has spent the
+// given number of cycles on it. The processor is a serial resource: if it is
 // already committed to earlier tasks, this task queues behind them (FIFO).
 // fn runs at the task's completion instant. This serialization is what
 // makes a slow NIC processor visible in barrier latency (the paper's
 // LANai 4.3 vs 7.2 comparison, and the 2-node GB anomaly).
-func (n *NIC) Exec(cycles int64, fn func()) {
-	n.ExecTagged(cycles, "fw", fn)
-}
-
-// ExecTagged is Exec with a span label: the firmware names the state-machine
-// step ("bar.token", "recv.pe", ...) so traces read like the paper's Figure
-// 2. Labels must be static strings; recording allocates nothing beyond the
-// span itself. The span covers the task's queued execution window
-// [start, start+dur], recorded at schedule time.
+//
+// The label names the state-machine step ("bar.token", "recv.pe", ...) so
+// traces read like the paper's Figure 2. Labels must be static strings;
+// recording allocates nothing beyond the span itself. The span covers the
+// task's queued execution window [start, start+dur], recorded at schedule
+// time.
 func (n *NIC) ExecTagged(cycles int64, label string, fn func()) {
 	if n.dead {
 		return
@@ -217,9 +214,9 @@ func (n *NIC) Stall(d sim.Time) {
 	}
 }
 
-// SetSlowdown sets the firmware duration multiplier for subsequent Exec
-// calls. factor <= 0 (or 1) restores nominal speed. Models thermal
-// throttling or a degraded card — the fault layer's "NIC slowdown" fault.
+// SetSlowdown sets the firmware duration multiplier for subsequent tasks.
+// factor <= 0 (or 1) restores nominal speed. Models thermal throttling or a
+// degraded card — the fault layer's "NIC slowdown" fault.
 func (n *NIC) SetSlowdown(factor float64) {
 	if factor <= 0 {
 		factor = 1
@@ -277,17 +274,10 @@ type DMAEngine struct {
 	dead bool
 }
 
-// Start schedules a transfer of n bytes; fn runs when the transfer
-// completes. Transfers on the same engine serialize FIFO.
-func (d *DMAEngine) Start(n int, fn func()) {
-	if d.dead {
-		return
-	}
-	d.sim.At(d.book(n), fn)
-}
-
-// StartCall is Start for a prebuilt single-argument callback (see
-// NIC.ExecTaggedCall): fn and arg pass straight through to sim.AtCall.
+// StartCall schedules a transfer of n bytes; fn(arg) runs when the transfer
+// completes. Transfers on the same engine serialize FIFO. fn is a prebuilt
+// callback (see NIC.ExecTaggedCall) and passes straight through to
+// sim.AtCall.
 func (d *DMAEngine) StartCall(n int, fn func(uint64), arg uint64) {
 	if d.dead {
 		return

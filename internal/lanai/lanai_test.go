@@ -38,7 +38,7 @@ func TestExecRunsAfterCycles(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var at sim.Time
-	n.Exec(33, func() { at = s.Now() })
+	n.ExecTagged(33, "fw", func() { at = s.Now() })
 	s.Run()
 	if at != sim.Microsecond {
 		t.Fatalf("task ran at %v, want 1us", at)
@@ -49,9 +49,9 @@ func TestExecSerializes(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var times []sim.Time
-	n.Exec(33, func() { times = append(times, s.Now()) })
-	n.Exec(33, func() { times = append(times, s.Now()) })
-	n.Exec(33, func() { times = append(times, s.Now()) })
+	n.ExecTagged(33, "fw", func() { times = append(times, s.Now()) })
+	n.ExecTagged(33, "fw", func() { times = append(times, s.Now()) })
+	n.ExecTagged(33, "fw", func() { times = append(times, s.Now()) })
 	s.Run()
 	want := []sim.Time{1000, 2000, 3000}
 	for i, w := range want {
@@ -71,8 +71,8 @@ func TestExecFromWithinTaskQueuesAfter(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var second sim.Time
-	n.Exec(33, func() {
-		n.Exec(66, func() { second = s.Now() })
+	n.ExecTagged(33, "fw", func() {
+		n.ExecTagged(66, "fw", func() { second = s.Now() })
 	})
 	s.Run()
 	if second != 3000 {
@@ -83,11 +83,11 @@ func TestExecFromWithinTaskQueuesAfter(t *testing.T) {
 func TestCPUIdleGapNotCharged(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
-	n.Exec(33, func() {})
+	n.ExecTagged(33, "fw", func() {})
 	s.Run() // cpu idle at 1000
 	s.RunUntil(5000)
 	var at sim.Time
-	n.Exec(33, func() { at = s.Now() })
+	n.ExecTagged(33, "fw", func() { at = s.Now() })
 	s.Run()
 	if at != 6000 {
 		t.Fatalf("post-idle task at %v, want 6000", at)
@@ -112,7 +112,7 @@ func TestDMACompletion(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var at sim.Time
-	n.SDMA().Start(132, func() { at = s.Now() })
+	n.SDMA().StartCall(132, func(uint64) { at = s.Now() }, 0)
 	s.Run()
 	want := LANai43().SDMA.transferTime(132)
 	if at != want {
@@ -127,8 +127,8 @@ func TestDMAEnginesIndependent(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var sdmaAt, rdmaAt sim.Time
-	n.SDMA().Start(1320, func() { sdmaAt = s.Now() })
-	n.RDMA().Start(1320, func() { rdmaAt = s.Now() })
+	n.SDMA().StartCall(1320, func(uint64) { sdmaAt = s.Now() }, 0)
+	n.RDMA().StartCall(1320, func(uint64) { rdmaAt = s.Now() }, 0)
 	s.Run()
 	if sdmaAt != rdmaAt {
 		t.Fatalf("engines should run concurrently: %v vs %v", sdmaAt, rdmaAt)
@@ -139,8 +139,8 @@ func TestDMASerializesPerEngine(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var times []sim.Time
-	n.SDMA().Start(1320, func() { times = append(times, s.Now()) })
-	n.SDMA().Start(1320, func() { times = append(times, s.Now()) })
+	n.SDMA().StartCall(1320, func(uint64) { times = append(times, s.Now()) }, 0)
+	n.SDMA().StartCall(1320, func(uint64) { times = append(times, s.Now()) }, 0)
 	s.Run()
 	per := LANai43().SDMA.transferTime(1320)
 	if times[0] != per || times[1] != 2*per {
@@ -156,8 +156,8 @@ func TestCPUAndDMAOverlap(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var cpuAt, dmaAt sim.Time
-	n.Exec(330, func() { cpuAt = s.Now() }) // 10 µs
-	n.SDMA().Start(132, func() { dmaAt = s.Now() })
+	n.ExecTagged(330, "fw", func() { cpuAt = s.Now() }) // 10 µs
+	n.SDMA().StartCall(132, func(uint64) { dmaAt = s.Now() }, 0)
 	s.Run()
 	if dmaAt >= cpuAt {
 		t.Fatalf("DMA (%v) should finish before slow CPU task (%v)", dmaAt, cpuAt)
@@ -178,7 +178,7 @@ func TestPropertyCPUSerialization(t *testing.T) {
 		for i := 0; i < k; i++ {
 			c := int64(1 + rng.Intn(500))
 			expectedBusy += LANai72().Cycles(c)
-			n.Exec(c, func() {
+			n.ExecTagged(c, "fw", func() {
 				doneCount++
 				if s.Now() < lastEnd {
 					doneCount = -1000000 // ordering violated

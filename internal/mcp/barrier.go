@@ -343,7 +343,6 @@ func (m *MCP) retransmitBarrier(c *Connection) {
 	pr := m.cfg.Params
 	for _, f := range c.barrierSent {
 		m.stats.BarrierResends++
-		c.retransmit++
 		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })
 	}
 }

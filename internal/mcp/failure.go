@@ -47,7 +47,6 @@ func (m *MCP) peerDied(peer network.NodeID) {
 	m.deadPeers[peer] = true
 	m.stats.PeersDeclaredDead++
 	c := m.conn(peer)
-	c.dead = true
 	c.probeOut = false
 	if len(c.sentList) > 0 || len(c.barrierSent) > 0 {
 		// Anything still in flight toward the corpse will never be acked:

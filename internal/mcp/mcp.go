@@ -652,7 +652,6 @@ func (m *MCP) retransmitData(c *Connection) {
 	for _, it := range c.sentList {
 		it := it
 		m.stats.Retransmissions++
-		c.retransmit++
 		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &it.frame) })
 	}
 	m.rearmRetransTimer(c)
@@ -712,8 +711,8 @@ func (m *MCP) armRetransTimer(c *Connection) {
 	if len(c.sentList) == 0 && len(c.barrierSent) == 0 {
 		return
 	}
-	c.curRTO = m.retransInterval(c)
-	c.retransTimer = int64(m.sim.AfterCall(c.curRTO, m.timerFn, uint64(c.peer)))
+	d := m.retransInterval(c)
+	c.retransTimer = int64(m.sim.AfterCall(d, m.timerFn, uint64(c.peer)))
 }
 
 // timerEvent fires when the retransmission timer of the connection to peer
@@ -741,10 +740,9 @@ func (m *MCP) ackProgress(c *Connection) {
 }
 
 // timerFire runs when the retransmission timer expires with traffic still
-// outstanding: note the fired interval, grow the next one, count the round
-// against the retry budget, and rewind. The budget is charged here, once
-// per fire, so a fire that rewinds both data and barrier traffic still
-// counts as a single round.
+// outstanding: grow the next interval, count the round against the retry
+// budget, and rewind. The budget is charged here, once per fire, so a fire
+// that rewinds both data and barrier traffic still counts as a single round.
 func (m *MCP) timerFire(c *Connection) {
 	if m.nic.Dead() {
 		return
@@ -753,13 +751,9 @@ func (m *MCP) timerFire(c *Connection) {
 		return
 	}
 	m.stats.TimerFires++
-	if len(c.rtoHist) < rtoHistCap {
-		c.rtoHist = append(c.rtoHist, c.curRTO)
-	}
 	if m.cfg.Params.RetransBackoffMax > m.cfg.Params.RetransTimeout &&
 		m.cfg.Params.RetransTimeout<<c.backoff < m.cfg.Params.RetransBackoffMax {
 		c.backoff++
-		c.backoffs++
 		m.stats.Backoffs++
 	}
 	if m.giveUpIfExhausted(c) {
@@ -774,49 +768,15 @@ func (m *MCP) timerFire(c *Connection) {
 	m.armRetransTimer(c)
 }
 
-// Recovery returns the recovery picture for one peer connection.
-func (m *MCP) Recovery(peer network.NodeID) RecoveryStats {
-	c, ok := m.conns[peer]
-	if !ok {
-		return RecoveryStats{Peer: peer}
-	}
-	return RecoveryStats{
-		Peer:            peer,
-		Retransmissions: c.retransmit,
-		Backoffs:        c.backoffs,
-		RetryRounds:     c.retryRounds,
-		RTO:             c.curRTO,
-		RTOHistory:      append([]sim.Time(nil), c.rtoHist...),
-		Exhaustions:     c.exhaustions,
-		Dead:            c.dead,
-	}
-}
-
-// RecoveryAll returns recovery stats for every peer this NIC has talked
-// to, ordered by peer ID.
-func (m *MCP) RecoveryAll() []RecoveryStats {
-	peers := make([]network.NodeID, 0, len(m.conns))
-	for p := range m.conns {
-		peers = append(peers, p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	out := make([]RecoveryStats, 0, len(peers))
-	for _, p := range peers {
-		out = append(out, m.Recovery(p))
-	}
-	return out
-}
-
 // failConnection gives up on a peer that has not acknowledged anything for
 // MaxRetries retransmission rounds: unacknowledged sends are dropped and
 // their tokens returned to the host marked failed (GM's connection-dead
-// behavior). The exhaustion is recorded in the connection's recovery stats;
-// under DetectFailures it additionally declares the peer fail-stopped, so
+// behavior), and the exhaustion is counted in Stats.ConnFailures. Under
+// DetectFailures it additionally declares the peer fail-stopped, so
 // in-flight barriers repair themselves around it instead of hanging on the
 // silently discarded barrier traffic.
 func (m *MCP) failConnection(c *Connection) {
 	m.stats.ConnFailures++
-	c.exhaustions++
 	c.probeOut = false
 	failed := c.sentList
 	c.sentList = nil

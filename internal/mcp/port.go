@@ -1,9 +1,6 @@
 package mcp
 
-import (
-	"gmsim/internal/network"
-	"gmsim/internal/sim"
-)
+import "gmsim/internal/network"
 
 // Port is the NIC-side endpoint data structure: send/receive token state,
 // the host event delivery hook, and — the paper's addition, its "pointer to
@@ -89,10 +86,11 @@ type collRec struct {
 
 // Connection is the per-remote-NIC structure: reliable channel state plus
 // the paper's unexpected-barrier-message record. One exists per peer a NIC
-// has talked to, so it is kept to the 384-byte size class: the record is
-// three bytes a source port, early collective messages share one FIFO, and
-// the retransmission timer finds the connection by peer ID (timerEvent)
-// rather than through a closure of its own.
+// has talked to, so it holds only what a protocol step reads and is kept to
+// the 320-byte size class: the record is three bytes a source port, early
+// collective messages share one FIFO, the retransmission timer finds the
+// connection by peer ID (timerEvent) rather than through a closure of its
+// own, and recovery counts live in the NIC's Stats, not per peer.
 type Connection struct {
 	peer network.NodeID
 
@@ -129,50 +127,13 @@ type Connection struct {
 	retransTimer int64 // sim.EventID as int64; 0 = none
 	// retryRounds counts consecutive timer firings without ack progress.
 	retryRounds int
+	// backoff is the current exponent of the retransmission interval, reset
+	// on any acknowledgment progress.
+	backoff int
 
-	// Recovery state (hardening against the fault layer): backoff is the
-	// current exponent of the retransmission interval, reset on any
-	// acknowledgment progress; curRTO is the interval armed last;
-	// rtoHist records the intervals of timer rounds that actually fired
-	// (bounded), for the recovery counters and the backoff-schedule test.
-	backoff    int
-	curRTO     sim.Time
-	rtoHist    []sim.Time
-	retransmit int64 // total frames re-sent to this peer
-	backoffs   int64 // timer rounds that grew the interval
-
-	// exhaustions counts times the retry budget ran out and the connection
-	// was declared failed; dead marks the peer fail-stopped (DetectFailures);
 	// probeOut is set while a liveness probe to this peer is unacknowledged,
 	// so the watchdog does not pile probes onto a silent peer.
-	exhaustions int64
-	dead        bool
-	probeOut    bool
-}
-
-// rtoHistCap bounds the per-connection record of fired intervals.
-const rtoHistCap = 64
-
-// RecoveryStats is the per-connection recovery picture an MCP exposes:
-// how hard the firmware is working to keep one peer's channel alive.
-type RecoveryStats struct {
-	Peer network.NodeID
-	// Retransmissions counts frames re-sent to this peer (data + barrier).
-	Retransmissions int64
-	// Backoffs counts timer rounds that doubled the interval.
-	Backoffs int64
-	// RetryRounds is the current run of rounds without ack progress.
-	RetryRounds int
-	// RTO is the retransmission interval armed most recently.
-	RTO sim.Time
-	// RTOHistory holds the intervals of fired timer rounds, oldest first
-	// (bounded to the most recent rtoHistCap).
-	RTOHistory []sim.Time
-	// Exhaustions counts times the retry budget (MaxRetries) ran out and
-	// the connection was declared failed — previously this left no trace.
-	Exhaustions int64
-	// Dead reports the peer is considered fail-stopped (DetectFailures).
-	Dead bool
+	probeOut bool
 }
 
 // sentItem is one unacknowledged data send: the frame as it went out, kept by

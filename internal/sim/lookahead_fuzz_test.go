@@ -2,8 +2,13 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -35,18 +40,40 @@ type aheadOp struct{ code, arg byte }
 // one its settled twin schedules later, and the two runs may order the events
 // of one nanosecond differently (see Proc).
 const (
-	opAdvance     = iota // charge 2*(arg%32) of CPU time
-	opAfter              // After(arg%16): log when it runs
-	opRecv               // take one delivery from the inbox, Await-ing for it
-	opSleep              // Sleep(2*(arg%16))
-	opSync               // Sync
-	opSend               // After(1+2*(arg%4)): deliver to process arg/4
-	opPublish            // Sync, then log the process's clock
-	opPoll               // Sync, then log whether the inbox is empty
-	opWait               // Wait for the next Fire, whoever it is for
-	opWaitTimeout        // WaitTimeout(2*(arg%16)): log whether a Fire came
+	opAdvance = iota // charge 2*(arg%32) of CPU time
+	opAfter          // After(arg%16): log when it runs
+	opRecv           // take one delivery from the inbox, Await-ing for it
+	opSleep          // Sleep(2*(arg%16))
+	opSync           // Sync
+	opSend           // After(1+2*(arg%4)): deliver to process arg/4
+	opPublish        // Sync, then log the process's clock
+	opPoll           // Sync, then log whether the inbox is empty
+	opWait           // Wait for the next Fire, whoever it is for
 	numAheadOps
 )
+
+var aheadOpNames = [numAheadOps]string{"Advance", "After", "Recv", "Sleep", "Sync", "Send", "Publish", "Poll", "Wait"}
+
+// String renders the program as TestLookaheadCorpusPrograms pins it.
+func (prog aheadProgram) String() string {
+	var b strings.Builder
+	for _, kl := range prog.kills {
+		fmt.Fprintf(&b, "kill p%d@%d; ", kl.proc, kl.at)
+	}
+	for _, d := range prog.deliveries {
+		fmt.Fprintf(&b, "deliver p%d@%d; ", d.proc, d.at)
+	}
+	for i, ops := range prog.ops {
+		fmt.Fprintf(&b, "p%d:", i)
+		for _, op := range ops {
+			fmt.Fprintf(&b, " %s(%d)", aheadOpNames[op.code], op.arg)
+		}
+		if i < len(prog.ops)-1 {
+			b.WriteString("; ")
+		}
+	}
+	return b.String()
+}
 
 func decodeAheadProgram(data []byte) aheadProgram {
 	next := func() byte {
@@ -166,14 +193,6 @@ func (prog aheadProgram) run(settle bool) aheadOutcome {
 					p.Wait(sig)
 					level()
 					advance(p.Now() % 2)
-				case opWaitTimeout:
-					tag := n
-					if p.WaitTimeout(sig, 2*Time(op.arg%16)) {
-						tag += 1000
-					}
-					level()
-					log(i, tag, p.Now()) // nothing to settle
-					advance(p.Now() % 2)
 				}
 			}
 		})
@@ -235,4 +254,52 @@ func FuzzProcLookahead(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(checkAheadProgram)
+}
+
+// TestLookaheadCorpusPrograms pins what each hand-written corpus file decodes
+// to. An op is its byte modulo numAheadOps, so adding or removing an op
+// reshuffles every saved input; this fails until the files are re-encoded to
+// the programs they were written for.
+func TestLookaheadCorpusPrograms(t *testing.T) {
+	want := map[string]string{
+		"seed_barrier_shape": "p0: Advance(1) Send(0) Advance(3) Send(3) Recv(0) Recv(0) Advance(2) Advance(5)" +
+			" Advance(1) Send(0) Advance(3) Send(3) Recv(0) Recv(0) Advance(2) Advance(5)" +
+			" Advance(1) Send(0) Advance(3) Send(3) Recv(0) Recv(0) Advance(2) Advance(5) Publish(0)",
+		"seed_kill_inside_lead": "kill p0@24; deliver p1@51; " +
+			"p0: Advance(10) After(5) Send(5) Advance(10) After(5) Send(5) Advance(10) After(0) Recv(0); " +
+			"p1: Recv(0) Recv(0) Publish(0)",
+		"seed_kills": "kill p0@30; kill p1@60; deliver p2@45; " +
+			"p0: Advance(4) Sleep(15) Publish(0); p1: Advance(12) Recv(0); p2: Recv(0) Advance(20) After(3)",
+		"seed_ping_pong": "p0:" + strings.Repeat(" Advance(3) Send(4) Recv(0) Advance(7)", 4) + " Publish(0); " +
+			"p1:" + strings.Repeat(" Recv(0) Advance(7) Advance(3) Send(0)", 4) + " Publish(0)",
+		"seed_poll_after_lead": "deliver p0@21; p0: Poll(0) Advance(15) Poll(0) Recv(0) Poll(0)",
+		"seed_shared_signal": "deliver p3@11; deliver p1@23; deliver p0@41; deliver p2@77; deliver p1@79; " +
+			"p0: Advance(20) Recv(0) After(1); p1: Advance(2) Recv(0) Recv(0) After(1); " +
+			"p2: Recv(0) Advance(9) After(1); p3: Advance(30) Recv(0) After(1)",
+		"seed_stranded_with_lead": "p0: Advance(31) Advance(9) Recv(0); p1: Sleep(5) Advance(3)",
+		"seed_wait_is_an_edge": "deliver p1@21; deliver p1@81; deliver p1@141; " +
+			"p0: Advance(25) Wait(0) Publish(0) Advance(10) Advance(10); p1:",
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzProcLookahead", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d corpus files, %d pinned programs", len(files), len(want))
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if header != "go test fuzz v1" || err != nil {
+			t.Fatalf("%s: not a one-value corpus file (%v)", path, err)
+		}
+		name := filepath.Base(path)
+		if got := decodeAheadProgram([]byte(data)).String(); got != want[name] {
+			t.Errorf("%s decodes to\n %s\nwant\n %s", name, got, want[name])
+		}
+	}
 }

@@ -96,23 +96,6 @@ func TestWaitSettlesAwaitDoesNot(t *testing.T) {
 	if waitedTill != 150 || awaitedEarly != 100 || awaitedLate != 150 {
 		t.Errorf("Wait returned at %v, Await at %v then %v; want 150, 100, 150", waitedTill, awaitedEarly, awaitedLate)
 	}
-
-	// WaitTimeout counts its timeout from the process's clock.
-	s = New()
-	sig = s.NewSignal()
-	fired := true
-	s.Spawn("timed", func(p *Proc) {
-		p.Advance(100)
-		fired = p.WaitTimeout(sig, 20)
-		if p.Now() != 120 {
-			t.Errorf("WaitTimeout(20) from a clock of 100 returned at %v", p.Now())
-		}
-	})
-	s.At(50, sig.Fire)
-	s.Run()
-	if fired {
-		t.Error("WaitTimeout took a Fire from inside its lead")
-	}
 }
 
 // TestDryRunCatchesUpWithStrandedClocks: a process stranded in Await with a

@@ -23,9 +23,9 @@ import (
 // without parking, Now reads it, and After schedules on it, so a process
 // that is charged a fixed sum between two interactions with the rest of the
 // simulation pays for it with one park instead of one per term. The lead is
-// settled — the process sleeps until the loop has caught up — by Sync, Sleep,
-// Wait and WaitTimeout, and when the body returns. Two rules keep a run with
-// leads indistinguishable from one that settles every charge at once:
+// settled — the process sleeps until the loop has caught up — by Sync, Sleep
+// and Wait, and when the body returns. Two rules keep a run with leads
+// indistinguishable from one that settles every charge at once:
 //
 //   - Whatever else the process does to the simulation — firing a signal,
 //     writing a variable another process or the caller of Run reads, calling
@@ -50,23 +50,17 @@ type Proc struct {
 	// killed marks a process destroyed by Kill (a fail-stop host crash).
 	// The coroutine stays parked until Simulator.Close releases it; every
 	// wake becomes a no-op.
-	killed     bool
-	timedFired bool // the timed wait ended by Fire, not by the timeout
+	killed bool
 
 	// clock is the process's own clock whenever it is later than the
 	// loop's: the instant up to which the process has been charged CPU time.
 	clock    Time
 	killedAt Time // when Kill ran
 
-	// waitingOn / timedOn record where the process is currently parked, so
-	// Kill can unhook it from the signal's waiter lists and from the
-	// deadlock (Stranded) accounting. A process is in at most one timed wait
-	// at a time, so that wait's state lives here and WaitTimeout allocates
-	// nothing.
+	// waitingOn records where the process is currently parked, so Kill can
+	// unhook it from the signal's waiter list and from the deadlock
+	// (Stranded) accounting.
 	waitingOn *Signal
-	timedOn   *Signal
-	timer     EventID // the timed wait's timeout event
-	timeout   func()  // timedOut as a func value, built once like wake
 }
 
 // procClosed is the panic value with which park unwinds a process that
@@ -80,7 +74,6 @@ type procClosed struct{}
 func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name}
 	p.wake = p.wakeNow
-	p.timeout = p.timedOut
 	s.procs++
 	s.spawned = append(s.spawned, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -162,12 +155,6 @@ func (p *Proc) Kill() {
 		p.waitingOn = nil
 		p.sim.blocked--
 	}
-	if sig := p.timedOn; sig != nil {
-		sig.timed.remove(p)
-		p.sim.Cancel(p.timer)
-		p.timedOn = nil
-		p.sim.blocked--
-	}
 }
 
 // wakeNow switches from the event loop (or from a process firing a signal)
@@ -230,25 +217,19 @@ func (p *Proc) After(d Time, fn func()) EventID {
 	return p.sim.At(p.Now()+d, fn)
 }
 
-// Wait parks the process until the signal fires. If the signal has already
-// been fired in "latched" mode, Wait returns immediately (consuming the
-// latch). The return value is the simulated time at which the process was
-// woken. A signal is an edge — waiters that arrive later wait for the next
-// Fire — so the process settles its lead first: it must not be on the list
-// before its own clock says so.
+// Wait parks the process until the signal fires and returns the simulated
+// time at which the process was woken. A signal is an edge — waiters that
+// arrive later wait for the next Fire — so the process settles its lead
+// first: it must not be on the list before its own clock says so.
 func (p *Proc) Wait(sig *Signal) Time {
 	p.Sync()
-	if sig.latched {
-		sig.latched = false
-		return p.sim.Now()
-	}
 	p.Await(sig)
 	return p.sim.Now()
 }
 
 // Await parks the process until the signal's next Fire without settling its
-// lead, and ignores the latch: it is the wait for a level the caller re-checks
-// in a loop (see Proc), as in
+// lead: it is the wait for a level the caller re-checks in a loop (see Proc),
+// as in
 //
 //	for queue.Len() == 0 {
 //		p.Await(arrived)
@@ -265,43 +246,11 @@ func (p *Proc) Await(sig *Signal) {
 	p.sim.blocked--
 }
 
-// WaitTimeout parks the process until the signal fires or d elapses.
-// It reports whether the signal fired (true) or the wait timed out (false).
-// Like Wait, it settles the lead first.
-func (p *Proc) WaitTimeout(sig *Signal, d Time) bool {
-	p.Sync()
-	if sig.latched {
-		sig.latched = false
-		return true
-	}
-	sig.timed.add(p)
-	p.timedOn = sig
-	p.timedFired = false
-	p.timer = p.sim.After(d, p.timeout)
-	p.sim.blocked++
-	p.park()
-	p.sim.blocked--
-	return p.timedFired
-}
-
-// timedOut is the timeout event of the process's timed wait. Fire and Kill
-// cancel it, so when it runs the process is still waiting.
-func (p *Proc) timedOut() {
-	p.timedOn.timed.remove(p)
-	p.timedOn = nil
-	p.wakeNow()
-}
-
 // Signal is a broadcast wakeup usable by processes. Firing wakes every
 // current waiter at the current simulated time; waiters that arrive later
-// wait for the next Fire. FireLatched additionally remembers one firing so
-// that a single future Wait returns immediately (a one-shot completion
-// flag, e.g. "barrier done").
+// wait for the next Fire.
 type Signal struct {
-	waiters waitList // parked in Wait
-	timed   waitList // parked in WaitTimeout
-	latched bool
-	sim     *Simulator
+	waiters waitList // parked in Wait or Await
 }
 
 // waitList is a signal's list of parked processes, double-buffered so that
@@ -339,7 +288,7 @@ func (l *waitList) done(ps []*Proc) {
 	l.spare = ps[:0]
 }
 
-// remove unhooks a killed or timed-out process.
+// remove unhooks a killed process.
 func (l *waitList) remove(p *Proc) {
 	for i, x := range l.procs {
 		if x == p {
@@ -349,39 +298,18 @@ func (l *waitList) remove(p *Proc) {
 	}
 }
 
-// NewSignal returns a signal bound to the simulator.
-func (s *Simulator) NewSignal() *Signal { return &Signal{sim: s} }
+// NewSignal returns a signal for the simulator's processes to wait on.
+func (s *Simulator) NewSignal() *Signal { return &Signal{} }
 
 // Fire wakes all current waiters. Each waiter resumes at the current
 // simulated time, in the order they began waiting.
 func (sig *Signal) Fire() {
 	waiters := sig.waiters.take()
-	timed := sig.timed.take()
 	for _, p := range waiters {
 		p.wakeNow()
 	}
-	for _, p := range timed {
-		if p.timedOn != sig {
-			continue // killed since the walk began
-		}
-		p.timedOn = nil
-		p.timedFired = true
-		sig.sim.Cancel(p.timer)
-		p.wakeNow()
-	}
 	sig.waiters.done(waiters)
-	sig.timed.done(timed)
-}
-
-// FireLatched fires the signal; if nobody is waiting, the firing is latched
-// so the next single Wait returns immediately.
-func (sig *Signal) FireLatched() {
-	if sig.Waiting() == 0 {
-		sig.latched = true
-		return
-	}
-	sig.Fire()
 }
 
 // Waiting reports how many processes are currently parked on the signal.
-func (sig *Signal) Waiting() int { return len(sig.waiters.procs) + len(sig.timed.procs) }
+func (sig *Signal) Waiting() int { return len(sig.waiters.procs) }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestSpawnRunsBody(t *testing.T) {
@@ -131,90 +132,6 @@ func TestSignalBroadcast(t *testing.T) {
 	s.Run()
 	if woken != 5 {
 		t.Fatalf("woken = %d, want 5", woken)
-	}
-}
-
-func TestSignalLatched(t *testing.T) {
-	s := New()
-	sig := s.NewSignal()
-	sig.FireLatched() // nobody waiting: latch
-	var wokenAt Time = -1
-	s.Spawn("w", func(p *Proc) {
-		p.Sleep(100)
-		wokenAt = p.Wait(sig) // should return immediately
-	})
-	s.Run()
-	if wokenAt != 100 {
-		t.Fatalf("woken at %v, want 100 (latched signal should not block)", wokenAt)
-	}
-}
-
-func TestFireLatchedWithWaiterFiresImmediately(t *testing.T) {
-	s := New()
-	sig := s.NewSignal()
-	woken := false
-	s.Spawn("w", func(p *Proc) {
-		p.Wait(sig)
-		woken = true
-	})
-	s.After(10, sig.FireLatched)
-	s.Run()
-	if !woken {
-		t.Fatal("FireLatched with a waiter did not wake it")
-	}
-	if sig.latched {
-		t.Fatal("FireLatched with a waiter should not latch")
-	}
-}
-
-func TestWaitTimeoutFires(t *testing.T) {
-	s := New()
-	sig := s.NewSignal()
-	var got bool
-	s.Spawn("w", func(p *Proc) {
-		got = p.WaitTimeout(sig, 1000)
-	})
-	s.After(100, sig.Fire)
-	s.Run()
-	if !got {
-		t.Fatal("WaitTimeout should report signal fired")
-	}
-	if s.Now() != 100 {
-		t.Fatalf("clock = %v, want 100", s.Now())
-	}
-}
-
-func TestWaitTimeoutExpires(t *testing.T) {
-	s := New()
-	sig := s.NewSignal()
-	var got bool
-	var at Time
-	s.Spawn("w", func(p *Proc) {
-		got = p.WaitTimeout(sig, 200)
-		at = p.Now()
-	})
-	s.Run()
-	if got {
-		t.Fatal("WaitTimeout should report timeout")
-	}
-	if at != 200 {
-		t.Fatalf("resumed at %v, want 200", at)
-	}
-	// A later Fire must not try to wake the timed-out process.
-	sig.Fire()
-}
-
-func TestWaitTimeoutLatched(t *testing.T) {
-	s := New()
-	sig := s.NewSignal()
-	sig.FireLatched()
-	var got bool
-	s.Spawn("w", func(p *Proc) {
-		got = p.WaitTimeout(sig, 200)
-	})
-	s.Run()
-	if !got || s.Now() != 0 {
-		t.Fatalf("latched WaitTimeout: got=%v now=%v, want true,0", got, s.Now())
 	}
 }
 
@@ -447,7 +364,6 @@ func TestCloseUnwindsEachParkOnce(t *testing.T) {
 	}{
 		{"Sleep", func(p *Proc, _ *Signal) { p.Sleep(1000) }},
 		{"Wait", func(p *Proc, sig *Signal) { p.Wait(sig) }},
-		{"WaitTimeout", func(p *Proc, sig *Signal) { p.WaitTimeout(sig, 1000) }},
 	} {
 		s := New()
 		sig := s.NewSignal()
@@ -538,29 +454,39 @@ func TestSignalRewaitAndRefireInsideFire(t *testing.T) {
 	}
 }
 
-// TestWaitAllocatesNothing: at steady state neither Wait/Fire nor
-// WaitTimeout (fired or expired) touches the allocator.
+// TestWaitAllocatesNothing: at steady state Wait/Fire does not touch the
+// allocator.
 func TestWaitAllocatesNothing(t *testing.T) {
 	s := New()
 	sig := s.NewSignal()
 	s.Spawn("waiter", func(p *Proc) {
 		for {
 			p.Wait(sig)
-			p.WaitTimeout(sig, 1000)
-			p.WaitTimeout(sig, 1)
 		}
 	})
 	fire := sig.Fire
 	round := func() {
 		s.After(1, fire)
 		s.After(2, fire)
-		s.Run() // third wait expires
+		s.Run()
 	}
 	round()
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Errorf("Wait/WaitTimeout round allocates %.2f, want 0", avg)
+		t.Errorf("Wait/Fire round allocates %.2f, want 0", avg)
 	}
 	s.Close()
+}
+
+// TestProcAndSignalSizes pins the two engine objects every simulated rank
+// allocates to their size classes: a Proc holds its coroutine, its clock and
+// the one signal it is parked on; a Signal holds its waiter list.
+func TestProcAndSignalSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Proc{}); got > 96 {
+		t.Errorf("Proc is %d bytes, want ≤ 96", got)
+	}
+	if got := unsafe.Sizeof(Signal{}); got > 64 {
+		t.Errorf("Signal is %d bytes, want ≤ 64", got)
+	}
 }
 
 // TestSpawnRunCloseLeaksNothing: ten thousand simulator lifetimes, each

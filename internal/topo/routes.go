@@ -54,8 +54,8 @@ type Stats struct {
 }
 
 // ComputeStats derives the topology statistics in closed form (an
-// 8192-node table walk would visit 67M routes). The error is always nil.
-func (t *Topology) ComputeStats() (Stats, error) {
+// 8192-node table walk would visit 67M routes).
+func (t *Topology) ComputeStats() Stats {
 	st := Stats{
 		Kind:           t.Spec.Kind,
 		Nodes:          t.Nodes(),
@@ -64,5 +64,5 @@ func (t *Topology) ComputeStats() (Stats, error) {
 		BisectionLinks: t.BisectionLinks,
 	}
 	t.routes.stats(&st)
-	return st, nil
+	return st
 }
