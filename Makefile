@@ -10,17 +10,13 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# go vet, gofmt, and two structural rules: internal/route's BFS is the
-# oracle internal/topo's arithmetic router is tested against, so no binary
-# may link it; and internal/experiments has one run loop, so only run.go
-# spawns every rank (a measurement is a Spec for Run or a Session.timed
-# body).
+# go vet, gofmt, and one structural rule: internal/experiments has one run
+# loop, so only run.go spawns every rank (a measurement is a Spec for Run or
+# a Session.timed body).
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	@if $(GO) list -deps ./cmd/... ./bench ./examples/... | grep -qx gmsim/internal/route; then \
-		echo "a binary imports gmsim/internal/route (routing oracle: tests only)"; exit 1; fi
 	@if grep -l '\.SpawnAll(' $$(ls internal/experiments/*.go | grep -v -e '_test\.go$$' -e '/run\.go$$'); then \
 		echo "the files above call SpawnAll: internal/experiments runs ranks in run.go only"; exit 1; fi
 

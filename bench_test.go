@@ -56,14 +56,14 @@ func benchVariants(b *testing.B, mkCfg func(int) cluster.Config, sizes []int) {
 		b.Run(fmt.Sprintf("NIC-GB/nodes=%d", n), func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, lat = experiments.OptimalGBDim(cfg, experiments.NICLevel, benchIters)
+				_, lat = experiments.OptimalDim(experiments.Spec{Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.GB, Iters: benchIters})
 			}
 			b.ReportMetric(lat, "us/barrier")
 		})
 		b.Run(fmt.Sprintf("Host-GB/nodes=%d", n), func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, lat = experiments.OptimalGBDim(cfg, experiments.HostLevel, benchIters)
+				_, lat = experiments.OptimalDim(experiments.Spec{Cluster: cfg, Level: experiments.HostLevel, Alg: mcp.GB, Iters: benchIters})
 			}
 			b.ReportMetric(lat, "us/barrier")
 		})

@@ -254,9 +254,6 @@ func (c *Cluster) SetPhaseRecorder(r *phase.Recorder) {
 	}
 }
 
-// PhaseRecorder returns the attached phase-span recorder, or nil.
-func (c *Cluster) PhaseRecorder() *phase.Recorder { return c.phases }
-
 // Metrics aggregates the cluster's always-on counters into a registry:
 // fabric packet counts, every firmware Stats field summed across NICs,
 // NIC processor and DMA engine usage, and (when a phase recorder is
@@ -354,6 +351,3 @@ func (c *Cluster) Drain() error {
 // cluster becomes collectable (see sim.Simulator.Close). The cluster must
 // not be run afterwards.
 func (c *Cluster) Close() { c.sim.Close() }
-
-// RunUntil drives the simulation up to time t.
-func (c *Cluster) RunUntil(t sim.Time) { c.sim.RunUntil(t) }

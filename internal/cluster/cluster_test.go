@@ -121,11 +121,11 @@ func TestRunUntil(t *testing.T) {
 		p.Compute(100 * sim.Microsecond)
 		done = true
 	})
-	cl.RunUntil(50 * sim.Microsecond)
+	cl.Sim().RunUntil(50 * sim.Microsecond)
 	if done {
 		t.Fatal("process finished too early")
 	}
-	cl.RunUntil(200 * sim.Microsecond)
+	cl.Sim().RunUntil(200 * sim.Microsecond)
 	if !done {
 		t.Fatal("process did not finish")
 	}

@@ -207,16 +207,6 @@ func heapTree(rank, n, dim int) (parent int, children []int) {
 	return parent, children
 }
 
-// TreeDepth returns the depth of the dimension-dim GB tree with n nodes
-// (root at depth 0).
-func TreeDepth(n, dim int) int {
-	depth := 0
-	for i := n - 1; i > 0; i = (i - 1) / dim {
-		depth++
-	}
-	return depth
-}
-
 // NICBarrierToken builds the barrier send token for rank self of the
 // group: the host-side computation the paper deliberately keeps off the
 // NIC ("the host at a particular node needs to inform the NIC only of the

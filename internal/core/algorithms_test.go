@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"gmsim/internal/mcp"
+	"gmsim/internal/model"
 	"gmsim/internal/network"
 )
 
@@ -197,9 +198,6 @@ func TestGBTreeChain(t *testing.T) {
 			t.Fatalf("chain tail has children %v", children)
 		}
 	}
-	if TreeDepth(6, 1) != 5 {
-		t.Fatalf("chain depth = %d, want 5", TreeDepth(6, 1))
-	}
 }
 
 func TestGBTreeErrors(t *testing.T) {
@@ -267,12 +265,28 @@ func TestPropertyGBTreeConsistent(t *testing.T) {
 	}
 }
 
+// TestTreeDepthStar ties the tree core builds to the depth model prices:
+// for every n <= 60 and dim in 1..n-1 (chain through star), the deepest
+// rank's walk up GBTree parents is model.GBDepth(n, dim) levels long.
 func TestTreeDepthStar(t *testing.T) {
-	if TreeDepth(8, 7) != 1 {
-		t.Fatalf("star depth = %d", TreeDepth(8, 7))
-	}
-	if TreeDepth(1, 1) != 0 {
-		t.Fatalf("singleton depth = %d", TreeDepth(1, 1))
+	for n := 1; n <= 60; n++ {
+		for dim := 1; dim <= max(1, n-1); dim++ {
+			deepest := 0
+			for r := 0; r < n; r++ {
+				depth := 0
+				for p := r; p != 0; depth++ {
+					parent, _, err := GBTree(p, n, dim, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p = parent
+				}
+				deepest = max(deepest, depth)
+			}
+			if want := model.GBDepth(n, dim); deepest != want {
+				t.Fatalf("n=%d dim=%d: GBTree depth %d, model.GBDepth %d", n, dim, deepest, want)
+			}
+		}
 	}
 }
 

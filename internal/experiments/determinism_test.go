@@ -70,7 +70,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return Figure5Latencies(cluster.DefaultConfig, sizes, detIters)
 		}},
 		{"OptimalGBDim", func() any {
-			d, l := OptimalGBDim(cluster.DefaultConfig(4), NICLevel, detIters)
+			d, l := OptimalDim(Spec{Cluster: cluster.DefaultConfig(4), Level: NICLevel, Alg: mcp.GB, Iters: detIters})
 			return []any{d, l}
 		}},
 		{"GBDimSweep", func() any {

@@ -162,11 +162,6 @@ func bestDim(results []Result) (int, float64) {
 // measurements run on the worker pool.
 func OptimalDim(base Spec) (int, float64) { return bestDim(MeasureBarriers(dimSweep(base))) }
 
-// OptimalGBDim is OptimalDim for the GB barrier.
-func OptimalGBDim(cfg cluster.Config, level Level, iters int) (int, float64) {
-	return OptimalDim(Spec{Cluster: cfg, Level: level, Alg: mcp.GB, Iters: iters})
-}
-
 // GBDimSweep returns the latency at every tree dimension (experiment E7),
 // with the topology-aware tree mapping switched on or off — on a
 // multi-switch config the mapped sweep shows how much of each dimension's
@@ -362,12 +357,6 @@ func Paper() PaperHeadlines {
 		FactorPE8L72: 1.83,
 		FactorPE8L43: 1.66,
 	}
-}
-
-// Describe formats a spec for table titles.
-func (s Spec) Describe() string {
-	return fmt.Sprintf("%s-based %s, %d nodes, %s",
-		s.Level, s.label(), s.Cluster.Nodes, s.Cluster.NIC.Name)
 }
 
 // label names the operation: "PE", "GB(dim=4)", "allreduce(dim=2)".

@@ -175,7 +175,7 @@ func TestPingPongLatencyRange(t *testing.T) {
 
 func TestOptimalGBDimMatchesSweepMin(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	dim, lat := OptimalGBDim(cfg, NICLevel, iters)
+	dim, lat := OptimalDim(Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Iters: iters})
 	pts := GBDimSweep(cfg, NICLevel, iters, false)
 	best := pts[0]
 	for _, p := range pts {
@@ -184,16 +184,23 @@ func TestOptimalGBDimMatchesSweepMin(t *testing.T) {
 		}
 	}
 	if dim != best.Dim || lat != best.Micros {
-		t.Fatalf("OptimalGBDim = (%d, %.2f), sweep min = (%d, %.2f)",
+		t.Fatalf("OptimalDim(GB) = (%d, %.2f), sweep min = (%d, %.2f)",
 			dim, lat, best.Dim, best.Micros)
 	}
 }
 
 func TestSpecDescribe(t *testing.T) {
-	s := Spec{Cluster: cluster.DefaultConfig(8), Level: NICLevel, Alg: mcp.GB, Dim: 3}
-	d := s.Describe()
-	if d == "" {
-		t.Fatal("empty description")
+	// label is what a ScenarioSummary reports as Alg.
+	for _, c := range []struct {
+		s    Spec
+		want string
+	}{
+		{Spec{Alg: mcp.GB, Dim: 3}, "GB(dim=3)"},
+		{Spec{Alg: mcp.PE}, "PE"},
+	} {
+		if got := c.s.label(); got != c.want {
+			t.Fatalf("label = %q, want %q", got, c.want)
+		}
 	}
 	if NICLevel.String() != "NIC" || HostLevel.String() != "host" {
 		t.Fatal("level strings wrong")

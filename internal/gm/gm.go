@@ -191,9 +191,6 @@ func (pt *Port) Num() int { return pt.num }
 // Node returns the NIC's node id.
 func (pt *Port) Node() mcp.Endpoint { return mcp.Endpoint{Node: pt.mcp.Node(), Port: pt.num} }
 
-// IsOpen reports whether the port is open.
-func (pt *Port) IsOpen() bool { return pt.open }
-
 // PendingEvents returns the number of host events queued but not received.
 func (pt *Port) PendingEvents() int { return len(pt.events) - pt.evHead }
 

@@ -37,7 +37,7 @@ func TestOpenClose(t *testing.T) {
 			t.Errorf("open: %v", err)
 			return
 		}
-		if !port.IsOpen() || port.Num() != 2 {
+		if port.Num() != 2 {
 			t.Error("port state wrong after open")
 		}
 		if port.Node() != (mcp.Endpoint{Node: 0, Port: 2}) {
@@ -48,6 +48,9 @@ func TestOpenClose(t *testing.T) {
 		}
 		if err := port.Close(); err == nil {
 			t.Error("double close should error")
+		}
+		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, nil, nil); err == nil {
+			t.Error("send on a closed port should error")
 		}
 	}, nil)
 }

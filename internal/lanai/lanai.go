@@ -91,9 +91,8 @@ type NIC struct {
 
 	// slow is a fault-injection multiplier on firmware task durations
 	// (a degraded card running below its rated clock). 1 = nominal.
-	slow      float64
-	stalls    int64
-	stallTime sim.Time
+	slow   float64
+	stalls int64
 
 	// dead marks a fail-stop crashed card: the firmware processor halts and
 	// no further tasks, stalls or DMA transfers are scheduled. Work whose
@@ -204,7 +203,6 @@ func (n *NIC) Stall(d sim.Time) {
 	}
 	n.cpuFree = start + d
 	n.stalls++
-	n.stallTime += d
 	if n.rec.On() {
 		n.rec.Add(phase.Span{
 			Start: start, End: n.cpuFree,
@@ -240,9 +238,6 @@ func (n *NIC) Dead() bool { return n.dead }
 
 // Stalls returns the number of injected processor stalls.
 func (n *NIC) Stalls() int64 { return n.stalls }
-
-// StallTime returns the total injected stall duration.
-func (n *NIC) StallTime() sim.Time { return n.stallTime }
 
 // CPUBusyTime returns total firmware processor busy time so far.
 func (n *NIC) CPUBusyTime() sim.Time { return n.cpuBusy }

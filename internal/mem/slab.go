@@ -31,7 +31,6 @@ import "math/bits"
 type Slab[T any] struct {
 	chunks [][]T
 	free   []uint64
-	live   int
 }
 
 // slabFirst is the number of cells in chunk 0.
@@ -47,7 +46,6 @@ func (s *Slab[T]) Get() (uint64, *T) {
 	if n := len(s.free); n > 0 {
 		h := s.free[n-1]
 		s.free = s.free[:n-1]
-		s.live++
 		return h, s.At(h)
 	}
 	last := len(s.chunks) - 1
@@ -57,7 +55,6 @@ func (s *Slab[T]) Get() (uint64, *T) {
 	}
 	c := &s.chunks[last]
 	*c = (*c)[:len(*c)+1]
-	s.live++
 	return chunkBase(last) + uint64(len(*c)-1), &(*c)[len(*c)-1]
 }
 
@@ -72,17 +69,4 @@ func (s *Slab[T]) At(h uint64) *T {
 // want the GC to reclaim what the cell pointed at.
 func (s *Slab[T]) Put(h uint64) {
 	s.free = append(s.free, h)
-	s.live--
-}
-
-// Live returns the number of currently leased cells.
-func (s *Slab[T]) Live() int { return s.live }
-
-// Cap returns the total number of cells the arena has materialized.
-func (s *Slab[T]) Cap() int {
-	last := len(s.chunks) - 1
-	if last < 0 {
-		return 0
-	}
-	return int(chunkBase(last)) + len(s.chunks[last])
 }

@@ -2,8 +2,9 @@ package model
 
 // GBDepth returns the depth of the dimension-dim gather-and-broadcast heap
 // tree with n nodes: the level of the deepest rank (n-1), with the root at
-// level 0. It matches core.TreeDepth; the copy keeps the model package
-// free of simulator dependencies.
+// level 0. core's TestTreeDepthStar holds it to the depth of the tree
+// core.GBTree builds; the model package stays free of simulator
+// dependencies.
 func GBDepth(n, dim int) int {
 	if dim < 1 {
 		return 0

@@ -170,9 +170,6 @@ func (f *Fabric) NumSwitches() int { return len(f.switches) }
 // Iface returns the interface of an attached NIC, or nil.
 func (f *Fabric) Iface(node NodeID) *Iface { return f.ifaces[node] }
 
-// NumNICs returns the number of attached NICs.
-func (f *Fabric) NumNICs() int { return len(f.ifaces) }
-
 // NumLinks returns the number of directed channels created so far.
 func (f *Fabric) NumLinks() int { return int(f.nextLink) }
 
@@ -247,10 +244,6 @@ func (i *Iface) Transmit(p *Packet) {
 	}
 	i.tx.transmit(p)
 }
-
-// TxBusy reports whether the outgoing channel is still serializing earlier
-// packets.
-func (i *Iface) TxBusy() bool { return i.tx.busy() }
 
 // headArrived implements headSink: the packet head reached the NIC; the
 // packet is fully received one serialization time later.

@@ -132,9 +132,3 @@ func (c *channel) arrive(p *Packet, wire sim.Time) {
 	}
 	c.sink.headArrived(p, wire)
 }
-
-// busy reports whether the channel is still serializing a packet it has
-// accepted.
-func (c *channel) busy() bool {
-	return c.fab.sim.Now() < c.busyUntil
-}

@@ -377,7 +377,7 @@ func TestStoreWriteFailureLeavesAcceptPending(t *testing.T) {
 	if n := srv2.Registry().Get("service.jobs_done"); n != 1 {
 		t.Errorf("jobs_done after replay = %d, want 1", n)
 	}
-	if !srv2.Store().Has(hash) {
+	if _, ok := srv2.Store().Get(hash); !ok {
 		t.Error("replayed job's result did not reach the store")
 	}
 }

@@ -249,7 +249,7 @@ func (st *Store) Get(hash string) (Entry, bool) {
 		err = verifyEntry(hash, claimed, epoch, e)
 	}
 	if err != nil {
-		st.quarantine(hash, err)
+		st.quarantine(hash)
 		return Entry{}, false
 	}
 	st.mu.Lock()
@@ -258,15 +258,8 @@ func (st *Store) Get(hash string) (Entry, bool) {
 	return e, true
 }
 
-// Has reports whether a verified entry exists for hash (a full Get, so a
-// corrupt file is quarantined here too).
-func (st *Store) Has(hash string) bool {
-	_, ok := st.Get(hash)
-	return ok
-}
-
 // quarantine moves a failed entry file aside and counts it.
-func (st *Store) quarantine(hash string, cause error) {
+func (st *Store) quarantine(hash string) {
 	qdir := filepath.Join(st.dir, "quarantine")
 	_ = os.MkdirAll(qdir, 0o755)
 	dst := filepath.Join(qdir, fmt.Sprintf("%s.%d", hash, time.Now().UnixNano()))

@@ -526,9 +526,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// RunFor executes events for d nanoseconds of simulated time from now.
-func (s *Simulator) RunFor(d Time) { s.RunUntil(s.now + d) }
-
 // NextEventTime returns the timestamp of the earliest pending event and
 // whether one exists.
 func (s *Simulator) NextEventTime() (Time, bool) {

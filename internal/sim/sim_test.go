@@ -205,20 +205,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	s := New()
-	s.RunUntil(100)
-	ran := false
-	s.After(50, func() { ran = true })
-	s.RunFor(50)
-	if !ran {
-		t.Fatal("event within RunFor window did not run")
-	}
-	if s.Now() != 150 {
-		t.Fatalf("clock = %v, want 150", s.Now())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	s := New()
 	if s.Step() {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -56,26 +55,11 @@ func (r *Registry) Get(name string) int64 {
 	return r.vals[name]
 }
 
-// Has reports whether the counter exists.
-func (r *Registry) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.vals[name]
-	return ok
-}
-
 // Names returns the counter names in insertion order.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return append([]string(nil), r.names...)
-}
-
-// SortedNames returns the counter names sorted lexically.
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot returns a point-in-time copy of the registry: counters added or

@@ -16,11 +16,11 @@ func TestRegistryAddSetGet(t *testing.T) {
 	if r.Get("a") != 5 || r.Get("b") != 9 {
 		t.Fatalf("a=%d b=%d", r.Get("a"), r.Get("b"))
 	}
-	if r.Get("missing") != 0 || r.Has("missing") {
+	if r.Get("missing") != 0 {
 		t.Fatal("missing counter misreported")
 	}
-	if !r.Has("a") {
-		t.Fatal("Has(a) false")
+	if got := r.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("names = %v, want [a b] (Get must not create a counter)", got)
 	}
 }
 
@@ -31,9 +31,6 @@ func TestRegistryNameOrder(t *testing.T) {
 	r.Set("mid", 1)
 	if got := r.Names(); got[0] != "zebra" || got[1] != "alpha" || got[2] != "mid" {
 		t.Fatalf("insertion order lost: %v", got)
-	}
-	if got := r.SortedNames(); got[0] != "alpha" || got[2] != "zebra" {
-		t.Fatalf("sorted order wrong: %v", got)
 	}
 	// Re-adding must not duplicate the name.
 	r.Add("alpha", 1)
@@ -46,8 +43,8 @@ func TestRegistryNameOrder(t *testing.T) {
 // writers: the simd service serves /metrics snapshots while simulation
 // workers merge run counters in. Run under -race (CI does), any data race
 // in the registry fails the build; without -race it still checks that
-// snapshots are internally consistent (a counter never appears in names
-// without a value) and monotone for an add-only counter.
+// snapshots are internally consistent (a counter never appears twice in
+// names) and monotone for an add-only counter.
 func TestRegistrySnapshotDuringWrites(t *testing.T) {
 	r := NewRegistry()
 	const writers, rounds = 4, 500
@@ -77,13 +74,14 @@ func TestRegistrySnapshotDuringWrites(t *testing.T) {
 		default:
 		}
 		snap := r.Snapshot()
+		seen := map[string]bool{}
 		for _, name := range snap.Names() {
-			if !snap.Has(name) {
-				t.Fatalf("snapshot names %q but has no value", name)
+			if seen[name] {
+				t.Fatalf("snapshot names %q twice", name)
 			}
+			seen[name] = true
 		}
 		_ = r.Dump(false)
-		_ = r.SortedNames()
 		if runs := snap.Get("service.runs"); runs < lastRuns {
 			t.Fatalf("add-only counter went backwards: %d -> %d", lastRuns, runs)
 		} else {
@@ -104,11 +102,11 @@ func TestRegistrySnapshotIsDetached(t *testing.T) {
 	snap := r.Snapshot()
 	r.Set("a", 2)
 	r.Set("b", 3)
-	if snap.Get("a") != 1 || snap.Has("b") {
-		t.Fatalf("snapshot not detached: a=%d hasB=%v", snap.Get("a"), snap.Has("b"))
+	if snap.Get("a") != 1 || len(snap.Names()) != 1 {
+		t.Fatalf("snapshot not detached: a=%d names=%v", snap.Get("a"), snap.Names())
 	}
 	snap.Set("c", 4)
-	if r.Has("c") {
+	if got := r.Names(); len(got) != 2 || got[1] != "b" {
 		t.Fatal("writing the snapshot leaked into the source")
 	}
 }

@@ -1,48 +1,45 @@
 // Package stats provides the small statistical toolkit used by the
-// benchmark harness: streaming summaries, percentiles, and fixed-width
-// table rendering for reproducing the paper's figures as text.
+// benchmark harness: streaming summaries and fixed-width table rendering
+// for reproducing the paper's figures as text.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Sample accumulates observations and produces summary statistics.
-// The zero value is an empty sample ready for use.
+// Sample accumulates observations and produces summary statistics in O(1)
+// space. The zero value is an empty sample ready for use.
 type Sample struct {
-	values []float64
-	sum    float64
-	sumSq  float64
-	min    float64
-	max    float64
-	sorted bool
+	n     int
+	sum   float64
+	sumSq float64
+	min   float64
+	max   float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if len(s.values) == 0 || v < s.min {
+	if s.n == 0 || v < s.min {
 		s.min = v
 	}
-	if len(s.values) == 0 || v > s.max {
+	if s.n == 0 || v > s.max {
 		s.max = v
 	}
-	s.values = append(s.values, v)
+	s.n++
 	s.sum += v
 	s.sumSq += v * v
-	s.sorted = false
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int { return len(s.values) }
+func (s *Sample) N() int { return s.n }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.values))
+	return s.sum / float64(s.n)
 }
 
 // Min returns the smallest observation, or 0 for an empty sample.
@@ -51,13 +48,10 @@ func (s *Sample) Min() float64 { return s.min }
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 { return s.max }
 
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
 // Variance returns the unbiased sample variance (n-1 denominator),
 // or 0 when fewer than two observations exist.
 func (s *Sample) Variance() float64 {
-	n := float64(len(s.values))
+	n := float64(s.n)
 	if n < 2 {
 		return 0
 	}
@@ -70,36 +64,6 @@ func (s *Sample) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. Empty samples return 0.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.values[0]
-	}
-	if p >= 100 {
-		return s.values[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.values[lo]
-	}
-	frac := rank - float64(lo)
-	return s.values[lo]*(1-frac) + s.values[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // String summarizes the sample.
 func (s *Sample) String() string {

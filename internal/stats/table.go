@@ -35,9 +35,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	ncol := len(t.headers)

@@ -10,7 +10,7 @@ import "sync"
 // the lowest-numbered common ancestor (uplink 0) and descends by the
 // destination's own address digits. This file derives each (src, dst) route
 // in O(1) from that arithmetic — the only routing path in the module. The
-// per-source BFS of internal/route, which cost ~1 s for all pairs at 1024
+// per-source BFS in bfs_test.go, which costs ~1 s for all pairs at 1024
 // nodes and quadratic beyond, is the independent oracle: the property,
 // table, golden and fuzz tests (algroute_test.go, oracle_test.go) hold the
 // arithmetic to it byte for byte.

@@ -102,7 +102,7 @@ func TestAlgRouteEdges(t *testing.T) {
 	}
 	differ := 0
 	for _, sp := range specs {
-		tp := MustBuild(sp)
+		tp := mustBuild(t, sp)
 		if err := matchesOracle(tp); err != nil {
 			t.Error(err)
 		}
@@ -198,7 +198,7 @@ func TestAlgRouteInvariants(t *testing.T) {
 		Spec{Kind: Clos2, Radix: 8, Nodes: 14, LeafNodes: 2},
 	)
 	for _, sp := range specs {
-		tp := MustBuild(sp)
+		tp := mustBuild(t, sp)
 		st := tp.ComputeStats()
 		m := portMap(tp)
 		n := tp.Nodes()
@@ -245,7 +245,7 @@ func TestAlgStatsMatchWalk(t *testing.T) {
 		{Kind: Clos3, Radix: 2, Nodes: 2},   // degenerate h=1: all cross-pod
 	}
 	for _, sp := range specs {
-		if err := matchesOracle(MustBuild(sp)); err != nil {
+		if err := matchesOracle(mustBuild(t, sp)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func goldenCompare(t *testing.T, path, got string) {
 // 16-node fat-tree (radix 4). A refactor that silently reorders up-link
 // selection fails against the checked-in listing.
 func TestGoldenRoutesClos3_16(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Clos3, Nodes: 16, Radix: 4})
+	tp := mustBuild(t, Spec{Kind: Clos3, Nodes: 16, Radix: 4})
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# clos3 radix 4, 16 nodes: full source-route table\n")
 	for s := 0; s < 16; s++ {
@@ -307,7 +307,7 @@ func TestGoldenRoutesClos3_16(t *testing.T) {
 // SHA-256 over the full million-route table plus a strided sample listed
 // in the clear for debuggability.
 func TestGoldenRoutesClos3_1024(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Clos3, Nodes: 1024, Radix: 16})
+	tp := mustBuild(t, Spec{Kind: Clos3, Nodes: 1024, Radix: 16})
 	h := sha256.New()
 	for s := 0; s < 1024; s++ {
 		for d := 0; d < 1024; d++ {

@@ -5,56 +5,53 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"gmsim/internal/route"
 )
 
-// The routing oracle: the wiring plan as a route.Graph, per-source BFS over
-// it, and the statistics read off the resulting table. Nothing here shares
-// code with algroute.go, and nothing outside test files imports
-// internal/route (`make vet` checks that), so the arithmetic router and the
-// oracle stay two independent implementations.
+// The routing oracle: the wiring plan as a Graph (bfs_test.go), per-source
+// BFS over it, and the statistics read off the resulting table. Nothing
+// here shares code with algroute.go, and all of it is test code, so the
+// arithmetic router and the oracle stay two independent implementations.
 
 // Vertex numbering: switch s -> 2s, NIC n -> 2n+1.
 
-// SwitchVertex returns the route.Graph vertex of switch s.
-func SwitchVertex(s int) route.Vertex { return route.Vertex(2 * s) }
+// switchVertexOf returns the Graph vertex of switch s.
+func switchVertexOf(s int) Vertex { return Vertex(2 * s) }
 
-// NICVertex returns the route.Graph vertex of node n's NIC.
-func NICVertex(n int) route.Vertex { return route.Vertex(2*n + 1) }
+// nicVertexOf returns the Graph vertex of node n's NIC.
+func nicVertexOf(n int) Vertex { return Vertex(2*n + 1) }
 
-// Graph returns the topology as a route.Graph: every switch, every NIC,
-// every trunk and every NIC cable, with port numbers as edge labels.
-func (t *Topology) Graph() *route.Graph {
-	g := route.NewGraph()
+// Graph returns the topology as a Graph: every switch, every NIC, every
+// trunk and every NIC cable, with port numbers as edge labels.
+func (t *Topology) Graph() *Graph {
+	g := NewGraph()
 	for s := range t.SwitchPorts {
-		g.AddVertex(SwitchVertex(s), route.SwitchVertex)
+		g.AddVertex(switchVertexOf(s), SwitchVertex)
 	}
 	for _, tr := range t.Trunks {
-		g.AddEdge(SwitchVertex(tr.A), tr.APort, SwitchVertex(tr.B))
-		g.AddEdge(SwitchVertex(tr.B), tr.BPort, SwitchVertex(tr.A))
+		g.AddEdge(switchVertexOf(tr.A), tr.APort, switchVertexOf(tr.B))
+		g.AddEdge(switchVertexOf(tr.B), tr.BPort, switchVertexOf(tr.A))
 	}
 	for n, p := range t.NICs {
-		g.AddVertex(NICVertex(n), route.NICVertex)
-		g.AddEdge(NICVertex(n), 0, SwitchVertex(p.Switch))
-		g.AddEdge(SwitchVertex(p.Switch), p.Port, NICVertex(n))
+		g.AddVertex(nicVertexOf(n), NICVertex)
+		g.AddEdge(nicVertexOf(n), 0, switchVertexOf(p.Switch))
+		g.AddEdge(switchVertexOf(p.Switch), p.Port, nicVertexOf(n))
 	}
 	return g
 }
 
-// bfsTable computes every ordered pair's route by one route.RoutesFrom pass
+// bfsTable computes every ordered pair's route by one Graph.RoutesFrom pass
 // per source, indexed [src][dst]; a nil route means unreachable.
 func bfsTable(tp *Topology) ([][][]byte, error) {
 	g := tp.Graph()
 	tbl := make([][][]byte, tp.Nodes())
 	for s := range tbl {
-		byVertex, err := g.RoutesFrom(NICVertex(s))
+		byVertex, err := g.RoutesFrom(nicVertexOf(s))
 		if err != nil {
 			return nil, err
 		}
 		row := make([][]byte, tp.Nodes())
 		for d := range row {
-			row[d] = byVertex[NICVertex(d)]
+			row[d] = byVertex[nicVertexOf(d)]
 		}
 		if row[s] == nil {
 			row[s] = []byte{}
@@ -130,16 +127,16 @@ func matchesOracle(tp *Topology) error {
 // TestGraphMatchesVertexConvention pins the oracle's own conventions: port
 // numbers are the edge labels and vertices follow 2s / 2n+1.
 func TestGraphMatchesVertexConvention(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Single, Nodes: 4, Radix: 4})
+	tp := mustBuild(t, Spec{Kind: Single, Nodes: 4, Radix: 4})
 	g := tp.Graph()
-	r, err := g.Route(NICVertex(1), NICVertex(2))
+	r, err := g.Route(nicVertexOf(1), nicVertexOf(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r, []byte{2}) {
 		t.Fatalf("route = %v, want [2]", r)
 	}
-	if SwitchVertex(3) != route.Vertex(6) || NICVertex(3) != route.Vertex(7) {
+	if switchVertexOf(3) != Vertex(6) || nicVertexOf(3) != Vertex(7) {
 		t.Fatal("vertex numbering drifted from the 2s/2n+1 convention")
 	}
 }

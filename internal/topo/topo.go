@@ -9,7 +9,7 @@
 // placement per node — that internal/cluster materializes into a
 // network.Fabric. The same plan, independent of any simulator, yields
 // deterministic all-pairs source routes — address arithmetic, see
-// algroute.go; the BFS of internal/route is its test oracle — topology
+// algroute.go; the BFS in bfs_test.go is its test oracle — topology
 // statistics (diameter, bisection links, hops histogram) and a Graphviz
 // rendering.
 //
@@ -305,16 +305,6 @@ func build(spec Spec) (*Topology, error) {
 	}
 	t.routes = newAlgRouter(t)
 	return t, nil
-}
-
-// MustBuild is Build for specs known valid at compile time; it panics on
-// error.
-func MustBuild(spec Spec) *Topology {
-	t, err := Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 func (t *Topology) buildSingle() error {

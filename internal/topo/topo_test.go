@@ -8,6 +8,17 @@ import (
 	"testing/quick"
 )
 
+// mustBuild is Build for specs a test knows valid; it fails the test on
+// error.
+func mustBuild(t testing.TB, spec Spec) *Topology {
+	t.Helper()
+	tp, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
 func TestParseKindRoundTrip(t *testing.T) {
 	for _, k := range Kinds() {
 		got, err := ParseKind(k.String())
@@ -21,7 +32,7 @@ func TestParseKindRoundTrip(t *testing.T) {
 }
 
 func TestSingleLayout(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Single, Nodes: 16, Radix: 16})
+	tp := mustBuild(t, Spec{Kind: Single, Nodes: 16, Radix: 16})
 	if got := tp.SwitchPorts; !reflect.DeepEqual(got, []int{16}) {
 		t.Fatalf("switch ports = %v", got)
 	}
@@ -36,7 +47,7 @@ func TestSingleLayout(t *testing.T) {
 }
 
 func TestSingleExpandsWhenAllowed(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Single, Nodes: 40, Radix: 16, AllowExpand: true})
+	tp := mustBuild(t, Spec{Kind: Single, Nodes: 40, Radix: 16, AllowExpand: true})
 	if tp.SwitchPorts[0] != 40 {
 		t.Fatalf("expanded crossbar has %d ports, want 40", tp.SwitchPorts[0])
 	}
@@ -49,7 +60,7 @@ func TestSingleExpandsWhenAllowed(t *testing.T) {
 // byte, so no switch may exceed 256 ports — an expanded crossbar past 256
 // nodes must be rejected, not silently misroute.
 func TestExpansionStopsAtRouteByte(t *testing.T) {
-	if tp := MustBuild(Spec{Kind: Single, Nodes: 256, Radix: 16, AllowExpand: true}); tp.SwitchPorts[0] != 256 {
+	if tp := mustBuild(t, Spec{Kind: Single, Nodes: 256, Radix: 16, AllowExpand: true}); tp.SwitchPorts[0] != 256 {
 		t.Fatalf("256-node crossbar ports = %d", tp.SwitchPorts[0])
 	}
 	if _, err := Build(Spec{Kind: Single, Nodes: 257, Radix: 16, AllowExpand: true}); err == nil {
@@ -58,7 +69,7 @@ func TestExpansionStopsAtRouteByte(t *testing.T) {
 	if _, err := Build(Spec{Kind: TwoSwitch, Nodes: 512, Radix: 16, AllowExpand: true}); err == nil {
 		t.Fatal("twoswitch past the route-byte limit accepted")
 	}
-	if tp := MustBuild(Spec{Kind: Clos3, Nodes: 512, Radix: 16}); tp.Nodes() != 512 {
+	if tp := mustBuild(t, Spec{Kind: Clos3, Nodes: 512, Radix: 16}); tp.Nodes() != 512 {
 		t.Fatal("fixed-radix fabric should carry 512 nodes fine")
 	}
 }
@@ -67,7 +78,7 @@ func TestExpansionStopsAtRouteByte(t *testing.T) {
 // TwoLevel path used, which the topo builder must reproduce exactly: nodes
 // split half-and-half, trunk on each crossbar's last port.
 func TestTwoSwitchLegacyLayout(t *testing.T) {
-	tp := MustBuild(Spec{Kind: TwoSwitch, Nodes: 8, Radix: 8})
+	tp := mustBuild(t, Spec{Kind: TwoSwitch, Nodes: 8, Radix: 8})
 	if !reflect.DeepEqual(tp.SwitchPorts, []int{8, 8}) {
 		t.Fatalf("switch ports = %v", tp.SwitchPorts)
 	}
@@ -89,7 +100,7 @@ func TestTwoSwitchLegacyLayout(t *testing.T) {
 // half plus the uplink does not fit, crossbar A grows to half+1 ports and
 // crossbar B to (n-half)+1.
 func TestTwoSwitchExpansion(t *testing.T) {
-	tp := MustBuild(Spec{Kind: TwoSwitch, Nodes: 32, Radix: 8, AllowExpand: true})
+	tp := mustBuild(t, Spec{Kind: TwoSwitch, Nodes: 32, Radix: 8, AllowExpand: true})
 	if !reflect.DeepEqual(tp.SwitchPorts, []int{17, 17}) {
 		t.Fatalf("expanded ports = %v, want [17 17]", tp.SwitchPorts)
 	}
@@ -103,7 +114,7 @@ func TestTwoSwitchExpansion(t *testing.T) {
 
 func TestStarLayout(t *testing.T) {
 	// Radix 5: 4 nodes per leaf, 12 nodes -> 3 leaves + 1 root.
-	tp := MustBuild(Spec{Kind: Star, Nodes: 12, Radix: 5})
+	tp := mustBuild(t, Spec{Kind: Star, Nodes: 12, Radix: 5})
 	if tp.Switches() != 4 {
 		t.Fatalf("switches = %d, want 4", tp.Switches())
 	}
@@ -127,7 +138,7 @@ func TestStarLayout(t *testing.T) {
 func TestStarLeafNodesSpreads(t *testing.T) {
 	// LeafNodes 2 forces 4 nodes across two leaves even though one leaf
 	// could hold them all.
-	tp := MustBuild(Spec{Kind: Star, Nodes: 4, Radix: 8, LeafNodes: 2})
+	tp := mustBuild(t, Spec{Kind: Star, Nodes: 4, Radix: 8, LeafNodes: 2})
 	if got := tp.LeafOf(); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
 		t.Fatalf("LeafOf = %v", got)
 	}
@@ -135,7 +146,7 @@ func TestStarLeafNodesSpreads(t *testing.T) {
 
 func TestClos2Layout(t *testing.T) {
 	// Radix 4: 2 node ports per leaf, 2 spines; 8 nodes -> 4 leaves.
-	tp := MustBuild(Spec{Kind: Clos2, Nodes: 8, Radix: 4})
+	tp := mustBuild(t, Spec{Kind: Clos2, Nodes: 8, Radix: 4})
 	if tp.Switches() != 6 {
 		t.Fatalf("switches = %d, want 6", tp.Switches())
 	}
@@ -158,7 +169,7 @@ func TestClos2Layout(t *testing.T) {
 
 func TestClos3Layout(t *testing.T) {
 	// k=4: 2 pods of 2+2 switches hold 8 nodes; core is 4 switches.
-	tp := MustBuild(Spec{Kind: Clos3, Nodes: 8, Radix: 4})
+	tp := mustBuild(t, Spec{Kind: Clos3, Nodes: 8, Radix: 4})
 	if tp.Switches() != 2*4+4 {
 		t.Fatalf("switches = %d, want 12", tp.Switches())
 	}
@@ -172,7 +183,7 @@ func TestClos3Layout(t *testing.T) {
 }
 
 func TestClos3FullScale(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Clos3, Nodes: 1024, Radix: 16})
+	tp := mustBuild(t, Spec{Kind: Clos3, Nodes: 1024, Radix: 16})
 	if tp.Switches() != 16*16+64 {
 		t.Fatalf("switches = %d, want 320", tp.Switches())
 	}
@@ -226,9 +237,9 @@ func TestBuildValidation(t *testing.T) {
 }
 
 // TestRoutesMatchPerPairBFS holds the route table a Topology serves to the
-// oracle's other traversal, the per-pair BFS of route.Graph.Route (the
-// equivalence tests in algroute_test.go use the per-source RoutesFrom), on
-// randomized Clos instances including radix 6.
+// oracle's other traversal, the per-pair BFS of Graph.Route (bfs_test.go;
+// the equivalence tests in algroute_test.go use the per-source RoutesFrom),
+// on randomized Clos instances including radix 6.
 func TestRoutesMatchPerPairBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prop := func(kindPick, radixPick, nodePick uint8) bool {
@@ -256,7 +267,7 @@ func TestRoutesMatchPerPairBFS(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				want, err := g.Route(NICVertex(src), NICVertex(dst))
+				want, err := g.Route(nicVertexOf(src), nicVertexOf(dst))
 				if err != nil {
 					t.Logf("graph.Route(%d,%d) on %+v: %v", src, dst, spec, err)
 					return false
@@ -276,7 +287,7 @@ func TestRoutesMatchPerPairBFS(t *testing.T) {
 }
 
 func TestRouteSelfIsEmpty(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Star, Nodes: 8, Radix: 4})
+	tp := mustBuild(t, Spec{Kind: Star, Nodes: 8, Radix: 4})
 	r, err := tp.Route(3, 3)
 	if err != nil || len(r) != 0 {
 		t.Fatalf("self route = %v, %v", r, err)
@@ -303,7 +314,7 @@ func TestRouteHopCounts(t *testing.T) {
 		{Spec{Kind: Clos3, Nodes: 1024, Radix: 16}, 0, 1023, 5}, // cross pod
 	}
 	for _, c := range cases {
-		tp := MustBuild(c.spec)
+		tp := mustBuild(t, c.spec)
 		r, err := tp.Route(c.src, c.dst)
 		if err != nil {
 			t.Fatalf("route %d->%d on %v: %v", c.src, c.dst, c.spec.Kind, err)
@@ -327,7 +338,7 @@ func TestComputeStatsDiameters(t *testing.T) {
 		{Spec{Kind: Clos3, Nodes: 32, Radix: 8}, 5},
 	}
 	for _, c := range cases {
-		st := MustBuild(c.spec).ComputeStats()
+		st := mustBuild(t, c.spec).ComputeStats()
 		if st.Diameter != c.diameter {
 			t.Errorf("%v diameter = %d, want %d", c.spec.Kind, st.Diameter, c.diameter)
 		}
@@ -345,7 +356,7 @@ func TestComputeStatsDiameters(t *testing.T) {
 }
 
 func TestDOTContainsFabric(t *testing.T) {
-	tp := MustBuild(Spec{Kind: Star, Nodes: 12, Radix: 5})
+	tp := mustBuild(t, Spec{Kind: Star, Nodes: 12, Radix: 5})
 	dot := tp.DOT("test caption")
 	for _, want := range []string{
 		"graph topology {",

@@ -49,12 +49,6 @@ func (d Decomposition) CriticalSum() sim.Time {
 // Idle returns the unattributed part of the window.
 func (d Decomposition) Idle() sim.Time { return d.Critical[phase.NumPhases] }
 
-// HostCritical sums the host-CPU phases of the Critical partition.
-func (d Decomposition) HostCritical() sim.Time {
-	return d.Critical[phase.HostSend] + d.Critical[phase.HostRecv] +
-		d.Critical[phase.HostPost] + d.Critical[phase.HostDone]
-}
-
 // Table renders the decomposition as an aligned text table, one phase per
 // line, with the share of the window and the cluster-wide total.
 func (d Decomposition) Table() string {

@@ -159,7 +159,7 @@ func TestDecomposeConservationOnRealRun(t *testing.T) {
 	if !strings.Contains(d.Table(), "NICProc") {
 		t.Fatal("table missing phase rows")
 	}
-	if d.HostCritical() == 0 {
+	if d.Critical[phase.HostPost]+d.Critical[phase.HostDone] == 0 {
 		t.Fatal("host critical time zero (token post should appear)")
 	}
 }

@@ -94,7 +94,6 @@ type Recorder struct {
 	nEvents int
 	flat    []Event
 	enabled bool
-	filter  func(Event) bool
 	// hopReasons interns the "swS:pP" reason of hop events: one string per
 	// (switch, port), not one per forwarded packet.
 	hopReasons map[[2]int]string
@@ -153,9 +152,6 @@ func (r *Recorder) Disable() {
 	r.enabled = false
 	r.phases.Disable(r.sim.Now())
 }
-
-// SetFilter installs a predicate; events it rejects are not recorded.
-func (r *Recorder) SetFilter(fn func(Event) bool) { r.filter = fn }
 
 // Reset discards recorded events and spans, and forgets packets in flight:
 // one injected before the reset and delivered after it leaves no wire span
@@ -216,9 +212,6 @@ func (r *Recorder) record(kind Kind, p *network.Packet, reason string) {
 			ev.Frame = f.Kind
 			ev.Seq = f.Seq
 		}
-	}
-	if r.filter != nil && !r.filter(ev) {
-		return
 	}
 	r.add(ev)
 }
@@ -310,30 +303,10 @@ func (r *Recorder) FaultInjected(kind string, p *network.Packet, detail string) 
 		if !r.enabled {
 			return
 		}
-		ev := Event{At: r.sim.Now(), Kind: Fault, Reason: reason}
-		if r.filter != nil && !r.filter(ev) {
-			return
-		}
-		r.add(ev)
+		r.add(Event{At: r.sim.Now(), Kind: Fault, Reason: reason})
 		return
 	}
 	r.record(Fault, p, reason)
-}
-
-// Filter returns the recorded events matching the predicate.
-func (r *Recorder) Filter(fn func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if fn(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Between returns events with t0 <= At <= t1.
-func (r *Recorder) Between(t0, t1 sim.Time) []Event {
-	return r.Filter(func(e Event) bool { return e.At >= t0 && e.At <= t1 })
 }
 
 // WireLatency pairs injections with deliveries of the same packet and
