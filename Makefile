@@ -56,15 +56,16 @@ fuzz:
 # Coverage with per-package floors. The observability layer (internal/trace),
 # the analytic model (internal/model), the fault injector (internal/fault),
 # the topology/routing layer (internal/topo, now carrying the algebraic
-# router) and the firmware (internal/mcp, whose failure paths only a few
-# scenario goldens reach from outside) are the packages most likely to rot
-# silently — their statement coverage from their own tests must stay at or
-# above COVER_FLOOR.
+# router), the firmware (internal/mcp, whose failure paths only a few
+# scenario goldens reach from outside) and the simulation service
+# (internal/service, whose dead-letter, retry and replay paths only its own
+# tests reach) are the packages most likely to rot silently — their
+# statement coverage from their own tests must stay at or above COVER_FLOOR.
 COVER_FLOOR ?= 80.0
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=count ./...
 	$(GO) tool cover -func=coverage.out | tail -1
-	@for pkg in gmsim/internal/trace gmsim/internal/model gmsim/internal/fault gmsim/internal/topo gmsim/internal/mcp; do \
+	@for pkg in gmsim/internal/trace gmsim/internal/model gmsim/internal/fault gmsim/internal/topo gmsim/internal/mcp gmsim/internal/service; do \
 		pct="$$(awk -v p="$$pkg/" \
 			'index($$1, p) == 1 { tot += $$2; if ($$3 > 0) cov += $$2 } \
 			END { printf "%.1f", tot ? 100 * cov / tot : 0 }' coverage.out)"; \

@@ -408,10 +408,7 @@ func printCrash(n, dim int, planName string, seed int64) {
 		os.Exit(2)
 	}
 	mk := func(alg mcp.BarrierAlg, d int, name string) experiments.Scenario {
-		cfg := cluster.DefaultConfig(n)
-		cfg.ReliableBarrier = true
-		cfg.DetectFailures = true
-		cfg.Firmware = experiments.DetectionFirmware()
+		cfg := experiments.FailStopTestbed(cluster.DefaultConfig(n))
 		// A fresh plan per scenario: injector state is per-run.
 		cfg.Fault, _ = service.NamedPlan(planName, seed, n)
 		return experiments.Scenario{Name: name, Spec: experiments.Spec{Cluster: cfg, Alg: alg, Dim: d}}

@@ -33,8 +33,9 @@
 // corruption at read), accepted jobs are journaled before they are
 // acknowledged, and on startup the journal is replayed — completed
 // results are served from disk without re-simulation and interrupted jobs
-// are re-enqueued. A job that outlives its estimated deadline or panics
-// repeatedly is parked on /v1/deadletter instead of wedging a worker.
+// are re-enqueued. A job that outlives its deadline (-job-deadline plus
+// its estimated cost at a fixed 200k events/s) or panics twice (one retry,
+// fixed) is parked on /v1/deadletter instead of wedging a worker.
 //
 // SIGTERM or SIGINT drains gracefully: intake stops (503), queued and
 // running jobs finish, the listener closes, and the process exits 0. If

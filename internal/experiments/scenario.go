@@ -116,26 +116,26 @@ func RunScenarios(list []Scenario) []ScenarioSummary {
 // The fleet.
 // ---------------------------------------------------------------------------
 
-// DetectionFirmware returns the firmware parameters the chaos fleet runs
-// detection with: a tight retry budget so a fail-stop is declared within a
-// few milliseconds of simulated time instead of the production default's
-// conservative seconds. Zero-fault behavior is unchanged — these knobs only
-// matter once frames go unacked.
-func DetectionFirmware() mcp.FirmwareParams {
-	fw := mcp.DefaultFirmwareParams()
-	fw.RetransTimeout = sim.FromMicros(200)
-	fw.RetransBackoffMax = sim.FromMicros(1600)
-	fw.MaxRetries = 6
-	fw.BarrierTimeout = sim.FromMicros(500)
-	return fw
-}
-
-// detectCfg is a single-crossbar testbed with failure detection on.
-func detectCfg(n int, plan *fault.Plan) cluster.Config {
-	cfg := cluster.DefaultConfig(n)
+// FailStopTestbed makes cfg the testbed every crash and partition run
+// uses: the reliable barrier with failure detection on, and firmware with
+// a tight retry budget so a fail-stop is declared within a few milliseconds
+// of simulated time instead of the production default's conservative
+// seconds. Zero-fault behavior is unchanged — the retry knobs only matter
+// once frames go unacked.
+func FailStopTestbed(cfg cluster.Config) cluster.Config {
 	cfg.ReliableBarrier = true
 	cfg.DetectFailures = true
-	cfg.Firmware = DetectionFirmware()
+	cfg.Firmware = mcp.DefaultFirmwareParams()
+	cfg.Firmware.RetransTimeout = sim.FromMicros(200)
+	cfg.Firmware.RetransBackoffMax = sim.FromMicros(1600)
+	cfg.Firmware.MaxRetries = 6
+	cfg.Firmware.BarrierTimeout = sim.FromMicros(500)
+	return cfg
+}
+
+// detectCfg is a single-crossbar fail-stop testbed.
+func detectCfg(n int, plan *fault.Plan) cluster.Config {
+	cfg := FailStopTestbed(cluster.DefaultConfig(n))
 	cfg.Fault = plan
 	return cfg
 }
@@ -202,10 +202,7 @@ func ScenarioFleet() []Scenario {
 		return cfg
 	}
 	clos2 := func(plan *fault.Plan) cluster.Config {
-		cfg := clos2Cfg(32, 8)
-		cfg.ReliableBarrier = true
-		cfg.DetectFailures = true
-		cfg.Firmware = DetectionFirmware()
+		cfg := FailStopTestbed(clos2Cfg(32, 8))
 		cfg.Fault = plan
 		return cfg
 	}

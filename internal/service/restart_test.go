@@ -135,10 +135,10 @@ func TestRestartRecovery(t *testing.T) {
 	if string(stA.Result) != string(bodyA) {
 		t.Fatalf("replayed result differs from pre-crash bytes:\n got %s\nwant %s", stA.Result, bodyA)
 	}
-	if reg := srv2.Registry(); reg.Get("service.journal.replay_served") != 1 {
+	if reg := srv2.reg; reg.Get("service.journal.replay_served") != 1 {
 		t.Errorf("replay_served = %d, want 1", reg.Get("service.journal.replay_served"))
 	}
-	if reg := srv2.Registry(); reg.Get("service.cache.disk_hits") == 0 {
+	if reg := srv2.reg; reg.Get("service.cache.disk_hits") == 0 {
 		t.Error("no disk hits recorded for the store-backed replay")
 	}
 	if srv2.journal.Torn() != 1 {
@@ -181,7 +181,7 @@ func TestRestartRecovery(t *testing.T) {
 	if string(stB.Result) != string(freshB) {
 		t.Fatalf("replayed run diverged from serial execution:\n got %s\nwant %s", stB.Result, freshB)
 	}
-	if reg := srv2.Registry(); reg.Get("service.journal.replayed") != 2 {
+	if reg := srv2.reg; reg.Get("service.journal.replayed") != 2 {
 		t.Errorf("journal.replayed = %d, want 2 (specB and the legacy accept)", reg.Get("service.journal.replayed"))
 	}
 
@@ -194,7 +194,7 @@ func TestRestartRecovery(t *testing.T) {
 
 	// Completed results are pure disk hits after restart: re-posting specA
 	// must not move the simulation counter (only specB's replay ran).
-	runsBefore := srv2.Registry().Get("service.runs")
+	runsBefore := srv2.reg.Get("service.runs")
 	resp, body := post(t, ts2.Client(), ts2.URL+"/v1/runs", specA, "")
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("warm-from-disk repost: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
@@ -202,7 +202,7 @@ func TestRestartRecovery(t *testing.T) {
 	if string(body) != string(bodyA) {
 		t.Fatalf("post-restart body differs from pre-crash bytes:\n got %s\nwant %s", body, bodyA)
 	}
-	if runs := srv2.Registry().Get("service.runs"); runs != runsBefore {
+	if runs := srv2.reg.Get("service.runs"); runs != runsBefore {
 		t.Errorf("re-post of a stored result re-simulated: runs %d -> %d", runsBefore, runs)
 	}
 	ts2.Close()
@@ -233,14 +233,14 @@ func TestRestartRecovery(t *testing.T) {
 	if string(body) != string(bodyA) {
 		t.Fatalf("re-simulated result differs from original bytes:\n got %s\nwant %s", body, bodyA)
 	}
-	if _, _, _, q := srv3.Store().Stats(); q != 1 {
+	if _, _, _, q := srv3.store.Stats(); q != 1 {
 		t.Errorf("quarantined = %d, want 1", q)
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "store", "quarantine", hA+".*")); len(files) != 1 {
 		t.Errorf("quarantine dir holds %v, want one file for %s", files, hA[:8])
 	}
 	// The healed slot serves from disk on the next life.
-	if _, ok := srv3.Store().Get(hA); !ok {
+	if _, ok := srv3.store.Get(hA); !ok {
 		t.Error("store slot not healed after re-simulation")
 	}
 }
@@ -272,15 +272,15 @@ func TestReadThroughAcrossRestart(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("restart body diverged:\n got %s\nwant %s", got, want)
 	}
-	if runs := srv2.Registry().Get("service.runs"); runs != 0 {
+	if runs := srv2.reg.Get("service.runs"); runs != 0 {
 		t.Errorf("restart re-simulated %d times, want 0", runs)
 	}
-	if hits := srv2.Registry().Get("service.cache.disk_hits"); hits != 1 {
+	if hits := srv2.reg.Get("service.cache.disk_hits"); hits != 1 {
 		t.Errorf("disk_hits = %d, want 1", hits)
 	}
 	// Second request hits RAM, not disk again.
 	post(t, ts2.Client(), ts2.URL+"/v1/runs", spec, "")
-	if hits := srv2.Registry().Get("service.cache.disk_hits"); hits != 1 {
+	if hits := srv2.reg.Get("service.cache.disk_hits"); hits != 1 {
 		t.Errorf("disk_hits after RAM-warm repeat = %d, want 1", hits)
 	}
 }
@@ -323,13 +323,13 @@ func TestStaleEpochEntryResimulated(t *testing.T) {
 			if string(got) != string(fresh) {
 				t.Fatalf("served\n%s\nwant the fresh result\n%s", got, fresh)
 			}
-			if runs := srv.Registry().Get("service.runs"); runs != 1 {
+			if runs := srv.reg.Get("service.runs"); runs != 1 {
 				t.Errorf("service.runs = %d, want 1", runs)
 			}
-			if _, _, _, q := srv.Store().Stats(); q != 1 {
+			if _, _, _, q := srv.store.Stats(); q != 1 {
 				t.Errorf("quarantined = %d, want 1", q)
 			}
-			if e, ok := srv.Store().Get(hash); !ok || string(e.Result) != string(fresh) {
+			if e, ok := srv.store.Get(hash); !ok || string(e.Result) != string(fresh) {
 				t.Error("the slot does not hold the fresh result")
 			}
 		})
@@ -360,7 +360,7 @@ func TestStoreWriteFailureLeavesAcceptPending(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(got) != string(want) {
 		t.Fatalf("run with a failing store: %d %s, want 200 %s", resp.StatusCode, got, want)
 	}
-	if n := srv1.Registry().Get("service.store.put_errors"); n != 1 {
+	if n := srv1.reg.Get("service.store.put_errors"); n != 1 {
 		t.Errorf("store.put_errors = %d, want 1", n)
 	}
 	ts1.Close()
@@ -370,14 +370,14 @@ func TestStoreWriteFailureLeavesAcceptPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2 := newTestServer(t, Config{Dir: dir, Workers: 1})
-	if n := srv2.Registry().Get("service.journal.replayed"); n != 1 {
+	if n := srv2.reg.Get("service.journal.replayed"); n != 1 {
 		t.Errorf("journal.replayed = %d, want 1: the unstored job was journaled done", n)
 	}
 	drainClose(t, srv2) // runs the replayed job to completion
-	if n := srv2.Registry().Get("service.jobs_done"); n != 1 {
+	if n := srv2.reg.Get("service.jobs_done"); n != 1 {
 		t.Errorf("jobs_done after replay = %d, want 1", n)
 	}
-	if _, ok := srv2.Store().Get(hash); !ok {
+	if _, ok := srv2.store.Get(hash); !ok {
 		t.Error("replayed job's result did not reach the store")
 	}
 }
@@ -447,31 +447,31 @@ func TestDeadlineDeadLetters(t *testing.T) {
 	if dl.Reason == "" || dl.Attempts != 1 {
 		t.Errorf("dead letter lacks reason/attempts: %+v", dl)
 	}
-	if got := srv.Registry().Get("service.jobs_deadlettered"); got != 1 {
+	if got := srv.reg.Get("service.jobs_deadlettered"); got != 1 {
 		t.Errorf("jobs_deadlettered = %d, want 1", got)
 	}
 
 	// The stray run's late result is still banked once it finishes.
 	close(release)
 	lateDeadline := time.Now().Add(10 * time.Second)
-	for srv.Registry().Get("service.deadline_late_results") == 0 {
+	for srv.reg.Get("service.deadline_late_results") == 0 {
 		if time.Now().After(lateDeadline) {
 			t.Fatal("late result never banked")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, ok := srv.Cache().Get(st.Hash); !ok {
+	if _, ok := srv.cache.Get(st.Hash); !ok {
 		t.Error("late result not in the cache")
 	}
 }
 
 // TestPanicRetryAndExhaustion: one panic is retried and can succeed; a
-// job that panics MaxAttempts times is dead-lettered, not retried forever.
+// job that panics on both of its attempts is dead-lettered, not retried
+// forever.
 func TestPanicRetryAndExhaustion(t *testing.T) {
 	var calls int
 	srv := newTestServer(t, Config{
-		Workers:     1,
-		MaxAttempts: 2,
+		Workers: 1,
 		exec: func(s Spec) (Outcome, error) {
 			calls++
 			if s.Nodes == 7 { // the always-poisoned spec
@@ -493,7 +493,7 @@ func TestPanicRetryAndExhaustion(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retried job failed: %d %s", resp.StatusCode, b)
 	}
-	if got := srv.Registry().Get("service.jobs_retried"); got != 1 {
+	if got := srv.reg.Get("service.jobs_retried"); got != 1 {
 		t.Errorf("jobs_retried = %d, want 1", got)
 	}
 
@@ -525,8 +525,7 @@ func TestPanicRetryAndExhaustion(t *testing.T) {
 // and the server keeps serving.
 func TestSimulatedProcessPanicIsDeadLettered(t *testing.T) {
 	srv := newTestServer(t, Config{
-		Workers:     1,
-		MaxAttempts: 2,
+		Workers: 1,
 		exec: func(Spec) (Outcome, error) {
 			s, err := experiments.NewSession(cluster.DefaultConfig(4))
 			if err != nil {
@@ -552,7 +551,7 @@ func TestSimulatedProcessPanicIsDeadLettered(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "rank 2 hit a model bug") {
 		t.Fatalf("job with a panicking rank: status %d body %s, want 500 naming the panic", resp.StatusCode, b)
 	}
-	if got := srv.Registry().Get("service.jobs_retried"); got != 1 {
+	if got := srv.reg.Get("service.jobs_retried"); got != 1 {
 		t.Errorf("jobs_retried = %d, want 1", got)
 	}
 	var letters struct {
@@ -618,7 +617,7 @@ func TestCostAdmission(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("cost rejection lacks Retry-After")
 	}
-	if got := srv.Registry().Get("service.rejected_cost"); got != 1 {
+	if got := srv.reg.Get("service.rejected_cost"); got != 1 {
 		t.Errorf("rejected_cost = %d, want 1", got)
 	}
 }

@@ -46,17 +46,11 @@ type Config struct {
 	// RetryAfterSeconds is the Retry-After hint on queue-full rejections.
 	// 0 means 1.
 	RetryAfterSeconds int
-	// DeadlineBase and DeadlineRate set per-job deadlines: a job may run
-	// for DeadlineBase plus its estimated cost divided by DeadlineRate
-	// (events/sec) before it is abandoned and dead-lettered. 0 means
-	// DefaultDeadlineBase / DefaultDeadlineRate; a negative DeadlineBase
+	// DeadlineBase sets per-job deadlines: a job may run for DeadlineBase
+	// plus its estimated cost at a fixed 200k events/sec before it is
+	// abandoned and dead-lettered. 0 means DefaultDeadlineBase; negative
 	// disables deadlines.
 	DeadlineBase time.Duration
-	DeadlineRate int64
-	// MaxAttempts is how many times a job may panic before dead-lettering
-	// (a panicking spec is retried MaxAttempts-1 times). 0 means
-	// DefaultMaxAttempts.
-	MaxAttempts int
 
 	// exec replaces the simulation executor in tests (deadline, panic and
 	// admission tests need controllable job behavior, not real runs).
@@ -88,9 +82,12 @@ const (
 	JobDeadLettered = "deadletter"
 )
 
-// Job is one submitted simulation. Fields other than ID/Key/Spec/Hash/Cost
-// are guarded by the server mutex until done closes, after which they are
-// immutable.
+// Job is one submitted simulation. Its lifecycle is queued → running →
+// (queued again after a panic, up to maxAttempts) → done | failed |
+// deadletter, and every terminal state is entered through Server.finish.
+// Fields other than ID/Key/Spec/Hash/Cost are guarded by the server mutex
+// until done closes, after which they are immutable; entry is set exactly
+// when status is done.
 type Job struct {
 	ID   string
 	Key  string
@@ -101,7 +98,6 @@ type Job struct {
 	status    string
 	errMsg    string
 	entry     Entry
-	hasEntry  bool
 	coalesced int
 	attempts  int
 	done      chan struct{}
@@ -122,7 +118,7 @@ type JobStatus struct {
 }
 
 // DeadLetter is one dead-lettered job as served by GET /v1/deadletter: a
-// job that exceeded its deadline or panicked MaxAttempts times, parked so
+// job that exceeded its deadline or panicked on every attempt, parked so
 // it cannot poison a worker forever.
 type DeadLetter struct {
 	ID       string `json:"id"`
@@ -152,14 +148,14 @@ type Server struct {
 	queue    *fairQueue
 	jobs     map[string]*Job
 	jobOrder []string
+	// byHash holds the admitted jobs — queued or running — by spec hash:
+	// a submit of one of them coalesces, and their summed cost is what
+	// cost admission bounds.
 	byHash   map[string]*Job
 	dead     []DeadLetter
-	// outstandingCost sums the estimated cost of queued and running jobs —
-	// the quantity cost admission bounds.
-	outstandingCost int64
-	running         int
-	draining        bool
-	seq             int
+	running  int
+	draining bool
+	seq      int
 
 	workersDone chan struct{}
 }
@@ -188,17 +184,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.DeadlineBase == 0 {
 		cfg.DeadlineBase = DefaultDeadlineBase
 	}
-	if cfg.DeadlineRate <= 0 {
-		cfg.DeadlineRate = DefaultDeadlineRate
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
 	s := &Server{
 		cfg:         cfg,
 		cache:       NewCache(cfg.CacheBytes),
 		reg:         stats.NewRegistry(),
-		exec:        safeExecute,
+		exec:        Execute,
 		queue:       newFairQueue(),
 		jobs:        make(map[string]*Job),
 		byHash:      make(map[string]*Job),
@@ -237,11 +227,12 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replay turns the journal's pending accepts back into live jobs: one whose
+// replay turns the journal's pending accepts back into jobs, built as
+// submit builds them and keeping their original IDs and keys: one whose
 // result already reached the store (the crash landed between the store
-// write and the journal's done record) is served from disk; the rest are
-// re-enqueued with their original IDs and keys. Runs before the workers
-// start, so no locking.
+// write and the journal's done record) finishes at once, served from disk;
+// the rest are admitted and queued again. Runs before the workers start,
+// so only finish locks.
 func (s *Server) replay(pending []PendingJob) {
 	for _, p := range pending {
 		if n := parseSeq(p.ID); n > s.seq {
@@ -250,17 +241,11 @@ func (s *Server) replay(pending []PendingJob) {
 		if _, dup := s.jobs[p.ID]; dup {
 			continue
 		}
+		j := newJob(p.ID, p.Key, p.Spec, p.Hash, EstimateCost(p.Spec))
 		if entry, ok := s.lookup(p.Hash); ok {
-			done := make(chan struct{})
-			close(done)
-			j := &Job{
-				ID: p.ID, Key: p.Key, Spec: p.Spec, Hash: p.Hash,
-				status: JobDone, entry: entry, hasEntry: true, done: done,
-			}
-			s.jobs[p.ID] = j
-			s.jobOrder = append(s.jobOrder, p.ID)
-			_ = s.journal.Done(p.ID)
-			s.reg.Add("service.journal.replay_served", 1)
+			s.jobs[j.ID] = j
+			s.jobOrder = append(s.jobOrder, j.ID)
+			s.finish(j, JobDone, "service.journal.replay_served", "", entry, true)
 			continue
 		}
 		if prev, ok := s.byHash[p.Hash]; ok {
@@ -271,17 +256,7 @@ func (s *Server) replay(pending []PendingJob) {
 			_ = s.journal.Done(p.ID)
 			continue
 		}
-		j := &Job{
-			ID: p.ID, Key: p.Key, Spec: p.Spec, Hash: p.Hash,
-			Cost:   EstimateCost(p.Spec),
-			status: JobQueued,
-			done:   make(chan struct{}),
-		}
-		s.jobs[p.ID] = j
-		s.jobOrder = append(s.jobOrder, p.ID)
-		s.byHash[p.Hash] = j
-		s.outstandingCost += j.Cost
-		s.queue.push(j)
+		s.admitLocked(j)
 		s.reg.Add("service.journal.replayed", 1)
 	}
 }
@@ -351,10 +326,9 @@ func (s *Server) nextJob() *Job {
 	}
 }
 
-// runJob executes one job under its deadline and publishes the outcome to
-// the job record, the cache, the store, the journal and the metrics
-// registry. A panicking job is retried up to MaxAttempts; a job that
-// panics out of retries or outlives its deadline is dead-lettered.
+// runJob executes one job under its deadline and ends it: a panicking job
+// is queued again until it has had maxAttempts; otherwise the outcome goes
+// to finish, a successful one through publishEntry first.
 func (s *Server) runJob(j *Job) {
 	type execResult struct {
 		out Outcome
@@ -366,70 +340,86 @@ func (s *Server) runJob(j *Job) {
 		ch <- execResult{out, err}
 	}()
 
-	var r execResult
-	if deadline := s.deadlineFor(j.Cost); deadline > 0 {
+	deadline := s.deadlineFor(j.Cost)
+	var timeout <-chan time.Time // nil, never ready, when deadlines are off
+	if deadline > 0 {
 		timer := time.NewTimer(deadline)
-		select {
-		case r = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			// The worker abandons the run (a goroutine cannot be killed) and
-			// moves on; if the stray run ever finishes, its result is still
-			// banked — determinism makes it valid forever.
-			go func() {
-				if late := <-ch; late.err == nil {
-					s.publishEntry(j.Hash, late.out)
-					s.reg.Add("service.deadline_late_results", 1)
-				}
-			}()
-			s.deadLetter(j, fmt.Sprintf("deadline %v exceeded (estimated cost %d events)", deadline, j.Cost))
-			return
-		}
-	} else {
-		r = <-ch
+		defer timer.Stop()
+		timeout = timer.C
 	}
-
-	var pe panicError
-	if errors.As(r.err, &pe) {
-		if j.attempts < s.cfg.MaxAttempts {
-			s.requeue(j)
-			return
-		}
-		s.deadLetter(j, fmt.Sprintf("panicked %d times: %v", j.attempts, r.err))
+	var r execResult
+	select {
+	case r = <-ch:
+	case <-timeout:
+		// The worker abandons the run (a goroutine cannot be killed) and
+		// moves on; if the stray run ever finishes, its result is still
+		// banked — determinism makes it valid forever.
+		go func() {
+			if late := <-ch; late.err == nil {
+				s.publishEntry(j.Hash, late.out)
+				s.reg.Add("service.deadline_late_results", 1)
+			}
+		}()
+		s.finish(j, JobDeadLettered, "service.jobs_deadlettered",
+			fmt.Sprintf("deadline %v exceeded (estimated cost %d events)", deadline, j.Cost), Entry{}, false)
 		return
 	}
 
+	panicked := errors.As(r.err, new(panicError))
 	var entry Entry
 	var stored bool
-	err := r.err
-	if err == nil {
-		entry, stored, err = s.publishEntry(j.Hash, r.out)
+	if r.err == nil {
+		entry, stored, r.err = s.publishEntry(j.Hash, r.out)
 	}
+	switch {
+	case panicked && j.attempts < maxAttempts:
+		s.requeue(j)
+	case panicked:
+		s.finish(j, JobDeadLettered, "service.jobs_deadlettered",
+			fmt.Sprintf("panicked %d times: %v", j.attempts, r.err), Entry{}, false)
+	case r.err != nil:
+		s.finish(j, JobFailed, "service.jobs_failed", r.err.Error(), Entry{}, false)
+	default:
+		s.finish(j, JobDone, "service.jobs_done", "", entry, stored)
+	}
+}
 
+// finish is the one exit of a job's lifecycle, whatever ended it: done,
+// failed, or dead-lettered by its deadline or by panics. It hands back what
+// admission took (the running slot, and the coalescing slot that also
+// carries the job's share of the cost budget), records the outcome, bumps
+// counter, journals the transition and wakes the waiters. A done job is
+// journaled only when stored: otherwise its accept stays pending, the
+// waiting client is answered from RAM, and the next start replays the job
+// and stores it. A dead-lettered job also joins the dead-letter list, so
+// replay will not resurrect it.
+func (s *Server) finish(j *Job, status, counter, msg string, entry Entry, stored bool) {
 	s.mu.Lock()
-	s.running--
-	delete(s.byHash, j.Hash)
-	s.outstandingCost -= j.Cost
-	if err != nil {
-		j.status = JobFailed
-		j.errMsg = err.Error()
-		s.reg.Add("service.jobs_failed", 1)
-	} else {
-		j.status = JobDone
-		j.entry = entry
-		j.hasEntry = true
-		s.reg.Add("service.jobs_done", 1)
+	if j.status == JobRunning {
+		s.running--
 	}
+	delete(s.byHash, j.Hash)
+	j.status, j.errMsg, j.entry = status, msg, entry
+	if status == JobDeadLettered {
+		s.dead = append(s.dead, DeadLetter{
+			ID: j.ID, Key: j.Key, Hash: j.Hash, Spec: j.Spec,
+			Reason: msg, Attempts: j.attempts,
+		})
+		if len(s.dead) > maxDeadLetters {
+			s.dead = s.dead[len(s.dead)-maxDeadLetters:]
+		}
+	}
+	s.reg.Add(counter, 1)
 	s.mu.Unlock()
 	if s.journal != nil {
 		switch {
-		case err != nil:
-			_ = s.journal.Failed(j.ID, err.Error())
+		case status == JobFailed:
+			_ = s.journal.Failed(j.ID, msg)
+		case status == JobDeadLettered:
+			_ = s.journal.DeadLetter(j.ID, msg)
 		case stored:
 			_ = s.journal.Done(j.ID)
 		}
-		// Otherwise the accept stays pending: the waiting client is answered
-		// from RAM, and the next start replays the job and stores it.
 	}
 	close(j.done)
 }
@@ -468,31 +458,6 @@ func (s *Server) requeue(j *Job) {
 	s.cond.Signal()
 }
 
-// deadLetter parks a job on the dead-letter list and completes it with an
-// error: sync waiters get the reason, replay will not resurrect it, and
-// the worker slot is free again.
-func (s *Server) deadLetter(j *Job, reason string) {
-	s.mu.Lock()
-	s.running--
-	delete(s.byHash, j.Hash)
-	s.outstandingCost -= j.Cost
-	j.status = JobDeadLettered
-	j.errMsg = reason
-	s.dead = append(s.dead, DeadLetter{
-		ID: j.ID, Key: j.Key, Hash: j.Hash, Spec: j.Spec,
-		Reason: reason, Attempts: j.attempts,
-	})
-	if len(s.dead) > maxDeadLetters {
-		s.dead = s.dead[len(s.dead)-maxDeadLetters:]
-	}
-	s.reg.Add("service.jobs_deadlettered", 1)
-	s.mu.Unlock()
-	if s.journal != nil {
-		_ = s.journal.DeadLetter(j.ID, reason)
-	}
-	close(j.done)
-}
-
 // safeCall runs the executor with panics converted to retryable job
 // errors, so one bad spec cannot take a service worker down. Deadlocked
 // model programs and configs that fail to build come back from Execute as
@@ -506,9 +471,6 @@ func safeCall(exec func(Spec) (Outcome, error), spec Spec) (out Outcome, err err
 	}()
 	return exec(spec)
 }
-
-// safeExecute is the default executor: Execute with panic recovery.
-func safeExecute(spec Spec) (Outcome, error) { return safeCall(Execute, spec) }
 
 // panicError marks an executor panic — the only error class runJob
 // retries.
@@ -551,15 +513,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Cache exposes the result cache (tests and cmd/simd metrics).
-func (s *Server) Cache() *Cache { return s.cache }
-
-// Store exposes the persistent store; nil when the server is ephemeral.
-func (s *Server) Store() *Store { return s.store }
-
-// Registry exposes the service metrics registry.
-func (s *Server) Registry() *stats.Registry { return s.reg }
-
 // submit enqueues a canonical spec for a client key, coalescing onto an
 // identical pending job when one exists. It returns the job, or an error
 // with an HTTP status when the submission is rejected.
@@ -583,36 +536,54 @@ func (s *Server) submit(spec Spec, hash, key string) (*Job, int, error) {
 		s.reg.Add("service.rejected", 1)
 		return nil, http.StatusTooManyRequests, fmt.Errorf("client %q has %d queued jobs", key, s.queue.lenFor(key))
 	}
-	if s.cfg.CostBudget > 0 && s.outstandingCost+cost > s.cfg.CostBudget {
+	// Budget minus outstanding, not outstanding plus cost: a saturated
+	// estimate must not wrap the sum back under the budget.
+	if outstanding := s.outstandingCostLocked(); s.cfg.CostBudget > 0 && cost > s.cfg.CostBudget-outstanding {
 		s.reg.Add("service.rejected_cost", 1)
 		return nil, http.StatusTooManyRequests,
 			fmt.Errorf("estimated cost %d would exceed the outstanding budget (%d of %d used)",
-				cost, s.outstandingCost, s.cfg.CostBudget)
+				cost, outstanding, s.cfg.CostBudget)
 	}
 	s.seq++
-	j := &Job{
-		ID:     fmt.Sprintf("j%06d-%s", s.seq, hash[:8]),
-		Key:    key,
-		Spec:   spec,
-		Hash:   hash,
-		Cost:   cost,
-		status: JobQueued,
-		done:   make(chan struct{}),
-	}
+	j := newJob(fmt.Sprintf("j%06d-%s", s.seq, hash[:8]), key, spec, hash, cost)
 	if s.journal != nil {
 		// The write-ahead point: the job is durable before it is visible.
 		if err := s.journal.Accept(PendingJob{ID: j.ID, Key: key, Hash: hash, Spec: spec}); err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
 	}
-	s.jobs[j.ID] = j
-	s.jobOrder = append(s.jobOrder, j.ID)
-	s.byHash[hash] = j
-	s.outstandingCost += cost
-	s.queue.push(j)
+	s.admitLocked(j)
 	s.pruneJobsLocked()
 	s.cond.Signal()
 	return j, 0, nil
+}
+
+// newJob builds an accepted job, queued.
+func newJob(id, key string, spec Spec, hash string, cost int64) *Job {
+	return &Job{
+		ID: id, Key: key, Spec: spec, Hash: hash, Cost: cost,
+		status: JobQueued,
+		done:   make(chan struct{}),
+	}
+}
+
+// admitLocked makes an accepted job visible, takes its coalescing slot and
+// queues it. Caller holds s.mu (or, during replay, runs alone).
+func (s *Server) admitLocked(j *Job) {
+	s.jobs[j.ID] = j
+	s.jobOrder = append(s.jobOrder, j.ID)
+	s.byHash[j.Hash] = j
+	s.queue.push(j)
+}
+
+// outstandingCostLocked sums the estimated cost of the admitted jobs,
+// saturating at math.MaxInt64. Caller holds s.mu.
+func (s *Server) outstandingCostLocked() int64 {
+	var sum int64
+	for _, j := range s.byHash {
+		sum = satAdd(sum, j.Cost)
+	}
+	return sum
 }
 
 // pruneJobsLocked forgets the oldest finished jobs beyond maxJobs.
@@ -646,7 +617,7 @@ func (s *Server) statusLocked(j *Job, includeResult bool) JobStatus {
 	if j.status == JobQueued {
 		st.Position = s.queue.position(j)
 	}
-	if includeResult && j.status == JobDone && j.hasEntry {
+	if includeResult && j.status == JobDone {
 		st.Result = j.entry.Result
 	}
 	return st
@@ -914,7 +885,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snap.Set("service.queue_depth", int64(s.queue.depth))
 	snap.Set("service.jobs_running", int64(s.running))
-	snap.Set("service.cost_outstanding", s.outstandingCost)
+	snap.Set("service.cost_outstanding", s.outstandingCostLocked())
 	snap.Set("service.deadletter_size", int64(len(s.dead)))
 	if s.draining {
 		snap.Set("service.draining", 1)

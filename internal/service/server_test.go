@@ -52,7 +52,7 @@ func post(t *testing.T, client *http.Client, url string, spec Spec, key string) 
 
 func counter(t *testing.T, s *Server, name string) int64 {
 	t.Helper()
-	return s.Registry().Get(name)
+	return s.reg.Get(name)
 }
 
 // TestServerEndToEnd is the acceptance test: concurrent clients posting a
@@ -124,7 +124,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if runs := counter(t, srv, "service.runs"); runs != runsBefore {
 		t.Errorf("repeat re-simulated: runs %d -> %d", runsBefore, runs)
 	}
-	if hits, _, _ := srv.Cache().Stats(); hits == 0 {
+	if hits, _, _ := srv.cache.Stats(); hits == 0 {
 		t.Error("no cache hits recorded")
 	}
 

@@ -215,23 +215,17 @@ func (s Spec) Canonicalize() (Spec, error) {
 	return c, nil
 }
 
-// CanonicalJSON canonicalizes the spec and marshals it with every field
-// explicit, in fixed declaration order — the byte string the cache key
-// hashes.
-func (s Spec) CanonicalJSON() ([]byte, error) {
+// Hash returns the spec's content address: the hex SHA-256 of its
+// canonical JSON — the canonical form marshalled with every field explicit,
+// in fixed declaration order. Equivalent specs hash identically; any change
+// to the canonical form (a new field, a different default) changes hashes
+// and is pinned by the golden-file test.
+func (s Spec) Hash() (string, error) {
 	c, err := s.Canonicalize()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return json.Marshal(c)
-}
-
-// Hash returns the spec's content address: the hex SHA-256 of its
-// canonical JSON. Equivalent specs hash identically; any change to the
-// canonical form (a new field, a different default) changes hashes and is
-// pinned by the golden-file test.
-func (s Spec) Hash() (string, error) {
-	b, err := s.CanonicalJSON()
+	b, err := json.Marshal(c)
 	if err != nil {
 		return "", err
 	}
@@ -293,8 +287,8 @@ func NamedPlan(name string, seed int64, n int) (*fault.Plan, error) {
 // Config builds the cluster configuration a canonical spec describes.
 // Zero-fault specs map bit-identically onto the Figure 5 testbeds
 // (cluster.DefaultConfig / LANai72Config); faulted specs run the reliable
-// barrier, and fail-stop plans additionally enable failure detection with
-// the chaos fleet's firmware timeouts.
+// barrier, and fail-stop plans run the chaos fleet's fail-stop testbed
+// (experiments.FailStopTestbed).
 func (s Spec) Config() (cluster.Config, error) {
 	kind, err := topo.ParseKind(s.Topo)
 	if err != nil {
@@ -317,12 +311,10 @@ func (s Spec) Config() (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	cfg.Fault = plan
-	if s.FaultPlan != PlanNone {
-		cfg.ReliableBarrier = true
-	}
 	if FailStop(s.FaultPlan) {
-		cfg.DetectFailures = true
-		cfg.Firmware = experiments.DetectionFirmware()
+		cfg = experiments.FailStopTestbed(cfg)
+	} else if s.FaultPlan != PlanNone {
+		cfg.ReliableBarrier = true
 	}
 	return cfg, nil
 }

@@ -86,9 +86,13 @@ func TestCanonicalJSONFieldOrder(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &s); err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}
-		got, err := s.CanonicalJSON()
+		c, err := s.Canonicalize()
 		if err != nil {
 			t.Fatalf("body %d: %v", i, err)
+		}
+		got, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if i == 0 {
 			want = got

@@ -54,9 +54,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // validHash reports whether key is a hex SHA-256 — the only keys the store
 // accepts. Synthetic cache keys (the scenario-fleet batch) stay RAM-only.
 func validHash(key string) bool {
@@ -275,20 +272,4 @@ func (st *Store) Stats() (hits, misses, writes, quarantined int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.hits, st.misses, st.writes, st.quarantined
-}
-
-// Len walks the store and returns the number of entry files (excluding
-// quarantine). It is O(entries); metrics use, not hot path.
-func (st *Store) Len() int {
-	n := 0
-	_ = filepath.WalkDir(st.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if validHash(d.Name()) && filepath.Base(filepath.Dir(path)) != "quarantine" {
-			n++
-		}
-		return nil
-	})
-	return n
 }

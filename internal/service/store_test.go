@@ -32,6 +32,22 @@ func storedEntry(t *testing.T, s Spec) (string, Entry) {
 	return hash, Entry{Result: result, Trace: []byte(`{"traceEvents":[]}`)}
 }
 
+// storeLen counts the entry files under the store's root, quarantine aside.
+func storeLen(t *testing.T, st *Store) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(st.dir, "??", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, f := range files {
+		if validHash(filepath.Base(f)) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStoreRoundTrip: Put then Get returns byte-identical payloads, laid
 // out under <dir>/<hash[:2]>/<hash>, with no temp files left behind.
 func TestStoreRoundTrip(t *testing.T) {
@@ -43,7 +59,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.Put(hash, entry); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(st.Dir(), hash[:2], hash)
+	path := filepath.Join(st.dir, hash[:2], hash)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry not at the content-addressed path: %v", err)
 	}
@@ -66,8 +82,8 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Errorf("temp file left behind: %s", e.Name())
 		}
 	}
-	if st.Len() != 1 {
-		t.Errorf("store Len = %d, want 1", st.Len())
+	if n := storeLen(t, st); n != 1 {
+		t.Errorf("store holds %d entries, want 1", n)
 	}
 	if _, _, w, _ := st.Stats(); w != 1 {
 		t.Errorf("writes = %d, want 1", w)
@@ -110,7 +126,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 
 	corruptions := map[string]func(t *testing.T, st *Store, hash string){
 		"truncated": func(t *testing.T, st *Store, hash string) {
-			path := filepath.Join(st.Dir(), hash[:2], hash)
+			path := filepath.Join(st.dir, hash[:2], hash)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +136,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			}
 		},
 		"bitflip": func(t *testing.T, st *Store, hash string) {
-			path := filepath.Join(st.Dir(), hash[:2], hash)
+			path := filepath.Join(st.dir, hash[:2], hash)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +153,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if otherHash == hash {
 				t.Fatal("test specs collide")
 			}
-			path := filepath.Join(st.Dir(), hash[:2], hash)
+			path := filepath.Join(st.dir, hash[:2], hash)
 			if err := os.WriteFile(path, encodeEntry(hash, otherEntry), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +168,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if err := verifyEntry(hash, hash, experiments.BehaviourEpoch, e); err == nil || !strings.Contains(err.Error(), "partitioned engine was removed") {
 				t.Fatalf("verifyEntry on a partitions=2 spec: %v, want a refusal naming the removal", err)
 			}
-			path := filepath.Join(st.Dir(), hash[:2], hash)
+			path := filepath.Join(st.dir, hash[:2], hash)
 			if err := os.WriteFile(path, encodeEntry(hash, e), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -177,10 +193,10 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if _, _, _, q := st.Stats(); q != 1 {
 				t.Fatalf("quarantined = %d, want 1", q)
 			}
-			if _, err := os.Stat(filepath.Join(st.Dir(), hash[:2], hash)); !os.IsNotExist(err) {
+			if _, err := os.Stat(filepath.Join(st.dir, hash[:2], hash)); !os.IsNotExist(err) {
 				t.Error("corrupt file still at its content-addressed path")
 			}
-			qfiles, err := filepath.Glob(filepath.Join(st.Dir(), "quarantine", hash+".*"))
+			qfiles, err := filepath.Glob(filepath.Join(st.dir, "quarantine", hash+".*"))
 			if err != nil || len(qfiles) != 1 {
 				t.Fatalf("quarantine files %v (err %v), want exactly 1", qfiles, err)
 			}
@@ -206,7 +222,7 @@ func TestStoreRejectsSyntheticKeys(t *testing.T) {
 	if err := st.Put(scenarioCacheKey, Entry{Result: []byte("[]")}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 0 {
+	if storeLen(t, st) != 0 {
 		t.Error("synthetic key was persisted")
 	}
 	if _, ok := st.Get(scenarioCacheKey); ok {
