@@ -35,7 +35,8 @@ race-procs:
 	$(GO) test -race -count=1 -timeout 30m -run 'Determinism' ./internal/experiments
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
-# the fault-plan validator, the result-store entry codec, the algebraic
+# the fault-plan validator, the result-store entry codec, simd's answer to a
+# request body (the body index against a fresh server), the algebraic
 # router's spec space, the event queue against its sorted-slice model,
 # process programs run ahead of the clock against the same programs settled,
 # and the Chrome exporter's string and timestamp appenders against
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzSeqWindow$$ -fuzztime=$(FUZZTIME) ./internal/mcp
 	$(GO) test -run=^$$ -fuzz=^FuzzPlanValidate$$ -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run=^$$ -fuzz=^FuzzStoreEntryDecode$$ -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run=^$$ -fuzz=^FuzzSubmitBody$$ -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run=^$$ -fuzz=^FuzzAlgRouteSpec$$ -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run=^$$ -fuzz=^FuzzEventQueue$$ -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=^FuzzProcLookahead$$ -fuzztime=$(FUZZTIME) ./internal/sim
@@ -117,9 +119,10 @@ profile:
 # (BenchmarkSvcCold: canonicalize, execute observed, export the trace,
 # marshal, store on disk), 300 requests, next to the simulation it wraps run
 # plain and observed (BenchmarkObservedRun/{plain,observed}, with -benchmem:
-# the difference is what recording costs).
+# the difference is what recording costs) and a repeated request through the
+# handler, answered from the RAM tier (BenchmarkSvcHit).
 profile-svc:
-	$(GO) test -run '^$$' -bench 'SvcCold|ObservedRun' -benchtime 300x -benchmem \
+	$(GO) test -run '^$$' -bench 'SvcCold|ObservedRun|SvcHit' -benchtime 300x -benchmem \
 		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 .
 
 # Chaos scenario fleet: the crash-fault regression matrix (topology ×

@@ -18,8 +18,12 @@
 package gmsim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"gmsim/internal/cluster"
@@ -440,6 +444,41 @@ func BenchmarkSvcCold(b *testing.B) {
 		}
 		if err := st.Put(out.Result.Hash, service.Entry{Result: result, Trace: out.Trace}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSvcHit is a repeated simd request through Server.Handler without
+// a socket: the svc benchmark's spec POSTed once cold, then byte-identically
+// per iteration, each answered from the RAM tier. Run with -benchmem (`make
+// profile-svc`); the objects per op include the test request's and the
+// recorder's own.
+func BenchmarkSvcHit(b *testing.B) {
+	srv, err := service.NewServer(service.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Drain(context.Background()); err != nil {
+			b.Error(err)
+		}
+		_ = srv.Close()
+	}()
+	h := srv.Handler()
+	const body = `{"nodes":16,"fault_plan":"flap","seed":1,"warmup":5,"iters":10}`
+	submit := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body)))
+		return w
+	}
+	if w := submit(); w.Code != http.StatusOK {
+		b.Fatalf("cold submit: %d %s", w.Code, w.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := submit(); w.Header().Get("X-Cache") != "hit" {
+			b.Fatalf("repeat: %d, X-Cache %q", w.Code, w.Header().Get("X-Cache"))
 		}
 	}
 }

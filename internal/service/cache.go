@@ -19,19 +19,36 @@ func (e Entry) size() int64 { return int64(len(e.Result) + len(e.Trace)) }
 // Keys are canonical spec hashes; because every simulation is
 // bit-deterministic, an entry never goes stale — eviction exists only to
 // bound memory, and an evicted spec re-simulates to byte-identical output.
+//
+// The cache also indexes request bodies: a body the server has already
+// resolved to an entry maps straight to it, so a byte-identical repeat is
+// answered without decoding or hashing. Indexed bodies are charged to the
+// budget with their entry and leave when it is evicted.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
 	order  *list.List // front = most recent; values are *cacheItem
 	items  map[string]*list.Element
+	bodies map[string]*list.Element
 
 	hits, misses, evictions int64
 }
 
 type cacheItem struct {
-	key   string
-	entry Entry
+	key    string
+	entry  Entry
+	bodies []string // request bodies indexed to this entry
+}
+
+// size is what the item charges against the budget: its payloads and its
+// indexed bodies.
+func (it *cacheItem) size() int64 {
+	sz := it.entry.size()
+	for _, b := range it.bodies {
+		sz += int64(len(b))
+	}
+	return sz
 }
 
 // NewCache returns a cache holding at most budget bytes of entries
@@ -42,6 +59,7 @@ func NewCache(budget int64) *Cache {
 		budget: budget,
 		order:  list.New(),
 		items:  make(map[string]*list.Element),
+		bodies: make(map[string]*list.Element),
 	}
 }
 
@@ -79,6 +97,50 @@ func (c *Cache) Put(key string, e Entry) {
 		c.items[key] = c.order.PushFront(&cacheItem{key: key, entry: e})
 		c.bytes += sz
 	}
+	c.evictLocked()
+}
+
+// getBody returns the entry a request body was indexed to, marking it most
+// recently used. A hit counts as one cache hit; a miss counts nothing, as
+// the caller goes on to the full lookup, which counts its own.
+func (c *Cache) getBody(body []byte) (Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.bodies[string(body)]
+	if !ok {
+		return Entry{}, false
+	}
+	c.hits++
+	c.order.MoveToFront(el)
+	return el.Value.(*cacheItem).entry, true
+}
+
+// indexBody records that body resolves to the entry cached under key, so
+// getBody answers it next time. It is a no-op when key is not cached or
+// body is already indexed; the copied body is charged to the budget, and
+// the least-recently-used entries are evicted until it holds. Recency is
+// left alone: the lookup that resolved the body already set it.
+func (c *Cache) indexBody(key string, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, ok := c.bodies[string(body)]; ok {
+		return
+	}
+	it := el.Value.(*cacheItem)
+	b := string(body)
+	it.bodies = append(it.bodies, b)
+	c.bodies[b] = el
+	c.bytes += int64(len(b))
+	c.evictLocked()
+}
+
+// evictLocked drops least-recently-used entries, with their indexed bodies,
+// until the budget holds. Caller holds c.mu.
+func (c *Cache) evictLocked() {
 	for c.bytes > c.budget {
 		back := c.order.Back()
 		if back == nil {
@@ -87,7 +149,10 @@ func (c *Cache) Put(key string, e Entry) {
 		it := back.Value.(*cacheItem)
 		c.order.Remove(back)
 		delete(c.items, it.key)
-		c.bytes -= it.entry.size()
+		for _, b := range it.bodies {
+			delete(c.bodies, b)
+		}
+		c.bytes -= it.size()
 		c.evictions++
 	}
 }
@@ -99,7 +164,7 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// Bytes returns the cached payload size.
+// Bytes returns the cached payload size, indexed request bodies included.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

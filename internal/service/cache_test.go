@@ -129,6 +129,65 @@ func TestCacheLRUAndBudget(t *testing.T) {
 	}
 }
 
+// TestCacheBodyIndexEviction: an indexed request body is charged to the
+// budget with its entry, answers getBody while the entry is cached, and
+// leaves with it on eviction; indexing under an absent key, or a body twice,
+// changes nothing.
+func TestCacheBodyIndexEviction(t *testing.T) {
+	entry := func(n int) Entry { return Entry{Result: make([]byte, n)} }
+	body := []byte(`{"nodes":4}`)
+	c := NewCache(100)
+	c.Put("a", entry(40))
+	c.indexBody("a", body)
+	c.indexBody("a", body)
+	c.indexBody("absent", []byte(`{"nodes":5}`))
+	if got, want := c.Bytes(), int64(40+len(body)); got != want {
+		t.Fatalf("Bytes %d after indexing a %d-byte body, want %d", got, len(body), want)
+	}
+	if len(c.bodies) != 1 {
+		t.Fatalf("%d bodies indexed, want 1", len(c.bodies))
+	}
+	hits, misses, _ := c.Stats()
+	if _, ok := c.getBody(body); !ok {
+		t.Fatal("indexed body missed")
+	}
+	if _, ok := c.getBody([]byte(`{"nodes":5}`)); ok {
+		t.Fatal("a body indexed under an absent key hit")
+	}
+	if h, m, _ := c.Stats(); h != hits+1 || m != misses {
+		t.Errorf("hit then miss counted %d hits and %d misses, want 1 and 0", h-hits, m-misses)
+	}
+
+	c.Put("b", entry(40))
+	c.Put("c", entry(15)) // 40+11+40+15 > 100: evicts a, the LRU, and its body
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a survived eviction")
+	}
+	if _, ok := c.getBody(body); ok {
+		t.Error("a's body still answers after a was evicted")
+	}
+	if len(c.bodies) != 0 {
+		t.Errorf("%d bodies indexed after eviction, want 0", len(c.bodies))
+	}
+	if got := c.Bytes(); got != 55 {
+		t.Errorf("Bytes %d after eviction, want 55", got)
+	}
+
+	// A body that would overrun the budget evicts the least recently used
+	// entry, not the one it indexes.
+	c.Get("c")
+	c.indexBody("c", make([]byte, 50)) // 55+50 > 100
+	if _, ok := c.Get("b"); ok {
+		t.Error("b, the LRU, survived the body's charge")
+	}
+	if _, ok := c.getBody(make([]byte, 50)); !ok {
+		t.Error("the body that forced the eviction is not indexed")
+	}
+	if got := c.Bytes(); got != 65 {
+		t.Errorf("Bytes %d, want 65", got)
+	}
+}
+
 // TestFairQueueRoundRobin: a client that floods the queue interleaves
 // one-for-one with the others instead of starving them.
 func TestFairQueueRoundRobin(t *testing.T) {

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,50 @@ func FuzzStoreEntryDecode(f *testing.F) {
 			if _, _, _, err := decodeEntry(mut); err == nil {
 				t.Fatalf("payload bit flip decoded cleanly")
 			}
+		}
+	})
+}
+
+// FuzzSubmitBody holds the body index to what it memoizes: whatever the
+// bytes, POSTing them twice to one server and once to a fresh one give the
+// same status, Content-Type and body — the index never answers differently
+// from the full path — and the repeat is X-Cache hit exactly when the first
+// reply was 200.
+func FuzzSubmitBody(f *testing.F) {
+	f.Add([]byte(`{"nodes":16,"fault_plan":"flap","seed":7,"warmup":5,"iters":10}`))
+	f.Add([]byte(`{"iters":10,"warmup":5,"seed":7,"fault_plan":"flap","nodes":16}`))
+	f.Add([]byte(`{"Nodes":16,"FAULT_PLAN":" Flap ","Seed":7,"Warmup":5,"Iters":10}`))
+	f.Add([]byte("{\n  \"nodes\": 16,\n  \"fault_plan\": \"flap\"\n}\n"))
+	f.Add([]byte(`{"nodes":16,"nic":"LANai 4.3","alg":"GB","dim":3}`))
+	f.Add([]byte(`{"nodes":16,"bogus":1}`))
+	f.Add([]byte(`{"nodes":4}{"nodes":5}`))
+	f.Add([]byte(`{"nodes":4} trailing`))
+	f.Add([]byte(`{"nodes":1}`))
+	f.Add([]byte(``))
+	f.Add(append(bytes.Repeat([]byte(" "), maxSpecBytes), `{"nodes":4}`...))
+
+	serve := func(h http.Handler, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/runs", bytes.NewReader(body)))
+		return w
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		twice := newTestServer(t, Config{Workers: 1, exec: echoExec})
+		defer drainClose(t, twice)
+		once := newTestServer(t, Config{Workers: 1, exec: echoExec})
+		defer drainClose(t, once)
+
+		first := serve(twice.Handler(), body)
+		repeat := serve(twice.Handler(), body)
+		fresh := serve(once.Handler(), body)
+		if repeat.Code != fresh.Code || repeat.Body.String() != fresh.Body.String() ||
+			repeat.Header().Get("Content-Type") != fresh.Header().Get("Content-Type") {
+			t.Fatalf("repeat answered %d %q (%s), a fresh server %d %q (%s)",
+				repeat.Code, repeat.Body, repeat.Header().Get("Content-Type"),
+				fresh.Code, fresh.Body, fresh.Header().Get("Content-Type"))
+		}
+		if hit := repeat.Header().Get("X-Cache") == "hit"; hit != (first.Code == http.StatusOK) {
+			t.Fatalf("first reply %d, repeat X-Cache %q", first.Code, repeat.Header().Get("X-Cache"))
 		}
 	})
 }

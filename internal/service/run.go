@@ -62,11 +62,15 @@ type Outcome struct {
 // Runs with failure detection on (fail-stop plans) add the scenario
 // summary. Timing is bit-identical to the equivalent one-shot CLI run (the
 // recorder is passive; the overhead-guard test pins this). A model that
-// cannot build or that deadlocks comes back as an error.
-//
-// Execute assumes a canonicalized spec; Canonicalize beforehand.
+// cannot build or that deadlocks comes back as an error, and so does a spec
+// that does not canonicalize (a journal accept written by an older
+// simulator may not).
 func Execute(s Spec) (Outcome, error) {
-	hash, err := s.Hash()
+	s, err := s.Canonicalize()
+	if err != nil {
+		return Outcome{}, err
+	}
+	hash, err := s.hash()
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -190,5 +191,34 @@ func TestExecuteColdBudget(t *testing.T) {
 	if observed > plain+1400<<10 || observedObjects > plainObjects+1000 {
 		t.Errorf("observing the run cost %d KB and %d objects over its %d KB and %d, want at most 1400 KB and 1000",
 			(observed-plain)>>10, observedObjects-plainObjects, plain>>10, plainObjects)
+	}
+}
+
+// TestSubmitHitBudget bounds what a byte-identical repeat of a POST
+// /v1/runs allocates through Server.Handler, the test request's and
+// recorder's own objects included. The body index answers the repeat from
+// the cached entry before any decoding: 43 objects while every repeat was
+// decoded, canonicalized twice and hashed, about 21 since.
+func TestSubmitHitBudget(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1})
+	defer drainClose(t, srv)
+	h := srv.Handler()
+	const body = `{"nodes":16,"fault_plan":"flap","seed":7,"warmup":5,"iters":10}`
+	submit := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body)))
+		return w
+	}
+	if w := submit(); w.Code != 200 || w.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("cold submit: %d, X-Cache %q: %s", w.Code, w.Header().Get("X-Cache"), w.Body)
+	}
+	objects := testing.AllocsPerRun(200, func() {
+		if w := submit(); w.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("repeat: %d, X-Cache %q", w.Code, w.Header().Get("X-Cache"))
+		}
+	})
+	t.Logf("repeat submit: %.0f objects", objects)
+	if objects > 24 {
+		t.Errorf("a repeat submit allocated %.0f objects, want at most 24", objects)
 	}
 }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -156,6 +158,9 @@ type Server struct {
 	running  int
 	draining bool
 	seq      int
+
+	// fleetMu serializes filling the /v1/scenarios batch.
+	fleetMu sync.Mutex
 
 	workersDone chan struct{}
 }
@@ -656,14 +661,23 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Header values of a served result, shared by every response: net/http
+// only reads them, and Set would allocate each one again per request.
+var (
+	jsonContentType = []string{"application/json"}
+	xCacheHit       = []string{"hit"}
+	xCacheMiss      = []string{"miss"}
+)
+
 // writeResult serves a stored result byte-for-byte, flagging cache status
 // in a header so hit and miss bodies stay identical.
 func writeResult(w http.ResponseWriter, entry Entry, cached bool, jobID string) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
 	if cached {
-		w.Header().Set("X-Cache", "hit")
+		h["X-Cache"] = xCacheHit
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		h["X-Cache"] = xCacheMiss
 	}
 	if jobID != "" {
 		w.Header().Set("X-Job-Id", jobID)
@@ -672,12 +686,32 @@ func writeResult(w http.ResponseWriter, entry Entry, cached bool, jobID string) 
 	_, _ = w.Write(entry.Result)
 }
 
-// handleSubmit is POST /v1/runs: validate, canonicalize and hash the spec;
-// serve a cache or store hit immediately (a hit never re-simulates);
-// otherwise enqueue and either wait (sync) or return the job ID (?async=1).
+// maxSpecBytes bounds a POST /v1/runs body.
+const maxSpecBytes = 1 << 20
+
+// handleSubmit is POST /v1/runs: answer a body already resolved to a cached
+// entry from that entry; otherwise validate, canonicalize and hash the spec,
+// serve a cache or store hit immediately (a hit never re-simulates), or
+// enqueue and either wait (sync) or return the job ID (?async=1). A body
+// that resolves to an entry — a hit, or a sync job done — is indexed to it:
+// the reply is a pure function of the body's bytes while the entry is
+// cached.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, "spec body over the %d-byte limit", maxSpecBytes)
+		} else {
+			writeError(w, http.StatusBadRequest, "bad spec JSON: %v", err)
+		}
+		return
+	}
+	if entry, ok := s.cache.getBody(body); ok {
+		writeResult(w, entry, true, "")
+		return
+	}
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec JSON: %v", err)
@@ -688,7 +722,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hash, err := canon.Hash()
+	hash, err := canon.hash()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -696,6 +730,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	async := r.URL.Query().Get("async") == "1"
 
 	if entry, ok := s.lookup(hash); ok {
+		s.cache.indexBody(hash, body)
 		writeResult(w, entry, true, "")
 		return
 	}
@@ -725,6 +760,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%s", j.errMsg)
 		return
 	}
+	s.cache.indexBody(hash, body)
 	writeResult(w, j.entry, false, j.ID)
 }
 
@@ -820,16 +856,28 @@ type ScenarioCell struct {
 // handleScenarios is GET /v1/scenarios: the 13-cell chaos fleet as one
 // batch, cached like any other deterministic result.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	if entry, ok := s.cache.Get(scenarioCacheKey); ok {
-		writeResult(w, entry, true, "")
+	entry, cached, code, err := s.scenarioFleet()
+	if err != nil {
+		writeError(w, code, "%v", err)
 		return
+	}
+	writeResult(w, entry, cached, "")
+}
+
+// scenarioFleet returns the fleet batch, running it on a miss. The fill
+// holds fleetMu, and the cache is checked under it, so concurrent cold
+// requests run the fleet once: the ones that waited find it cached.
+func (s *Server) scenarioFleet() (entry Entry, cached bool, code int, err error) {
+	s.fleetMu.Lock()
+	defer s.fleetMu.Unlock()
+	if entry, ok := s.cache.Get(scenarioCacheKey); ok {
+		return entry, true, 0, nil
 	}
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return Entry{}, false, http.StatusServiceUnavailable, fmt.Errorf("server is draining")
 	}
 	sums := experiments.RunScenarios(experiments.ScenarioFleet())
 	cells := make([]ScenarioCell, 0, len(sums))
@@ -838,12 +886,12 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(cells)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return Entry{}, false, http.StatusInternalServerError, err
 	}
 	s.reg.Add("service.fleet_runs", 1)
-	s.cache.Put(scenarioCacheKey, Entry{Result: body})
-	writeResult(w, Entry{Result: body}, false, "")
+	entry = Entry{Result: body}
+	s.cache.Put(scenarioCacheKey, entry)
+	return entry, false, 0, nil
 }
 
 // handleHealth is GET /healthz.

@@ -30,6 +30,12 @@ func post(t *testing.T, client *http.Client, url string, spec Spec, key string) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, client, url, body, key)
+}
+
+// postBody submits raw request bytes and returns the response.
+func postBody(t *testing.T, client *http.Client, url string, body []byte, key string) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -292,5 +298,203 @@ func TestServerBackpressure(t *testing.T) {
 	}
 	if st.Coalesced == 0 {
 		t.Errorf("duplicate spec did not coalesce: %s", b)
+	}
+}
+
+// echoExec is a test executor whose result is a pure function of the
+// canonical spec, so tests that only need the request path run instantly.
+func echoExec(s Spec) (Outcome, error) {
+	hash, err := s.Hash()
+	if err != nil {
+		return Outcome{}, err
+	}
+	return Outcome{Result: Result{Spec: s, Hash: hash, MeanMicros: 1}}, nil
+}
+
+// TestSubmitBodyIndex: a byte-identical repeat is answered by the body
+// index with the full path's exact reply; a differently spelled equivalent
+// spec misses the index, is answered by the full path from the same entry,
+// and is indexed too.
+func TestSubmitBodyIndex(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1, exec: echoExec})
+	defer drainClose(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	url := ts.URL + "/v1/runs"
+
+	canonical := []byte(`{"nodes":16,"fault_plan":"flap","seed":7,"warmup":5,"iters":10}`)
+	resp, want := postBody(t, ts.Client(), url, canonical, "")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("cold submit: %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), want)
+	}
+	if _, ok := srv.cache.bodies[string(canonical)]; !ok {
+		t.Fatal("a finished sync job's body was not indexed")
+	}
+	spellings := [][]byte{
+		canonical,
+		[]byte(`{"iters":10,"warmup":5,"seed":7,"fault_plan":"flap","nodes":16}`),
+		[]byte(`{"Nodes":16,"FAULT_PLAN":" Flap ","Seed":7,"Warmup":5,"Iters":10}`),
+		[]byte("{\n  \"nodes\": 16,\n  \"fault_plan\": \"flap\",\n  \"seed\": 7,\n  \"warmup\": 5,\n  \"iters\": 10\n}\n"),
+		[]byte(`{"nodes":16,"nic":"LANai 4.3","fault_plan":"flap","seed":7,"warmup":5,"iters":10}`),
+	}
+	for i, body := range spellings {
+		_, indexed := srv.cache.bodies[string(body)]
+		if indexed != (i == 0) {
+			t.Fatalf("spelling %d indexed %v before its first submit", i, indexed)
+		}
+		var first http.Header
+		for round := 0; round < 2; round++ {
+			hits, misses, _ := srv.cache.Stats()
+			resp, b := postBody(t, ts.Client(), url, body, "")
+			if resp.StatusCode != http.StatusOK || string(b) != string(want) {
+				t.Fatalf("spelling %d round %d: %d %s, want the cold reply", i, round, resp.StatusCode, b)
+			}
+			if h, m, _ := srv.cache.Stats(); h != hits+1 || m != misses {
+				t.Errorf("spelling %d round %d counted %d hits and %d misses, want 1 and 0", i, round, h-hits, m-misses)
+			}
+			if round == 1 {
+				for _, k := range []string{"Content-Type", "X-Cache", "X-Job-Id"} {
+					if got := resp.Header.Values(k); fmt.Sprint(got) != fmt.Sprint(first.Values(k)) {
+						t.Errorf("spelling %d: %s %q from the index, %q from the full path", i, k, got, first.Values(k))
+					}
+				}
+			}
+			first = resp.Header
+			if _, ok := srv.cache.bodies[string(body)]; !ok {
+				t.Fatalf("spelling %d not indexed after a hit", i)
+			}
+		}
+		if first.Get("X-Cache") != "hit" {
+			t.Errorf("spelling %d: X-Cache %q, want hit", i, first.Get("X-Cache"))
+		}
+	}
+	if runs := counter(t, srv, "service.runs"); runs != 1 {
+		t.Errorf("%d runs for one spec in %d spellings, want 1", runs, len(spellings))
+	}
+	if got, want := srv.cache.Len(), 1; got != want {
+		t.Errorf("%d cache entries, want %d", got, want)
+	}
+}
+
+// TestSubmitBodyLimit: a body of exactly the limit is read and served; one
+// byte over is 413 naming the limit, not a JSON error.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1, exec: echoExec})
+	defer drainClose(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := []byte(`{"nodes":4}`)
+	padded := func(n int) []byte { return append(bytes.Repeat([]byte(" "), n-len(spec)), spec...) }
+	resp, b := postBody(t, ts.Client(), ts.URL+"/v1/runs", padded(maxSpecBytes), "")
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a %d-byte body: %d %s, want 200", maxSpecBytes, resp.StatusCode, b)
+	}
+	resp, b = postBody(t, ts.Client(), ts.URL+"/v1/runs", padded(maxSpecBytes+1), "")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !bytes.Contains(b, []byte(fmt.Sprint(maxSpecBytes))) {
+		t.Errorf("a %d-byte body: %d %s, want 413 naming the %d-byte limit", maxSpecBytes+1, resp.StatusCode, b, maxSpecBytes)
+	}
+}
+
+// getScenarios fetches the chaos fleet batch.
+func getScenarios(t *testing.T, client *http.Client, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := client.Get(url + "/v1/scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, b
+}
+
+// TestScenariosCachedOnce: GET /v1/scenarios runs the fleet on its first
+// request and serves it cached after; a repeat is a hit with the same body.
+func TestScenariosCachedOnce(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1})
+	defer drainClose(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, cold := getScenarios(t, ts.Client(), ts.URL)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("cold: %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), cold)
+	}
+	var cells []ScenarioCell
+	if err := json.Unmarshal(cold, &cells); err != nil || len(cells) == 0 {
+		t.Fatalf("cold body is not a fleet (%v): %s", err, cold)
+	}
+	if runs := counter(t, srv, "service.fleet_runs"); runs != 1 {
+		t.Errorf("fleet_runs %d after a cold request, want 1", runs)
+	}
+	resp, warm := getScenarios(t, ts.Client(), ts.URL)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" || string(warm) != string(cold) {
+		t.Errorf("repeat: %d, X-Cache %q, body equal %v; want 200, hit, equal",
+			resp.StatusCode, resp.Header.Get("X-Cache"), string(warm) == string(cold))
+	}
+	if runs := counter(t, srv, "service.fleet_runs"); runs != 1 {
+		t.Errorf("fleet_runs %d after a repeat, want 1", runs)
+	}
+}
+
+// TestScenariosConcurrentColdRunOnce: concurrent cold requests run the
+// fleet once; the others wait for it and are served from the cache.
+func TestScenariosConcurrentColdRunOnce(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1})
+	defer drainClose(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const n = 8
+	bodies := make([]string, n)
+	xcache := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, b := getScenarios(t, ts.Client(), ts.URL)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: %d %s", i, resp.StatusCode, b)
+			}
+			bodies[i], xcache[i] = string(b), resp.Header.Get("X-Cache")
+		}(i)
+	}
+	wg.Wait()
+	if runs := counter(t, srv, "service.fleet_runs"); runs != 1 {
+		t.Errorf("%d concurrent cold requests ran the fleet %d times, want 1", n, runs)
+	}
+	misses := 0
+	for i := range bodies {
+		if bodies[i] != bodies[0] {
+			t.Errorf("request %d's body differs from request 0's", i)
+		}
+		if xcache[i] == "miss" {
+			misses++
+		}
+	}
+	if misses != 1 {
+		t.Errorf("%d of %d replies are X-Cache miss, want 1", misses, n)
+	}
+}
+
+// TestScenariosDrainingCold: a draining server with no fleet cached
+// refuses to start one.
+func TestScenariosDrainingCold(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1})
+	defer drainClose(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srv.BeginDrain()
+	resp, b := getScenarios(t, ts.Client(), ts.URL)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("cold while draining: %d %s, want 503", resp.StatusCode, b)
+	}
+	if runs := counter(t, srv, "service.fleet_runs"); runs != 0 {
+		t.Errorf("fleet_runs %d while draining, want 0", runs)
 	}
 }

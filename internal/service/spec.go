@@ -173,7 +173,7 @@ func (s Spec) Canonicalize() (Spec, error) {
 	if c.FaultPlan == "" {
 		c.FaultPlan = PlanNone
 	}
-	if _, err := NamedPlan(c.FaultPlan, 1, c.Nodes); err != nil {
+	if err := checkPlanName(c.FaultPlan); err != nil {
 		return c, err
 	}
 	if c.FaultPlan == PlanNone {
@@ -225,12 +225,20 @@ func (s Spec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b, err := json.Marshal(c)
+	return c.hash()
+}
+
+// hash is Hash of a spec that is already canonical: callers that have just
+// canonicalized skip the second pass.
+func (s Spec) hash() (string, error) {
+	b, err := json.Marshal(s)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:]), nil
 }
 
 // NamedPlan builds the named fault plan for an n-node cluster — the shared
@@ -280,8 +288,18 @@ func NamedPlan(name string, seed int64, n int) (*fault.Plan, error) {
 	case PlanPartition:
 		return &fault.Plan{Seed: seed, Cuts: []fault.Cut{{Links: fault.NodeLinks(victim), At: sim.FromMicros(700)}}}, nil
 	default:
-		return nil, fmt.Errorf("unknown fault plan %q (%s)", name, strings.Join(PlanNames(), ", "))
+		return nil, checkPlanName(name)
 	}
+}
+
+// checkPlanName accepts exactly the names NamedPlan builds, with NamedPlan's
+// error for any other, without building a plan.
+func checkPlanName(name string) error {
+	switch name {
+	case PlanNone, "", PlanFlap, PlanCorrupt, PlanChaos, PlanCrash, PlanPartition:
+		return nil
+	}
+	return fmt.Errorf("unknown fault plan %q (%s)", name, strings.Join(PlanNames(), ", "))
 }
 
 // Config builds the cluster configuration a canonical spec describes.
