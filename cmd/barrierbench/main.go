@@ -75,7 +75,7 @@ func main() {
 	iters := flag.Int("iters", experiments.DefaultIters, "timed barrier iterations per point")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker pool size (results are identical at any value)")
 	loss := flag.String("loss", "0,0.5,1,2,5", "comma-separated per-hop loss percentages for -fig rel")
-	sf := service.BindSpecFlags(flag.CommandLine)
+	spec := service.BindSpecFlags(flag.CommandLine)
 	outage := flag.Float64("outage", 200, "link outage duration in microseconds for -fig flap")
 	sizesFlag := flag.String("sizes", "16,32,64,128,256,512,1024", "comma-separated node counts for -fig topo")
 	tuned := flag.Bool("tuned", false, "for -fig topo: pick GB dims from the steady-state model instead of sweeping")
@@ -89,7 +89,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	topoList := sf.Topo
+	topoList := spec.Topo
 	topoSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == service.FlagTopo {
@@ -105,11 +105,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *metrics {
-		printMetrics(sf.Nodes, sf.Dim, *iters)
+		printMetrics(spec.Nodes, spec.Dim, *iters)
 		return
 	}
 	if *dumptopo != "" {
-		if err := writeDOT(*dumptopo, kinds[0], sf.Nodes, sf.Radix); err != nil {
+		if err := writeDOT(*dumptopo, kinds[0], spec.Nodes, spec.Radix); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -141,29 +141,29 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bad -loss: %v\n", err)
 			os.Exit(2)
 		}
-		if service.FailStop(sf.FaultPlan) {
-			fmt.Fprintf(os.Stderr, "-fig rel wants a non-fail-stop -faultplan (none, flap, corrupt, chaos); %q belongs to -fig crash\n", sf.FaultPlan)
+		if service.FailStop(spec.FaultPlan) {
+			fmt.Fprintf(os.Stderr, "-fig rel wants a non-fail-stop -faultplan (none, flap, corrupt, chaos); %q belongs to -fig crash\n", spec.FaultPlan)
 			os.Exit(2)
 		}
-		base, err := service.NamedPlan(sf.FaultPlan, sf.Seed, sf.Nodes)
+		base, err := service.NamedPlan(spec.FaultPlan, spec.Seed, spec.Nodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		printReliability(sf.Nodes, pcts, sf.Dim, *iters, sf.FaultPlan, base)
+		printReliability(spec.Nodes, pcts, spec.Dim, *iters, spec.FaultPlan, base)
 	case "flap":
-		printFlap(sf.Nodes, sf.Dim, sim.FromMicros(*outage), sf.Seed)
+		printFlap(spec.Nodes, spec.Dim, sim.FromMicros(*outage), spec.Seed)
 	case "crash":
-		printCrash(sf.Nodes, sf.Dim, sf.FaultPlan, sf.Seed)
+		printCrash(service.Spec{Nodes: spec.Nodes, Dim: spec.Dim, FaultPlan: spec.FaultPlan, Seed: spec.Seed})
 	case "topo":
 		sizes, err := parseIntList(*sizesFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad -sizes: %v\n", err)
 			os.Exit(2)
 		}
-		printTopoScale(kinds, sizes, sf.Radix, *iters, *tuned)
+		printTopoScale(kinds, sizes, spec.Radix, *iters, *tuned)
 	case "contend":
-		printContention(sf.Radix, *bytesFlag, *iters)
+		printContention(spec.Radix, *bytesFlag, *iters)
 	case "all":
 		rows43 := experiments.Figure5a(*iters)
 		rows72 := experiments.Figure5c(*iters)
@@ -392,39 +392,48 @@ func printFlap(nodes, dim int, outage sim.Time, seed int64) {
 	fmt.Print(t.String())
 }
 
-// printCrash runs the crash-tolerance figure: a PE and a GB scenario on n
-// nodes with failure detection enabled, against a fail-stop of node n/2 at
-// t=700us — a NIC crash (-faultplan crash) or a persistent cable cut
-// (-faultplan partition) — then the detection-latency sweep across firmware
-// retry budgets. Survivors repair the barrier around the corpse and keep
-// completing; the summaries show who died, who agreed, and what it cost.
-func printCrash(n, dim int, planName string, seed int64) {
+// printCrash runs the crash-tolerance figure on the single crossbar: a PE
+// and a GB scenario of s with failure detection enabled, against a
+// fail-stop of node n/2 at t=700us — a NIC crash (-faultplan crash, the
+// default) or a persistent cable cut (-faultplan partition) — then the
+// detection-latency sweep across firmware retry budgets. Survivors repair
+// the barrier around the corpse and keep completing; the summaries show
+// who died, who agreed, and what it cost.
+func printCrash(s service.Spec) {
+	if s.FaultPlan == service.PlanNone || s.FaultPlan == "" {
+		s.FaultPlan = service.PlanCrash
+	}
+	s.Warmup, s.Iters = 2, 8 // the chaos fleet's counts
+	n := s.Nodes
 	victim := network.NodeID(n / 2)
-	if planName == "none" || planName == "" {
-		planName = service.PlanCrash
+	var cells []experiments.Scenario
+	var c service.Spec
+	for _, alg := range []string{"pe", "gb"} {
+		s.Alg = alg
+		var x experiments.Spec
+		var err error
+		if c, err = s.Canonicalize(); err == nil {
+			x, err = c.Experiment()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if !service.FailStop(c.FaultPlan) {
+			fmt.Fprintf(os.Stderr, "-fig crash wants -faultplan crash or partition, not %q\n", c.FaultPlan)
+			os.Exit(2)
+		}
+		cells = append(cells, experiments.Scenario{Name: fmt.Sprintf("%s%d-%s%d", alg, n, c.FaultPlan, victim), Spec: x})
 	}
-	if !service.FailStop(planName) {
-		fmt.Fprintf(os.Stderr, "-fig crash wants -faultplan crash or partition, not %q\n", planName)
-		os.Exit(2)
-	}
-	mk := func(alg mcp.BarrierAlg, d int, name string) experiments.Scenario {
-		cfg := experiments.FailStopTestbed(cluster.DefaultConfig(n))
-		// A fresh plan per scenario: injector state is per-run.
-		cfg.Fault, _ = service.NamedPlan(planName, seed, n)
-		return experiments.Scenario{Name: name, Spec: experiments.Spec{Cluster: cfg, Alg: alg, Dim: d}}
-	}
-	sums := experiments.RunScenarios([]experiments.Scenario{
-		mk(mcp.PE, 0, fmt.Sprintf("pe%d-%s%d", n, planName, victim)),
-		mk(mcp.GB, dim, fmt.Sprintf("gb%d-%s%d", n, planName, victim)),
-	})
-	fmt.Printf("Crash tolerance: %d nodes, LANai 4.3, %s of node %d at t=700us\n\n", n, planName, victim)
-	for _, s := range sums {
-		fmt.Print(s.String())
+	sums := experiments.RunScenarios(cells)
+	fmt.Printf("Crash tolerance: %d nodes, LANai 4.3, %s of node %d at t=700us\n\n", n, c.FaultPlan, victim)
+	for _, sum := range sums {
+		fmt.Print(sum.String())
 	}
 	fmt.Println()
-	pts := experiments.DetectionLatencySweep(n, dim, []int{4, 6, 8}, []float64{100, 200, 400})
+	pts := experiments.DetectionLatencySweep(n, c.Dim, []int{4, 6, 8}, []float64{100, 200, 400})
 	t := stats.NewTable(
-		fmt.Sprintf("Crash-detection latency vs retry budget (%d nodes, GB dim %d, node %d crashed mid-run)", n, dim, victim),
+		fmt.Sprintf("Crash-detection latency vs retry budget (%d nodes, GB dim %d, node %d crashed mid-run)", n, c.Dim, victim),
 		"MaxRetries", "RTO (us)", "Detect (us)", "Probes", "Declared")
 	for _, p := range pts {
 		t.AddRow(p.MaxRetries, p.RTOMicros, p.DetectMicros, p.Probes, p.Declared)

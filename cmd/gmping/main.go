@@ -19,12 +19,14 @@ import (
 	"gmsim/internal/core"
 	"gmsim/internal/experiments"
 	"gmsim/internal/host"
+	"gmsim/internal/service"
 	"gmsim/internal/sim"
 	"gmsim/internal/stats"
 )
 
 func main() {
-	nicModel := flag.String("nic", "4.3", "NIC model: 4.3 or 7.2")
+	s := service.Spec{Nodes: 2}
+	flag.StringVar(&s.NIC, "nic", "4.3", "NIC model: 4.3 or 7.2")
 	iters := flag.Int("iters", 200, "ping-pong iterations per size")
 	sizesArg := flag.String("sizes", "8,64,256,1024,4096", "comma-separated message sizes")
 	flag.Parse()
@@ -33,11 +35,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	mkCfg := cluster.DefaultConfig
-	if *nicModel == "7.2" {
-		mkCfg = cluster.LANai72Config
-	} else if *nicModel != "4.3" {
-		fmt.Fprintf(os.Stderr, "unknown NIC model %q\n", *nicModel)
+	var cfg cluster.Config
+	c, err := s.Canonicalize()
+	if err == nil {
+		cfg, err = c.Config()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -52,11 +56,11 @@ func main() {
 	}
 
 	tbl := stats.NewTable(
-		fmt.Sprintf("GM point-to-point, 2 nodes, LANai %s", *nicModel),
+		fmt.Sprintf("GM point-to-point, 2 nodes, LANai %s", c.NIC),
 		"Size (B)", "One-way latency (us)", "Stream bandwidth (MB/s)")
 	for _, size := range sizes {
-		lat := experiments.PingPong(mkCfg(2), size, *iters)
-		bw := streamBandwidth(mkCfg(2), size, *iters)
+		lat := experiments.PingPong(cfg, size, *iters)
+		bw := streamBandwidth(cfg, size, *iters)
 		tbl.AddRow(size, lat, bw)
 	}
 	fmt.Print(tbl.String())

@@ -9,6 +9,9 @@
 // trunk crossings are visible per packet. With -chrome the whole timeline
 // is exported as Chrome trace-event JSON for Perfetto (ui.perfetto.dev).
 //
+// The flags fill a service.Spec, built into its run the way simd builds a
+// request: -radix 0 is topo.DefaultRadix on a multi-switch fabric.
+//
 // Usage:
 //
 //	gmtrace [-n nodes] [-alg pe|gb] [-dim D] [-level nic|host]
@@ -21,60 +24,38 @@ import (
 	"os"
 	"sort"
 
-	"gmsim/internal/cluster"
 	"gmsim/internal/experiments"
-	"gmsim/internal/mcp"
+	"gmsim/internal/service"
 	"gmsim/internal/stats"
-	"gmsim/internal/topo"
 )
 
 func main() {
-	n := flag.Int("n", 4, "cluster size")
-	algArg := flag.String("alg", "pe", "barrier algorithm: pe or gb")
-	dim := flag.Int("dim", 2, "GB tree dimension")
-	levelArg := flag.String("level", "nic", "barrier placement: nic or host")
-	barriers := flag.Int("barriers", 2, "barriers to trace")
-	skip := flag.Int("skip", 3, "warmup barriers before tracing (at least 1)")
-	topoArg := flag.String("topo", "single", "switch topology: single, twoswitch, star, clos2, clos3")
-	radix := flag.Int("radix", 0, "switch port count (0 = topology default)")
+	var s service.Spec
+	flag.IntVar(&s.Nodes, "n", 4, "cluster size")
+	flag.StringVar(&s.Alg, "alg", "pe", "barrier algorithm: pe or gb")
+	flag.IntVar(&s.Dim, "dim", 2, "GB tree dimension")
+	flag.StringVar(&s.Level, "level", "nic", "barrier placement: nic or host")
+	flag.IntVar(&s.Iters, "barriers", 2, "barriers to trace")
+	flag.IntVar(&s.Warmup, "skip", 3, "warmup barriers before tracing (at least 1)")
+	flag.StringVar(&s.Topo, "topo", "single", "switch topology: single, twoswitch, star, clos2, clos3")
+	flag.IntVar(&s.Radix, "radix", 0, "switch port count (0 = topology default)")
 	chrome := flag.String("chrome", "", "write the trace as Chrome trace-event JSON to this file")
 	flag.Parse()
 
-	spec := experiments.Spec{Cluster: cluster.DefaultConfig(*n), Dim: *dim, Warmup: *skip, Iters: *barriers}
-	switch *algArg {
-	case "pe":
-		spec.Alg = mcp.PE
-	case "gb":
-		spec.Alg = mcp.GB
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algArg)
-		os.Exit(2)
-	}
-	switch *levelArg {
-	case "nic":
-		spec.Level = experiments.NICLevel
-	case "host":
-		spec.Level = experiments.HostLevel
-	default:
-		fmt.Fprintf(os.Stderr, "unknown level %q\n", *levelArg)
-		os.Exit(2)
-	}
-	if *barriers < 1 || *skip < 1 {
+	// The spec would read zero as "default"; here it is a mistake.
+	if s.Iters < 1 || s.Warmup < 1 {
 		fmt.Fprintln(os.Stderr, "-barriers and -skip must be at least 1")
 		os.Exit(2)
 	}
-	if *topoArg != "single" {
-		kind, err := topo.ParseKind(*topoArg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -topo: %v\n", err)
-			os.Exit(2)
-		}
-		spec.Cluster.Topology = &topo.Spec{Kind: kind, Nodes: *n, Radix: *radix}
-	} else if *radix > 0 {
-		spec.Cluster.Switch.Ports = *radix
+	var spec experiments.Spec
+	c, err := s.Canonicalize()
+	if err == nil {
+		spec, err = c.Experiment()
 	}
-
-	out, err := experiments.Run(spec, true)
+	var out experiments.Outcome
+	if err == nil {
+		out, err = experiments.Run(spec, true)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -82,7 +63,7 @@ func main() {
 	rec := out.Rec
 
 	fmt.Printf("trace: %d %s-based %s barriers, %d nodes on %s fabric (after %d warmup)\n\n",
-		*barriers, *levelArg, *algArg, *n, *topoArg, *skip)
+		c.Iters, c.Level, c.Alg, c.Nodes, c.Topo, c.Warmup)
 	fmt.Print(rec.Dump())
 
 	fmt.Println("\nevent counts:")

@@ -13,11 +13,12 @@
 //
 // The spec flags (-topo, -radix, -nodes, -dim, -faultplan, -seed) are the
 // shared vocabulary of internal/service: the same names and defaults as
-// cmd/barrierbench and the simd HTTP spec. With a non-single -topo the
-// cluster is wired as the named multi-switch fabric (internal/topo) from
-// radix-R switches and the GB tree is mapped onto it (intra-switch
-// subtrees, one trunk crossing per leaf switch). An explicit -nodes
-// overrides -sizes; an explicit -dim restricts the sweep to that dimension.
+// cmd/barrierbench and the simd HTTP spec. Each size is one service.Spec,
+// built into its cluster the way simd builds a request. With a non-single
+// -topo (one kind) the cluster is wired as the named multi-switch fabric
+// (internal/topo) from radix-R switches and the GB tree is mapped onto it
+// (intra-switch subtrees, one trunk crossing per leaf switch). An explicit
+// -nodes overrides -sizes; an explicit -dim measures only that dimension.
 //
 // -tuned replaces the exhaustive dimension sweep with the closed-form
 // steady-state model (internal/model): it measures only the model's argmin
@@ -32,9 +33,7 @@ import (
 	"strconv"
 	"strings"
 
-	"gmsim/internal/cluster"
 	"gmsim/internal/experiments"
-	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
 	"gmsim/internal/service"
 	"gmsim/internal/stats"
@@ -42,43 +41,17 @@ import (
 )
 
 func main() {
-	nicModel := flag.String("nic", "4.3", "NIC model: 4.3 or 7.2")
-	levelArg := flag.String("level", "nic", "barrier placement: nic or host")
+	s := service.BindSpecFlags(flag.CommandLine)
+	flag.StringVar(&s.NIC, "nic", "4.3", "NIC model: 4.3 or 7.2")
+	flag.StringVar(&s.Level, "level", "nic", "barrier placement: nic or host")
 	sizesArg := flag.String("sizes", "4,8,16", "comma-separated node counts")
-	iters := flag.Int("iters", 100, "timed iterations per point")
+	flag.IntVar(&s.Iters, "iters", 100, "timed iterations per point")
 	tuned := flag.Bool("tuned", false, "measure only the model-tuned GB dimension instead of sweeping")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker pool size (results are identical at any value)")
-	sf := service.BindSpecFlags(flag.CommandLine)
 	flag.Parse()
 	runner.SetDefault(*parallel)
-	if *iters < 1 {
+	if s.Iters < 1 {
 		fmt.Fprintln(os.Stderr, "-iters must be at least 1")
-		os.Exit(2)
-	}
-
-	kind, err := sf.FirstKind()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if service.FailStop(sf.FaultPlan) {
-		fmt.Fprintf(os.Stderr, "-faultplan %s is fail-stop; dimension sweeps need completing clusters (use barrierbench -fig crash)\n", sf.FaultPlan)
-		os.Exit(2)
-	}
-
-	mkCfg := cluster.DefaultConfig
-	if *nicModel == "7.2" {
-		mkCfg = cluster.LANai72Config
-	} else if *nicModel != "4.3" {
-		fmt.Fprintf(os.Stderr, "unknown NIC model %q\n", *nicModel)
-		os.Exit(2)
-	}
-	topoAware := kind != topo.Single
-	level := experiments.NICLevel
-	if *levelArg == "host" {
-		level = experiments.HostLevel
-	} else if *levelArg != "nic" {
-		fmt.Fprintf(os.Stderr, "unknown level %q\n", *levelArg)
 		os.Exit(2)
 	}
 
@@ -93,66 +66,57 @@ func main() {
 			dimSet = true
 		}
 	})
+	if *tuned && dimSet {
+		fmt.Fprintln(os.Stderr, "-tuned and -dim are mutually exclusive")
+		os.Exit(2)
+	}
 	sizes := strings.Split(*sizesArg, ",")
 	if nodesSet {
-		sizes = []string{strconv.Itoa(sf.Nodes)}
+		sizes = []string{strconv.Itoa(s.Nodes)}
+	}
+	s.Alg = "gb"
+	if !dimSet {
+		s.Dim = 1 // any valid dimension: the sweep sets its own
 	}
 
-	for _, s := range sizes {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 2 {
-			fmt.Fprintf(os.Stderr, "bad size %q\n", s)
+	for _, size := range sizes {
+		n, err := strconv.Atoi(strings.TrimSpace(size))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bad size %q\n", size)
 			os.Exit(2)
 		}
-		cfg := mkCfg(n)
-		if topoAware {
-			tc := experiments.TopoConfig(kind, n, sf.Radix)
-			cfg.Switch = tc.Switch
-			cfg.Topology = tc.Topology
+		s.Nodes = n
+		var spec experiments.Spec
+		c, err := s.Canonicalize()
+		if err == nil {
+			spec, err = c.Experiment()
 		}
-		if plan, err := service.NamedPlan(sf.FaultPlan, sf.Seed, n); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		} else if plan != nil {
-			cfg.Fault = plan
-			cfg.ReliableBarrier = true
-		}
-		if err := cfg.Validate(); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		if service.FailStop(c.FaultPlan) {
+			fmt.Fprintf(os.Stderr, "-faultplan %s is fail-stop; dimension sweeps need completing clusters (use barrierbench -fig crash)\n", c.FaultPlan)
+			os.Exit(2)
+		}
+		// On a multi-switch fabric the tree is mapped onto the leaves.
+		spec.TopoAware = c.Topo != topo.Single.String()
 		if *tuned {
-			if dimSet {
-				fmt.Fprintln(os.Stderr, "-tuned and -dim are mutually exclusive")
-				os.Exit(2)
-			}
-			d := experiments.TunedGBDim(cfg)
-			res := experiments.MeasureBarriers([]experiments.Spec{{
-				Cluster: cfg, Level: level, Alg: mcp.GB, Dim: d,
-				TopoAware: topoAware, Iters: *iters,
-			}})
+			spec.Dim = experiments.TunedGBDim(spec.Cluster)
 			tbl := stats.NewTable(
 				fmt.Sprintf("%s-based GB barrier, %d nodes, LANai %s: model-tuned dimension",
-					level, n, *nicModel),
+					spec.Level, n, c.NIC),
 				"Dim", "Latency (us)", "")
-			tbl.AddRow(d, res[0].MeanMicros, "<- model-tuned (no sweep)")
+			tbl.AddRow(spec.Dim, experiments.MeasureBarrier(spec).MeanMicros, "<- model-tuned (no sweep)")
 			fmt.Print(tbl.String())
 			fmt.Println()
 			continue
 		}
-		pts := experiments.GBDimSweep(cfg, level, *iters, topoAware)
+		var pts []experiments.DimPoint
 		if dimSet {
-			kept := pts[:0]
-			for _, p := range pts {
-				if p.Dim == sf.Dim {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				fmt.Fprintf(os.Stderr, "-dim %d out of range [1,%d] at %d nodes\n", sf.Dim, n-1, n)
-				os.Exit(2)
-			}
-			pts = kept
+			pts = []experiments.DimPoint{{Dim: spec.Dim, Micros: experiments.MeasureBarrier(spec).MeanMicros}}
+		} else {
+			pts = experiments.GBDimSweep(spec.Cluster, spec.Level, spec.Iters, spec.TopoAware)
 		}
 		best := pts[0]
 		for _, p := range pts {
@@ -161,15 +125,15 @@ func main() {
 			}
 		}
 		fabric := ""
-		if topoAware {
-			fabric = fmt.Sprintf(", %s radix %d, mapped tree", kind, sf.Radix)
+		if spec.TopoAware {
+			fabric = fmt.Sprintf(", %s radix %d, mapped tree", c.Topo, c.Radix)
 		}
-		if sf.FaultPlan != service.PlanNone {
-			fabric += fmt.Sprintf(", reliable, %s plan", sf.FaultPlan)
+		if c.FaultPlan != service.PlanNone {
+			fabric += fmt.Sprintf(", reliable, %s plan", c.FaultPlan)
 		}
 		tbl := stats.NewTable(
 			fmt.Sprintf("%s-based GB barrier, %d nodes, LANai %s%s: latency vs tree dimension",
-				level, n, *nicModel, fabric),
+				spec.Level, n, c.NIC, fabric),
 			"Dim", "Latency (us)", "")
 		for _, p := range pts {
 			mark := ""

@@ -13,34 +13,45 @@ import (
 	"fmt"
 	"os"
 
-	"gmsim/internal/cluster"
 	"gmsim/internal/experiments"
-	"gmsim/internal/mcp"
 	"gmsim/internal/model"
+	"gmsim/internal/service"
 	"gmsim/internal/stats"
 )
 
 func main() {
 	n := flag.Int("n", 8, "barrier size (power of two)")
-	nicModel := flag.String("nic", "4.3", "NIC model: 4.3 or 7.2")
+	s := service.Spec{Iters: 100}
+	flag.StringVar(&s.NIC, "nic", "4.3", "NIC model: 4.3 or 7.2")
 	width := flag.Int("width", 72, "diagram width in columns")
 	flag.Parse()
 
-	var b model.Breakdown
-	var mkCfg func(int) cluster.Config
-	switch *nicModel {
-	case "4.3":
-		b = model.PaperEstimate43()
-		mkCfg = cluster.DefaultConfig
-	case "7.2":
+	// The simulated side of the comparison: NIC- and host-based PE at each
+	// size, built (and -nic checked) before anything prints.
+	sizes := []int{2, 4, 8, 16}
+	var c service.Spec
+	var cells []experiments.Spec
+	for _, size := range sizes {
+		for _, level := range []string{"nic", "host"} {
+			s.Nodes, s.Level = size, level
+			var spec experiments.Spec
+			var err error
+			if c, err = s.Canonicalize(); err == nil {
+				spec, err = c.Experiment()
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			cells = append(cells, spec)
+		}
+	}
+	b := model.PaperEstimate43()
+	if c.NIC == "7.2" {
 		b = model.PaperEstimate72()
-		mkCfg = cluster.LANai72Config
-	default:
-		fmt.Fprintf(os.Stderr, "unknown NIC model %q\n", *nicModel)
-		os.Exit(2)
 	}
 
-	fmt.Printf("Figure 2(a): host-based barrier timing, one node, %d processes, LANai %s\n\n", *n, *nicModel)
+	fmt.Printf("Figure 2(a): host-based barrier timing, one node, %d processes, LANai %s\n\n", *n, c.NIC)
 	segs, err := b.TimingDiagram("host", *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -48,7 +59,7 @@ func main() {
 	}
 	fmt.Print(model.RenderDiagram(segs, *width))
 
-	fmt.Printf("\nFigure 2(b): NIC-based barrier timing, one node, %d processes, LANai %s\n\n", *n, *nicModel)
+	fmt.Printf("\nFigure 2(b): NIC-based barrier timing, one node, %d processes, LANai %s\n\n", *n, c.NIC)
 	segs, err = b.TimingDiagram("nic", *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -58,14 +69,9 @@ func main() {
 
 	fmt.Println("\nSection 2.2 model (Equations 1-3) vs discrete-event simulation:")
 	tbl := stats.NewTable("", "Nodes", "Eq1 host (us)", "sim host (us)", "Eq2 NIC (us)", "sim NIC (us)", "Eq3 factor", "sim factor")
-	for _, size := range []int{2, 4, 8, 16} {
-		cfg := mkCfg(size)
-		simNIC := experiments.MeasureBarrier(experiments.Spec{
-			Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.PE, Iters: 100,
-		}).MeanMicros
-		simHost := experiments.MeasureBarrier(experiments.Spec{
-			Cluster: cfg, Level: experiments.HostLevel, Alg: mcp.PE, Iters: 100,
-		}).MeanMicros
+	res := experiments.MeasureBarriers(cells)
+	for i, size := range sizes {
+		simNIC, simHost := res[2*i].MeanMicros, res[2*i+1].MeanMicros
 		tbl.AddRow(size, b.HostBarrier(size), simHost, b.NICBarrier(size), simNIC,
 			b.Factor(size), simHost/simNIC)
 	}

@@ -196,7 +196,7 @@ func Build(cfg Config) (*Cluster, error) {
 		for i, nic := range c.nics {
 			byNode[network.NodeID(i)] = nic
 		}
-		inj, err := fault.AttachChecked(cfg.Fault, f, byNode)
+		inj, err := fault.Attach(cfg.Fault, f, byNode)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}

@@ -35,7 +35,7 @@ func crashFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Ifac
 func TestCrashFailStopsNode(t *testing.T) {
 	s, f, ifaces, counts, nics := crashFabric(t)
 	plan := &Plan{Crashes: []Crash{{Node: 2, At: sim.FromMicros(10)}}}
-	inj := Attach(plan, f, nics)
+	inj := attach(t, plan, f, nics)
 
 	var hooked []network.NodeID
 	var hookedAt sim.Time
@@ -78,7 +78,7 @@ func TestCrashFailStopsNode(t *testing.T) {
 func TestSwitchCrashPartitionsEverything(t *testing.T) {
 	s, f, ifaces, counts, _ := crashFabric(t)
 	plan := &Plan{SwitchCrashes: []SwitchCrash{{Switch: 0, At: sim.FromMicros(10)}}}
-	inj := Attach(plan, f, nil)
+	inj := attach(t, plan, f, nil)
 
 	s.At(sim.FromMicros(1), func() { sendOne(ifaces[0], 0, 1) })
 	s.At(sim.FromMicros(20), func() { sendOne(ifaces[0], 0, 1) })
@@ -101,7 +101,7 @@ func TestCutIsPermanent(t *testing.T) {
 		Links: Selector{Node: 1, Dir: RxOnly},
 		At:    sim.FromMicros(10),
 	}}}
-	inj := Attach(plan, f, nil)
+	inj := attach(t, plan, f, nil)
 
 	s.At(sim.FromMicros(1), func() { sendOne(ifaces[0], 0, 1) })
 	s.At(sim.FromMicros(20), func() { sendOne(ifaces[0], 0, 1) }) // rx cut: dropped
@@ -136,9 +136,9 @@ func TestAttachCheckedErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, f, _, _, nics := crashFabric(t)
-			_, err := AttachChecked(c.plan, f, nics)
+			_, err := Attach(c.plan, f, nics)
 			if !strings.Contains(fmt.Sprint(err), c.want) {
-				t.Fatalf("AttachChecked = %v, want error containing %q", err, c.want)
+				t.Fatalf("Attach = %v, want error containing %q", err, c.want)
 			}
 		})
 	}

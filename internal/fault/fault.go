@@ -393,25 +393,14 @@ type Injector struct {
 	cnt Counters
 }
 
-// Attach compiles the plan onto a fabric, panicking on a plan that does not
-// fit it (unknown nodes or switches).
-// Callers with user-supplied plans should use AttachChecked.
-func Attach(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) *Injector {
-	inj, err := AttachChecked(p, fab, nics)
-	if err != nil {
-		panic(err.Error())
-	}
-	return inj
-}
-
-// AttachChecked compiles the plan onto a fabric: flap, cut, crash, stall
+// Attach compiles the plan onto a fabric: flap, cut, crash, stall
 // and slowdown rules become scheduled simulator events; stochastic rules
 // are indexed per link; and the injector installs itself as the fabric's
 // fault hook. nics maps node IDs to their cards, for the firmware fault
 // classes; it may be nil when the plan contains no stalls, slowdowns or
-// crashes. AttachChecked must run after all NICs are cabled and before the
+// crashes. Attach must run after all NICs are cabled and before the
 // simulation starts.
-func AttachChecked(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) (*Injector, error) {
+func Attach(p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -26,6 +26,16 @@ func testFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Iface
 	return s, f, ifaces, counts
 }
 
+// attach is Attach for a plan the test built to fit the fabric.
+func attach(t *testing.T, p *Plan, fab *network.Fabric, nics map[network.NodeID]*lanai.NIC) *Injector {
+	t.Helper()
+	inj, err := Attach(p, fab, nics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
 // sendOne transmits one packet; node d hangs off port d of the one switch.
 func sendOne(iface *network.Iface, src, dst network.NodeID) {
 	iface.Transmit(&network.Packet{Route: []byte{byte(dst)}, Src: src, Dst: dst, Size: 64})
@@ -40,7 +50,7 @@ func TestFlapDropsDuringOutage(t *testing.T) {
 		DownAt: sim.FromMicros(10),
 		UpAt:   sim.FromMicros(20),
 	}}}
-	inj := Attach(plan, f, nil)
+	inj := attach(t, plan, f, nil)
 
 	for _, at := range []float64{1, 12, 15, 25} {
 		at := at
@@ -65,7 +75,7 @@ func TestLossRuleWindow(t *testing.T) {
 		Window: Window{From: sim.FromMicros(10), To: sim.FromMicros(20)},
 		Rate:   1,
 	}}}
-	inj := Attach(plan, f, nil)
+	inj := attach(t, plan, f, nil)
 	for _, at := range []float64{1, 12, 25} {
 		at := at
 		s.At(sim.FromMicros(at), func() { sendOne(ifaces[0], 0, 1) })
@@ -84,7 +94,7 @@ func TestLossRuleWindow(t *testing.T) {
 func TestLossRuleExtremes(t *testing.T) {
 	for _, rate := range []float64{0, 1} {
 		s, f, ifaces, counts := testFabric(t)
-		inj := Attach(&Plan{Seed: 7, Loss: []LossRule{{Links: AllLinks(), Window: Always, Rate: rate}}}, f, nil)
+		inj := attach(t, &Plan{Seed: 7, Loss: []LossRule{{Links: AllLinks(), Window: Always, Rate: rate}}}, f, nil)
 		for i := 0; i < 20; i++ {
 			sendOne(ifaces[0], 0, 1)
 		}
@@ -112,7 +122,7 @@ func TestCorruptedImageDiffers(t *testing.T) {
 	var got *network.Packet
 	if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
 	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got = p })
-	Attach(&Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1}}}, f, nil)
+	attach(t, &Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1}}}, f, nil)
 
 	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	s.At(0, func() {
@@ -153,7 +163,7 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 	var got *network.Packet
 	if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
 	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got = p })
-	inj := Attach(&Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1, Truncate: true}}}, f, nil)
+	inj := attach(t, &Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1, Truncate: true}}}, f, nil)
 
 	s.At(0, func() {
 		if0.Transmit(&network.Packet{Route: []byte{1}, Src: 0, Dst: 1, Size: 64, Payload: "hdr"})
@@ -179,7 +189,7 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 // TestDuplicateDelivers: a dup rule at rate 1 delivers two copies.
 func TestDuplicateDelivers(t *testing.T) {
 	s, f, ifaces, counts := testFabric(t)
-	inj := Attach(&Plan{Duplicate: []DupRule{{Links: NodeLinks(1), Window: Always, Rate: 1}}}, f, nil)
+	inj := attach(t, &Plan{Duplicate: []DupRule{{Links: NodeLinks(1), Window: Always, Rate: 1}}}, f, nil)
 	s.At(0, func() { sendOne(ifaces[0], 0, 1) })
 	s.Run()
 	// The cable has two directed channels; only the Rx direction carries
@@ -204,7 +214,7 @@ func TestStallFreezesNIC(t *testing.T) {
 	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) {})
 	nic := lanai.NewNIC(s, lanai.LANai43())
 	plan := &Plan{Stalls: []Stall{{Node: 0, At: sim.FromMicros(5), For: sim.FromMicros(100)}}}
-	Attach(plan, f, map[network.NodeID]*lanai.NIC{0: nic, 1: lanai.NewNIC(s, lanai.LANai43())})
+	attach(t, plan, f, map[network.NodeID]*lanai.NIC{0: nic, 1: lanai.NewNIC(s, lanai.LANai43())})
 
 	var ran sim.Time
 	s.At(sim.FromMicros(10), func() {
@@ -234,7 +244,7 @@ func TestSlowdownWindow(t *testing.T) {
 		Window: Window{From: sim.FromMicros(10), To: sim.FromMicros(20)},
 		Factor: 4,
 	}}}
-	Attach(plan, f, map[network.NodeID]*lanai.NIC{0: nic, 1: lanai.NewNIC(s, lanai.LANai43())})
+	attach(t, plan, f, map[network.NodeID]*lanai.NIC{0: nic, 1: lanai.NewNIC(s, lanai.LANai43())})
 
 	var inWin, afterWin sim.Time
 	s.At(sim.FromMicros(12), func() {
@@ -265,7 +275,7 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 		f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got++ })
 		if2 := f.AttachNIC(2, sw, 2, lp, func(p *network.Packet) {})
 		// Loss only on node 0's transmit channel: flow C never touches it.
-		Attach(&Plan{Seed: 7, Loss: []LossRule{{
+		attach(t, &Plan{Seed: 7, Loss: []LossRule{{
 			Links: Selector{Node: 0, Dir: TxOnly}, Window: Always, Rate: 0.4,
 		}}}, f, nil)
 		for i := 0; i < 60; i++ {
@@ -295,7 +305,7 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 // TestEmptyPlanIsFree: attaching an empty plan changes nothing — same
 // deliveries at the same times as no plan at all.
 func TestEmptyPlanIsFree(t *testing.T) {
-	run := func(attach bool) []sim.Time {
+	run := func(withPlan bool) []sim.Time {
 		s := sim.New()
 		f := network.New(s)
 		sw := f.AddSwitch(network.DefaultSwitchParams(2))
@@ -303,8 +313,8 @@ func TestEmptyPlanIsFree(t *testing.T) {
 		var times []sim.Time
 		if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
 		f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { times = append(times, s.Now()) })
-		if attach {
-			Attach(&Plan{Seed: 99}, f, nil)
+		if withPlan {
+			attach(t, &Plan{Seed: 99}, f, nil)
 		}
 		for i := 0; i < 10; i++ {
 			i := i

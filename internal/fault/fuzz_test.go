@@ -88,7 +88,7 @@ func (r *planReader) time() sim.Time {
 //   - Clone is faithful: the clone validates to the same verdict and
 //     reports the same emptiness.
 //   - A plan Validate accepts is still accepted after Clone (golden for
-//     cluster.Validate, which checks plans it then hands to AttachChecked).
+//     cluster.Validate, which checks plans it then hands to Attach).
 func FuzzPlanValidate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})

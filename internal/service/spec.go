@@ -8,9 +8,11 @@
 // equivalent specs (field order, omitted defaults, legacy spellings)
 // canonicalize to identical bytes and therefore identical SHA-256 hashes,
 // and a cached result for a hash is byte-identical to re-running the
-// simulation — a cache hit never re-simulates. The CLIs (cmd/barrierbench,
-// cmd/sweep) bind their experiment flags through the same codec, so the
-// command line and the HTTP API accept the identical spec.
+// simulation — a cache hit never re-simulates. The five experiment
+// commands (cmd/barrierbench, cmd/sweep, cmd/gmtrace, cmd/timing,
+// cmd/gmping) fill a Spec from their flags and build their runs with
+// Canonicalize and Experiment (or Config) too, so the command line and the
+// HTTP API accept the identical spec.
 package service
 
 import (
@@ -338,10 +340,10 @@ func (s Spec) Config() (cluster.Config, error) {
 }
 
 // Experiment converts a canonical spec into the experiments harness's
-// measurement spec — the exact value a one-shot CLI run would measure,
-// which is what makes service results bit-comparable to serial runs. It is
-// the only converter: every spec field that reaches the simulation passes
-// through here.
+// measurement spec — the value simd executes and the experiment commands
+// measure, which is what makes service results bit-comparable to command
+// line runs. It is the only converter: every spec field that reaches the
+// simulation passes through here (the cluster through Config).
 func (s Spec) Experiment() (experiments.Spec, error) {
 	cfg, err := s.Config()
 	if err != nil {

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"gmsim/internal/cluster"
 	"gmsim/internal/experiments"
+	"gmsim/internal/topo"
 )
 
 // TestCanonicalizeDefaults: the minimal spec fills every default
@@ -205,6 +208,53 @@ func TestExperimentCarriesEveryField(t *testing.T) {
 	}
 	if e, _ := s.Experiment(); e.Level != experiments.HostLevel {
 		t.Errorf("host level lost: %+v", e)
+	}
+}
+
+// TestConfigIsTheTestbed: Spec.Config is the cluster the commands built by
+// hand before they built through the spec — the Figure 5 testbed of the NIC
+// model, a multi-switch fabric's Switch and Topology copied on from
+// experiments.TopoConfig, and the named plan on the reliable barrier or on
+// experiments.FailStopTestbed — for every size, NIC, plan and kind they
+// ran. A zero-fault single-crossbar spec is the Figure 5 testbed itself.
+func TestConfigIsTheTestbed(t *testing.T) {
+	for _, n := range []int{2, 4, 8, 16} {
+		for _, nic := range []string{"4.3", "7.2"} {
+			for _, plan := range PlanNames() {
+				for _, kind := range []topo.Kind{topo.Single, topo.Star, topo.Clos2, topo.Clos3} {
+					s := Spec{Topo: kind.String(), Nodes: n, NIC: nic, FaultPlan: plan}
+					c, err := s.Canonicalize()
+					if err != nil {
+						t.Fatalf("%+v: %v", s, err)
+					}
+					got, err := c.Config()
+					if err != nil {
+						t.Fatalf("%+v: %v", c, err)
+					}
+
+					want := cluster.DefaultConfig(n)
+					if nic == "7.2" {
+						want = cluster.LANai72Config(n)
+					}
+					if kind != topo.Single {
+						tc := experiments.TopoConfig(kind, n, topo.DefaultRadix)
+						want.Switch, want.Topology = tc.Switch, tc.Topology
+					}
+					if FailStop(plan) {
+						want = experiments.FailStopTestbed(want)
+					} else if plan != PlanNone {
+						want.ReliableBarrier = true
+					}
+					if want.Fault, err = NamedPlan(plan, DefaultSeed, n); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%d nodes, LANai %s, %s plan, %s: Config differs\n got %+v\nwant %+v",
+							n, nic, plan, kind, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
