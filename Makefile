@@ -43,7 +43,8 @@ race-procs:
 # request body (the body index against a fresh server), the algebraic
 # router's spec space, the event queue against its sorted-slice model,
 # process programs run ahead of the clock against the same programs settled,
-# and the Chrome exporter's string and timestamp appenders against
+# batched receive-buffer provisioning against the loop of calls it stands
+# for, and the Chrome exporter's string and timestamp appenders against
 # encoding/json (go's fuzzer allows one target per invocation).
 # Checked-in seed corpora live under each package's testdata/fuzz/.
 FUZZTIME ?= 10s
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzAlgRouteSpec$$ -fuzztime=$(FUZZTIME) ./internal/topo
 	$(GO) test -run=^$$ -fuzz=^FuzzEventQueue$$ -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=^FuzzProcLookahead$$ -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=^FuzzProvisioning$$ -fuzztime=$(FUZZTIME) ./internal/gm
 	$(GO) test -run=^$$ -fuzz=^FuzzChromeString$$ -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=^FuzzChromeMicros$$ -fuzztime=$(FUZZTIME) ./internal/trace
 

@@ -28,9 +28,11 @@ type MCP struct {
 	// run — never pays for seeding the 607-word generator.
 	rng *rand.Rand
 
-	// ports is one block, never resized: a *Port into it stays valid.
-	ports []Port
-	conns map[network.NodeID]*Connection
+	// ports is one block, never resized: a *Port into it stays valid. The
+	// block also holds accrual, the NIC's one receive-token schedule.
+	ports   []Port
+	accrual *recvAccrual
+	conns   map[network.NodeID]*Connection
 
 	// pendingClosed records barrier messages that arrived for closed
 	// local ports, keyed by the closed port number (Section 3.2). Nil until
@@ -128,7 +130,8 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		cfg:   cfg,
 		conns: make(map[network.NodeID]*Connection),
 	}
-	m.ports = make([]Port, cfg.NumPorts)
+	blk := new(portBlock)
+	m.ports, m.accrual = blk.ports[:cfg.NumPorts], &blk.accrual
 	for i := range m.ports {
 		m.ports[i].num = i
 	}
@@ -250,6 +253,12 @@ func (m *MCP) ClosePort(n int) error {
 		return fmt.Errorf("mcp: port %d not open", n)
 	}
 	p.open = false
+	if a := m.accrual; a.n > 0 && int(a.port) == n {
+		// The schedule dies with the program that handed it over: what it
+		// posted so far stays with the closed port, the rest is never posted.
+		p.recvTokens += a.posted(m.sim)
+		*a = recvAccrual{}
+	}
 	for i := range p.slots {
 		m.cancelWatchdog(&p.slots[i])
 	}
@@ -267,6 +276,42 @@ func (m *MCP) PostReceiveToken(n int) error {
 	m.ports[n].recvTokens++
 	return nil
 }
+
+// ScheduleReceiveTokens provides n host receive buffers to the port in
+// closed form, as n back-to-back gm_provide_receive_buffer calls made now
+// would, their doorbells ringing at first, first+every, …: token k is the
+// port's from first + k·every on, for every event that would have run after
+// that doorbell. Nothing is scheduled; the count is worked out when it is
+// read (recvTokens). The NIC keeps one schedule and retires it into its
+// port's count once every token is posted. While one is still posting it
+// takes no other, returns false, and the caller rings a doorbell per buffer.
+func (m *MCP) ScheduleReceiveTokens(port, n int, first, every sim.Time) bool {
+	if !m.validPort(port) || !m.ports[port].open || n <= 0 {
+		return false
+	}
+	a := m.accrual
+	if a.n > 0 {
+		if a.posted(m.sim) < a.n {
+			return false
+		}
+		m.ports[a.port].recvTokens += a.n
+	}
+	*a = recvAccrual{first: first, every: every, stamp: m.sim.Stamp(), n: int32(n), port: int32(port)}
+	return true
+}
+
+// recvTokens is the port's receive tokens at this instant: those its
+// doorbells posted, less those consumed, plus what the NIC's schedule has
+// posted to it so far.
+func (m *MCP) recvTokens(p *Port) int32 {
+	if a := m.accrual; a.n > 0 && int(a.port) == p.num {
+		return p.recvTokens + a.posted(m.sim)
+	}
+	return p.recvTokens
+}
+
+// RecvTokens returns the number of receive buffers the port has available.
+func (m *MCP) RecvTokens(port int) int { return int(m.recvTokens(&m.ports[port])) }
 
 // PostSendToken accepts a data send descriptor. The SDMA state machine
 // notices it, DMAs the payload from host memory, prepares the packet,
@@ -531,7 +576,7 @@ func (m *MCP) handleData(f *Frame) {
 			return
 		}
 		p := &m.ports[f.DstPort]
-		if p.recvTokens == 0 {
+		if m.recvTokens(p) == 0 {
 			// Receive-side flow control: no buffer, do not accept. Tell
 			// the sender the connection is alive but busy (no-buffer
 			// nack): it will retry on its timer without counting the

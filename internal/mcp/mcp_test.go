@@ -813,7 +813,7 @@ func TestStatsAccessors(t *testing.T) {
 		t.Fatal("NIC nil")
 	}
 	p := r.mcps[0].Port(2)
-	if !p.Open() || p.Num() != 2 || p.RecvTokens() != 0 || p.BarrierBufs() != 0 {
+	if !p.Open() || p.Num() != 2 || r.mcps[0].RecvTokens(2) != 0 || p.BarrierBufs() != 0 {
 		t.Fatal("port accessors wrong")
 	}
 }
@@ -825,12 +825,14 @@ func TestStatsAccessors(t *testing.T) {
 // token is read-only to the firmware (104 bytes, the 112-byte class). A slot's
 // operation state is allocated once per slot that runs one, PE included (the
 // 192-byte class: PE's flag and index sit in padding). A NIC's ports are one
-// block: eight 88-byte ports plus the 8-byte header the allocator adds to a
-// pointerful object over 512 bytes fill the 768-byte class; at 96 bytes a port
-// the block takes 896. A NIC holds one Connection per peer it has talked to,
-// so it holds only what a protocol step reads — recovery counts are the
-// NIC's Stats — and is kept to the 320-byte class (304 bytes), and the
-// unexpected-message record's eight slots inside it to three bytes each.
+// block: eight 88-byte ports, the NIC's 32-byte receive-token schedule and
+// the 8-byte header the allocator adds to a pointerful object over 512 bytes
+// fit the 768-byte class; at 96 bytes a port the block takes 896. The MCP
+// itself, with that header, fits the 1024-byte class. A NIC holds one
+// Connection per peer it has talked to, so it holds only what a protocol
+// step reads — recovery counts are the NIC's Stats — and is kept to the
+// 320-byte class (304 bytes), and the unexpected-message record's eight
+// slots inside it to three bytes each.
 func TestBarrierTokenSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -839,6 +841,8 @@ func TestBarrierTokenSize(t *testing.T) {
 		{"BarrierToken", unsafe.Sizeof(BarrierToken{}), 104},
 		{"treeState", unsafe.Sizeof(treeState{}), 192},
 		{"Port", unsafe.Sizeof(Port{}), 88},
+		{"portBlock", unsafe.Sizeof(portBlock{}), 768 - 8},
+		{"MCP", unsafe.Sizeof(MCP{}), 1024 - 8},
 		{"Connection", unsafe.Sizeof(Connection{}), 320},
 		{"unexpRec", unsafe.Sizeof(unexpRec{}), 4},
 	} {

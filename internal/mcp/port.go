@@ -1,6 +1,9 @@
 package mcp
 
-import "gmsim/internal/network"
+import (
+	"gmsim/internal/network"
+	"gmsim/internal/sim"
+)
 
 // Port is the NIC-side endpoint data structure: send/receive token state,
 // the host event delivery hook, and — the paper's addition, its "pointer to
@@ -13,9 +16,12 @@ type Port struct {
 	// closed-port protocol can tell stale messages from current ones.
 	epoch int
 
-	// recvTokens counts host-provided receive buffers (GM receive tokens).
-	// It and sendsInFlight are int32s so that a NIC's eight ports, one
-	// allocation, fit the 768-byte size class with its malloc header.
+	// recvTokens counts host-provided receive buffers (GM receive tokens)
+	// that doorbells posted, less those consumed; the NIC's receive-token
+	// schedule adds what it has posted so far (MCP.recvTokens), so the field
+	// alone may read negative. It and sendsInFlight are int32s so that a
+	// NIC's eight ports, one allocation, fit the 768-byte size class with its
+	// malloc header.
 	recvTokens int32
 	// sendsInFlight counts data sends posted but not yet completed,
 	// bounded by Config.MaxSendTokens.
@@ -34,6 +40,39 @@ type Port struct {
 	deliver func(HostEvent)
 }
 
+// portBlock is a NIC's ports and its receive-token schedule, one allocation:
+// eight ports and the schedule still fit the 768-byte size class.
+type portBlock struct {
+	ports   [8]Port
+	accrual recvAccrual
+}
+
+// recvAccrual is a receive-token schedule (MCP.ScheduleReceiveTokens): n
+// tokens for port, the k-th posted at first + k·every by a doorbell that
+// would have been scheduled at stamp. n == 0 is none.
+type recvAccrual struct {
+	first, every sim.Time
+	stamp        sim.Stamp
+	n, port      int32
+}
+
+// posted is how many of the schedule's tokens the event now running sees:
+// those due before now, and those due now if it was scheduled after the
+// doorbells would have been (it would have run after them).
+func (a *recvAccrual) posted(s *sim.Simulator) int32 {
+	t := s.Now()
+	if !s.RunningAfter(a.stamp) {
+		t--
+	}
+	switch {
+	case a.n == 0 || t < a.first:
+		return 0
+	case a.every == 0:
+		return a.n
+	}
+	return int32(min(int64(a.n), int64((t-a.first)/a.every)+1))
+}
+
 // Num returns the port number.
 func (p *Port) Num() int { return p.num }
 
@@ -42,9 +81,6 @@ func (p *Port) Open() bool { return p.open }
 
 // Epoch returns the current open-generation.
 func (p *Port) Epoch() int { return p.epoch }
-
-// RecvTokens returns the number of receive buffers currently available.
-func (p *Port) RecvTokens() int { return int(p.recvTokens) }
 
 // BarrierBufs returns the number of barrier completion buffers available.
 func (p *Port) BarrierBufs() int { return int(p.slots[barrierSlot].bufs) }
