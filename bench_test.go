@@ -381,9 +381,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkClos256 runs the two cells of the repository benchmark's clos256
 // workload (the spec literals are bench/workload.go's clos256Cells), one
-// whole measurement per iteration: gb4_build is mostly construction and
-// receive-token provisioning, pe_steady mostly steady-state barrier events
-// over five-switch routes. It is the entry point for profiling the scale
+// whole measurement per iteration: gb4_build is mostly topology, route and
+// cluster construction (pre-posting the receive buffers costs no events),
+// pe_steady mostly steady-state barrier events over five-switch routes. It is the entry point for profiling the scale
 // path — `make profile` — which BenchmarkSimulatorThroughput's 16 nodes on
 // one crossbar do not reach. Each cell reports its bytes and heap objects per
 // measurement.
