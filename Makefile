@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-procs fuzz bench perf-gate profile profile-svc cover figures scenarios cmd-smoke simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-procs fuzz bench perf-gate profile profile-scale profile-svc cover figures scenarios cmd-smoke simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -108,7 +108,8 @@ bench:
 
 # The one performance gate: ./bench of BASE against ./bench of the working
 # tree in alternating pairs, judged by BENCHMARK.json's bounds. CI passes the
-# PR base; locally: make perf-gate BASE=HEAD~1
+# PR base; locally: make perf-gate BASE=HEAD~1. LAYOUTS=k judges the
+# difference against k function layouts of both sides (see the script).
 perf-gate:
 	sh scripts/perf_gate.sh $(BASE)
 
@@ -120,6 +121,14 @@ perf-gate:
 profile:
 	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
 		-memprofile mem.prof -memprofilerate 4096 .
+
+# CPU profile of the 8192-node scale path: TestTopoScale8192Smoke (a
+# radix-32 fat-tree, GB dimension tuned, all four barrier variants measured,
+# under a minute). Leaves cpu.prof and experiments.test in the root; read with
+#   go tool pprof -top experiments.test cpu.prof
+profile-scale:
+	$(GO) test -run '^TestTopoScale8192Smoke$$' -count=1 -timeout 30m \
+		-cpuprofile cpu.prof -o experiments.test ./internal/experiments
 
 # The same two profiles for one cold simd request without the HTTP front
 # (BenchmarkSvcCold: canonicalize, execute observed, export the trace,
@@ -169,5 +178,5 @@ examples:
 	$(GO) run ./examples/mpi
 
 clean:
-	rm -f test_output.txt coverage.out coverage-summary.txt cpu.prof mem.prof gmsim.test
+	rm -f test_output.txt coverage.out coverage-summary.txt cpu.prof mem.prof gmsim.test experiments.test
 	rm -rf .perf_gate

@@ -156,9 +156,10 @@ func (n *NIC) ExecTagged(cycles int64, label string, fn func()) {
 }
 
 // ExecTaggedCall is ExecTagged for a prebuilt single-argument callback:
-// fn and arg pass straight through to sim.AtCall, so charging a firmware
-// task with a long-lived method value allocates nothing.
-func (n *NIC) ExecTaggedCall(cycles int64, label string, fn func(uint64), arg uint64) {
+// fn and arg (a pointer to the record the task acts on) pass straight
+// through to sim.AtCall, so charging a firmware task with a long-lived
+// method value allocates nothing.
+func (n *NIC) ExecTaggedCall(cycles int64, label string, fn func(any), arg any) {
 	if n.dead {
 		return
 	}
@@ -273,7 +274,7 @@ type DMAEngine struct {
 // completes. Transfers on the same engine serialize FIFO. fn is a prebuilt
 // callback (see NIC.ExecTaggedCall) and passes straight through to
 // sim.AtCall.
-func (d *DMAEngine) StartCall(n int, fn func(uint64), arg uint64) {
+func (d *DMAEngine) StartCall(n int, fn func(any), arg any) {
 	if d.dead {
 		return
 	}

@@ -112,7 +112,7 @@ func TestDMACompletion(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var at sim.Time
-	n.SDMA().StartCall(132, func(uint64) { at = s.Now() }, 0)
+	n.SDMA().StartCall(132, func(any) { at = s.Now() }, nil)
 	s.Run()
 	want := LANai43().SDMA.transferTime(132)
 	if at != want {
@@ -127,8 +127,8 @@ func TestDMAEnginesIndependent(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var sdmaAt, rdmaAt sim.Time
-	n.SDMA().StartCall(1320, func(uint64) { sdmaAt = s.Now() }, 0)
-	n.RDMA().StartCall(1320, func(uint64) { rdmaAt = s.Now() }, 0)
+	n.SDMA().StartCall(1320, func(any) { sdmaAt = s.Now() }, nil)
+	n.RDMA().StartCall(1320, func(any) { rdmaAt = s.Now() }, nil)
 	s.Run()
 	if sdmaAt != rdmaAt {
 		t.Fatalf("engines should run concurrently: %v vs %v", sdmaAt, rdmaAt)
@@ -139,8 +139,8 @@ func TestDMASerializesPerEngine(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var times []sim.Time
-	n.SDMA().StartCall(1320, func(uint64) { times = append(times, s.Now()) }, 0)
-	n.SDMA().StartCall(1320, func(uint64) { times = append(times, s.Now()) }, 0)
+	n.SDMA().StartCall(1320, func(any) { times = append(times, s.Now()) }, nil)
+	n.SDMA().StartCall(1320, func(any) { times = append(times, s.Now()) }, nil)
 	s.Run()
 	per := LANai43().SDMA.transferTime(1320)
 	if times[0] != per || times[1] != 2*per {
@@ -157,7 +157,7 @@ func TestCPUAndDMAOverlap(t *testing.T) {
 	n := NewNIC(s, LANai43())
 	var cpuAt, dmaAt sim.Time
 	n.ExecTagged(330, "fw", func() { cpuAt = s.Now() }) // 10 µs
-	n.SDMA().StartCall(132, func(uint64) { dmaAt = s.Now() }, 0)
+	n.SDMA().StartCall(132, func(any) { dmaAt = s.Now() }, nil)
 	s.Run()
 	if dmaAt >= cpuAt {
 		t.Fatalf("DMA (%v) should finish before slow CPU task (%v)", dmaAt, cpuAt)

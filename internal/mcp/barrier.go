@@ -242,7 +242,7 @@ func (m *MCP) handleBarrierReject(f *Frame) {
 // unexpected-message record is checked once the packet has been prepared
 // (peDrain).
 func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind FrameKind, data []byte, drain bool) {
-	h, rec := m.pendBarSends.Get()
+	rec := m.pendBarSends.Get()
 	rec.c, rec.drain = c, drain
 	rec.f = Frame{
 		Kind:     kind,
@@ -266,7 +266,7 @@ func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind 
 		c := fam.costs(&m.cfg.Params)
 		prep, label = c.prep+c.perElem*int64(len(data)/ElemBytes), fam.prepLabel
 	}
-	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, m.barSendFn, h)
+	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, m.barSendFn, rec)
 }
 
 // barSendEvent fires when a barrier frame's preparation cost has been paid
@@ -278,11 +278,11 @@ func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind 
 // drain queued during barrier k runs before the bar.token task of barrier
 // k+1, which the host can only post after k's completion — so it finds the
 // slot idle, never its next barrier.
-func (m *MCP) barSendEvent(h uint64) {
-	rec := m.pendBarSends.At(h)
+func (m *MCP) barSendEvent(a any) {
+	rec := a.(*barSendRec)
 	f, c, drain := rec.f, rec.c, rec.drain
 	rec.f.Data = nil
-	m.pendBarSends.Put(h)
+	m.pendBarSends.Put(rec)
 	m.barSend(c, &f)
 	if drain {
 		p := &m.ports[f.SrcPort]

@@ -48,43 +48,41 @@ type MCP struct {
 	// frames is the bounded free list of wire frames (see leaseFrame).
 	frames []*Frame
 
-	// pendFrames leases frame pointers across the RECV classification and
-	// loopback delays; the *Fn fields are the matching callbacks built once
-	// as method values, so the per-frame hot path schedules without
-	// allocating closures (see lanai.NIC.ExecTaggedCall).
-	pendFrames    mem.Slab[*Frame]
-	handleFrameFn func(uint64)
-	loopbackFn    func(uint64)
+	// The *Fn fields are the firmware's task callbacks, built once as
+	// method values, so the per-frame hot path schedules without allocating
+	// closures (see lanai.NIC.ExecTaggedCall). Each event carries the record
+	// it acts on as its argument: handleFrameFn and loopbackFn a wire
+	// *Frame, timerFn a *Connection, the others a cell of the pool beside
+	// them.
+	handleFrameFn func(any)
+	loopbackFn    func(any)
+	timerFn       func(any)
 
-	// pendBarSends is the same pattern for the preparation of barrier-class
-	// frames, and pendTokens for posted barrier and collective tokens the
-	// SDMA state machine has yet to notice.
+	// pendBarSends leases barrier-class frames across their preparation,
+	// and pendTokens posted barrier and collective tokens the SDMA state
+	// machine has yet to notice.
 	pendBarSends mem.Slab[barSendRec]
-	barSendFn    func(uint64)
+	barSendFn    func(any)
 	pendTokens   mem.Slab[postedRec]
-	tokenFn      func(uint64)
+	tokenFn      func(any)
 
 	// pendHostEvts leases host events across their firmware-processing and
 	// RDMA delays (see postHostEvent).
 	pendHostEvts     mem.Slab[hostEvtRec]
-	hostEvtDMAFn     func(uint64)
-	hostEvtDeliverFn func(uint64)
+	hostEvtDMAFn     func(any)
+	hostEvtDeliverFn func(any)
 
 	// pendSends leases data send tokens across the SDMA state machine's
 	// three stages (poll, host-memory DMA, packet preparation).
 	pendSends  mem.Slab[SendToken]
-	sdmaPollFn func(uint64)
-	sdmaDoneFn func(uint64)
-	sdmaPrepFn func(uint64)
+	sdmaPollFn func(any)
+	sdmaDoneFn func(any)
+	sdmaPrepFn func(any)
 
 	// pendCtl leases the acknowledgments and nacks waiting out their
 	// generation cost.
 	pendCtl   mem.Slab[ctlRec]
-	ctlSendFn func(uint64)
-
-	// timerFn is every connection's retransmission-timer callback; its
-	// argument is the peer's ID (see timerEvent).
-	timerFn func(uint64)
+	ctlSendFn func(any)
 
 	// acked is handleAck's scratch list of retired sends.
 	acked []sentItem
@@ -325,30 +323,30 @@ func (m *MCP) PostSendToken(tok SendToken) error {
 		return fmt.Errorf("mcp: port %d out of send tokens", tok.SrcPort)
 	}
 	p.sendsInFlight++
-	h, cell := m.pendSends.Get()
+	cell := m.pendSends.Get()
 	*cell = tok
-	m.nic.ExecTaggedCall(m.cfg.Params.SDMAPoll, "sdma.poll", m.sdmaPollFn, h)
+	m.nic.ExecTaggedCall(m.cfg.Params.SDMAPoll, "sdma.poll", m.sdmaPollFn, cell)
 	return nil
 }
 
 // sdmaPolled: the SDMA machine has noticed the token; DMA the payload.
-func (m *MCP) sdmaPolled(h uint64) {
-	m.nic.SDMA().StartCall(len(m.pendSends.At(h).Data), m.sdmaDoneFn, h)
+func (m *MCP) sdmaPolled(a any) {
+	m.nic.SDMA().StartCall(len(a.(*SendToken).Data), m.sdmaDoneFn, a)
 }
 
 // sdmaDone: the payload is in NIC memory; prepare the packet.
-func (m *MCP) sdmaDone(h uint64) {
+func (m *MCP) sdmaDone(a any) {
 	pr := m.cfg.Params
-	m.nic.ExecTaggedCall(pr.SDMAPrep+pr.SendXmit, "sdma.prep", m.sdmaPrepFn, h)
+	m.nic.ExecTaggedCall(pr.SDMAPrep+pr.SendXmit, "sdma.prep", m.sdmaPrepFn, a)
 }
 
 // sdmaPrepared: the packet is built; sequence it, remember it until it is
 // acknowledged, and transmit.
-func (m *MCP) sdmaPrepared(h uint64) {
-	cell := m.pendSends.At(h)
+func (m *MCP) sdmaPrepared(a any) {
+	cell := a.(*SendToken)
 	tok := *cell
 	*cell = SendToken{}
-	m.pendSends.Put(h)
+	m.pendSends.Put(cell)
 	c := m.conn(tok.Dst.Node)
 	it := sentItem{tag: tok.Tag, frame: Frame{
 		Kind:     DataFrame,
@@ -383,9 +381,7 @@ func (m *MCP) transmitFrame(c *Connection, f *Frame) {
 		return // the card fail-stopped with this frame in flight
 	}
 	if f.DstNode == m.cfg.Node {
-		h, rec := m.pendFrames.Get()
-		*rec = m.leaseFrame(f)
-		m.sim.AfterCall(m.cfg.Params.LoopbackDelay, m.loopbackFn, h)
+		m.sim.AfterCall(m.cfg.Params.LoopbackDelay, m.loopbackFn, m.leaseFrame(f))
 		return
 	}
 	if m.iface == nil || m.routeTo == nil {
@@ -446,17 +442,8 @@ func (m *MCP) releaseFrame(f *Frame) {
 // loopbackEvent fires LoopbackDelay after a self-addressed frame was
 // "transmitted": receive it. No packet carried it, so nothing but this NIC
 // ever saw the frame.
-func (m *MCP) loopbackEvent(h uint64) {
-	m.receiveFrame(m.takePendFrame(h))
-}
-
-// takePendFrame releases a leased pendFrames cell and returns its content.
-func (m *MCP) takePendFrame(h uint64) *Frame {
-	cell := m.pendFrames.At(h)
-	f := *cell
-	*cell = nil
-	m.pendFrames.Put(h)
-	return f
+func (m *MCP) loopbackEvent(a any) {
+	m.receiveFrame(a.(*Frame))
 }
 
 // HandleDelivered is the fabric receive callback: a packet has fully
@@ -521,15 +508,13 @@ func (m *MCP) receiveFrame(f *Frame) {
 		m.stats.ProtocolErrors++
 		return
 	}
-	h, rec := m.pendFrames.Get()
-	*rec = f
-	m.nic.ExecTaggedCall(cost, label, m.handleFrameFn, h)
+	m.nic.ExecTaggedCall(cost, label, m.handleFrameFn, f)
 }
 
 // handleFrameEvent fires when the RECV classification cost has been paid:
 // dispatch the frame, then return it.
-func (m *MCP) handleFrameEvent(h uint64) {
-	f := m.takePendFrame(h)
+func (m *MCP) handleFrameEvent(a any) {
+	f := a.(*Frame)
 	m.handleFrame(f)
 	m.releaseFrame(f)
 }
@@ -621,14 +606,15 @@ func (m *MCP) sendNack(c *Connection) {
 // sendCtl charges the generation cost of one control frame and transmits
 // it when the cost has been paid.
 func (m *MCP) sendCtl(label string, ctl ctlRec) {
-	h, rec := m.pendCtl.Get()
+	rec := m.pendCtl.Get()
 	*rec = ctl
-	m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, label, m.ctlSendFn, h)
+	m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, label, m.ctlSendFn, rec)
 }
 
-func (m *MCP) ctlSendEvent(h uint64) {
-	ctl := *m.pendCtl.At(h)
-	m.pendCtl.Put(h)
+func (m *MCP) ctlSendEvent(a any) {
+	rec := a.(*ctlRec)
+	ctl := *rec
+	m.pendCtl.Put(rec)
 	m.transmitFrame(ctl.c, &Frame{
 		Kind:     ctl.kind,
 		SrcNode:  m.cfg.Node,
@@ -757,13 +743,13 @@ func (m *MCP) armRetransTimer(c *Connection) {
 		return
 	}
 	d := m.retransInterval(c)
-	c.retransTimer = int64(m.sim.AfterCall(d, m.timerFn, uint64(c.peer)))
+	c.retransTimer = int64(m.sim.AfterCall(d, m.timerFn, c))
 }
 
-// timerEvent fires when the retransmission timer of the connection to peer
-// expires.
-func (m *MCP) timerEvent(peer uint64) {
-	c := m.conns[network.NodeID(peer)]
+// timerEvent fires when a connection's retransmission timer expires; the
+// timer carries its connection.
+func (m *MCP) timerEvent(a any) {
+	c := a.(*Connection)
 	c.retransTimer = 0
 	m.timerFire(c)
 }
@@ -853,20 +839,20 @@ func (m *MCP) deadNodesSorted() []network.NodeID {
 // event, then DMAs the event's bytes-long record into host memory and
 // delivers it to the port's owner.
 func (m *MCP) postHostEvent(p *Port, cycles int64, label string, bytes int, ev HostEvent) {
-	h, rec := m.pendHostEvts.Get()
+	rec := m.pendHostEvts.Get()
 	*rec = hostEvtRec{p: p, bytes: bytes, ev: ev}
-	m.nic.ExecTaggedCall(cycles, label, m.hostEvtDMAFn, h)
+	m.nic.ExecTaggedCall(cycles, label, m.hostEvtDMAFn, rec)
 }
 
-func (m *MCP) hostEvtDMA(h uint64) {
-	m.nic.RDMA().StartCall(m.pendHostEvts.At(h).bytes, m.hostEvtDeliverFn, h)
+func (m *MCP) hostEvtDMA(a any) {
+	m.nic.RDMA().StartCall(a.(*hostEvtRec).bytes, m.hostEvtDeliverFn, a)
 }
 
-func (m *MCP) hostEvtDeliver(h uint64) {
-	rec := m.pendHostEvts.At(h)
+func (m *MCP) hostEvtDeliver(a any) {
+	rec := a.(*hostEvtRec)
 	p, ev := rec.p, rec.ev
 	*rec = hostEvtRec{}
-	m.pendHostEvts.Put(h)
+	m.pendHostEvts.Put(rec)
 	switch ev.Kind {
 	case RecvEvent:
 		m.stats.DataDelivered++

@@ -184,9 +184,9 @@ func (m *MCP) post(port int, fam *treeFamily, cycles int64, rec postedRec) error
 		return fmt.Errorf("mcp: port %d has no %s buffer", port, fam.name)
 	}
 	s.pending = true
-	h, cell := m.pendTokens.Get()
+	cell := m.pendTokens.Get()
 	*cell = rec
-	m.nic.ExecTaggedCall(cycles, fam.tokenLabel, m.tokenFn, h)
+	m.nic.ExecTaggedCall(cycles, fam.tokenLabel, m.tokenFn, cell)
 	return nil
 }
 
@@ -201,11 +201,11 @@ func (m *MCP) postBuffer(port int, fam *treeFamily) error {
 
 // tokenEvent fires when the SDMA state machine has processed a posted
 // token: the operation starts.
-func (m *MCP) tokenEvent(h uint64) {
-	cell := m.pendTokens.At(h)
+func (m *MCP) tokenEvent(a any) {
+	cell := a.(*postedRec)
 	rec := *cell
 	*cell = postedRec{}
-	m.pendTokens.Put(h)
+	m.pendTokens.Put(cell)
 	if tok := rec.coll; tok != nil {
 		m.treeStart(tok.SrcPort, &treeFamilies[collSlot],
 			treeOp{tag: tok.Tag, root: tok.Root, parent: tok.Parent, children: tok.Children, coll: tok})

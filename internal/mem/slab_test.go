@@ -4,49 +4,45 @@ import "testing"
 
 func TestSlabLeaseRelease(t *testing.T) {
 	var s Slab[[3]int]
-	type lease struct {
-		h uint64
-		p *[3]int
-	}
-	var held []lease
+	var held []*[3]int
 	for i := 0; i < 25*slabFirst; i++ { // into the fifth chunk
-		h, p := s.Get()
+		p := s.Get()
 		p[0] = i
-		held = append(held, lease{h, p})
-	}
-	// Pointers are stable and addressable by handle across later growth.
-	for i, l := range held {
-		if s.At(l.h) != l.p {
-			t.Fatalf("cell %d: At(%d) moved", i, l.h)
+		for _, q := range held {
+			if q == p {
+				t.Fatalf("lease %d handed out cell %p a second time", i, p)
+			}
 		}
-		if l.p[0] != i {
-			t.Fatalf("cell %d: value clobbered to %d", i, l.p[0])
+		held = append(held, p)
+	}
+	// Pointers stay valid across later chunk growth: no cell moved, so each
+	// still holds what was written through it.
+	for i, p := range held {
+		if p[0] != i {
+			t.Fatalf("cell %d: value clobbered to %d", i, p[0])
 		}
 	}
-	released := make(map[uint64]*[3]int, len(held))
-	for _, l := range held {
-		s.Put(l.h)
-		released[l.h] = l.p
+	// Released cells come back last-in first-out, each once, before the
+	// slab grows again.
+	for _, p := range held {
+		s.Put(p)
 	}
-	// The next leases reuse the released cells, each once, before growing.
-	for range held {
-		h, p := s.Get()
-		if released[h] != p {
-			t.Fatalf("lease after release-all got handle %d (%p), not a released cell", h, p)
+	for i := len(held) - 1; i >= 0; i-- {
+		if p := s.Get(); p != held[i] {
+			t.Fatalf("lease after release-all got %p, want the cell released last (%p)", p, held[i])
 		}
-		delete(released, h)
 	}
-	for _, l := range held {
-		s.Put(l.h)
+	for _, p := range held {
+		s.Put(p)
 	}
 	// Steady state: lease/release cycles reuse freed cells, never grow.
 	if avg := testing.AllocsPerRun(100, func() {
-		var hs [16]uint64
-		for i := range hs {
-			hs[i], _ = s.Get()
+		var ps [16]*[3]int
+		for i := range ps {
+			ps[i] = s.Get()
 		}
-		for _, h := range hs {
-			s.Put(h)
+		for _, p := range ps {
+			s.Put(p)
 		}
 	}); avg != 0 {
 		t.Errorf("steady-state Get/Put allocates %.2f per run, want 0", avg)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gmsim/internal/mem"
 	"gmsim/internal/sim"
 )
 
@@ -189,11 +188,10 @@ type Iface struct {
 	tx   *channel
 	recv func(*Packet)
 
-	// pend holds packets between head and tail arrival; deliverFn is the
-	// tail-arrival callback as a method value built once, so completing a
-	// receive allocates nothing.
-	pend      mem.Slab[recvRec]
-	deliverFn func(uint64)
+	// deliverFn is the tail-arrival callback as a method value built once;
+	// the event's argument is the packet, so completing a receive allocates
+	// nothing.
+	deliverFn func(any)
 
 	// pool is a bounded free list of packets this NIC has fully consumed,
 	// available for its own next transmissions. Nothing else may hold one:
@@ -226,12 +224,6 @@ func (i *Iface) Recycle(p *Packet) {
 	}
 }
 
-// recvRec is one packet whose head has reached the NIC and whose tail is
-// still on the wire.
-type recvRec struct {
-	p *Packet
-}
-
 // Node returns the NIC's fabric identity.
 func (i *Iface) Node() NodeID { return i.node }
 
@@ -254,19 +246,13 @@ func (i *Iface) headArrived(p *Packet, wire sim.Time) {
 // headDue implements headSink: a NIC takes every head, so the tail's
 // arrival can be scheduled as soon as the head's is known.
 func (i *Iface) headDue(p *Packet, headArrive, wire sim.Time) bool {
-	h, rec := i.pend.Get()
-	rec.p = p
-	i.fab.sim.AtCall(headArrive+wire, i.deliverFn, h)
+	i.fab.sim.AtCall(headArrive+wire, i.deliverFn, p)
 	return true
 }
 
-// deliverEvent fires at tail arrival: release the leased record and hand
-// the packet to the NIC.
-func (i *Iface) deliverEvent(h uint64) {
-	rec := i.pend.At(h)
-	p := rec.p
-	rec.p = nil
-	i.pend.Put(h)
+// deliverEvent fires at tail arrival: hand the packet to the NIC.
+func (i *Iface) deliverEvent(a any) {
+	p := a.(*Packet)
 	if len(p.Route) != 0 {
 		i.fab.drop(p, "route-left-over-at-nic")
 		return

@@ -1,9 +1,6 @@
 package network
 
-import (
-	"gmsim/internal/mem"
-	"gmsim/internal/sim"
-)
+import "gmsim/internal/sim"
 
 // LinkParams describes one duplex cable.
 type LinkParams struct {
@@ -46,13 +43,6 @@ type headSink interface {
 	headDue(p *Packet, headArrive, wire sim.Time) bool
 }
 
-// hopRec is the payload of one in-flight channel traversal, leased from the
-// channel's slab for the duration of the propagation event.
-type hopRec struct {
-	p    *Packet
-	wire sim.Time
-}
-
 // channel is one direction of a link: a serializing resource with latency.
 type channel struct {
 	fab       *fabric
@@ -61,11 +51,10 @@ type channel struct {
 	busyUntil sim.Time
 	sink      headSink
 
-	// pend holds the in-flight hop payloads; arriveFn is the arrival
-	// callback as a method value built once, so scheduling a hop allocates
-	// nothing (see sim.AtCall).
-	pend     mem.Slab[hopRec]
-	arriveFn func(uint64)
+	// arriveFn is the arrival callback as a method value built once; the
+	// event's argument is the packet, so scheduling a hop allocates nothing
+	// (see sim.AtCall).
+	arriveFn func(any)
 }
 
 // transmit accepts a packet for transmission at the current simulated time.
@@ -91,25 +80,17 @@ func (c *channel) transmit(p *Packet) {
 	if f.hook == nil && c.sink.headDue(p, headArrive, wire) {
 		return
 	}
-	h, rec := c.pend.Get()
-	rec.p, rec.wire = p, wire
-	f.sim.AtCall(headArrive, c.arriveFn, h)
+	f.sim.AtCall(headArrive, c.arriveFn, p)
 }
 
-// arriveEvent fires when a hop's head reaches the end of the channel:
-// release the leased record, then deliver.
-func (c *channel) arriveEvent(h uint64) {
-	rec := c.pend.At(h)
-	p, wire := rec.p, rec.wire
-	rec.p = nil
-	c.pend.Put(h)
-	c.arrive(p, wire)
-}
-
-// arrive runs at the instant a packet head reaches the end of the channel:
-// the fault hook rules on (and may mutate) the packet, then the sink receives
-// the head.
-func (c *channel) arrive(p *Packet, wire sim.Time) {
+// arriveEvent fires when a hop's head reaches the end of the channel: the
+// fault hook rules on (and may mutate) the packet, then the sink receives
+// the head. The wire time is worked out again from the packet's size before
+// the hook can resize it; nothing else changes the size while the head is
+// under way, so it is the time transmit booked.
+func (c *channel) arriveEvent(a any) {
+	p := a.(*Packet)
+	wire := c.params.wireTime(p.Size)
 	f := c.fab
 	if f.hook != nil {
 		s := f.sim

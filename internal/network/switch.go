@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"gmsim/internal/mem"
 	"gmsim/internal/sim"
 )
 
@@ -34,18 +33,11 @@ type Switch struct {
 	params SwitchParams
 	out    []*channel // per-port outgoing channel, nil if uncabled
 
-	// pend holds in-transit forwarding descriptors; fwdFn is the cut-
-	// through completion callback as a method value built once, so
-	// forwarding a head allocates nothing.
-	pend  mem.Slab[fwdRec]
-	fwdFn func(uint64)
-}
-
-// fwdRec is one head in flight across the crossbar: the packet plus the
-// already-consumed output port.
-type fwdRec struct {
-	p    *Packet
-	port int32
+	// fwdFn is the cut-through completion callback as a method value built
+	// once; the event's argument is the packet, whose fwdPort holds the
+	// output port already consumed from its route, so forwarding a head
+	// allocates nothing.
+	fwdFn func(any)
 }
 
 func newSwitch(f *fabric, id int, params SwitchParams) *Switch {
@@ -86,20 +78,17 @@ func (sw *Switch) headDue(p *Packet, headArrive, _ sim.Time) bool {
 	if len(p.Route) == 0 || !sw.portCabled(int(p.Route[0])) {
 		return false
 	}
-	h, rec := sw.pend.Get()
-	rec.p, rec.port = p, int32(p.Route[0])
+	p.fwdPort = p.Route[0]
 	p.Route = p.Route[1:]
-	sw.fab.sim.AtCall(headArrive+sw.params.RouteDelay, sw.fwdFn, h)
+	sw.fab.sim.AtCall(headArrive+sw.params.RouteDelay, sw.fwdFn, p)
 	return true
 }
 
-// forwardEvent fires RouteDelay after a head arrived: release the leased
-// descriptor and emit the head on the chosen output channel.
-func (sw *Switch) forwardEvent(h uint64) {
-	rec := sw.pend.At(h)
-	p, port := rec.p, int(rec.port)
-	rec.p = nil
-	sw.pend.Put(h)
+// forwardEvent fires RouteDelay after a head arrived: emit the head on the
+// output channel its route chose.
+func (sw *Switch) forwardEvent(a any) {
+	p := a.(*Packet)
+	port := int(p.fwdPort)
 	if ho, ok := sw.fab.observer.(HopObserver); ok {
 		ho.PacketForwarded(p, sw.id, port)
 	}

@@ -103,21 +103,23 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 	children := 3*burst + 64 // callbacks may schedule this many in all
 	popped := -1
 
-	var fire func(uint64)
+	var fire func(any)
 	schedule := func() {
 		id := len(eids)
 		at := s.Now() + delay()
-		// Alternate the four scheduling forms; they share one queue.
+		// Alternate the four scheduling forms; they share one queue. Each
+		// event carries a pointer to its model id.
+		arg := &id
 		var eid EventID
 		switch id % 4 {
 		case 0:
-			eid = s.AtCall(at, fire, uint64(id))
+			eid = s.AtCall(at, fire, arg)
 		case 1:
-			eid = s.AfterCall(at-s.Now(), fire, uint64(id))
+			eid = s.AfterCall(at-s.Now(), fire, arg)
 		case 2:
-			eid = s.At(at, func() { fire(uint64(id)) })
+			eid = s.At(at, func() { fire(arg) })
 		default:
-			eid = s.After(at-s.Now(), func() { fire(uint64(id)) })
+			eid = s.After(at-s.Now(), func() { fire(arg) })
 		}
 		eids = append(eids, eid)
 		m.insert(at, id)
@@ -150,8 +152,8 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 				seed, when, at, ok, m.pending[0].id, m.pending[0].at)
 		}
 	}
-	fire = func(arg uint64) {
-		id := int(arg)
+	fire = func(arg any) {
+		id := *arg.(*int)
 		if len(m.pending) == 0 {
 			t.Fatalf("seed %d: event %d ran with an empty model", seed, id)
 		}

@@ -84,8 +84,8 @@ type slot struct {
 	at         Time
 	seq        int64 // tie-break: FIFO among same-time events
 	fn         func()
-	afn        func(uint64)
-	arg        uint64
+	afn        func(any)
+	arg        any
 	prev, next int32 // bucket list links; next doubles as the free-list link
 	gen        int32
 	loc        int32 // locFree or calendar bucket index
@@ -219,10 +219,12 @@ func (s *Simulator) After(d Time, fn func()) EventID {
 
 // AtCall schedules fn(arg) to run at absolute time t. It is At for the
 // allocation-free hot path: fn is typically a method value built once per
-// component and arg an index into caller-owned storage (see internal/mem),
-// so scheduling a hop or a firmware task creates no closure and performs
-// zero heap allocations.
-func (s *Simulator) AtCall(t Time, fn func(uint64), arg uint64) EventID {
+// component and arg a pointer to the record the event acts on (a packet, a
+// frame, a pooled descriptor), so scheduling a hop or a firmware task
+// creates no closure and performs zero heap allocations. arg should be a
+// pointer: boxing a scalar into an interface allocates. fn type-asserts it,
+// so a wrong type panics rather than being reinterpreted.
+func (s *Simulator) AtCall(t Time, fn func(any), arg any) EventID {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
@@ -234,7 +236,7 @@ func (s *Simulator) AtCall(t Time, fn func(uint64), arg uint64) EventID {
 }
 
 // AfterCall schedules fn(arg) to run d nanoseconds from now.
-func (s *Simulator) AfterCall(d Time, fn func(uint64), arg uint64) EventID {
+func (s *Simulator) AfterCall(d Time, fn func(any), arg any) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
@@ -606,11 +608,13 @@ func (s *Simulator) Stranded() int {
 func (s *Simulator) LiveProcs() int { return s.procs }
 
 // freeSlot recycles a slot onto the free list and bumps its generation so
-// outstanding EventIDs for it go stale.
+// outstanding EventIDs for it go stale. It drops the slot's callback and
+// argument, so a free slot keeps nothing reachable.
 func (s *Simulator) freeSlot(idx int32) {
 	sl := &s.slots[idx]
 	sl.fn = nil
 	sl.afn = nil
+	sl.arg = nil
 	sl.loc = locFree
 	sl.gen++
 	sl.next = s.free

@@ -12,6 +12,15 @@
 # run-to-run spread, so it is printed and not fatal. A head run whose
 # outputs failed their check is a FAIL. Exit 1 on any FAIL.
 #
+# LAYOUTS=k (default 1) builds each side k times: the default function
+# layout and the linker's -randlayout=1..k-1, the same seeds on both sides.
+# Each pair then runs every layout of both sides, interleaved, and the
+# verdict works on per-layout medians: "ok" as above on the median of
+# them; FAIL only when every head layout's median is worse than every base
+# layout's; else "layout": the difference is inside what moving the same
+# code around in the binary does. Each line lists the per-layout medians,
+# base then head, layout 0 first.
+#
 # Everything lives under .perf_gate/ in the checkout; the per-run JSON
 # lines (base.jsonl, head.jsonl) and verdicts.txt are left there.
 set -eu
@@ -21,55 +30,73 @@ root=$(pwd)
 out=.perf_gate
 pairs=3
 seconds=5
+layouts=${LAYOUTS:-1}
 
 rm -rf "$out"
-git worktree prune
-mkdir "$out"
-git worktree add --detach "$out/base" "$1" >/dev/null
-trap 'git worktree remove --force "$out/base"; rm -f "$out"/bench_*' EXIT
-(cd "$out/base" && go build -o "$root/$out/bench_base" ./bench)
-go build -o "$out/bench_head" ./bench
+mkdir -p "$out/base"
+git archive "$1" | tar -x -C "$out/base"
+trap 'rm -rf "$out/base" "$out"/bench_*' EXIT
+l=0
+while [ "$l" -lt "$layouts" ]; do
+	flags=
+	[ "$l" -eq 0 ] || flags=-ldflags=-randlayout=$l
+	(cd "$out/base" && go build $flags -o "$root/$out/bench_base$l" ./bench)
+	go build $flags -o "$out/bench_head$l" ./bench
+	l=$((l + 1))
+done
 
-# run SIDE DIR WORKLOAD SEED appends the run's last (JSON) line. A failed
-# output check exits non-zero with "correct": false on that line, which the
-# compare step reports; a run that prints no JSON stops the script in jq.
+# run SIDE DIR WORKLOAD SEED LAYOUT appends the run's last (JSON) line. A
+# failed output check exits non-zero with "correct": false on that line,
+# which the compare step reports; a run that prints no JSON stops the script
+# in jq.
 run() {
-	(cd "$2" && "$root/$out/bench_$1" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 || true) |
-		tail -n 1 | jq -c --arg w "$3" '. + {workload: $w}' >>"$out/$1.jsonl"
+	(cd "$2" && "$root/$out/bench_$1$5" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 || true) |
+		tail -n 1 | jq -c --arg w "$3" --argjson l "$5" '. + {workload: $w, layout: $l}' >>"$out/$1.jsonl"
 }
 for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
 	pair=1
 	while [ "$pair" -le "$pairs" ]; do
-		if [ $((pair % 2)) -eq 1 ]; then
-			run base "$out/base" "$w" "$pair"
-			run head . "$w" "$pair"
-		else
-			run head . "$w" "$pair"
-			run base "$out/base" "$w" "$pair"
-		fi
+		l=0
+		while [ "$l" -lt "$layouts" ]; do
+			if [ $(((pair + l) % 2)) -eq 1 ]; then
+				run base "$out/base" "$w" "$pair" "$l"
+				run head . "$w" "$pair" "$l"
+			else
+				run head . "$w" "$pair" "$l"
+				run base "$out/base" "$w" "$pair" "$l"
+			fi
+			l=$((l + 1))
+		done
 		pair=$((pair + 1))
 	done
 done
 
 # Compare: reads BENCHMARK.json and the two .jsonl files, nothing else.
-# $worse is +1 when a greater value is worse, -1 when a smaller one is.
-jq -n -r --slurpfile spec BENCHMARK.json \
+# $worse is +1 when a greater value is worse, -1 when a smaller one is. With
+# one layout a side's values are its runs; with more, its per-layout medians.
+jq -n -r --slurpfile spec BENCHMARK.json --argjson layouts "$layouts" \
 	--slurpfile base "$out/base.jsonl" --slurpfile head "$out/head.jsonl" '
 	def median: sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2;
 	def short: . * 1000 | round / 1000 + 0; # 3 decimals; "+ 0" prints -0 as 0
+	def values($runs; $w; $m):
+		[$runs[] | select(.workload == $w)]
+		| if $layouts == 1 then map(.metrics[$m].value)
+		  else group_by(.layout) | map(map(.metrics[$m].value) | median) end;
 	($head[] | select(.correct != true or .failed > 0)
 	 | "FAIL \(.workload) outputs: correct=\(.correct), \(.failed) of \(.attempted) ops failed"),
 	($spec[0] as $s | $s.workloads[].name as $w | $s.end_to_end[] as $m
-	 | [$base[] | select(.workload == $w) | .metrics[$m.name].value] as $b
-	 | [$head[] | select(.workload == $w) | .metrics[$m.name].value] as $h
+	 | values($base; $w; $m.name) as $b
+	 | values($head; $w; $m.name) as $h
 	 | ($b | median) as $bm | ($h | median) as $hm
 	 | (if $m.better == "lower" then 1 else -1 end) as $worse
 	 | (if ($hm - $bm) * $worse <= $m.bound * ($bm | fabs) then "ok"
 	    elif ($h | map(. * $worse) | min) > ($b | map(. * $worse) | max) then "FAIL"
-	    else "UNRESOLVED" end) as $verdict
+	    elif $layouts == 1 then "UNRESOLVED"
+	    else "layout" end) as $verdict
+	 | (if $layouts == 1 then "runs" else "layout medians" end) as $what
 	 | "\($verdict) \($w) \($m.name): base \($bm | short) head \($hm | short) \($m.unit)"
 	   + " (\(($hm - $bm) / $bm * 100 | short)%, bound \($m.bound * 100)%)"
-	   + " base runs \($b | map(short)) head runs \($h | map(short))")
+	   + " base \($what) \($b | map(short)) head \($what) \($h | map(short))")
 ' >"$out/verdicts.txt"
 cat "$out/verdicts.txt"
 if grep -q '^FAIL' "$out/verdicts.txt"; then
