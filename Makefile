@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-procs fuzz bench perf-gate profile profile-scale profile-svc cover figures scenarios cmd-smoke simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet race race-procs fuzz bench perf-gate profile layers profile-scale profile-svc cover figures scenarios cmd-smoke simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -32,10 +32,11 @@ race:
 
 # Race-check the process switch. A simulated process is a coroutine resumed
 # by whoever runs its simulator, and the across-cell worker pool runs many
-# simulators at once: the full (non -short) sim and cluster suites plus the
-# worker-count determinism matrix run under the detector.
+# simulators at once: the full (non -short) sim and cluster suites, gm and
+# core (a parked process's port bookkeeping runs from the event loop) plus
+# the worker-count determinism matrix run under the detector.
 race-procs:
-	$(GO) test -race -count=1 ./internal/sim ./internal/cluster
+	$(GO) test -race -count=1 ./internal/sim ./internal/cluster ./internal/gm ./internal/core
 	$(GO) test -race -count=1 -timeout 30m -run 'Determinism' ./internal/experiments
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
@@ -121,6 +122,14 @@ perf-gate:
 profile:
 	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
 		-memprofile mem.prof -memprofilerate 4096 .
+
+# Where the host time of a simulated barrier goes: BenchmarkHost16 and
+# BenchmarkClos256 under -cpuprofile, every sample folded into the
+# simulator's layers (scheduler, process handoff, firmware, fabric, recorder,
+# host, service, GC) by scripts/layers.go, one markdown table each. The
+# iteration counts are fixed, so two commits' tables compare in seconds.
+layers:
+	$(GO) run scripts/layers.go Host16=200x Clos256=20x
 
 # CPU profile of the 8192-node scale path: TestTopoScale8192Smoke (a
 # radix-32 fat-tree, GB dimension tuned, all four barrier variants measured,

@@ -383,15 +383,35 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // workload (the spec literals are bench/workload.go's clos256Cells), one
 // whole measurement per iteration: gb4_build is mostly topology, route and
 // cluster construction (pre-posting the receive buffers costs no events),
-// pe_steady mostly steady-state barrier events over five-switch routes. It is the entry point for profiling the scale
-// path — `make profile` — which BenchmarkSimulatorThroughput's 16 nodes on
-// one crossbar do not reach. Each cell reports its bytes and heap objects per
-// measurement.
+// pe_steady mostly steady-state barrier events over five-switch routes. It
+// is the entry point for profiling the scale path — `make profile` — which
+// BenchmarkSimulatorThroughput's 16 nodes on one crossbar do not reach. Each
+// cell reports its bytes and heap objects per measurement.
 func BenchmarkClos256(b *testing.B) {
-	for _, c := range []struct{ name, spec string }{
+	benchCells(b, []struct{ name, spec string }{
 		{"gb4_build", `{"topo":"clos3","radix":16,"nodes":256,"alg":"gb","dim":4,"topo_aware":true,"warmup":2,"iters":20}`},
 		{"pe_steady", `{"topo":"clos3","radix":16,"nodes":256,"alg":"pe","warmup":5,"iters":100}`},
-	} {
+	})
+}
+
+// BenchmarkHost16 runs the four cells of the repository benchmark's host16
+// workload (bench/workload.go's host16Cells): the paper's host-based PE and
+// GB barriers on 16 nodes, LANai 4.3 and 7.2, one whole measurement per
+// iteration. Host-level sends and receives dominate, so it is the benchmark
+// that shows the process handoff layer (`make layers`).
+func BenchmarkHost16(b *testing.B) {
+	benchCells(b, []struct{ name, spec string }{
+		{"pe_l43", `{"nodes":16,"nic":"4.3","level":"host","alg":"pe","warmup":5,"iters":200}`},
+		{"gb2_l43", `{"nodes":16,"nic":"4.3","level":"host","alg":"gb","dim":2,"warmup":5,"iters":200}`},
+		{"pe_l72", `{"nodes":16,"nic":"7.2","level":"host","alg":"pe","warmup":5,"iters":200}`},
+		{"gb2_l72", `{"nodes":16,"nic":"7.2","level":"host","alg":"gb","dim":2,"warmup":5,"iters":200}`},
+	})
+}
+
+// benchCells runs each wire-form spec as a sub-benchmark, one whole
+// measurement per iteration, reporting its bytes and heap objects.
+func benchCells(b *testing.B, cells []struct{ name, spec string }) {
+	for _, c := range cells {
 		var wire service.Spec
 		if err := json.Unmarshal([]byte(c.spec), &wire); err != nil {
 			b.Fatal(err)

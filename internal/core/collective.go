@@ -74,16 +74,11 @@ func (c *Comm) Collective(p *host.Process, nic bool, op mcp.CollOp, rop mcp.Redu
 	if err := c.port.CollectiveSend(p, tok); err != nil {
 		return nil, err
 	}
-	for {
-		ev := c.port.Receive(p)
-		if ev.Kind == mcp.CollDoneEvent {
-			if len(ev.DeadNodes) > 0 {
-				return ev.Data, &DegradedError{Dead: ev.DeadNodes}
-			}
-			return ev.Data, nil
-		}
-		c.dispatch(ev)
+	ev := c.await(p, want{kind: mcp.CollDoneEvent})
+	if len(ev.DeadNodes) > 0 {
+		return ev.Data, &DegradedError{Dead: ev.DeadNodes}
 	}
+	return ev.Data, nil
 }
 
 // HostCollective is Collective at the host with the walk's messages carried

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
@@ -22,18 +23,9 @@ var barrierPayload = []byte{0xBA}
 type Comm struct {
 	port *gm.Port
 
-	// stash holds received payloads not yet consumed, per source endpoint,
-	// in arrival order; arrivals preserves the global arrival order so
-	// receive-from-any stays deterministic.
-	stash    map[mcp.Endpoint][][]byte
-	arrivals []mcp.Endpoint
-
-	// barrierDone counts completed-but-unconsumed NIC barriers (observed
-	// while draining events for something else; at most one can be
-	// outstanding). barrierDead queues, in the same order, the dead-node
-	// set each completion reported (nil on clean completions).
-	barrierDone int
-	barrierDead [][]network.NodeID
+	// in is what has been received and not yet consumed, and the wait of
+	// the blocking receive in progress.
+	in inbox
 
 	// leafMap is the topology hint for GB barrier trees (see SetLeafMap);
 	// nil is the flat tree.
@@ -52,6 +44,77 @@ type Comm struct {
 	// barrier: the NIC owns it from BarrierSend until the completion event
 	// has been received (gm.Port.BarrierActive), the Comm otherwise.
 	barTok mcp.BarrierToken
+}
+
+// inbox is the gm.Waiter of a Comm's blocking receives: it says which event
+// ends the wait in progress and files every other one. The port may file an
+// event from the event loop while the process is parked (gm.Port.ReceiveFor),
+// so filing only records. It lives in the Comm, so handing it to the port
+// allocates nothing.
+type inbox struct {
+	// stash holds received payloads not yet consumed, in arrival order, so
+	// receive-from-any stays deterministic.
+	stash []arrival
+
+	// barrierDone counts completed-but-unconsumed NIC barriers (filed while
+	// waiting for something else; at most one can be outstanding).
+	// barrierDead queues, in the same order, the dead-node set each
+	// completion reported (nil on clean completions).
+	barrierDone int
+	barrierDead [][]network.NodeID
+
+	want want
+}
+
+// arrival is one stashed data message.
+type arrival struct {
+	src  mcp.Endpoint
+	data []byte
+}
+
+// want is the event a blocking receive waits for: one of kind, and for data
+// one from src unless anySrc.
+type want struct {
+	kind   mcp.HostEventKind
+	src    mcp.Endpoint
+	anySrc bool
+}
+
+// Ends reports whether an event of kind k from src is the one awaited.
+func (in *inbox) Ends(k mcp.HostEventKind, src mcp.Endpoint) bool {
+	w := &in.want
+	return k == w.kind && (k != mcp.RecvEvent || w.anySrc || src == w.src)
+}
+
+// File records one event the Comm did not wait for.
+func (in *inbox) File(ev mcp.HostEvent) {
+	switch ev.Kind {
+	case mcp.RecvEvent:
+		in.stash = append(in.stash, arrival{ev.Src, ev.Data})
+	case mcp.BarrierDoneEvent:
+		in.barrierDone++
+		in.barrierDead = append(in.barrierDead, ev.DeadNodes)
+	case mcp.SentEvent:
+		// Send token returned; nothing to do at this layer.
+	}
+}
+
+// takeFrom removes and returns the oldest stashed payload from src.
+func (in *inbox) takeFrom(src mcp.Endpoint) ([]byte, bool) {
+	for i, a := range in.stash {
+		if a.src == src {
+			in.stash = slices.Delete(in.stash, i, i+1)
+			return a.data, true
+		}
+	}
+	return nil, false
+}
+
+// await blocks until the port receives the event w describes, filing every
+// other one, and returns it.
+func (c *Comm) await(p *host.Process, w want) mcp.HostEvent {
+	c.in.want = w
+	return c.port.ReceiveFor(p, &c.in)
 }
 
 // tokenCache is one memoized neighborhood (a NICBarrierToken result: PE
@@ -132,7 +195,7 @@ func (c *Comm) SetLeafMap(lm *LeafMap) { c.leafMap = lm }
 
 // NewComm wraps an open port and pre-posts bufs receive buffers.
 func NewComm(p *host.Process, port *gm.Port, bufs int) (*Comm, error) {
-	c := &Comm{port: port, stash: make(map[mcp.Endpoint][][]byte)}
+	c := &Comm{port: port}
 	if err := port.ProvideReceiveBuffers(p, bufs); err != nil {
 		return nil, err
 	}
@@ -143,7 +206,7 @@ func NewComm(p *host.Process, port *gm.Port, bufs int) (*Comm, error) {
 func (c *Comm) Port() *gm.Port { return c.port }
 
 // Send posts a reliable data send. If the port is out of send tokens it
-// drains completion events (blocking) until one frees up — the standard GM
+// waits (blocking) for a send completion to return one — the standard GM
 // programming pattern for senders that outpace acknowledgments.
 func (c *Comm) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
 	for {
@@ -154,21 +217,7 @@ func (c *Comm) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
 		if !errors.Is(err, gm.ErrNoSendTokens) {
 			return err
 		}
-		c.dispatch(c.port.Receive(p))
-	}
-}
-
-// dispatch files one event. Returns the endpoint whose data arrived, if any.
-func (c *Comm) dispatch(ev mcp.HostEvent) {
-	switch ev.Kind {
-	case mcp.RecvEvent:
-		c.stash[ev.Src] = append(c.stash[ev.Src], ev.Data)
-		c.arrivals = append(c.arrivals, ev.Src)
-	case mcp.BarrierDoneEvent:
-		c.barrierDone++
-		c.barrierDead = append(c.barrierDead, ev.DeadNodes)
-	case mcp.SentEvent:
-		// Send token returned; nothing to do at this layer.
+		c.await(p, want{kind: mcp.SentEvent})
 	}
 }
 
@@ -176,51 +225,30 @@ func (c *Comm) dispatch(ev mcp.HostEvent) {
 // replenishes the receive-buffer pool, and returns the payload. Messages
 // from other endpoints that arrive meanwhile are stashed.
 func (c *Comm) RecvFrom(p *host.Process, src mcp.Endpoint) ([]byte, error) {
-	for {
-		if len(c.stash[src]) > 0 {
-			data := c.popStash(src)
-			c.dropArrival(src)
-			if err := c.port.ProvideReceiveBuffer(p); err != nil {
-				return nil, err
-			}
-			return data, nil
-		}
-		c.dispatch(c.port.Receive(p))
+	data, ok := c.in.takeFrom(src)
+	if !ok {
+		data = c.await(p, want{kind: mcp.RecvEvent, src: src}).Data
 	}
+	if err := c.port.ProvideReceiveBuffer(p); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // RecvAny blocks until any data message is available and consumes the
 // oldest one, returning its source and payload.
 func (c *Comm) RecvAny(p *host.Process) (mcp.Endpoint, []byte, error) {
-	for {
-		if len(c.arrivals) > 0 {
-			src := mem.PopFront(&c.arrivals)
-			data := c.popStash(src)
-			if err := c.port.ProvideReceiveBuffer(p); err != nil {
-				return src, nil, err
-			}
-			return src, data, nil
-		}
-		c.dispatch(c.port.Receive(p))
+	var a arrival
+	if len(c.in.stash) > 0 {
+		a = mem.PopFront(&c.in.stash)
+	} else {
+		ev := c.await(p, want{kind: mcp.RecvEvent, anySrc: true})
+		a = arrival{ev.Src, ev.Data}
 	}
-}
-
-// popStash consumes the oldest stashed payload from src.
-func (c *Comm) popStash(src mcp.Endpoint) []byte {
-	q := c.stash[src]
-	data := mem.PopFront(&q)
-	c.stash[src] = q
-	return data
-}
-
-// dropArrival removes the oldest arrival entry for src.
-func (c *Comm) dropArrival(src mcp.Endpoint) {
-	for i, e := range c.arrivals {
-		if e == src {
-			c.arrivals = append(c.arrivals[:i], c.arrivals[i+1:]...)
-			return
-		}
+	if err := c.port.ProvideReceiveBuffer(p); err != nil {
+		return a.src, nil, err
 	}
+	return a.src, a.data, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -286,15 +314,16 @@ func (pb *PendingBarrier) Test(p *host.Process) bool {
 		return true
 	}
 	if ev, ok := pb.c.port.TryReceive(p); ok {
-		pb.c.dispatch(ev)
+		pb.c.in.File(ev)
 	}
 	return pb.takeDone()
 }
 
 // Wait blocks until the barrier completes.
 func (pb *PendingBarrier) Wait(p *host.Process) {
-	for !pb.takeDone() {
-		pb.c.dispatch(pb.c.port.Receive(p))
+	if !pb.takeDone() {
+		ev := pb.c.await(p, want{kind: mcp.BarrierDoneEvent})
+		pb.done, pb.dead = true, ev.DeadNodes
 	}
 }
 
@@ -302,9 +331,9 @@ func (pb *PendingBarrier) takeDone() bool {
 	if pb.done {
 		return true
 	}
-	if pb.c.barrierDone > 0 {
-		pb.c.barrierDone--
-		pb.dead = mem.PopFront(&pb.c.barrierDead)
+	if in := &pb.c.in; in.barrierDone > 0 {
+		in.barrierDone--
+		pb.dead = mem.PopFront(&in.barrierDead)
 		pb.done = true
 	}
 	return pb.done

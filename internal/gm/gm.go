@@ -17,6 +17,9 @@
 // and this process alone consumes, and the NIC state Open, Close and the
 // provisioning batch touch directly; Receive therefore waits without
 // settling the lead, and the calls that look at anything else settle first.
+// A blocking receive names what it waits for (ReceiveFor): an event that
+// does not end the wait is paid for and filed by the event loop while the
+// process stays parked, so the process is resumed only for the one it wants.
 package gm
 
 import (
@@ -61,6 +64,9 @@ type Port struct {
 	events []mcp.HostEvent
 	evHead int
 	sig    *sim.Signal
+	// waiter is the owner's wait while it is parked in ReceiveFor (nil
+	// otherwise): onEvent retires an event that does not end it.
+	waiter Waiter
 
 	// Host-side mirrors of NIC state, kept exact because each port is
 	// driven by a single sequential process.
@@ -155,8 +161,17 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 }
 
 // onEvent runs at the instant the NIC finishes DMAing an event record into
-// host memory.
+// host memory. An event the parked owner would only pay for, file and park
+// again on is retired here, at the instant the wake would have run it: the
+// charges are leads on the owner's clock either way (sim.Proc.Advance), and
+// the owner stays on the signal's wait list. A killed owner's events queue
+// up unread, as its wakes are dropped.
 func (pt *Port) onEvent(ev mcp.HostEvent) {
+	if w := pt.waiter; w != nil && pt.PendingEvents() == 0 && !pt.owner.Proc().Killed() && !w.Ends(ev.Kind, ev.Src) {
+		pt.charge(pt.owner, ev.Kind)
+		w.File(ev)
+		return
+	}
 	pt.events = append(pt.events, ev)
 	pt.sig.Fire()
 }
@@ -361,22 +376,50 @@ func (pt *Port) tokRung(s *slot) {
 	}
 }
 
+// A Waiter is the caller of a blocking receive (ReceiveFor): Ends reports
+// whether an event of kind k from src ends the wait, and File takes every
+// event that does not, in arrival order, once the port has charged for it.
+// File may run from the event loop while the process is parked, so it only
+// records the event for the process to read.
+type Waiter interface {
+	Ends(k mcp.HostEventKind, src mcp.Endpoint) bool
+	File(ev mcp.HostEvent)
+}
+
+// ReceiveFor blocks until the port receives an event that ends w's wait and
+// returns it; every event before it is received and handed to w.File. Each
+// costs the process what Receive charges for it. p must be the port's owner.
+func (pt *Port) ReceiveFor(p *host.Process, w Waiter) mcp.HostEvent {
+	for {
+		// The lead is kept: an event queued at loop time T is the head the
+		// process would find at T + lead, and an empty queue is looked at
+		// again after every arrival.
+		for pt.PendingEvents() == 0 {
+			pt.waiter = w
+			p.Proc().Await(pt.sig)
+			pt.waiter = nil
+		}
+		ev := pt.pop()
+		pt.charge(p, ev.Kind)
+		if w.Ends(ev.Kind, ev.Src) {
+			return ev
+		}
+		w.File(ev)
+	}
+}
+
+// anyEvent is the wait of Receive: every event ends it.
+type anyEvent struct{}
+
+func (anyEvent) Ends(mcp.HostEventKind, mcp.Endpoint) bool { return true }
+func (anyEvent) File(mcp.HostEvent)                        {}
+
 // Receive blocks until a host event is available, then consumes and
 // returns it (gm_receive / gm_blocking_receive). The process is charged
 // event-detection cost plus a per-kind processing cost (the paper's HRecv
 // for data and barrier-completion events).
 func (pt *Port) Receive(p *host.Process) mcp.HostEvent {
-	// The lead is kept: an event queued at loop time T is the head the
-	// process would find at T + lead, and an empty queue is looked at again
-	// after every arrival.
-	for pt.PendingEvents() == 0 {
-		p.Proc().Await(pt.sig)
-	}
-	// The detection cost is attributed by what is being detected, so a
-	// barrier completion's uncached event-queue reads land in HostDone,
-	// not HostRecv (the charge itself is identical either way).
-	p.ComputePhase(p.Params().RecvDetect, eventPhase(pt.events[pt.evHead].Kind), "detect")
-	return pt.consume(p)
+	return pt.ReceiveFor(p, anyEvent{})
 }
 
 // TryReceive polls once for an event (non-blocking gm_receive). It charges
@@ -388,19 +431,31 @@ func (pt *Port) TryReceive(p *host.Process) (mcp.HostEvent, bool) {
 		p.ComputePhase(p.Params().PollCost, phase.HostRecv, "poll")
 		return mcp.HostEvent{}, false
 	}
-	p.ComputePhase(p.Params().PollCost, eventPhase(pt.events[pt.evHead].Kind), "poll")
-	p.ComputePhase(p.Params().RecvDetect, eventPhase(pt.events[pt.evHead].Kind), "detect")
-	return pt.consume(p), true
+	ev := pt.pop()
+	p.ComputePhase(p.Params().PollCost, eventPhase(ev.Kind), "poll")
+	pt.charge(p, ev.Kind)
+	return ev, true
 }
 
-func (pt *Port) consume(p *host.Process) mcp.HostEvent {
+// pop removes the head of the event queue.
+func (pt *Port) pop() mcp.HostEvent {
 	ev := pt.events[pt.evHead]
 	pt.evHead++
 	if pt.evHead == len(pt.events) {
 		pt.events = pt.events[:0]
 		pt.evHead = 0
 	}
-	switch ev.Kind {
+	return ev
+}
+
+// charge is what receiving an event of kind k costs p and does to the
+// host-side mirrors: the detection cost, attributed by what is being
+// detected (a barrier completion's uncached event-queue reads land in
+// HostDone, not HostRecv; the charge itself is identical either way), then
+// the per-kind processing cost.
+func (pt *Port) charge(p *host.Process, k mcp.HostEventKind) {
+	p.ComputePhase(p.Params().RecvDetect, eventPhase(k), "detect")
+	switch k {
 	case mcp.RecvEvent:
 		pt.recvBufs--
 		p.ComputePhase(p.Params().EffectiveRecvProcess(), phase.HostRecv, "recv_process")
@@ -409,11 +464,10 @@ func (pt *Port) consume(p *host.Process) mcp.HostEvent {
 		p.ComputePhase(p.Params().SentEvtCost, phase.HostSend, "sent_evt")
 	default: // an operation slot's completion
 		for i := range pt.slots {
-			if s := &pt.slots[i]; s.fam.done == ev.Kind {
+			if s := &pt.slots[i]; s.fam.done == k {
 				s.active = false
 				p.ComputePhase(p.Params().EffectiveRecvProcess(), phase.HostDone, s.fam.doneLabel)
 			}
 		}
 	}
-	return ev
 }
