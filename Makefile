@@ -11,16 +11,16 @@ build:
 	$(GO) build ./...
 
 # go vet, gofmt, and two structural rules: internal/experiments has one run
-# loop, so only run.go spawns every rank (a measurement is a Spec for Run or
-# a Session.timed body); and a command under cmd/ builds its runs from a
-# service.Spec (Canonicalize, then Experiment or Config), never by picking a
-# NIC model, a fail-stop testbed or a topology kind itself.
+# loop, so only run.go builds a session or spawns a rank (a measurement is a
+# Spec for Run, its program an Op); and a command under cmd/ builds its runs
+# from a service.Spec (Canonicalize, then Experiment or Config), never by
+# picking a NIC model, a fail-stop testbed or a topology kind itself.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	@if grep -l '\.SpawnAll(' $$(ls internal/experiments/*.go | grep -v -e '_test\.go$$' -e '/run\.go$$'); then \
-		echo "the files above call SpawnAll: internal/experiments runs ranks in run.go only"; exit 1; fi
+	@if grep -l -e 'NewSession(' -e '\.Spawn(' -e '\.SpawnAll(' $$(ls internal/experiments/*.go | grep -v -e '_test\.go$$' -e '/run\.go$$'); then \
+		echo "the files above build a session or spawn ranks: internal/experiments runs ranks in run.go only"; exit 1; fi
 	@if grep -rl --include='*.go' -e 'cluster\.LANai72Config' -e 'experiments\.FailStopTestbed' -e 'topo\.ParseKind' cmd; then \
 		echo "the files above build runs by hand: a command's runs go through service.Spec"; exit 1; fi
 

@@ -37,6 +37,16 @@ import (
 
 const benchIters = 40 // timed barriers per simulated measurement
 
+// optimalLatency is OptimalDim's latency, failing b on an error.
+func optimalLatency(b *testing.B, spec experiments.Spec) float64 {
+	b.Helper()
+	_, lat, err := experiments.OptimalDim(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return lat
+}
+
 func reportBarrier(b *testing.B, spec experiments.Spec) {
 	b.Helper()
 	spec.Iters = benchIters
@@ -60,14 +70,14 @@ func benchVariants(b *testing.B, mkCfg func(int) cluster.Config, sizes []int) {
 		b.Run(fmt.Sprintf("NIC-GB/nodes=%d", n), func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, lat = experiments.OptimalDim(experiments.Spec{Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.GB, Iters: benchIters})
+				lat = optimalLatency(b, experiments.Spec{Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.GB, Iters: benchIters})
 			}
 			b.ReportMetric(lat, "us/barrier")
 		})
 		b.Run(fmt.Sprintf("Host-GB/nodes=%d", n), func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, lat = experiments.OptimalDim(experiments.Spec{Cluster: cfg, Level: experiments.HostLevel, Alg: mcp.GB, Iters: benchIters})
+				lat = optimalLatency(b, experiments.Spec{Cluster: cfg, Level: experiments.HostLevel, Alg: mcp.GB, Iters: benchIters})
 			}
 			b.ReportMetric(lat, "us/barrier")
 		})
@@ -153,7 +163,11 @@ func BenchmarkPingPong(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				lat = experiments.PingPong(tc.cfg, 8, benchIters)
+				out, err := experiments.Run(experiments.Spec{Cluster: tc.cfg, Op: experiments.PingPong, Bytes: 8, Iters: benchIters}, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lat = out.MeanMicros
 			}
 			b.ReportMetric(lat, "us-one-way")
 		})
@@ -167,7 +181,10 @@ func BenchmarkGBDimensionSweep(b *testing.B) {
 	cfg := cluster.DefaultConfig(16)
 	var best, worst float64
 	for i := 0; i < b.N; i++ {
-		pts := experiments.GBDimSweep(cfg, experiments.NICLevel, benchIters, false)
+		pts, err := experiments.GBDimSweep(cfg, experiments.NICLevel, benchIters, false)
+		if err != nil {
+			b.Fatal(err)
+		}
 		best, worst = pts[0].Micros, pts[0].Micros
 		for _, p := range pts {
 			if p.Micros < best {
@@ -191,7 +208,10 @@ func BenchmarkLayerOverhead(b *testing.B) {
 		b.Run(fmt.Sprintf("overhead=%.0fus", oh), func(b *testing.B) {
 			var factor float64
 			for i := 0; i < b.N; i++ {
-				pts := experiments.LayerOverheadSweep(8, []float64{oh}, benchIters)
+				pts, err := experiments.LayerOverheadSweep(8, []float64{oh}, benchIters)
+				if err != nil {
+					b.Fatal(err)
+				}
 				factor = pts[0].Factor
 			}
 			b.ReportMetric(factor, "factor")
@@ -323,7 +343,7 @@ func BenchmarkCollectives(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, lat = experiments.OptimalDim(experiments.Spec{
+				lat = optimalLatency(b, experiments.Spec{
 					Cluster: cfg, Level: tc.level, Op: tc.op, Elems: 4, Warmup: 3, Iters: benchIters,
 				})
 			}
@@ -340,7 +360,10 @@ func BenchmarkScaleProjection(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			var factor float64
 			for i := 0; i < b.N; i++ {
-				rows := experiments.ScaleSweep([]int{n}, benchIters)
+				rows, err := experiments.ScaleSweep([]int{n}, benchIters)
+				if err != nil {
+					b.Fatal(err)
+				}
 				factor = rows[0].Factor
 			}
 			b.ReportMetric(factor, "factor")
@@ -357,7 +380,11 @@ func BenchmarkMPIBarrier(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			var row experiments.MPIRow
 			for i := 0; i < b.N; i++ {
-				row = experiments.MPIBarrierComparison([]int{n}, benchIters)[0]
+				rows, err := experiments.MPIBarrierComparison([]int{n}, benchIters)
+				if err != nil {
+					b.Fatal(err)
+				}
+				row = rows[0]
 			}
 			b.ReportMetric(row.Factor, "mpi-factor")
 			b.ReportMetric(row.RawFactor, "raw-factor")

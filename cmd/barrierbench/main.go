@@ -105,7 +105,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *metrics {
-		printMetrics(spec.Nodes, spec.Dim, *iters)
+		exitOn(printMetrics(spec.Nodes, spec.Dim, *iters))
 		return
 	}
 	if *dumptopo != "" {
@@ -118,23 +118,31 @@ func main() {
 
 	switch *fig {
 	case "5a":
-		printLatencies("Figure 5(a): barrier latency (us), LANai 4.3", experiments.Figure5a(*iters))
+		rows, err := experiments.Figure5a(*iters)
+		exitOn(err)
+		printLatencies("Figure 5(a): barrier latency (us), LANai 4.3", rows)
 	case "5b":
-		printFactors("Figure 5(b): factor of improvement, LANai 4.3", experiments.Figure5b(*iters))
+		rows, err := experiments.Figure5b(*iters)
+		exitOn(err)
+		printFactors("Figure 5(b): factor of improvement, LANai 4.3", rows)
 	case "5c":
-		printLatencies("Figure 5(c): barrier latency (us), LANai 7.2", experiments.Figure5c(*iters))
+		rows, err := experiments.Figure5c(*iters)
+		exitOn(err)
+		printLatencies("Figure 5(c): barrier latency (us), LANai 7.2", rows)
 	case "5d":
-		printFactors("Figure 5(d): factor of improvement, LANai 7.2", experiments.Figure5d(*iters))
+		rows, err := experiments.Figure5d(*iters)
+		exitOn(err)
+		printFactors("Figure 5(d): factor of improvement, LANai 7.2", rows)
 	case "mpi":
-		printLayerSweep(*iters)
+		exitOn(printLayerSweep(*iters))
 	case "coll":
-		printCollectives(*iters)
+		exitOn(printCollectives(*iters))
 	case "scale":
-		printScale(*iters)
+		exitOn(printScale(*iters))
 	case "grain":
-		printGranularity(*iters)
+		exitOn(printGranularity(*iters))
 	case "mpibar":
-		printMPIBarrier(*iters)
+		exitOn(printMPIBarrier(*iters))
 	case "rel":
 		pcts, err := parseLossList(*loss)
 		if err != nil {
@@ -150,9 +158,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		printReliability(spec.Nodes, pcts, spec.Dim, *iters, spec.FaultPlan, base)
+		exitOn(printReliability(spec.Nodes, pcts, spec.Dim, *iters, spec.FaultPlan, base))
 	case "flap":
-		printFlap(spec.Nodes, spec.Dim, sim.FromMicros(*outage), spec.Seed)
+		exitOn(printFlap(spec.Nodes, spec.Dim, sim.FromMicros(*outage), spec.Seed))
 	case "crash":
 		printCrash(service.Spec{Nodes: spec.Nodes, Dim: spec.Dim, FaultPlan: spec.FaultPlan, Seed: spec.Seed})
 	case "topo":
@@ -161,12 +169,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bad -sizes: %v\n", err)
 			os.Exit(2)
 		}
-		printTopoScale(kinds, sizes, spec.Radix, *iters, *tuned)
+		exitOn(printTopoScale(kinds, sizes, spec.Radix, *iters, *tuned))
 	case "contend":
-		printContention(spec.Radix, *bytesFlag, *iters)
+		exitOn(printContention(spec.Radix, *bytesFlag, *iters))
 	case "all":
-		rows43 := experiments.Figure5a(*iters)
-		rows72 := experiments.Figure5c(*iters)
+		rows43, err := experiments.Figure5a(*iters)
+		exitOn(err)
+		rows72, err := experiments.Figure5c(*iters)
+		exitOn(err)
 		printLatencies("Figure 5(a): barrier latency (us), LANai 4.3", rows43)
 		fmt.Println()
 		printFactors("Figure 5(b): factor of improvement, LANai 4.3", experiments.Factors(rows43))
@@ -179,6 +189,15 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
+	}
+}
+
+// exitOn ends the command with err's one line on stderr and exit status 1,
+// unless err is nil.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -198,18 +217,25 @@ func printFactors(title string, rows []experiments.FactorRow) {
 	fmt.Print(t.String())
 }
 
-func printLayerSweep(iters int) {
-	pts := experiments.LayerOverheadSweep(8, []float64{0, 5, 10, 20, 40}, iters)
+func printLayerSweep(iters int) error {
+	pts, err := experiments.LayerOverheadSweep(8, []float64{0, 5, 10, 20, 40}, iters)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable("Factor of improvement vs added layer overhead (8 nodes, LANai 4.3, PE)",
 		"Overhead (us/msg)", "NIC-PE (us)", "Host-PE (us)", "Factor")
 	for _, p := range pts {
 		t.AddRow(p.OverheadMicros, p.NICPE, p.HostPE, p.Factor)
 	}
 	fmt.Print(t.String())
+	return nil
 }
 
-func printCollectives(iters int) {
-	rows := experiments.CollectiveComparison(cluster.DefaultConfig, []int{2, 4, 8, 16}, 4, iters)
+func printCollectives(iters int) error {
+	rows, err := experiments.CollectiveComparison(cluster.DefaultConfig, []int{2, 4, 8, 16}, 4, iters)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable("NIC-based vs host-based collectives (Section 8 future work), LANai 4.3, 4x int64, optimal tree dim (us)",
 		"Nodes", "NIC-bcast", "Host-bcast", "NIC-reduce", "Host-reduce",
 		"NIC-allred", "Host-allred", "NIC-allgat", "Host-allgat",
@@ -220,21 +246,29 @@ func printCollectives(iters int) {
 			r.FactorBcast, r.FactorAllRed, r.FactorAllGat)
 	}
 	fmt.Print(t.String())
+	return nil
 }
 
-func printScale(iters int) {
-	rows := experiments.ScaleSweep([]int{2, 4, 8, 16, 32, 64, 128}, iters)
+func printScale(iters int) error {
+	rows, err := experiments.ScaleSweep([]int{2, 4, 8, 16, 32, 64, 128}, iters)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable("PE barrier scalability projection, LANai 4.3 (two-level switches beyond 16 nodes)",
 		"Nodes", "NIC-PE (us)", "Host-PE (us)", "Factor")
 	for _, r := range rows {
 		t.AddRow(r.Nodes, r.NICPE, r.HostPE, r.Factor)
 	}
 	fmt.Print(t.String())
+	return nil
 }
 
-func printGranularity(iters int) {
+func printGranularity(iters int) error {
 	grains := []float64{10, 25, 50, 100, 250, 500, 1000}
-	pts := experiments.GranularitySweep(16, grains, 0.2, iters)
+	pts, err := experiments.GranularitySweep(16, grains, 0.2, iters)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable("BSP granularity study, 16 nodes, LANai 4.3, 20% compute imbalance",
 		"Grain (us)", "NIC iter (us)", "Host iter (us)", "NIC efficiency", "Host efficiency")
 	for _, p := range pts {
@@ -244,16 +278,21 @@ func printGranularity(iters int) {
 	fmt.Printf("\nbreak-even grain (50%% efficiency): NIC %.0fus, host %.0fus\n",
 		experiments.BreakEvenGrain(pts, true, 0.5),
 		experiments.BreakEvenGrain(pts, false, 0.5))
+	return nil
 }
 
-func printMPIBarrier(iters int) {
-	rows := experiments.MPIBarrierComparison([]int{2, 4, 8, 16}, iters)
+func printMPIBarrier(iters int) error {
+	rows, err := experiments.MPIBarrierComparison([]int{2, 4, 8, 16}, iters)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable("MPI_Barrier over the mpi layer: NIC-backed vs host-backed (LANai 4.3)",
 		"Nodes", "NIC-backed (us)", "Host-backed (us)", "MPI factor", "Raw-GM factor")
 	for _, r := range rows {
 		t.AddRow(r.Nodes, r.NICBacked, r.HostBack, r.Factor, r.RawFactor)
 	}
 	fmt.Print(t.String())
+	return nil
 }
 
 // parseIntList parses a comma-separated list of positive integers.
@@ -297,10 +336,13 @@ func writeDOT(path string, kind topo.Kind, nodes, radix int) error {
 	return os.WriteFile(path, []byte(dot), 0o644)
 }
 
-func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters int, tuned bool) {
-	rows := experiments.TopoScaleSweep(experiments.TopoSweep{
+func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters int, tuned bool) error {
+	rows, err := experiments.TopoScaleSweep(experiments.TopoSweep{
 		Kinds: kinds, Sizes: sizes, Radix: radix, Iters: iters, Tuned: tuned,
 	})
+	if err != nil {
+		return err
+	}
 	dimNote := "best dim"
 	if tuned {
 		dimNote = "model-tuned dim"
@@ -326,10 +368,14 @@ func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters int, tuned bool
 			}
 		}
 	}
+	return nil
 }
 
-func printContention(radix, bytes, iters int) {
-	rows := experiments.CrossSwitchContention(radix, []int{1, 2, 3, 4, 5, 6, 7}, bytes, iters)
+func printContention(radix, bytes, iters int) error {
+	rows, err := experiments.CrossSwitchContention(radix, []int{1, 2, 3, 4, 5, 6, 7}, bytes, iters)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable(
 		fmt.Sprintf("Cross-switch trunk contention on a star of radix-%d switches (%d-byte streams, us/message)", radix, bytes),
 		"Pairs", "Intra-switch", "Cross-switch", "Slowdown")
@@ -337,6 +383,7 @@ func printContention(radix, bytes, iters int) {
 		t.AddRow(r.Pairs, r.IntraMicros, r.CrossMicros, r.Slowdown)
 	}
 	fmt.Print(t.String())
+	return nil
 }
 
 // parseLossList parses the -loss flag: comma-separated percentages.
@@ -362,8 +409,11 @@ func parseLossList(s string) ([]float64, error) {
 	return out, nil
 }
 
-func printReliability(nodes int, pcts []float64, dim, iters int, planName string, base *fault.Plan) {
-	pts := experiments.ReliabilitySweep(nodes, pcts, dim, iters, base)
+func printReliability(nodes int, pcts []float64, dim, iters int, planName string, base *fault.Plan) error {
+	pts, err := experiments.ReliabilitySweep(nodes, pcts, dim, iters, base)
+	if err != nil {
+		return err
+	}
 	title := fmt.Sprintf("Reliable barriers under packet loss: %d nodes, LANai 4.3, GB dim %d, base plan %q (us; retrans = frames re-sent per run)",
 		nodes, dim, planName)
 	t := stats.NewTable(title,
@@ -378,10 +428,14 @@ func printReliability(nodes int, pcts []float64, dim, iters int, planName string
 			p.RelPERetrans, p.RelGBRetrans, p.HostPERetrans)
 	}
 	fmt.Print(t.String())
+	return nil
 }
 
-func printFlap(nodes, dim int, outage sim.Time, seed int64) {
-	r := experiments.FlapRecovery(nodes, dim, outage, seed)
+func printFlap(nodes, dim int, outage sim.Time, seed int64) error {
+	r, err := experiments.FlapRecovery(nodes, dim, outage, seed)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable(fmt.Sprintf("Recovery after a mid-barrier link flap: %d nodes, reliable GB dim %d", nodes, dim),
 		"Metric", "Value")
 	t.AddRow("outage (us)", r.OutageMicros)
@@ -390,6 +444,7 @@ func printFlap(nodes, dim int, outage sim.Time, seed int64) {
 	t.AddRow("recovery cost (us)", r.RecoveryMicros)
 	t.AddRow("repair retransmissions", r.Retrans)
 	fmt.Print(t.String())
+	return nil
 }
 
 // printCrash runs the crash-tolerance figure on the single crossbar: a PE
@@ -425,13 +480,15 @@ func printCrash(s service.Spec) {
 		}
 		cells = append(cells, experiments.Scenario{Name: fmt.Sprintf("%s%d-%s%d", alg, n, c.FaultPlan, victim), Spec: x})
 	}
-	sums := experiments.RunScenarios(cells)
+	sums, err := experiments.RunScenarios(cells)
+	exitOn(err)
 	fmt.Printf("Crash tolerance: %d nodes, LANai 4.3, %s of node %d at t=700us\n\n", n, c.FaultPlan, victim)
 	for _, sum := range sums {
 		fmt.Print(sum.String())
 	}
 	fmt.Println()
-	pts := experiments.DetectionLatencySweep(n, c.Dim, []int{4, 6, 8}, []float64{100, 200, 400})
+	pts, err := experiments.DetectionLatencySweep(n, c.Dim, []int{4, 6, 8}, []float64{100, 200, 400})
+	exitOn(err)
 	t := stats.NewTable(
 		fmt.Sprintf("Crash-detection latency vs retry budget (%d nodes, GB dim %d, node %d crashed mid-run)", n, c.Dim, victim),
 		"MaxRetries", "RTO (us)", "Detect (us)", "Probes", "Declared")
@@ -469,16 +526,23 @@ func printHeadlines(rows43, rows72 []experiments.Figure5Row) {
 // printMetrics runs one observed NIC-PE and one NIC-GB measurement and
 // dumps the cluster metrics registry alongside the phase decomposition —
 // the always-on counters every experiment accumulates, surfaced.
-func printMetrics(n, dim, iters int) {
+func printMetrics(n, dim, iters int) error {
 	specs := []experiments.Spec{
 		{Cluster: cluster.DefaultConfig(n), Level: experiments.NICLevel, Alg: mcp.PE, Iters: iters},
 		{Cluster: cluster.DefaultConfig(n), Level: experiments.NICLevel, Alg: mcp.GB, Dim: dim, Iters: iters},
+	}
+	outs := make([]experiments.Outcome, len(specs))
+	for i, sp := range specs {
+		var err error
+		if outs[i], err = experiments.Run(sp, true); err != nil {
+			return err
+		}
 	}
 	for i, sp := range specs {
 		if i > 0 {
 			fmt.Println()
 		}
-		obs := experiments.MeasureBarrierObserved(sp)
+		obs := outs[i]
 		name := fmt.Sprintf("%s-%s", sp.Level, sp.Alg)
 		if sp.Alg == mcp.GB {
 			name += fmt.Sprintf(" dim %d", sp.Dim)
@@ -488,4 +552,5 @@ func printMetrics(n, dim, iters int) {
 		fmt.Println("metrics:")
 		fmt.Print(obs.Metrics.Dump(true))
 	}
+	return nil
 }

@@ -59,9 +59,13 @@ func main() {
 		fmt.Sprintf("GM point-to-point, 2 nodes, LANai %s", c.NIC),
 		"Size (B)", "One-way latency (us)", "Stream bandwidth (MB/s)")
 	for _, size := range sizes {
-		lat := experiments.PingPong(cfg, size, *iters)
+		pp, err := experiments.Run(experiments.Spec{Cluster: cfg, Op: experiments.PingPong, Bytes: size, Iters: *iters}, false)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		bw := streamBandwidth(cfg, size, *iters)
-		tbl.AddRow(size, lat, bw)
+		tbl.AddRow(size, pp.MeanMicros, bw)
 	}
 	fmt.Print(tbl.String())
 }

@@ -103,21 +103,26 @@ func main() {
 		spec.TopoAware = c.Topo != topo.Single.String()
 		if *tuned {
 			spec.Dim = experiments.TunedGBDim(spec.Cluster)
+			out, err := experiments.Run(spec, false)
+			exitOn(err)
 			tbl := stats.NewTable(
 				fmt.Sprintf("%s-based GB barrier, %d nodes, LANai %s: model-tuned dimension",
 					spec.Level, n, c.NIC),
 				"Dim", "Latency (us)", "")
-			tbl.AddRow(spec.Dim, experiments.MeasureBarrier(spec).MeanMicros, "<- model-tuned (no sweep)")
+			tbl.AddRow(spec.Dim, out.MeanMicros, "<- model-tuned (no sweep)")
 			fmt.Print(tbl.String())
 			fmt.Println()
 			continue
 		}
 		var pts []experiments.DimPoint
 		if dimSet {
-			pts = []experiments.DimPoint{{Dim: spec.Dim, Micros: experiments.MeasureBarrier(spec).MeanMicros}}
+			var out experiments.Outcome
+			out, err = experiments.Run(spec, false)
+			pts = []experiments.DimPoint{{Dim: spec.Dim, Micros: out.MeanMicros}}
 		} else {
-			pts = experiments.GBDimSweep(spec.Cluster, spec.Level, spec.Iters, spec.TopoAware)
+			pts, err = experiments.GBDimSweep(spec.Cluster, spec.Level, spec.Iters, spec.TopoAware)
 		}
+		exitOn(err)
 		best := pts[0]
 		for _, p := range pts {
 			if p.Micros < best.Micros {
@@ -144,5 +149,14 @@ func main() {
 		}
 		fmt.Print(tbl.String())
 		fmt.Println()
+	}
+}
+
+// exitOn ends the command with err's one line on stderr and exit status 1,
+// unless err is nil.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

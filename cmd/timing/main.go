@@ -69,7 +69,11 @@ func main() {
 
 	fmt.Println("\nSection 2.2 model (Equations 1-3) vs discrete-event simulation:")
 	tbl := stats.NewTable("", "Nodes", "Eq1 host (us)", "sim host (us)", "Eq2 NIC (us)", "sim NIC (us)", "Eq3 factor", "sim factor")
-	res := experiments.MeasureBarriers(cells)
+	res, err := experiments.RunAll(cells)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	for i, size := range sizes {
 		simNIC, simHost := res[2*i].MeanMicros, res[2*i+1].MeanMicros
 		tbl.AddRow(size, b.HostBarrier(size), simHost, b.NICBarrier(size), simNIC,

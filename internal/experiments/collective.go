@@ -24,7 +24,7 @@ type CollRow struct {
 // for the four operations at both levels, elems int64s per rank. All sizes
 // × operations × levels × dimensions go to the worker pool as one flat
 // batch, then the in-order latencies fold back into rows.
-func CollectiveComparison(mkCfg func(n int) cluster.Config, sizes []int, elems, iters int) []CollRow {
+func CollectiveComparison(mkCfg func(n int) cluster.Config, sizes []int, elems, iters int) ([]CollRow, error) {
 	var specs []Spec
 	for _, n := range sizes {
 		cfg := mkCfg(n)
@@ -34,8 +34,10 @@ func CollectiveComparison(mkCfg func(n int) cluster.Config, sizes []int, elems, 
 			}
 		}
 	}
-	results := MeasureBarriers(specs)
-
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]CollRow, 0, len(sizes))
 	i := 0
 	for _, n := range sizes {
@@ -56,5 +58,5 @@ func CollectiveComparison(mkCfg func(n int) cluster.Config, sizes []int, elems, 
 		row.FactorAllGat = row.HostAllGat / row.NICAllGat
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }

@@ -95,11 +95,15 @@ func spawnRanks(s *Session, late int, body RankBody) {
 	}
 }
 
-// runCollCell runs one cell and renders its golden line.
+// runCollCell runs one cell and renders its golden line, or the run's
+// error in its place.
 func runCollCell(c collCell) string {
 	cfg := cluster.DefaultConfig(c.nodes)
 	cfg.ReliableBarrier = c.reliable
-	s := must(NewSession(cfg))
+	s, err := NewSession(cfg)
+	if err != nil {
+		return err.Error()
+	}
 	defer s.Close()
 	g := core.UniformGroup(c.nodes, 2)
 	warmup := collWarmup
@@ -134,7 +138,9 @@ func runCollCell(c collCell) string {
 		}
 		return nil
 	})
-	check(s.Run())
+	if err := s.Run(); err != nil {
+		return err.Error()
+	}
 	total := 0.0
 	for i := warmup; i < rounds; i++ {
 		total += (latest[i] - starts[i]).Micros()
@@ -212,10 +218,14 @@ func collCrashCells() []collCrashCell {
 
 // runCollCrashCell runs one crash cell and renders its golden summary:
 // rank 0's clock (as the fleet's summaries), the cluster-wide repair
-// counters, and which ranks' last iteration named which dead set.
+// counters, and which ranks' last iteration named which dead set; or the
+// run's error in its place.
 func runCollCrashCell(c collCrashCell) string {
 	const n, dim, warmup, iters = 16, 4, 2, 8
-	s := must(NewSession(detectCfg(n, crashPlan(1, c.victim, sim.FromMicros(300)))))
+	s, err := NewSession(detectCfg(n, crashPlan(1, c.victim, sim.FromMicros(300))))
+	if err != nil {
+		return err.Error()
+	}
 	defer s.Close()
 	g := core.UniformGroup(n, 2)
 	var t0, t1, maxIter sim.Time
@@ -250,7 +260,9 @@ func runCollCrashCell(c collCrashCell) string {
 		}
 		return nil
 	})
-	check(s.Run())
+	if err := s.Run(); err != nil {
+		return err.Error()
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "collective %s: nodes=%d op=%s dim=%d victim=%d\n", c.name, n, c.op, dim, c.victim)
@@ -282,7 +294,8 @@ func runCollCrashCell(c collCrashCell) string {
 
 // TestCollectiveCrashGolden pins the three crash cells and holds each to the
 // liveness claim itself: all 15 survivors finish every iteration and the
-// cluster drains without a stranded process (runCollCrashCell panics on one).
+// cluster drains without a stranded process (runCollCrashCell returns the
+// run's error in place of a summary on one).
 // Regenerate with -update-scenarios.
 func TestCollectiveCrashGolden(t *testing.T) {
 	cells := collCrashCells()

@@ -64,34 +64,34 @@ func TestParallelMatchesSerial(t *testing.T) {
 	sizes := []int{2, 4}
 	cases := []struct {
 		name string
-		run  func() any
+		run  func() (any, error)
 	}{
-		{"Figure5Latencies", func() any {
+		{"Figure5Latencies", func() (any, error) {
 			return Figure5Latencies(cluster.DefaultConfig, sizes, detIters)
 		}},
-		{"OptimalGBDim", func() any {
-			d, l := OptimalDim(Spec{Cluster: cluster.DefaultConfig(4), Level: NICLevel, Alg: mcp.GB, Iters: detIters})
-			return []any{d, l}
+		{"OptimalGBDim", func() (any, error) {
+			d, l, err := OptimalDim(Spec{Cluster: cluster.DefaultConfig(4), Level: NICLevel, Alg: mcp.GB, Iters: detIters})
+			return []any{d, l}, err
 		}},
-		{"GBDimSweep", func() any {
+		{"GBDimSweep", func() (any, error) {
 			return GBDimSweep(cluster.DefaultConfig(4), HostLevel, detIters, false)
 		}},
-		{"ScaleSweep", func() any {
+		{"ScaleSweep", func() (any, error) {
 			return ScaleSweep(sizes, detIters)
 		}},
-		{"LayerOverheadSweep", func() any {
+		{"LayerOverheadSweep", func() (any, error) {
 			return LayerOverheadSweep(2, []float64{0, 10}, detIters)
 		}},
-		{"GranularitySweep", func() any {
+		{"GranularitySweep", func() (any, error) {
 			return GranularitySweep(2, []float64{50, 250}, 0.2, detIters)
 		}},
-		{"CollectiveComparison", func() any {
+		{"CollectiveComparison", func() (any, error) {
 			return CollectiveComparison(cluster.DefaultConfig, []int{2, 4}, 2, detIters)
 		}},
-		{"MPIBarrierComparison", func() any {
+		{"MPIBarrierComparison", func() (any, error) {
 			return MPIBarrierComparison(sizes, detIters)
 		}},
-		{"ReliabilitySweep", func() any {
+		{"ReliabilitySweep", func() (any, error) {
 			// A nontrivial base plan: loss rides on top of corruption,
 			// duplication, a link flap and a NIC stall. Every point's
 			// cluster derives its own per-link streams from the shared
@@ -112,16 +112,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			return ReliabilitySweep(4, []float64{0, 1, 2}, 2, detIters, base)
 		}},
-		{"FlapRecovery", func() any {
+		{"FlapRecovery", func() (any, error) {
 			return FlapRecovery(4, 2, sim.FromMicros(150), 99)
 		}},
-		{"TopoScaleSweep", func() any {
+		{"TopoScaleSweep", func() (any, error) {
 			return TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Single, topo.Star, topo.Clos2}, Sizes: []int{4, 8}, Radix: 6, Iters: detIters})
 		}},
-		{"CrossSwitchContention", func() any {
+		{"CrossSwitchContention", func() (any, error) {
 			return CrossSwitchContention(6, []int{1, 2}, 1024, detIters)
 		}},
-		{"MeasureBarrierObserved", func() any {
+		{"MeasureBarrierObserved", func() (any, error) {
 			// Recorders attached: the traced measurement must stay
 			// bit-identical under the worker pool too. Project the
 			// observation onto comparable values (the recorder itself
@@ -140,14 +140,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return runner.Map(0, specs, func(s Spec) row {
 				o := MeasureBarrierObserved(s)
 				return row{o.Result, o.Decomp, o.Metrics.Dump(false), o.Rec.Phases().Len()}
-			})
+			}), nil
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var serial, parallel any
-			withWorkers(t, 1, func() { serial = tc.run() })
-			withWorkers(t, 8, func() { parallel = tc.run() })
+			var serr, perr error
+			withWorkers(t, 1, func() { serial, serr = tc.run() })
+			withWorkers(t, 8, func() { parallel, perr = tc.run() })
+			if serr != nil || perr != nil {
+				t.Fatalf("serial: %v, parallel: %v", serr, perr)
+			}
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Fatalf("parallel output differs from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 			}

@@ -114,7 +114,7 @@ func measured(t *testing.T, spec Spec, observed bool) (Outcome, engineWork) {
 // arrive while it waits for something else — a host step's send completion,
 // a message from another peer — are retired without a resume
 // (gm.Port.ReceiveFor). The "+ 1" is rank 0, which settles its lead before it
-// publishes a timed iteration (Session.timed).
+// publishes a timed iteration (Session.measure).
 //
 // History. Before host charges became leads (sim.Proc.Advance) every charge
 // was a sleep of its own, a timer event and a park: a NIC barrier has four

@@ -8,8 +8,6 @@ import (
 	"fmt"
 
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
 	"gmsim/internal/sim"
@@ -44,8 +42,10 @@ func (l Level) String() string {
 	return "host"
 }
 
-// Op is the operation a Spec measures: the barrier, or one of the four
-// collectives of the paper's Section 8 (mcp.CollOp, in its order).
+// Op is the operation a Spec measures: the barrier, one of the four
+// collectives of the paper's Section 8 (mcp.CollOp, in its order), or one of
+// the host programs the extensions time — a ping-pong, MPI_Barrier, a BSP
+// compute-then-barrier loop, and concurrent one-way streams.
 type Op int
 
 const (
@@ -55,7 +55,26 @@ const (
 	Reduce
 	AllReduce
 	AllGather
+	// PingPong bounces a Bytes-byte message between the two ranks of a
+	// two-node cluster; the mean is the one-way latency, half the round
+	// trip (E6).
+	PingPong
+	// MPIBarrier is MPI_Barrier over the mpi layer, backed by the NIC-based
+	// PE barrier at NICLevel and by the layer's host algorithm at HostLevel
+	// (E8b).
+	MPIBarrier
+	// BSP computes for GrainMicros, plus a seeded per-rank jitter of up to
+	// Imbalance of the grain, then runs the Spec's barrier (E12).
+	BSP
+	// Streams runs one one-way stream per pair of Pairs, all at once: the
+	// first node sends Iters Bytes-byte messages to the second, which acks
+	// the last. The mean is a pair's window, first send to the ack, per
+	// message, averaged over pairs (E13 contention). Warmup is ignored.
+	Streams
 )
+
+// collective reports whether the Op is one of the four collectives.
+func (o Op) collective() bool { return o >= Broadcast && o <= AllGather }
 
 // coll names a collective Op as the firmware does.
 func (o Op) coll() mcp.CollOp { return mcp.CollOp(o - Broadcast) }
@@ -65,10 +84,12 @@ type Spec struct {
 	// Cluster is the testbed; Cluster.Nodes processes participate, one
 	// per node, all on port 2 (GM reserves low port numbers).
 	Cluster cluster.Config
-	Level   Level
-	Op      Op
+	// Level places the barrier, the collective, and the barrier under
+	// MPIBarrier and BSP, at the NIC or at the host.
+	Level Level
+	Op    Op
 	// Alg is the barrier's algorithm (ignored for a collective, which
-	// runs over the flat GB tree).
+	// runs over the flat GB tree, and for MPIBarrier, whose layer picks).
 	Alg mcp.BarrierAlg
 	// Dim is the GB or collective tree dimension (ignored for PE).
 	Dim int
@@ -81,6 +102,14 @@ type Spec struct {
 	// Elems is a collective's payload per rank in int64 elements (a
 	// broadcast's at the root only).
 	Elems int
+	// Bytes is a PingPong or Streams message's size.
+	Bytes int
+	// GrainMicros and Imbalance are BSP's compute grain and its jitter as
+	// a fraction of the grain.
+	GrainMicros, Imbalance float64
+	// Pairs are Streams' (sender, receiver) nodes; a node is in at most
+	// one pair, and nodes in none idle.
+	Pairs [][2]int
 	// Warmup operations run before timing starts; Iters are timed.
 	Warmup, Iters int
 }
@@ -112,22 +141,55 @@ type Result struct {
 	Start, End sim.Time
 }
 
-// MeasureBarrier runs the measurement described by spec (see Run).
+// MeasureBarrier is Run's Result, panicking on an error. It is one of the
+// row-only wrappers the benchmark binds; ROADMAP item 7 removes them.
 func MeasureBarrier(spec Spec) Result { return must(Run(spec, false)).Result }
 
-// MeasureBarrierObserved is MeasureBarrier with the full-stack trace
-// recorder attached around the timed iterations, so the span set covers
-// exactly the decomposed window. Simulated time is identical to
-// MeasureBarrier — the recorder is passive — which the overhead-guard test
-// pins bit-exactly.
+// MeasureBarrierObserved is Run observed, panicking on an error. It is one of
+// the row-only wrappers the benchmark binds; ROADMAP item 7 removes them.
 func MeasureBarrierObserved(spec Spec) Observed { return must(Run(spec, true)).Observed }
 
-// MeasureBarriers measures every spec, fanning the independent simulations
-// out over the runner pool. Results come back in input order and are
-// bit-identical to calling MeasureBarrier serially (each measurement owns
-// its Simulator; see internal/runner).
+// MeasureBarriers is RunAll's Results, panicking on an error. It is one of
+// the row-only wrappers the benchmark binds; ROADMAP item 7 removes them.
 func MeasureBarriers(specs []Spec) []Result {
-	return runner.Map(0, specs, MeasureBarrier)
+	outs := must(RunAll(specs))
+	rs := make([]Result, len(outs))
+	for i, o := range outs {
+		rs[i] = o.Result
+	}
+	return rs
+}
+
+// must unwraps the (value, error) of a harness call for the row-only
+// wrappers above.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// RunAll runs every spec, fanning the independent simulations out over the
+// runner pool. Outcomes come back in input order, bit-identical to calling
+// Run serially (each run owns its Simulator; see internal/runner); an error
+// is the first in input order.
+func RunAll(specs []Spec) ([]Outcome, error) {
+	type ran struct {
+		out Outcome
+		err error
+	}
+	rs := runner.Map(0, specs, func(s Spec) ran {
+		out, err := Run(s, false)
+		return ran{out, err}
+	})
+	outs := make([]Outcome, len(rs))
+	for i, r := range rs {
+		if r.err != nil {
+			return nil, r.err
+		}
+		outs[i] = r.out
+	}
+	return outs, nil
 }
 
 // dimSweep is base at every tree dimension from 1 to n-1: a GB barrier's
@@ -144,7 +206,7 @@ func dimSweep(base Spec) []Spec {
 // bestDim folds a dimension sweep's results (dims 1..len) to the first
 // dimension achieving the minimum latency — the same tie-break a serial
 // in-order sweep applies.
-func bestDim(results []Result) (int, float64) {
+func bestDim(results []Outcome) (int, float64) {
 	bestDim, bestLat := 1, 0.0
 	for i, r := range results {
 		if i == 0 || r.MeanMicros < bestLat {
@@ -160,19 +222,29 @@ func bestDim(results []Result) (int, float64) {
 // dimension from 1 to N-1 ... the latencies reported are the minimum over
 // all dimensions"), applied to the collectives too. The per-dimension
 // measurements run on the worker pool.
-func OptimalDim(base Spec) (int, float64) { return bestDim(MeasureBarriers(dimSweep(base))) }
+func OptimalDim(base Spec) (int, float64, error) {
+	results, err := RunAll(dimSweep(base))
+	if err != nil {
+		return 0, 0, err
+	}
+	dim, lat := bestDim(results)
+	return dim, lat, nil
+}
 
 // GBDimSweep returns the latency at every tree dimension (experiment E7),
 // with the topology-aware tree mapping switched on or off — on a
 // multi-switch config the mapped sweep shows how much of each dimension's
 // latency the flat heap layout was paying in trunk hops.
-func GBDimSweep(cfg cluster.Config, level Level, iters int, topoAware bool) []DimPoint {
-	results := MeasureBarriers(dimSweep(Spec{Cluster: cfg, Level: level, Alg: mcp.GB, TopoAware: topoAware, Iters: iters}))
+func GBDimSweep(cfg cluster.Config, level Level, iters int, topoAware bool) ([]DimPoint, error) {
+	results, err := RunAll(dimSweep(Spec{Cluster: cfg, Level: level, Alg: mcp.GB, TopoAware: topoAware, Iters: iters}))
+	if err != nil {
+		return nil, err
+	}
 	out := make([]DimPoint, 0, len(results))
 	for i, r := range results {
 		out = append(out, DimPoint{Dim: i + 1, Micros: r.MeanMicros})
 	}
-	return out
+	return out, nil
 }
 
 // DimPoint is one point of the GB dimension sweep.
@@ -196,7 +268,7 @@ type Figure5Row struct {
 // Figure5Latencies flattens the whole figure — every size's two PE
 // measurements plus both full GB dimension sweeps — into one job list for
 // the worker pool, then folds the in-order results back into rows.
-func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) []Figure5Row {
+func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) ([]Figure5Row, error) {
 	var specs []Spec
 	offsets := make([]int, len(sizes))
 	for i, n := range sizes {
@@ -208,8 +280,10 @@ func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) 
 		specs = append(specs, dimSweep(Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Iters: iters})...)
 		specs = append(specs, dimSweep(Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.GB, Iters: iters})...)
 	}
-	results := MeasureBarriers(specs)
-
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Figure5Row, 0, len(sizes))
 	for i, n := range sizes {
 		o := offsets[i]
@@ -223,7 +297,7 @@ func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) 
 		row.HostGBDim, row.HostGB = bestDim(results[o+2+dims : o+2+2*dims])
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // FactorRow is one row of Figure 5(b)/(d): factor of improvement
@@ -255,49 +329,25 @@ var (
 )
 
 // Figure5a returns the LANai 4.3 latency rows.
-func Figure5a(iters int) []Figure5Row {
+func Figure5a(iters int) ([]Figure5Row, error) {
 	return Figure5Latencies(cluster.DefaultConfig, LANai43Sizes, iters)
 }
 
 // Figure5b returns the LANai 4.3 factor rows.
-func Figure5b(iters int) []FactorRow { return Factors(Figure5a(iters)) }
+func Figure5b(iters int) ([]FactorRow, error) {
+	rows, err := Figure5a(iters)
+	return Factors(rows), err
+}
 
 // Figure5c returns the LANai 7.2 latency rows.
-func Figure5c(iters int) []Figure5Row {
+func Figure5c(iters int) ([]Figure5Row, error) {
 	return Figure5Latencies(cluster.LANai72Config, LANai72Sizes, iters)
 }
 
 // Figure5d returns the LANai 7.2 factor rows.
-func Figure5d(iters int) []FactorRow { return Factors(Figure5c(iters)) }
-
-// PingPong measures the host-level one-way small-message latency
-// (experiment E6, the Section 1 "as high as 30 µs" claim): the two
-// processes of a two-node cfg bounce a message back and forth; one-way
-// latency is half the round trip.
-func PingPong(cfg cluster.Config, bytes, iters int) float64 {
-	s := must(NewSession(cfg))
-	defer s.Close()
-	g := core.UniformGroup(2, 2)
-	payload := make([]byte, bytes)
-	w := must(s.timed(5, iters, nil, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
-		rank := p.Rank()
-		peer := g[1-rank]
-		return func(int) error {
-			if rank == 0 { // rank 0 serves, rank 1 returns
-				if err := comm.Send(p, peer, payload); err != nil {
-					return err
-				}
-			}
-			if _, err := comm.RecvFrom(p, peer); err != nil {
-				return err
-			}
-			if rank == 0 {
-				return nil
-			}
-			return comm.Send(p, peer, payload)
-		}, nil
-	}))
-	return w.meanMicros(iters) / 2
+func Figure5d(iters int) ([]FactorRow, error) {
+	rows, err := Figure5c(iters)
+	return Factors(rows), err
 }
 
 // LayerOverheadPoint is one point of experiment E8: factor of improvement
@@ -311,7 +361,7 @@ type LayerOverheadPoint struct {
 // LayerOverheadSweep reproduces the paper's Equation-3 prediction that the
 // factor of improvement grows as a messaging layer (e.g. MPI) adds
 // per-message host overhead.
-func LayerOverheadSweep(n int, overheadsMicros []float64, iters int) []LayerOverheadPoint {
+func LayerOverheadSweep(n int, overheadsMicros []float64, iters int) ([]LayerOverheadPoint, error) {
 	specs := make([]Spec, 0, 2*len(overheadsMicros))
 	for _, oh := range overheadsMicros {
 		cfg := cluster.DefaultConfig(n)
@@ -320,7 +370,10 @@ func LayerOverheadSweep(n int, overheadsMicros []float64, iters int) []LayerOver
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
 			Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: iters})
 	}
-	results := MeasureBarriers(specs)
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]LayerOverheadPoint, 0, len(overheadsMicros))
 	for i, oh := range overheadsMicros {
 		nic := results[2*i].MeanMicros
@@ -329,7 +382,7 @@ func LayerOverheadSweep(n int, overheadsMicros []float64, iters int) []LayerOver
 			OverheadMicros: oh, NICPE: nic, HostPE: hst, Factor: hst / nic,
 		})
 	}
-	return out
+	return out, nil
 }
 
 // PaperHeadlines collects the paper's published numbers for the
@@ -359,11 +412,14 @@ func Paper() PaperHeadlines {
 	}
 }
 
-// label names the operation: "PE", "GB(dim=4)", "allreduce(dim=2)".
+// label names the operation: "PE", "GB(dim=4)", "allreduce(dim=2)",
+// "streams".
 func (s Spec) label() string {
 	switch {
-	case s.Op != Barrier:
+	case s.Op.collective():
 		return fmt.Sprintf("%s(dim=%d)", s.Op.coll(), s.Dim)
+	case s.Op > AllGather:
+		return [...]string{"pingpong", "mpi-barrier", "bsp", "streams"}[s.Op-PingPong]
 	case s.Alg == mcp.GB:
 		return fmt.Sprintf("%s(dim=%d)", s.Alg, s.Dim)
 	}

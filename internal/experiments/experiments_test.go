@@ -32,8 +32,14 @@ func TestCalibrationHeadlines(t *testing.T) {
 		t.Skip("calibration sweep is slow; run without -short")
 	}
 	paper := Paper()
-	rows43 := Figure5a(iters)
-	rows72 := Figure5c(iters)
+	rows43, err := Figure5a(iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows72, err := Figure5c(iters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	find := func(rows []Figure5Row, n int) Figure5Row {
 		for _, r := range rows {
 			if r.Nodes == n {
@@ -59,7 +65,10 @@ func TestCalibrationHeadlines(t *testing.T) {
 // TestShapeCriteria asserts the qualitative relations the paper reports
 // (DESIGN.md "Shape criteria").
 func TestShapeCriteria(t *testing.T) {
-	rows := Figure5a(iters)
+	rows, err := Figure5a(iters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var prevPE float64
 	for _, r := range rows {
 		// (1) NIC-PE is the fastest variant at every size.
@@ -101,7 +110,10 @@ func TestFactorGrowsWithNICClock(t *testing.T) {
 }
 
 func TestLayerOverheadIncreasesFactor(t *testing.T) {
-	pts := LayerOverheadSweep(8, []float64{0, 10, 30}, iters)
+	pts, err := LayerOverheadSweep(8, []float64{0, 10, 30}, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -112,7 +124,10 @@ func TestLayerOverheadIncreasesFactor(t *testing.T) {
 }
 
 func TestGBDimSweepHasInteriorOptimum(t *testing.T) {
-	pts := GBDimSweep(cluster.DefaultConfig(16), NICLevel, iters, false)
+	pts, err := GBDimSweep(cluster.DefaultConfig(16), NICLevel, iters, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 15 {
 		t.Fatalf("sweep points = %d, want 15", len(pts))
 	}
@@ -157,26 +172,42 @@ func TestHostLevelHasNoNICCompletions(t *testing.T) {
 func TestPingPongLatencyRange(t *testing.T) {
 	// Section 1: host-based one-way latency "may be as high as 30 µs".
 	// Our calibration lands in the tens of microseconds.
-	lat := PingPong(cluster.DefaultConfig(2), 8, 50)
+	lat := pingPong(t, cluster.DefaultConfig(2))
 	if lat < 10 || lat > 60 {
 		t.Fatalf("one-way latency %.2f us out of the paper-era range", lat)
 	}
 	// Faster NIC lowers it.
-	lat72 := PingPong(cluster.LANai72Config(2), 8, 50)
+	lat72 := pingPong(t, cluster.LANai72Config(2))
 	if lat72 >= lat {
 		t.Fatalf("LANai 7.2 one-way (%.2f) not faster than 4.3 (%.2f)", lat72, lat)
 	}
-	// Pinned bit-exactly: the values of the dedicated loop PingPong ran on
-	// before it moved onto Session.timed.
+	// Pinned bit-exactly: the values of the dedicated loop the ping-pong
+	// ran on before it became an Op of Run.
 	if lat != 45.62 || lat72 != 30.256999999999998 {
 		t.Errorf("one-way latency %v (LANai 4.3) / %v (LANai 7.2), pinned 45.62 / 30.256999999999998", lat, lat72)
 	}
 }
 
+// pingPong is E6's one-way latency of 8-byte messages over 50 round trips.
+func pingPong(t *testing.T, cfg cluster.Config) float64 {
+	t.Helper()
+	out, err := Run(Spec{Cluster: cfg, Op: PingPong, Bytes: 8, Iters: 50}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.MeanMicros
+}
+
 func TestOptimalGBDimMatchesSweepMin(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	dim, lat := OptimalDim(Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Iters: iters})
-	pts := GBDimSweep(cfg, NICLevel, iters, false)
+	dim, lat, err := OptimalDim(Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.GB, Iters: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := GBDimSweep(cfg, NICLevel, iters, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	best := pts[0]
 	for _, p := range pts {
 		if p.Micros < best.Micros {
@@ -197,6 +228,11 @@ func TestSpecDescribe(t *testing.T) {
 	}{
 		{Spec{Alg: mcp.GB, Dim: 3}, "GB(dim=3)"},
 		{Spec{Alg: mcp.PE}, "PE"},
+		{Spec{Op: AllReduce, Dim: 2}, "allreduce(dim=2)"},
+		{Spec{Op: PingPong}, "pingpong"},
+		{Spec{Op: MPIBarrier}, "mpi-barrier"},
+		{Spec{Op: BSP, Alg: mcp.GB, Dim: 2}, "bsp"},
+		{Spec{Op: Streams}, "streams"},
 	} {
 		if got := c.s.label(); got != c.want {
 			t.Fatalf("label = %q, want %q", got, c.want)
@@ -216,7 +252,10 @@ func TestFactorsDerivation(t *testing.T) {
 }
 
 func TestScaleFactorMonotone(t *testing.T) {
-	rows := ScaleSweep([]int{8, 16, 32, 64}, 40)
+	rows, err := ScaleSweep([]int{8, 16, 32, 64}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := 0.0
 	for _, r := range rows {
 		if r.Factor <= prev {
@@ -227,7 +266,10 @@ func TestScaleFactorMonotone(t *testing.T) {
 }
 
 func TestMPIFactorExceedsRaw(t *testing.T) {
-	rows := MPIBarrierComparison([]int{8}, 40)
+	rows, err := MPIBarrierComparison([]int{8}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rows[0]
 	if r.Factor <= r.RawFactor {
 		t.Fatalf("MPI factor %.2f should exceed raw factor %.2f (Equation 3)",
@@ -236,7 +278,10 @@ func TestMPIFactorExceedsRaw(t *testing.T) {
 }
 
 func TestCollectiveFactorsSane(t *testing.T) {
-	rows := CollectiveComparison(cluster.DefaultConfig, []int{8}, 4, 30)
+	rows, err := CollectiveComparison(cluster.DefaultConfig, []int{8}, 4, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rows[0]
 	if r.FactorAllRed <= 1.0 {
 		t.Fatalf("NIC allreduce should beat host: %+v", r)
@@ -247,7 +292,10 @@ func TestCollectiveFactorsSane(t *testing.T) {
 }
 
 func TestGranularityNICSupportsFinerGrain(t *testing.T) {
-	pts := GranularitySweep(8, []float64{20, 100, 400}, 0, 30)
+	pts, err := GranularitySweep(8, []float64{20, 100, 400}, 0, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range pts {
 		if p.NICEff <= p.HostEff {
 			t.Fatalf("NIC efficiency (%.3f) not above host (%.3f) at grain %.0f",
@@ -269,8 +317,14 @@ func TestGranularityNICSupportsFinerGrain(t *testing.T) {
 }
 
 func TestGranularityImbalanceHurts(t *testing.T) {
-	balanced := GranularitySweep(8, []float64{100}, 0, 30)[0]
-	skewed := GranularitySweep(8, []float64{100}, 0.5, 30)[0]
+	var pts [2][]GranPoint
+	for i, imbalance := range []float64{0, 0.5} {
+		var err error
+		if pts[i], err = GranularitySweep(8, []float64{100}, imbalance, 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	balanced, skewed := pts[0][0], pts[1][0]
 	if skewed.NICIter <= balanced.NICIter {
 		t.Fatalf("imbalance should lengthen iterations: %.2f vs %.2f",
 			skewed.NICIter, balanced.NICIter)

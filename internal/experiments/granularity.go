@@ -1,14 +1,8 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/host"
 	"gmsim/internal/mcp"
-	"gmsim/internal/runner"
-	"gmsim/internal/sim"
 )
 
 // Experiment E12 (extension): the paper's opening claim quantified.
@@ -26,26 +20,29 @@ type GranPoint struct {
 	NICIter, HostIter float64 // mean iteration time, µs
 }
 
-// GranularitySweep runs the BSP loop at each compute grain, fanning the
-// independent NIC/host measurements out over the worker pool. imbalance
-// adds a deterministic per-rank-per-iteration jitter of up to the given
-// fraction of the grain (stragglers make barriers more expensive).
-func GranularitySweep(n int, grainsMicros []float64, imbalance float64, iters int) []GranPoint {
-	type bspJob struct {
-		grain float64
-		nic   bool
-	}
-	jobs := make([]bspJob, 0, 2*len(grainsMicros))
+// GranularitySweep runs the BSP loop (a PE barrier after each grain of
+// compute) at each grain, fanning the independent NIC/host measurements out
+// over the worker pool. imbalance adds a deterministic per-rank-per-iteration
+// jitter of up to the given fraction of the grain (stragglers make barriers
+// more expensive).
+func GranularitySweep(n int, grainsMicros []float64, imbalance float64, iters int) ([]GranPoint, error) {
+	specs := make([]Spec, 0, 2*len(grainsMicros))
 	for _, grain := range grainsMicros {
-		jobs = append(jobs, bspJob{grain, true}, bspJob{grain, false})
+		for _, level := range []Level{NICLevel, HostLevel} {
+			specs = append(specs, Spec{
+				Cluster: cluster.DefaultConfig(n), Level: level, Op: BSP, Alg: mcp.PE,
+				GrainMicros: grain, Imbalance: imbalance, Warmup: 3, Iters: iters,
+			})
+		}
 	}
-	iterTimes := runner.Map(0, jobs, func(j bspJob) float64 {
-		return measureBSP(n, j.grain, imbalance, j.nic, iters)
-	})
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]GranPoint, 0, len(grainsMicros))
 	for i, grain := range grainsMicros {
-		nicIter := iterTimes[2*i]
-		hostIter := iterTimes[2*i+1]
+		nicIter := results[2*i].MeanMicros
+		hostIter := results[2*i+1].MeanMicros
 		out = append(out, GranPoint{
 			GrainMicros: grain,
 			NICEff:      grain / nicIter,
@@ -54,7 +51,7 @@ func GranularitySweep(n int, grainsMicros []float64, imbalance float64, iters in
 			HostIter:    hostIter,
 		})
 	}
-	return out
+	return out, nil
 }
 
 // BreakEvenGrain returns the smallest swept grain whose efficiency is at
@@ -70,32 +67,4 @@ func BreakEvenGrain(points []GranPoint, nic bool, threshold float64) float64 {
 		}
 	}
 	return -1
-}
-
-// measureBSP returns the mean iteration time (µs) of compute+barrier.
-func measureBSP(n int, grainMicros, imbalance float64, nicBarrier bool, iters int) float64 {
-	const warmup = 3
-	s := must(NewSession(cluster.DefaultConfig(n)))
-	defer s.Close()
-	g := core.UniformGroup(n, 2)
-	// Deterministic jitter schedule shared by construction (seeded).
-	rng := rand.New(rand.NewSource(12345))
-	jitter := make([][]float64, n)
-	for r := range jitter {
-		jitter[r] = make([]float64, warmup+iters)
-		for i := range jitter[r] {
-			jitter[r][i] = rng.Float64() * imbalance * grainMicros
-		}
-	}
-	w := must(s.timed(warmup, iters, nil, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
-		rank := p.Rank()
-		return func(i int) error {
-			p.Compute(sim.FromMicros(grainMicros + jitter[rank][i]))
-			if nicBarrier {
-				return comm.Barrier(p, mcp.PE, g, rank, 0)
-			}
-			return comm.HostBarrierPE(p, g, rank)
-		}, nil
-	}))
-	return w.meanMicros(iters)
 }

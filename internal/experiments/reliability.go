@@ -65,7 +65,7 @@ func pointPlan(base *fault.Plan, lossPct float64) *fault.Plan {
 // and the host-based PE baseline. gbDim is the GB tree dimension; base is
 // an optional fault plan every point inherits (nil for pure loss). All
 // measurements fan out over the runner pool.
-func ReliabilitySweep(n int, lossPcts []float64, gbDim, iters int, base *fault.Plan) []ReliabilityPoint {
+func ReliabilitySweep(n int, lossPcts []float64, gbDim, iters int, base *fault.Plan) ([]ReliabilityPoint, error) {
 	if gbDim <= 0 {
 		gbDim = 2
 	}
@@ -84,8 +84,10 @@ func ReliabilitySweep(n int, lossPcts []float64, gbDim, iters int, base *fault.P
 				Spec{Cluster: reliabilityCfg(n, false, pl), Level: NICLevel, Alg: mcp.PE, Iters: iters})
 		}
 	}
-	results := MeasureBarriers(specs)
-
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ReliabilityPoint, 0, len(lossPcts))
 	for i, pct := range lossPcts {
 		o := offsets[i]
@@ -103,7 +105,7 @@ func ReliabilitySweep(n int, lossPcts []float64, gbDim, iters int, base *fault.P
 		}
 		out = append(out, pt)
 	}
-	return out
+	return out, nil
 }
 
 // FlapResult reports the FlapRecovery experiment: how much a mid-barrier
@@ -131,7 +133,7 @@ type FlapResult struct {
 // the middle of the first timed barrier and brought back after outage.
 // The flap window is aimed using a fault-free baseline run of the same
 // deterministic simulation, so the outage reliably intersects the barrier.
-func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) FlapResult {
+func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) (FlapResult, error) {
 	if gbDim <= 0 {
 		gbDim = 2
 	}
@@ -143,7 +145,10 @@ func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) FlapResult {
 		Warmup:  5,
 		Iters:   2,
 	}
-	baseline := MeasureBarrier(spec)
+	baseline, err := Run(spec, false)
+	if err != nil {
+		return FlapResult{}, err
+	}
 
 	// Aim the outage at the middle of the first timed barrier.
 	down := baseline.Start + (baseline.End-baseline.Start)/4
@@ -157,8 +162,10 @@ func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) FlapResult {
 	}
 	fspec := spec
 	fspec.Cluster = reliabilityCfg(n, true, plan)
-	faulted := MeasureBarrier(fspec)
-
+	faulted, err := Run(fspec, false)
+	if err != nil {
+		return FlapResult{}, err
+	}
 	return FlapResult{
 		Nodes:          n,
 		OutageMicros:   outage.Micros(),
@@ -166,5 +173,5 @@ func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) FlapResult {
 		FaultedMicros:  faulted.MeanMicros,
 		RecoveryMicros: faulted.MeanMicros - baseline.MeanMicros,
 		Retrans:        faulted.Retrans - baseline.Retrans,
-	}
+	}, nil
 }

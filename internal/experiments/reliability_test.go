@@ -26,7 +26,10 @@ func TestEmptyPlanMatchesFigure5Exactly(t *testing.T) {
 		t.Fatalf("empty plan perturbed the measurement:\nplain: %+v\nplan:  %+v", plain, withPlan)
 	}
 
-	pts := ReliabilitySweep(8, []float64{0}, 2, detIters, nil)
+	pts, err := ReliabilitySweep(8, []float64{0}, 2, detIters, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pts[0].UnrelPE != plain.MeanMicros {
 		t.Fatalf("sweep zero-loss UnrelPE %.4f != Figure-5 %.4f", pts[0].UnrelPE, plain.MeanMicros)
 	}
@@ -39,7 +42,10 @@ func TestEmptyPlanMatchesFigure5Exactly(t *testing.T) {
 // forces retransmissions; the zero-loss reliable barrier stays cheaper
 // than the lossy one.
 func TestReliabilitySweepLossCostsLatency(t *testing.T) {
-	pts := ReliabilitySweep(8, []float64{0, 2}, 2, detIters, nil)
+	pts, err := ReliabilitySweep(8, []float64{0, 2}, 2, detIters, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	z, l := pts[0], pts[1]
 	if l.RelPERetrans == 0 && l.RelGBRetrans == 0 {
 		t.Fatalf("2%% loss forced no barrier retransmissions: %+v", l)
@@ -97,14 +103,20 @@ func TestReliableGBSurvivesChaos(t *testing.T) {
 // TestFlapRecovery: the flap experiment reports a positive recovery cost
 // and at least one repair retransmission, deterministically.
 func TestFlapRecovery(t *testing.T) {
-	a := FlapRecovery(8, 2, sim.FromMicros(200), 7)
+	a, err := FlapRecovery(8, 2, sim.FromMicros(200), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.RecoveryMicros <= 0 {
 		t.Fatalf("flap cost nothing: %+v", a)
 	}
 	if a.Retrans == 0 {
 		t.Fatalf("flap repaired without retransmissions: %+v", a)
 	}
-	b := FlapRecovery(8, 2, sim.FromMicros(200), 7)
+	b, err := FlapRecovery(8, 2, sim.FromMicros(200), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatalf("FlapRecovery not deterministic:\n%+v\n%+v", a, b)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"gmsim/internal/cluster"
@@ -10,19 +11,19 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/mpi"
 	"gmsim/internal/network"
 	"gmsim/internal/sim"
 	"gmsim/internal/stats"
 	"gmsim/internal/trace"
 )
 
-// The one run path. Every measurement in this package — and every cmd/
-// tool that drives simulated processes — goes through the two tiers below:
-// a Session puts each rank behind an open GM port and a core.Comm and turns
-// whatever goes wrong into a returned error; timed runs the paper's
-// protocol ("we ran 100,000 barriers consecutively and took the average
-// latency") on top of it. Run is the single entry point for a barrier or a
-// collective.
+// The one run path. Every measurement in this package goes through the two
+// tiers below: a Session puts each rank behind an open GM port and a
+// core.Comm and turns whatever goes wrong into a returned error; measure
+// runs the paper's protocol ("we ran 100,000 barriers consecutively and took
+// the average latency") on top of it, for every Op. Run is the single entry
+// point, RunAll its batch over the worker pool.
 
 // RankBody is what one simulated process does once its port is open.
 type RankBody func(p *host.Process, comm *core.Comm) error
@@ -104,78 +105,6 @@ func (s *Session) Run() error {
 // stranded ranks), so a finished session holds no parked coroutines.
 func (s *Session) Close() { s.Cluster.Close() }
 
-// window is what a timed loop leaves behind: rank 0's clock around the
-// timed iterations, its slowest single iteration, and which ranks got
-// through every iteration (crashed ranks never do).
-type window struct {
-	t0, t1, maxIter sim.Time
-	finished        []bool
-}
-
-func (w *window) meanMicros(iters int) float64 {
-	return (w.t1 - w.t0).Micros() / float64(iters)
-}
-
-// timed is tier 2, the measurement protocol: every rank runs warmup then
-// iters calls of the per-rank function setup returns (its argument counts
-// from 0 across both phases), rank 0 stamps the timed window, and the
-// simulation drains. A non-nil rec records the timed window only.
-//
-// A rank's clock may lead the event loop (sim.Proc), and a crash kills a rank
-// at an instant of the loop's: what the window holds for the caller is
-// therefore written after Sync, when the two agree, or a rank would have
-// published a completion it did not live to see. That is one settle per
-// iteration at rank 0 and one per rank at the end.
-func (s *Session) timed(warmup, iters int, rec *trace.Recorder,
-	setup func(p *host.Process, comm *core.Comm) (one func(i int) error, err error)) (*window, error) {
-	if iters < 1 || warmup < 0 {
-		return nil, fmt.Errorf("experiments: iters = %d, warmup = %d: need iters >= 1 and warmup >= 0", iters, warmup)
-	}
-	w := &window{finished: make([]bool, s.Cluster.Nodes())}
-	if rec != nil {
-		rec.Disable() // warm-up is not recorded
-	}
-	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
-		one, err := setup(p, comm)
-		if err != nil {
-			return err
-		}
-		rank := p.Rank()
-		for i := 0; i < warmup; i++ {
-			if err := one(i); err != nil {
-				return err
-			}
-		}
-		if rank == 0 {
-			p.Proc().Sync()
-			w.t0 = p.Now()
-			if rec != nil {
-				rec.Enable()
-			}
-		}
-		for i := 0; i < iters; i++ {
-			before := p.Now()
-			if err := one(warmup + i); err != nil {
-				return err
-			}
-			if rank == 0 {
-				p.Proc().Sync()
-				w.maxIter = max(w.maxIter, p.Now()-before)
-			}
-		}
-		if rank == 0 {
-			w.t1 = p.Now()
-			if rec != nil {
-				rec.Disable()
-			}
-		}
-		p.Proc().Sync()
-		w.finished[rank] = true
-		return nil
-	})
-	return w, s.Run()
-}
-
 // Observed is a barrier measurement with full-stack observability attached:
 // the plain Result, plus the Section 2.2 decomposition of the timed window
 // at rank 0, the cluster's always-on metrics, and the recorder itself (for
@@ -200,9 +129,9 @@ type Outcome struct {
 	Summary ScenarioSummary
 }
 
-// Run is the single entry point: Warmup+Iters barriers or collectives of
-// the spec'd kind on every rank, timed at rank 0 (a collective: across
-// ranks, see measure). A degraded collective completion counts as
+// Run is the single entry point: Warmup+Iters operations of the spec's Op
+// on every rank, timed at rank 0 (a collective: across ranks; streams: per
+// pair; see measure). A degraded collective completion counts as
 // completed, its dead set recorded as a barrier's is. Failure detection
 // (spec.Cluster.DetectFailures) is a property of the cluster, not of the
 // harness: under a crash plan the injector kills the victim's process,
@@ -231,13 +160,24 @@ func Run(spec Spec, observe bool) (Outcome, error) {
 
 // measure is Run on a session already built: spec.Warmup+spec.Iters
 // operations on every rank, folded into an Outcome. A non-nil rec must be
-// attached to the session's cluster.
+// attached to the session's cluster and records the timed window only.
+//
+// Rank 0 stamps the timed window. A rank's clock may lead the event loop
+// (sim.Proc), and a crash kills a rank at an instant of the loop's: what a
+// rank publishes for the caller is therefore written after Sync, when the
+// two agree, or it would have published a completion it did not live to see.
+// That is one settle per iteration at rank 0 and one per rank at the end.
 func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
-	if spec.Op < Barrier || spec.Op > AllGather || spec.Elems < 0 {
-		return Outcome{}, fmt.Errorf("experiments: op %d with %d elements", spec.Op, spec.Elems)
-	}
 	cl := s.Cluster
 	n := cl.Nodes()
+	pairOf, err := spec.validate(n)
+	if err != nil {
+		return Outcome{}, err
+	}
+	warmup, iters := spec.Warmup, spec.Iters
+	if spec.Op == Streams {
+		warmup = 0
+	}
 	g := core.UniformGroup(n, 2)
 	// One leaf grouping per cell: every rank's Comm gets the same pointer.
 	var lm *core.LeafMap
@@ -251,16 +191,34 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 	// would time a one-way collective's producer, which completes without a
 	// handshake.
 	rounds := 0
-	if spec.Op != Barrier {
-		rounds = max(spec.Warmup+spec.Iters, 0) // timed rejects a negative count
+	if spec.Op.collective() {
+		rounds = warmup + iters
 	}
 	starts, ends := make([]sim.Time, rounds), make([]sim.Time, rounds)
 	payload := core.EncodeInt64s(make([]int64, spec.Elems))
-	w, err := s.timed(spec.Warmup, spec.Iters, rec, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
+	if spec.Op == PingPong || spec.Op == Streams {
+		payload = make([]byte, spec.Bytes)
+	}
+	// BSP's deterministic jitter schedule, shared by construction (seeded).
+	var jitter [][]float64
+	if spec.Op == BSP {
+		rng := rand.New(rand.NewSource(12345))
+		jitter = make([][]float64, n)
+		for r := range jitter {
+			jitter[r] = make([]float64, warmup+iters)
+			for i := range jitter[r] {
+				jitter[r][i] = rng.Float64() * spec.Imbalance * spec.GrainMicros
+			}
+		}
+	}
+	elapsed := make([]sim.Time, len(spec.Pairs)) // per stream pair
+
+	// setup opens one rank's program: the function its i-th operation runs.
+	setup := func(p *host.Process, comm *core.Comm) (func(i int) error, error) {
 		rank := p.Rank()
 		comm.SetLeafMap(lm)
 		switch {
-		case spec.Op != Barrier:
+		case spec.Op.collective():
 			return func(i int) error {
 				if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
 					return err
@@ -279,40 +237,131 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 				lastDead[rank] = dead
 				return nil
 			}, nil
-		case spec.Level == HostLevel:
-			return func(int) error { return comm.HostBarrier(p, spec.Alg, g, rank, spec.Dim) }, nil
-		}
-		return func(int) error {
-			pb, err := comm.StartBarrier(p, spec.Alg, g, rank, spec.Dim)
+		case spec.Op == PingPong:
+			peer := g[1-rank]
+			return func(int) error {
+				if rank == 0 { // rank 0 serves, rank 1 returns
+					if err := comm.Send(p, peer, payload); err != nil {
+						return err
+					}
+				}
+				if _, err := comm.RecvFrom(p, peer); err != nil || rank == 0 {
+					return err
+				}
+				return comm.Send(p, peer, payload)
+			}, nil
+		case spec.Op == MPIBarrier:
+			mcfg := mpi.DefaultConfig()
+			mcfg.UseNICBarrier = spec.Level == NICLevel
+			world, err := mpi.NewWorld(comm, g, rank, mcfg)
 			if err != nil {
+				return nil, err
+			}
+			return func(int) error { return world.Barrier(p) }, nil
+		case spec.Op == Streams:
+			return streamRank(p, comm, g, spec, pairOf[rank]-1, payload, elapsed), nil
+		}
+		var barrier func(int) error
+		if spec.Level == HostLevel {
+			barrier = func(int) error { return comm.HostBarrier(p, spec.Alg, g, rank, spec.Dim) }
+		} else {
+			barrier = func(int) error {
+				pb, err := comm.StartBarrier(p, spec.Alg, g, rank, spec.Dim)
+				if err != nil {
+					return err
+				}
+				pb.Wait(p)
+				if rank == 0 {
+					p.Proc().Sync() // lastDead[0] is reported even if rank 0 never finishes
+				}
+				lastDead[rank] = pb.Dead()
+				return nil
+			}
+		}
+		if spec.Op == Barrier {
+			return barrier, nil
+		}
+		return func(i int) error { // BSP: compute, then the barrier
+			p.Compute(sim.FromMicros(spec.GrainMicros + jitter[rank][i]))
+			return barrier(i)
+		}, nil
+	}
+
+	// Rank 0's clock around the timed iterations and its slowest single
+	// iteration, and which ranks got through every iteration (crashed ranks
+	// never do).
+	var w struct{ t0, t1, maxIter sim.Time }
+	finished := make([]bool, n)
+	if rec != nil {
+		rec.Disable() // warm-up is not recorded
+	}
+	s.SpawnAll(func(p *host.Process, comm *core.Comm) error {
+		one, err := setup(p, comm)
+		if err != nil {
+			return err
+		}
+		rank := p.Rank()
+		for i := 0; i < warmup; i++ {
+			if err := one(i); err != nil {
 				return err
 			}
-			pb.Wait(p)
-			if rank == 0 {
-				p.Proc().Sync() // lastDead[0] is reported even if rank 0 never finishes
+		}
+		if rank == 0 {
+			p.Proc().Sync()
+			w.t0 = p.Now()
+			if rec != nil {
+				rec.Enable()
 			}
-			lastDead[rank] = pb.Dead()
-			return nil
-		}, nil
+		}
+		for i := 0; i < iters; i++ {
+			before := p.Now()
+			if err := one(warmup + i); err != nil {
+				return err
+			}
+			if rank == 0 {
+				if spec.Op != Streams { // see streamRank
+					p.Proc().Sync()
+				}
+				w.maxIter = max(w.maxIter, p.Now()-before)
+			}
+		}
+		if rank == 0 {
+			w.t1 = p.Now()
+			if rec != nil {
+				rec.Disable()
+			}
+		}
+		p.Proc().Sync()
+		finished[rank] = true
+		return nil
 	})
-	if err != nil {
+	if err := s.Run(); err != nil {
 		return Outcome{}, err
 	}
 
 	sum := ScenarioSummary{
 		Nodes:         n,
 		Alg:           spec.label(),
-		MeanMicros:    w.meanMicros(spec.Iters),
+		MeanMicros:    (w.t1 - w.t0).Micros() / float64(iters),
 		MaxIterMicros: w.maxIter.Micros(),
 		DrainMicros:   cl.Sim().Now().Micros(),
 		Dead:          lastDead[0],
 	}
-	if spec.Op != Barrier {
+	switch {
+	case spec.Op.collective():
 		total := 0.0
-		for i := spec.Warmup; i < len(starts); i++ {
+		for i := warmup; i < len(starts); i++ {
 			total += (ends[i] - starts[i]).Micros()
 		}
-		sum.MeanMicros = total / float64(spec.Iters)
+		sum.MeanMicros = total / float64(iters)
+	case spec.Op == PingPong:
+		sum.MeanMicros /= 2 // one way: half the round trip
+	case spec.Op == Streams:
+		var total sim.Time
+		for _, e := range elapsed {
+			total += e
+		}
+		sum.MeanMicros = total.Micros() / float64(len(elapsed)) / float64(iters)
 	}
 	for i := 0; i < n; i++ {
 		st := cl.MCP(i).Stats()
@@ -323,7 +372,7 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 		sum.Skipped += st.BarrierPeersSkipped
 		sum.Promotions += st.BarrierRootPromotions
 		sum.Repairs += st.BarrierRepairs
-		if w.finished[i] {
+		if finished[i] {
 			sum.Finished++
 			if slices.Equal(lastDead[i], lastDead[0]) {
 				sum.Agree++
@@ -350,15 +399,79 @@ func (s *Session) measure(spec Spec, rec *trace.Recorder) (Outcome, error) {
 	return out, nil
 }
 
-// must unwraps the (value, error) of a harness call for the figure-level
-// functions whose row-only signatures have nowhere to put an error.
-func must[T any](v T, err error) T {
-	check(err)
-	return v
+// validate rejects a spec measure cannot run on n nodes. For Streams it also
+// returns each node's pair index plus one (0 for a node in none).
+func (spec Spec) validate(n int) ([]int, error) {
+	switch {
+	case spec.Op < Barrier || spec.Op > Streams || spec.Elems < 0:
+		return nil, fmt.Errorf("experiments: op %d with %d elements", spec.Op, spec.Elems)
+	case spec.Iters < 1 || spec.Warmup < 0:
+		return nil, fmt.Errorf("experiments: iters = %d, warmup = %d: need iters >= 1 and warmup >= 0", spec.Iters, spec.Warmup)
+	case spec.Bytes < 0:
+		return nil, fmt.Errorf("experiments: %d-byte messages", spec.Bytes)
+	case spec.GrainMicros < 0 || spec.Imbalance < 0:
+		return nil, fmt.Errorf("experiments: grain %vus, imbalance %v: need both >= 0", spec.GrainMicros, spec.Imbalance)
+	case spec.Op == PingPong && n != 2:
+		return nil, fmt.Errorf("experiments: ping-pong on %d nodes, need 2", n)
+	case spec.Op != Streams:
+		return nil, nil
+	case len(spec.Pairs) == 0:
+		return nil, fmt.Errorf("experiments: streams with no pairs")
+	}
+	pairOf := make([]int, n)
+	for pi, pr := range spec.Pairs {
+		for _, node := range pr {
+			switch {
+			case node < 0 || node >= n:
+				return nil, fmt.Errorf("experiments: stream pair %d names node %d of %d", pi, node, n)
+			case pairOf[node] != 0:
+				return nil, fmt.Errorf("experiments: node %d is in stream pairs %d and %d", node, pairOf[node]-1, pi)
+			}
+			pairOf[node] = pi + 1
+		}
+	}
+	return pairOf, nil
 }
 
-func check(err error) {
-	if err != nil {
-		panic(err)
+// streamRank is one rank's Streams program: pair pi's sender sends one
+// message per operation and, after the last, waits for the receiver's ack
+// and publishes the pair's window from its first send; the receiver takes
+// one message per operation and acks the last. A node in no pair idles.
+//
+// Rank 0 does not settle after each operation of a stream: a sender's sends
+// lead the event loop back to back, as the protocol always had. Settling
+// each one reorders same-instant arrivals at a shared trunk and moves the
+// cross-switch cells (59.80 to 59.62 µs per message at two pairs and 20
+// messages), so its slowest-iteration figure is a lead, not a settled span.
+func streamRank(p *host.Process, comm *core.Comm, g core.Group, spec Spec, pi int, payload []byte, elapsed []sim.Time) func(int) error {
+	if pi < 0 {
+		return func(int) error { return nil }
+	}
+	last := spec.Iters - 1
+	pr := spec.Pairs[pi]
+	if p.Rank() == pr[1] {
+		peer := g[pr[0]]
+		return func(i int) error {
+			if _, err := comm.RecvFrom(p, peer); err != nil || i < last {
+				return err
+			}
+			return comm.Send(p, peer, []byte{0xAC})
+		}
+	}
+	peer := g[pr[1]]
+	var t0 sim.Time
+	return func(i int) error {
+		if i == 0 {
+			t0 = p.Now()
+		}
+		if err := comm.Send(p, peer, payload); err != nil || i < last {
+			return err
+		}
+		if _, err := comm.RecvFrom(p, peer); err != nil { // the receiver's ack
+			return err
+		}
+		p.Proc().Sync() // publish only what this rank lived to see
+		elapsed[pi] = p.Now() - t0
+		return nil
 	}
 }

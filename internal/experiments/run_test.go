@@ -11,6 +11,7 @@ import (
 	"gmsim/internal/core"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 	"gmsim/internal/sim"
 	"gmsim/internal/topo"
 )
@@ -87,6 +88,51 @@ func TestRunOnePath(t *testing.T) {
 	}
 }
 
+// TestHostProgramOpsObservedMatchPlain: the four host-program Ops run
+// observed exactly as plain — the same timed window and mean, bit for bit —
+// and the observed run's decomposition partitions that window. Before they
+// were Ops of Run these programs could not be observed at all.
+func TestHostProgramOpsObservedMatchPlain(t *testing.T) {
+	star := cluster.DefaultConfig(8)
+	star.Switch = network.DefaultSwitchParams(6)
+	star.Topology = &topo.Spec{Kind: topo.Star, Radix: 6, LeafNodes: 4}
+	cells := []struct {
+		name string
+		spec Spec
+	}{
+		{"pingpong", Spec{Cluster: cluster.DefaultConfig(2), Op: PingPong, Bytes: 64, Iters: 20}},
+		{"mpi-nic", Spec{Cluster: cluster.DefaultConfig(8), Op: MPIBarrier, Iters: 10}},
+		{"mpi-host", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Op: MPIBarrier, Iters: 10}},
+		{"bsp-nic", Spec{Cluster: cluster.DefaultConfig(8), Op: BSP, GrainMicros: 50, Imbalance: 0.2, Warmup: 3, Iters: 10}},
+		{"bsp-host-gb", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Op: BSP, Alg: mcp.GB, Dim: 2, GrainMicros: 50, Imbalance: 0.2, Iters: 10}},
+		{"streams-cross", Spec{Cluster: star, Op: Streams, Pairs: [][2]int{{0, 4}, {1, 5}}, Bytes: 1024, Iters: 10}},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := Run(c.spec, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs, err := Run(c.spec, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if obs.Start != plain.Start || obs.End != plain.End || obs.MeanMicros != plain.MeanMicros {
+				t.Errorf("observed window [%d,%d) mean %v, plain [%d,%d) mean %v",
+					obs.Start, obs.End, obs.MeanMicros, plain.Start, plain.End, plain.MeanMicros)
+			}
+			if plain.MeanMicros <= 0 || plain.End <= plain.Start {
+				t.Errorf("empty measurement: %+v", plain.Summary)
+			}
+			d := obs.Decomp
+			if d.Start != plain.Start || d.End != plain.End || d.CriticalSum() != d.Elapsed() || obs.Rec.Phases().Len() == 0 {
+				t.Errorf("decomposition covers [%d,%d) summing to %v of %v over %d spans",
+					d.Start, d.End, d.CriticalSum(), d.Elapsed(), obs.Rec.Phases().Len())
+			}
+		})
+	}
+}
+
 // goroutinesSettle reports whether the goroutine count comes back down to
 // base; exiting goroutines need a moment after the run returns.
 func goroutinesSettle(base int) bool {
@@ -118,7 +164,16 @@ func TestRunReturnsErrors(t *testing.T) {
 		{"host broadcast dim 0", Spec{Cluster: cluster.DefaultConfig(8), Level: HostLevel, Op: Broadcast, Elems: 1, Iters: 3}, "dimension 0 out of range"},
 		{"collective negative iters", Spec{Cluster: cluster.DefaultConfig(8), Op: Reduce, Dim: 2, Iters: -1}, "iters = -1"},
 		{"negative elems", Spec{Cluster: cluster.DefaultConfig(8), Op: Reduce, Dim: 2, Elems: -1, Iters: 3}, "-1 elements"},
-		{"unknown op", Spec{Cluster: cluster.DefaultConfig(8), Op: AllGather + 1, Dim: 2, Iters: 3}, "op 5"},
+		{"unknown op", Spec{Cluster: cluster.DefaultConfig(8), Op: Streams + 1, Dim: 2, Iters: 3}, "op 9"},
+		{"pair endpoint >= nodes", Spec{Cluster: cluster.DefaultConfig(4), Op: Streams, Pairs: [][2]int{{0, 1}, {2, 4}}, Iters: 3}, "names node 4 of 4"},
+		{"node in two pairs", Spec{Cluster: cluster.DefaultConfig(4), Op: Streams, Pairs: [][2]int{{0, 1}, {2, 1}}, Iters: 3}, "node 1 is in stream pairs 0 and 1"},
+		{"streams without pairs", Spec{Cluster: cluster.DefaultConfig(4), Op: Streams, Iters: 3}, "no pairs"},
+		{"negative bytes", Spec{Cluster: cluster.DefaultConfig(2), Op: PingPong, Bytes: -1, Iters: 3}, "-1-byte"},
+		{"negative stream bytes", Spec{Cluster: cluster.DefaultConfig(4), Op: Streams, Pairs: [][2]int{{0, 1}}, Bytes: -8, Iters: 3}, "-8-byte"},
+		{"negative grain", Spec{Cluster: cluster.DefaultConfig(4), Op: BSP, GrainMicros: -1, Iters: 3}, "grain -1us"},
+		{"negative imbalance", Spec{Cluster: cluster.DefaultConfig(4), Op: BSP, GrainMicros: 10, Imbalance: -0.5, Iters: 3}, "imbalance -0.5"},
+		{"ping-pong on 4 nodes", Spec{Cluster: cluster.DefaultConfig(4), Op: PingPong, Iters: 3}, "ping-pong on 4 nodes"},
+		{"mpi barrier negative iters", Spec{Cluster: cluster.DefaultConfig(4), Op: MPIBarrier, Iters: -2}, "iters = -2"},
 	}
 	base := runtime.NumGoroutine()
 	for _, c := range cases {

@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/host"
 	"gmsim/internal/mcp"
-	"gmsim/internal/mpi"
-	"gmsim/internal/runner"
 	"gmsim/internal/topo"
 )
 
@@ -23,7 +19,7 @@ type ScaleRow struct {
 // all 2·len(sizes) whole-cluster simulations out over the worker pool.
 // Sizes beyond the largest single switch the era offered (16 ports) split
 // the nodes across two switches.
-func ScaleSweep(sizes []int, iters int) []ScaleRow {
+func ScaleSweep(sizes []int, iters int) ([]ScaleRow, error) {
 	specs := make([]Spec, 0, 2*len(sizes))
 	for _, n := range sizes {
 		cfg := cluster.DefaultConfig(n)
@@ -34,14 +30,17 @@ func ScaleSweep(sizes []int, iters int) []ScaleRow {
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
 			Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: iters})
 	}
-	results := MeasureBarriers(specs)
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]ScaleRow, 0, len(sizes))
 	for i, n := range sizes {
 		nic := results[2*i].MeanMicros
 		hst := results[2*i+1].MeanMicros
 		rows = append(rows, ScaleRow{Nodes: n, NICPE: nic, HostPE: hst, Factor: hst / nic})
 	}
-	return rows
+	return rows, nil
 }
 
 // Experiment E8b (extension): the Equation-3 prediction realized with a
@@ -57,45 +56,28 @@ type MPIRow struct {
 // MPIBarrierComparison measures MPI_Barrier latency with each backend and
 // the raw-GM factor for reference. The four measurements per size are
 // independent simulations, so they all go to the worker pool as one batch.
-func MPIBarrierComparison(sizes []int, iters int) []MPIRow {
-	jobs := make([]func() float64, 0, 4*len(sizes))
+func MPIBarrierComparison(sizes []int, iters int) ([]MPIRow, error) {
+	specs := make([]Spec, 0, 4*len(sizes))
 	for _, n := range sizes {
-		n := n
-		cfgC := cluster.DefaultConfig(n)
-		jobs = append(jobs,
-			func() float64 { return measureMPIBarrier(cfgC, n, true, iters) },
-			func() float64 { return measureMPIBarrier(cfgC, n, false, iters) },
-			func() float64 {
-				return MeasureBarrier(Spec{Cluster: cfgC, Level: NICLevel, Alg: mcp.PE, Iters: iters}).MeanMicros
-			},
-			func() float64 {
-				return MeasureBarrier(Spec{Cluster: cfgC, Level: HostLevel, Alg: mcp.PE, Iters: iters}).MeanMicros
-			})
+		cfg := cluster.DefaultConfig(n)
+		specs = append(specs,
+			Spec{Cluster: cfg, Level: NICLevel, Op: MPIBarrier, Iters: iters},
+			Spec{Cluster: cfg, Level: HostLevel, Op: MPIBarrier, Iters: iters},
+			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
+			Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: iters})
 	}
-	lats := runner.Collect(0, jobs)
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]MPIRow, 0, len(sizes))
 	for i, n := range sizes {
-		nicLat, hostLat, rawNIC, rawHost := lats[4*i], lats[4*i+1], lats[4*i+2], lats[4*i+3]
+		nicLat, hostLat := results[4*i].MeanMicros, results[4*i+1].MeanMicros
+		rawNIC, rawHost := results[4*i+2].MeanMicros, results[4*i+3].MeanMicros
 		rows = append(rows, MPIRow{
 			Nodes: n, NICBacked: nicLat, HostBack: hostLat,
 			Factor: hostLat / nicLat, RawFactor: rawHost / rawNIC,
 		})
 	}
-	return rows
-}
-
-func measureMPIBarrier(cfg cluster.Config, n int, nicBarrier bool, iters int) float64 {
-	mcfg := mpi.DefaultConfig()
-	mcfg.UseNICBarrier = nicBarrier
-	s := must(NewSession(cfg))
-	defer s.Close()
-	g := core.UniformGroup(n, 2)
-	w := must(s.timed(5, iters, nil, func(p *host.Process, comm *core.Comm) (func(int) error, error) {
-		world, err := mpi.NewWorld(comm, g, p.Rank(), mcfg)
-		if err != nil {
-			return nil, err
-		}
-		return func(int) error { return world.Barrier(p) }, nil
-	}))
-	return w.meanMicros(iters)
+	return rows, nil
 }

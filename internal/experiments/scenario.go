@@ -8,7 +8,6 @@ import (
 	"gmsim/internal/fault"
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
-	"gmsim/internal/runner"
 	"gmsim/internal/sim"
 	"gmsim/internal/topo"
 )
@@ -93,23 +92,38 @@ func (s ScenarioSummary) String() string {
 // RunScenario executes one cell through Run (warm-up and iteration counts
 // default to 2 and 8) and names the summary. The run is bit-deterministic:
 // the same Scenario always returns the same summary.
-func RunScenario(s Scenario) ScenarioSummary {
-	if s.Warmup == 0 {
-		s.Warmup = 2
+func RunScenario(s Scenario) (ScenarioSummary, error) {
+	sums, err := RunScenarios([]Scenario{s})
+	if err != nil {
+		return ScenarioSummary{}, err
 	}
-	if s.Iters == 0 {
-		s.Iters = 8
-	}
-	sum := must(Run(s.Spec, false)).Summary
-	sum.Name = s.Name
-	return sum
+	return sums[0], nil
 }
 
-// RunScenarios runs every scenario, fanning the independent simulations out
-// over the runner pool; results come back in input order, bit-identical to
-// serial execution.
-func RunScenarios(list []Scenario) []ScenarioSummary {
-	return runner.Map(0, list, RunScenario)
+// RunScenarios runs every scenario as one RunAll batch: summaries in input
+// order, bit-identical to serial execution, or the first error in input
+// order.
+func RunScenarios(list []Scenario) ([]ScenarioSummary, error) {
+	specs := make([]Spec, len(list))
+	for i, s := range list {
+		specs[i] = s.Spec
+		if specs[i].Warmup == 0 {
+			specs[i].Warmup = 2
+		}
+		if specs[i].Iters == 0 {
+			specs[i].Iters = 8
+		}
+	}
+	outs, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	sums := make([]ScenarioSummary, len(outs))
+	for i, o := range outs {
+		sums[i] = o.Summary
+		sums[i].Name = list[i].Name
+	}
+	return sums, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +272,7 @@ type DetectionPoint struct {
 // DetectionLatencySweep measures crash-detection latency across retry
 // budgets and base timeouts: a GB barrier on n nodes with one node crashed
 // mid-run, re-measured for every (MaxRetries, RetransTimeout) combination.
-func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) []DetectionPoint {
+func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) ([]DetectionPoint, error) {
 	mk := func(maxRetries int, rtoMicros float64, plan *fault.Plan) cluster.Config {
 		cfg := detectCfg(n, plan)
 		cfg.Firmware.MaxRetries = maxRetries
@@ -266,7 +280,11 @@ func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) []De
 		cfg.Firmware.RetransBackoffMax = sim.FromMicros(8 * rtoMicros)
 		return cfg
 	}
-	var list []Scenario
+	// The fault-free baseline leads the batch.
+	list := []Scenario{{
+		Name: "detect-baseline",
+		Spec: Spec{Cluster: mk(retries[0], rtosMicros[0], nil), Alg: mcp.GB, Dim: dim},
+	}}
 	for _, mr := range retries {
 		for _, rto := range rtosMicros {
 			list = append(list, Scenario{
@@ -278,13 +296,13 @@ func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) []De
 			})
 		}
 	}
-	baseline := RunScenario(Scenario{
-		Name: "detect-baseline",
-		Spec: Spec{Cluster: mk(retries[0], rtosMicros[0], nil), Alg: mcp.GB, Dim: dim},
-	})
-	sums := RunScenarios(list)
-	out := make([]DetectionPoint, 0, len(sums))
-	i := 0
+	sums, err := RunScenarios(list)
+	if err != nil {
+		return nil, err
+	}
+	baseline := sums[0]
+	out := make([]DetectionPoint, 0, len(sums)-1)
+	i := 1
 	for _, mr := range retries {
 		for _, rto := range rtosMicros {
 			s := sums[i]
@@ -298,5 +316,5 @@ func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) []De
 			})
 		}
 	}
-	return out
+	return out, nil
 }

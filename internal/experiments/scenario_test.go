@@ -22,7 +22,11 @@ var updateScenarios = flag.Bool("update-scenarios", false,
 //	go test ./internal/experiments -run TestScenarioFleetGolden -update-scenarios
 func TestScenarioFleetGolden(t *testing.T) {
 	fleet := ScenarioFleet()
-	for i, sum := range RunScenarios(fleet) {
+	sums, err := RunScenarios(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sum := range sums {
 		checkGolden(t, filepath.Join("scenarios", fleet[i].Name+".golden"), sum.String())
 	}
 }
@@ -78,7 +82,10 @@ func TestZeroFaultScenariosMatchFigure5(t *testing.T) {
 		if !ok {
 			t.Fatalf("fleet has no scenario %q", c.scen)
 		}
-		sum := RunScenario(s)
+		sum, err := RunScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ref := MeasureBarrier(c.spec)
 		if sum.MeanMicros != ref.MeanMicros { // bit-exact on purpose
 			t.Errorf("%s: scenario mean %.6fµs != Figure 5 measurement %.6fµs",
@@ -102,8 +109,14 @@ func TestGBBarrierSurvivesNodeCrash(t *testing.T) {
 		Warmup:  2,
 		Iters:   6,
 	}}
-	a := RunScenario(scen)
-	b := RunScenario(scen)
+	a, err := RunScenario(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunScenario(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.String() != b.String() {
 		t.Fatalf("rerun diverged:\n--- first\n%s--- second\n%s", a, b)
 	}
@@ -140,8 +153,14 @@ func TestScenarioSummariesDeterministic(t *testing.T) {
 		byName[s.Name] = s
 	}
 	for _, name := range []string{"gb16-crash-interior", "gb16-chaos-s1", "pe32-clos2-crash17"} {
-		a := RunScenario(byName[name])
-		b := RunScenario(byName[name])
+		a, err := RunScenario(byName[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunScenario(byName[name])
+		if err != nil {
+			t.Fatal(err)
+		}
 		if a.String() != b.String() {
 			t.Errorf("%s rerun diverged:\n--- first\n%s--- second\n%s", name, a, b)
 		}

@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
 	"gmsim/internal/network"
-	"gmsim/internal/runner"
-	"gmsim/internal/sim"
 	"gmsim/internal/topo"
 )
 
@@ -104,7 +100,7 @@ type TopoSweep struct {
 // 1024 can be paired with clos2 (128 nodes at radix 16) without error
 // handling at the call site; callers that want to report the gaps can
 // compare rows against kinds x sizes.
-func TopoScaleSweep(o TopoSweep) []TopoScaleRow {
+func TopoScaleSweep(o TopoSweep) ([]TopoScaleRow, error) {
 	type rowPlan struct {
 		kind               topo.Kind
 		n                  int
@@ -149,8 +145,10 @@ func TopoScaleSweep(o TopoSweep) []TopoScaleRow {
 			}
 		}
 	}
-	results := MeasureBarriers(specs)
-
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]TopoScaleRow, 0, len(plans))
 	for _, pl := range plans {
 		off, nd := pl.offset, len(pl.dims)
@@ -168,7 +166,7 @@ func TopoScaleSweep(o TopoSweep) []TopoScaleRow {
 		row.FactorGB = row.HostGB / row.NICGB
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // ContentionRow is one row of the cross-switch contention experiment:
@@ -187,86 +185,41 @@ type ContentionRow struct {
 }
 
 // CrossSwitchContention builds a two-leaf star (leaf–root–leaf) and runs p
-// concurrent one-way streams — each sender posts iters back-to-back
-// messages of the given size, each receiver acknowledges the last — with
-// the pairs placed either inside one leaf crossbar (intra) or across the
-// two leaves (cross), for each pair count. Each (placement, p) combination
-// is an independent simulation fanned out on the worker pool.
-func CrossSwitchContention(radix int, pairCounts []int, bytes, iters int) []ContentionRow {
+// concurrent one-way streams (see Streams) of iters messages of the given
+// size, with the pairs placed either inside one leaf crossbar (intra) or
+// across the two leaves (cross), for each pair count. Each (placement, p)
+// combination is an independent simulation fanned out on the worker pool.
+func CrossSwitchContention(radix int, pairCounts []int, bytes, iters int) ([]ContentionRow, error) {
 	pmax := 0
 	for _, p := range pairCounts {
-		if p > pmax {
-			pmax = p
-		}
+		pmax = max(pmax, p)
 	}
 	// Leaf capacity: 2·pmax nodes on leaf 0 for the intra runs, pmax on
 	// each leaf for the cross runs.
 	leafNodes := 2 * pmax
-	n := 2 * leafNodes
-	jobs := make([]func() float64, 0, 2*len(pairCounts))
+	cfg := cluster.DefaultConfig(2 * leafNodes)
+	cfg.Switch = network.DefaultSwitchParams(radix)
+	cfg.Topology = &topo.Spec{Kind: topo.Star, Radix: radix, LeafNodes: leafNodes}
+	specs := make([]Spec, 0, 2*len(pairCounts))
 	for _, p := range pairCounts {
-		p := p
-		cfg := cluster.DefaultConfig(n)
-		cfg.Switch = network.DefaultSwitchParams(radix)
-		cfg.Topology = &topo.Spec{Kind: topo.Star, Radix: radix, LeafNodes: leafNodes}
 		intra := make([][2]int, p)
 		cross := make([][2]int, p)
 		for i := 0; i < p; i++ {
 			intra[i] = [2]int{2 * i, 2*i + 1}   // both on leaf 0
 			cross[i] = [2]int{i, leafNodes + i} // leaf 0 <-> leaf 1
 		}
-		jobs = append(jobs,
-			func() float64 { return measureConcurrentStreams(cfg, intra, bytes, iters) },
-			func() float64 { return measureConcurrentStreams(cfg, cross, bytes, iters) })
+		specs = append(specs,
+			Spec{Cluster: cfg, Op: Streams, Pairs: intra, Bytes: bytes, Iters: iters},
+			Spec{Cluster: cfg, Op: Streams, Pairs: cross, Bytes: bytes, Iters: iters})
 	}
-	lats := runner.Collect(0, jobs)
+	results, err := RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]ContentionRow, 0, len(pairCounts))
 	for i, p := range pairCounts {
-		in, cr := lats[2*i], lats[2*i+1]
+		in, cr := results[2*i].MeanMicros, results[2*i+1].MeanMicros
 		rows = append(rows, ContentionRow{Pairs: p, IntraMicros: in, CrossMicros: cr, Slowdown: cr / in})
 	}
-	return rows
-}
-
-// measureConcurrentStreams runs one one-way stream per pair, all
-// concurrently, and returns the mean per-message time over pairs in
-// microseconds. The first element of each pair streams iters messages to
-// the second, which sends a single ack after consuming them all; a pair's
-// elapsed time runs from its first send to the ack's arrival, so it
-// includes any queuing the streams impose on each other.
-func measureConcurrentStreams(cfg cluster.Config, pairs [][2]int, bytes, iters int) float64 {
-	s := must(NewSession(cfg))
-	defer s.Close()
-	payload := make([]byte, bytes)
-	elapsed := make([]sim.Time, len(pairs))
-	for pi, pr := range pairs {
-		pi := pi
-		epA := mcp.Endpoint{Node: network.NodeID(pr[0]), Port: 2}
-		epB := mcp.Endpoint{Node: network.NodeID(pr[1]), Port: 2}
-		s.Spawn(pr[0], 8, func(p *host.Process, comm *core.Comm) error {
-			t0 := p.Now()
-			for i := 0; i < iters; i++ {
-				if err := comm.Send(p, epB, payload); err != nil {
-					return err
-				}
-			}
-			_, err := comm.RecvFrom(p, epB) // receiver's ack
-			elapsed[pi] = p.Now() - t0
-			return err
-		})
-		s.Spawn(pr[1], 64, func(p *host.Process, comm *core.Comm) error {
-			for i := 0; i < iters; i++ {
-				if _, err := comm.RecvFrom(p, epA); err != nil {
-					return err
-				}
-			}
-			return comm.Send(p, epA, []byte{0xAC})
-		})
-	}
-	check(s.Run())
-	var total sim.Time
-	for _, e := range elapsed {
-		total += e
-	}
-	return total.Micros() / float64(len(pairs)) / float64(iters)
+	return rows, nil
 }

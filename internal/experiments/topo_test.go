@@ -14,8 +14,15 @@ import (
 // crossbar, so the paper's numbers must not move.
 func TestTopoSingleMatchesFigure5(t *testing.T) {
 	const iters = 20
-	fig := Figure5Latencies(cluster.DefaultConfig, []int{16}, iters)[0]
-	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Single}, Sizes: []int{16}, Radix: 16, Iters: iters})
+	figs, err := Figure5Latencies(cluster.DefaultConfig, []int{16}, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := figs[0]
+	rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Single}, Sizes: []int{16}, Radix: 16, Iters: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -33,7 +40,10 @@ func TestTopoSingleMatchesFigure5(t *testing.T) {
 // TestTopoScaleRowsSane: small multi-switch sweeps produce positive
 // latencies, host slower than NIC, and the expected fabric shapes.
 func TestTopoScaleRowsSane(t *testing.T) {
-	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Star, topo.Clos2}, Sizes: []int{8, 16}, Radix: 6, Iters: 10})
+	rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Star, topo.Clos2}, Sizes: []int{8, 16}, Radix: 6, Iters: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -59,7 +69,11 @@ func TestTopoScale1024Smoke(t *testing.T) {
 		t.Skip("1024-node fabric simulation is slow; skipped in -short")
 	}
 	run := func() []TopoScaleRow {
-		return TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{1024}, Radix: 16, Iters: 3, Dims: []int{8}})
+		rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{1024}, Radix: 16, Iters: 3, Dims: []int{8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
 	var serial, parallel []TopoScaleRow
 	withWorkers(t, 1, func() { serial = run() })
@@ -86,7 +100,10 @@ func TestTopoScale1024Smoke(t *testing.T) {
 // leaf-root trunks slow down as more pairs are added, while same-crossbar
 // pairs are unaffected by their own count.
 func TestContentionGrowsWithCrossTraffic(t *testing.T) {
-	rows := CrossSwitchContention(6, []int{1, 4}, 2048, 10)
+	rows, err := CrossSwitchContention(6, []int{1, 4}, 2048, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -20,7 +20,10 @@ func TestTunedGBDimConformance(t *testing.T) {
 	c := model.GBCosts43()
 	for _, n := range []int{4, 8, 16} {
 		cfg := cluster.DefaultConfig(n)
-		pts := GBDimSweep(cfg, NICLevel, iters, false)
+		pts, err := GBDimSweep(cfg, NICLevel, iters, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		measDim, measLat := 1, 0.0
 		for i, pt := range pts {
 			if i == 0 || pt.Micros < measLat {
@@ -48,7 +51,10 @@ func TestTunedGBDimConformance72(t *testing.T) {
 	const n, iters = 8, obsIters
 	cfg := cluster.LANai72Config(n)
 	c := model.GBCostsAt(cfg.NIC.ClockMHz)
-	pts := GBDimSweep(cfg, NICLevel, iters, false)
+	pts, err := GBDimSweep(cfg, NICLevel, iters, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	measDim, measLat := 1, 0.0
 	for i, pt := range pts {
 		if i == 0 || pt.Micros < measLat {
@@ -68,7 +74,11 @@ func TestTunedGBDimConformance72(t *testing.T) {
 // workers, and the tuner itself is a pure function of (n, costs).
 func TestTunedSweepDeterminism(t *testing.T) {
 	run := func() []TopoScaleRow {
-		return TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Star, topo.Clos2, topo.Clos3}, Sizes: []int{16, 64}, Radix: 8, Iters: 10, Tuned: true})
+		rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Star, topo.Clos2, topo.Clos3}, Sizes: []int{16, 64}, Radix: 8, Iters: 10, Tuned: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
 	var serial, parallel []TopoScaleRow
 	withWorkers(t, 1, func() { serial = run() })
@@ -99,7 +109,10 @@ func TestTopoScale8192Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8192-node fabric simulation is slow; skipped in -short")
 	}
-	rows := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{8192}, Radix: 32, Iters: 3, Tuned: true})
+	rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{8192}, Radix: 32, Iters: 3, Tuned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}

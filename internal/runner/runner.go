@@ -89,9 +89,3 @@ func Map[T, R any](workers int, items []T, fn func(T) R) []R {
 	}
 	return out
 }
-
-// Collect runs every thunk on the pool and returns their results in input
-// order. It is Map for heterogeneous jobs already closed over their inputs.
-func Collect[R any](workers int, fns []func() R) []R {
-	return Map(workers, fns, func(f func() R) R { return f() })
-}

@@ -85,15 +85,3 @@ func TestSetDefaultClampsToOne(t *testing.T) {
 		t.Fatalf("SetDefault(5) = %d, Default() = %d", got, Default())
 	}
 }
-
-func TestCollect(t *testing.T) {
-	fns := []func() string{
-		func() string { return "a" },
-		func() string { return "b" },
-		func() string { return "c" },
-	}
-	got := Collect(2, fns)
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("Collect = %v", got)
-	}
-}

@@ -879,7 +879,10 @@ func (s *Server) scenarioFleet() (entry Entry, cached bool, code int, err error)
 	if draining {
 		return Entry{}, false, http.StatusServiceUnavailable, fmt.Errorf("server is draining")
 	}
-	sums := experiments.RunScenarios(experiments.ScenarioFleet())
+	sums, err := experiments.RunScenarios(experiments.ScenarioFleet())
+	if err != nil {
+		return Entry{}, false, http.StatusInternalServerError, err
+	}
 	cells := make([]ScenarioCell, 0, len(sums))
 	for _, sum := range sums {
 		cells = append(cells, ScenarioCell{Name: sum.Name, Summary: sum.String()})
