@@ -84,6 +84,8 @@ check barrierbench_dumptopo barrierbench -dumptopo - -topo clos2 -nodes 32 -radi
 check barrierbench_mpibar barrierbench -fig mpibar -iters 20
 check barrierbench_grain barrierbench -fig grain -iters 20
 check barrierbench_contend barrierbench -fig contend -iters 20
+check barrierbench_topo barrierbench -fig topo -sizes 16,32,64 -iters 5
+check barrierbench_scale barrierbench -fig scale -iters 5
 
 check reject_rel_dim barrierbench -fig rel -nodes 8 -dim 40
 check reject_flap_dim barrierbench -fig flap -dim 40
