@@ -10,19 +10,28 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# go vet, gofmt, and two structural rules: internal/experiments has one run
-# loop, so only run.go builds a session or spawns a rank (a measurement is a
-# Spec for Run, its program an Op); and a command under cmd/ builds its runs
-# from a service.Spec (Canonicalize, then Experiment or Config), never by
-# picking a NIC model, a fail-stop testbed or a topology kind itself.
+# The simulation packages: everything one simulated cluster runs on.
+SIM_PKGS = sim network lanai mcp gm host core mpi cluster topo fault phase model mem experiments
+
+# go vet, gofmt, and three structural rules: internal/experiments has one
+# run loop, so only run.go builds a session or spawns a rank (a measurement
+# is a Spec for Run, its program an Op); a command under cmd/ builds its
+# runs from a service.Spec (Canonicalize, then Experiment or Config) and its
+# fabrics from experiments.TopoConfig, never by picking a NIC model, a
+# fail-stop testbed or a topology kind itself, or by writing a topo.Spec;
+# and no simulation package imports sync or sync/atomic: the runner pool
+# runs many simulations at once, so they share no mutable state to lock.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	@if grep -l -e 'NewSession(' -e '\.Spawn(' -e '\.SpawnAll(' $$(ls internal/experiments/*.go | grep -v -e '_test\.go$$' -e '/run\.go$$'); then \
 		echo "the files above build a session or spawn ranks: internal/experiments runs ranks in run.go only"; exit 1; fi
-	@if grep -rl --include='*.go' -e 'cluster\.LANai72Config' -e 'experiments\.FailStopTestbed' -e 'topo\.ParseKind' cmd; then \
-		echo "the files above build runs by hand: a command's runs go through service.Spec"; exit 1; fi
+	@if grep -rl --include='*.go' -e 'cluster\.LANai72Config' -e 'experiments\.FailStopTestbed' -e 'topo\.ParseKind' -e 'topo\.Spec{' cmd; then \
+		echo "the files above build runs or fabrics by hand: a command's runs go through service.Spec, its fabrics through experiments.TopoConfig"; exit 1; fi
+	@shared="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(addprefix ./internal/,$(SIM_PKGS)) | grep -E ' sync(/atomic)?( |$$)' || true)"; \
+	if [ -n "$$shared" ]; then echo "$$shared"; \
+		echo "the packages above import sync: simulations share no state between runs"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -315,7 +315,7 @@ func BenchmarkAblationTwoLevelSwitch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := cluster.DefaultConfig(16)
 			if twoLevel {
-				cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+				cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 			}
 			reportBarrier(b, experiments.Spec{Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.PE})
 		})

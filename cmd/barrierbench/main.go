@@ -104,6 +104,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -topo: %v\n", err)
 		os.Exit(2)
 	}
+	if spec.Radix == 0 {
+		// What the topology builder reads 0 as; the titles say so.
+		spec.Radix = topo.DefaultRadix
+	}
+	if spec.Nodes < 2 && (*metrics || *fig == "rel" || *fig == "flap") {
+		// The barrier needs a peer; -fig crash says the same through the
+		// spec's Canonicalize.
+		fmt.Fprintf(os.Stderr, "spec: need at least 2 nodes, have %d\n", spec.Nodes)
+		os.Exit(2)
+	}
 	if *metrics {
 		exitOn(printMetrics(spec.Nodes, spec.Dim, *iters))
 		return
@@ -318,10 +328,10 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// writeDOT builds the requested fabric and writes its Graphviz DOT form.
+// writeDOT builds the requested fabric, as -fig topo does, and writes its
+// Graphviz DOT form.
 func writeDOT(path string, kind topo.Kind, nodes, radix int) error {
-	spec := topo.Spec{Kind: kind, Nodes: nodes, Radix: radix, AllowExpand: kind == topo.Single}
-	t, err := topo.Build(spec)
+	t, err := experiments.TopoConfig(kind, nodes, radix).Plan()
 	if err != nil {
 		return err
 	}
@@ -362,8 +372,7 @@ func printTopoScale(kinds []topo.Kind, sizes []int, radix, iters int, tuned bool
 	for _, k := range kinds {
 		for _, n := range sizes {
 			if n >= 2 && !have[[2]int{int(k), n}] {
-				spec := topo.Spec{Kind: k, Nodes: n, Radix: radix, AllowExpand: k == topo.Single}
-				_, err := topo.Build(spec)
+				_, err := experiments.TopoConfig(k, n, radix).Plan()
 				fmt.Printf("skipped %s at %d nodes: %v\n", k, n, err)
 			}
 		}

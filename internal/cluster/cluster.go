@@ -92,12 +92,12 @@ type Cluster struct {
 }
 
 // topoSpec resolves the configuration's topology declaration: an explicit
-// Spec is completed with the node count; a nil Topology maps onto the
-// single crossbar with the historical auto-expansion, so legacy configs
-// build bit-identical fabrics.
+// Spec is completed with the node count and, when it leaves the radix
+// zero, Switch.Ports; a nil Topology is the single crossbar of Switch.Ports
+// ports, grown to the node count.
 func (cfg Config) topoSpec() (topo.Spec, error) {
 	if cfg.Topology == nil {
-		return topo.Spec{Kind: topo.Single, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports, AllowExpand: true}, nil
+		return topo.Spec{Kind: topo.Single, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports}, nil
 	}
 	spec := *cfg.Topology
 	if spec.Nodes == 0 {
@@ -119,13 +119,14 @@ func (cfg Config) topoSpec() (topo.Spec, error) {
 // between Config and its topology spec. New refuses (with this error) to
 // build invalid configurations instead of colliding on port indices.
 func (cfg Config) Validate() error {
-	_, err := cfg.topology()
+	_, err := cfg.Plan()
 	return err
 }
 
-// topology is the one step Validate and Build share: check the
-// configuration and build its topology.
-func (cfg Config) topology() (*topo.Topology, error) {
+// Plan checks the configuration and builds its wiring plan: the one step
+// Validate and Build share, and the way a caller without a cluster gets
+// the fabric a configuration describes. Each call builds a new plan.
+func (cfg Config) Plan() (*topo.Topology, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, have %d", cfg.Nodes)
 	}
@@ -158,7 +159,7 @@ func New(cfg Config) *Cluster {
 // Build builds a cluster from the configuration, or reports why the
 // configuration cannot build (see Validate).
 func Build(cfg Config) (*Cluster, error) {
-	top, err := cfg.topology()
+	top, err := cfg.Plan()
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,7 @@ func TestSwitchAutoSized(t *testing.T) {
 
 func TestTwoLevelTopologyRoutes(t *testing.T) {
 	cfg := DefaultConfig(8)
-	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 	cl := New(cfg)
 	// Same-side route: 1 hop; cross-side: 2 hops.
 	r, err := cl.Topology().Route(0, 1)
@@ -152,7 +152,7 @@ func TestFabricRoutesMatchTopology(t *testing.T) {
 		{"single16", DefaultConfig(16)},
 		{"twolevel32", func() Config {
 			c := DefaultConfig(32)
-			c.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+			c.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 			return c
 		}()},
 		{"clos2", func() Config {

@@ -246,7 +246,7 @@ func TestFuzzyBarrierOverlapsComputation(t *testing.T) {
 
 func TestTwoLevelTopologyBarrier(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 	enter, exit := runBarriers(t, cfg, true, mcp.PE, 0, 3, nil)
 	checkBarrierSemantics(t, enter, exit)
 }

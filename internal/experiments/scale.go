@@ -24,7 +24,7 @@ func ScaleSweep(sizes []int, iters int) ([]ScaleRow, error) {
 	for _, n := range sizes {
 		cfg := cluster.DefaultConfig(n)
 		if n > 16 {
-			cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+			cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 		}
 		specs = append(specs,
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},

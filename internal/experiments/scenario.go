@@ -212,7 +212,7 @@ func ScenarioFleet() []Scenario {
 	}}
 	twoSwitch := func(plan *fault.Plan) cluster.Config {
 		cfg := detectCfg(16, plan)
-		cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+		cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 		return cfg
 	}
 	clos2 := func(plan *fault.Plan) cluster.Config {

@@ -15,13 +15,13 @@ import (
 // predicted to grow with scale (Section 7); these sweeps measure it.
 
 // TopoConfig returns the LANai 4.3 testbed on n nodes wired as the given
-// topology kind from radix-port switches. Single keeps the historical
-// auto-expansion (one crossbar grown to the node count — the idealized
-// baseline); the multi-switch kinds are strict.
+// topology kind from radix-port switches (radix 0: topo.DefaultRadix).
+// Single grows its one crossbar to the node count — the idealized
+// baseline; the multi-switch kinds are strict.
 func TopoConfig(kind topo.Kind, n, radix int) cluster.Config {
 	cfg := cluster.DefaultConfig(n)
 	cfg.Switch = network.DefaultSwitchParams(radix)
-	cfg.Topology = &topo.Spec{Kind: kind, Radix: radix, AllowExpand: kind == topo.Single}
+	cfg.Topology = &topo.Spec{Kind: kind, Radix: radix}
 	return cfg
 }
 
@@ -115,13 +115,12 @@ func TopoScaleSweep(o TopoSweep) ([]TopoScaleRow, error) {
 			if n < 2 {
 				continue
 			}
-			spec := topo.Spec{Kind: kind, Nodes: n, Radix: o.Radix, AllowExpand: kind == topo.Single}
-			t, err := topo.Build(spec)
+			cfg := TopoConfig(kind, n, o.Radix)
+			t, err := cfg.Plan()
 			if err != nil {
 				continue // infeasible at this size; skip the row
 			}
 			st := t.ComputeStats()
-			cfg := TopoConfig(kind, n, o.Radix)
 			ds := o.Dims
 			switch {
 			case o.Tuned:

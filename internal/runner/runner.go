@@ -2,7 +2,9 @@
 // bounded worker pool.
 //
 // Every experiment in the harness is a set of self-contained deterministic
-// simulations — each measurement builds its own Simulator, so measurements
+// simulations — each measurement builds its own cluster (simulator, fabric
+// and wiring plan), and no simulation package keeps mutable state between
+// simulations (make vet checks that none imports sync), so measurements
 // share no state and can run on any worker in any order. The pool exploits
 // that: up to Default() (or an explicit worker count) goroutines pull jobs
 // from the input slice and write results back by index, so the returned

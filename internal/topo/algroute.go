@@ -1,7 +1,5 @@
 package topo
 
-import "sync"
-
 // Algebraic source routing.
 //
 // Every kind wires its switches from closed-form address arithmetic, so the
@@ -26,9 +24,8 @@ import "sync"
 //   - Single: node i sits on port i of the one crossbar: [dst].
 //   - TwoSwitch: the first half = (n+1)/2 nodes sit on crossbar 0 at port i,
 //     the rest on crossbar 1 at port i-half. Same side [dstPort]; across,
-//     the source crossbar's trunk port first: [trunk, dstPort]. Paths are
-//     unique. The two trunk ports differ on expanded crossbars, so they are
-//     read from the built plan, not re-derived.
+//     the trunk port (radix-1 on both crossbars) first: [trunk, dstPort].
+//     Paths are unique.
 //   - Star: node i sits on leaf i/per, port i%per. Same-leaf routes are the
 //     single byte [dstPort]. Cross-leaf routes climb the leaf's only uplink
 //     (port radix-1), cross the root (whose port l faces leaf l), and exit
@@ -45,107 +42,92 @@ import "sync"
 //     same-pod [h, dstEdge, dstPort], cross-pod [h, h, dstPod, dstEdge,
 //     dstPort].
 //
-// Routes at scale are memoized per ordered pair rather than per source
-// row: a barrier at 8192 nodes touches O(n·dim) pairs, while materializing
-// full rows would commit O(n²) slices (~1.6 GB) for routes nothing sends.
+// A route thus depends only on its destination and on the pair's locality
+// class: same leaf (edge), same pod, or across. newAlgRouter lays out one
+// row per destination holding that destination's route for each class the
+// kind has — 1, 3, 4 and 9 bytes for single, twoswitch, star/clos2 and
+// clos3 — and route hands out a sub-slice of the row. Each class's route
+// is stored whole, not as a suffix of a longer one, so a rule that picks
+// uplinks by destination (d-mod-k) changes only the row fill. At 8192
+// nodes the table is 72 KB, against the O(n²) routes a per-pair table
+// would hold.
 
-// algRouter computes a built topology's source routes from address
-// arithmetic.
+// algRouter serves a built topology's source routes from its route table.
 type algRouter struct {
-	kind Kind
-	n    int
-
-	// Every kind but Clos3: nodes per leaf switch — node i sits on leaf
-	// i/per at port i%per. Single is the one-leaf case (per = n); TwoSwitch
-	// has two leaves of half = (n+1)/2.
-	per int
-	// Star and Clos2: the uplink route byte (star: radix-1, the single root
-	// uplink; clos2: radix/2, the port facing spine 0).
-	uplink byte
-	// TwoSwitch: each crossbar's trunk port.
-	trunk [2]byte
-
-	// Clos3: half-radix and nodes per pod (h and h²).
-	h, perPod int
-
-	// memo caches computed routes per ordered (src, dst) pair, keyed
-	// src*n+dst. Guarded by a RWMutex: in the steady state every transmit
-	// is a read hit, and a Topology is shared across the worker pool's
-	// concurrent simulations (see the Build plan cache).
-	mu   sync.RWMutex
-	memo map[int64][]byte
+	// per is the nodes per leaf switch (clos3: per edge switch) — node i
+	// sits on leaf i/per at port i%per — and pod the nodes per pod (clos3:
+	// h², every other kind: n, one pod). Single is the one-leaf case
+	// (per = n); TwoSwitch has two leaves of (n+1)/2.
+	per, pod int
+	// Class c's route is bytes cut[c] to cut[c+1] of a row; the classes
+	// are same leaf, same pod and across, one the kind lacks is empty, and
+	// cut[3] is the row length.
+	cut [4]int
+	// table is the n rows, destination after destination.
+	table []byte
 }
 
 // emptyRoute is the shared self-route.
 var emptyRoute = []byte{}
 
-// newAlgRouter returns the router for a built topology.
-func newAlgRouter(t *Topology) *algRouter {
-	sp := t.Spec
-	a := &algRouter{kind: sp.Kind, n: sp.Nodes, memo: make(map[int64][]byte)}
+// newAlgRouter returns the router for a spec Build has validated, its
+// radix made explicit.
+func newAlgRouter(sp Spec) *algRouter {
+	n, r := sp.Nodes, sp.Radix
+	a := &algRouter{per: n, pod: n}
 	switch sp.Kind {
 	case Single:
-		a.per = sp.Nodes
+		a.cut = [4]int{0, 1, 1, 1}
 	case TwoSwitch:
-		a.per = (sp.Nodes + 1) / 2
-		a.trunk = [2]byte{byte(t.Trunks[0].APort), byte(t.Trunks[0].BPort)}
-	case Star:
-		a.per, a.uplink = sp.perLeaf(), byte(sp.Radix-1)
-	case Clos2:
-		a.per, a.uplink = sp.perLeaf(), byte(sp.Radix/2)
+		a.per, a.cut = (n+1)/2, [4]int{0, 1, 3, 3}
+	case Star, Clos2:
+		a.per, a.cut = sp.perLeaf(), [4]int{0, 1, 4, 4}
 	case Clos3:
-		a.h = sp.Radix / 2
-		a.perPod = a.h * a.h
+		a.per, a.pod, a.cut = r/2, r/2*(r/2), [4]int{0, 1, 4, 9}
+	}
+	a.table = make([]byte, 0, n*a.cut[3])
+	for d := 0; d < n; d++ {
+		port, leaf := byte(d%a.per), byte(d/a.per)
+		switch sp.Kind {
+		case Single:
+			a.table = append(a.table, port)
+		case TwoSwitch:
+			a.table = append(a.table, port, byte(r-1), port)
+		case Star:
+			a.table = append(a.table, port, byte(r-1), leaf, port)
+		case Clos2:
+			a.table = append(a.table, port, byte(r/2), leaf, port)
+		case Clos3:
+			h, edge := byte(a.per), byte(d%a.pod/a.per)
+			a.table = append(a.table, port, h, edge, port, h, h, byte(d/a.pod), edge, port)
+		}
 	}
 	return a
 }
 
-// compute derives the route without touching the memo. src and dst are
-// in-range (the caller validated them).
-func (a *algRouter) compute(src, dst int) []byte {
-	if src == dst {
-		return emptyRoute
-	}
-	if a.kind == Clos3 {
-		h := a.h
-		sp, dp := src/a.perPod, dst/a.perPod
-		se, de := (src%a.perPod)/h, (dst%a.perPod)/h
-		port := byte(dst % h)
-		switch {
-		case sp == dp && se == de:
-			return []byte{port}
-		case sp == dp:
-			return []byte{byte(h), byte(de), port}
-		default:
-			return []byte{byte(h), byte(h), byte(dp), byte(de), port}
-		}
-	}
-	sl, dl := src/a.per, dst/a.per
-	port := byte(dst % a.per)
+// class returns the locality class of a distinct pair: 0 on one leaf, 1
+// in one pod, 2 across pods.
+func (a *algRouter) class(src, dst int) int {
 	switch {
-	case sl == dl:
-		return []byte{port}
-	case a.kind == TwoSwitch:
-		return []byte{a.trunk[sl], port}
-	default: // Star, Clos2
-		return []byte{a.uplink, byte(dl), port}
+	case src/a.per == dst/a.per:
+		return 0
+	case src/a.pod == dst/a.pod:
+		return 1
+	default:
+		return 2
 	}
 }
 
-// route returns the memoized route for the ordered pair.
+// route returns the route for the ordered pair, a sub-slice of the table
+// whose capacity ends with it. src and dst are in range (the caller
+// validated them).
 func (a *algRouter) route(src, dst int) []byte {
-	key := int64(src)*int64(a.n) + int64(dst)
-	a.mu.RLock()
-	r, ok := a.memo[key]
-	a.mu.RUnlock()
-	if ok {
-		return r
+	if src == dst {
+		return emptyRoute
 	}
-	r = a.compute(src, dst)
-	a.mu.Lock()
-	a.memo[key] = r
-	a.mu.Unlock()
-	return r
+	c, row := a.class(src, dst), dst*a.cut[3]
+	i, j := row+a.cut[c], row+a.cut[c+1]
+	return a.table[i:j:j]
 }
 
 // stats fills the routing geometry of st (Diameter, AvgHops,
@@ -153,7 +135,7 @@ func (a *algRouter) route(src, dst int) []byte {
 // class instead of walking an O(n²) route table — at 8192 nodes the table
 // is 67M routes, the class counts are a handful of integer sums.
 func (a *algRouter) stats(st *Stats) {
-	n := a.n
+	n := st.Nodes
 	if n < 2 {
 		return
 	}
@@ -161,28 +143,19 @@ func (a *algRouter) stats(st *Stats) {
 	// samePairs sums ordered same-group pairs for n nodes packed
 	// contiguously into groups of size per (the last group partial).
 	samePairs := func(per int) int64 {
-		if per <= 0 {
-			return 0
-		}
 		full := n / per
 		rem := n % per
 		return int64(full)*int64(per)*int64(per-1) + int64(rem)*int64(rem-1)
 	}
-	var hist []int64
-	switch a.kind {
-	case Single, TwoSwitch:
-		same := samePairs(a.per)
-		hist = []int64{0, same, total - same}
-	case Star, Clos2:
-		same := samePairs(a.per)
-		hist = []int64{0, same, 0, total - same}
-	case Clos3:
-		sameEdge := samePairs(a.h)
-		samePod := samePairs(a.perPod) - sameEdge
-		hist = []int64{0, sameEdge, 0, samePod, 0, total - sameEdge - samePod}
+	sameLeaf, samePod := samePairs(a.per), samePairs(a.pod)
+	pairs := [3]int64{sameLeaf, samePod - sameLeaf, total - samePod}
+	var byLen [6]int64 // the longest route is clos3's 5 bytes
+	for c, p := range pairs {
+		byLen[a.cut[c+1]-a.cut[c]] += p // a class the kind lacks adds 0
 	}
-	// Trim trailing empty classes so the histogram length and diameter
+	// Trim trailing empty lengths so the histogram length and diameter
 	// match what a walk over the route table produces.
+	hist := byLen[:]
 	for len(hist) > 1 && hist[len(hist)-1] == 0 {
 		hist = hist[:len(hist)-1]
 	}

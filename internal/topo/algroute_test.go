@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -16,8 +17,8 @@ import (
 var updateRoutes = flag.Bool("update", false,
 	"rewrite the golden route files under testdata")
 
-// randomAlgSpec draws a spec of any kind: radix ∈ {4, 8, 16}; crossbars
-// strict (radix above n) or expanded (radix below n); LeafNodes sometimes
+// randomAlgSpec draws a spec of any kind: radix ∈ {4, 8, 16}; a single
+// crossbar's radix above or below n (it grows to fit); LeafNodes sometimes
 // capped; size anywhere from one node — odd or even — to capacity (clamped
 // to keep the BFS oracle fast).
 func randomAlgSpec(r *rand.Rand) Spec {
@@ -25,8 +26,6 @@ func randomAlgSpec(r *rand.Rand) Spec {
 	radices := []int{4, 8, 16}
 	sp := Spec{Kind: kinds[r.Intn(len(kinds))], Radix: radices[r.Intn(len(radices))]}
 	switch {
-	case sp.Kind == Single || sp.Kind == TwoSwitch:
-		sp.AllowExpand = r.Intn(2) == 1
 	case sp.Kind == Star && r.Intn(2) == 1:
 		sp.LeafNodes = 1 + r.Intn(sp.Radix-1)
 	case sp.Kind == Clos2 && r.Intn(2) == 1:
@@ -78,40 +77,73 @@ func TestAlgRouteEquivalence(t *testing.T) {
 
 // TestAlgRouteEdges pins the crossbar kinds' edges against the oracle: the
 // smallest sizes (one side of a twoswitch empty, then one node each), the
-// capacity limits where a port byte reaches 255, expanded crossbars whose
-// two trunk ports differ (odd n), and every strict size.
+// capacity limits where a port byte reaches 255, and every size a radix-4
+// and a radix-16 twoswitch holds.
 func TestAlgRouteEdges(t *testing.T) {
 	var specs []Spec
 	for _, k := range []Kind{Single, TwoSwitch} {
-		for _, expand := range []bool{false, true} {
-			for n := 1; n <= 3; n++ {
-				specs = append(specs, Spec{Kind: k, Nodes: n, Radix: 16, AllowExpand: expand})
-			}
+		for n := 1; n <= 3; n++ {
+			specs = append(specs, Spec{Kind: k, Nodes: n, Radix: 16})
 		}
 	}
 	specs = append(specs,
-		Spec{Kind: Single, Nodes: 256, Radix: 16, AllowExpand: true},
-		Spec{Kind: TwoSwitch, Nodes: 509, Radix: 16, AllowExpand: true},
-		Spec{Kind: TwoSwitch, Nodes: 510, Radix: 16, AllowExpand: true},
+		Spec{Kind: Single, Nodes: 256, Radix: 16},
+		Spec{Kind: TwoSwitch, Nodes: 509, Radix: 256},
+		Spec{Kind: TwoSwitch, Nodes: 510, Radix: 256},
 	)
-	for n := 1; n <= 16; n++ {
-		specs = append(specs, Spec{Kind: TwoSwitch, Nodes: n, Radix: 4, AllowExpand: true})
+	for n := 1; n <= 6; n++ {
+		specs = append(specs, Spec{Kind: TwoSwitch, Nodes: n, Radix: 4})
 	}
 	for n := 4; n <= 30; n++ {
 		specs = append(specs, Spec{Kind: TwoSwitch, Nodes: n, Radix: 16})
 	}
-	differ := 0
 	for _, sp := range specs {
-		tp := mustBuild(t, sp)
-		if err := matchesOracle(tp); err != nil {
+		if err := matchesOracle(mustBuild(t, sp)); err != nil {
 			t.Error(err)
 		}
-		if sp.Kind == TwoSwitch && tp.Trunks[0].APort != tp.Trunks[0].BPort {
-			differ++
+	}
+}
+
+// TestRoutesAreTableViews: routes are views of the plan's one route table.
+// On a clos3-256 plan a RouteTable allocates only its n + 1 row slices,
+// each Build returns a new plan, Route allocates nothing even on a fresh
+// plan, and every route's capacity ends with it, so a caller's append
+// cannot overwrite the bytes of the neighbouring class route.
+func TestRoutesAreTableViews(t *testing.T) {
+	sp := Spec{Kind: Clos3, Nodes: 256, Radix: 16}
+	tp := mustBuild(t, sp)
+	n := tp.Nodes()
+	var tbl [][][]byte
+	if got := testing.AllocsPerRun(5, func() { tbl, _ = tp.RouteTable() }); got != float64(n+1) {
+		t.Errorf("RouteTable allocates %v objects, want %d", got, n+1)
+	}
+	fresh := mustBuild(t, sp)
+	if fresh == tp {
+		t.Fatal("a second Build returned the first plan")
+	}
+	pairs := [][2]int{{0, 1}, {0, 9}, {0, 255}, {200, 3}, {7, 7}}
+	if got := testing.AllocsPerRun(5, func() {
+		for _, p := range pairs {
+			fresh.Route(p[0], p[1])
+		}
+	}); got != 0 {
+		t.Errorf("Route on a fresh plan allocates %v objects", got)
+	}
+	for s, row := range tbl {
+		for d, r := range row {
+			if cap(r) != len(r) {
+				t.Fatalf("route %d->%d: len %d, cap %d", s, d, len(r), cap(r))
+			}
 		}
 	}
-	if differ < 4 {
-		t.Errorf("only %d specs whose trunk ports differ", differ)
+	// An append to the same-edge route must leave the same-pod route as it
+	// was.
+	r, _ := tp.Route(1, 0)
+	far, _ := tp.Route(9, 0)
+	want := append([]byte(nil), far...)
+	_ = append(r, 0xff)
+	if got, _ := tp.Route(9, 0); !bytes.Equal(got, want) {
+		t.Fatalf("append to a route changed its neighbour: %x, want %x", got, want)
 	}
 }
 
@@ -181,8 +213,9 @@ func TestAlgRouteInvariants(t *testing.T) {
 	var specs []Spec
 	for _, k := range Kinds() {
 		for _, r := range []int{4, 8, 16} {
-			// Crossbars expand, so radix 4 runs below n and 16 above it.
-			sp := Spec{Kind: k, Radix: r, AllowExpand: true}
+			// The single crossbar grows, so radix 4 runs below n and 16
+			// above it.
+			sp := Spec{Kind: k, Radix: r}
 			max := sp.Capacity()
 			if max > 96 {
 				max = 96
@@ -228,10 +261,10 @@ func TestAlgStatsMatchWalk(t *testing.T) {
 	specs := []Spec{
 		{Kind: Single, Radix: 16, Nodes: 1},
 		{Kind: Single, Radix: 16, Nodes: 16},
-		{Kind: Single, Radix: 4, Nodes: 9, AllowExpand: true},
+		{Kind: Single, Radix: 4, Nodes: 9},     // grown to 9 ports
 		{Kind: TwoSwitch, Radix: 16, Nodes: 2}, // one node a side: no 1-hop pair
 		{Kind: TwoSwitch, Radix: 16, Nodes: 26},
-		{Kind: TwoSwitch, Radix: 4, Nodes: 9, AllowExpand: true}, // 5 + 4
+		{Kind: TwoSwitch, Radix: 6, Nodes: 9}, // 5 + 4
 		{Kind: Star, Radix: 4, Nodes: 1},
 		{Kind: Star, Radix: 4, Nodes: 3},  // one leaf only
 		{Kind: Star, Radix: 4, Nodes: 11}, // partial last leaf
@@ -332,66 +365,31 @@ func TestGoldenRoutesClos3_1024(t *testing.T) {
 	goldenCompare(t, filepath.Join("testdata", "algroute_clos3_1024.golden"), sb.String())
 }
 
-// TestBuildPlanMemo: a second Build of the same spec returns the same
-// plan, and canonically equal specs share one.
-func TestBuildPlanMemo(t *testing.T) {
-	sp := Spec{Kind: TwoSwitch, Nodes: 26, Radix: 16}
-	t1, err := Build(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := Build(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t2 != t1 {
-		t.Fatalf("second Build returned a distinct plan; the route memo was dropped")
-	}
-
-	// Defaulted radix and (ignored) AllowExpand canonicalize to the same
-	// cache entry.
-	c1, err := Build(Spec{Kind: Clos2, Nodes: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Build(Spec{Kind: Clos2, Nodes: 20, Radix: DefaultRadix, AllowExpand: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatalf("canonically equal specs built distinct plans")
-	}
-}
-
 // FuzzAlgRouteSpec: an arbitrary Spec of any kind must either be rejected
 // by the builder or produce routes and statistics identical to the BFS
 // oracle's — and never panic.
 func FuzzAlgRouteSpec(f *testing.F) {
-	f.Add(int(Star), 16, 8, 0, false)
-	f.Add(int(Star), 3, 2, 1, false)
-	f.Add(int(Clos2), 24, 8, 3, false)
-	f.Add(int(Clos2), 20, 0, 0, true)
-	f.Add(int(Clos3), 54, 6, 0, false)
-	f.Add(int(Clos3), 16, 4, 0, false)
-	f.Add(int(Single), 7, 0, 0, true)
-	f.Add(int(TwoSwitch), 26, 16, 0, false)
-	f.Add(int(Clos3), 2, 2, 0, false)
-	f.Add(int(Single), 1, 1, 0, false)
-	f.Add(int(Single), 16, 16, 0, false)
-	f.Add(int(TwoSwitch), 1, 0, 0, false)
-	f.Add(int(TwoSwitch), 2, 4, 0, true)
-	f.Add(int(TwoSwitch), 9, 4, 0, true)
-	f.Add(int(TwoSwitch), 30, 16, 0, false)
-	f.Add(int(TwoSwitch), 157, 8, 0, true)
-	f.Fuzz(func(t *testing.T, kind, nodes, radix, leafNodes int, allowExpand bool) {
+	f.Add(int(Star), 16, 8, 0)
+	f.Add(int(Star), 3, 2, 1)
+	f.Add(int(Clos2), 24, 8, 3)
+	f.Add(int(Clos2), 20, 0, 0)
+	f.Add(int(Clos3), 54, 6, 0)
+	f.Add(int(Clos3), 16, 4, 0)
+	f.Add(int(Single), 7, 0, 0)
+	f.Add(int(TwoSwitch), 26, 16, 0)
+	f.Add(int(Clos3), 2, 2, 0)
+	f.Add(int(Single), 1, 1, 0)
+	f.Add(int(Single), 16, 16, 0)
+	f.Add(int(TwoSwitch), 1, 0, 0)
+	f.Add(int(TwoSwitch), 2, 4, 0)
+	f.Add(int(TwoSwitch), 9, 6, 0)
+	f.Add(int(TwoSwitch), 30, 16, 0)
+	f.Add(int(TwoSwitch), 125, 64, 0)
+	f.Fuzz(func(t *testing.T, kind, nodes, radix, leafNodes int) {
 		if nodes > 160 || radix > 64 {
 			t.Skip("oracle too slow past these bounds")
 		}
-		sp := Spec{Kind: Kind(kind), Nodes: nodes, Radix: radix,
-			LeafNodes: leafNodes, AllowExpand: allowExpand}
-		// Build via the unexported constructor: fuzz inputs must not
-		// thrash the process-wide plan cache.
-		tp, err := build(canonicalSpec(sp))
+		tp, err := Build(Spec{Kind: Kind(kind), Nodes: nodes, Radix: radix, LeafNodes: leafNodes})
 		if err != nil {
 			return // rejected is a valid outcome
 		}

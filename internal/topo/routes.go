@@ -4,9 +4,9 @@ import "fmt"
 
 // Route returns the deterministic source route from node src to node dst:
 // the port-byte sequence the sending NIC prepends, derived from address
-// arithmetic (algroute.go) and remembered per ordered pair. The returned
-// slice is shared — callers must not modify it (the firmware copies it into
-// each packet).
+// arithmetic (algroute.go). It allocates nothing: the slice is a read-only
+// view of the plan's route table, and its capacity ends where the route
+// does, so a caller's append copies instead of overwriting the next route.
 func (t *Topology) Route(src, dst int) ([]byte, error) {
 	n := len(t.NICs)
 	if src < 0 || src >= n {
@@ -18,16 +18,16 @@ func (t *Topology) Route(src, dst int) ([]byte, error) {
 	return t.routes.route(src, dst), nil
 }
 
-// RouteTable computes the routes between every ordered node pair, indexed
-// [src][dst], bypassing the per-pair memo: a full table read would only
-// bloat it. The error is always nil; the signature predates the one routing
-// path and callers bind it.
+// RouteTable returns the routes between every ordered node pair, indexed
+// [src][dst]: Route's read-only views, so the table costs its n + 1 slice
+// headers' arrays and no route bytes. The error is always nil; the
+// signature predates the one routing path and callers bind it.
 func (t *Topology) RouteTable() ([][][]byte, error) {
 	out := make([][][]byte, len(t.NICs))
 	for s := range t.NICs {
 		row := make([][]byte, len(t.NICs))
 		for d := range t.NICs {
-			row[d] = t.routes.compute(s, d)
+			row[d] = t.routes.route(s, d)
 		}
 		out[s] = row
 	}

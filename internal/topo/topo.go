@@ -7,17 +7,20 @@
 // per-stage costs. This package turns a five-field Spec into a concrete
 // wiring plan — switch port counts, switch-to-switch trunks, and a NIC
 // placement per node — that internal/cluster materializes into a
-// network.Fabric. The same plan, independent of any simulator, yields
-// deterministic all-pairs source routes — address arithmetic, see
-// algroute.go; the BFS in bfs_test.go is its test oracle — topology
-// statistics (diameter, bisection links, hops histogram) and a Graphviz
-// rendering.
+// network.Fabric. A plan is a plain value: Build makes a fresh one each
+// call, no plan shares mutable state with another, and a built plan
+// is never written again, so the cluster that builds one owns it. The same
+// plan, independent of any simulator, yields deterministic all-pairs
+// source routes — address arithmetic, see algroute.go; the BFS in
+// bfs_test.go is its test oracle — topology statistics (diameter,
+// bisection links, hops histogram) and a Graphviz rendering.
 //
 // Supported kinds:
 //
-//   - Single: one crossbar, node i on port i — the paper's testbed.
-//   - TwoSwitch: two crossbars joined by one trunk — the cluster package's
-//     historical TwoLevel extension, reproduced wire-for-wire.
+//   - Single: one crossbar, node i on port i — the paper's testbed. The
+//     crossbar grows past the radix to fit the nodes, up to MaxSwitchPorts.
+//   - TwoSwitch: two radix-port crossbars joined by one trunk on each
+//     one's last port, the nodes split half and half.
 //   - Star: leaf crossbars around one root switch (a one-level tree); each
 //     leaf spends one port on its root uplink.
 //   - Clos2: a two-level folded Clos (leaf-and-spine); each leaf splits its
@@ -30,7 +33,6 @@ package topo
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Kind selects the fabric shape.
@@ -93,7 +95,7 @@ const DefaultRadix = 16
 const MaxSwitchPorts = 256
 
 // Spec declares a topology. It is pure data: the same Spec always builds
-// the same Topology, and a Spec may be shared between cluster configs.
+// an equal Topology, and a Spec may be shared between cluster configs.
 type Spec struct {
 	// Kind is the fabric shape.
 	Kind Kind
@@ -102,18 +104,14 @@ type Spec struct {
 	Nodes int
 	// Radix is the switch port count; 0 means DefaultRadix. Every switch
 	// in the fabric has this radix (fixed-radix building blocks, as real
-	// Myrinet switches were).
+	// Myrinet switches were), except a Single crossbar, which has at least
+	// a port per node.
 	Radix int
 	// LeafNodes caps the nodes attached per leaf switch for Star and
 	// Clos2 (0 = as many as the radix allows after uplinks). Lowering it
 	// spreads a small node count over more switches — used by the
 	// cross-switch contention experiments.
 	LeafNodes int
-	// AllowExpand lets Single and TwoSwitch grow their crossbars beyond
-	// Radix to fit Nodes — the historical cluster.New behavior, kept so
-	// legacy configs map onto specs bit-identically. Fixed-radix kinds
-	// (Star, Clos2, Clos3) ignore it and error when capacity is exceeded.
-	AllowExpand bool
 }
 
 // Trunk is one duplex switch-to-switch cable.
@@ -146,8 +144,7 @@ type Topology struct {
 	routes *algRouter
 }
 
-// Capacity returns the maximum node count a spec's shape supports, or -1
-// when unbounded (AllowExpand crossbars).
+// Capacity returns the maximum node count a spec's shape supports.
 func (s Spec) Capacity() int {
 	if s.Radix == 0 {
 		s.Radix = DefaultRadix
@@ -155,16 +152,10 @@ func (s Spec) Capacity() int {
 	r := s.Radix
 	switch s.Kind {
 	case Single:
-		if s.AllowExpand {
-			// Expansion stops where one-byte source routes do.
-			return MaxSwitchPorts
-		}
-		return r
+		// The crossbar grows to the node count, and stops where one-byte
+		// source routes do.
+		return MaxSwitchPorts
 	case TwoSwitch:
-		if s.AllowExpand {
-			// Each expanded crossbar keeps one port for the trunk.
-			return 2 * (MaxSwitchPorts - 1)
-		}
 		// One uplink port per crossbar.
 		return 2 * (r - 1)
 	case Star, Clos2:
@@ -191,70 +182,12 @@ func (s Spec) perLeaf() int {
 	return per
 }
 
-// planCache memoizes built topologies process-wide, keyed by canonical
-// Spec. An experiment sweep rebuilds the same plan for every run of a
-// cell; with this cache the plan, and the router's per-pair route memo,
-// survive across Build calls. The key mirrors service.Canonicalize's spec
-// normalization — the service package sits above cluster and cannot be
-// imported here — so two specs the service would content-address
-// identically share one plan.
-var planCache struct {
-	mu sync.Mutex
-	m  map[Spec]*Topology
-}
-
-// planCacheCap bounds the cache; on overflow the map is dropped wholesale
-// (plans are cheap to rebuild, and a process juggling >64 distinct specs
-// is a fuzzer, not a sweep).
-const planCacheCap = 64
-
-// canonicalSpec normalizes a Spec to its cache identity: defaulted radix
-// made explicit, and AllowExpand cleared for the fixed-radix kinds that
-// ignore it.
-func canonicalSpec(s Spec) Spec {
-	if s.Radix == 0 {
-		s.Radix = DefaultRadix
-	}
-	switch s.Kind {
-	case Star, Clos2, Clos3:
-		s.AllowExpand = false
-	}
-	return s
-}
-
 // Build constructs the wiring plan for a spec. It errors — rather than
 // silently colliding on port indices — when the nodes cannot all attach:
 // zero or negative node counts, radix too small, capacity exceeded, or an
-// odd radix for the fat-tree (which needs an even split per tier).
-//
-// Successful builds are memoized by canonical Spec, so repeated Builds of
-// one spec share a single Topology — including its memoized routes. The
-// shared plan is immutable after construction and safe for concurrent
-// use (the route memo locks internally).
+// odd radix for the fat-tree (which needs an even split per tier). Each
+// call returns a new plan.
 func Build(spec Spec) (*Topology, error) {
-	key := canonicalSpec(spec)
-	planCache.mu.Lock()
-	if t, ok := planCache.m[key]; ok {
-		planCache.mu.Unlock()
-		return t, nil
-	}
-	planCache.mu.Unlock()
-	t, err := build(key)
-	if err != nil {
-		return nil, err
-	}
-	planCache.mu.Lock()
-	if planCache.m == nil {
-		planCache.m = make(map[Spec]*Topology, planCacheCap)
-	} else if len(planCache.m) >= planCacheCap {
-		planCache.m = make(map[Spec]*Topology, planCacheCap)
-	}
-	planCache.m[key] = t
-	planCache.mu.Unlock()
-	return t, nil
-}
-
-func build(spec Spec) (*Topology, error) {
 	if spec.Nodes < 1 {
 		return nil, fmt.Errorf("topo: need at least one node, have %d", spec.Nodes)
 	}
@@ -265,37 +198,35 @@ func build(spec Spec) (*Topology, error) {
 		return nil, fmt.Errorf("topo: radix %d too small", spec.Radix)
 	}
 	// Multi-switch fabrics burn at least one port per switch on trunks; a
-	// 1-port building block cannot form one. The single-crossbar kinds
-	// tolerate radix 1 (a one-node cluster on a one-port switch is legal,
-	// and the legacy layouts auto-expand).
-	if spec.Radix < 2 && spec.Kind != Single && spec.Kind != TwoSwitch {
+	// 1-port building block cannot form one. The single crossbar grows to
+	// the node count, so any radix will do.
+	if spec.Radix < 2 && spec.Kind != Single {
 		return nil, fmt.Errorf("topo: radix %d too small for %s (need >= 2 ports)", spec.Radix, spec.Kind)
 	}
 	if spec.LeafNodes != 0 && spec.Kind != Star && spec.Kind != Clos2 {
 		return nil, fmt.Errorf("topo: LeafNodes applies only to star and clos2 topologies")
 	}
-	if cap := spec.Capacity(); cap >= 0 && spec.Nodes > cap {
+	if cap := spec.Capacity(); spec.Nodes > cap {
 		return nil, fmt.Errorf("topo: %d nodes exceed the %s capacity of %d (radix %d)",
 			spec.Nodes, spec.Kind, cap, spec.Radix)
 	}
-	t := &Topology{Spec: spec}
-	var err error
+	if spec.Kind == Clos3 && spec.Radix%2 != 0 {
+		return nil, fmt.Errorf("topo: clos3 needs an even radix, have %d", spec.Radix)
+	}
+	t := &Topology{Spec: spec, NICs: make([]NICPlace, 0, spec.Nodes)}
 	switch spec.Kind {
 	case Single:
-		err = t.buildSingle()
+		t.buildSingle()
 	case TwoSwitch:
-		err = t.buildTwoSwitch()
+		t.buildTwoSwitch()
 	case Star:
-		err = t.buildStar()
+		t.buildStar()
 	case Clos2:
-		err = t.buildClos2()
+		t.buildClos2()
 	case Clos3:
-		err = t.buildClos3()
+		t.buildClos3()
 	default:
-		err = fmt.Errorf("topo: unknown topology kind %v", spec.Kind)
-	}
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("topo: unknown topology kind %v", spec.Kind)
 	}
 	for s, p := range t.SwitchPorts {
 		if p > MaxSwitchPorts {
@@ -303,43 +234,29 @@ func build(spec Spec) (*Topology, error) {
 				s, p, MaxSwitchPorts)
 		}
 	}
-	t.routes = newAlgRouter(t)
+	t.routes = newAlgRouter(spec)
 	return t, nil
 }
 
-func (t *Topology) buildSingle() error {
-	n, ports := t.Spec.Nodes, t.Spec.Radix
-	if ports < n {
-		// Capacity was already checked, so expansion must be allowed.
-		ports = n
-	}
-	t.SwitchPorts = []int{ports}
+func (t *Topology) buildSingle() {
+	n := t.Spec.Nodes
+	t.SwitchPorts = []int{max(t.Spec.Radix, n)}
 	t.Levels = []int{0}
 	for i := 0; i < n; i++ {
 		t.NICs = append(t.NICs, NICPlace{Switch: 0, Port: i})
 	}
 	t.BisectionLinks = n / 2 // the crossbar is non-blocking
-	return nil
 }
 
-// buildTwoSwitch reproduces the historical cluster.New TwoLevel wiring
-// exactly: nodes split half-and-half, each crossbar's last port carries
-// the trunk, and the crossbars grow (when expansion is allowed) only if
-// the first half plus the uplink does not fit.
-func (t *Topology) buildTwoSwitch() error {
+// buildTwoSwitch wires two radix-port crossbars: the first (n+1)/2 nodes
+// on crossbar 0, the rest on crossbar 1, and the trunk on each one's last
+// port (Capacity guarantees the larger half leaves that port free).
+func (t *Topology) buildTwoSwitch() {
 	n, r := t.Spec.Nodes, t.Spec.Radix
 	half := (n + 1) / 2
-	pA, pB := r, r
-	if pA < half+1 {
-		if !t.Spec.AllowExpand {
-			return fmt.Errorf("topo: twoswitch radix %d cannot attach %d nodes plus a trunk", r, n)
-		}
-		pA = half + 1
-		pB = (n - half) + 1
-	}
-	t.SwitchPorts = []int{pA, pB}
+	t.SwitchPorts = []int{r, r}
 	t.Levels = []int{0, 0}
-	t.Trunks = []Trunk{{A: 0, APort: pA - 1, B: 1, BPort: pB - 1}}
+	t.Trunks = []Trunk{{A: 0, APort: r - 1, B: 1, BPort: r - 1}}
 	for i := 0; i < n; i++ {
 		if i < half {
 			t.NICs = append(t.NICs, NICPlace{Switch: 0, Port: i})
@@ -348,10 +265,9 @@ func (t *Topology) buildTwoSwitch() error {
 		}
 	}
 	t.BisectionLinks = 1
-	return nil
 }
 
-func (t *Topology) buildStar() error {
+func (t *Topology) buildStar() {
 	n, r := t.Spec.Nodes, t.Spec.Radix
 	per := t.Spec.perLeaf()
 	leaves := (n + per - 1) / per
@@ -376,10 +292,9 @@ func (t *Topology) buildStar() error {
 	if leaves == 1 {
 		t.BisectionLinks = n / 2
 	}
-	return nil
 }
 
-func (t *Topology) buildClos2() error {
+func (t *Topology) buildClos2() {
 	n, r := t.Spec.Nodes, t.Spec.Radix
 	down := t.Spec.perLeaf() // node-facing ports per leaf; the rest go to spines
 	spines := r - r/2
@@ -408,18 +323,14 @@ func (t *Topology) buildClos2() error {
 	if leaves == 1 {
 		t.BisectionLinks = n / 2
 	}
-	return nil
 }
 
 // buildClos3 builds the k-ary fat-tree: k pods of k/2 edge and k/2
 // aggregation switches, (k/2)² core switches, k/2 nodes per edge switch.
 // Only the pods needed for Nodes are instantiated; the core layer is
 // always complete so every built pod has full upward capacity.
-func (t *Topology) buildClos3() error {
+func (t *Topology) buildClos3() {
 	n, k := t.Spec.Nodes, t.Spec.Radix
-	if k%2 != 0 {
-		return fmt.Errorf("topo: clos3 needs an even radix, have %d", k)
-	}
 	h := k / 2
 	perPod := h * h // nodes per pod
 	pods := (n + perPod - 1) / perPod
@@ -429,6 +340,10 @@ func (t *Topology) buildClos3() error {
 	agg := func(p, a int) int { return p*k + h + a }
 	coreBase := pods * k
 	core := func(a, j int) int { return coreBase + a*h + j }
+	switches := coreBase + h*h
+	t.SwitchPorts = make([]int, 0, switches)
+	t.Levels = make([]int, 0, switches)
+	t.Trunks = make([]Trunk, 0, pods*2*h*h)
 	for p := 0; p < pods; p++ {
 		for e := 0; e < h; e++ {
 			t.SwitchPorts = append(t.SwitchPorts, k)
@@ -468,7 +383,6 @@ func (t *Topology) buildClos3() error {
 	if pods == 1 {
 		t.BisectionLinks = h * ((h + 1) / 2)
 	}
-	return nil
 }
 
 // Nodes returns the node count.

@@ -46,27 +46,27 @@ func TestSingleLayout(t *testing.T) {
 	}
 }
 
+// TestSingleExpandsWhenAllowed: the single crossbar grows past its radix
+// to a port per node.
 func TestSingleExpandsWhenAllowed(t *testing.T) {
-	tp := mustBuild(t, Spec{Kind: Single, Nodes: 40, Radix: 16, AllowExpand: true})
+	tp := mustBuild(t, Spec{Kind: Single, Nodes: 40, Radix: 16})
 	if tp.SwitchPorts[0] != 40 {
 		t.Fatalf("expanded crossbar has %d ports, want 40", tp.SwitchPorts[0])
-	}
-	if _, err := Build(Spec{Kind: Single, Nodes: 40, Radix: 16}); err == nil {
-		t.Fatal("strict single accepted 40 nodes on 16 ports")
 	}
 }
 
 // TestExpansionStopsAtRouteByte: source routes name output ports in one
 // byte, so no switch may exceed 256 ports — an expanded crossbar past 256
-// nodes must be rejected, not silently misroute.
+// nodes, or a twoswitch of 257-port crossbars, must be rejected, not
+// silently misroute.
 func TestExpansionStopsAtRouteByte(t *testing.T) {
-	if tp := mustBuild(t, Spec{Kind: Single, Nodes: 256, Radix: 16, AllowExpand: true}); tp.SwitchPorts[0] != 256 {
+	if tp := mustBuild(t, Spec{Kind: Single, Nodes: 256, Radix: 16}); tp.SwitchPorts[0] != 256 {
 		t.Fatalf("256-node crossbar ports = %d", tp.SwitchPorts[0])
 	}
-	if _, err := Build(Spec{Kind: Single, Nodes: 257, Radix: 16, AllowExpand: true}); err == nil {
+	if _, err := Build(Spec{Kind: Single, Nodes: 257, Radix: 16}); err == nil {
 		t.Fatal("crossbar past the route-byte limit accepted")
 	}
-	if _, err := Build(Spec{Kind: TwoSwitch, Nodes: 512, Radix: 16, AllowExpand: true}); err == nil {
+	if _, err := Build(Spec{Kind: TwoSwitch, Nodes: 2, Radix: 257}); err == nil {
 		t.Fatal("twoswitch past the route-byte limit accepted")
 	}
 	if tp := mustBuild(t, Spec{Kind: Clos3, Nodes: 512, Radix: 16}); tp.Nodes() != 512 {
@@ -74,9 +74,8 @@ func TestExpansionStopsAtRouteByte(t *testing.T) {
 	}
 }
 
-// TestTwoSwitchLegacyLayout pins the wiring the historical cluster.New
-// TwoLevel path used, which the topo builder must reproduce exactly: nodes
-// split half-and-half, trunk on each crossbar's last port.
+// TestTwoSwitchLegacyLayout pins the twoswitch wiring: nodes split
+// half-and-half, trunk on each crossbar's last port.
 func TestTwoSwitchLegacyLayout(t *testing.T) {
 	tp := mustBuild(t, Spec{Kind: TwoSwitch, Nodes: 8, Radix: 8})
 	if !reflect.DeepEqual(tp.SwitchPorts, []int{8, 8}) {
@@ -96,13 +95,12 @@ func TestTwoSwitchLegacyLayout(t *testing.T) {
 	}
 }
 
-// TestTwoSwitchExpansion pins the historical auto-expansion: when the first
-// half plus the uplink does not fit, crossbar A grows to half+1 ports and
-// crossbar B to (n-half)+1.
+// TestTwoSwitchExpansion: twoswitch crossbars never grow. 32 nodes need
+// radix 17 (16 nodes a side plus the trunk); radix 8 is rejected.
 func TestTwoSwitchExpansion(t *testing.T) {
-	tp := mustBuild(t, Spec{Kind: TwoSwitch, Nodes: 32, Radix: 8, AllowExpand: true})
+	tp := mustBuild(t, Spec{Kind: TwoSwitch, Nodes: 32, Radix: 17})
 	if !reflect.DeepEqual(tp.SwitchPorts, []int{17, 17}) {
-		t.Fatalf("expanded ports = %v, want [17 17]", tp.SwitchPorts)
+		t.Fatalf("ports = %v, want [17 17]", tp.SwitchPorts)
 	}
 	if !reflect.DeepEqual(tp.Trunks, []Trunk{{A: 0, APort: 16, B: 1, BPort: 16}}) {
 		t.Fatalf("trunks = %v", tp.Trunks)
@@ -200,9 +198,7 @@ func TestCapacity(t *testing.T) {
 		spec Spec
 		want int
 	}{
-		{Spec{Kind: Single, Radix: 16}, 16},
-		{Spec{Kind: Single, Radix: 16, AllowExpand: true}, 256},
-		{Spec{Kind: TwoSwitch, Radix: 16, AllowExpand: true}, 510},
+		{Spec{Kind: Single, Radix: 16}, 256},
 		{Spec{Kind: TwoSwitch, Radix: 16}, 30},
 		{Spec{Kind: Star, Radix: 16}, 16 * 15},
 		{Spec{Kind: Star, Radix: 16, LeafNodes: 4}, 64},

@@ -249,7 +249,7 @@ func TestResetMidFlightDropsInFlightPackets(t *testing.T) {
 // must show two hop events; intra-switch packets one.
 func TestTwoSwitchHops(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch}
 	cl := cluster.New(cfg)
 	rec := Attach(cl)
 	g := core.UniformGroup(8, 2)

@@ -81,6 +81,7 @@ check barrierbench_partition8 barrierbench -fig crash -nodes 8 -faultplan partit
 check barrierbench_metrics barrierbench -metrics -nodes 4 -iters 10
 check barrierbench_rel8 barrierbench -fig rel -nodes 8 -iters 20
 check barrierbench_dumptopo barrierbench -dumptopo - -topo clos2 -nodes 32 -radix 8
+check barrierbench_dumptopo_radix0 barrierbench -dumptopo - -topo clos3 -nodes 16 -radix 0
 check barrierbench_mpibar barrierbench -fig mpibar -iters 20
 check barrierbench_grain barrierbench -fig grain -iters 20
 check barrierbench_contend barrierbench -fig contend -iters 20
@@ -92,6 +93,9 @@ check reject_flap_dim barrierbench -fig flap -dim 40
 check reject_contend_radix barrierbench -fig contend -radix 2
 check reject_contend_bytes barrierbench -fig contend -bytes -1
 check reject_metrics_dim barrierbench -metrics -nodes 4 -dim 9
+check reject_rel_nodes1 barrierbench -fig rel -nodes 1
+check reject_flap_nodes1 barrierbench -fig flap -nodes 1
+check reject_metrics_nodes1 barrierbench -metrics -nodes 1
 
 for c in gmtrace sweep gmping timing barrierbench; do
     check "help_$c" "$c" -h
