@@ -91,24 +91,35 @@ type Cluster struct {
 	phases *phase.Recorder
 }
 
-// topoSpec resolves the configuration's topology declaration: an explicit
-// Spec is completed with the node count and, when it leaves the radix
-// zero, Switch.Ports; a nil Topology is the single crossbar of Switch.Ports
-// ports, grown to the node count.
+// topoSpec checks the configuration and resolves its topology
+// declaration: an explicit Spec is completed with the node count and, when
+// it leaves the radix zero, Switch.Ports; a nil Topology is the single
+// crossbar of Switch.Ports ports, grown to the node count.
 func (cfg Config) topoSpec() (topo.Spec, error) {
-	if cfg.Topology == nil {
-		return topo.Spec{Kind: topo.Single, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports}, nil
+	if cfg.Nodes < 1 {
+		return topo.Spec{}, fmt.Errorf("cluster: need at least one node, have %d", cfg.Nodes)
 	}
-	spec := *cfg.Topology
-	if spec.Nodes == 0 {
-		spec.Nodes = cfg.Nodes
+	spec := topo.Spec{Kind: topo.Single, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports}
+	if cfg.Topology != nil {
+		spec = *cfg.Topology
+		if spec.Nodes == 0 {
+			spec.Nodes = cfg.Nodes
+		}
+		if spec.Nodes != cfg.Nodes {
+			return spec, fmt.Errorf("cluster: topology declares %d nodes but the cluster has %d",
+				spec.Nodes, cfg.Nodes)
+		}
+		if spec.Radix == 0 && cfg.Switch.Ports > 0 {
+			spec.Radix = cfg.Switch.Ports
+		}
 	}
-	if spec.Nodes != cfg.Nodes {
-		return spec, fmt.Errorf("cluster: topology declares %d nodes but the cluster has %d",
-			spec.Nodes, cfg.Nodes)
+	if err := spec.Validate(); err != nil {
+		return spec, fmt.Errorf("cluster: %d nodes do not fit the topology: %w", cfg.Nodes, err)
 	}
-	if spec.Radix == 0 && cfg.Switch.Ports > 0 {
-		spec.Radix = cfg.Switch.Ports
+	if cfg.Fault != nil {
+		if err := cfg.Fault.Validate(); err != nil {
+			return spec, fmt.Errorf("cluster: %w", err)
+		}
 	}
 	return spec, nil
 }
@@ -118,32 +129,21 @@ func (cfg Config) topoSpec() (topo.Spec, error) {
 // (capacity exceeded, odd fat-tree radix), or a node-count mismatch
 // between Config and its topology spec. New refuses (with this error) to
 // build invalid configurations instead of colliding on port indices.
+// Validate builds nothing.
 func (cfg Config) Validate() error {
-	_, err := cfg.Plan()
+	_, err := cfg.topoSpec()
 	return err
 }
 
-// Plan checks the configuration and builds its wiring plan: the one step
-// Validate and Build share, and the way a caller without a cluster gets
-// the fabric a configuration describes. Each call builds a new plan.
+// Plan checks the configuration and builds its wiring plan: the first step
+// of Build, and the way a caller without a cluster gets the fabric a
+// configuration describes. Each call builds a new plan.
 func (cfg Config) Plan() (*topo.Topology, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("cluster: need at least one node, have %d", cfg.Nodes)
-	}
 	spec, err := cfg.topoSpec()
 	if err != nil {
 		return nil, err
 	}
-	top, err := topo.Build(spec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %d nodes do not fit the topology: %w", cfg.Nodes, err)
-	}
-	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-	}
-	return top, nil
+	return topo.Build(spec)
 }
 
 // New is Build for configurations known to be valid: it panics with the

@@ -213,6 +213,16 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if err := mismatch.Validate(); err == nil {
 		t.Fatal("Validate accepted a topology node-count mismatch")
 	}
+	// A valid configuration is checked, not built: no plan, no allocation.
+	good := DefaultConfig(256)
+	good.Topology = &topo.Spec{Kind: topo.Clos3, Radix: 16}
+	if got := testing.AllocsPerRun(10, func() {
+		if err := good.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("Validate allocated %v objects", got)
+	}
 }
 
 func TestNewPanicsOnInvalidTopology(t *testing.T) {

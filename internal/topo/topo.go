@@ -182,36 +182,59 @@ func (s Spec) perLeaf() int {
 	return per
 }
 
-// Build constructs the wiring plan for a spec. It errors — rather than
-// silently colliding on port indices — when the nodes cannot all attach:
-// zero or negative node counts, radix too small, capacity exceeded, or an
-// odd radix for the fat-tree (which needs an even split per tier). Each
-// call returns a new plan.
-func Build(spec Spec) (*Topology, error) {
-	if spec.Nodes < 1 {
-		return nil, fmt.Errorf("topo: need at least one node, have %d", spec.Nodes)
+// Validate reports why Build would reject the spec, without building it.
+func (s Spec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve makes the default radix explicit and checks that the nodes can
+// all attach — rather than silently colliding on port indices: zero or
+// negative node counts, radix too small, an unknown kind or capacity
+// exceeded, an odd radix for the fat-tree (which needs an even split per
+// tier), or a switch past what one-byte source routes address.
+func (s Spec) resolve() (Spec, error) {
+	if s.Nodes < 1 {
+		return s, fmt.Errorf("topo: need at least one node, have %d", s.Nodes)
 	}
-	if spec.Radix == 0 {
-		spec.Radix = DefaultRadix
+	if s.Radix == 0 {
+		s.Radix = DefaultRadix
 	}
-	if spec.Radix < 1 {
-		return nil, fmt.Errorf("topo: radix %d too small", spec.Radix)
+	if s.Radix < 1 {
+		return s, fmt.Errorf("topo: radix %d too small", s.Radix)
 	}
 	// Multi-switch fabrics burn at least one port per switch on trunks; a
 	// 1-port building block cannot form one. The single crossbar grows to
 	// the node count, so any radix will do.
-	if spec.Radix < 2 && spec.Kind != Single {
-		return nil, fmt.Errorf("topo: radix %d too small for %s (need >= 2 ports)", spec.Radix, spec.Kind)
+	if s.Radix < 2 && s.Kind != Single {
+		return s, fmt.Errorf("topo: radix %d too small for %s (need >= 2 ports)", s.Radix, s.Kind)
 	}
-	if spec.LeafNodes != 0 && spec.Kind != Star && spec.Kind != Clos2 {
-		return nil, fmt.Errorf("topo: LeafNodes applies only to star and clos2 topologies")
+	if s.LeafNodes != 0 && s.Kind != Star && s.Kind != Clos2 {
+		return s, fmt.Errorf("topo: LeafNodes applies only to star and clos2 topologies")
 	}
-	if cap := spec.Capacity(); spec.Nodes > cap {
-		return nil, fmt.Errorf("topo: %d nodes exceed the %s capacity of %d (radix %d)",
-			spec.Nodes, spec.Kind, cap, spec.Radix)
+	// An unknown kind has capacity 0.
+	if cap := s.Capacity(); s.Nodes > cap {
+		return s, fmt.Errorf("topo: %d nodes exceed the %s capacity of %d (radix %d)",
+			s.Nodes, s.Kind, cap, s.Radix)
 	}
-	if spec.Kind == Clos3 && spec.Radix%2 != 0 {
-		return nil, fmt.Errorf("topo: clos3 needs an even radix, have %d", spec.Radix)
+	if s.Kind == Clos3 && s.Radix%2 != 0 {
+		return s, fmt.Errorf("topo: clos3 needs an even radix, have %d", s.Radix)
+	}
+	// A switch has Radix ports, or a single crossbar the node count when
+	// larger, which Capacity holds to MaxSwitchPorts.
+	if s.Radix > MaxSwitchPorts {
+		return s, fmt.Errorf("topo: radix %d: source routes address at most %d ports a switch (one byte per hop)",
+			s.Radix, MaxSwitchPorts)
+	}
+	return s, nil
+}
+
+// Build constructs the wiring plan for a spec, or reports why it cannot
+// (see Validate). Each call returns a new plan.
+func Build(spec Spec) (*Topology, error) {
+	spec, err := spec.resolve()
+	if err != nil {
+		return nil, err
 	}
 	t := &Topology{Spec: spec, NICs: make([]NICPlace, 0, spec.Nodes)}
 	switch spec.Kind {
@@ -225,14 +248,6 @@ func Build(spec Spec) (*Topology, error) {
 		t.buildClos2()
 	case Clos3:
 		t.buildClos3()
-	default:
-		return nil, fmt.Errorf("topo: unknown topology kind %v", spec.Kind)
-	}
-	for s, p := range t.SwitchPorts {
-		if p > MaxSwitchPorts {
-			return nil, fmt.Errorf("topo: switch %d needs %d ports; source routes address at most %d (one byte per hop) — use a multi-switch topology",
-				s, p, MaxSwitchPorts)
-		}
 	}
 	t.routes = newAlgRouter(spec)
 	return t, nil

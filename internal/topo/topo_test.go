@@ -224,10 +224,15 @@ func TestBuildValidation(t *testing.T) {
 		{Kind: Clos3, Nodes: 4, LeafNodes: 2},
 		{Kind: Star, Nodes: 300, Radix: 4}, // over capacity (4*3=12)
 		{Kind: Kind(99), Nodes: 4},
+		{Kind: Single, Nodes: 4, Radix: 300}, // ports past the route byte
+		{Kind: Clos3, Nodes: 4, Radix: 258},
 	}
 	for _, spec := range bad {
 		if _, err := Build(spec); err == nil {
 			t.Errorf("Build(%+v) accepted an invalid spec", spec)
+		}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted an invalid spec", spec)
 		}
 	}
 }
