@@ -30,7 +30,7 @@ type provisioned struct {
 	steps      []tokenStep // every change of rank 0's RecvTokens, to the nanosecond
 	recvAt     sim.Time    // when rank 0 had the last message in hand
 	stats      mcp.Stats   // rank 0's firmware counters
-	spans      []phase.Span
+	spans      []namedSpan
 	executed   int64
 	maxPending int
 }
@@ -143,7 +143,7 @@ func (pc provisionCase) run(t *testing.T, post func(p *host.Process, port *gm.Po
 		t.Error(err) // after a reopen, the old program may have had what rank 0 waits for
 	}
 	out.stats = cl.MCP(0).Stats()
-	out.spans = rec.Spans()
+	out.spans = named(rec)
 	out.executed = s.Executed()
 	return out
 }
@@ -337,7 +337,7 @@ func TestProvideReceiveBuffersRecordsEveryCall(t *testing.T) {
 	sameProvisioning(t, batch, loop)
 	provide := 0
 	for _, sp := range batch.spans {
-		if sp.Label == "provide_recv_buf" {
+		if sp.name == "provide_recv_buf" {
 			provide++
 		}
 	}

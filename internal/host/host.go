@@ -136,7 +136,7 @@ func (p *Process) RecordCalls(n int, d sim.Time, ph phase.Phase, label string) {
 	p.rec.AddHost(phase.Span{
 		Start: now, End: now + d,
 		Phase: ph, Track: phase.TrackHost,
-		Node: int32(p.node), Peer: -1, Label: label,
+		Node: int32(p.node), Peer: -1, Label: p.rec.Label(label),
 	}, n, p.proc.Sim().Now())
 }
 

@@ -340,7 +340,7 @@ func (m *MCP) handleBarrierAck(f *Frame) {
 // retransmitBarrier resends the unacked barrier frames. The retry budget
 // was already charged by timerFire (its only caller), once for the fire.
 func (m *MCP) retransmitBarrier(c *Connection) {
-	pr := m.cfg.Params
+	pr := &m.cfg.Params
 	for _, f := range c.barrierSent {
 		m.stats.BarrierResends++
 		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })

@@ -336,7 +336,7 @@ func (m *MCP) sdmaPolled(a any) {
 
 // sdmaDone: the payload is in NIC memory; prepare the packet.
 func (m *MCP) sdmaDone(a any) {
-	pr := m.cfg.Params
+	pr := &m.cfg.Params
 	m.nic.ExecTaggedCall(pr.SDMAPrep+pr.SendXmit, "sdma.prep", m.sdmaPrepFn, a)
 }
 
@@ -487,7 +487,7 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 // receiveFrame charges the RECV state machine's classification cost and
 // dispatches; the frame goes back to the free list afterwards.
 func (m *MCP) receiveFrame(f *Frame) {
-	pr := m.cfg.Params
+	pr := &m.cfg.Params
 	var cost int64
 	var label string
 	switch f.Kind {
@@ -679,7 +679,7 @@ func (m *MCP) handleNack(f *Frame) {
 }
 
 func (m *MCP) retransmitData(c *Connection) {
-	pr := m.cfg.Params
+	pr := &m.cfg.Params
 	for _, it := range c.sentList {
 		it := it
 		m.stats.Retransmissions++
@@ -716,7 +716,7 @@ func (m *MCP) giveUpIfExhausted(c *Connection) bool {
 // retransmit storm; the doubling drains it, and the jitter keeps peers
 // that lost packets at the same instant from re-colliding forever.
 func (m *MCP) retransInterval(c *Connection) sim.Time {
-	pr := m.cfg.Params
+	pr := &m.cfg.Params
 	d := pr.RetransTimeout
 	if maxT := pr.RetransBackoffMax; maxT > d {
 		for i := 0; i < c.backoff && d < maxT; i++ {

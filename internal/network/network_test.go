@@ -55,11 +55,22 @@ func (d dropIf) OnHop(_ LinkID, p *Packet) Verdict {
 }
 
 // TestPacketSize pins a packet to the 80-byte size class: the switch's
-// chosen output port (fwdPort) rides in padding, so carrying the packet
-// itself as every hop event's argument costs it no bytes.
+// chosen output port (fwdPort) and the observer's Mark ride in padding, so
+// carrying the packet itself as every hop event's argument, and numbering it
+// for a trace, cost it no bytes.
 func TestPacketSize(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got > 80 {
 		t.Errorf("Packet is %d bytes, want ≤ 80", got)
+	}
+}
+
+// A clone is a packet no observer has seen injected: it does not carry the
+// original's Mark.
+func TestCloneClearsMark(t *testing.T) {
+	p := &Packet{Src: 1, Dst: 2, Size: 64, Mark: 7}
+	p.SetRoute([]byte{3})
+	if q := p.Clone(); q.Mark != 0 || p.Mark != 7 || q.Src != 1 || q.Size != 64 {
+		t.Fatalf("clone %+v of %+v", q, p)
 	}
 }
 

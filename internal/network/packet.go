@@ -85,6 +85,13 @@ type Packet struct {
 	// realistic topology produces (one byte per switch tier crossed), so
 	// stamping a route onto a packet does not allocate.
 	routeBuf [8]byte
+
+	// Mark is the fabric observer's: the trace recorder numbers a packet it
+	// saw injected here, and finds its injection by that number when the
+	// packet arrives. The fabric never reads it, a packet from NewPacket
+	// starts at 0, and Clone clears it (a copy is a packet of its own). It
+	// fits in the struct's padding.
+	Mark uint32
 }
 
 // SetRoute copies r into the packet's route, reusing the inline buffer
@@ -101,9 +108,10 @@ func (p *Packet) SetRoute(r []byte) {
 // retransmission does not observe route bytes consumed by a previous
 // traversal, and its own payload when the payload is a PayloadCopier, so
 // the receiver of one copy can recycle what it carried without the other
-// noticing.
+// noticing. The copy's Mark is 0: an observer has not seen it injected.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.Mark = 0
 	q.SetRoute(p.Route)
 	if pc, ok := p.Payload.(PayloadCopier); ok {
 		q.Payload = pc.CopyPayload()
