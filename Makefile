@@ -54,8 +54,10 @@ race-procs:
 # router's spec space, the event queue against its sorted-slice model,
 # process programs run ahead of the clock against the same programs settled,
 # batched receive-buffer provisioning against the loop of calls it stands
-# for, and the Chrome exporter's string and timestamp appenders against
-# encoding/json (go's fuzzer allows one target per invocation).
+# for, the Chrome exporter's string and timestamp appenders against
+# encoding/json, and whole exports of recordings made from arbitrary labels,
+# reasons, ids and instants against the reflection encoder (go's fuzzer
+# allows one target per invocation).
 # Checked-in seed corpora live under each package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzProvisioning$$ -fuzztime=$(FUZZTIME) ./internal/gm
 	$(GO) test -run=^$$ -fuzz=^FuzzChromeString$$ -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=^FuzzChromeMicros$$ -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=^FuzzChromeRecording$$ -fuzztime=$(FUZZTIME) ./internal/trace
 
 # Coverage with per-package floors. The observability layer (internal/trace),
 # the analytic model (internal/model), the fault injector (internal/fault),
@@ -132,13 +135,15 @@ profile:
 	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
 		-memprofile mem.prof -memprofilerate 4096 .
 
-# Where the host time of a simulated barrier goes: BenchmarkHost16 and
-# BenchmarkClos256 under -cpuprofile, every sample folded into the
-# simulator's layers (scheduler, process handoff, firmware, fabric, recorder,
-# host, service, GC) by scripts/layers.go, one markdown table each. The
-# iteration counts are fixed, so two commits' tables compare in seconds.
+# Where the host time goes: BenchmarkHost16 and BenchmarkClos256 (a
+# simulated barrier), BenchmarkSvcCold (one cold simd request without the
+# HTTP front) and BenchmarkObservedRun (the svc cell run plain, then
+# observed) under -cpuprofile, every sample folded into the simulator's
+# layers (scheduler, process handoff, firmware, fabric, recorder, host,
+# service, GC) by scripts/layers.go, one markdown table each. The iteration
+# counts are fixed, so two commits' tables compare in seconds.
 layers:
-	$(GO) run scripts/layers.go Host16=200x Clos256=20x
+	$(GO) run scripts/layers.go Host16=200x Clos256=20x SvcCold=300x ObservedRun=300x
 
 # CPU profile of the 8192-node scale path: TestTopoScale8192Smoke (a
 # radix-32 fat-tree, GB dimension tuned, all four barrier variants measured,

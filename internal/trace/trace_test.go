@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 	"gmsim/internal/sim"
 )
 
@@ -133,5 +135,47 @@ func TestCountsAndDump(t *testing.T) {
 	}
 	if Kind(42).String() == "" || Drop.String() != "drop" {
 		t.Fatal("Kind string wrong")
+	}
+}
+
+// The recorder numbers a packet through its Mark: the original of a packet
+// injected while recording carries its number until it arrives, a copy or a
+// packet injected while off carries none (whatever it held before), and
+// only the numbered original's arrival becomes a wire span.
+func TestPacketMarks(t *testing.T) {
+	cl := cluster.New(cluster.DefaultConfig(2))
+	r := Attach(cl)
+	s := cl.Sim()
+	p := &network.Packet{Src: 0, Dst: 1, Size: 64, Payload: &mcp.Frame{Kind: mcp.DataFrame, Seq: 1}}
+	stale := &network.Packet{Src: 1, Dst: 0, Size: 64, Mark: 99}
+	var dup *network.Packet
+	s.At(10, func() {
+		r.PacketInjected(p)
+		r.Disable()
+		r.PacketInjected(stale)
+		r.Enable()
+		dup = p.Clone()
+	})
+	s.At(20, func() {
+		r.PacketDelivered(dup)
+		r.PacketDelivered(p)
+		r.PacketDelivered(p)
+		r.PacketDelivered(stale)
+	})
+	s.Run()
+	if p.Mark != 0 || dup.Mark != 0 || stale.Mark != 0 {
+		t.Errorf("marks left: original %d, copy %d, injected while off %d", p.Mark, dup.Mark, stale.Mark)
+	}
+	var numbered []uint32
+	for _, e := range r.Events() {
+		numbered = append(numbered, e.packet)
+	}
+	if want := []uint32{1, 0, 1, 0, 0}; !slices.Equal(numbered, want) {
+		t.Errorf("events carry packets %v, want %v", numbered, want)
+	}
+	spans := r.Phases().Spans()
+	if len(spans) != 1 || spans[0].Start != 10 || spans[0].End != 20 || spans[0].Node != 0 || spans[0].Peer != 1 ||
+		r.Phases().Name(spans[0].Label) != "wire.data" {
+		t.Errorf("wire spans %+v, want one data span 0->1 over [10, 20)", spans)
 	}
 }
