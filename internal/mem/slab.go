@@ -1,7 +1,8 @@
-// Package mem holds the two allocation-avoiding containers the simulator's
+// Package mem holds the allocation-avoiding containers the simulator's
 // hot paths share: Slab, a chunked object pool whose cells' pointers ride
-// through the event queue as event arguments (see sim.AtCall), and
-// PopFront, a FIFO pop that keeps a short queue's backing array.
+// through the event queue as event arguments (see sim.AtCall); PopFront, a
+// FIFO pop that keeps a short queue's backing array; and AppendChunked, the
+// chunked store the trace and phase recorders keep their records in.
 package mem
 
 // Slab is an arena-backed object pool: a chunked store of T with a free

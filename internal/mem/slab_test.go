@@ -66,3 +66,29 @@ func TestPopFrontKeepsBackingArray(t *testing.T) {
 		t.Errorf("append+PopFront allocates %.2f per run, want 0", avg)
 	}
 }
+
+// AppendChunked fills chunks of the given size in order, and after the
+// outer slice is truncated refills the chunks it let go of, emptied, before
+// it allocates another.
+func TestAppendChunkedReusesChunks(t *testing.T) {
+	var c [][]int
+	for i := range 10 {
+		c = AppendChunked(c, i, 4)
+	}
+	if len(c) != 3 || len(c[0]) != 4 || len(c[1]) != 4 || len(c[2]) != 2 || c[1][0] != 4 || c[2][1] != 9 {
+		t.Fatalf("10 records in chunks of 4: %v", c)
+	}
+	first := &c[1][:1][0]
+	c = c[:0]
+	if avg := testing.AllocsPerRun(20, func() {
+		c = c[:0]
+		for i := range 10 {
+			c = AppendChunked(c, -i, 4)
+		}
+	}); avg != 0 {
+		t.Errorf("refilling after a truncation allocates %.2f per run, want 0", avg)
+	}
+	if len(c) != 3 || len(c[2]) != 2 || c[2][1] != -9 || &c[1][0] != first {
+		t.Errorf("refilled chunks: %v (second chunk moved: %v)", c, &c[1][0] != first)
+	}
+}

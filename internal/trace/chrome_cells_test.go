@@ -129,3 +129,17 @@ func BenchmarkChromeExport(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkChromeExportLarge exports an observed 256-node cell (a
+// three-level fat tree, NIC PE, three timed barriers): the exporter's
+// node and wire-thread tables hold 16 times the nodes of the svc cell's.
+func BenchmarkChromeExportLarge(b *testing.B) {
+	rec := cellRecorder(b, service.Spec{Topo: "clos3", Nodes: 256, Seed: 7, Warmup: 1, Iters: 3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rec.WriteChrome(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
