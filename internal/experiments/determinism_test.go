@@ -98,15 +98,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 			// plan, so parallel workers must reproduce the serial bits.
 			base := &fault.Plan{
 				Seed: 1234,
-				Corrupt: []fault.CorruptRule{
-					{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.004},
-					{Links: fault.NodeLinks(1), Window: fault.Always, Rate: 0.01, Truncate: true},
+				Rules: []fault.Rule{
+					{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.004, Action: fault.Corrupt},
+					{Links: fault.NodeLinks(1), Window: fault.Always, Rate: 0.01, Action: fault.Truncate},
+					{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Action: fault.Duplicate},
 				},
-				Duplicate: []fault.DupRule{{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005}},
-				Flaps: []fault.Flap{{
+				Outages: []fault.Outage{{
 					Links:  fault.NodeLinks(2),
-					DownAt: sim.FromMicros(400),
-					UpAt:   sim.FromMicros(600),
+					Window: fault.Window{From: sim.FromMicros(400), To: sim.FromMicros(600)},
 				}},
 				Stalls: []fault.Stall{{Node: 3, At: sim.FromMicros(900), For: sim.FromMicros(80)}},
 			}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"gmsim/internal/cluster"
 	"gmsim/internal/fault"
 	"gmsim/internal/mcp"
@@ -45,17 +47,16 @@ func reliabilityCfg(n int, reliable bool, plan *fault.Plan) cluster.Config {
 	return cfg
 }
 
-// pointPlan extends the base plan with a whole-fabric loss rule for one
-// sweep point. The base plan is cloned, never mutated, so one base may
-// serve every point of a sweep running concurrently.
+// pointPlan extends the base plan with a whole-fabric drop rule for one
+// sweep point, ahead of the base plan's rules: a hop decides whether it
+// is lost before anything else is drawn for it. The base plan is cloned,
+// never mutated, so one base may serve every point of a sweep running
+// concurrently.
 func pointPlan(base *fault.Plan, lossPct float64) *fault.Plan {
 	pl := base.Clone()
 	if lossPct > 0 {
-		pl.Loss = append(pl.Loss, fault.LossRule{
-			Links:  fault.AllLinks(),
-			Window: fault.Always,
-			Rate:   lossPct / 100,
-		})
+		drop := fault.Rule{Links: fault.AllLinks(), Window: fault.Always, Rate: lossPct / 100, Action: fault.Drop}
+		pl.Rules = append([]fault.Rule{drop}, pl.Rules...)
 	}
 	return pl
 }
@@ -133,7 +134,13 @@ type FlapResult struct {
 // the middle of the first timed barrier and brought back after outage.
 // The flap window is aimed using a fault-free baseline run of the same
 // deterministic simulation, so the outage reliably intersects the barrier.
+// An outage that is not positive is an error: a link that never comes
+// back is a cut, which a reliable barrier without failure detection
+// cannot survive.
 func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) (FlapResult, error) {
+	if outage <= 0 {
+		return FlapResult{}, fmt.Errorf("experiments: flap outage %v is not positive: a link that never comes back is a cut, which a reliable barrier without failure detection cannot survive", outage)
+	}
 	if gbDim <= 0 {
 		gbDim = 2
 	}
@@ -154,10 +161,9 @@ func FlapRecovery(n, gbDim int, outage sim.Time, seed int64) (FlapResult, error)
 	down := baseline.Start + (baseline.End-baseline.Start)/4
 	plan := &fault.Plan{
 		Seed: seed,
-		Flaps: []fault.Flap{{
+		Outages: []fault.Outage{{
 			Links:  fault.NodeLinks(network.NodeID(n - 1)),
-			DownAt: down,
-			UpAt:   down + outage,
+			Window: fault.Window{From: down, To: down + outage},
 		}},
 	}
 	fspec := spec

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"gmsim/internal/cluster"
@@ -74,15 +75,14 @@ func TestReliableGBSurvivesChaos(t *testing.T) {
 	down := baseline.Start + (baseline.End-baseline.Start)/(2*iters)
 	plan := &fault.Plan{
 		Seed: 42,
-		Loss: []fault.LossRule{{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.02}},
-		Corrupt: []fault.CorruptRule{
-			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005},
-			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Truncate: true},
+		Rules: []fault.Rule{
+			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.02, Action: fault.Drop},
+			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Action: fault.Corrupt},
+			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Action: fault.Truncate},
 		},
-		Flaps: []fault.Flap{{
+		Outages: []fault.Outage{{
 			Links:  fault.NodeLinks(network.NodeID(n - 1)),
-			DownAt: down,
-			UpAt:   down + sim.FromMicros(300),
+			Window: fault.Window{From: down, To: down + sim.FromMicros(300)},
 		}},
 	}
 	fspec := spec
@@ -119,5 +119,17 @@ func TestFlapRecovery(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("FlapRecovery not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestFlapRecoveryRejectsNonPositiveOutage: an outage that is not positive
+// would never bring the link back — a cut, on which a reliable barrier
+// without failure detection deadlocks — so it is an error before anything
+// is simulated.
+func TestFlapRecoveryRejectsNonPositiveOutage(t *testing.T) {
+	for _, outage := range []sim.Time{0, -sim.FromMicros(5)} {
+		if _, err := FlapRecovery(8, 2, outage, 7); err == nil || !strings.Contains(err.Error(), "is a cut") {
+			t.Errorf("outage %v: err = %v, want an error naming the cut", outage, err)
+		}
 	}
 }

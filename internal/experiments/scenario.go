@@ -178,7 +178,7 @@ func crashPlan(seed int64, node network.NodeID, at sim.Time) *fault.Plan {
 // cutPlan severs one node's cable: a persistent link partition. Nobody
 // dies, but each side of the cut must declare the other dead to complete.
 func cutPlan(seed int64, node network.NodeID, at sim.Time) *fault.Plan {
-	return &fault.Plan{Seed: seed, Cuts: []fault.Cut{{Links: fault.NodeLinks(node), At: at}}}
+	return &fault.Plan{Seed: seed, Outages: []fault.Outage{{Links: fault.NodeLinks(node), Window: fault.Window{From: at}}}}
 }
 
 // chaosPlan layers node-scoped loss and duplication, a firmware stall, and
@@ -186,11 +186,9 @@ func cutPlan(seed int64, node network.NodeID, at sim.Time) *fault.Plan {
 func chaosPlan(seed int64) *fault.Plan {
 	return &fault.Plan{
 		Seed: seed,
-		Loss: []fault.LossRule{
-			{Links: fault.NodeLinks(6), Window: fault.Always, Rate: 0.02},
-		},
-		Duplicate: []fault.DupRule{
-			{Links: fault.NodeLinks(11), Window: fault.Always, Rate: 0.02},
+		Rules: []fault.Rule{
+			{Links: fault.NodeLinks(6), Window: fault.Always, Rate: 0.02, Action: fault.Drop},
+			{Links: fault.NodeLinks(11), Window: fault.Always, Rate: 0.02, Action: fault.Duplicate},
 		},
 		Stalls:  []fault.Stall{{Node: 3, At: sim.FromMicros(400), For: sim.FromMicros(50)}},
 		Crashes: []fault.Crash{{Node: 9, At: sim.FromMicros(900)}},
@@ -201,10 +199,9 @@ func chaosPlan(seed int64) *fault.Plan {
 // kind × fault plan × seed. Crash victims are never node 0, whose vantage
 // the summaries report from.
 func ScenarioFleet() []Scenario {
-	flap := &fault.Plan{Seed: 1, Flaps: []fault.Flap{{
+	flap := &fault.Plan{Seed: 1, Outages: []fault.Outage{{
 		Links:  fault.NodeLinks(13),
-		DownAt: sim.FromMicros(600),
-		UpAt:   sim.FromMicros(900),
+		Window: fault.Window{From: sim.FromMicros(600), To: sim.FromMicros(900)},
 	}}}
 	twoCrash := &fault.Plan{Seed: 1, Crashes: []fault.Crash{
 		{Node: 5, At: sim.FromMicros(700)},

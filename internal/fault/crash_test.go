@@ -63,13 +63,15 @@ func TestCrashFailStopsNode(t *testing.T) {
 	if len(hooked) != 1 || hooked[0] != 2 || hookedAt != sim.FromMicros(10) {
 		t.Errorf("crash hook: nodes %v at %v, want [2] at 10µs", hooked, hookedAt)
 	}
-	nl, _ := f.NICLinkIDs(2)
-	if !inj.LinkDown(nl.Tx) || !inj.LinkDown(nl.Rx) {
-		t.Error("crashed node's cable not down")
-	}
 	c := inj.Counters()
 	if c.Crashes != 1 || c.LinkDowns != 2 {
 		t.Errorf("counters = %+v, want Crashes=1 LinkDowns=2", c)
+	}
+	nl, _ := f.NICLinkIDs(2)
+	for _, l := range []network.LinkID{nl.Tx, nl.Rx} {
+		if v := inj.OnHop(l, &network.Packet{Size: 64}); !v.Drop || v.Reason != "link-down" {
+			t.Errorf("hop over the crashed node's link %d: verdict %+v, want a link-down drop", l, v)
+		}
 	}
 }
 
@@ -93,13 +95,13 @@ func TestSwitchCrashPartitionsEverything(t *testing.T) {
 	}
 }
 
-// TestCutIsPermanent: a cut link stays down forever; the directional
-// selectors cut only one channel.
+// TestCutIsPermanent: an open-ended outage (a cut) keeps the link down
+// forever; the directional selectors cut only one channel.
 func TestCutIsPermanent(t *testing.T) {
 	s, f, ifaces, counts, _ := crashFabric(t)
-	plan := &Plan{Cuts: []Cut{{
-		Links: Selector{Node: 1, Dir: RxOnly},
-		At:    sim.FromMicros(10),
+	plan := &Plan{Outages: []Outage{{
+		Links:  Selector{Node: 1, Dir: RxOnly},
+		Window: Window{From: sim.FromMicros(10)},
 	}}}
 	inj := attach(t, plan, f, nil)
 
@@ -112,8 +114,8 @@ func TestCutIsPermanent(t *testing.T) {
 	if *counts[1] != 1 || *counts[0] != 1 {
 		t.Fatalf("deliveries = [%d %d], want [1 1]", *counts[0], *counts[1])
 	}
-	if c := inj.Counters(); c.Cuts != 1 || c.LinkDowns != 2 {
-		t.Errorf("counters = %+v, want Cuts=1 LinkDowns=2", c)
+	if c := inj.Counters(); c.Cuts != 1 || c.Flaps != 0 || c.LinkDowns != 2 {
+		t.Errorf("counters = %+v, want Cuts=1 Flaps=0 LinkDowns=2", c)
 	}
 }
 
@@ -125,12 +127,11 @@ func TestAttachCheckedErrors(t *testing.T) {
 		plan *Plan
 		want string
 	}{
-		{"bad-rate", &Plan{Loss: []LossRule{{Links: AllLinks(), Rate: 1.5}}}, "outside [0,1]"},
+		{"bad-rate", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: 1.5}}}, "outside [0,1]"},
 		{"crash-no-nic", &Plan{Crashes: []Crash{{Node: 7}}}, "no NIC"},
 		{"stall-no-nic", &Plan{Stalls: []Stall{{Node: 7}}}, "no NIC"},
-		{"slowdown-no-nic", &Plan{Slowdowns: []Slowdown{{Node: 7, Factor: 2}}}, "no NIC"},
 		{"bad-switch", &Plan{SwitchCrashes: []SwitchCrash{{Switch: 5}}}, "fabric has"},
-		{"bad-selector-node", &Plan{Cuts: []Cut{{Links: Selector{Node: 42}}}}, "no NIC"},
+		{"bad-selector-node", &Plan{Outages: []Outage{{Links: Selector{Node: 42}}}}, "no NIC"},
 		{"double-crash", &Plan{Crashes: []Crash{{Node: 1}, {Node: 1, At: 5}}}, "more than once"},
 	}
 	for _, c := range cases {
@@ -150,22 +151,23 @@ func TestValidateRejections(t *testing.T) {
 		name string
 		plan *Plan
 	}{
-		{"loss-nan", &Plan{Loss: []LossRule{{Links: AllLinks(), Rate: nan()}}}},
-		{"corrupt-rate", &Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Rate: -0.1}}}},
-		{"dup-rate", &Plan{Duplicate: []DupRule{{Links: AllLinks(), Rate: 2}}}},
-		{"inverted-window", &Plan{Loss: []LossRule{{Links: AllLinks(), Rate: 0.5, Window: Window{From: 10, To: 5}}}}},
-		{"negative-window", &Plan{Duplicate: []DupRule{{Links: AllLinks(), Rate: 0.5, Window: Window{From: -1}}}}},
-		{"negative-node", &Plan{Corrupt: []CorruptRule{{Links: Selector{Node: -2}, Rate: 0.5}}}},
-		{"bad-dir", &Plan{Loss: []LossRule{{Links: Selector{Dir: 9}, Rate: 0.5}}}},
-		{"flap-negative", &Plan{Flaps: []Flap{{Links: AllLinks(), DownAt: -1}}}},
-		{"cut-negative", &Plan{Cuts: []Cut{{Links: AllLinks(), At: -1}}}},
+		{"rule-nan", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: nan()}}}},
+		{"rule-negative-rate", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: -0.1, Action: Corrupt}}}},
+		{"rule-rate-above-one", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: 2, Action: Duplicate}}}},
+		{"rule-action-negative", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: 0.5, Action: -1}}}},
+		{"rule-action-unknown", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: 0.5, Action: Duplicate + 1}}}},
+		{"inverted-window", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: 0.5, Window: Window{From: 10, To: 5}}}}},
+		{"negative-window", &Plan{Rules: []Rule{{Links: AllLinks(), Rate: 0.5, Window: Window{From: -1}, Action: Duplicate}}}},
+		{"negative-node", &Plan{Rules: []Rule{{Links: Selector{Node: -2}, Rate: 0.5, Action: Truncate}}}},
+		{"bad-dir", &Plan{Rules: []Rule{{Links: Selector{Dir: 9}, Rate: 0.5}}}},
+		{"outage-negative", &Plan{Outages: []Outage{{Links: AllLinks(), Window: Window{From: -1}}}}},
+		{"outage-inverted", &Plan{Outages: []Outage{{Links: AllLinks(), Window: Window{From: 10, To: 5}}}}},
+		{"outage-bad-dir", &Plan{Outages: []Outage{{Links: Selector{Node: 1, Dir: -1}}}}},
 		{"crash-negative-node", &Plan{Crashes: []Crash{{Node: -1}}}},
 		{"crash-negative-time", &Plan{Crashes: []Crash{{Node: 1, At: -1}}}},
 		{"swcrash-negative", &Plan{SwitchCrashes: []SwitchCrash{{Switch: -1}}}},
 		{"swcrash-negative-time", &Plan{SwitchCrashes: []SwitchCrash{{Switch: 1, At: -1}}}},
 		{"stall-negative", &Plan{Stalls: []Stall{{Node: 1, For: -1}}}},
-		{"slowdown-nan", &Plan{Slowdowns: []Slowdown{{Node: 1, Factor: nan()}}}},
-		{"slowdown-window", &Plan{Slowdowns: []Slowdown{{Node: 1, Factor: 2, Window: Window{From: 5, To: 5}}}}},
 	}
 	for _, c := range bad {
 		if err := c.plan.Validate(); err == nil {
@@ -177,10 +179,10 @@ func TestValidateRejections(t *testing.T) {
 		t.Errorf("nil plan: %v", err)
 	}
 	ok := &Plan{
-		Loss:      []LossRule{{Links: NodeLinks(1), Window: Always, Rate: 0.5}},
-		Flaps:     []Flap{{Links: AllLinks(), DownAt: 5, UpAt: 10}},
-		Crashes:   []Crash{{Node: 0, At: 3}},
-		Slowdowns: []Slowdown{{Node: 1, Window: Window{From: 1, To: 2}, Factor: 2}},
+		Rules:   []Rule{{Links: NodeLinks(1), Window: Always, Rate: 0.5, Action: Truncate}},
+		Outages: []Outage{{Links: AllLinks(), Window: Window{From: 5, To: 10}}, {Links: NodeLinks(2), Window: Window{From: 7}}},
+		Crashes: []Crash{{Node: 0, At: 3}},
+		Stalls:  []Stall{{Node: 1, At: 1, For: 2}},
 	}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)

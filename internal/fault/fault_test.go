@@ -45,10 +45,9 @@ func sendOne(iface *network.Iface, src, dst network.NodeID) {
 // packets before and after pass.
 func TestFlapDropsDuringOutage(t *testing.T) {
 	s, f, ifaces, counts := testFabric(t)
-	plan := &Plan{Flaps: []Flap{{
+	plan := &Plan{Outages: []Outage{{
 		Links:  NodeLinks(1),
-		DownAt: sim.FromMicros(10),
-		UpAt:   sim.FromMicros(20),
+		Window: Window{From: sim.FromMicros(10), To: sim.FromMicros(20)},
 	}}}
 	inj := attach(t, plan, f, nil)
 
@@ -66,14 +65,15 @@ func TestFlapDropsDuringOutage(t *testing.T) {
 	}
 }
 
-// TestLossRuleWindow: a loss rule with Rate 1 eats everything inside its
+// TestLossRuleWindow: a Drop rule with Rate 1 eats everything inside its
 // window and nothing outside.
 func TestLossRuleWindow(t *testing.T) {
 	s, f, ifaces, counts := testFabric(t)
-	plan := &Plan{Loss: []LossRule{{
+	plan := &Plan{Rules: []Rule{{
 		Links:  AllLinks(),
 		Window: Window{From: sim.FromMicros(10), To: sim.FromMicros(20)},
 		Rate:   1,
+		Action: Drop,
 	}}}
 	inj := attach(t, plan, f, nil)
 	for _, at := range []float64{1, 12, 25} {
@@ -89,12 +89,12 @@ func TestLossRuleWindow(t *testing.T) {
 	}
 }
 
-// TestLossRuleExtremes: rate 1 delivers nothing, rate 0 delivers everything
+// TestLossRuleExtremes: a Drop rule at rate 1 delivers nothing, rate 0 delivers everything
 // (and installs no rule).
 func TestLossRuleExtremes(t *testing.T) {
 	for _, rate := range []float64{0, 1} {
 		s, f, ifaces, counts := testFabric(t)
-		inj := attach(t, &Plan{Seed: 7, Loss: []LossRule{{Links: AllLinks(), Window: Always, Rate: rate}}}, f, nil)
+		inj := attach(t, &Plan{Seed: 7, Rules: []Rule{{Links: AllLinks(), Window: Always, Rate: rate, Action: Drop}}}, f, nil)
 		for i := 0; i < 20; i++ {
 			sendOne(ifaces[0], 0, 1)
 		}
@@ -122,7 +122,7 @@ func TestCorruptedImageDiffers(t *testing.T) {
 	var got *network.Packet
 	if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
 	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got = p })
-	attach(t, &Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1}}}, f, nil)
+	attach(t, &Plan{Rules: []Rule{{Links: AllLinks(), Window: Always, Rate: 1, Action: Corrupt}}}, f, nil)
 
 	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	s.At(0, func() {
@@ -163,7 +163,7 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 	var got *network.Packet
 	if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
 	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got = p })
-	inj := attach(t, &Plan{Corrupt: []CorruptRule{{Links: AllLinks(), Window: Always, Rate: 1, Truncate: true}}}, f, nil)
+	inj := attach(t, &Plan{Rules: []Rule{{Links: AllLinks(), Window: Always, Rate: 1, Action: Truncate}}}, f, nil)
 
 	s.At(0, func() {
 		if0.Transmit(&network.Packet{Route: []byte{1}, Src: 0, Dst: 1, Size: 64, Payload: "hdr"})
@@ -186,10 +186,10 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 	}
 }
 
-// TestDuplicateDelivers: a dup rule at rate 1 delivers two copies.
+// TestDuplicateDelivers: a Duplicate rule at rate 1 delivers two copies.
 func TestDuplicateDelivers(t *testing.T) {
 	s, f, ifaces, counts := testFabric(t)
-	inj := attach(t, &Plan{Duplicate: []DupRule{{Links: NodeLinks(1), Window: Always, Rate: 1}}}, f, nil)
+	inj := attach(t, &Plan{Rules: []Rule{{Links: NodeLinks(1), Window: Always, Rate: 1, Action: Duplicate}}}, f, nil)
 	s.At(0, func() { sendOne(ifaces[0], 0, 1) })
 	s.Run()
 	// The cable has two directed channels; only the Rx direction carries
@@ -229,35 +229,47 @@ func TestStallFreezesNIC(t *testing.T) {
 	}
 }
 
-// TestSlowdownWindow: inside the window tasks take Factor times longer;
-// after it, nominal speed returns.
-func TestSlowdownWindow(t *testing.T) {
-	s := sim.New()
-	f := network.New(s)
-	sw := f.AddSwitch(network.DefaultSwitchParams(2))
-	lp := network.DefaultLinkParams()
-	f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
-	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) {})
-	nic := lanai.NewNIC(s, lanai.LANai43())
-	plan := &Plan{Slowdowns: []Slowdown{{
-		Node:   0,
-		Window: Window{From: sim.FromMicros(10), To: sim.FromMicros(20)},
-		Factor: 4,
-	}}}
-	attach(t, plan, f, map[network.NodeID]*lanai.NIC{0: nic, 1: lanai.NewNIC(s, lanai.LANai43())})
+// TestRulesApplyInPlanOrder: one hop walks the link's rules in plan order.
+// A Drop hit ends the walk, so a rule listed after it is never drawn; a
+// rule listed before it applies first. A rule outside its window draws
+// nothing from the link's stream.
+func TestRulesApplyInPlanOrder(t *testing.T) {
+	hop := func(rules ...Rule) (network.Verdict, Counters) {
+		_, f, _, _ := testFabric(t)
+		inj := attach(t, &Plan{Seed: 3, Rules: rules}, f, nil)
+		v := inj.OnHop(0, &network.Packet{Size: 64})
+		return v, inj.Counters()
+	}
+	drop := Rule{Links: AllLinks(), Window: Always, Rate: 1, Action: Drop}
+	dup := Rule{Links: AllLinks(), Window: Always, Rate: 1, Action: Duplicate}
 
-	var inWin, afterWin sim.Time
-	s.At(sim.FromMicros(12), func() {
-		start := s.Now()
-		nic.ExecTagged(33, "fw", func() { inWin = s.Now() - start })
-	})
-	s.At(sim.FromMicros(50), func() {
-		start := s.Now()
-		nic.ExecTagged(33, "fw", func() { afterWin = s.Now() - start })
-	})
-	s.Run()
-	if inWin < 3*afterWin {
-		t.Fatalf("slowdown had no effect: in-window %v vs after %v", inWin, afterWin)
+	v, c := hop(drop, dup)
+	if !v.Drop || c.Lost != 1 || c.Duplicated != 0 {
+		t.Errorf("[drop, dup]: verdict %+v, counters %+v; want a drop, Lost 1, Duplicated 0", v, c)
+	}
+	v, c = hop(dup, drop)
+	if !v.Drop || c.Lost != 1 || c.Duplicated != 1 {
+		t.Errorf("[dup, drop]: verdict %+v, counters %+v; want a drop, Lost 1, Duplicated 1", v, c)
+	}
+
+	// A drop rule that opens later, ahead of a duplicate rule that is
+	// always open: only the duplicate rule draws, once per hop.
+	const seed, hops = 11, 5
+	_, f, _, _ := testFabric(t)
+	late := Rule{Links: AllLinks(), Window: Window{From: sim.FromMicros(100)}, Rate: 0.5, Action: Drop}
+	inj := attach(t, &Plan{Seed: seed, Rules: []Rule{late, dup}}, f, nil)
+	const link network.LinkID = 0
+	for i := 0; i < hops; i++ {
+		if v := inj.OnHop(link, &network.Packet{Size: 64}); v.Drop || !v.Duplicate {
+			t.Fatalf("hop %d at t=0: verdict %+v, want a duplicate only", i, v)
+		}
+	}
+	fresh := network.LinkStream(seed, link)
+	for i := 0; i < hops; i++ {
+		fresh.Float64()
+	}
+	if got, want := inj.rules[link].rng.Float64(), fresh.Float64(); got != want {
+		t.Fatalf("link stream after %d hops draws %v, want %v: the closed rule drew", hops, got, want)
 	}
 }
 
@@ -275,8 +287,8 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 		f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got++ })
 		if2 := f.AttachNIC(2, sw, 2, lp, func(p *network.Packet) {})
 		// Loss only on node 0's transmit channel: flow C never touches it.
-		attach(t, &Plan{Seed: 7, Loss: []LossRule{{
-			Links: Selector{Node: 0, Dir: TxOnly}, Window: Always, Rate: 0.4,
+		attach(t, &Plan{Seed: 7, Rules: []Rule{{
+			Links: Selector{Node: 0, Dir: TxOnly}, Window: Always, Rate: 0.4, Action: Drop,
 		}}}, f, nil)
 		for i := 0; i < 60; i++ {
 			i := i
@@ -337,15 +349,15 @@ func TestEmptyPlanIsFree(t *testing.T) {
 
 // TestPlanCloneIsDeep: extending a clone's rules leaves the base alone.
 func TestPlanCloneIsDeep(t *testing.T) {
-	base := &Plan{Seed: 1, Loss: []LossRule{{Links: AllLinks(), Window: Always, Rate: 0.01}}}
+	base := &Plan{Seed: 1, Rules: []Rule{{Links: AllLinks(), Window: Always, Rate: 0.01}}}
 	c := base.Clone()
-	c.Loss = append(c.Loss, LossRule{Links: NodeLinks(3), Window: Always, Rate: 0.5})
-	c.Loss[0].Rate = 0.9
-	if len(base.Loss) != 1 || base.Loss[0].Rate != 0.01 {
-		t.Fatalf("clone aliased the base plan: %+v", base.Loss)
+	c.Rules = append(c.Rules, Rule{Links: NodeLinks(3), Window: Always, Rate: 0.5, Action: Duplicate})
+	c.Rules[0].Rate = 0.9
+	if len(base.Rules) != 1 || base.Rules[0].Rate != 0.01 {
+		t.Fatalf("clone aliased the base plan: %+v", base.Rules)
 	}
 	if base.Empty() {
-		t.Fatal("base with a loss rule reported Empty")
+		t.Fatal("base with a rule reported Empty")
 	}
 	if !(&Plan{Seed: 5}).Empty() {
 		t.Fatal("seed-only plan should be Empty")

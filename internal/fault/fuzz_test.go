@@ -34,29 +34,24 @@ func (r *planReader) u64() uint64 {
 // f64 reinterprets raw bits, so NaN, ±Inf and subnormals all occur.
 func (r *planReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// decodePlan reads a seed, then up to 64 items, each a kind byte (modulo
+// the five plan kinds) and that kind's fields. A rule's action is its last
+// byte, read raw so unknown actions occur.
 func decodePlan(data []byte) *Plan {
 	r := &planReader{b: data}
 	p := &Plan{Seed: int64(r.u64())}
 	for i := 0; i < 64 && len(r.b) > 0; i++ {
-		switch r.u8() % 9 {
+		switch r.u8() % 5 {
 		case 0:
-			p.Loss = append(p.Loss, LossRule{Links: r.sel(), Window: r.win(), Rate: r.f64()})
+			p.Rules = append(p.Rules, Rule{Links: r.sel(), Window: r.win(), Rate: r.f64(), Action: Action(int8(r.u8()))})
 		case 1:
-			p.Corrupt = append(p.Corrupt, CorruptRule{Links: r.sel(), Window: r.win(), Rate: r.f64(), Truncate: r.u8()&1 == 1})
+			p.Outages = append(p.Outages, Outage{Links: r.sel(), Window: r.win()})
 		case 2:
-			p.Duplicate = append(p.Duplicate, DupRule{Links: r.sel(), Window: r.win(), Rate: r.f64()})
-		case 3:
-			p.Flaps = append(p.Flaps, Flap{Links: r.sel(), DownAt: r.time(), UpAt: r.time()})
-		case 4:
-			p.Cuts = append(p.Cuts, Cut{Links: r.sel(), At: r.time()})
-		case 5:
 			p.Crashes = append(p.Crashes, Crash{Node: network.NodeID(int32(r.u64())), At: r.time()})
-		case 6:
+		case 3:
 			p.SwitchCrashes = append(p.SwitchCrashes, SwitchCrash{Switch: int(int32(r.u64())), At: r.time()})
-		case 7:
+		case 4:
 			p.Stalls = append(p.Stalls, Stall{Node: network.NodeID(int32(r.u64())), At: r.time(), For: r.time()})
-		case 8:
-			p.Slowdowns = append(p.Slowdowns, Slowdown{Node: network.NodeID(int32(r.u64())), Window: r.win(), Factor: r.f64()})
 		}
 	}
 	return p
@@ -90,32 +85,18 @@ func (r *planReader) time() sim.Time {
 //   - A plan Validate accepts is still accepted after Clone (golden for
 //     cluster.Validate, which checks plans it then hands to Attach).
 func FuzzPlanValidate(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// One of each rule kind with plausible fields.
-	seed := func(build func(r []byte) []byte) {
-		f.Add(build(make([]byte, 0, 64)))
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
 	}
-	for op := byte(0); op < 9; op++ {
-		op := op
-		seed(func(b []byte) []byte {
-			b = append(b, make([]byte, 8)...) // seed
-			b = append(b, op)
-			b = append(b, make([]byte, 48)...) // zeroed fields
-			return b
-		})
-	}
-	// A NaN rate in a loss rule: bytes of a quiet NaN as the rate field.
-	nan := make([]byte, 8+1+1+8+1+8+8+8)
-	binary.LittleEndian.PutUint64(nan[len(nan)-8:], math.Float64bits(math.NaN()))
-	f.Add(nan)
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodePlan(data)
 		err := p.Validate() // must not panic
 		_ = p.Empty()
-		for _, l := range p.Loss {
-			_ = l.Links.String()
+		for _, r := range p.Rules {
+			_ = r.Links.String()
+		}
+		for _, o := range p.Outages {
+			_ = o.Links.String()
 		}
 		q := p.Clone()
 		errQ := q.Validate()
@@ -126,4 +107,39 @@ func FuzzPlanValidate(f *testing.F) {
 			t.Fatalf("clone emptiness differs: %v vs %v", p.Empty(), q.Empty())
 		}
 	})
+}
+
+// Field sizes in decodePlan's encoding.
+const (
+	selBytes  = 1 + 8 + 1
+	winBytes  = 8 + 8
+	rateBytes = 8
+)
+
+// fuzzSeeds is FuzzPlanValidate's seed corpus: the empty input, a seed
+// with one all-zero rule, one plan item of each kind — a rule for each
+// action, an open-ended outage (a cut) and a bounded one (a flap), a
+// crash, a switch crash, a stall — with zeroed fields, and a rule with a
+// NaN rate. testdata/fuzz/FuzzPlanValidate/rule-N holds the N-th item.
+func fuzzSeeds() [][]byte {
+	item := func(kind byte, fields []byte) []byte {
+		return append(append(make([]byte, 8), kind), fields...)
+	}
+	seeds := [][]byte{{}, make([]byte, 9)}
+	for a := Drop; a <= Duplicate; a++ {
+		rule := make([]byte, selBytes+winBytes+rateBytes+1)
+		rule[len(rule)-1] = byte(a)
+		seeds = append(seeds, item(0, rule))
+	}
+	flap := make([]byte, selBytes+winBytes)
+	flap[selBytes+8] = 1 // To = 1ns
+	seeds = append(seeds,
+		item(1, make([]byte, selBytes+winBytes)),
+		item(1, flap),
+		item(2, make([]byte, 16)),
+		item(3, make([]byte, 16)),
+		item(4, make([]byte, 24)))
+	nan := make([]byte, selBytes+winBytes+rateBytes+1)
+	binary.LittleEndian.PutUint64(nan[selBytes+winBytes:], math.Float64bits(math.NaN()))
+	return append(seeds, item(0, nan))
 }

@@ -89,9 +89,6 @@ type NIC struct {
 	cpuBusy  sim.Time // accumulated busy time
 	cpuTasks int64
 
-	// slow is a fault-injection multiplier on firmware task durations
-	// (a degraded card running below its rated clock). 1 = nominal.
-	slow   float64
 	stalls int64
 
 	// dead marks a fail-stop crashed card: the firmware processor halts and
@@ -114,7 +111,6 @@ func NewNIC(s *sim.Simulator, model Model) *NIC {
 	return &NIC{
 		sim:   s,
 		model: model,
-		slow:  1,
 		sdma:  &DMAEngine{sim: s, params: model.SDMA, track: phase.TrackSDMA},
 		rdma:  &DMAEngine{sim: s, params: model.RDMA, track: phase.TrackRDMA},
 	}
@@ -174,9 +170,6 @@ func (n *NIC) charge(cycles int64, label string) sim.Time {
 		start = n.cpuFree
 	}
 	dur := n.model.Cycles(cycles)
-	if n.slow != 1 {
-		dur = sim.Time(float64(dur)*n.slow + 0.5)
-	}
 	n.cpuFree = start + dur
 	n.cpuBusy += dur
 	n.cpuTasks++
@@ -212,19 +205,6 @@ func (n *NIC) Stall(d sim.Time) {
 		})
 	}
 }
-
-// SetSlowdown sets the firmware duration multiplier for subsequent tasks.
-// factor <= 0 (or 1) restores nominal speed. Models thermal throttling or a
-// degraded card — the fault layer's "NIC slowdown" fault.
-func (n *NIC) SetSlowdown(factor float64) {
-	if factor <= 0 {
-		factor = 1
-	}
-	n.slow = factor
-}
-
-// Slowdown returns the current firmware duration multiplier.
-func (n *NIC) Slowdown() float64 { return n.slow }
 
 // Kill halts the card permanently (a fail-stop NIC crash): the firmware
 // processor and both DMA engines stop accepting work. Idempotent.

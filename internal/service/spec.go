@@ -256,39 +256,38 @@ func (s Spec) hash() (string, error) {
 func NamedPlan(name string, seed int64, n int) (*fault.Plan, error) {
 	last := network.NodeID(n - 1)
 	victim := network.NodeID(n / 2)
+	// The corrupt and flap plans' faults, which chaos composes; built per
+	// call, so no two plans share a slice.
+	damage := func() []fault.Rule {
+		return []fault.Rule{
+			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Action: fault.Corrupt},
+			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Action: fault.Truncate},
+		}
+	}
+	flap := func() []fault.Outage {
+		return []fault.Outage{{
+			Links:  fault.NodeLinks(last),
+			Window: fault.Window{From: sim.FromMicros(500), To: sim.FromMicros(800)},
+		}}
+	}
 	switch name {
 	case PlanNone, "":
 		return nil, nil
 	case PlanFlap:
-		return &fault.Plan{Seed: seed, Flaps: []fault.Flap{{
-			Links:  fault.NodeLinks(last),
-			DownAt: sim.FromMicros(500),
-			UpAt:   sim.FromMicros(800),
-		}}}, nil
+		return &fault.Plan{Seed: seed, Outages: flap()}, nil
 	case PlanCorrupt:
-		return &fault.Plan{Seed: seed, Corrupt: []fault.CorruptRule{
-			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005},
-			{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Truncate: true},
-		}}, nil
+		return &fault.Plan{Seed: seed, Rules: damage()}, nil
 	case PlanChaos:
 		return &fault.Plan{
-			Seed: seed,
-			Corrupt: []fault.CorruptRule{
-				{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005},
-				{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Truncate: true},
-			},
-			Duplicate: []fault.DupRule{{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005}},
-			Flaps: []fault.Flap{{
-				Links:  fault.NodeLinks(last),
-				DownAt: sim.FromMicros(500),
-				UpAt:   sim.FromMicros(800),
-			}},
-			Stalls: []fault.Stall{{Node: 0, At: sim.FromMicros(1500), For: sim.FromMicros(100)}},
+			Seed:    seed,
+			Rules:   append(damage(), fault.Rule{Links: fault.AllLinks(), Window: fault.Always, Rate: 0.005, Action: fault.Duplicate}),
+			Outages: flap(),
+			Stalls:  []fault.Stall{{Node: 0, At: sim.FromMicros(1500), For: sim.FromMicros(100)}},
 		}, nil
 	case PlanCrash:
 		return &fault.Plan{Seed: seed, Crashes: []fault.Crash{{Node: victim, At: sim.FromMicros(700)}}}, nil
 	case PlanPartition:
-		return &fault.Plan{Seed: seed, Cuts: []fault.Cut{{Links: fault.NodeLinks(victim), At: sim.FromMicros(700)}}}, nil
+		return &fault.Plan{Seed: seed, Outages: []fault.Outage{{Links: fault.NodeLinks(victim), Window: fault.Window{From: sim.FromMicros(700)}}}}, nil
 	default:
 		return nil, checkPlanName(name)
 	}
