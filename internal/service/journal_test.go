@@ -141,3 +141,33 @@ func TestJournalCleanCloseIsEmpty(t *testing.T) {
 		t.Fatalf("reopen: pend=%v err=%v", pend, err)
 	}
 }
+
+// TestJournalReplaysInAcceptanceOrder: job numbers outgrow their six-digit
+// padding, so j1000000-… sorts before j999999-… as a string. A journal
+// compacted and reopened must still hand the jobs back in the order they
+// were accepted.
+func TestJournalReplaysInAcceptanceOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := pendingJob(1, 4), pendingJob(2, 5)
+	a.ID, b.ID = "j999999-a", "j1000000-b"
+	for _, p := range []PendingJob{a, b} {
+		if err := j.Accept(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, pend, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(pend) != 2 || pend[0].ID != a.ID || pend[1].ID != b.ID {
+		t.Fatalf("replayed %+v, want %s then %s", pend, a.ID, b.ID)
+	}
+}
