@@ -190,6 +190,20 @@ func TestCollectivesGolden(t *testing.T) {
 	checkGolden(t, "collectives.golden", strings.Join(lines, ""))
 }
 
+// TestLatePortNeighbourIsPEPartner runs the closed-port cells with the late
+// rank one of whose tree neighbours is also one of its PE partners (rank 1:
+// parent 0, partners 0, 3, 5, 9), so one peer sends the late port both a
+// collective frame and a separator-barrier frame. Both must be rejected and
+// resent: every op completes every round, as in the rank-4 cells.
+func TestLatePortNeighbourIsPEPartner(t *testing.T) {
+	for _, op := range []mcp.CollOp{mcp.Broadcast, mcp.Reduce, mcp.AllReduce, mcp.AllGather} {
+		c := collCell{op: op, nodes: 16, dim: 2, late: 1}
+		if line := runCollCell(c); !strings.HasPrefix(line, c.name()+":") {
+			t.Errorf("%s: %s", c.name(), line)
+		}
+	}
+}
+
 // The NIC collectives under a crash plan. Before the firmware ran them on
 // the barrier's tree engine nothing repaired a collective: each of these
 // three cells deadlocked every survivor (a parent waiting silently for a dead

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gmsim/internal/network"
 	"gmsim/internal/sim"
 )
 
@@ -161,6 +162,61 @@ func TestCollectiveClosedPortRecordThenReject(t *testing.T) {
 	}
 	if r.mcps[1].Stats().BarrierResends == 0 {
 		t.Fatal("child did not resend after reject")
+	}
+}
+
+// TestLatePortRejectsBothFamilies: a collective frame and a PE barrier frame
+// reach a port that is not open yet. When it opens, both must be rejected and
+// resent, and both operations must complete. The closed-port record holds one
+// message per source endpoint and family, so it keeps both when one peer sent
+// them ("one peer") as well as when the rank's tree neighbour is not its PE
+// partner ("tree child, PE partner").
+func TestLatePortRejectsBothFamilies(t *testing.T) {
+	cases := []struct {
+		name      string
+		nodes     int
+		child, pe int // node 0's tree child and PE partner
+	}{
+		{"one peer", 2, 1, 1},
+		{"tree child, PE partner", 3, 1, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, c.nodes, nil)
+			child, pe := Endpoint{Node: network.NodeID(c.child), Port: 2}, Endpoint{Node: network.NodeID(c.pe), Port: 2}
+			late := Endpoint{Node: 0, Port: 2}
+			r.open(t, c.child, 2)
+			if c.pe != c.child {
+				r.open(t, c.pe, 2)
+			}
+			// The collective frame goes first, the barrier frame after it.
+			postColl(t, r, c.child, &CollToken{Op: Reduce, Parent: late, Value: []byte{7, 0, 0, 0, 0, 0, 0, 0}})
+			postPEBarrier(t, r, c.pe, 2, []Endpoint{late})
+			r.s.RunUntil(300 * sim.Microsecond)
+			if got := r.mcps[0].Stats().ClosedPortRecs; got != 2 {
+				t.Fatalf("%d messages to the closed port recorded, want 2", got)
+			}
+			r.open(t, 0, 2)
+			postColl(t, r, 0, &CollToken{Op: Reduce, Root: true, Children: []Endpoint{child}, Value: []byte{5, 0, 0, 0, 0, 0, 0, 0}})
+			postPEBarrier(t, r, 0, 2, []Endpoint{pe})
+			r.s.Run()
+			if done := r.collDone(0, 2); len(done) != 1 || done[0][0] != 12 {
+				t.Fatalf("root's reduce completions = %v, want one of 7 + 5", done)
+			}
+			if r.barrierDone(0, 2) != 1 || r.barrierDone(c.pe, 2) != 1 {
+				t.Fatalf("barrier completions = %d/%d, want 1/1", r.barrierDone(0, 2), r.barrierDone(c.pe, 2))
+			}
+			if got := r.mcps[0].Stats().BarrierRejects; got != 2 {
+				t.Errorf("late port sent %d rejects, want 2", got)
+			}
+			resends := r.mcps[c.child].Stats().BarrierResends
+			if c.pe != c.child {
+				resends += r.mcps[c.pe].Stats().BarrierResends
+			}
+			if resends != 2 {
+				t.Errorf("%d resends, want 2", resends)
+			}
+		})
 	}
 }
 
