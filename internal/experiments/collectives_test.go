@@ -158,11 +158,9 @@ func runCollCell(c collCell) string {
 // ReliableBarrier}, then one closed-port cell per op. In the closed-port
 // cells rank 4 of the dim-2 tree is the late one — child of rank 1, parent
 // of the leaves 9 and 10 — so a Broadcast has its CollBcastFrame rejected and
-// resent, and the three gathering ops their leaves' ReduceFrames. Rank 4
-// because none of its tree neighbours is one of its PE partners (5, 6, 0,
-// 12): the closed-port record holds one message per source endpoint, and a
-// neighbour's next separator-barrier frame would overwrite the collective
-// frame it has to reject.
+// resent, and the three gathering ops their leaves' ReduceFrames. None of
+// rank 4's tree neighbours is one of its PE partners (5, 6, 0, 12);
+// TestLatePortNeighbourIsPEPartner runs the case where one is.
 func collCells() []collCell {
 	ops := []mcp.CollOp{mcp.Broadcast, mcp.Reduce, mcp.AllReduce, mcp.AllGather}
 	var cells []collCell

@@ -195,7 +195,7 @@ func (m *MCP) recordClosedPort(c *Connection, f *Frame) {
 	recs := m.pendingClosed[f.DstPort]
 	src := Endpoint{Node: f.SrcNode, Port: f.SrcPort}
 	for i := range recs {
-		if recs[i].src == src {
+		if recs[i].src == src && family(recs[i].kind) == family(f.Kind) {
 			recs[i] = pendingClosed{src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort, seq: f.Seq}
 			return
 		}

@@ -34,9 +34,10 @@ type MCP struct {
 	accrual *recvAccrual
 	conns   map[network.NodeID]*Connection
 
-	// pendingClosed records barrier messages that arrived for closed
-	// local ports, keyed by the closed port number (Section 3.2). Nil until
-	// the first one arrives.
+	// pendingClosed records barrier-class messages that arrived for closed
+	// local ports, keyed by the closed port number (Section 3.2): one per
+	// source endpoint and family, so a peer's barrier frame never hides
+	// its collective frame. Nil until the first one arrives.
 	pendingClosed map[int][]pendingClosed
 
 	// deadPeers is this NIC's view of fail-stopped peers (DetectFailures):

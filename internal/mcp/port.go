@@ -89,7 +89,8 @@ func (p *Port) BarrierBufs() int { return int(p.slots[barrierSlot].bufs) }
 // flight on the NIC.
 func (p *Port) BarrierActive() bool { return p.slots[barrierSlot].live }
 
-// pendingClosed records one barrier message that arrived for a closed port
+// pendingClosed records one barrier-class message that arrived for a closed
+// port, the latest of its source endpoint's family
 // (Section 3.2: "record received barrier messages for a closed port, but
 // then reject those messages once the endpoint is opened").
 type pendingClosed struct {
