@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -27,10 +27,10 @@ type Journal struct {
 	f    *os.File
 	path string
 
-	// pending mirrors the accepts without a terminal record, so runtime
-	// compaction can rewrite the file without outside help. Bounded by the
-	// queue depth plus running jobs.
-	pending map[string]PendingJob
+	// pending mirrors the accepts without a terminal record, in the order
+	// they were accepted, so runtime compaction can rewrite the file without
+	// outside help. Bounded by the queue depth plus running jobs.
+	pending []PendingJob
 	// terminal counts terminal records appended since the last compaction;
 	// past compactEvery the file is rewritten to pending accepts only.
 	terminal int
@@ -71,8 +71,7 @@ const compactEvery = 1024
 // OpenJournal opens (creating if needed) the journal at path, replays it,
 // compacts it, and returns the pending jobs in acceptance order.
 func OpenJournal(path string) (*Journal, []PendingJob, error) {
-	j := &Journal{path: path, pending: make(map[string]PendingJob)}
-	var order []string
+	j := &Journal{path: path}
 	if data, err := os.ReadFile(path); err == nil {
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			if len(bytes.TrimSpace(line)) == 0 {
@@ -91,12 +90,10 @@ func OpenJournal(path string) (*Journal, []PendingJob, error) {
 					j.torn++
 					continue
 				}
-				if _, ok := j.pending[rec.ID]; !ok {
-					order = append(order, rec.ID)
-				}
-				j.pending[rec.ID] = PendingJob{ID: rec.ID, Key: rec.Key, Hash: rec.Hash, Spec: *rec.Spec}
+				j.drop(rec.ID)
+				j.pending = append(j.pending, PendingJob{ID: rec.ID, Key: rec.Key, Hash: rec.Hash, Spec: *rec.Spec})
 			case opDone, opFailed, opDeadLetter:
-				delete(j.pending, rec.ID)
+				j.drop(rec.ID)
 			default:
 				j.torn++
 			}
@@ -104,58 +101,40 @@ func OpenJournal(path string) (*Journal, []PendingJob, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	var pend []PendingJob
-	for _, id := range order {
-		if p, ok := j.pending[id]; ok {
-			pend = append(pend, p)
-		}
-	}
+	pend := slices.Clone(j.pending)
 	if err := j.compactLocked(); err != nil {
 		return nil, nil, err
 	}
 	return j, pend, nil
 }
 
-// compactLocked rewrites the journal to just the pending accepts (atomic
-// tmp + rename) and reopens it for appending. Callers hold j.mu or have
+// drop forgets the pending accept with the given ID, if there is one.
+func (j *Journal) drop(id string) {
+	j.pending = slices.DeleteFunc(j.pending, func(p PendingJob) bool { return p.ID == id })
+}
+
+// compactLocked rewrites the journal to just the pending accepts
+// (replaceFile) and reopens it for appending. Callers hold j.mu or have
 // exclusive access.
 func (j *Journal) compactLocked() error {
 	if j.f != nil {
 		j.f.Close()
 		j.f = nil
 	}
-	if err := os.MkdirAll(filepath.Dir(j.path), 0o755); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal.tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	for _, p := range j.pendingInOrder() {
-		spec := p.Spec
-		rec := journalRecord{Op: opAccept, ID: p.ID, Key: p.Key, Hash: p.Hash, Spec: &spec}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: %w", err)
+	err := replaceFile(j.path, func(f *os.File) error {
+		w := bufio.NewWriter(f)
+		for _, p := range j.pending {
+			spec := p.Spec
+			b, err := json.Marshal(journalRecord{Op: opAccept, ID: p.ID, Key: p.Key, Hash: p.Hash, Spec: &spec})
+			if err != nil {
+				return err
+			}
+			w.Write(b)
+			w.WriteByte('\n')
 		}
-		w.Write(b)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
+		return w.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -165,21 +144,6 @@ func (j *Journal) compactLocked() error {
 	j.f = f
 	j.terminal = 0
 	return nil
-}
-
-// pendingInOrder returns the pending accepts sorted by ID — IDs carry the
-// accept sequence number, so this is acceptance order.
-func (j *Journal) pendingInOrder() []PendingJob {
-	out := make([]PendingJob, 0, len(j.pending))
-	for _, p := range j.pending {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].ID < out[k-1].ID; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
-	return out
 }
 
 // append writes one record, optionally fsyncing. Accepts sync — the record
@@ -213,7 +177,7 @@ func (j *Journal) Accept(p PendingJob) error {
 		return err
 	}
 	j.mu.Lock()
-	j.pending[p.ID] = p
+	j.pending = append(j.pending, p)
 	j.mu.Unlock()
 	return nil
 }
@@ -225,7 +189,7 @@ func (j *Journal) terminalOp(op, id, errMsg string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	delete(j.pending, id)
+	j.drop(id)
 	j.terminal++
 	if j.terminal >= compactEvery {
 		return j.compactLocked()

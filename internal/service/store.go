@@ -185,46 +185,56 @@ func verifyEntry(hash, claimed string, epoch int, e Entry) error {
 	return nil
 }
 
-// Put persists the entry for hash atomically: write to a temp file in the
-// same directory, fsync, rename over the final path. Non-content-addressed
-// keys are ignored (nil error) — they are RAM-only by design.
+// Put persists the entry for hash atomically (replaceFile). Non-content-
+// addressed keys are ignored (nil error) — they are RAM-only by design.
 func (st *Store) Put(hash string, e Entry) error {
 	if !validHash(hash) {
 		return nil
 	}
-	final := st.path(hash)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(final), hash+".tmp*")
+	err := replaceFile(st.path(hash), func(f *os.File) error {
+		// Header and result (~1 KB) go out together; the trace (~1 MB) is
+		// written from where it lies instead of being copied behind them.
+		_, err := f.Write(append(entryHeader(hash, experiments.BehaviourEpoch, e), e.Result...))
+		if err == nil {
+			_, err = f.Write(e.Trace)
+		}
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	// Header and result (~1 KB) go out together; the trace (~1 MB) is
-	// written from where it lies instead of being copied behind them.
-	_, err = tmp.Write(append(entryHeader(hash, experiments.BehaviourEpoch, e), e.Result...))
-	if err == nil {
-		_, err = tmp.Write(e.Trace)
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	st.mu.Lock()
 	st.writes++
 	st.mu.Unlock()
 	return nil
+}
+
+// replaceFile gives path new contents, written by write, so that a crash
+// leaves the old file or the new one and never a partial one: write fills a
+// temp file in path's directory (created if missing), which is fsynced,
+// closed and renamed over path. The temp file is removed on any failure. The
+// directory itself is not fsynced, so the rename may not survive a power
+// loss.
+func replaceFile(path string, write func(f *os.File) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	return err
 }
 
 // Get returns the verified entry for hash, or a miss. A file that fails
