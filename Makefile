@@ -10,17 +10,15 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# The simulation packages: everything one simulated cluster runs on.
-SIM_PKGS = sim network lanai mcp gm host core mpi cluster topo fault phase model mem experiments
-
-# go vet, gofmt, and three structural rules: internal/experiments has one
+# go vet, gofmt, and two structural rules: internal/experiments has one
 # run loop, so only run.go builds a session or spawns a rank (a measurement
-# is a Spec for Run, its program an Op); a command under cmd/ builds its
+# is a Spec for Run, its program an Op); and a command under cmd/ builds its
 # runs from a service.Spec (Canonicalize, then Experiment or Config) and its
 # fabrics from experiments.TopoConfig, never by picking a NIC model, a
-# fail-stop testbed or a topology kind itself, or by writing a topo.Spec;
-# and no simulation package imports sync or sync/atomic: the runner pool
-# runs many simulations at once, so they share no mutable state to lock.
+# fail-stop testbed or a topology kind itself, or by writing a topo.Spec.
+# The simulation packages' rules (no sync import, no go statement, no wall
+# clock, no global rand, map ranges marked order-free) and the rule that
+# every export has a caller are tests in static_test.go.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -29,9 +27,6 @@ vet:
 		echo "the files above build a session or spawn ranks: internal/experiments runs ranks in run.go only"; exit 1; fi
 	@if grep -rl --include='*.go' -e 'cluster\.LANai72Config' -e 'experiments\.FailStopTestbed' -e 'topo\.ParseKind' -e 'topo\.Spec{' cmd; then \
 		echo "the files above build runs or fabrics by hand: a command's runs go through service.Spec, its fabrics through experiments.TopoConfig"; exit 1; fi
-	@shared="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(addprefix ./internal/,$(SIM_PKGS)) | grep -E ' sync(/atomic)?( |$$)' || true)"; \
-	if [ -n "$$shared" ]; then echo "$$shared"; \
-		echo "the packages above import sync: simulations share no state between runs"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -169,9 +169,3 @@ func treeWalk(p *host.Process, up, down Link, nb *tokenCache, tok *mcp.CollToken
 	}
 	return data, nil
 }
-
-// NICAllReduce combines every rank's vector and distributes the result to
-// all ranks, entirely at the NIC level: Collective's headline case.
-func (c *Comm) NICAllReduce(p *host.Process, g Group, self, dim int, op mcp.ReduceOp, value []byte) ([]byte, error) {
-	return c.Collective(p, true, mcp.AllReduce, op, g, self, dim, value)
-}

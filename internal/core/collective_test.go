@@ -196,7 +196,7 @@ func TestConsecutiveCollectives(t *testing.T) {
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := NewComm(p, port, 32)
 		for round := 0; round < 5; round++ {
-			res, err := comm.NICAllReduce(p, g, rank, 2, mcp.OpSum,
+			res, err := comm.Collective(p, true, mcp.AllReduce, mcp.OpSum, g, rank, 2,
 				EncodeInt64s([]int64{int64(round)}))
 			if err != nil {
 				t.Errorf("round %d: %v", round, err)

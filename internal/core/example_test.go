@@ -36,7 +36,7 @@ func ExampleComm_Barrier() {
 
 // Combine values across the cluster with a NIC-level allreduce — the
 // paper's Section 8 future work.
-func ExampleComm_NICAllReduce() {
+func ExampleComm_Collective() {
 	cl := cluster.New(cluster.DefaultConfig(4))
 	group := core.UniformGroup(4, 2)
 	results := make([]int64, 4)
@@ -50,7 +50,7 @@ func ExampleComm_NICAllReduce() {
 		if err != nil {
 			panic(err)
 		}
-		out, err := comm.NICAllReduce(p, group, rank, 2, mcp.OpSum,
+		out, err := comm.Collective(p, true, mcp.AllReduce, mcp.OpSum, group, rank, 2,
 			core.EncodeInt64s([]int64{int64(rank + 1)}))
 		if err != nil {
 			panic(err)

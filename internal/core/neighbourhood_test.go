@@ -110,7 +110,7 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 		}
 	}
 	allreduce := func(p *host.Process, c *Comm, g Group, self int) error {
-		out, err := c.NICAllReduce(p, g, self, dim, mcp.OpSum, EncodeInt64s([]int64{int64(self)}))
+		out, err := c.Collective(p, true, mcp.AllReduce, mcp.OpSum, g, self, dim, EncodeInt64s([]int64{int64(self)}))
 		if err == nil && DecodeInt64s(out)[0] != n*(n-1)/2 {
 			t.Errorf("rank %d allreduce = %v", self, DecodeInt64s(out))
 		}

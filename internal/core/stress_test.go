@@ -80,7 +80,7 @@ func TestStressMixedTraffic(t *testing.T) {
 						return
 					}
 				case 3:
-					out, err := comm.NICAllReduce(p, g, rank, plan.dim, mcp.OpSum,
+					out, err := comm.Collective(p, true, mcp.AllReduce, mcp.OpSum, g, rank, plan.dim,
 						EncodeInt64s([]int64{int64(i + 1)}))
 					if err != nil || DecodeInt64s(out)[0] != int64((i+1)*n) {
 						fail()
@@ -179,7 +179,7 @@ func TestStressDeterminism(t *testing.T) {
 			comm, _ := NewComm(p, port, 48)
 			for i := 0; i < 5; i++ {
 				comm.Barrier(p, mcp.PE, g, rank, 0)
-				comm.NICAllReduce(p, g, rank, 2, mcp.OpSum, EncodeInt64s([]int64{1}))
+				comm.Collective(p, true, mcp.AllReduce, mcp.OpSum, g, rank, 2, EncodeInt64s([]int64{1}))
 				if rank%2 == 0 && rank+1 < n {
 					comm.Send(p, g[rank+1], []byte{byte(i)})
 				} else if rank%2 == 1 {

@@ -368,7 +368,7 @@ func TestChaosFramesOwnedOnce(t *testing.T) {
 			continue
 		}
 		spec := sc.Spec
-		spec.Warmup, spec.Iters = 2, 8 // RunScenario's defaults
+		spec.Warmup, spec.Iters = 2, 8 // RunScenarios' defaults
 		plain := runCell(t, spec, false)
 		if plain.err != nil {
 			t.Fatalf("%s: %v", sc.Name, plain.err)

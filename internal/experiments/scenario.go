@@ -89,20 +89,11 @@ func (s ScenarioSummary) String() string {
 	return b.String()
 }
 
-// RunScenario executes one cell through Run (warm-up and iteration counts
-// default to 2 and 8) and names the summary. The run is bit-deterministic:
-// the same Scenario always returns the same summary.
-func RunScenario(s Scenario) (ScenarioSummary, error) {
-	sums, err := RunScenarios([]Scenario{s})
-	if err != nil {
-		return ScenarioSummary{}, err
-	}
-	return sums[0], nil
-}
-
-// RunScenarios runs every scenario as one RunAll batch: summaries in input
-// order, bit-identical to serial execution, or the first error in input
-// order.
+// RunScenarios runs every scenario as one RunAll batch (warm-up and
+// iteration counts default to 2 and 8) and names each summary: summaries in
+// input order, bit-identical to serial execution, or the first error in
+// input order. The runs are bit-deterministic: the same Scenario always
+// returns the same summary.
 func RunScenarios(list []Scenario) ([]ScenarioSummary, error) {
 	specs := make([]Spec, len(list))
 	for i, s := range list {

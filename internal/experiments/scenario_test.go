@@ -82,10 +82,11 @@ func TestZeroFaultScenariosMatchFigure5(t *testing.T) {
 		if !ok {
 			t.Fatalf("fleet has no scenario %q", c.scen)
 		}
-		sum, err := RunScenario(s)
+		sums, err := RunScenarios([]Scenario{s})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sum := sums[0]
 		ref := MeasureBarrier(c.spec)
 		if sum.MeanMicros != ref.MeanMicros { // bit-exact on purpose
 			t.Errorf("%s: scenario mean %.6fµs != Figure 5 measurement %.6fµs",
@@ -109,14 +110,11 @@ func TestGBBarrierSurvivesNodeCrash(t *testing.T) {
 		Warmup:  2,
 		Iters:   6,
 	}}
-	a, err := RunScenario(scen)
+	sums, err := RunScenarios([]Scenario{scen, scen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenario(scen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := sums[0], sums[1]
 	if a.String() != b.String() {
 		t.Fatalf("rerun diverged:\n--- first\n%s--- second\n%s", a, b)
 	}
@@ -153,15 +151,11 @@ func TestScenarioSummariesDeterministic(t *testing.T) {
 		byName[s.Name] = s
 	}
 	for _, name := range []string{"gb16-crash-interior", "gb16-chaos-s1", "pe32-clos2-crash17"} {
-		a, err := RunScenario(byName[name])
+		sums, err := RunScenarios([]Scenario{byName[name], byName[name]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunScenario(byName[name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
+		if a, b := sums[0], sums[1]; a.String() != b.String() {
 			t.Errorf("%s rerun diverged:\n--- first\n%s--- second\n%s", name, a, b)
 		}
 	}

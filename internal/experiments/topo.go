@@ -78,11 +78,8 @@ type TopoSweep struct {
 	Kinds        []topo.Kind
 	Sizes        []int
 	Radix, Iters int
-	// Dims lists the GB tree dimensions to sweep per row; nil means the
-	// gbDims default for each size. Ignored when Tuned is set.
-	Dims []int
 	// Tuned picks the GB dimension per row with TunedGBDim instead of
-	// sweeping: each row costs 4 simulations instead of 2 + 2·|dims|,
+	// sweeping gbDims: each row costs 4 simulations instead of 2 + 2·|dims|,
 	// which is what makes the 8192- and 16384-node fat-tree rows
 	// affordable. The host GB row reuses the NIC-tuned dimension (an
 	// approximation — the host steady state has the same shape with larger
@@ -121,12 +118,9 @@ func TopoScaleSweep(o TopoSweep) ([]TopoScaleRow, error) {
 				continue // infeasible at this size; skip the row
 			}
 			st := t.ComputeStats()
-			ds := o.Dims
-			switch {
-			case o.Tuned:
+			ds := gbDims(n)
+			if o.Tuned {
 				ds = []int{TunedGBDim(cfg)}
-			case ds == nil:
-				ds = gbDims(n)
 			}
 			plans = append(plans, rowPlan{
 				kind: kind, n: n,

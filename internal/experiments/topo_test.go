@@ -62,14 +62,14 @@ func TestTopoScaleRowsSane(t *testing.T) {
 
 // TestTopoScale1024Smoke drives the headline scale experiment end to end: a
 // 1024-node three-level Clos of radix-16 crossbars, NIC-based and host-based
-// barriers, serial and parallel runs bit-identical. ~1 min, skipped in
-// -short.
+// barriers at the tuned GB dimension (four simulations), serial and parallel
+// runs bit-identical. Skipped in -short.
 func TestTopoScale1024Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node fabric simulation is slow; skipped in -short")
 	}
 	run := func() []TopoScaleRow {
-		rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{1024}, Radix: 16, Iters: 3, Dims: []int{8}})
+		rows, err := TopoScaleSweep(TopoSweep{Kinds: []topo.Kind{topo.Clos3}, Sizes: []int{1024}, Radix: 16, Iters: 3, Tuned: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@
 // Every call charges the calling process the host CPU cost of the real
 // call and models the PCI doorbell latency before the NIC can observe the
 // request. Completion flows back through the port's host event queue,
-// which the process reads with Receive (blocking) or TryReceive (polling,
+// which the process reads with ReceiveFor (blocking) or TryReceive (polling,
 // for fuzzy barriers).
 //
 // The charges are leads on the process's clock (host.Process.ComputePhase),
@@ -15,7 +15,7 @@
 // at the instant the NIC would see it had the process slept through every
 // charge. A port's only inputs are its event queue, which the NIC appends to
 // and this process alone consumes, and the NIC state Open, Close and the
-// provisioning batch touch directly; Receive therefore waits without
+// provisioning batch touch directly; ReceiveFor therefore waits without
 // settling the lead, and the calls that look at anything else settle first.
 // A blocking receive names what it waits for (ReceiveFor): an event that
 // does not end the wait is paid for and filed by the event loop while the
@@ -387,8 +387,10 @@ type Waiter interface {
 }
 
 // ReceiveFor blocks until the port receives an event that ends w's wait and
-// returns it; every event before it is received and handed to w.File. Each
-// costs the process what Receive charges for it. p must be the port's owner.
+// returns it (gm_receive / gm_blocking_receive); every event before it is
+// received and handed to w.File. Each costs the process event-detection
+// cost plus a per-kind processing cost (the paper's HRecv for data and
+// barrier-completion events). p must be the port's owner.
 func (pt *Port) ReceiveFor(p *host.Process, w Waiter) mcp.HostEvent {
 	for {
 		// The lead is kept: an event queued at loop time T is the head the
@@ -406,20 +408,6 @@ func (pt *Port) ReceiveFor(p *host.Process, w Waiter) mcp.HostEvent {
 		}
 		w.File(ev)
 	}
-}
-
-// anyEvent is the wait of Receive: every event ends it.
-type anyEvent struct{}
-
-func (anyEvent) Ends(mcp.HostEventKind, mcp.Endpoint) bool { return true }
-func (anyEvent) File(mcp.HostEvent)                        {}
-
-// Receive blocks until a host event is available, then consumes and
-// returns it (gm_receive / gm_blocking_receive). The process is charged
-// event-detection cost plus a per-kind processing cost (the paper's HRecv
-// for data and barrier-completion events).
-func (pt *Port) Receive(p *host.Process) mcp.HostEvent {
-	return pt.ReceiveFor(p, anyEvent{})
 }
 
 // TryReceive polls once for an event (non-blocking gm_receive). It charges

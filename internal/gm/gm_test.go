@@ -12,6 +12,12 @@ import (
 	"gmsim/internal/sim"
 )
 
+// anyEvent is a wait that every event ends: a plain gm_receive.
+type anyEvent struct{}
+
+func (anyEvent) Ends(mcp.HostEventKind, mcp.Endpoint) bool { return true }
+func (anyEvent) File(mcp.HostEvent)                        {}
+
 // run spawns a single-node (or n-node) cluster and runs body as rank 0's
 // process; extra ranks run extraBody.
 func run(t *testing.T, n int, body func(cl *cluster.Cluster, p *host.Process), extra func(cl *cluster.Cluster, p *host.Process)) *cluster.Cluster {
@@ -80,7 +86,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 			t.Errorf("provide: %v", err)
 			return
 		}
-		ev := port.Receive(p)
+		ev := port.ReceiveFor(p, anyEvent{})
 		if ev.Kind != mcp.RecvEvent {
 			t.Errorf("kind = %v", ev.Kind)
 		}
@@ -95,7 +101,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 			t.Errorf("send: %v", err)
 		}
 		// consume the completion
-		if ev := port.Receive(p); ev.Kind != mcp.SentEvent {
+		if ev := port.ReceiveFor(p, anyEvent{}); ev.Kind != mcp.SentEvent {
 			t.Errorf("expected sent event, got %v", ev.Kind)
 		}
 	})
@@ -114,11 +120,11 @@ func TestReceiveChargesHostCosts(t *testing.T) {
 		port, _ := gm.Open(p, cl.MCP(0), 2)
 		port.ProvideReceiveBuffer(p)
 		before := p.Now()
-		ev := port.Receive(p)
+		ev := port.ReceiveFor(p, anyEvent{})
 		after := p.Now()
 		minCost := p.Params().RecvDetect + p.Params().EffectiveRecvProcess()
 		if after-before < minCost {
-			t.Errorf("Receive charged %v, want at least %v", after-before, minCost)
+			t.Errorf("ReceiveFor charged %v, want at least %v", after-before, minCost)
 		}
 		_ = ev
 	}, func(cl *cluster.Cluster, p *host.Process) {
@@ -176,7 +182,7 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 		}
 		// Drain completions so the simulation terminates.
 		for i := 0; i < sent; i++ {
-			if ev := port.Receive(p); ev.Kind != mcp.SentEvent {
+			if ev := port.ReceiveFor(p, anyEvent{}); ev.Kind != mcp.SentEvent {
 				t.Errorf("unexpected event %v", ev.Kind)
 			}
 		}
@@ -186,7 +192,7 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 			port.ProvideReceiveBuffer(p)
 		}
 		for i := 0; i < 16; i++ {
-			port.Receive(p)
+			port.ReceiveFor(p, anyEvent{})
 		}
 	})
 }
@@ -239,14 +245,14 @@ func TestBarrierValidation(t *testing.T) {
 			if err := f.send(port, p, nil); err == nil {
 				t.Errorf("second %s while active should fail", f.name)
 			}
-			if ev := port.Receive(p); ev.Kind != f.done {
+			if ev := port.ReceiveFor(p, anyEvent{}); ev.Kind != f.done {
 				t.Errorf("%s: expected %v, got %v", f.name, f.done, ev.Kind)
 			}
 			// The buffer provided for the refused post is still there.
 			if err := f.send(port, p, nil); err != nil {
 				t.Errorf("%s after completion: %v", f.name, err)
 			}
-			port.Receive(p)
+			port.ReceiveFor(p, anyEvent{})
 			port.Close()
 			if err := f.provide(port, p); err == nil {
 				t.Errorf("provide %s buffer on closed port should fail", f.name)
@@ -264,7 +270,7 @@ func TestBarrierCompletionTag(t *testing.T) {
 			port, _ := gm.Open(p, cl.MCP(0), 2)
 			f.provide(port, p)
 			f.send(port, p, "my-"+f.name)
-			ev := port.Receive(p)
+			ev := port.ReceiveFor(p, anyEvent{})
 			if ev.Kind != f.done || ev.Tag != "my-"+f.name {
 				t.Errorf("%s: event = %+v", f.name, ev)
 			}
@@ -286,7 +292,7 @@ func TestReceiveBlocksUntilDelivery(t *testing.T) {
 	run(t, 2, func(cl *cluster.Cluster, p *host.Process) {
 		port, _ := gm.Open(p, cl.MCP(0), 2)
 		port.ProvideReceiveBuffer(p)
-		port.Receive(p)
+		port.ReceiveFor(p, anyEvent{})
 		recvAt = p.Now()
 	}, func(cl *cluster.Cluster, p *host.Process) {
 		port, _ := gm.Open(p, cl.MCP(1), 2)
@@ -341,7 +347,7 @@ func TestMalformedCollectiveTokenIsRefusedAtTheCall(t *testing.T) {
 			t.Errorf("rank %d: good token after the refused ones: %v", rank, err)
 			return
 		}
-		ev := port.Receive(p)
+		ev := port.ReceiveFor(p, anyEvent{})
 		if ev.Kind != mcp.CollDoneEvent {
 			t.Errorf("rank %d: event %v, want coll-done", rank, ev.Kind)
 		}
@@ -372,8 +378,8 @@ func TestKilledSenderRingsNoUnwrittenDoorbell(t *testing.T) {
 		cl.Spawn(0, 0, func(p *host.Process) {
 			port, _ := gm.Open(p, cl.MCP(0), 2)
 			port.ProvideReceiveBuffers(p, 2)
-			port.Receive(p)
-			port.Receive(p)
+			port.ReceiveFor(p, anyEvent{})
+			port.ReceiveFor(p, anyEvent{})
 		})
 		sender := cl.Spawn(1, 1, func(p *host.Process) {
 			port, _ := gm.Open(p, cl.MCP(1), 2)

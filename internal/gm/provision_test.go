@@ -114,7 +114,7 @@ func (pc provisionCase) run(t *testing.T, post func(p *host.Process, port *gm.Po
 			}
 		}
 		for i := 0; i < sends; i++ { // after a reopen, what reaches the new program
-			if ev := port.Receive(p); ev.Kind != mcp.RecvEvent {
+			if ev := port.ReceiveFor(p, anyEvent{}); ev.Kind != mcp.RecvEvent {
 				t.Errorf("rank 0 received %v, want a message", ev.Kind)
 			}
 			out.recvAt = p.Now()
@@ -136,7 +136,7 @@ func (pc provisionCase) run(t *testing.T, post func(p *host.Process, port *gm.Po
 			}
 		}
 		for i := 0; i < sends; i++ {
-			port.Receive(p) // the sends' completions
+			port.ReceiveFor(p, anyEvent{}) // the sends' completions
 		}
 	})
 	if err := cl.Drain(); err != nil && pc.reopenAt == 0 {

@@ -16,7 +16,7 @@ import (
 // Twin differential tests for the blocking receive's wait: the same scripted
 // traffic to one port, received once through a waiter that ends only on the
 // event it waits for (the others are retired by the event loop while the
-// owner stays parked) and once through Receive, which wakes the owner for
+// owner stays parked) and once through anyEvent, which wakes the owner for
 // every event and files the others itself. Nothing the owner or a recorder
 // can see may tell the two apart, event by event.
 
@@ -105,7 +105,7 @@ type waitScript struct {
 const waitEvents = 6 // two send completions, a barrier completion, three messages
 
 // run plays the script with rank 0 waiting through a filter (filtered) or
-// through Receive.
+// through anyEvent.
 func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 	t.Helper()
 	cl := cluster.New(cluster.DefaultConfig(3))
@@ -144,7 +144,7 @@ func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 		if f := (&filter{from: rank2, file: func(ev mcp.HostEvent) { note(ev, "filed") }}); filtered {
 			ev = port.ReceiveFor(p, f)
 		} else {
-			for ev = port.Receive(p); !f.Ends(ev.Kind, ev.Src); ev = port.Receive(p) {
+			for ev = port.ReceiveFor(p, anyEvent{}); !f.Ends(ev.Kind, ev.Src); ev = port.ReceiveFor(p, anyEvent{}) {
 				f.File(ev)
 			}
 		}
@@ -177,11 +177,11 @@ func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 				}
 			}
 			for i := 0; i < len(delays); i++ {
-				pt.Receive(p)
+				pt.ReceiveFor(p, anyEvent{})
 			}
 			if rank == 1 {
-				pt.Receive(p) // rank 0's two messages
-				pt.Receive(p)
+				pt.ReceiveFor(p, anyEvent{}) // rank 0's two messages
+				pt.ReceiveFor(p, anyEvent{})
 			}
 		})
 	}

@@ -365,7 +365,7 @@ func TestCollectivePortAccessors(t *testing.T) {
 	if s.bufs != 1 {
 		t.Fatalf("bufs = %d", s.bufs)
 	}
-	if b := r.mcps[0].Port(2).BarrierBufs(); b != 0 {
+	if b := r.mcps[0].Port(2).slots[barrierSlot].bufs; b != 0 {
 		t.Fatalf("a collective buffer landed in the barrier slot: %d", b)
 	}
 }

@@ -84,12 +84,6 @@ func (k FrameKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// IsBarrier reports whether the frame kind is one of the paper's barrier
-// message types (not counting barrier ACK/reject control frames).
-func (k FrameKind) IsBarrier() bool {
-	return k == BarrierPEFrame || k == BarrierGatherFrame || k == BarrierBcastFrame
-}
-
 // HeaderBytes is the on-the-wire overhead of every frame: Myrinet header,
 // GM header, CRC. Barrier frames are header-only.
 const HeaderBytes = 16
@@ -151,6 +145,3 @@ func (f *Frame) String() string {
 func seqLess(a, b uint32) bool {
 	return a != b && b-a < 1<<31
 }
-
-// seqLEq reports a <= b in wraparound order.
-func seqLEq(a, b uint32) bool { return a == b || seqLess(a, b) }

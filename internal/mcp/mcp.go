@@ -209,6 +209,7 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: clear the record of messages destined for
 		// this endpoint, collective ones included.
+		// order-free: each connection's records are cleared on their own.
 		for _, c := range m.conns {
 			for sp := range c.unexp {
 				if c.unexp[sp].present && int(c.unexp[sp].dstPort) == n {
@@ -829,6 +830,7 @@ func (m *MCP) deadNodesSorted() []network.NodeID {
 		return nil
 	}
 	out := make([]network.NodeID, 0, len(m.deadPeers))
+	// order-free: the result is sorted.
 	for n := range m.deadPeers {
 		out = append(out, n)
 	}

@@ -79,12 +79,6 @@ func (p *Port) Num() int { return p.num }
 // Open reports whether the port is currently open.
 func (p *Port) Open() bool { return p.open }
 
-// Epoch returns the current open-generation.
-func (p *Port) Epoch() int { return p.epoch }
-
-// BarrierBufs returns the number of barrier completion buffers available.
-func (p *Port) BarrierBufs() int { return int(p.slots[barrierSlot].bufs) }
-
 // BarrierActive reports whether a barrier initiated by this port is in
 // flight on the NIC.
 func (p *Port) BarrierActive() bool { return p.slots[barrierSlot].live }

@@ -37,14 +37,6 @@ func GBTerms43() GBTerms {
 	return GBTerms{Token: (180.0 + 400.0) / 33.0, Step: (320.0 + 40.0 + 100.0) / 33.0}
 }
 
-// GBTerms72 returns the LANai 7.2 values: the same firmware work at 66 MHz.
-func GBTerms72() GBTerms {
-	t := GBTerms43()
-	t.Token /= 2
-	t.Step /= 2
-	return t
-}
-
 // NICBarrierGB extends Equation 2 to the gather-and-broadcast algorithm:
 //
 //	T = Send + Token + 2 × depth × (Network + Step) + (dim-1) × Step + RDMA + HRecv

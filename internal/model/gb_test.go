@@ -32,10 +32,6 @@ func TestGBTermsCalibration(t *testing.T) {
 	if math.Abs(t43.Token-580.0/33.0) > 1e-9 || math.Abs(t43.Step-460.0/33.0) > 1e-9 {
 		t.Fatalf("GBTerms43 = %+v", t43)
 	}
-	t72 := GBTerms72()
-	if t72.Token != t43.Token/2 || t72.Step != t43.Step/2 {
-		t.Fatalf("LANai 7.2 terms not halved: %+v vs %+v", t72, t43)
-	}
 }
 
 func TestNICBarrierGBShape(t *testing.T) {

@@ -95,10 +95,6 @@ func GBCostsAt(clockMHz float64) GBSteadyCosts {
 // paper's measured NIC and the simulator's default configuration.
 func GBCosts43() GBSteadyCosts { return GBCostsAt(33) }
 
-// GBCosts72 returns the cost set for the LANai 7.2 at 66 MHz (same DMA
-// engine and host parameters, twice the firmware clock).
-func GBCosts72() GBSteadyCosts { return GBCostsAt(66) }
-
 // GBSteadyState returns the mean steady-state barrier period in
 // microseconds for an n-node dimension-dim GB tree on a single crossbar,
 // measured at rank 0 over iters iterations after warmup — the same

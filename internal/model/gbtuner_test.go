@@ -18,12 +18,12 @@ func TestGBSteadyCostsDerivation(t *testing.T) {
 	if c != want {
 		t.Fatalf("GBCosts43 = %+v, want %+v", c, want)
 	}
-	c72 := GBCosts72()
+	c72 := GBCostsAt(66)
 	if c72.Token != 8788 || c72.Prep != 5455 || c72.Recv != 1515 || c72.Complete != 2273 {
-		t.Fatalf("GBCosts72 firmware terms = %+v, want halved-and-rounded 4.3 values", c72)
+		t.Fatalf("GBCostsAt(66) firmware terms = %+v, want halved-and-rounded 4.3 values", c72)
 	}
 	if c72.EvtDMA != c.EvtDMA || c72.HopHead != c.HopHead || c72.Evt2Done != c.Evt2Done {
-		t.Fatalf("GBCosts72 wire/host terms should not scale with the clock: %+v", c72)
+		t.Fatalf("GBCostsAt(66) wire/host terms should not scale with the clock: %+v", c72)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestGBSteadyStateProperties(t *testing.T) {
 		t.Fatalf("TunedGBDim(1) = %d, want 1", d)
 	}
 	// The faster NIC is uniformly faster.
-	if f43, f72 := GBSteadyState(16, 4, 5, 50, GBCosts43()), GBSteadyState(16, 4, 5, 50, GBCosts72()); f72 >= f43 {
+	if f43, f72 := GBSteadyState(16, 4, 5, 50, GBCosts43()), GBSteadyState(16, 4, 5, 50, GBCostsAt(66)); f72 >= f43 {
 		t.Fatalf("LANai 7.2 (%v) not faster than 4.3 (%v)", f72, f43)
 	}
 }

@@ -65,20 +65,12 @@ func (b Breakdown) HostBarrier(n int) float64 {
 	return steps(n) * (b.Send + b.SDMA + b.Network + b.Recv + b.RDMA + b.HRecv)
 }
 
-// HostStep returns the per-step cost of the host-based barrier.
-func (b Breakdown) HostStep() float64 {
-	return b.Send + b.SDMA + b.Network + b.Recv + b.RDMA + b.HRecv
-}
-
 // NICBarrier evaluates Equation 2:
 //
 //	T = Send + log2(N) × (Network + Recv) + RDMA + HRecv
 func (b Breakdown) NICBarrier(n int) float64 {
 	return b.Send + steps(n)*(b.Network+b.nicRecv()) + b.RDMA + b.HRecv
 }
-
-// NICStep returns the per-step cost of the NIC-based barrier.
-func (b Breakdown) NICStep() float64 { return b.Network + b.nicRecv() }
 
 // Factor evaluates Equation 3: the predicted factor of improvement.
 func (b Breakdown) Factor(n int) float64 {

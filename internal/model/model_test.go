@@ -15,8 +15,8 @@ func TestHostBarrierEquation(t *testing.T) {
 	if got := b.HostBarrier(8); !almost(got, 63, 1e-9) {
 		t.Fatalf("HostBarrier(8) = %v, want 63", got)
 	}
-	if got := b.HostStep(); !almost(got, 21, 1e-9) {
-		t.Fatalf("HostStep = %v", got)
+	if got := b.HostBarrier(2); !almost(got, 21, 1e-9) {
+		t.Fatalf("HostBarrier(2), one step, = %v, want 21", got)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestNICRecvOverride(t *testing.T) {
 	if got := b.NICBarrier(2); !almost(got, 25, 1e-9) {
 		t.Fatalf("NICBarrier(2) = %v, want 25", got)
 	}
-	if got := b.NICStep(); !almost(got, 13, 1e-9) {
-		t.Fatalf("NICStep = %v", got)
+	if got := b.NICBarrier(4) - b.NICBarrier(2); !almost(got, 13, 1e-9) {
+		t.Fatalf("NIC per-step cost = %v, want 13", got)
 	}
 }
 

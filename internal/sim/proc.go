@@ -310,6 +310,3 @@ func (sig *Signal) Fire() {
 	}
 	sig.waiters.done(waiters)
 }
-
-// Waiting reports how many processes are currently parked on the signal.
-func (sig *Signal) Waiting() int { return len(sig.waiters.procs) }

@@ -584,16 +584,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// NextEventTime returns the timestamp of the earliest pending event and
-// whether one exists.
-func (s *Simulator) NextEventTime() (Time, bool) {
-	idx := s.findMin()
-	if idx < 0 {
-		return 0, false
-	}
-	return s.slots[idx].at, true
-}
-
 // Stranded reports the number of processes that are parked waiting for a
 // signal while no event is pending that could wake them. A nonzero value
 // after Run returns indicates a lost-wakeup deadlock in the modeled system.
