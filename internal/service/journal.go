@@ -146,18 +146,18 @@ func (j *Journal) compactLocked() error {
 	return nil
 }
 
-// append writes one record, optionally fsyncing. Accepts sync — the record
-// is the durability point the 202 response promises; terminal records may
-// lag (a lost one only costs a redundant replay against the store).
-func (j *Journal) append(rec journalRecord, sync bool) error {
+// appendLocked writes one record, optionally fsyncing. Accepts sync — the
+// record is the durability point the 202 response promises; terminal records
+// may lag (a lost one only costs a redundant replay against the store).
+// Callers hold j.mu and update pending under the same hold, so a compaction
+// never runs between a record and its effect on pending.
+func (j *Journal) appendLocked(rec journalRecord, sync bool) error {
+	if j.f == nil {
+		return fmt.Errorf("journal: closed")
+	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("journal: closed")
 	}
 	if _, err := j.f.Write(append(b, '\n')); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -173,22 +173,22 @@ func (j *Journal) append(rec journalRecord, sync bool) error {
 // Accept journals an accepted job; the job is durable once this returns.
 func (j *Journal) Accept(p PendingJob) error {
 	spec := p.Spec
-	if err := j.append(journalRecord{Op: opAccept, ID: p.ID, Key: p.Key, Hash: p.Hash, Spec: &spec}, true); err != nil {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.appendLocked(journalRecord{Op: opAccept, ID: p.ID, Key: p.Key, Hash: p.Hash, Spec: &spec}, true); err != nil {
 		return err
 	}
-	j.mu.Lock()
 	j.pending = append(j.pending, p)
-	j.mu.Unlock()
 	return nil
 }
 
 // terminalOp journals a terminal transition and compacts when due.
 func (j *Journal) terminalOp(op, id, errMsg string) error {
-	if err := j.append(journalRecord{Op: op, ID: id, Err: errMsg}, false); err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.appendLocked(journalRecord{Op: op, ID: id, Err: errMsg}, false); err != nil {
+		return err
+	}
 	j.drop(id)
 	j.terminal++
 	if j.terminal >= compactEvery {
