@@ -165,45 +165,26 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// moduleImporter type-checks the module's packages from source, non-test
-// files only, and imports the standard library from export data.
+// moduleImporter type-checks the module's packages from their parsed
+// non-test files and imports the standard library from export data.
 type moduleImporter struct {
 	fset  *token.FileSet
 	std   types.Importer
+	files map[string][]*ast.File // by import path
 	pkgs  map[string]*types.Package
-	files map[string][]*ast.File
 	info  *types.Info
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	dir, ok := strings.CutPrefix(path, "gmsim/")
-	if !ok {
+	if !strings.HasPrefix(path, "gmsim/") {
 		return m.std.Import(path)
 	}
 	if p := m.pkgs[path]; p != nil {
 		return p, nil
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(m.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
-	if err != nil {
-		return nil, err
-	}
-	m.pkgs[path], m.files[path] = p, files
-	return p, nil
+	p, err := (&types.Config{Importer: m}).Check(path, m.fset, m.files[path], m.info)
+	m.pkgs[path] = p
+	return p, err
 }
 
 // TestSimulationPackagesDeterministic holds the simulation packages' non-test
@@ -222,9 +203,14 @@ func TestSimulationPackagesDeterministic(t *testing.T) {
 	m := &moduleImporter{
 		fset:  fset,
 		std:   importer.Default(),
-		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
 		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	for _, f := range parseModule(t, fset) {
+		if !f.test {
+			m.files["gmsim/"+f.dir] = append(m.files["gmsim/"+f.dir], f.ast)
+		}
 	}
 	for _, pkg := range simPkgs {
 		path := "gmsim/internal/" + pkg
