@@ -236,14 +236,22 @@ func (pt *Port) sendRung() {
 }
 
 // ProvideReceiveBuffer posts one receive buffer
-// (gm_provide_receive_buffer_with_tag).
+// (gm_provide_receive_buffer_with_tag). The NIC sees it one DoorbellLatency
+// after the call returns on the process's clock. It rings no doorbell: the
+// NIC is handed a one-token schedule for that instant
+// (mcp.MCP.ScheduleReceiveTokens), which it counts when it reads its tokens,
+// and the process's lead stands. While the NIC is still posting an earlier
+// schedule, the doorbell rings.
 func (pt *Port) ProvideReceiveBuffer(p *host.Process) error {
 	if !pt.open {
 		return fmt.Errorf("gm: provide buffer on closed port %d", pt.num)
 	}
 	pt.recvBufs++
-	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
-	p.Proc().After(p.Params().DoorbellLatency, pt.recvDoorbell)
+	prm := p.Params()
+	p.ComputePhase(prm.ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
+	if !pt.mcp.ScheduleReceiveTokens(pt.num, 1, p.Now()+prm.DoorbellLatency, 0) {
+		p.Proc().After(prm.DoorbellLatency, pt.recvDoorbell)
+	}
 	return nil
 }
 

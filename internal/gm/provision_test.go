@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"gmsim/internal/cluster"
+	"gmsim/internal/fault"
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 	"gmsim/internal/phase"
 	"gmsim/internal/sim"
 )
@@ -229,13 +231,15 @@ func TestProvideReceiveBuffersMatchesLoop(t *testing.T) {
 		t.Errorf("racing message: %+v", batch.stats)
 	}
 
-	// Which path ran shows in the event loop: the loop has scheduled all n
-	// doorbells before the first rings and runs every one, the batch
+	// Which path ran shows in the event loop: the loop's first call hands the
+	// NIC a one-token schedule, and the other n-1 find it still posting (the
+	// calls are leads on rank 0's clock), so the loop has scheduled n-1
+	// doorbells before the first rings and runs every one; the batch
 	// schedules none. Its one event of its own is the sleep that settles its
-	// charge, which the loop's calls take as leads.
-	if batch.maxPending >= 8 || loop.maxPending < n || loop.executed-batch.executed != n-1 {
+	// charge.
+	if batch.maxPending >= 8 || loop.maxPending < n-1 || loop.executed-batch.executed != n-2 {
 		t.Errorf("batch had %d events pending at once and ran %d, the loop %d and %d: want a handful, at least %d, and %d doorbells more",
-			batch.maxPending, batch.executed, loop.maxPending, loop.executed, n, n-1)
+			batch.maxPending, batch.executed, loop.maxPending, loop.executed, n-1, n-2)
 	}
 }
 
@@ -357,27 +361,29 @@ func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
 	watch := 100 * hp.ProvideBufferCost
 
 	// Back to back: the second batch is made while the first's last doorbells
-	// are still due. The loop rings 80 doorbells; the batches ring the
-	// second's 40, and the first sleeps once for its charge.
+	// are still due. The loop rings 79 doorbells (its first call is a
+	// one-token schedule); the batches ring the second's 40, and the first
+	// sleeps once for its charge.
 	batch := provision(t, hp, false, watch, batchOf(40, 40))
 	loop := provision(t, hp, false, watch, loopOf(80))
 	sameProvisioning(t, batch, loop)
-	if batch.maxPending < 40 || loop.executed-batch.executed != 40-1 {
-		t.Errorf("two batches back to back: %d events pending at once, %d run against the loop's %d: want the second's 40 doorbells, and 39 fewer",
+	if batch.maxPending < 40 || loop.executed-batch.executed != 40-2 {
+		t.Errorf("two batches back to back: %d events pending at once, %d run against the loop's %d: want the second's 40 doorbells, and 38 fewer",
 			batch.maxPending, batch.executed, loop.executed)
 	}
 
-	// Free calls: every doorbell rings at one instant.
+	// Free calls: every doorbell but the first call's rings at one instant.
 	hp.ProvideBufferCost = 0
 	batch = provision(t, hp, false, watch, batchOf(80))
 	loop = provision(t, hp, false, watch, loopOf(80))
 	sameProvisioning(t, batch, loop)
-	if loop.executed-batch.executed != 80-1 {
-		t.Errorf("free calls: %d events against the loop's %d, want 79 fewer", batch.executed, loop.executed)
+	if loop.executed-batch.executed != 80-2 {
+		t.Errorf("free calls: %d events against the loop's %d, want 78 fewer", batch.executed, loop.executed)
 	}
 
 	// Port 3's batch is still posting when port 2's is made: the NIC keeps
-	// one schedule, so port 2's batch rings a doorbell per buffer.
+	// one schedule, so port 2's batch rings a doorbell per buffer. Port 3's
+	// loop rings 39: its first call is a one-token schedule.
 	hp = host.DefaultParams()
 	both := func(post func(*host.Process, *gm.Port, int) error) (steps [2][]tokenStep, executed int64) {
 		cl := cluster.New(cluster.DefaultConfig(1))
@@ -422,7 +428,7 @@ func TestProvideReceiveBuffersFallsBackToLoop(t *testing.T) {
 	if !slices.Equal(bSteps[0], lSteps[0]) || !slices.Equal(bSteps[1], lSteps[1]) {
 		t.Errorf("two ports: NIC token counts differ:\n batch %v\n loop  %v", bSteps, lSteps)
 	}
-	if len(bSteps[0]) != 40 || len(bSteps[1]) != 40 || lRun-bRun != 40-1 {
+	if len(bSteps[0]) != 40 || len(bSteps[1]) != 40 || lRun-bRun != 40-2 {
 		t.Errorf("two ports: %d and %d token steps, %d events against the loop's %d: want 40 each, and port 2's 40 doorbells rung",
 			len(bSteps[0]), len(bSteps[1]), bRun, lRun)
 	}
@@ -560,5 +566,99 @@ func TestClosedProgramCreditsNoReceiveToken(t *testing.T) {
 					form.name, n, inherited, own)
 			}
 		}
+	}
+}
+
+// TestCrashSingleBufferScheduleEqualsDoorbell: a fail-stop crash leaves the
+// same outcome whether each re-posted receive buffer is handed to the NIC as
+// a one-token schedule or rings its doorbell — what every rank received and
+// when it finished, every NIC's firmware counters, how and where the run
+// ended. Four ranks pass messages round a ring, re-posting a buffer for each
+// one they take; node 1 fail-stops at instants 7.3 µs apart across the run,
+// so the crash lands between a call and its doorbell, on a doorbell, and
+// while a rank waits. The ring then stalls: host-level traffic has no
+// failure detection, and the run must deadlock at the same instant.
+func TestCrashSingleBufferScheduleEqualsDoorbell(t *testing.T) {
+	const n, iters = 4, 6
+	type outcome struct {
+		err      string
+		recvd    [n]int
+		finished [n]sim.Time
+		stats    [n]mcp.Stats
+		end      sim.Time
+		executed int64
+	}
+	run := func(at sim.Time, doorbell bool) (out outcome) {
+		cfg := cluster.DefaultConfig(n)
+		if at > 0 {
+			cfg.Fault = &fault.Plan{Crashes: []fault.Crash{{Node: 1, At: at}}}
+		}
+		cl := cluster.New(cfg)
+		defer cl.Close()
+		for node := 0; node < n; node++ {
+			cl.Spawn(node, node, func(p *host.Process) {
+				port, err := gm.Open(p, cl.MCP(node), 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := port.ProvideReceiveBuffers(p, 2); err != nil {
+					t.Error(err)
+					return
+				}
+				next := mcp.Endpoint{Node: network.NodeID((node + 1) % n), Port: 2}
+				for i := 0; i < iters; i++ {
+					if err := port.Send(p, next, []byte("ring"), nil); err != nil {
+						t.Error(err)
+						return
+					}
+					for port.ReceiveFor(p, anyEvent{}).Kind != mcp.RecvEvent {
+					}
+					out.recvd[node]++
+					provide := port.ProvideReceiveBuffer
+					if doorbell {
+						provide = port.ProvideReceiveBufferByDoorbell
+					}
+					if err := provide(p); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				out.finished[node] = p.Now()
+			})
+		}
+		if err := cl.Drain(); err != nil {
+			out.err = err.Error()
+		}
+		for i := range out.stats {
+			out.stats[i] = cl.MCP(i).Stats()
+		}
+		out.end = cl.Sim().Now()
+		out.executed = cl.Sim().Executed()
+		return out
+	}
+	clean, ref := run(0, false), run(0, true)
+	if clean.err != "" || clean.recvd != [n]int{iters, iters, iters, iters} || clean.executed >= ref.executed {
+		t.Fatalf("clean run: %q, received %v, %d events against the doorbells' %d: want every message and fewer events",
+			clean.err, clean.recvd, clean.executed, ref.executed)
+	}
+	stalled, cells := 0, 0
+	for at := sim.Time(0); at < clean.end; at += sim.FromMicros(7.3) {
+		sched, bell := clean, ref
+		if at > 0 {
+			sched, bell = run(at, false), run(at, true)
+		}
+		bell.executed = sched.executed
+		if sched != bell {
+			t.Errorf("crash at %v: the schedule and the doorbell differ:\n--- schedule\n%+v\n--- doorbell\n%+v", at, sched, bell)
+		}
+		if sched.err != "" {
+			stalled++
+		}
+		cells++
+	}
+	t.Logf("%d cells to %v, %d stalled", cells, clean.end, stalled)
+	if stalled == 0 {
+		t.Error("no crash stalled the ring")
 	}
 }

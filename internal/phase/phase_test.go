@@ -277,3 +277,131 @@ func TestLabels(t *testing.T) {
 		t.Fatal("a label outside the table has a name")
 	}
 }
+
+// heldRig drives a recorder from a simulator's events, as the firmware and
+// its DMA engines do.
+type heldRig struct {
+	s *sim.Simulator
+	r *Recorder
+}
+
+func newHeldRig() *heldRig { return &heldRig{sim.New(), NewRecorder()} }
+
+// add returns an event that adds a one-nanosecond span labelled name.
+func (h *heldRig) add(name string) func() {
+	return func() {
+		now := h.s.Now()
+		h.r.Add(Span{Start: now, End: now + 1, Node: 0, Label: h.r.Label(name)})
+	}
+}
+
+// hold holds a span labelled name for node, due at due, as a firmware task
+// booking a transfer does: the event that would have recorded it is the one
+// scheduled next, and the transfer's completion takes its place.
+func (h *heldRig) hold(node int32, name string, due sim.Time) {
+	h.r.Hold(Span{Start: due, End: due + 5, Node: node, Label: h.r.Label(name)}, due, h.s.Stamp(), h.s)
+	h.s.At(due+5, func() {})
+}
+
+// labels lists the loop spans' names in recording order.
+func (h *heldRig) labels() []string {
+	var out []string
+	for _, c := range h.r.Loop() {
+		for _, s := range c {
+			out = append(out, h.r.Name(s.Label))
+		}
+	}
+	return out
+}
+
+// A held span lands where the event due at its instant, scheduled when it
+// was held, would have added it: after the events of that instant scheduled
+// before, before those scheduled after, and in instant order among held
+// spans whatever order they were held in.
+func TestHeldSpansLandInEventOrder(t *testing.T) {
+	h := newHeldRig()
+	h.s.At(10, h.add("before"))
+	h.s.At(0, func() {
+		h.add("charge")()
+		h.hold(0, "held10", 10)
+		h.s.At(10, h.add("after"))
+		h.hold(1, "held8", 8) // held later, due earlier
+		h.add("same event")() // the held spans are not due yet
+	})
+	h.s.At(9, h.add("at9"))
+	h.s.Run()
+	want := []string{"charge", "same event", "held8", "at9", "before", "held10", "after"}
+	if got := h.labels(); !slices.Equal(got, want) {
+		t.Fatalf("recording order %v, want %v", got, want)
+	}
+	if h.r.Len() != len(want) || h.r.Totals()[0] != 10+5 {
+		t.Errorf("len %d, totals %v", h.r.Len(), h.r.Totals())
+	}
+}
+
+// Enable, Disable and Reset at a held span's instant take it as they would
+// have taken the span its event added: by whether they run before or after
+// that event.
+func TestHeldSpanAtWindowEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		gate   func(r *Recorder, at sim.Time)
+		start  bool // recorder on before the gate
+		before []string
+		after  []string
+	}{
+		{"disable", (*Recorder).Disable, true, nil, []string{"held"}},
+		{"enable", (*Recorder).Enable, false, []string{"held"}, nil},
+		{"reset", (*Recorder).Reset, true, []string{"held"}, nil},
+	} {
+		for _, gateFirst := range []bool{true, false} {
+			h := newHeldRig()
+			if !tc.start {
+				h.r.Disable(0)
+			}
+			gate := func() { tc.gate(h.r, h.s.Now()) }
+			if gateFirst {
+				h.s.At(10, gate) // scheduled before the hold: runs before its event
+			}
+			h.s.At(0, func() {
+				h.hold(0, "held", 10)
+				if !gateFirst {
+					h.s.At(10, gate)
+				}
+			})
+			h.s.Run()
+			want := tc.after
+			if gateFirst {
+				want = tc.before
+			}
+			if got := h.labels(); !slices.Equal(got, want) {
+				t.Errorf("%s before the span's event %v: recorded %v, want %v", tc.name, gateFirst, got, want)
+			}
+		}
+	}
+}
+
+// A card that dies drops its held spans due at or after the crash, and no
+// other node's; Crashed releases what is due first, as every gate does.
+func TestHeldSpansDroppedByCrash(t *testing.T) {
+	h := newHeldRig()
+	h.s.At(10, func() {
+		h.r.DropHeld(0, h.s.Now())
+		h.r.Crashed(0, h.s.Now())
+	})
+	h.s.At(0, func() {
+		h.hold(0, "node0 at 5", 5)
+		h.hold(0, "node0 at 10", 10)
+		h.hold(0, "node0 at 20", 20)
+		h.hold(1, "node1 at 10", 10)
+		h.hold(1, "node1 at 20", 20)
+	})
+	h.s.Run()
+	want := []string{"node0 at 5", "node1 at 10", "node1 at 20"}
+	if got := h.labels(); !slices.Equal(got, want) {
+		t.Fatalf("recorded %v, want %v", got, want)
+	}
+	var nilRec *Recorder
+	nilRec.Hold(Span{Start: 0, End: 1}, 0, 0, h.s)
+	nilRec.DropHeld(0, 0)
+}

@@ -148,6 +148,7 @@ type Simulator struct {
 	free    int32 // head of the free-slot list, -1 when empty
 	seq     int64
 	running int64 // seq of the event now running (see RunningAfter)
+	elided  Time  // the latest instant of an event a model elided (Elide)
 
 	executed int64
 	switches int64   // process resumes
@@ -197,6 +198,12 @@ func (s *Simulator) Stamp() Stamp { return Stamp(s.seq) }
 // run exactly when this is true. A model that works out in closed form what
 // such callbacks would have done asks it.
 func (s *Simulator) RunningAfter(st Stamp) bool { return s.running > int64(st) }
+
+// Elide notes an event at t that a model left out of the queue because it
+// works out in closed form what the event would have done (see
+// RunningAfter). Run still leaves the clock where that event would have: at
+// t at least.
+func (s *Simulator) Elide(t Time) { s.elided = max(s.elided, t) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a modeling bug.
@@ -558,10 +565,12 @@ func (s *Simulator) Step() bool {
 // Run executes events until none remain. Processes left stranded in Await
 // may lead the loop (see Proc): the clock then moves on to the latest of
 // theirs, the instant the last of them ran out of things to do — where it
-// would stand had each settled its charges as it went.
+// would stand had each settled its charges as it went. It moves on to the
+// latest elided event too (Elide).
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
+	s.now = max(s.now, s.elided)
 	for _, p := range s.spawned {
 		if p.waitingOn != nil && p.clock > s.now {
 			s.now = p.clock

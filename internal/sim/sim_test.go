@@ -369,3 +369,26 @@ func TestPropertyCancellation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// An elided event holds the clock's end of run where the event would have
+// left it, and only there: an instant the loop passes anyway changes
+// nothing, nor does RunUntil, which ends at its own instant.
+func TestRunEndsAtElidedEvent(t *testing.T) {
+	s := New()
+	s.At(10, func() {})
+	s.Elide(5)
+	s.Run()
+	if s.Now() != 10 {
+		t.Fatalf("elided event behind the last: clock %v, want 10", s.Now())
+	}
+	s.Elide(40)
+	s.At(20, func() {})
+	s.RunUntil(30)
+	if s.Now() != 30 {
+		t.Fatalf("RunUntil(30): clock %v", s.Now())
+	}
+	s.Run()
+	if s.Now() != 40 {
+		t.Fatalf("elided event after the last: clock %v, want 40", s.Now())
+	}
+}
