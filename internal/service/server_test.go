@@ -233,17 +233,25 @@ func TestServerAsyncAndTrace(t *testing.T) {
 // full per-client queue likewise, and duplicate in-flight specs coalesce
 // onto one job.
 func TestServerBackpressure(t *testing.T) {
-	srv := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ClientDepth: 1, RetryAfterSeconds: 7})
+	// The hog's executor holds the single worker until the test is done:
+	// every submit below lands while it owns the worker, however fast or
+	// loaded the machine, so the queue cannot drain and serve the final
+	// duplicate as a 200 cache hit instead of coalescing it.
+	release := make(chan struct{})
+	srv := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ClientDepth: 1, RetryAfterSeconds: 7,
+		exec: func(s Spec) (Outcome, error) {
+			if s.Nodes == 8 {
+				<-release
+			}
+			return echoExec(s)
+		}})
 	defer srv.Drain(context.Background())
+	defer close(release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Occupy the single worker with a slow job. The iteration count is the
-	// flake margin: every submit below must land while this job still owns
-	// the worker, or the queue drains and the final duplicate is served as
-	// a 200 cache hit instead of coalescing — seen on loaded single-core
-	// runners at 400 iterations (~0.2 s of wall time for ~50 ms of HTTP).
-	slow := Spec{Nodes: 8, Iters: 4000, Warmup: 2}
+	// Occupy the single worker with the gated job.
+	slow := Spec{Nodes: 8, Iters: 5, Warmup: 2}
 	resp, b := post(t, ts.Client(), ts.URL+"/v1/runs?async=1", slow, "hog")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("slow submit: %d %s", resp.StatusCode, b)
