@@ -130,15 +130,15 @@ profile:
 	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
 		-memprofile mem.prof -memprofilerate 4096 .
 
-# Where the host time goes: BenchmarkHost16 and BenchmarkClos256 (a
-# simulated barrier), BenchmarkSvcCold (one cold simd request without the
+# Where the host time goes: BenchmarkHost16, BenchmarkNic16 and
+# BenchmarkClos256 (a simulated barrier), BenchmarkSvcCold (one cold simd request without the
 # HTTP front) and BenchmarkObservedRun (the svc cell run plain, then
 # observed) under -cpuprofile, every sample folded into the simulator's
 # layers (scheduler, process handoff, firmware, fabric, recorder, host,
 # service, GC) by scripts/layers.go, one markdown table each. The iteration
 # counts are fixed, so two commits' tables compare in seconds.
 layers:
-	$(GO) run scripts/layers.go Host16=200x Clos256=20x SvcCold=300x ObservedRun=300x
+	$(GO) run scripts/layers.go Host16=200x Nic16=300x Clos256=20x SvcCold=300x ObservedRun=300x
 
 # CPU profile of the 8192-node scale path: TestTopoScale8192Smoke (a
 # radix-32 fat-tree, GB dimension tuned, all four barrier variants measured,

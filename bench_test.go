@@ -435,6 +435,20 @@ func BenchmarkHost16(b *testing.B) {
 	})
 }
 
+// BenchmarkNic16 runs the four cells of the repository benchmark's nic16
+// workload (bench/workload.go's nic16Cells): the paper's testbed, its NIC-
+// based PE and GB barriers on 16 nodes, LANai 4.3 and 7.2, one whole
+// measurement per iteration. The firmware, the fabric and the scheduler do
+// the work; each rank blocks once per barrier.
+func BenchmarkNic16(b *testing.B) {
+	benchCells(b, []struct{ name, spec string }{
+		{"pe_l43", `{"nodes":16,"nic":"4.3","level":"nic","alg":"pe","warmup":5,"iters":200}`},
+		{"gb2_l43", `{"nodes":16,"nic":"4.3","level":"nic","alg":"gb","dim":2,"warmup":5,"iters":200}`},
+		{"pe_l72", `{"nodes":16,"nic":"7.2","level":"nic","alg":"pe","warmup":5,"iters":200}`},
+		{"gb2_l72", `{"nodes":16,"nic":"7.2","level":"nic","alg":"gb","dim":2,"warmup":5,"iters":200}`},
+	})
+}
+
 // benchCells runs each wire-form spec as a sub-benchmark, one whole
 // measurement per iteration, reporting its bytes and heap objects.
 func benchCells(b *testing.B, cells []struct{ name, spec string }) {

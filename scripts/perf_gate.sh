@@ -10,7 +10,9 @@
 # base's by more than the bound. Otherwise FAIL when every head run is worse
 # than every base run, else UNRESOLVED: the excursion is inside the
 # run-to-run spread, so it is printed and not fatal. A head run whose
-# outputs failed their check is a FAIL. Exit 1 on any FAIL.
+# outputs failed their check is a FAIL, and so is a run, of either side,
+# that leaves a bench process running (which is then killed). Exit 1 on any
+# FAIL.
 #
 # LAYOUTS=k (default 1) builds each side k times: the default function
 # layout and the linker's -randlayout=1..k-1, the same seeds on both sides.
@@ -48,10 +50,17 @@ done
 # run SIDE DIR WORKLOAD SEED LAYOUT appends the run's last (JSON) line. A
 # failed output check exits non-zero with "correct": false on that line,
 # which the compare step reports; a run that prints no JSON stops the script
-# in jq.
+# in jq. A bench process (the run or a set-up child) still alive once the
+# run has returned is reported as a FAIL line and killed.
+: >"$out/left.txt"
 run() {
 	(cd "$2" && "$root/$out/bench_$1$5" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 || true) |
 		tail -n 1 | jq -c --arg w "$3" --argjson l "$5" '. + {workload: $w, layout: $l}' >>"$out/$1.jsonl"
+	pids=$(pgrep -f "$root/$out/bench_" || true)
+	if [ -n "$pids" ]; then
+		echo "FAIL $3 $1 left process(es) running:" $pids >>"$out/left.txt"
+		kill -9 $pids 2>/dev/null || true
+	fi
 }
 for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
 	pair=1
@@ -98,6 +107,7 @@ jq -n -r --slurpfile spec BENCHMARK.json --argjson layouts "$layouts" \
 	   + " (\(($hm - $bm) / $bm * 100 | short)%, bound \($m.bound * 100)%)"
 	   + " base \($what) \($b | map(short)) head \($what) \($h | map(short))")
 ' >"$out/verdicts.txt"
+cat "$out/left.txt" >>"$out/verdicts.txt"
 cat "$out/verdicts.txt"
 if grep -q '^FAIL' "$out/verdicts.txt"; then
 	exit 1
