@@ -252,7 +252,9 @@ func BenchmarkAblationLoopbackFlag(b *testing.B) {
 			done := make([]int, 2)
 			post := func(port int) {
 				m := cl.MCP(0)
-				if err := m.PostBarrierBuffer(port); err != nil {
+				// A buffer whose doorbell rang a nanosecond ago: the token
+				// posted next finds it.
+				if err := m.ScheduleCredits(port, mcp.BarrierBuffer, 1, s.Now()-1, 0); err != nil {
 					b.Fatal(err)
 				}
 				other := 5 - port // 2 <-> 3

@@ -11,12 +11,16 @@
 // for fuzzy barriers).
 //
 // The charges are leads on the process's clock (host.Process.ComputePhase),
-// so doorbells ride that clock: each is scheduled with the process's After,
-// at the instant the NIC would see it had the process slept through every
-// charge. A port's only inputs are its event queue, which the NIC appends to
-// and this process alone consumes, and the NIC state Open, Close and the
-// provisioning batch touch directly; ReceiveFor therefore waits without
-// settling the lead, and the calls that look at anything else settle first.
+// so the NIC sees each request at the instant it would have had the process
+// slept through every charge. A request that starts firmware work — a send,
+// a barrier or collective token — rings a doorbell, scheduled with the
+// process's After. A credit — a receive buffer, a completion buffer — rings
+// none: the NIC runs no task for it, so it is handed over as a run of
+// credits due at those instants (mcp.MCP.ScheduleCredits), counted when the
+// firmware reads them. A port's only inputs are its event queue, which the
+// NIC appends to and this process alone consumes, and the NIC state Open
+// and Close touch directly; ReceiveFor therefore waits without settling the
+// lead, and the calls that look at anything else settle first.
 // A blocking receive names what it waits for (ReceiveFor): an event that
 // does not end the wait is paid for and filed by the event loop while the
 // process stays parked, so the process is resumed only for the one it wants.
@@ -75,13 +79,12 @@ type Port struct {
 	recvBufs      int
 	slots         [2]slot // barrierSlot, collSlot
 
-	// Requests crossing the PCI bus: what the NIC sees one DoorbellLatency
+	// Sends crossing the PCI bus: what the NIC sees one DoorbellLatency
 	// after the host call returns. Every request of a port takes the same
-	// latency, so the queues are FIFO; the doorbell callbacks are built once
-	// in Open, so ringing a doorbell allocates nothing.
+	// latency, so the queue is FIFO; the doorbell callback is built once in
+	// Open, so ringing it allocates nothing.
 	sendsPosted  []mcp.SendToken
 	sendDoorbell func()
-	recvDoorbell func()
 }
 
 // The port's two operation slots, as in the firmware (mcp/tree.go): a
@@ -94,41 +97,41 @@ const (
 
 // family is what differs between the paper's two barrier calls and their
 // collective twins: the noun in errors, the phase labels of the provide,
-// post and completion charges, the completion event, and the NIC entry
-// points. The bodies read these; they never ask which family they run.
+// post and completion charges, the completion event, the credit a buffer
+// is, and the NIC entry point for a token. The bodies read these; they never
+// ask which family they run.
 type family struct {
 	noun                               string
 	provideLabel, postLabel, doneLabel string
 	done                               mcp.HostEventKind
-	postBuffer                         func(m *mcp.MCP, port int) error
+	buffer                             mcp.Credit
 	postToken                          func(m *mcp.MCP, tok any) error
 }
 
 var families = [2]family{
 	barrierSlot: {
 		noun: "barrier", provideLabel: "provide_bar_buf", postLabel: "gm_barrier_send", doneLabel: "bar_done",
-		done:       mcp.BarrierDoneEvent,
-		postBuffer: (*mcp.MCP).PostBarrierBuffer,
-		postToken:  func(m *mcp.MCP, tok any) error { return m.PostBarrierToken(tok.(*mcp.BarrierToken)) },
+		done: mcp.BarrierDoneEvent, buffer: mcp.BarrierBuffer,
+		postToken: func(m *mcp.MCP, tok any) error { return m.PostBarrierToken(tok.(*mcp.BarrierToken)) },
 	},
 	collSlot: {
 		noun: "collective", provideLabel: "provide_coll_buf", postLabel: "gm_coll_send", doneLabel: "coll_done",
-		done:       mcp.CollDoneEvent,
-		postBuffer: (*mcp.MCP).PostCollectiveBuffer,
-		postToken:  func(m *mcp.MCP, tok any) error { return m.PostCollectiveToken(tok.(*mcp.CollToken)) },
+		done: mcp.CollDoneEvent, buffer: mcp.CollectiveBuffer,
+		postToken: func(m *mcp.MCP, tok any) error { return m.PostCollectiveToken(tok.(*mcp.CollToken)) },
 	},
 }
 
 // slot is the host-side mirror of one of the NIC's operation slots of the
 // port. bufs is an int32, as in the firmware's slot: packed with active it
-// keeps the Port inside a 256-byte allocation.
+// keeps the Port inside a 240-byte allocation.
 type slot struct {
 	fam    *family
 	bufs   int32 // completion buffers provided and not yet claimed by a post
 	active bool  // a token is posted and its completion event not yet received
-	// posted is the token crossing the PCI bus (one at a time: active).
-	posted                   any
-	bufDoorbell, tokDoorbell func()
+	// posted is the token crossing the PCI bus (one at a time: active), and
+	// tokDoorbell its doorbell, built once in Open.
+	posted      any
+	tokDoorbell func()
 }
 
 // Open opens port number num on the given NIC firmware for the calling
@@ -144,11 +147,9 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	}
 	pt.sig = pt.sim.NewSignal()
 	pt.sendDoorbell = pt.sendRung
-	pt.recvDoorbell = pt.recvRung
 	for i := range pt.slots {
 		s := &pt.slots[i]
 		s.fam = &families[i]
-		s.bufDoorbell = func() { pt.bufRung(s) }
 		s.tokDoorbell = func() { pt.tokRung(s) }
 	}
 	p.Proc().Sync() // the driver call reaches into the NIC now, not a doorbell later
@@ -236,45 +237,18 @@ func (pt *Port) sendRung() {
 }
 
 // ProvideReceiveBuffer posts one receive buffer
-// (gm_provide_receive_buffer_with_tag). The NIC sees it one DoorbellLatency
-// after the call returns on the process's clock. It rings no doorbell: the
-// NIC is handed a one-token schedule for that instant
-// (mcp.MCP.ScheduleReceiveTokens), which it counts when it reads its tokens,
-// and the process's lead stands. While the NIC is still posting an earlier
-// schedule, the doorbell rings.
-func (pt *Port) ProvideReceiveBuffer(p *host.Process) error {
-	if !pt.open {
-		return fmt.Errorf("gm: provide buffer on closed port %d", pt.num)
-	}
-	pt.recvBufs++
-	prm := p.Params()
-	p.ComputePhase(prm.ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
-	if !pt.mcp.ScheduleReceiveTokens(pt.num, 1, p.Now()+prm.DoorbellLatency, 0) {
-		p.Proc().After(prm.DoorbellLatency, pt.recvDoorbell)
-	}
-	return nil
-}
-
-// recvRung drops the doorbell of a port closed since the call: the buffer
-// was its program's, and the port may already be open to the next one.
-func (pt *Port) recvRung() {
-	if pt.unwritten() || !pt.open {
-		return
-	}
-	if err := pt.mcp.PostReceiveToken(pt.num); err != nil {
-		panic(fmt.Sprintf("gm: NIC rejected receive token: %v", err))
-	}
-}
+// (gm_provide_receive_buffer_with_tag): ProvideReceiveBuffers of one.
+func (pt *Port) ProvideReceiveBuffer(p *host.Process) error { return pt.ProvideReceiveBuffers(p, 1) }
 
 // ProvideReceiveBuffers posts n receive buffers, as n back-to-back
-// ProvideReceiveBuffer calls would: the process is charged n times the cost
-// of one call and the NIC sees buffer k one DoorbellLatency after the k-th
-// call would have returned. It rings no doorbell: the NIC is handed the
-// doorbells' arithmetic schedule (mcp.MCP.ScheduleReceiveTokens) and counts
-// the tokens posted so far whenever it reads them, so pre-posting 4n+16
-// buffers on every rank costs the event loop nothing per buffer. The batch
-// records the n calls' spans itself. While the NIC is still posting an
-// earlier schedule, it is the loop.
+// gm_provide_receive_buffer calls would: the process is charged n times the
+// cost of one call, a lead on its clock, and the NIC sees buffer k one
+// DoorbellLatency after the k-th call would have returned. It rings no
+// doorbell: the NIC is handed the doorbells' arithmetic schedule
+// (mcp.MCP.ScheduleCredits) and counts the tokens posted so far whenever it
+// reads them, so pre-posting 4n+16 buffers on every rank, or re-posting one
+// per message, costs the event loop nothing per buffer. The batch records
+// the n calls' spans itself.
 func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 	if n <= 0 {
 		return nil
@@ -283,19 +257,13 @@ func (pt *Port) ProvideReceiveBuffers(p *host.Process, n int) error {
 		return fmt.Errorf("gm: provide buffer on closed port %d", pt.num)
 	}
 	prm := p.Params()
-	p.Proc().Sync() // the NIC's schedule is read and replaced now, not a doorbell later
 	first := p.Now() + prm.ProvideBufferCost + prm.DoorbellLatency
-	if !pt.mcp.ScheduleReceiveTokens(pt.num, n, first, prm.ProvideBufferCost) {
-		for i := 0; i < n; i++ {
-			if err := pt.ProvideReceiveBuffer(p); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := pt.mcp.ScheduleCredits(pt.num, mcp.ReceiveToken, n, first, prm.ProvideBufferCost); err != nil {
+		return err
 	}
 	pt.recvBufs += n
 	p.RecordCalls(n, prm.ProvideBufferCost, phase.HostRecv, "provide_recv_buf")
-	p.Compute(sim.Time(n) * prm.ProvideBufferCost)
+	p.Proc().Advance(sim.Time(n) * prm.ProvideBufferCost)
 	return nil
 }
 
@@ -311,24 +279,19 @@ func (pt *Port) ProvideCollectiveBuffer(p *host.Process) error {
 	return pt.provide(p, &pt.slots[collSlot])
 }
 
-// provide posts one completion buffer to slot s.
+// provide posts one completion buffer to slot s: a one-credit run the NIC
+// sees one DoorbellLatency after the call returns, as a receive buffer.
 func (pt *Port) provide(p *host.Process, s *slot) error {
 	if !pt.open {
 		return fmt.Errorf("gm: provide %s buffer on closed port %d", s.fam.noun, pt.num)
 	}
+	prm := p.Params()
+	p.ComputePhase(prm.ProvideBufferCost, phase.HostPost, s.fam.provideLabel)
+	if err := pt.mcp.ScheduleCredits(pt.num, s.fam.buffer, 1, p.Now()+prm.DoorbellLatency, 0); err != nil {
+		return err
+	}
 	s.bufs++
-	p.ComputePhase(p.Params().ProvideBufferCost, phase.HostPost, s.fam.provideLabel)
-	p.Proc().After(p.Params().DoorbellLatency, s.bufDoorbell)
 	return nil
-}
-
-func (pt *Port) bufRung(s *slot) {
-	if pt.unwritten() {
-		return
-	}
-	if err := s.fam.postBuffer(pt.mcp, pt.num); err != nil && pt.open {
-		panic(fmt.Sprintf("gm: NIC rejected %s buffer: %v", s.fam.noun, err))
-	}
 }
 
 // BarrierActive reports whether a barrier this port posted has yet to have

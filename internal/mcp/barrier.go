@@ -22,10 +22,6 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 	return m.post(tok.SrcPort, fam, cost, postedRec{bar: tok})
 }
 
-// PostBarrierBuffer provides one barrier completion buffer
-// (gm_provide_barrier_buffer, Section 5.2).
-func (m *MCP) PostBarrierBuffer(n int) error { return m.postBuffer(n, &treeFamilies[barrierSlot]) }
-
 // ---------------------------------------------------------------------------
 // Pairwise exchange (PE): the barrier slot's op when its token says PE. The
 // slot's children are the peers in exchange order and next is the paper's

@@ -213,8 +213,8 @@ func (t *CollToken) Result(acc []byte) ([]byte, error) {
 }
 
 // PostCollectiveToken accepts a collective send token. The port must have a
-// collective buffer provided (PostCollectiveBuffer) and no collective in
-// flight.
+// collective buffer provided (ScheduleCredits, CollectiveBuffer) and no
+// collective in flight.
 func (m *MCP) PostCollectiveToken(tok *CollToken) error {
 	if err := tok.Validate(); err != nil {
 		return err
@@ -222,6 +222,3 @@ func (m *MCP) PostCollectiveToken(tok *CollToken) error {
 	fam := &treeFamilies[collSlot]
 	return m.post(tok.SrcPort, fam, fam.costs(&m.cfg.Params).token, postedRec{coll: tok})
 }
-
-// PostCollectiveBuffer provides one collective completion buffer.
-func (m *MCP) PostCollectiveBuffer(n int) error { return m.postBuffer(n, &treeFamilies[collSlot]) }

@@ -66,7 +66,7 @@ func TestCollOpStrings(t *testing.T) {
 // postColl posts a collective token with a buffer.
 func postColl(t *testing.T, r *rig, node int, tok *CollToken) {
 	t.Helper()
-	if err := r.mcps[node].PostCollectiveBuffer(2); err != nil {
+	if err := r.mcps[node].credit(2, CollectiveBuffer); err != nil {
 		t.Fatal(err)
 	}
 	tok.SrcPort = 2
@@ -109,17 +109,17 @@ func TestFirmwareCollectiveValidation(t *testing.T) {
 	if err := r.mcps[0].PostCollectiveToken(tok); err == nil {
 		t.Fatal("collective without buffer should be rejected")
 	}
-	if err := r.mcps[0].PostCollectiveBuffer(7); err == nil {
+	if err := r.mcps[0].credit(7, CollectiveBuffer); err == nil {
 		t.Fatal("buffer for closed port should be rejected")
 	}
 	if err := r.mcps[0].PostCollectiveToken(&CollToken{Op: Broadcast, SrcPort: 5}); err == nil {
 		t.Fatal("collective from closed port should be rejected")
 	}
 	// Double post.
-	if err := r.mcps[0].PostCollectiveBuffer(2); err != nil {
+	if err := r.mcps[0].credit(2, CollectiveBuffer); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mcps[0].PostCollectiveBuffer(2); err != nil {
+	if err := r.mcps[0].credit(2, CollectiveBuffer); err != nil {
 		t.Fatal(err)
 	}
 	root := &CollToken{Op: Reduce, Root: true, SrcPort: 2,
@@ -359,13 +359,13 @@ func TestCollectivePortAccessors(t *testing.T) {
 	if s.bufs != 0 || s.live || s.pending {
 		t.Fatal("fresh port collective state wrong")
 	}
-	if err := r.mcps[0].PostCollectiveBuffer(2); err != nil {
+	if err := r.mcps[0].credit(2, CollectiveBuffer); err != nil {
 		t.Fatal(err)
 	}
-	if s.bufs != 1 {
-		t.Fatalf("bufs = %d", s.bufs)
+	if b := r.mcps[0].credits(r.mcps[0].Port(2), CollectiveBuffer); b != 1 {
+		t.Fatalf("bufs = %d", b)
 	}
-	if b := r.mcps[0].Port(2).slots[barrierSlot].bufs; b != 0 {
+	if b := r.mcps[0].credits(r.mcps[0].Port(2), BarrierBuffer); b != 0 {
 		t.Fatalf("a collective buffer landed in the barrier slot: %d", b)
 	}
 }

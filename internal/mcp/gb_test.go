@@ -10,7 +10,7 @@ import (
 // postGB posts a GB token with a buffer.
 func postGB(t *testing.T, r *rig, node int, tok *BarrierToken) {
 	t.Helper()
-	if err := r.mcps[node].PostBarrierBuffer(2); err != nil {
+	if err := r.mcps[node].credit(2, BarrierBuffer); err != nil {
 		t.Fatal(err)
 	}
 	tok.Alg = GB

@@ -29,10 +29,10 @@ type MCP struct {
 	rng *rand.Rand
 
 	// ports is one block, never resized: a *Port into it stays valid. The
-	// block also holds accrual, the NIC's one receive-token schedule.
-	ports   []Port
-	accrual *recvAccrual
-	conns   map[network.NodeID]*Connection
+	// block also holds runs, the NIC's credit schedule (ScheduleCredits).
+	ports []Port
+	runs  *[]creditRun
+	conns map[network.NodeID]*Connection
 
 	// pendingClosed records barrier-class messages that arrived for closed
 	// local ports, keyed by the closed port number (Section 3.2): one per
@@ -140,7 +140,7 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 		conns: make(map[network.NodeID]*Connection),
 	}
 	blk := new(portBlock)
-	m.ports, m.accrual = blk.ports[:cfg.NumPorts], &blk.accrual
+	m.ports, m.runs = blk.ports[:cfg.NumPorts], &blk.runs
 	for i := range m.ports {
 		m.ports[i].num = i
 	}
@@ -261,12 +261,9 @@ func (m *MCP) ClosePort(n int) error {
 		return fmt.Errorf("mcp: port %d not open", n)
 	}
 	p.open = false
-	if a := m.accrual; a.n > 0 && int(a.port) == n {
-		// The schedule dies with the program that handed it over: what it
-		// posted so far stays with the closed port, the rest is never posted.
-		p.recvTokens += a.posted(m.sim)
-		*a = recvAccrual{}
-	}
+	// The port's runs die with the program that handed them over: what they
+	// posted so far stays with the closed port, the rest is never posted.
+	m.retire(n)
 	for i := range p.slots {
 		m.cancelWatchdog(&p.slots[i])
 	}
@@ -275,54 +272,58 @@ func (m *MCP) ClosePort(n int) error {
 	return nil
 }
 
-// PostReceiveToken provides one host receive buffer to the port
-// (gm_provide_receive_buffer).
-func (m *MCP) PostReceiveToken(n int) error {
-	if !m.validPort(n) || !m.ports[n].open {
-		return fmt.Errorf("mcp: receive token for closed port %d", n)
+// ScheduleCredits hands the port n host credits of kind c in closed form, as
+// n back-to-back calls made now would, their doorbells ringing at first,
+// first+every, …: credit k is the port's from first + k·every on, for every
+// event that would have run after that doorbell (one due before now has rung
+// for every event from now on). It is the one way a host credit reaches the
+// NIC. Nothing is scheduled; the count is worked out when it is read
+// (credits), and the simulator is told of the last doorbell's instant
+// (sim.Simulator.Elide), where a run that drains sooner would have ended.
+// The NIC keeps every run in one FIFO and retires a run into its port's count
+// once every credit is posted. Only a port that is not open is refused.
+func (m *MCP) ScheduleCredits(port int, c Credit, n int, first, every sim.Time) error {
+	if !m.validPort(port) || !m.ports[port].open {
+		return fmt.Errorf("mcp: credit for closed port %d", port)
 	}
-	m.ports[n].recvTokens++
+	if n <= 0 {
+		return nil
+	}
+	*m.runs = append(*m.runs, creditRun{first: first, every: every, stamp: m.sim.Stamp(), n: int32(n), port: int8(port), kind: c})
+	m.sim.Elide(first + sim.Time(n-1)*every)
 	return nil
 }
 
-// ScheduleReceiveTokens provides n host receive buffers to the port in
-// closed form, as n back-to-back gm_provide_receive_buffer calls made now
-// would, their doorbells ringing at first, first+every, …: token k is the
-// port's from first + k·every on, for every event that would have run after
-// that doorbell. Nothing is scheduled; the count is worked out when it is
-// read (recvTokens), and the simulator is told of the last doorbell's
-// instant (sim.Simulator.Elide), where a run that drains sooner would have
-// ended. The NIC keeps one schedule and retires it into its
-// port's count once every token is posted. While one is still posting it
-// takes no other, returns false, and the caller rings a doorbell per buffer.
-func (m *MCP) ScheduleReceiveTokens(port, n int, first, every sim.Time) bool {
-	if !m.validPort(port) || !m.ports[port].open || n <= 0 {
-		return false
-	}
-	a := m.accrual
-	if a.n > 0 {
-		if a.posted(m.sim) < a.n {
-			return false
+// retire moves into its port's count every run that has posted all its
+// credits, and every run of port end (-1: none) with what it has posted so
+// far; the rest of such a run is never posted.
+func (m *MCP) retire(end int) {
+	live := (*m.runs)[:0]
+	for _, r := range *m.runs {
+		if k := r.posted(m.sim); k == r.n || int(r.port) == end {
+			*m.ports[r.port].count(r.kind) += k
+		} else {
+			live = append(live, r)
 		}
-		m.ports[a.port].recvTokens += a.n
 	}
-	*a = recvAccrual{first: first, every: every, stamp: m.sim.Stamp(), n: int32(n), port: int32(port)}
-	m.sim.Elide(first + sim.Time(n-1)*every)
-	return true
+	*m.runs = live
 }
 
-// recvTokens is the port's receive tokens at this instant: those its
-// doorbells posted, less those consumed, plus what the NIC's schedule has
-// posted to it so far.
-func (m *MCP) recvTokens(p *Port) int32 {
-	if a := m.accrual; a.n > 0 && int(a.port) == p.num {
-		return p.recvTokens + a.posted(m.sim)
+// credits is port p's credits of kind c at this instant: its count, plus
+// what its live runs have posted so far.
+func (m *MCP) credits(p *Port, c Credit) int32 {
+	m.retire(-1)
+	n := *p.count(c)
+	for _, r := range *m.runs {
+		if int(r.port) == p.num && r.kind == c {
+			n += r.posted(m.sim)
+		}
 	}
-	return p.recvTokens
+	return n
 }
 
 // RecvTokens returns the number of receive buffers the port has available.
-func (m *MCP) RecvTokens(port int) int { return int(m.recvTokens(&m.ports[port])) }
+func (m *MCP) RecvTokens(port int) int { return int(m.credits(&m.ports[port], ReceiveToken)) }
 
 // PostSendToken accepts a data send descriptor. The SDMA state machine
 // notices it, DMAs the payload from host memory, prepares the packet,
@@ -582,7 +583,7 @@ func (m *MCP) handleData(f *Frame) {
 			return
 		}
 		p := &m.ports[f.DstPort]
-		if m.recvTokens(p) == 0 {
+		if m.credits(p, ReceiveToken) == 0 {
 			// Receive-side flow control: no buffer, do not accept. Tell
 			// the sender the connection is alive but busy (no-buffer
 			// nack): it will retry on its timer without counting the

@@ -78,7 +78,7 @@ func (r *rig) open(t *testing.T, node, port int) {
 func (r *rig) provide(t *testing.T, node, port, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := r.mcps[node].PostReceiveToken(port); err != nil {
+		if err := r.mcps[node].credit(port, ReceiveToken); err != nil {
 			t.Fatalf("provide: %v", err)
 		}
 	}
@@ -379,10 +379,10 @@ func TestOpenCloseErrors(t *testing.T) {
 	if err := m.ClosePort(2); err == nil {
 		t.Fatal("double close should error")
 	}
-	if err := m.PostReceiveToken(2); err == nil {
+	if err := m.credit(2, ReceiveToken); err == nil {
 		t.Fatal("receive token for closed port should error")
 	}
-	if err := m.PostBarrierBuffer(2); err == nil {
+	if err := m.credit(2, BarrierBuffer); err == nil {
 		t.Fatal("barrier buffer for closed port should error")
 	}
 }
@@ -432,7 +432,7 @@ func TestBadNumPortsPanics(t *testing.T) {
 // postPEBarrier provides a buffer and posts a PE token.
 func postPEBarrier(t *testing.T, r *rig, node, port int, peers []Endpoint) *BarrierToken {
 	t.Helper()
-	if err := r.mcps[node].PostBarrierBuffer(port); err != nil {
+	if err := r.mcps[node].credit(port, BarrierBuffer); err != nil {
 		t.Fatal(err)
 	}
 	tok := &BarrierToken{Alg: PE, SrcPort: port, Peers: peers}
@@ -500,7 +500,7 @@ func TestConcurrentBarrierOnSamePortRejected(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 1, Port: 2}})
-	if err := r.mcps[0].PostBarrierBuffer(2); err != nil {
+	if err := r.mcps[0].credit(2, BarrierBuffer); err != nil {
 		t.Fatal(err)
 	}
 	err := r.mcps[0].PostBarrierToken(&BarrierToken{Alg: PE, SrcPort: 2, Peers: []Endpoint{{Node: 1, Port: 2}}})
@@ -514,7 +514,7 @@ func TestGBBarrierThreeNodes(t *testing.T) {
 	r := newRig(t, 3, nil)
 	for i := 0; i < 3; i++ {
 		r.open(t, i, 2)
-		if err := r.mcps[i].PostBarrierBuffer(2); err != nil {
+		if err := r.mcps[i].credit(2, BarrierBuffer); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -649,7 +649,7 @@ func TestTokenQueuedAcrossReopen(t *testing.T) {
 	for _, alg := range []BarrierAlg{PE, GB} {
 		r := newRig(t, 1, nil)
 		r.open(t, 0, 2)
-		if err := r.mcps[0].PostBarrierBuffer(2); err != nil {
+		if err := r.mcps[0].credit(2, BarrierBuffer); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.mcps[0].PostBarrierToken(&BarrierToken{Alg: alg, SrcPort: 2, Root: true}); err != nil {
@@ -746,7 +746,7 @@ func TestReliableBarrierManyConsecutiveUnderLoss(t *testing.T) {
 		if left == 0 {
 			return
 		}
-		if err := r.mcps[node].PostBarrierBuffer(2); err != nil {
+		if err := r.mcps[node].credit(2, BarrierBuffer); err != nil {
 			t.Errorf("buffer: %v", err)
 			return
 		}
@@ -819,9 +819,10 @@ func TestStatsAccessors(t *testing.T) {
 // token is read-only to the firmware (104 bytes, the 112-byte class). A slot's
 // operation state is allocated once per slot that runs one, PE included (the
 // 192-byte class: PE's flag and index sit in padding). A NIC's ports are one
-// block: eight 88-byte ports, the NIC's 32-byte receive-token schedule and
-// the 8-byte header the allocator adds to a pointerful object over 512 bytes
-// fit the 768-byte class; at 96 bytes a port the block takes 896. The MCP
+// block: eight 88-byte ports, the 24-byte slice header of the NIC's credit
+// schedule and the 8-byte header the allocator adds to a pointerful object
+// over 512 bytes fit the 768-byte class; at 96 bytes a port the block takes
+// 896. The MCP
 // itself, with that header, fits the 1024-byte class, and is pinned at its
 // size, 960 bytes. A NIC holds one
 // Connection per peer it has talked to, so it holds only what a protocol

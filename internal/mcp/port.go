@@ -17,11 +17,10 @@ type Port struct {
 	epoch int
 
 	// recvTokens counts host-provided receive buffers (GM receive tokens)
-	// that doorbells posted, less those consumed; the NIC's receive-token
-	// schedule adds what it has posted so far (MCP.recvTokens), so the field
-	// alone may read negative. It and sendsInFlight are int32s so that a
-	// NIC's eight ports, one allocation, fit the 768-byte size class with its
-	// malloc header.
+	// that retired credit runs posted, less those consumed; the live runs add
+	// what they have posted so far (MCP.credits), so the field alone may read
+	// negative. It and sendsInFlight are int32s so that a NIC's eight ports,
+	// one allocation, fit the 768-byte size class with its malloc header.
 	recvTokens int32
 	// sendsInFlight counts data sends posted but not yet completed,
 	// bounded by Config.MaxSendTokens.
@@ -40,37 +39,60 @@ type Port struct {
 	deliver func(HostEvent)
 }
 
-// portBlock is a NIC's ports and its receive-token schedule, one allocation:
-// eight ports and the schedule still fit the 768-byte size class.
+// portBlock is a NIC's ports and its credit schedule, one allocation: eight
+// ports and the schedule's slice header fit the 768-byte size class.
 type portBlock struct {
-	ports   [8]Port
-	accrual recvAccrual
+	ports [8]Port
+	runs  []creditRun
 }
 
-// recvAccrual is a receive-token schedule (MCP.ScheduleReceiveTokens): n
-// tokens for port, the k-th posted at first + k·every by a doorbell that
-// would have been scheduled at stamp. n == 0 is none.
-type recvAccrual struct {
+// Credit is what a host credit gives a port: a completion buffer of one of
+// its operation slots (gm_provide_barrier_buffer and its collective twin),
+// or a receive token (gm_provide_receive_buffer). The NIC runs no firmware
+// task for either; it counts them.
+type Credit int8
+
+const (
+	BarrierBuffer    Credit = barrierSlot
+	CollectiveBuffer Credit = collSlot
+	ReceiveToken     Credit = 2
+)
+
+// count is the port's own count of credits of kind c: what runs retired into
+// it, less what was consumed.
+func (p *Port) count(c Credit) *int32 {
+	if c == ReceiveToken {
+		return &p.recvTokens
+	}
+	return &p.slots[c].bufs
+}
+
+// creditRun is a run of host credits (MCP.ScheduleCredits): n credits of kind
+// for port, the k-th posted at first + k·every by a doorbell that would have
+// been scheduled at stamp.
+type creditRun struct {
 	first, every sim.Time
 	stamp        sim.Stamp
-	n, port      int32
+	n            int32
+	port         int8
+	kind         Credit
 }
 
-// posted is how many of the schedule's tokens the event now running sees:
-// those due before now, and those due now if it was scheduled after the
-// doorbells would have been (it would have run after them).
-func (a *recvAccrual) posted(s *sim.Simulator) int32 {
+// posted is how many of the run's credits the event now running sees: those
+// due before now, and those due now if it was scheduled after the doorbells
+// would have been (it would have run after them).
+func (r *creditRun) posted(s *sim.Simulator) int32 {
 	t := s.Now()
-	if !s.RunningAfter(a.stamp) {
+	if !s.RunningAfter(r.stamp) {
 		t--
 	}
 	switch {
-	case a.n == 0 || t < a.first:
+	case t < r.first:
 		return 0
-	case a.every == 0:
-		return a.n
+	case r.every == 0:
+		return r.n
 	}
-	return int32(min(int64(a.n), int64((t-a.first)/a.every)+1))
+	return int32(min(int64(r.n), int64((t-r.first)/r.every)+1))
 }
 
 // Num returns the port number.

@@ -119,7 +119,9 @@ type treeSlot struct {
 	// The operation state, set aside the first time the slot runs one.
 	*treeState
 	// bufs counts host-provided completion buffers
-	// (gm_provide_barrier_buffer and its collective twin).
+	// (gm_provide_barrier_buffer and its collective twin) that retired credit
+	// runs posted, less those consumed; like Port.recvTokens it may read
+	// negative while a live run holds the rest (MCP.credits).
 	bufs int32
 	// pending is set from the instant a token is posted until its completion,
 	// so a second post is rejected even before the SDMA machine has processed
@@ -180,22 +182,13 @@ func (m *MCP) post(port int, fam *treeFamily, cycles int64, rec postedRec) error
 	if s.pending {
 		return fmt.Errorf("mcp: port %d already has a %s in flight", port, fam.name)
 	}
-	if s.bufs == 0 {
+	if m.credits(&m.ports[port], Credit(fam.slot)) == 0 {
 		return fmt.Errorf("mcp: port %d has no %s buffer", port, fam.name)
 	}
 	s.pending = true
 	cell := m.pendTokens.Get()
 	*cell = rec
 	m.nic.ExecTaggedCall(cycles, fam.tokenLabel, m.tokenFn, cell)
-	return nil
-}
-
-// postBuffer provides one completion buffer to a port's slot.
-func (m *MCP) postBuffer(port int, fam *treeFamily) error {
-	if !m.validPort(port) || !m.ports[port].open {
-		return fmt.Errorf("mcp: %s buffer for closed port %d", fam.name, port)
-	}
-	m.ports[port].slots[fam.slot].bufs++
 	return nil
 }
 
@@ -425,7 +418,7 @@ func (m *MCP) finish(p *Port, fam *treeFamily, data []byte) {
 	}
 	s.pending = false
 	m.cancelWatchdog(s)
-	if s.bufs > 0 {
+	if m.credits(p, Credit(fam.slot)) > 0 {
 		s.bufs--
 	} else {
 		m.stats.ProtocolErrors++
