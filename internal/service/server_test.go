@@ -236,11 +236,13 @@ func TestServerBackpressure(t *testing.T) {
 	// The hog's executor holds the single worker until the test is done:
 	// every submit below lands while it owns the worker, however fast or
 	// loaded the machine, so the queue cannot drain and serve the final
-	// duplicate as a 200 cache hit instead of coalescing it.
-	release := make(chan struct{})
+	// duplicate as a 200 cache hit instead of coalescing it. It closes
+	// started once it has the worker, before it blocks.
+	release, started := make(chan struct{}), make(chan struct{})
 	srv := newTestServer(t, Config{Workers: 1, QueueDepth: 2, ClientDepth: 1, RetryAfterSeconds: 7,
 		exec: func(s Spec) (Outcome, error) {
 			if s.Nodes == 8 {
+				close(started)
 				<-release
 			}
 			return echoExec(s)
@@ -256,18 +258,12 @@ func TestServerBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("slow submit: %d %s", resp.StatusCode, b)
 	}
-	waitRunning := time.Now().Add(10 * time.Second)
-	for {
-		srv.mu.Lock()
-		running := srv.running
-		srv.mu.Unlock()
-		if running == 1 {
-			break
-		}
-		if time.Now().After(waitRunning) {
-			t.Fatal("slow job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
+	<-started // nextJob counted the job running before exec ran
+	srv.mu.Lock()
+	running := srv.running
+	srv.mu.Unlock()
+	if running != 1 {
+		t.Fatalf("%d jobs running once the slow job started, want 1", running)
 	}
 
 	// Queue one job for client A, then hit A's per-client bound.
