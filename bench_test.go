@@ -266,7 +266,7 @@ func BenchmarkAblationLoopbackFlag(b *testing.B) {
 			}
 			for _, port := range []int{2, 3} {
 				port := port
-				if err := cl.MCP(0).OpenPort(port, func(ev mcp.HostEvent) {
+				if err := cl.MCP(0).OpenPort(port, func(ev *mcp.HostEvent) {
 					if ev.Kind == mcp.BarrierDoneEvent {
 						done[port-2]++
 						t1 = s.Now()

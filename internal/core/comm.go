@@ -87,7 +87,7 @@ func (in *inbox) Ends(k mcp.HostEventKind, src mcp.Endpoint) bool {
 }
 
 // File records one event the Comm did not wait for.
-func (in *inbox) File(ev mcp.HostEvent) {
+func (in *inbox) File(ev *mcp.HostEvent) {
 	switch ev.Kind {
 	case mcp.RecvEvent:
 		in.stash = append(in.stash, arrival{ev.Src, ev.Data})
@@ -111,8 +111,9 @@ func (in *inbox) takeFrom(src mcp.Endpoint) ([]byte, bool) {
 }
 
 // await blocks until the port receives the event w describes, filing every
-// other one, and returns it.
-func (c *Comm) await(p *host.Process, w want) mcp.HostEvent {
+// other one, and returns it (gm.Port.ReceiveFor: valid until the next
+// receive).
+func (c *Comm) await(p *host.Process, w want) *mcp.HostEvent {
 	c.in.want = w
 	return c.port.ReceiveFor(p, &c.in)
 }

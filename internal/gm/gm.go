@@ -166,14 +166,15 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 // again on is retired here, at the instant the wake would have run it: the
 // charges are leads on the owner's clock either way (sim.Proc.Advance), and
 // the owner stays on the signal's wait list. A killed owner's events queue
-// up unread, as its wakes are dropped.
-func (pt *Port) onEvent(ev mcp.HostEvent) {
+// up unread, as its wakes are dropped. ev is the NIC's record, valid for the
+// call: the port copies it once, where it files or queues it.
+func (pt *Port) onEvent(ev *mcp.HostEvent) {
 	if w := pt.waiter; w != nil && pt.PendingEvents() == 0 && !pt.owner.Proc().Killed() && !w.Ends(ev.Kind, ev.Src) {
 		pt.charge(pt.owner, ev.Kind)
 		w.File(ev)
 		return
 	}
-	pt.events = append(pt.events, ev)
+	pt.events = append(pt.events, *ev)
 	pt.sig.Fire()
 }
 
@@ -351,18 +352,21 @@ func (pt *Port) tokRung(s *slot) {
 // whether an event of kind k from src ends the wait, and File takes every
 // event that does not, in arrival order, once the port has charged for it.
 // File may run from the event loop while the process is parked, so it only
-// records the event for the process to read.
+// records the event for the process to read; ev is valid for the call, so
+// File copies what it keeps.
 type Waiter interface {
 	Ends(k mcp.HostEventKind, src mcp.Endpoint) bool
-	File(ev mcp.HostEvent)
+	File(ev *mcp.HostEvent)
 }
 
 // ReceiveFor blocks until the port receives an event that ends w's wait and
 // returns it (gm_receive / gm_blocking_receive); every event before it is
 // received and handed to w.File. Each costs the process event-detection
 // cost plus a per-kind processing cost (the paper's HRecv for data and
-// barrier-completion events). p must be the port's owner.
-func (pt *Port) ReceiveFor(p *host.Process, w Waiter) mcp.HostEvent {
+// barrier-completion events). p must be the port's owner. The event returned
+// is the port's queue entry: it is valid until p next receives from the port
+// or parks, so the caller copies what it keeps beyond that.
+func (pt *Port) ReceiveFor(p *host.Process, w Waiter) *mcp.HostEvent {
 	for {
 		// The lead is kept: an event queued at loop time T is the head the
 		// process would find at T + lead, and an empty queue is looked at
@@ -382,13 +386,14 @@ func (pt *Port) ReceiveFor(p *host.Process, w Waiter) mcp.HostEvent {
 }
 
 // TryReceive polls once for an event (non-blocking gm_receive). It charges
-// one poll cost; if an event is present it is consumed and returned.
-// Fuzzy-barrier loops interleave TryReceive with computation.
-func (pt *Port) TryReceive(p *host.Process) (mcp.HostEvent, bool) {
+// one poll cost; if an event is present it is consumed and returned, valid as
+// ReceiveFor's is. Fuzzy-barrier loops interleave TryReceive with
+// computation.
+func (pt *Port) TryReceive(p *host.Process) (*mcp.HostEvent, bool) {
 	p.Proc().Sync() // an empty queue now says nothing about the process's own instant
 	if pt.PendingEvents() == 0 {
 		p.ComputePhase(p.Params().PollCost, phase.HostRecv, "poll")
-		return mcp.HostEvent{}, false
+		return nil, false
 	}
 	ev := pt.pop()
 	p.ComputePhase(p.Params().PollCost, eventPhase(ev.Kind), "poll")
@@ -396,9 +401,11 @@ func (pt *Port) TryReceive(p *host.Process) (mcp.HostEvent, bool) {
 	return ev, true
 }
 
-// pop removes the head of the event queue.
-func (pt *Port) pop() mcp.HostEvent {
-	ev := pt.events[pt.evHead]
+// pop removes the head of the event queue and returns it in place: the
+// entry stays as it is until the next event is queued, which the event loop
+// does only while the owner is parked.
+func (pt *Port) pop() *mcp.HostEvent {
+	ev := &pt.events[pt.evHead]
 	pt.evHead++
 	if pt.evHead == len(pt.events) {
 		pt.events = pt.events[:0]

@@ -16,7 +16,7 @@ import (
 type anyEvent struct{}
 
 func (anyEvent) Ends(mcp.HostEventKind, mcp.Endpoint) bool { return true }
-func (anyEvent) File(mcp.HostEvent)                        {}
+func (anyEvent) File(*mcp.HostEvent)                       {}
 
 // run spawns a single-node (or n-node) cluster and runs body as rank 0's
 // process; extra ranks run extraBody.

@@ -84,14 +84,14 @@ type waitRun struct {
 // every other event to file.
 type filter struct {
 	from mcp.Endpoint
-	file func(ev mcp.HostEvent)
+	file func(ev *mcp.HostEvent)
 }
 
 func (f *filter) Ends(k mcp.HostEventKind, src mcp.Endpoint) bool {
 	return k == mcp.RecvEvent && src == f.from
 }
 
-func (f *filter) File(ev mcp.HostEvent) { f.file(ev) }
+func (f *filter) File(ev *mcp.HostEvent) { f.file(ev) }
 
 // waitScript is the traffic: rank 0 sends two messages to rank 1 and posts a
 // barrier on an empty schedule (it completes at once), then waits for rank
@@ -122,7 +122,7 @@ func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 			t.Error(err)
 			return
 		}
-		note := func(ev mcp.HostEvent, how string) {
+		note := func(ev *mcp.HostEvent, how string) {
 			out.states = append(out.states, portState{
 				at: s.Now(), clock: p.Now(), kind: ev.Kind, src: ev.Src, data: string(ev.Data), how: how,
 				mirrors: port.Mirrors(), pending: port.PendingEvents(), spans: named(rec),
@@ -140,8 +140,8 @@ func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 			t.Error(err)
 			return
 		}
-		var ev mcp.HostEvent
-		if f := (&filter{from: rank2, file: func(ev mcp.HostEvent) { note(ev, "filed") }}); filtered {
+		var ev *mcp.HostEvent
+		if f := (&filter{from: rank2, file: func(ev *mcp.HostEvent) { note(ev, "filed") }}); filtered {
 			ev = port.ReceiveFor(p, f)
 		} else {
 			for ev = port.ReceiveFor(p, anyEvent{}); !f.Ends(ev.Kind, ev.Src); ev = port.ReceiveFor(p, anyEvent{}) {

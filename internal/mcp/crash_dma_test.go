@@ -39,7 +39,11 @@ func TestCrashStopsHostEventsItsTasksHadNotHandedOn(t *testing.T) {
 	task := m.NIC().Model().Cycles(cycles)
 	r.s.At(2*task, m.NIC().Kill)
 	for i := 0; i < 3; i++ {
-		m.postHostEvent(m.Port(0), cycles, "rdma.proc", bytes, HostEvent{Kind: RecvEvent, Data: []byte{byte(i)}})
+		ev := m.postHostEvent(m.Port(0), cycles, "rdma.proc", bytes)
+		if ev == nil {
+			t.Fatalf("event %d refused by a live card", i)
+		}
+		ev.Kind, ev.Data = RecvEvent, []byte{byte(i)}
 	}
 	r.s.Run()
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"gmsim/internal/network"
-	"gmsim/internal/sim"
 )
 
 // Crash-fault detection and degraded membership (Config.DetectFailures).
@@ -120,20 +119,25 @@ func (m *MCP) armWatchdog(p *Port, s *treeSlot) {
 	if !m.cfg.DetectFailures || !m.cfg.ReliableBarrier || m.cfg.Params.BarrierTimeout <= 0 {
 		return
 	}
-	if s.watchdog != 0 {
+	if s.watchdog == nil {
+		s.watchdog = m.sim.NewTimer(func(any) { m.watchdogFire(p, s) }, nil)
+	} else if s.watchdog.Armed() {
 		return
 	}
-	id := m.sim.After(m.cfg.Params.BarrierTimeout, func() {
-		s.watchdog = 0
-		m.watchdogFire(p, s)
-	})
-	s.watchdog = int64(id)
+	s.watchdog.Arm(m.sim.Now() + m.cfg.Params.BarrierTimeout)
 }
 
 func (m *MCP) cancelWatchdog(s *treeSlot) {
-	if s.watchdog != 0 {
-		m.sim.Cancel(sim.EventID(s.watchdog))
-		s.watchdog = 0
+	if s.watchdog != nil {
+		s.watchdog.Disarm()
+	}
+}
+
+// resetSlots clears the port's operation slots for a new program, keeping
+// each slot's watchdog timer, disarmed.
+func (p *Port) resetSlots() {
+	for i := range p.slots {
+		p.slots[i] = treeSlot{watchdog: p.slots[i].watchdog}
 	}
 }
 

@@ -20,13 +20,14 @@ type MCP struct {
 	iface   *network.Iface
 	routeTo func(network.NodeID) ([]byte, error)
 
-	// rng drives the retransmission-timer jitter. Seeded from the node ID
-	// so every run of the same cluster draws the same sequence; it is
-	// consumed only when a timer is armed, all on the simulator's single
-	// event loop. Created by the first draw (see retransInterval): a NIC
-	// that never arms a timer — every NIC of an unreliable-mode barrier
-	// run — never pays for seeding the 607-word generator.
-	rng *rand.Rand
+	// jitter drives the retransmission-timer jitter (see unitFloat).
+	// Seeded from the node ID so every run of the same cluster draws the
+	// same sequence; it is consumed only when a timer is armed, all on the
+	// simulator's single event loop. Created by the first draw (see
+	// retransInterval): a NIC that never arms a timer — every NIC of an
+	// unreliable-mode barrier run — never pays for seeding the 607-word
+	// generator.
+	jitter rand.Source
 
 	// ports is one block, never resized: a *Port into it stays valid. The
 	// block also holds runs, the NIC's credit schedule (ScheduleCredits).
@@ -53,8 +54,8 @@ type MCP struct {
 	// method values, so the per-frame hot path schedules without allocating
 	// closures (see lanai.NIC.ExecTaggedCall). Each event carries the record
 	// it acts on as its argument: handleFrameFn and loopbackFn a wire
-	// *Frame, timerFn a *Connection, the others a cell of the pool beside
-	// them.
+	// *Frame, timerFn (every connection's retransmission timer) a
+	// *Connection, the others a cell of the pool beside them.
 	handleFrameFn func(any)
 	loopbackFn    func(any)
 	timerFn       func(any)
@@ -82,9 +83,6 @@ type MCP struct {
 	// generation cost.
 	pendCtl   mem.Slab[ctlRec]
 	ctlSendFn func(any)
-
-	// acked is handleAck's scratch list of retired sends.
-	acked []sentItem
 
 	stats Stats
 }
@@ -199,7 +197,7 @@ func (m *MCP) validPort(n int) bool { return n >= 0 && n < len(m.ports) }
 // Under the adopted closed-port protocol (Section 3.2), any barrier
 // messages recorded while the port was closed are rejected back to their
 // senders, which resend them if their barrier is still in flight.
-func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
+func (m *MCP) OpenPort(n int, deliver func(*HostEvent)) error {
 	if !m.validPort(n) {
 		return fmt.Errorf("mcp: no port %d", n)
 	}
@@ -211,7 +209,7 @@ func (m *MCP) OpenPort(n int, deliver func(HostEvent)) error {
 	p.epoch++
 	p.recvTokens = 0
 	p.sendsInFlight = 0
-	p.slots = [2]treeSlot{}
+	p.resetSlots()
 	p.deliver = deliver
 
 	if m.cfg.ClearUnexpectedOnOpen {
@@ -267,7 +265,7 @@ func (m *MCP) ClosePort(n int) error {
 	for i := range p.slots {
 		m.cancelWatchdog(&p.slots[i])
 	}
-	p.slots = [2]treeSlot{}
+	p.resetSlots()
 	p.deliver = nil
 	return nil
 }
@@ -362,29 +360,29 @@ func (m *MCP) sdmaDone(a any) {
 }
 
 // sdmaPrepared: the packet is built; sequence it, remember it until it is
-// acknowledged, and transmit.
+// acknowledged, and transmit. The sent item is built in place at the tail
+// of the sent list, whose entries past its length are zero (ackUpTo).
 func (m *MCP) sdmaPrepared(a any) {
 	cell := a.(*sendRec)
-	tok := *cell
+	dst := network.NodeID(cell.dst)
+	c := m.conn(dst)
+	n := len(c.sentList)
+	c.sentList = slices.Grow(c.sentList, 1)[:n+1]
+	it := &c.sentList[n]
+	it.tag = cell.tag
+	f := &it.frame
+	f.Kind = DataFrame
+	f.SrcNode, f.SrcPort = m.cfg.Node, int(cell.srcPort)
+	f.DstNode, f.DstPort = dst, int(cell.dstPort)
+	f.Seq = c.sendSeq
+	f.Data = cell.data
+	f.SrcEpoch = m.ports[cell.srcPort].epoch
 	*cell = sendRec{}
 	m.pendSends.Put(cell)
-	dst := network.NodeID(tok.dst)
-	c := m.conn(dst)
-	it := sentItem{tag: tok.tag, frame: Frame{
-		Kind:     DataFrame,
-		SrcNode:  m.cfg.Node,
-		SrcPort:  int(tok.srcPort),
-		DstNode:  dst,
-		DstPort:  int(tok.dstPort),
-		Seq:      c.sendSeq,
-		Data:     tok.data,
-		SrcEpoch: m.ports[tok.srcPort].epoch,
-	}}
 	c.sendSeq++
-	c.sentList = append(c.sentList, it)
 	m.armRetransTimer(c)
 	m.stats.DataSent++
-	m.transmitFrame(c, &it.frame)
+	m.transmitFrame(c, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -596,11 +594,9 @@ func (m *MCP) handleData(f *Frame) {
 		p.recvTokens--
 		m.sendAck(c)
 		// RDMA machine: move payload plus event record to host memory.
-		m.postHostEvent(p, m.cfg.Params.RDMAProc, "rdma.proc", eventRecordBytes+len(f.Data), HostEvent{
-			Kind: RecvEvent,
-			Src:  Endpoint{Node: f.SrcNode, Port: f.SrcPort},
-			Data: f.Data,
-		})
+		if ev := m.postHostEvent(p, m.cfg.Params.RDMAProc, "rdma.proc", eventRecordBytes+len(f.Data)); ev != nil {
+			ev.Kind, ev.Src, ev.Data = RecvEvent, Endpoint{Node: f.SrcNode, Port: f.SrcPort}, f.Data
+		}
 	case seqLess(f.Seq, c.recvSeq):
 		m.stats.Duplicates++
 		m.sendAck(c) // re-ack so the sender can advance
@@ -653,32 +649,34 @@ func (m *MCP) handleAck(f *Frame) { m.ackUpTo(m.conn(f.SrcNode), f.AckSeq) }
 // ackUpTo retires every send of connection c below the cumulative
 // acknowledgment seq.
 func (m *MCP) ackUpTo(c *Connection, seq uint32) {
+	list := c.sentList
 	n := 0
-	for n < len(c.sentList) && seqLess(c.sentList[n].frame.Seq, seq) {
+	for n < len(list) && seqLess(list[n].frame.Seq, seq) {
 		n++
 	}
-	// Move the retired prefix to the scratch list and close the gap in
-	// place, so the sent list keeps its backing array.
-	done := append(m.acked[:0], c.sentList[:n]...)
-	rest := copy(c.sentList, c.sentList[n:])
-	clear(c.sentList[rest:])
-	c.sentList = c.sentList[:rest]
 	if n > 0 {
 		m.ackProgress(c)
 	}
+	// The timer sees the list without its retired prefix, which stays where
+	// it is while its completions are posted; then the rest moves to the
+	// front and the vacated tail is zeroed, so the sent list keeps its
+	// backing array and sdmaPrepared finds a zero entry to build in.
+	c.sentList = list[n:]
 	m.rearmRetransTimer(c)
-	for i := range done {
-		m.postSentEvent(&done[i], false)
+	for i := range list[:n] {
+		m.postSentEvent(&list[i], false)
 	}
-	clear(done)
-	m.acked = done
+	rest := copy(list, list[n:])
+	clear(list[rest:])
+	c.sentList = list[:rest]
 }
 
 // postSentEvent returns a send token to the host: acknowledged, or failed
 // because its connection was declared dead.
 func (m *MCP) postSentEvent(it *sentItem, failed bool) {
-	m.postHostEvent(&m.ports[it.frame.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes,
-		HostEvent{Kind: SentEvent, Tag: it.tag, Failed: failed})
+	if ev := m.postHostEvent(&m.ports[it.frame.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes); ev != nil {
+		ev.Kind, ev.Tag, ev.Failed = SentEvent, it.tag, failed
+	}
 }
 
 // handleNack rewinds the connection: everything the receiver has not
@@ -749,37 +747,49 @@ func (m *MCP) retransInterval(c *Connection) sim.Time {
 		}
 	}
 	if pr.RetransJitterPct > 0 {
-		if m.rng == nil {
-			m.rng = network.LinkStream(0x6d6370, network.LinkID(m.cfg.Node))
+		if m.jitter == nil {
+			m.jitter = network.LinkSource(0x6d6370, network.LinkID(m.cfg.Node))
 		}
-		d += sim.Time(float64(d) * pr.RetransJitterPct / 100 * m.rng.Float64())
+		d += sim.Time(float64(d) * pr.RetransJitterPct / 100 * unitFloat(m.jitter))
 	}
 	return d
 }
 
+// unitFloat is math/rand's Rand.Float64 computed on the source itself, the
+// value stream Go guarantees: Int63 / 2⁶³, drawn again on the rare 1.0.
+func unitFloat(src rand.Source) float64 {
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// armRetransTimer arms the connection's retransmission timer if it is not
+// armed and traffic is outstanding. The timer is built by the first arm.
 func (m *MCP) armRetransTimer(c *Connection) {
-	if c.retransTimer != 0 {
+	if c.retrans != nil && c.retrans.Armed() {
 		return
 	}
 	if len(c.sentList) == 0 && len(c.barrierSent) == 0 {
 		return
 	}
 	d := m.retransInterval(c)
-	c.retransTimer = int64(m.sim.AfterCall(d, m.timerFn, c))
+	if c.retrans == nil {
+		c.retrans = m.sim.NewTimer(m.timerFn, c)
+	}
+	c.retrans.Arm(m.sim.Now() + d)
 }
 
 // timerEvent fires when a connection's retransmission timer expires; the
 // timer carries its connection.
-func (m *MCP) timerEvent(a any) {
-	c := a.(*Connection)
-	c.retransTimer = 0
-	m.timerFire(c)
-}
+func (m *MCP) timerEvent(a any) { m.timerFire(a.(*Connection)) }
 
+// rearmRetransTimer withdraws the connection's deadline and arms a fresh
+// one if traffic is still outstanding.
 func (m *MCP) rearmRetransTimer(c *Connection) {
-	if c.retransTimer != 0 {
-		m.sim.Cancel(sim.EventID(c.retransTimer))
-		c.retransTimer = 0
+	if c.retrans != nil {
+		c.retrans.Disarm()
 	}
 	m.armRetransTimer(c)
 }
@@ -860,42 +870,43 @@ func (m *MCP) deadNodesSorted() []network.NodeID {
 
 // postHostEvent charges the firmware the given cycles for preparing a host
 // event, then DMAs the event's bytes-long record into host memory and
-// delivers it to the port's owner.
-func (m *MCP) postHostEvent(p *Port, cycles int64, label string, bytes int, ev HostEvent) {
+// delivers it to the port's owner. It returns the pooled record's event,
+// zero, for the caller to fill in before the transfer completes; nil when
+// the card is dead and nothing will be delivered.
+func (m *MCP) postHostEvent(p *Port, cycles int64, label string, bytes int) *HostEvent {
 	due, done, ok := m.nic.ExecDMA(cycles, label, m.nic.RDMA(), bytes)
 	if !ok {
-		return
+		return nil
 	}
 	rec := m.pendHostEvts.Get()
-	*rec = hostEvtRec{due: due, port: int32(p.num), bytes: int32(bytes), ev: ev}
+	rec.due, rec.port, rec.bytes = due, int32(p.num), int32(bytes)
 	m.sim.AtCall(done, m.hostEvtDeliverFn, rec)
+	return &rec.ev
 }
 
 // hostEvtDeliver hands a host event to its port as the event's RDMA
-// completes. An event whose transfer never started, its card dead first,
-// is dropped.
+// completes, and releases the record once the port has taken the event.
+// An event whose transfer never started, its card dead first, is dropped.
 func (m *MCP) hostEvtDeliver(a any) {
 	rec := a.(*hostEvtRec)
-	p, ev := &m.ports[rec.port], rec.ev
-	landed := m.nic.Landed(m.nic.RDMA(), rec.due, int(rec.bytes))
+	if p := &m.ports[rec.port]; m.nic.Landed(m.nic.RDMA(), rec.due, int(rec.bytes)) {
+		switch rec.ev.Kind {
+		case RecvEvent:
+			m.stats.DataDelivered++
+		case SentEvent:
+			if p.sendsInFlight > 0 {
+				p.sendsInFlight--
+			}
+		}
+		m.deliverHost(p, &rec.ev)
+	}
 	*rec = hostEvtRec{}
 	m.pendHostEvts.Put(rec)
-	if !landed {
-		return
-	}
-	switch ev.Kind {
-	case RecvEvent:
-		m.stats.DataDelivered++
-	case SentEvent:
-		if p.sendsInFlight > 0 {
-			p.sendsInFlight--
-		}
-	}
-	m.deliverHost(p, ev)
 }
 
-// deliverHost hands a completed event to the GM library layer.
-func (m *MCP) deliverHost(p *Port, ev HostEvent) {
+// deliverHost hands a completed event to the GM library layer, which copies
+// what it keeps.
+func (m *MCP) deliverHost(p *Port, ev *HostEvent) {
 	if !p.open || p.deliver == nil {
 		m.stats.ProtocolErrors++
 		return

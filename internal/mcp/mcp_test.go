@@ -68,8 +68,8 @@ func randomLoss(rate float64, seed int64) dropIf {
 func (r *rig) open(t *testing.T, node, port int) {
 	t.Helper()
 	k := key(node, port)
-	if err := r.mcps[node].OpenPort(port, func(ev HostEvent) {
-		r.events[k] = append(r.events[k], ev)
+	if err := r.mcps[node].OpenPort(port, func(ev *HostEvent) {
+		r.events[k] = append(r.events[k], *ev)
 	}); err != nil {
 		t.Fatalf("open %s: %v", k, err)
 	}
@@ -847,3 +847,34 @@ func TestBarrierTokenSize(t *testing.T) {
 		}
 	}
 }
+
+// TestJitterDrawsMatchRandFloat64 holds the firmware's jitter draw, unitFloat
+// on the bare source, to math/rand's Rand.Float64 on the same seed: every
+// pinned retransmission instant was drawn from that stream. A source whose
+// first value rounds to 1.0 checks the redraw.
+func TestJitterDrawsMatchRandFloat64(t *testing.T) {
+	for _, node := range []network.NodeID{0, 1, 15, 255} {
+		src := network.LinkSource(0x6d6370, network.LinkID(node))
+		ref := network.LinkStream(0x6d6370, network.LinkID(node))
+		for i := 0; i < 10000; i++ {
+			if got, want := unitFloat(src), ref.Float64(); got != want {
+				t.Fatalf("node %d, draw %d: %v, math/rand drew %v", node, i, got, want)
+			}
+		}
+	}
+	near := func() rand.Source { return &scriptedSource{vals: []int64{1<<63 - 1, 1 << 62}} }
+	if got, want := unitFloat(near()), rand.New(near()).Float64(); got != want || got != 0.5 {
+		t.Fatalf("after a draw that rounds to 1.0: %v, math/rand drew %v, want 0.5", got, want)
+	}
+}
+
+// scriptedSource returns vals in turn.
+type scriptedSource struct{ vals []int64 }
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) {}

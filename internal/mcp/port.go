@@ -36,7 +36,7 @@ type Port struct {
 	// deliver hands a completed host event to the GM library layer. It is
 	// invoked after the RDMA transfer that writes the event record (and
 	// any data) into host memory has finished.
-	deliver func(HostEvent)
+	deliver func(*HostEvent)
 }
 
 // portBlock is a NIC's ports and its credit schedule, one allocation: eight
@@ -141,9 +141,10 @@ type collRec struct {
 // the paper's unexpected-barrier-message record. One exists per peer a NIC
 // has talked to, so it holds only what a protocol step reads and is kept to
 // the 320-byte size class: the record is three bytes a source port, early
-// collective messages share one FIFO, the retransmission timer finds the
-// connection by peer ID (timerEvent) rather than through a closure of its
-// own, and recovery counts live in the NIC's Stats, not per peer.
+// collective messages share one FIFO, the retransmission timer is a pointer
+// to a timer built by its first arm and carrying the connection to the
+// NIC's one callback (timerEvent), and recovery counts live in the NIC's
+// Stats, not per peer.
 type Connection struct {
 	peer network.NodeID
 
@@ -177,7 +178,9 @@ type Connection struct {
 	// the single-bit record).
 	collQ []collRec
 
-	retransTimer int64 // sim.EventID as int64; 0 = none
+	// retrans is the retransmission timer, armed while traffic is
+	// unacknowledged (nil until the first arm).
+	retrans *sim.Timer
 	// retryRounds counts consecutive timer firings without ack progress.
 	retryRounds int
 	// backoff is the current exponent of the retransmission interval, reset

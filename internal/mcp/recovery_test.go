@@ -74,7 +74,7 @@ func runBackoffSchedule(t *testing.T, maxRetries int) ([]sim.Time, Stats) {
 	hole := &blackHole{s: r.s, on: true}
 	r.fab.SetFaultHook(hole)
 	var failedAt sim.Time
-	if err := r.mcps[0].OpenPort(2, func(ev HostEvent) {
+	if err := r.mcps[0].OpenPort(2, func(ev *HostEvent) {
 		if ev.Kind == SentEvent && ev.Failed {
 			failedAt = r.s.Now()
 		}

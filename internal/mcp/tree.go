@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"gmsim/internal/network"
+	"gmsim/internal/sim"
 )
 
 // The gather/broadcast tree engine. The GB barrier (Section 5.2) and the
@@ -112,10 +113,11 @@ type treeOp struct {
 // (Eight ports a NIC, two slots a port, and usually one in use: the layout
 // is kept to three words.)
 type treeSlot struct {
-	// watchdog is the slot's watchdog timer (sim.EventID as int64, 0 = none):
-	// armed while an operation is in flight under DetectFailures, it probes
-	// peers whose messages are overdue (FirmwareParams.BarrierTimeout).
-	watchdog int64
+	// watchdog is the slot's watchdog timer, built by its first arm and
+	// kept across programs (resetSlots): armed while an operation is in
+	// flight under DetectFailures, it probes peers whose messages are
+	// overdue (FirmwareParams.BarrierTimeout).
+	watchdog *sim.Timer
 	// The operation state, set aside the first time the slot runs one.
 	*treeState
 	// bufs counts host-provided completion buffers
@@ -428,6 +430,7 @@ func (m *MCP) finish(p *Port, fam *treeFamily, data []byte) {
 	if m.cfg.DetectFailures {
 		dead = m.deadNodesSorted()
 	}
-	m.postHostEvent(p, m.cfg.Params.BarrierComplete, fam.doneLabel, eventRecordBytes+len(data),
-		HostEvent{Kind: fam.done, Tag: s.tag, Data: data, DeadNodes: dead})
+	if ev := m.postHostEvent(p, m.cfg.Params.BarrierComplete, fam.doneLabel, eventRecordBytes+len(data)); ev != nil {
+		ev.Kind, ev.Tag, ev.Data, ev.DeadNodes = fam.done, s.tag, data, dead
+	}
 }

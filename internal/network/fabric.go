@@ -69,10 +69,14 @@ func (f *Fabric) NoteFault(kind string, p *Packet, detail string) {
 
 // LinkStream returns a rand stream deterministically derived from
 // (seed, link), so a consumer that keeps one stream per link draws the same
-// decisions on a link whatever crosses the others (the fault layer's rules,
-// the firmware's jitter).
-func LinkStream(seed int64, link LinkID) *rand.Rand {
-	return rand.New(rand.NewSource(mix64(seed, int64(link))))
+// decisions on a link whatever crosses the others (the fault layer's rules).
+func LinkStream(seed int64, link LinkID) *rand.Rand { return rand.New(LinkSource(seed, link)) }
+
+// LinkSource is LinkStream's source without the rand.Rand around it, for a
+// consumer that draws one kind of value and computes it on the source itself
+// (the firmware's jitter).
+func LinkSource(seed int64, link LinkID) rand.Source {
+	return rand.NewSource(mix64(seed, int64(link)))
 }
 
 // mix64 hashes two 64-bit values into one well-distributed seed

@@ -13,13 +13,16 @@ func (s *Simulator) CalendarShape() (buckets int, width Time) {
 // whether one exists. FuzzEventQueue peeks with it between bursts: a peek
 // moves the calendar's current day, which is how the queue-order bug of a
 // push behind an advanced day was found.
-func (s *Simulator) NextEventTime() (Time, bool) {
-	idx := s.findMin()
-	if idx < 0 {
-		return 0, false
-	}
-	return s.slots[idx].at, true
-}
+func (s *Simulator) NextEventTime() (Time, bool) { return s.next() }
+
+// Placements reports how many events schedule has placed in the calendar
+// over the simulator's life (a rebuild's re-placing does not count). A run
+// whose every placed event ran has placed as many as it executed.
+func (s *Simulator) Placements() int64 { return s.placed }
+
+// QueuedTimers reports how many timer entries the heap holds, disarmed and
+// early ones included.
+func (s *Simulator) QueuedTimers() int { return len(s.timers) }
 
 // Waiting reports how many processes are currently parked on the signal.
 func (sig *Signal) Waiting() int { return len(sig.waiters.procs) }

@@ -31,6 +31,16 @@ func (m *queueModel) insert(at Time, id int) {
 	m.pending[i] = e
 }
 
+// remove drops the pending event with model id, if any.
+func (m *queueModel) remove(id int) {
+	for i, e := range m.pending {
+		if e.id == id {
+			m.removeAt(i)
+			return
+		}
+	}
+}
+
 func (m *queueModel) removeAt(i int) modelEvent {
 	e := m.pending[i]
 	m.pending = append(m.pending[:i], m.pending[i+1:]...)
@@ -59,7 +69,10 @@ func queueDelay(rng *rand.Rand, class int) Time {
 
 // FuzzEventQueue drives the queue and the sorted-slice model with the same
 // operations and asserts, after every Step, the popped event, the clock,
-// NextEventTime and Pending. A run is three rounds of: a burst of up to 600
+// NextEventTime and Pending. A fifth of the schedules arm one of a few
+// Timers instead (the model withdraws the deadline the previous arm set and
+// inserts the new one), a cancel of a timer's deadline is a Disarm, and a
+// timer that fires may re-arm itself. A run is three rounds of: a burst of up to 600
 // schedules from outside the loop (grows the calendar, and lands events
 // behind a curDay that the preceding NextEventTime peek advanced), a drain
 // in which callbacks schedule children and cancel random pending events,
@@ -100,11 +113,33 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 	}
 
 	var eids []EventID       // by model id; valid while the id is pending
+	var timerOf []*fuzzTimer // by model id; the timer an arm is of, or nil
 	children := 3*burst + 64 // callbacks may schedule this many in all
 	popped := -1
 
 	var fire func(any)
+	timers := make([]*fuzzTimer, rng.Intn(4))
+	for i := range timers {
+		timers[i] = &fuzzTimer{cur: -1}
+		timers[i].t = s.NewTimer(func(a any) { fire(a) }, &timers[i].cur)
+	}
+	arm := func(ft *fuzzTimer) {
+		if ft.cur >= 0 {
+			m.remove(ft.cur)
+		}
+		id := len(eids)
+		at := s.Now() + delay()
+		eids = append(eids, 0)
+		timerOf = append(timerOf, ft)
+		ft.cur = id
+		ft.t.Arm(at)
+		m.insert(at, id)
+	}
 	schedule := func() {
+		if len(timers) > 0 && rng.Intn(5) == 0 {
+			arm(timers[rng.Intn(len(timers))])
+			return
+		}
 		id := len(eids)
 		at := s.Now() + delay()
 		// Alternate the four scheduling forms; they share one queue. Each
@@ -122,6 +157,7 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 			eid = s.After(at-s.Now(), func() { fire(arg) })
 		}
 		eids = append(eids, eid)
+		timerOf = append(timerOf, nil)
 		m.insert(at, id)
 	}
 	cancelRandom := func() {
@@ -129,6 +165,11 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 			return
 		}
 		e := m.removeAt(rng.Intn(len(m.pending)))
+		if ft := timerOf[e.id]; ft != nil {
+			ft.t.Disarm()
+			ft.cur = -1
+			return
+		}
 		if !s.Cancel(eids[e.id]) {
 			t.Fatalf("seed %d: Cancel of pending event %d (at %d) returned false", seed, e.id, e.at)
 		}
@@ -166,6 +207,16 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 			t.Fatalf("seed %d: Cancel of the running event %d returned true", seed, id)
 		}
 		popped = id
+		if ft := timerOf[id]; ft != nil {
+			ft.cur = -1
+			if ft.t.Armed() {
+				t.Fatalf("seed %d: timer still armed in its own callback", seed)
+			}
+			if children > 0 && rng.Intn(2) == 0 {
+				children--
+				arm(ft)
+			}
+		}
 		for n := rng.Intn(4); n > 0 && children > 0; n-- {
 			children--
 			schedule()
@@ -209,4 +260,11 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 	if s.Step() {
 		t.Fatalf("seed %d: Step ran an event after the model emptied", seed)
 	}
+}
+
+// fuzzTimer is one of FuzzEventQueue's timers and the model id of its armed
+// deadline (-1: disarmed), which its callback's argument points at.
+type fuzzTimer struct {
+	t   *Timer
+	cur int
 }

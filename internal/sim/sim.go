@@ -26,8 +26,12 @@
 // near its bucket's tail, and a pop takes the head of the current day. The
 // bucket width adapts to the observed inter-event gap and the bucket count
 // to the pending-event population. Each slot records its bucket, so Cancel
-// is an O(1) unlink at every horizon — hot in reliable mode, where every
-// ACK cancels a retransmit timer milliseconds ahead of the clock.
+// is an O(1) unlink at every horizon.
+//
+// Timeouts that are almost always withdrawn before they are due — a
+// retransmit timer every acknowledgment withdraws, a watchdog — are Timers,
+// kept in a small heap beside the calendar (see Timer): arming, withdrawing
+// and re-arming one touches no bucket.
 package sim
 
 import (
@@ -155,11 +159,23 @@ type Simulator struct {
 	procs    int     // live (spawned, not finished) processes
 	blocked  int     // processes parked on a Signal with no pending wake
 	spawned  []*Proc // every process ever spawned, for Close
+
+	// Timers (see Timer): the earliest key's instant (noTimer when none is
+	// queued), the heap of queued entries by key, how many are armed, and
+	// the newest chunk of timers (NewTimer). They and placed sit after the
+	// fields above so as not to move those: with timerAt beside minCache and
+	// placed beside seq, nic16, which arms no timer, read about 4 % slower.
+	timerAt    Time
+	timers     []timerEntry
+	armed      int
+	timerChunk []Timer
+
+	placed int64 // events placed in the calendar by schedule (read by tests)
 }
 
 // New returns a simulator with the clock at zero and no pending events.
 func New() *Simulator {
-	s := &Simulator{free: -1, widthLog: initialWidthLog, minCache: -1}
+	s := &Simulator{free: -1, widthLog: initialWidthLog, minCache: -1, timerAt: noTimer}
 	s.buckets = make([]int32, initialBuckets)
 	s.tails = make([]int32, initialBuckets)
 	for i := range s.buckets {
@@ -173,8 +189,9 @@ func New() *Simulator {
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of scheduled, not-yet-cancelled events.
-func (s *Simulator) Pending() int { return s.calCount }
+// Pending returns the number of scheduled, not-yet-cancelled events, armed
+// timers included.
+func (s *Simulator) Pending() int { return s.calCount + s.armed }
 
 // Executed returns the total number of events executed so far. Useful for
 // bounding runaway simulations in tests.
@@ -269,6 +286,7 @@ func (s *Simulator) schedule(t Time) int32 {
 	sl.at = t
 	sl.seq = s.seq
 	s.place(idx)
+	s.placed++
 	// The min cache survives inserts that land at or after the cached
 	// minimum — the overwhelmingly common case, since most events schedule
 	// into the future. A strictly earlier insert becomes the new minimum
@@ -516,13 +534,20 @@ func (s *Simulator) findMin() int32 {
 }
 
 // Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It returns false when no events remain.
+// its timestamp. It returns false when no events remain. A timer entry that
+// surfaces ahead of its deadline, or disarmed, is settled on the way (see
+// Timer); that is not an event.
 func (s *Simulator) Step() bool {
 	idx := s.findMin()
 	if idx < 0 {
-		return false
+		return s.fireDueTimer(-1)
 	}
 	sl := &s.slots[idx]
+	// One compare against the earliest timer key, noTimer when none is
+	// queued, keeps timers off the path of a run that arms none.
+	if s.timerAt <= sl.at && s.fireDueTimer(idx) {
+		return true
+	}
 	if sl.at < s.now {
 		panic("sim: time went backwards")
 	}
@@ -582,8 +607,8 @@ func (s *Simulator) Run() {
 // exactly t. Events scheduled at t run; later events remain pending.
 func (s *Simulator) RunUntil(t Time) {
 	for {
-		idx := s.findMin()
-		if idx < 0 || s.slots[idx].at > t {
+		at, ok := s.next()
+		if !ok || at > t {
 			break
 		}
 		s.Step()
@@ -591,6 +616,20 @@ func (s *Simulator) RunUntil(t Time) {
 	if t > s.now {
 		s.now = t
 	}
+}
+
+// next returns the instant of the earliest pending event, a calendar
+// event's or an armed timer's, and whether there is one. Timer entries that
+// surface ahead of it are settled.
+func (s *Simulator) next() (Time, bool) {
+	idx := s.findMin()
+	if t := s.dueTimer(idx); t != nil {
+		return t.at, true
+	}
+	if idx < 0 {
+		return 0, false
+	}
+	return s.slots[idx].at, true
 }
 
 // Stranded reports the number of processes that are parked waiting for a

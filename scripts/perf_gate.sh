@@ -23,6 +23,12 @@
 # code around in the binary does. Each line lists the per-layout medians,
 # base then head, layout 0 first.
 #
+# Beside the verdict, which it does not change, each line gives the paired
+# view: the median of head minus base within each pair of runs (same pair,
+# same layout), as a share of base's median too, and how many pairs head
+# read lower and higher. Drift on a shared machine moves both runs of a pair
+# alike, so a layout FAIL that most pairs contradict shows here.
+#
 # Everything lives under .perf_gate/ in the checkout; the per-run JSON
 # lines (base.jsonl, head.jsonl) and verdicts.txt are left there.
 set -eu
@@ -55,7 +61,7 @@ done
 : >"$out/left.txt"
 run() {
 	(cd "$2" && "$root/$out/bench_$1$5" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 || true) |
-		tail -n 1 | jq -c --arg w "$3" --argjson l "$5" '. + {workload: $w, layout: $l}' >>"$out/$1.jsonl"
+		tail -n 1 | jq -c --arg w "$3" --argjson l "$5" --argjson p "$4" '. + {workload: $w, layout: $l, pair: $p}' >>"$out/$1.jsonl"
 	pids=$(pgrep -f "$root/$out/bench_" || true)
 	if [ -n "$pids" ]; then
 		echo "FAIL $3 $1 left process(es) running:" $pids >>"$out/left.txt"
@@ -91,6 +97,10 @@ jq -n -r --slurpfile spec BENCHMARK.json --argjson layouts "$layouts" \
 		[$runs[] | select(.workload == $w)]
 		| if $layouts == 1 then map(.metrics[$m].value)
 		  else group_by(.layout) | map(map(.metrics[$m].value) | median) end;
+	def paired($w; $m):
+		[$base[] | select(.workload == $w) | . as $b
+		 | $head[] | select(.workload == $w and .pair == $b.pair and .layout == $b.layout)
+		 | .metrics[$m].value - $b.metrics[$m].value];
 	($head[] | select(.correct != true or .failed > 0)
 	 | "FAIL \(.workload) outputs: correct=\(.correct), \(.failed) of \(.attempted) ops failed"),
 	($spec[0] as $s | $s.workloads[].name as $w | $s.end_to_end[] as $m
@@ -103,9 +113,13 @@ jq -n -r --slurpfile spec BENCHMARK.json --argjson layouts "$layouts" \
 	    elif $layouts == 1 then "UNRESOLVED"
 	    else "layout" end) as $verdict
 	 | (if $layouts == 1 then "runs" else "layout medians" end) as $what
+	 | paired($w; $m.name) as $d
 	 | "\($verdict) \($w) \($m.name): base \($bm | short) head \($hm | short) \($m.unit)"
 	   + " (\(($hm - $bm) / $bm * 100 | short)%, bound \($m.bound * 100)%)"
-	   + " base \($what) \($b | map(short)) head \($what) \($h | map(short))")
+	   + " base \($what) \($b | map(short)) head \($what) \($h | map(short))"
+	   + "; pairs: median head-base \($d | median | short) \($m.unit)"
+	   + " (\($d | median / $bm * 100 | short)%), head lower in \($d | map(select(. < 0)) | length)"
+	   + " and higher in \($d | map(select(. > 0)) | length) of \($d | length)")
 ' >"$out/verdicts.txt"
 cat "$out/left.txt" >>"$out/verdicts.txt"
 cat "$out/verdicts.txt"
