@@ -411,6 +411,25 @@ func TestSwitchAccessors(t *testing.T) {
 	}
 }
 
+// TestSwitchLinksPastLastSwitch pins SwitchLinks' bound: the last switch
+// has its links, and the index just past it has none.
+func TestSwitchLinksPastLastSwitch(t *testing.T) {
+	s := sim.New()
+	f := New(s)
+	lp := DefaultLinkParams()
+	swA := f.AddSwitch(DefaultSwitchParams(8))
+	swB := f.AddSwitch(DefaultSwitchParams(8))
+	f.ConnectSwitches(swA, 7, swB, 7, lp)
+	f.AttachNIC(0, swB, 0, lp, func(*Packet) {})
+	n := f.NumSwitches()
+	if got := len(f.SwitchLinks(n - 1)); got != 4 {
+		t.Fatalf("last switch has %d links, want 4 (trunk and cable, both directions)", got)
+	}
+	if got := f.SwitchLinks(n); got != nil {
+		t.Fatalf("SwitchLinks(NumSwitches()) = %v, want nil", got)
+	}
+}
+
 func TestZeroPortSwitchPanics(t *testing.T) {
 	s := sim.New()
 	f := New(s)

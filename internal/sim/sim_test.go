@@ -164,6 +164,27 @@ func TestCancelAfterRunReturnsFalse(t *testing.T) {
 	}
 }
 
+// TestCancelIndexPastSlotsReturnsFalse pins Cancel's bound on an ID's slot
+// index: an ID naming the slot just past the pool is refused and changes
+// nothing.
+func TestCancelIndexPastSlotsReturnsFalse(t *testing.T) {
+	s := New()
+	ran := 0
+	for d := Time(1); d <= 3; d++ {
+		s.After(d, func() { ran++ })
+	}
+	if s.Cancel(EventID(len(s.slots) + 1)) {
+		t.Fatal("Cancel of the slot index len(slots) succeeded")
+	}
+	if s.Pending() != 3 {
+		t.Fatalf("Pending = %d after the refused Cancel, want 3", s.Pending())
+	}
+	s.Run()
+	if ran != 3 {
+		t.Fatalf("%d events ran after the refused Cancel, want 3", ran)
+	}
+}
+
 func TestPendingCountsCancelled(t *testing.T) {
 	s := New()
 	a := s.After(1, func() {})

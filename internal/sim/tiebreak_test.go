@@ -57,3 +57,72 @@ func TestTieBreakScheduleOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReservationPassesWithItsEvent is the property test for the order a
+// closed-form model reads: random schedules of calendar events and timer
+// arms that share instants take reservations inside their callbacks, and
+// beside each one schedule the real event AtCall would have scheduled there,
+// as its reference. Inside every event that runs, and after Run, a
+// reservation counts as passed exactly when its reference has started.
+func TestReservationPassesWithItsEvent(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		type reservation struct {
+			at  Time
+			st  Stamp
+			ran bool // the reference has started
+		}
+		passed := func(r *reservation) bool {
+			return r.at < s.Now() || r.at == s.Now() && s.RunningAfter(r.st)
+		}
+		var all []*reservation
+		ok := true
+		check := func() {
+			for i, r := range all {
+				if ok && passed(r) != r.ran {
+					t.Logf("seed %d: at %v (event %d) reservation %d for %v: passed %v, reference started %v",
+						seed, s.Now(), s.Executed(), i, r.at, passed(r), r.ran)
+					ok = false
+				}
+			}
+		}
+		var timers []*Timer
+		budget := 300
+		var body func(any)
+		body = func(arg any) {
+			if r, _ := arg.(*reservation); r != nil {
+				r.ran = true
+			}
+			check()
+			for n := rng.Intn(4); n > 0 && budget > 0; n-- {
+				budget--
+				at := s.Now() + Time(rng.Intn(3))
+				switch rng.Intn(5) {
+				case 0, 1:
+					s.AtCall(at, body, nil)
+				case 2:
+					timers[rng.Intn(len(timers))].Arm(at)
+				case 3:
+					timers[rng.Intn(len(timers))].Disarm()
+				default:
+					r := &reservation{at: at, st: s.Stamp()}
+					s.AtCall(at, body, r)
+					all = append(all, r)
+				}
+			}
+		}
+		for range 4 {
+			timers = append(timers, s.NewTimer(body, nil))
+		}
+		for range 6 {
+			s.AtCall(Time(rng.Intn(3)), body, nil)
+		}
+		s.Run()
+		check()
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
