@@ -294,7 +294,6 @@ type DMAEngine struct {
 // (when the firmware task that starts it ends) and returns the completion
 // instant. Transfers on one engine serialize FIFO.
 func (d *DMAEngine) book(at sim.Time, n int) sim.Time {
-	st := d.sim.Stamp()
 	start := max(at, d.free)
 	dur := d.params.transferTime(n)
 	d.free = start + dur
@@ -306,7 +305,7 @@ func (d *DMAEngine) book(at sim.Time, n int) sim.Time {
 			Start: start, End: d.free,
 			Phase: phase.DMA, Track: d.track,
 			Node: d.node, Peer: -1, Label: d.label,
-		}, at, st, d.sim)
+		}, d.sim.Reserve(at), d.sim)
 	}
 	return d.free
 }

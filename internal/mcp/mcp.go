@@ -287,7 +287,7 @@ func (m *MCP) ScheduleCredits(port int, c Credit, n int, first, every sim.Time) 
 	if n <= 0 {
 		return nil
 	}
-	*m.runs = append(*m.runs, creditRun{first: first, every: every, stamp: m.sim.Stamp(), n: int32(n), port: int8(port), kind: c})
+	*m.runs = append(*m.runs, creditRun{first: m.sim.Reserve(first), every: every, n: int32(n), port: int8(port), kind: c})
 	m.sim.Elide(first + sim.Time(n-1)*every)
 	return nil
 }

@@ -828,7 +828,8 @@ func TestStatsAccessors(t *testing.T) {
 // Connection per peer it has talked to, so it holds only what a protocol
 // step reads — recovery counts are the NIC's Stats — and is kept to the
 // 320-byte class (304 bytes), and the unexpected-message record's eight
-// slots inside it to three bytes each.
+// slots inside it to three bytes each. A run of host credits is 32 bytes:
+// its first doorbell's key, the spacing and the count, port and kind.
 func TestBarrierTokenSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -841,6 +842,7 @@ func TestBarrierTokenSize(t *testing.T) {
 		{"MCP", unsafe.Sizeof(MCP{}), 960},
 		{"Connection", unsafe.Sizeof(Connection{}), 320},
 		{"unexpRec", unsafe.Sizeof(unexpRec{}), 4},
+		{"creditRun", unsafe.Sizeof(creditRun{}), 32},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, want <= %d", c.name, c.got, c.want)

@@ -68,31 +68,30 @@ func (p *Port) count(c Credit) *int32 {
 }
 
 // creditRun is a run of host credits (MCP.ScheduleCredits): n credits of kind
-// for port, the k-th posted at first + k·every by a doorbell that would have
-// been scheduled at stamp.
+// for port, the k-th posted at first.At + k·every by a doorbell that would
+// have been scheduled with first's sequence number.
 type creditRun struct {
-	first, every sim.Time
-	stamp        sim.Stamp
-	n            int32
-	port         int8
-	kind         Credit
+	first sim.Key
+	every sim.Time
+	n     int32
+	port  int8
+	kind  Credit
 }
 
 // posted is how many of the run's credits the event now running sees: those
-// due before now, and those due now if it was scheduled after the doorbells
-// would have been (it would have run after them).
+// whose doorbell would already have run (sim.Simulator.Passed).
 func (r *creditRun) posted(s *sim.Simulator) int32 {
 	t := s.Now()
-	if !s.RunningAfter(r.stamp) {
+	if !s.Passed(sim.Key{At: t, Seq: r.first.Seq}) {
 		t--
 	}
 	switch {
-	case t < r.first:
+	case t < r.first.At:
 		return 0
 	case r.every == 0:
 		return r.n
 	}
-	return int32(min(int64(r.n), int64((t-r.first)/r.every)+1))
+	return int32(min(int64(r.n), int64((t-r.first.At)/r.every)+1))
 }
 
 // Num returns the port number.

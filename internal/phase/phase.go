@@ -182,12 +182,10 @@ type Recorder struct {
 	clk  *sim.Simulator
 }
 
-// heldSpan is a span held for the event that would run at due, scheduled
-// just after stamp st was taken.
+// heldSpan is a span held for the event keyed k (sim.Simulator.Reserve).
 type heldSpan struct {
-	s   Span
-	due sim.Time
-	st  sim.Stamp
+	s Span
+	k sim.Key
 }
 
 // hostRun is n back-to-back host spans: first, then n−1 more of its length
@@ -354,23 +352,23 @@ func (r *Recorder) add(s Span) {
 }
 
 // Hold records a loop-time span booked ahead of the event that would have
-// added it: the event due at due and scheduled just after stamp st was
-// taken on clk — a DMA transfer is booked with the firmware task that
-// starts it, and the task's end would have recorded the transfer. The span
-// lands in the recording where that event would have added it: before
-// anything an event that runs after it adds, and kept iff the recorder is
-// on at it. Zero-length spans are dropped. No-op on nil.
-func (r *Recorder) Hold(s Span, due sim.Time, st sim.Stamp, clk *sim.Simulator) {
+// added it: the event keyed k on clk (sim.Simulator.Reserve) — a DMA
+// transfer is booked with the firmware task that starts it, and the task's
+// end would have recorded the transfer. The span lands in the recording
+// where that event would have added it: before anything an event that runs
+// after it adds, and kept iff the recorder is on at it. Zero-length spans
+// are dropped. No-op on nil.
+func (r *Recorder) Hold(s Span, k sim.Key, clk *sim.Simulator) {
 	if r == nil || s.End <= s.Start {
 		return
 	}
 	r.clk = clk
 	r.release() // what is due goes now, recorded or not: held spans stay few
 	i := len(r.held)
-	for i > 0 && (r.held[i-1].due > due || r.held[i-1].due == due && r.held[i-1].st > st) {
+	for i > 0 && k.Less(r.held[i-1].k) {
 		i--
 	}
-	r.held = slices.Insert(r.held, i, heldSpan{s, due, st})
+	r.held = slices.Insert(r.held, i, heldSpan{s, k})
 }
 
 // DropHeld discards node's held spans due at or after at: its card crashed
@@ -380,17 +378,17 @@ func (r *Recorder) DropHeld(node int32, at sim.Time) {
 	if r == nil {
 		return
 	}
-	r.held = slices.DeleteFunc(r.held, func(h heldSpan) bool { return h.s.Node == node && h.due >= at })
+	r.held = slices.DeleteFunc(r.held, func(h heldSpan) bool { return h.s.Node == node && h.k.At >= at })
 }
 
-// release adds the held spans whose events the loop has passed: due before
-// now, or due now and scheduled before the event now running. Every method
-// that adds a span, moves a window or reads the recording releases first.
+// release adds the held spans whose events the loop has passed
+// (sim.Simulator.Passed). Every method that adds a span, moves a window or
+// reads the recording releases first.
 func (r *Recorder) release() {
 	k := 0
 	for ; k < len(r.held); k++ {
 		h := &r.held[k]
-		if now := r.clk.Now(); h.due > now || h.due == now && !r.clk.RunningAfter(h.st) {
+		if !r.clk.Passed(h.k) {
 			break
 		}
 		if r.enabled {

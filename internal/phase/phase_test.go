@@ -296,10 +296,10 @@ func (h *heldRig) add(name string) func() {
 }
 
 // hold holds a span labelled name for node, due at due, as a firmware task
-// booking a transfer does: the event that would have recorded it is the one
-// scheduled next, and the transfer's completion takes its place.
+// booking a transfer does: the event that would have recorded it keeps its
+// reserved key, and the transfer's completion is scheduled after it.
 func (h *heldRig) hold(node int32, name string, due sim.Time) {
-	h.r.Hold(Span{Start: due, End: due + 5, Node: node, Label: h.r.Label(name)}, due, h.s.Stamp(), h.s)
+	h.r.Hold(Span{Start: due, End: due + 5, Node: node, Label: h.r.Label(name)}, h.s.Reserve(due), h.s)
 	h.s.At(due+5, func() {})
 }
 
@@ -402,6 +402,6 @@ func TestHeldSpansDroppedByCrash(t *testing.T) {
 		t.Fatalf("recorded %v, want %v", got, want)
 	}
 	var nilRec *Recorder
-	nilRec.Hold(Span{Start: 0, End: 1}, 0, 0, h.s)
+	nilRec.Hold(Span{Start: 0, End: 1}, sim.Key{}, h.s)
 	nilRec.DropHeld(0, 0)
 }

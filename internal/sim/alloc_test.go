@@ -171,9 +171,13 @@ func TestWaitListOneAllocation(t *testing.T) {
 }
 
 // TestSlotSize pins the calendar's event slot, which every pending event
-// occupies, to 64 bytes with the callback's argument an interface.
+// occupies, to 64 bytes with the callback's argument an interface, and the
+// Simulator, which every run allocates, to the 384-byte size class.
 func TestSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got > 64 {
 		t.Errorf("slot is %d bytes, want ≤ 64", got)
+	}
+	if got := unsafe.Sizeof(Simulator{}); got > 384 {
+		t.Errorf("Simulator is %d bytes, want ≤ 384", got)
 	}
 }

@@ -14,9 +14,15 @@
 //     out of directly, for modeling host programs written in a blocking
 //     style.
 //
+// Every same-instant decision goes through one order key (Key): an event's
+// instant and its sequence number, handed out in scheduling order. A model
+// that works out in closed form what an event would have done reserves the
+// key that event would have had (Reserve) and asks whether the loop has
+// passed it (Passed).
+//
 // The event queue is a calendar queue and nothing else: an array of day
 // buckets, each a doubly-linked list (threaded through the free-listed slot
-// pool, so scheduling allocates nothing) kept sorted by (time, sequence).
+// pool, so scheduling allocates nothing) kept sorted by key.
 // An event at time t lives in bucket (t >> widthLog) & mask whatever its
 // horizon, so a bucket may also hold entries of later years; they sort
 // behind the current day's, and the pop skips them by comparing the head's
@@ -38,6 +44,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+
+	"gmsim/internal/mem"
 )
 
 // Time is a simulated instant or duration in nanoseconds.
@@ -62,10 +70,21 @@ func (t Time) String() string { return fmt.Sprintf("%.2fus", t.Micros()) }
 // rounding to the nearest nanosecond.
 func FromMicros(us float64) Time {
 	if us < 0 {
-		return Time(us*1000 - 0.5)
+		return Time(float64(us*1000) - 0.5)
 	}
-	return Time(us*1000 + 0.5)
+	return Time(float64(us*1000) + 0.5)
 }
+
+// Key is an event's place in the order events run: by instant, and among
+// events due at one instant by sequence number, which the simulator hands
+// out in scheduling order (Reserve).
+type Key struct {
+	At  Time
+	Seq int64
+}
+
+// Less reports whether the event keyed k runs before the one keyed o.
+func (k Key) Less(o Key) bool { return k.At < o.At || k.At == o.At && k.Seq < o.Seq }
 
 // EventID identifies a scheduled event so it can be cancelled.
 // The zero EventID is never issued.
@@ -85,8 +104,7 @@ const locFree int32 = -1
 // through prev/next. Exactly one of fn/afn is set: fn is the closure form,
 // afn+arg the allocation-free form used by hot paths (see AtCall).
 type slot struct {
-	at         Time
-	seq        int64 // tie-break: FIFO among same-time events
+	key        Key
 	fn         func()
 	afn        func(any)
 	arg        any
@@ -129,7 +147,7 @@ type Simulator struct {
 	now Time
 
 	// Calendar queue.
-	buckets   []int32 // head slot per bucket, -1 empty; sorted by (at, seq)
+	buckets   []int32 // head slot per bucket, -1 empty; sorted by key
 	tails     []int32 // tail slot per bucket, -1 empty
 	mask      int64   // len(buckets)-1 (bucket count is a power of two)
 	widthLog  uint    // bucket width = 1 << widthLog nanoseconds
@@ -150,25 +168,26 @@ type Simulator struct {
 
 	slots   []slot
 	free    int32 // head of the free-slot list, -1 when empty
-	seq     int64
-	running int64 // seq of the event now running (see RunningAfter)
+	armed   int32 // armed timers (see Timer), in free's padding
+	seq     int64 // the last sequence number handed out (Reserve)
+	running int64 // sequence number of the event now running (see Passed)
 	elided  Time  // the latest instant of an event a model elided (Elide)
 
 	executed int64
 	switches int64   // process resumes
-	procs    int     // live (spawned, not finished) processes
-	blocked  int     // processes parked on a Signal with no pending wake
+	procs    int32   // live (spawned, not finished) processes
+	blocked  int32   // processes parked on a Signal with no pending wake
 	spawned  []*Proc // every process ever spawned, for Close
 
 	// Timers (see Timer): the earliest key's instant (noTimer when none is
-	// queued), the heap of queued entries by key, how many are armed, and
-	// the newest chunk of timers (NewTimer). They and placed sit after the
-	// fields above so as not to move those: with timerAt beside minCache and
-	// placed beside seq, nic16, which arms no timer, read about 4 % slower.
+	// queued), the heap of queued entries by key, and the cells timers are
+	// built in (NewTimer). They and placed sit after the fields above so as
+	// not to move those: with timerAt beside minCache and placed beside seq,
+	// nic16, which arms no timer, read about 4 % slower. The int32 counters
+	// keep the Simulator in the 384-byte size class.
 	timerAt    Time
 	timers     []timerEntry
-	armed      int
-	timerChunk []Timer
+	timerCells mem.Slab[Timer]
 
 	placed int64 // events placed in the calendar by schedule (read by tests)
 }
@@ -191,7 +210,7 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of scheduled, not-yet-cancelled events, armed
 // timers included.
-func (s *Simulator) Pending() int { return s.calCount + s.armed }
+func (s *Simulator) Pending() int { return s.calCount + int(s.armed) }
 
 // Executed returns the total number of events executed so far. Useful for
 // bounding runaway simulations in tests.
@@ -202,24 +221,24 @@ func (s *Simulator) Executed() int64 { return s.executed }
 // process's coroutine and one back when it parks again.
 func (s *Simulator) Switches() int64 { return s.switches }
 
-// Stamp marks a point in scheduling order: every event scheduled before it
-// was taken precedes it, every event scheduled after follows it.
-type Stamp int64
+// Reserve returns the key an event scheduled now for at would get, and
+// gives its sequence number to no event: it orders after every event
+// scheduled so far and before every event scheduled later. A model that
+// works out in closed form what such an event would have done reserves its
+// key in place of scheduling it, and asks Passed. A reservation moves no
+// event's place relative to any other.
+func (s *Simulator) Reserve(at Time) Key {
+	s.seq++
+	return Key{at, s.seq}
+}
 
-// Stamp returns the current point in scheduling order.
-func (s *Simulator) Stamp() Stamp { return Stamp(s.seq) }
-
-// RunningAfter reports whether the event now running was scheduled after st
-// was taken. Events due at one instant run in the order they were scheduled,
-// so a callback scheduled when st was taken and due now would already have
-// run exactly when this is true. A model that works out in closed form what
-// such callbacks would have done asks it.
-func (s *Simulator) RunningAfter(st Stamp) bool { return s.running > int64(st) }
+// Passed reports whether the event keyed k would already have run: whether
+// k orders before the event now running, at the clock's instant.
+func (s *Simulator) Passed(k Key) bool { return k.Less(Key{s.now, s.running}) }
 
 // Elide notes an event at t that a model left out of the queue because it
-// works out in closed form what the event would have done (see
-// RunningAfter). Run still leaves the clock where that event would have: at
-// t at least.
+// works out in closed form what the event would have done (see Reserve).
+// Run still leaves the clock where that event would have: at t at least.
 func (s *Simulator) Elide(t Time) { s.elided = max(s.elided, t) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -273,7 +292,7 @@ func (s *Simulator) schedule(t Time) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	s.seq++
+	k := s.Reserve(t)
 	var idx int32
 	if s.free >= 0 {
 		idx = s.free
@@ -282,16 +301,13 @@ func (s *Simulator) schedule(t Time) int32 {
 		s.slots = append(s.slots, slot{loc: locFree})
 		idx = int32(len(s.slots) - 1)
 	}
-	sl := &s.slots[idx]
-	sl.at = t
-	sl.seq = s.seq
+	s.slots[idx].key = k
 	s.place(idx)
 	s.placed++
-	// The min cache survives inserts that land at or after the cached
-	// minimum — the overwhelmingly common case, since most events schedule
-	// into the future. A strictly earlier insert becomes the new minimum
-	// itself.
-	if s.minCache >= 0 && t < s.slots[s.minCache].at {
+	// The min cache survives inserts that order after the cached minimum —
+	// the overwhelmingly common case, since most events schedule into the
+	// future. An earlier insert becomes the new minimum itself.
+	if s.minCache >= 0 && k.Less(s.slots[s.minCache].key) {
 		s.minCache = idx
 	}
 	if s.calCount > 2*len(s.buckets) {
@@ -306,7 +322,7 @@ func (s *Simulator) schedule(t Time) int32 {
 // or more ahead of curDay wraps onto a bucket the current year also uses.
 func (s *Simulator) place(idx int32) {
 	sl := &s.slots[idx]
-	day := int64(sl.at) >> s.widthLog
+	day := int64(sl.key.At) >> s.widthLog
 	if day < s.curDay {
 		// A peek advanced curDay past empty days and a later insert landed
 		// behind it (legal: at >= now but below the previously found
@@ -333,15 +349,15 @@ func (s *Simulator) insertBucket(idx int32, b int) {
 		s.tails[b] = idx
 		return
 	}
-	// Find the last entry ordered before (at, seq); insert after it. Ties
-	// stop immediately: an existing same-time entry always has a smaller
-	// sequence number.
-	at, seq := sl.at, sl.seq
+	// Find the last entry ordered before the slot's key; insert after it.
+	// Ties stop immediately: an existing same-time entry always has a
+	// smaller sequence number.
+	k := sl.key
 	cur := tail
 	steps := 0
 	for cur >= 0 {
 		c := &s.slots[cur]
-		if c.at < at || (c.at == at && c.seq < seq) {
+		if c.key.Less(k) {
 			break
 		}
 		cur = c.prev
@@ -445,7 +461,7 @@ func (s *Simulator) rebuild(nb int, byHorizon bool) {
 func (s *Simulator) horizonWidth(pending []int32, nb int) uint {
 	h := s.horizonScratch[:0]
 	for _, idx := range pending {
-		h = append(h, s.slots[idx].at-s.now)
+		h = append(h, s.slots[idx].key.At-s.now)
 	}
 	s.horizonScratch = h
 	slices.Sort(h)
@@ -499,7 +515,7 @@ func (s *Simulator) findMin() int32 {
 		if head < 0 {
 			continue
 		}
-		if int64(s.slots[head].at)>>s.widthLog == day {
+		if int64(s.slots[head].key.At)>>s.widthLog == day {
 			s.probes += day - s.curDay + 1
 			s.curDay = day
 			s.minCache = head
@@ -514,12 +530,7 @@ func (s *Simulator) findMin() int32 {
 		if head < 0 {
 			continue
 		}
-		if best < 0 {
-			best = head
-			continue
-		}
-		h, b := &s.slots[head], &s.slots[best]
-		if h.at < b.at || (h.at == b.at && h.seq < b.seq) {
+		if best < 0 || s.slots[head].key.Less(s.slots[best].key) {
 			best = head
 		}
 	}
@@ -528,7 +539,7 @@ func (s *Simulator) findMin() int32 {
 	if s.overruns++; s.overruns >= longScanTrigger {
 		s.rebuild(len(s.buckets), true)
 	}
-	s.curDay = int64(s.slots[best].at) >> s.widthLog
+	s.curDay = int64(s.slots[best].key.At) >> s.widthLog
 	s.minCache = best
 	return best
 }
@@ -545,38 +556,28 @@ func (s *Simulator) Step() bool {
 	sl := &s.slots[idx]
 	// One compare against the earliest timer key, noTimer when none is
 	// queued, keeps timers off the path of a run that arms none.
-	if s.timerAt <= sl.at && s.fireDueTimer(idx) {
+	if s.timerAt <= sl.key.At && s.fireDueTimer(idx) {
 		return true
 	}
-	if sl.at < s.now {
+	if sl.key.At < s.now {
 		panic("sim: time went backwards")
 	}
-	day := int64(sl.at) >> s.widthLog
+	day := int64(sl.key.At) >> s.widthLog
 	next := sl.next
 	s.removeBucket(idx)
 	// Same-day shortcut: the popped event's bucket successor is the global
 	// minimum if it shares the day — every day maps to exactly one bucket,
 	// all pending events sit at days >= the popped one, and bucket lists
 	// are sorted. Consecutive same-day pops then skip the day scan.
-	if next >= 0 && int64(s.slots[next].at)>>s.widthLog == day {
+	if next >= 0 && int64(s.slots[next].key.At)>>s.widthLog == day {
 		s.curDay = day
 		s.minCache = next
 	} else {
 		s.minCache = -1
 	}
-	at := sl.at
-	s.running = sl.seq
-	fn, afn, arg := sl.fn, sl.afn, sl.arg
+	k, fn, afn, arg := sl.key, sl.fn, sl.afn, sl.arg
 	s.freeSlot(idx)
-	// Width tuning: track the average gap between consecutive event times.
-	// Zero gaps count — a workload dominated by same-time tranches needs
-	// narrow buckets so a tranche has a bucket (nearly) to itself and
-	// mixed-delay inserts don't share one giant sorted list.
-	s.gapEMA += (float64(at-s.lastPopAt) - s.gapEMA) * 0.05
-	s.lastPopAt = at
-	s.now = at
-	s.executed++
-	if s.executed%yieldEvery == 0 {
+	if s.begin(k) {
 		runtime.Gosched()
 	}
 	if afn != nil {
@@ -585,6 +586,23 @@ func (s *Simulator) Step() bool {
 		fn()
 	}
 	return true
+}
+
+// begin makes the event keyed k the one running: the clock moves to its
+// instant and it counts. It reports whether the loop should yield first
+// (yieldEvery); the caller yields, which keeps begin small enough to inline.
+func (s *Simulator) begin(k Key) bool {
+	s.running = k.Seq
+	// Width tuning: track the average gap between consecutive event times.
+	// Zero gaps count — a workload dominated by same-time tranches needs
+	// narrow buckets so a tranche has a bucket (nearly) to itself and
+	// mixed-delay inserts don't share one giant sorted list. The product is
+	// rounded on its own, so no target fuses it into the sum.
+	s.gapEMA += float64((float64(k.At-s.lastPopAt) - s.gapEMA) * 0.05)
+	s.lastPopAt = k.At
+	s.now = k.At
+	s.executed++
+	return s.executed%yieldEvery == 0
 }
 
 // Run executes events until none remain. Processes left stranded in Await
@@ -624,12 +642,12 @@ func (s *Simulator) RunUntil(t Time) {
 func (s *Simulator) next() (Time, bool) {
 	idx := s.findMin()
 	if t := s.dueTimer(idx); t != nil {
-		return t.at, true
+		return t.key.At, true
 	}
 	if idx < 0 {
 		return 0, false
 	}
-	return s.slots[idx].at, true
+	return s.slots[idx].key.At, true
 }
 
 // Stranded reports the number of processes that are parked waiting for a
@@ -639,11 +657,11 @@ func (s *Simulator) Stranded() int {
 	if s.Pending() > 0 {
 		return 0
 	}
-	return s.blocked
+	return int(s.blocked)
 }
 
 // LiveProcs returns the number of spawned processes that have not finished.
-func (s *Simulator) LiveProcs() int { return s.procs }
+func (s *Simulator) LiveProcs() int { return int(s.procs) }
 
 // freeSlot recycles a slot onto the free list and bumps its generation so
 // outstanding EventIDs for it go stale. It drops the slot's callback and

@@ -58,31 +58,27 @@ func TestTieBreakScheduleOrder(t *testing.T) {
 	}
 }
 
-// TestReservationPassesWithItsEvent is the property test for the order a
-// closed-form model reads: random schedules of calendar events and timer
-// arms that share instants take reservations inside their callbacks, and
-// beside each one schedule the real event AtCall would have scheduled there,
-// as its reference. Inside every event that runs, and after Run, a
-// reservation counts as passed exactly when its reference has started.
+// TestReservationPassesWithItsEvent is the property test for Reserve and
+// Passed: random schedules of calendar events and timer arms that share
+// instants take reservations inside their callbacks, and beside each one
+// schedule the real event AtCall would have scheduled at the reservation, as
+// its reference. Inside every event that runs, and after Run, Passed of a
+// reservation holds exactly when its reference has started.
 func TestReservationPassesWithItsEvent(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		type reservation struct {
-			at  Time
-			st  Stamp
+			k   Key
 			ran bool // the reference has started
-		}
-		passed := func(r *reservation) bool {
-			return r.at < s.Now() || r.at == s.Now() && s.RunningAfter(r.st)
 		}
 		var all []*reservation
 		ok := true
 		check := func() {
 			for i, r := range all {
-				if ok && passed(r) != r.ran {
-					t.Logf("seed %d: at %v (event %d) reservation %d for %v: passed %v, reference started %v",
-						seed, s.Now(), s.Executed(), i, r.at, passed(r), r.ran)
+				if ok && s.Passed(r.k) != r.ran {
+					t.Logf("seed %d: at %v (event %d) reservation %d %+v: Passed %v, reference started %v",
+						seed, s.Now(), s.Executed(), i, r.k, !r.ran, r.ran)
 					ok = false
 				}
 			}
@@ -106,7 +102,7 @@ func TestReservationPassesWithItsEvent(t *testing.T) {
 				case 3:
 					timers[rng.Intn(len(timers))].Disarm()
 				default:
-					r := &reservation{at: at, st: s.Stamp()}
+					r := &reservation{k: s.Reserve(at)}
 					s.AtCall(at, body, r)
 					all = append(all, r)
 				}

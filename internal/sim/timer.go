@@ -10,14 +10,14 @@ import (
 // almost always withdrawn before it is due, as a retransmit timer is by the
 // acknowledgment that follows its send a few microseconds later. An armed
 // timer runs exactly as the event AtCall would have scheduled at the arm: Arm
-// takes a sequence number where AtCall would take one, so the timer keeps the
-// arm's place in same-instant order, and re-arming or Disarm withdraws the
+// takes the key AtCall would have (Reserve), so the timer keeps the arm's
+// place in same-instant order, and re-arming or Disarm withdraws the
 // deadline as Cancel would. A firing counts in Executed and moves the clock;
 // an armed timer counts in Pending.
 //
 // What a timer saves is the queue work. The simulator keeps each queued
 // timer as one entry of a small binary heap beside the calendar, at a key no
-// later than its deadline: the (time, sequence) of some earlier arm. Disarm
+// later than its deadline's: the key of some earlier arm. Disarm
 // only clears a flag, and a re-arm to a deadline at or after the key only
 // records it. When an entry surfaces — its key is earlier than every
 // calendar event — it moves on to its deadline if that is later, is dropped
@@ -29,16 +29,14 @@ type Timer struct {
 	s     *Simulator
 	fn    func(any)
 	arg   any
-	at    Time  // the deadline while armed
-	seq   int64 // the arm's place in same-instant order
+	key   Key   // the deadline's, while armed
 	pos   int32 // index of the entry in s.timers, -1 when not queued
 	armed bool
 }
 
 // timerEntry is a queued timer at its key.
 type timerEntry struct {
-	at  Time
-	seq int64
+	key Key
 	t   *Timer
 }
 
@@ -49,24 +47,16 @@ const noTimer = Time(math.MaxInt64)
 // NewTimer returns a disarmed timer that runs fn(arg) when it fires. Like
 // AtCall's, fn is typically a method value built once and arg a pointer to
 // the record the timeout belongs to; a component builds one timer per
-// record and re-arms it for the record's life. Timers are built in chunks that double from timerChunkFirst, so building
-// a cluster's timers costs a few allocations.
+// record and re-arms it for the record's life. Timers are cells of a
+// mem.Slab, so building a cluster's timers costs a few allocations.
 func (s *Simulator) NewTimer(fn func(any), arg any) *Timer {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	if len(s.timerChunk) == cap(s.timerChunk) {
-		n := max(timerChunkFirst, 2*cap(s.timerChunk))
-		s.timerChunk = make([]Timer, 0, n)
-	}
-	s.timerChunk = s.timerChunk[:len(s.timerChunk)+1]
-	t := &s.timerChunk[len(s.timerChunk)-1]
+	t := s.timerCells.Get()
 	*t = Timer{s: s, fn: fn, arg: arg, pos: -1}
 	return t
 }
-
-// timerChunkFirst is the number of timers in a simulator's first chunk.
-const timerChunkFirst = 8
 
 // Arm sets the timer to fire at absolute time at, withdrawing the deadline
 // it was armed for, if any: AtCall(at, fn, arg) after a Cancel of the event
@@ -76,22 +66,18 @@ func (t *Timer) Arm(at Time) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: arming timer at %v before now %v", at, s.now))
 	}
-	s.seq++
 	if !t.armed {
 		t.armed = true
 		s.armed++
 	}
-	t.at, t.seq = at, s.seq
+	t.key = s.Reserve(at)
 	switch {
 	case t.pos < 0:
 		t.pos = int32(len(s.timers))
-		s.timers = append(s.timers, timerEntry{at: at, seq: t.seq, t: t})
+		s.timers = append(s.timers, timerEntry{t.key, t})
 		s.timerUp(int(t.pos))
-	case at < s.timers[t.pos].at:
-		// The new sequence number is the latest, so an earlier deadline is
-		// one at an earlier instant.
-		e := &s.timers[t.pos]
-		e.at, e.seq = at, t.seq
+	case t.key.Less(s.timers[t.pos].key):
+		s.timers[t.pos].key = t.key
 		s.timerUp(int(t.pos))
 	}
 }
@@ -116,17 +102,15 @@ func (t *Timer) Armed() bool { return t.armed }
 func (s *Simulator) dueTimer(idx int32) *Timer {
 	for len(s.timers) > 0 {
 		e := &s.timers[0]
-		if idx >= 0 {
-			if sl := &s.slots[idx]; sl.at < e.at || (sl.at == e.at && sl.seq < e.seq) {
-				return nil
-			}
+		if idx >= 0 && s.slots[idx].key.Less(e.key) {
+			return nil
 		}
 		t := e.t
 		switch {
 		case !t.armed:
 			s.popTimer()
-		case e.seq != t.seq:
-			e.at, e.seq = t.at, t.seq
+		case e.key != t.key:
+			e.key = t.key
 			s.timerDown(0)
 		default:
 			return t
@@ -146,12 +130,7 @@ func (s *Simulator) fireDueTimer(idx int32) bool {
 	s.popTimer()
 	t.armed = false
 	s.armed--
-	s.running = t.seq
-	s.gapEMA += (float64(t.at-s.lastPopAt) - s.gapEMA) * 0.05
-	s.lastPopAt = t.at
-	s.now = t.at
-	s.executed++
-	if s.executed%yieldEvery == 0 {
+	if s.begin(t.key) {
 		runtime.Gosched()
 	}
 	t.fn(t.arg)
@@ -176,24 +155,19 @@ func (s *Simulator) popTimer() {
 	}
 }
 
-// timerLess orders heap entries by key.
-func timerLess(a, b *timerEntry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
 // timerUp moves entry i up the heap to its place.
 func (s *Simulator) timerUp(i int) {
 	h := s.timers
 	for i > 0 {
 		p := (i - 1) / 2
-		if !timerLess(&h[i], &h[p]) {
+		if !h[i].key.Less(h[p].key) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
 		h[i].t.pos, h[p].t.pos = int32(i), int32(p)
 		i = p
 	}
-	s.timerAt = h[0].at
+	s.timerAt = h[0].key.At
 }
 
 // timerDown moves entry i down the heap to its place.
@@ -204,15 +178,15 @@ func (s *Simulator) timerDown(i int) {
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) && timerLess(&h[r], &h[c]) {
+		if r := c + 1; r < len(h) && h[r].key.Less(h[c].key) {
 			c = r
 		}
-		if !timerLess(&h[c], &h[i]) {
+		if !h[c].key.Less(h[i].key) {
 			break
 		}
 		h[i], h[c] = h[c], h[i]
 		h[i].t.pos, h[c].t.pos = int32(i), int32(c)
 		i = c
 	}
-	s.timerAt = h[0].at
+	s.timerAt = h[0].key.At
 }
