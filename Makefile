@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-procs fuzz bench perf-gate profile layers profile-scale profile-svc cover figures scenarios cmd-smoke simd-smoke simd-restart-smoke examples clean
+.PHONY: all build test vet fma race race-procs fuzz bench perf-gate profile layers profile-scale profile-svc cover figures scenarios cmd-smoke simd-smoke simd-restart-smoke examples clean
 
 all: build vet test
 
@@ -30,6 +30,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# No fused multiply-add in the module's non-test sources on arm64, where the
+# compiler fuses x*y + z unless the product is converted (float64(x*y) + z):
+# cross-compiles every package's test binary and reads its disassembly.
+fma:
+	sh scripts/fma_check.sh
 
 race:
 	$(GO) test -race ./...

@@ -84,7 +84,7 @@ type Cluster struct {
 	sim    *sim.Simulator
 	fabric *network.Fabric
 	top    *topo.Topology
-	nics   []*lanai.NIC
+	nics   []lanai.NIC // one block, never resized
 	mcps   []*mcp.MCP
 	procs  []*host.Process
 	inj    *fault.Injector
@@ -164,14 +164,20 @@ func Build(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	s := sim.New()
-	c := &Cluster{cfg: cfg, sim: s, top: top}
-	f := network.New(s)
-	c.fabric = f
+	// The fabric, the cards and the firmware list are blocks sized from the
+	// plan once; nothing of them grows while the cluster is built.
+	c := &Cluster{
+		cfg: cfg, sim: s, top: top,
+		fabric: network.New(s, top.Shape()),
+		nics:   lanai.NewNICs(s, cfg.NIC, cfg.Nodes),
+		mcps:   make([]*mcp.MCP, cfg.Nodes),
+	}
+	f := c.fabric
 
 	sws := top.Materialize(f, cfg.Switch, cfg.Link)
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := range c.nics {
 		node := network.NodeID(i)
-		nic := lanai.NewNIC(s, cfg.NIC)
+		nic := &c.nics[i]
 		mcfg := mcp.DefaultConfig(node)
 		mcfg.Params = cfg.Firmware
 		mcfg.ReliableBarrier = cfg.ReliableBarrier
@@ -189,13 +195,12 @@ func Build(cfg Config) (*Cluster, error) {
 		m.Attach(iface, func(dst network.NodeID) ([]byte, error) {
 			return top.Route(src, int(dst))
 		})
-		c.nics = append(c.nics, nic)
-		c.mcps = append(c.mcps, m)
+		c.mcps[i] = m
 	}
 	if cfg.Fault != nil {
 		byNode := make(map[network.NodeID]*lanai.NIC, len(c.nics))
-		for i, nic := range c.nics {
-			byNode[network.NodeID(i)] = nic
+		for i := range c.nics {
+			byNode[network.NodeID(i)] = &c.nics[i]
 		}
 		inj, err := fault.Attach(cfg.Fault, f, byNode)
 		if err != nil {
@@ -238,7 +243,7 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) MCP(i int) *mcp.MCP { return c.mcps[i] }
 
 // NIC returns node i's card.
-func (c *Cluster) NIC(i int) *lanai.NIC { return c.nics[i] }
+func (c *Cluster) NIC(i int) *lanai.NIC { return &c.nics[i] }
 
 // Fault returns the attached fault injector, or nil when the configuration
 // carried no plan.
@@ -250,8 +255,8 @@ func (c *Cluster) Fault() *fault.Injector { return c.inj }
 // spawned keep their recorder). trace.Attach wires this for you.
 func (c *Cluster) SetPhaseRecorder(r *phase.Recorder) {
 	c.phases = r
-	for i, nic := range c.nics {
-		nic.SetPhaseRecorder(r, int32(i))
+	for i := range c.nics {
+		c.nics[i].SetPhaseRecorder(r, int32(i))
 	}
 }
 
@@ -300,7 +305,8 @@ func (c *Cluster) Metrics() *stats.Registry {
 	}
 	var fwTasks, fwBusy, stalls int64
 	var sdmaN, sdmaB, rdmaN, rdmaB int64
-	for _, nic := range c.nics {
+	for i := range c.nics {
+		nic := &c.nics[i]
 		fwTasks += nic.CPUTasks()
 		fwBusy += int64(nic.CPUBusyTime())
 		stalls += nic.Stalls()

@@ -236,3 +236,32 @@ func TestNewPanicsOnInvalidTopology(t *testing.T) {
 	}()
 	New(cfg)
 }
+
+// TestBuildAllocsPerNode bounds the heap objects cluster.Build makes per
+// node on a radix-16 clos3 fat-tree at 64 and 256 nodes. The fabric, the
+// cards and the firmware list are blocks sized from the plan, so what is
+// left per node is the firmware, its interface callbacks and route
+// closure: the count per node must not grow with n.
+func TestBuildAllocsPerNode(t *testing.T) {
+	const limit = 18 // objects per node: 16.6 and 15.6 today, 38 and 35 with a heap object per channel, card and DMA engine
+	var perNode []float64
+	for _, n := range []int{64, 256} {
+		cfg := DefaultConfig(n)
+		cfg.Topology = &topo.Spec{Kind: topo.Clos3, Radix: 16}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Build(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perNode = append(perNode, allocs/float64(n))
+		t.Logf("%d nodes: %.0f objects, %.2f per node", n, allocs, allocs/float64(n))
+	}
+	for i, n := range []int{64, 256} {
+		if perNode[i] > limit {
+			t.Errorf("%d nodes: %.2f objects per node, limit %d", n, perNode[i], limit)
+		}
+	}
+	if perNode[1] > perNode[0] {
+		t.Errorf("objects per node grew with n: %.2f at 64 nodes, %.2f at 256", perNode[0], perNode[1])
+	}
+}

@@ -30,6 +30,19 @@ import (
 // once per cell and share it across ranks, as UniformGroup's callers do.
 type Group []mcp.Endpoint
 
+// at returns the members at the given ranks, in one allocation; nil for
+// none.
+func (g Group) at(ranks []int) []mcp.Endpoint {
+	if len(ranks) == 0 {
+		return nil
+	}
+	eps := make([]mcp.Endpoint, len(ranks))
+	for i, r := range ranks {
+		eps[i] = g[r]
+	}
+	return eps
+}
+
 // Rank returns ep's index in the group, or -1.
 func (g Group) Rank(ep mcp.Endpoint) int {
 	for i, e := range g {
@@ -71,13 +84,14 @@ func PESchedule(rank, n int) ([]int, error) {
 	if n == 1 {
 		return []int{}, nil
 	}
-	m := 1
+	m, steps := 1, 0
 	for m*2 <= n {
 		m *= 2
+		steps++
 	}
 	extra := n - m
-	doubling := func(r int) []int {
-		var s []int
+	// Each schedule is built once, at its exact length.
+	doubling := func(s []int, r int) []int {
 		for mask := 1; mask < m; mask <<= 1 {
 			s = append(s, r^mask)
 		}
@@ -90,11 +104,11 @@ func PESchedule(rank, n int) ([]int, error) {
 	case rank < extra:
 		// Partner of a folded-in rank: absorb it, run the doubling,
 		// release it.
-		s := []int{rank + m}
-		s = append(s, doubling(rank)...)
+		s := append(make([]int, 0, steps+2), rank+m)
+		s = doubling(s, rank)
 		return append(s, rank+m), nil
 	default:
-		return doubling(rank), nil
+		return doubling(make([]int, 0, steps), rank), nil
 	}
 }
 
@@ -155,7 +169,13 @@ func GBTree(rank, n, dim int, lm *LeafMap) (parent int, children []int, err erro
 		return 0, nil, fmt.Errorf("core: tree dimension %d out of range [1,%d]", dim, n-1)
 	}
 	if lm == nil {
-		parent, children = heapTree(rank, n, dim)
+		parent, lo, hi := heapTree(rank, n, dim)
+		if lo <= hi {
+			children = make([]int, 0, hi-lo+1)
+		}
+		for c := lo; c <= hi; c++ {
+			children = append(children, c)
+		}
 		return parent, children, nil
 	}
 	if len(lm.group) != n {
@@ -169,7 +189,7 @@ func GBTree(rank, n, dim int, lm *LeafMap) (parent int, children []int, err erro
 	if len(local) > 1 && localDim > len(local)-1 {
 		localDim = len(local) - 1
 	}
-	lparent, lchildren := heapTree(lm.index[rank], len(local), localDim)
+	lparent, llo, lhi := heapTree(lm.index[rank], len(local), localDim)
 	if lparent >= 0 {
 		// Interior rank: both neighbors are on this switch.
 		parent = local[lparent]
@@ -180,31 +200,34 @@ func GBTree(rank, n, dim int, lm *LeafMap) (parent int, children []int, err erro
 		// dimension-dim leader tree.
 		parent = lm.members[(gi-1)/dim][0]
 	}
+	// Leaders forward to child-group leaders glo..ghi first: those messages
+	// cross trunks, so starting them before the intra-switch sends overlaps
+	// the long hops with the short ones.
+	glo, ghi := 1, 0
 	if lparent < 0 {
-		// Leaders forward to child-group leaders first: those messages
-		// cross trunks, so starting them before the intra-switch sends
-		// overlaps the long hops with the short ones.
-		for cg := dim*gi + 1; cg <= dim*gi+dim && cg < len(lm.members); cg++ {
-			children = append(children, lm.members[cg][0])
-		}
+		glo, ghi = dim*gi+1, min(dim*gi+dim, len(lm.members)-1)
 	}
-	for _, lc := range lchildren {
+	if k := max(ghi-glo+1, 0) + max(lhi-llo+1, 0); k > 0 {
+		children = make([]int, 0, k)
+	}
+	for cg := glo; cg <= ghi; cg++ {
+		children = append(children, lm.members[cg][0])
+	}
+	for lc := llo; lc <= lhi; lc++ {
 		children = append(children, local[lc])
 	}
 	return parent, children, nil
 }
 
 // heapTree is the flat dimension-dim tree over ranks 0..n-1 (arguments
-// already validated).
-func heapTree(rank, n, dim int) (parent int, children []int) {
+// already validated): rank's parent, and its children lo..hi (none when
+// lo > hi).
+func heapTree(rank, n, dim int) (parent, lo, hi int) {
 	parent = -1
 	if rank > 0 {
 		parent = (rank - 1) / dim
 	}
-	for c := dim*rank + 1; c <= dim*rank+dim && c < n; c++ {
-		children = append(children, c)
-	}
-	return parent, children
+	return parent, dim*rank + 1, min(dim*rank+dim, n-1)
 }
 
 // NICBarrierToken builds the barrier send token for rank self of the
@@ -225,9 +248,7 @@ func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) (*
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range sched {
-			tok.Peers = append(tok.Peers, g[r])
-		}
+		tok.Peers = g.at(sched)
 	case mcp.GB:
 		parent, children, err := GBTree(self, n, dim, lm)
 		if err != nil {
@@ -238,9 +259,7 @@ func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int, lm *LeafMap) (*
 		} else {
 			tok.Parent = g[parent]
 		}
-		for _, c := range children {
-			tok.Children = append(tok.Children, g[c])
-		}
+		tok.Children = g.at(children)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}

@@ -326,6 +326,39 @@ func TestNICBarrierTokenPE(t *testing.T) {
 	}
 }
 
+// TestNICBarrierTokenAllocs pins that a token's schedule and its peer or
+// child list are each built once, at their exact length: a PE or GB token
+// is at most three heap objects (the token, the rank list, the endpoint
+// list), on flat and leaf-mapped trees and on non-powers of two.
+func TestNICBarrierTokenAllocs(t *testing.T) {
+	for _, n := range []int{2, 12, 16, 100, 256} {
+		g := UniformGroup(n, 2)
+		leafOf := make([]int, n)
+		for r := range leafOf {
+			leafOf[r] = r / 16
+		}
+		lm := NewLeafMap(leafOf)
+		for _, c := range []struct {
+			name string
+			alg  mcp.BarrierAlg
+			dim  int
+			lm   *LeafMap
+		}{{"pe", mcp.PE, 0, nil}, {"gb4", mcp.GB, 4, nil}, {"gb4-mapped", mcp.GB, 4, lm}} {
+			dim := min(c.dim, n-1)
+			for _, self := range []int{0, 1, n / 2, n - 1} {
+				allocs := testing.AllocsPerRun(3, func() {
+					if _, err := NICBarrierToken(c.alg, g, self, dim, c.lm); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 3 {
+					t.Errorf("n=%d %s rank %d: %.0f allocations, want at most 3", n, c.name, self, allocs)
+				}
+			}
+		}
+	}
+}
+
 func TestNICBarrierTokenGB(t *testing.T) {
 	g := UniformGroup(8, 2)
 	tok, err := NICBarrierToken(mcp.GB, g, 0, 2, nil)

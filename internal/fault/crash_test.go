@@ -14,7 +14,7 @@ import (
 func crashFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Iface, []*int, map[network.NodeID]*lanai.NIC) {
 	t.Helper()
 	s := sim.New()
-	f := network.New(s)
+	f := network.New(s, network.Shape{Switches: 1, Ports: 3, NICs: 3})
 	sw := f.AddSwitch(network.DefaultSwitchParams(3))
 	lp := network.DefaultLinkParams()
 	ifaces := make([]*network.Iface, 3)

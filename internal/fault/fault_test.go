@@ -13,7 +13,7 @@ import (
 func testFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Iface, []*int) {
 	t.Helper()
 	s := sim.New()
-	f := network.New(s)
+	f := network.New(s, network.Shape{Switches: 1, Ports: 2, NICs: 2})
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
 	ifaces := make([]*network.Iface, 2)
@@ -116,7 +116,7 @@ func (w wirePayload) EncodeWire() []byte { return append([]byte(nil), w.b...) }
 // receiver must find the damage itself).
 func TestCorruptedImageDiffers(t *testing.T) {
 	s := sim.New()
-	f := network.New(s)
+	f := network.New(s, network.Shape{Switches: 1, Ports: 2, NICs: 2})
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
 	var got *network.Packet
@@ -157,7 +157,7 @@ func TestCorruptedImageDiffers(t *testing.T) {
 // leaving the payload structure readable.
 func TestTruncateShrinksAndFlags(t *testing.T) {
 	s := sim.New()
-	f := network.New(s)
+	f := network.New(s, network.Shape{Switches: 1, Ports: 2, NICs: 2})
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
 	var got *network.Packet
@@ -207,7 +207,7 @@ func TestDuplicateDelivers(t *testing.T) {
 // task completes at exactly 106 µs.
 func TestStallFreezesNIC(t *testing.T) {
 	s := sim.New()
-	f := network.New(s)
+	f := network.New(s, network.Shape{Switches: 1, Ports: 2, NICs: 2})
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
 	f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
@@ -279,7 +279,7 @@ func TestRulesApplyInPlanOrder(t *testing.T) {
 func TestPerLinkStreamsIndependent(t *testing.T) {
 	runTx := func(crossTraffic bool) int {
 		s := sim.New()
-		f := network.New(s)
+		f := network.New(s, network.Shape{Switches: 1, Ports: 3, NICs: 3})
 		sw := f.AddSwitch(network.DefaultSwitchParams(3))
 		lp := network.DefaultLinkParams()
 		got := 0
@@ -319,7 +319,7 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 func TestEmptyPlanIsFree(t *testing.T) {
 	run := func(withPlan bool) []sim.Time {
 		s := sim.New()
-		f := network.New(s)
+		f := network.New(s, network.Shape{Switches: 1, Ports: 2, NICs: 2})
 		sw := f.AddSwitch(network.DefaultSwitchParams(2))
 		lp := network.DefaultLinkParams()
 		var times []sim.Time

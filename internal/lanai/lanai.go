@@ -42,7 +42,7 @@ type DMAParams struct {
 func (d DMAParams) transferTime(n int) sim.Time {
 	t := d.Startup
 	if n > 0 {
-		t += sim.Time(float64(n)/d.BandwidthMBps*1000 + 0.5)
+		t += sim.Time(float64(float64(n)/d.BandwidthMBps*1000) + 0.5)
 	}
 	return t
 }
@@ -73,7 +73,7 @@ func (m Model) Cycles(n int64) sim.Time {
 	if n <= 0 {
 		return 0
 	}
-	return sim.Time(float64(n)/m.ClockMHz*1000 + 0.5)
+	return sim.Time(float64(float64(n)/m.ClockMHz*1000) + 0.5)
 }
 
 func (m Model) String() string { return fmt.Sprintf("%s (%.0f MHz)", m.Name, m.ClockMHz) }
@@ -106,18 +106,28 @@ type NIC struct {
 	rec  *phase.Recorder
 	node int32
 
-	sdma *DMAEngine
-	rdma *DMAEngine
+	sdma DMAEngine
+	rdma DMAEngine
 }
 
 // NewNIC creates a card of the given model on the simulator.
 func NewNIC(s *sim.Simulator, model Model) *NIC {
-	return &NIC{
-		sim:   s,
-		model: model,
-		sdma:  &DMAEngine{sim: s, params: model.SDMA, track: phase.TrackSDMA},
-		rdma:  &DMAEngine{sim: s, params: model.RDMA, track: phase.TrackRDMA},
+	return &NewNICs(s, model, 1)[0]
+}
+
+// NewNICs creates n cards of the given model on the simulator as one block,
+// never resized: a cluster's cards cost one allocation, not one per card.
+func NewNICs(s *sim.Simulator, model Model, n int) []NIC {
+	nics := make([]NIC, n)
+	for i := range nics {
+		nics[i] = NIC{
+			sim:   s,
+			model: model,
+			sdma:  DMAEngine{sim: s, params: model.SDMA, track: phase.TrackSDMA},
+			rdma:  DMAEngine{sim: s, params: model.RDMA, track: phase.TrackRDMA},
+		}
 	}
+	return nics
 }
 
 // Sim returns the simulator.
@@ -269,10 +279,10 @@ func (n *NIC) CPUBusyTime() sim.Time { return n.cpuBusy }
 func (n *NIC) CPUTasks() int64 { return n.cpuTasks }
 
 // SDMA returns the host-to-NIC DMA engine.
-func (n *NIC) SDMA() *DMAEngine { return n.sdma }
+func (n *NIC) SDMA() *DMAEngine { return &n.sdma }
 
 // RDMA returns the NIC-to-host DMA engine.
-func (n *NIC) RDMA() *DMAEngine { return n.rdma }
+func (n *NIC) RDMA() *DMAEngine { return &n.rdma }
 
 // DMAEngine is one direction of the PCI DMA path: a serial resource with a
 // per-transfer startup cost and a sustained bandwidth.

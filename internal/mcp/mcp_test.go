@@ -26,7 +26,7 @@ func key(node, port int) string { return fmt.Sprintf("%d:%d", node, port) }
 func newRig(t *testing.T, n int, mutate func(i int, cfg *Config)) *rig {
 	t.Helper()
 	r := &rig{s: sim.New(), events: make(map[string][]HostEvent)}
-	r.fab = network.New(r.s)
+	r.fab = network.New(r.s, network.Shape{Switches: 1, Ports: n, NICs: n})
 	sw := r.fab.AddSwitch(network.DefaultSwitchParams(n))
 	for i := 0; i < n; i++ {
 		node := network.NodeID(i)

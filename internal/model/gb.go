@@ -51,5 +51,5 @@ func GBTerms43() GBTerms {
 // bound the residual error against the simulator.
 func (b Breakdown) NICBarrierGB(n, dim int, gb GBTerms) float64 {
 	d := float64(GBDepth(n, dim))
-	return b.Send + gb.Token + 2*d*(b.Network+gb.Step) + float64(dim-1)*gb.Step + b.RDMA + b.HRecv
+	return b.Send + gb.Token + float64(2*d*(b.Network+gb.Step)) + float64(float64(dim-1)*gb.Step) + b.RDMA + b.HRecv
 }

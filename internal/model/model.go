@@ -69,7 +69,7 @@ func (b Breakdown) HostBarrier(n int) float64 {
 //
 //	T = Send + log2(N) × (Network + Recv) + RDMA + HRecv
 func (b Breakdown) NICBarrier(n int) float64 {
-	return b.Send + steps(n)*(b.Network+b.nicRecv()) + b.RDMA + b.HRecv
+	return b.Send + float64(steps(n)*(b.Network+b.nicRecv())) + b.RDMA + b.HRecv
 }
 
 // Factor evaluates Equation 3: the predicted factor of improvement.
@@ -99,9 +99,9 @@ func PaperEstimate72() Breakdown {
 	// Firmware-dominated terms scale with the NIC clock; the DMA startup
 	// inside SDMA/RDMA does not. Approximate firmware fractions follow the
 	// calibration in DESIGN.md.
-	b.SDMA = 1.6 + (b.SDMA-1.6)/2
+	b.SDMA = 1.6 + float64((b.SDMA-1.6)/2)
 	b.Recv = b.Recv / 2
-	b.RDMA = 1.7 + (b.RDMA-1.7)/2
+	b.RDMA = 1.7 + float64((b.RDMA-1.7)/2)
 	b.Xmit = b.Xmit / 2
 	b.NICRecv = b.NICRecv / 2
 	return b
@@ -166,7 +166,7 @@ func RenderDiagram(segs []Segment, width int) string {
 	var b strings.Builder
 	for _, s := range segs {
 		off := int(s.Start * scale)
-		w := int(s.Duration*scale + 0.5)
+		w := int(float64(s.Duration*scale) + 0.5)
 		if w < 1 {
 			w = 1
 		}

@@ -10,18 +10,34 @@ import (
 // Fabric is a complete Myrinet network: switches, cables, and NIC
 // interfaces. It forwards along the source route each packet carries and
 // computes none (internal/topo does).
+//
+// A fabric is built to a Shape declared up front. Its switches, their port
+// tables and link lists, its directed channels and its NIC interfaces each
+// live in one block of exactly the declared size, allocated by New and never
+// resized; adding or cabling beyond the shape panics.
 type Fabric struct {
 	sim      *sim.Simulator
-	switches []*Switch
-	ifaces   map[NodeID]*Iface
 	observer Observer
 	hook     FaultHook
 
-	nextLink LinkID
-	nicLinks map[NodeID]NICLinks
-	// swLinks[swID] lists every directed channel touching that switch
-	// (transmitted by it or sinking into it), for switch-death faults.
-	swLinks [][]LinkID
+	// switches and channels hold what has been added so far (len) within
+	// the shape's block (cap); a channel's LinkID is its index. ifaces is
+	// indexed by NodeID; an entry with a nil fab is not attached yet.
+	switches []Switch
+	channels []channel
+	ifaces   []Iface
+	// freePorts and freeLinks are the unclaimed tails of the blocks that
+	// back each switch's output-port table and link list.
+	freePorts  []*channel
+	freeLinks  []LinkID
+	trunksLeft int
+
+	// pool is a bounded free list of packets the fabric's NICs have fully
+	// consumed, shared by all of them for their next transmissions. Nothing
+	// else may hold one: an observer or a fault hook does not retain a packet
+	// past the call that shows it, and a duplicated packet is a copy of its
+	// own (Packet.Clone).
+	pool []*Packet
 
 	delivered int64
 	dropped   int64
@@ -30,12 +46,35 @@ type Fabric struct {
 // fabric is an alias kept so internal files read naturally.
 type fabric = Fabric
 
-// New creates an empty fabric on the given simulator.
-func New(s *sim.Simulator) *Fabric {
+// Shape is what a fabric holds once it is cabled: the counts New sizes its
+// blocks from. internal/topo derives it from a wiring plan
+// (Topology.Shape).
+type Shape struct {
+	// Switches is the number of AddSwitch calls, and Ports the ports of
+	// those switches summed.
+	Switches, Ports int
+	// NICs is the number of NICs; their NodeIDs are 0 .. NICs-1.
+	NICs int
+	// Trunks is the number of switch-to-switch cables (ConnectSwitches).
+	Trunks int
+}
+
+// packetPoolCap bounds how many consumed packets the fabric hoards per NIC.
+const packetPoolCap = 32
+
+// New creates an empty fabric of the given shape on the given simulator.
+func New(s *sim.Simulator, shape Shape) *Fabric {
+	if shape.Switches < 0 || shape.Ports < 0 || shape.NICs < 0 || shape.Trunks < 0 {
+		panic(fmt.Sprintf("network: negative count in shape %+v", shape))
+	}
 	return &Fabric{
-		sim:      s,
-		ifaces:   make(map[NodeID]*Iface),
-		nicLinks: make(map[NodeID]NICLinks),
+		sim:        s,
+		switches:   make([]Switch, 0, shape.Switches),
+		channels:   make([]channel, 0, 2*(shape.NICs+shape.Trunks)),
+		ifaces:     make([]Iface, shape.NICs),
+		freePorts:  make([]*channel, shape.Ports),
+		freeLinks:  make([]LinkID, 2*shape.Ports),
+		trunksLeft: shape.Trunks,
 	}
 }
 
@@ -95,18 +134,40 @@ func (f *Fabric) drop(p *Packet, reason string) {
 	}
 }
 
-// AddSwitch creates a switch and returns it.
+// AddSwitch creates a switch and returns it. A switch beyond the shape's
+// count or ports panics.
 func (f *Fabric) AddSwitch(params SwitchParams) *Switch {
-	sw := newSwitch(f, len(f.switches), params)
-	f.switches = append(f.switches, sw)
+	ports, links := params.Ports, 2*params.Ports
+	if ports <= 0 {
+		panic("network: switch needs at least one port")
+	}
+	id := len(f.switches)
+	if id == cap(f.switches) || ports > len(f.freePorts) {
+		panic(fmt.Sprintf("network: switch %d (%d ports) is beyond the fabric's shape", id, ports))
+	}
+	f.switches = f.switches[:id+1]
+	sw := &f.switches[id]
+	*sw = Switch{
+		fab: f, id: id, params: params,
+		out:   f.freePorts[:ports:ports],
+		links: f.freeLinks[:0:links],
+	}
+	f.freePorts = f.freePorts[ports:]
+	f.freeLinks = f.freeLinks[links:]
+	sw.fwdFn = sw.forwardEvent
 	return sw
 }
 
 // AttachNIC cables a NIC interface to a switch port with a duplex link.
-// recv is invoked when a packet fully arrives at the NIC. Attaching two
-// NICs with the same NodeID, or reusing a cabled switch port, panics.
+// recv is invoked when a packet fully arrives at the NIC. Attaching a NodeID
+// outside the shape's NICs, attaching one twice, or reusing a cabled switch
+// port panics.
 func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, recv func(*Packet)) *Iface {
-	if _, dup := f.ifaces[node]; dup {
+	if node < 0 || int(node) >= len(f.ifaces) {
+		panic(fmt.Sprintf("network: NIC %d is beyond the fabric's %d", node, len(f.ifaces)))
+	}
+	iface := &f.ifaces[node]
+	if iface.fab != nil {
 		panic(fmt.Sprintf("network: NIC %d attached twice", node))
 	}
 	if port < 0 || port >= sw.params.Ports {
@@ -115,72 +176,79 @@ func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, rec
 	if sw.out[port] != nil {
 		panic(fmt.Sprintf("network: switch %d port %d already cabled", sw.id, port))
 	}
-	iface := &Iface{fab: f, node: node, recv: recv}
+	*iface = Iface{fab: f, node: node, recv: recv}
 	iface.deliverFn = iface.deliverEvent
 	// NIC -> switch direction.
 	iface.tx = f.newChannel(lp, sw)
 	// switch -> NIC direction.
 	sw.out[port] = f.newChannel(lp, iface)
-	f.nicLinks[node] = NICLinks{Tx: iface.tx.id, Rx: sw.out[port].id}
-	f.noteSwitchLink(sw.id, iface.tx.id)
-	f.noteSwitchLink(sw.id, sw.out[port].id)
-	f.ifaces[node] = iface
+	iface.rx = sw.out[port].id
+	sw.links = append(sw.links, iface.tx.id, iface.rx)
 	return iface
 }
 
-// ConnectSwitches cables two switch ports together with a duplex link.
+// ConnectSwitches cables two switch ports together with a duplex link. A
+// trunk beyond the shape's count, or a cabled port, panics.
 func (f *Fabric) ConnectSwitches(a *Switch, aPort int, b *Switch, bPort int, lp LinkParams) {
 	if a.out[aPort] != nil || b.out[bPort] != nil {
 		panic("network: switch port already cabled")
 	}
+	if f.trunksLeft == 0 {
+		panic("network: trunk is beyond the fabric's shape")
+	}
+	f.trunksLeft--
 	a.out[aPort] = f.newChannel(lp, b)
 	b.out[bPort] = f.newChannel(lp, a)
-	f.noteSwitchLink(a.id, a.out[aPort].id)
-	f.noteSwitchLink(b.id, a.out[aPort].id)
-	f.noteSwitchLink(a.id, b.out[bPort].id)
-	f.noteSwitchLink(b.id, b.out[bPort].id)
+	ab, ba := a.out[aPort].id, b.out[bPort].id
+	a.links = append(a.links, ab)
+	b.links = append(b.links, ab)
+	a.links = append(a.links, ba)
+	b.links = append(b.links, ba)
 }
 
-// newChannel allocates one directed channel with the next dense LinkID.
+// newChannel takes the next channel of the block; its LinkID is its index.
+// AttachNIC and ConnectSwitches check the shape first, so the block has
+// room.
 func (f *Fabric) newChannel(lp LinkParams, sink headSink) *channel {
-	c := &channel{fab: f, params: lp, sink: sink, id: f.nextLink}
-	c.arriveFn = c.arriveEvent
-	f.nextLink++
+	id := len(f.channels)
+	f.channels = f.channels[:id+1]
+	c := &f.channels[id]
+	*c = channel{fab: f, params: lp, sink: sink, id: LinkID(id)}
 	return c
-}
-
-// noteSwitchLink records that link l touches switch sw.
-func (f *Fabric) noteSwitchLink(sw int, l LinkID) {
-	for len(f.swLinks) <= sw {
-		f.swLinks = append(f.swLinks, nil)
-	}
-	f.swLinks[sw] = append(f.swLinks[sw], l)
 }
 
 // SwitchLinks returns the IDs of every directed channel touching switch sw
 // (cables to its NICs and trunks to other switches, both directions).
 // The slice is owned by the fabric; callers must not mutate it.
 func (f *Fabric) SwitchLinks(sw int) []LinkID {
-	if sw < 0 || sw >= len(f.swLinks) {
+	if sw < 0 || sw >= len(f.switches) {
 		return nil
 	}
-	return f.swLinks[sw]
+	return f.switches[sw].links
 }
 
 // NumSwitches returns the number of switches in the fabric.
 func (f *Fabric) NumSwitches() int { return len(f.switches) }
 
 // Iface returns the interface of an attached NIC, or nil.
-func (f *Fabric) Iface(node NodeID) *Iface { return f.ifaces[node] }
+func (f *Fabric) Iface(node NodeID) *Iface {
+	if node < 0 || int(node) >= len(f.ifaces) || f.ifaces[node].fab == nil {
+		return nil
+	}
+	return &f.ifaces[node]
+}
 
 // NumLinks returns the number of directed channels created so far.
-func (f *Fabric) NumLinks() int { return int(f.nextLink) }
+func (f *Fabric) NumLinks() int { return len(f.channels) }
 
 // NICLinkIDs returns the IDs of the two directed channels of a NIC's
 // cable, and whether the NIC is attached.
 func (f *Fabric) NICLinkIDs(node NodeID) (NICLinks, bool) {
-	l, ok := f.nicLinks[node]
-	return l, ok
+	i := f.Iface(node)
+	if i == nil {
+		return NICLinks{}, false
+	}
+	return NICLinks{Tx: i.tx.id, Rx: i.rx}, true
 }
 
 // Iface is a NIC's attachment point to the fabric: one duplex cable with
@@ -190,41 +258,35 @@ type Iface struct {
 	fab  *Fabric
 	node NodeID
 	tx   *channel
+	rx   LinkID
 	recv func(*Packet)
 
 	// deliverFn is the tail-arrival callback as a method value built once;
 	// the event's argument is the packet, so completing a receive allocates
 	// nothing.
 	deliverFn func(any)
-
-	// pool is a bounded free list of packets this NIC has fully consumed,
-	// available for its own next transmissions. Nothing else may hold one:
-	// an observer or a fault hook does not retain a packet past the call that
-	// shows it, and a duplicated packet is a copy of its own (Packet.Clone).
-	pool []*Packet
 }
 
-// packetPoolCap bounds how many consumed packets an interface hoards.
-const packetPoolCap = 32
-
-// NewPacket returns a zeroed packet for transmission, reusing one this NIC
-// previously recycled when possible.
+// NewPacket returns a zeroed packet for transmission, reusing one the
+// fabric's NICs recycled when possible.
 func (i *Iface) NewPacket() *Packet {
-	if n := len(i.pool); n > 0 {
-		p := i.pool[n-1]
-		i.pool = i.pool[:n-1]
+	f := i.fab
+	if n := len(f.pool); n > 0 {
+		p := f.pool[n-1]
+		f.pool = f.pool[:n-1]
 		*p = Packet{}
 		return p
 	}
 	return &Packet{}
 }
 
-// Recycle hands a delivered packet back for reuse. The caller (NIC
-// firmware) must be completely done with it: no references may survive the
-// call.
+// Recycle hands a delivered packet back to the fabric's pool for any NIC's
+// reuse. The caller (NIC firmware) must be completely done with it: no
+// references may survive the call.
 func (i *Iface) Recycle(p *Packet) {
-	if len(i.pool) < packetPoolCap {
-		i.pool = append(i.pool, p)
+	f := i.fab
+	if len(f.pool) < packetPoolCap*len(f.ifaces) {
+		f.pool = append(f.pool, p)
 	}
 }
 

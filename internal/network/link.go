@@ -22,7 +22,7 @@ func (lp LinkParams) wireTime(size int) sim.Time {
 	if size <= 0 {
 		return 0
 	}
-	ns := float64(size) / lp.BandwidthMBps * 1000 // bytes / (MB/s) = µs; ×1000 → ns
+	ns := float64(float64(size) / lp.BandwidthMBps * 1000) // bytes / (MB/s) = µs; ×1000 → ns
 	return sim.Time(ns + 0.5)
 }
 
@@ -51,9 +51,10 @@ type channel struct {
 	busyUntil sim.Time
 	sink      headSink
 
-	// arriveFn is the arrival callback as a method value built once; the
-	// event's argument is the packet, so scheduling a hop allocates nothing
-	// (see sim.AtCall).
+	// arriveFn is the arrival callback as a method value, built the first
+	// time a hop needs its arrival event (a fault hook, or a sink that
+	// declined headDue), so a clean run never builds it; the event's argument
+	// is the packet, so scheduling a hop allocates nothing (see sim.AtCall).
 	arriveFn func(any)
 }
 
@@ -79,6 +80,9 @@ func (c *channel) transmit(p *Packet) {
 	headArrive := start + c.params.Latency
 	if f.hook == nil && c.sink.headDue(p, headArrive, wire) {
 		return
+	}
+	if c.arriveFn == nil {
+		c.arriveFn = c.arriveEvent
 	}
 	f.sim.AtCall(headArrive, c.arriveFn, p)
 }

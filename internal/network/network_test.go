@@ -3,7 +3,9 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -27,7 +29,8 @@ func newTestNet(n int, lp LinkParams, sp SwitchParams) *testNet {
 		recvd: make(map[NodeID][]*Packet),
 		times: make(map[NodeID][]sim.Time),
 	}
-	tn.f = New(tn.s)
+	// The shape has room for a NIC on every port, so a test can attach more.
+	tn.f = New(tn.s, Shape{Switches: 1, Ports: sp.Ports, NICs: sp.Ports})
 	tn.sw = tn.f.AddSwitch(sp)
 	for i := 0; i < n; i++ {
 		node := NodeID(i)
@@ -242,7 +245,7 @@ func TestObserverEvents(t *testing.T) {
 
 func TestTwoSwitchTopology(t *testing.T) {
 	s := sim.New()
-	f := New(s)
+	f := New(s, Shape{Switches: 2, Ports: 16, NICs: 4, Trunks: 1})
 	lp := LinkParams{BandwidthMBps: 160, Latency: 300}
 	sp := SwitchParams{Ports: 8, RouteDelay: 300}
 	swA := f.AddSwitch(sp)
@@ -273,24 +276,104 @@ func TestTwoSwitchTopology(t *testing.T) {
 	}
 }
 
-func TestDuplicateAttachPanics(t *testing.T) {
-	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(4))
+// panicText runs fn and returns what it panicked with, or "" if it did not.
+func panicText(fn func()) (msg string) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
 	}()
-	tn.f.AttachNIC(0, tn.sw, 3, DefaultLinkParams(), nil)
+	fn()
+	return ""
+}
+
+func TestDuplicateAttachPanics(t *testing.T) {
+	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(4))
+	msg := panicText(func() { tn.f.AttachNIC(0, tn.sw, 3, DefaultLinkParams(), nil) })
+	if !strings.Contains(msg, "attached twice") {
+		t.Fatalf("panic = %q, want a NIC attached twice", msg)
+	}
 }
 
 func TestPortReusePanics(t *testing.T) {
 	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	msg := panicText(func() { tn.f.AttachNIC(2, tn.sw, 0, DefaultLinkParams(), nil) })
+	if !strings.Contains(msg, "already cabled") {
+		t.Fatalf("panic = %q, want a cabled port", msg)
+	}
+}
+
+// TestAttachBeyondShapePanics pins the blocks' bound: a NIC, a switch, a
+// port or a trunk the shape did not declare panics, as a reused port does,
+// and leaves the fabric as it was.
+func TestAttachBeyondShapePanics(t *testing.T) {
+	lp := DefaultLinkParams()
+	f := New(sim.New(), Shape{Switches: 2, Ports: 12, NICs: 2, Trunks: 1})
+	a := f.AddSwitch(DefaultSwitchParams(8))
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ports", func() { f.AddSwitch(DefaultSwitchParams(5)) }},
+		{"NIC id", func() { f.AttachNIC(2, a, 2, lp, nil) }},
+		{"negative NIC id", func() { f.AttachNIC(-1, a, 2, lp, nil) }},
+	} {
+		if msg := panicText(c.fn); !strings.Contains(msg, "beyond the fabric") {
+			t.Errorf("%s: panic = %q, want beyond the fabric's shape", c.name, msg)
 		}
-	}()
-	tn.f.AttachNIC(5, tn.sw, 0, DefaultLinkParams(), nil)
+	}
+	b := f.AddSwitch(DefaultSwitchParams(4))
+	f.ConnectSwitches(a, 7, b, 3, lp)
+	f.AttachNIC(0, a, 0, lp, nil)
+	f.AttachNIC(1, b, 0, lp, nil)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"switch", func() { f.AddSwitch(DefaultSwitchParams(1)) }},
+		{"trunk", func() { f.ConnectSwitches(a, 6, b, 2, lp) }},
+	} {
+		if msg := panicText(c.fn); !strings.Contains(msg, "beyond the fabric") {
+			t.Errorf("%s: panic = %q, want beyond the fabric's shape", c.name, msg)
+		}
+	}
+	if f.NumSwitches() != 2 || f.NumLinks() != 6 {
+		t.Fatalf("after the panics: %d switches, %d links, want 2 and 6", f.NumSwitches(), f.NumLinks())
+	}
+	if got := len(f.SwitchLinks(0)); got != 4 || cap(f.SwitchLinks(0)) != 16 {
+		t.Fatalf("switch 0 link list len %d cap %d, want 4 and 2 × its 8 ports", got, cap(f.SwitchLinks(0)))
+	}
+}
+
+// TestSharedPacketPool pins the fabric's one free list: a packet one NIC
+// recycles is the next any NIC takes, zeroed and with Mark 0, and the list
+// keeps at most 32 packets per NIC.
+func TestSharedPacketPool(t *testing.T) {
+	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(2))
+	a, b := tn.f.Iface(0), tn.f.Iface(1)
+	p := a.NewPacket()
+	p.SetRoute([]byte{1})
+	p.Src, p.Dst, p.Size, p.Payload, p.Corrupt, p.Mark = 0, 1, 64, "frame", true, 9
+	a.Transmit(p)
+	tn.s.Run()
+	got := tn.recvd[1]
+	if len(got) != 1 || got[0] != p || p.Mark != 9 {
+		t.Fatalf("delivered %v, want the packet as sent", got)
+	}
+	b.Recycle(p)
+	q := a.NewPacket()
+	if q != p {
+		t.Fatal("a packet recycled by NIC 1 was not reused by NIC 0")
+	}
+	if !reflect.DeepEqual(*q, Packet{}) {
+		t.Fatalf("reused packet = %+v, want zeroed", *q)
+	}
+	for i := 0; i < 2*packetPoolCap+5; i++ {
+		a.Recycle(&Packet{})
+	}
+	if n := len(tn.f.pool); n != 2*packetPoolCap {
+		t.Fatalf("pool holds %d packets, want 32 per NIC (%d)", n, 2*packetPoolCap)
+	}
 }
 
 func TestPacketClone(t *testing.T) {
@@ -415,7 +498,7 @@ func TestSwitchAccessors(t *testing.T) {
 // has its links, and the index just past it has none.
 func TestSwitchLinksPastLastSwitch(t *testing.T) {
 	s := sim.New()
-	f := New(s)
+	f := New(s, Shape{Switches: 2, Ports: 16, NICs: 1, Trunks: 1})
 	lp := DefaultLinkParams()
 	swA := f.AddSwitch(DefaultSwitchParams(8))
 	swB := f.AddSwitch(DefaultSwitchParams(8))
@@ -432,7 +515,7 @@ func TestSwitchLinksPastLastSwitch(t *testing.T) {
 
 func TestZeroPortSwitchPanics(t *testing.T) {
 	s := sim.New()
-	f := New(s)
+	f := New(s, Shape{Switches: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -443,7 +526,7 @@ func TestZeroPortSwitchPanics(t *testing.T) {
 
 func ExampleFabric() {
 	s := sim.New()
-	f := New(s)
+	f := New(s, Shape{Switches: 1, Ports: 16, NICs: 2})
 	sw := f.AddSwitch(DefaultSwitchParams(16))
 	for i := 0; i < 2; i++ {
 		node := NodeID(i)

@@ -77,7 +77,7 @@ func (l *fabricLog) perNIC() map[NodeID][]delivery {
 // switch has the same parameters, as in every cluster the harness builds;
 // trunks are slower than NIC cables.
 func threeTier(s *sim.Simulator) *Fabric {
-	f := New(s)
+	f := New(s, Shape{Switches: 7, Ports: 7 * 8, NICs: 12, Trunks: 6})
 	sp := DefaultSwitchParams(8)
 	cable := DefaultLinkParams()
 	trunk := LinkParams{BandwidthMBps: 160, Latency: 450 * sim.Nanosecond}

@@ -32,21 +32,16 @@ type Switch struct {
 	id     int
 	params SwitchParams
 	out    []*channel // per-port outgoing channel, nil if uncabled
+	// links lists every directed channel touching the switch (transmitted
+	// by it or sinking into it), for switch-death faults; two per port at
+	// most, which is its capacity.
+	links []LinkID
 
 	// fwdFn is the cut-through completion callback as a method value built
 	// once; the event's argument is the packet, whose fwdPort holds the
 	// output port already consumed from its route, so forwarding a head
 	// allocates nothing.
 	fwdFn func(any)
-}
-
-func newSwitch(f *fabric, id int, params SwitchParams) *Switch {
-	if params.Ports <= 0 {
-		panic("network: switch needs at least one port")
-	}
-	sw := &Switch{fab: f, id: id, params: params, out: make([]*channel, params.Ports)}
-	sw.fwdFn = sw.forwardEvent
-	return sw
 }
 
 // Ports returns the switch's port count.

@@ -67,27 +67,7 @@ func TestTerminalPathsReleaseAdmission(t *testing.T) {
 	}
 	settle := func(id string) JobStatus {
 		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for {
-			r, err := ts.Client().Get(ts.URL + "/v1/runs/" + id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st JobStatus
-			err = json.NewDecoder(r.Body).Decode(&st)
-			r.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch st.Status {
-			case JobDone, JobFailed, JobDeadLettered:
-				return st
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stuck in %s", id, st.Status)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		return awaitJob(t, srv, ts, id)
 	}
 	gauges := func() map[string]int64 {
 		t.Helper()

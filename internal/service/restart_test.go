@@ -145,31 +145,10 @@ func TestRestartRecovery(t *testing.T) {
 		t.Errorf("torn journal lines = %d, want 1", srv2.journal.Torn())
 	}
 
-	// settled polls a replayed job, which keeps its ID, until it is
-	// terminal.
+	// settled waits for a replayed job, which keeps its ID, to end.
 	settled := func(id string) JobStatus {
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			r, err := ts2.Client().Get(ts2.URL + "/v1/runs/" + id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.StatusCode != http.StatusOK {
-				t.Fatalf("replayed job %s unknown to the restarted server", id)
-			}
-			var st JobStatus
-			if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			r.Body.Close()
-			if st.Status == JobDone || st.Status == JobFailed || st.Status == JobDeadLettered {
-				return st
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replayed job %s stuck in %s", id, st.Status)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		t.Helper()
+		return awaitJob(t, srv2, ts2, id)
 	}
 
 	// The interrupted job completes after replay.
@@ -392,7 +371,7 @@ func fakeOutcome(hash string) Outcome {
 // and — because determinism makes any result valid forever — its late
 // result is still banked when the stray run eventually finishes.
 func TestDeadlineDeadLetters(t *testing.T) {
-	release := make(chan struct{})
+	release, banked := make(chan struct{}), make(chan struct{})
 	srv := newTestServer(t, Config{
 		Workers:      1,
 		DeadlineBase: 30 * time.Millisecond,
@@ -401,6 +380,7 @@ func TestDeadlineDeadLetters(t *testing.T) {
 			hash, _ := s.Hash()
 			return fakeOutcome(hash), nil
 		},
+		lateBanked: func() { close(banked) },
 	})
 	// Drain is safe even while the stray run is blocked: the worker slot
 	// was freed when the job dead-lettered.
@@ -418,27 +398,23 @@ func TestDeadlineDeadLetters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
+	if st := awaitJob(t, srv, ts, st.ID); st.Status != JobDeadLettered {
+		t.Fatalf("job ended %s, want dead-lettered", st.Status)
+	}
 	var letters struct {
 		DeadLetter []DeadLetter `json:"deadletter"`
 	}
-	for {
-		r, err := ts.Client().Get(ts.URL + "/v1/deadletter")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(r.Body).Decode(&letters)
-		r.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(letters.DeadLetter) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never dead-lettered")
-		}
-		time.Sleep(5 * time.Millisecond)
+	r, err := ts.Client().Get(ts.URL + "/v1/deadletter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(r.Body).Decode(&letters)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(letters.DeadLetter) != 1 {
+		t.Fatalf("dead letters = %+v, want the one job", letters.DeadLetter)
 	}
 	dl := letters.DeadLetter[0]
 	if dl.ID != st.ID || dl.Hash != st.Hash || dl.Key != "slow" {
@@ -453,12 +429,13 @@ func TestDeadlineDeadLetters(t *testing.T) {
 
 	// The stray run's late result is still banked once it finishes.
 	close(release)
-	lateDeadline := time.Now().Add(10 * time.Second)
-	for srv.reg.Get("service.deadline_late_results") == 0 {
-		if time.Now().After(lateDeadline) {
-			t.Fatal("late result never banked")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-banked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("late result never banked")
+	}
+	if got := srv.reg.Get("service.deadline_late_results"); got != 1 {
+		t.Errorf("deadline_late_results = %d, want 1", got)
 	}
 	if _, ok := srv.cache.Get(st.Hash); !ok {
 		t.Error("late result not in the cache")

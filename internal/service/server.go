@@ -57,6 +57,9 @@ type Config struct {
 	// exec replaces the simulation executor in tests (deadline, panic and
 	// admission tests need controllable job behavior, not real runs).
 	exec func(Spec) (Outcome, error)
+	// lateBanked, when set, is called once a dead-lettered job's stray run
+	// has finished and its result is banked, so a test can wait for it.
+	lateBanked func()
 }
 
 // Service defaults.
@@ -363,6 +366,9 @@ func (s *Server) runJob(j *Job) {
 			if late := <-ch; late.err == nil {
 				s.publishEntry(j.Hash, late.out)
 				s.reg.Add("service.deadline_late_results", 1)
+				if s.cfg.lateBanked != nil {
+					s.cfg.lateBanked()
+				}
 			}
 		}()
 		s.finish(j, JobDeadLettered, "service.jobs_deadlettered",

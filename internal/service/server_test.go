@@ -23,6 +23,36 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
+// awaitJob waits for job id to end — for its done channel to close, not by
+// polling — and returns its status as GET /v1/runs/{id} serves it.
+func awaitJob(t *testing.T, srv *Server, ts *httptest.Server, id string) JobStatus {
+	t.Helper()
+	srv.mu.Lock()
+	j := srv.jobs[id]
+	srv.mu.Unlock()
+	if j == nil {
+		t.Fatalf("job %s unknown to the server", id)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s never ended", id)
+	}
+	r, err := ts.Client().Get(ts.URL + "/v1/runs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("job %s: status %d", id, r.StatusCode)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // post submits a spec and returns the response.
 func post(t *testing.T, client *http.Client, url string, spec Spec, key string) (*http.Response, []byte) {
 	t.Helper()
@@ -175,24 +205,8 @@ func TestServerAsyncAndTrace(t *testing.T) {
 		t.Fatalf("async status incomplete: %s", b)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for st.Status != JobDone {
-		if st.Status == JobFailed {
-			t.Fatalf("job failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", st.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-		r, err := ts.Client().Get(ts.URL + "/v1/runs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatalf("poll: %v: %s", err, body)
-		}
+	if st = awaitJob(t, srv, ts, st.ID); st.Status != JobDone {
+		t.Fatalf("job ended %s: %s", st.Status, st.Error)
 	}
 	_, fresh := execJSON(t, spec)
 	if string(st.Result) != string(fresh) {

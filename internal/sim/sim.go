@@ -44,8 +44,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-
-	"gmsim/internal/mem"
 )
 
 // Time is a simulated instant or duration in nanoseconds.
@@ -180,14 +178,16 @@ type Simulator struct {
 	spawned  []*Proc // every process ever spawned, for Close
 
 	// Timers (see Timer): the earliest key's instant (noTimer when none is
-	// queued), the heap of queued entries by key, and the cells timers are
-	// built in (NewTimer). They and placed sit after the fields above so as
-	// not to move those: with timerAt beside minCache and placed beside seq,
-	// nic16, which arms no timer, read about 4 % slower. The int32 counters
-	// keep the Simulator in the 384-byte size class.
+	// queued), the heap of queued entries by key, the newest chunk of cells
+	// timers are built in (NewTimer) and the cells of all chunks. They and
+	// placed sit after the fields above so as not to move those: with
+	// timerAt beside minCache and placed beside seq, nic16, which arms no
+	// timer, read about 4 % slower. The int32 counters keep the Simulator in
+	// the 384-byte size class.
 	timerAt    Time
 	timers     []timerEntry
-	timerCells mem.Slab[Timer]
+	timerCells []Timer
+	timerTotal int32
 
 	placed int64 // events placed in the calendar by schedule (read by tests)
 }

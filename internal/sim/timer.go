@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 )
 
 // Timer is a re-armable timeout: one callback, armed for a deadline and
@@ -47,16 +48,34 @@ const noTimer = Time(math.MaxInt64)
 // NewTimer returns a disarmed timer that runs fn(arg) when it fires. Like
 // AtCall's, fn is typically a method value built once and arg a pointer to
 // the record the timeout belongs to; a component builds one timer per
-// record and re-arms it for the record's life. Timers are cells of a
-// mem.Slab, so building a cluster's timers costs a few allocations.
+// record and re-arms it for the record's life. Timers are built in chunks
+// of cells, so building a cluster's timers costs a few allocations.
 func (s *Simulator) NewTimer(fn func(any), arg any) *Timer {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	t := s.timerCells.Get()
+	n := len(s.timerCells)
+	if n == cap(s.timerCells) {
+		// A timer lives as long as its simulator, so its cell is never
+		// reused. Each chunk holds as many cells as all the earlier ones
+		// together (the first timerFirst): the cells double in total, and
+		// n timers take the power of two at or above n, where chunks that
+		// doubled themselves (mem.Slab's rule) took up to 2n−8 (120 for
+		// 64). The heap is grown to the cells, for no timer holds more
+		// than one entry.
+		c := max(timerFirst, s.timerTotal)
+		s.timerCells, n = make([]Timer, 0, c), 0
+		s.timerTotal += c
+		s.timers = slices.Grow(s.timers, int(s.timerTotal)-len(s.timers))
+	}
+	s.timerCells = s.timerCells[:n+1]
+	t := &s.timerCells[n]
 	*t = Timer{s: s, fn: fn, arg: arg, pos: -1}
 	return t
 }
+
+// timerFirst is the number of cells in the first chunk of timers.
+const timerFirst = 8
 
 // Arm sets the timer to fire at absolute time at, withdrawing the deadline
 // it was armed for, if any: AtCall(at, fn, arg) after a Cancel of the event

@@ -167,6 +167,35 @@ func runTimerProgram(seed int64, heap bool) []string {
 // early entry and its deadline, and timers left disarmed when Run ends. Every
 // callback, and every return from RunUntil and Run, must see the same clock,
 // Executed and Pending.
+// TestTimerCellsDoubleInTotal pins the timer cells' sizing rule: each chunk
+// holds as many cells as all the earlier ones together, so 64 timers take
+// 64 cells (chunks that doubled themselves took 120) and the 65th a chunk of
+// 64 more, and the heap is sized to the cells, so arming every timer grows
+// nothing.
+func TestTimerCellsDoubleInTotal(t *testing.T) {
+	s := New()
+	fn := func(any) {}
+	timers := make([]*Timer, 64)
+	for i := range timers {
+		timers[i] = s.NewTimer(fn, nil)
+	}
+	if s.timerTotal != 64 || cap(s.timers) < 64 {
+		t.Fatalf("64 timers: %d cells, heap capacity %d; want 64 and at least 64", s.timerTotal, cap(s.timers))
+	}
+	heap := cap(s.timers)
+	for i, tm := range timers {
+		tm.Arm(Time(i + 1))
+	}
+	if len(s.timers) != 64 || cap(s.timers) != heap {
+		t.Errorf("arming 64 timers: heap %d entries, capacity %d → %d; want 64 and no growth", len(s.timers), heap, cap(s.timers))
+	}
+	s.NewTimer(fn, nil)
+	if s.timerTotal != 128 {
+		t.Fatalf("65 timers: %d cells, want 128", s.timerTotal)
+	}
+	s.Run()
+}
+
 func TestTimerMatchesCancelledEvents(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		want, got := runTimerProgram(seed, false), runTimerProgram(seed, true)

@@ -28,7 +28,7 @@ func (s *Sample) Add(v float64) {
 	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
+	s.sumSq += float64(v * v)
 }
 
 // N returns the number of observations.

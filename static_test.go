@@ -197,7 +197,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 //     stream is seeded;
 //   - every range over a map (or over maps.Keys, Values or All) carries an
 //     "// order-free:" comment, on its line or the line above, saying why
-//     the iteration order cannot reach a result.
+//     the iteration order cannot reach a result;
+//   - no float product feeds a sum or difference unconverted (fusedSums):
+//     write x*y + z as float64(x*y) + z, or arm64 may fuse it into one
+//     multiply-add and a result would depend on GOARCH.
 func TestSimulationPackagesDeterministic(t *testing.T) {
 	fset := token.NewFileSet()
 	m := &moduleImporter{
@@ -205,7 +208,7 @@ func TestSimulationPackagesDeterministic(t *testing.T) {
 		std:   importer.Default(),
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}},
+		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
 	}
 	for _, f := range parseModule(t, fset) {
 		if !f.test {
@@ -256,8 +259,83 @@ func TestSimulationPackagesDeterministic(t *testing.T) {
 				}
 				return true
 			})
+			for _, pos := range fusedSums(m.info, f) {
+				t.Errorf("%s: float product feeds a sum unconverted: write float64(x*y) ± z, or arm64 fuses it into one multiply-add", fset.Position(pos))
+			}
 		}
 	}
+}
+
+// fusedSums returns where file f adds or subtracts a float product the
+// compiler may fuse into one multiply-add: x*y ± z and z ± x*y, z += x*y and
+// z -= x*y, and a local variable assigned a product and then added (the Go
+// spec lets a compiler fuse across statements). A division by a constant
+// counts as a product, since the compiler multiplies by an exact reciprocal.
+// An explicit conversion, float64(x*y), rounds the product and stops the
+// fusion; constant expressions are folded and never fuse.
+func fusedSums(info *types.Info, f *ast.File) []token.Pos {
+	isFloat := func(e ast.Expr) bool {
+		tv, ok := info.Types[e]
+		if !ok || tv.Value != nil {
+			return false
+		}
+		b, ok := tv.Type.Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsFloat != 0
+	}
+	isProduct := func(e ast.Expr) bool {
+		e = ast.Unparen(e)
+		b, ok := e.(*ast.BinaryExpr)
+		if !ok || !isFloat(b) {
+			return false
+		}
+		return b.Op == token.MUL || b.Op == token.QUO && info.Types[b.Y].Value != nil
+	}
+	// Local variables assigned a product somewhere in the file.
+	products := map[types.Object]bool{}
+	local := func(id *ast.Ident) types.Object {
+		obj := info.Defs[id]
+		if obj == nil {
+			obj = info.Uses[id]
+		}
+		if v, ok := obj.(*types.Var); ok && !v.IsField() && v.Parent() != v.Pkg().Scope() {
+			return v
+		}
+		return nil
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) && (as.Tok == token.DEFINE || as.Tok == token.ASSIGN) {
+			for i, rhs := range as.Rhs {
+				if id, ok := as.Lhs[i].(*ast.Ident); ok && isProduct(rhs) {
+					if obj := local(id); obj != nil {
+						products[obj] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	fused := func(e ast.Expr) bool {
+		if isProduct(e) {
+			return true
+		}
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && products[local(id)]
+	}
+	var sites []token.Pos
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if (n.Op == token.ADD || n.Op == token.SUB) && isFloat(n) && (fused(n.X) || fused(n.Y)) {
+				sites = append(sites, n.Pos())
+			}
+		case *ast.AssignStmt:
+			if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && isFloat(n.Lhs[0]) && fused(n.Rhs[0]) {
+				sites = append(sites, n.Pos())
+			}
+		}
+		return true
+	})
+	return sites
 }
 
 // rangesOverMap reports whether x is a map, or an iterator over one from
@@ -276,4 +354,49 @@ func rangesOverMap(info *types.Info, x ast.Expr) bool {
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" && slices.Contains([]string{"Keys", "Values", "All"}, fn.Name())
+}
+
+// TestFusedSumsRule holds fusedSums to a mutant file: every fusible form
+// is found, and the converted, constant and integer forms are not.
+func TestFusedSumsRule(t *testing.T) {
+	const src = `package p
+
+type T struct{ a, b float64 }
+
+func f(x, y, z float64, n, k int, t *T) (float64, int) {
+	r := x*y + z            // fused
+	r = z - x*y             // fused
+	r += x * y              // fused
+	r -= (x / 2)            // fused
+	r = (x-1.6)/2 + 1.6     // fused
+	t.a = t.b*x + 0.5       // fused
+	p := x * y
+	r = p + 0.5             // fused: across statements
+	r = float64(x*y) + z
+	r += float64(x * y)
+	r = x/y + z
+	r = 2*1.5 + 1
+	q := float64(x * y)
+	r = q + 0.5
+	t.b = x * y
+	r = t.b + z
+	return r, n*k + 1
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, pos := range fusedSums(info, f) {
+		got = append(got, fset.Position(pos).Line)
+	}
+	if want := []int{6, 7, 8, 9, 10, 11, 13}; !slices.Equal(got, want) {
+		t.Fatalf("flagged lines %v, want %v", got, want)
+	}
 }
