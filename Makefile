@@ -16,11 +16,14 @@ build:
 # runs from a service.Spec (Canonicalize, then Experiment or Config) and its
 # fabrics from experiments.TopoConfig, never by picking a NIC model, a
 # fail-stop testbed or a topology kind itself, or by writing a topo.Spec.
-# The simulation packages' rules (no sync import, no go statement, no wall
-# clock, no global rand, map ranges marked order-free) and the rule that
-# every export has a caller are tests in static_test.go.
+# scripts/layers.go is vetted on its own: its build tag is ignore, so ./...
+# leaves it out. The simulation packages' rules (no sync import, no go
+# statement, no wall clock, no global rand, map ranges marked order-free) and
+# the rule that every export has a caller, resolved by type, are tests in
+# static_test.go.
 vet:
 	$(GO) vet ./...
+	$(GO) vet scripts/layers.go
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	@if grep -l -e 'NewSession(' -e '\.Spawn(' -e '\.SpawnAll(' $$(ls internal/experiments/*.go | grep -v -e '_test\.go$$' -e '/run\.go$$'); then \

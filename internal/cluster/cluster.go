@@ -242,9 +242,6 @@ func (c *Cluster) Config() Config { return c.cfg }
 // MCP returns node i's firmware.
 func (c *Cluster) MCP(i int) *mcp.MCP { return c.mcps[i] }
 
-// NIC returns node i's card.
-func (c *Cluster) NIC(i int) *lanai.NIC { return &c.nics[i] }
-
 // Fault returns the attached fault injector, or nil when the configuration
 // carried no plan.
 func (c *Cluster) Fault() *fault.Injector { return c.inj }

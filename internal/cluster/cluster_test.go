@@ -19,7 +19,7 @@ func TestDefaultConfigBuilds(t *testing.T) {
 		t.Fatal("nil sim/fabric")
 	}
 	for i := 0; i < 4; i++ {
-		if cl.MCP(i) == nil || cl.NIC(i) == nil {
+		if cl.MCP(i) == nil {
 			t.Fatalf("node %d missing components", i)
 		}
 		if cl.MCP(i).Node() != network.NodeID(i) {

@@ -43,16 +43,6 @@ func (g Group) at(ranks []int) []mcp.Endpoint {
 	return eps
 }
 
-// Rank returns ep's index in the group, or -1.
-func (g Group) Rank(ep mcp.Endpoint) int {
-	for i, e := range g {
-		if e == ep {
-			return i
-		}
-	}
-	return -1
-}
-
 // UniformGroup builds the common case used throughout the paper's
 // evaluation: one process per node, all using the same port number, on
 // nodes 0..n-1.

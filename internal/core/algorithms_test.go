@@ -300,12 +300,6 @@ func TestUniformGroup(t *testing.T) {
 			t.Fatalf("group[%d] = %v", i, ep)
 		}
 	}
-	if g.Rank(mcp.Endpoint{Node: 2, Port: 2}) != 2 {
-		t.Fatal("Rank lookup failed")
-	}
-	if g.Rank(mcp.Endpoint{Node: 9, Port: 2}) != -1 {
-		t.Fatal("Rank of non-member should be -1")
-	}
 }
 
 func TestNICBarrierTokenPE(t *testing.T) {

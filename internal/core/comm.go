@@ -211,7 +211,7 @@ func (c *Comm) Port() *gm.Port { return c.port }
 // programming pattern for senders that outpace acknowledgments.
 func (c *Comm) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
 	for {
-		err := c.port.Send(p, dst, data, nil)
+		err := c.port.Send(p, dst, data)
 		if err == nil {
 			return nil
 		}

@@ -73,12 +73,12 @@ func TestCommSendTokenExhaustion(t *testing.T) {
 		},
 		func(p *host.Process, c *Comm, g Group) {
 			for i := 0; i < sends-1; i++ {
-				if err := c.Port().Send(p, g[0], []byte{byte(i)}, nil); err != nil {
+				if err := c.Port().Send(p, g[0], []byte{byte(i)}); err != nil {
 					t.Errorf("send %d: %v", i, err)
 					return
 				}
 			}
-			if err := c.Port().Send(p, g[0], []byte{sends - 1}, nil); !errors.Is(err, gm.ErrNoSendTokens) {
+			if err := c.Port().Send(p, g[0], []byte{sends - 1}); !errors.Is(err, gm.ErrNoSendTokens) {
 				t.Errorf("raw 17th send: %v, want gm.ErrNoSendTokens", err)
 			}
 			before := p.Now()

@@ -159,7 +159,7 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 				return
 			}
 			for i, st := range steps {
-				self := st.g.Rank(g[rank])
+				self := slices.Index(st.g, g[rank])
 				if self < 0 {
 					continue
 				}
@@ -195,7 +195,7 @@ func TestNeighbourhoodCacheIdentity(t *testing.T) {
 	reused, fresh := run(false), run(true)
 	for i, st := range steps {
 		for r := 0; r < n; r++ {
-			if st.g.Rank(g[r]) >= 0 && reused[i][r] == 0 {
+			if slices.Contains(st.g, g[r]) && reused[i][r] == 0 {
 				t.Errorf("%s: rank %d never completed", st.name, r)
 			}
 			if reused[i][r] != fresh[i][r] {

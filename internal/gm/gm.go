@@ -199,9 +199,6 @@ func (pt *Port) unwritten() bool {
 // Num returns the port number.
 func (pt *Port) Num() int { return pt.num }
 
-// Node returns the NIC's node id.
-func (pt *Port) Node() mcp.Endpoint { return mcp.Endpoint{Node: pt.mcp.Node(), Port: pt.num} }
-
 // PendingEvents returns the number of host events queued but not received.
 func (pt *Port) PendingEvents() int { return len(pt.events) - pt.evHead }
 
@@ -210,10 +207,11 @@ func (pt *Port) PendingEvents() int { return len(pt.events) - pt.evHead }
 // SentEvent returns a token.
 var ErrNoSendTokens = errors.New("out of send tokens")
 
-// Send posts a reliable data send (gm_send_with_callback). It returns as
-// soon as the token is handed to the NIC; a SentEvent with the given tag
-// arrives once the message is acknowledged.
-func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) error {
+// Send posts a reliable data send (gm_send_with_callback, less the callback
+// context, which no simulated program uses). It returns as soon as the token
+// is handed to the NIC; a SentEvent arrives once the message is
+// acknowledged.
+func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
 	if !pt.open {
 		return fmt.Errorf("gm: send on closed port %d", pt.num)
 	}
@@ -222,7 +220,7 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte, tag any) er
 	}
 	pt.sendsInFlight++
 	p.ComputePhase(p.Params().EffectiveSendCost(), phase.HostSend, "gm_send")
-	pt.sendsPosted = append(pt.sendsPosted, mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data, Tag: tag})
+	pt.sendsPosted = append(pt.sendsPosted, mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data})
 	p.Proc().After(p.Params().DoorbellLatency, pt.sendDoorbell)
 	return nil
 }
@@ -302,7 +300,7 @@ func (pt *Port) BarrierActive() bool { return pt.slots[barrierSlot].active }
 // BarrierSend initiates a NIC-based barrier — the paper's
 // gm_barrier_send_with_callback. The host must have computed the peer list
 // (PE) or tree neighborhood (GB) and provided a barrier buffer. Completion
-// is reported by a BarrierDoneEvent carrying the token's tag.
+// is reported by a BarrierDoneEvent.
 func (pt *Port) BarrierSend(p *host.Process, tok *mcp.BarrierToken) error {
 	return pt.post(p, &pt.slots[barrierSlot], tok, &tok.SrcPort, nil)
 }

@@ -46,16 +46,13 @@ func TestOpenClose(t *testing.T) {
 		if port.Num() != 2 {
 			t.Error("port state wrong after open")
 		}
-		if port.Node() != (mcp.Endpoint{Node: 0, Port: 2}) {
-			t.Errorf("Node() = %v", port.Node())
-		}
 		if err := port.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 		if err := port.Close(); err == nil {
 			t.Error("double close should error")
 		}
-		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, nil, nil); err == nil {
+		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, nil); err == nil {
 			t.Error("send on a closed port should error")
 		}
 	}, nil)
@@ -97,7 +94,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 			t.Errorf("open: %v", err)
 			return
 		}
-		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("ping"), nil); err != nil {
+		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("ping")); err != nil {
 			t.Errorf("send: %v", err)
 		}
 		// consume the completion
@@ -129,7 +126,7 @@ func TestReceiveChargesHostCosts(t *testing.T) {
 		_ = ev
 	}, func(cl *cluster.Cluster, p *host.Process) {
 		port, _ := gm.Open(p, cl.MCP(1), 2)
-		port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("x"), nil)
+		port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("x"))
 	})
 }
 
@@ -153,7 +150,7 @@ func TestSendOnClosedPortFails(t *testing.T) {
 	run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
 		port, _ := gm.Open(p, cl.MCP(0), 2)
 		port.Close()
-		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 3}, []byte("x"), nil); err == nil {
+		if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 3}, []byte("x")); err == nil {
 			t.Error("send on closed port should fail")
 		}
 		if err := port.ProvideReceiveBuffer(p); err == nil {
@@ -171,7 +168,7 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 		var err error
 		sent := 0
 		for i := 0; i < 20; i++ {
-			err = port.Send(p, mcp.Endpoint{Node: 1, Port: 2}, []byte("x"), nil)
+			err = port.Send(p, mcp.Endpoint{Node: 1, Port: 2}, []byte("x"))
 			if err != nil {
 				break
 			}
@@ -203,22 +200,22 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 var families = []struct {
 	name    string
 	provide func(*gm.Port, *host.Process) error
-	send    func(pt *gm.Port, p *host.Process, tag any) error
+	send    func(pt *gm.Port, p *host.Process) error
 	done    mcp.HostEventKind
 }{
 	{
 		name:    "barrier",
 		provide: (*gm.Port).ProvideBarrierBuffer,
-		send: func(pt *gm.Port, p *host.Process, tag any) error {
-			return pt.BarrierSend(p, &mcp.BarrierToken{Alg: mcp.PE, Tag: tag})
+		send: func(pt *gm.Port, p *host.Process) error {
+			return pt.BarrierSend(p, &mcp.BarrierToken{Alg: mcp.PE})
 		},
 		done: mcp.BarrierDoneEvent,
 	},
 	{
 		name:    "collective",
 		provide: (*gm.Port).ProvideCollectiveBuffer,
-		send: func(pt *gm.Port, p *host.Process, tag any) error {
-			return pt.CollectiveSend(p, &mcp.CollToken{Op: mcp.AllReduce, Root: true, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}, Tag: tag})
+		send: func(pt *gm.Port, p *host.Process) error {
+			return pt.CollectiveSend(p, &mcp.CollToken{Op: mcp.AllReduce, Root: true, Value: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
 		},
 		done: mcp.CollDoneEvent,
 	},
@@ -232,24 +229,24 @@ func TestBarrierValidation(t *testing.T) {
 	for _, f := range families {
 		run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
 			port, _ := gm.Open(p, cl.MCP(0), 2)
-			if err := f.send(port, p, nil); err == nil {
+			if err := f.send(port, p); err == nil {
 				t.Errorf("%s without buffer should fail", f.name)
 			}
 			f.provide(port, p)
-			if err := f.send(port, p, nil); err != nil {
+			if err := f.send(port, p); err != nil {
 				t.Errorf("%s: %v", f.name, err)
 			}
 			// The operation completes at once, but the completion is not
 			// consumed yet, so the host-side mirror still says in flight.
 			f.provide(port, p)
-			if err := f.send(port, p, nil); err == nil {
+			if err := f.send(port, p); err == nil {
 				t.Errorf("second %s while active should fail", f.name)
 			}
 			if ev := port.ReceiveFor(p, anyEvent{}); ev.Kind != f.done {
 				t.Errorf("%s: expected %v, got %v", f.name, f.done, ev.Kind)
 			}
 			// The buffer provided for the refused post is still there.
-			if err := f.send(port, p, nil); err != nil {
+			if err := f.send(port, p); err != nil {
 				t.Errorf("%s after completion: %v", f.name, err)
 			}
 			port.ReceiveFor(p, anyEvent{})
@@ -257,22 +254,8 @@ func TestBarrierValidation(t *testing.T) {
 			if err := f.provide(port, p); err == nil {
 				t.Errorf("provide %s buffer on closed port should fail", f.name)
 			}
-			if err := f.send(port, p, nil); err == nil {
+			if err := f.send(port, p); err == nil {
 				t.Errorf("%s on closed port should fail", f.name)
-			}
-		}, nil)
-	}
-}
-
-func TestBarrierCompletionTag(t *testing.T) {
-	for _, f := range families {
-		run(t, 1, func(cl *cluster.Cluster, p *host.Process) {
-			port, _ := gm.Open(p, cl.MCP(0), 2)
-			f.provide(port, p)
-			f.send(port, p, "my-"+f.name)
-			ev := port.ReceiveFor(p, anyEvent{})
-			if ev.Kind != f.done || ev.Tag != "my-"+f.name {
-				t.Errorf("%s: event = %+v", f.name, ev)
 			}
 		}, nil)
 	}
@@ -299,7 +282,7 @@ func TestReceiveBlocksUntilDelivery(t *testing.T) {
 		port, _ := gm.Open(p, cl.MCP(1), 2)
 		p.Compute(500 * sim.Microsecond) // send late
 		sendAt = p.Now()
-		port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("x"), nil)
+		port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("x"))
 	})
 	if recvAt <= sendAt {
 		t.Fatalf("receive completed at %v before send at %v", recvAt, sendAt)
@@ -386,7 +369,7 @@ func TestKilledSenderRingsNoUnwrittenDoorbell(t *testing.T) {
 			port, _ := gm.Open(p, cl.MCP(1), 2)
 			p.Compute(5 * sim.Microsecond) // the receiver's buffers are in place
 			for i := 0; i < sends; i++ {
-				port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte{byte(i)}, nil)
+				port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte{byte(i)})
 			}
 			p.Wait(cl.Sim().NewSignal()) // parks for good, completions unread
 		})

@@ -137,7 +137,7 @@ func (pc provisionCase) run(t *testing.T, post func(p *host.Process, port *gm.Po
 			p.Compute(pc.delay)
 		}
 		for i := 0; i < sends; i++ {
-			if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("racing"), nil); err != nil {
+			if err := port.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte("racing")); err != nil {
 				t.Error(err)
 				return
 			}
@@ -692,7 +692,7 @@ func TestCrashSingleBufferScheduleEqualsDoorbell(t *testing.T) {
 				}
 				next := mcp.Endpoint{Node: network.NodeID((node + 1) % n), Port: 2}
 				for i := 0; i < iters; i++ {
-					if err := port.Send(p, next, []byte("ring"), nil); err != nil {
+					if err := port.Send(p, next, []byte("ring")); err != nil {
 						t.Error(err)
 						return
 					}

@@ -130,7 +130,7 @@ func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 		}
 		port.ProvideReceiveBuffers(p, 4)
 		for i := 0; i < 2; i++ {
-			if err := port.Send(p, mcp.Endpoint{Node: 1, Port: 2}, []byte{byte(i)}, nil); err != nil {
+			if err := port.Send(p, mcp.Endpoint{Node: 1, Port: 2}, []byte{byte(i)}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -171,7 +171,7 @@ func (sc waitScript) run(t *testing.T, filtered bool) waitRun {
 				if p.Now() < start+d {
 					p.Compute(start + d - p.Now())
 				}
-				if err := pt.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte(fmt.Sprintf("%d.%d", rank, i)), nil); err != nil {
+				if err := pt.Send(p, mcp.Endpoint{Node: 0, Port: 2}, []byte(fmt.Sprintf("%d.%d", rank, i))); err != nil {
 					t.Error(err)
 					return
 				}

@@ -192,16 +192,14 @@ func (m *MCP) recordClosedPort(c *Connection, f *Frame) {
 	src := Endpoint{Node: f.SrcNode, Port: f.SrcPort}
 	for i := range recs {
 		if recs[i].src == src && family(recs[i].kind) == family(f.Kind) {
-			recs[i] = pendingClosed{src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort, seq: f.Seq}
+			recs[i] = pendingClosed{src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort}
 			return
 		}
 	}
 	if m.pendingClosed == nil {
 		m.pendingClosed = make(map[int][]pendingClosed)
 	}
-	m.pendingClosed[f.DstPort] = append(recs, pendingClosed{
-		src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort, seq: f.Seq,
-	})
+	m.pendingClosed[f.DstPort] = append(recs, pendingClosed{src: src, kind: f.Kind, srcEpoch: f.SrcEpoch, dstPort: f.DstPort})
 }
 
 // handleBarrierReject runs at the origin of a rejected barrier message:

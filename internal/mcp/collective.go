@@ -127,7 +127,6 @@ type CollToken struct {
 	Op      CollOp
 	Reduce  ReduceOp
 	SrcPort int
-	Tag     any
 
 	Root     bool
 	Parent   Endpoint

@@ -273,7 +273,7 @@ func TestNoBufferNackKeepsConnectionAlive(t *testing.T) {
 	r.open(t, 0, 2)
 	r.open(t, 1, 2) // no receive buffers
 	if err := r.mcps[0].PostSendToken(SendToken{
-		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "t",
+		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestConnectionDeathReportsFailedSends(t *testing.T) {
 	r.open(t, 0, 2)
 	// node 1 port never opened
 	if err := r.mcps[0].PostSendToken(SendToken{
-		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "dead",
+		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestConnectionDeathReportsFailedSends(t *testing.T) {
 	}
 	var failed int
 	for _, ev := range r.events[key(0, 2)] {
-		if ev.Kind == SentEvent && ev.Failed && ev.Tag == "dead" {
+		if ev.Kind == SentEvent && ev.Failed {
 			failed++
 		}
 	}

@@ -107,12 +107,11 @@ type hostEvtRec struct {
 }
 
 // sendRec is one data send token in the SDMA state machine beside the end
-// of the poll task that starts the DMA of its payload, in a SendToken's 64
+// of the poll task that starts the DMA of its payload, in a SendToken's 48
 // bytes: node and ports are 32-bit, as wide as the frame header's
 // (frame_codec.go) or wider.
 type sendRec struct {
 	data                  []byte
-	tag                   any
 	due                   sim.Time
 	dst, dstPort, srcPort int32
 }
@@ -341,7 +340,7 @@ func (m *MCP) PostSendToken(tok SendToken) error {
 		return nil
 	}
 	cell := m.pendSends.Get()
-	*cell = sendRec{data: tok.Data, tag: tok.Tag, due: due,
+	*cell = sendRec{data: tok.Data, due: due,
 		dst: int32(tok.Dst.Node), dstPort: int32(tok.Dst.Port), srcPort: int32(tok.SrcPort)}
 	m.sim.AtCall(done, m.sdmaDoneFn, cell)
 	return nil
@@ -368,9 +367,7 @@ func (m *MCP) sdmaPrepared(a any) {
 	c := m.conn(dst)
 	n := len(c.sentList)
 	c.sentList = slices.Grow(c.sentList, 1)[:n+1]
-	it := &c.sentList[n]
-	it.tag = cell.tag
-	f := &it.frame
+	f := &c.sentList[n]
 	f.Kind = DataFrame
 	f.SrcNode, f.SrcPort = m.cfg.Node, int(cell.srcPort)
 	f.DstNode, f.DstPort = dst, int(cell.dstPort)
@@ -430,7 +427,7 @@ const framePoolCap = 32
 
 // leaseFrame returns a wire frame holding a copy of *src, reusing one this
 // NIC took back when it can. A *Frame on the wire has exactly one owner: the
-// sender retains frames by value (sentItem, barrierSent) and leases a copy
+// sender retains frames by value (sentList, barrierSent) and leases a copy
 // per (re)transmission; the receiver returns the frame after handleFrame. A
 // duplicated packet carries a copy of the frame (CopyPayload), so each copy's
 // receiver returns its own.
@@ -651,7 +648,7 @@ func (m *MCP) handleAck(f *Frame) { m.ackUpTo(m.conn(f.SrcNode), f.AckSeq) }
 func (m *MCP) ackUpTo(c *Connection, seq uint32) {
 	list := c.sentList
 	n := 0
-	for n < len(list) && seqLess(list[n].frame.Seq, seq) {
+	for n < len(list) && seqLess(list[n].Seq, seq) {
 		n++
 	}
 	if n > 0 {
@@ -673,9 +670,9 @@ func (m *MCP) ackUpTo(c *Connection, seq uint32) {
 
 // postSentEvent returns a send token to the host: acknowledged, or failed
 // because its connection was declared dead.
-func (m *MCP) postSentEvent(it *sentItem, failed bool) {
-	if ev := m.postHostEvent(&m.ports[it.frame.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes); ev != nil {
-		ev.Kind, ev.Tag, ev.Failed = SentEvent, it.tag, failed
+func (m *MCP) postSentEvent(f *Frame, failed bool) {
+	if ev := m.postHostEvent(&m.ports[f.SrcPort], m.cfg.Params.SentEvtProc, "sent.evt", eventRecordBytes); ev != nil {
+		ev.Kind, ev.Failed = SentEvent, failed
 	}
 }
 
@@ -700,10 +697,9 @@ func (m *MCP) handleNack(f *Frame) {
 
 func (m *MCP) retransmitData(c *Connection) {
 	pr := &m.cfg.Params
-	for _, it := range c.sentList {
-		it := it
+	for _, f := range c.sentList {
 		m.stats.Retransmissions++
-		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &it.frame) })
+		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })
 	}
 	m.rearmRetransTimer(c)
 }

@@ -157,7 +157,7 @@ func TestDataDelivery(t *testing.T) {
 	r.provide(t, 1, 2, 4)
 	payload := []byte("hello world")
 	if err := r.mcps[0].PostSendToken(SendToken{
-		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: payload, Tag: "t1",
+		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: payload,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +172,10 @@ func TestDataDelivery(t *testing.T) {
 	if evs[0].Src != (Endpoint{Node: 0, Port: 2}) {
 		t.Fatalf("src = %v", evs[0].Src)
 	}
-	// Sender got a completion with its tag.
+	// Sender got one completion for its one send.
 	var sent int
 	for _, ev := range r.events[key(0, 2)] {
-		if ev.Kind == SentEvent && ev.Tag == "t1" {
+		if ev.Kind == SentEvent && !ev.Failed {
 			sent++
 		}
 	}
@@ -296,7 +296,7 @@ func TestAckLossRecoveredByTimer(t *testing.T) {
 		return false
 	}))
 	if err := r.mcps[0].PostSendToken(SendToken{
-		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"), Tag: "t",
+		SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestPEBarrierTwoNodes(t *testing.T) {
 	if r.barrierDone(0, 2) != 1 || r.barrierDone(1, 2) != 1 {
 		t.Fatalf("completions = %d/%d", r.barrierDone(0, 2), r.barrierDone(1, 2))
 	}
-	if r.mcps[0].Port(2).BarrierActive() {
+	if r.mcps[0].Port(2).slots[barrierSlot].live {
 		t.Fatal("barrier token pointer not cleared")
 	}
 }
@@ -660,7 +660,7 @@ func TestTokenQueuedAcrossReopen(t *testing.T) {
 		}
 		r.open(t, 0, 2)
 		r.s.Run()
-		if done, active := r.barrierDone(0, 2), r.mcps[0].Port(2).BarrierActive(); done != 0 || active {
+		if done, active := r.barrierDone(0, 2), r.mcps[0].Port(2).slots[barrierSlot].live; done != 0 || active {
 			t.Errorf("%v: %d completions, barrier active %v; want 0, false", alg, done, active)
 		}
 	}
@@ -807,7 +807,7 @@ func TestStatsAccessors(t *testing.T) {
 		t.Fatal("NIC nil")
 	}
 	p := r.mcps[0].Port(2)
-	if !p.Open() || p.Num() != 2 || r.mcps[0].RecvTokens(2) != 0 || p.slots[barrierSlot].bufs != 0 {
+	if !p.Open() || p.num != 2 || r.mcps[0].RecvTokens(2) != 0 || p.slots[barrierSlot].bufs != 0 {
 		t.Fatal("port accessors wrong")
 	}
 }
@@ -816,9 +816,9 @@ func TestStatsAccessors(t *testing.T) {
 // its host allocate per port or per operation, so a field added in the wrong
 // place cannot quietly move one up a class. core.Comm allocates one barrier
 // token per neighbourhood it computes and refills it for every barrier; the
-// token is read-only to the firmware (104 bytes, the 112-byte class). A slot's
+// token is read-only to the firmware (88 bytes, the 96-byte class). A slot's
 // operation state is allocated once per slot that runs one, PE included (the
-// 192-byte class: PE's flag and index sit in padding). A NIC's ports are one
+// 176-byte class: PE's flag and index sit in padding). A NIC's ports are one
 // block: eight 88-byte ports, the 24-byte slice header of the NIC's credit
 // schedule and the 8-byte header the allocator adds to a pointerful object
 // over 512 bytes fit the 768-byte class; at 96 bytes a port the block takes
@@ -835,8 +835,8 @@ func TestBarrierTokenSize(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"BarrierToken", unsafe.Sizeof(BarrierToken{}), 104},
-		{"treeState", unsafe.Sizeof(treeState{}), 192},
+		{"BarrierToken", unsafe.Sizeof(BarrierToken{}), 88},
+		{"treeState", unsafe.Sizeof(treeState{}), 176},
 		{"Port", unsafe.Sizeof(Port{}), 88},
 		{"portBlock", unsafe.Sizeof(portBlock{}), 768 - 8},
 		{"MCP", unsafe.Sizeof(MCP{}), 960},

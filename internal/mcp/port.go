@@ -94,15 +94,8 @@ func (r *creditRun) posted(s *sim.Simulator) int32 {
 	return int32(min(int64(r.n), int64((t-r.first.At)/r.every)+1))
 }
 
-// Num returns the port number.
-func (p *Port) Num() int { return p.num }
-
 // Open reports whether the port is currently open.
 func (p *Port) Open() bool { return p.open }
-
-// BarrierActive reports whether a barrier initiated by this port is in
-// flight on the NIC.
-func (p *Port) BarrierActive() bool { return p.slots[barrierSlot].live }
 
 // pendingClosed records one barrier-class message that arrived for a closed
 // port, the latest of its source endpoint's family
@@ -113,7 +106,6 @@ type pendingClosed struct {
 	kind     FrameKind
 	srcEpoch int
 	dstPort  int
-	seq      uint32
 }
 
 // unexpRec is one slot of the unexpected-barrier-message record. The paper
@@ -154,14 +146,15 @@ type Connection struct {
 	route []byte
 
 	// Reliable data channel (GM): next sequence to assign, next expected,
-	// and the sent-but-unacked list in order.
+	// and the sent-but-unacked frames in order, kept by value so each
+	// retransmission leases a wire frame of its own.
 	sendSeq  uint32
 	recvSeq  uint32
-	sentList []sentItem
+	sentList []Frame
 
 	// Reliable-barrier mode state (Section 4.4's separate mechanism):
 	// independent sequence space and in-flight list for barrier frames (by
-	// value, like sentItem's).
+	// value, like sentList's).
 	barrierSendSeq uint32
 	barrierSent    []Frame
 	// barrierSeen[srcPort] tracks which barrier seqs have been delivered
@@ -189,14 +182,6 @@ type Connection struct {
 	// probeOut is set while a liveness probe to this peer is unacknowledged,
 	// so the watchdog does not pile probes onto a silent peer.
 	probeOut bool
-}
-
-// sentItem is one unacknowledged data send: the frame as it went out, kept by
-// value so each retransmission leases a wire frame of its own, and the tag
-// the completion event returns to the host.
-type sentItem struct {
-	frame Frame
-	tag   any
 }
 
 // seqWindow remembers which sequence numbers have been delivered, over a

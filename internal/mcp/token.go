@@ -20,9 +20,6 @@ type SendToken struct {
 	SrcPort int
 	Dst     Endpoint
 	Data    []byte
-	// Tag is returned to the host in the send-completion event so the GM
-	// library can run the right callback.
-	Tag any
 }
 
 // BarrierAlg selects the barrier algorithm a barrier token executes.
@@ -51,8 +48,6 @@ func (a BarrierAlg) String() string {
 type BarrierToken struct {
 	Alg     BarrierAlg
 	SrcPort int
-	// Tag is returned in the completion event.
-	Tag any
 
 	// PE: the peer list computed by the host, in exchange order.
 	Peers []Endpoint
@@ -104,9 +99,6 @@ type HostEvent struct {
 	// Data is the received payload (RecvEvent) or the collective's result
 	// (CollDoneEvent).
 	Data []byte
-	// Tag echoes the token's Tag (SentEvent, BarrierDoneEvent,
-	// CollDoneEvent).
-	Tag any
 	// Failed marks a SentEvent whose message could not be delivered: the
 	// connection was declared dead after MaxRetries retransmission rounds.
 	Failed bool

@@ -96,7 +96,6 @@ func family(k FrameKind) *treeFamily {
 // token: the tree neighborhood and where the payload rules are — or, for a
 // PE barrier, the peers in exchange order.
 type treeOp struct {
-	tag    any
 	parent Endpoint
 	// children are the tree children, or PE's peers.
 	children []Endpoint
@@ -203,13 +202,13 @@ func (m *MCP) tokenEvent(a any) {
 	m.pendTokens.Put(cell)
 	if tok := rec.coll; tok != nil {
 		m.treeStart(tok.SrcPort, &treeFamilies[collSlot],
-			treeOp{tag: tok.Tag, root: tok.Root, parent: tok.Parent, children: tok.Children, coll: tok})
+			treeOp{root: tok.Root, parent: tok.Parent, children: tok.Children, coll: tok})
 		return
 	}
 	tok := rec.bar
-	op := treeOp{tag: tok.Tag, root: tok.Root, parent: tok.Parent, children: tok.Children}
+	op := treeOp{root: tok.Root, parent: tok.Parent, children: tok.Children}
 	if tok.Alg == PE {
-		op = treeOp{tag: tok.Tag, children: tok.Peers, pe: true}
+		op = treeOp{children: tok.Peers, pe: true}
 	}
 	m.treeStart(tok.SrcPort, &treeFamilies[barrierSlot], op)
 }
@@ -431,6 +430,6 @@ func (m *MCP) finish(p *Port, fam *treeFamily, data []byte) {
 		dead = m.deadNodesSorted()
 	}
 	if ev := m.postHostEvent(p, m.cfg.Params.BarrierComplete, fam.doneLabel, eventRecordBytes+len(data)); ev != nil {
-		ev.Kind, ev.Tag, ev.Data, ev.DeadNodes = fam.done, s.tag, data, dead
+		ev.Kind, ev.Data, ev.DeadNodes = fam.done, data, dead
 	}
 }

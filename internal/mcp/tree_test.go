@@ -120,7 +120,7 @@ func TestBarrierAndCollectiveShareAPort(t *testing.T) {
 	postColl(t, r, 0, &CollToken{Op: Reduce, Root: true, Children: []Endpoint{{Node: 1, Port: 2}}, Value: val(5)})
 	r.s.RunUntil(100 * sim.Microsecond)
 	p := r.mcps[0].Port(2)
-	if !p.slots[collSlot].live || p.BarrierActive() {
+	if !p.slots[collSlot].live || p.slots[barrierSlot].live {
 		t.Fatal("reduce root should be gathering, with no barrier in flight")
 	}
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 1, Port: 2}})
@@ -268,7 +268,7 @@ func TestPERepairsAroundDeadPeers(t *testing.T) {
 		evs[0].DeadNodes[0] != 1 || evs[0].DeadNodes[1] != 3 || evs[0].DeadNodes[2] != 5 {
 		t.Fatalf("completions %+v, want one naming [1 3 5]", evs)
 	}
-	if r.barrierDone(2, 2) != 1 || r.barrierDone(4, 2) != 1 || m.Port(2).BarrierActive() {
+	if r.barrierDone(2, 2) != 1 || r.barrierDone(4, 2) != 1 || m.Port(2).slots[barrierSlot].live {
 		t.Fatal("peers 2 and 4 should have completed, and node 0's barrier be over")
 	}
 }

@@ -107,12 +107,6 @@ func NewWorld(comm *core.Comm, g core.Group, self int, cfg Config) (*World, erro
 	return &World{comm: comm, g: g, rank: self, cfg: cfg, sched: sched}, nil
 }
 
-// Rank returns this process's rank.
-func (w *World) Rank() int { return w.rank }
-
-// Size returns the communicator size.
-func (w *World) Size() int { return len(w.g) }
-
 // Send sends data to dst with the given tag (MPI_Send). The layer charges
 // its per-message overhead on top of GM's.
 func (w *World) Send(p *host.Process, dst, tag int, data []byte) error {

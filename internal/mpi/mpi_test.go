@@ -41,7 +41,7 @@ func runWorld(t *testing.T, n int, cfg Config, body func(p *host.Process, w *Wor
 
 func TestSendRecvTagged(t *testing.T) {
 	runWorld(t, 2, DefaultConfig(), func(p *host.Process, w *World) {
-		if w.Rank() == 0 {
+		if w.rank == 0 {
 			if err := w.Send(p, 1, 42, []byte("tagged")); err != nil {
 				t.Errorf("send: %v", err)
 			}
@@ -62,7 +62,7 @@ func TestRecvTagMatchingOutOfOrder(t *testing.T) {
 	// Rank 0 sends tag 1 then tag 2; rank 1 receives tag 2 first:
 	// the unexpected queue must hold tag 1 meanwhile.
 	runWorld(t, 2, DefaultConfig(), func(p *host.Process, w *World) {
-		if w.Rank() == 0 {
+		if w.rank == 0 {
 			w.Send(p, 1, 1, []byte("first"))
 			w.Send(p, 1, 2, []byte("second"))
 		} else {
@@ -81,7 +81,7 @@ func TestRecvTagMatchingOutOfOrder(t *testing.T) {
 
 func TestRecvWildcards(t *testing.T) {
 	runWorld(t, 4, DefaultConfig(), func(p *host.Process, w *World) {
-		if w.Rank() == 0 {
+		if w.rank == 0 {
 			seen := map[int]bool{}
 			for i := 0; i < 3; i++ {
 				m, err := w.Recv(p, AnySource, AnyTag)
@@ -98,14 +98,14 @@ func TestRecvWildcards(t *testing.T) {
 				t.Errorf("sources = %v", seen)
 			}
 		} else {
-			w.Send(p, 0, w.Rank()*10, []byte{byte(w.Rank())})
+			w.Send(p, 0, w.rank*10, []byte{byte(w.rank)})
 		}
 	})
 }
 
 func TestSendBadRankErrors(t *testing.T) {
 	runWorld(t, 2, DefaultConfig(), func(p *host.Process, w *World) {
-		if w.Rank() == 0 {
+		if w.rank == 0 {
 			if err := w.Send(p, 9, 0, nil); err == nil {
 				t.Error("send to bad rank should error")
 			}
@@ -115,8 +115,8 @@ func TestSendBadRankErrors(t *testing.T) {
 
 func TestWorldAccessorsAndErrors(t *testing.T) {
 	runWorld(t, 2, DefaultConfig(), func(p *host.Process, w *World) {
-		if w.Size() != 2 {
-			t.Errorf("Size = %d", w.Size())
+		if len(w.g) != 2 {
+			t.Errorf("Size = %d", len(w.g))
 		}
 	})
 	g := core.UniformGroup(2, 2)
@@ -132,13 +132,13 @@ func TestMPIBarrierBothBackends(t *testing.T) {
 		enter := make([]sim.Time, 8)
 		exit := make([]sim.Time, 8)
 		runWorld(t, 8, cfg, func(p *host.Process, w *World) {
-			p.Compute(sim.Time(w.Rank()) * 20 * sim.Microsecond)
-			enter[w.Rank()] = p.Now()
+			p.Compute(sim.Time(w.rank) * 20 * sim.Microsecond)
+			enter[w.rank] = p.Now()
 			if err := w.Barrier(p); err != nil {
 				t.Errorf("barrier: %v", err)
 				return
 			}
-			exit[w.Rank()] = p.Now()
+			exit[w.rank] = p.Now()
 		})
 		var maxEnter, minExit sim.Time
 		minExit = 1 << 62
@@ -163,7 +163,7 @@ func TestMPIBcastBothBackends(t *testing.T) {
 		cfg.UseNICCollectives = nic
 		runWorld(t, 8, cfg, func(p *host.Process, w *World) {
 			var in []byte
-			if w.Rank() == 0 {
+			if w.rank == 0 {
 				in = payload
 			}
 			out, err := w.Bcast(p, in)
@@ -172,7 +172,7 @@ func TestMPIBcastBothBackends(t *testing.T) {
 				return
 			}
 			if !bytes.Equal(out, payload) {
-				t.Errorf("nic=%v rank %d got %q", nic, w.Rank(), out)
+				t.Errorf("nic=%v rank %d got %q", nic, w.rank, out)
 			}
 		})
 	}
@@ -183,13 +183,13 @@ func TestMPIAllreduceBothBackends(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.UseNICCollectives = nic
 		runWorld(t, 8, cfg, func(p *host.Process, w *World) {
-			out, err := w.Allreduce(p, mcp.OpSum, []int64{int64(w.Rank()), 1})
+			out, err := w.Allreduce(p, mcp.OpSum, []int64{int64(w.rank), 1})
 			if err != nil {
 				t.Errorf("allreduce: %v", err)
 				return
 			}
 			if out[0] != 28 || out[1] != 8 {
-				t.Errorf("nic=%v rank %d = %v", nic, w.Rank(), out)
+				t.Errorf("nic=%v rank %d = %v", nic, w.rank, out)
 			}
 		})
 	}
@@ -207,13 +207,13 @@ func TestNICBarrierFasterUnderMPI(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				w.Barrier(p)
 			}
-			if w.Rank() == 0 {
+			if w.rank == 0 {
 				t0 = p.Now()
 			}
 			for i := 0; i < iters; i++ {
 				w.Barrier(p)
 			}
-			if w.Rank() == 0 {
+			if w.rank == 0 {
 				t1 = p.Now()
 			}
 		})

@@ -27,14 +27,14 @@ func TestMPIOperationTimingsPinned(t *testing.T) {
 		},
 		"bcast": func(p *host.Process, w *World, it int) (string, error) {
 			var in []byte
-			if w.Rank() == 0 {
+			if w.rank == 0 {
 				in = []byte(fmt.Sprintf("bcast-%d", it))
 			}
 			out, err := w.Bcast(p, in)
 			return fmt.Sprintf("%q", out), err
 		},
 		"allreduce": func(p *host.Process, w *World, it int) (string, error) {
-			out, err := w.Allreduce(p, mcp.OpSum, []int64{int64(w.Rank()), int64(it + 1)})
+			out, err := w.Allreduce(p, mcp.OpSum, []int64{int64(w.rank), int64(it + 1)})
 			return fmt.Sprint(out), err
 		},
 	}
@@ -101,17 +101,17 @@ rank 7: 161756 [28 8] 277912 [28 16]`},
 		cfg.UseNICBarrier, cfg.UseNICCollectives = c.nic, c.nic
 		lines := make([]string, n)
 		runWorld(t, n, cfg, func(p *host.Process, w *World) {
-			p.Compute(sim.Time(w.Rank()) * 3 * sim.Microsecond)
-			line := fmt.Sprintf("rank %d:", w.Rank())
+			p.Compute(sim.Time(w.rank) * 3 * sim.Microsecond)
+			line := fmt.Sprintf("rank %d:", w.rank)
 			for it := 0; it < 2; it++ {
 				res, err := ops[c.op](p, w, it)
 				if err != nil {
-					t.Errorf("%s rank %d call %d: %v", name, w.Rank(), it, err)
+					t.Errorf("%s rank %d call %d: %v", name, w.rank, it, err)
 					return
 				}
 				line += fmt.Sprintf(" %d %s", int64(p.Now()), res)
 			}
-			lines[w.Rank()] = line
+			lines[w.rank] = line
 		})
 		if got := strings.Join(lines, "\n"); got != c.want {
 			t.Errorf("%s:\n got\n%s\n want\n%s", name, got, c.want)

@@ -97,12 +97,12 @@ func (f *Fabric) SetObserver(o Observer) { f.observer = o }
 // arrives unruled (fault.Attach installs at build time, before any traffic).
 func (f *Fabric) SetFaultHook(h FaultHook) { f.hook = h }
 
-// NoteFault forwards a fault-layer event to the observer, if the observer
-// cares (implements FaultObserver). The fault injector calls this so link
-// flaps, stalls and corruptions appear in packet traces.
+// NoteFault forwards a fault-layer event to the observer, if one is
+// installed. The fault injector calls this so link flaps, stalls and
+// corruptions appear in packet traces.
 func (f *Fabric) NoteFault(kind string, p *Packet, detail string) {
-	if fo, ok := f.observer.(FaultObserver); ok {
-		fo.FaultInjected(kind, p, detail)
+	if f.observer != nil {
+		f.observer.FaultInjected(kind, p, detail)
 	}
 }
 
@@ -176,7 +176,7 @@ func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, rec
 	if sw.out[port] != nil {
 		panic(fmt.Sprintf("network: switch %d port %d already cabled", sw.id, port))
 	}
-	*iface = Iface{fab: f, node: node, recv: recv}
+	*iface = Iface{fab: f, recv: recv}
 	iface.deliverFn = iface.deliverEvent
 	// NIC -> switch direction.
 	iface.tx = f.newChannel(lp, sw)
@@ -256,7 +256,6 @@ func (f *Fabric) NICLinkIDs(node NodeID) (NICLinks, bool) {
 // that "NICs have separate receive and transmit channels to the network".
 type Iface struct {
 	fab  *Fabric
-	node NodeID
 	tx   *channel
 	rx   LinkID
 	recv func(*Packet)
@@ -289,9 +288,6 @@ func (i *Iface) Recycle(p *Packet) {
 		f.pool = append(f.pool, p)
 	}
 }
-
-// Node returns the NIC's fabric identity.
-func (i *Iface) Node() NodeID { return i.node }
 
 // Transmit injects a packet onto the NIC's outgoing channel at the current
 // simulated time. If the channel is busy the packet queues behind earlier

@@ -230,6 +230,8 @@ func (c *countingObserver) PacketDropped(p *Packet, reason string) {
 	c.dropped++
 	c.reasons = append(c.reasons, reason)
 }
+func (c *countingObserver) PacketForwarded(*Packet, int, int)     {}
+func (c *countingObserver) FaultInjected(string, *Packet, string) {}
 
 func TestObserverEvents(t *testing.T) {
 	tn := newTestNet(4, DefaultLinkParams(), DefaultSwitchParams(4))
@@ -483,8 +485,8 @@ func TestDefaultParams(t *testing.T) {
 
 func TestSwitchAccessors(t *testing.T) {
 	tn := newTestNet(2, DefaultLinkParams(), DefaultSwitchParams(8))
-	if tn.sw.Ports() != 8 || tn.sw.ID() != 0 {
-		t.Fatalf("Ports/ID = %d/%d", tn.sw.Ports(), tn.sw.ID())
+	if tn.sw.params.Ports != 8 || tn.sw.id != 0 {
+		t.Fatalf("ports/id = %d/%d", tn.sw.params.Ports, tn.sw.id)
 	}
 	if !tn.sw.portCabled(0) || tn.sw.portCabled(7) {
 		t.Fatal("portCabled wrong")

@@ -61,6 +61,8 @@ func (l *fabricLog) PacketForwarded(p *Packet, swID, port int) {
 	l.forwarded = append(l.forwarded, fmt.Sprintf("t=%d pkt%d sw%d port%d", l.s.Now(), p.Payload, swID, port))
 }
 
+func (l *fabricLog) FaultInjected(string, *Packet, string) {}
+
 // perNIC splits the delivery log by receiving NIC, keeping order.
 func (l *fabricLog) perNIC() map[NodeID][]delivery {
 	out := make(map[NodeID][]delivery)

@@ -142,23 +142,17 @@ type Observer interface {
 	// PacketDropped fires when the fabric discards a packet and names why
 	// ("loss", "bad-route", ...).
 	PacketDropped(p *Packet, reason string)
-}
-
-// FaultObserver is an optional extension of Observer: implementations also
-// receive fault-layer events (link flaps, corruption, stalls) so timing
-// diagrams can show what the fault injector did. p may be nil for events
-// not tied to a packet (link state changes, firmware stalls).
-type FaultObserver interface {
-	FaultInjected(kind string, p *Packet, detail string)
-}
-
-// HopObserver is an optional extension of Observer: implementations also
-// see every switch forwarding decision, so multi-switch traces can show
-// which crossbars (and trunk crossings) a packet traversed. swID is the
-// fabric-assigned switch index, port the chosen output port. Called at the
-// instant the head leaves the switch (after RouteDelay).
-type HopObserver interface {
+	// PacketForwarded fires at every switch forwarding decision, at the
+	// instant the head leaves the switch (after RouteDelay), so
+	// multi-switch traces can show which crossbars (and trunk crossings) a
+	// packet traversed. swID is the fabric-assigned switch index, port the
+	// chosen output port.
 	PacketForwarded(p *Packet, swID, port int)
+	// FaultInjected fires for fault-layer events (link flaps, corruption,
+	// stalls; Fabric.NoteFault) so timing diagrams can show what the fault
+	// injector did. p is nil for events not tied to a packet (link state
+	// changes, firmware stalls).
+	FaultInjected(kind string, p *Packet, detail string)
 }
 
 // WireEncoder is implemented by payloads that can serialize themselves to

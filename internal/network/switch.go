@@ -44,12 +44,6 @@ type Switch struct {
 	fwdFn func(any)
 }
 
-// Ports returns the switch's port count.
-func (sw *Switch) Ports() int { return sw.params.Ports }
-
-// ID returns the fabric-assigned switch index.
-func (sw *Switch) ID() int { return sw.id }
-
 // headArrived implements headSink: consume one route byte and forward, or
 // drop a head whose route does not go on from here.
 func (sw *Switch) headArrived(p *Packet, wire sim.Time) {
@@ -84,8 +78,8 @@ func (sw *Switch) headDue(p *Packet, headArrive, _ sim.Time) bool {
 func (sw *Switch) forwardEvent(a any) {
 	p := a.(*Packet)
 	port := int(p.fwdPort)
-	if ho, ok := sw.fab.observer.(HopObserver); ok {
-		ho.PacketForwarded(p, sw.id, port)
+	if sw.fab.observer != nil {
+		sw.fab.observer.PacketForwarded(p, sw.id, port)
 	}
 	sw.out[port].transmit(p)
 }

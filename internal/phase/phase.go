@@ -295,27 +295,6 @@ func (r *Recorder) Disable(at sim.Time) {
 	r.prune(at)
 }
 
-// Reset discards every span recorded so far, except host spans that start
-// at or after loop instant at — a process that ran ahead recorded them
-// before the reset, for a time after it. Whether the recorder is on or off,
-// they are kept, or stay pending for a later window. Labels stay valid.
-// No-op on nil.
-func (r *Recorder) Reset(at sim.Time) {
-	if r == nil {
-		return
-	}
-	r.release()
-	r.chunks, r.n, r.loopTotals = r.chunks[:0], 0, [NumPhases]sim.Time{}
-	kept := r.windows[:0]
-	for _, w := range r.windows {
-		if w.off > at {
-			kept = append(kept, window{max(w.on, at), w.off})
-		}
-	}
-	r.windows = kept
-	r.prune(at)
-}
-
 // Crashed drops node's host spans that start at or after loop instant at,
 // when its processes died: a process that ran ahead recorded them for calls
 // it did not live to make. No-op on nil.
@@ -459,8 +438,8 @@ func (r *Recorder) compact(keep func(*hostRun) bool) {
 }
 
 // Loop returns the loop's spans in recording order: the recorder's own
-// chunks, read in place. Callers must not modify them, and they are valid
-// until the next Reset. Spans' canonical order is these, then Host's.
+// chunks, read in place. Callers must not modify them. Spans' canonical
+// order is these, then Host's.
 func (r *Recorder) Loop() [][]Span {
 	if r == nil {
 		return nil

@@ -18,7 +18,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Enable(0)
 	r.Disable(0)
-	r.Reset(0)
 	r.Add(Span{Start: 0, End: 10})
 	r.AddHost(Span{Start: 0, End: 10}, 1, 0)
 	r.Crashed(0, 0)
@@ -68,18 +67,6 @@ func TestTotalsSumPerPhase(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Span{Start: 0, End: 1, Phase: DMA})
-	r.Reset(1)
-	if r.Len() != 0 {
-		t.Fatal("Reset left spans")
-	}
-	if !r.On() {
-		t.Fatal("Reset disabled the recorder")
-	}
-}
-
 // Host spans are windowed by the time they start, not by whether the
 // recorder was on when the call that produced them ran: a process that led
 // the loop across the opening or the closing instant records them early.
@@ -115,37 +102,9 @@ func TestHostSpansWindowedByStart(t *testing.T) {
 	}
 
 	// A window opened later takes the span that started at the first one's
-	// closing instant; a reset keeps only what starts at or after it.
+	// closing instant.
 	r.Enable(200)
 	checkCounts(t, r, len(want)+1)
-	host(3, 250, 260)
-	r.Reset(240)
-	if got := r.Spans(); len(got) != 1 || got[0].Node != 3 {
-		t.Fatalf("after a reset at 240: %v", got)
-	}
-	checkCounts(t, r, 1)
-}
-
-// A reset while off keeps, pending, the host spans a process recorded ahead
-// of the reset's instant: a window opened later takes them just as it takes
-// the spans recorded after the reset.
-func TestResetWhileOffKeepsSpansAhead(t *testing.T) {
-	r := NewRecorder()
-	r.Disable(10)
-	r.AddHost(Span{Start: 5, End: 15, Phase: HostPost, Node: 0, Peer: -1, Label: r.Label("behind")}, 1, 10)
-	r.AddHost(Span{Start: 30, End: 40, Phase: HostPost, Node: 1, Peer: -1, Label: r.Label("ahead")}, 3, 10) // 30, 40, 50
-	r.Reset(20)
-	r.AddHost(Span{Start: 45, End: 50, Phase: HostDone, Node: 0, Peer: -1, Label: r.Label("after")}, 1, 20)
-	r.Enable(40)
-	var got []string
-	for _, s := range r.Spans() {
-		got = append(got, fmt.Sprintf("%d:%s@%d", s.Node, r.Name(s.Label), s.Start))
-	}
-	want := []string{"0:after@45", "1:ahead@40", "1:ahead@50"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("spans %v, want %v", got, want)
-	}
-	checkCounts(t, r, len(want))
 }
 
 // checkCounts holds Len and Totals, which count without building the
@@ -251,7 +210,7 @@ func TestStrings(t *testing.T) {
 }
 
 // Labels are ids into the recorder's own table: the empty name is label 0,
-// and a name keeps its label for the recorder's lifetime, resets included.
+// and a name keeps its label for the recorder's lifetime.
 func TestLabels(t *testing.T) {
 	var nilRec *Recorder
 	if nilRec.Label("x") != 0 || nilRec.Name(0) != "" || nilRec.Names() != nil {
@@ -271,7 +230,6 @@ func TestLabels(t *testing.T) {
 				t.Fatalf("round %d: %q is label %d (%q), want %d", round, n, l, r.Name(l), i+1)
 			}
 		}
-		r.Reset(0)
 	}
 	if r.Name(Label(len(names)+1)) != "" {
 		t.Fatal("a label outside the table has a name")
@@ -339,7 +297,7 @@ func TestHeldSpansLandInEventOrder(t *testing.T) {
 	}
 }
 
-// Enable, Disable and Reset at a held span's instant take it as they would
+// Enable and Disable at a held span's instant take it as they would
 // have taken the span its event added: by whether they run before or after
 // that event.
 func TestHeldSpanAtWindowEdges(t *testing.T) {
@@ -352,7 +310,6 @@ func TestHeldSpanAtWindowEdges(t *testing.T) {
 	}{
 		{"disable", (*Recorder).Disable, true, nil, []string{"held"}},
 		{"enable", (*Recorder).Enable, false, []string{"held"}, nil},
-		{"reset", (*Recorder).Reset, true, []string{"held"}, nil},
 	} {
 		for _, gateFirst := range []bool{true, false} {
 			h := newHeldRig()

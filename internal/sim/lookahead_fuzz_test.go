@@ -207,7 +207,7 @@ func (prog aheadProgram) run(settle bool) aheadOutcome {
 	}
 	s.Run()
 	for _, p := range procs {
-		out.finished = append(out.finished, p.Finished())
+		out.finished = append(out.finished, p.finished)
 		out.killed = append(out.killed, p.Killed())
 	}
 	out.stranded, out.end = s.Stranded(), s.Now()

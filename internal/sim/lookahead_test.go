@@ -37,12 +37,12 @@ func TestAdvanceLeadsTheLoop(t *testing.T) {
 		p.Advance(25)
 	})
 	s.RunUntil(60)
-	if p.Finished() || s.LiveProcs() != 1 {
-		t.Errorf("at 60 the body has returned but its last charge runs to 75: finished=%v live=%d", p.Finished(), s.LiveProcs())
+	if p.finished || s.LiveProcs() != 1 {
+		t.Errorf("at 60 the body has returned but its last charge runs to 75: finished=%v live=%d", p.finished, s.LiveProcs())
 	}
 	s.Run()
-	if !p.Finished() || s.Now() != 75 {
-		t.Errorf("finished=%v at %v, want true at 75", p.Finished(), s.Now())
+	if !p.finished || s.Now() != 75 {
+		t.Errorf("finished=%v at %v, want true at 75", p.finished, s.Now())
 	}
 	if !slices.Equal(rang, []Time{35, 40}) {
 		t.Errorf("After callbacks ran at %v, want [35 40]", rang)
@@ -173,9 +173,9 @@ func TestKillWhileAwaitingWithLead(t *testing.T) {
 	resumes := s.Switches()
 	sig.Fire()
 	sig.Fire()
-	if s.Switches() != resumes+1 || !bystander.Finished() || s.Stranded() != 0 {
+	if s.Switches() != resumes+1 || !bystander.finished || s.Stranded() != 0 {
 		t.Errorf("Fire after the kill: %d resumes (want 1), bystander finished=%v, stranded=%d",
-			s.Switches()-resumes, bystander.Finished(), s.Stranded())
+			s.Switches()-resumes, bystander.finished, s.Stranded())
 	}
 	s.Close()
 }

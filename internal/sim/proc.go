@@ -108,9 +108,6 @@ func (s *Simulator) Close() {
 	s.spawned = nil
 }
 
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
 // Sim returns the simulator this process runs on.
 func (p *Proc) Sim() *Simulator { return p.sim }
 
@@ -122,9 +119,6 @@ func (p *Proc) Now() Time {
 	}
 	return p.sim.now
 }
-
-// Finished reports whether the process body has returned.
-func (p *Proc) Finished() bool { return p.finished }
 
 // Killed reports whether the process was destroyed by Kill.
 func (p *Proc) Killed() bool { return p.killed }

@@ -217,8 +217,8 @@ func TestManyProcsBarrierStyle(t *testing.T) {
 func TestProcName(t *testing.T) {
 	s := New()
 	s.Spawn("alpha", func(p *Proc) {
-		if p.Name() != "alpha" {
-			t.Errorf("Name = %q", p.Name())
+		if p.name != "alpha" {
+			t.Errorf("Name = %q", p.name)
 		}
 		if p.Sim() != s {
 			t.Error("Sim() mismatch")
@@ -231,11 +231,11 @@ func TestFinished(t *testing.T) {
 	s := New()
 	p := s.Spawn("p", func(p *Proc) { p.Sleep(10) })
 	s.RunUntil(5)
-	if p.Finished() {
+	if p.finished {
 		t.Fatal("Finished true while sleeping")
 	}
 	s.Run()
-	if !p.Finished() {
+	if !p.finished {
 		t.Fatal("Finished false after completion")
 	}
 }
@@ -272,8 +272,8 @@ func TestCloseReleasesUnfinishedProcs(t *testing.T) {
 	if unwound != 3 {
 		t.Errorf("%d bodies unwound their defers, want 3", unwound)
 	}
-	if !done.Finished() || late.Finished() || !victim.Killed() {
-		t.Errorf("finished/killed flags wrong: done=%v late=%v victim killed=%v", done.Finished(), late.Finished(), victim.Killed())
+	if !done.finished || late.finished || !victim.Killed() {
+		t.Errorf("finished/killed flags wrong: done=%v late=%v victim killed=%v", done.finished, late.finished, victim.Killed())
 	}
 	if s.LiveProcs() != 0 {
 		t.Errorf("%d live processes after Close", s.LiveProcs())
@@ -311,8 +311,8 @@ func TestProcPanicReachesRun(t *testing.T) {
 		t.Errorf("unwound=%v now=%v, want true, 10", unwound, s.Now())
 	}
 	s.Close() // the other process is still parked; Close must cope
-	if bystander.Finished() || !bystander.Killed() {
-		t.Errorf("bystander finished=%v killed=%v after Close", bystander.Finished(), bystander.Killed())
+	if bystander.finished || !bystander.Killed() {
+		t.Errorf("bystander finished=%v killed=%v after Close", bystander.finished, bystander.Killed())
 	}
 }
 
@@ -349,8 +349,8 @@ func TestCloseBeforeFirstWake(t *testing.T) {
 	s := New()
 	p := s.Spawn("unstarted", func(p *Proc) { t.Error("body ran") })
 	s.Close()
-	if p.Finished() || !p.Killed() || s.LiveProcs() != 0 {
-		t.Errorf("finished=%v killed=%v live=%d", p.Finished(), p.Killed(), s.LiveProcs())
+	if p.finished || !p.Killed() || s.LiveProcs() != 0 {
+		t.Errorf("finished=%v killed=%v live=%d", p.finished, p.Killed(), s.LiveProcs())
 	}
 }
 

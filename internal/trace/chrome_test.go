@@ -503,7 +503,7 @@ func TestChromeExportAllocs(t *testing.T) {
 		})
 	}
 	a4, a16 := allocs(small), allocs(large)
-	n4, n16 := small.Len()+small.Phases().Len(), large.Len()+large.Phases().Len()
+	n4, n16 := small.nEvents+small.Phases().Len(), large.nEvents+large.Phases().Len()
 	t.Logf("allocations per export: %.0f for %d records, %.0f for %d", a4, n4, a16, n16)
 	if n16 < 8*n4 {
 		t.Fatalf("recordings too alike to compare: %d and %d records", n4, n16)

@@ -10,25 +10,15 @@ import (
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/phase"
-	"gmsim/internal/sim"
 	"gmsim/internal/topo"
 )
 
 // runFullStackBarrier runs one NIC barrier on n nodes with a full-stack
 // recorder attached.
 func runFullStackBarrier(t *testing.T, n int, alg mcp.BarrierAlg, dim int) (*Recorder, *cluster.Cluster) {
-	return runFullStackBarrierResetAt(t, n, alg, dim, -1)
-}
-
-// runFullStackBarrierResetAt is runFullStackBarrier with the recording reset
-// at simulated instant resetAt (never, when negative).
-func runFullStackBarrierResetAt(t *testing.T, n int, alg mcp.BarrierAlg, dim int, resetAt sim.Time) (*Recorder, *cluster.Cluster) {
 	t.Helper()
 	cl := cluster.New(cluster.DefaultConfig(n))
 	rec := Attach(cl)
-	if resetAt >= 0 {
-		cl.Sim().At(resetAt, rec.Reset)
-	}
 	g := core.UniformGroup(n, 2)
 	cl.SpawnAll(func(p *host.Process) {
 		rank := p.Rank()
@@ -210,46 +200,8 @@ func TestAttachGatesPhases(t *testing.T) {
 		comm.Barrier(p, mcp.PE, g, rank, 0)
 	})
 	cl.Run()
-	if rec.Len() != 0 || rec.Phases().Len() != 0 {
-		t.Fatalf("disabled recorder captured %d events, %d spans", rec.Len(), rec.Phases().Len())
-	}
-}
-
-// A Reset while a packet is on the wire forgets the packet: its delivery
-// must not add a wire span reaching back before the reset to a recording
-// that claims to start there.
-func TestResetMidFlightDropsInFlightPackets(t *testing.T) {
-	plain, _ := runFullStackBarrier(t, 4, mcp.PE, 0)
-	first := plain.WireLatencies()[0]
-	resetAt := first.Inject + first.Latency()/2
-
-	rec, cl := runFullStackBarrierResetAt(t, 4, mcp.PE, 0, resetAt)
-	if rec.Phases().Len() == 0 {
-		t.Fatal("nothing recorded after the reset")
-	}
-	for _, s := range rec.Phases().Spans() {
-		if s.Start < resetAt {
-			t.Errorf("span starts at %v, before the reset at %v: %v", s.Start, resetAt, s)
-		}
-	}
-	for node := 0; node < 4; node++ {
-		if d := rec.Decompose(node, 0, resetAt); d.Spans != 0 || d.Idle() != resetAt {
-			t.Errorf("node %d: %d spans and %v idle in the %v before the reset", node, d.Spans, d.Idle(), resetAt)
-		}
-	}
-	end := cl.Sim().Now()
-	if got, want := rec.Decompose(0, 0, end).Totals, rec.Decompose(0, resetAt, end).Totals; got != want {
-		t.Errorf("totals over the whole run %v differ from totals since the reset %v", got, want)
-	}
-	// Events of a packet injected before the reset carry no number; every
-	// numbered one's Inject is in the recording.
-	injected := map[uint32]bool{}
-	for _, e := range rec.Events() {
-		if e.Kind == Inject {
-			injected[e.packet] = true
-		} else if e.packet != 0 && !injected[e.packet] {
-			t.Errorf("%v carries packet %d, whose injection the recording does not hold", e, e.packet)
-		}
+	if rec.nEvents != 0 || rec.Phases().Len() != 0 {
+		t.Fatalf("disabled recorder captured %d events, %d spans", rec.nEvents, rec.Phases().Len())
 	}
 }
 

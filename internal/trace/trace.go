@@ -88,8 +88,8 @@ func (e Event) String() string {
 type entry struct {
 	at sim.Time
 	// packet is the packet's number, its Inject's ordinal (see
-	// Recorder.base); 0 for a packet injected while the recorder was off
-	// (or before a Reset) and for events tied to no packet.
+	// Recorder.PacketInjected); 0 for a packet injected while the recorder
+	// was off and for events tied to no packet.
 	packet   uint32
 	src, dst int32
 	seq      uint32
@@ -122,15 +122,6 @@ type Recorder struct {
 	// its labels of wireNames.
 	phases *phase.Recorder
 	wire   [len(wireNames)]phase.Label
-	// base counts the events recorded before the last Reset. A packet
-	// injected while recording carries in its Mark the ordinal of its Inject
-	// among all events recorded since the recorder was made (base+1 for the
-	// first after a Reset): its events carry the number, and its delivery
-	// finds the injection instant there, so the recorder keeps no record of
-	// packets in flight. A Mark at or below base names an Inject a Reset
-	// discarded. (Ordinals are 32 bits: a recorder's lifetime holds fewer
-	// than 4 billion events.)
-	base uint32
 }
 
 // NewRecorder creates a fabric-only recorder and installs it on the fabric.
@@ -174,15 +165,6 @@ func (r *Recorder) Disable() {
 	r.phases.Disable(r.sim.Now())
 }
 
-// Reset discards recorded events and spans, and forgets packets in flight:
-// one injected before the reset and delivered after it leaves no wire span
-// (the span would start before the recording does).
-func (r *Recorder) Reset() {
-	r.base += uint32(r.nEvents)
-	r.events, r.nEvents = r.events[:0], 0
-	r.phases.Reset(r.sim.Now())
-}
-
 // Events returns the recorded events in time order. The slice is a
 // snapshot: it does not grow with the recording.
 func (r *Recorder) Events() []Event {
@@ -209,9 +191,6 @@ func (r *Recorder) event(e *entry) Event {
 	return ev
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return r.nEvents }
-
 // add appends one event to the recording.
 func (r *Recorder) add(e entry) {
 	r.events = mem.AppendChunked(r.events, e, eventChunk)
@@ -229,9 +208,7 @@ func (r *Recorder) record(kind Kind, p *network.Packet, detail, port int32) {
 		src: int32(p.Src), dst: int32(p.Dst), size: int32(p.Size),
 		detail: detail, port: port,
 	}
-	if p.Mark > r.base {
-		e.packet = p.Mark
-	}
+	e.packet = p.Mark
 	switch pl := p.Payload.(type) {
 	case *mcp.Frame:
 		e.frame, e.seq = int16(pl.Kind), pl.Seq
@@ -266,14 +243,17 @@ func (r *Recorder) reason(kind, detail string) int32 {
 }
 
 // PacketInjected implements network.Observer: a packet injected while
-// recording is marked with its Inject's ordinal; any other injection clears
-// the mark.
+// recording is marked with its Inject's ordinal among the recorded events
+// (1 for the first), which its events carry and where its delivery finds
+// the injection instant, so the recorder keeps no record of packets in
+// flight; any other injection clears the mark. (Ordinals are 32 bits: a
+// recording holds fewer than 4 billion events.)
 func (r *Recorder) PacketInjected(p *network.Packet) {
 	if !r.enabled {
 		p.Mark = 0
 		return
 	}
-	p.Mark = r.base + uint32(r.nEvents) + 1
+	p.Mark = uint32(r.nEvents) + 1
 	r.record(Inject, p, 0, 0)
 }
 
@@ -283,10 +263,10 @@ func (r *Recorder) PacketInjected(p *network.Packet) {
 // destination as peer).
 func (r *Recorder) PacketDelivered(p *network.Packet) {
 	r.record(Deliver, p, 0, 0)
-	if p.Mark <= r.base {
+	if p.Mark == 0 {
 		return
 	}
-	i := int(p.Mark - r.base - 1)
+	i := int(p.Mark - 1)
 	p.Mark = 0
 	if r.phases.On() {
 		r.phases.Add(phase.Span{
@@ -306,7 +286,7 @@ func (r *Recorder) PacketDropped(p *network.Packet, reason string) {
 	p.Mark = 0
 }
 
-// PacketForwarded implements network.HopObserver: switch forwarding
+// PacketForwarded implements network.Observer: switch forwarding
 // decisions appear in the timeline, so multi-switch traces show trunk
 // crossings.
 func (r *Recorder) PacketForwarded(p *network.Packet, swID, port int) {
@@ -338,7 +318,7 @@ func wireClass(p *network.Packet) int {
 	}
 }
 
-// FaultInjected implements network.FaultObserver: fault-layer actions show
+// FaultInjected implements network.Observer: fault-layer actions show
 // up in the timeline alongside the traffic they disturb. p may be nil for
 // faults not tied to a packet (link flaps, NIC stalls).
 func (r *Recorder) FaultInjected(kind string, p *network.Packet, detail string) {

@@ -2,11 +2,13 @@ package gmsim
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -19,6 +21,7 @@ import (
 // their own package's tests names, each with the reason it stays.
 var exportAllowlist = map[string]string{
 	"mpi.World.Bcast": "the MPI operation TestMPIOperationTimingsPinned pins beside Barrier and Allreduce",
+	"sim.Second":      "completes the unit set beside Nanosecond, Microsecond and Millisecond",
 }
 
 // simPkgs are the simulation packages: everything one simulated cluster runs
@@ -27,24 +30,24 @@ var exportAllowlist = map[string]string{
 // seeded streams alone.
 var simPkgs = []string{"sim", "network", "lanai", "mcp", "gm", "host", "core", "mpi", "cluster", "topo", "fault", "phase", "model", "mem", "experiments"}
 
-// goFile is one parsed source file of the module.
+// goFile is one parsed source file of a module.
 type goFile struct {
 	dir  string // slash-separated, relative to the module root
 	test bool
 	ast  *ast.File
 }
 
-// parseModule parses every .go file of the module, skipping testdata and
-// hidden directories.
-func parseModule(t *testing.T, fset *token.FileSet) []goFile {
+// parseModule parses every .go file of the module at root that the default
+// build context includes, skipping testdata and hidden directories.
+func parseModule(t *testing.T, fset *token.FileSet, root string) []goFile {
 	t.Helper()
 	var files []goFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata") {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -52,11 +55,18 @@ func parseModule(t *testing.T, fset *token.FileSet) []goFile {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, goFile{dir: filepath.ToSlash(filepath.Dir(path)), test: strings.HasSuffix(path, "_test.go"), ast: f})
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{dir: filepath.ToSlash(dir), test: strings.HasSuffix(path, "_test.go"), ast: f})
 		return nil
 	})
 	if err != nil {
@@ -84,63 +94,146 @@ func recvName(e ast.Expr) string {
 }
 
 // TestExportsHaveCallers: every exported name declared in a non-test file
-// under internal/ is named in a non-test file of the module (cmd, bench,
-// examples and scripts included) or in a test file of another package. A
-// name only its own package's tests use belongs in an export_test.go, or
-// nowhere. The check is by name, so a dead name can pass by colliding with a
-// live one, but a live one never fails.
+// under internal/ is used by a non-test file of the module (cmd, bench and
+// examples included) or by a test of another package. A name only its own
+// package's tests use belongs in an export_test.go, or nowhere.
 func TestExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	files := parseModule(t, fset)
+	dead := exportsWithoutCallers(t, ".", "gmsim")
+	for key, reason := range exportAllowlist {
+		if reason == "" {
+			t.Errorf("allowlisted %s gives no reason", key)
+		}
+		if !slices.Contains(dead, key) {
+			t.Errorf("allowlisted %s is no longer declared, or now has a caller: drop it from exportAllowlist", key)
+		}
+	}
+	dead = slices.DeleteFunc(dead, func(key string) bool { _, ok := exportAllowlist[key]; return ok })
+	if len(dead) > 0 {
+		t.Errorf("exported, but used by no non-test file and no other package's tests (delete, unexport, or move to export_test.go):\n\t%s",
+			strings.Join(dead, "\n\t"))
+	}
+}
 
-	type decl struct{ key, name, dir string }
-	var decls []decl
-	declared := map[*ast.Ident]bool{} // top-level declaration names: no use
+// TestExportsRuleResolvesByType runs the rule on the fixture module in
+// testdata/exports: a.T.Reset is called only by a's tests, while b calls
+// b.U.Reset (flagged); a.T.String satisfies fmt.Stringer, which b's call to
+// fmt.Println relies on; a.Probe is used only by b's tests.
+func TestExportsRuleResolvesByType(t *testing.T) {
+	if got, want := exportsWithoutCallers(t, "testdata/exports", "fixture"), []string{"a.T.Reset"}; !slices.Equal(got, want) {
+		t.Fatalf("flagged %v, want %v", got, want)
+	}
+}
+
+// exportsWithoutCallers type-checks the module at root, whose module path is
+// mod, each package also with its in-package and external tests, and returns,
+// sorted, the exported names declared in non-test files under internal/ that
+// no non-test file and no other package's tests use, as pkg.Name or
+// pkg.Type.Method. A use is the very object an identifier resolves to, so a
+// name never passes by sharing its spelling with a live one. A method also
+// counts as used when its type satisfies an interface, declared in the
+// universe or in a package the program imports, that names it: String for
+// fmt.Stringer, Error for error, OnHop for network.FaultHook.
+func exportsWithoutCallers(t *testing.T, root, mod string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := parseModule(t, fset, root)
+	m := newModuleImporter(fset, mod)
+	tests := map[string][]*ast.File{} // by import path
 	for _, f := range files {
+		if path := m.path(f.dir); f.test {
+			tests[path] = append(tests[path], f.ast)
+		} else {
+			m.files[path] = append(m.files[path], f.ast)
+		}
+	}
+	for _, path := range slices.Sorted(maps.Keys(m.files)) {
+		if _, err := m.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	type decl struct {
+		key, dir string
+		obj      types.Object
+	}
+	var decls []decl
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		add := func(key string, id *ast.Ident) {
+			if id.IsExported() {
+				decls = append(decls, decl{f.ast.Name.Name + "." + key, f.dir, m.info.Defs[id]})
+			}
+		}
 		for _, d := range f.ast.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				declared[d.Name] = true
-				if f.test || !strings.HasPrefix(f.dir, "internal/") || !d.Name.IsExported() {
-					continue
+				if d.Recv == nil {
+					add(d.Name.Name, d.Name)
+				} else {
+					add(recvName(d.Recv.List[0].Type)+"."+d.Name.Name, d.Name)
 				}
-				key := f.ast.Name.Name + "." + d.Name.Name
-				if d.Recv != nil {
-					key = f.ast.Name.Name + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
-				}
-				decls = append(decls, decl{key, d.Name.Name, f.dir})
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
-					var names []*ast.Ident
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						names = []*ast.Ident{s.Name}
+						add(s.Name.Name, s.Name)
 					case *ast.ValueSpec:
-						names = s.Names
-					}
-					for _, id := range names {
-						declared[id] = true
-						if !f.test && strings.HasPrefix(f.dir, "internal/") && id.IsExported() {
-							decls = append(decls, decl{f.ast.Name.Name + "." + id.Name, id.Name, f.dir})
+						for _, id := range s.Names {
+							add(id.Name, id)
 						}
 					}
 				}
 			}
 		}
 	}
+	ifaces := programInterfaces(m)
 
-	shipped := map[string]bool{}        // names used by non-test files
-	testedFrom := map[string][]string{} // name -> dirs whose tests use it
+	// Each package's tests, as the go tool builds them.
+	for _, path := range slices.Sorted(maps.Keys(tests)) {
+		var internal, external []*ast.File
+		for _, f := range tests[path] {
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				external = append(external, f)
+			} else {
+				internal = append(internal, f)
+			}
+		}
+		v := m.testVariant(path, internal)
+		if _, err := v.Import(path); err != nil {
+			t.Fatalf("type-checking %s with its tests: %v", path, err)
+		}
+		if len(external) > 0 {
+			if _, err := (&types.Config{Importer: v}).Check(path+"_test", fset, external, m.info); err != nil {
+				t.Fatalf("type-checking %s_test: %v", path, err)
+			}
+		}
+	}
+
+	// A package's test variant re-declares its objects, so an object is
+	// known by its package and position.
+	type objKey struct {
+		pkg string
+		pos token.Pos
+	}
+	shipped := map[objKey]bool{}        // objects non-test files use
+	testedFrom := map[objKey][]string{} // object -> dirs whose tests use it
 	for _, f := range files {
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
-			if !ok || declared[id] {
+			if !ok {
 				return true
 			}
+			obj := m.info.Uses[id]
+			if obj == nil || obj.Pkg() == nil {
+				return true
+			}
+			k := objKey{obj.Pkg().Path(), obj.Pos()}
 			if !f.test {
-				shipped[id.Name] = true
-			} else if !slices.Contains(testedFrom[id.Name], f.dir) {
-				testedFrom[id.Name] = append(testedFrom[id.Name], f.dir)
+				shipped[k] = true
+			} else if !slices.Contains(testedFrom[k], f.dir) {
+				testedFrom[k] = append(testedFrom[k], f.dir)
 			}
 			return true
 		})
@@ -148,36 +241,133 @@ func TestExportsHaveCallers(t *testing.T) {
 
 	var dead []string
 	for _, d := range decls {
-		called := shipped[d.name] || slices.ContainsFunc(testedFrom[d.name], func(dir string) bool { return dir != d.dir })
-		if _, ok := exportAllowlist[d.key]; !called && !ok {
+		k := objKey{d.obj.Pkg().Path(), d.obj.Pos()}
+		used := shipped[k] || slices.ContainsFunc(testedFrom[k], func(dir string) bool { return dir != d.dir })
+		if !used && !satisfiesInterface(d.obj, ifaces) {
 			dead = append(dead, d.key)
 		}
 	}
-	for key := range exportAllowlist {
-		if !slices.ContainsFunc(decls, func(d decl) bool { return d.key == key }) {
-			t.Errorf("allowlisted %s is no longer declared: drop it from exportAllowlist", key)
+	slices.Sort(dead)
+	return dead
+}
+
+// programInterfaces lists error and the interfaces declared in the packages
+// m has type-checked and the packages they import.
+func programInterfaces(m *moduleImporter) []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	for _, p := range m.pkgs {
+		for _, q := range append(p.Imports(), p) {
+			if seen[q] {
+				continue
+			}
+			seen[q] = true
+			for _, name := range q.Scope().Names() {
+				tn, ok := q.Scope().Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() {
+					continue
+				}
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+					continue
+				}
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
+					ifaces = append(ifaces, it)
+				}
+			}
 		}
 	}
-	slices.Sort(dead)
-	if len(dead) > 0 {
-		t.Errorf("exported, but named by no non-test file and no other package's tests (delete, unexport, or move to export_test.go):\n\t%s",
-			strings.Join(dead, "\n\t"))
+	return ifaces
+}
+
+// satisfiesInterface reports whether obj is a method whose receiver type, or
+// a pointer to it, implements one of ifaces that names the method.
+func satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	if n, ok := recv.(*types.Named); !ok || n.TypeParams().Len() > 0 {
+		return false
+	}
+	return slices.ContainsFunc(ifaces, func(it *types.Interface) bool {
+		for i := range it.NumMethods() {
+			if it.Method(i).Name() == fn.Name() {
+				return types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)
+			}
+		}
+		return false
+	})
+}
+
+// moduleImporter type-checks the module's packages from their parsed files
+// and imports the standard library from export data. A test variant
+// (testVariant) checks one package with its in-package tests, re-checks the
+// packages that import it, and takes every other from its base.
+type moduleImporter struct {
+	fset    *token.FileSet
+	std     types.Importer
+	mod     string                 // module path
+	files   map[string][]*ast.File // by import path
+	pkgs    map[string]*types.Package
+	info    *types.Info
+	base    *moduleImporter // test variant: where packages not reaching variant come from
+	variant string
+	reach   map[string]bool // test variant: whether a package imports variant, directly or not
+}
+
+func newModuleImporter(fset *token.FileSet, mod string) *moduleImporter {
+	return &moduleImporter{
+		fset:  fset,
+		std:   importer.Default(),
+		mod:   mod,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
 	}
 }
 
-// moduleImporter type-checks the module's packages from their parsed
-// non-test files and imports the standard library from export data.
-type moduleImporter struct {
-	fset  *token.FileSet
-	std   types.Importer
-	files map[string][]*ast.File // by import path
-	pkgs  map[string]*types.Package
-	info  *types.Info
+// path is the import path of the module directory dir.
+func (m *moduleImporter) path(dir string) string {
+	if dir == "." {
+		return m.mod
+	}
+	return m.mod + "/" + dir
+}
+
+// testVariant returns the importer the go tool's build of path's external
+// tests amounts to: path checked with its in-package test files tests.
+func (m *moduleImporter) testVariant(path string, tests []*ast.File) *moduleImporter {
+	v := &moduleImporter{fset: m.fset, std: m.std, mod: m.mod, files: maps.Clone(m.files), pkgs: map[string]*types.Package{},
+		info: m.info, base: m, variant: path, reach: map[string]bool{}}
+	v.files[path] = append(slices.Clip(m.files[path]), tests...)
+	return v
+}
+
+// reaches reports whether path is the variant or imports it.
+func (m *moduleImporter) reaches(path string) bool {
+	r, ok := m.reach[path]
+	if !ok {
+		r = path == m.variant
+		for _, f := range m.files[path] {
+			for _, imp := range f.Imports {
+				r = r || m.reaches(strings.Trim(imp.Path.Value, `"`))
+			}
+		}
+		m.reach[path] = r
+	}
+	return r
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if !strings.HasPrefix(path, "gmsim/") {
+	if path != m.mod && !strings.HasPrefix(path, m.mod+"/") {
 		return m.std.Import(path)
+	}
+	if m.base != nil && !m.reaches(path) {
+		return m.base.Import(path)
 	}
 	if p := m.pkgs[path]; p != nil {
 		return p, nil
@@ -203,16 +393,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 //     multiply-add and a result would depend on GOARCH.
 func TestSimulationPackagesDeterministic(t *testing.T) {
 	fset := token.NewFileSet()
-	m := &moduleImporter{
-		fset:  fset,
-		std:   importer.Default(),
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
-	}
-	for _, f := range parseModule(t, fset) {
+	m := newModuleImporter(fset, "gmsim")
+	for _, f := range parseModule(t, fset, ".") {
 		if !f.test {
-			m.files["gmsim/"+f.dir] = append(m.files["gmsim/"+f.dir], f.ast)
+			m.files[m.path(f.dir)] = append(m.files[m.path(f.dir)], f.ast)
 		}
 	}
 	for _, pkg := range simPkgs {

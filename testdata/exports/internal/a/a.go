@@ -1,0 +1,14 @@
+// Package a declares the names the exports rule judges.
+package a
+
+// T is used by package b.
+type T struct{}
+
+// Reset is called by a's own tests alone; package b calls a Reset of its own.
+func (T) Reset() {}
+
+// String satisfies fmt.Stringer, which b's fmt.Println call relies on.
+func (T) String() string { return "T" }
+
+// Probe is used by b's tests alone.
+func Probe() {}
