@@ -78,19 +78,21 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzChromeMicros$$ -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=^FuzzChromeRecording$$ -fuzztime=$(FUZZTIME) ./internal/trace
 
-# Coverage with per-package floors. The observability layer (internal/trace),
-# the analytic model (internal/model), the fault injector (internal/fault),
-# the topology/routing layer (internal/topo, now carrying the algebraic
-# router), the firmware (internal/mcp, whose failure paths only a few
-# scenario goldens reach from outside) and the simulation service
-# (internal/service, whose dead-letter, retry and replay paths only its own
-# tests reach) are the packages most likely to rot silently — their
-# statement coverage from their own tests must stay at or above COVER_FLOOR.
+# Coverage with per-package floors. The event engine (internal/sim), the
+# fabric (internal/network) and the card (internal/lanai) every run stands
+# on, the observability layer (internal/trace), the analytic model
+# (internal/model), the fault injector (internal/fault), the topology/routing
+# layer (internal/topo, now carrying the algebraic router), the firmware
+# (internal/mcp, whose failure paths only a few scenario goldens reach from
+# outside) and the simulation service (internal/service, whose dead-letter,
+# retry and replay paths only its own tests reach) are the packages most
+# likely to rot silently — their statement coverage from their own tests
+# must stay at or above COVER_FLOOR.
 COVER_FLOOR ?= 80.0
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=count ./...
 	$(GO) tool cover -func=coverage.out | tail -1
-	@for pkg in gmsim/internal/trace gmsim/internal/model gmsim/internal/fault gmsim/internal/topo gmsim/internal/mcp gmsim/internal/service; do \
+	@for pkg in gmsim/internal/sim gmsim/internal/network gmsim/internal/lanai gmsim/internal/trace gmsim/internal/model gmsim/internal/fault gmsim/internal/topo gmsim/internal/mcp gmsim/internal/service; do \
 		pct="$$(awk -v p="$$pkg/" \
 			'index($$1, p) == 1 { tot += $$2; if ($$3 > 0) cov += $$2 } \
 			END { printf "%.1f", tot ? 100 * cov / tot : 0 }' coverage.out)"; \

@@ -185,16 +185,12 @@ func Build(cfg Config) (*Cluster, error) {
 		mcfg.DetectFailures = cfg.DetectFailures
 		m := mcp.New(nic, mcfg)
 		place := top.NICs[i]
-		iface := f.AttachNIC(node, sws[place.Switch], place.Port, cfg.Link, m.HandleDelivered)
 		// Routes come from the topology's address arithmetic, the one
 		// routing path: the fabric only forwards. The bytes are what a BFS
 		// over the cabling with lowest-port tie-breaking finds (topo's
 		// tests hold them to that oracle), at O(1) per lookup — which
 		// matters when 8192 NICs each talk to dozens of peers.
-		src := i
-		m.Attach(iface, func(dst network.NodeID) ([]byte, error) {
-			return top.Route(src, int(dst))
-		})
+		m.Attach(f.AttachNIC(node, sws[place.Switch], place.Port, cfg.Link, m), top)
 		c.mcps[i] = m
 	}
 	if cfg.Fault != nil {

@@ -23,7 +23,7 @@ func crashFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Ifac
 	for i := 0; i < 3; i++ {
 		n := new(int)
 		counts[i] = n
-		ifaces[i] = f.AttachNIC(network.NodeID(i), sw, i, lp, func(p *network.Packet) { *n++ })
+		ifaces[i] = f.AttachNIC(network.NodeID(i), sw, i, lp, recvFunc(func(p *network.Packet) { *n++ }))
 		nics[network.NodeID(i)] = lanai.NewNIC(s, lanai.LANai43())
 	}
 	return s, f, ifaces, counts, nics

@@ -8,6 +8,14 @@ import (
 	"gmsim/internal/sim"
 )
 
+// recvFunc is a network.Receiver made of a closure.
+type recvFunc func(*network.Packet)
+
+func (f recvFunc) HandleDelivered(p *network.Packet) { f(p) }
+
+// runFunc runs the closure a firmware task carries.
+func runFunc(a any) { a.(func())() }
+
 // testFabric builds a 2-node fabric and returns it with both ifaces'
 // delivery counts wired up.
 func testFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Iface, []*int) {
@@ -21,7 +29,7 @@ func testFabric(t *testing.T) (*sim.Simulator, *network.Fabric, []*network.Iface
 	for i := 0; i < 2; i++ {
 		n := new(int)
 		counts[i] = n
-		ifaces[i] = f.AttachNIC(network.NodeID(i), sw, i, lp, func(p *network.Packet) { *n++ })
+		ifaces[i] = f.AttachNIC(network.NodeID(i), sw, i, lp, recvFunc(func(p *network.Packet) { *n++ }))
 	}
 	return s, f, ifaces, counts
 }
@@ -120,8 +128,8 @@ func TestCorruptedImageDiffers(t *testing.T) {
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
 	var got *network.Packet
-	if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
-	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got = p })
+	if0 := f.AttachNIC(0, sw, 0, lp, recvFunc(func(p *network.Packet) {}))
+	f.AttachNIC(1, sw, 1, lp, recvFunc(func(p *network.Packet) { got = p }))
 	attach(t, &Plan{Rules: []Rule{{Links: AllLinks(), Window: Always, Rate: 1, Action: Corrupt}}}, f, nil)
 
 	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
@@ -161,8 +169,8 @@ func TestTruncateShrinksAndFlags(t *testing.T) {
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
 	var got *network.Packet
-	if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
-	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got = p })
+	if0 := f.AttachNIC(0, sw, 0, lp, recvFunc(func(p *network.Packet) {}))
+	f.AttachNIC(1, sw, 1, lp, recvFunc(func(p *network.Packet) { got = p }))
 	inj := attach(t, &Plan{Rules: []Rule{{Links: AllLinks(), Window: Always, Rate: 1, Action: Truncate}}}, f, nil)
 
 	s.At(0, func() {
@@ -210,15 +218,15 @@ func TestStallFreezesNIC(t *testing.T) {
 	f := network.New(s, network.Shape{Switches: 1, Ports: 2, NICs: 2})
 	sw := f.AddSwitch(network.DefaultSwitchParams(2))
 	lp := network.DefaultLinkParams()
-	f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
-	f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) {})
+	f.AttachNIC(0, sw, 0, lp, recvFunc(func(p *network.Packet) {}))
+	f.AttachNIC(1, sw, 1, lp, recvFunc(func(p *network.Packet) {}))
 	nic := lanai.NewNIC(s, lanai.LANai43())
 	plan := &Plan{Stalls: []Stall{{Node: 0, At: sim.FromMicros(5), For: sim.FromMicros(100)}}}
 	attach(t, plan, f, map[network.NodeID]*lanai.NIC{0: nic, 1: lanai.NewNIC(s, lanai.LANai43())})
 
 	var ran sim.Time
 	s.At(sim.FromMicros(10), func() {
-		nic.ExecTagged(33, "fw", func() { ran = s.Now() }) // 33 cycles = 1 µs on a 4.3
+		nic.ExecTaggedCall(33, "fw", runFunc, func() { ran = s.Now() }) // 33 cycles = 1 µs on a 4.3
 	})
 	s.Run()
 	if ran != sim.FromMicros(106) {
@@ -283,9 +291,9 @@ func TestPerLinkStreamsIndependent(t *testing.T) {
 		sw := f.AddSwitch(network.DefaultSwitchParams(3))
 		lp := network.DefaultLinkParams()
 		got := 0
-		if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
-		f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { got++ })
-		if2 := f.AttachNIC(2, sw, 2, lp, func(p *network.Packet) {})
+		if0 := f.AttachNIC(0, sw, 0, lp, recvFunc(func(p *network.Packet) {}))
+		f.AttachNIC(1, sw, 1, lp, recvFunc(func(p *network.Packet) { got++ }))
+		if2 := f.AttachNIC(2, sw, 2, lp, recvFunc(func(p *network.Packet) {}))
 		// Loss only on node 0's transmit channel: flow C never touches it.
 		attach(t, &Plan{Seed: 7, Rules: []Rule{{
 			Links: Selector{Node: 0, Dir: TxOnly}, Window: Always, Rate: 0.4, Action: Drop,
@@ -323,8 +331,8 @@ func TestEmptyPlanIsFree(t *testing.T) {
 		sw := f.AddSwitch(network.DefaultSwitchParams(2))
 		lp := network.DefaultLinkParams()
 		var times []sim.Time
-		if0 := f.AttachNIC(0, sw, 0, lp, func(p *network.Packet) {})
-		f.AttachNIC(1, sw, 1, lp, func(p *network.Packet) { times = append(times, s.Now()) })
+		if0 := f.AttachNIC(0, sw, 0, lp, recvFunc(func(p *network.Packet) {}))
+		f.AttachNIC(1, sw, 1, lp, recvFunc(func(p *network.Packet) { times = append(times, s.Now()) }))
 		if withPlan {
 			attach(t, &Plan{Seed: 99}, f, nil)
 		}

@@ -67,7 +67,7 @@ func (pt *Port) provideByDoorbell(p *host.Process, s *slot) error {
 // credit is a run whose one doorbell rang a nanosecond before: every event
 // from then on sees it, as it would a counter the doorbell bumped.
 func (pt *Port) ring(p *host.Process, c mcp.Credit) {
-	p.Proc().After(p.Params().DoorbellLatency, func() {
+	pt.sim.At(p.Now()+p.Params().DoorbellLatency, func() {
 		if pt.unwritten() || !pt.open {
 			return
 		}

@@ -75,16 +75,14 @@ type Port struct {
 	// Host-side mirrors of NIC state, kept exact because each port is
 	// driven by a single sequential process.
 	sendsInFlight int
-	maxSends      int
 	recvBufs      int
 	slots         [2]slot // barrierSlot, collSlot
 
 	// Sends crossing the PCI bus: what the NIC sees one DoorbellLatency
 	// after the host call returns. Every request of a port takes the same
-	// latency, so the queue is FIFO; the doorbell callback is built once in
-	// Open, so ringing it allocates nothing.
-	sendsPosted  []mcp.SendToken
-	sendDoorbell func()
+	// latency, so the queue is FIFO, and the doorbell (sendRung) needs only
+	// the port.
+	sendsPosted []mcp.SendToken
 }
 
 // The port's two operation slots, as in the firmware (mcp/tree.go): a
@@ -128,10 +126,10 @@ type slot struct {
 	fam    *family
 	bufs   int32 // completion buffers provided and not yet claimed by a post
 	active bool  // a token is posted and its completion event not yet received
-	// posted is the token crossing the PCI bus (one at a time: active), and
-	// tokDoorbell its doorbell, built once in Open.
-	posted      any
-	tokDoorbell func()
+	// posted is the token crossing the PCI bus (one at a time: active); pt
+	// is the slot's port, for the token's doorbell (tokRung).
+	posted any
+	pt     *Port
 }
 
 // Open opens port number num on the given NIC firmware for the calling
@@ -139,18 +137,14 @@ type slot struct {
 // fine-grained cost accounting is applied beyond a doorbell).
 func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	pt := &Port{
-		sim:      m.NIC().Sim(),
-		mcp:      m,
-		owner:    p,
-		num:      num,
-		maxSends: 16,
+		sim:   m.NIC().Sim(),
+		mcp:   m,
+		owner: p,
+		num:   num,
 	}
 	pt.sig = pt.sim.NewSignal()
-	pt.sendDoorbell = pt.sendRung
 	for i := range pt.slots {
-		s := &pt.slots[i]
-		s.fam = &families[i]
-		s.tokDoorbell = func() { pt.tokRung(s) }
+		pt.slots[i].fam, pt.slots[i].pt = &families[i], pt
 	}
 	p.Proc().Sync() // the driver call reaches into the NIC now, not a doorbell later
 	if err := m.OpenPort(num, pt.onEvent); err != nil {
@@ -215,17 +209,20 @@ func (pt *Port) Send(p *host.Process, dst mcp.Endpoint, data []byte) error {
 	if !pt.open {
 		return fmt.Errorf("gm: send on closed port %d", pt.num)
 	}
-	if pt.sendsInFlight >= pt.maxSends {
+	if pt.sendsInFlight >= pt.mcp.MaxSendTokens() {
 		return fmt.Errorf("gm: port %d: %w (%d in flight)", pt.num, ErrNoSendTokens, pt.sendsInFlight)
 	}
 	pt.sendsInFlight++
 	p.ComputePhase(p.Params().EffectiveSendCost(), phase.HostSend, "gm_send")
 	pt.sendsPosted = append(pt.sendsPosted, mcp.SendToken{SrcPort: pt.num, Dst: dst, Data: data})
-	p.Proc().After(p.Params().DoorbellLatency, pt.sendDoorbell)
+	pt.sim.AtCall(p.Now()+p.Params().DoorbellLatency, sendRung, pt)
 	return nil
 }
 
-func (pt *Port) sendRung() {
+// sendRung is a send's doorbell, its argument the port: the NIC takes the
+// oldest send crossing the bus.
+func sendRung(a any) {
+	pt := a.(*Port)
 	if pt.unwritten() {
 		return
 	}
@@ -331,11 +328,15 @@ func (pt *Port) post(p *host.Process, s *slot, tok any, srcPort *int, invalid er
 	s.bufs--
 	p.ComputePhase(p.Params().BarrierPostCost, phase.HostPost, s.fam.postLabel)
 	s.posted = tok
-	p.Proc().After(p.Params().DoorbellLatency, s.tokDoorbell)
+	pt.sim.AtCall(p.Now()+p.Params().DoorbellLatency, tokRung, s)
 	return nil
 }
 
-func (pt *Port) tokRung(s *slot) {
+// tokRung is a posted token's doorbell, its argument the slot: the NIC takes
+// the token.
+func tokRung(a any) {
+	s := a.(*slot)
+	pt := s.pt
 	if pt.unwritten() {
 		return
 	}

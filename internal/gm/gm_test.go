@@ -1,6 +1,7 @@
 package gm_test
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"unsafe"
@@ -8,6 +9,7 @@ import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
+	"gmsim/internal/lanai"
 	"gmsim/internal/mcp"
 	"gmsim/internal/sim"
 )
@@ -192,6 +194,36 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 			port.ReceiveFor(p, anyEvent{})
 		}
 	})
+}
+
+// TestSendTokenLimitIsTheNICs: the host-side mirror refuses a send at the
+// limit of the NIC the port is open on, whatever that NIC was configured
+// with, so a Send the mirror lets through is never one the NIC refuses.
+func TestSendTokenLimitIsTheNICs(t *testing.T) {
+	s := sim.New()
+	cfg := mcp.DefaultConfig(0)
+	cfg.MaxSendTokens = 3
+	m := mcp.New(lanai.NewNIC(s, lanai.LANai43()), cfg)
+	sent := 0
+	var err error
+	s.Spawn("rank0", func(proc *sim.Proc) {
+		p := host.NewProcess(proc, 0, 0, host.DefaultParams())
+		port, oerr := gm.Open(p, m, 2)
+		if oerr != nil {
+			t.Error(oerr)
+			return
+		}
+		for ; sent < 10; sent++ {
+			if err = port.Send(p, mcp.Endpoint{Node: 0, Port: 3}, []byte("x")); err != nil {
+				break
+			}
+		}
+	})
+	s.RunUntil(sim.Millisecond) // long enough for the body; the NIC's retries to the closed port are cut off
+	s.Close()
+	if sent != 3 || !errors.Is(err, gm.ErrNoSendTokens) {
+		t.Fatalf("%d sends went through, then %v; want 3, then %v", sent, err, gm.ErrNoSendTokens)
+	}
 }
 
 // families are the port's two operation families as a test drives them: the

@@ -80,8 +80,8 @@ func (m Model) String() string { return fmt.Sprintf("%s (%.0f MHz)", m.Name, m.C
 
 // NIC is one card: a serializing firmware CPU plus two DMA engines.
 // The firmware itself lives in package mcp; it drives the NIC through
-// ExecTagged, ExecTaggedCall and ExecDMA, which also books a transfer on
-// one of the engines.
+// ExecTaggedCall and ExecDMA, which also books a transfer on one of the
+// engines.
 type NIC struct {
 	sim   *sim.Simulator
 	model Model
@@ -179,29 +179,23 @@ func (n *NIC) Landed(d *DMAEngine, due sim.Time, bytes int) bool {
 	return false
 }
 
-// ExecTagged schedules fn to run after the firmware processor has spent the
-// given number of cycles on it. The processor is a serial resource: if it is
-// already committed to earlier tasks, this task queues behind them (FIFO).
-// fn runs at the task's completion instant. This serialization is what
-// makes a slow NIC processor visible in barrier latency (the paper's
-// LANai 4.3 vs 7.2 comparison, and the 2-node GB anomaly).
+// ExecTaggedCall schedules fn(arg) to run after the firmware processor has
+// spent the given number of cycles on it. The processor is a serial
+// resource: if it is already committed to earlier tasks, this task queues
+// behind them (FIFO). fn runs at the task's completion instant. This
+// serialization is what makes a slow NIC processor visible in barrier
+// latency (the paper's LANai 4.3 vs 7.2 comparison, and the 2-node GB
+// anomaly).
+//
+// fn and arg (a pointer to the record the task acts on) pass straight
+// through to sim.AtCall, so charging a task with a callback built once
+// allocates nothing. On a dead card nothing is charged or scheduled.
 //
 // The label names the state-machine step ("bar.token", "recv.pe", ...) so
 // traces read like the paper's Figure 2. The recorder keeps a label as an
 // id into its table of names, so recording allocates nothing beyond the
 // span itself. The span covers the task's queued execution window
 // [start, start+dur], recorded at schedule time.
-func (n *NIC) ExecTagged(cycles int64, label string, fn func()) {
-	if n.dead {
-		return
-	}
-	n.sim.At(n.charge(cycles, label), fn)
-}
-
-// ExecTaggedCall is ExecTagged for a prebuilt single-argument callback:
-// fn and arg (a pointer to the record the task acts on) pass straight
-// through to sim.AtCall, so charging a firmware task with a long-lived
-// method value allocates nothing.
 func (n *NIC) ExecTaggedCall(cycles int64, label string, fn func(any), arg any) {
 	if n.dead {
 		return

@@ -5,8 +5,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gmsim/internal/phase"
 	"gmsim/internal/sim"
 )
+
+// exec charges a one-off closure as a firmware task.
+func exec(n *NIC, cycles int64, fn func()) { n.ExecTaggedCall(cycles, "fw", runFunc, fn) }
+
+func runFunc(a any) { a.(func())() }
 
 func TestModelCycles(t *testing.T) {
 	m := LANai43()
@@ -38,7 +44,7 @@ func TestExecRunsAfterCycles(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var at sim.Time
-	n.ExecTagged(33, "fw", func() { at = s.Now() })
+	exec(n, 33, func() { at = s.Now() })
 	s.Run()
 	if at != sim.Microsecond {
 		t.Fatalf("task ran at %v, want 1us", at)
@@ -49,9 +55,9 @@ func TestExecSerializes(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var times []sim.Time
-	n.ExecTagged(33, "fw", func() { times = append(times, s.Now()) })
-	n.ExecTagged(33, "fw", func() { times = append(times, s.Now()) })
-	n.ExecTagged(33, "fw", func() { times = append(times, s.Now()) })
+	exec(n, 33, func() { times = append(times, s.Now()) })
+	exec(n, 33, func() { times = append(times, s.Now()) })
+	exec(n, 33, func() { times = append(times, s.Now()) })
 	s.Run()
 	want := []sim.Time{1000, 2000, 3000}
 	for i, w := range want {
@@ -71,8 +77,8 @@ func TestExecFromWithinTaskQueuesAfter(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	var second sim.Time
-	n.ExecTagged(33, "fw", func() {
-		n.ExecTagged(66, "fw", func() { second = s.Now() })
+	exec(n, 33, func() {
+		exec(n, 66, func() { second = s.Now() })
 	})
 	s.Run()
 	if second != 3000 {
@@ -80,20 +86,110 @@ func TestExecFromWithinTaskQueuesAfter(t *testing.T) {
 	}
 }
 
+// A dead card charges and schedules nothing; tasks queued before the crash
+// still run.
+func TestDeadCardTakesNoTask(t *testing.T) {
+	s := sim.New()
+	n := NewNIC(s, LANai43())
+	ran := 0
+	exec(n, 33, func() { ran++ })
+	n.Kill()
+	exec(n, 33, func() { ran++ })
+	s.Run()
+	if !n.Dead() || ran != 1 || n.CPUTasks() != 1 || s.Now() != sim.Microsecond {
+		t.Fatalf("dead %v, %d tasks ran, %d charged, clock %v; want true, 1, 1, 1us", n.Dead(), ran, n.CPUTasks(), s.Now())
+	}
+}
+
 func TestCPUIdleGapNotCharged(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
-	n.ExecTagged(33, "fw", func() {})
+	exec(n, 33, func() {})
 	s.Run() // cpu idle at 1000
 	s.RunUntil(5000)
 	var at sim.Time
-	n.ExecTagged(33, "fw", func() { at = s.Now() })
+	exec(n, 33, func() { at = s.Now() })
 	s.Run()
 	if at != 6000 {
 		t.Fatalf("post-idle task at %v, want 6000", at)
 	}
 	if n.CPUBusyTime() != 2000 {
 		t.Fatalf("busy = %v, want 2000", n.CPUBusyTime())
+	}
+}
+
+// A stall freezes the processor from now, or from the end of its current
+// commitments: queued and later tasks wait it out, and it is not busy time.
+func TestStallDelaysTasks(t *testing.T) {
+	s := sim.New()
+	n := NewNIC(s, LANai43())
+	var at []sim.Time
+	exec(n, 33, func() { at = append(at, s.Now()) }) // busy until 1 µs
+	n.Stall(4 * sim.Microsecond)                     // 1–5 µs
+	n.Stall(0)                                       // no-ops
+	n.Stall(-1)
+	exec(n, 33, func() { at = append(at, s.Now()) }) // 5–6 µs
+	s.Run()
+	if len(at) != 2 || at[0] != sim.Microsecond || at[1] != 6*sim.Microsecond {
+		t.Fatalf("tasks ran at %v, want [1us 6us]", at)
+	}
+	if n.Stalls() != 1 || n.CPUBusyTime() != 2*sim.Microsecond {
+		t.Fatalf("%d stalls, busy %v; want 1, 2us", n.Stalls(), n.CPUBusyTime())
+	}
+	n.Kill()
+	n.Stall(sim.Microsecond)
+	if n.Stalls() != 1 {
+		t.Fatal("a dead card stalled")
+	}
+}
+
+// With a recorder attached, a task, a stall and a DMA transfer each leave a
+// span on their track; a crash drops the held span of a transfer whose task
+// ends at or after it.
+func TestPhaseSpans(t *testing.T) {
+	s := sim.New()
+	n := NewNIC(s, LANai43())
+	if n.Sim() != s || n.Model() != LANai43() {
+		t.Fatal("accessors do not return the card's simulator and model")
+	}
+	r := phase.NewRecorder()
+	n.SetPhaseRecorder(r, 3)
+	exec(n, 33, func() {})                             // fw 0–1 µs
+	n.Stall(sim.Microsecond)                           // stall 1–2 µs
+	_, done, _ := n.ExecDMA(33, "dma", n.SDMA(), 132)  // fw 2–3 µs, SDMA from 3 µs
+	late, _, _ := n.ExecDMA(33, "late", n.RDMA(), 132) // fw 3–4 µs
+	s.RunUntil(late)
+	n.Kill()
+	s.Run()
+	type key struct {
+		track phase.Track
+		label string
+		start sim.Time
+	}
+	var got []key
+	for _, sp := range r.Spans() {
+		if sp.Node != 3 {
+			t.Errorf("span on node %d, want 3", sp.Node)
+		}
+		got = append(got, key{sp.Track, r.Name(sp.Label), sp.Start})
+	}
+	want := []key{
+		{phase.TrackFW, "fw", 0},
+		{phase.TrackFW, "stall", sim.Microsecond},
+		{phase.TrackFW, "dma", 2 * sim.Microsecond},
+		{phase.TrackFW, "late", 3 * sim.Microsecond},
+		{phase.TrackSDMA, phase.TrackSDMA.String(), 3 * sim.Microsecond},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("spans %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	if done != 3*sim.Microsecond+LANai43().SDMA.transferTime(132) {
+		t.Errorf("SDMA transfer done at %v", done)
 	}
 }
 
@@ -151,7 +247,7 @@ func TestCPUAndDMAOverlap(t *testing.T) {
 	n := NewNIC(s, LANai43())
 	_, dmaAt, _ := n.ExecDMA(33, "fw", n.SDMA(), 132)
 	var cpuAt sim.Time
-	n.ExecTagged(330, "fw", func() { cpuAt = s.Now() }) // 10 µs, behind the 1 µs task
+	exec(n, 330, func() { cpuAt = s.Now() }) // 10 µs, behind the 1 µs task
 	s.Run()
 	if dmaAt >= cpuAt {
 		t.Fatalf("DMA (%v) should finish before slow CPU task (%v)", dmaAt, cpuAt)
@@ -164,7 +260,7 @@ func TestExecDMAStartsWhenTaskEnds(t *testing.T) {
 	s := sim.New()
 	n := NewNIC(s, LANai43())
 	per := LANai43().RDMA.transferTime(132)
-	n.ExecTagged(33, "fw", func() {}) // the processor is busy until 1 µs
+	exec(n, 33, func() {}) // the processor is busy until 1 µs
 	due, done, _ := n.ExecDMA(33, "fw", n.RDMA(), 132)
 	if due != 2*sim.Microsecond || done != due+per {
 		t.Fatalf("task ends %v, transfer done %v; want %v and %v", due, done, 2*sim.Microsecond, 2*sim.Microsecond+per)
@@ -218,7 +314,7 @@ func TestPropertyCPUSerialization(t *testing.T) {
 		for i := 0; i < k; i++ {
 			c := int64(1 + rng.Intn(500))
 			expectedBusy += LANai72().Cycles(c)
-			n.ExecTagged(c, "fw", func() {
+			exec(n, c, func() {
 				doneCount++
 				if s.Now() < lastEnd {
 					doneCount = -1000000 // ordering violated

@@ -307,7 +307,7 @@ func (m *MCP) barSend(c *Connection, f *Frame) {
 		m.armRetransTimer(c)
 	}
 	*family(f.Kind).sent(&m.stats)++
-	m.transmitFrame(c, f)
+	m.transmitFrame(c, m.leaseFrame(f))
 }
 
 func (m *MCP) sendBarrierAck(c *Connection, f *Frame) {
@@ -329,14 +329,4 @@ func (m *MCP) handleBarrierAck(f *Frame) {
 	// A stale or duplicate barrier ack (seq already retired) matches no
 	// entry and is simply absorbed.
 	m.rearmRetransTimer(c)
-}
-
-// retransmitBarrier resends the unacked barrier frames. The retry budget
-// was already charged by timerFire (its only caller), once for the fire.
-func (m *MCP) retransmitBarrier(c *Connection) {
-	pr := &m.cfg.Params
-	for _, f := range c.barrierSent {
-		m.stats.BarrierResends++
-		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })
-	}
 }

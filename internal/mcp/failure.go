@@ -115,12 +115,12 @@ func (m *MCP) treeMarkDead(s *treeSlot) bool {
 // armWatchdog starts a slot's watchdog if detection is configured and it is
 // not already running. The probe/exhaustion detector rides the
 // reliable-barrier machinery, so the watchdog only arms when that mode is on.
-func (m *MCP) armWatchdog(p *Port, s *treeSlot) {
+func (m *MCP) armWatchdog(s *treeSlot) {
 	if !m.cfg.DetectFailures || !m.cfg.ReliableBarrier || m.cfg.Params.BarrierTimeout <= 0 {
 		return
 	}
 	if s.watchdog == nil {
-		s.watchdog = m.sim.NewTimer(func(any) { m.watchdogFire(p, s) }, nil)
+		s.watchdog = m.sim.NewTimer(m.timerFn, s)
 	} else if s.watchdog.Armed() {
 		return
 	}
@@ -163,7 +163,7 @@ func (m *MCP) watchdogFire(p *Port, s *treeSlot) {
 			m.probePeer(p, s.parent)
 		}
 	}
-	m.armWatchdog(p, s)
+	m.armWatchdog(s)
 }
 
 // probePeer sends one liveness probe to an endpoint an operation is waiting

@@ -2,6 +2,7 @@ package mcp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gmsim/internal/sim"
@@ -164,4 +165,77 @@ func TestReleasedFrameIsChecked(t *testing.T) {
 		}
 	}()
 	m.releaseFrame(f)
+}
+
+// TestRetransmitAllocatesNothingPerFrame runs reliable PE barriers between
+// two NICs over a lossy wire with a retransmission timeout far below one
+// round trip, so frames go out several times, and counts the heap objects
+// the barriers allocate once the pools are warm. A dropped packet takes its
+// packet and its wire frame with it, and the pools replace them: two objects
+// a drop, plus the odd frame a full free list let go, is all the barriers
+// may allocate, under three a drop. Each retransmission's task carries a
+// leased snapshot of its frame, so the retransmissions themselves allocate
+// nothing: there are at least twice as many as drops, so one object each
+// would put the count past four a drop.
+func TestRetransmitAllocatesNothingPerFrame(t *testing.T) {
+	r := newRig(t, 2, func(_ int, cfg *Config) {
+		cfg.ReliableBarrier = true
+		cfg.Params.RetransTimeout = 4 * sim.Microsecond
+		cfg.Params.RetransBackoffMax = 0
+		cfg.Params.RetransJitterPct = 0
+		cfg.Params.MaxRetries = 0
+	})
+	done := 0
+	for node := range r.mcps {
+		if err := r.mcps[node].OpenPort(2, func(ev *HostEvent) {
+			if ev.Kind == BarrierDoneEvent {
+				done++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.fab.SetFaultHook(randomLoss(0.1, 7))
+	toks := [2]BarrierToken{
+		{Alg: PE, SrcPort: 2, Peers: []Endpoint{{Node: 1, Port: 2}}},
+		{Alg: PE, SrcPort: 2, Peers: []Endpoint{{Node: 0, Port: 2}}},
+	}
+	barriers := func(n int) {
+		for range n {
+			for node, m := range r.mcps {
+				if err := m.credit(2, BarrierBuffer); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.PostBarrierToken(&toks[node]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.s.Run()
+		}
+	}
+	resends := func() (n int64) {
+		for _, m := range r.mcps {
+			n += m.Stats().BarrierResends
+		}
+		return n
+	}
+	barriers(50) // warm the pools, slabs and queues
+	const rounds = 200
+	drops, sent := r.fab.Dropped(), resends()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	barriers(rounds)
+	runtime.ReadMemStats(&after)
+	drops, sent = r.fab.Dropped()-drops, resends()-sent
+	allocs := int64(after.Mallocs - before.Mallocs)
+	t.Logf("%d barriers: %d frames retransmitted, %d packets dropped, %d objects allocated", rounds, sent, drops, allocs)
+	if done != 2*(50+rounds) {
+		t.Fatalf("%d completions, want %d", done, 2*(50+rounds))
+	}
+	if sent < 2*drops {
+		t.Fatalf("%d retransmissions against %d drops: the rig does not retransmit spuriously", sent, drops)
+	}
+	if allocs >= 3*drops {
+		t.Errorf("%d objects for %d drops and %d retransmissions: more than the drops account for", allocs, drops, sent)
+	}
 }

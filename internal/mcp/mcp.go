@@ -14,11 +14,11 @@ import (
 
 // MCP is one NIC's firmware instance.
 type MCP struct {
-	sim     *sim.Simulator
-	nic     *lanai.NIC
-	cfg     Config
-	iface   *network.Iface
-	routeTo func(network.NodeID) ([]byte, error)
+	sim    *sim.Simulator
+	nic    *lanai.NIC
+	cfg    Config
+	iface  *network.Iface
+	routes Router
 
 	// jitter drives the retransmission-timer jitter (see unitFloat).
 	// Seeded from the node ID so every run of the same cluster draws the
@@ -51,13 +51,16 @@ type MCP struct {
 	frames []*Frame
 
 	// The *Fn fields are the firmware's task callbacks, built once as
-	// method values, so the per-frame hot path schedules without allocating
-	// closures (see lanai.NIC.ExecTaggedCall). Each event carries the record
-	// it acts on as its argument: handleFrameFn and loopbackFn a wire
-	// *Frame, timerFn (every connection's retransmission timer) a
-	// *Connection, the others a cell of the pool beside them.
+	// method values, so no task or timer allocates a closure (see
+	// lanai.NIC.ExecTaggedCall). Each event carries the record it acts on as
+	// its argument: handleFrameFn, loopbackFn and sendFn a wire *Frame,
+	// crcDropFn the damaged *network.Packet, timerFn, every timer's
+	// callback, what its timer times (see timerEvent), the others a cell of
+	// the pool beside them.
 	handleFrameFn func(any)
 	loopbackFn    func(any)
+	sendFn        func(any)
+	crcDropFn     func(any)
 	timerFn       func(any)
 
 	// pendBarSends leases barrier-class frames across their preparation,
@@ -150,15 +153,23 @@ func New(nic *lanai.NIC, cfg Config) *MCP {
 	m.sdmaPrepFn = m.sdmaPrepared
 	m.ctlSendFn = m.ctlSendEvent
 	m.timerFn = m.timerEvent
+	m.sendFn = m.sendEvent
+	m.crcDropFn = m.crcDropEvent
 	return m
 }
 
-// Attach connects the firmware to its network interface and route source.
-// The cluster layer wires HandleDelivered as the interface's receive
-// callback.
-func (m *MCP) Attach(iface *network.Iface, routeTo func(network.NodeID) ([]byte, error)) {
+// Router gives the source route from one node to another: a
+// *topo.Topology, held as it is, so attaching a card builds no callback.
+type Router interface {
+	Route(src, dst int) ([]byte, error)
+}
+
+// Attach connects the firmware to its network interface and to the router
+// it asks for the source routes of its packets. The cluster layer attaches
+// the MCP to the interface as its network.Receiver.
+func (m *MCP) Attach(iface *network.Iface, routes Router) {
 	m.iface = iface
-	m.routeTo = routeTo
+	m.routes = routes
 }
 
 // Node returns the NIC's fabric identity.
@@ -166,6 +177,10 @@ func (m *MCP) Node() network.NodeID { return m.cfg.Node }
 
 // NIC returns the underlying hardware model.
 func (m *MCP) NIC() *lanai.NIC { return m.nic }
+
+// MaxSendTokens returns how many data sends a port may have in flight
+// (Config.MaxSendTokens): the limit GM's host-side mirror enforces.
+func (m *MCP) MaxSendTokens() int { return m.cfg.MaxSendTokens }
 
 // Stats returns a snapshot of the firmware counters.
 func (m *MCP) Stats() Stats { return m.stats }
@@ -229,20 +244,16 @@ func (m *MCP) OpenPort(n int, deliver func(*HostEvent)) error {
 	pend := m.pendingClosed[n]
 	delete(m.pendingClosed, n)
 	for _, rec := range pend {
-		rec := rec
-		m.nic.ExecTagged(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "bar.reject", func() {
-			m.stats.BarrierRejects++
-			m.transmitFrame(m.conn(rec.src.Node), &Frame{
-				Kind:        BarrierRejectFrame,
-				SrcNode:     m.cfg.Node,
-				SrcPort:     n,
-				DstNode:     rec.src.Node,
-				DstPort:     rec.src.Port,
-				SrcEpoch:    rec.srcEpoch,
-				OrigKind:    rec.kind,
-				OrigDstPort: rec.dstPort,
-			})
-		})
+		m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "bar.reject", m.sendFn, m.leaseFrame(&Frame{
+			Kind:        BarrierRejectFrame,
+			SrcNode:     m.cfg.Node,
+			SrcPort:     n,
+			DstNode:     rec.src.Node,
+			DstPort:     rec.src.Port,
+			SrcEpoch:    rec.srcEpoch,
+			OrigKind:    rec.kind,
+			OrigDstPort: rec.dstPort,
+		}))
 	}
 	return nil
 }
@@ -379,33 +390,33 @@ func (m *MCP) sdmaPrepared(a any) {
 	c.sendSeq++
 	m.armRetransTimer(c)
 	m.stats.DataSent++
-	m.transmitFrame(c, f)
+	m.transmitFrame(c, m.leaseFrame(f))
 }
 
 // ---------------------------------------------------------------------------
 // SEND state machine and wire I/O.
 // ---------------------------------------------------------------------------
 
-// transmitFrame copies one prepared frame into a leased wire frame and hands
-// it to the transmit interface of connection c (or the NIC-internal loopback
-// path when the destination is this NIC); the caller keeps *f. The SEND
-// state machine's per-packet cost (SendXmit) is charged by the caller as
-// part of the packet-preparation task, so a single packet's prepare-and-
-// transmit is one uninterruptible unit of firmware work — later-arriving
-// tasks (e.g. the next barrier's token) cannot interleave between them.
-func (m *MCP) transmitFrame(c *Connection, f *Frame) {
+// transmitFrame hands a leased wire frame (leaseFrame), which it owns from
+// here on, to the transmit interface of connection c (or the NIC-internal
+// loopback path when the destination is this NIC). The SEND state machine's
+// per-packet cost (SendXmit) is charged by the caller as part of the
+// packet-preparation task, so a single packet's prepare-and-transmit is one
+// uninterruptible unit of firmware work — later-arriving tasks (e.g. the
+// next barrier's token) cannot interleave between them.
+func (m *MCP) transmitFrame(c *Connection, w *Frame) {
 	if m.nic.Dead() {
 		return // the card fail-stopped with this frame in flight
 	}
-	if f.DstNode == m.cfg.Node {
-		m.sim.AfterCall(m.cfg.Params.LoopbackDelay, m.loopbackFn, m.leaseFrame(f))
+	if w.DstNode == m.cfg.Node {
+		m.sim.AtCall(m.sim.Now()+m.cfg.Params.LoopbackDelay, m.loopbackFn, w)
 		return
 	}
-	if m.iface == nil || m.routeTo == nil {
+	if m.iface == nil || m.routes == nil {
 		panic("mcp: transmit before Attach")
 	}
 	if c.route == nil {
-		r, err := m.routeTo(f.DstNode)
+		r, err := m.routes.Route(int(m.cfg.Node), int(w.DstNode))
 		if err != nil {
 			m.stats.ProtocolErrors++
 			return
@@ -414,11 +425,24 @@ func (m *MCP) transmitFrame(c *Connection, f *Frame) {
 	}
 	pkt := m.iface.NewPacket()
 	pkt.Src = m.cfg.Node
-	pkt.Dst = f.DstNode
-	pkt.Size = f.WireSize()
-	pkt.Payload = m.leaseFrame(f)
+	pkt.Dst = w.DstNode
+	pkt.Size = w.WireSize()
+	pkt.Payload = w
 	pkt.SetRoute(c.route)
 	m.iface.Transmit(pkt)
+}
+
+// sendEvent ends a task that sends a frame the NIC does not own — a
+// retransmission, or the reject of a message that found its port closed:
+// the task carries a snapshot of the frame leased when it was queued, which
+// goes to the peer it is addressed to. A reject is counted as it goes:
+// rejects are never retransmitted, so each is sent once.
+func (m *MCP) sendEvent(a any) {
+	w := a.(*Frame)
+	if w.Kind == BarrierRejectFrame {
+		m.stats.BarrierRejects++
+	}
+	m.transmitFrame(m.conn(w.DstNode), w)
 }
 
 // framePoolCap bounds how many returned wire frames one NIC hoards (the twin
@@ -473,12 +497,7 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 		return // a dead card receives nothing
 	}
 	if p.Corrupt {
-		m.nic.ExecTagged(m.cfg.Params.CRCCheck, "crc.drop", func() {
-			m.stats.CorruptDrops++
-			if f, ok := p.Payload.(*Frame); ok && f.Kind == DataFrame {
-				m.sendNack(m.conn(f.SrcNode))
-			}
-		})
+		m.nic.ExecTaggedCall(m.cfg.Params.CRCCheck, "crc.drop", m.crcDropFn, p)
 		return
 	}
 	switch pl := p.Payload.(type) {
@@ -492,12 +511,21 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 		// mangles): decode and CRC-check like real firmware.
 		f, err := DecodeFrame(pl)
 		if err != nil {
-			m.nic.ExecTagged(m.cfg.Params.CRCCheck, "crc.drop", func() { m.stats.CorruptDrops++ })
+			m.nic.ExecTaggedCall(m.cfg.Params.CRCCheck, "crc.drop", m.crcDropFn, p)
 			return
 		}
 		m.receiveFrame(f)
 	default:
 		m.stats.ProtocolErrors++
+	}
+}
+
+// crcDropEvent fires once a damaged packet's CRC check has been paid: count
+// the drop, and nack a data frame whose header survived.
+func (m *MCP) crcDropEvent(a any) {
+	m.stats.CorruptDrops++
+	if f, ok := a.(*network.Packet).Payload.(*Frame); ok && f.Kind == DataFrame {
+		m.sendNack(m.conn(f.SrcNode))
 	}
 }
 
@@ -630,13 +658,13 @@ func (m *MCP) ctlSendEvent(a any) {
 	rec := a.(*ctlRec)
 	ctl := *rec
 	m.pendCtl.Put(rec)
-	m.transmitFrame(ctl.c, &Frame{
+	m.transmitFrame(ctl.c, m.leaseFrame(&Frame{
 		Kind:     ctl.kind,
 		SrcNode:  m.cfg.Node,
 		DstNode:  ctl.c.peer,
 		AckSeq:   ctl.seq,
 		NoBuffer: ctl.noBuffer,
-	})
+	}))
 }
 
 // handleAck removes acknowledged sends from the sent list and returns their
@@ -692,16 +720,17 @@ func (m *MCP) handleNack(f *Frame) {
 	// A nack proves the peer is up and talking; only its buffers or the
 	// wire lost frames. Rewind promptly rather than at the backed-off rate.
 	m.ackProgress(c)
-	m.retransmitData(c)
+	m.retransmit(c.sentList, &m.stats.Retransmissions)
+	m.rearmRetransTimer(c)
 }
 
-func (m *MCP) retransmitData(c *Connection) {
-	pr := &m.cfg.Params
-	for _, f := range c.sentList {
-		m.stats.Retransmissions++
-		m.nic.ExecTagged(pr.Retrans+pr.SendXmit, "retrans", func() { m.transmitFrame(c, &f) })
+// retransmit puts sent — a connection's sentList or barrierSent — back on
+// the wire in order, one task a frame, and counts each frame in *count.
+func (m *MCP) retransmit(sent []Frame, count *int64) {
+	for i := range sent {
+		*count++
+		m.nic.ExecTaggedCall(m.cfg.Params.Retrans+m.cfg.Params.SendXmit, "retrans", m.sendFn, m.leaseFrame(&sent[i]))
 	}
-	m.rearmRetransTimer(c)
 }
 
 // giveUpIfExhausted counts one retransmission round and, past MaxRetries
@@ -777,9 +806,21 @@ func (m *MCP) armRetransTimer(c *Connection) {
 	c.retrans.Arm(m.sim.Now() + d)
 }
 
-// timerEvent fires when a connection's retransmission timer expires; the
-// timer carries its connection.
-func (m *MCP) timerEvent(a any) { m.timerFire(a.(*Connection)) }
+// timerEvent fires when one of the NIC's timers expires. A timer carries
+// what it times: a connection (its retransmission timer) or an operation
+// slot (the slot's watchdog), which sits in one of the NIC's ports.
+func (m *MCP) timerEvent(a any) {
+	switch x := a.(type) {
+	case *Connection:
+		m.timerFire(x)
+	case *treeSlot:
+		for i := range m.ports {
+			if p := &m.ports[i]; x == &p.slots[barrierSlot] || x == &p.slots[collSlot] {
+				m.watchdogFire(p, x)
+			}
+		}
+	}
+}
 
 // rearmRetransTimer withdraws the connection's deadline and arms a fresh
 // one if traffic is still outstanding.
@@ -819,11 +860,11 @@ func (m *MCP) timerFire(c *Connection) {
 		return
 	}
 	if len(c.sentList) > 0 {
-		m.retransmitData(c)
+		m.retransmit(c.sentList, &m.stats.Retransmissions)
+		m.rearmRetransTimer(c)
 	}
-	if len(c.barrierSent) > 0 {
-		m.retransmitBarrier(c)
-	}
+	// The retry budget was charged above, once for the fire.
+	m.retransmit(c.barrierSent, &m.stats.BarrierResends)
 	m.armRetransTimer(c)
 }
 

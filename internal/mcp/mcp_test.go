@@ -36,13 +36,16 @@ func newRig(t *testing.T, n int, mutate func(i int, cfg *Config)) *rig {
 			mutate(i, &cfg)
 		}
 		m := New(nic, cfg)
-		iface := r.fab.AttachNIC(node, sw, i, network.DefaultLinkParams(), m.HandleDelivered)
-		// Node d hangs off port d of the one switch.
-		m.Attach(iface, func(dst network.NodeID) ([]byte, error) { return []byte{byte(dst)}, nil })
+		m.Attach(r.fab.AttachNIC(node, sw, i, network.DefaultLinkParams(), m), oneSwitch{})
 		r.mcps = append(r.mcps, m)
 	}
 	return r
 }
+
+// oneSwitch routes the rig's single-switch fabric: node d hangs off port d.
+type oneSwitch struct{}
+
+func (oneSwitch) Route(_, dst int) ([]byte, error) { return []byte{byte(dst)}, nil }
 
 // dropIf is a network.FaultHook that drops, with reason "loss", every
 // packet its predicate picks.
@@ -663,6 +666,54 @@ func TestTokenQueuedAcrossReopen(t *testing.T) {
 		if done, active := r.barrierDone(0, 2), r.mcps[0].Port(2).slots[barrierSlot].live; done != 0 || active {
 			t.Errorf("%v: %d completions, barrier active %v; want 0, false", alg, done, active)
 		}
+	}
+}
+
+// TestSentEventAcrossReopen pins what happens today (ROADMAP item 10(c))
+// when a port closes while the RDMA of a send's SentEvent is under way and a
+// new program reopens the port: the old program's SentEvent is delivered to
+// the new one, and the port's count of sends in flight, zeroed by the open,
+// stays at zero rather than going negative, so the new program keeps exactly
+// MaxSendTokens sends. Item 10 is to flip the delivery; the count must hold.
+func TestSentEventAcrossReopen(t *testing.T) {
+	r := newRig(t, 2, func(_ int, cfg *Config) { cfg.MaxSendTokens = 1 })
+	r.open(t, 0, 2)
+	r.open(t, 1, 2)
+	r.provide(t, 1, 2, 1)
+	m := r.mcps[0]
+	if err := m.PostSendToken(SendToken{SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("old")}); err != nil {
+		t.Fatal(err)
+	}
+	// Run until the ack has retired the send: its SentEvent is now on its
+	// way to host memory.
+	for m.Stats().DataSent == 0 || len(m.conns[1].sentList) != 0 {
+		if !r.s.Step() {
+			t.Fatal("the send was never acknowledged")
+		}
+	}
+	if n := len(r.events[key(0, 2)]); n != 0 {
+		t.Fatalf("the old program received %d events before the close, want 0", n)
+	}
+	if err := m.ClosePort(2); err != nil {
+		t.Fatal(err)
+	}
+	var got []HostEvent
+	if err := m.OpenPort(2, func(ev *HostEvent) { got = append(got, *ev) }); err != nil {
+		t.Fatal(err)
+	}
+	r.s.Run()
+	if len(got) != 1 || got[0].Kind != SentEvent || got[0].Failed {
+		t.Fatalf("the new program received %v, want the old program's SentEvent", got)
+	}
+	if n := m.Port(2).sendsInFlight; n != 0 {
+		t.Fatalf("%d sends in flight after the old SentEvent, want 0", n)
+	}
+	ep := Endpoint{Node: 1, Port: 2}
+	if err := m.PostSendToken(SendToken{SrcPort: 2, Dst: ep, Data: []byte("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PostSendToken(SendToken{SrcPort: 2, Dst: ep, Data: []byte("extra")}); err == nil {
+		t.Fatal("the new program got a send token beyond MaxSendTokens")
 	}
 }
 

@@ -139,7 +139,7 @@ type collRec struct {
 type Connection struct {
 	peer network.NodeID
 
-	// route is the source route to the peer, as routeTo returned it for the
+	// route is the source route to the peer, as the Router returned it for the
 	// first frame transmitted there (nil until then). Routes are a function
 	// of the topology alone and never change once the fabric is built, so
 	// later frames skip the lookup.

@@ -241,7 +241,7 @@ func (m *MCP) treeStart(port int, fam *treeFamily, op treeOp) {
 		// first packet goes out.
 		m.treeMarkDead(s)
 	}
-	m.armWatchdog(p, s)
+	m.armWatchdog(s)
 	if s.pe {
 		m.peStep(p, s)
 		return

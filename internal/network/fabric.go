@@ -158,11 +158,17 @@ func (f *Fabric) AddSwitch(params SwitchParams) *Switch {
 	return sw
 }
 
+// Receiver takes the packets that fully arrive at a NIC: its firmware
+// (*mcp.MCP), held as it is, so attaching a card builds no callback.
+type Receiver interface {
+	HandleDelivered(p *Packet)
+}
+
 // AttachNIC cables a NIC interface to a switch port with a duplex link.
-// recv is invoked when a packet fully arrives at the NIC. Attaching a NodeID
-// outside the shape's NICs, attaching one twice, or reusing a cabled switch
-// port panics.
-func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, recv func(*Packet)) *Iface {
+// recv (nil: none) takes each packet that fully arrives at the NIC.
+// Attaching a NodeID outside the shape's NICs, attaching one twice, or
+// reusing a cabled switch port panics.
+func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, recv Receiver) *Iface {
 	if node < 0 || int(node) >= len(f.ifaces) {
 		panic(fmt.Sprintf("network: NIC %d is beyond the fabric's %d", node, len(f.ifaces)))
 	}
@@ -258,7 +264,7 @@ type Iface struct {
 	fab  *Fabric
 	tx   *channel
 	rx   LinkID
-	recv func(*Packet)
+	recv Receiver
 
 	// deliverFn is the tail-arrival callback as a method value built once;
 	// the event's argument is the packet, so completing a receive allocates
@@ -324,6 +330,6 @@ func (i *Iface) deliverEvent(a any) {
 		i.fab.observer.PacketDelivered(p)
 	}
 	if i.recv != nil {
-		i.recv(p)
+		i.recv.HandleDelivered(p)
 	}
 }

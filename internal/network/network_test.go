@@ -13,6 +13,11 @@ import (
 	"gmsim/internal/sim"
 )
 
+// recvFunc is a Receiver made of a closure.
+type recvFunc func(*Packet)
+
+func (f recvFunc) HandleDelivered(p *Packet) { f(p) }
+
 // testNet builds a single-switch star with n NICs and a recorder of
 // deliveries per NIC.
 type testNet struct {
@@ -34,10 +39,10 @@ func newTestNet(n int, lp LinkParams, sp SwitchParams) *testNet {
 	tn.sw = tn.f.AddSwitch(sp)
 	for i := 0; i < n; i++ {
 		node := NodeID(i)
-		tn.f.AttachNIC(node, tn.sw, i, lp, func(p *Packet) {
+		tn.f.AttachNIC(node, tn.sw, i, lp, recvFunc(func(p *Packet) {
 			tn.recvd[node] = append(tn.recvd[node], p)
 			tn.times[node] = append(tn.times[node], tn.s.Now())
-		})
+		}))
 	}
 	return tn
 }
@@ -260,9 +265,9 @@ func TestTwoSwitchTopology(t *testing.T) {
 		if i >= 2 {
 			sw, port = swB, i-2
 		}
-		f.AttachNIC(node, sw, port, lp, func(p *Packet) {
+		f.AttachNIC(node, sw, port, lp, recvFunc(func(p *Packet) {
 			delivered = append(delivered, s.Now())
-		})
+		}))
 	}
 	// Out of A on the trunk, out of B on node 3's port.
 	r := []byte{7, 1}
@@ -505,7 +510,7 @@ func TestSwitchLinksPastLastSwitch(t *testing.T) {
 	swA := f.AddSwitch(DefaultSwitchParams(8))
 	swB := f.AddSwitch(DefaultSwitchParams(8))
 	f.ConnectSwitches(swA, 7, swB, 7, lp)
-	f.AttachNIC(0, swB, 0, lp, func(*Packet) {})
+	f.AttachNIC(0, swB, 0, lp, recvFunc(func(*Packet) {}))
 	n := f.NumSwitches()
 	if got := len(f.SwitchLinks(n - 1)); got != 4 {
 		t.Fatalf("last switch has %d links, want 4 (trunk and cable, both directions)", got)
@@ -532,9 +537,9 @@ func ExampleFabric() {
 	sw := f.AddSwitch(DefaultSwitchParams(16))
 	for i := 0; i < 2; i++ {
 		node := NodeID(i)
-		f.AttachNIC(node, sw, i, DefaultLinkParams(), func(p *Packet) {
+		f.AttachNIC(node, sw, i, DefaultLinkParams(), recvFunc(func(p *Packet) {
 			fmt.Printf("node %d received %d bytes from node %d\n", node, p.Size, p.Src)
-		})
+		}))
 	}
 	// The sender names the path: out of the switch on node 1's port.
 	f.Iface(0).Transmit(&Packet{Route: []byte{1}, Src: 0, Dst: 1, Size: 64})

@@ -155,7 +155,7 @@ func (prog aheadProgram) run(settle bool) aheadOutcome {
 					advance(2 * Time(op.arg%32))
 				case opAfter:
 					called := p.Now()
-					p.After(Time(op.arg%16), func() {
+					p.Sim().At(p.Now()+Time(op.arg%16), func() {
 						if !p.KilledBy(called) {
 							log(i, n, called)
 						}
@@ -174,7 +174,7 @@ func (prog aheadProgram) run(settle bool) aheadOutcome {
 					level()
 				case opSend:
 					called, to := p.Now(), int(op.arg/4)%k
-					p.After(1+2*Time(op.arg%4), func() {
+					p.Sim().At(p.Now()+1+2*Time(op.arg%4), func() {
 						if !p.KilledBy(called) {
 							log(i, n, called)
 							deliver(to)

@@ -6,7 +6,7 @@ import (
 )
 
 // TestAdvanceLeadsTheLoop: Advance moves the process's clock without parking;
-// Now, After and Sleep go by that clock; Sync, Sleep and the end of the body
+// Now, events scheduled at it and Sleep go by that clock; Sync, Sleep and the end of the body
 // bring the loop level with it.
 func TestAdvanceLeadsTheLoop(t *testing.T) {
 	s := New()
@@ -18,9 +18,9 @@ func TestAdvanceLeadsTheLoop(t *testing.T) {
 		if p.Now() != 30 || s.Now() != 0 || s.Switches() != 1 {
 			t.Errorf("after Advance(30): clock %v, loop %v, %d resumes; want 30, 0, 1", p.Now(), s.Now(), s.Switches())
 		}
-		p.After(5, ring) // at 35
+		s.At(p.Now()+5, ring) // at 35
 		p.Advance(10)
-		p.After(0, ring) // at 40
+		s.At(p.Now(), ring) // at 40
 		p.Sync()
 		if p.Now() != 40 || s.Now() != 40 || s.Switches() != 2 {
 			t.Errorf("after Sync: clock %v, loop %v, %d resumes; want 40, 40, 2", p.Now(), s.Now(), s.Switches())
@@ -45,14 +45,14 @@ func TestAdvanceLeadsTheLoop(t *testing.T) {
 		t.Errorf("finished=%v at %v, want true at 75", p.finished, s.Now())
 	}
 	if !slices.Equal(rang, []Time{35, 40}) {
-		t.Errorf("After callbacks ran at %v, want [35 40]", rang)
+		t.Errorf("events at the process's clock ran at %v, want [35 40]", rang)
 	}
 }
 
 func TestNegativeAdvanceAndAfterPanic(t *testing.T) {
 	for name, call := range map[string]func(p *Proc){
 		"Advance": func(p *Proc) { p.Advance(-1) },
-		"After":   func(p *Proc) { p.After(-1, func() {}) },
+		"After":   func(p *Proc) { p.Sim().After(-1, func() {}) },
 	} {
 		s := New()
 		recovered := false
@@ -149,7 +149,7 @@ func TestKillWhileAwaitingWithLead(t *testing.T) {
 		p.Sleep(10)
 		for _, d := range []Time{10, 10, 10} { // calls at 20, 30, 40 on its clock
 			p.Advance(d)
-			p.After(5, call(p.Now()))
+			p.Sim().At(p.Now()+5, call(p.Now()))
 		}
 		p.Await(sig)
 		t.Error("killed process resumed")

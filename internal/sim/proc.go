@@ -20,7 +20,8 @@ import (
 //
 // A process keeps a clock of its own, which may lead the event loop's:
 // Advance charges the process CPU time by moving that clock and returns
-// without parking, Now reads it, and After schedules on it, so a process
+// without parking, Now reads it, and the process schedules on it (an event
+// at Now()+d acts at the instant a settled process would have), so a process
 // that is charged a fixed sum between two interactions with the rest of the
 // simulation pays for it with one park instead of one per term. The lead is
 // settled — the process sleeps until the loop has caught up — by Sync, Sleep
@@ -29,13 +30,14 @@ import (
 //
 //   - Whatever else the process does to the simulation — firing a signal,
 //     writing a variable another process or the caller of Run reads, calling
-//     into a model directly instead of through After — it does after Sync.
+//     into a model directly instead of through an event at its clock — it
+//     does after Sync.
 //   - It looks at state the event loop writes only after Sync, unless the
 //     state is a level that stays set once set and that only this process
 //     resets (a queue it alone consumes): what is there at loop time T is
 //     there at T + lead, and what is not is re-checked after Await.
 //
-// An event scheduled with After while the process leads carries an earlier
+// An event scheduled at the process's clock while it leads carries an earlier
 // sequence number than the one a settled run schedules later, so it can swap
 // places with an unrelated event of the very same nanosecond.
 type Proc struct {
@@ -44,7 +46,6 @@ type Proc struct {
 	next  func() (struct{}, bool) // switch into the body until it parks or returns
 	yield func(struct{}) bool     // switch back to the waker; false once stopped
 	stop  func()                  // make the pending yield return false
-	wake  func()                  // wakeNow as a func value, built once so Sleep allocates nothing
 
 	finished bool
 	// killed marks a process destroyed by Kill (a fail-stop host crash).
@@ -73,7 +74,6 @@ type procClosed struct{}
 // current simulated time, after already-scheduled same-time events.
 func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name}
-	p.wake = p.wakeNow
 	s.procs++
 	s.spawned = append(s.spawned, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -88,7 +88,7 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 		p.finished = true
 		s.procs--
 	})
-	s.After(0, p.wake)
+	s.AtCall(s.now, wakeProc, p)
 	return p
 }
 
@@ -124,8 +124,8 @@ func (p *Proc) Now() Time {
 func (p *Proc) Killed() bool { return p.killed }
 
 // KilledBy reports whether the process was dead at instant t of its own
-// clock. Kill does not take back what a process scheduled with After while it
-// led the loop, so the callback of a call made at t asks this first: a
+// clock. Kill does not take back what a process scheduled at its clock while
+// it led the loop, so the callback of a call made at t asks this first: a
 // process killed before its clock reached t never made the call. A kill at t
 // itself counts — it was scheduled before the process was charged up to t, as
 // a fault plan's crashes are, so a settled run orders it first.
@@ -135,7 +135,7 @@ func (p *Proc) KilledBy(t Time) bool { return p.killed && p.killedAt <= t }
 // and will never run again. The process leaves the live-process and
 // deadlock accounting, any signal wait is unhooked, and every future wake
 // (a pending sleep, a later Fire) becomes a no-op. What the process scheduled
-// with After while it led the loop stays scheduled (see KilledBy). Kill must
+// at its clock while it led the loop stays scheduled (see KilledBy). Kill must
 // be called from the event loop (a scheduled event), never from a process,
 // and is idempotent. A finished process is left alone.
 func (p *Proc) Kill() {
@@ -150,6 +150,9 @@ func (p *Proc) Kill() {
 		p.sim.blocked--
 	}
 }
+
+// wakeProc is the event that wakes a process, its argument.
+func wakeProc(a any) { a.(*Proc).wakeNow() }
 
 // wakeNow switches from the event loop (or from a process firing a signal)
 // into the process and returns when the process parks again or finishes.
@@ -179,7 +182,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q sleeping negative duration %d", p.name, d))
 	}
-	p.sim.At(p.Now()+d, p.wake)
+	p.sim.AtCall(p.Now()+d, wakeProc, p)
 	p.park()
 }
 
@@ -199,16 +202,6 @@ func (p *Proc) Sync() {
 	if p.clock > p.sim.now {
 		p.Sleep(0)
 	}
-}
-
-// After schedules fn to run d nanoseconds from now on the process's clock:
-// how a process that leads the loop acts on the rest of the simulation at the
-// instant it would have, had it settled first. Negative d panics.
-func (p *Proc) After(d Time, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return p.sim.At(p.Now()+d, fn)
 }
 
 // Wait parks the process until the signal fires and returns the simulated

@@ -142,16 +142,14 @@ func checkEventQueue(t *testing.T, seed int64, burst int) {
 		}
 		id := len(eids)
 		at := s.Now() + delay()
-		// Alternate the four scheduling forms; they share one queue. Each
+		// Alternate the three scheduling forms; they share one queue. Each
 		// event carries a pointer to its model id.
 		arg := &id
 		var eid EventID
-		switch id % 4 {
+		switch id % 3 {
 		case 0:
 			eid = s.AtCall(at, fire, arg)
 		case 1:
-			eid = s.AfterCall(at-s.Now(), fire, arg)
-		case 2:
 			eid = s.At(at, func() { fire(arg) })
 		default:
 			eid = s.After(at-s.Now(), func() { fire(arg) })

@@ -7,9 +7,9 @@
 //
 // Two execution styles are supported on top of the same clock:
 //
-//   - callback events, scheduled with At/After (or the allocation-free
-//     AtCall/AfterCall), for modeling hardware state machines (NIC
-//     firmware, DMA engines, switch ports);
+//   - callback events, scheduled with AtCall as a prebuilt fn(arg), for
+//     modeling hardware state machines (NIC firmware, DMA engines, switch
+//     ports); At and After wrap a one-off closure in the same form;
 //   - processes (see Proc), coroutines the event loop switches into and
 //     out of directly, for modeling host programs written in a blocking
 //     style.
@@ -98,13 +98,11 @@ type EventID int64
 // calendar bucket indices.
 const locFree int32 = -1
 
-// slot is a pooled event body. Bucket membership is a doubly-linked list
-// through prev/next. Exactly one of fn/afn is set: fn is the closure form,
-// afn+arg the allocation-free form used by hot paths (see AtCall).
+// slot is a pooled event body: its callback fn(arg) (see AtCall). Bucket
+// membership is a doubly-linked list through prev/next.
 type slot struct {
 	key        Key
-	fn         func()
-	afn        func(any)
+	fn         func(any)
 	arg        any
 	prev, next int32 // bucket list links; next doubles as the free-list link
 	gen        int32
@@ -241,15 +239,34 @@ func (s *Simulator) Passed(k Key) bool { return k.Less(Key{s.now, s.running}) }
 // Run still leaves the clock where that event would have: at t at least.
 func (s *Simulator) Elide(t Time) { s.elided = max(s.elided, t) }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a modeling bug.
-func (s *Simulator) At(t Time, fn func()) EventID {
+// AtCall schedules fn(arg) to run at absolute time t: the one way an event
+// enters the queue. fn is a callback built once — a method value per
+// component, or a package-level function — and arg a pointer to the record
+// the event acts on (a packet, a frame, a pooled descriptor), so scheduling
+// a hop or a firmware task creates no closure and performs zero heap
+// allocations. arg should be pointer-shaped: boxing a scalar into an
+// interface allocates. fn type-asserts it, so a wrong type panics rather than
+// being reinterpreted. Scheduling in the past panics: it always indicates a
+// modeling bug.
+func (s *Simulator) AtCall(t Time, fn func(any), arg any) EventID {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
 	idx := s.schedule(t)
-	s.slots[idx].fn = fn
-	return EventID(int64(uint32(s.slots[idx].gen))<<32 | int64(idx+1))
+	sl := &s.slots[idx]
+	sl.fn = fn
+	sl.arg = arg
+	return EventID(int64(uint32(sl.gen))<<32 | int64(idx+1))
+}
+
+// At schedules fn to run at absolute time t, as AtCall(t, runFunc, fn): for
+// a one-off closure (test set-up, a fault plan's scripted events). A func
+// value is pointer-shaped, so wrapping it allocates nothing.
+func (s *Simulator) At(t Time, fn func()) EventID {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	return s.AtCall(t, runFunc, fn)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -260,31 +277,8 @@ func (s *Simulator) After(d Time, fn func()) EventID {
 	return s.At(s.now+d, fn)
 }
 
-// AtCall schedules fn(arg) to run at absolute time t. It is At for the
-// allocation-free hot path: fn is typically a method value built once per
-// component and arg a pointer to the record the event acts on (a packet, a
-// frame, a pooled descriptor), so scheduling a hop or a firmware task
-// creates no closure and performs zero heap allocations. arg should be a
-// pointer: boxing a scalar into an interface allocates. fn type-asserts it,
-// so a wrong type panics rather than being reinterpreted.
-func (s *Simulator) AtCall(t Time, fn func(any), arg any) EventID {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	idx := s.schedule(t)
-	sl := &s.slots[idx]
-	sl.afn = fn
-	sl.arg = arg
-	return EventID(int64(uint32(sl.gen))<<32 | int64(idx+1))
-}
-
-// AfterCall schedules fn(arg) to run d nanoseconds from now.
-func (s *Simulator) AfterCall(d Time, fn func(any), arg any) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return s.AtCall(s.now+d, fn, arg)
-}
+// runFunc is At's callback: its argument is the closure to run.
+func runFunc(a any) { a.(func())() }
 
 // schedule allocates a slot for an event at time t, places it in the
 // calendar, and returns the slot index. The caller fills in the callback.
@@ -575,16 +569,12 @@ func (s *Simulator) Step() bool {
 	} else {
 		s.minCache = -1
 	}
-	k, fn, afn, arg := sl.key, sl.fn, sl.afn, sl.arg
+	k, fn, arg := sl.key, sl.fn, sl.arg
 	s.freeSlot(idx)
 	if s.begin(k) {
 		runtime.Gosched()
 	}
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	return true
 }
 
@@ -669,7 +659,6 @@ func (s *Simulator) LiveProcs() int { return int(s.procs) }
 func (s *Simulator) freeSlot(idx int32) {
 	sl := &s.slots[idx]
 	sl.fn = nil
-	sl.afn = nil
 	sl.arg = nil
 	sl.loc = locFree
 	sl.gen++

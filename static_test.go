@@ -117,9 +117,13 @@ func TestExportsHaveCallers(t *testing.T) {
 // TestExportsRuleResolvesByType runs the rule on the fixture module in
 // testdata/exports: a.T.Reset is called only by a's tests, while b calls
 // b.U.Reset (flagged); a.T.String satisfies fmt.Stringer, which b's call to
-// fmt.Println relies on; a.Probe is used only by b's tests.
+// fmt.Println relies on; a.Probe is used only by b's tests. Of a.T's
+// fields, b writes Live and only a's tests write Dead (flagged); of a.Sink's
+// methods, b calls Put through the interface and Flush only on its own
+// sink (flagged).
 func TestExportsRuleResolvesByType(t *testing.T) {
-	if got, want := exportsWithoutCallers(t, "testdata/exports", "fixture"), []string{"a.T.Reset"}; !slices.Equal(got, want) {
+	want := []string{"a.Sink.Flush", "a.T.Dead", "a.T.Reset"}
+	if got := exportsWithoutCallers(t, "testdata/exports", "fixture"); !slices.Equal(got, want) {
 		t.Fatalf("flagged %v, want %v", got, want)
 	}
 }
@@ -128,8 +132,12 @@ func TestExportsRuleResolvesByType(t *testing.T) {
 // mod, each package also with its in-package and external tests, and returns,
 // sorted, the exported names declared in non-test files under internal/ that
 // no non-test file and no other package's tests use, as pkg.Name or
-// pkg.Type.Method. A use is the very object an identifier resolves to, so a
-// name never passes by sharing its spelling with a live one. A method also
+// pkg.Type.Member, a member being a method, a struct field or an interface
+// method. A use is the very object an identifier resolves to, so a name
+// never passes by sharing its spelling with a live one; a struct field is
+// used where it is read or written, by name or by position in a literal,
+// and an interface method where it is called through the interface. A
+// method also
 // counts as used when its type satisfies an interface, declared in the
 // universe or in a package the program imports, that names it: String for
 // fmt.Stringer, Error for error, OnHop for network.FaultHook.
@@ -179,6 +187,20 @@ func exportsWithoutCallers(t *testing.T, root, mod string) []string {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						add(s.Name.Name, s.Name)
+						// Exported struct fields and interface methods; an
+						// embedded field is used through what it promotes.
+						var members []*ast.Field
+						switch tt := s.Type.(type) {
+						case *ast.StructType:
+							members = tt.Fields.List
+						case *ast.InterfaceType:
+							members = tt.Methods.List
+						}
+						for _, fld := range members {
+							for _, id := range fld.Names {
+								add(s.Name.Name+"."+id.Name, id)
+							}
+						}
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
 							add(id.Name, id)
@@ -220,20 +242,32 @@ func exportsWithoutCallers(t *testing.T, root, mod string) []string {
 	shipped := map[objKey]bool{}        // objects non-test files use
 	testedFrom := map[objKey][]string{} // object -> dirs whose tests use it
 	for _, f := range files {
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := m.info.Uses[id]
+		use := func(obj types.Object) {
 			if obj == nil || obj.Pkg() == nil {
-				return true
+				return
 			}
 			k := objKey{obj.Pkg().Path(), obj.Pos()}
 			if !f.test {
 				shipped[k] = true
 			} else if !slices.Contains(testedFrom[k], f.dir) {
 				testedFrom[k] = append(testedFrom[k], f.dir)
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				use(m.info.Uses[n])
+			case *ast.CompositeLit:
+				// A struct literal without keys writes its fields by
+				// position.
+				st, ok := m.info.Types[n].Type.Underlying().(*types.Struct)
+				if ok && len(n.Elts) > 0 {
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := range n.Elts {
+							use(st.Field(i))
+						}
+					}
+				}
 			}
 			return true
 		})
@@ -290,8 +324,8 @@ func satisfiesInterface(obj types.Object, ifaces []*types.Interface) bool {
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
-	if n, ok := recv.(*types.Named); !ok || n.TypeParams().Len() > 0 {
-		return false
+	if n, ok := recv.(*types.Named); !ok || n.TypeParams().Len() > 0 || types.IsInterface(n) {
+		return false // an interface's own method is used only by a call through it
 	}
 	return slices.ContainsFunc(ifaces, func(it *types.Interface) bool {
 		for i := range it.NumMethods() {

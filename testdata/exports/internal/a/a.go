@@ -2,7 +2,12 @@
 package a
 
 // T is used by package b.
-type T struct{}
+type T struct {
+	// Live is written by package b.
+	Live int
+	// Dead is written by a's own tests alone.
+	Dead int
+}
 
 // Reset is called by a's own tests alone; package b calls a Reset of its own.
 func (T) Reset() {}
@@ -12,3 +17,11 @@ func (T) String() string { return "T" }
 
 // Probe is used by b's tests alone.
 func Probe() {}
+
+// Sink is what package b writes to.
+type Sink interface {
+	// Put is called through the interface by package b.
+	Put()
+	// Flush is implemented by b's sink but never called through Sink.
+	Flush()
+}

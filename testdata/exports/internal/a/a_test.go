@@ -2,4 +2,4 @@ package a
 
 import "testing"
 
-func TestReset(t *testing.T) { T{}.Reset() }
+func TestReset(t *testing.T) { T{Dead: 1}.Reset() }

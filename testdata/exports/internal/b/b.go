@@ -13,8 +13,16 @@ type U struct{}
 // Reset does nothing.
 func (U) Reset() {}
 
-// Run prints an a.T and resets a U.
+// sink is an a.Sink.
+type sink struct{}
+
+func (sink) Put()   {}
+func (sink) Flush() {}
+
+// Run prints an a.T, resets a U and puts to a sink.
 func Run() {
-	fmt.Println(a.T{})
+	fmt.Println(a.T{Live: 1})
 	U{}.Reset()
+	var s a.Sink = sink{}
+	s.Put()
 }
