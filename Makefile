@@ -134,12 +134,15 @@ perf-gate:
 
 # CPU and allocation profile of the scale path: the benchmark's two 256-node
 # cells, twenty whole measurements each; each cell's line also prints B/op and
-# allocs/op per measurement. Read the profiles with
+# allocs/op per measurement. Every allocation is recorded (-memprofilerate 1),
+# so alloc_objects and alloc_space are exact counts per site, not samples.
+# Read the profiles with
 #   go tool pprof -top gmsim.test cpu.prof
 #   go tool pprof -sample_index=alloc_space -top gmsim.test mem.prof
+#   go tool pprof -sample_index=alloc_objects -top gmsim.test mem.prof
 profile:
 	$(GO) test -run '^$$' -bench Clos256 -benchtime 20x -cpuprofile cpu.prof \
-		-memprofile mem.prof -memprofilerate 4096 .
+		-memprofile mem.prof -memprofilerate 1 .
 
 # Where the host time goes: BenchmarkHost16, BenchmarkNic16 and
 # BenchmarkClos256 (a simulated barrier), BenchmarkSvcCold (one cold simd request without the

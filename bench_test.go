@@ -266,12 +266,12 @@ func BenchmarkAblationLoopbackFlag(b *testing.B) {
 			}
 			for _, port := range []int{2, 3} {
 				port := port
-				if err := cl.MCP(0).OpenPort(port, func(ev *mcp.HostEvent) {
+				if err := cl.MCP(0).OpenPort(port, hostFunc(func(ev *mcp.HostEvent) {
 					if ev.Kind == mcp.BarrierDoneEvent {
 						done[port-2]++
 						t1 = s.Now()
 					}
-				}); err != nil {
+				})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -307,6 +307,11 @@ func BenchmarkAblationLoopbackFlag(b *testing.B) {
 
 // BenchmarkAblationTwoLevelSwitch compares the paper's single-switch
 // testbed with a two-switch topology (extra hop on half the routes).
+// hostFunc is an mcp.HostReceiver made of a closure.
+type hostFunc func(*mcp.HostEvent)
+
+func (f hostFunc) HandleHostEvent(ev *mcp.HostEvent) { f(ev) }
+
 func BenchmarkAblationTwoLevelSwitch(b *testing.B) {
 	for _, twoLevel := range []bool{false, true} {
 		twoLevel := twoLevel

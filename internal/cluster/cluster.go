@@ -85,7 +85,7 @@ type Cluster struct {
 	fabric *network.Fabric
 	top    *topo.Topology
 	nics   []lanai.NIC // one block, never resized
-	mcps   []*mcp.MCP
+	mcps   []mcp.MCP   // one block, never resized
 	procs  []*host.Process
 	inj    *fault.Injector
 	phases *phase.Recorder
@@ -164,26 +164,25 @@ func Build(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	s := sim.New()
-	// The fabric, the cards and the firmware list are blocks sized from the
+	mcfg := mcp.DefaultConfig()
+	mcfg.Params = cfg.Firmware
+	mcfg.ReliableBarrier = cfg.ReliableBarrier
+	mcfg.LoopbackFlag = cfg.LoopbackFlag
+	mcfg.DetectFailures = cfg.DetectFailures
+	// The fabric, the cards and their firmware are blocks sized from the
 	// plan once; nothing of them grows while the cluster is built.
 	c := &Cluster{
 		cfg: cfg, sim: s, top: top,
 		fabric: network.New(s, top.Shape()),
 		nics:   lanai.NewNICs(s, cfg.NIC, cfg.Nodes),
-		mcps:   make([]*mcp.MCP, cfg.Nodes),
 	}
+	c.mcps = mcp.NewMCPs(c.nics, mcfg)
 	f := c.fabric
 
 	sws := top.Materialize(f, cfg.Switch, cfg.Link)
-	for i := range c.nics {
+	for i := range c.mcps {
 		node := network.NodeID(i)
-		nic := &c.nics[i]
-		mcfg := mcp.DefaultConfig(node)
-		mcfg.Params = cfg.Firmware
-		mcfg.ReliableBarrier = cfg.ReliableBarrier
-		mcfg.LoopbackFlag = cfg.LoopbackFlag
-		mcfg.DetectFailures = cfg.DetectFailures
-		m := mcp.New(nic, mcfg)
+		m := &c.mcps[i]
 		place := top.NICs[i]
 		// Routes come from the topology's address arithmetic, the one
 		// routing path: the fabric only forwards. The bytes are what a BFS
@@ -191,7 +190,6 @@ func Build(cfg Config) (*Cluster, error) {
 		// tests hold them to that oracle), at O(1) per lookup — which
 		// matters when 8192 NICs each talk to dozens of peers.
 		m.Attach(f.AttachNIC(node, sws[place.Switch], place.Port, cfg.Link, m), top)
-		c.mcps[i] = m
 	}
 	if cfg.Fault != nil {
 		byNode := make(map[network.NodeID]*lanai.NIC, len(c.nics))
@@ -236,7 +234,7 @@ func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 func (c *Cluster) Config() Config { return c.cfg }
 
 // MCP returns node i's firmware.
-func (c *Cluster) MCP(i int) *mcp.MCP { return c.mcps[i] }
+func (c *Cluster) MCP(i int) *mcp.MCP { return &c.mcps[i] }
 
 // Fault returns the attached fault injector, or nil when the configuration
 // carried no plan.
@@ -286,8 +284,8 @@ func (c *Cluster) Metrics() *stats.Registry {
 	if len(c.mcps) > 0 {
 		var st, sum mcp.Stats
 		one, all := reflect.ValueOf(&st).Elem(), reflect.ValueOf(&sum).Elem()
-		for _, m := range c.mcps {
-			st = m.Stats()
+		for i := range c.mcps {
+			st = c.mcps[i].Stats()
 			for i := range mcpCounters {
 				all.Field(i).SetInt(all.Field(i).Int() + one.Field(i).Int())
 			}

@@ -28,8 +28,9 @@ func mallocsFor(spec Spec) (objects, bytes uint64) {
 // construction and the first barrier's connections: eight a rank, one per
 // exchange partner. It read 122.0 objects and 18.24 KB a rank while each
 // connection took the 1024-byte size class and a timer closure of its own; at
-// 384 bytes and no closure it reads 113.0 and 12.98. The limits are those
-// figures plus 3 %.
+// 384 bytes and no closure it read 113.0 and 12.98; with a cluster's firmware
+// one block — per-cluster pools and callbacks, connections in chunks — it
+// reads 36.1 and 7.96. The limits are those figures plus 3 %.
 func TestConstructionCostPerRank(t *testing.T) {
 	const n = 256
 	spec := Spec{Cluster: TopoConfig(topo.Clos3, n, 16), Level: NICLevel, Alg: mcp.PE, Iters: 1}
@@ -37,7 +38,7 @@ func TestConstructionCostPerRank(t *testing.T) {
 	objects, bytes := mallocsFor(spec)
 	perObj, perKB := float64(objects)/n, float64(bytes)/n/1024
 	t.Logf("%.1f objects and %.2f KB a rank", perObj, perKB)
-	const maxObj, maxKB = 113.0 * 1.03, 12.98 * 1.03
+	const maxObj, maxKB = 36.1 * 1.03, 7.96 * 1.03
 	if perObj > maxObj || perKB > maxKB {
 		t.Errorf("%.1f objects and %.2f KB a rank, want <= %.1f and %.2f", perObj, perKB, maxObj, maxKB)
 	}
@@ -88,5 +89,28 @@ func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 		if slope > tc.max {
 			t.Errorf("%s: %.2f allocations per rank-barrier, want <= %.0f", tc.name, slope, tc.max)
 		}
+	}
+}
+
+// TestMeasurementObjectsPerNode bounds the heap objects of a whole NIC-level
+// PE measurement — cluster, processes, warm-up and DefaultIters timed
+// barriers — on a 64-node clos3 fat-tree (radix 16), per node, so that
+// construction creeping back per card fails here and not only in the
+// benchmark's allocs_per_op. Barriers allocate nothing once warm
+// (TestSteadyStateAllocsPerBarrier), so the figure is set-up: it read
+// 64.2 objects a node while each card's firmware was about 28 objects of
+// its own (eleven callbacks, pools, a heap Connection per peer) and each
+// port open built a hook, 38.0 once a cluster's firmware was one block
+// with per-cluster pools and callbacks. The limit is the reading plus 3 %.
+func TestMeasurementObjectsPerNode(t *testing.T) {
+	const n = 64
+	spec := Spec{Cluster: TopoConfig(topo.Clos3, n, 16), Level: NICLevel, Alg: mcp.PE, Iters: DefaultIters}
+	mallocsFor(spec) // first run pays lazy package-level initialization
+	objects, _ := mallocsFor(spec)
+	perNode := float64(objects) / n
+	t.Logf("%.1f objects a node", perNode)
+	const limit = 38.0 * 1.03
+	if perNode > limit {
+		t.Errorf("%.1f objects a node, want <= %.1f", perNode, limit)
 	}
 }

@@ -12,6 +12,7 @@ import (
 type recvFunc func(*network.Packet)
 
 func (f recvFunc) HandleDelivered(p *network.Packet) { f(p) }
+func (f recvFunc) HandleDropped(*network.Packet)     {}
 
 // runFunc runs the closure a firmware task carries.
 func runFunc(a any) { a.(func())() }

@@ -69,7 +69,7 @@ type Port struct {
 	evHead int
 	sig    *sim.Signal
 	// waiter is the owner's wait while it is parked in ReceiveFor (nil
-	// otherwise): onEvent retires an event that does not end it.
+	// otherwise): HandleHostEvent retires an event that does not end it.
 	waiter Waiter
 
 	// Host-side mirrors of NIC state, kept exact because each port is
@@ -147,7 +147,7 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 		pt.slots[i].fam, pt.slots[i].pt = &families[i], pt
 	}
 	p.Proc().Sync() // the driver call reaches into the NIC now, not a doorbell later
-	if err := m.OpenPort(num, pt.onEvent); err != nil {
+	if err := m.OpenPort(num, pt); err != nil {
 		return nil, err
 	}
 	pt.open = true
@@ -155,14 +155,15 @@ func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
 	return pt, nil
 }
 
-// onEvent runs at the instant the NIC finishes DMAing an event record into
-// host memory. An event the parked owner would only pay for, file and park
-// again on is retired here, at the instant the wake would have run it: the
-// charges are leads on the owner's clock either way (sim.Proc.Advance), and
-// the owner stays on the signal's wait list. A killed owner's events queue
+// HandleHostEvent implements mcp.HostReceiver: it runs at the instant the
+// NIC finishes DMAing an event record into host memory. An event the parked
+// owner would only pay for, file and park again on is retired here, at the
+// instant the wake would have run it: the charges are leads on the owner's
+// clock either way (sim.Proc.Advance), and the owner stays on the signal's
+// wait list. A killed owner's events queue
 // up unread, as its wakes are dropped. ev is the NIC's record, valid for the
 // call: the port copies it once, where it files or queues it.
-func (pt *Port) onEvent(ev *mcp.HostEvent) {
+func (pt *Port) HandleHostEvent(ev *mcp.HostEvent) {
 	if w := pt.waiter; w != nil && pt.PendingEvents() == 0 && !pt.owner.Proc().Killed() && !w.Ends(ev.Kind, ev.Src) {
 		pt.charge(pt.owner, ev.Kind)
 		w.File(ev)

@@ -201,9 +201,9 @@ func TestSendTokenExhaustionAtHost(t *testing.T) {
 // with, so a Send the mirror lets through is never one the NIC refuses.
 func TestSendTokenLimitIsTheNICs(t *testing.T) {
 	s := sim.New()
-	cfg := mcp.DefaultConfig(0)
+	cfg := mcp.DefaultConfig()
 	cfg.MaxSendTokens = 3
-	m := mcp.New(lanai.NewNIC(s, lanai.LANai43()), cfg)
+	m := &mcp.NewMCPs(lanai.NewNICs(s, lanai.LANai43(), 1), cfg)[0]
 	sent := 0
 	var err error
 	s.Spawn("rank0", func(proc *sim.Proc) {

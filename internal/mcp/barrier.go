@@ -19,7 +19,7 @@ func (m *MCP) PostBarrierToken(tok *BarrierToken) error {
 	if tok.Alg == GB {
 		cost = fam.costs(&m.cfg.Params).token
 	}
-	return m.post(tok.SrcPort, fam, cost, postedRec{bar: tok})
+	return m.post(tok.SrcPort, fam, cost, postedRec{m: m, bar: tok})
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind 
 	rec.c, rec.drain = c, drain
 	rec.f = Frame{
 		Kind:     kind,
-		SrcNode:  m.cfg.Node,
+		SrcNode:  m.node,
 		SrcPort:  srcPort,
 		DstNode:  c.peer,
 		DstPort:  dstPort,
@@ -260,7 +260,7 @@ func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind 
 		c := fam.costs(&m.cfg.Params)
 		prep, label = c.prep+c.perElem*int64(len(data)/ElemBytes), fam.prepLabel
 	}
-	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, m.barSendFn, rec)
+	m.nic.ExecTaggedCall(prep+m.cfg.Params.SendXmit, label, barSendEvent, rec)
 }
 
 // barSendEvent fires when a barrier frame's preparation cost has been paid
@@ -272,9 +272,9 @@ func (m *MCP) sendBarrierFrame(c *Connection, srcPort, epoch, dstPort int, kind 
 // drain queued during barrier k runs before the bar.token task of barrier
 // k+1, which the host can only post after k's completion — so it finds the
 // slot idle, never its next barrier.
-func (m *MCP) barSendEvent(a any) {
+func barSendEvent(a any) {
 	rec := a.(*barSendRec)
-	f, c, drain := rec.f, rec.c, rec.drain
+	f, c, drain, m := rec.f, rec.c, rec.drain, rec.c.m
 	rec.f.Data = nil
 	m.pendBarSends.Put(rec)
 	m.barSend(c, &f)
@@ -287,13 +287,13 @@ func (m *MCP) barSendEvent(a any) {
 // barSend puts one prepared barrier frame on the wire (or short-circuits
 // it: dead destination, same-NIC loopback flag).
 func (m *MCP) barSend(c *Connection, f *Frame) {
-	if m.cfg.DetectFailures && f.DstNode != m.cfg.Node && m.deadPeers[f.DstNode] {
+	if m.cfg.DetectFailures && f.DstNode != m.node && m.deadPeers[f.DstNode] {
 		// The destination died while this frame waited out its prep cost:
 		// sending would only spin up the retransmission machinery toward a
 		// corpse. The repair path has already routed the barrier around it.
 		return
 	}
-	if m.cfg.LoopbackFlag && f.DstNode == m.cfg.Node {
+	if m.cfg.LoopbackFlag && f.DstNode == m.node {
 		// Section 3.4 optimization: two ports of the same NIC in one
 		// barrier exchange a flag instead of a packet.
 		*family(f.Kind).sent(&m.stats)++

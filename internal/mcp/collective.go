@@ -219,5 +219,5 @@ func (m *MCP) PostCollectiveToken(tok *CollToken) error {
 		return err
 	}
 	fam := &treeFamilies[collSlot]
-	return m.post(tok.SrcPort, fam, fam.costs(&m.cfg.Params).token, postedRec{coll: tok})
+	return m.post(tok.SrcPort, fam, fam.costs(&m.cfg.Params).token, postedRec{m: m, coll: tok})
 }

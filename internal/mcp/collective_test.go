@@ -223,7 +223,7 @@ func TestLatePortRejectsBothFamilies(t *testing.T) {
 func TestCollectiveQueueCap(t *testing.T) {
 	// Overflowing the unexpected-collective queue drops messages and
 	// counts protocol errors rather than corrupting state.
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.CollUnexpCap = 2 })
+	r := newRig(t, 2, func(cfg *Config) { cfg.CollUnexpCap = 2 })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	// Node 0 fires 4 broadcasts at node 1, which never posts a token.
@@ -246,7 +246,7 @@ func TestCollectiveQueueCap(t *testing.T) {
 }
 
 func TestReliableCollectiveSurvivesLoss(t *testing.T) {
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ReliableBarrier = true })
+	r := newRig(t, 2, func(cfg *Config) { cfg.ReliableBarrier = true })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.fab.SetFaultHook(randomLoss(0.2, 31))
@@ -267,7 +267,7 @@ func TestReliableCollectiveSurvivesLoss(t *testing.T) {
 func TestNoBufferNackKeepsConnectionAlive(t *testing.T) {
 	// A receiver without buffers must not cause the sender to declare the
 	// connection dead, no matter how long the starvation lasts.
-	r := newRig(t, 2, func(i int, cfg *Config) {
+	r := newRig(t, 2, func(cfg *Config) {
 		cfg.Params.MaxRetries = 5 // tight, to prove no-buffer rounds don't count
 	})
 	r.open(t, 0, 2)
@@ -298,7 +298,7 @@ func TestNoBufferNackKeepsConnectionAlive(t *testing.T) {
 func TestConnectionDeathReportsFailedSends(t *testing.T) {
 	// Data to a closed port never gets acked or no-buffer-nacked: after
 	// MaxRetries the tokens come back marked failed.
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.Params.MaxRetries = 3 })
+	r := newRig(t, 2, func(cfg *Config) { cfg.Params.MaxRetries = 3 })
 	r.open(t, 0, 2)
 	// node 1 port never opened
 	if err := r.mcps[0].PostSendToken(SendToken{

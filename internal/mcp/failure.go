@@ -37,7 +37,7 @@ import (
 // peerDied records peer as fail-stopped and repairs every in-flight
 // operation on this NIC around it. Idempotent; self-death is ignored.
 func (m *MCP) peerDied(peer network.NodeID) {
-	if peer == m.cfg.Node || m.deadPeers[peer] {
+	if peer == m.node || m.deadPeers[peer] {
 		return
 	}
 	if m.deadPeers == nil {
@@ -120,7 +120,7 @@ func (m *MCP) armWatchdog(s *treeSlot) {
 		return
 	}
 	if s.watchdog == nil {
-		s.watchdog = m.sim.NewTimer(m.timerFn, s)
+		s.watchdog = m.sim.NewTimer(timerEvent, s)
 	} else if s.watchdog.Armed() {
 		return
 	}
@@ -170,7 +170,7 @@ func (m *MCP) watchdogFire(p *Port, s *treeSlot) {
 // on, unless the connection is already proving itself: an outstanding
 // probe, or any unacked traffic, will reach the retry budget on its own.
 func (m *MCP) probePeer(p *Port, ep Endpoint) {
-	if ep.Node == m.cfg.Node || m.deadPeers[ep.Node] {
+	if ep.Node == m.node || m.deadPeers[ep.Node] {
 		return
 	}
 	c := m.conn(ep.Node)

@@ -12,11 +12,11 @@ import (
 	"gmsim/internal/sim"
 )
 
-// MCP is one NIC's firmware instance.
+// MCP is one NIC's firmware instance: one card of a block (NewMCPs).
 type MCP struct {
-	sim    *sim.Simulator
+	*shared
 	nic    *lanai.NIC
-	cfg    Config
+	node   network.NodeID
 	iface  *network.Iface
 	routes Router
 
@@ -29,10 +29,12 @@ type MCP struct {
 	// generator.
 	jitter rand.Source
 
-	// ports is one block, never resized: a *Port into it stays valid. The
-	// block also holds runs, the NIC's credit schedule (ScheduleCredits).
-	ports []Port
-	runs  *[]creditRun
+	// ports sit in the card itself, so a *Port stays valid; the first
+	// Config.NumPorts are the NIC's. runs is the NIC's credit schedule
+	// (ScheduleCredits), and conns finds the cell of each peer it has talked
+	// to (nil until the first).
+	ports [8]Port
+	runs  []creditRun
 	conns map[network.NodeID]*Connection
 
 	// pendingClosed records barrier-class messages that arrived for closed
@@ -47,47 +49,54 @@ type MCP struct {
 	// first death.
 	deadPeers map[network.NodeID]bool
 
-	// frames is the bounded free list of wire frames (see leaseFrame).
-	frames []*Frame
+	stats Stats
+}
 
-	// The *Fn fields are the firmware's task callbacks, built once as
-	// method values, so no task or timer allocates a closure (see
-	// lanai.NIC.ExecTaggedCall). Each event carries the record it acts on as
-	// its argument: handleFrameFn, loopbackFn and sendFn a wire *Frame,
-	// crcDropFn the damaged *network.Packet, timerFn, every timer's
-	// callback, what its timer times (see timerEvent), the others a cell of
-	// the pool beside them.
-	handleFrameFn func(any)
-	loopbackFn    func(any)
-	sendFn        func(any)
-	crcDropFn     func(any)
-	timerFn       func(any)
+// shared is what the cards of one block share: their configuration, the
+// pools of the records their events carry and of their wire frames, and the
+// Connection cells. The cards run on one simulator, whose single event loop
+// is the only caller of any of them, so a pool shared by the block needs no
+// more care than one card's did (the fabric's one packet pool is shared the
+// same way).
+//
+// No task or timer builds a closure (see lanai.NIC.ExecTaggedCall), and no
+// callback is built per card: each event's argument leads to its card. A
+// pooled record carries its *MCP or a *Connection, which points back to its
+// card, and a timer carries what it times, a Connection or a treeSlot, which
+// does too; those callbacks are package functions. A wire frame names its
+// card by node — its destination when received, its source when sent — and
+// cards is indexed by node, so the four frame callbacks are method values
+// built once for the block.
+type shared struct {
+	sim   *sim.Simulator
+	cfg   Config
+	cards []MCP
+
+	// frames is the bounded free list of wire frames (see leaseFrame),
+	// framePoolCap a card.
+	frames []*Frame
+	// conns holds the block's Connection cells in chunks of one cell a card
+	// (see MCP.conn).
+	conns [][]Connection
 
 	// pendBarSends leases barrier-class frames across their preparation,
 	// and pendTokens posted barrier and collective tokens the SDMA state
 	// machine has yet to notice.
 	pendBarSends mem.Slab[barSendRec]
-	barSendFn    func(any)
 	pendTokens   mem.Slab[postedRec]
-	tokenFn      func(any)
-
 	// pendHostEvts leases host events across their firmware-processing and
 	// RDMA delays (see postHostEvent).
-	pendHostEvts     mem.Slab[hostEvtRec]
-	hostEvtDeliverFn func(any)
-
+	pendHostEvts mem.Slab[hostEvtRec]
 	// pendSends leases data send tokens across the SDMA state machine's
 	// stages (poll and host-memory DMA, packet preparation).
-	pendSends  mem.Slab[sendRec]
-	sdmaDoneFn func(any)
-	sdmaPrepFn func(any)
-
+	pendSends mem.Slab[sendRec]
 	// pendCtl leases the acknowledgments and nacks waiting out their
 	// generation cost.
-	pendCtl   mem.Slab[ctlRec]
-	ctlSendFn func(any)
+	pendCtl mem.Slab[ctlRec]
 
-	stats Stats
+	// handleFrameFn and loopbackFn take a received *Frame, sendFn a *Frame
+	// to send, crcDropFn the damaged *network.Packet.
+	handleFrameFn, loopbackFn, sendFn, crcDropFn func(any)
 }
 
 // barSendRec is one barrier-class frame waiting out its preparation cost on
@@ -104,16 +113,17 @@ type barSendRec struct {
 // firmware cost of preparing it, then the RDMA of its bytes-long record,
 // which the task that ends at due starts.
 type hostEvtRec struct {
+	m           *MCP
 	due         sim.Time
 	port, bytes int32
 	ev          HostEvent
 }
 
 // sendRec is one data send token in the SDMA state machine beside the end
-// of the poll task that starts the DMA of its payload, in a SendToken's 48
-// bytes: node and ports are 32-bit, as wide as the frame header's
-// (frame_codec.go) or wider.
+// of the poll task that starts the DMA of its payload: node and ports are
+// 32-bit, as wide as the frame header's (frame_codec.go) or wider.
 type sendRec struct {
+	m                     *MCP
 	data                  []byte
 	due                   sim.Time
 	dst, dstPort, srcPort int32
@@ -127,35 +137,26 @@ type ctlRec struct {
 	noBuffer bool
 }
 
-// New creates the firmware for a NIC. Attach must be called before any
-// traffic flows.
-func New(nic *lanai.NIC, cfg Config) *MCP {
+// NewMCPs creates the firmware of a cluster's cards in one block, as
+// lanai.NewNICs creates the cards: card i runs on nics[i] as node i, every
+// card with cfg, and the cards share their pools (see shared). Each card
+// must be attached (Attach) before any traffic flows.
+func NewMCPs(nics []lanai.NIC, cfg Config) []MCP {
 	if cfg.NumPorts <= 0 || cfg.NumPorts > 8 {
 		panic(fmt.Sprintf("mcp: NumPorts %d out of range (GM allows 1..8)", cfg.NumPorts))
 	}
-	m := &MCP{
-		sim:   nic.Sim(),
-		nic:   nic,
-		cfg:   cfg,
-		conns: make(map[network.NodeID]*Connection),
+	cards := make([]MCP, len(nics))
+	sh := &shared{cfg: cfg, cards: cards}
+	sh.handleFrameFn, sh.loopbackFn, sh.sendFn, sh.crcDropFn = sh.handleFrameEvent, sh.loopbackEvent, sh.sendEvent, sh.crcDropEvent
+	for i := range cards {
+		m := &cards[i]
+		m.shared, m.nic, m.node = sh, &nics[i], network.NodeID(i)
+		sh.sim = m.nic.Sim() // every card's: the block's one simulator
+		for n := range m.ports {
+			m.ports[n].num = n
+		}
 	}
-	blk := new(portBlock)
-	m.ports, m.runs = blk.ports[:cfg.NumPorts], &blk.runs
-	for i := range m.ports {
-		m.ports[i].num = i
-	}
-	m.handleFrameFn = m.handleFrameEvent
-	m.loopbackFn = m.loopbackEvent
-	m.barSendFn = m.barSendEvent
-	m.tokenFn = m.tokenEvent
-	m.hostEvtDeliverFn = m.hostEvtDeliver
-	m.sdmaDoneFn = m.sdmaDone
-	m.sdmaPrepFn = m.sdmaPrepared
-	m.ctlSendFn = m.ctlSendEvent
-	m.timerFn = m.timerEvent
-	m.sendFn = m.sendEvent
-	m.crcDropFn = m.crcDropEvent
-	return m
+	return cards
 }
 
 // Router gives the source route from one node to another: a
@@ -173,7 +174,7 @@ func (m *MCP) Attach(iface *network.Iface, routes Router) {
 }
 
 // Node returns the NIC's fabric identity.
-func (m *MCP) Node() network.NodeID { return m.cfg.Node }
+func (m *MCP) Node() network.NodeID { return m.node }
 
 // NIC returns the underlying hardware model.
 func (m *MCP) NIC() *lanai.NIC { return m.nic }
@@ -188,17 +189,25 @@ func (m *MCP) Stats() Stats { return m.stats }
 // Port returns the NIC-side port structure (read-only use by tests).
 func (m *MCP) Port(n int) *Port { return &m.ports[n] }
 
-// conn returns (creating if needed) the connection to a peer NIC.
+// conn returns (creating if needed) the connection to a peer NIC. Its cell
+// comes from the block's chunks, which hold one cell a card: a chunk is never
+// moved, so the pointer is stable, and what the last chunk leaves unused is
+// less than one connection a card.
 func (m *MCP) conn(peer network.NodeID) *Connection {
 	c, ok := m.conns[peer]
 	if !ok {
-		c = &Connection{peer: peer}
+		m.shared.conns = mem.AppendChunked(m.shared.conns, Connection{m: m, peer: peer}, len(m.cards))
+		last := m.shared.conns[len(m.shared.conns)-1]
+		c = &last[len(last)-1]
+		if m.conns == nil {
+			m.conns = make(map[network.NodeID]*Connection)
+		}
 		m.conns[peer] = c
 	}
 	return c
 }
 
-func (m *MCP) validPort(n int) bool { return n >= 0 && n < len(m.ports) }
+func (m *MCP) validPort(n int) bool { return n >= 0 && n < m.cfg.NumPorts }
 
 // ---------------------------------------------------------------------------
 // Host-facing operations. The GM library (package gm) calls these after
@@ -207,11 +216,18 @@ func (m *MCP) validPort(n int) bool { return n >= 0 && n < len(m.ports) }
 // request.
 // ---------------------------------------------------------------------------
 
-// OpenPort opens an endpoint and installs the host event delivery hook.
-// Under the adopted closed-port protocol (Section 3.2), any barrier
-// messages recorded while the port was closed are rejected back to their
-// senders, which resend them if their barrier is still in flight.
-func (m *MCP) OpenPort(n int, deliver func(*HostEvent)) error {
+// HostReceiver takes the host events of an open port: the GM library's port
+// (*gm.Port), held as it is, so opening a port builds no callback. ev is the
+// NIC's record, valid for the call; the receiver copies what it keeps.
+type HostReceiver interface {
+	HandleHostEvent(ev *HostEvent)
+}
+
+// OpenPort opens an endpoint whose host events go to owner. Under the
+// adopted closed-port protocol (Section 3.2), any barrier messages recorded
+// while the port was closed are rejected back to their senders, which resend
+// them if their barrier is still in flight.
+func (m *MCP) OpenPort(n int, owner HostReceiver) error {
 	if !m.validPort(n) {
 		return fmt.Errorf("mcp: no port %d", n)
 	}
@@ -224,7 +240,7 @@ func (m *MCP) OpenPort(n int, deliver func(*HostEvent)) error {
 	p.recvTokens = 0
 	p.sendsInFlight = 0
 	p.resetSlots()
-	p.deliver = deliver
+	p.owner = owner
 
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: clear the record of messages destined for
@@ -246,7 +262,7 @@ func (m *MCP) OpenPort(n int, deliver func(*HostEvent)) error {
 	for _, rec := range pend {
 		m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, "bar.reject", m.sendFn, m.leaseFrame(&Frame{
 			Kind:        BarrierRejectFrame,
-			SrcNode:     m.cfg.Node,
+			SrcNode:     m.node,
 			SrcPort:     n,
 			DstNode:     rec.src.Node,
 			DstPort:     rec.src.Port,
@@ -276,7 +292,7 @@ func (m *MCP) ClosePort(n int) error {
 		m.cancelWatchdog(&p.slots[i])
 	}
 	p.resetSlots()
-	p.deliver = nil
+	p.owner = nil
 	return nil
 }
 
@@ -297,7 +313,7 @@ func (m *MCP) ScheduleCredits(port int, c Credit, n int, first, every sim.Time) 
 	if n <= 0 {
 		return nil
 	}
-	*m.runs = append(*m.runs, creditRun{first: m.sim.Reserve(first), every: every, n: int32(n), port: int8(port), kind: c})
+	m.runs = append(m.runs, creditRun{first: m.sim.Reserve(first), every: every, n: int32(n), port: int8(port), kind: c})
 	m.sim.Elide(first + sim.Time(n-1)*every)
 	return nil
 }
@@ -306,15 +322,15 @@ func (m *MCP) ScheduleCredits(port int, c Credit, n int, first, every sim.Time) 
 // credits, and every run of port end (-1: none) with what it has posted so
 // far; the rest of such a run is never posted.
 func (m *MCP) retire(end int) {
-	live := (*m.runs)[:0]
-	for _, r := range *m.runs {
+	live := m.runs[:0]
+	for _, r := range m.runs {
 		if k := r.posted(m.sim); k == r.n || int(r.port) == end {
 			*m.ports[r.port].count(r.kind) += k
 		} else {
 			live = append(live, r)
 		}
 	}
-	*m.runs = live
+	m.runs = live
 }
 
 // credits is port p's credits of kind c at this instant: its count, plus
@@ -322,7 +338,7 @@ func (m *MCP) retire(end int) {
 func (m *MCP) credits(p *Port, c Credit) int32 {
 	m.retire(-1)
 	n := *p.count(c)
-	for _, r := range *m.runs {
+	for _, r := range m.runs {
 		if int(r.port) == p.num && r.kind == c {
 			n += r.posted(m.sim)
 		}
@@ -351,36 +367,38 @@ func (m *MCP) PostSendToken(tok SendToken) error {
 		return nil
 	}
 	cell := m.pendSends.Get()
-	*cell = sendRec{data: tok.Data, due: due,
+	*cell = sendRec{m: m, data: tok.Data, due: due,
 		dst: int32(tok.Dst.Node), dstPort: int32(tok.Dst.Port), srcPort: int32(tok.SrcPort)}
-	m.sim.AtCall(done, m.sdmaDoneFn, cell)
+	m.sim.AtCall(done, sdmaDone, cell)
 	return nil
 }
 
 // sdmaDone: the payload is in NIC memory; prepare the packet.
-func (m *MCP) sdmaDone(a any) {
+func sdmaDone(a any) {
 	cell := a.(*sendRec)
+	m := cell.m
 	if !m.nic.Landed(m.nic.SDMA(), cell.due, len(cell.data)) {
 		*cell = sendRec{}
 		m.pendSends.Put(cell)
 		return
 	}
 	pr := &m.cfg.Params
-	m.nic.ExecTaggedCall(pr.SDMAPrep+pr.SendXmit, "sdma.prep", m.sdmaPrepFn, a)
+	m.nic.ExecTaggedCall(pr.SDMAPrep+pr.SendXmit, "sdma.prep", sdmaPrepared, a)
 }
 
 // sdmaPrepared: the packet is built; sequence it, remember it until it is
 // acknowledged, and transmit. The sent item is built in place at the tail
 // of the sent list, whose entries past its length are zero (ackUpTo).
-func (m *MCP) sdmaPrepared(a any) {
+func sdmaPrepared(a any) {
 	cell := a.(*sendRec)
+	m := cell.m
 	dst := network.NodeID(cell.dst)
 	c := m.conn(dst)
 	n := len(c.sentList)
 	c.sentList = slices.Grow(c.sentList, 1)[:n+1]
 	f := &c.sentList[n]
 	f.Kind = DataFrame
-	f.SrcNode, f.SrcPort = m.cfg.Node, int(cell.srcPort)
+	f.SrcNode, f.SrcPort = m.node, int(cell.srcPort)
 	f.DstNode, f.DstPort = dst, int(cell.dstPort)
 	f.Seq = c.sendSeq
 	f.Data = cell.data
@@ -408,7 +426,7 @@ func (m *MCP) transmitFrame(c *Connection, w *Frame) {
 	if m.nic.Dead() {
 		return // the card fail-stopped with this frame in flight
 	}
-	if w.DstNode == m.cfg.Node {
+	if w.DstNode == m.node {
 		m.sim.AtCall(m.sim.Now()+m.cfg.Params.LoopbackDelay, m.loopbackFn, w)
 		return
 	}
@@ -416,7 +434,7 @@ func (m *MCP) transmitFrame(c *Connection, w *Frame) {
 		panic("mcp: transmit before Attach")
 	}
 	if c.route == nil {
-		r, err := m.routes.Route(int(m.cfg.Node), int(w.DstNode))
+		r, err := m.routes.Route(int(m.node), int(w.DstNode))
 		if err != nil {
 			m.stats.ProtocolErrors++
 			return
@@ -424,7 +442,7 @@ func (m *MCP) transmitFrame(c *Connection, w *Frame) {
 		c.route = r
 	}
 	pkt := m.iface.NewPacket()
-	pkt.Src = m.cfg.Node
+	pkt.Src = m.node
 	pkt.Dst = w.DstNode
 	pkt.Size = w.WireSize()
 	pkt.Payload = w
@@ -436,21 +454,23 @@ func (m *MCP) transmitFrame(c *Connection, w *Frame) {
 // retransmission, or the reject of a message that found its port closed:
 // the task carries a snapshot of the frame leased when it was queued, which
 // goes to the peer it is addressed to. A reject is counted as it goes:
-// rejects are never retransmitted, so each is sent once.
-func (m *MCP) sendEvent(a any) {
+// rejects are never retransmitted, so each is sent once. The frame's source
+// is the card that sends it.
+func (b *shared) sendEvent(a any) {
 	w := a.(*Frame)
+	m := &b.cards[w.SrcNode]
 	if w.Kind == BarrierRejectFrame {
 		m.stats.BarrierRejects++
 	}
 	m.transmitFrame(m.conn(w.DstNode), w)
 }
 
-// framePoolCap bounds how many returned wire frames one NIC hoards (the twin
-// of network's packetPoolCap).
+// framePoolCap bounds how many returned wire frames a block hoards per card
+// (the twin of network's packetPoolCap).
 const framePoolCap = 32
 
-// leaseFrame returns a wire frame holding a copy of *src, reusing one this
-// NIC took back when it can. A *Frame on the wire has exactly one owner: the
+// leaseFrame returns a wire frame holding a copy of *src, reusing one the
+// block took back when it can. A *Frame on the wire has exactly one owner: the
 // sender retains frames by value (sentList, barrierSent) and leases a copy
 // per (re)transmission; the receiver returns the frame after handleFrame. A
 // duplicated packet carries a copy of the frame (CopyPayload), so each copy's
@@ -475,7 +495,7 @@ func (m *MCP) releaseFrame(f *Frame) {
 		panic("mcp: wire frame released twice")
 	}
 	f.Kind, f.Data = releasedFrame, nil
-	if len(m.frames) < framePoolCap {
+	if len(m.frames) < framePoolCap*len(m.cards) {
 		m.frames = append(m.frames, f)
 	}
 }
@@ -483,18 +503,27 @@ func (m *MCP) releaseFrame(f *Frame) {
 // loopbackEvent fires LoopbackDelay after a self-addressed frame was
 // "transmitted": receive it. No packet carried it, so nothing but this NIC
 // ever saw the frame.
-func (m *MCP) loopbackEvent(a any) {
-	m.receiveFrame(a.(*Frame))
+func (b *shared) loopbackEvent(a any) {
+	f := a.(*Frame)
+	b.cards[f.DstNode].receiveFrame(f)
 }
 
 // HandleDelivered is the fabric receive callback: a packet has fully
 // arrived at this NIC. Damaged packets (failed CRC) are discarded after
 // charging the check; when the header survived the damage (truncation cut
 // only the tail) and the frame was data, the receiver nacks so the sender
-// rewinds immediately instead of waiting out its timer.
+// rewinds immediately instead of waiting out its timer. A packet addressed to
+// another node is a protocol error: the frame callbacks find their card by
+// the packet's destination, which is its frame's (transmitFrame).
 func (m *MCP) HandleDelivered(p *network.Packet) {
-	if m.nic.Dead() {
-		return // a dead card receives nothing
+	if p.Dst != m.node {
+		m.stats.ProtocolErrors++
+	}
+	if m.nic.Dead() || p.Dst != m.node {
+		// A dead card receives nothing, and no card what is not its own.
+		m.HandleDropped(p)
+		m.iface.Recycle(p)
+		return
 	}
 	if p.Corrupt {
 		m.nic.ExecTaggedCall(m.cfg.Params.CRCCheck, "crc.drop", m.crcDropFn, p)
@@ -520,13 +549,25 @@ func (m *MCP) HandleDelivered(p *network.Packet) {
 	}
 }
 
-// crcDropEvent fires once a damaged packet's CRC check has been paid: count
-// the drop, and nack a data frame whose header survived.
-func (m *MCP) crcDropEvent(a any) {
-	m.stats.CorruptDrops++
-	if f, ok := a.(*network.Packet).Payload.(*Frame); ok && f.Kind == DataFrame {
-		m.sendNack(m.conn(f.SrcNode))
+// HandleDropped takes back the wire frame a packet the fabric lost was
+// carrying; the fabric recycles the packet itself.
+func (m *MCP) HandleDropped(p *network.Packet) {
+	if f, ok := p.Payload.(*Frame); ok {
+		m.releaseFrame(f)
 	}
+}
+
+// crcDropEvent fires once a damaged packet's CRC check has been paid: count
+// the drop, nack a data frame whose header survived, and return the packet.
+func (b *shared) crcDropEvent(a any) {
+	p := a.(*network.Packet)
+	m := &b.cards[p.Dst]
+	m.stats.CorruptDrops++
+	if f, ok := p.Payload.(*Frame); ok && f.Kind == DataFrame {
+		m.sendNack(m.conn(f.SrcNode), false)
+	}
+	m.HandleDropped(p)
+	m.iface.Recycle(p)
 }
 
 // receiveFrame charges the RECV state machine's classification cost and
@@ -557,9 +598,10 @@ func (m *MCP) receiveFrame(f *Frame) {
 }
 
 // handleFrameEvent fires when the RECV classification cost has been paid:
-// dispatch the frame, then return it.
-func (m *MCP) handleFrameEvent(a any) {
+// dispatch the frame at the card it is addressed to, then return it.
+func (b *shared) handleFrameEvent(a any) {
 	f := a.(*Frame)
+	m := &b.cards[f.DstNode]
 	m.handleFrame(f)
 	m.releaseFrame(f)
 }
@@ -612,7 +654,7 @@ func (m *MCP) handleData(f *Frame) {
 			// nack): it will retry on its timer without counting the
 			// rounds toward connection death.
 			m.stats.NoRecvToken++
-			m.sendNoBufferNack(c)
+			m.sendNack(c, true)
 			return
 		}
 		c.recvSeq++
@@ -627,7 +669,7 @@ func (m *MCP) handleData(f *Frame) {
 		m.sendAck(c) // re-ack so the sender can advance
 	default:
 		m.stats.OutOfOrder++
-		m.sendNack(c)
+		m.sendNack(c, false)
 	}
 }
 
@@ -636,14 +678,11 @@ func (m *MCP) sendAck(c *Connection) {
 	m.sendCtl("ack.gen", ctlRec{kind: AckFrame, c: c, seq: c.recvSeq})
 }
 
-func (m *MCP) sendNoBufferNack(c *Connection) {
+// sendNack nacks what c's peer sent past the expected sequence number, or,
+// with noBuffer, the frame no receive buffer could take.
+func (m *MCP) sendNack(c *Connection, noBuffer bool) {
 	m.stats.NacksSent++
-	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, c: c, seq: c.recvSeq, noBuffer: true})
-}
-
-func (m *MCP) sendNack(c *Connection) {
-	m.stats.NacksSent++
-	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, c: c, seq: c.recvSeq})
+	m.sendCtl("nack.gen", ctlRec{kind: NackFrame, c: c, seq: c.recvSeq, noBuffer: noBuffer})
 }
 
 // sendCtl charges the generation cost of one control frame and transmits
@@ -651,16 +690,16 @@ func (m *MCP) sendNack(c *Connection) {
 func (m *MCP) sendCtl(label string, ctl ctlRec) {
 	rec := m.pendCtl.Get()
 	*rec = ctl
-	m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, label, m.ctlSendFn, rec)
+	m.nic.ExecTaggedCall(m.cfg.Params.AckGen+m.cfg.Params.SendXmit, label, ctlSendEvent, rec)
 }
 
-func (m *MCP) ctlSendEvent(a any) {
+func ctlSendEvent(a any) {
 	rec := a.(*ctlRec)
-	ctl := *rec
+	ctl, m := *rec, rec.c.m
 	m.pendCtl.Put(rec)
 	m.transmitFrame(ctl.c, m.leaseFrame(&Frame{
 		Kind:     ctl.kind,
-		SrcNode:  m.cfg.Node,
+		SrcNode:  m.node,
 		DstNode:  ctl.c.peer,
 		AckSeq:   ctl.seq,
 		NoBuffer: ctl.noBuffer,
@@ -773,7 +812,7 @@ func (m *MCP) retransInterval(c *Connection) sim.Time {
 	}
 	if pr.RetransJitterPct > 0 {
 		if m.jitter == nil {
-			m.jitter = network.LinkSource(0x6d6370, network.LinkID(m.cfg.Node))
+			m.jitter = network.LinkSource(0x6d6370, network.LinkID(m.node))
 		}
 		d += sim.Time(float64(d) * pr.RetransJitterPct / 100 * unitFloat(m.jitter))
 	}
@@ -801,24 +840,20 @@ func (m *MCP) armRetransTimer(c *Connection) {
 	}
 	d := m.retransInterval(c)
 	if c.retrans == nil {
-		c.retrans = m.sim.NewTimer(m.timerFn, c)
+		c.retrans = m.sim.NewTimer(timerEvent, c)
 	}
 	c.retrans.Arm(m.sim.Now() + d)
 }
 
-// timerEvent fires when one of the NIC's timers expires. A timer carries
-// what it times: a connection (its retransmission timer) or an operation
-// slot (the slot's watchdog), which sits in one of the NIC's ports.
-func (m *MCP) timerEvent(a any) {
+// timerEvent fires when one of a NIC's timers expires. A timer carries
+// what it times, which names its card: a connection (its retransmission
+// timer) or an operation slot (the slot's watchdog) of one of its ports.
+func timerEvent(a any) {
 	switch x := a.(type) {
 	case *Connection:
-		m.timerFire(x)
+		x.m.timerFire(x)
 	case *treeSlot:
-		for i := range m.ports {
-			if p := &m.ports[i]; x == &p.slots[barrierSlot] || x == &p.slots[collSlot] {
-				m.watchdogFire(p, x)
-			}
-		}
+		x.m.watchdogFire(&x.m.ports[x.port], x)
 	}
 }
 
@@ -916,16 +951,17 @@ func (m *MCP) postHostEvent(p *Port, cycles int64, label string, bytes int) *Hos
 		return nil
 	}
 	rec := m.pendHostEvts.Get()
-	rec.due, rec.port, rec.bytes = due, int32(p.num), int32(bytes)
-	m.sim.AtCall(done, m.hostEvtDeliverFn, rec)
+	rec.m, rec.due, rec.port, rec.bytes = m, due, int32(p.num), int32(bytes)
+	m.sim.AtCall(done, hostEvtDeliver, rec)
 	return &rec.ev
 }
 
 // hostEvtDeliver hands a host event to its port as the event's RDMA
 // completes, and releases the record once the port has taken the event.
 // An event whose transfer never started, its card dead first, is dropped.
-func (m *MCP) hostEvtDeliver(a any) {
+func hostEvtDeliver(a any) {
 	rec := a.(*hostEvtRec)
+	m := rec.m
 	if p := &m.ports[rec.port]; m.nic.Landed(m.nic.RDMA(), rec.due, int(rec.bytes)) {
 		switch rec.ev.Kind {
 		case RecvEvent:
@@ -935,18 +971,13 @@ func (m *MCP) hostEvtDeliver(a any) {
 				p.sendsInFlight--
 			}
 		}
-		m.deliverHost(p, &rec.ev)
+		// The GM library layer copies what it keeps.
+		if p.open && p.owner != nil {
+			p.owner.HandleHostEvent(&rec.ev)
+		} else {
+			m.stats.ProtocolErrors++
+		}
 	}
 	*rec = hostEvtRec{}
 	m.pendHostEvts.Put(rec)
-}
-
-// deliverHost hands a completed event to the GM library layer, which copies
-// what it keeps.
-func (m *MCP) deliverHost(p *Port, ev *HostEvent) {
-	if !p.open || p.deliver == nil {
-		m.stats.ProtocolErrors++
-		return
-	}
-	p.deliver(ev)
 }

@@ -12,8 +12,8 @@ import (
 	"gmsim/internal/sim"
 )
 
-// rig is a test harness: n MCPs on a single-switch fabric, with host events
-// captured per (node, port).
+// rig is a test harness: a block of n MCPs on a single-switch fabric, with
+// host events captured per (node, port).
 type rig struct {
 	s      *sim.Simulator
 	fab    *network.Fabric
@@ -23,24 +23,28 @@ type rig struct {
 
 func key(node, port int) string { return fmt.Sprintf("%d:%d", node, port) }
 
-func newRig(t *testing.T, n int, mutate func(i int, cfg *Config)) *rig {
+func newRig(t *testing.T, n int, mutate func(cfg *Config)) *rig {
 	t.Helper()
 	r := &rig{s: sim.New(), events: make(map[string][]HostEvent)}
 	r.fab = network.New(r.s, network.Shape{Switches: 1, Ports: n, NICs: n})
 	sw := r.fab.AddSwitch(network.DefaultSwitchParams(n))
-	for i := 0; i < n; i++ {
-		node := network.NodeID(i)
-		nic := lanai.NewNIC(r.s, lanai.LANai43())
-		cfg := DefaultConfig(node)
-		if mutate != nil {
-			mutate(i, &cfg)
-		}
-		m := New(nic, cfg)
-		m.Attach(r.fab.AttachNIC(node, sw, i, network.DefaultLinkParams(), m), oneSwitch{})
+	cfg := DefaultConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	cards := NewMCPs(lanai.NewNICs(r.s, lanai.LANai43(), n), cfg)
+	for i := range cards {
+		m := &cards[i]
+		m.Attach(r.fab.AttachNIC(network.NodeID(i), sw, i, network.DefaultLinkParams(), m), oneSwitch{})
 		r.mcps = append(r.mcps, m)
 	}
 	return r
 }
+
+// hostFunc is a HostReceiver made of a closure.
+type hostFunc func(*HostEvent)
+
+func (f hostFunc) HandleHostEvent(ev *HostEvent) { f(ev) }
 
 // oneSwitch routes the rig's single-switch fabric: node d hangs off port d.
 type oneSwitch struct{}
@@ -71,9 +75,9 @@ func randomLoss(rate float64, seed int64) dropIf {
 func (r *rig) open(t *testing.T, node, port int) {
 	t.Helper()
 	k := key(node, port)
-	if err := r.mcps[node].OpenPort(port, func(ev *HostEvent) {
+	if err := r.mcps[node].OpenPort(port, hostFunc(func(ev *HostEvent) {
 		r.events[k] = append(r.events[k], *ev)
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("open %s: %v", k, err)
 	}
 }
@@ -260,7 +264,7 @@ func TestDataLossRecovered(t *testing.T) {
 func TestDataHeavyRandomLoss(t *testing.T) {
 	// 10% random loss on every hop: all 40 messages still arrive exactly
 	// once, in order.
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.MaxSendTokens = 64 })
+	r := newRig(t, 2, func(cfg *Config) { cfg.MaxSendTokens = 64 })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 100)
@@ -391,7 +395,7 @@ func TestOpenCloseErrors(t *testing.T) {
 }
 
 func TestSendTokenExhaustion(t *testing.T) {
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.MaxSendTokens = 2 })
+	r := newRig(t, 2, func(cfg *Config) { cfg.MaxSendTokens = 2 })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	ep := Endpoint{Node: 1, Port: 2}
@@ -425,11 +429,9 @@ func TestBadNumPortsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s := sim.New()
-	nic := lanai.NewNIC(s, lanai.LANai43())
-	cfg := DefaultConfig(0)
+	cfg := DefaultConfig()
 	cfg.NumPorts = 9
-	New(nic, cfg)
+	NewMCPs(lanai.NewNICs(sim.New(), lanai.LANai43(), 1), cfg)
 }
 
 // postPEBarrier provides a buffer and posts a PE token.
@@ -579,7 +581,7 @@ func TestIntraNICBarrierLoopback(t *testing.T) {
 
 func TestIntraNICBarrierFlagOptimization(t *testing.T) {
 	// Section 3.4 optimization: same semantics, flag instead of packet.
-	r := newRig(t, 1, func(i int, cfg *Config) { cfg.LoopbackFlag = true })
+	r := newRig(t, 1, func(cfg *Config) { cfg.LoopbackFlag = true })
 	r.open(t, 0, 2)
 	r.open(t, 0, 3)
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 0, Port: 3}})
@@ -676,7 +678,7 @@ func TestTokenQueuedAcrossReopen(t *testing.T) {
 // stays at zero rather than going negative, so the new program keeps exactly
 // MaxSendTokens sends. Item 10 is to flip the delivery; the count must hold.
 func TestSentEventAcrossReopen(t *testing.T) {
-	r := newRig(t, 2, func(_ int, cfg *Config) { cfg.MaxSendTokens = 1 })
+	r := newRig(t, 2, func(cfg *Config) { cfg.MaxSendTokens = 1 })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.provide(t, 1, 2, 1)
@@ -698,7 +700,7 @@ func TestSentEventAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []HostEvent
-	if err := m.OpenPort(2, func(ev *HostEvent) { got = append(got, *ev) }); err != nil {
+	if err := m.OpenPort(2, hostFunc(func(ev *HostEvent) { got = append(got, *ev) })); err != nil {
 		t.Fatal(err)
 	}
 	r.s.Run()
@@ -725,7 +727,7 @@ func TestClearUnexpectedOnOpenVariant(t *testing.T) {
 	// partial sent to the closed port is recorded with its payload and
 	// cleared the same way: the reopened endpoint's reduce must not complete
 	// with a partial sent to its previous life.
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ClearUnexpectedOnOpen = true })
+	r := newRig(t, 2, func(cfg *Config) { cfg.ClearUnexpectedOnOpen = true })
 	r.open(t, 0, 2)
 	postPEBarrier(t, r, 0, 2, []Endpoint{{Node: 1, Port: 2}})
 	postColl(t, r, 0, &CollToken{Op: Reduce, Parent: Endpoint{Node: 1, Port: 2}, Value: []byte{7, 0, 0, 0, 0, 0, 0, 0}})
@@ -748,7 +750,7 @@ func TestClearUnexpectedOnOpenVariant(t *testing.T) {
 func TestReliableBarrierSurvivesLoss(t *testing.T) {
 	// Section 4.4's separate reliability mechanism: with 20% random loss
 	// the barrier still completes (retransmit timer + barrier acks).
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ReliableBarrier = true })
+	r := newRig(t, 2, func(cfg *Config) { cfg.ReliableBarrier = true })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.fab.SetFaultHook(randomLoss(0.2, 99))
@@ -787,7 +789,7 @@ func TestUnreliableBarrierHangsOnLoss(t *testing.T) {
 }
 
 func TestReliableBarrierManyConsecutiveUnderLoss(t *testing.T) {
-	r := newRig(t, 2, func(i int, cfg *Config) { cfg.ReliableBarrier = true })
+	r := newRig(t, 2, func(cfg *Config) { cfg.ReliableBarrier = true })
 	r.open(t, 0, 2)
 	r.open(t, 1, 2)
 	r.fab.SetFaultHook(randomLoss(0.1, 7))
@@ -863,24 +865,53 @@ func TestStatsAccessors(t *testing.T) {
 	}
 }
 
-// TestBarrierTokenSize pins the malloc size classes of what the firmware and
-// its host allocate per port or per operation, so a field added in the wrong
-// place cannot quietly move one up a class. core.Comm allocates one barrier
-// token per neighbourhood it computes and refills it for every barrier; the
-// token is read-only to the firmware (88 bytes, the 96-byte class). A slot's
-// operation state is allocated once per slot that runs one, PE included (the
-// 176-byte class: PE's flag and index sit in padding). A NIC's ports are one
-// block: eight 88-byte ports, the 24-byte slice header of the NIC's credit
-// schedule and the 8-byte header the allocator adds to a pointerful object
-// over 512 bytes fit the 768-byte class; at 96 bytes a port the block takes
-// 896. The MCP
-// itself, with that header, fits the 1024-byte class, and is pinned at its
-// size, 960 bytes. A NIC holds one
-// Connection per peer it has talked to, so it holds only what a protocol
-// step reads — recovery counts are the NIC's Stats — and is kept to the
-// 320-byte class (304 bytes), and the unexpected-message record's eight
-// slots inside it to three bytes each. A run of host credits is 32 bytes:
-// its first doorbell's key, the spacing and the count, port and kind.
+// toZero routes every frame to switch port 0, node 0's, whoever it is for.
+type toZero struct{}
+
+func (toZero) Route(_, _ int) ([]byte, error) { return []byte{0}, nil }
+
+// A packet that reaches a card it is not addressed to is a protocol error
+// there and goes back to the pools; the card it names never sees it, since
+// the firmware's frame callbacks find their card by the packet's
+// destination.
+func TestMisaddressedPacketIsAProtocolError(t *testing.T) {
+	r := newRig(t, 2, nil)
+	r.mcps[0].Attach(r.fab.Iface(0), toZero{})
+	r.open(t, 0, 2)
+	r.open(t, 1, 2)
+	r.provide(t, 1, 2, 1)
+	if err := r.mcps[0].PostSendToken(SendToken{SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	r.s.RunUntil(sim.Millisecond)
+	if got := r.mcps[0].Stats().ProtocolErrors; got == 0 {
+		t.Error("node 0 took a packet addressed to node 1 without a protocol error")
+	}
+	if got := r.mcps[1].Stats().DataRecv + r.mcps[0].Stats().DataRecv; got != 0 {
+		t.Errorf("%d data frames received, want 0", got)
+	}
+}
+
+// TestBarrierTokenSize pins the sizes of what the firmware and its host
+// allocate per card, per port or per operation, so a field added in the wrong
+// place cannot quietly grow one. core.Comm allocates one barrier token per
+// neighbourhood it computes and refills it for every barrier; the token is
+// read-only to the firmware (88 bytes, the 96-byte class). A slot's operation
+// state is allocated once per slot that runs one, PE included (the 176-byte
+// class: PE's flag and index sit in padding). A slot is four words, the last
+// two its card pointer and its counts, flags and port number, which its
+// watchdog's callback reads (timerEvent). A port is 112 bytes: two slots and
+// its owner, an interface. A card holds its eight ports, and the block of a
+// cluster's cards is one allocation: 1 280 bytes a card. A NIC holds one
+// Connection per peer it has talked to, so it holds only what a protocol step
+// reads — recovery counts are the NIC's Stats — and is kept to 304 bytes with
+// the pointer to its card (the probe flag sits in a sequence number's
+// padding): sixteen cells, the chunk of a 16-card block, fill the 4 864-byte
+// class exactly. The unexpected-message record's eight slots inside it are
+// three bytes each. A run of host credits is 32 bytes: its first doorbell's
+// key, the spacing and the count, port and kind. The pooled records that
+// carry their card — a posted token, a host event, a data send — are pinned
+// at 24, 104 and 56 bytes.
 func TestBarrierTokenSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -888,12 +919,15 @@ func TestBarrierTokenSize(t *testing.T) {
 	}{
 		{"BarrierToken", unsafe.Sizeof(BarrierToken{}), 88},
 		{"treeState", unsafe.Sizeof(treeState{}), 176},
-		{"Port", unsafe.Sizeof(Port{}), 88},
-		{"portBlock", unsafe.Sizeof(portBlock{}), 768 - 8},
-		{"MCP", unsafe.Sizeof(MCP{}), 960},
-		{"Connection", unsafe.Sizeof(Connection{}), 320},
+		{"treeSlot", unsafe.Sizeof(treeSlot{}), 32},
+		{"Port", unsafe.Sizeof(Port{}), 112},
+		{"MCP", unsafe.Sizeof(MCP{}), 1280},
+		{"Connection", unsafe.Sizeof(Connection{}), 304},
 		{"unexpRec", unsafe.Sizeof(unexpRec{}), 4},
 		{"creditRun", unsafe.Sizeof(creditRun{}), 32},
+		{"postedRec", unsafe.Sizeof(postedRec{}), 24},
+		{"hostEvtRec", unsafe.Sizeof(hostEvtRec{}), 104},
+		{"sendRec", unsafe.Sizeof(sendRec{}), 56},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, want <= %d", c.name, c.got, c.want)

@@ -1,9 +1,6 @@
 package mcp
 
-import (
-	"gmsim/internal/network"
-	"gmsim/internal/sim"
-)
+import "gmsim/internal/sim"
 
 // FirmwareParams gives the cost, in LANai processor cycles, of each firmware
 // task. Costs are per task occurrence and execute serially on the NIC
@@ -141,10 +138,8 @@ func DefaultFirmwareParams() FirmwareParams {
 	}
 }
 
-// Config configures one MCP instance (one NIC's firmware).
+// Config configures the firmware of a block of cards (NewMCPs).
 type Config struct {
-	// Node is this NIC's fabric identity.
-	Node network.NodeID
 	// NumPorts is the number of communication endpoints the NIC exposes.
 	// GM 1.2.3 allows eight.
 	NumPorts int
@@ -183,10 +178,9 @@ type Config struct {
 	CollUnexpCap int
 }
 
-// DefaultConfig returns a GM 1.2.3-like configuration for the given node.
-func DefaultConfig(node network.NodeID) Config {
+// DefaultConfig returns a GM 1.2.3-like configuration.
+func DefaultConfig() Config {
 	return Config{
-		Node:          node,
 		NumPorts:      8,
 		Params:        DefaultFirmwareParams(),
 		MaxSendTokens: 16,

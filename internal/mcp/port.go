@@ -6,7 +6,7 @@ import (
 )
 
 // Port is the NIC-side endpoint data structure: send/receive token state,
-// the host event delivery hook, and — the paper's addition, its "pointer to
+// the owner its host events go to, and — the paper's addition, its "pointer to
 // the barrier send token" (Section 4.2) — the barrier slot, which holds the
 // state of the port's barrier in flight, PE or GB, beside the collective slot.
 type Port struct {
@@ -19,8 +19,7 @@ type Port struct {
 	// recvTokens counts host-provided receive buffers (GM receive tokens)
 	// that retired credit runs posted, less those consumed; the live runs add
 	// what they have posted so far (MCP.credits), so the field alone may read
-	// negative. It and sendsInFlight are int32s so that a NIC's eight ports,
-	// one allocation, fit the 768-byte size class with its malloc header.
+	// negative. It and sendsInFlight are int32s, one word together.
 	recvTokens int32
 	// sendsInFlight counts data sends posted but not yet completed,
 	// bounded by Config.MaxSendTokens.
@@ -33,17 +32,9 @@ type Port struct {
 	// barrier.
 	slots [2]treeSlot
 
-	// deliver hands a completed host event to the GM library layer. It is
-	// invoked after the RDMA transfer that writes the event record (and
-	// any data) into host memory has finished.
-	deliver func(*HostEvent)
-}
-
-// portBlock is a NIC's ports and its credit schedule, one allocation: eight
-// ports and the schedule's slice header fit the 768-byte size class.
-type portBlock struct {
-	ports [8]Port
-	runs  []creditRun
+	// owner takes each completed host event, once the RDMA transfer that
+	// writes the event record (and any data) into host memory has finished.
+	owner HostReceiver
 }
 
 // Credit is what a host credit gives a port: a completion buffer of one of
@@ -131,12 +122,15 @@ type collRec struct {
 // Connection is the per-remote-NIC structure: reliable channel state plus
 // the paper's unexpected-barrier-message record. One exists per peer a NIC
 // has talked to, so it holds only what a protocol step reads and is kept to
-// the 320-byte size class: the record is three bytes a source port, early
-// collective messages share one FIFO, the retransmission timer is a pointer
-// to a timer built by its first arm and carrying the connection to the
-// NIC's one callback (timerEvent), and recovery counts live in the NIC's
-// Stats, not per peer.
+// 304 bytes: the record is three bytes a source port, early collective
+// messages share one FIFO, the retransmission timer is a pointer to a timer
+// built by its first arm and carrying the connection to the package's one
+// callback (timerEvent), and recovery counts live in the NIC's Stats, not per
+// peer.
 type Connection struct {
+	// m is the card the connection belongs to, which a record or timer
+	// carrying the connection leads its callback to.
+	m    *MCP
 	peer network.NodeID
 
 	// route is the source route to the peer, as the Router returned it for the
@@ -156,7 +150,10 @@ type Connection struct {
 	// independent sequence space and in-flight list for barrier frames (by
 	// value, like sentList's).
 	barrierSendSeq uint32
-	barrierSent    []Frame
+	// probeOut is set while a liveness probe to this peer is unacknowledged,
+	// so the watchdog does not pile probes onto a silent peer.
+	probeOut    bool
+	barrierSent []Frame
 	// barrierSeen[srcPort] tracks which barrier seqs have been delivered
 	// from that source port, for duplicate suppression of retransmits.
 	barrierSeen [8]seqWindow
@@ -178,10 +175,6 @@ type Connection struct {
 	// backoff is the current exponent of the retransmission interval, reset
 	// on any acknowledgment progress.
 	backoff int
-
-	// probeOut is set while a liveness probe to this peer is unacknowledged,
-	// so the watchdog does not pile probes onto a silent peer.
-	probeOut bool
 }
 
 // seqWindow remembers which sequence numbers have been delivered, over a

@@ -68,17 +68,17 @@ func checkInterval(t *testing.T, k int, d sim.Time) {
 // sender's counters.
 func runBackoffSchedule(t *testing.T, maxRetries int) ([]sim.Time, Stats) {
 	t.Helper()
-	r := newRig(t, 2, func(i int, cfg *Config) {
+	r := newRig(t, 2, func(cfg *Config) {
 		cfg.Params.MaxRetries = maxRetries
 	})
 	hole := &blackHole{s: r.s, on: true}
 	r.fab.SetFaultHook(hole)
 	var failedAt sim.Time
-	if err := r.mcps[0].OpenPort(2, func(ev *HostEvent) {
+	if err := r.mcps[0].OpenPort(2, hostFunc(func(ev *HostEvent) {
 		if ev.Kind == SentEvent && ev.Failed {
 			failedAt = r.s.Now()
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	r.open(t, 1, 2)
@@ -151,7 +151,7 @@ func TestRetransBackoffSchedule(t *testing.T) {
 // TestBackoffResetsOnAckProgress: once the peer comes back and acks, the
 // next loss restarts from the base interval.
 func TestBackoffResetsOnAckProgress(t *testing.T) {
-	r := newRig(t, 2, func(i int, cfg *Config) {
+	r := newRig(t, 2, func(cfg *Config) {
 		cfg.Params.MaxRetries = 100
 	})
 	hole := &blackHole{s: r.s, on: true}

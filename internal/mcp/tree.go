@@ -110,7 +110,7 @@ type treeOp struct {
 // treeSlot is one of a port's two operation slots: what the host has
 // provided and posted, and the NIC-resident state of its operation.
 // (Eight ports a NIC, two slots a port, and usually one in use: the layout
-// is kept to three words.)
+// is kept to four words.)
 type treeSlot struct {
 	// watchdog is the slot's watchdog timer, built by its first arm and
 	// kept across programs (resetSlots): armed while an operation is in
@@ -119,6 +119,9 @@ type treeSlot struct {
 	watchdog *sim.Timer
 	// The operation state, set aside the first time the slot runs one.
 	*treeState
+	// m and port name the slot's card and port for its watchdog's
+	// callback (timerEvent), set as the slot starts an operation.
+	m *MCP
 	// bufs counts host-provided completion buffers
 	// (gm_provide_barrier_buffer and its collective twin) that retired credit
 	// runs posted, less those consumed; like Port.recvTokens it may read
@@ -131,6 +134,7 @@ type treeSlot struct {
 	// live: an operation's token has been processed and it has not
 	// completed.
 	live bool
+	port int8
 }
 
 // treeState describes a slot's operation: the one in flight or, once it has
@@ -166,9 +170,10 @@ type treeState struct {
 	}
 }
 
-// postedRec is one posted token the SDMA state machine has yet to notice: a
-// barrier's or a collective's.
+// postedRec is one posted token the SDMA state machine has yet to notice, a
+// barrier's or a collective's, at card m.
 type postedRec struct {
+	m    *MCP
 	bar  *BarrierToken
 	coll *CollToken
 }
@@ -189,15 +194,15 @@ func (m *MCP) post(port int, fam *treeFamily, cycles int64, rec postedRec) error
 	s.pending = true
 	cell := m.pendTokens.Get()
 	*cell = rec
-	m.nic.ExecTaggedCall(cycles, fam.tokenLabel, m.tokenFn, cell)
+	m.nic.ExecTaggedCall(cycles, fam.tokenLabel, tokenEvent, cell)
 	return nil
 }
 
 // tokenEvent fires when the SDMA state machine has processed a posted
 // token: the operation starts.
-func (m *MCP) tokenEvent(a any) {
+func tokenEvent(a any) {
 	cell := a.(*postedRec)
-	rec := *cell
+	rec, m := *cell, cell.m
 	*cell = postedRec{}
 	m.pendTokens.Put(cell)
 	if tok := rec.coll; tok != nil {
@@ -224,7 +229,7 @@ func (m *MCP) treeStart(port int, fam *treeFamily, op treeOp) {
 	if s.treeState == nil {
 		s.treeState = new(treeState)
 	}
-	s.treeOp, s.epoch = op, p.epoch
+	s.treeOp, s.epoch, s.m, s.port = op, p.epoch, m, int8(port)
 	s.live, s.upDone, s.next = true, false, 0
 	if !s.pe {
 		s.up, s.down = s.coll.Phases()

@@ -43,7 +43,7 @@ func TestSameWalkBarrierAndAllReduce(t *testing.T) {
 	} {
 		var walks [2]Stats
 		for fam, name := range []string{"barrier", "allreduce"} {
-			r := newRig(t, 4, func(_ int, cfg *Config) { cfg.ReliableBarrier = sc.reliable })
+			r := newRig(t, 4, func(cfg *Config) { cfg.ReliableBarrier = sc.reliable })
 			r.open(t, 1, 2)
 			m := r.mcps[1]
 			parent := Endpoint{Node: 0, Port: 2}
@@ -148,7 +148,7 @@ func TestBarrierAndCollectiveShareAPort(t *testing.T) {
 // promotes itself and releases its subtree with what the subtree holds; the
 // completion event names the dead.
 func TestCollectiveRepairsAroundDeadPeers(t *testing.T) {
-	r := newRig(t, 4, func(_ int, cfg *Config) {
+	r := newRig(t, 4, func(cfg *Config) {
 		cfg.ReliableBarrier, cfg.DetectFailures = true, true
 	})
 	r.open(t, 1, 2)
@@ -197,7 +197,7 @@ func TestCollectiveRepairsAroundDeadPeers(t *testing.T) {
 // waits on peer 3, which repairs nothing; it is skipped once peer 4 answers.
 // The completion event names the dead.
 func TestPERepairsAroundDeadPeers(t *testing.T) {
-	r := newRig(t, 6, func(_ int, cfg *Config) {
+	r := newRig(t, 6, func(cfg *Config) {
 		cfg.ReliableBarrier, cfg.DetectFailures = true, true
 		cfg.Params.BarrierTimeout = 200 * sim.Microsecond
 	})

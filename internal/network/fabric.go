@@ -127,11 +127,17 @@ func mix64(a, b int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// drop discards a packet: the observer sees it, the source NIC's receiver
+// takes back what it carried, and the packet goes back to the pool.
 func (f *Fabric) drop(p *Packet, reason string) {
 	f.dropped++
 	if f.observer != nil {
 		f.observer.PacketDropped(p, reason)
 	}
+	if p.Src >= 0 && int(p.Src) < len(f.ifaces) && f.ifaces[p.Src].recv != nil {
+		f.ifaces[p.Src].recv.HandleDropped(p)
+	}
+	f.recycle(p)
 }
 
 // AddSwitch creates a switch and returns it. A switch beyond the shape's
@@ -158,10 +164,13 @@ func (f *Fabric) AddSwitch(params SwitchParams) *Switch {
 	return sw
 }
 
-// Receiver takes the packets that fully arrive at a NIC: its firmware
-// (*mcp.MCP), held as it is, so attaching a card builds no callback.
+// Receiver is a NIC's firmware (*mcp.MCP) as the fabric sees it, held as it
+// is, so attaching a card builds no callback: it takes the packets that fully
+// arrive at the NIC, and takes back the payload of a packet the NIC sent that
+// the fabric dropped, before the fabric recycles the packet.
 type Receiver interface {
 	HandleDelivered(p *Packet)
+	HandleDropped(p *Packet)
 }
 
 // AttachNIC cables a NIC interface to a switch port with a duplex link.
@@ -288,8 +297,9 @@ func (i *Iface) NewPacket() *Packet {
 // Recycle hands a delivered packet back to the fabric's pool for any NIC's
 // reuse. The caller (NIC firmware) must be completely done with it: no
 // references may survive the call.
-func (i *Iface) Recycle(p *Packet) {
-	f := i.fab
+func (i *Iface) Recycle(p *Packet) { i.fab.recycle(p) }
+
+func (f *Fabric) recycle(p *Packet) {
 	if len(f.pool) < packetPoolCap*len(f.ifaces) {
 		f.pool = append(f.pool, p)
 	}

@@ -17,6 +17,7 @@ import (
 type recvFunc func(*Packet)
 
 func (f recvFunc) HandleDelivered(p *Packet) { f(p) }
+func (f recvFunc) HandleDropped(*Packet)     {}
 
 // testNet builds a single-switch star with n NICs and a recorder of
 // deliveries per NIC.

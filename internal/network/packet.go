@@ -132,8 +132,8 @@ func (p *Packet) String() string {
 
 // Observer receives fabric-level events, for tracing and tests.
 // All methods are called synchronously from the simulation event loop. An
-// observer must not retain p past the call: a delivered packet, and the
-// frame it carries, are reused for later traffic.
+// observer must not retain p past the call: a delivered or dropped packet,
+// and the frame it carries, are reused for later traffic.
 type Observer interface {
 	// PacketInjected fires when a NIC begins transmitting a packet.
 	PacketInjected(p *Packet)
