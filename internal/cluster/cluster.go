@@ -324,30 +324,51 @@ func (c *Cluster) Metrics() *stats.Registry {
 	return reg
 }
 
-// Spawn starts an application process on node i with the given rank.
-// The body runs in simulated time; use the returned process's methods and
-// the gm package for communication.
-func (c *Cluster) Spawn(i, rank int, body func(p *host.Process)) *host.Process {
+// Start starts hp, a process in memory the caller owns, on node i with the
+// given rank, running body(arg) (host.Process.Start): a harness that keeps
+// more than the process per rank (experiments.Session) allocates the cells
+// of all its ranks as one block and starts each here. Spawn and SpawnAll are
+// Start on cells of their own.
+func (c *Cluster) Start(hp *host.Process, i, rank int, body func(any), arg any) {
 	if i < 0 || i >= c.cfg.Nodes {
 		panic(fmt.Sprintf("cluster: no node %d", i))
 	}
-	var hp *host.Process
-	proc := c.sim.Spawn(fmt.Sprintf("node%d/rank%d", i, rank), func(p *sim.Proc) {
-		body(hp)
-	})
-	hp = host.NewProcess(proc, network.NodeID(i), rank, c.cfg.Host)
+	hp.Start(c.sim, network.NodeID(i), rank, c.cfg.Host, body, arg)
 	if c.phases != nil {
 		hp.SetPhaseRecorder(c.phases)
 	}
 	c.procs = append(c.procs, hp)
-	return hp
+}
+
+// proc is the cell of a process Spawn or SpawnAll starts.
+type proc struct {
+	host.Process
+	body func(p *host.Process)
+}
+
+// runProc is a Spawn or SpawnAll cell's body.
+func runProc(a any) {
+	c := a.(*proc)
+	c.body(&c.Process)
+}
+
+// Spawn starts an application process on node i with the given rank.
+// The body runs in simulated time; use the returned process's methods and
+// the gm package for communication.
+func (c *Cluster) Spawn(i, rank int, body func(p *host.Process)) *host.Process {
+	cell := &proc{body: body}
+	c.Start(&cell.Process, i, rank, runProc, cell)
+	return &cell.Process
 }
 
 // SpawnAll starts one process per node, rank == node index — the paper's
-// "each node has only one process" configuration.
+// "each node has only one process" configuration. The processes are one
+// block.
 func (c *Cluster) SpawnAll(body func(p *host.Process)) {
-	for i := 0; i < c.cfg.Nodes; i++ {
-		c.Spawn(i, i, body)
+	cells := make([]proc, c.cfg.Nodes)
+	for i := range cells {
+		cells[i].body = body
+		c.Start(&cells[i].Process, i, i, runProc, &cells[i])
 	}
 }
 

@@ -194,13 +194,22 @@ func (c *Comm) barrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.Ba
 // rank's Comm the same pointer.
 func (c *Comm) SetLeafMap(lm *LeafMap) { c.leafMap = lm }
 
-// NewComm wraps an open port and pre-posts bufs receive buffers.
+// NewComm wraps an open port and pre-posts bufs receive buffers: Comm.Init
+// on a Comm of its own.
 func NewComm(p *host.Process, port *gm.Port, bufs int) (*Comm, error) {
-	c := &Comm{port: port}
-	if err := port.ProvideReceiveBuffers(p, bufs); err != nil {
+	c := new(Comm)
+	if err := c.Init(p, port, bufs); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Init makes c, a Comm in memory the caller owns, wrap an open port and
+// pre-posts bufs receive buffers: a harness keeps each rank's Comm in the
+// rank's cell (experiments.Session).
+func (c *Comm) Init(p *host.Process, port *gm.Port, bufs int) error {
+	*c = Comm{port: port}
+	return port.ProvideReceiveBuffers(p, bufs)
 }
 
 // Port returns the wrapped port.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/mcp"
@@ -29,8 +30,11 @@ func mallocsFor(spec Spec) (objects, bytes uint64) {
 // exchange partner. It read 122.0 objects and 18.24 KB a rank while each
 // connection took the 1024-byte size class and a timer closure of its own; at
 // 384 bytes and no closure it read 113.0 and 12.98; with a cluster's firmware
-// one block — per-cluster pools and callbacks, connections in chunks — it
-// reads 36.1 and 7.96. The limits are those figures plus 3 %.
+// one block — per-cluster pools and callbacks, connections in chunks — 36.1
+// and 7.96; with the ranks one block of cells — process, port and Comm —
+// and no map, callback or credit run of a card's own, it reads 19.2 and
+// 7.69, of which about seven objects are the rank's coroutine (iter.Pull).
+// The limits are those figures plus 3 %.
 func TestConstructionCostPerRank(t *testing.T) {
 	const n = 256
 	spec := Spec{Cluster: TopoConfig(topo.Clos3, n, 16), Level: NICLevel, Alg: mcp.PE, Iters: 1}
@@ -38,7 +42,7 @@ func TestConstructionCostPerRank(t *testing.T) {
 	objects, bytes := mallocsFor(spec)
 	perObj, perKB := float64(objects)/n, float64(bytes)/n/1024
 	t.Logf("%.1f objects and %.2f KB a rank", perObj, perKB)
-	const maxObj, maxKB = 36.1 * 1.03, 7.96 * 1.03
+	const maxObj, maxKB = 19.2 * 1.03, 7.69 * 1.03
 	if perObj > maxObj || perKB > maxKB {
 		t.Errorf("%.1f objects and %.2f KB a rank, want <= %.1f and %.2f", perObj, perKB, maxObj, maxKB)
 	}
@@ -101,7 +105,9 @@ func TestSteadyStateAllocsPerBarrier(t *testing.T) {
 // 64.2 objects a node while each card's firmware was about 28 objects of
 // its own (eleven callbacks, pools, a heap Connection per peer) and each
 // port open built a hook, 38.0 once a cluster's firmware was one block
-// with per-cluster pools and callbacks. The limit is the reading plus 3 %.
+// with per-cluster pools and callbacks, 21.1 once the ranks were one block
+// of cells and a card kept no map, callback or credit run of its own. The
+// limit is the reading plus 3 %.
 func TestMeasurementObjectsPerNode(t *testing.T) {
 	const n = 64
 	spec := Spec{Cluster: TopoConfig(topo.Clos3, n, 16), Level: NICLevel, Alg: mcp.PE, Iters: DefaultIters}
@@ -109,8 +115,18 @@ func TestMeasurementObjectsPerNode(t *testing.T) {
 	objects, _ := mallocsFor(spec)
 	perNode := float64(objects) / n
 	t.Logf("%.1f objects a node", perNode)
-	const limit = 38.0 * 1.03
+	const limit = 21.1 * 1.03
 	if perNode > limit {
 		t.Errorf("%.1f objects a node, want <= %.1f", perNode, limit)
+	}
+}
+
+// TestRankCellSize pins a rank's cell, what SpawnAll allocates per rank in
+// its one block: the process (its sim.Proc, 88 bytes, inside host.Process's
+// 184), the GM port (352, its signal and first event slot inside) and the
+// Comm (432), and the three words of what the rank runs.
+func TestRankCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(rank{}); got > 992 {
+		t.Errorf("a rank's cell is %d bytes, want ≤ 992", got)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -205,6 +206,91 @@ func TestEventsPerRankBarrier(t *testing.T) {
 		t.Logf("%s: %d events outside barriers", tc.name, intercept)
 		if intercept != tc.intercept {
 			t.Errorf("%s: %d events outside barriers, pinned at %d", tc.name, intercept, tc.intercept)
+		}
+	}
+}
+
+// TestEventsPerRankBarrierFormula holds the engine's work per barrier to
+// closed forms in the group size n, for n = 4 … 64 (powers of two, so the PE
+// schedule is log2 n exchanges a rank), measured as TestEventsPerRankBarrier
+// measures its four pinned cells (steady state, ranks together, plain):
+//
+//   - NIC PE on one crossbar: n(4·log2 n + 3) + 1 events, n + 1 resumes;
+//   - host PE on one crossbar: 12·n·log2 n + 1 events, n·log2 n + 1 resumes;
+//   - NIC GB dimension 2 on one crossbar: 11n − 7 events, n + 1 resumes;
+//   - NIC PE on a radix-16 clos3 fat-tree: Σ over ranks of (3 + Σ_r (3 +
+//     s_r)) + 1 events, s_r the switches on the route of the rank's round-r
+//     exchange as topo routes it, and n + 1 resumes. On one crossbar every
+//     s_r is 1, which is the first row.
+//
+// The "+ 1" is rank 0's settle before it publishes a timed iteration. The
+// coefficients are DESIGN.md's ("The engine's work per barrier").
+func TestEventsPerRankBarrierFormula(t *testing.T) {
+	const warmup, lo, hi = 5, 4, 8
+	log2 := func(n int) int64 { return int64(bits.Len(uint(n)) - 1) }
+	peSwitches := func(cl *cluster.Cluster) (sum int64) {
+		n := cl.Nodes()
+		for rank := 0; rank < n; rank++ {
+			peers, err := core.PESchedule(rank, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, peer := range peers {
+				route, err := cl.Topology().Route(rank, peer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += int64(len(route))
+			}
+		}
+		return sum
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   func(n int) cluster.Config
+		level Level
+		alg   mcp.BarrierAlg
+		dim   int
+		// want is the work of one barrier of n ranks; switches is the sum
+		// of s_r over ranks and rounds.
+		want func(n int, switches int64) engineWork
+	}{
+		{"crossbar NIC PE", cluster.DefaultConfig, NICLevel, mcp.PE, 0,
+			func(n int, _ int64) engineWork {
+				return engineWork{int64(n)*(4*log2(n)+3) + 1, int64(n) + 1}
+			}},
+		{"crossbar host PE", cluster.DefaultConfig, HostLevel, mcp.PE, 0,
+			func(n int, _ int64) engineWork {
+				return engineWork{12*int64(n)*log2(n) + 1, int64(n)*log2(n) + 1}
+			}},
+		{"crossbar NIC GB-2", cluster.DefaultConfig, NICLevel, mcp.GB, 2,
+			func(n int, _ int64) engineWork { return engineWork{11*int64(n) - 7, int64(n) + 1} }},
+		{"clos3-16 NIC PE", func(n int) cluster.Config { return TopoConfig(topo.Clos3, n, 16) }, NICLevel, mcp.PE, 0,
+			func(n int, switches int64) engineWork {
+				return engineWork{int64(n)*(3+3*log2(n)) + switches + 1, int64(n) + 1}
+			}},
+	} {
+		for _, n := range []int{4, 8, 16, 32, 64} {
+			spec := Spec{Cluster: tc.cfg(n), Level: tc.level, Alg: tc.alg, Dim: tc.dim, Warmup: warmup}
+			spec.Iters = lo
+			_, a := measured(t, spec, false)
+			spec.Iters = hi
+			_, b := measured(t, spec, false)
+			got := engineWork{(b.events - a.events) / (hi - lo), (b.switches - a.switches) / (hi - lo)}
+			var switches int64
+			if tc.alg == mcp.PE {
+				cl, err := cluster.Build(spec.Cluster)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switches = peSwitches(cl)
+			}
+			want := tc.want(n, switches)
+			t.Logf("%s, n = %d: %d events and %d resumes a barrier", tc.name, n, got.events, got.switches)
+			if (b.events-a.events)%(hi-lo) != 0 || (b.switches-a.switches)%(hi-lo) != 0 || got != want {
+				t.Errorf("%s, n = %d: %d events and %d resumes for %d barriers, the formula says %d and %d each",
+					tc.name, n, b.events-a.events, b.switches-a.switches, hi-lo, want.events, want.switches)
+			}
 		}
 	}
 }

@@ -46,45 +46,67 @@ func NewSession(cfg cluster.Config) (*Session, error) {
 	return &Session{Cluster: cl, errs: make([]error, cfg.Nodes)}, nil
 }
 
+// rank is one rank's cell: its process, its GM port and its Comm by value,
+// and what it runs. SpawnAll allocates every rank's cell as one block, and
+// Spawn a block of one; the cell's Process names it in a panic message.
+type rank struct {
+	host.Process
+	port gm.Port
+	comm core.Comm
+	s    *Session
+	bufs int
+	body RankBody
+}
+
+// runRank is every rank's program: open GM port 2 on its node, wrap it in
+// the cell's Comm with bufs receive buffers pre-posted, and run the body.
+func runRank(a any) {
+	r := a.(*rank)
+	p, node := &r.Process, int(r.Node())
+	err := r.port.Open(p, r.s.Cluster.MCP(node), 2)
+	if err == nil {
+		err = r.comm.Init(p, &r.port, r.bufs)
+	}
+	if err == nil {
+		err = r.body(p, &r.comm)
+	}
+	// A rank whose clock leads the event loop (sim.Proc) may yet be
+	// crashed before the instant it returned at.
+	p.Proc().Sync()
+	r.s.errs[node] = err
+}
+
+// start starts body in cell r on the given node (rank == node) with bufs
+// receive buffers pre-posted.
+func (s *Session) start(r *rank, node, bufs int, body RankBody) {
+	r.s, r.bufs, r.body = s, bufs, body
+	s.Cluster.Start(&r.Process, node, node, runRank, r)
+}
+
 // Spawn starts body on the given node (rank == node) with bufs receive
 // buffers pre-posted.
 func (s *Session) Spawn(node, bufs int, body RankBody) {
-	cl := s.Cluster
-	cl.Spawn(node, node, func(p *host.Process) {
-		err := func() error {
-			port, err := gm.Open(p, cl.MCP(node), 2)
-			if err != nil {
-				return err
-			}
-			comm, err := core.NewComm(p, port, bufs)
-			if err != nil {
-				return err
-			}
-			return body(p, comm)
-		}()
-		// A rank whose clock leads the event loop (sim.Proc) may yet be
-		// crashed before the instant it returned at.
-		p.Proc().Sync()
-		s.errs[node] = err
-	})
+	s.start(new(rank), node, bufs, body)
 }
 
 // SpawnAll starts body on every node — the paper's "each node has only one
-// process" configuration — under the harness's one buffer rule:
-// provisioning scales with the cluster so paper-scale runs never stall on
-// buffers, but past 1024 nodes the linear rule would post tens of
-// thousands of tokens per NIC (gigabytes across an 8192-node fabric) for a
-// barrier that keeps at most ~2(log n + dim) frames outstanding per node.
-// The cap applies only above 1024 nodes, so every pinned timing at paper
-// and 1024-node scale keeps its historical buffer count.
+// process" configuration — in one block of rank cells, under the harness's
+// one buffer rule: provisioning scales with the cluster so paper-scale runs
+// never stall on buffers, but past 1024 nodes the linear rule would post
+// tens of thousands of tokens per NIC (gigabytes across an 8192-node
+// fabric) for a barrier that keeps at most ~2(log n + dim) frames
+// outstanding per node. The cap applies only above 1024 nodes, so every
+// pinned timing at paper and 1024-node scale keeps its historical buffer
+// count.
 func (s *Session) SpawnAll(body RankBody) {
 	n := s.Cluster.Nodes()
 	bufs := 4*n + 16
 	if n > 1024 {
 		bufs = 256
 	}
-	for i := 0; i < n; i++ {
-		s.Spawn(i, bufs, body)
+	ranks := make([]rank, n)
+	for i := range ranks {
+		s.start(&ranks[i], i, bufs, body)
 	}
 }
 

@@ -64,10 +64,13 @@ type Port struct {
 
 	// events is the host-visible event queue. evHead indexes the next
 	// unconsumed entry; when the queue drains the slice rewinds to its
-	// start so steady-state traffic reuses one backing array.
+	// start so steady-state traffic reuses one backing array. first backs
+	// it until more than one event is queued at once, which a NIC-level
+	// barrier never does.
 	events []mcp.HostEvent
 	evHead int
-	sig    *sim.Signal
+	first  [1]mcp.HostEvent
+	sig    sim.Signal
 	// waiter is the owner's wait while it is parked in ReceiveFor (nil
 	// otherwise): HandleHostEvent retires an event that does not end it.
 	waiter Waiter
@@ -133,26 +136,38 @@ type slot struct {
 }
 
 // Open opens port number num on the given NIC firmware for the calling
-// process. It models the driver path (open is not on any fast path, so no
-// fine-grained cost accounting is applied beyond a doorbell).
+// process: Port.Open on a port of its own.
 func Open(p *host.Process, m *mcp.MCP, num int) (*Port, error) {
-	pt := &Port{
+	pt := new(Port)
+	if err := pt.Open(p, m, num); err != nil {
+		return nil, err
+	}
+	return pt, nil
+}
+
+// Open opens pt, a port in memory the caller owns that is not open, as port
+// number num on the given NIC firmware for the calling process: a harness
+// keeps each rank's port in the rank's cell (experiments.Session). It models
+// the driver path (open is not on any fast path, so no fine-grained cost
+// accounting is applied beyond a doorbell).
+func (pt *Port) Open(p *host.Process, m *mcp.MCP, num int) error {
+	*pt = Port{
 		sim:   m.NIC().Sim(),
 		mcp:   m,
 		owner: p,
 		num:   num,
 	}
-	pt.sig = pt.sim.NewSignal()
+	pt.events = pt.first[:0]
 	for i := range pt.slots {
 		pt.slots[i].fam, pt.slots[i].pt = &families[i], pt
 	}
 	p.Proc().Sync() // the driver call reaches into the NIC now, not a doorbell later
 	if err := m.OpenPort(num, pt); err != nil {
-		return nil, err
+		return err
 	}
 	pt.open = true
 	p.Compute(p.Params().DoorbellLatency)
-	return pt, nil
+	return nil
 }
 
 // HandleHostEvent implements mcp.HostReceiver: it runs at the instant the
@@ -373,7 +388,7 @@ func (pt *Port) ReceiveFor(p *host.Process, w Waiter) *mcp.HostEvent {
 		// again after every arrival.
 		for pt.PendingEvents() == 0 {
 			pt.waiter = w
-			p.Proc().Await(pt.sig)
+			p.Proc().Await(&pt.sig)
 			pt.waiter = nil
 		}
 		ev := pt.pop()

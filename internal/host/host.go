@@ -8,6 +8,8 @@
 package host
 
 import (
+	"fmt"
+
 	"gmsim/internal/network"
 	"gmsim/internal/phase"
 	"gmsim/internal/sim"
@@ -67,11 +69,11 @@ func (p Params) EffectiveSendCost() sim.Time { return p.SendCost + p.LayerOverhe
 // EffectiveRecvProcess is RecvProcess plus the layer overhead.
 func (p Params) EffectiveRecvProcess() sim.Time { return p.RecvProcess + p.LayerOverhead }
 
-// Process is one application process running on a node's host processor.
-// It wraps a simulation process and carries the host cost parameters that
-// the GM library charges on its behalf.
+// Process is one application process running on a node's host processor:
+// a simulation process, and the host cost parameters that the GM library
+// charges on its behalf.
 type Process struct {
-	proc *sim.Proc
+	proc sim.Proc
 	node network.NodeID
 	rank int
 	prm  Params
@@ -81,14 +83,20 @@ type Process struct {
 	rec *phase.Recorder
 }
 
-// NewProcess wraps a simulation process. Cluster code normally constructs
-// these via cluster.Spawn.
-func NewProcess(proc *sim.Proc, node network.NodeID, rank int, prm Params) *Process {
-	return &Process{proc: proc, node: node, rank: rank, prm: prm}
+// Start starts p, a process in memory the caller owns, on the given node and
+// rank: s runs body(arg) as its program (sim.Simulator.Start). Cluster code
+// normally starts processes (cluster.Cluster.Start, Spawn, SpawnAll); a cell
+// that embeds its Process is named by it in a panic message.
+func (p *Process) Start(s *sim.Simulator, node network.NodeID, rank int, prm Params, body func(any), arg any) {
+	p.node, p.rank, p.prm = node, rank, prm
+	s.Start(&p.proc, body, arg)
 }
 
+// String names the process by its node and rank, as "node3/rank7".
+func (p *Process) String() string { return fmt.Sprintf("node%d/rank%d", p.node, p.rank) }
+
 // Proc returns the underlying simulation process.
-func (p *Process) Proc() *sim.Proc { return p.proc }
+func (p *Process) Proc() *sim.Proc { return &p.proc }
 
 // Node returns the node this process runs on.
 func (p *Process) Node() network.NodeID { return p.node }

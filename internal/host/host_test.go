@@ -1,6 +1,7 @@
 package host
 
 import (
+	"strings"
 	"testing"
 
 	"gmsim/internal/sim"
@@ -34,16 +35,15 @@ func TestEffectiveCostsWithLayerOverhead(t *testing.T) {
 
 func TestProcessAccessorsAndCompute(t *testing.T) {
 	s := sim.New()
-	var hp *Process
-	proc := s.Spawn("p", func(p *sim.Proc) {
+	var hp Process
+	hp.Start(s, 3, 7, DefaultParams(), func(any) {
 		hp.Compute(100 * sim.Microsecond)
-	})
-	hp = NewProcess(proc, 3, 7, DefaultParams())
+	}, nil)
 	s.Run()
 	if hp.Node() != 3 || hp.Rank() != 7 {
 		t.Fatalf("node/rank = %v/%v", hp.Node(), hp.Rank())
 	}
-	if hp.Proc() != proc {
+	if hp.Proc() != &hp.proc || hp.Proc().Sim() != s {
 		t.Fatal("Proc() mismatch")
 	}
 	if hp.Now() != 100*sim.Microsecond {
@@ -52,21 +52,46 @@ func TestProcessAccessorsAndCompute(t *testing.T) {
 	if hp.Params().SendCost != DefaultParams().SendCost {
 		t.Fatal("Params() mismatch")
 	}
+	if got := hp.String(); got != "node3/rank7" {
+		t.Fatalf("String() = %q", got)
+	}
 }
 
 func TestProcessWait(t *testing.T) {
 	s := sim.New()
 	sig := s.NewSignal()
 	var woke sim.Time
-	var hp *Process
-	proc := s.Spawn("p", func(p *sim.Proc) {
+	var hp Process
+	hp.Start(s, 0, 0, DefaultParams(), func(any) {
 		hp.Wait(sig)
-		woke = p.Now()
-	})
-	hp = NewProcess(proc, 0, 0, DefaultParams())
+		woke = hp.Now()
+	}, nil)
 	s.After(250, sig.Fire)
 	s.Run()
 	if woke != 250 {
 		t.Fatalf("woke at %v, want 250", woke)
 	}
+}
+
+// TestCellNamesItsProcess: a process whose cell embeds its Process is named
+// by node and rank in a panic message, formatted only then.
+func TestCellNamesItsProcess(t *testing.T) {
+	type cell struct {
+		Process
+		d sim.Time
+	}
+	s := sim.New()
+	c := &cell{d: -1}
+	c.Start(s, 2, 5, DefaultParams(), func(a any) {
+		c := a.(*cell)
+		c.Proc().Sleep(c.d)
+	}, c)
+	defer func() {
+		s.Close()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, `process "node2/rank5"`) {
+			t.Fatalf("panic %v, want one naming node2/rank5", r)
+		}
+	}()
+	s.Run()
 }

@@ -38,12 +38,12 @@ func checkLeaseQuiescent(t *testing.T, r *rig) {
 		if e := m.Stats().ProtocolErrors; e != 0 {
 			t.Errorf("node %d: %d protocol errors", i, e)
 		}
-		for peer, c := range m.conns {
+		m.eachConn(func(c *Connection) {
 			if len(c.sentList) != 0 || len(c.barrierSent) != 0 {
 				t.Errorf("node %d -> %d: %d data / %d barrier frames still unacked",
-					i, peer, len(c.sentList), len(c.barrierSent))
+					i, c.peer, len(c.sentList), len(c.barrierSent))
 			}
-		}
+		})
 	}
 	frames := r.mcps[0].frames
 	if len(frames) == 0 {

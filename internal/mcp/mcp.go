@@ -2,6 +2,7 @@ package mcp
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -31,11 +32,9 @@ type MCP struct {
 
 	// ports sit in the card itself, so a *Port stays valid; the first
 	// Config.NumPorts are the NIC's. runs is the NIC's credit schedule
-	// (ScheduleCredits), and conns finds the cell of each peer it has talked
-	// to (nil until the first).
+	// (ScheduleCredits), its first runsPerCard in the block's runBufs.
 	ports [8]Port
 	runs  []creditRun
-	conns map[network.NodeID]*Connection
 
 	// pendingClosed records barrier-class messages that arrived for closed
 	// local ports, keyed by the closed port number (Section 3.2): one per
@@ -75,9 +74,12 @@ type shared struct {
 	// frames is the bounded free list of wire frames (see leaseFrame),
 	// framePoolCap a card.
 	frames []*Frame
-	// conns holds the block's Connection cells in chunks of one cell a card
-	// (see MCP.conn).
-	conns [][]Connection
+	// conns holds the block's Connection cells in chunks of one cell a card,
+	// and connIx finds a card's cell for a peer (see MCP.conn).
+	conns  [][]Connection
+	connIx connIndex
+	// runBufs backs the first runsPerCard credit runs of every card.
+	runBufs []creditRun
 
 	// pendBarSends leases barrier-class frames across their preparation,
 	// and pendTokens posted barrier and collective tokens the SDMA state
@@ -146,11 +148,12 @@ func NewMCPs(nics []lanai.NIC, cfg Config) []MCP {
 		panic(fmt.Sprintf("mcp: NumPorts %d out of range (GM allows 1..8)", cfg.NumPorts))
 	}
 	cards := make([]MCP, len(nics))
-	sh := &shared{cfg: cfg, cards: cards}
+	sh := &shared{cfg: cfg, cards: cards, runBufs: make([]creditRun, runsPerCard*len(nics))}
 	sh.handleFrameFn, sh.loopbackFn, sh.sendFn, sh.crcDropFn = sh.handleFrameEvent, sh.loopbackEvent, sh.sendEvent, sh.crcDropEvent
 	for i := range cards {
 		m := &cards[i]
 		m.shared, m.nic, m.node = sh, &nics[i], network.NodeID(i)
+		m.runs = sh.runBufs[i*runsPerCard : i*runsPerCard : (i+1)*runsPerCard]
 		sh.sim = m.nic.Sim() // every card's: the block's one simulator
 		for n := range m.ports {
 			m.ports[n].num = n
@@ -189,22 +192,87 @@ func (m *MCP) Stats() Stats { return m.stats }
 // Port returns the NIC-side port structure (read-only use by tests).
 func (m *MCP) Port(n int) *Port { return &m.ports[n] }
 
+// runsPerCard is how many credit runs a card holds before its schedule
+// leaves the block for a slice of its own: the receive buffers pre-posted
+// at open and one completion buffer, a NIC-level barrier's most.
+const runsPerCard = 2
+
 // conn returns (creating if needed) the connection to a peer NIC. Its cell
 // comes from the block's chunks, which hold one cell a card: a chunk is never
 // moved, so the pointer is stable, and what the last chunk leaves unused is
-// less than one connection a card.
+// less than one connection a card. The block's one index finds it.
 func (m *MCP) conn(peer network.NodeID) *Connection {
-	c, ok := m.conns[peer]
-	if !ok {
+	ix := &m.connIx
+	if ix.cells == nil {
+		// A PE exchange's peers, log2 of the cards a card, at half load.
+		ix.resize(2 * len(m.cards) * max(1, bits.Len(uint(len(m.cards)-1))))
+	}
+	sl := ix.slot(m, peer)
+	if *sl == nil {
 		m.shared.conns = mem.AppendChunked(m.shared.conns, Connection{m: m, peer: peer}, len(m.cards))
 		last := m.shared.conns[len(m.shared.conns)-1]
-		c = &last[len(last)-1]
-		if m.conns == nil {
-			m.conns = make(map[network.NodeID]*Connection)
-		}
-		m.conns[peer] = c
+		sl = ix.add(&last[len(last)-1])
 	}
-	return c
+	return *sl
+}
+
+// eachConn calls fn on every connection of the card, in the order they were
+// made.
+func (m *MCP) eachConn(fn func(c *Connection)) {
+	for _, chunk := range m.shared.conns {
+		for i := range chunk {
+			if c := &chunk[i]; c.m == m {
+				fn(c)
+			}
+		}
+	}
+}
+
+// connIndex finds the Connection of a (card, peer) pair: one open-addressed
+// table of cells for the whole block, hashed on both nodes and doubled at
+// half full, so no card allocates a map of its own and nothing is sized by
+// cards squared — only by the connections made. A probe compares the cell's
+// own card and peer, which the caller is about to read anyway.
+type connIndex struct {
+	cells []*Connection // a power of two of them; nil is empty
+	shift uint8         // 64 − log2(len(cells))
+	used  int
+}
+
+// slot returns the slot holding m's connection to peer, or the empty slot
+// where it goes.
+func (ix *connIndex) slot(m *MCP, peer network.NodeID) **Connection {
+	key := uint64(uint32(m.node))<<32 | uint64(uint32(peer))
+	mask := len(ix.cells) - 1
+	for i := int((key * 0x9E3779B97F4A7C15) >> ix.shift); ; i = (i + 1) & mask {
+		if sl := &ix.cells[i]; *sl == nil || (*sl).m == m && (*sl).peer == peer {
+			return sl
+		}
+	}
+}
+
+// add files c, which the index does not hold, and returns its slot.
+func (ix *connIndex) add(c *Connection) **Connection {
+	if 2*(ix.used+1) > len(ix.cells) {
+		ix.resize(2 * len(ix.cells))
+	}
+	ix.used++
+	sl := ix.slot(c.m, c.peer)
+	*sl = c
+	return sl
+}
+
+// resize makes the table at least n cells (eight at least, a power of two)
+// and re-files what it holds.
+func (ix *connIndex) resize(n int) {
+	lg := max(3, bits.Len(uint(n-1)))
+	old := ix.cells
+	ix.cells, ix.shift = make([]*Connection, 1<<lg), uint8(64-lg)
+	for _, c := range old {
+		if c != nil {
+			*ix.slot(c.m, c.peer) = c
+		}
+	}
 }
 
 func (m *MCP) validPort(n int) bool { return n >= 0 && n < m.cfg.NumPorts }
@@ -245,15 +313,14 @@ func (m *MCP) OpenPort(n int, owner HostReceiver) error {
 	if m.cfg.ClearUnexpectedOnOpen {
 		// Naive alternative: clear the record of messages destined for
 		// this endpoint, collective ones included.
-		// order-free: each connection's records are cleared on their own.
-		for _, c := range m.conns {
+		m.eachConn(func(c *Connection) {
 			for sp := range c.unexp {
 				if c.unexp[sp].present && int(c.unexp[sp].dstPort) == n {
 					c.unexp[sp] = unexpRec{}
 				}
 			}
 			c.collQ = slices.DeleteFunc(c.collQ, func(r collRec) bool { return int(r.dstPort) == n })
-		}
+		})
 		delete(m.pendingClosed, n)
 		return nil
 	}

@@ -688,7 +688,7 @@ func TestSentEventAcrossReopen(t *testing.T) {
 	}
 	// Run until the ack has retired the send: its SentEvent is now on its
 	// way to host memory.
-	for m.Stats().DataSent == 0 || len(m.conns[1].sentList) != 0 {
+	for m.Stats().DataSent == 0 || len(m.conn(1).sentList) != 0 {
 		if !r.s.Step() {
 			t.Fatal("the send was never acknowledged")
 		}
@@ -716,6 +716,54 @@ func TestSentEventAcrossReopen(t *testing.T) {
 	}
 	if err := m.PostSendToken(SendToken{SrcPort: 2, Dst: ep, Data: []byte("extra")}); err == nil {
 		t.Fatal("the new program got a send token beyond MaxSendTokens")
+	}
+}
+
+// TestRecvEventAcrossReopen pins what happens today (ROADMAP item 10(c))
+// when a port closes while the RDMA of a received message's RecvEvent is
+// under way and a new program reopens the port: the old program's message
+// is delivered to the new one, payload and sender intact, and counted
+// delivered, while the receive buffer it took stays the old program's — the
+// open zeroed the port's count, and the new program's first buffer is still
+// there after the delivery. Item 10 is to flip the delivery; the count must
+// hold.
+func TestRecvEventAcrossReopen(t *testing.T) {
+	r := newRig(t, 2, nil)
+	r.open(t, 0, 2)
+	r.open(t, 1, 2)
+	r.provide(t, 1, 2, 1)
+	m := r.mcps[1]
+	if err := r.mcps[0].PostSendToken(SendToken{SrcPort: 2, Dst: Endpoint{Node: 1, Port: 2}, Data: []byte("old")}); err != nil {
+		t.Fatal(err)
+	}
+	// Run until the receiver has taken the message: its RecvEvent is now on
+	// its way to host memory.
+	for m.Stats().DataRecv == 0 {
+		if !r.s.Step() {
+			t.Fatal("the message never arrived")
+		}
+	}
+	if n, d := len(r.events[key(1, 2)]), m.Stats().DataDelivered; n != 0 || d != 0 {
+		t.Fatalf("the old program received %d events (%d delivered) before the close, want 0", n, d)
+	}
+	if err := m.ClosePort(2); err != nil {
+		t.Fatal(err)
+	}
+	var got []HostEvent
+	if err := m.OpenPort(2, hostFunc(func(ev *HostEvent) { got = append(got, *ev) })); err != nil {
+		t.Fatal(err)
+	}
+	r.provide(t, 1, 2, 1)
+	r.s.Run()
+	want := Endpoint{Node: 0, Port: 2}
+	if len(got) != 1 || got[0].Kind != RecvEvent || got[0].Src != want || string(got[0].Data) != "old" {
+		t.Fatalf("the new program received %v, want the old program's RecvEvent from %v", got, want)
+	}
+	if d := m.Stats().DataDelivered; d != 1 {
+		t.Fatalf("%d messages counted delivered, want 1", d)
+	}
+	if n := m.RecvTokens(2); n != 1 {
+		t.Fatalf("the new program has %d receive buffers after the old message, want its 1", n)
 	}
 }
 

@@ -32,6 +32,11 @@ type Fabric struct {
 	freeLinks  []LinkID
 	trunksLeft int
 
+	// deliverFn is the tail-arrival callback of a packet that arrives at its
+	// destination's interface, a method value built once: the event's
+	// argument is the packet, and its Dst names the interface.
+	deliverFn func(any)
+
 	// pool is a bounded free list of packets the fabric's NICs have fully
 	// consumed, shared by all of them for their next transmissions. Nothing
 	// else may hold one: an observer or a fault hook does not retain a packet
@@ -67,7 +72,7 @@ func New(s *sim.Simulator, shape Shape) *Fabric {
 	if shape.Switches < 0 || shape.Ports < 0 || shape.NICs < 0 || shape.Trunks < 0 {
 		panic(fmt.Sprintf("network: negative count in shape %+v", shape))
 	}
-	return &Fabric{
+	f := &Fabric{
 		sim:        s,
 		switches:   make([]Switch, 0, shape.Switches),
 		channels:   make([]channel, 0, 2*(shape.NICs+shape.Trunks)),
@@ -76,6 +81,8 @@ func New(s *sim.Simulator, shape Shape) *Fabric {
 		freeLinks:  make([]LinkID, 2*shape.Ports),
 		trunksLeft: shape.Trunks,
 	}
+	f.deliverFn = f.deliverEvent
+	return f
 }
 
 // Sim returns the simulator the fabric runs on.
@@ -191,8 +198,7 @@ func (f *Fabric) AttachNIC(node NodeID, sw *Switch, port int, lp LinkParams, rec
 	if sw.out[port] != nil {
 		panic(fmt.Sprintf("network: switch %d port %d already cabled", sw.id, port))
 	}
-	*iface = Iface{fab: f, recv: recv}
-	iface.deliverFn = iface.deliverEvent
+	*iface = Iface{fab: f, node: node, recv: recv}
 	// NIC -> switch direction.
 	iface.tx = f.newChannel(lp, sw)
 	// switch -> NIC direction.
@@ -271,14 +277,17 @@ func (f *Fabric) NICLinkIDs(node NodeID) (NICLinks, bool) {
 // that "NICs have separate receive and transmit channels to the network".
 type Iface struct {
 	fab  *Fabric
+	node NodeID
 	tx   *channel
 	rx   LinkID
 	recv Receiver
 
-	// deliverFn is the tail-arrival callback as a method value built once;
-	// the event's argument is the packet, so completing a receive allocates
+	// strayFn is the tail-arrival callback of a packet whose Dst is another
+	// node, a method value built the first time one arrives, so a clean run
+	// builds none: every other packet's is the fabric's one deliverFn.
+	// The event's argument is the packet, so completing a receive allocates
 	// nothing.
-	deliverFn func(any)
+	strayFn func(any)
 }
 
 // NewPacket returns a zeroed packet for transmission, reusing one the
@@ -324,13 +333,30 @@ func (i *Iface) headArrived(p *Packet, wire sim.Time) {
 // headDue implements headSink: a NIC takes every head, so the tail's
 // arrival can be scheduled as soon as the head's is known.
 func (i *Iface) headDue(p *Packet, headArrive, wire sim.Time) bool {
-	i.fab.sim.AtCall(headArrive+wire, i.deliverFn, p)
+	fn := i.fab.deliverFn
+	if p.Dst != i.node {
+		if i.strayFn == nil {
+			i.strayFn = i.strayEvent
+		}
+		fn = i.strayFn
+	}
+	i.fab.sim.AtCall(headArrive+wire, fn, p)
 	return true
 }
 
-// deliverEvent fires at tail arrival: hand the packet to the NIC.
-func (i *Iface) deliverEvent(a any) {
+// deliverEvent fires at the tail arrival of a packet at its destination's
+// interface.
+func (f *Fabric) deliverEvent(a any) {
 	p := a.(*Packet)
+	f.ifaces[p.Dst].deliver(p)
+}
+
+// strayEvent fires at the tail arrival of a packet at an interface other
+// than its destination's.
+func (i *Iface) strayEvent(a any) { i.deliver(a.(*Packet)) }
+
+// deliver hands a fully arrived packet to the NIC.
+func (i *Iface) deliver(p *Packet) {
 	if len(p.Route) != 0 {
 		i.fab.drop(p, "route-left-over-at-nic")
 		return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"iter"
 	"testing"
 	"unsafe"
 )
@@ -181,5 +182,68 @@ func TestSlotSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Simulator{}); got > 384 {
 		t.Errorf("Simulator is %d bytes, want ≤ 384", got)
+	}
+}
+
+// TestBlockStartAllocatesOnlyCoroutines: starting n processes whose cells
+// are one block, each with a package-level body that finds its cell through
+// its argument, costs no heap object per process beyond what iter.Pull
+// allocates for the coroutine; Spawn, the one-cell case, costs its cell on
+// top. The floor is measured here, a coroutine run to its end, so the bound
+// follows the toolchain. The block, the simulator's list of processes and
+// its event slots grow in O(log n) steps, which the slope between two block
+// sizes leaves out. Before a process was started on its cell, Spawn cost two
+// objects on top: its Proc and the closure its coroutine ran.
+func TestBlockStartAllocatesOnlyCoroutines(t *testing.T) {
+	seq := func(yield func(struct{}) bool) { yield(struct{}{}) }
+	floor := testing.AllocsPerRun(100, func() {
+		next, stop := iter.Pull(seq)
+		next()
+		next()
+		stop()
+	})
+	type cell struct {
+		p     Proc
+		woken int
+	}
+	body := func(a any) {
+		c := a.(*cell)
+		c.p.Sleep(1)
+		c.woken++
+	}
+	block := func(n int) func() {
+		return func() {
+			s := New()
+			cells := make([]cell, n)
+			for i := range cells {
+				s.Start(&cells[i].p, body, &cells[i])
+			}
+			s.Run()
+			if cells[n-1].woken != 1 {
+				t.Fatalf("the last process ran %d times, want 1", cells[n-1].woken)
+			}
+		}
+	}
+	spawn := func(n int) func() {
+		return func() {
+			s := New()
+			for i := 0; i < n; i++ {
+				s.Spawn("p", func(p *Proc) { p.Sleep(1) })
+			}
+			s.Run()
+		}
+	}
+	const lo, hi = 64, 1024
+	slope := func(run func(int) func()) float64 {
+		a, b := testing.AllocsPerRun(10, run(lo)), testing.AllocsPerRun(10, run(hi))
+		return (b - a) / (hi - lo)
+	}
+	perBlock, perSpawn := slope(block), slope(spawn)
+	t.Logf("iter.Pull: %.2f objects a coroutine; a process in a block %.3f, a spawned one %.3f", floor, perBlock, perSpawn)
+	if perBlock > floor+0.05 {
+		t.Errorf("a process started in a block costs %.3f objects, iter.Pull alone %.2f", perBlock, floor)
+	}
+	if perSpawn > floor+1.05 {
+		t.Errorf("a spawned process costs %.3f objects, iter.Pull and its cell %.2f", perSpawn, floor+1)
 	}
 }

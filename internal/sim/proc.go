@@ -42,7 +42,6 @@ import (
 // places with an unrelated event of the very same nanosecond.
 type Proc struct {
 	sim   *Simulator
-	name  string
 	next  func() (struct{}, bool) // switch into the body until it parks or returns
 	yield func(struct{}) bool     // switch back to the waker; false once stopped
 	stop  func()                  // make the pending yield return false
@@ -62,6 +61,11 @@ type Proc struct {
 	// unhook it from the signal's waiter list and from the deadlock
 	// (Stranded) accounting.
 	waitingOn *Signal
+
+	// body is the process's program and arg the cell it runs on (Start);
+	// the cell's String names the process in a panic message.
+	body func(any)
+	arg  any
 }
 
 // procClosed is the panic value with which park unwinds a process that
@@ -71,25 +75,82 @@ type Proc struct {
 type procClosed struct{}
 
 // Spawn starts a new process executing body. The body begins running at the
-// current simulated time, after already-scheduled same-time events.
+// current simulated time, after already-scheduled same-time events. It is
+// Start on a cell of its own.
 func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name}
+	c := &spawnCell{name: name, body: body}
+	s.Start(&c.p, runSpawnCell, c)
+	return &c.p
+}
+
+// spawnCell is the cell of a process Spawn starts.
+type spawnCell struct {
+	p    Proc
+	name string
+	body func(p *Proc)
+}
+
+func (c *spawnCell) String() string { return c.name }
+
+// runSpawnCell is a Spawn cell's body.
+func runSpawnCell(a any) {
+	c := a.(*spawnCell)
+	c.body(&c.p)
+}
+
+// Start starts p, a process in memory the caller owns, executing body(arg):
+// a harness that keeps more than the process per rank allocates the cells of
+// all its ranks as one block and starts each, arg its cell and body a
+// package function that finds the rest of the cell through it. The body
+// begins running at the current simulated time, after already-scheduled
+// same-time events. A process is named only in a panic message, by arg's
+// String method when it has one. p must not be started again.
+func (s *Simulator) Start(p *Proc, body func(any), arg any) {
+	*p = Proc{sim: s, body: body, arg: arg}
 	s.procs++
 	s.spawned = append(s.spawned, p)
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			if r := recover(); r != nil && r != (procClosed{}) {
-				panic(r) // a real panic: iter.Pull re-raises it in the waker
-			}
-		}()
-		body(p)
-		p.Sync() // the process is done when its last charge has elapsed
-		p.finished = true
-		s.procs--
-	})
-	s.AtCall(s.now, wakeProc, p)
-	return p
+	if s.coro == nil {
+		s.coro = s.runProc
+	}
+	p.next, p.stop = iter.Pull(s.coro)
+	s.AtCall(s.now, startProc, p)
+}
+
+// startProc is the event that starts a process, its argument: the first
+// wake hands the process to its coroutine (runProc).
+func startProc(a any) {
+	p := a.(*Proc)
+	if !p.killed {
+		p.sim.starting = p
+	}
+	p.wakeNow()
+}
+
+// runProc is every process's coroutine, one function for the simulator: it
+// takes the process its first wake handed over (startProc) and runs the
+// body on its cell, so starting a process builds no closure.
+func (s *Simulator) runProc(yield func(struct{}) bool) {
+	p := s.starting
+	s.starting = nil
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != (procClosed{}) {
+			panic(r) // a real panic: iter.Pull re-raises it in the waker
+		}
+	}()
+	p.body(p.arg)
+	p.Sync() // the process is done when its last charge has elapsed
+	p.finished = true
+	s.procs--
+}
+
+// name is the process's name in a panic message: its cell's String, or the
+// cell's type.
+func (p *Proc) name() string {
+	if n, ok := p.arg.(fmt.Stringer); ok {
+		return n.String()
+	}
+	return fmt.Sprintf("%T", p.arg)
 }
 
 // Close releases every process that never finished — killed by a fail-stop
@@ -161,7 +222,7 @@ func (p *Proc) wakeNow() {
 		return // crashed process: wakes are dropped
 	}
 	if p.finished {
-		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
+		panic(fmt.Sprintf("sim: waking finished process %q", p.name()))
 	}
 	p.sim.switches++
 	p.next()
@@ -180,7 +241,7 @@ func (p *Proc) park() {
 // d. Sleep(0) yields: other events scheduled at that instant run first.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: process %q sleeping negative duration %d", p.name, d))
+		panic(fmt.Sprintf("sim: process %q sleeping negative duration %d", p.name(), d))
 	}
 	p.sim.AtCall(p.Now()+d, wakeProc, p)
 	p.park()
@@ -191,7 +252,7 @@ func (p *Proc) Sleep(d Time) {
 // use it to charge per-operation costs.
 func (p *Proc) Advance(d Time) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: process %q advancing negative duration %d", p.name, d))
+		panic(fmt.Sprintf("sim: process %q advancing negative duration %d", p.name(), d))
 	}
 	p.clock = p.Now() + d
 }
@@ -246,15 +307,17 @@ type Signal struct {
 type waitList struct {
 	procs []*Proc
 	spare []*Proc // the idle buffer; nil while a Fire is walking it
+	// first backs the first two buffers, one slot each, so a signal with one
+	// waiter at a time — a port's, its owner's — never allocates.
+	first [2]*Proc
 }
 
-// add queues p for the next Fire. The first waiter brings both buffers, one
-// slot each, in one allocation: a process that waits again inside the Fire
-// that woke it (Await in a loop) needs the second at once.
+// add queues p for the next Fire. The first waiter installs both buffers:
+// a process that waits again inside the Fire that woke it (Await in a loop)
+// needs the second at once.
 func (l *waitList) add(p *Proc) {
 	if cap(l.procs) == 0 && l.spare == nil {
-		both := make([]*Proc, 2)
-		l.procs, l.spare = both[0:0:1], both[1:1:2]
+		l.procs, l.spare = l.first[0:0:1], l.first[1:1:2]
 	}
 	l.procs = append(l.procs, p)
 }
@@ -285,7 +348,9 @@ func (l *waitList) remove(p *Proc) {
 	}
 }
 
-// NewSignal returns a signal for the simulator's processes to wait on.
+// NewSignal returns a signal for the simulator's processes to wait on. The
+// zero Signal is ready to use too, so a signal can live inside what its
+// waiters wait for (gm.Port).
 func (s *Simulator) NewSignal() *Signal { return &Signal{} }
 
 // Fire wakes all current waiters. Each waiter resumes at the current

@@ -217,8 +217,8 @@ func TestManyProcsBarrierStyle(t *testing.T) {
 func TestProcName(t *testing.T) {
 	s := New()
 	s.Spawn("alpha", func(p *Proc) {
-		if p.name != "alpha" {
-			t.Errorf("Name = %q", p.name)
+		if p.name() != "alpha" {
+			t.Errorf("Name = %q", p.name())
 		}
 		if p.Sim() != s {
 			t.Error("Sim() mismatch")
@@ -478,11 +478,13 @@ func TestWaitAllocatesNothing(t *testing.T) {
 }
 
 // TestProcAndSignalSizes pins the two engine objects every simulated rank
-// allocates to their size classes: a Proc holds its coroutine, its clock and
-// the one signal it is parked on; a Signal holds its waiter list.
+// holds, in its cell: a Proc holds its coroutine, its clock, the one signal
+// it is parked on and its body and cell (80 bytes while it held its name
+// instead); a Signal holds its waiter list and the list's first two buffers
+// (48 bytes while it allocated them).
 func TestProcAndSignalSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Proc{}); got > 96 {
-		t.Errorf("Proc is %d bytes, want ≤ 96", got)
+	if got := unsafe.Sizeof(Proc{}); got > 88 {
+		t.Errorf("Proc is %d bytes, want ≤ 88", got)
 	}
 	if got := unsafe.Sizeof(Signal{}); got > 64 {
 		t.Errorf("Signal is %d bytes, want ≤ 64", got)

@@ -188,6 +188,12 @@ type Simulator struct {
 	timerTotal int32
 
 	placed int64 // events placed in the calendar by schedule (read by tests)
+
+	// coro is every process's coroutine function, built by the first Start
+	// (runProc), and starting the process its first wake hands to it
+	// (startProc).
+	coro     func(yield func(struct{}) bool)
+	starting *Proc
 }
 
 // New returns a simulator with the clock at zero and no pending events.

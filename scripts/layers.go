@@ -14,8 +14,10 @@
 // root, that names a layer; runtime helpers the code calls (memmove, map
 // access, a syscall) are charged to the layer that called them:
 //
-//   - process handoff: sim.Proc, sim.Signal and their wait lists, iter.Pull
-//     and the runtime's coroutine switch beneath them;
+//   - process handoff: sim.Proc, sim.Signal and their wait lists, starting
+//     a process and its coroutine's own frames (Start, startProc, runProc,
+//     a Spawn cell's body), iter.Pull and the runtime's coroutine switch
+//     beneath them;
 //   - scheduler: the rest of internal/sim (event queue, calendar, Run);
 //   - firmware: internal/mcp, internal/lanai;
 //   - fabric: internal/network, internal/topo;
@@ -53,7 +55,8 @@ func layerOf(fn string) string {
 	const mod = "gmsim/internal/"
 	switch {
 	case strings.HasPrefix(fn, mod+"sim."):
-		for _, h := range []string{"(*Proc)", "(*Signal)", "(*waitList)"} {
+		for _, h := range []string{"(*Proc)", "(*Signal)", "(*waitList)",
+			"(*Simulator).Start", "(*Simulator).runProc", "startProc", "runSpawnCell"} {
 			if strings.HasPrefix(fn, mod+"sim."+h) {
 				return "process handoff"
 			}
