@@ -32,9 +32,13 @@ type MCP struct {
 
 	// ports sit in the card itself, so a *Port stays valid; the first
 	// Config.NumPorts are the NIC's. runs is the NIC's credit schedule
-	// (ScheduleCredits), its first runsPerCard in the block's runBufs.
+	// (ScheduleCredits), its first runsPerCard in the block's runBufs; near
+	// is the card's slots of the block's connection table, and last the
+	// connection it looked up last (see conn).
 	ports [8]Port
 	runs  []creditRun
+	near  []connSlot
+	last  *Connection
 
 	// pendingClosed records barrier-class messages that arrived for closed
 	// local ports, keyed by the closed port number (Section 3.2): one per
@@ -74,10 +78,13 @@ type shared struct {
 	// frames is the bounded free list of wire frames (see leaseFrame),
 	// framePoolCap a card.
 	frames []*Frame
-	// conns holds the block's Connection cells in chunks of one cell a card,
-	// and connIx finds a card's cell for a peer (see MCP.conn).
-	conns  [][]Connection
-	connIx connIndex
+	// conns holds the block's Connection cells in chunks of one cell a card;
+	// a card finds its own among 1<<nearLog slots of one table for the
+	// block, and spill indexes those of cards with more peers than slots
+	// (see MCP.conn).
+	conns   [][]Connection
+	nearLog uint8
+	spill   connIndex
 	// runBufs backs the first runsPerCard credit runs of every card.
 	runBufs []creditRun
 
@@ -197,24 +204,76 @@ func (m *MCP) Port(n int) *Port { return &m.ports[n] }
 // at open and one completion buffer, a NIC-level barrier's most.
 const runsPerCard = 2
 
-// conn returns (creating if needed) the connection to a peer NIC. Its cell
-// comes from the block's chunks, which hold one cell a card: a chunk is never
-// moved, so the pointer is stable, and what the last chunk leaves unused is
-// less than one connection a card. The block's one index finds it.
+// conn returns (creating if needed) the connection to a peer NIC. Most of a
+// card's lookups repeat its last one — a PE step sends to one peer, hears
+// from it and acknowledges it — and the card keeps that connection at hand
+// (three in four lookups of a clos3-256 PE barrier); the rest find it in
+// findConn.
 func (m *MCP) conn(peer network.NodeID) *Connection {
-	ix := &m.connIx
-	if ix.cells == nil {
-		// A PE exchange's peers, log2 of the cards a card, at half load.
-		ix.resize(2 * len(m.cards) * max(1, bits.Len(uint(len(m.cards)-1))))
+	if c := m.last; c != nil && c.peer == peer {
+		return c
 	}
-	sl := ix.slot(m, peer)
-	if *sl == nil {
-		m.shared.conns = mem.AppendChunked(m.shared.conns, Connection{m: m, peer: peer}, len(m.cards))
-		last := m.shared.conns[len(m.shared.conns)-1]
-		sl = ix.add(&last[len(last)-1])
-	}
-	return *sl
+	c := m.findConn(peer)
+	m.last = c
+	return c
 }
+
+// findConn finds (creating if needed) the connection to a peer NIC among
+// slots of the card's own in one table for the block, twice a PE exchange's
+// log2 n peers of them, open-addressed on the peer, so no card allocates; a
+// card with more peers than slots files the rest in the block's spill index.
+func (m *MCP) findConn(peer network.NodeID) *Connection {
+	if m.near == nil {
+		m.layOutNear()
+	}
+	key := uint64(uint32(peer))
+	mask := len(m.near) - 1
+	h := int((key * fibHash) >> (64 - m.nearLog))
+	for i := 0; i <= mask; i++ {
+		sl := &m.near[(h+i)&mask]
+		if sl.c == nil {
+			*sl = connSlot{key, m.newConn(peer)}
+			return sl.c
+		}
+		if sl.key == key {
+			return sl.c
+		}
+	}
+	key = uint64(uint32(m.node))<<32 | key
+	sl := m.spill.slot(key)
+	if sl.c == nil {
+		sl = m.spill.add(key, m.newConn(peer))
+	}
+	return sl.c
+}
+
+// newConn makes the card's connection to peer. Its cell comes from the
+// block's chunks, which hold one cell a card: a chunk is never moved, so the
+// pointer is stable, and what the last chunk leaves unused is less than one
+// connection a card.
+func (m *MCP) newConn(peer network.NodeID) *Connection {
+	m.shared.conns = mem.AppendChunked(m.shared.conns, Connection{m: m, peer: peer}, len(m.cards))
+	last := m.shared.conns[len(m.shared.conns)-1]
+	return &last[len(last)-1]
+}
+
+// layOutNear gives every card of the block its slots of the connection
+// table, the first time a card makes a connection: a power of two of them,
+// at least twice log2 of the cards.
+func (b *shared) layOutNear() {
+	n := len(b.cards)
+	lg := max(2, bits.Len(uint(2*max(1, bits.Len(uint(n-1)))-1)))
+	table := make([]connSlot, n<<lg)
+	b.nearLog = uint8(lg)
+	for i := range b.cards {
+		b.cards[i].near = table[i<<lg : (i+1)<<lg : (i+1)<<lg]
+	}
+}
+
+// fibHash is 2^64 divided by the golden ratio: a key times it, shifted,
+// spreads the key's bits over a power-of-two table (Knuth's multiplicative
+// hashing).
+const fibHash = 0x9E3779B97F4A7C15
 
 // eachConn calls fn on every connection of the card, in the order they were
 // made.
@@ -228,49 +287,56 @@ func (m *MCP) eachConn(fn func(c *Connection)) {
 	}
 }
 
-// connIndex finds the Connection of a (card, peer) pair: one open-addressed
-// table of cells for the whole block, hashed on both nodes and doubled at
-// half full, so no card allocates a map of its own and nothing is sized by
-// cards squared — only by the connections made. A probe compares the cell's
-// own card and peer, which the caller is about to read anyway.
+// connIndex is the spill index of a block's connections: the (card, peer)
+// pairs of cards with more peers than their slots of the block's table, in
+// one open-addressed table keyed by both nodes and doubled at half full.
 type connIndex struct {
-	cells []*Connection // a power of two of them; nil is empty
-	shift uint8         // 64 − log2(len(cells))
+	slots []connSlot // a power of two of them; an empty one has a nil c
+	shift uint8      // 64 − log2(len(slots))
 	used  int
 }
 
-// slot returns the slot holding m's connection to peer, or the empty slot
-// where it goes.
-func (ix *connIndex) slot(m *MCP, peer network.NodeID) **Connection {
-	key := uint64(uint32(m.node))<<32 | uint64(uint32(peer))
-	mask := len(ix.cells) - 1
-	for i := int((key * 0x9E3779B97F4A7C15) >> ix.shift); ; i = (i + 1) & mask {
-		if sl := &ix.cells[i]; *sl == nil || (*sl).m == m && (*sl).peer == peer {
+// connSlot is one entry of a card's slots or of the spill index: a peer, or
+// a card and a peer packed 32 bits each (as wide as the frame header's), and
+// the connection.
+type connSlot struct {
+	key uint64
+	c   *Connection
+}
+
+// slot returns the slot holding key, or the empty slot where it goes.
+func (ix *connIndex) slot(key uint64) *connSlot {
+	if ix.slots == nil {
+		ix.resize(8)
+	}
+	mask := len(ix.slots) - 1
+	for i := int((key * fibHash) >> ix.shift); ; i = (i + 1) & mask {
+		if sl := &ix.slots[i]; sl.c == nil || sl.key == key {
 			return sl
 		}
 	}
 }
 
-// add files c, which the index does not hold, and returns its slot.
-func (ix *connIndex) add(c *Connection) **Connection {
-	if 2*(ix.used+1) > len(ix.cells) {
-		ix.resize(2 * len(ix.cells))
+// add files c under key, which the index does not hold, and returns its
+// slot.
+func (ix *connIndex) add(key uint64, c *Connection) *connSlot {
+	if 2*(ix.used+1) > len(ix.slots) {
+		ix.resize(2 * len(ix.slots))
 	}
 	ix.used++
-	sl := ix.slot(c.m, c.peer)
-	*sl = c
+	sl := ix.slot(key)
+	*sl = connSlot{key, c}
 	return sl
 }
 
-// resize makes the table at least n cells (eight at least, a power of two)
-// and re-files what it holds.
+// resize makes the table n slots, a power of two, and re-files what it
+// holds.
 func (ix *connIndex) resize(n int) {
-	lg := max(3, bits.Len(uint(n-1)))
-	old := ix.cells
-	ix.cells, ix.shift = make([]*Connection, 1<<lg), uint8(64-lg)
-	for _, c := range old {
-		if c != nil {
-			*ix.slot(c.m, c.peer) = c
+	old := ix.slots
+	ix.slots, ix.shift = make([]connSlot, n), uint8(64-bits.Len(uint(n-1)))
+	for _, sl := range old {
+		if sl.c != nil {
+			*ix.slot(sl.key) = sl
 		}
 	}
 }

@@ -1013,3 +1013,36 @@ func (s *scriptedSource) Int63() int64 {
 }
 
 func (s *scriptedSource) Seed(int64) {}
+
+// TestConnSpillsPastItsSlots: a card that talks to more peers than its slots
+// of the block's connection table (eight a card in a 16-card block) files
+// the rest in the block's spill index, and every lookup, from either, finds
+// the one connection of that pair.
+func TestConnSpillsPastItsSlots(t *testing.T) {
+	r := newRig(t, 16, nil)
+	m := r.mcps[0]
+	conns := map[network.NodeID]*Connection{}
+	for round := 0; round < 2; round++ {
+		for peer := network.NodeID(1); peer < 16; peer++ {
+			c := m.conn(peer)
+			if c.m != m || c.peer != peer {
+				t.Fatalf("conn(%d) is card %d's connection to %d", peer, c.m.node, c.peer)
+			}
+			if was, ok := conns[peer]; ok && was != c {
+				t.Fatalf("conn(%d) moved on round %d", peer, round)
+			}
+			conns[peer] = c
+		}
+	}
+	if len(m.near) != 8 || m.spill.used != 15-8 {
+		t.Fatalf("%d slots a card and %d connections spilled, want 8 and 7", len(m.near), m.spill.used)
+	}
+	if c := r.mcps[1].conn(0); c.m != r.mcps[1] || c.peer != 0 || c == conns[1] {
+		t.Fatalf("card 1's connection to card 0 is card %d's to %d", c.m.node, c.peer)
+	}
+	n := 0
+	m.eachConn(func(*Connection) { n++ })
+	if n != 15 {
+		t.Fatalf("card 0 has %d connections, want 15", n)
+	}
+}
