@@ -32,12 +32,10 @@ type MCP struct {
 
 	// ports sit in the card itself, so a *Port stays valid; the first
 	// Config.NumPorts are the NIC's. runs is the NIC's credit schedule
-	// (ScheduleCredits), its first runsPerCard in the block's runBufs; near
-	// is the card's slots of the block's connection table, and last the
-	// connection it looked up last (see conn).
+	// (ScheduleCredits), its first runsPerCard in the block's runBufs, and
+	// last the connection it looked up last (see conn).
 	ports [8]Port
 	runs  []creditRun
-	near  []connSlot
 	last  *Connection
 
 	// pendingClosed records barrier-class messages that arrived for closed
@@ -78,13 +76,10 @@ type shared struct {
 	// frames is the bounded free list of wire frames (see leaseFrame),
 	// framePoolCap a card.
 	frames []*Frame
-	// conns holds the block's Connection cells in chunks of one cell a card;
-	// a card finds its own among 1<<nearLog slots of one table for the
-	// block, and spill indexes those of cards with more peers than slots
-	// (see MCP.conn).
-	conns   [][]Connection
-	nearLog uint8
-	spill   connIndex
+	// conns holds the block's Connection cells in chunks of one cell a
+	// card, and connIx finds a card's cell for a peer (see MCP.conn).
+	conns  [][]Connection
+	connIx connIndex
 	// runBufs backs the first runsPerCard credit runs of every card.
 	runBufs []creditRun
 
@@ -207,43 +202,24 @@ const runsPerCard = 2
 // conn returns (creating if needed) the connection to a peer NIC. Most of a
 // card's lookups repeat its last one — a PE step sends to one peer, hears
 // from it and acknowledges it — and the card keeps that connection at hand
-// (three in four lookups of a clos3-256 PE barrier); the rest find it in
-// findConn.
+// (three in four lookups of a clos3-256 PE barrier); the rest look in the
+// block's one index, first sized for a PE exchange's log2 n peers a card at
+// half load, so no card allocates.
 func (m *MCP) conn(peer network.NodeID) *Connection {
 	if c := m.last; c != nil && c.peer == peer {
 		return c
 	}
-	c := m.findConn(peer)
-	m.last = c
-	return c
-}
-
-// findConn finds (creating if needed) the connection to a peer NIC among
-// slots of the card's own in one table for the block, twice a PE exchange's
-// log2 n peers of them, open-addressed on the peer, so no card allocates; a
-// card with more peers than slots files the rest in the block's spill index.
-func (m *MCP) findConn(peer network.NodeID) *Connection {
-	if m.near == nil {
-		m.layOutNear()
+	ix := &m.connIx
+	if ix.slots == nil {
+		n := len(m.cards)
+		ix.resize(1 << max(3, bits.Len(uint(2*n*max(1, bits.Len(uint(n-1)))-1))))
 	}
-	key := uint64(uint32(peer))
-	mask := len(m.near) - 1
-	h := int((key * fibHash) >> (64 - m.nearLog))
-	for i := 0; i <= mask; i++ {
-		sl := &m.near[(h+i)&mask]
-		if sl.c == nil {
-			*sl = connSlot{key, m.newConn(peer)}
-			return sl.c
-		}
-		if sl.key == key {
-			return sl.c
-		}
-	}
-	key = uint64(uint32(m.node))<<32 | key
-	sl := m.spill.slot(key)
+	key := uint64(uint32(m.node))<<32 | uint64(uint32(peer))
+	sl := ix.slot(key)
 	if sl.c == nil {
-		sl = m.spill.add(key, m.newConn(peer))
+		sl = ix.add(key, m.newConn(peer))
 	}
+	m.last = sl.c
 	return sl.c
 }
 
@@ -257,24 +233,6 @@ func (m *MCP) newConn(peer network.NodeID) *Connection {
 	return &last[len(last)-1]
 }
 
-// layOutNear gives every card of the block its slots of the connection
-// table, the first time a card makes a connection: a power of two of them,
-// at least twice log2 of the cards.
-func (b *shared) layOutNear() {
-	n := len(b.cards)
-	lg := max(2, bits.Len(uint(2*max(1, bits.Len(uint(n-1)))-1)))
-	table := make([]connSlot, n<<lg)
-	b.nearLog = uint8(lg)
-	for i := range b.cards {
-		b.cards[i].near = table[i<<lg : (i+1)<<lg : (i+1)<<lg]
-	}
-}
-
-// fibHash is 2^64 divided by the golden ratio: a key times it, shifted,
-// spreads the key's bits over a power-of-two table (Knuth's multiplicative
-// hashing).
-const fibHash = 0x9E3779B97F4A7C15
-
 // eachConn calls fn on every connection of the card, in the order they were
 // made.
 func (m *MCP) eachConn(fn func(c *Connection)) {
@@ -287,18 +245,17 @@ func (m *MCP) eachConn(fn func(c *Connection)) {
 	}
 }
 
-// connIndex is the spill index of a block's connections: the (card, peer)
-// pairs of cards with more peers than their slots of the block's table, in
-// one open-addressed table keyed by both nodes and doubled at half full.
+// connIndex finds the Connection of a (card, peer) pair: one open-addressed
+// table for the whole block, keyed by both nodes (32 bits each, as wide as
+// the frame header's) with Knuth's multiplicative hash and doubled at half
+// full, so nothing is sized by cards squared — only by the connections made.
 type connIndex struct {
 	slots []connSlot // a power of two of them; an empty one has a nil c
 	shift uint8      // 64 − log2(len(slots))
 	used  int
 }
 
-// connSlot is one entry of a card's slots or of the spill index: a peer, or
-// a card and a peer packed 32 bits each (as wide as the frame header's), and
-// the connection.
+// connSlot is one entry of a connIndex.
 type connSlot struct {
 	key uint64
 	c   *Connection
@@ -306,11 +263,8 @@ type connSlot struct {
 
 // slot returns the slot holding key, or the empty slot where it goes.
 func (ix *connIndex) slot(key uint64) *connSlot {
-	if ix.slots == nil {
-		ix.resize(8)
-	}
 	mask := len(ix.slots) - 1
-	for i := int((key * fibHash) >> ix.shift); ; i = (i + 1) & mask {
+	for i := int((key * 0x9E3779B97F4A7C15) >> ix.shift); ; i = (i + 1) & mask {
 		if sl := &ix.slots[i]; sl.c == nil || sl.key == key {
 			return sl
 		}

@@ -1014,35 +1014,41 @@ func (s *scriptedSource) Int63() int64 {
 
 func (s *scriptedSource) Seed(int64) {}
 
-// TestConnSpillsPastItsSlots: a card that talks to more peers than its slots
-// of the block's connection table (eight a card in a 16-card block) files
-// the rest in the block's spill index, and every lookup, from either, finds
-// the one connection of that pair.
-func TestConnSpillsPastItsSlots(t *testing.T) {
-	r := newRig(t, 16, nil)
-	m := r.mcps[0]
-	conns := map[network.NodeID]*Connection{}
+// TestConnIndexFindsEveryPair: every card of a 16-card block talks to every
+// other, which grows the block's connection index twice past its first size
+// (a PE exchange's four peers a card), and every lookup, through the card's
+// last connection or the index, finds the one connection of that pair.
+func TestConnIndexFindsEveryPair(t *testing.T) {
+	const n = 16
+	r := newRig(t, n, nil)
+	conns := map[[2]network.NodeID]*Connection{}
 	for round := 0; round < 2; round++ {
-		for peer := network.NodeID(1); peer < 16; peer++ {
-			c := m.conn(peer)
-			if c.m != m || c.peer != peer {
-				t.Fatalf("conn(%d) is card %d's connection to %d", peer, c.m.node, c.peer)
+		for _, m := range r.mcps {
+			for peer := network.NodeID(0); peer < n; peer++ {
+				if peer == m.node {
+					continue
+				}
+				c := m.conn(peer)
+				if c.m != m || c.peer != peer {
+					t.Fatalf("card %d's conn(%d) is card %d's connection to %d", m.node, peer, c.m.node, c.peer)
+				}
+				k := [2]network.NodeID{m.node, peer}
+				if was, ok := conns[k]; ok && was != c {
+					t.Fatalf("card %d's connection to %d moved on round %d", m.node, peer, round)
+				}
+				conns[k] = c
 			}
-			if was, ok := conns[peer]; ok && was != c {
-				t.Fatalf("conn(%d) moved on round %d", peer, round)
-			}
-			conns[peer] = c
 		}
 	}
-	if len(m.near) != 8 || m.spill.used != 15-8 {
-		t.Fatalf("%d slots a card and %d connections spilled, want 8 and 7", len(m.near), m.spill.used)
+	ix := &r.mcps[0].connIx
+	if ix.used != n*(n-1) || len(ix.slots) != 512 {
+		t.Fatalf("index holds %d connections in %d slots, want %d in 512", ix.used, len(ix.slots), n*(n-1))
 	}
-	if c := r.mcps[1].conn(0); c.m != r.mcps[1] || c.peer != 0 || c == conns[1] {
-		t.Fatalf("card 1's connection to card 0 is card %d's to %d", c.m.node, c.peer)
-	}
-	n := 0
-	m.eachConn(func(*Connection) { n++ })
-	if n != 15 {
-		t.Fatalf("card 0 has %d connections, want 15", n)
+	for _, m := range r.mcps {
+		k := 0
+		m.eachConn(func(*Connection) { k++ })
+		if k != n-1 {
+			t.Fatalf("card %d has %d connections, want %d", m.node, k, n-1)
+		}
 	}
 }
