@@ -85,11 +85,30 @@ type Process struct {
 
 // Start starts p, a process in memory the caller owns, on the given node and
 // rank: s runs body(arg) as its program (sim.Simulator.Start). Cluster code
-// normally starts processes (cluster.Cluster.Start, Spawn, SpawnAll); a cell
-// that embeds its Process is named by it in a panic message.
+// normally starts processes (cluster.Cluster.Start, Spawn, SpawnAll). A panic
+// message names the process by arg's String; a cell that embeds its Process
+// has p's. An arg without one costs a small cell of its own, so that p
+// names the process still.
 func (p *Process) Start(s *sim.Simulator, node network.NodeID, rank int, prm Params, body func(any), arg any) {
 	p.node, p.rank, p.prm = node, rank, prm
+	if _, ok := arg.(fmt.Stringer); !ok {
+		body, arg = runNamed, &named{p, body, arg}
+	}
 	s.Start(&p.proc, body, arg)
+}
+
+// named is the cell of a process whose arg cannot name it: the Process
+// names it, and the body runs on the arg it was given.
+type named struct {
+	*Process
+	body func(any)
+	arg  any
+}
+
+// runNamed is a named cell's body.
+func runNamed(a any) {
+	n := a.(*named)
+	n.body(n.arg)
 }
 
 // String names the process by its node and rank, as "node3/rank7".

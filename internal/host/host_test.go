@@ -95,3 +95,25 @@ func TestCellNamesItsProcess(t *testing.T) {
 	}()
 	s.Run()
 }
+
+// TestPlainArgNamesProcessByNodeAndRank: an arg without a String of its own
+// (here nil) still leaves the process named by node and rank, and the body
+// still gets that arg.
+func TestPlainArgNamesProcessByNodeAndRank(t *testing.T) {
+	s := sim.New()
+	var hp Process
+	hp.Start(s, 4, 9, DefaultParams(), func(a any) {
+		if a != nil {
+			t.Errorf("body got arg %v, want nil", a)
+		}
+		hp.Proc().Sleep(-1)
+	}, nil)
+	defer func() {
+		s.Close()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, `process "node4/rank9"`) {
+			t.Fatalf("panic %v, want one naming node4/rank9", r)
+		}
+	}()
+	s.Run()
+}

@@ -203,8 +203,12 @@ const runsPerCard = 2
 // card's lookups repeat its last one — a PE step sends to one peer, hears
 // from it and acknowledges it — and the card keeps that connection at hand
 // (three in four lookups of a clos3-256 PE barrier); the rest look in the
-// block's one index, first sized for a PE exchange's log2 n peers a card at
-// half load, so no card allocates.
+// block's one index, so no card allocates. The index is first sized for the
+// densest exchange here, PE's (host or NIC) log2 n peers a card, at half
+// load, so such a run never regrows it; a sparser one (GB: a parent and
+// children) leaves slots unused, about 32·log2 n bytes a card. Sized for
+// one connection a card instead, the index's regrowth garbage read 0.25 KB a
+// rank more on TestConstructionCostPerRank.
 func (m *MCP) conn(peer network.NodeID) *Connection {
 	if c := m.last; c != nil && c.peer == peer {
 		return c
@@ -234,7 +238,10 @@ func (m *MCP) newConn(peer network.NodeID) *Connection {
 }
 
 // eachConn calls fn on every connection of the card, in the order they were
-// made.
+// made. It walks every connection of the block, so it costs the whole
+// cluster's connections (about n·log2 n for PE), not the card's: fit for
+// tests and the ClearUnexpectedOnOpen variant only tests use, not for a
+// per-open or per-message path.
 func (m *MCP) eachConn(fn func(c *Connection)) {
 	for _, chunk := range m.shared.conns {
 		for i := range chunk {
@@ -248,7 +255,9 @@ func (m *MCP) eachConn(fn func(c *Connection)) {
 // connIndex finds the Connection of a (card, peer) pair: one open-addressed
 // table for the whole block, keyed by both nodes (32 bits each, as wide as
 // the frame header's) with Knuth's multiplicative hash and doubled at half
-// full, so nothing is sized by cards squared — only by the connections made.
+// full, so nothing is sized by cards squared. A built-in map in its place
+// made conn about 60 % slower on clos256 profiles and 2.5 times as slow on
+// nic16 ones (EXPERIMENTS.md).
 type connIndex struct {
 	slots []connSlot // a power of two of them; an empty one has a nil c
 	shift uint8      // 64 − log2(len(slots))

@@ -312,11 +312,12 @@ type waitList struct {
 	first [2]*Proc
 }
 
-// add queues p for the next Fire. The first waiter installs both buffers:
-// a process that waits again inside the Fire that woke it (Await in a loop)
-// needs the second at once.
+// add queues p for the next Fire. The signal's first waiter ever installs
+// both buffers: a process that waits again inside the Fire that woke it
+// (Await in a loop) needs the second at once. procs stays non-nil from then
+// on, so first is installed once and never while a Fire may be walking it.
 func (l *waitList) add(p *Proc) {
-	if cap(l.procs) == 0 && l.spare == nil {
+	if l.procs == nil {
 		l.procs, l.spare = l.first[0:0:1], l.first[1:1:2]
 	}
 	l.procs = append(l.procs, p)
@@ -324,10 +325,15 @@ func (l *waitList) add(p *Proc) {
 
 // take detaches the current waiters for Fire to walk and installs the idle
 // buffer. A Fire nested inside that walk (a woken process firing the same
-// signal) finds no idle buffer and starts a fresh one.
+// signal) finds no idle buffer: its waiters start a fresh one on the heap,
+// from an empty list that is not nil.
 func (l *waitList) take() []*Proc {
 	ps := l.procs
-	l.procs = l.spare[:0]
+	if l.spare == nil && ps != nil {
+		l.procs = []*Proc{}
+	} else {
+		l.procs = l.spare[:0]
+	}
 	l.spare = nil
 	return ps
 }

@@ -454,6 +454,42 @@ func TestSignalRewaitAndRefireInsideFire(t *testing.T) {
 	}
 }
 
+// TestSignalRefireAfterWakeThroughAnother: the one waiter of a signal, woken
+// by its Fire, wakes a second process through another signal; that process
+// waits on the first signal, the waiter fires it again inside the outer
+// walk, and the second process waits once more inside that nested Fire. Its
+// last wait must survive the outer Fire's end and be woken by the next one.
+func TestSignalRefireAfterWakeThroughAnother(t *testing.T) {
+	s := New()
+	sig, other := s.NewSignal(), s.NewSignal()
+	var order []string
+	s.Spawn("c", func(p *Proc) {
+		p.Wait(other)
+		order = append(order, "c")
+		p.Wait(sig) // queued while the outer Fire walks a
+		order = append(order, "c-woken")
+		p.Wait(sig) // queued inside the nested Fire
+		order = append(order, "c-again")
+	})
+	s.Spawn("a", func(p *Proc) {
+		p.Wait(sig) // the signal's first and only waiter
+		order = append(order, "a")
+		other.Fire()
+		sig.Fire() // nested in the outer walk
+		order = append(order, "a-done")
+	})
+	s.After(10, sig.Fire)
+	s.After(20, sig.Fire)
+	s.Run()
+	want := "a c c-woken a-done c-again"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+	if s.Stranded() != 0 || s.LiveProcs() != 0 {
+		t.Fatalf("stranded=%d live=%d", s.Stranded(), s.LiveProcs())
+	}
+}
+
 // TestWaitAllocatesNothing: at steady state Wait/Fire does not touch the
 // allocator.
 func TestWaitAllocatesNothing(t *testing.T) {
